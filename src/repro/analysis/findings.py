@@ -8,7 +8,7 @@ lives next to the code it excuses:
   directly above it, suppresses that line for that rule;
 * ``# repro: allow-file(<rule-id>)`` anywhere in a file suppresses the
   whole file for that rule (for files whose entire purpose is the
-  exception, e.g. the per-key parity oracles in ``store/reference.py``).
+  exception).
 
 Multiple rule ids may be comma-separated inside one ``allow(...)``.
 Suppressed findings are still counted and reported (as suppressed) so a

@@ -95,8 +95,8 @@ class HotLoopRule:
         "PRs 1/5/6 made every store/cache/plan hot path batch-first; a "
         "per-key Python loop over a key array reintroduces the seed's "
         "O(batch) interpreter overhead and silently regresses rounds/s. "
-        "Intentional scalar paths (parity oracles, collision-split runs) "
-        "carry an explicit allow."
+        "Intentional scalar paths (collision-split runs) carry an "
+        "explicit allow."
     )
 
     #: iterable names treated as batch key arrays
@@ -213,8 +213,8 @@ class SeededRngRule:
     id = "seeded-rng"
     title = "no global-state np.random.* or unseeded default_rng()"
     rationale = (
-        "Bit-parity oracles (planned vs unplanned, lockstep vs "
-        "pipelined, checkpoint resume) require byte-identical random "
+        "Bit-parity oracles (lockstep vs pipelined, checkpoint "
+        "resume, fault recovery) require byte-identical random "
         "streams; process-global or unseeded RNG state breaks them "
         "nondeterministically.  utils/rng.py is the one seeding point."
     )

@@ -16,10 +16,8 @@ Two kinds of experiments:
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import os
-import time
 
 import numpy as np
 
@@ -50,49 +48,17 @@ __all__ = [
     "run_e2e_throughput",
     "BENCH_E2E_SCHEMA",
     "FAULTS_WORKLOAD",
-    "PRESSURE_WORKLOAD",
     "RECOVERY_WORKLOAD",
     "small_cluster_config",
 ]
 
 #: Schema tag written into ``BENCH_e2e.json`` (bump on layout changes).
-#: v2: per-scenario layout — the perf-smoke regression gate compares
-#: rounds/s per (scenario, mode), not just the aggregate default run.
-#: v3: the pressure scenario grows the plan-driven prefetch modes
-#: (lockstep-prefetch-oracle / lockstep-prefetch / pipelined-prefetch);
-#: their ``stage_seconds`` carry the spliced-in ``prefetch`` stage.
-#: v4: new ``recovery`` scenario with ``snapshot-overhead`` and
-#: ``recovery-downtime`` rows (simulated-seconds based, so the committed
-#: values are deterministic); its rows intentionally do not carry the
-#: wall-clock throughput fields of the other scenarios.
-#: v5: new ``faults`` scenario — a supervised run under a seeded mixed
-#: fault schedule per execution mode, reporting MTTR, downtime fraction,
-#: retry overhead, and bytes re-read.  Like the recovery rows these are
-#: simulated-seconds based (deterministic, no wall-clock fields).
-#: v6: throughput rows gain the depth-k observability counters
-#: (``prefetch_depth_backoffs`` / ``extent_cache_resizes``); the
-#: pressure scenario adds the ``pipelined-prefetch-k2`` depth-2
-#: lookahead row (its own sim-clock group, excluded from the depth-1
-#: prefetch parity flag) plus ``speedup_prefetch_k2_over_k1``; the
-#: ``snapshot-overhead`` row splits snapshot cost into serialize vs
-#: HDFS-transfer components with the flow-shop overlap saving.
-BENCH_E2E_SCHEMA = "bench-e2e/v6"
-
-#: The memory-pressure e2e workload: cache capacity far below the hot key
-#: set, an LFU-heavy split so LFU→LRU promotion storms form an eviction
-#: frontier every round, and an LRU tier sized just above the pinned
-#: working set.  Under the pre-refactor plan-or-replay cache this
-#: workload degraded nearly every prepare to the per-key replay; the
-#: admission engine keeps it bulk-exact (``scalar_fallbacks == 0``).
-PRESSURE_WORKLOAD = {
-    "n_sparse": 25_000,
-    "zipf_exponent": 1.15,
-    "mem_capacity_params": 9_000,
-    "cache_lru_fraction": 0.32,
-    "batch_size": 768,
-    "minibatches_per_gpu": 1,
-    "warmup_rounds": 6,
-}
+#: v7: exactly the simulated-clock scenarios — ``recovery``
+#: (``snapshot-overhead`` / ``recovery-downtime`` rows) and ``faults``
+#: (one supervised row per execution mode), rows as in v6.  Wall-clock
+#: throughput is ``benchmarks/hps``'s job (repeats and spread), not this
+#: ledger's.
+BENCH_E2E_SCHEMA = "bench-e2e/v7"
 
 #: The recovery e2e workload: a key space far above the MEM cache with
 #: mild skew, warmed long enough that the accumulated SSD/MEM state
@@ -137,16 +103,6 @@ FAULTS_WORKLOAD = {
         "node_crash": 0.02,
     },
 }
-
-#: BatchStats fields that intentionally differ between the bulk engine
-#: and its per-key oracles (pure observability counters).
-_ADMISSION_COUNTER_FIELDS = frozenset(
-    {
-        "cache_admission_runs",
-        "cache_collision_splits",
-        "cache_scalar_fallbacks",
-    }
-)
 
 
 # ----------------------------------------------------------------------
@@ -553,73 +509,6 @@ def run_checkpoint_overhead(
     }
 
 
-def _instrument_stages(cluster: HPSCluster) -> dict[str, float]:
-    """Wrap the cluster's stage functions with wall-clock accumulators.
-
-    Rewraps the stage registry in place (``HPSCluster.wrap_stages``), so
-    every stage :meth:`~repro.core.cluster.HPSCluster.stage_functions`
-    returns — the Algorithm 1 four plus any spliced-in optional stage
-    such as prefetch — reports into the returned dict under both
-    execution modes.
-    """
-    wall = {name: 0.0 for name, _ in cluster.stage_functions()}
-
-    def timed(name, fn):
-        def wrapper(ctx):
-            t0 = time.perf_counter()
-            out = fn(ctx)
-            wall[name] += time.perf_counter() - t0
-            return out
-
-        return wrapper
-
-    cluster.wrap_stages(timed)
-    return wall
-
-
-def _throughput_row(
-    stats, elapsed: float, wall: dict, n_rounds: int
-) -> dict:
-    n_keys = int(sum(s.n_working_params for s in stats))
-    n_ex = int(sum(s.n_examples for s in stats))
-    return {
-        "wall_seconds": elapsed,
-        "rounds_per_s": n_rounds / elapsed if elapsed else 0.0,
-        "keys_per_s": n_keys / elapsed if elapsed else 0.0,
-        "examples_per_s": n_ex / elapsed if elapsed else 0.0,
-        "stage_seconds": dict(wall),
-        "scalar_fallbacks": int(sum(s.cache_scalar_fallbacks for s in stats)),
-        "collision_splits": int(
-            sum(s.cache_collision_splits for s in stats)
-        ),
-        "admission_runs": int(sum(s.cache_admission_runs for s in stats)),
-        "prefetch_depth_backoffs": int(
-            sum(s.prefetch_depth_backoffs for s in stats)
-        ),
-        "extent_cache_resizes": int(
-            sum(s.extent_cache_resizes for s in stats)
-        ),
-    }
-
-
-def _sim_seconds_trace(stats) -> list[tuple]:
-    """Every simulated BatchStats field, minus the admission counters.
-
-    The per-key oracles differ from the bulk engine only in those
-    counters; everything the simulation *prices* must be bit-identical.
-    """
-    import dataclasses
-
-    return [
-        tuple(
-            v
-            for k, v in dataclasses.asdict(s).items()
-            if k not in _ADMISSION_COUNTER_FIELDS
-        )
-        for s in stats
-    ]
-
-
 def _parameter_parity(reference: HPSCluster, others) -> bool:
     probe = reference.generator.batch(10_000, 2048).unique_keys()
     ref_emb = reference.lookup_embeddings(probe)
@@ -633,201 +522,6 @@ def _parameter_parity(reference: HPSCluster, others) -> bool:
         for a, b in zip(dense_ref, c.nodes[0].model.dense_state())
     )
     return bool(sparse_equal and dense_equal)
-
-
-def _default_scenario(
-    spec: ModelSpec,
-    *,
-    n_rounds: int,
-    batch_size: int,
-    queue_capacity,
-    seed: int,
-) -> dict:
-    """The original planned-vs-unplanned throughput comparison."""
-    cfg = small_cluster_config(seed=seed)
-
-    def build(use_plan: bool) -> HPSCluster:
-        return HPSCluster(
-            spec, cfg, functional_batch_size=batch_size, use_plan=use_plan
-        )
-
-    def measure(cluster: HPSCluster, pipelined: bool) -> dict:
-        wall = _instrument_stages(cluster)
-        t0 = time.perf_counter()
-        if pipelined:
-            stats = cluster.train_pipelined(
-                n_rounds, queue_capacity=queue_capacity
-            ).stats
-        else:
-            stats = cluster.train(n_rounds)
-        elapsed = time.perf_counter() - t0
-        return _throughput_row(stats, elapsed, wall, n_rounds)
-
-    unplanned, planned, pipelined = build(False), build(True), build(True)
-    row_unplanned = measure(unplanned, False)
-    row_planned = measure(planned, False)
-    row_pipelined = measure(pipelined, True)
-    return {
-        "name": "default",
-        "workload": {
-            "model": spec.name,
-            "n_rounds": n_rounds,
-            "batch_size": batch_size,
-            "n_nodes": cfg.n_nodes,
-            "gpus_per_node": cfg.gpus_per_node,
-            "minibatches_per_gpu": cfg.minibatches_per_gpu,
-            "seed": seed,
-        },
-        "rows": [
-            {"mode": "lockstep-unplanned", **row_unplanned},
-            {"mode": "lockstep-planned", **row_planned},
-            {"mode": "pipelined-planned", **row_pipelined},
-        ],
-        "speedup_planned_over_unplanned": (
-            row_planned["rounds_per_s"] / row_unplanned["rounds_per_s"]
-            if row_unplanned["rounds_per_s"]
-            else 0.0
-        ),
-        "parameter_parity": _parameter_parity(
-            unplanned, (planned, pipelined)
-        ),
-    }
-
-
-def _pressure_scenario(
-    *,
-    n_rounds: int,
-    queue_capacity,
-    seed: int,
-) -> dict:
-    """Memory-pressure e2e: the admission engine vs the per-key oracles.
-
-    Cache capacity sits far below the working set (``PRESSURE_WORKLOAD``)
-    so every steady-state round drives promotion/eviction collisions.
-    Eight modes train on identical data from an identically warmed cache:
-    the full per-key replay (``force_scalar=True``, the seed parity
-    oracle), the pre-refactor plan-or-replay policy (``"legacy"``, the
-    pressure baseline the admission refactor is measured against), the
-    bulk admission engine in lockstep and pipelined execution, the
-    plan-driven prefetch pipeline (its own scalar-cache oracle plus
-    lockstep and pipelined bulk runs), and the depth-2 lookahead
-    pipeline (``prefetch_depth=2``, pipelined).  Parameters must be
-    bit-identical across all eight; simulated seconds form parity groups
-    — the non-prefetch four, the depth-1 prefetch three (prefetch
-    resolves the round's MEM working set in one pass, so its simulated
-    clock is a distinct but internally lockstep-exact mode), and the
-    depth-2 row as its own group (the window-delta resolve re-times the
-    prepare stage; the depth-sweep tests pin its lockstep/pipelined
-    agreement).  Every bulk mode must report zero scalar fallbacks.
-    """
-    wl = PRESSURE_WORKLOAD
-    spec = functional_model(n_sparse=wl["n_sparse"])
-    cfg = small_cluster_config(
-        seed=seed,
-        mem_capacity_params=wl["mem_capacity_params"],
-        cache_lru_fraction=wl["cache_lru_fraction"],
-        minibatches_per_gpu=wl["minibatches_per_gpu"],
-    )
-    warmup = wl["warmup_rounds"]
-
-    def measure(config, force_scalar, pipelined: bool):
-        cluster = HPSCluster(
-            spec,
-            config,
-            functional_batch_size=wl["batch_size"],
-            zipf_exponent=wl["zipf_exponent"],
-        )
-        for node in cluster.nodes:
-            node.mem_ps.cache.force_scalar = force_scalar
-        cluster.train(warmup)  # identical warm cache in every mode
-        wall = _instrument_stages(cluster)
-        t0 = time.perf_counter()
-        if pipelined:
-            stats = cluster.train_pipelined(
-                n_rounds, queue_capacity=queue_capacity
-            ).stats
-        else:
-            stats = cluster.train(n_rounds)
-        elapsed = time.perf_counter() - t0
-        return cluster, stats, _throughput_row(stats, elapsed, wall, n_rounds)
-
-    oracle, oracle_stats, row_oracle = measure(cfg, True, False)
-    legacy, legacy_stats, row_legacy = measure(cfg, "legacy", False)
-    planned, planned_stats, row_planned = measure(cfg, False, False)
-    pipelined, pipelined_stats, row_pipelined = measure(cfg, False, True)
-
-    cfg_pf = dataclasses.replace(cfg, prefetch=True)
-    pf_oracle, pf_oracle_stats, row_pf_oracle = measure(cfg_pf, True, False)
-    pf_lock, pf_lock_stats, row_pf_lock = measure(cfg_pf, False, False)
-    pf_piped, pf_piped_stats, row_pf_piped = measure(cfg_pf, False, True)
-
-    cfg_k2 = dataclasses.replace(cfg_pf, prefetch_depth=2)
-    k2, k2_stats, row_k2 = measure(cfg_k2, False, True)
-
-    oracle_trace = _sim_seconds_trace(oracle_stats)
-    seconds_parity = all(
-        _sim_seconds_trace(s) == oracle_trace
-        for s in (legacy_stats, planned_stats, pipelined_stats)
-    )
-    pf_oracle_trace = _sim_seconds_trace(pf_oracle_stats)
-    prefetch_seconds_parity = all(
-        _sim_seconds_trace(s) == pf_oracle_trace
-        for s in (pf_lock_stats, pf_piped_stats)
-    )
-    return {
-        "name": "pressure",
-        "workload": {
-            "model": spec.name,
-            "n_rounds": n_rounds,
-            "n_nodes": cfg.n_nodes,
-            "gpus_per_node": cfg.gpus_per_node,
-            "seed": seed,
-            **wl,
-        },
-        "rows": [
-            {"mode": "lockstep-scalar-oracle", **row_oracle},
-            {"mode": "lockstep-legacy", **row_legacy},
-            {"mode": "lockstep-planned", **row_planned},
-            {"mode": "pipelined-planned", **row_pipelined},
-            {"mode": "lockstep-prefetch-oracle", **row_pf_oracle},
-            {"mode": "lockstep-prefetch", **row_pf_lock},
-            {"mode": "pipelined-prefetch", **row_pf_piped},
-            {"mode": "pipelined-prefetch-k2", **row_k2},
-        ],
-        "speedup_bulk_over_legacy": (
-            row_planned["rounds_per_s"] / row_legacy["rounds_per_s"]
-            if row_legacy["rounds_per_s"]
-            else 0.0
-        ),
-        "speedup_bulk_over_scalar": (
-            row_planned["rounds_per_s"] / row_oracle["rounds_per_s"]
-            if row_oracle["rounds_per_s"]
-            else 0.0
-        ),
-        "speedup_prefetch_over_bulk": (
-            row_pf_piped["rounds_per_s"] / row_planned["rounds_per_s"]
-            if row_planned["rounds_per_s"]
-            else 0.0
-        ),
-        "speedup_prefetch_k2_over_k1": (
-            row_k2["rounds_per_s"] / row_pf_piped["rounds_per_s"]
-            if row_pf_piped["rounds_per_s"]
-            else 0.0
-        ),
-        "bulk_scalar_fallbacks": (
-            row_planned["scalar_fallbacks"]
-            + row_pipelined["scalar_fallbacks"]
-            + row_pf_lock["scalar_fallbacks"]
-            + row_pf_piped["scalar_fallbacks"]
-            + row_k2["scalar_fallbacks"]
-        ),
-        "parameter_parity": _parameter_parity(
-            oracle,
-            (legacy, planned, pipelined, pf_oracle, pf_lock, pf_piped, k2),
-        ),
-        "seconds_parity": bool(seconds_parity),
-        "prefetch_seconds_parity": bool(prefetch_seconds_parity),
-    }
 
 
 def _recovery_scenario(*, n_rounds: int, queue_capacity, seed: int) -> dict:
@@ -998,9 +692,8 @@ def _faults_scenario(*, seed: int) -> dict:
     numbers — MTTR, downtime fraction, retry overhead, straggler drag,
     bytes re-read — all come off the simulated clock and the
     ``fault_retry``/``fault_straggler`` ledger lines, so the committed
-    rows are deterministic and double as regression gates.  The rows
-    deliberately carry no wall-clock fields: the perf-smoke comparison
-    skips them just as it skips the recovery rows.
+    rows are deterministic and double as regression gates (the
+    perf-smoke job gates on their downtime fraction).
 
     ``parameter_parity`` is the tentpole invariant in artifact form:
     every fault in the schedule is recoverable, so both healed runs must
@@ -1093,68 +786,37 @@ def _faults_scenario(*, seed: int) -> dict:
 
 
 def run_e2e_throughput(
-    spec: ModelSpec | None = None,
     *,
     n_rounds: int = 20,
-    batch_size: int = 256,
     queue_capacity: int | tuple[int, ...] = 2,
     seed: int = 0,
     write_path: str | None = None,
 ) -> dict:
-    """End-to-end wall-clock throughput ledger (``BENCH_e2e.json``).
+    """The simulated-clock end-to-end ledger (``BENCH_e2e.json``).
 
-    Two scenarios, each training identical data across execution modes
-    and measuring *real* wall-clock rounds/s, keys/s, examples/s, and
-    per-stage seconds:
+    Two scenarios, both priced on the simulated clock and therefore
+    deterministic (wall-clock throughput lives in ``benchmarks/hps``):
 
-    * **default** — the BatchPlan claim: lockstep on the pre-plan path
-      (``use_plan=False``, the parity oracle), lockstep planned, and
-      pipelined planned; ``speedup_planned_over_unplanned`` is the perf
-      claim every future PR is measured against.
-    * **pressure** — the admission-engine and prefetch claims: cache
-      capacity far below the working set (``PRESSURE_WORKLOAD``),
-      comparing the bulk admission engine against the per-key replay
-      oracle and the pre-refactor plan-or-replay baseline, plus the
-      plan-driven prefetch pipeline against its own scalar-cache
-      oracle; ``speedup_bulk_over_legacy`` and
-      ``speedup_prefetch_over_bulk`` are the pressure-regime perf
-      claims, and ``bulk_scalar_fallbacks`` must read zero.
     * **recovery** — the delta-snapshot claims (``RECOVERY_WORKLOAD``):
       ``snapshot-overhead`` pits a pipelined run with the registered
       ``snapshot`` stage against a snapshot-free twin and reports the
       full-vs-delta checkpoint bytes ratio (≥10× is the tentpole
       claim); ``recovery-downtime`` compares full-cluster restore +
       replay against single-node partial restore under the failure
-      injector.  Both are simulated-seconds/bytes based and therefore
-      deterministic; the rows carry no wall-clock throughput fields.
+      injector.
     * **faults** — the fault-tolerance claims (``FAULTS_WORKLOAD``): a
       supervised run per execution mode under a seeded schedule mixing
       every fault surface, reporting MTTR, downtime fraction, retry
-      overhead, straggler drag, and bytes re-read off the simulated
-      clock — deterministic, wall-clock-free rows, with
+      overhead, straggler drag, and bytes re-read, with
       ``parameter_parity`` asserting the healed runs are bit-identical
       to their fault-free twins.
 
-    Trained parameters must be bit-identical across every mode of a
-    scenario (and simulated seconds within each pressure parity
-    group).  With
-    ``write_path``, the result is serialized as JSON (the committed
+    With ``write_path``, the result is serialized as JSON (the committed
     ``BENCH_e2e.json`` at the repo root is this file).
     """
-    spec = spec or functional_model()
     result = {
         "schema": BENCH_E2E_SCHEMA,
         "scenarios": [
-            _default_scenario(
-                spec,
-                n_rounds=n_rounds,
-                batch_size=batch_size,
-                queue_capacity=queue_capacity,
-                seed=seed,
-            ),
-            _pressure_scenario(
-                n_rounds=n_rounds, queue_capacity=queue_capacity, seed=seed
-            ),
             _recovery_scenario(
                 n_rounds=n_rounds, queue_capacity=queue_capacity, seed=seed
             ),

@@ -501,7 +501,6 @@ def restore_cluster(
     functional_batch_size: int | None = None,
     zipf_exponent: float | None = None,
     ssd_directory: str | None = None,
-    use_plan: bool = True,
 ):
     """Rebuild a cluster from a committed checkpoint (full or delta).
 
@@ -539,7 +538,6 @@ def restore_cluster(
             saved["zipf_exponent"] if zipf_exponent is None else zipf_exponent
         ),
         ssd_directory=ssd_directory,
-        use_plan=use_plan,
     )
     current = _config_payload(cluster)
     if fingerprint(current) != manifest["fingerprint"]:

@@ -141,8 +141,7 @@ class ClusterConfig:
     compaction_stale_fraction: float = 0.5
     #: resolve each round's full MEM working set (local partition,
     #: peer-served partitions, owner-queue keys) in one dedicated
-    #: pipeline stage before prepare, pinning it for the round; requires
-    #: planned execution (``HPSCluster(use_plan=True)``)
+    #: pipeline stage before prepare, pinning it for the round
     prefetch: bool = False
     #: lookahead window of the prefetch stage in rounds: round ``b``'s
     #: prefetch resolves and pins the unions of rounds ``b..b+depth-1``
@@ -178,6 +177,14 @@ class ClusterConfig:
             raise ValueError("cluster must have at least one node and GPU")
         if self.batch_size <= 0:
             raise ValueError("batch_size must be positive")
+        for name in (
+            "minibatches_per_gpu",
+            "mem_capacity_params",
+            "hbm_capacity_params",
+            "ssd_file_capacity",
+        ):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive")
         if self.ssd_extent_cache_files < 0:
             raise ValueError("ssd_extent_cache_files must be >= 0")
         if not 0.0 <= self.cache_lru_fraction <= 1.0:

@@ -8,7 +8,7 @@ independently-callable stage functions (:meth:`HPSCluster.stage_read`,
 :meth:`~HPSCluster.stage_train`) with two execution modes:
 
 * **lockstep** (:meth:`HPSCluster.train_round` / :meth:`HPSCluster.train`)
-  runs the stages back-to-back per round — the parity oracle;
+  runs the stages back-to-back per round;
 * **pipelined** (:meth:`HPSCluster.train_pipelined`) hands the same stage
   functions to the :class:`~repro.core.engine.PipelinedEngine`, which
   overlaps consecutive rounds' stages on the simulated clock under bounded
@@ -20,8 +20,8 @@ One round performs:
 1.  every node streams its own batch from HDFS (data parallel);
 2.  every node gathers its batch's working parameters from local
     MEM-PS/SSD-PS and remote MEM-PS;
-3.  working parameters are partitioned across the node's GPUs and inserted
-    into the HBM-PS distributed hash table;
+3.  working parameters are partitioned across the node's GPUs and staged
+    in the HBM-PS;
 4.  the batch is sharded into mini-batches; per mini-batch each GPU worker
     pulls embeddings, runs forward/backward, pushes gradients back
     (Algorithm 2), and the cluster synchronizes with the hierarchical
@@ -276,13 +276,12 @@ class BatchStats:
     #: when workers are imbalanced.
     worker_critical_seconds: float = 0.0
     #: MEM-cache admission accounting, summed over nodes: bulk runs the
-    #: admission plan applied, single-key collision splits it cut at the
-    #: eviction frontier, and whole-batch per-key replays.  The last is
-    #: the pressure-regime acceptance gate: it reads zero in both
-    #: execution modes unless the ``REPRO_CACHE_ORACLE`` parity oracle is
-    #: forcing the seed path.
+    #: admission plan applied and single-key collision splits it cut at
+    #: the eviction frontier.
     cache_admission_runs: int = 0
     cache_collision_splits: int = 0
+    #: always 0 (the whole-batch per-key replay it counted is gone); kept
+    #: because the frozen ``benchmarks/hps/onepass.py`` reads it
     cache_scalar_fallbacks: int = 0
     #: seconds the dedicated prefetch stage spent resolving + loading
     #: the round's MEM working set (0 unless ``config.prefetch``); part
@@ -346,23 +345,21 @@ class RoundContext:
     # stage 1: HDFS read
     timed: list[TimedBatch] = field(default_factory=list)
     read_seconds: float = 0.0
-    #: the round's key plan (computed once in stage_read when the cluster
-    #: runs planned; every later stage consumes its precomputed indices)
+    #: the round's key plan (computed once in stage_read; every later
+    #: stage consumes its precomputed indices)
     plan: RoundPlan | None = None
     # optional stage 1.5: MEM working-set prefetch
     prefetch_seconds: float = 0.0
     # stage 2: MEM-PS/SSD-PS prepare
-    workings: list[np.ndarray] = field(default_factory=list)
     prep_values: list[np.ndarray] = field(default_factory=list)
     pull_local_seconds: float = 0.0
     pull_remote_seconds: float = 0.0
     # stage 3: CPU partition + HBM working-set staging
-    shards: list = field(default_factory=list)
     cpu_partition_seconds: float = 0.0
     # per-round accounting snapshots (taken by the first cache-touching
     # stage, so they bracket correctly even if reads are prefetched)
     cache_stats_before: list[tuple[int, int]] = field(default_factory=list)
-    admission_before: list[tuple[int, int, int]] = field(default_factory=list)
+    admission_before: list[tuple[int, int]] = field(default_factory=list)
     compactions_before: int = 0
     extent_before: list[int] = field(default_factory=list)
     ssd_before: list[float] = field(default_factory=list)
@@ -428,20 +425,9 @@ class HPSCluster:
         functional_batch_size: int = 4096,
         zipf_exponent: float = 1.05,
         ssd_directory: str | None = None,
-        use_plan: bool = True,
     ) -> None:
-        if cluster_config.prefetch and not use_plan:
-            raise ValueError(
-                "config.prefetch requires planned execution (use_plan=True):"
-                " the prefetch stage consumes the round plan's key unions"
-            )
         self.model_spec = model_spec
         self.config = cluster_config
-        #: compute each round's BatchPlan once in stage_read and thread it
-        #: through every tier (False = the pre-plan path, kept as the
-        #: parity oracle; both paths produce bit-identical parameters and
-        #: simulated seconds)
-        self.use_plan = use_plan
         self.sparse_optimizer = sparse_optimizer or SparseAdagrad(
             model_spec.embedding_dim, lr=0.05
         )
@@ -470,7 +456,7 @@ class HPSCluster:
         #: Rounds whose working parameters are currently staged in HBM
         #: (between stage_load and the end of stage_train).  Non-zero
         #: means cross-tier reads and checkpoints are unsafe — freshly
-        #: trained values may exist only in a node's HBM hash table.
+        #: trained values may exist only in a node's HBM staging array.
         self._staged_rounds = 0
         #: Cost accounting of the restore that produced this cluster
         #: (set by :meth:`restore`; None for a freshly built cluster).
@@ -710,10 +696,16 @@ class HPSCluster:
         self._stage_defs = restored
         self._unwrapped_stages = None
 
+    @staticmethod
+    def _plan_of(ctx: RoundContext) -> RoundPlan:
+        plan = ctx.plan
+        assert plan is not None, "stage_read builds the round plan"
+        return plan
+
     def stage_read(self, ctx: RoundContext) -> float:
         """Stage 1 — HDFS read (Alg. 1 line 2); data-parallel per node.
 
-        In planned mode this stage also computes the round's
+        This stage also computes the round's
         :class:`~repro.plan.RoundPlan` — the only place key metadata
         (unique sets, owner partitions, shard unions) is derived; every
         later stage consumes the plan's precomputed index arrays.
@@ -736,43 +728,41 @@ class HPSCluster:
                 n.hdfs.read(r * self.n_nodes + n.node_id) for n in self.nodes
             ]
         ctx.read_seconds = max(t.read_seconds for t in ctx.timed)
-        if self.use_plan:
-            depth = self.config.prefetch_depth
-            lookahead: list[list[Batch]] | None = None
-            prefetch_unions: list[np.ndarray] | None = None
-            sync_carry = None
-            if depth > 1:
-                lookahead = []
-                for d in range(1, depth):
-                    fut = r + d
-                    if fut not in self._peeked:
-                        self._peeked[fut] = [
-                            n.hdfs.peek(fut * self.n_nodes + n.node_id)
-                            for n in self.nodes
-                        ]
-                    lookahead.append([t.batch for t in self._peeked[fut]])
-                if self._next_unions is not None and self._next_unions[0] == r:
-                    prefetch_unions = self._next_unions[1]
-                    sync_carry = self._next_unions[2]
-            ctx.plan = build_round_plan(
-                [t.batch for t in ctx.timed],
-                node_partitioner=self.nodes[0].mem_ps.partitioner,
-                gpu_partitioner=self.nodes[0].hbm_ps.params.partitioner,
-                n_gpus=self.config.gpus_per_node,
-                mb_rounds=self.config.minibatches_per_gpu,
-                prefetch=self.config.prefetch,
-                lookahead=lookahead,
-                prefetch_unions=prefetch_unions,
-                sync_carry=sync_carry,
+        depth = self.config.prefetch_depth
+        lookahead: list[list[Batch]] | None = None
+        prefetch_unions: list[np.ndarray] | None = None
+        sync_carry = None
+        if depth > 1:
+            lookahead = []
+            for d in range(1, depth):
+                fut = r + d
+                if fut not in self._peeked:
+                    self._peeked[fut] = [
+                        n.hdfs.peek(fut * self.n_nodes + n.node_id)
+                        for n in self.nodes
+                    ]
+                lookahead.append([t.batch for t in self._peeked[fut]])
+            if self._next_unions is not None and self._next_unions[0] == r:
+                prefetch_unions = self._next_unions[1]
+                sync_carry = self._next_unions[2]
+        plan = build_round_plan(
+            [t.batch for t in ctx.timed],
+            node_partitioner=self.nodes[0].mem_ps.partitioner,
+            gpu_partitioner=self.nodes[0].hbm_ps.params.partitioner,
+            n_gpus=self.config.gpus_per_node,
+            mb_rounds=self.config.minibatches_per_gpu,
+            prefetch=self.config.prefetch,
+            lookahead=lookahead,
+            prefetch_unions=prefetch_unions,
+            sync_carry=sync_carry,
+        )
+        ctx.plan = plan
+        if depth > 1 and plan.prefetch is not None:
+            self._next_unions = (
+                r + 1,
+                [p.lookahead[0] for p in plan.prefetch],
+                plan.lookahead_sync[0] if plan.lookahead_sync else None,
             )
-            if depth > 1 and ctx.plan.prefetch is not None:
-                self._next_unions = (
-                    r + 1,
-                    [p.lookahead[0] for p in ctx.plan.prefetch],
-                    ctx.plan.lookahead_sync[0]
-                    if ctx.plan.lookahead_sync
-                    else None,
-                )
         return ctx.read_seconds
 
     def _snapshot_counters(self, ctx: RoundContext) -> None:
@@ -816,8 +806,10 @@ class HPSCluster:
         node's resolve + load time.
         """
         self._snapshot_counters(ctx)
+        pplans = self._plan_of(ctx).prefetch
+        assert pplans is not None, "prefetch stage needs config.prefetch"
         seconds = 0.0
-        for node, pplan in zip(self.nodes, ctx.plan.prefetch):
+        for node, pplan in zip(self.nodes, pplans):
             seconds = max(seconds, node.mem_ps.prefetch(pplan))
         ctx.prefetch_seconds = seconds
         return seconds
@@ -830,20 +822,11 @@ class HPSCluster:
         the per-round accounting brackets correctly in both execution
         modes.
         """
-        nodes = self.nodes
-        plan = ctx.plan
         self._snapshot_counters(ctx)
-        if plan is not None:
-            ctx.workings = [p.keys for p in plan.nodes]
-            prep_out = [
-                node.mem_ps.prepare(w, plan=p)
-                for node, w, p in zip(nodes, ctx.workings, plan.nodes)
-            ]
-        else:
-            ctx.workings = [t.batch.unique_keys() for t in ctx.timed]
-            prep_out = [
-                node.mem_ps.prepare(w) for node, w in zip(nodes, ctx.workings)
-            ]
+        prep_out = [
+            node.mem_ps.prepare(p)
+            for node, p in zip(self.nodes, self._plan_of(ctx).nodes)
+        ]
         ctx.prep_values = [values for values, _ in prep_out]
         ctx.pull_local_seconds = max(p.local_seconds for _, p in prep_out)
         ctx.pull_remote_seconds = max(p.remote_seconds for _, p in prep_out)
@@ -851,27 +834,13 @@ class HPSCluster:
 
     def stage_load(self, ctx: RoundContext) -> float:
         """Stage 3 — CPU partition + HBM working-set staging (lines 5-10)."""
-        n_gpus = self.config.gpus_per_node
-        mb_rounds = self.config.minibatches_per_gpu
-        plan = ctx.plan
         cpu_s = 0.0
         load_s = 0.0
-        for i, (node, working, values) in enumerate(
-            zip(self.nodes, ctx.workings, ctx.prep_values)
+        for node, nplan, values in zip(
+            self.nodes, self._plan_of(ctx).nodes, ctx.prep_values
         ):
-            cpu_s = max(cpu_s, node.cpu_partition_time(working.size))
-            load_s = max(
-                load_s,
-                node.hbm_ps.load_working_set(
-                    working,
-                    values,
-                    plan=plan.nodes[i] if plan is not None else None,
-                ),
-            )
-        if plan is not None:
-            ctx.shards = [p.shards for p in plan.nodes]
-        else:
-            ctx.shards = [t.batch.shard(n_gpus * mb_rounds) for t in ctx.timed]
+            cpu_s = max(cpu_s, node.cpu_partition_time(nplan.keys.size))
+            load_s = max(load_s, node.hbm_ps.load_working_set(values, nplan))
         ctx.cpu_partition_seconds = cpu_s + load_s
         self._staged_rounds += 1
         return ctx.cpu_partition_seconds
@@ -886,8 +855,7 @@ class HPSCluster:
         nodes = self.nodes
         n_gpus = self.config.gpus_per_node
         mb_rounds = self.config.minibatches_per_gpu
-        shards = ctx.shards
-        plan = ctx.plan
+        plan = self._plan_of(ctx)
         flops_per_ex = dense_flops_per_example(
             self.model_spec.n_slots,
             self.model_spec.embedding_dim,
@@ -900,35 +868,24 @@ class HPSCluster:
         for m in range(mb_rounds):
             round_worker_t = 0.0
             node_dense_grads: list[list[np.ndarray]] = []
-            for i, (node, minibatches) in enumerate(zip(nodes, shards)):
+            for i, (node, nplan) in enumerate(zip(nodes, plan.nodes)):
                 acc = self._node_dense_acc[i]
                 started = False
                 worker_t = 0.0
                 for gpu in range(n_gpus):
-                    mb = minibatches[m * n_gpus + gpu]
+                    mb = nplan.shards[m * n_gpus + gpu]
                     if mb.n_examples == 0:
                         continue
-                    mbp = (
-                        plan.nodes[i].minibatches[m * n_gpus + gpu]
-                        if plan is not None
-                        else None
-                    )
-                    mb_keys = mbp.keys if mbp is not None else mb.unique_keys()
-                    emb, t_pull = node.hbm_ps.pull_embeddings(
-                        mb_keys, gpu=gpu, mb=mbp
-                    )
+                    mbp = nplan.minibatches[m * n_gpus + gpu]
+                    emb, t_pull = node.hbm_ps.pull_embeddings(mbp, gpu=gpu)
                     result = node.model.train_minibatch(
-                        mb,
-                        mb_keys,
-                        emb,
-                        flat_idx=mbp.emb_idx if mbp is not None else None,
+                        mb, mbp.keys, emb, flat_idx=mbp.emb_idx
                     )
                     t_gpu = node.gpu_compute.train(flops_per_ex * mb.n_examples)
                     t_push = node.hbm_ps.push_gradients(
-                        result.sparse_grad.keys,
+                        mbp,
                         result.sparse_grad.grads.astype(np.float32),
                         gpu=gpu,
-                        mb=mbp,
                     )
                     worker_t = max(worker_t, t_pull + t_gpu + t_push)
                     hbm_pull_s += t_pull
@@ -948,11 +905,9 @@ class HPSCluster:
                 round_worker_t = max(round_worker_t, worker_t)
 
             # Inter-node synchronization (Section 4.2) per mini-batch.
-            splan = plan.sync[m] if plan is not None else None
+            splan = plan.sync[m]
             node_updates = [
-                node.hbm_ps.drain_gradients(
-                    sync=splan.nodes[i] if splan is not None else None
-                )
+                node.hbm_ps.drain_gradients(splan.nodes[i])
                 for i, node in enumerate(nodes)
             ]
             if self._fault_arm is not None:
@@ -968,7 +923,7 @@ class HPSCluster:
             # positions place every node's contribution inside the
             # global union — the allreduce can scatter instead of merge.
             union_plan = None
-            if splan is not None and mb_rounds == 1:
+            if mb_rounds == 1:
                 union_plan = (
                     splan.keys,
                     [spn.resident_idx for spn in splan.nodes],
@@ -980,43 +935,23 @@ class HPSCluster:
                 gpus_per_node=n_gpus,
                 union_plan=union_plan,
             )
-            if splan is not None:
-                # The plan predicted this union at read time; a mismatch
-                # means the plan and the drained gradients diverged.
-                assert np.array_equal(global_update.keys, splan.keys)
+            # The plan predicted this union at read time; a mismatch
+            # means the plan and the drained gradients diverged.
+            assert np.array_equal(global_update.keys, splan.keys)
             t_apply = 0.0
             for i, node in enumerate(nodes):
-                if splan is not None:
-                    spn = splan.nodes[i]
-                    missing, t_a = node.hbm_ps.apply_update(
-                        global_update, sync=spn
+                spn = splan.nodes[i]
+                _, t_a = node.hbm_ps.apply_update(global_update, spn)
+                t_apply = max(t_apply, t_a)
+                own = spn.missing_own_idx
+                if own.size:
+                    rows: np.ndarray | None = None
+                    if plan.prefetch is not None:
+                        pf = plan.prefetch[i]
+                        rows = pf.rows[pf.update_pos[m]]
+                    node.mem_ps.apply_gradients(
+                        global_update.keys[own], global_update.grads[own], rows=rows
                     )
-                    t_apply = max(t_apply, t_a)
-                    own = spn.missing_own_idx
-                    if own.size:
-                        pf = (
-                            plan.prefetch[i]
-                            if plan.prefetch is not None
-                            else None
-                        )
-                        node.mem_ps.apply_gradients(
-                            global_update.keys[own],
-                            global_update.grads[own],
-                            pre_owned=True,
-                            rows=(
-                                pf.rows[pf.update_pos[m]]
-                                if pf is not None
-                                else None
-                            ),
-                        )
-                else:
-                    missing, t_a = node.hbm_ps.apply_update(global_update)
-                    t_apply = max(t_apply, t_a)
-                    if missing.size:
-                        idx = np.searchsorted(global_update.keys, missing)
-                        node.mem_ps.apply_gradients(
-                            missing, global_update.grads[idx]
-                        )
             dense_sum, t_dense = allreduce_dense(
                 node_dense_grads,
                 networks=[node.network for node in nodes],
@@ -1033,13 +968,9 @@ class HPSCluster:
 
         # --- write back (lines 16-18) ------------------------------------
         absorb_s = 0.0
-        for i, node in enumerate(nodes):
-            keys, values = node.hbm_ps.dump()
-            t = node.mem_ps.absorb_updates(
-                keys,
-                values,
-                plan=plan.nodes[i] if plan is not None else None,
-            )
+        for node, nplan in zip(nodes, plan.nodes):
+            _, values = node.hbm_ps.dump()
+            t = node.mem_ps.absorb_updates(values, nplan)
             t += node.mem_ps.end_batch()
             absorb_s = max(absorb_s, t)
 
@@ -1081,14 +1012,13 @@ class HPSCluster:
             worker_critical_seconds=worker_critical_s,
             ssd_io_seconds=max(a - b for a, b in zip(ssd_after, ctx.ssd_before)),
             cache_hit_rate=hits / max(1, hits + misses),
-            n_working_params=int(sum(w.size for w in ctx.workings)),
+            n_working_params=plan.n_working_keys,
             n_examples=n_examples,
             mean_loss=float(np.mean(losses)) if losses else float("nan"),
             compactions=sum(n.ssd_ps.compactor.total_compactions for n in nodes)
             - ctx.compactions_before,
             cache_admission_runs=sum(d[0] for d in adm_delta),
             cache_collision_splits=sum(d[1] for d in adm_delta),
-            cache_scalar_fallbacks=sum(d[2] for d in adm_delta),
             prefetch_seconds=ctx.prefetch_seconds,
             prefetch_depth_backoffs=sum(
                 n.mem_ps.take_depth_backoffs() for n in nodes
@@ -1111,9 +1041,9 @@ class HPSCluster:
     def train_round(self, round_index: int | None = None) -> BatchStats:
         """Run one global batch through Algorithm 1 on every node.
 
-        Lockstep mode: the pipeline stages run back-to-back.  This is
-        the parity oracle for :meth:`train_pipelined` — both modes call
-        the same stage functions in the same order.
+        Lockstep mode: the pipeline stages run back-to-back.
+        :meth:`train_pipelined` calls the same stage functions in the
+        same order, so the two modes train bit-identical parameters.
         """
         r = self.rounds_completed if round_index is None else round_index
         ctx = RoundContext(round_index=r)
@@ -1173,8 +1103,8 @@ class HPSCluster:
         """Cross-tier reads/snapshots are only coherent between rounds.
 
         Between ``stage_load`` and the end of ``stage_train`` the freshest
-        copy of a working parameter lives *only* in a node's HBM hash
-        table — the MEM/SSD tiers see it again at write-back.  A MEM/SSD
+        copy of a working parameter lives *only* in a node's HBM staging
+        array — the MEM/SSD tiers see it again at write-back.  A MEM/SSD
         read in that window would silently serve stale values (or fall
         through to the fresh-key init), so it is an error, not a best
         effort.
@@ -1201,8 +1131,8 @@ class HPSCluster:
         partial ``restore_node`` applied) without forking parameters.
 
         Only valid while no round has working parameters staged in HBM —
-        past ``stage_load`` the freshest values live only in the GPU
-        hash tables and a full restore is the sole safe recovery.
+        past ``stage_load`` the freshest values live only in the HBM
+        staging arrays and a full restore is the sole safe recovery.
         """
         self._require_round_boundary("abort_round")
         for node in self.nodes:
@@ -1330,8 +1260,7 @@ class HPSCluster:
         when set, is full).  The delta's MEM dirty-key set is
         accumulated from each round's plan
         (:meth:`~repro.plan.RoundPlan.dirty_keys_of`) — no
-        re-partitioning, no slab comparison; unplanned rounds fall back
-        to the value-diff path.  With ``keep_last`` set, the retention
+        re-partitioning, no slab comparison.  With ``keep_last`` set, the retention
         ladder (:func:`~repro.ckpt.format.prune_checkpoints`) runs after
         each save; it is delta-chain-aware, so a base referenced by a
         surviving delta is never dropped.
@@ -1353,20 +1282,15 @@ class HPSCluster:
         os.makedirs(directory, exist_ok=True)
         state: dict[str, Any] = {
             "dirty": [[] for _ in range(self.n_nodes)],
-            "dirty_known": True,
             "since_full": 0,
         }
 
         def stage_snapshot(ctx: RoundContext) -> float:
             # Accumulate the round's MEM write set straight from the plan
             # (write-back local partition + owner-queue applies).
-            if ctx.plan is not None:
-                for i in range(self.n_nodes):
-                    state["dirty"][i].append(ctx.plan.dirty_keys_of(i))
-            else:
-                # An unplanned round's write set was never materialized;
-                # the next delta must diff value slabs instead.
-                state["dirty_known"] = False
+            plan = self._plan_of(ctx)
+            for i in range(self.n_nodes):
+                state["dirty"][i].append(plan.dirty_keys_of(i))
             if self.rounds_completed % every:
                 return 0.0
             target = os.path.join(
@@ -1379,22 +1303,15 @@ class HPSCluster:
                 stats = self.save_checkpoint(target, mode="full")
                 state["since_full"] = 0
             else:
-                dirty = None
-                if state["dirty_known"]:
-                    dirty = [
-                        (
-                            np.unique(np.concatenate(parts))
-                            if parts
-                            else as_keys([])
-                        )
-                        for parts in state["dirty"]
-                    ]
+                dirty = [
+                    np.unique(np.concatenate(parts)) if parts else as_keys([])
+                    for parts in state["dirty"]
+                ]
                 stats = self.save_checkpoint(
                     target, mode="delta", dirty_keys=dirty
                 )
                 state["since_full"] += 1
             state["dirty"] = [[] for _ in range(self.n_nodes)]
-            state["dirty_known"] = True
             stage_snapshot.history.append(stats)  # type: ignore[attr-defined]
             if keep_last is not None:
                 prune_checkpoints(
@@ -1433,7 +1350,6 @@ class HPSCluster:
         functional_batch_size: int | None = None,
         zipf_exponent: float | None = None,
         ssd_directory: str | None = None,
-        use_plan: bool = True,
     ) -> "HPSCluster":
         """Rebuild a cluster from a checkpoint written by
         :meth:`save_checkpoint`.
@@ -1457,5 +1373,4 @@ class HPSCluster:
             functional_batch_size=functional_batch_size,
             zipf_exponent=zipf_exponent,
             ssd_directory=ssd_directory,
-            use_plan=use_plan,
         )

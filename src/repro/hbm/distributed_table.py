@@ -21,18 +21,23 @@ from repro.hbm.hash_table import HashTable
 from repro.hbm.partition import ModuloPartitioner, bucket_order
 from repro.utils.keys import KEY_DTYPE, all_unique, as_keys
 
-__all__ = ["DistributedHashTable"]
+__all__ = ["DistributedHashTable", "GPUFabric"]
 
 _GPU_SALT = 0x67707573  # "gpus" — distinct from the node-level salt
 
 
-class DistributedHashTable:
-    """Node-local distributed key→value store across ``n_gpus`` tables."""
+class GPUFabric:
+    """One node's GPUs as a sharded key space: who owns a key, what a
+    table op on that GPU costs, and the NVLink between them.
+
+    This is everything the simulated cost model charges against.  The
+    :class:`DistributedHashTable` adds per-GPU storage on top; the
+    HBM-PS, which stages its working set densely, uses the fabric alone.
+    """
 
     def __init__(
         self,
         n_gpus: int,
-        capacity_per_gpu: int,
         value_dim: int,
         *,
         gpu_spec: GPUSpec | None = None,
@@ -45,13 +50,35 @@ class DistributedHashTable:
         self.value_dim = value_dim
         self.ledger = ledger if ledger is not None else CostLedger()
         self.partitioner = ModuloPartitioner(n_gpus, salt=_GPU_SALT)
-        self.tables = [
-            HashTable(capacity_per_gpu, value_dim) for _ in range(n_gpus)
-        ]
         self.devices = [
             GPUDevice(gpu_spec or GPUSpec(), self.ledger) for _ in range(n_gpus)
         ]
         self.nvlink = NVLink(nvlink_spec or NVLinkSpec(), self.ledger)
+
+
+class DistributedHashTable(GPUFabric):
+    """Node-local distributed key→value store across ``n_gpus`` tables."""
+
+    def __init__(
+        self,
+        n_gpus: int,
+        capacity_per_gpu: int,
+        value_dim: int,
+        *,
+        gpu_spec: GPUSpec | None = None,
+        nvlink_spec: NVLinkSpec | None = None,
+        ledger: CostLedger | None = None,
+    ) -> None:
+        super().__init__(
+            n_gpus,
+            value_dim,
+            gpu_spec=gpu_spec,
+            nvlink_spec=nvlink_spec,
+            ledger=ledger,
+        )
+        self.tables = [
+            HashTable(capacity_per_gpu, value_dim) for _ in range(n_gpus)
+        ]
 
     # ------------------------------------------------------------------
     @property

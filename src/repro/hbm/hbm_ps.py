@@ -1,31 +1,25 @@
 """HBM-PS — the top layer of the hierarchy (paper Section 4).
 
-One :class:`HBMPS` instance manages a node's GPUs.  It holds two
-distributed hash tables:
+One :class:`HBMPS` instance manages a node's GPUs.  Per round the
+cluster threads the round's :class:`~repro.plan.NodePlan` through
+:meth:`load_working_set`, which stages the working parameters (value =
+embedding + optimizer state, as defined by the sparse optimizer's value
+layout) as one dense array aligned with the plan's sorted keys.  Every
+worker-facing call then takes the matching mini-batch / sync plan and is
+a pure index gather/scatter — no hashing, no probing, no per-stage
+``np.unique``: workers pull embedding rows, scatter-add gradients into
+the sync round's buffer (Algorithm 1 line 14), the trainer drains that
+buffer, all-reduces it across nodes, and calls :meth:`apply_update`,
+which applies the optimizer to every staged key and reports the keys
+this node does *not* have staged (the MEM-PS owner applies those —
+Section 5 "Update parameters").
 
-* ``params`` — the staged working parameters (value = embedding +
-  optimizer state, as defined by the sparse optimizer's value layout);
-* ``grads`` — a gradient buffer the workers ``accumulate`` into after each
-  backward pass (Algorithm 1 line 14).
-
-Per mini-batch the trainer drains the gradient buffer, all-reduces it
-across nodes, and calls :meth:`apply_update`, which applies the optimizer
-transform to every resident key and reports the keys this node does *not*
-have staged (the MEM-PS owner applies those — Section 5 "Update
-parameters").
-
-Planned rounds
---------------
-When the caller threads a :class:`~repro.plan.NodePlan` through
-:meth:`load_working_set` (and the matching mini-batch / sync plans through
-the worker-facing calls), the working set is staged as a dense value array
-aligned with the plan's sorted keys and every operation becomes a pure
-index gather/scatter — no hashing, no probing, no per-stage ``np.unique``.
-The simulated cost model charges *exactly* what the hash-table path would
-(same per-GPU key counts, same devices, same NVLink objects, same ledger
-categories), and the float arithmetic is performed in the same order, so
-planned rounds are bit-identical to unplanned ones in both parameters and
-simulated seconds.
+The simulated cost model charges exactly what the per-GPU hash tables of
+Section 4.1 / Algorithm 2 would (:class:`~repro.hbm.distributed_table.
+DistributedHashTable` is the standalone model): per-GPU key counts come
+from the plan, and :meth:`HBMPS._charge_table_ops` prices them on the
+same devices, NVLink and ledger categories (``params``, a
+:class:`~repro.hbm.distributed_table.GPUFabric`).
 """
 
 from __future__ import annotations
@@ -35,7 +29,7 @@ import numpy as np
 from repro.hardware.ledger import CostLedger
 from repro.hardware.specs import GPUSpec, NVLinkSpec
 from repro.hbm.allreduce import SparseUpdate
-from repro.hbm.distributed_table import DistributedHashTable
+from repro.hbm.distributed_table import GPUFabric
 from repro.nn.optim import SparseOptimizer
 from repro.plan.batch_plan import MinibatchPlan, NodePlan, NodeSyncPlan
 from repro.utils.keys import as_keys
@@ -43,8 +37,8 @@ from repro.utils.keys import as_keys
 __all__ = ["HBMPS"]
 
 
-class _PlannedRound:
-    """Dense working-set staging for one planned round."""
+class _StagedRound:
+    """Dense working-set staging for one round."""
 
     __slots__ = ("plan", "values", "grad_buf")
 
@@ -73,26 +67,17 @@ class HBMPS:
         self.optimizer = optimizer
         self.ledger = ledger if ledger is not None else CostLedger()
         self.capacity_per_gpu = capacity_per_gpu
-        self.params = DistributedHashTable(
+        #: the GPUs the staged parameters are sharded over: partitioner,
+        #: per-GPU cost devices and NVLink (no storage — see module doc)
+        self.params = GPUFabric(
             n_gpus,
-            capacity_per_gpu,
             optimizer.value_dim,
             gpu_spec=gpu_spec,
             nvlink_spec=nvlink_spec,
             ledger=self.ledger,
         )
-        self.grads = DistributedHashTable(
-            n_gpus,
-            capacity_per_gpu,
-            optimizer.dim,
-            gpu_spec=gpu_spec,
-            nvlink_spec=nvlink_spec,
-            ledger=self.ledger,
-        )
-        self._planned: _PlannedRound | None = None
-        #: fault-injection guard for cross-GPU pull/push dispatch, armed
-        #: here (not on the hash tables) so the planned fast path and the
-        #: unplanned table path draw the identical fault sequence
+        self._staged: _StagedRound | None = None
+        #: fault-injection guard for cross-GPU pull/push dispatch
         #: (:class:`repro.faults.policy.FaultArm`; None = fault-free)
         self.faults = None
 
@@ -105,9 +90,16 @@ class HBMPS:
     def nvlink(self):
         return self.params.nvlink
 
+    def _round(self) -> _StagedRound:
+        if self._staged is None:
+            raise RuntimeError(
+                "no working set staged — call load_working_set first"
+            )
+        return self._staged
+
     def _charge_table_ops(
         self,
-        dht: DistributedHashTable,
+        value_dim: int,
         counts,
         category: str,
         *,
@@ -116,13 +108,15 @@ class HBMPS:
     ) -> float:
         """Charge per-GPU table ops from precomputed key counts.
 
-        This is the single cost-charging primitive of every planned path;
-        it mirrors the unplanned :class:`DistributedHashTable` exactly —
-        same devices, same NVLink object, same ledger categories, and the
-        same skip rules (``insert`` charges empty partitions, the others
-        skip them; cross-GPU traffic only with a ``source_gpu``).
+        The single cost-charging primitive of the tier.  It prices what
+        :class:`~repro.hbm.distributed_table.DistributedHashTable` would
+        for the same key partition — same devices, same NVLink object,
+        same ledger categories, and the same skip rules (``insert``
+        charges empty partitions, the others skip them; cross-GPU
+        traffic only with a ``source_gpu``).
         """
-        vb = 4 * dht.value_dim
+        fabric = self.params
+        vb = 4 * value_dim
         t_table = 0.0
         link_bytes = 0
         link_msgs = 0
@@ -130,42 +124,23 @@ class HBMPS:
             c = int(counts[g])
             if c == 0 and not include_empty:
                 continue
-            t_table = max(t_table, dht.devices[g].table_op(c, vb, category))
+            t_table = max(t_table, fabric.devices[g].table_op(c, vb, category))
             if source_gpu is not None and g != source_gpu and c:
                 link_bytes += c * (8 + vb)
                 link_msgs += 1
         t_link = (
-            dht.nvlink.send(link_bytes, n_messages=link_msgs)
+            fabric.nvlink.send(link_bytes, n_messages=link_msgs)
             if link_msgs
             else 0.0
         )
         return t_table + t_link
 
-    def load_working_set(
-        self,
-        keys: np.ndarray,
-        values: np.ndarray,
-        *,
-        plan: NodePlan | None = None,
-    ) -> float:
+    def load_working_set(self, values: np.ndarray, plan: NodePlan) -> float:
         """Stage the batch's working parameters (Alg. 1 lines 6–10).
 
-        With a :class:`~repro.plan.NodePlan`, the working set is staged as
-        a dense array aligned with ``plan.keys`` and per-GPU insert costs
+        ``values`` is aligned with ``plan.keys``; per-GPU insert costs
         are charged from the plan's precomputed partition sizes.
         """
-        if plan is None:
-            self._planned = None
-            self.params.clear()
-            self.grads.clear()
-            return self.params.insert(keys, values)
-        # Planned fast path: drop any stale hash-table staging once (the
-        # tables stay empty across consecutive planned rounds, so this
-        # clear is free in steady state), then stage densely.
-        if self.params.size:
-            self.params.clear()
-        if self.grads.size:
-            self.grads.clear()
         for g in range(self.n_gpus):
             if plan.gpu_parts[g].size > self.capacity_per_gpu:
                 raise RuntimeError(
@@ -173,22 +148,18 @@ class HBMPS:
                     f" > {self.capacity_per_gpu} (room for "
                     f"{self.capacity_per_gpu})"
                 )
-        self._planned = _PlannedRound(
+        self._staged = _StagedRound(
             plan, np.array(values, dtype=np.float32, copy=True)
         )
         return self._charge_table_ops(
-            self.params,
+            self.optimizer.value_dim,
             [p.size for p in plan.gpu_parts],
             "hbm_insert",
             include_empty=True,
         )
 
     def pull_embeddings(
-        self,
-        keys: np.ndarray,
-        *,
-        gpu: int = 0,
-        mb: MinibatchPlan | None = None,
+        self, mb: MinibatchPlan, *, gpu: int = 0
     ) -> tuple[np.ndarray, float]:
         """Embedding rows for a worker's mini-batch keys (line 12)."""
         extra = 0.0
@@ -198,69 +169,54 @@ class HBMPS:
             # exhaustion escapes with global scope — mid-train HBM state
             # is only recoverable by a full restore.
             extra = self.faults.guard({"hbm_dispatch": 0.0}, scope="global")
-        if self._planned is None or mb is None:
-            values, t = self.params.get(keys, source_gpu=gpu)
-            return self.optimizer.embedding(values), t + extra
-        st = self._planned
-        values = st.values[mb.work_idx]
+        values = self._round().values[mb.work_idx]
         t = self._charge_table_ops(
-            self.params, mb.gpu_counts, "hbm_pull", source_gpu=gpu
+            self.optimizer.value_dim, mb.gpu_counts, "hbm_pull", source_gpu=gpu
         )
         return self.optimizer.embedding(values), t + extra
 
     def push_gradients(
-        self,
-        keys: np.ndarray,
-        grads: np.ndarray,
-        *,
-        gpu: int = 0,
-        mb: MinibatchPlan | None = None,
+        self, mb: MinibatchPlan, grads: np.ndarray, *, gpu: int = 0
     ) -> float:
-        """Worker pushes its sparse gradient (line 14, Algorithm 2)."""
+        """Worker pushes its sparse gradient (line 14, Algorithm 2).
+
+        ``grads`` is aligned with ``mb.keys``.
+        """
         extra = 0.0
         if self.faults is not None:
             # Guard before any gradient is applied, so a retried push
             # never double-applies a delta and an exhausted one escapes
-            # with the tables/buffers still consistent.
+            # with the buffer still consistent.
             extra = self.faults.guard({"hbm_dispatch": 0.0}, scope="global")
-        if self._planned is None or mb is None:
-            return extra + self.grads.accumulate(
-                keys, grads, source_gpu=gpu, upsert=True
-            )
-        st = self._planned
+        st = self._round()
         if st.grad_buf is None:
             st.grad_buf = np.zeros(
                 (mb.sync_size, self.optimizer.dim), dtype=np.float32
             )
-        # Mini-batch keys are unique, so this scatter-add matches the hash
+        # Mini-batch keys are unique, so this scatter-add is the hash
         # table's insert-then-accumulate bit for bit (0 + d == d, and
         # float32 -> float64 -> float32 round-trips exactly).
         st.grad_buf[mb.sync_idx] += np.asarray(grads, dtype=np.float32)
         return extra + self._charge_table_ops(
-            self.grads, mb.gpu_counts, "hbm_push", source_gpu=gpu
+            self.optimizer.dim, mb.gpu_counts, "hbm_push", source_gpu=gpu
         )
 
-    def drain_gradients(self, *, sync: NodeSyncPlan | None = None) -> SparseUpdate:
+    def drain_gradients(self, sync: NodeSyncPlan) -> SparseUpdate:
         """Collect and clear the gradient buffer for the all-reduce."""
-        if self._planned is None or sync is None:
-            keys, grads = self.grads.items()
-            self.grads.clear()
-            # SparseUpdate carries float64 gradients by contract (see
-            # allreduce.SparseUpdate).
-            # repro: allow(f64-hot-path)
-            return SparseUpdate(keys, grads.astype(np.float64))
-        st = self._planned
+        st = self._round()
         buf = st.grad_buf
         st.grad_buf = None
         if buf is None:
             buf = np.zeros((sync.keys.size, self.optimizer.dim), dtype=np.float32)
         # Plan keys are sorted-unique by construction; skip re-validation.
+        # SparseUpdate carries float64 gradients by contract (see
+        # allreduce.SparseUpdate).
         return SparseUpdate.trusted(
             sync.keys, buf.astype(np.float64)  # repro: allow(f64-hot-path)
         )
 
     def apply_update(
-        self, update: SparseUpdate, *, sync: NodeSyncPlan | None = None
+        self, update: SparseUpdate, sync: NodeSyncPlan
     ) -> tuple[np.ndarray, float]:
         """Apply a (post-all-reduce) global update to resident keys.
 
@@ -270,83 +226,41 @@ class HBMPS:
         """
         if update.n_keys == 0:
             return as_keys([]), 0.0
-        if self._planned is not None and sync is not None:
-            st = self._planned
-            missing = update.keys[sync.missing_idx]
-            if sync.resident_idx.size == 0:
-                return missing, 0.0
-            rows = sync.resident_work_idx
-            st.values[rows] = self.optimizer.apply(
-                st.values[rows], update.grads[sync.resident_idx]
-            )
-            t = self._charge_table_ops(
-                self.params, sync.resident_gpu_counts, "hbm_push"
-            )
-            return missing, t
-        resident = self.params.contains(update.keys)
-        missing = update.keys[~resident]
-        keys = update.keys[resident]
-        grads = update.grads[resident]
-        if keys.size == 0:
+        st = self._round()
+        missing = update.keys[sync.missing_idx]
+        if sync.resident_idx.size == 0:
             return missing, 0.0
-        # The optimizer transform must see (value, grad) pairs; close over
-        # the gradient rows in key order.  ``transform`` visits each GPU's
-        # partition, so re-align gradients per partition via a dict-free
-        # searchsorted lookup (keys are sorted and unique).
-        opt = self.optimizer
-
-        def fn_factory(part_keys: np.ndarray):
-            idx = keys.searchsorted(part_keys)
-
-            def fn(values: np.ndarray) -> np.ndarray:
-                return opt.apply(values, grads[idx])
-
-            return fn
-
-        t = 0.0
-        parts = self.params.partitioner.split(keys)
-        for gpu, (k,) in enumerate(parts):
-            if k.size == 0:
-                continue
-            self.params.tables[gpu].transform(k, fn_factory(k))
-            t = max(
-                t,
-                self.params.devices[gpu].table_op(
-                    k.size, 4 * opt.value_dim, "hbm_push"
-                ),
-            )
+        rows = sync.resident_work_idx
+        st.values[rows] = self.optimizer.apply(
+            st.values[rows], update.grads[sync.resident_idx]
+        )
+        t = self._charge_table_ops(
+            self.optimizer.value_dim, sync.resident_gpu_counts, "hbm_push"
+        )
         return missing, t
 
     def dump(self) -> tuple[np.ndarray, np.ndarray]:
         """All staged (keys, values) — the MEM-PS pull-back (line 16)."""
-        if self._planned is not None:
-            return self._planned.plan.keys, self._planned.values
-        return self.params.items()
+        st = self._round()
+        return st.plan.keys, st.values
 
     def clear(self) -> None:
-        self._planned = None
-        self.params.clear()
-        self.grads.clear()
+        self._staged = None
 
     # ------------------------------------------------------------------
     # Checkpoint protocol.  The HBM tier is *transient*: every round
     # restages its working set from the MEM tier and the round-end
     # write-back (``dump`` + ``MemPS.absorb_updates``) pulls the values
-    # back down, so between rounds the staged tables/arrays are a
-    # non-authoritative shadow (the next ``load_working_set`` clears them
+    # back down, so between rounds the staged array is a
+    # non-authoritative shadow (the next ``load_working_set`` replaces it
     # unconditionally).  The export pair therefore ships nothing — but it
     # *asserts* the tier is actually quiescent, catching any attempt to
     # snapshot mid-round, and keeps the per-tier protocol uniform so the
     # checkpoint writer can drive every tier identically.
     def _require_quiescent(self) -> None:
-        if self._planned is not None and self._planned.grad_buf is not None:
+        if self._staged is not None and self._staged.grad_buf is not None:
             raise RuntimeError(
                 "HBM-PS gradient buffer not drained — checkpoint only at "
-                "a round boundary"
-            )
-        if self.grads.size:
-            raise RuntimeError(
-                "HBM-PS gradient table not empty — checkpoint only at "
                 "a round boundary"
             )
 

@@ -13,26 +13,21 @@ resolve to slab rows through a vectorized open-addressing
 :class:`~repro.store.SlotIndex`, and eviction selects victims with
 ``argpartition`` over the recency/priority arrays.  Batched operations
 are **sequential-equivalent**: ``get_batch``/``put_batch`` produce the
-same eviction order, flush pairs, and statistics as the per-key loop the
-seed implementation ran (``repro.store.reference`` keeps that
-implementation as the parity oracle).
+same eviction order, flush pairs, and statistics as looping the scalar
+:meth:`get`/:meth:`put` over the batch (the test suite holds them to
+that, and to the seed dict-based caches kept under ``tests/``).
 
 Admission is **bulk-exact**: the interleavings a single dense plan
 cannot reproduce — a duplicate key re-entering the batch, a resident
 batch key sitting inside the eviction frontier, an LFU-resident key
-while the LRU overflows — no longer route the whole batch through the
-per-key replay.  Instead the batch is partitioned into an *admission
-plan*: a sequence of collision-free runs found with one vectorized
+while the LRU overflows — cut the batch into an *admission plan*: a
+sequence of collision-free runs found with one vectorized
 prefix scan per run (eviction-frontier ranks vs. cumulative overflow,
 duplicate boundaries from one stable sort, LFU-residency × overflow),
 each run applied with the existing dense slab ops and the eviction
 frontier recomputed only at run boundaries.  Collision positions
 themselves become single-key runs applied with the exact scalar op, so
-the scalar work is O(runs), not O(keys).  The seed per-key replay
-survives only as a debug/parity oracle: set the ``REPRO_CACHE_ORACLE=1``
-environment variable (or a cache's ``force_scalar`` attribute) to route
-every batch op through it; ``scalar_fallbacks`` counts those replays and
-reads zero on the bulk engine.
+the scalar work is O(runs), not O(keys).
 
 :class:`LRUCache` and :class:`LFUCache` are also usable standalone — the
 cache-policy ablation benchmark compares them against the combined policy.
@@ -40,22 +35,17 @@ cache-policy ablation benchmark compares them against the combined policy.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.store.slot_index import SlotIndex
-from repro.utils.keys import EMPTY_KEY, KEY_DTYPE, all_unique, as_keys, mix_hash
+from repro.utils.keys import EMPTY_KEY, KEY_DTYPE, as_keys, mix_hash
 
-__all__ = ["LRUCache", "LFUCache", "CombinedCache", "CacheStats", "ORACLE_ENV"]
+__all__ = ["LRUCache", "LFUCache", "CombinedCache", "CacheStats"]
 
 #: Order sentinel for free slots — sorts after every live tick/priority.
 _FAR = np.int64(2**62)
-
-#: Environment flag routing every batch op through the seed per-key
-#: replay (the parity oracle the admission engine is measured against).
-ORACLE_ENV = "REPRO_CACHE_ORACLE"
 
 
 def _full_i64(n: int, value) -> np.ndarray:
@@ -132,17 +122,14 @@ _PINNED_MSG = (
 @dataclass
 class CacheStats:
     """Hit/miss counters (drives the Fig. 4(c) reproduction) plus the
-    admission engine's accounting: ``admission_runs`` bulk runs applied,
-    ``collision_splits`` single-key runs forced by a collision with the
-    eviction frontier, and ``scalar_fallbacks`` whole-batch per-key
-    replays — zero on the bulk engine, nonzero only under the
-    :data:`ORACLE_ENV` parity oracle."""
+    admission engine's accounting: ``admission_runs`` bulk runs applied
+    and ``collision_splits`` single-key runs forced by a collision with
+    the eviction frontier."""
 
     hits: int = 0
     misses: int = 0
     admission_runs: int = 0
     collision_splits: int = 0
-    scalar_fallbacks: int = 0
 
     @property
     def accesses(self) -> int:
@@ -157,7 +144,6 @@ class CacheStats:
         self.misses = 0
         self.admission_runs = 0
         self.collision_splits = 0
-        self.scalar_fallbacks = 0
 
 
 def _empty_pairs(dim: int) -> tuple[np.ndarray, np.ndarray]:
@@ -198,31 +184,10 @@ class _SlabCache:
         self._free = np.arange(capacity - 1, -1, -1, dtype=np.int64)
         self._n_free = capacity
         self._now = 0
-        #: None → follow the :data:`ORACLE_ENV` environment flag; True
-        #: forces the seed per-key replay for every batch op (parity
-        #: oracle); ``"legacy"`` emulates the pre-admission-plan policy
-        #: (bulk only when one run covers the whole batch, else a
-        #: whole-batch per-key replay — the pressure-regime baseline the
-        #: e2e ledger measures the refactor against); False forces the
-        #: bulk admission engine.
-        self.force_scalar: bool | str | None = None
         #: standalone-tier admission accounting (the combined policy
-        #: tracks the same three counters on its :class:`CacheStats`).
+        #: tracks the same two counters on its :class:`CacheStats`).
         self.admission_runs = 0
         self.collision_splits = 0
-        self.scalar_fallbacks = 0
-
-    def _admission_mode(self) -> str:
-        """``"bulk"`` | ``"scalar"`` | ``"legacy"`` (see ``force_scalar``)."""
-        mode = self.force_scalar
-        if mode is None:
-            env = os.environ.get(ORACLE_ENV, "")
-            return "scalar" if env == "1" else ("legacy" if env == "legacy" else "bulk")
-        if mode is True:
-            return "scalar"
-        if mode is False:
-            return "bulk"
-        return str(mode)
 
     def _bind_dim(self, dim: int) -> None:
         if dim <= 0:
@@ -509,15 +474,6 @@ class LRUCache(_SlabCache):
         vals = self._coerce_values(keys, values)
         if keys.size == 0:
             return _empty_pairs(self._dim_or_zero())
-        mode = self._admission_mode()
-        if mode == "scalar":
-            self.scalar_fallbacks += 1
-            pairs = []
-            # Scalar-mode parity oracle replays the per-key reference
-            # policy on purpose.  # repro: allow(hot-loop)
-            for i in range(keys.size):
-                pairs.extend(self.put(int(keys[i]), vals[i], pin=pin))
-            return _as_pairs(pairs, self.value_dim)
         prev_dup = None if assume_unique else _prev_occurrence(keys)
         hashes = _batch_hashes(keys, self._index)
         ek_parts: list[np.ndarray] = []
@@ -534,13 +490,6 @@ class LRUCache(_SlabCache):
                 blocked=None,
                 allow_spill=True,
             )
-            if mode == "legacy" and (run < n or bound < n):
-                # Pre-refactor plan-or-replay: any cut → per-key replay.
-                self.scalar_fallbacks += 1
-                pairs = []
-                for i in range(n):
-                    pairs.extend(self.put(int(keys[i]), vals[i], pin=pin))
-                return _as_pairs(pairs, self.value_dim)
             if run == 0:
                 self.collision_splits += 1
                 pairs = self.put(int(keys[s]), vals[s], pin=pin)
@@ -552,12 +501,7 @@ class LRUCache(_SlabCache):
                 continue
             e = s + run
             plan = self._plan_put(
-                rem[:run],
-                vals[s:e],
-                pin,
-                located=(rows[:run], resident[:run]),
-                assume_unique=True,
-                order=order,
+                rem[:run], vals[s:e], pin, (rows[:run], resident[:run]), order
             )
             assert plan is not None  # guaranteed by the run conditions
             ek, ev, _, _, _ = self._apply_put(
@@ -635,9 +579,7 @@ class LRUCache(_SlabCache):
         keys: np.ndarray,
         vals: np.ndarray,
         pin: bool,
-        located=None,
-        *,
-        assume_unique: bool = False,
+        located,
         order: np.ndarray | None = None,
     ):
         """Plan a sequential-equivalent bulk insert, or None → not exact.
@@ -645,14 +587,11 @@ class LRUCache(_SlabCache):
         The plan is exact when keys are unique and no already-resident
         batch key sits inside the eviction range (sequentially it would
         be evicted with its *old* value before its own turn refreshed it).
-        ``located`` short-circuits the index lookup when the caller
-        already holds ``(slots, resident)``; the admission planner
-        guarantees both conditions per run, so its calls never get None,
-        and hands in the ``order`` array it already materialized.
+        The admission planner guarantees both per run, so its calls never
+        get None; it hands in the ``(slots, resident)`` pair it already
+        ``located`` and the ``order`` array it already materialized.
         """
-        if not assume_unique and not all_unique(keys):
-            return None
-        slots, resident = located if located is not None else self._index.get(keys)
+        slots, resident = located
         n_new = int((~resident).sum())
         overflow = max(0, self.size + n_new - self.capacity)
         old_sel = np.empty(0, dtype=np.int64)
@@ -846,19 +785,6 @@ class LFUCache(_SlabCache):
         if keys.size == 0:
             return values, np.zeros(0, dtype=bool)
         prev_dup = None if assume_unique else _prev_occurrence(keys)
-        has_dup = prev_dup is not None and bool((prev_dup >= 0).any())
-        mode = self._admission_mode()
-        if mode == "scalar" or (mode == "legacy" and has_dup):
-            self.scalar_fallbacks += 1
-            found = np.zeros(keys.size, dtype=bool)
-            # Per-key replay of the reference policy (parity oracle).
-            # repro: allow(hot-loop)
-            for i in range(keys.size):
-                v = self.get(int(keys[i]))
-                if v is not None:
-                    values[i] = v
-                    found[i] = True
-            return values, found
         found = np.zeros(keys.size, dtype=bool)
         s, n = 0, keys.size
         while s < n:
@@ -896,22 +822,6 @@ class LFUCache(_SlabCache):
         if keys.size == 0:
             return _empty_pairs(self._dim_or_zero())
         prev_dup = None if assume_unique else _prev_occurrence(keys)
-        mode = self._admission_mode()
-        if mode == "scalar" or (
-            mode == "legacy"
-            and (
-                bool(self._index.get(keys)[1].any())
-                or (prev_dup is not None and bool((prev_dup >= 0).any()))
-            )
-        ):
-            # "legacy" replays whenever the pre-refactor policy would
-            # have: any resident overwrite or duplicate in the batch.
-            self.scalar_fallbacks += 1
-            pairs = []
-            # repro: allow(hot-loop)
-            for i in range(keys.size):
-                pairs.extend(self.put(int(keys[i]), vals[i], freq=freq))
-            return _as_pairs(pairs, self.value_dim)
         ek_parts: list[np.ndarray] = []
         ev_parts: list[np.ndarray] = []
         s, n = 0, keys.size
@@ -1330,20 +1240,6 @@ class CombinedCache:
         return self._put_single(key, value, count, pin)
 
     # ------------------------------------------------------------------
-    @property
-    def force_scalar(self) -> bool | str | None:
-        """Per-instance oracle override (None → :data:`ORACLE_ENV`;
-        True → per-key replay, ``"legacy"`` → plan-or-replay)."""
-        return self.lru.force_scalar
-
-    @force_scalar.setter
-    def force_scalar(self, value: bool | str | None) -> None:
-        self.lru.force_scalar = value
-        self.lfu.force_scalar = value
-
-    def _admission_mode(self) -> str:
-        return self.lru._admission_mode()
-
     def get_batch(
         self, keys: np.ndarray, *, assume_unique: bool = False
     ) -> tuple[np.ndarray, np.ndarray]:
@@ -1352,25 +1248,13 @@ class CombinedCache:
         Returns ``(values, hit_mask)``; missed rows are zero-filled.
         The batch is applied as an admission plan: promotion storms that
         would push an LRU-resident batch key into the eviction frontier
-        cut the batch into runs instead of degrading to the per-key
-        replay; the colliding position itself is applied with the exact
-        scalar :meth:`get`.
+        cut the batch into runs; the colliding position itself is
+        applied with the exact scalar :meth:`get`.
         """
         keys = as_keys(keys)
         values = np.zeros((keys.size, self.value_dim), dtype=np.float32)
         hit = np.zeros(keys.size, dtype=bool)
         if keys.size == 0:
-            return values, hit
-        mode = self._admission_mode()
-        if mode == "scalar":
-            self.stats.scalar_fallbacks += 1
-            # Per-key replay of the reference policy (parity oracle).
-            # repro: allow(hot-loop)
-            for i in range(keys.size):
-                v = self.get(int(keys[i]))
-                if v is not None:
-                    values[i] = v
-                    hit[i] = True
             return values, hit
         lru, lfu = self.lru, self.lfu
         prev_dup = None if assume_unique else _prev_occurrence(keys)
@@ -1388,15 +1272,6 @@ class CombinedCache:
                 blocked=None,
                 allow_spill=False,
             )
-            if mode == "legacy" and (run < n or bound < n):
-                # Pre-refactor plan-or-replay: any cut → per-key replay.
-                self.stats.scalar_fallbacks += 1
-                for i in range(n):
-                    v = self.get(int(keys[i]))
-                    if v is not None:
-                        values[i] = v
-                        hit[i] = True
-                return values, hit
             if run == 0:
                 self.stats.collision_splits += 1
                 v = self.get(int(keys[s]))
@@ -1513,15 +1388,6 @@ class CombinedCache:
             raise ValueError("values shape mismatch")
         if keys.size == 0:
             return _empty_pairs(self.value_dim)
-        mode = self._admission_mode()
-        if mode == "scalar":
-            self.stats.scalar_fallbacks += 1
-            flushed = []
-            # Per-key replay of the reference policy (parity oracle).
-            # repro: allow(hot-loop)
-            for i in range(keys.size):
-                flushed.extend(self.put(int(keys[i]), vals[i], pin=pin))
-            return _as_pairs(flushed, self.value_dim)
         lru, lfu = self.lru, self.lfu
         if assume_absent:
             assume_unique = True
@@ -1546,13 +1412,6 @@ class CombinedCache:
                 blocked=in_lfu,
                 allow_spill=True,
             )
-            if mode == "legacy" and (run < n or bound < n):
-                # Pre-refactor plan-or-replay: any cut → per-key replay.
-                self.stats.scalar_fallbacks += 1
-                flushed = []
-                for i in range(n):
-                    flushed.extend(self.put(int(keys[i]), vals[i], pin=pin))
-                return _as_pairs(flushed, self.value_dim)
             if run == 0:
                 self.stats.collision_splits += 1
                 flushed = self.put(int(keys[s]), vals[s], pin=pin)
@@ -1600,9 +1459,7 @@ class CombinedCache:
     ) -> tuple[np.ndarray, np.ndarray]:
         """Apply one collision-free insert run; returns its flush pairs."""
         lru, lfu = self.lru, self.lfu
-        plan = lru._plan_put(
-            keys, vals, pin, located=located, assume_unique=True, order=order
-        )
+        plan = lru._plan_put(keys, vals, pin, located, order)
         assert plan is not None  # guaranteed by the run conditions
         _, _, _, lru_slots, resident, old_sel, _ = plan
         # Access counts, exactly as the per-key loop would assign them.
@@ -1657,8 +1514,7 @@ class CombinedCache:
         """Non-mutating tier probe: ``(in_lru, in_lfu)`` masks.
 
         A pure index lookup — no recency ticks, no hit/miss statistics,
-        no admission work.  The prefetch stage uses it to order a key
-        union tier-first before the mutating :meth:`get_batch` pass.
+        no admission work.
         """
         keys = as_keys(keys)
         _, in_lru = self.lru._index.get(keys)
@@ -1686,10 +1542,8 @@ class CombinedCache:
         Returns ``(hit, rows)`` in input order; ``rows[i]`` is the LRU
         slab row of every resolved position (-1 for misses, installed
         later by ``put_batch``).  Returns ``(hit, None)`` — caller must
-        re-resolve through the index — in non-bulk admission modes (the
-        per-key oracle and the legacy policy replay the identical
-        ordered sequence through :meth:`get_batch`) or if a promotion
-        storm cuts the LFU segment.
+        re-resolve through the index — if a promotion storm cuts the
+        LFU segment.
 
         ``prev_keys``/``prev_rows`` (the previous round's resolved union)
         let consecutive unions share their overlap: a key still sitting
@@ -1703,15 +1557,6 @@ class CombinedCache:
         if n == 0:
             return hit, np.empty(0, dtype=np.int64)
         lru, lfu = self.lru, self.lfu
-        if self._admission_mode() != "bulk":
-            hashes = mix_hash(keys)
-            _, in_lru, _ = lru._index.locate(keys, hashes)
-            _, in_lfu = lfu._index.get(keys, hashes)
-            tier = np.where(in_lru, 0, np.where(in_lfu, 1, 2))
-            order = np.argsort(tier, kind="stable")
-            _, ordered_hit = self.get_batch(keys[order], assume_unique=True)
-            hit[order] = ordered_hit
-            return hit, None
         carried = np.zeros(n, dtype=bool)
         carried_rows = np.empty(0, dtype=np.int64)
         if (
@@ -1845,8 +1690,8 @@ class CombinedCache:
     def update_rows(self, rows: np.ndarray, values: np.ndarray) -> None:
         """Overwrite values at resolved LRU rows (no metadata changes).
 
-        Row-level face of :meth:`update_batch_if_present` for keys whose
-        rows were resolved by :meth:`resolve_pinned` while pinned.
+        For keys whose rows were resolved by :meth:`resolve_pinned`
+        while pinned.
         """
         self.lru._values[rows] = np.asarray(values, dtype=np.float32)
 
@@ -1870,9 +1715,8 @@ class CombinedCache:
         located (and pinned) by an earlier round's
         :meth:`prefetch_resolve`, so serving them this round is recency
         ticks + access counts + hit statistics on known slots — exactly
-        segment 1 of the resolve, with zero index traffic.  Identical
-        under every admission mode (no admission work can arise on
-        pinned residents), so it cannot fork the parity oracles.
+        segment 1 of the resolve, with zero index traffic (no admission
+        work can arise on pinned residents).
         """
         n = rows.size
         if not n:
@@ -1912,21 +1756,6 @@ class CombinedCache:
             self.lfu._values[slot] = np.asarray(value, dtype=np.float32)
             return True
         return False
-
-    def update_batch_if_present(
-        self, keys: np.ndarray, values: np.ndarray
-    ) -> np.ndarray:
-        """Batch :meth:`update_if_present`; returns the updated mask."""
-        keys = as_keys(keys)
-        values = np.asarray(values, dtype=np.float32)
-        if values.shape != (keys.size, self.value_dim):
-            raise ValueError("values shape mismatch")
-        lru_slots, in_lru = self.lru._index.get(keys)
-        self.lru._values[lru_slots[in_lru]] = values[in_lru]
-        lfu_slots, in_lfu = self.lfu._index.get(keys)
-        in_lfu &= ~in_lru
-        self.lfu._values[lfu_slots[in_lfu]] = values[in_lfu]
-        return in_lru | in_lfu
 
     def peek_batch(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Read-only batch lookup: no recency, frequency, or stats."""
@@ -2020,10 +1849,8 @@ class CombinedCache:
             raise ValueError(
                 "cache snapshot does not fit this cache's tier capacities"
             )
-        oracle = self.force_scalar
         self.lru = LRUCache(self.lru.capacity, value_dim=self.value_dim, key_domain=self.key_domain)
         self.lfu = LFUCache(self.lfu.capacity, value_dim=self.value_dim, key_domain=self.key_domain)
-        self.force_scalar = oracle
         self._counts = np.zeros(self.lru.capacity, dtype=np.int64)
         self._pending_flush = []
         # Oldest-first re-insertion assigns fresh ascending ticks, which
@@ -2175,9 +2002,7 @@ class CombinedCache:
                 [self.lru._values[lru_rows], self.lfu._values[lfu_rows]],
                 axis=0,
             ).copy()
-        oracle = self.force_scalar
         self.lru = LRUCache(self.lru.capacity, value_dim=self.value_dim, key_domain=self.key_domain)
         self.lfu = LFUCache(self.lfu.capacity, value_dim=self.value_dim, key_domain=self.key_domain)
-        self.force_scalar = oracle
         self._counts = np.zeros(self.lru.capacity, dtype=np.int64)
         return keys, values

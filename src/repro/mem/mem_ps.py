@@ -29,6 +29,7 @@ from repro.hardware.network import Network
 from repro.hbm.partition import ModuloPartitioner
 from repro.mem.cache import CombinedCache
 from repro.nn.optim import SparseOptimizer
+from repro.plan.batch_plan import AdmissionRecord, NodePlan, NodePrefetchPlan
 from repro.ssd.ssd_ps import SSDPS
 from repro.utils.keys import all_unique, as_keys
 from repro.utils.rng import spawn
@@ -90,7 +91,6 @@ class MemPS:
         network: Network | None = None,
         ledger: CostLedger | None = None,
         seed: int = 0,
-        cache: CombinedCache | None = None,
         key_domain: int | None = None,
         prefetch_pin_fraction: float = 0.8,
     ) -> None:
@@ -103,9 +103,7 @@ class MemPS:
         self.ledger = ledger if ledger is not None else CostLedger()
         self.network = network
         self.partitioner = ModuloPartitioner(n_nodes, salt=_NODE_SALT)
-        #: any cache speaking the combined-cache surface works here — the
-        #: store microbenchmark injects the seed per-key implementation.
-        self.cache = cache if cache is not None else CombinedCache(
+        self.cache = CombinedCache(
             cache_capacity,
             lru_fraction=lru_fraction,
             value_dim=optimizer.value_dim,
@@ -150,53 +148,36 @@ class MemPS:
         return self.owner_of(keys) == self.node_id
 
     # ------------------------------------------------------------------
-    def _admission_snapshot(self) -> tuple[int, int, int]:
-        """(runs, collision splits, scalar fallbacks) counter snapshot."""
-        stats = getattr(self.cache, "stats", None)
-        if stats is None or not hasattr(stats, "admission_runs"):
-            return (0, 0, 0)
-        return (
-            stats.admission_runs,
-            stats.collision_splits,
-            stats.scalar_fallbacks,
-        )
+    def _admission_snapshot(self) -> tuple[int, int]:
+        """(runs, collision splits) counter snapshot."""
+        stats = self.cache.stats
+        return (stats.admission_runs, stats.collision_splits)
 
-    def _admission_delta(self, before: tuple[int, int, int]):
-        from repro.plan import AdmissionRecord
-
+    def _admission_delta(self, before: tuple[int, int]) -> AdmissionRecord:
         after = self._admission_snapshot()
         return AdmissionRecord(
             n_runs=after[0] - before[0],
             n_collision_splits=after[1] - before[1],
-            n_scalar_fallbacks=after[2] - before[2],
         )
 
     # ------------------------------------------------------------------
     def fetch_local(
-        self,
-        keys: np.ndarray,
-        *,
-        pin: bool = True,
-        out_masks: dict | None = None,
-        assume_unique: bool = False,
-    ) -> tuple[np.ndarray, float, int, int, int]:
+        self, keys: np.ndarray, *, pin: bool = True
+    ) -> tuple[np.ndarray, float, np.ndarray, np.ndarray]:
         """Serve locally-owned ``keys`` from cache → SSD → fresh-init.
 
-        Returns ``(values, seconds, cache_hits, ssd_loaded, fresh)``.
-        Loaded/initialized values are inserted (and pinned) in the cache;
-        cache overflow is flushed to the SSD-PS immediately.  With
-        ``out_masks``, records the hit/miss split for the caller's
-        :class:`~repro.plan.NodePlan`: ``out_masks["hit"]`` is the cache
-        hit mask over ``keys`` and ``out_masks["ssd_found"]`` marks which
-        of the misses the SSD resolved.  ``assume_unique=True`` is the
-        plan's pre-split: keys known unique by construction skip the
-        cache admission planner's duplicate-boundary pass.
+        ``keys`` must be unique — every caller passes a partition of a
+        plan's sorted-unique key set, so the cache admission planner
+        skips its duplicate-boundary pass.  Returns ``(values, seconds,
+        hit, ssd_found)``: ``hit`` is the cache hit mask over ``keys``
+        and ``ssd_found`` marks which of the misses the SSD resolved
+        (the rest were fresh-initialized).  Loaded/initialized values
+        are inserted (and pinned) in the cache; cache overflow is
+        flushed to the SSD-PS immediately.
         """
         keys = as_keys(keys)
-        values, hit = self.cache.get_batch(keys, assume_unique=assume_unique)
-        if out_masks is not None:
-            out_masks["hit"] = hit
-            out_masks["ssd_found"] = np.zeros(keys.size, dtype=bool)
+        values, hit = self.cache.get_batch(keys, assume_unique=True)
+        ssd_found = np.zeros(keys.size, dtype=bool)
         seconds = 0.0
         # LFU->LRU promotions inside get_batch may flush cold entries;
         # persist them before anything else can reference them.
@@ -209,19 +190,14 @@ class MemPS:
             # ``get_batch`` promotes LFU hits into the LRU tier, so every
             # hit key is in the LRU by now.
             self.cache.pin_batch(keys[hit])
-        n_ssd = 0
-        n_fresh = 0
         miss_idx = np.flatnonzero(~hit)
         if miss_idx.size:
             miss_keys = keys[miss_idx]
             result, stats = self.ssd_ps.load(miss_keys)
             seconds += stats.total_seconds
-            if out_masks is not None:
-                out_masks["ssd_found"][miss_idx] = result.found
+            ssd_found[miss_idx] = result.found
             vals = result.values
             fresh_idx = np.flatnonzero(~result.found)
-            n_ssd = int(result.found.sum())
-            n_fresh = fresh_idx.size
             if fresh_idx.size:
                 vals[fresh_idx] = self.optimizer.init_for_keys(
                     miss_keys[fresh_idx], seed=self._init_seed
@@ -231,50 +207,41 @@ class MemPS:
                 miss_keys,
                 vals,
                 pin=pin,
-                assume_unique=assume_unique,
                 # A unique key stream's misses are resident in neither
                 # tier (a get never inserts), so the LFU probe is moot.
-                assume_absent=assume_unique,
+                assume_absent=True,
             )
             if flush_k.size:
                 seconds += self.ssd_ps.dump(flush_k, flush_v).total_seconds
-        return values, seconds, int(hit.sum()), n_ssd, n_fresh
+        return values, seconds, hit, ssd_found
 
     def serve_remote(
-        self,
-        keys: np.ndarray,
-        *,
-        pre_owned: bool = False,
-        requester: int | None = None,
+        self, keys: np.ndarray, *, requester: int
     ) -> tuple[np.ndarray, float]:
-        """Handle a pull request from a peer (keys are owned here).
+        """Handle node ``requester``'s pull of ``keys`` (all owned here).
 
-        ``pre_owned=True`` skips the ownership re-hash — the caller's
-        :class:`~repro.plan.NodePlan` partitioned the keys by owner
-        already (validated by the plan unit tests).  When this node ran
-        the prefetch stage this round and the caller identifies itself
-        via ``requester``, the served partition is already resolved,
-        loaded, and pinned — the pull is a pure row gather with no
-        device traffic and no extra pin (the prefetch pin covers it
-        until ``end_batch``).
+        ``keys`` is the partition the requester's
+        :class:`~repro.plan.NodePlan` assigned to this node — sorted
+        unique and owned here by construction (validated by the plan
+        unit tests), so there is no ownership re-hash.  When this node
+        ran the prefetch stage this round the served partition is
+        already resolved, loaded, and pinned — the pull is a pure row
+        gather with no device traffic and no extra pin (the prefetch pin
+        covers it until ``end_batch``).
         """
         keys = as_keys(keys)
-        if not pre_owned and not np.all(self.owns(keys)):
-            raise ValueError("serve_remote called with keys this node does not own")
         pplan = self._prefetch_plan
-        if pplan is not None and requester is not None:
+        if pplan is not None:
             pos = pplan.serve_pos[requester]
             assert np.array_equal(keys, pplan.keys[pos]), (
                 "prefetch plan and remote pull diverged"
             )
             return self.cache.values_at(pplan.rows[pos]), 0.0
-        values, seconds, _, _, _ = self.fetch_local(
-            keys, pin=True, assume_unique=pre_owned
-        )
+        values, seconds, _, _ = self.fetch_local(keys, pin=True)
         self._served_keys.append(keys)
         return values, seconds
 
-    def prefetch(self, pplan) -> float:
+    def prefetch(self, pplan: NodePrefetchPlan) -> float:
         """Resolve, load, and pin the round's full MEM working set.
 
         ``pplan`` is the node's :class:`~repro.plan.NodePrefetchPlan`:
@@ -316,7 +283,7 @@ class MemPS:
         seconds += self._extend_window(pplan)
         return seconds
 
-    def _resolve_current(self, pplan) -> float:
+    def _resolve_current(self, pplan: NodePrefetchPlan) -> float:
         """Full cache → SSD → fresh-init resolve of the current round."""
         keys = pplan.keys
         adm_before = self._admission_snapshot()
@@ -329,8 +296,7 @@ class MemPS:
         # batch key the promotion storm reaches; ordered this way the
         # whole union applies in O(1) collision-free runs — and the
         # cache resolves it in a single probe pass, handing back the
-        # pinned rows directly.  The scalar oracle replays the identical
-        # sequence, so parity is untouched.  Consecutive rounds overlap
+        # pinned rows directly.  Consecutive rounds overlap
         # heavily under a zipf head, so the previous union's resolved
         # rows ride along: still-valid keys skip the probe entirely.
         prev_k, prev_r = self._prev_union
@@ -371,15 +337,11 @@ class MemPS:
         pplan.admission = self._admission_delta(adm_before)
         return seconds
 
-    def _pin_ceiling(self) -> int | None:
-        """Max LRU rows the round + window may pin (None = no limit)."""
-        lru = getattr(self.cache, "lru", None)
-        cap = getattr(lru, "capacity", None)
-        if cap is None:
-            return None
-        return int(self.prefetch_pin_fraction * cap)
+    def _pin_ceiling(self) -> int:
+        """Max LRU rows the round + window may pin."""
+        return int(self.prefetch_pin_fraction * self.cache.lru.capacity)
 
-    def _extend_window(self, pplan) -> float:
+    def _extend_window(self, pplan: NodePrefetchPlan) -> float:
         """Resolve-and-pin the lookahead unions into the sliding window.
 
         Each future union shares most of its keys with the deepest
@@ -391,7 +353,7 @@ class MemPS:
         (counted in :attr:`depth_backoffs`); the next round retries from
         the shallower window, so deep pins can never starve admission.
         """
-        la = getattr(pplan, "lookahead", None)
+        la = pplan.lookahead
         if not la:
             return 0.0
         seconds = 0.0
@@ -416,10 +378,7 @@ class MemPS:
                 pos = None
                 carried = np.zeros(n, dtype=bool)
             delta_idx = np.flatnonzero(~carried)
-            if (
-                ceiling is not None
-                and self.cache.pinned_count() + delta_idx.size > ceiling
-            ):
+            if self.cache.pinned_count() + delta_idx.size > ceiling:
                 self.depth_backoffs += 1
                 break
             adm_before = self._admission_snapshot()
@@ -494,33 +453,22 @@ class MemPS:
         self.depth_backoffs = 0
         return n
 
-    def prepare(
-        self, working_keys: np.ndarray, *, plan=None
-    ) -> tuple[np.ndarray, PrepareStats]:
+    def prepare(self, plan: NodePlan) -> tuple[np.ndarray, PrepareStats]:
         """Gather values for a batch's working set (Alg. 1 lines 3–4).
 
-        Returns values aligned with ``working_keys`` plus the stats used by
-        the Fig. 4(b) decomposition.  With a
-        :class:`~repro.plan.NodePlan`, the owner partition comes from the
+        Returns values aligned with ``plan.keys`` plus the stats used by
+        the Fig. 4(b) decomposition.  The owner partition comes from the
         plan's precomputed index arrays (no re-hash, no re-unique — the
-        plan guarantees uniqueness by construction, demoting the
-        ``all_unique`` check to a debug assertion) and the resolved cache
-        state is recorded on the plan for the write-back stage.
+        plan guarantees uniqueness by construction, so ``all_unique`` is
+        a debug assertion) and the resolved cache state is recorded on
+        the plan for the write-back stage.
         """
-        keys = as_keys(working_keys)
-        if plan is None:
-            if not all_unique(keys):
-                raise ValueError("working keys must be unique")
-            owners = self.owner_of(keys)
-            local_idx = np.flatnonzero(owners == self.node_id)
-            part_of = lambda p: np.flatnonzero(owners == p)  # noqa: E731
-        else:
-            assert all_unique(keys), "BatchPlan working keys must be unique"
-            local_idx = plan.node_parts[self.node_id]
-            part_of = lambda p: plan.node_parts[p]  # noqa: E731
+        keys = plan.keys
+        assert all_unique(keys), "BatchPlan working keys must be unique"
+        local_idx = plan.local_idx
         values = np.zeros((keys.size, self.optimizer.value_dim), dtype=np.float32)
 
-        pplan = self._prefetch_plan if plan is not None else None
+        pplan = self._prefetch_plan
         if pplan is not None:
             # The prefetch stage already resolved, loaded, and pinned the
             # local partition — a pure row gather, with the hit/SSD split
@@ -529,52 +477,42 @@ class MemPS:
             local_hits = pplan.hit[pplan.local_pos]
             local_found = pplan.ssd_found[pplan.local_pos]
             values[local_idx] = self.cache.values_at(local_rows)
-            plan.record_prepare(
-                local_slots=local_rows,
-                local_hits=local_hits,
-                ssd_found=local_found,
-                admission=pplan.admission,
-            )
+            admission = pplan.admission
             t_local = 0.0
-            n_hits = int(local_hits.sum())
-            n_ssd = int(local_found.sum())
-            n_fresh = local_idx.size - n_hits - n_ssd
         else:
-            masks: dict | None = {} if plan is not None else None
             adm_before = self._admission_snapshot()
-            vals, t_local, n_hits, n_ssd, n_fresh = self.fetch_local(
-                keys[local_idx], out_masks=masks, assume_unique=plan is not None
+            vals, t_local, local_hits, local_found = self.fetch_local(
+                keys[local_idx]
             )
             values[local_idx] = vals
-            if plan is not None:
-                # Resolved once here; the write-back consumes these rows
-                # instead of re-probing the SlotIndex (every local working
-                # key is now a pinned LRU resident).  The admission record
-                # keeps how the cache split this prepare into bulk runs vs.
-                # scalar collision splits — the pressure-regime
-                # observability the e2e ledger and the zero-fallback
-                # acceptance gate read.
-                plan.record_prepare(
-                    local_slots=self.cache.resolve_pinned(keys[local_idx]),
-                    local_hits=masks["hit"],
-                    ssd_found=masks["ssd_found"],
-                    admission=self._admission_delta(adm_before),
-                )
+            # Resolved once here; the write-back consumes these rows
+            # instead of re-probing the SlotIndex (every local working
+            # key is now a pinned LRU resident).  The admission record
+            # keeps how the cache split this prepare into bulk runs vs.
+            # scalar collision splits — the pressure-regime
+            # observability ``BatchStats`` aggregates per round.
+            local_rows = self.cache.resolve_pinned(keys[local_idx])
+            admission = self._admission_delta(adm_before)
+        plan.record_prepare(
+            local_slots=local_rows,
+            local_hits=local_hits,
+            ssd_found=local_found,
+            admission=admission,
+        )
+        n_hits = int(local_hits.sum())
+        n_ssd = int(local_found.sum())
+        n_fresh = local_idx.size - n_hits - n_ssd
 
         t_remote = 0.0
         n_remote = 0
         for peer_id in range(self.n_nodes):
             if peer_id == self.node_id:
                 continue
-            idx = part_of(peer_id)
+            idx = plan.node_parts[peer_id]
             if idx.size == 0:
                 continue
             peer = self.peers[peer_id]
-            vals, t_serve = peer.serve_remote(
-                keys[idx],
-                pre_owned=plan is not None,
-                requester=self.node_id if plan is not None else None,
-            )
+            vals, t_serve = peer.serve_remote(keys[idx], requester=self.node_id)
             values[idx] = vals
             n_remote += idx.size
             # Request (keys out) + response (keys+values back).
@@ -598,50 +536,31 @@ class MemPS:
         return values, stats
 
     # ------------------------------------------------------------------
-    def absorb_updates(
-        self,
-        keys: np.ndarray,
-        values: np.ndarray,
-        *,
-        unpin: bool = True,
-        plan=None,
-    ) -> float:
+    def absorb_updates(self, values: np.ndarray, plan: NodePlan) -> float:
         """Write updated values back after a batch (Alg. 1 lines 16–18).
 
-        Only locally-owned keys are kept (remote owners get their updates
-        from their own GPUs — Section 5 "Update parameters").  Cache
-        overflow is dumped to the SSD-PS; returns simulated seconds.
-        With a :class:`~repro.plan.NodePlan` (carrying the LRU rows the
-        prepare stage resolved), the owner split and the cache update go
-        through precomputed indices — no re-hash, no SlotIndex probe.
+        ``values`` is aligned with ``plan.keys``.  Only locally-owned
+        keys are kept (remote owners get their updates from their own
+        GPUs — Section 5 "Update parameters"); the owner split and the
+        cache update go through the plan's precomputed indices and the
+        LRU rows :meth:`prepare` resolved — no re-hash, no SlotIndex
+        probe.  Cache overflow is dumped to the SSD-PS; returns
+        simulated seconds.
         """
-        keys = as_keys(keys)
+        if plan.local_slots is None:
+            raise RuntimeError("absorb_updates requires a prepared plan")
+        vals_own = np.asarray(values, dtype=np.float32)[plan.local_idx]
+        self.cache.update_rows(plan.local_slots, vals_own)
+        if self._prefetch_plan is not None:
+            # Rows stay pinned: end_batch releases the whole prefetch
+            # set in one row-level unpin (the local slots are a
+            # subset of its rows) and settles overflow then.
+            return 0.0
+        self.cache.unpin_rows(plan.local_slots)
         seconds = 0.0
-        if plan is not None and plan.local_slots is not None:
-            part = plan.local_idx
-            vals_own = np.asarray(values, dtype=np.float32)[part]
-            self.cache.update_rows(plan.local_slots, vals_own)
-            if self._prefetch_plan is not None:
-                # Rows stay pinned: end_batch releases the whole prefetch
-                # set in one row-level unpin (the local slots are a
-                # subset of its rows) and settles overflow then.
-                return seconds
-            if unpin:
-                self.cache.unpin_rows(plan.local_slots)
-                fk, fv = self.cache.settle_overflow()
-                if fk.size:
-                    seconds += self.ssd_ps.dump(fk, fv).total_seconds
-            return seconds
-        own = self.owns(keys)
-        keys_own = keys[own]
-        vals_own = np.asarray(values, dtype=np.float32)[own]
-        self.cache.update_batch_if_present(keys_own, vals_own)
-        if unpin:
-            self.cache.unpin_batch(keys_own)
-            # Unpinning may leave the LRU over capacity; settle it now.
-            fk, fv = self.cache.settle_overflow()
-            if fk.size:
-                seconds += self.ssd_ps.dump(fk, fv).total_seconds
+        fk, fv = self.cache.settle_overflow()
+        if fk.size:
+            seconds += self.ssd_ps.dump(fk, fv).total_seconds
         return seconds
 
     def apply_gradients(
@@ -649,51 +568,39 @@ class MemPS:
         keys: np.ndarray,
         grads: np.ndarray,
         *,
-        pre_owned: bool = False,
-        rows: np.ndarray | None = None,
+        rows: np.ndarray | None,
     ) -> float:
         """Owner-side optimizer application for keys *not* staged in the
         local HBM (the update queue described in the module docstring of
         :mod:`repro.hbm.hbm_ps`).
 
-        ``pre_owned=True`` skips the ownership filter — the caller (a
-        planned round) has already partitioned the keys by owner.  With
-        ``rows`` (the prefetch plan's resolved owner-queue rows), the
-        keys are pinned LRU residents and the optimizer applies through
-        a pure row gather/scatter — no cache probe, no admission work,
-        no eviction risk, no device traffic.
+        ``keys`` are the sync plan's owner-queue keys — sorted unique
+        and owned here by construction.  ``rows`` are their resolved LRU
+        rows when the prefetch stage ran this round (the keys are then
+        pinned residents and the optimizer applies through a pure row
+        gather/scatter — no cache probe, no admission work, no eviction
+        risk, no device traffic), else None.
         """
         keys = as_keys(keys)
+        if keys.size == 0:
+            return 0.0
+        # Gradients stay float64 through the optimizer (SparseUpdate
+        # contract; order-independent accumulation).
+        # repro: allow(f64-hot-path)
+        grads = np.asarray(grads, dtype=np.float64)
         if rows is not None:
-            if keys.size == 0:
-                return 0.0
-            # Gradients stay float64 through the optimizer (SparseUpdate
-            # contract; order-independent accumulation).
-            # repro: allow(f64-hot-path)
-            grads = np.asarray(grads, dtype=np.float64)
             new_values = self.optimizer.apply(self.cache.values_at(rows), grads)
             self.cache.update_rows(rows, new_values)
             return 0.0
-        if pre_owned:
-            grads = np.asarray(grads, dtype=np.float64)  # repro: allow(f64-hot-path)
-        else:
-            own = self.owns(keys)
-            keys = keys[own]
-            # repro: allow(f64-hot-path)
-            grads = np.asarray(grads, dtype=np.float64)[own]
-        if keys.size == 0:
-            return 0.0
-        values, t_fetch, _, _, _ = self.fetch_local(
-            keys, pin=False, assume_unique=pre_owned
-        )
+        values, t_fetch, _, _ = self.fetch_local(keys, pin=False)
         new_values = self.optimizer.apply(values, grads)
         # Re-insert rather than update-if-present: under memory pressure a
         # key fetched above can already have been evicted again, and its
         # update must not be lost.  The admission engine keeps this exact
-        # under pressure without degrading to the per-key replay — a key
-        # sitting in the eviction frontier just starts a new run.
+        # under pressure — a key sitting in the eviction frontier just
+        # starts a new run.
         flush_k, flush_v = self.cache.put_batch(
-            keys, new_values, assume_unique=pre_owned
+            keys, new_values, assume_unique=True
         )
         if flush_k.size:
             t_fetch += self.ssd_ps.dump(flush_k, flush_v).total_seconds

@@ -59,21 +59,13 @@ class AdmissionRecord:
     """How the MEM cache admitted one stage's key batch.
 
     Recorded by ``MemPS.prepare`` alongside the resolved slot rows: the
-    number of collision-free bulk runs the admission plan applied, the
-    single-key collision splits forced by the eviction frontier, and the
-    whole-batch per-key replays (``n_scalar_fallbacks``) — which must be
-    zero everywhere except under the ``REPRO_CACHE_ORACLE`` parity
-    oracle.  The e2e ledger aggregates these per round.
+    number of collision-free bulk runs the admission plan applied and
+    the single-key collision splits forced by the eviction frontier.
+    ``BatchStats`` aggregates these per round.
     """
 
     n_runs: int
     n_collision_splits: int
-    n_scalar_fallbacks: int
-
-    @property
-    def bulk_exact(self) -> bool:
-        """True when no whole-batch per-key replay ran."""
-        return self.n_scalar_fallbacks == 0
 
 
 def group_indices(part_of: np.ndarray, n_parts: int) -> list[np.ndarray]:
@@ -238,7 +230,7 @@ class NodePlan:
     #: were fresh-initialized)
     ssd_found: np.ndarray | None = None
     #: how the cache admitted the prepare stage's local batch — bulk runs
-    #: vs. collision splits vs. (oracle-only) scalar fallbacks
+    #: vs. collision splits
     admission: AdmissionRecord | None = None
 
     @property

@@ -2,9 +2,7 @@
 
 Defines the :class:`ParameterStore` protocol every tier of the
 HBM→MEM→SSD hierarchy implements, plus the vectorized building blocks
-(:class:`SlotIndex`, :class:`FlatStore`) and the seed per-key cache
-implementations kept as parity oracle and benchmark baseline
-(:mod:`repro.store.reference`).
+(:class:`SlotIndex`, :class:`FlatStore`).
 """
 
 from repro.store.flat import FlatStore

@@ -116,6 +116,11 @@ class TestCLI:
         assert len({r.id for r in DEFAULT_RULES}) == len(DEFAULT_RULES)
 
 
+#: Suppressed findings allowed under ``src/`` (all ``f64-hot-path``:
+#: allreduce 4, hash_table 1, hbm_ps 1, mem_ps 1).
+MAX_SRC_SUPPRESSIONS = 7
+
+
 class TestTreeIsClean:
     """The repo itself must pass its own linter (the CI gate)."""
 
@@ -126,11 +131,16 @@ class TestTreeIsClean:
         )
         assert report.files_scanned > 100
         assert report.ok, "\n".join(f.format() for f in report.active)
-        # The calibrated escapes: the scalar parity oracles and the
-        # bit-exact float64 accumulations are suppressed, not silently
-        # dropped — a vanished suppression means a rule stopped seeing
-        # real code.
+        # The calibrated escapes — the bit-exact float64 accumulations —
+        # are suppressed, not silently dropped: a vanished suppression
+        # means a rule stopped seeing real code.
         assert report.suppressed, "expected in-tree suppressions to exist"
+        # ...and they are a budget, not a habit: a new escape in src/
+        # has to raise this ceiling on purpose.
+        in_src = [f for f in report.suppressed if f.path.startswith("src/")]
+        assert len(in_src) <= MAX_SRC_SUPPRESSIONS, "\n".join(
+            f.format() for f in in_src
+        )
 
     def test_module_invocation_matches_api(self):
         proc = subprocess.run(

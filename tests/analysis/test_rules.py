@@ -136,7 +136,9 @@ class TestHotLoopRule:
     def test_scope(self):
         rule = HotLoopRule()
         assert rule.applies_to("src/repro/mem/cache.py")
-        assert rule.applies_to("src/repro/store/reference.py")
+        assert rule.applies_to("src/repro/store/slot_index.py")
+        # The per-key cache oracles are test code, outside the hot path.
+        assert not rule.applies_to("tests/cache_oracles.py")
         assert not rule.applies_to("src/repro/core/cluster.py")
         assert not rule.applies_to("tests/mem/test_cache.py")
 

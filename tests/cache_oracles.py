@@ -1,36 +1,95 @@
-"""Seed per-key cache implementations, preserved as the parity oracle.
+"""Per-key cache oracles: the executable specification of the MEM tier.
 
-These are the original dict-of-ndarray LRU/LFU/combined caches this repo
-shipped with before the MEM tier was vectorized (one Python dict probe
-per key, one Python loop iteration per batched element).  They are kept
-for two jobs:
+Two independent statements of what the slab caches in
+:mod:`repro.mem.cache` must do, both test-only:
 
-* **parity** — ``tests/store/test_cache_parity.py`` replays recorded
-  access traces through these and the slab-backed caches and asserts
-  identical eviction order, flush pairs, statistics, and final contents;
-* **baseline** — ``benchmarks/test_store_microbench.py`` measures the
-  vectorized caches against exactly this code.
-
-The extended batch surface the new :class:`~repro.mem.cache.CombinedCache`
-grew (``pin_batch``, ``update_batch_if_present``, ``settle_overflow``,
-``peek_batch``, ``items``) is implemented here with per-key loops — seed
-style — so a :class:`~repro.mem.mem_ps.MemPS` can run unmodified against
-either implementation.
-
-Do not use these outside tests and benchmarks.
+* :func:`replay_get` / :func:`replay_put` (and :class:`ScalarCombinedCache`,
+  which routes a whole :class:`~repro.mem.cache.CombinedCache` through
+  them) — "batch op" *defined* as the public scalar ``get``/``put``
+  looped in batch order on a twin cache.  The bulk admission engine must
+  be indistinguishable from this: same values, flush pairs, eviction
+  order and statistics.
+* ``DictLRUCache`` / ``DictLFUCache`` / ``DictCombinedCache`` — the
+  original dict-of-ndarray caches this repo shipped with before the MEM
+  tier was vectorized (one dict probe per key), sharing no code with the
+  slab implementation.  ``tests/store/test_cache_parity.py`` and
+  ``tests/mem/test_admission_stress.py`` replay recorded and randomized
+  traces through both; ``benchmarks/test_store_microbench.py`` uses them
+  as the wall-clock baseline.
 """
-# This file *is* the per-key exception: scalar reference caches kept as
-# the parity oracle for the vectorized MEM tier.
-# repro: allow-file(hot-loop)
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.mem.cache import CacheStats
+from repro.mem.cache import CacheStats, CombinedCache
 from repro.utils.keys import as_keys
 
-__all__ = ["DictLRUCache", "DictLFUCache", "DictCombinedCache"]
+__all__ = [
+    "replay_get",
+    "replay_put",
+    "ScalarCombinedCache",
+    "use_scalar_caches",
+    "DictLRUCache",
+    "DictLFUCache",
+    "DictCombinedCache",
+]
+
+
+def replay_get(cache, keys) -> tuple[np.ndarray, np.ndarray]:
+    """``get_batch`` by definition: scalar ``get`` looped in batch order."""
+    keys = as_keys(keys)
+    values = np.zeros((keys.size, cache.value_dim or 0), dtype=np.float32)
+    hit = np.zeros(keys.size, dtype=bool)
+    for i, k in enumerate(keys.tolist()):
+        v = cache.get(k)
+        if v is not None:
+            values[i], hit[i] = v, True
+    return values, hit
+
+
+def replay_put(cache, keys, values, **kw) -> tuple[np.ndarray, np.ndarray]:
+    """``put_batch`` by definition: scalar ``put`` looped in batch order."""
+    values = np.asarray(values, dtype=np.float32)
+    pairs: list = []
+    for k, v in zip(as_keys(keys).tolist(), values):
+        pairs.extend(cache.put(k, v, **kw))
+    if not pairs:
+        return as_keys([]), np.zeros((0, values.shape[1]), dtype=np.float32)
+    return as_keys([k for k, _ in pairs]), np.stack([v for _, v in pairs])
+
+
+class ScalarCombinedCache(CombinedCache):
+    """A :class:`CombinedCache` whose batch ops are the scalar replay.
+
+    Drop-in twin for cluster-level parity: swap it in for a node's
+    ``mem_ps.cache`` and every admission decision is made key by key.
+    ``prefetch_resolve`` replays the access order the bulk path commits
+    to (LRU hits, then LFU promotions, then misses) and reports no rows,
+    so the MEM-PS re-resolves them through the index.
+    """
+
+    def get_batch(self, keys, *, assume_unique=False):
+        return replay_get(self, keys)
+
+    def put_batch(
+        self, keys, values, *, pin=False, assume_unique=False, assume_absent=False
+    ):
+        return replay_put(self, keys, values, pin=pin)
+
+    def prefetch_resolve(self, keys, prev_keys=None, prev_rows=None):
+        keys = as_keys(keys)
+        in_lru, in_lfu = self.residency(keys)
+        order = np.argsort(np.where(in_lru, 0, np.where(in_lfu, 1, 2)), kind="stable")
+        hit = np.zeros(keys.size, dtype=bool)
+        hit[order] = replay_get(self, keys[order])[1]
+        return hit, None
+
+
+def use_scalar_caches(cluster) -> None:
+    """Turn every node's (still empty) MEM cache into its per-key twin."""
+    for node in cluster.nodes:
+        node.mem_ps.cache.__class__ = ScalarCombinedCache
 
 
 class DictLRUCache:
@@ -240,9 +299,7 @@ class DictCombinedCache:
         return self._demote(evicted)
 
     # ------------------------------------------------------------------
-    def get_batch(
-        self, keys: np.ndarray, *, assume_unique: bool = False
-    ) -> tuple[np.ndarray, np.ndarray]:
+    def get_batch(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         keys = as_keys(keys)
         values = np.zeros((keys.size, self.value_dim), dtype=np.float32)
         hit = np.zeros(keys.size, dtype=bool)
@@ -254,16 +311,8 @@ class DictCombinedCache:
         return values, hit
 
     def put_batch(
-        self,
-        keys: np.ndarray,
-        values: np.ndarray,
-        *,
-        pin: bool = False,
-        assume_unique: bool = False,
-        assume_absent: bool = False,
+        self, keys: np.ndarray, values: np.ndarray, *, pin: bool = False
     ) -> tuple[np.ndarray, np.ndarray]:
-        # Both assume_* flags are caller promises that license skipping
-        # work; the per-key reference has no work to skip.
         keys = as_keys(keys)
         values = np.asarray(values, dtype=np.float32)
         if values.shape != (keys.size, self.value_dim):
@@ -288,57 +337,12 @@ class DictCombinedCache:
         self._pending_flush.clear()
         return out
 
-    def pin_batch(self, keys: np.ndarray) -> None:
-        for k in as_keys(keys):
-            self.lru.pin(int(k))
-
     def unpin_batch(self, keys: np.ndarray) -> None:
         for k in as_keys(keys):
             self.lru.unpin(int(k))
 
-    def update_if_present(self, key: int, value: np.ndarray) -> bool:
-        if key in self.lru:
-            self.lru._data[key] = value
-            return True
-        if key in self.lfu:
-            self.lfu._data[key] = value
-            return True
-        return False
-
-    def update_batch_if_present(
-        self, keys: np.ndarray, values: np.ndarray
-    ) -> np.ndarray:
-        keys = as_keys(keys)
-        values = np.asarray(values, dtype=np.float32)
-        found = np.zeros(keys.size, dtype=bool)
-        for i, k in enumerate(keys):
-            found[i] = self.update_if_present(int(k), values[i])
-        return found
-
-    def peek_batch(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        keys = as_keys(keys)
-        values = np.zeros((keys.size, self.value_dim), dtype=np.float32)
-        found = np.zeros(keys.size, dtype=bool)
-        for i, k in enumerate(keys):
-            v = self.lru.peek(int(k))
-            if v is None:
-                v = self.lfu._data.get(int(k))
-            if v is not None:
-                values[i] = v
-                found[i] = True
-        return values, found
-
     def settle_overflow(self) -> tuple[np.ndarray, np.ndarray]:
         return self._pairs(self._demote(self.lru.evict_overflow()))
-
-    def contains(self, keys) -> np.ndarray | bool:
-        if np.isscalar(keys) or isinstance(keys, (int, np.integer)):
-            return keys in self.lru or keys in self.lfu
-        keys = as_keys(keys)
-        out = np.zeros(keys.size, dtype=bool)
-        for i, k in enumerate(keys):
-            out[i] = int(k) in self.lru or int(k) in self.lfu
-        return out
 
     def items(self) -> tuple[np.ndarray, np.ndarray]:
         pairs = [(k, self.lru._data[k]) for k in self.lru.keys()]
@@ -346,11 +350,3 @@ class DictCombinedCache:
         fk, fv = self._pairs(pairs)
         order = np.argsort(fk)
         return fk[order], fv[order]
-
-    def flush_all(self) -> tuple[np.ndarray, np.ndarray]:
-        pairs = [(k, self.lru._data[k]) for k in self.lru.keys()]
-        pairs += [(k, self.lfu._data[k]) for k in self.lfu.keys()]
-        self.lru = DictLRUCache(self.lru.capacity)
-        self.lfu = DictLFUCache(self.lfu.capacity)
-        self._counts.clear()
-        return self._pairs(pairs)

@@ -6,6 +6,9 @@ import numpy as np
 import pytest
 
 from repro.config import ClusterConfig, ModelSpec
+from repro.data.batching import Batch
+from repro.hbm.partition import ModuloPartitioner
+from repro.plan import RoundPlan, build_round_plan
 
 
 @pytest.fixture
@@ -39,3 +42,43 @@ def small_config() -> ClusterConfig:
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(0)
+
+
+@pytest.fixture
+def round_plan():
+    """Build a :class:`RoundPlan` from explicit key arrays.
+
+    ``shards[i][s]`` is the key list of node ``i``'s worker shard ``s``
+    (``n_gpus * mb_rounds`` shards per node, one example each, so the
+    contiguous shard split hands every worker exactly its list).  The
+    tier unit tests drive ``MemPS`` / ``HBMPS`` through the same planned
+    calls the cluster makes, on key sets they choose.
+    """
+
+    def build(
+        shards,
+        *,
+        n_gpus: int = 1,
+        mb_rounds: int = 1,
+        node_partitioner: ModuloPartitioner | None = None,
+        gpu_partitioner: ModuloPartitioner | None = None,
+        prefetch: bool = False,
+    ) -> RoundPlan:
+        batches = []
+        for node_shards in shards:
+            assert len(node_shards) == n_gpus * mb_rounds
+            keys = [np.asarray(k, dtype=np.uint64) for k in node_shards]
+            offsets = np.concatenate([[0], np.cumsum([k.size for k in keys])])
+            batches.append(
+                Batch(np.concatenate(keys), offsets, np.zeros(len(keys)))
+            )
+        return build_round_plan(
+            batches,
+            node_partitioner=node_partitioner or ModuloPartitioner(len(shards)),
+            gpu_partitioner=gpu_partitioner or ModuloPartitioner(n_gpus),
+            n_gpus=n_gpus,
+            mb_rounds=mb_rounds,
+            prefetch=prefetch,
+        )
+
+    return build

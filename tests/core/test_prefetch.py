@@ -14,6 +14,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from cache_oracles import use_scalar_caches
 from repro.core.cluster import HPSCluster
 from repro.plan import build_round_plan
 
@@ -87,10 +88,6 @@ class TestStageRegistration:
         cluster.train_pipelined(2)
         assert fired == [0, 1, 2]
 
-    def test_prefetch_requires_planned_execution(self, tiny_spec, pressured_prefetch):
-        with pytest.raises(ValueError, match="use_plan"):
-            _build(tiny_spec, pressured_prefetch, use_plan=False)
-
 
 class TestPrefetchPlan:
     def test_segments_gather_their_constituents(self, tiny_spec, pressured):
@@ -137,7 +134,7 @@ class TestPrefetchPlan:
                 np.arange(pf.keys.size, dtype=np.int64),
             )
 
-    def test_unplanned_build_carries_no_prefetch(self, tiny_spec, pressured):
+    def test_build_without_prefetch_carries_none(self, tiny_spec, pressured):
         cluster = _build(tiny_spec, pressured)
         batches = [
             cluster.generator.batch(i, 192) for i in range(cluster.n_nodes)
@@ -184,10 +181,7 @@ class TestPrefetchParity:
     ):
         bulk = _build(tiny_spec, pressured_prefetch)
         oracle = _build(tiny_spec, pressured_prefetch)
-        for node in bulk.nodes:
-            node.mem_ps.cache.force_scalar = False
-        for node in oracle.nodes:
-            node.mem_ps.cache.force_scalar = True
+        use_scalar_caches(oracle)
         stats_bulk = bulk.train(N_ROUNDS)
         stats_oracle = oracle.train(N_ROUNDS)
         for sb, so in zip(stats_bulk, stats_oracle):
@@ -196,10 +190,10 @@ class TestPrefetchParity:
                     continue  # admission counters differ by construction
                 assert getattr(sb, f.name) == getattr(so, f.name), f.name
         _assert_param_parity(bulk, oracle)
-        # The bulk run never degraded to the per-key replay...
-        assert all(s.cache_scalar_fallbacks == 0 for s in stats_bulk)
-        # ...while the oracle replayed everything per key.
-        assert all(s.cache_scalar_fallbacks > 0 for s in stats_oracle)
+        # The bulk engine really ran in bulk; the twin admitted nothing
+        # that way (every op went through the scalar get/put).
+        assert all(s.cache_admission_runs > 0 for s in stats_bulk)
+        assert all(s.cache_admission_runs == 0 for s in stats_oracle)
 
     def test_prefetch_admission_stays_collision_free(
         self, tiny_spec, pressured_prefetch
@@ -208,10 +202,7 @@ class TestPrefetchParity:
         residents mixed with miss storms) must run collision-free: the
         LFU mixed-run planner handles the resident bumps in bulk."""
         pf = _build(tiny_spec, pressured_prefetch)
-        for node in pf.nodes:
-            node.mem_ps.cache.force_scalar = False
         stats = pf.train(N_ROUNDS)
-        assert all(s.cache_scalar_fallbacks == 0 for s in stats)
         assert all(s.cache_collision_splits == 0 for s in stats)
 
 
@@ -315,9 +306,6 @@ class TestDepthSweep:
             assert [s.mean_loss for s in stats_base] == [
                 s.mean_loss for s in stats_lock
             ]
-            # Zero bulk fallbacks at every depth, both modes.
-            assert all(s.cache_scalar_fallbacks == 0 for s in stats_lock)
-            assert all(s.cache_scalar_fallbacks == 0 for s in run.stats)
 
     def test_depth1_window_is_inert(self, tiny_spec, depth_cfg):
         """At the default depth the window machinery never engages:

@@ -4,21 +4,25 @@ The bulk-exact admission plan must be *sequential-equivalent* under the
 nastiest interleavings: cache capacity far below the batch size,
 duplicate keys inside one batch, pinned rows blocking the eviction
 frontier, and promotion/demotion storms.  Every trial drives the slab
-caches and the seed per-key reference (``repro.store.reference``) with
+caches and the seed per-key reference (``tests/cache_oracles.py``) with
 an identical operation stream and asserts bit-identical contents,
 eviction order, flush pairs, and statistics.
 
-A third cache running with ``force_scalar=True`` (the in-tree per-key
-replay kept as the parity oracle) is spot-checked against the bulk
-engine on a subset of trials, pinning down that the oracle flag and the
-admission plan agree too.
+A third cache — the slab cache driven key by key through its own scalar
+``get``/``put`` (``ScalarCombinedCache``) — is spot-checked against the
+bulk engine on a subset of trials, pinning down eviction *order* too.
 """
 
 import numpy as np
 import pytest
 
+from cache_oracles import (
+    DictCombinedCache,
+    ScalarCombinedCache,
+    replay_get,
+    replay_put,
+)
 from repro.mem.cache import CombinedCache, LFUCache, LRUCache
-from repro.store.reference import DictCombinedCache
 
 N_TRIALS = 220
 
@@ -119,24 +123,17 @@ def test_admission_matches_per_key_reference(trial):
     assert len(new) == len(old)
     assert new.stats.hits == old.stats.hits
     assert new.stats.misses == old.stats.misses
-    # The whole-batch per-key replay is dead: only bulk runs and
-    # single-key collision splits may have executed.
-    assert new.stats.scalar_fallbacks == 0
     if trial % 10 == 0:
-        # Spot-check the env-flag oracle path against the bulk engine:
-        # export_state pins down eviction *order*, not just contents.
-        oracle = CombinedCache(capacity, lru_fraction=lru_fraction, value_dim=2)
-        oracle.force_scalar = True
+        # Spot-check the slab cache's own scalar ops against the bulk
+        # engine: export_state pins down eviction *order*, not just
+        # contents.
+        oracle = ScalarCombinedCache(
+            capacity, lru_fraction=lru_fraction, value_dim=2
+        )
         _assert_traces_equal(_drive(oracle, ops), ref_trace, trial)
-        assert oracle.stats.scalar_fallbacks > 0
         state_a, state_b = new.export_state(), oracle.export_state()
         for field in state_a:
             assert np.array_equal(state_a[field], state_b[field]), field
-        # ...and the "legacy" plan-or-replay emulation (the pre-refactor
-        # pressure baseline the e2e ledger measures against).
-        legacy = CombinedCache(capacity, lru_fraction=lru_fraction, value_dim=2)
-        legacy.force_scalar = "legacy"
-        _assert_traces_equal(_drive(legacy, ops), ref_trace, trial)
 
 
 @pytest.mark.parametrize("seed", range(40))
@@ -148,10 +145,8 @@ def test_standalone_tiers_match_scalar_replay(seed):
 
     bulk_lru = LRUCache(capacity, value_dim=2)
     ref_lru = LRUCache(capacity, value_dim=2)
-    ref_lru.force_scalar = True
     bulk_lfu = LFUCache(capacity, value_dim=2)
     ref_lfu = LFUCache(capacity, value_dim=2)
-    ref_lfu.force_scalar = True
     for _ in range(8):
         n = int(rng.integers(1, capacity * 2))
         keys = rng.integers(0, key_space, size=n).astype(np.uint64)
@@ -161,22 +156,19 @@ def test_standalone_tiers_match_scalar_replay(seed):
             bulk_lru.pin_batch(np.array([pin_key], dtype=np.uint64))
             ref_lru.pin_batch(np.array([pin_key], dtype=np.uint64))
         _flush_equal(
-            bulk_lru.put_batch(keys, vals), ref_lru.put_batch(keys, vals)
+            bulk_lru.put_batch(keys, vals), replay_put(ref_lru, keys, vals)
         )
         _flush_equal(
-            bulk_lfu.put_batch(keys, vals), ref_lfu.put_batch(keys, vals)
+            bulk_lfu.put_batch(keys, vals), replay_put(ref_lfu, keys, vals)
         )
         probe = rng.integers(0, key_space, size=n).astype(np.uint64)
         va, ha = bulk_lfu.get_batch(probe)
-        vb, hb = ref_lfu.get_batch(probe)
+        vb, hb = replay_get(ref_lfu, probe)
         assert np.array_equal(ha, hb) and np.array_equal(va, vb)
         bulk_lru.unpin_batch(keys)
         ref_lru.unpin_batch(keys)
     assert bulk_lru.keys() == ref_lru.keys()  # full recency order
     assert bulk_lfu.keys() == ref_lfu.keys()
-    assert bulk_lru.scalar_fallbacks == 0
-    assert bulk_lfu.scalar_fallbacks == 0
-    assert ref_lru.scalar_fallbacks > 0
 
 
 def test_collision_splits_are_exercised():
@@ -192,4 +184,3 @@ def test_collision_splits_are_exercised():
     _, hit = cache.get_batch(probe)
     assert hit.all()
     assert cache.stats.admission_runs + cache.stats.collision_splits > 1
-    assert cache.stats.scalar_fallbacks == 0

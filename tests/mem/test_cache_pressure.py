@@ -7,6 +7,7 @@ latest value — losslessness is the Fig. 3(b) contract.
 """
 
 import numpy as np
+import pytest
 
 from repro.mem.cache import CombinedCache
 from repro.mem.mem_ps import MemPS
@@ -22,6 +23,19 @@ def make_mem(cache=32, seed=0):
     opt = SparseSGD(2, lr=1.0)
     ssd = SSDPS(opt.value_dim, file_capacity=8)
     return MemPS(0, 1, opt, ssd, cache_capacity=cache, seed=seed)
+
+
+@pytest.fixture
+def train_keys(round_plan):
+    """One planned prepare → write-back → end_batch cycle on ``keys``."""
+
+    def run(m, keys, value):
+        plan = round_plan([[keys]], node_partitioner=m.partitioner).nodes[0]
+        m.prepare(plan)
+        m.absorb_updates(np.full((keys.size, 2), value, np.float32), plan)
+        m.end_batch()
+
+    return run
 
 
 class TestPinnedUnderPressure:
@@ -48,18 +62,19 @@ class TestPinnedUnderPressure:
         assert cache.contains(0)  # despite being least recent
         cache.unpin_batch(keys_of([0]))
 
-    def test_mem_ps_pins_remote_serves_until_end_batch(self):
+    def test_mem_ps_pins_remote_serves_until_end_batch(self, round_plan):
         m = make_mem(cache=64)
         keys = keys_of(range(16))
-        m.prepare(keys)
+        plan = round_plan([[keys]], node_partitioner=m.partitioner).nodes[0]
+        m.prepare(plan)
         assert m.cache.lru.pinned_count() == 16
         # Overflow pressure while the batch is in flight.
         m.apply_gradients(
-            keys_of(range(100, 120)), np.zeros((20, 2), np.float64)
+            keys_of(range(100, 120)), np.zeros((20, 2), np.float64), rows=None
         )
         _, hit = m.cache.get_batch(keys)
         assert hit.all()
-        m.absorb_updates(keys, np.ones((16, 2), np.float32))
+        m.absorb_updates(np.ones((16, 2), np.float32), plan)
         m.end_batch()
         assert m.cache.lru.pinned_count() == 0
 
@@ -80,30 +95,22 @@ class TestLosslessnessUnderChurn:
         assert result.found[0]
         assert np.array_equal(result.values[0], parked_val)
 
-    def test_lfu_to_lru_promotion_keeps_updated_values(self):
+    def test_lfu_to_lru_promotion_keeps_updated_values(self, train_keys):
         """A value updated, demoted to the LFU, promoted back, and evicted
         again is never lost — it always reads back with its last value."""
         m = make_mem(cache=16)
         first = keys_of(range(4))
-        m.prepare(first)
-        m.absorb_updates(first, np.full((4, 2), 3.0, np.float32))
-        m.end_batch()
+        train_keys(m, first, 3.0)
         # Demote `first` out of the LRU tier with fresh traffic.
         for start in range(10, 40, 6):
-            ks = keys_of(range(start, start + 6))
-            m.prepare(ks)
-            m.absorb_updates(ks, np.ones((6, 2), np.float32))
-            m.end_batch()
+            train_keys(m, keys_of(range(start, start + 6)), 1.0)
         # Promote them back (cache or SSD, either way: value preserved)...
-        vals, _, _, _, _ = m.fetch_local(first, pin=False)
+        vals, _, _, _ = m.fetch_local(first, pin=False)
         assert np.all(vals == 3.0)
         # ...then thrash again and re-check via the SSD path.
         for start in range(100, 200, 8):
-            ks = keys_of(range(start, start + 8))
-            m.prepare(ks)
-            m.absorb_updates(ks, np.ones((8, 2), np.float32))
-            m.end_batch()
-        vals, _, _, _, _ = m.fetch_local(first, pin=False)
+            train_keys(m, keys_of(range(start, start + 8)), 1.0)
+        vals, _, _, _ = m.fetch_local(first, pin=False)
         assert np.all(vals == 3.0)
 
     def test_every_put_batch_flush_is_recoverable(self):

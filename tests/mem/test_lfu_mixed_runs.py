@@ -5,12 +5,14 @@ eviction storm, because the static pool of ``_greedy_evictions`` cannot
 see mid-run frequency bumps.  The mixed-run extension models each bump
 as an arrival at its post-bump priority, so prefetch-shaped traces —
 re-dumping hot resident keys interleaved with a miss storm of fresh keys
-— stay collision-free.  Exactness is checked against the scalar oracle.
+— stay collision-free.  Exactness is checked against the scalar replay
+(the cache's own ``get``/``put`` looped per key on a twin).
 """
 
 import numpy as np
 import pytest
 
+from cache_oracles import replay_get, replay_put
 from repro.mem.cache import LFUCache
 
 
@@ -26,11 +28,7 @@ def vals_for(keys, dim=2, salt=0.0):
 
 
 def pair(capacity, dim=2):
-    fast = LFUCache(capacity, value_dim=dim)
-    oracle = LFUCache(capacity, value_dim=dim)
-    fast.force_scalar = False
-    oracle.force_scalar = True
-    return fast, oracle
+    return LFUCache(capacity, value_dim=dim), LFUCache(capacity, value_dim=dim)
 
 
 def assert_same_state(fast: LFUCache, oracle: LFUCache):
@@ -42,7 +40,7 @@ def assert_same_state(fast: LFUCache, oracle: LFUCache):
 
 def put_both(fast, oracle, keys, vals, **kw):
     fk, fv = fast.put_batch(keys, vals, **kw)
-    ok, ov = oracle.put_batch(keys, vals, **kw)
+    ok, ov = replay_put(oracle, keys, vals, **kw)
     assert np.array_equal(fk, ok)
     assert np.array_equal(fv, ov)
     assert_same_state(fast, oracle)
@@ -57,7 +55,7 @@ class TestMixedRunExtension:
         hot = keys_of(range(8))
         for _ in range(3):  # make the residents clearly hot
             fast.get_batch(hot)
-            oracle.get_batch(hot)
+            replay_get(oracle, hot)
         # The prefetch shape: predicted-miss pulls (fresh keys, eviction
         # storm) interleaved with re-dumps of hot resident keys.
         trace = np.empty(24, dtype=np.uint64)
@@ -67,7 +65,6 @@ class TestMixedRunExtension:
         runs_before = fast.admission_runs
         put_both(fast, oracle, trace, vals_for(trace, salt=0.5))
         assert fast.collision_splits == 0
-        assert fast.scalar_fallbacks == 0
         # The whole trace went through as one admission run.
         assert fast.admission_runs == runs_before + 1
 
@@ -91,18 +88,17 @@ class TestMixedRunExtension:
         fast, oracle = pair(4)
         base = keys_of([0, 1, 2, 3])
         put_both(fast, oracle, base, vals_for(base))
-        for c in (fast, oracle):  # heat everything except key 0
-            c.get_batch(keys_of([1, 2, 3]))
+        # heat everything except key 0
+        fast.get_batch(keys_of([1, 2, 3]))
+        replay_get(oracle, keys_of([1, 2, 3]))
         # Arrival 10 triggers an eviction whose only victim candidate
         # cheaper than resident 0 is... nothing — key 0 IS the cache
         # minimum, so its overwrite at position 1 is not pre-bump safe.
         runs_before = fast.admission_runs
         trace = keys_of([10, 0, 11, 12, 13])
         put_both(fast, oracle, trace, vals_for(trace, salt=3.0))
-        # The run was cut (two admission runs), never degraded to the
-        # per-key replay.
+        # The run was cut (two admission runs).
         assert fast.admission_runs == runs_before + 2
-        assert fast.scalar_fallbacks == 0
 
     @pytest.mark.parametrize("seed", range(12))
     def test_randomized_oracle_parity(self, seed):
@@ -119,7 +115,7 @@ class TestMixedRunExtension:
                 resident = keys_of(fast.keys()[: capacity // 2])
                 if resident.size:
                     fast.get_batch(resident)
-                    oracle.get_batch(resident)
+                    replay_get(oracle, resident)
             put_both(
                 fast,
                 oracle,

@@ -172,7 +172,6 @@ class TestAdmissionThreading:
         for npn in ctx.plan.nodes:
             assert isinstance(npn.admission, AdmissionRecord)
             assert npn.admission.n_runs >= 1
-            assert npn.admission.bulk_exact  # no whole-batch replay
         cluster.stage_load(ctx)
         cluster.stage_train(ctx)
 
@@ -184,15 +183,3 @@ class TestAdmissionThreading:
         cluster = HPSCluster(tiny_spec, small_config, functional_batch_size=128)
         stats = cluster.train(2)
         assert all(s.cache_admission_runs > 0 for s in stats)
-        assert all(s.cache_scalar_fallbacks == 0 for s in stats)
-
-    def test_oracle_flag_surfaces_in_stats(self, tiny_spec, small_config):
-        """REPRO_CACHE_ORACLE-style forcing is visible per round — the
-        e2e pressure gate reads exactly this counter."""
-        from repro.core.cluster import HPSCluster
-
-        cluster = HPSCluster(tiny_spec, small_config, functional_batch_size=128)
-        for node in cluster.nodes:
-            node.mem_ps.cache.force_scalar = True
-        stats = cluster.train(1)
-        assert stats[0].cache_scalar_fallbacks > 0

@@ -1,4 +1,4 @@
-"""Schema validation of the ``BENCH_e2e.json`` perf ledger (v6)."""
+"""Schema validation of the ``BENCH_e2e.json`` ledger (v7)."""
 
 import json
 import pathlib
@@ -9,36 +9,7 @@ from repro.bench.harness import BENCH_E2E_SCHEMA, run_e2e_throughput
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent.parent
 
-ROW_FIELDS = {
-    "mode": str,
-    "wall_seconds": float,
-    "rounds_per_s": float,
-    "keys_per_s": float,
-    "examples_per_s": float,
-    "stage_seconds": dict,
-    "scalar_fallbacks": int,
-    "collision_splits": int,
-    "admission_runs": int,
-    "prefetch_depth_backoffs": int,
-    "extent_cache_resizes": int,
-}
-STAGES = {"read", "prepare", "load", "train"}
-DEFAULT_MODES = {"lockstep-unplanned", "lockstep-planned", "pipelined-planned"}
-PREFETCH_MODES = {
-    "lockstep-prefetch-oracle",
-    "lockstep-prefetch",
-    "pipelined-prefetch",
-    "pipelined-prefetch-k2",
-}
-PRESSURE_MODES = {
-    "lockstep-scalar-oracle",
-    "lockstep-legacy",
-    "lockstep-planned",
-    "pipelined-planned",
-} | PREFETCH_MODES
-
-#: The recovery scenario's rows are simulated-seconds/bytes based and
-#: deliberately carry none of the wall-clock throughput fields.
+#: The recovery scenario's rows are simulated-seconds/bytes based.
 RECOVERY_ROW_FIELDS = {
     "snapshot-overhead": {
         "n_snapshots": int,
@@ -66,8 +37,7 @@ RECOVERY_ROW_FIELDS = {
 }
 
 #: The faults scenario's rows are simulated-seconds based (like the
-#: recovery rows) and deliberately wall-clock free; both modes carry the
-#: same field set.
+#: recovery rows); both modes carry the same field set.
 FAULTS_ROW_FIELDS = {
     "faults_fired": int,
     "retries": int,
@@ -85,85 +55,11 @@ FAULTS_ROW_FIELDS = {
 }
 FAULTS_MODES = {"faults-lockstep", "faults-pipelined"}
 
-#: The committed lockstep-planned pressure rounds/s as of PR 5 — the
-#: frozen baseline the prefetch acceptance claim is measured against.
-PR5_PRESSURE_PLANNED_BASELINE = 30.36
-
-#: The committed pipelined-prefetch pressure rounds/s as of PR 6 — the
-#: frozen depth-1 baseline the depth-2 lookahead claim is measured
-#: against.
-PR6_PRESSURE_PREFETCH_BASELINE = 101.64
-
-
-def _validate_rows(scenario: dict, modes: set[str]) -> None:
-    assert {r["mode"] for r in scenario["rows"]} == modes
-    for row in scenario["rows"]:
-        for field, typ in ROW_FIELDS.items():
-            assert isinstance(row[field], typ), f"{row['mode']}.{field}"
-        stages = STAGES | (
-            {"prefetch"} if row["mode"] in PREFETCH_MODES else set()
-        )
-        assert set(row["stage_seconds"]) == stages, row["mode"]
-        assert row["wall_seconds"] > 0
-        assert row["rounds_per_s"] > 0
-        assert row["keys_per_s"] > 0
-
 
 def validate_bench_e2e(doc: dict) -> None:
     assert doc["schema"] == BENCH_E2E_SCHEMA
     scenarios = {s["name"]: s for s in doc["scenarios"]}
-    assert set(scenarios) == {"default", "pressure", "recovery", "faults"}
-
-    default = scenarios["default"]
-    for key in (
-        "model",
-        "n_rounds",
-        "batch_size",
-        "n_nodes",
-        "gpus_per_node",
-        "minibatches_per_gpu",
-        "seed",
-    ):
-        assert key in default["workload"], f"default workload missing {key}"
-    assert isinstance(default["parameter_parity"], bool)
-    assert isinstance(default["speedup_planned_over_unplanned"], float)
-    _validate_rows(default, DEFAULT_MODES)
-
-    pressure = scenarios["pressure"]
-    for key in (
-        "model",
-        "n_rounds",
-        "mem_capacity_params",
-        "cache_lru_fraction",
-        "zipf_exponent",
-        "warmup_rounds",
-        "batch_size",
-        "seed",
-    ):
-        assert key in pressure["workload"], f"pressure workload missing {key}"
-    assert isinstance(pressure["parameter_parity"], bool)
-    assert isinstance(pressure["seconds_parity"], bool)
-    assert isinstance(pressure["prefetch_seconds_parity"], bool)
-    assert isinstance(pressure["speedup_bulk_over_legacy"], float)
-    assert isinstance(pressure["speedup_bulk_over_scalar"], float)
-    assert isinstance(pressure["speedup_prefetch_over_bulk"], float)
-    assert isinstance(pressure["speedup_prefetch_k2_over_k1"], float)
-    _validate_rows(pressure, PRESSURE_MODES)
-    # The committed ledger is also the acceptance record: the bulk modes
-    # must never have degraded to the whole-batch per-key replay, while
-    # the oracle modes must actually have exercised it.
-    assert pressure["bulk_scalar_fallbacks"] == 0
-    by_mode = {r["mode"]: r for r in pressure["rows"]}
-    for mode in (
-        "lockstep-planned",
-        "pipelined-planned",
-        "lockstep-prefetch",
-        "pipelined-prefetch",
-        "pipelined-prefetch-k2",
-    ):
-        assert by_mode[mode]["scalar_fallbacks"] == 0, mode
-    assert by_mode["lockstep-scalar-oracle"]["scalar_fallbacks"] > 0
-    assert by_mode["lockstep-prefetch-oracle"]["scalar_fallbacks"] > 0
+    assert [s["name"] for s in doc["scenarios"]] == ["recovery", "faults"]
 
     recovery = scenarios["recovery"]
     for key in (
@@ -228,8 +124,7 @@ def validate_bench_e2e(doc: dict) -> None:
     for mode, row in by_mode.items():
         for field, typ in FAULTS_ROW_FIELDS.items():
             assert isinstance(row[field], typ), f"{mode}.{field}"
-        # Wall-clock free: perf-smoke must skip these rows.
-        assert "rounds_per_s" not in row
+        assert "rounds_per_s" not in row  # simulated clock only
         # The schedule must have actually fired and been absorbed: a
         # fault-free 'faults' scenario would gate nothing.
         assert row["faults_fired"] > 0, mode
@@ -244,9 +139,7 @@ def validate_bench_e2e(doc: dict) -> None:
 class TestBenchSchema:
     def test_fresh_run_matches_schema_and_roundtrips(self, tmp_path):
         out = tmp_path / "BENCH_e2e.json"
-        result = run_e2e_throughput(
-            n_rounds=2, batch_size=128, write_path=str(out)
-        )
+        result = run_e2e_throughput(n_rounds=2, write_path=str(out))
         validate_bench_e2e(result)
         validate_bench_e2e(json.loads(out.read_text()))
 
@@ -255,57 +148,6 @@ class TestBenchSchema:
         if not path.exists():
             pytest.fail("BENCH_e2e.json must be committed at the repo root")
         validate_bench_e2e(json.loads(path.read_text()))
-
-    def test_committed_ledger_records_pressure_win(self):
-        """The acceptance claim lives in the committed artifact: ≥1.5×
-        rounds/s over the pre-refactor pressure baseline.
-
-        This reads the committed JSON, not a fresh run, so it is
-        deterministic on every machine.  If it fails, the artifact being
-        committed was refreshed on a machine too noisy to demonstrate
-        the claim — regenerate it (``BENCH_WRITE=1``) on a quiet one
-        rather than relaxing the floor.
-        """
-        doc = json.loads((REPO_ROOT / "BENCH_e2e.json").read_text())
-        pressure = {s["name"]: s for s in doc["scenarios"]}["pressure"]
-        assert pressure["speedup_bulk_over_legacy"] >= 1.5
-        assert pressure["parameter_parity"] is True
-        assert pressure["seconds_parity"] is True
-        assert pressure["prefetch_seconds_parity"] is True
-
-    def test_committed_ledger_records_prefetch_win(self):
-        """The prefetch acceptance claim: the committed
-        ``pipelined-prefetch`` pressure row must run at ≥3× the frozen
-        PR-5 ``lockstep-planned`` pressure baseline (30.36 rounds/s).
-
-        Like the pressure win above, this reads the committed artifact
-        so it stays deterministic; regenerate on a quiet machine
-        (``BENCH_WRITE=1``) rather than relaxing the floor.
-        """
-        doc = json.loads((REPO_ROOT / "BENCH_e2e.json").read_text())
-        pressure = {s["name"]: s for s in doc["scenarios"]}["pressure"]
-        by_mode = {r["mode"]: r for r in pressure["rows"]}
-        floor = 3.0 * PR5_PRESSURE_PLANNED_BASELINE
-        assert by_mode["pipelined-prefetch"]["rounds_per_s"] >= floor
-
-    def test_committed_ledger_records_depth2_win(self):
-        """The depth-2 lookahead acceptance claim: the committed
-        ``pipelined-prefetch-k2`` pressure row must run at ≥1.15× the
-        frozen PR-6 ``pipelined-prefetch`` depth-1 baseline
-        (101.64 rounds/s).
-
-        Reads the committed artifact, so it is deterministic on every
-        machine; regenerate on a quiet machine (``BENCH_WRITE=1``)
-        rather than relaxing the floor.
-        """
-        doc = json.loads((REPO_ROOT / "BENCH_e2e.json").read_text())
-        pressure = {s["name"]: s for s in doc["scenarios"]}["pressure"]
-        by_mode = {r["mode"]: r for r in pressure["rows"]}
-        floor = 1.15 * PR6_PRESSURE_PREFETCH_BASELINE
-        assert by_mode["pipelined-prefetch-k2"]["rounds_per_s"] >= floor
-        # Deeper lookahead must never cost correctness: zero fallbacks
-        # and full parameter parity are asserted by the shared validator.
-        assert by_mode["pipelined-prefetch-k2"]["scalar_fallbacks"] == 0
 
     def test_committed_ledger_records_delta_snapshot_win(self):
         """The delta-checkpoint acceptance claims, read from the
@@ -317,9 +159,9 @@ class TestBenchSchema:
           than full-cluster restore + replay, with bit-identical
           parameters in both cases.
 
-        Unlike the wall-clock gates above, these numbers come off the
-        simulated clock and byte counts, so a regeneration that moves
-        them reflects a real semantic change, not machine noise.
+        These numbers come off the simulated clock and byte counts, so
+        a regeneration that moves them reflects a real semantic change,
+        not machine noise.
         """
         doc = json.loads((REPO_ROOT / "BENCH_e2e.json").read_text())
         recovery = {s["name"]: s for s in doc["scenarios"]}["recovery"]

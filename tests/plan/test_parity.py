@@ -1,10 +1,9 @@
-"""The planned-path parity oracle.
+"""Execution-mode parity over the round plan.
 
-The BatchPlan must change *bookkeeping only*: trained parameters — sparse
-and dense — and every simulated-seconds statistic must be bit-identical
-between the pre-plan implementation (``use_plan=False``) and the planned
-path, in both lockstep and pipelined execution, over enough rounds that
-caches warm, the SSD tier engages, and compaction fires.
+Trained parameters — sparse and dense — and every simulated-seconds
+statistic must be bit-identical between lockstep and pipelined
+execution, and across a checkpoint/restore boundary, over enough rounds
+that caches warm, the SSD tier engages, and compaction fires.
 """
 
 import dataclasses
@@ -18,8 +17,8 @@ from repro.core.cluster import HPSCluster
 N_ROUNDS = 20
 
 
-def _build(spec, config, *, use_plan):
-    return HPSCluster(spec, config, functional_batch_size=192, use_plan=use_plan)
+def _build(spec, config):
+    return HPSCluster(spec, config, functional_batch_size=192)
 
 
 def _probe(cluster):
@@ -50,23 +49,13 @@ def tiny_pressured(small_config):
 
 
 class TestPlannedParity:
-    def test_lockstep_planned_vs_unplanned(self, tiny_spec, tiny_pressured):
-        a = _build(tiny_spec, tiny_pressured, use_plan=False)
-        b = _build(tiny_spec, tiny_pressured, use_plan=True)
+    def test_pipelined_vs_lockstep(self, tiny_spec, tiny_pressured):
+        a = _build(tiny_spec, tiny_pressured)
+        b = _build(tiny_spec, tiny_pressured)
         stats_a = a.train(N_ROUNDS)
-        stats_b = b.train(N_ROUNDS)
         # The workload must actually exercise the SSD tier for the parity
         # claim to mean anything.
         assert any(s.ssd_io_seconds > 0 for s in stats_a)
-        _assert_stats_parity(stats_a, stats_b)
-        _assert_param_parity(a, b)
-
-    def test_pipelined_planned_vs_lockstep_unplanned(
-        self, tiny_spec, tiny_pressured
-    ):
-        a = _build(tiny_spec, tiny_pressured, use_plan=False)
-        b = _build(tiny_spec, tiny_pressured, use_plan=True)
-        stats_a = a.train(N_ROUNDS)
         # The pipelined run is effect-traced: every stage must stay
         # inside its declared read/write sets, and the tracing proxies
         # must not perturb parity (the assertions below are unchanged).
@@ -78,24 +67,12 @@ class TestPlannedParity:
         # Pipelining still overlaps: strictly below the serial makespan.
         assert run.makespan < run.serial_makespan
 
-    def test_mixed_mode_rounds_interoperate(self, tiny_spec, small_config):
-        """A cluster can alternate planned and unplanned rounds freely."""
-        a = _build(tiny_spec, small_config, use_plan=False)
-        b = _build(tiny_spec, small_config, use_plan=True)
-        a.train(4)
-        for r in range(4):
-            b.use_plan = r % 2 == 0
-            b.train_round()
-        _assert_param_parity(a, b)
-
-    def test_planned_checkpoint_restore_parity(
-        self, tiny_spec, small_config, tmp_path
-    ):
-        """train(k)+save+restore+train(m) stays exact on the planned path."""
-        straight = _build(tiny_spec, small_config, use_plan=True)
+    def test_checkpoint_restore_parity(self, tiny_spec, small_config, tmp_path):
+        """train(k)+save+restore+train(m) stays exact."""
+        straight = _build(tiny_spec, small_config)
         straight.train(5)
 
-        resumed = _build(tiny_spec, small_config, use_plan=True)
+        resumed = _build(tiny_spec, small_config)
         resumed.train(3)
         resumed.save_checkpoint(str(tmp_path / "ckpt"))
         restored = HPSCluster.restore(str(tmp_path / "ckpt"))

@@ -3,7 +3,7 @@
 Call-counting shims around the two metadata primitives —
 ``Batch.unique_keys`` (the ``np.unique`` producer) and
 ``ModuloPartitioner.part_of`` (the hash + modulo partitioner, which both
-``split`` and ``counts`` route through) — prove that on the planned path
+``split`` and ``counts`` route through) — prove that
 every derivation happens in ``stage_read`` and the prepare/load/train
 stages run on the plan's precomputed indices alone.
 """
@@ -63,7 +63,7 @@ def _run_stages(cluster, counter):
 
 
 class TestPlanReuse:
-    def test_planned_round_derives_metadata_only_in_read(
+    def test_round_derives_metadata_only_in_read(
         self, cluster, monkeypatch
     ):
         cluster.train(1)  # warm caches so every tier participates
@@ -76,15 +76,3 @@ class TestPlanReuse:
             uniques, parts = per_stage[stage]
             assert uniques == 0, f"{stage} re-derived unique keys"
             assert parts == 0, f"{stage} re-partitioned keys"
-
-    def test_unplanned_round_rederives_per_stage(self, cluster, monkeypatch):
-        cluster.use_plan = False
-        cluster.train(1)
-        with counting_shims(monkeypatch) as counter:
-            per_stage = _run_stages(cluster, counter)
-        # The pre-plan path re-uniques in prepare and train, and
-        # re-partitions in every tier-touching stage.
-        assert per_stage["prepare"][0] > 0
-        assert per_stage["prepare"][1] > 0
-        assert per_stage["load"][1] > 0
-        assert per_stage["train"][1] > 0

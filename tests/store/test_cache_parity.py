@@ -2,7 +2,7 @@
 
 The vectorized caches must be *sequential-equivalent*: identical eviction
 order, flush pairs, hit/miss statistics, and final contents as the
-original per-key implementation (kept in :mod:`repro.store.reference`)
+original per-key implementation (kept in ``tests/cache_oracles.py``)
 on any access trace.  These tests replay deterministic recorded traces —
 including MEM-PS-shaped pin/absorb/settle cycles under memory pressure —
 through both implementations side by side.
@@ -11,12 +11,8 @@ through both implementations side by side.
 import numpy as np
 import pytest
 
+from cache_oracles import DictCombinedCache, DictLFUCache, DictLRUCache
 from repro.mem.cache import CombinedCache, LFUCache, LRUCache
-from repro.store.reference import (
-    DictCombinedCache,
-    DictLFUCache,
-    DictLRUCache,
-)
 
 
 def keys_of(xs):

@@ -90,3 +90,20 @@ class TestClusterConfig:
             ClusterConfig(compaction_threshold=0.5)
         with pytest.raises(ValueError):
             ClusterConfig(compaction_stale_fraction=0.0)
+
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "minibatches_per_gpu",
+            "mem_capacity_params",
+            "hbm_capacity_params",
+            "ssd_file_capacity",
+        ],
+    )
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_unusable_shapes_rejected_at_construction(self, field, value):
+        """A zero-sized tier or shard count used to be accepted and die
+        rounds later (``n_shards must be positive`` in batch sharding);
+        the error now names the field."""
+        with pytest.raises(ValueError, match=f"{field} must be positive"):
+            ClusterConfig(**{field: value})
