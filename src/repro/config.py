@@ -139,9 +139,13 @@ class ClusterConfig:
     cache_lru_fraction: float = 0.5
     compaction_threshold: float = 2.0
     compaction_stale_fraction: float = 0.5
-    #: resolve each round's full MEM working set (local partition,
-    #: peer-served partitions, owner-queue keys) in one dedicated
-    #: pipeline stage before prepare, pinning it for the round
+    #: *schedules* the MEM tier's once-per-round resolve (local
+    #: partition, peer-served partitions, owner-queue keys — one cache
+    #: probe per distinct key, pinned for the round); it selects no code
+    #: path.  True runs the resolve as its own pipeline stage between
+    #: read and prepare, where the engine can overlap it and
+    #: ``prefetch_depth`` can look ahead; False runs the same resolve
+    #: inline at the head of the prepare stage.
     prefetch: bool = False
     #: lookahead window of the prefetch stage in rounds: round ``b``'s
     #: prefetch resolves and pins the unions of rounds ``b..b+depth-1``

@@ -253,10 +253,11 @@ class BatchStats:
 
     round_index: int
     read_seconds: float
-    pull_local_seconds: float
+    #: network time of the remote MEM pulls (the local partition is a row
+    #: gather on rows the resolve loaded — see :attr:`prefetch_seconds`)
     pull_remote_seconds: float
-    #: MEM/SSD stage total: prefetch (when enabled) + the local/remote
-    #: pull critical path + the write-back absorb
+    #: MEM/SSD stage total: the resolve + the remote pulls + the
+    #: write-back's overflow dump
     pull_push_seconds: float
     cpu_partition_seconds: float
     hbm_pull_seconds: float
@@ -283,9 +284,10 @@ class BatchStats:
     #: always 0 (the whole-batch per-key replay it counted is gone); kept
     #: because the frozen ``benchmarks/hps/onepass.py`` reads it
     cache_scalar_fallbacks: int = 0
-    #: seconds the dedicated prefetch stage spent resolving + loading
-    #: the round's MEM working set (0 unless ``config.prefetch``); part
-    #: of :attr:`pull_push_seconds`
+    #: seconds the once-per-round MEM resolve spent loading the round's
+    #: working set from SSD and dumping overflow (slowest node); part of
+    #: :attr:`pull_push_seconds` whether it ran as its own stage
+    #: (``config.prefetch``) or at the head of prepare
     prefetch_seconds: float = 0.0
     #: deep prefetch-window extensions this round that backed off to a
     #: shallower depth because the pin ceiling
@@ -314,13 +316,11 @@ class BatchStats:
 
         Matches the base :class:`~repro.core.engine.PipelinedEngine`
         stage split (HDFS read, MEM/SSD prepare, CPU partition + HBM
-        load, GPU train/sync/write-back); a registered prefetch stage
-        folds into the prepare element.  Summing all four gives the
-        round's serial makespan.
+        load, GPU train/sync/write-back); the MEM resolve folds into the
+        prepare element wherever it was scheduled.  Summing all four
+        gives the round's serial makespan.
         """
-        prepare = self.prefetch_seconds + max(
-            self.pull_local_seconds, self.pull_remote_seconds
-        )
+        prepare = self.prefetch_seconds + self.pull_remote_seconds
         absorb = self.pull_push_seconds - prepare
         return (
             self.read_seconds,
@@ -348,16 +348,14 @@ class RoundContext:
     #: the round's key plan (computed once in stage_read; every later
     #: stage consumes its precomputed indices)
     plan: RoundPlan | None = None
-    # optional stage 1.5: MEM working-set prefetch
+    # the MEM working-set resolve (own stage, or the head of stage 2)
     prefetch_seconds: float = 0.0
     # stage 2: MEM-PS/SSD-PS prepare
     prep_values: list[np.ndarray] = field(default_factory=list)
-    pull_local_seconds: float = 0.0
     pull_remote_seconds: float = 0.0
     # stage 3: CPU partition + HBM working-set staging
     cpu_partition_seconds: float = 0.0
-    # per-round accounting snapshots (taken by the first cache-touching
-    # stage, so they bracket correctly even if reads are prefetched)
+    # per-round accounting snapshots (taken by the MEM resolve)
     cache_stats_before: list[tuple[int, int]] = field(default_factory=list)
     admission_before: list[tuple[int, int]] = field(default_factory=list)
     compactions_before: int = 0
@@ -751,13 +749,12 @@ class HPSCluster:
             gpu_partitioner=self.nodes[0].hbm_ps.params.partitioner,
             n_gpus=self.config.gpus_per_node,
             mb_rounds=self.config.minibatches_per_gpu,
-            prefetch=self.config.prefetch,
             lookahead=lookahead,
             prefetch_unions=prefetch_unions,
             sync_carry=sync_carry,
         )
         ctx.plan = plan
-        if depth > 1 and plan.prefetch is not None:
+        if depth > 1:
             self._next_unions = (
                 r + 1,
                 [p.lookahead[0] for p in plan.prefetch],
@@ -766,15 +763,8 @@ class HPSCluster:
         return ctx.read_seconds
 
     def _snapshot_counters(self, ctx: RoundContext) -> None:
-        """Bracket the round's cache/SSD/compaction accounting.
-
-        Called by the round's first cache-touching stage — prefetch when
-        registered, prepare otherwise — and idempotent per round, so the
-        brackets stay correct in both execution modes whichever stage
-        runs first.
-        """
-        if ctx.cache_stats_before:
-            return
+        """Bracket the round's cache/SSD/compaction accounting (called by
+        the MEM resolve, the round's first cache-touching step)."""
         nodes = self.nodes
         ctx.cache_stats_before = [
             (n.mem_ps.cache.stats.hits, n.mem_ps.cache.stats.misses)
@@ -795,42 +785,36 @@ class HPSCluster:
         ]
 
     def stage_prefetch(self, ctx: RoundContext) -> float:
-        """Optional stage — resolve + pin the round's MEM working set.
+        """Resolve + pin the round's MEM working set, once.
 
-        Registered between read and prepare when ``config.prefetch`` is
-        on: every node pulls its :class:`~repro.plan.NodePrefetchPlan`
-        union (local partition, peer-served partitions, owner-queue
-        keys) through cache → SSD → fresh-init exactly once and pins it
-        for the round, so every later stage's MEM access is a pure row
-        gather.  Nodes run in parallel — the stage costs the slowest
-        node's resolve + load time.
+        Every node pulls its :class:`~repro.plan.NodePrefetchPlan` union
+        (local partition, peer-served partitions, owner-queue keys)
+        through cache → SSD → fresh-init exactly once and pins it for
+        the round, so every later stage's MEM access is a pure row
+        gather.  Nodes run in parallel — the resolve costs the slowest
+        node's resolve + load time.  ``config.prefetch`` only schedules
+        it: as its own pipeline stage between read and prepare (where
+        ``prefetch_depth`` can look ahead), or inline at the head of
+        :meth:`stage_prepare`.
         """
         self._snapshot_counters(ctx)
-        pplans = self._plan_of(ctx).prefetch
-        assert pplans is not None, "prefetch stage needs config.prefetch"
         seconds = 0.0
-        for node, pplan in zip(self.nodes, pplans):
+        for node, pplan in zip(self.nodes, self._plan_of(ctx).prefetch):
             seconds = max(seconds, node.mem_ps.prefetch(pplan))
         ctx.prefetch_seconds = seconds
         return seconds
 
     def stage_prepare(self, ctx: RoundContext) -> float:
-        """Stage 2 — gather working parameters (lines 3-4).
-
-        Snapshots the cache/SSD/compaction counters when it is the
-        round's first cache-touching stage (no prefetch registered), so
-        the per-round accounting brackets correctly in both execution
-        modes.
-        """
-        self._snapshot_counters(ctx)
+        """Stage 2 — gather working parameters (lines 3-4), preceded by
+        the MEM resolve when no prefetch stage ran it."""
+        resolve_s = 0.0 if self.config.prefetch else self.stage_prefetch(ctx)
         prep_out = [
             node.mem_ps.prepare(p)
             for node, p in zip(self.nodes, self._plan_of(ctx).nodes)
         ]
         ctx.prep_values = [values for values, _ in prep_out]
-        ctx.pull_local_seconds = max(p.local_seconds for _, p in prep_out)
         ctx.pull_remote_seconds = max(p.remote_seconds for _, p in prep_out)
-        return max(ctx.pull_local_seconds, ctx.pull_remote_seconds)
+        return resolve_s + ctx.pull_remote_seconds
 
     def stage_load(self, ctx: RoundContext) -> float:
         """Stage 3 — CPU partition + HBM working-set staging (lines 5-10)."""
@@ -918,26 +902,14 @@ class HPSCluster:
                 allreduce_s += self._fault_arm.guard(
                     {"comm_allreduce": 0.0}, scope="global"
                 )
-            # At one sync round per mini-batch, each node's drained keys
-            # are its full working set, so the sync plan's resident
-            # positions place every node's contribution inside the
-            # global union — the allreduce can scatter instead of merge.
-            union_plan = None
-            if mb_rounds == 1:
-                union_plan = (
-                    splan.keys,
-                    [spn.resident_idx for spn in splan.nodes],
-                )
+            # The plan predicted the merged update's key set at read time.
             global_update, t_ar = hierarchical_allreduce(
                 node_updates,
                 networks=[node.network for node in nodes],
                 nvlinks=[node.hbm_ps.nvlink for node in nodes],
                 gpus_per_node=n_gpus,
-                union_plan=union_plan,
+                union_keys=splan.keys,
             )
-            # The plan predicted this union at read time; a mismatch
-            # means the plan and the drained gradients diverged.
-            assert np.array_equal(global_update.keys, splan.keys)
             t_apply = 0.0
             for i, node in enumerate(nodes):
                 spn = splan.nodes[i]
@@ -945,22 +917,26 @@ class HPSCluster:
                 t_apply = max(t_apply, t_a)
                 own = spn.missing_own_idx
                 if own.size:
-                    rows: np.ndarray | None = None
-                    if plan.prefetch is not None:
-                        pf = plan.prefetch[i]
-                        rows = pf.rows[pf.update_pos[m]]
+                    pf = plan.prefetch[i]
                     node.mem_ps.apply_gradients(
-                        global_update.keys[own], global_update.grads[own], rows=rows
+                        pf.rows[pf.update_pos[m]], global_update.grads[own]
                     )
             dense_sum, t_dense = allreduce_dense(
                 node_dense_grads,
                 networks=[node.network for node in nodes],
                 out=self._dense_sum_acc,
             )
-            for node in nodes:
-                node.dense_optimizer.step(
-                    node.model.mlp.parameters(), dense_sum
-                )
+            # Replicas hold identical dense state and receive the same
+            # summed gradient: step the lead, copy its result to the rest.
+            lead = nodes[0]
+            lead_params = lead.model.mlp.parameters()
+            lead.dense_optimizer.step(lead_params, dense_sum)
+            for node in nodes[1:]:
+                for mine, theirs in zip(
+                    node.model.mlp.parameters(), lead_params
+                ):
+                    np.copyto(mine, theirs)
+                node.dense_optimizer.sync_from(lead.dense_optimizer)
             allreduce_s += t_ar + t_dense
             # Workers run in parallel, so the slowest worker is the
             # mini-batch round's critical path; rounds are serial.
@@ -970,9 +946,8 @@ class HPSCluster:
         absorb_s = 0.0
         for node, nplan in zip(nodes, plan.nodes):
             _, values = node.hbm_ps.dump()
-            t = node.mem_ps.absorb_updates(values, nplan)
-            t += node.mem_ps.end_batch()
-            absorb_s = max(absorb_s, t)
+            node.mem_ps.absorb_updates(values, nplan)
+            absorb_s = max(absorb_s, node.mem_ps.end_batch())
 
         # --- aggregate ---------------------------------------------------
         hits = sum(
@@ -994,10 +969,9 @@ class HPSCluster:
         stats = BatchStats(
             round_index=ctx.round_index,
             read_seconds=ctx.read_seconds,
-            pull_local_seconds=ctx.pull_local_seconds,
             pull_remote_seconds=ctx.pull_remote_seconds,
             pull_push_seconds=ctx.prefetch_seconds
-            + max(ctx.pull_local_seconds, ctx.pull_remote_seconds)
+            + ctx.pull_remote_seconds
             + absorb_s,
             cpu_partition_seconds=ctx.cpu_partition_seconds,
             hbm_pull_seconds=hbm_pull_s / self.n_nodes,

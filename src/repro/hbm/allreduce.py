@@ -29,7 +29,6 @@ from repro.utils.keys import KEY_DTYPE, as_keys, compact_unique
 
 __all__ = [
     "SparseUpdate",
-    "merge_updates",
     "hierarchical_allreduce",
     "allreduce_dense",
     "DenseGradAccumulator",
@@ -94,30 +93,13 @@ class SparseUpdate:
         return u
 
 
-def merge_updates(a: SparseUpdate, b: SparseUpdate) -> SparseUpdate:
-    """Union of keys; gradients of shared keys sum."""
-    if a.n_keys == 0:
-        return b
-    if b.n_keys == 0:
-        return a
-    keys = np.concatenate([a.keys, b.keys])
-    grads = np.concatenate([a.grads, b.grads])
-    uniq, inv = compact_unique(keys, return_inverse=True)
-    # float64 merge buffer: shared-key gradient sums must not depend on
-    # the reduce order (bit-exact all-reduce parity).
-    # repro: allow(f64-hot-path)
-    out = np.zeros((uniq.size,) + a.grads.shape[1:], dtype=np.float64)
-    np.add.at(out, inv, grads)
-    return SparseUpdate(uniq, out)
-
-
 def hierarchical_allreduce(
     node_updates: list[SparseUpdate],
     *,
     networks: list[Network] | None = None,
     nvlinks: list[NVLink] | None = None,
     gpus_per_node: int = 8,
-    union_plan: tuple[np.ndarray, list[np.ndarray]] | None = None,
+    union_keys: np.ndarray | None = None,
 ) -> tuple[SparseUpdate, float]:
     """All-reduce per-node sparse updates; returns (global update, seconds).
 
@@ -126,27 +108,71 @@ def hierarchical_allreduce(
     the critical path: max over participating nodes per step, summed over
     steps.
 
-    ``union_plan`` is ``(union_keys, positions)`` with ``positions[i]``
-    the index of node ``i``'s keys inside ``union_keys`` — the key plan
-    already knows the round's sync union, so for the two-node topology
-    (one binary merge, where scatter order equals merge order) the
-    functional reduce is a pair of dense scatter-adds instead of a
-    sort-based key merge.  Ignored for other node counts, whose merge
-    tree fixes a different float summation order.
+    ``union_keys`` is the sorted union of every node's keys when the
+    caller already has it (the round's :class:`~repro.plan.SyncPlan`);
+    otherwise it is derived here with one dedup.
+
+    Functionally only node 0's reduction tree is evaluated — after a
+    doubling step every node of a block holds the same key union and the
+    same sums, so the sibling merges are dead work whose *sizes* (all the
+    timing model needs) equal their block leader's.  A partial is a
+    dense gradient array over the union's positions plus a presence
+    mask; merging scatters a leaf in (``out[pos] += grads``) or adds two
+    dense partials.  Each key therefore sees exactly the additions of
+    the pairwise key-merge tree, in the same order, starting from +0.0.
     """
     n = len(node_updates)
     if n == 0:
         raise ValueError("need at least one node")
-    partial = list(node_updates)
+    sizes = [u.n_keys for u in node_updates]
+    if union_keys is None:
+        union_keys, inverse = compact_unique(
+            np.concatenate([u.keys for u in node_updates]), return_inverse=True
+        )
+        positions = np.split(inverse, np.cumsum(sizes)[:-1])
+    else:
+        positions = [union_keys.searchsorted(u.keys) for u in node_updates]
+        assert all(
+            np.array_equal(union_keys[pos], u.keys)
+            for pos, u in zip(positions, node_updates)
+        ), "union_keys does not cover the drained updates"
+    row_shape = node_updates[0].grads.shape[1:]
+    row_bytes = 8 + 4 * int(np.prod(row_shape))
     total_time = 0.0
+    #: node -> (dense sums, presence mask) once it has absorbed a merge
+    dense: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
-    def _xchg_time(node: int, nbytes: int) -> float:
+    def _xchg_time(node: int, n_keys: int) -> float:
         if networks is None:
             return 0.0
         # GPU j of one node talks to GPU j of the other: gpus_per_node
         # parallel flows sharing one NIC -> the NIC moves all bytes but
         # pays only one latency per parallel lane.
-        return networks[node].transfer_time(nbytes, n_messages=gpus_per_node)
+        return networks[node].transfer_time(
+            n_keys * row_bytes, n_messages=gpus_per_node
+        )
+
+    def _scatter(out: np.ndarray, present: np.ndarray, k: int) -> None:
+        """Add node ``k``'s own update into a dense partial."""
+        out[positions[k]] += node_updates[k].grads
+        present[positions[k]] = True
+
+    def _merge(i: int, j: int) -> None:
+        """partial[i] <- merge(partial[i], partial[j]); consumes j's."""
+        if i not in dense:
+            # float64 like the updates themselves (SparseUpdate contract).
+            # repro: allow(f64-hot-path)
+            out = np.zeros((union_keys.size,) + row_shape, dtype=np.float64)
+            dense[i] = (out, np.zeros(union_keys.size, dtype=bool))
+            _scatter(*dense[i], i)
+        out, present = dense[i]
+        if j in dense:
+            other, other_present = dense.pop(j)
+            out += other
+            present |= other_present
+        else:
+            _scatter(out, present, j)
+        sizes[i] = int(np.count_nonzero(present))
 
     # --- fold surplus nodes into partners (non-power-of-two case) -------
     p = 1
@@ -155,61 +181,28 @@ def hierarchical_allreduce(
     surplus = list(range(p, n))
     step_t = 0.0
     for i in surplus:
-        partner = i - p
-        step_t = max(step_t, _xchg_time(i, partial[i].nbytes()))
-        partial[partner] = merge_updates(partial[partner], partial[i])
+        step_t = max(step_t, _xchg_time(i, sizes[i]))
+        _merge(i - p, i)
     total_time += step_t
 
     # --- recursive doubling among the first p nodes ---------------------
     step = 1
     while step < p:
-        last = step * 2 >= p
-        merged = list(partial[:p])
-        step_t = 0.0
-        for i in range(p):
-            j = i ^ step
-            if j < p:
-                step_t = max(step_t, _xchg_time(i, partial[j].nbytes()))
-                if last and i != 0:
-                    # Final doubling step: only node 0's merge is ever
-                    # read again (it becomes the result; surplus nodes
-                    # receive it over the wire), and by symmetry the
-                    # sibling merges carry identical values — skip the
-                    # dead functional work, the exchange time above is
-                    # already charged.
-                    continue
-                a, b = partial[i], partial[j]
-                if (
-                    union_plan is not None
-                    and n == 2
-                    and a.n_keys
-                    and b.n_keys
-                ):
-                    keys, positions = union_plan
-                    assert positions[i].size == a.n_keys
-                    assert positions[j].size == b.n_keys
-                    # repro: allow(f64-hot-path)
-                    out = np.zeros(
-                        (keys.size,) + a.grads.shape[1:],
-                        dtype=np.float64,
-                    )
-                    # Scatter in (i, j) order — for a single binary
-                    # merge this is the exact float summation order of
-                    # ``merge_updates(a, b)``.
-                    out[positions[i]] += a.grads
-                    out[positions[j]] += b.grads
-                    merged[i] = SparseUpdate.trusted(keys, out)
-                else:
-                    merged[i] = merge_updates(a, b)
-        partial[:p] = merged
+        step_t = max(_xchg_time(i, sizes[i ^ step]) for i in range(p))
+        for i in range(0, p, 2 * step):
+            _merge(i, i + step)
+            sizes[i : i + 2 * step] = [sizes[i]] * (2 * step)
         total_time += step_t
         step *= 2
 
-    result = partial[0]
+    if 0 in dense:
+        result = SparseUpdate.trusted(union_keys, dense[0][0])
+    else:
+        result = node_updates[0]
     # --- send result back to surplus nodes ------------------------------
     step_t = 0.0
     for i in surplus:
-        step_t = max(step_t, _xchg_time(i - p, result.nbytes()))
+        step_t = max(step_t, _xchg_time(i - p, result.n_keys))
     total_time += step_t
 
     # --- intra-node NVLink tree (Figure 9 step 3) ------------------------

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.errors import TierStateError
 from repro.hardware.ledger import CostLedger
 from repro.hardware.specs import GPUSpec, NVLinkSpec
 from repro.hbm.allreduce import SparseUpdate
@@ -92,7 +93,7 @@ class HBMPS:
 
     def _round(self) -> _StagedRound:
         if self._staged is None:
-            raise RuntimeError(
+            raise TierStateError(
                 "no working set staged — call load_working_set first"
             )
         return self._staged
@@ -143,7 +144,7 @@ class HBMPS:
         """
         for g in range(self.n_gpus):
             if plan.gpu_parts[g].size > self.capacity_per_gpu:
-                raise RuntimeError(
+                raise TierStateError(
                     f"hash table capacity exceeded: 0+{plan.gpu_parts[g].size}"
                     f" > {self.capacity_per_gpu} (room for "
                     f"{self.capacity_per_gpu})"
@@ -259,7 +260,7 @@ class HBMPS:
     # checkpoint writer can drive every tier identically.
     def _require_quiescent(self) -> None:
         if self._staged is not None and self._staged.grad_buf is not None:
-            raise RuntimeError(
+            raise TierStateError(
                 "HBM-PS gradient buffer not drained — checkpoint only at "
                 "a round boundary"
             )

@@ -2,16 +2,19 @@
 
 Each node's MEM-PS owns a *shard* of the global parameter space (modulo
 hashing on the key, Section 5 "Prepare parameters").  For a training
-batch it:
+round it:
 
-1. partitions the batch's working keys into the local shard and per-remote
-   shards;
-2. serves local keys from the LRU+LFU cache, falling back to the SSD-PS,
-   initializing never-seen keys from the optimizer's init rule;
-3. pulls remote keys from their owning nodes' MEM-PS over the network;
-4. pins every working parameter in memory until the batch completes;
-5. on batch completion, absorbs updated values back into the cache and
-   dumps cache overflow to the SSD-PS.
+1. resolves, exactly once, every key it will touch this round — its local
+   working partition, the partitions it serves to peers, the owner-queue
+   keys of every sync round — through the LRU+LFU cache, falling back to
+   the SSD-PS and initializing never-seen keys from the optimizer's init
+   rule (:meth:`MemPS.prefetch`), and pins them until the round ends;
+2. gathers its local partition and pulls remote partitions from their
+   owning nodes' MEM-PS over the network — pure row gathers on the
+   resolved rows, no further index probe;
+3. applies owner-queue gradients and, on round completion, absorbs updated
+   values through the same rows, then unpins and dumps cache overflow to
+   the SSD-PS.
 
 All remote traffic is charged to the node's :class:`Network`; all disk
 traffic to the SSD-PS ledger.  The local/remote split is what Figure 4(b)
@@ -24,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.errors import TierStateError
 from repro.hardware.ledger import CostLedger
 from repro.hardware.network import Network
 from repro.hbm.partition import ModuloPartitioner
@@ -31,7 +35,7 @@ from repro.mem.cache import CombinedCache
 from repro.nn.optim import SparseOptimizer
 from repro.plan.batch_plan import AdmissionRecord, NodePlan, NodePrefetchPlan
 from repro.ssd.ssd_ps import SSDPS
-from repro.utils.keys import all_unique, as_keys
+from repro.utils.keys import all_unique
 from repro.utils.rng import spawn
 
 __all__ = ["MemPS", "PrepareStats"]
@@ -57,7 +61,12 @@ class _WindowEntry:
 
 @dataclass(frozen=True)
 class PrepareStats:
-    """Timing/traffic decomposition of one prepare() call."""
+    """Traffic decomposition of one prepare() call.
+
+    The local partition is a row gather on rows the round's resolve
+    already loaded (its device time is the resolve's), so the only
+    simulated time here is the remote pulls' network transfer.
+    """
 
     n_keys: int
     n_local: int
@@ -65,15 +74,7 @@ class PrepareStats:
     n_cache_hits: int
     n_ssd_loaded: int
     n_fresh: int
-    local_seconds: float
     remote_seconds: float
-
-    @property
-    def seconds(self) -> float:
-        """Critical-path time: local and remote pulls run in parallel
-        (paper Fig. 4(b): 'the local and remote pulling operations are
-        paralleled')."""
-        return max(self.local_seconds, self.remote_seconds)
 
 
 class MemPS:
@@ -115,14 +116,10 @@ class MemPS:
         self._init_seed = seed
         #: peers[i] is node i's MemPS; wired by the cluster after construction.
         self.peers: list["MemPS"] = []
-        #: keys pinned on behalf of remote pulls this batch (released by
-        #: :meth:`end_batch`).
-        self._served_keys: list[np.ndarray] = []
         #: the round's resolved :class:`~repro.plan.NodePrefetchPlan`
-        #: (set by :meth:`prefetch`, cleared by :meth:`end_batch`); while
-        #: set, the serve/update paths go through resolved LRU rows
-        #: instead of re-probing the cache.
-        self._prefetch_plan = None
+        #: (set by :meth:`prefetch`, cleared by :meth:`end_batch`) — every
+        #: other per-round method gathers/scatters through its rows.
+        self._prefetch_plan: NodePrefetchPlan | None = None
         #: previous round's resolved (union keys, LRU rows) — the probe
         #: carry-over seed for the next :meth:`prefetch` (each carried
         #: row is re-verified against the slab before reuse).
@@ -161,85 +158,31 @@ class MemPS:
         )
 
     # ------------------------------------------------------------------
-    def fetch_local(
-        self, keys: np.ndarray, *, pin: bool = True
-    ) -> tuple[np.ndarray, float, np.ndarray, np.ndarray]:
-        """Serve locally-owned ``keys`` from cache → SSD → fresh-init.
-
-        ``keys`` must be unique — every caller passes a partition of a
-        plan's sorted-unique key set, so the cache admission planner
-        skips its duplicate-boundary pass.  Returns ``(values, seconds,
-        hit, ssd_found)``: ``hit`` is the cache hit mask over ``keys``
-        and ``ssd_found`` marks which of the misses the SSD resolved
-        (the rest were fresh-initialized).  Loaded/initialized values
-        are inserted (and pinned) in the cache; cache overflow is
-        flushed to the SSD-PS immediately.
-        """
-        keys = as_keys(keys)
-        values, hit = self.cache.get_batch(keys, assume_unique=True)
-        ssd_found = np.zeros(keys.size, dtype=bool)
-        seconds = 0.0
-        # LFU->LRU promotions inside get_batch may flush cold entries;
-        # persist them before anything else can reference them.
-        pf_k, pf_v = self.cache.take_pending_flush()
-        if pf_k.size:
-            seconds += self.ssd_ps.dump(pf_k, pf_v).total_seconds
-        if pin:
-            # Pin hits immediately — inserting the misses below may evict
-            # them otherwise, breaking the in-flight working set.
-            # ``get_batch`` promotes LFU hits into the LRU tier, so every
-            # hit key is in the LRU by now.
-            self.cache.pin_batch(keys[hit])
-        miss_idx = np.flatnonzero(~hit)
-        if miss_idx.size:
-            miss_keys = keys[miss_idx]
-            result, stats = self.ssd_ps.load(miss_keys)
-            seconds += stats.total_seconds
-            ssd_found[miss_idx] = result.found
-            vals = result.values
-            fresh_idx = np.flatnonzero(~result.found)
-            if fresh_idx.size:
-                vals[fresh_idx] = self.optimizer.init_for_keys(
-                    miss_keys[fresh_idx], seed=self._init_seed
-                )
-            values[miss_idx] = vals
-            flush_k, flush_v = self.cache.put_batch(
-                miss_keys,
-                vals,
-                pin=pin,
-                # A unique key stream's misses are resident in neither
-                # tier (a get never inserts), so the LFU probe is moot.
-                assume_absent=True,
+    def _round(self) -> NodePrefetchPlan:
+        """The in-flight round's resolved plan."""
+        pplan = self._prefetch_plan
+        if pplan is None:
+            raise TierStateError(
+                "no round resolved on this MEM-PS — call prefetch first"
             )
-            if flush_k.size:
-                seconds += self.ssd_ps.dump(flush_k, flush_v).total_seconds
-        return values, seconds, hit, ssd_found
+        return pplan
 
-    def serve_remote(
-        self, keys: np.ndarray, *, requester: int
-    ) -> tuple[np.ndarray, float]:
+    def serve_remote(self, keys: np.ndarray, *, requester: int) -> np.ndarray:
         """Handle node ``requester``'s pull of ``keys`` (all owned here).
 
         ``keys`` is the partition the requester's
         :class:`~repro.plan.NodePlan` assigned to this node — sorted
         unique and owned here by construction (validated by the plan
-        unit tests), so there is no ownership re-hash.  When this node
-        ran the prefetch stage this round the served partition is
-        already resolved, loaded, and pinned — the pull is a pure row
-        gather with no device traffic and no extra pin (the prefetch pin
-        covers it until ``end_batch``).
+        unit tests), so there is no ownership re-hash.  The round's
+        resolve already loaded and pinned the partition, so the pull is
+        a pure row gather with no device traffic and no extra pin.
         """
-        keys = as_keys(keys)
-        pplan = self._prefetch_plan
-        if pplan is not None:
-            pos = pplan.serve_pos[requester]
-            assert np.array_equal(keys, pplan.keys[pos]), (
-                "prefetch plan and remote pull diverged"
-            )
-            return self.cache.values_at(pplan.rows[pos]), 0.0
-        values, seconds, _, _ = self.fetch_local(keys, pin=True)
-        self._served_keys.append(keys)
-        return values, seconds
+        pplan = self._round()
+        pos = pplan.serve_pos[requester]
+        assert np.array_equal(keys, pplan.keys[pos]), (
+            "prefetch plan and remote pull diverged"
+        )
+        return self.cache.values_at(pplan.rows[pos])
 
     def prefetch(self, pplan: NodePrefetchPlan) -> float:
         """Resolve, load, and pin the round's full MEM working set.
@@ -252,8 +195,7 @@ class MemPS:
         land on the plan, so every later MEM access this round is a pure
         row gather (no SlotIndex probe, no admission work, no eviction
         risk).  Returns simulated seconds (SSD loads plus overflow
-        dumps — the same charges the unprefetched path would pay, moved
-        earlier in the round).
+        dumps — all the device time the MEM tier pays for the round).
 
         At depth ``k`` > 1 the round's union was usually resolved by an
         earlier round's lookahead and sits pinned in the sliding window:
@@ -265,6 +207,7 @@ class MemPS:
         window is empty and this is bit-identical to the pre-window
         code path.
         """
+        self._require_round_boundary()
         seconds = 0.0
         if self._window:
             entry = self._window.pop(0)
@@ -277,33 +220,49 @@ class MemPS:
             pplan.ssd_found = entry.ssd_found
             pplan.admission = entry.admission
         else:
-            seconds += self._resolve_current(pplan)
+            adm_before = self._admission_snapshot()
+            # Consecutive rounds overlap heavily under a zipf head, so
+            # the previous union's resolved rows ride along: still-valid
+            # keys skip the probe entirely.
+            pplan.hit, pplan.rows, pplan.ssd_found, seconds = self._resolve(
+                pplan.keys, *self._prev_union
+            )
+            pplan.admission = self._admission_delta(adm_before)
         self._prev_union = (pplan.keys, pplan.rows)
         self._prefetch_plan = pplan
         seconds += self._extend_window(pplan)
         return seconds
 
-    def _resolve_current(self, pplan: NodePrefetchPlan) -> float:
-        """Full cache → SSD → fresh-init resolve of the current round."""
-        keys = pplan.keys
-        adm_before = self._admission_snapshot()
+    def _resolve(
+        self,
+        keys: np.ndarray,
+        prev_keys: np.ndarray | None = None,
+        prev_rows: np.ndarray | None = None,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+        """Cache → SSD → fresh-init resolve of sorted-unique ``keys``.
+
+        Returns ``(hit, rows, ssd_found, seconds)``: the cache hit mask,
+        the (now pinned) LRU rows, which misses the SSD resolved (the
+        rest were fresh-initialized), and the simulated device seconds.
+
+        Tier-ordered access: LRU hits first (pure recency ticks — no
+        eviction can form), then LFU promotions (every LRU batch key is
+        hot by now, so victims come from the non-batch cold tail), then
+        misses.  The sorted union interleaves the tiers, which would
+        force the admission engine to cut a run at every cold batch key
+        the promotion storm reaches; ordered this way the whole union
+        applies in O(1) collision-free runs — and the cache resolves it
+        in a single probe pass, handing back the pinned rows directly.
+        """
         seconds = 0.0
-        # Tier-ordered access: LRU hits first (pure recency ticks — no
-        # eviction can form), then LFU promotions (every LRU batch key
-        # is hot by now, so victims come from the non-batch cold tail),
-        # then misses.  The sorted union interleaves the tiers, which
-        # would force the admission engine to cut a run at every cold
-        # batch key the promotion storm reaches; ordered this way the
-        # whole union applies in O(1) collision-free runs — and the
-        # cache resolves it in a single probe pass, handing back the
-        # pinned rows directly.  Consecutive rounds overlap
-        # heavily under a zipf head, so the previous union's resolved
-        # rows ride along: still-valid keys skip the probe entirely.
-        prev_k, prev_r = self._prev_union
-        hit, rows = self.cache.prefetch_resolve(keys, prev_k, prev_r)
+        hit, rows = self.cache.prefetch_resolve(keys, prev_keys, prev_rows)
+        # LFU->LRU promotions may flush cold entries; persist them before
+        # anything else can reference them.
         pf_k, pf_v = self.cache.take_pending_flush()
         if pf_k.size:
             seconds += self.ssd_ps.dump(pf_k, pf_v).total_seconds
+        # Pin hits before inserting the misses, which may otherwise
+        # evict them.
         if rows is None:
             self.cache.pin_batch(keys[hit])
         else:
@@ -321,21 +280,18 @@ class MemPS:
                 vals[fresh_idx] = self.optimizer.init_for_keys(
                     miss_keys[fresh_idx], seed=self._init_seed
                 )
+            # A unique key stream's misses are resident in neither tier
+            # (a get never inserts), so the LFU probe is moot.
             flush_k, flush_v = self.cache.put_batch(
                 miss_keys, vals, pin=True, assume_absent=True
             )
             if flush_k.size:
                 seconds += self.ssd_ps.dump(flush_k, flush_v).total_seconds
         if rows is None:
-            pplan.rows = self.cache.resolve_pinned(keys)
-        else:
-            if miss_idx.size:
-                rows[miss_idx] = self.cache.resolve_pinned(keys[miss_idx])
-            pplan.rows = rows
-        pplan.hit = hit
-        pplan.ssd_found = ssd_found
-        pplan.admission = self._admission_delta(adm_before)
-        return seconds
+            rows = self.cache.resolve_pinned(keys)
+        elif miss_idx.size:
+            rows[miss_idx] = self.cache.resolve_pinned(keys[miss_idx])
+        return hit, rows, ssd_found, seconds
 
     def _pin_ceiling(self) -> int:
         """Max LRU rows the round + window may pin."""
@@ -388,42 +344,11 @@ class MemPS:
                 rows[carried] = deep_r[pos[carried]]
                 hit[carried] = True
             if delta_idx.size:
-                d_keys = union[delta_idx]
-                d_hit, d_rows = self.cache.prefetch_resolve(d_keys)
-                pf_k, pf_v = self.cache.take_pending_flush()
-                if pf_k.size:
-                    seconds += self.ssd_ps.dump(pf_k, pf_v).total_seconds
-                if d_rows is None:
-                    self.cache.pin_batch(d_keys[d_hit])
-                else:
-                    self.cache.pin_rows(d_rows[d_hit])
-                miss_idx = np.flatnonzero(~d_hit)
-                if miss_idx.size:
-                    miss_keys = d_keys[miss_idx]
-                    result, stats = self.ssd_ps.load(miss_keys)
-                    seconds += stats.total_seconds
-                    ssd_found[delta_idx[miss_idx]] = result.found
-                    vals = result.values
-                    fresh_idx = np.flatnonzero(~result.found)
-                    if fresh_idx.size:
-                        vals[fresh_idx] = self.optimizer.init_for_keys(
-                            miss_keys[fresh_idx], seed=self._init_seed
-                        )
-                    flush_k, flush_v = self.cache.put_batch(
-                        miss_keys, vals, pin=True, assume_absent=True
-                    )
-                    if flush_k.size:
-                        seconds += self.ssd_ps.dump(
-                            flush_k, flush_v
-                        ).total_seconds
-                if d_rows is None:
-                    d_rows = self.cache.resolve_pinned(d_keys)
-                elif miss_idx.size:
-                    d_rows[miss_idx] = self.cache.resolve_pinned(
-                        d_keys[miss_idx]
-                    )
+                d_hit, d_rows, d_found, t = self._resolve(union[delta_idx])
+                seconds += t
                 rows[delta_idx] = d_rows
                 hit[delta_idx] = d_hit
+                ssd_found[delta_idx] = d_found
             self._window.append(
                 _WindowEntry(
                     keys=union,
@@ -460,48 +385,17 @@ class MemPS:
         the Fig. 4(b) decomposition.  The owner partition comes from the
         plan's precomputed index arrays (no re-hash, no re-unique — the
         plan guarantees uniqueness by construction, so ``all_unique`` is
-        a debug assertion) and the resolved cache state is recorded on
-        the plan for the write-back stage.
+        a debug assertion); the local partition and every peer-served
+        one are row gathers on what :meth:`prefetch` resolved.
         """
         keys = plan.keys
         assert all_unique(keys), "BatchPlan working keys must be unique"
+        pplan = self._round()
         local_idx = plan.local_idx
         values = np.zeros((keys.size, self.optimizer.value_dim), dtype=np.float32)
-
-        pplan = self._prefetch_plan
-        if pplan is not None:
-            # The prefetch stage already resolved, loaded, and pinned the
-            # local partition — a pure row gather, with the hit/SSD split
-            # and admission record replayed from the prefetch probe.
-            local_rows = pplan.rows[pplan.local_pos]
-            local_hits = pplan.hit[pplan.local_pos]
-            local_found = pplan.ssd_found[pplan.local_pos]
-            values[local_idx] = self.cache.values_at(local_rows)
-            admission = pplan.admission
-            t_local = 0.0
-        else:
-            adm_before = self._admission_snapshot()
-            vals, t_local, local_hits, local_found = self.fetch_local(
-                keys[local_idx]
-            )
-            values[local_idx] = vals
-            # Resolved once here; the write-back consumes these rows
-            # instead of re-probing the SlotIndex (every local working
-            # key is now a pinned LRU resident).  The admission record
-            # keeps how the cache split this prepare into bulk runs vs.
-            # scalar collision splits — the pressure-regime
-            # observability ``BatchStats`` aggregates per round.
-            local_rows = self.cache.resolve_pinned(keys[local_idx])
-            admission = self._admission_delta(adm_before)
-        plan.record_prepare(
-            local_slots=local_rows,
-            local_hits=local_hits,
-            ssd_found=local_found,
-            admission=admission,
-        )
-        n_hits = int(local_hits.sum())
-        n_ssd = int(local_found.sum())
-        n_fresh = local_idx.size - n_hits - n_ssd
+        values[local_idx] = self.cache.values_at(pplan.rows[pplan.local_pos])
+        n_hits = int(pplan.hit[pplan.local_pos].sum())
+        n_ssd = int(pplan.ssd_found[pplan.local_pos].sum())
 
         t_remote = 0.0
         n_remote = 0
@@ -511,145 +405,103 @@ class MemPS:
             idx = plan.node_parts[peer_id]
             if idx.size == 0:
                 continue
-            peer = self.peers[peer_id]
-            vals, t_serve = peer.serve_remote(keys[idx], requester=self.node_id)
-            values[idx] = vals
+            values[idx] = self.peers[peer_id].serve_remote(
+                keys[idx], requester=self.node_id
+            )
             n_remote += idx.size
             # Request (keys out) + response (keys+values back).
             nbytes = idx.size * (8 + (8 + 4 * self.optimizer.value_dim))
-            t_net = (
-                self.network.send(nbytes, category="net_remote_pull")
-                if self.network is not None
-                else 0.0
-            )
-            t_remote += t_serve + t_net
+            if self.network is not None:
+                t_remote += self.network.send(nbytes, category="net_remote_pull")
         stats = PrepareStats(
             n_keys=keys.size,
             n_local=local_idx.size,
             n_remote=n_remote,
             n_cache_hits=n_hits,
             n_ssd_loaded=n_ssd,
-            n_fresh=n_fresh,
-            local_seconds=t_local,
+            n_fresh=local_idx.size - n_hits - n_ssd,
             remote_seconds=t_remote,
         )
         return values, stats
 
     # ------------------------------------------------------------------
-    def absorb_updates(self, values: np.ndarray, plan: NodePlan) -> float:
+    def absorb_updates(self, values: np.ndarray, plan: NodePlan) -> None:
         """Write updated values back after a batch (Alg. 1 lines 16–18).
 
         ``values`` is aligned with ``plan.keys``.  Only locally-owned
         keys are kept (remote owners get their updates from their own
         GPUs — Section 5 "Update parameters"); the owner split and the
         cache update go through the plan's precomputed indices and the
-        LRU rows :meth:`prepare` resolved — no re-hash, no SlotIndex
-        probe.  Cache overflow is dumped to the SSD-PS; returns
-        simulated seconds.
+        resolved LRU rows — no re-hash, no SlotIndex probe, no device
+        traffic.  The rows stay pinned: :meth:`end_batch` releases the
+        round's whole set and settles overflow.
         """
-        if plan.local_slots is None:
-            raise RuntimeError("absorb_updates requires a prepared plan")
-        vals_own = np.asarray(values, dtype=np.float32)[plan.local_idx]
-        self.cache.update_rows(plan.local_slots, vals_own)
-        if self._prefetch_plan is not None:
-            # Rows stay pinned: end_batch releases the whole prefetch
-            # set in one row-level unpin (the local slots are a
-            # subset of its rows) and settles overflow then.
-            return 0.0
-        self.cache.unpin_rows(plan.local_slots)
-        seconds = 0.0
-        fk, fv = self.cache.settle_overflow()
-        if fk.size:
-            seconds += self.ssd_ps.dump(fk, fv).total_seconds
-        return seconds
+        pplan = self._round()
+        self.cache.update_rows(
+            pplan.rows[pplan.local_pos],
+            np.asarray(values, dtype=np.float32)[plan.local_idx],
+        )
 
-    def apply_gradients(
-        self,
-        keys: np.ndarray,
-        grads: np.ndarray,
-        *,
-        rows: np.ndarray | None,
-    ) -> float:
+    def apply_gradients(self, rows: np.ndarray, grads: np.ndarray) -> None:
         """Owner-side optimizer application for keys *not* staged in the
         local HBM (the update queue described in the module docstring of
         :mod:`repro.hbm.hbm_ps`).
 
-        ``keys`` are the sync plan's owner-queue keys — sorted unique
-        and owned here by construction.  ``rows`` are their resolved LRU
-        rows when the prefetch stage ran this round (the keys are then
-        pinned residents and the optimizer applies through a pure row
-        gather/scatter — no cache probe, no admission work, no eviction
-        risk, no device traffic), else None.
+        ``rows`` are the resolved LRU rows of a sync round's owner-queue
+        keys (``pplan.rows[pplan.update_pos[m]]``) — pinned residents, so
+        the optimizer applies through a pure row gather/scatter: no cache
+        probe, no admission work, no eviction risk, no device traffic
+        (hence no seconds to return).
         """
-        keys = as_keys(keys)
-        if keys.size == 0:
-            return 0.0
+        self._round()
+        if rows.size == 0:
+            return
         # Gradients stay float64 through the optimizer (SparseUpdate
         # contract; order-independent accumulation).
         # repro: allow(f64-hot-path)
         grads = np.asarray(grads, dtype=np.float64)
-        if rows is not None:
-            new_values = self.optimizer.apply(self.cache.values_at(rows), grads)
-            self.cache.update_rows(rows, new_values)
-            return 0.0
-        values, t_fetch, _, _ = self.fetch_local(keys, pin=False)
-        new_values = self.optimizer.apply(values, grads)
-        # Re-insert rather than update-if-present: under memory pressure a
-        # key fetched above can already have been evicted again, and its
-        # update must not be lost.  The admission engine keeps this exact
-        # under pressure — a key sitting in the eviction frontier just
-        # starts a new run.
-        flush_k, flush_v = self.cache.put_batch(
-            keys, new_values, assume_unique=True
+        self.cache.update_rows(
+            rows, self.optimizer.apply(self.cache.values_at(rows), grads)
         )
-        if flush_k.size:
-            t_fetch += self.ssd_ps.dump(flush_k, flush_v).total_seconds
-        return t_fetch
 
     def end_batch(self) -> float:
         """Release the round's pins and settle overflow.
 
-        In prefetch mode the whole resolved working set (local + served
-        + owner-queue rows) unpins in a single row-level release; the
-        unprefetched path only holds the remote-pull pins taken by
-        :meth:`serve_remote` here (local pins were released by
-        :meth:`absorb_updates`).
+        The whole resolved working set (local + served + owner-queue
+        rows) unpins in a single row-level release — except rows the
+        in-flight lookahead window shares with the finished round, which
+        keep their pin (a pin is a boolean, not a refcount).  Returns the
+        simulated seconds of the overflow dump.
         """
-        seconds = 0.0
-        if self._prefetch_plan is not None:
-            if self._window:
-                # Rows the in-flight lookahead window shares with the
-                # finished round keep their pin (a pin is a boolean,
-                # not a refcount).
-                self.cache.unpin_rows_except(
-                    self._prefetch_plan.rows,
-                    [e.rows for e in self._window],
-                )
-            else:
-                self.cache.unpin_rows(self._prefetch_plan.rows)
-            self._prefetch_plan = None
-        for keys in self._served_keys:
-            self.cache.unpin_batch(keys)
-        self._served_keys.clear()
+        pplan = self._round()
+        self._prefetch_plan = None
+        self.cache.unpin_rows_except(pplan.rows, [e.rows for e in self._window])
+        return self._settle_overflow()
+
+    def _settle_overflow(self) -> float:
         fk, fv = self.cache.settle_overflow()
-        if fk.size:
-            seconds += self.ssd_ps.dump(fk, fv).total_seconds
-        return seconds
+        if fk.size == 0:
+            return 0.0
+        return self.ssd_ps.dump(fk, fv).total_seconds
 
     def abort_round(self) -> float:
         """Roll in-flight round state back to a clean boundary.
 
         Fault-recovery counterpart of :meth:`end_batch`: releases the
-        prefetch pins and remote-serve pins of a round that will never
-        reach write-back, settles any overflow the partial round queued,
-        and — unlike ``end_batch`` — forgets the cross-round prefetch
-        union, because the aborted round's resolved rows must not seed
-        the retry's ``prefetch_resolve`` carry-over (the retry re-derives
-        residency from scratch; values were never mutated, so this is
-        purely a bookkeeping reset).
+        resolve's pins of a round that will never reach write-back (if
+        this node got as far as resolving one), settles any overflow the
+        partial round queued, and — unlike ``end_batch`` — forgets the
+        cross-round prefetch union, because the aborted round's resolved
+        rows must not seed the retry's ``prefetch_resolve`` carry-over
+        (the retry re-derives residency from scratch; values were never
+        mutated, so this is purely a bookkeeping reset).
         """
         self.drop_window()
-        seconds = self.end_batch()
+        pplan = self._prefetch_plan
+        if pplan is not None:
+            seconds = self.end_batch()
+        else:
+            seconds = self._settle_overflow()
         self._prev_union = (None, None)
         return seconds
 
@@ -665,16 +517,20 @@ class MemPS:
     def export_state(self) -> dict[str, np.ndarray]:
         """Snapshot the MEM tier for a checkpoint shard.
 
-        Only valid at a round boundary: remote-pull pins must have been
+        Only valid at a round boundary: the round's pins must have been
         released by :meth:`end_batch`, otherwise the cache snapshot would
         capture in-flight working-set state that a restore cannot honour.
         """
-        if self._served_keys or self._prefetch_plan is not None:
-            raise RuntimeError(
-                "MEM-PS still holds in-flight pins — checkpoint only at "
-                "a round boundary (after end_batch)"
-            )
+        self._require_round_boundary()
         return self._with_window_unpinned(self.cache.export_state)
+
+    def _require_round_boundary(self) -> None:
+        pplan = self._prefetch_plan
+        if pplan is not None:
+            raise TierStateError(
+                "MEM-PS still holds the in-flight round's pins — only "
+                "valid at a round boundary (after end_batch)"
+            )
 
     def _with_window_unpinned(self, fn):
         """Run a cache snapshot with the window's pins lifted.
@@ -701,7 +557,6 @@ class MemPS:
     def load_state(self, state: dict[str, np.ndarray]) -> None:
         """Restore the MEM tier from an :meth:`export_state` snapshot."""
         self.cache.load_state(state)
-        self._served_keys.clear()
         self._prefetch_plan = None
         self._prev_union = (None, None)
         # Window rows reference the pre-restore slab; the restored cache
@@ -720,11 +575,7 @@ class MemPS:
         lifting (full metadata, changed-values-only slab) happens in
         :meth:`CombinedCache.export_delta`.
         """
-        if self._served_keys or self._prefetch_plan is not None:
-            raise RuntimeError(
-                "MEM-PS still holds in-flight pins — checkpoint only at "
-                "a round boundary (after end_batch)"
-            )
+        self._require_round_boundary()
         return self._with_window_unpinned(
             lambda: self.cache.export_delta(base, dirty_keys=dirty_keys)
         )
@@ -732,7 +583,6 @@ class MemPS:
     def load_delta(self, delta: dict[str, np.ndarray]) -> None:
         """Apply an :meth:`export_delta` diff on top of the base state."""
         self.cache.load_delta(delta)
-        self._served_keys.clear()
         self._prefetch_plan = None
         self._prev_union = (None, None)
         self._window.clear()

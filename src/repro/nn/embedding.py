@@ -14,6 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.data.batching import Batch
+from repro.errors import TierStateError
+from repro.nn.layers import Workspace
 from repro.utils.keys import as_keys
 
 __all__ = ["EmbeddingLayer", "EmbeddingGradient"]
@@ -65,46 +67,42 @@ class EmbeddingLayer:
         self.n_slots = n_slots
         self.dim = dim
         self._cache: tuple | None = None
-        self._pos_cache: dict[tuple[int, int], tuple] = {}
+        self._gathered = Workspace()
+        self._pooled = Workspace()
 
     @property
     def out_dim(self) -> int:
         return self.n_slots * self.dim
 
     # ------------------------------------------------------------------
-    def _slot_of_positions(self, batch: Batch) -> tuple[np.ndarray, np.ndarray, int]:
-        """Row id and slot id for every flat key position.
+    def _slot_of_positions(
+        self, batch: Batch
+    ) -> tuple[np.ndarray | None, int, int]:
+        """``(bins, per_slot, n_examples)`` of the batch's flat keys.
 
         Rows must have a length divisible by ``n_slots`` (the generator's
         slot-major layout); slot of position ``j`` within a row of length
-        ``L`` is ``j // (L / n_slots)``.
+        ``L`` is ``j // (L / n_slots)``.  Uniform non-empty rows (the
+        generator's layout) need no index at all: flat position ``p``
+        pools into bin ``p // per_slot``, so ``bins`` is None and
+        ``per_slot`` = ``L / n_slots``.  Otherwise ``per_slot`` is 0 and
+        ``bins[p]`` = ``row * n_slots + slot``.
         """
         lengths = batch.row_lengths()
-        if lengths.size and lengths.min() == lengths.max():
-            # Uniform rows (the generator's layout): the position maps
-            # depend only on the shape, so memoize them per (rows, nnz).
-            sig = (batch.n_examples, batch.n_nonzeros)
-            cached = self._pos_cache.get(sig)
-            if cached is None:
-                cached = self._positions_uncached(batch, lengths)
-                self._pos_cache[sig] = cached
-            return cached
-        return self._positions_uncached(batch, lengths)
-
-    def _positions_uncached(
-        self, batch: Batch, lengths: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, int]:
         if np.any(lengths % self.n_slots):
             raise ValueError(
                 "every example's nonzero count must be divisible by n_slots"
             )
-        rows = np.repeat(np.arange(batch.n_examples), lengths)
+        n = batch.n_examples
+        if n and lengths[0] and lengths.min() == lengths.max():
+            return None, int(lengths[0]) // self.n_slots, n
+        rows = np.repeat(np.arange(n), lengths)
         pos_in_row = np.arange(batch.n_nonzeros) - np.repeat(
             batch.offsets[:-1], lengths
         )
         ids_per_slot = np.repeat(lengths // self.n_slots, lengths)
         slots = pos_in_row // np.maximum(ids_per_slot, 1)
-        return rows, slots.astype(np.int64), batch.n_examples
+        return rows * self.n_slots + slots, 0, n
 
     def forward(
         self,
@@ -113,6 +111,7 @@ class EmbeddingLayer:
         emb_values: np.ndarray,
         *,
         flat_idx: np.ndarray | None = None,
+        training: bool = True,
     ) -> np.ndarray:
         """Pooled embedding features, shape ``(n_examples, n_slots * dim)``.
 
@@ -128,6 +127,10 @@ class EmbeddingLayer:
             Optional precomputed positions of ``batch.keys`` inside
             ``unique_keys`` (the plan builder's ``MinibatchPlan.emb_idx``);
             skips the per-minibatch ``searchsorted`` and its validation.
+        training:
+            Record the gather for :meth:`backward` and pool into the
+            layer's workspace (the result is overwritten by the next
+            training forward); ``False`` touches neither.
         """
         unique_keys = as_keys(unique_keys)
         if emb_values.shape != (unique_keys.size, self.dim):
@@ -139,10 +142,28 @@ class EmbeddingLayer:
                 or np.any(unique_keys[flat_idx] != batch.keys)
             ):
                 raise KeyError("batch references keys missing from unique_keys")
-        rows, slots, n = self._slot_of_positions(batch)
-        comp = rows * self.n_slots + slots
-        out = _scatter_add(comp, emb_values[flat_idx], n * self.n_slots, self.dim)
-        self._cache = (flat_idx, rows, slots, unique_keys.size)
+        bins, per_slot, n = self._slot_of_positions(batch)
+        n_bins = n * self.n_slots
+        gathered = out = None
+        if training:
+            self._cache = (flat_idx, bins, per_slot, unique_keys.size)
+            gathered = self._gathered.rows(
+                (flat_idx.size, self.dim), emb_values.dtype
+            )
+        gathered = np.take(emb_values, flat_idx, axis=0, out=gathered)
+        if not per_slot:
+            return _scatter_add(bins, gathered, n_bins, self.dim).reshape(
+                n, self.out_dim
+            )
+        # Uniform rows: every (example, slot) bin is ``per_slot``
+        # consecutive gathered rows, so pooling is ``0.0 + g[0] + g[1] +
+        # ...`` per bin — bincount's accumulation order exactly.
+        if training:
+            out = self._pooled.rows((n_bins, self.dim))
+        g3 = gathered.reshape(n_bins, per_slot, self.dim)
+        out = np.add(g3[:, 0], 0.0, out=out, dtype=np.float64)
+        for j in range(1, per_slot):
+            out += g3[:, j]
         return out.reshape(n, self.out_dim)
 
     def backward(
@@ -150,10 +171,14 @@ class EmbeddingLayer:
     ) -> EmbeddingGradient:
         """Scatter the feature gradient back onto the unique keys."""
         if self._cache is None:
-            raise RuntimeError("backward called before forward")
-        flat_idx, rows, slots, n_unique = self._cache
+            raise TierStateError("backward called before forward")
+        flat_idx, bins, per_slot, n_unique = self._cache
         if n_unique != unique_keys.shape[0]:
             raise ValueError("unique_keys changed between forward and backward")
-        g3 = grad_features.reshape(-1, self.n_slots, self.dim)
-        grads = _scatter_add(flat_idx, g3[rows, slots], n_unique, self.dim)
+        g2 = grad_features.reshape(-1, self.dim)
+        if per_slot:
+            spread = np.repeat(g2, per_slot, axis=0)
+        else:
+            spread = g2[bins]
+        grads = _scatter_add(flat_idx, spread, n_unique, self.dim)
         return EmbeddingGradient(as_keys(unique_keys), grads)

@@ -10,39 +10,104 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.errors import TierStateError
 from repro.utils.rng import spawn
 
-__all__ = ["Dense", "ReLU", "Sigmoid", "MLP"]
+__all__ = ["Dense", "ReLU", "Sigmoid", "MLP", "Workspace"]
+
+
+class Workspace:
+    """One reusable buffer, regrown only when a larger batch arrives.
+
+    ``rows(shape, dtype)`` is a C-contiguous view of the first
+    ``shape[0]`` rows; it stays valid until the next ``rows`` call on the
+    same workspace.
+    """
+
+    def __init__(self) -> None:
+        self._buf = np.empty(0)
+
+    def rows(self, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
+        buf = self._buf
+        if (
+            buf.shape[0] < shape[0]
+            or buf.shape[1:] != shape[1:]
+            or buf.dtype != dtype
+        ):
+            buf = self._buf = np.empty(shape, dtype=dtype)
+        return buf[: shape[0]]
 
 
 class Dense:
-    """Fully-connected layer ``y = x @ W + b``."""
+    """Fully-connected layer ``y = x @ W + b``, computed in float64.
+
+    Parameters are float32; the matmuls run against float64 shadows of
+    ``W`` and ``W.T`` that are re-cast lazily, once after each time the parameters are
+    handed out for writing (``W`` / :meth:`parameters`) — i.e. once per
+    optimizer step instead of on every forward *and* backward.  Anything
+    that mutates ``W`` must therefore fetch it afresh rather than hold an
+    array across forwards.
+
+    A training ``forward`` / ``backward`` writes into per-layer workspaces:
+    the returned array and :meth:`gradients` are overwritten by the next
+    training call.  ``forward(x, training=False)`` touches no workspace
+    and records nothing for ``backward``.
+    """
 
     def __init__(self, in_dim: int, out_dim: int, *, seed: int = 0) -> None:
         if in_dim <= 0 or out_dim <= 0:
             raise ValueError("layer dims must be positive")
         rng = spawn(seed, "dense", in_dim, out_dim)
         scale = np.sqrt(2.0 / in_dim)
-        self.W = rng.normal(0.0, scale, size=(in_dim, out_dim)).astype(np.float32)
+        self._W = rng.normal(0.0, scale, size=(in_dim, out_dim)).astype(np.float32)
         self.b = np.zeros(out_dim, dtype=np.float32)
+        self._W64 = np.empty((in_dim, out_dim), dtype=np.float64)
+        self._WT64 = np.empty((out_dim, in_dim), dtype=np.float64)
+        self._stale = True
         self._x: np.ndarray | None = None
-        self.dW = np.zeros_like(self.W)
-        self.db = np.zeros_like(self.b)
+        self._out = Workspace()
+        self._grad_in = Workspace()
+        self.dW = np.zeros((in_dim, out_dim), dtype=np.float64)
+        self.db = np.zeros(out_dim, dtype=np.float64)
+
+    @property
+    def W(self) -> np.ndarray:
+        """The float32 weights, writable; marks the float64 shadow stale."""
+        self._stale = True
+        return self._W
+
+    def _weights64(self) -> tuple[np.ndarray, np.ndarray]:
+        """Float64 ``(W, W.T)``, both C-contiguous — the operands the
+        implicit float32 cast of ``x @ W`` / ``g @ W.T`` hands to BLAS."""
+        if self._stale:
+            np.copyto(self._W64, self._W)
+            np.copyto(self._WT64, self._W.T)
+            self._stale = False
+        return self._W64, self._WT64
 
     @property
     def n_params(self) -> int:
-        return self.W.size + self.b.size
+        return self._W.size + self.b.size
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        self._x = x
-        return x @ self.W + self.b
+    def forward(self, x: np.ndarray, *, training: bool = True) -> np.ndarray:
+        out = None
+        if training:
+            self._x = x
+            out = self._out.rows((x.shape[0], self.b.size))
+        y = np.matmul(x, self._weights64()[0], out=out)
+        y += self.b
+        return y
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._x is None:
-            raise RuntimeError("backward called before forward")
-        self.dW = self._x.T @ grad_out
-        self.db = grad_out.sum(axis=0)
-        return grad_out @ self.W.T
+            raise TierStateError("backward called before forward")
+        np.matmul(self._x.T, grad_out, out=self.dW)
+        np.add.reduce(grad_out, axis=0, out=self.db)
+        return np.matmul(
+            grad_out,
+            self._weights64()[1],
+            out=self._grad_in.rows(self._x.shape),
+        )
 
     def parameters(self) -> list[np.ndarray]:
         return [self.W, self.b]
@@ -52,19 +117,31 @@ class Dense:
 
 
 class ReLU:
-    """Elementwise rectifier."""
+    """Elementwise rectifier (workspace contract as :class:`Dense`)."""
 
     def __init__(self) -> None:
         self._mask: np.ndarray | None = None
+        self._mask_ws = Workspace()
+        self._out = Workspace()
+        self._grad_in = Workspace()
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        self._mask = x > 0
-        return np.where(self._mask, x, 0.0)
+    def forward(self, x: np.ndarray, *, training: bool = True) -> np.ndarray:
+        out = None
+        if training:
+            self._mask = np.greater(x, 0, out=self._mask_ws.rows(x.shape, bool))
+            out = self._out.rows(x.shape)
+        # ``where(x > 0, x, 0.0)`` for every input: fmax drops NaN, and
+        # adding +0.0 turns the -0.0 it may pass through into +0.0.
+        y = np.fmax(x, 0.0, out=out)
+        y += 0.0
+        return y
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._mask is None:
-            raise RuntimeError("backward called before forward")
-        return grad_out * self._mask
+            raise TierStateError("backward called before forward")
+        return np.multiply(
+            grad_out, self._mask, out=self._grad_in.rows(grad_out.shape)
+        )
 
 
 class Sigmoid:
@@ -84,7 +161,7 @@ class Sigmoid:
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._y is None:
-            raise RuntimeError("backward called before forward")
+            raise TierStateError("backward called before forward")
         return grad_out * self._y * (1.0 - self._y)
 
 
@@ -103,9 +180,9 @@ class MLP:
     def n_params(self) -> int:
         return sum(l.n_params for l in self.layers if isinstance(l, Dense))
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def forward(self, x: np.ndarray, *, training: bool = True) -> np.ndarray:
         for layer in self.layers:
-            x = layer.forward(x)
+            x = layer.forward(x, training=training)
         return x[:, 0]
 
     def backward(self, grad_logit: np.ndarray) -> np.ndarray:

@@ -53,12 +53,19 @@ class CTRModel:
         emb_values: np.ndarray,
         *,
         flat_idx: np.ndarray | None = None,
+        training: bool = False,
     ) -> np.ndarray:
-        """Logits for ``batch``."""
+        """Logits for ``batch``.
+
+        ``training=True`` records what the backward pass needs and
+        computes in the layers' workspaces (see
+        :class:`~repro.nn.layers.Dense`); the default is a pure function
+        of the inputs and the current parameters.
+        """
         feats = self.embedding.forward(
-            batch, unique_keys, emb_values, flat_idx=flat_idx
+            batch, unique_keys, emb_values, flat_idx=flat_idx, training=training
         )
-        return self.mlp.forward(feats)
+        return self.mlp.forward(feats, training=training)
 
     def predict_proba(
         self, batch: Batch, unique_keys: np.ndarray, emb_values: np.ndarray
@@ -80,7 +87,9 @@ class CTRModel:
         ``self.mlp.gradients()``); the sparse gradient is returned for the
         HBM-PS push.
         """
-        logits = self.forward(batch, unique_keys, emb_values, flat_idx=flat_idx)
+        logits = self.forward(
+            batch, unique_keys, emb_values, flat_idx=flat_idx, training=True
+        )
         loss, probs, grad_logit = bce_with_logits(logits, batch.labels)
         grad_feats = self.mlp.backward(grad_logit)
         sparse_grad = self.embedding.backward(grad_feats, unique_keys)

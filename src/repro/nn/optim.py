@@ -178,6 +178,14 @@ class DenseOptimizer:
         if state:
             raise ValueError(f"{type(self).__name__} carries no state")
 
+    def sync_from(self, lead: "DenseOptimizer") -> None:
+        """Make this replica's accumulators equal ``lead``'s, in place.
+
+        Data-parallel replicas apply the same all-reduced gradient to the
+        same parameters, so one replica steps and the others copy its
+        parameters and state instead of repeating the arithmetic.
+        """
+
 
 class DenseSGD(DenseOptimizer):
     def step(self, params: list[np.ndarray], grads: list[np.ndarray]) -> None:
@@ -215,3 +223,10 @@ class DenseAdagrad(DenseOptimizer):
             self._acc = None
             return
         self._acc = [np.asarray(a, dtype=np.float64).copy() for a in state]
+
+    def sync_from(self, lead: "DenseAdagrad") -> None:
+        if self._acc is None or lead._acc is None:
+            self.set_state(lead.get_state())
+            return
+        for mine, theirs in zip(self._acc, lead._acc):
+            np.copyto(mine, theirs)

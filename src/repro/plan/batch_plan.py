@@ -14,16 +14,17 @@ whole plan can be computed in the read stage, before any tier is touched:
   which is exactly the key set of the merged all-reduce update — with each
   node's resident/missing split against its staged working set.
 
-A few plan fields are *not* known at build time and are filled in as
-stages run (see :meth:`NodePlan.record_prepare`): the MEM cache hit/miss
-split of the local partition, the resolved LRU slot rows of the pinned
-working keys, and the cache's :class:`AdmissionRecord` (how the prepare
-batch split into collision-free bulk runs under memory pressure).  The
-write-back stage consumes the slots instead of re-probing the SlotIndex
-for keys the prepare stage just located.  Conversely the plan *pre-splits*
-the cache's admission work: plan key sets are sorted-unique by
-construction, so every planned cache call runs with ``assume_unique=True``
-and the admission planner skips its duplicate-boundary pass.
+A few :class:`NodePrefetchPlan` fields are *not* known at build time and
+are filled in by the MEM tier's once-per-round resolve
+(``MemPS.prefetch``): the cache hit/miss split of the node's MEM-touch
+union, the resolved LRU slot rows of the (now pinned) keys, and the
+cache's :class:`AdmissionRecord` (how the resolve split into
+collision-free bulk runs under memory pressure).  Every later MEM access
+of the round goes through those rows instead of re-probing the SlotIndex.
+Conversely the plan *pre-splits* the cache's admission work: plan key
+sets are sorted-unique by construction, so every planned cache call runs
+with ``assume_unique=True`` and the admission planner skips its
+duplicate-boundary pass.
 
 Plans are computed with exactly one ``np.unique`` per key set and one
 stable argsort per partition level; every later consumer is a pure index
@@ -56,9 +57,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class AdmissionRecord:
-    """How the MEM cache admitted one stage's key batch.
+    """How the MEM cache admitted one resolve's key batch.
 
-    Recorded by ``MemPS.prepare`` alongside the resolved slot rows: the
+    Recorded by ``MemPS.prefetch`` alongside the resolved slot rows: the
     number of collision-free bulk runs the admission plan applied and
     the single-key collision splits forced by the eviction frontier.
     ``BatchStats`` aggregates these per round.
@@ -218,20 +219,6 @@ class NodePlan:
     shards: list[Batch]
     #: per-shard plans, aligned with :attr:`shards`
     minibatches: list[MinibatchPlan]
-    # -- filled in as stages run ---------------------------------------
-    #: LRU slab rows of the pinned local working keys (resolved once by
-    #: ``MemPS.prepare``; the write-back updates/unpins through these
-    #: instead of re-probing the SlotIndex)
-    local_slots: np.ndarray | None = None
-    #: cache hit mask of the local partition (recorded by the prepare
-    #: stage's cache probe)
-    local_hits: np.ndarray | None = None
-    #: of the local cache misses, which ones the SSD resolved (the rest
-    #: were fresh-initialized)
-    ssd_found: np.ndarray | None = None
-    #: how the cache admitted the prepare stage's local batch — bulk runs
-    #: vs. collision splits
-    admission: AdmissionRecord | None = None
 
     @property
     def local_idx(self) -> np.ndarray:
@@ -249,29 +236,15 @@ class NodePlan:
         """
         return self.keys[self.node_parts[self.node_id]]
 
-    def record_prepare(
-        self,
-        *,
-        local_slots: np.ndarray,
-        local_hits: np.ndarray,
-        ssd_found: np.ndarray,
-        admission: AdmissionRecord | None = None,
-    ) -> None:
-        """Attach the prepare stage's resolved state (slots + splits)."""
-        self.local_slots = local_slots
-        self.local_hits = local_hits
-        self.ssd_found = ssd_found
-        self.admission = admission
-
 
 @dataclass
 class NodePrefetchPlan:
-    """One node's MEM-tier prefetch set for a round.
+    """One node's MEM-tier resolve set for a round.
 
     :attr:`keys` is the sorted union of every key the node's MEM-PS will
     touch this round: its local working partition, the partitions it
     serves to each peer, and the owner-queue keys of every sync round
-    (the ``missing_own_idx`` application path).  The prefetch stage
+    (the ``missing_own_idx`` application path).  ``MemPS.prefetch``
     resolves this set against the cache exactly once — cache probe, SSD
     load, fresh-init, pin — and records the LRU rows; every later MEM
     access this round is a pure row gather through the ``*_pos``
@@ -289,7 +262,7 @@ class NodePrefetchPlan:
     #: per sync round ``m``, positions in :attr:`keys` of the owner-queue
     #: keys (``SyncPlan.keys[missing_own_idx]``)
     update_pos: list[np.ndarray]
-    # -- filled in by the prefetch stage -------------------------------
+    # -- filled in by ``MemPS.prefetch`` --------------------------------
     #: LRU slab rows of the pinned prefetched keys (stable until the
     #: round's ``end_batch`` unpins them)
     rows: np.ndarray | None = None
@@ -314,9 +287,8 @@ class RoundPlan:
     nodes: list[NodePlan]
     #: one :class:`SyncPlan` per mini-batch round
     sync: list[SyncPlan] = field(default_factory=list)
-    #: one :class:`NodePrefetchPlan` per node when the cluster runs with
-    #: the prefetch stage (None otherwise)
-    prefetch: list[NodePrefetchPlan] | None = None
+    #: one :class:`NodePrefetchPlan` per node
+    prefetch: list[NodePrefetchPlan] = field(default_factory=list)
     #: per lookahead round, the future round's ``(global_keys, owner)``
     #: sync carry (depth k > 1 only; see :func:`round_mem_unions`)
     lookahead_sync: list[tuple[np.ndarray, np.ndarray]] = field(
@@ -391,7 +363,7 @@ def build_round_plan(
     gpu_partitioner: ModuloPartitioner,
     n_gpus: int,
     mb_rounds: int,
-    prefetch: bool = False,
+    prefetch: bool = True,
     lookahead: list[list[Batch]] | None = None,
     prefetch_unions: list[np.ndarray] | None = None,
     sync_carry: tuple[np.ndarray, np.ndarray] | None = None,
@@ -399,10 +371,11 @@ def build_round_plan(
     """Compute the round's full key plan from its batches.
 
     ``batches[i]`` is node ``i``'s global batch; partitioners are the
-    cluster's shared MEM-tier (node) and HBM-tier (GPU) policies.  With
-    ``prefetch=True`` the plan also carries one
-    :class:`NodePrefetchPlan` per node — the union of every key that
-    node's MEM tier will touch, with gather segments for each consumer.
+    cluster's shared MEM-tier (node) and HBM-tier (GPU) policies.  The
+    plan always carries one :class:`NodePrefetchPlan` per node — the
+    union of every key that node's MEM tier will touch, with gather
+    segments for each consumer; ``prefetch`` is accepted and ignored (the
+    frozen ``benchmarks/hps/micro.py`` still passes it).
 
     ``lookahead`` (depth ``k`` > 1 only) is the batch list of each future
     round ``b+1..b+k-1``; their per-node unions are attached to
@@ -542,73 +515,71 @@ def build_round_plan(
             )
         sync_plans.append(SyncPlan(keys=global_keys, nodes=per_node))
 
-    prefetch_plans: list[NodePrefetchPlan] | None = None
-    if prefetch:
-        prefetch_plans = []
-        base_pos = (
-            _key_lookup(sync_plans[0].keys)[0]
-            if mb_rounds == 1 and prefetch_unions is None
-            else None
-        )
-        future_unions = []
-        future_globals: list[tuple[np.ndarray, np.ndarray]] = []
-        if lookahead:
-            for b in lookahead:
-                fu, fg, fo = round_mem_unions(
-                    b, node_partitioner=node_partitioner, return_global=True
-                )
-                future_unions.append(fu)
-                future_globals.append((fg, fo))
-        for i, plan in enumerate(node_plans):
-            # Every constituent is sorted unique by construction; the
-            # union only needs the cross-part dedup.
-            local_keys = plan.keys[plan.node_parts[i]]
-            serve_keys = [
-                node_plans[p].keys[node_plans[p].node_parts[i]]
-                if p != i
-                else np.empty(0, dtype=KEY_DTYPE)
-                for p in range(n_nodes)
-            ]
-            update_keys = [
-                sp.keys[sp.nodes[i].missing_own_idx] for sp in sync_plans
-            ]
-            if prefetch_unions is not None:
-                # Carried over from the previous round's lookahead —
-                # bit-identical to the rebuild below by the
-                # owner-partition identity (see ``round_mem_unions``).
-                union = prefetch_unions[i]
-            else:
-                parts = [
-                    k for k in (local_keys, *serve_keys, *update_keys) if k.size
-                ]
-                if mb_rounds == 1 and parts:
-                    # Single sync round: every part is a subset of that
-                    # round's global key set (each node contributes its
-                    # full working set, and the owner queue is drawn from
-                    # the global set itself), so the union is a
-                    # membership mask over it — no sort needed.
-                    base = sync_plans[0].keys
-                    member = np.zeros(base.size, dtype=bool)
-                    for k in parts:
-                        member[base_pos(k)] = True
-                    union = base[np.flatnonzero(member)]
-                elif parts:
-                    union = compact_unique(np.concatenate(parts))
-                else:
-                    union = np.empty(0, dtype=KEY_DTYPE)
-            union_pos = _key_lookup(union)[0]
-            prefetch_plans.append(
-                NodePrefetchPlan(
-                    keys=union,
-                    local_pos=union_pos(local_keys),
-                    serve_pos=[union_pos(k) for k in serve_keys],
-                    update_pos=[union_pos(k) for k in update_keys],
-                    lookahead=[fu[i] for fu in future_unions],
-                )
+    prefetch_plans: list[NodePrefetchPlan] = []
+    base_pos = (
+        _key_lookup(sync_plans[0].keys)[0]
+        if mb_rounds == 1 and prefetch_unions is None
+        else None
+    )
+    future_unions = []
+    future_globals: list[tuple[np.ndarray, np.ndarray]] = []
+    if lookahead:
+        for b in lookahead:
+            fu, fg, fo = round_mem_unions(
+                b, node_partitioner=node_partitioner, return_global=True
             )
+            future_unions.append(fu)
+            future_globals.append((fg, fo))
+    for i, plan in enumerate(node_plans):
+        # Every constituent is sorted unique by construction; the
+        # union only needs the cross-part dedup.
+        local_keys = plan.keys[plan.node_parts[i]]
+        serve_keys = [
+            node_plans[p].keys[node_plans[p].node_parts[i]]
+            if p != i
+            else np.empty(0, dtype=KEY_DTYPE)
+            for p in range(n_nodes)
+        ]
+        update_keys = [
+            sp.keys[sp.nodes[i].missing_own_idx] for sp in sync_plans
+        ]
+        if prefetch_unions is not None:
+            # Carried over from the previous round's lookahead —
+            # bit-identical to the rebuild below by the
+            # owner-partition identity (see ``round_mem_unions``).
+            union = prefetch_unions[i]
+        else:
+            parts = [
+                k for k in (local_keys, *serve_keys, *update_keys) if k.size
+            ]
+            if mb_rounds == 1 and parts:
+                # Single sync round: every part is a subset of that
+                # round's global key set (each node contributes its
+                # full working set, and the owner queue is drawn from
+                # the global set itself), so the union is a
+                # membership mask over it — no sort needed.
+                base = sync_plans[0].keys
+                member = np.zeros(base.size, dtype=bool)
+                for k in parts:
+                    member[base_pos(k)] = True
+                union = base[np.flatnonzero(member)]
+            elif parts:
+                union = compact_unique(np.concatenate(parts))
+            else:
+                union = np.empty(0, dtype=KEY_DTYPE)
+        union_pos = _key_lookup(union)[0]
+        prefetch_plans.append(
+            NodePrefetchPlan(
+                keys=union,
+                local_pos=union_pos(local_keys),
+                serve_pos=[union_pos(k) for k in serve_keys],
+                update_pos=[union_pos(k) for k in update_keys],
+                lookahead=[fu[i] for fu in future_unions],
+            )
+        )
     return RoundPlan(
         nodes=node_plans,
         sync=sync_plans,
         prefetch=prefetch_plans,
-        lookahead_sync=future_globals if prefetch else [],
+        lookahead_sync=future_globals,
     )

@@ -62,7 +62,6 @@ def round_plan():
         mb_rounds: int = 1,
         node_partitioner: ModuloPartitioner | None = None,
         gpu_partitioner: ModuloPartitioner | None = None,
-        prefetch: bool = False,
     ) -> RoundPlan:
         batches = []
         for node_shards in shards:
@@ -78,7 +77,6 @@ def round_plan():
             gpu_partitioner=gpu_partitioner or ModuloPartitioner(n_gpus),
             n_gpus=n_gpus,
             mb_rounds=mb_rounds,
-            prefetch=prefetch,
         )
 
     return build

@@ -1,12 +1,14 @@
-"""Plan-driven MEM prefetch: stage registration, parity, pinning.
+"""The once-per-round MEM resolve: scheduling, parity, pinning.
 
-The prefetch stage resolves each node's full MEM working set (local
-partition + peer-served partitions + owner-queue keys) in one cache
-pass before prepare, pins it for the round, and every later MEM access
-is a pure row gather.  Parameter values are cache-policy-independent,
-so prefetch mode must train **bit-identical parameters** to every other
-mode; simulated seconds form their own parity group (lockstep-prefetch,
-pipelined-prefetch, and the scalar-cache oracle must agree exactly).
+The resolve pulls each node's full MEM working set (local partition +
+peer-served partitions + owner-queue keys) through the cache in one
+pass, pins it for the round, and every later MEM access is a pure row
+gather.  It is the MEM tier's only path; ``config.prefetch`` merely
+schedules it — as its own ``prefetch`` pipeline stage (where depth-k
+lookahead applies) or inline at the head of ``prepare``.  Every
+schedule trains **bit-identical parameters**, and within a schedule
+lockstep, pipelined and the scalar-cache oracle agree on every
+simulated second.
 """
 
 import dataclasses
@@ -15,8 +17,12 @@ import numpy as np
 import pytest
 
 from cache_oracles import use_scalar_caches
+from repro.config import ClusterConfig
 from repro.core.cluster import HPSCluster
+from repro.core.trainer import ReferenceTrainer
+from repro.mem.mem_ps import MemPS
 from repro.plan import build_round_plan
+from repro.store.slot_index import SlotIndex
 
 N_ROUNDS = 16
 
@@ -101,9 +107,8 @@ class TestPrefetchPlan:
             gpu_partitioner=cluster.nodes[0].hbm_ps.params.partitioner,
             n_gpus=cluster.config.gpus_per_node,
             mb_rounds=cluster.config.minibatches_per_gpu,
-            prefetch=True,
         )
-        assert plan.prefetch is not None
+        assert len(plan.prefetch) == cluster.n_nodes
         for i, pf in enumerate(plan.prefetch):
             node_plan = plan.nodes[i]
             # Sorted unique union.
@@ -134,25 +139,36 @@ class TestPrefetchPlan:
                 np.arange(pf.keys.size, dtype=np.int64),
             )
 
-    def test_build_without_prefetch_carries_none(self, tiny_spec, pressured):
+    def test_the_knob_is_not_a_plan_input(self, tiny_spec, pressured):
+        """``prefetch=`` is still accepted (the frozen benchmark passes
+        it) but selects nothing: the resolve unions are always emitted."""
         cluster = _build(tiny_spec, pressured)
         batches = [
             cluster.generator.batch(i, 192) for i in range(cluster.n_nodes)
         ]
-        plan = build_round_plan(
-            batches,
-            node_partitioner=cluster.nodes[0].mem_ps.partitioner,
-            gpu_partitioner=cluster.nodes[0].hbm_ps.params.partitioner,
-            n_gpus=cluster.config.gpus_per_node,
-            mb_rounds=cluster.config.minibatches_per_gpu,
-        )
-        assert plan.prefetch is None
+        plans = [
+            build_round_plan(
+                batches,
+                node_partitioner=cluster.nodes[0].mem_ps.partitioner,
+                gpu_partitioner=cluster.nodes[0].hbm_ps.params.partitioner,
+                n_gpus=cluster.config.gpus_per_node,
+                mb_rounds=cluster.config.minibatches_per_gpu,
+                **kwargs,
+            )
+            for kwargs in ({}, {"prefetch": False}, {"prefetch": True})
+        ]
+        for plan in plans[1:]:
+            for pf, want in zip(plan.prefetch, plans[0].prefetch, strict=True):
+                assert np.array_equal(pf.keys, want.keys)
 
 
 class TestPrefetchParity:
-    def test_parameters_bit_identical_to_unprefetched(
+    def test_lockstep_is_schedule_independent(
         self, tiny_spec, pressured, pressured_prefetch
     ):
+        """In lockstep the two schedules run the same operations in the
+        same order, so every statistic — not just the parameters —
+        agrees: there is one MEM path, not one per knob value."""
         base = _build(tiny_spec, pressured)
         pf = _build(tiny_spec, pressured_prefetch)
         stats_base = base.train(N_ROUNDS)
@@ -160,11 +176,7 @@ class TestPrefetchParity:
         # The workload must exercise the SSD tier for parity to bite.
         assert any(s.ssd_io_seconds > 0 for s in stats_base)
         _assert_param_parity(base, pf)
-        # Losses ride on parameters, so they agree too; simulated seconds
-        # legitimately differ (prefetch is its own sim-clock mode).
-        assert [s.mean_loss for s in stats_base] == [
-            s.mean_loss for s in stats_pf
-        ]
+        _assert_stats_parity(stats_base, stats_pf)
 
     def test_pipelined_prefetch_matches_lockstep_exactly(
         self, tiny_spec, pressured_prefetch
@@ -204,6 +216,139 @@ class TestPrefetchParity:
         pf = _build(tiny_spec, pressured_prefetch)
         stats = pf.train(N_ROUNDS)
         assert all(s.cache_collision_splits == 0 for s in stats)
+
+
+#: every way the resolve can be scheduled (depth > 1 needs the stage)
+SCHEDULES = [
+    dict(prefetch=False, prefetch_depth=1),
+    dict(prefetch=True, prefetch_depth=1),
+    dict(prefetch=True, prefetch_depth=2),
+]
+
+
+def _digest(cluster):
+    probe = _probe(cluster)
+    return (
+        cluster.lookup_embeddings(probe).tobytes(),
+        *(a.tobytes() for a in cluster.nodes[0].model.dense_state()),
+    )
+
+
+class TestSingleMemPath:
+    def test_depth_needs_the_stage(self):
+        with pytest.raises(ValueError, match="requires prefetch=True"):
+            ClusterConfig(prefetch=False, prefetch_depth=2)
+
+    def test_all_schedules_and_modes_share_one_digest(
+        self, tiny_spec, pressured
+    ):
+        """Lockstep and pipelined, under every schedule, land on the
+        same bytes — and on the single-store reference trainer's values
+        (which sums in a different order, hence its usual tolerance)."""
+        digests = set()
+        for schedule in SCHEDULES:
+            config = dataclasses.replace(pressured, **schedule)
+            lock = _build(tiny_spec, config)
+            piped = _build(tiny_spec, config)
+            lock.train(N_ROUNDS)
+            piped.train_pipelined(N_ROUNDS)
+            digests.update((_digest(lock), _digest(piped)))
+        assert len(digests) == 1
+        ref = ReferenceTrainer(tiny_spec, pressured, functional_batch_size=192)
+        ref.train(N_ROUNDS)
+        probe = _probe(lock)
+        assert np.allclose(
+            lock.lookup_embeddings(probe), ref.embedding_of(probe), atol=1e-5
+        )
+
+    @pytest.mark.parametrize("schedule", SCHEDULES, ids=str)
+    @pytest.mark.parametrize("pipelined", [False, True])
+    def test_no_pin_survives_a_round_boundary(
+        self, tiny_spec, pressured, schedule, pipelined
+    ):
+        """After every round's train stage only the lookahead window (if
+        any) is still pinned; at the end of the run, nothing is."""
+        cluster = _build(tiny_spec, dataclasses.replace(pressured, **schedule))
+        leaked = []
+
+        def boundary(ctx):
+            for node in cluster.nodes:
+                mem = node.mem_ps
+                pinned = np.flatnonzero(mem.cache.lru._pinned)
+                window = [e.rows for e in mem._window]
+                allowed = np.concatenate(window) if window else pinned[:0]
+                if np.setdiff1d(pinned, allowed).size or (
+                    schedule["prefetch_depth"] == 1 and pinned.size
+                ):
+                    leaked.append((ctx.round_index, node.node_id))
+            return 0.0
+
+        cluster.register_stage("boundary", boundary, after="train")
+        if pipelined:
+            cluster.train_pipelined(6)
+        else:
+            cluster.train(6)
+        assert leaked == []
+        cluster.abort_round()  # drops the depth-2 window
+        for node in cluster.nodes:
+            assert node.mem_ps.cache.pinned_count() == 0
+
+    @pytest.mark.parametrize("schedule", SCHEDULES, ids=str)
+    def test_one_probe_per_key_per_round(
+        self, tiny_spec, pressured, schedule, monkeypatch
+    ):
+        """Every SlotIndex probe of a round happens inside the resolve:
+        prepare / serve_remote / apply_gradients / absorb_updates gather
+        and scatter through resolved rows and never locate a key."""
+        inside: list[str] = []
+        probes: list[str] = []
+        locate = SlotIndex.locate
+
+        def counting_locate(self, *args, **kwargs):
+            if inside:
+                probes.append(inside[-1])
+            return locate(self, *args, **kwargs)
+
+        monkeypatch.setattr(SlotIndex, "locate", counting_locate)
+        entered = set()
+        for name in (
+            "prepare", "serve_remote", "apply_gradients", "absorb_updates"
+        ):
+            method = getattr(MemPS, name)
+
+            def tracked(self, *args, _name=name, _method=method, **kwargs):
+                inside.append(_name)
+                entered.add(_name)
+                try:
+                    return _method(self, *args, **kwargs)
+                finally:
+                    inside.pop()
+
+            monkeypatch.setattr(MemPS, name, tracked)
+        cluster = _build(tiny_spec, dataclasses.replace(pressured, **schedule))
+        plans = []
+        cluster.register_stage(
+            "grab", lambda ctx: plans.append(ctx.plan) or 0.0, after="read"
+        )
+        accesses = [
+            sum(n.mem_ps.cache.stats.accesses for n in cluster.nodes)
+        ]
+        for _ in range(4):
+            cluster.train_round()
+            accesses.append(
+                sum(n.mem_ps.cache.stats.accesses for n in cluster.nodes)
+            )
+        assert entered == {
+            "prepare", "serve_remote", "apply_gradients", "absorb_updates"
+        }
+        assert probes == []
+        if schedule["prefetch_depth"] == 1:
+            # ...which is also what ``cache_hit_rate`` now counts: one
+            # access per distinct key a node's MEM tier touches per round
+            # (the Fig. 4(c) definition), i.e. exactly the resolve unions.
+            assert np.diff(accesses).tolist() == [
+                sum(pf.keys.size for pf in plan.prefetch) for plan in plans
+            ]
 
 
 class TestPrefetchMechanics:

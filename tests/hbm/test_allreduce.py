@@ -12,14 +12,62 @@ from repro.hbm.allreduce import (
     SparseUpdate,
     allreduce_dense,
     hierarchical_allreduce,
-    merge_updates,
 )
+from repro.utils.keys import compact_unique
 
 
 def upd(d):
     keys = np.array(sorted(d), dtype=np.uint64)
     grads = np.array([[d[int(k)]] for k in keys], dtype=np.float64)
     return SparseUpdate(keys, grads)
+
+
+def merge_updates(a: SparseUpdate, b: SparseUpdate) -> SparseUpdate:
+    """Reference pairwise merge: union of keys, shared keys sum
+    (concatenate, sort, unbuffered ``np.add.at`` in arrival order)."""
+    if a.n_keys == 0:
+        return b
+    if b.n_keys == 0:
+        return a
+    keys = np.concatenate([a.keys, b.keys])
+    grads = np.concatenate([a.grads, b.grads])
+    uniq, inv = compact_unique(keys, return_inverse=True)
+    out = np.zeros((uniq.size,) + a.grads.shape[1:], dtype=np.float64)
+    np.add.at(out, inv, grads)
+    return SparseUpdate(uniq, out)
+
+
+def reference_allreduce(updates, networks=None, gpus_per_node=8):
+    """Full recursive doubling (Figure 9): *every* node merges with its
+    partner at every step, surplus nodes fold in first.  Returns node 0's
+    result and the inter-node critical-path seconds."""
+    n = len(updates)
+    partial = list(updates)
+
+    def xchg(node, nbytes):
+        if networks is None:
+            return 0.0
+        return networks[node].transfer_time(nbytes, n_messages=gpus_per_node)
+
+    p = 1
+    while p * 2 <= n:
+        p *= 2
+    seconds = step_t = 0.0
+    for i in range(p, n):
+        step_t = max(step_t, xchg(i, partial[i].nbytes()))
+        partial[i - p] = merge_updates(partial[i - p], partial[i])
+    seconds += step_t
+    step = 1
+    while step < p:
+        seconds += max(xchg(i, partial[i ^ step].nbytes()) for i in range(p))
+        partial[:p] = [
+            merge_updates(partial[i], partial[i ^ step]) for i in range(p)
+        ]
+        step *= 2
+    step_t = 0.0
+    for i in range(p, n):
+        step_t = max(step_t, xchg(i - p, partial[0].nbytes()))
+    return partial[0], seconds + step_t
 
 
 class TestSparseUpdate:
@@ -194,3 +242,42 @@ def test_allreduce_total_mass_conserved(n_nodes, seed):
         updates.append(SparseUpdate(keys, grads))
     result, _ = hierarchical_allreduce(updates)
     assert result.grads.sum() == pytest.approx(total, abs=1e-9)
+
+
+@st.composite
+def _node_updates(draw):
+    """1..8 nodes; per node an empty, a shared-range (overlapping) or a
+    private-range (disjoint) key set, gradients of width 1..3."""
+    n_nodes = draw(st.integers(1, 8))
+    dim = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**20)))
+    updates = []
+    for i in range(n_nodes):
+        kind = draw(st.sampled_from(["empty", "overlap", "disjoint"]))
+        if kind == "empty":
+            updates.append(SparseUpdate.empty(dim))
+            continue
+        lo = 0 if kind == "overlap" else 1000 * (i + 1)
+        keys = np.unique(rng.integers(lo, lo + 40, 25).astype(np.uint64))
+        updates.append(SparseUpdate(keys, rng.normal(size=(keys.size, dim))))
+    return updates
+
+
+@given(_node_updates(), st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_allreduce_equals_full_recursive_doubling(updates, planned):
+    """Node 0's reduction tree alone reproduces the all-nodes reference
+    bit for bit — keys, every float64 sum, and the simulated seconds —
+    whether the key union is derived or handed in by the plan."""
+    nets = [Network(NetworkSpec()) for _ in updates]
+    want, want_s = reference_allreduce(updates, networks=nets, gpus_per_node=2)
+    union = None
+    if planned:
+        union = np.unique(np.concatenate([u.keys for u in updates]))
+    got, got_s = hierarchical_allreduce(
+        updates, networks=nets, gpus_per_node=2, union_keys=union
+    )
+    assert np.array_equal(got.keys, want.keys)
+    assert got.grads.dtype == np.float64
+    assert np.array_equal(got.grads, want.grads)
+    assert got_s == want_s

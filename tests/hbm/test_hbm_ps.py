@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.errors import TierStateError
 from repro.hardware.ledger import CostLedger
 from repro.hbm.allreduce import SparseUpdate
 from repro.hbm.distributed_table import DistributedHashTable
@@ -97,6 +98,31 @@ class TestLoadPull:
         plan = round_plan([[[1], []]], n_gpus=2)
         with pytest.raises(RuntimeError, match="no working set staged"):
             ps.pull_embeddings(plan.nodes[0].minibatches[0])
+
+    def test_misuse_is_one_typed_error(self, ps, round_plan):
+        """Every op before ``load_working_set`` and the capacity check
+        raise ``TierStateError`` (a ``RuntimeError``, so older handlers
+        still catch it)."""
+        plan = round_plan([[[1], []]], n_gpus=2)
+        mb, sync = plan.nodes[0].minibatches[0], plan.sync[0].nodes[0]
+        update = SparseUpdate(keys_of([1]), np.ones((1, 2)))
+        for op in (
+            lambda: ps.pull_embeddings(mb),
+            lambda: ps.push_gradients(mb, np.ones((1, 2), dtype=np.float32)),
+            lambda: ps.drain_gradients(sync),
+            lambda: ps.apply_update(update, sync),
+            ps.dump,
+        ):
+            with pytest.raises(TierStateError, match="load_working_set first"):
+                op()
+        small = HBMPS(2, capacity_per_gpu=3, optimizer=SparseSGD(2, lr=1.0))
+        big = round_plan(
+            [[range(20), []]], n_gpus=2, gpu_partitioner=small.params.partitioner
+        )
+        with pytest.raises(TierStateError, match="capacity exceeded"):
+            small.load_working_set(
+                np.zeros((20, 2), dtype=np.float32), big.nodes[0]
+            )
 
 
 class TestPushDrain:

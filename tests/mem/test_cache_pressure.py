@@ -27,13 +27,18 @@ def make_mem(cache=32, seed=0):
 
 @pytest.fixture
 def train_keys(round_plan):
-    """One planned prepare → write-back → end_batch cycle on ``keys``."""
+    """One planned resolve → prepare → write-back → end_batch cycle on
+    ``keys``; returns the values the round started from."""
 
     def run(m, keys, value):
-        plan = round_plan([[keys]], node_partitioner=m.partitioner).nodes[0]
-        m.prepare(plan)
-        m.absorb_updates(np.full((keys.size, 2), value, np.float32), plan)
+        plan = round_plan([[keys]], node_partitioner=m.partitioner)
+        m.prefetch(plan.prefetch[0])
+        before, _ = m.prepare(plan.nodes[0])
+        m.absorb_updates(
+            np.full((keys.size, 2), value, np.float32), plan.nodes[0]
+        )
         m.end_batch()
+        return before
 
     return run
 
@@ -62,27 +67,28 @@ class TestPinnedUnderPressure:
         assert cache.contains(0)  # despite being least recent
         cache.unpin_batch(keys_of([0]))
 
-    def test_mem_ps_pins_remote_serves_until_end_batch(self, round_plan):
+    def test_mem_ps_pins_the_round_until_end_batch(self, round_plan):
         m = make_mem(cache=64)
         keys = keys_of(range(16))
-        plan = round_plan([[keys]], node_partitioner=m.partitioner).nodes[0]
-        m.prepare(plan)
+        plan = round_plan([[keys]], node_partitioner=m.partitioner)
+        m.prefetch(plan.prefetch[0])
+        m.prepare(plan.nodes[0])
         assert m.cache.lru.pinned_count() == 16
         # Overflow pressure while the batch is in flight.
-        m.apply_gradients(
-            keys_of(range(100, 120)), np.zeros((20, 2), np.float64), rows=None
+        m.cache.put_batch(
+            keys_of(range(100, 160)), np.zeros((60, 2), np.float32)
         )
         _, hit = m.cache.get_batch(keys)
         assert hit.all()
-        m.absorb_updates(np.ones((16, 2), np.float32), plan)
+        m.absorb_updates(np.ones((16, 2), np.float32), plan.nodes[0])
         m.end_batch()
         assert m.cache.lru.pinned_count() == 0
 
 
 class TestLosslessnessUnderChurn:
-    def test_promotion_flush_plumbing_is_drained_to_ssd(self):
+    def test_promotion_flush_plumbing_is_drained_to_ssd(self, train_keys):
         """Values parked by get-promotion flushes reach the SSD-PS on the
-        next fetch (``take_pending_flush`` drain path in fetch_local)."""
+        next resolve (``take_pending_flush`` drain path in prefetch)."""
         m = make_mem(cache=16)
         cache = m.cache
         # Simulate a promotion flush: park a trained value in the pending
@@ -90,7 +96,7 @@ class TestLosslessnessUnderChurn:
         parked_key = 999
         parked_val = np.full(2, 7.5, dtype=np.float32)
         cache._pending_flush.append((parked_key, parked_val))
-        m.fetch_local(keys_of([1, 2]), pin=False)
+        train_keys(m, keys_of([1, 2]), 0.0)
         result, _ = m.ssd_ps.load(keys_of([parked_key]))
         assert result.found[0]
         assert np.array_equal(result.values[0], parked_val)
@@ -105,13 +111,11 @@ class TestLosslessnessUnderChurn:
         for start in range(10, 40, 6):
             train_keys(m, keys_of(range(start, start + 6)), 1.0)
         # Promote them back (cache or SSD, either way: value preserved)...
-        vals, _, _, _ = m.fetch_local(first, pin=False)
-        assert np.all(vals == 3.0)
+        assert np.all(train_keys(m, first, 3.0) == 3.0)
         # ...then thrash again and re-check via the SSD path.
         for start in range(100, 200, 8):
             train_keys(m, keys_of(range(start, start + 8)), 1.0)
-        vals, _, _, _ = m.fetch_local(first, pin=False)
-        assert np.all(vals == 3.0)
+        assert np.all(train_keys(m, first, 3.0) == 3.0)
 
     def test_every_put_batch_flush_is_recoverable(self):
         """Whatever put_batch reports as flushed, plus what stays

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.errors import TierStateError
 from repro.hardware.network import Network
 from repro.hardware.specs import NetworkSpec
 from repro.mem.mem_ps import MemPS
@@ -40,19 +41,28 @@ def make_pair(cache=64):
 
 
 @pytest.fixture
-def plan_for(round_plan):
-    """``plan_for(mem, keys)`` — node ``mem.node_id`` works on ``keys``
-    (every other node's batch is empty); returns that node's plan."""
+def start_round(round_plan):
+    """``start_round(mem, keys, peers=())`` — node ``mem.node_id`` works
+    on ``keys`` (every other node's batch is empty) and ``mem`` plus
+    ``peers`` run the round's resolve; returns ``(node_plan, resolved)``
+    with ``resolved`` the worker's :class:`NodePrefetchPlan`."""
 
-    def build(mem, keys, *, prefetch=False):
+    def start(mem, keys, peers=()):
         shards = [[[]] for _ in range(mem.n_nodes)]
         shards[mem.node_id] = [keys]
-        plan = round_plan(
-            shards, node_partitioner=mem.partitioner, prefetch=prefetch
-        )
-        return plan if prefetch else plan.nodes[mem.node_id]
+        plan = round_plan(shards, node_partitioner=mem.partitioner)
+        for m in (mem, *peers):
+            m.prefetch(plan.prefetch[m.node_id])
+        return plan.nodes[mem.node_id], plan.prefetch[mem.node_id]
 
-    return build
+    return start
+
+
+def peek(mem, keys):
+    """Resident values of ``keys`` without touching cache state."""
+    values, found = mem.cache.peek_batch(keys)
+    assert found.all()
+    return values
 
 
 class TestOwnership:
@@ -68,41 +78,42 @@ class TestOwnership:
 
 
 class TestPrepare:
-    def test_fresh_keys_initialized_deterministically(self, plan_for):
+    def test_fresh_keys_initialized_deterministically(self, start_round):
         m = make_mem()
         keys = keys_of([1, 2, 3])
-        vals, stats = m.prepare(plan_for(m, keys))
+        plan, _ = start_round(m, keys)
+        vals, stats = m.prepare(plan)
         expected = m.optimizer.init_for_keys(keys, seed=0)
         assert np.array_equal(vals, expected)
         assert stats.n_fresh == 3
         m.end_batch()
 
-    def test_second_visit_hits_cache(self, plan_for):
+    def test_second_visit_hits_cache(self, start_round):
         m = make_mem()
         keys = keys_of([1, 2, 3])
-        plan = plan_for(m, keys)
+        plan, _ = start_round(m, keys)
         m.prepare(plan)
         m.absorb_updates(np.ones((3, 2), dtype=np.float32), plan)
         m.end_batch()
-        _, stats = m.prepare(plan_for(m, keys))
+        plan, _ = start_round(m, keys)
+        _, stats = m.prepare(plan)
         assert stats.n_cache_hits == 3
         assert stats.n_fresh == 0
 
-    def test_prepare_records_resolved_rows_on_the_plan(self, plan_for):
+    def test_resolve_records_rows_on_the_prefetch_plan(self, start_round):
         m = make_mem()
-        plan = plan_for(m, keys_of([4, 5, 6]))
-        assert plan.local_slots is None
-        m.prepare(plan)
+        plan, pf = start_round(m, keys_of([4, 5, 6]))
         assert np.array_equal(
-            m.cache.lru._keys[plan.local_slots], plan.keys[plan.local_idx]
+            m.cache.lru._keys[pf.rows[pf.local_pos]], plan.keys[plan.local_idx]
         )
-        assert not plan.local_hits.any()
-        assert plan.admission.n_runs >= 1
+        assert not pf.hit.any()
+        assert pf.admission.n_runs >= 1
 
-    def test_remote_keys_pulled_from_peer(self, plan_for):
+    def test_remote_keys_pulled_from_peer(self, start_round):
         a, b = make_pair()
         keys = keys_of(range(40))
-        vals, stats = a.prepare(plan_for(a, keys))
+        plan, _ = start_round(a, keys, peers=[b])
+        vals, stats = a.prepare(plan)
         assert stats.n_local + stats.n_remote == 40
         assert stats.n_remote > 0
         # All values match the deterministic per-key init regardless of owner.
@@ -110,113 +121,125 @@ class TestPrepare:
         a.end_batch()
         b.end_batch()
 
-    def test_remote_pull_charges_network(self, plan_for):
+    def test_remote_pull_charges_network_and_only_network(self, start_round):
         a, b = make_pair()
+        plan, _ = start_round(a, keys_of(range(40)), peers=[b])
         before = a.network.bytes_sent
-        a.prepare(plan_for(a, keys_of(range(40))))
+        _, stats = a.prepare(plan)
         assert a.network.bytes_sent > before
-
-    def test_prepare_stats_seconds_parallel(self, plan_for):
-        a, b = make_pair()
-        _, stats = a.prepare(plan_for(a, keys_of(range(40))))
-        assert stats.seconds == max(stats.local_seconds, stats.remote_seconds)
+        assert stats.remote_seconds > 0
+        solo = make_mem()
+        plan, _ = start_round(solo, keys_of(range(20)))
+        assert solo.prepare(plan)[1].remote_seconds == 0.0
 
 
 class TestUpdates:
-    def test_absorb_keeps_only_owned(self, plan_for):
+    def test_absorb_keeps_only_owned(self, start_round):
         a, b = make_pair()
         keys = keys_of(range(20))
-        plan = plan_for(a, keys)
+        plan, _ = start_round(a, keys, peers=[b])
         a.prepare(plan)
         a.absorb_updates(np.full((20, 2), 7.0, dtype=np.float32), plan)
         a.end_batch()
         b.end_batch()
-        vals, _, hit, _ = a.fetch_local(keys[a.owns(keys)], pin=False)
-        assert hit.all()
-        assert np.all(vals == 7.0)
+        assert np.all(peek(a, keys[a.owns(keys)]) == 7.0)
         # The peer's shard was served read-only: still the fresh init.
         theirs = keys[b.owns(keys)]
-        vals, _, hit, _ = b.fetch_local(theirs, pin=False)
-        assert hit.all()
-        assert np.array_equal(vals, b.optimizer.init_for_keys(theirs, seed=0))
+        assert np.array_equal(
+            peek(b, theirs), b.optimizer.init_for_keys(theirs, seed=0)
+        )
 
-    def test_absorb_requires_a_prepared_plan(self, plan_for):
+    def test_every_round_op_requires_a_resolved_round(self, round_plan):
+        """Outside prefetch..end_batch each per-round method is a typed
+        error, never a silent re-probe."""
         m = make_mem()
-        with pytest.raises(RuntimeError, match="prepared plan"):
-            m.absorb_updates(
-                np.ones((1, 2), dtype=np.float32), plan_for(m, keys_of([1]))
-            )
-
-    def test_apply_gradients_owner_path(self, plan_for):
-        m = make_mem()
-        keys = keys_of([5])
-        vals, _ = m.prepare(plan_for(m, keys))
+        plan = round_plan([[keys_of([1])]], node_partitioner=m.partitioner)
+        calls = {
+            "prepare": lambda: m.prepare(plan.nodes[0]),
+            "serve_remote": lambda: m.serve_remote(keys_of([1]), requester=0),
+            "absorb_updates": lambda: m.absorb_updates(
+                np.ones((1, 2), dtype=np.float32), plan.nodes[0]
+            ),
+            "apply_gradients": lambda: m.apply_gradients(
+                np.zeros(1, dtype=np.int64), np.ones((1, 2))
+            ),
+            "end_batch": m.end_batch,
+        }
+        for name, call in calls.items():
+            with pytest.raises(TierStateError, match="call prefetch first"):
+                call()
+        m.prefetch(plan.prefetch[0])
+        with pytest.raises(TierStateError, match="round boundary"):
+            m.prefetch(plan.prefetch[0])  # a round is already in flight
+        with pytest.raises(TierStateError, match="round boundary"):
+            m.export_state()
         m.end_batch()
-        m.apply_gradients(keys, np.ones((1, 2), dtype=np.float64), rows=None)
-        got, _, _, _ = m.fetch_local(keys, pin=False)
-        assert np.allclose(got, vals - 1.0)  # SGD lr=1
+        with pytest.raises(RuntimeError, match="call prefetch first"):
+            m.end_batch()
 
-    def test_apply_gradients_through_prefetched_rows(self, plan_for):
-        """With the round prefetched, the owner queue applies through the
-        resolved rows — same arithmetic, no cache probe, no seconds."""
+    def test_apply_gradients_is_a_device_free_row_op(self, start_round):
+        """The owner queue applies through the resolved rows: same
+        arithmetic, no cache probe, nothing returned to account and
+        nothing charged — the node ledger does not move."""
         m = make_mem()
         keys = keys_of([5, 6])
-        plan = plan_for(m, keys, prefetch=True)
-        pf = plan.prefetch[0]
-        m.prefetch(pf)
-        vals, stats = m.prepare(plan.nodes[0])
-        assert stats.local_seconds == 0.0  # a pure row gather
+        plan, pf = start_round(m, keys)
+        vals, _ = m.prepare(plan)
         hits_before = m.cache.stats.hits
-        t = m.apply_gradients(
-            keys, np.ones((2, 2), dtype=np.float64), rows=pf.rows[pf.local_pos]
+        ledgers_before = dict(m.ledger), dict(m.ssd_ps.ledger)
+        result = m.apply_gradients(
+            pf.rows[pf.local_pos], np.ones((2, 2), dtype=np.float64)
         )
-        assert t == 0.0
+        assert result is None
+        assert (dict(m.ledger), dict(m.ssd_ps.ledger)) == ledgers_before
         assert m.cache.stats.hits == hits_before
         m.end_batch()
-        got, _, _, _ = m.fetch_local(keys, pin=False)
-        assert np.allclose(got, vals - 1.0)
+        assert np.allclose(peek(m, keys), vals - 1.0)  # SGD lr=1
 
 
 class TestEviction:
     @staticmethod
-    def _round(m, plan_for, keys, value):
-        plan = plan_for(m, keys)
+    def _round(m, start_round, keys, value):
+        plan, pf = start_round(m, keys)
         m.prepare(plan)
         m.absorb_updates(
             np.full((keys.size, 2), value, dtype=np.float32), plan
         )
         m.end_batch()
+        return pf
 
-    def test_cache_overflow_flushes_to_ssd(self, plan_for):
+    def test_cache_overflow_flushes_to_ssd(self, start_round):
         m = make_mem(cache=16)
         for start in range(0, 80, 8):
-            self._round(m, plan_for, keys_of(range(start, start + 8)), 1.0)
+            self._round(m, start_round, keys_of(range(start, start + 8)), 1.0)
         assert m.ssd_ps.n_live_params > 0
 
-    def test_evicted_values_recoverable(self, plan_for):
+    def test_evicted_values_recoverable(self, start_round):
         m = make_mem(cache=16)
         first = keys_of(range(8))
-        self._round(m, plan_for, first, 3.0)
+        self._round(m, start_round, first, 3.0)
         for start in range(8, 64, 8):
-            self._round(m, plan_for, keys_of(range(start, start + 8)), 1.0)
-        vals, _, _, ssd_found = m.fetch_local(first, pin=False)
-        assert ssd_found.any()
+            self._round(m, start_round, keys_of(range(start, start + 8)), 1.0)
+        plan, pf = start_round(m, first)
+        vals, stats = m.prepare(plan)
+        assert pf.ssd_found.any() and stats.n_ssd_loaded > 0
         assert np.all(vals == 3.0)
 
-    def test_served_pins_released_at_end_batch(self, plan_for):
+    def test_served_pins_released_at_end_batch(self, start_round):
         a, b = make_pair(cache=128)
-        a.prepare(plan_for(a, keys_of(range(30))))
-        # b pinned served keys; before end_batch they are pinned.
+        plan, _ = start_round(a, keys_of(range(30)), peers=[b])
+        a.prepare(plan)
+        # b pinned the partition it serves; before end_batch it stays so.
         assert b.cache.lru.pinned_count() > 0
         a.end_batch()
         b.end_batch()
         assert b.cache.lru.pinned_count() == 0
 
-    def test_flush_to_ssd_drains_cache(self, plan_for):
+    def test_flush_to_ssd_drains_cache(self, start_round):
         m = make_mem()
-        m.prepare(plan_for(m, keys_of(range(10))))
+        plan, _ = start_round(m, keys_of(range(10)))
+        m.prepare(plan)
         m.end_batch()
-        m.cache.unpin_batch(keys_of(range(10)))
         m.flush_to_ssd()
         assert len(m.cache) == 0
         assert m.ssd_ps.n_live_params == 10

@@ -140,20 +140,21 @@ class TestRecordPrepare:
         ctx = RoundContext(round_index=0)
         cluster.stage_read(ctx)
         assert ctx.plan is not None
-        for npn in ctx.plan.nodes:
-            assert npn.local_slots is None  # not resolved yet
+        for pf in ctx.plan.prefetch:
+            assert pf.rows is None  # not resolved yet
         cluster.stage_prepare(ctx)
-        for node, npn in zip(cluster.nodes, ctx.plan.nodes):
-            assert npn.local_slots is not None
-            assert npn.local_slots.size == npn.local_idx.size
-            assert npn.local_hits is not None
-            assert npn.ssd_found is not None
-            # the resolved rows hold exactly the pinned local working keys
+        for node, npn, pf in zip(
+            cluster.nodes, ctx.plan.nodes, ctx.plan.prefetch
+        ):
+            assert pf.rows.size == pf.hit.size == pf.ssd_found.size
+            # the resolved rows hold exactly the pinned MEM-touch union,
+            # the local working keys among them
             lru = node.mem_ps.cache.lru
+            assert np.array_equal(lru._keys[pf.rows], pf.keys)
             assert np.array_equal(
-                lru._keys[npn.local_slots], npn.keys[npn.local_idx]
+                pf.keys[pf.local_pos], npn.keys[npn.local_idx]
             )
-            assert bool(np.all(lru._pinned[npn.local_slots]))
+            assert bool(np.all(lru._pinned[pf.rows]))
         cluster.stage_load(ctx)
         cluster.stage_train(ctx)  # leave the cluster quiescent
 
@@ -169,9 +170,9 @@ class TestAdmissionThreading:
         ctx = RoundContext(round_index=0)
         cluster.stage_read(ctx)
         cluster.stage_prepare(ctx)
-        for npn in ctx.plan.nodes:
-            assert isinstance(npn.admission, AdmissionRecord)
-            assert npn.admission.n_runs >= 1
+        for pf in ctx.plan.prefetch:
+            assert isinstance(pf.admission, AdmissionRecord)
+            assert pf.admission.n_runs >= 1
         cluster.stage_load(ctx)
         cluster.stage_train(ctx)
 
