@@ -8,6 +8,9 @@ Not paper figures, but each isolates one claim from the text:
   * parameter-file size trades I/O amplification vs bandwidth (App. E).
 """
 
+import pathlib
+import sys
+
 import numpy as np
 
 from repro.bench.analytical import AnalyticalHPS
@@ -16,9 +19,18 @@ from repro.config import PAPER_MODELS
 from repro.hardware.network import Network
 from repro.hardware.specs import NetworkSpec, SSDSpec
 from repro.hbm.allreduce import SparseUpdate, hierarchical_allreduce
-from repro.mem.cache import CombinedCache, LFUCache, LRUCache
 from repro.ssd.compaction import Compactor
 from repro.ssd.file_store import FileStore
+
+# The per-key policy classes are test code; make them importable when
+# this file is run on its own (the full suite already has tests/ on the
+# path).
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "tests"))
+from cache_oracles import (  # noqa: E402
+    DictCombinedCache,
+    DictLFUCache,
+    DictLRUCache,
+)
 
 
 def test_ablation_pipeline(benchmark):
@@ -69,7 +81,14 @@ def _zipf_stream(n_keys: int, n_accesses: int, seed: int = 0) -> np.ndarray:
 
 def test_ablation_cache_policy(benchmark):
     """LRU vs LFU vs the paper's combined policy on a Zipf stream with a
-    periodic cold scan (the workload LRU alone handles poorly)."""
+    periodic cold scan (the workload LRU alone handles poorly).
+
+    A *policy* comparison — hit rates of an arbitrary-order per-key
+    stream — so it runs on the per-key seed classes of
+    ``tests/cache_oracles.py``, which state each policy in a few lines;
+    the production ``CombinedCache`` is the same policy specialised to
+    the unique-key round traffic ``MemPS`` sends, and is held to these
+    classes key for key by the MEM test suite."""
 
     def run():
         stream = _zipf_stream(5000, 30_000)
@@ -85,13 +104,13 @@ def test_ablation_cache_policy(benchmark):
         for name in ("lru", "lfu", "combined"):
             hits = misses = 0
             if name == "combined":
-                cache = CombinedCache(600, lru_fraction=0.5, value_dim=1)
+                cache = DictCombinedCache(600, lru_fraction=0.5, value_dim=1)
                 for k in stream_full.tolist():
                     if cache.get(k) is None:
                         cache.put(k, val)
                 hits, misses = cache.stats.hits, cache.stats.misses
             else:
-                cache = LRUCache(600) if name == "lru" else LFUCache(600)
+                cache = DictLRUCache(600) if name == "lru" else DictLFUCache(600)
                 for k in stream_full.tolist():
                     if cache.get(k) is None:
                         misses += 1

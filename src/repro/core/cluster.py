@@ -256,8 +256,7 @@ class BatchStats:
     #: network time of the remote MEM pulls (the local partition is a row
     #: gather on rows the resolve loaded — see :attr:`prefetch_seconds`)
     pull_remote_seconds: float
-    #: MEM/SSD stage total: the resolve + the remote pulls + the
-    #: write-back's overflow dump
+    #: MEM/SSD stage total: the resolve + the remote pulls
     pull_push_seconds: float
     cpu_partition_seconds: float
     hbm_pull_seconds: float
@@ -276,13 +275,13 @@ class BatchStats:
     #: not the per-worker average — is what the GPU stage actually costs
     #: when workers are imbalanced.
     worker_critical_seconds: float = 0.0
-    #: MEM-cache admission accounting, summed over nodes: bulk runs the
-    #: admission plan applied and single-key collision splits it cut at
-    #: the eviction frontier.
+    #: dense slab passes the MEM caches applied, summed over nodes (one
+    #: per non-empty tier segment of a resolve, one per insert)
     cache_admission_runs: int = 0
+    #: always 0 (the run-cutting admission engine and the whole-batch
+    #: per-key replay they counted are gone); kept because the frozen
+    #: ``benchmarks/hps/onepass.py`` reads both — drop at benchmark v2
     cache_collision_splits: int = 0
-    #: always 0 (the whole-batch per-key replay it counted is gone); kept
-    #: because the frozen ``benchmarks/hps/onepass.py`` reads it
     cache_scalar_fallbacks: int = 0
     #: seconds the once-per-round MEM resolve spent loading the round's
     #: working set from SSD and dumping overflow (slowest node); part of
@@ -357,7 +356,7 @@ class RoundContext:
     cpu_partition_seconds: float = 0.0
     # per-round accounting snapshots (taken by the MEM resolve)
     cache_stats_before: list[tuple[int, int]] = field(default_factory=list)
-    admission_before: list[tuple[int, int]] = field(default_factory=list)
+    admission_before: list[int] = field(default_factory=list)
     compactions_before: int = 0
     extent_before: list[int] = field(default_factory=list)
     ssd_before: list[float] = field(default_factory=list)
@@ -943,11 +942,10 @@ class HPSCluster:
             worker_critical_s += round_worker_t
 
         # --- write back (lines 16-18) ------------------------------------
-        absorb_s = 0.0
         for node, nplan in zip(nodes, plan.nodes):
             _, values = node.hbm_ps.dump()
             node.mem_ps.absorb_updates(values, nplan)
-            absorb_s = max(absorb_s, node.mem_ps.end_batch())
+            node.mem_ps.end_batch()
 
         # --- aggregate ---------------------------------------------------
         hits = sum(
@@ -961,18 +959,11 @@ class HPSCluster:
         ssd_after = [
             n.ledger.total("ssd_read") + n.ledger.total("ssd_write") for n in nodes
         ]
-        adm_after = [n.mem_ps._admission_snapshot() for n in nodes]
-        adm_delta = [
-            tuple(a - b for a, b in zip(after, before))
-            for after, before in zip(adm_after, ctx.admission_before)
-        ]
         stats = BatchStats(
             round_index=ctx.round_index,
             read_seconds=ctx.read_seconds,
             pull_remote_seconds=ctx.pull_remote_seconds,
-            pull_push_seconds=ctx.prefetch_seconds
-            + ctx.pull_remote_seconds
-            + absorb_s,
+            pull_push_seconds=ctx.prefetch_seconds + ctx.pull_remote_seconds,
             cpu_partition_seconds=ctx.cpu_partition_seconds,
             hbm_pull_seconds=hbm_pull_s / self.n_nodes,
             hbm_push_seconds=hbm_push_s / self.n_nodes,
@@ -991,8 +982,10 @@ class HPSCluster:
             mean_loss=float(np.mean(losses)) if losses else float("nan"),
             compactions=sum(n.ssd_ps.compactor.total_compactions for n in nodes)
             - ctx.compactions_before,
-            cache_admission_runs=sum(d[0] for d in adm_delta),
-            cache_collision_splits=sum(d[1] for d in adm_delta),
+            cache_admission_runs=sum(
+                n.mem_ps._admission_snapshot() for n in nodes
+            )
+            - sum(ctx.admission_before),
             prefetch_seconds=ctx.prefetch_seconds,
             prefetch_depth_backoffs=sum(
                 n.mem_ps.take_depth_backoffs() for n in nodes
@@ -1009,7 +1002,7 @@ class HPSCluster:
         self.history.append(stats)
         self.rounds_completed += 1
         self._staged_rounds -= 1
-        return worker_critical_s + allreduce_s + absorb_s
+        return worker_critical_s + allreduce_s
 
     # ------------------------------------------------------------------
     def train_round(self, round_index: int | None = None) -> BatchStats:
@@ -1096,13 +1089,13 @@ class HPSCluster:
 
         The recovery hook for a fault that escaped from ``read``,
         ``prefetch`` or ``prepare``: those stages mutate only stream
-        counters and cache *residency* (which rows are resident, pinned,
-        or queued for overflow) — never parameter values, which change
-        only in ``train``'s write-back.  Releasing the pins, settling
-        overflow to SSD, and dropping the cross-round prefetch union
-        therefore returns every tier to a value-exact round boundary, so
-        the aborted round can be retried from its read stage (or a
-        partial ``restore_node`` applied) without forking parameters.
+        counters and cache *residency* (which rows are resident or
+        pinned) — never parameter values, which change only in
+        ``train``'s write-back.  Releasing the pins and dropping the
+        cross-round prefetch union therefore returns every tier to a
+        value-exact round boundary, so the aborted round can be retried
+        from its read stage (or a partial ``restore_node`` applied)
+        without forking parameters.
 
         Only valid while no round has working parameters staged in HBM —
         past ``stage_load`` the freshest values live only in the HBM

@@ -13,8 +13,7 @@ round it:
    owning nodes' MEM-PS over the network — pure row gathers on the
    resolved rows, no further index probe;
 3. applies owner-queue gradients and, on round completion, absorbs updated
-   values through the same rows, then unpins and dumps cache overflow to
-   the SSD-PS.
+   values through the same rows, then unpins them.
 
 All remote traffic is charged to the node's :class:`Network`; all disk
 traffic to the SSD-PS ledger.  The local/remote split is what Figure 4(b)
@@ -145,17 +144,12 @@ class MemPS:
         return self.owner_of(keys) == self.node_id
 
     # ------------------------------------------------------------------
-    def _admission_snapshot(self) -> tuple[int, int]:
-        """(runs, collision splits) counter snapshot."""
-        stats = self.cache.stats
-        return (stats.admission_runs, stats.collision_splits)
+    def _admission_snapshot(self) -> int:
+        """The cache's admission-run counter."""
+        return self.cache.stats.admission_runs
 
-    def _admission_delta(self, before: tuple[int, int]) -> AdmissionRecord:
-        after = self._admission_snapshot()
-        return AdmissionRecord(
-            n_runs=after[0] - before[0],
-            n_collision_splits=after[1] - before[1],
-        )
+    def _admission_delta(self, before: int) -> AdmissionRecord:
+        return AdmissionRecord(n_runs=self._admission_snapshot() - before)
 
     # ------------------------------------------------------------------
     def _round(self) -> NodePrefetchPlan:
@@ -194,8 +188,9 @@ class MemPS:
         and stays pinned until :meth:`end_batch`; the resolved LRU rows
         land on the plan, so every later MEM access this round is a pure
         row gather (no SlotIndex probe, no admission work, no eviction
-        risk).  Returns simulated seconds (SSD loads plus overflow
-        dumps — all the device time the MEM tier pays for the round).
+        risk).  Returns simulated seconds (SSD loads plus the dumps of
+        what the inserts flushed — all the device time the MEM tier pays
+        for the round).
 
         At depth ``k`` > 1 the round's union was usually resolved by an
         earlier round's lookahead and sits pinned in the sliding window:
@@ -248,25 +243,15 @@ class MemPS:
         Tier-ordered access: LRU hits first (pure recency ticks — no
         eviction can form), then LFU promotions (every LRU batch key is
         hot by now, so victims come from the non-batch cold tail), then
-        misses.  The sorted union interleaves the tiers, which would
-        force the admission engine to cut a run at every cold batch key
-        the promotion storm reaches; ordered this way the whole union
-        applies in O(1) collision-free runs — and the cache resolves it
-        in a single probe pass, handing back the pinned rows directly.
+        misses — three dense passes over one probe, with the rows of
+        every hit handed back.  The misses are then inserted pinned, and
+        the insert reports the rows they landed in.
         """
         seconds = 0.0
         hit, rows = self.cache.prefetch_resolve(keys, prev_keys, prev_rows)
-        # LFU->LRU promotions may flush cold entries; persist them before
-        # anything else can reference them.
-        pf_k, pf_v = self.cache.take_pending_flush()
-        if pf_k.size:
-            seconds += self.ssd_ps.dump(pf_k, pf_v).total_seconds
         # Pin hits before inserting the misses, which may otherwise
         # evict them.
-        if rows is None:
-            self.cache.pin_batch(keys[hit])
-        else:
-            self.cache.pin_rows(rows[hit])
+        self.cache.pin_rows(rows[hit])
         ssd_found = np.zeros(keys.size, dtype=bool)
         miss_idx = np.flatnonzero(~hit)
         if miss_idx.size:
@@ -280,17 +265,11 @@ class MemPS:
                 vals[fresh_idx] = self.optimizer.init_for_keys(
                     miss_keys[fresh_idx], seed=self._init_seed
                 )
-            # A unique key stream's misses are resident in neither tier
-            # (a get never inserts), so the LFU probe is moot.
-            flush_k, flush_v = self.cache.put_batch(
-                miss_keys, vals, pin=True, assume_absent=True
+            flush_k, flush_v, rows[miss_idx] = self.cache.put_batch(
+                miss_keys, vals, pin=True
             )
             if flush_k.size:
                 seconds += self.ssd_ps.dump(flush_k, flush_v).total_seconds
-        if rows is None:
-            rows = self.cache.resolve_pinned(keys)
-        elif miss_idx.size:
-            rows[miss_idx] = self.cache.resolve_pinned(keys[miss_idx])
         return hit, rows, ssd_found, seconds
 
     def _pin_ceiling(self) -> int:
@@ -434,7 +413,7 @@ class MemPS:
         cache update go through the plan's precomputed indices and the
         resolved LRU rows — no re-hash, no SlotIndex probe, no device
         traffic.  The rows stay pinned: :meth:`end_batch` releases the
-        round's whole set and settles overflow.
+        round's whole set.
         """
         pplan = self._round()
         self.cache.update_rows(
@@ -464,46 +443,36 @@ class MemPS:
             rows, self.optimizer.apply(self.cache.values_at(rows), grads)
         )
 
-    def end_batch(self) -> float:
-        """Release the round's pins and settle overflow.
+    def end_batch(self) -> None:
+        """Release the round's pins.
 
         The whole resolved working set (local + served + owner-queue
         rows) unpins in a single row-level release — except rows the
         in-flight lookahead window shares with the finished round, which
-        keep their pin (a pin is a boolean, not a refcount).  Returns the
-        simulated seconds of the overflow dump.
+        keep their pin (a pin is a boolean, not a refcount).  Device-free:
+        the LRU slab never holds more than its capacity, so there is no
+        overflow to settle.
         """
         pplan = self._round()
         self._prefetch_plan = None
         self.cache.unpin_rows_except(pplan.rows, [e.rows for e in self._window])
-        return self._settle_overflow()
 
-    def _settle_overflow(self) -> float:
-        fk, fv = self.cache.settle_overflow()
-        if fk.size == 0:
-            return 0.0
-        return self.ssd_ps.dump(fk, fv).total_seconds
-
-    def abort_round(self) -> float:
+    def abort_round(self) -> None:
         """Roll in-flight round state back to a clean boundary.
 
         Fault-recovery counterpart of :meth:`end_batch`: releases the
         resolve's pins of a round that will never reach write-back (if
-        this node got as far as resolving one), settles any overflow the
-        partial round queued, and — unlike ``end_batch`` — forgets the
-        cross-round prefetch union, because the aborted round's resolved
-        rows must not seed the retry's ``prefetch_resolve`` carry-over
-        (the retry re-derives residency from scratch; values were never
-        mutated, so this is purely a bookkeeping reset).
+        this node got as far as resolving one) and — unlike
+        ``end_batch`` — forgets the cross-round prefetch union, because
+        the aborted round's resolved rows must not seed the retry's
+        ``prefetch_resolve`` carry-over (the retry re-derives residency
+        from scratch; values were never mutated, so this is purely a
+        bookkeeping reset).
         """
         self.drop_window()
-        pplan = self._prefetch_plan
-        if pplan is not None:
-            seconds = self.end_batch()
-        else:
-            seconds = self._settle_overflow()
+        if self._prefetch_plan is not None:
+            self.end_batch()
         self._prev_union = (None, None)
-        return seconds
 
     def flush_to_ssd(self) -> float:
         """Drain the entire cache to the SSD-PS (checkpoint/shutdown)."""

@@ -18,13 +18,11 @@ A few :class:`NodePrefetchPlan` fields are *not* known at build time and
 are filled in by the MEM tier's once-per-round resolve
 (``MemPS.prefetch``): the cache hit/miss split of the node's MEM-touch
 union, the resolved LRU slot rows of the (now pinned) keys, and the
-cache's :class:`AdmissionRecord` (how the resolve split into
-collision-free bulk runs under memory pressure).  Every later MEM access
-of the round goes through those rows instead of re-probing the SlotIndex.
-Conversely the plan *pre-splits* the cache's admission work: plan key
-sets are sorted-unique by construction, so every planned cache call runs
-with ``assume_unique=True`` and the admission planner skips its
-duplicate-boundary pass.
+cache's :class:`AdmissionRecord` (how many dense passes the resolve
+took).  Every later MEM access of the round goes through those rows
+instead of re-probing the SlotIndex.  Conversely the plan is what lets
+the cache assume unique keys: plan key sets are sorted-unique by
+construction.
 
 Plans are computed with exactly one ``np.unique`` per key set and one
 stable argsort per partition level; every later consumer is a pure index
@@ -60,13 +58,11 @@ class AdmissionRecord:
     """How the MEM cache admitted one resolve's key batch.
 
     Recorded by ``MemPS.prefetch`` alongside the resolved slot rows: the
-    number of collision-free bulk runs the admission plan applied and
-    the single-key collision splits forced by the eviction frontier.
-    ``BatchStats`` aggregates these per round.
+    number of dense slab passes applied (one per non-empty tier segment
+    of the resolve, one per insert).  ``BatchStats`` sums it per round.
     """
 
     n_runs: int
-    n_collision_splits: int
 
 
 def group_indices(part_of: np.ndarray, n_parts: int) -> list[np.ndarray]:
@@ -270,7 +266,7 @@ class NodePrefetchPlan:
     hit: np.ndarray | None = None
     #: which of the misses the SSD resolved (the rest fresh-initialized)
     ssd_found: np.ndarray | None = None
-    #: how the cache admitted the prefetch batch (bulk runs vs. splits)
+    #: how many dense passes the cache took to admit the union
     admission: AdmissionRecord | None = None
     #: per lookahead round ``b+1..b+k-1`` (depth ``k`` > 1), this node's
     #: MEM-touch union of that round — the same sorted set

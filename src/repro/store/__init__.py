@@ -1,8 +1,8 @@
 """Batch-first parameter-store layer.
 
-Defines the :class:`ParameterStore` protocol every tier of the
-HBM→MEM→SSD hierarchy implements, plus the vectorized building blocks
-(:class:`SlotIndex`, :class:`FlatStore`).
+Defines the :class:`ParameterStore` protocol the general-purpose stores
+(HBM hash tables, SSD-PS, flat store) implement, plus the vectorized
+building blocks (:class:`SlotIndex`, :class:`FlatStore`).
 """
 
 from repro.store.flat import FlatStore

@@ -1,11 +1,12 @@
-"""The batch-first parameter-store protocol shared by all three tiers.
+"""The batch-first parameter-store protocol of the general-purpose stores.
 
-Every storage layer of the hierarchy — the HBM hash tables, the MEM
-LRU+LFU caches, the SSD file store, and the reference trainer's flat
-store — speaks the same five-method batched interface.  Keys are always
+The HBM hash tables, the SSD-PS, and the reference trainer's flat store
+speak the same five-method batched interface.  Keys are always
 ``uint64`` arrays, values ``(n, value_dim)`` float32 arrays; no method
-takes or returns a single key.  This is the contract later work (async
-pipelining, sharded backends, alternative cache policies) plugs into.
+takes or returns a single key.  The MEM LRU+LFU cache is *not* one of
+them: it is not a general store but the one ``MemPS`` talks to — unique
+keys, a tier-ordered resolve, an absent-key insert, then rows (see
+:mod:`repro.mem.cache`).
 
 The protocol is *functional*: it moves values, not simulated time.
 Timing stays on the tier-specific methods (``insert``/``load``/``dump``),
@@ -27,14 +28,13 @@ class ParameterStore(Protocol):
 
     ``get_batch``
         Values for ``keys`` plus a found mask; missing rows are
-        zero-filled.  May touch replacement metadata (recency/frequency)
-        on caching tiers.
+        zero-filled.
     ``put_batch``
         Insert/overwrite ``keys``; returns ``(flush_keys, flush_values)``
         — entries the store evicted and the caller must persist to the
         next tier down.  Unbounded stores return empty arrays.
     ``contains``
-        Residency mask, metadata-neutral (no recency/frequency update).
+        Residency mask.
     ``transform``
         Apply ``new = fn(old)`` to the values of resident ``keys``
         in place (optimizer updates on the owning tier).

@@ -280,7 +280,7 @@ class TestSeededRngRule:
     def test_scope_is_tree_wide(self):
         rule = SeededRngRule()
         assert rule.applies_to("tests/mem/test_cache.py")
-        assert rule.applies_to("benchmarks/test_store_microbench.py")
+        assert rule.applies_to("benchmarks/test_ablations.py")
         assert not rule.applies_to("src/repro/utils/rng.py")
 
 
@@ -311,7 +311,7 @@ class TestSimTimeRule:
     def test_bench_and_benchmarks_are_exempt(self):
         rule = SimTimeRule()
         assert not rule.applies_to("src/repro/bench/harness.py")
-        assert not rule.applies_to("benchmarks/test_store_microbench.py")
+        assert not rule.applies_to("benchmarks/test_hps_micro.py")
         assert rule.applies_to("src/repro/core/cluster.py")
         assert rule.applies_to("tests/core/test_engine.py")
 

@@ -1,95 +1,52 @@
 """Per-key cache oracles: the executable specification of the MEM tier.
 
-Two independent statements of what the slab caches in
-:mod:`repro.mem.cache` must do, both test-only:
+Three layers, all test-only:
 
-* :func:`replay_get` / :func:`replay_put` (and :class:`ScalarCombinedCache`,
-  which routes a whole :class:`~repro.mem.cache.CombinedCache` through
-  them) — "batch op" *defined* as the public scalar ``get``/``put``
-  looped in batch order on a twin cache.  The bulk admission engine must
-  be indistinguishable from this: same values, flush pairs, eviction
-  order and statistics.
 * ``DictLRUCache`` / ``DictLFUCache`` / ``DictCombinedCache`` — the
   original dict-of-ndarray caches this repo shipped with before the MEM
   tier was vectorized (one dict probe per key), sharing no code with the
-  slab implementation.  ``tests/store/test_cache_parity.py`` and
-  ``tests/mem/test_admission_stress.py`` replay recorded and randomized
-  traces through both; ``benchmarks/test_store_microbench.py`` uses them
-  as the wall-clock baseline.
+  slab implementation in :mod:`repro.mem.cache`.
+* :class:`ShadowedCombinedCache` — a :class:`CombinedCache` that replays
+  every operation key by key on a ``DictCombinedCache`` (lookups in the
+  resolve's tier order) and asserts the two agree on hit masks, flush
+  pairs *in order*, row identities, both tiers' contents in eviction
+  order, replacement metadata, statistics and pins.  Swap it into a
+  cluster with :func:`shadow_caches` and the whole training run is
+  checked op by op.
+* :class:`CacheTraffic` — the traffic ``MemPS`` sends, as verbs on a
+  shadowed cache plus a dict standing in for the SSD: resolve a unique
+  union, pin, insert the misses pinned, write through rows, touch,
+  release, snapshot.  ``tests/mem/test_cache_traffic.py`` drives it from
+  a hypothesis state machine, ``tests/mem/test_admission_stress.py``
+  from seeded random streams.
 """
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 
-from repro.mem.cache import CacheStats, CombinedCache
+from repro.errors import TierStateError
+from repro.mem.cache import CombinedCache
 from repro.utils.keys import as_keys
 
 __all__ = [
-    "replay_get",
-    "replay_put",
-    "ScalarCombinedCache",
-    "use_scalar_caches",
     "DictLRUCache",
     "DictLFUCache",
     "DictCombinedCache",
+    "ShadowedCombinedCache",
+    "shadow_caches",
+    "CacheTraffic",
 ]
 
 
-def replay_get(cache, keys) -> tuple[np.ndarray, np.ndarray]:
-    """``get_batch`` by definition: scalar ``get`` looped in batch order."""
-    keys = as_keys(keys)
-    values = np.zeros((keys.size, cache.value_dim or 0), dtype=np.float32)
-    hit = np.zeros(keys.size, dtype=bool)
-    for i, k in enumerate(keys.tolist()):
-        v = cache.get(k)
-        if v is not None:
-            values[i], hit[i] = v, True
-    return values, hit
-
-
-def replay_put(cache, keys, values, **kw) -> tuple[np.ndarray, np.ndarray]:
-    """``put_batch`` by definition: scalar ``put`` looped in batch order."""
-    values = np.asarray(values, dtype=np.float32)
-    pairs: list = []
-    for k, v in zip(as_keys(keys).tolist(), values):
-        pairs.extend(cache.put(k, v, **kw))
-    if not pairs:
-        return as_keys([]), np.zeros((0, values.shape[1]), dtype=np.float32)
-    return as_keys([k for k, _ in pairs]), np.stack([v for _, v in pairs])
-
-
-class ScalarCombinedCache(CombinedCache):
-    """A :class:`CombinedCache` whose batch ops are the scalar replay.
-
-    Drop-in twin for cluster-level parity: swap it in for a node's
-    ``mem_ps.cache`` and every admission decision is made key by key.
-    ``prefetch_resolve`` replays the access order the bulk path commits
-    to (LRU hits, then LFU promotions, then misses) and reports no rows,
-    so the MEM-PS re-resolves them through the index.
-    """
-
-    def get_batch(self, keys, *, assume_unique=False):
-        return replay_get(self, keys)
-
-    def put_batch(
-        self, keys, values, *, pin=False, assume_unique=False, assume_absent=False
-    ):
-        return replay_put(self, keys, values, pin=pin)
-
-    def prefetch_resolve(self, keys, prev_keys=None, prev_rows=None):
-        keys = as_keys(keys)
-        in_lru, in_lfu = self.residency(keys)
-        order = np.argsort(np.where(in_lru, 0, np.where(in_lfu, 1, 2)), kind="stable")
-        hit = np.zeros(keys.size, dtype=bool)
-        hit[order] = replay_get(self, keys[order])[1]
-        return hit, None
-
-
-def use_scalar_caches(cluster) -> None:
-    """Turn every node's (still empty) MEM cache into its per-key twin."""
-    for node in cluster.nodes:
-        node.mem_ps.cache.__class__ = ScalarCombinedCache
+def _pairs(flushed: list, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    if not flushed:
+        return as_keys([]), np.zeros((0, dim), dtype=np.float32)
+    fk = as_keys([k for k, _ in flushed])
+    fv = np.stack([v for _, v in flushed]).astype(np.float32)
+    return fk, fv
 
 
 class DictLRUCache:
@@ -250,7 +207,7 @@ class DictCombinedCache:
         self.lru = DictLRUCache(lru_cap)
         self.lfu = DictLFUCache(lfu_cap)
         self.value_dim = value_dim
-        self.stats = CacheStats()
+        self.stats = SimpleNamespace(hits=0, misses=0)
         self._counts: dict[int, int] = {}
         self._pending_flush: list = []
 
@@ -299,17 +256,6 @@ class DictCombinedCache:
         return self._demote(evicted)
 
     # ------------------------------------------------------------------
-    def get_batch(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        keys = as_keys(keys)
-        values = np.zeros((keys.size, self.value_dim), dtype=np.float32)
-        hit = np.zeros(keys.size, dtype=bool)
-        for i, k in enumerate(keys):
-            v = self.get(int(k))
-            if v is not None:
-                values[i] = v
-                hit[i] = True
-        return values, hit
-
     def put_batch(
         self, keys: np.ndarray, values: np.ndarray, *, pin: bool = False
     ) -> tuple[np.ndarray, np.ndarray]:
@@ -320,33 +266,379 @@ class DictCombinedCache:
         flushed = []
         for i, k in enumerate(keys):
             flushed.extend(self.put(int(k), values[i], pin=pin))
-        return self._pairs(flushed)
+        return _pairs(flushed, self.value_dim)
 
-    def _pairs(self, flushed: list) -> tuple[np.ndarray, np.ndarray]:
-        if not flushed:
-            return (
-                as_keys([]),
-                np.zeros((0, self.value_dim), dtype=np.float32),
+
+class ShadowedCombinedCache(CombinedCache):
+    """A :class:`CombinedCache` checked op by op against the dict seed.
+
+    Every public operation runs on the slab cache, is replayed per key
+    on :attr:`ref` (a ``DictCombinedCache`` with the same tier sizes),
+    and the two are compared — outputs first, then the whole resident
+    state.  Row identities are verified where they are minted (resolve,
+    insert), so the row ops can translate rows to keys through the slab.
+    """
+
+    def __init__(self, capacity, **kwargs) -> None:
+        super().__init__(capacity, **kwargs)
+        self._new_ref()
+
+    def _new_ref(self) -> None:
+        self.ref = DictCombinedCache(2, value_dim=self.value_dim)
+        self.ref.lru = DictLRUCache(self.lru.capacity)
+        self.ref.lfu = DictLFUCache(self.lfu.capacity)
+
+    # -- comparison ------------------------------------------------------
+    def _ref_state(self) -> dict[str, np.ndarray]:
+        """What ``export_state`` must return, read off the dict seed:
+        dict order is recency order in the LRU and entry order in the LFU
+        (frequencies never change in place — a hit promotes)."""
+        ref = self.ref
+        lru_keys, lru_values = _pairs(list(ref.lru._data.items()), self.value_dim)
+        lfu_keys, lfu_values = _pairs(list(ref.lfu._data.items()), self.value_dim)
+        return {
+            "lru_keys": lru_keys,
+            "lru_values": lru_values,
+            "lru_counts": np.array(
+                [ref._counts[k] for k in ref.lru._data], dtype=np.int64
+            ),
+            "lfu_keys": lfu_keys,
+            "lfu_values": lfu_values,
+            "lfu_freqs": np.array(
+                [ref.lfu._freq[k] for k in ref.lfu._data], dtype=np.int64
+            ),
+            "hits": np.int64(ref.stats.hits),
+            "misses": np.int64(ref.stats.misses),
+        }
+
+    def _assert_state(self, state: dict[str, np.ndarray], ctx: str) -> None:
+        want = self._ref_state()
+        assert state.keys() == want.keys(), ctx
+        for name, value in want.items():
+            assert np.array_equal(state[name], value), (
+                f"{ctx}: {name} diverges from the per-key reference\n"
+                f"slab {state[name]}\nseed {value}"
             )
-        fk = as_keys([k for k, _ in flushed])
-        fv = np.stack([v for _, v in flushed]).astype(np.float32)
-        return fk, fv
 
-    def take_pending_flush(self) -> tuple[np.ndarray, np.ndarray]:
-        out = self._pairs(self._pending_flush)
-        self._pending_flush.clear()
-        return out
+    def _assert_agrees(self, ctx: str) -> None:
+        """Full-state comparison, valid mid-round (pins lifted around
+        the snapshot, then compared as a key set)."""
+        pins = self.lru._pinned.copy()
+        self.lru._pinned[:] = False
+        try:
+            state = CombinedCache.export_state(self)
+        finally:
+            self.lru._pinned[:] = pins
+        self._assert_state(state, ctx)
+        assert set(self.lru._keys[pins].tolist()) == self.ref.lru._pinned, (
+            f"{ctx}: pinned sets diverge"
+        )
+        assert len(self) == len(self.ref), ctx
 
-    def unpin_batch(self, keys: np.ndarray) -> None:
-        for k in as_keys(keys):
-            self.lru.unpin(int(k))
+    def _keys_at(self, rows: np.ndarray) -> list[int]:
+        return self.lru._keys[rows].tolist()
 
-    def settle_overflow(self) -> tuple[np.ndarray, np.ndarray]:
-        return self._pairs(self._demote(self.lru.evict_overflow()))
+    # -- lookup ----------------------------------------------------------
+    def prefetch_resolve(self, keys, prev_keys=None, prev_rows=None):
+        keys = as_keys(keys)
+        ref = self.ref
+        tier = [0 if k in ref.lru else 1 if k in ref.lfu else 2 for k in keys.tolist()]
+        # An oversubscribed union raises here, before the seed is touched.
+        hit, rows = super().prefetch_resolve(keys, prev_keys, prev_rows)
+        want_hit = np.zeros(keys.size, dtype=bool)
+        for i in np.argsort(tier, kind="stable").tolist():
+            value = ref.get(int(keys[i]))
+            if value is not None:
+                want_hit[i] = True
+                assert np.array_equal(self.lru._values[rows[i]], value)
+        assert not ref._pending_flush, "a promotion flushed"
+        assert np.array_equal(hit, want_hit), "resolve: hit mask diverges"
+        assert np.array_equal(self.lru._keys[rows[hit]], keys[hit])
+        assert (rows[~hit] == -1).all()
+        self._assert_agrees("resolve")
+        return hit, rows
 
-    def items(self) -> tuple[np.ndarray, np.ndarray]:
-        pairs = [(k, self.lru._data[k]) for k in self.lru.keys()]
-        pairs += [(k, self.lfu._data[k]) for k in self.lfu.keys()]
-        fk, fv = self._pairs(pairs)
-        order = np.argsort(fk)
-        return fk[order], fv[order]
+    def peek_batch(self, keys):
+        values, found = super().peek_batch(keys)
+        for i, k in enumerate(as_keys(keys).tolist()):
+            want = self.ref.lru._data.get(k, self.ref.lfu._data.get(k))
+            assert found[i] == (want is not None), f"peek: key {k}"
+            if want is not None:
+                assert np.array_equal(values[i], want), f"peek: key {k}"
+        self._assert_agrees("peek (must be read-only)")
+        return values, found
+
+    # -- insert ----------------------------------------------------------
+    def put_batch(self, keys, values, *, pin=False, assume_unique=False):
+        keys = as_keys(keys)
+        # A pinned batch that does not fit raises here, seed untouched.
+        fk, fv, rows = super().put_batch(keys, values, pin=pin)
+        want_k, want_v = self.ref.put_batch(
+            keys, np.array(values, dtype=np.float32), pin=pin
+        )
+        assert np.array_equal(fk, want_k), "insert: flush keys diverge"
+        assert np.array_equal(fv, want_v), "insert: flush values diverge"
+        landed = rows >= 0
+        assert np.array_equal(self.lru._keys[rows[landed]], keys[landed])
+        self._assert_agrees("insert")
+        return fk, fv, rows
+
+    # -- row ops ---------------------------------------------------------
+    def pin_rows(self, rows):
+        super().pin_rows(rows)
+        for k in self._keys_at(rows):
+            self.ref.lru.pin(k)
+        self._assert_agrees("pin_rows")
+
+    def unpin_rows(self, rows):
+        super().unpin_rows(rows)
+        for k in self._keys_at(rows):
+            self.ref.lru.unpin(k)
+        self._assert_agrees("unpin_rows")
+
+    def unpin_rows_except(self, rows, keep):
+        kept = {k for r in keep for k in self._keys_at(r)}
+        super().unpin_rows_except(rows, keep)
+        for k in self._keys_at(rows):
+            if k not in kept:
+                self.ref.lru.unpin(k)
+        self._assert_agrees("unpin_rows_except")
+
+    def update_rows(self, rows, values):
+        super().update_rows(rows, values)
+        values = np.array(values, dtype=np.float32)
+        for k, v in zip(self._keys_at(rows), values):
+            assert k in self.ref.lru._data
+            self.ref.lru._data[k] = v
+        self._assert_agrees("update_rows")
+
+    def values_at(self, rows):
+        values = super().values_at(rows)
+        for k, v in zip(self._keys_at(rows), values):
+            assert np.array_equal(v, self.ref.lru._data[k]), f"values_at: {k}"
+        return values
+
+    def touch_rows(self, rows):
+        super().touch_rows(rows)
+        for k in self._keys_at(rows):
+            assert self.ref.get(k) is not None
+        self._assert_agrees("touch_rows")
+
+    def pinned_count(self):
+        n = super().pinned_count()
+        assert n == self.ref.lru.pinned_count()
+        return n
+
+    # -- snapshots (load_delta lands in load_state) ----------------------
+    def export_state(self):
+        state = super().export_state()
+        self._assert_state(state, "export_state")
+        return state
+
+    def load_state(self, state):
+        super().load_state(state)
+        self._new_ref()
+        ref = self.ref
+        for k, v, c in zip(
+            state["lru_keys"].tolist(), state["lru_values"], state["lru_counts"]
+        ):
+            assert not ref.lru.put(k, np.array(v, dtype=np.float32))
+            ref._counts[k] = int(c)
+        for k, v, f in zip(
+            state["lfu_keys"].tolist(), state["lfu_values"], state["lfu_freqs"]
+        ):
+            assert not ref.lfu.put(k, np.array(v, dtype=np.float32), freq=int(f))
+        ref.stats.hits = int(state["hits"])
+        ref.stats.misses = int(state["misses"])
+        self._assert_agrees("load_state")
+
+    def flush_all(self):
+        want = self._ref_state()
+        keys, values = super().flush_all()
+        assert np.array_equal(
+            keys, np.concatenate([want["lru_keys"], want["lfu_keys"]])
+        )
+        assert np.array_equal(
+            values, np.concatenate([want["lru_values"], want["lfu_values"]])
+        )
+        hits, misses = self.ref.stats.hits, self.ref.stats.misses
+        self._new_ref()
+        self.ref.stats.hits, self.ref.stats.misses = hits, misses
+        self._assert_agrees("flush_all")
+        return keys, values
+
+
+def shadow_caches(cluster) -> None:
+    """Shadow every node's (still empty) MEM cache on the dict seed."""
+    for node in cluster.nodes:
+        cache = node.mem_ps.cache
+        assert len(cache) == 0
+        cache.__class__ = ShadowedCombinedCache
+        cache._new_ref()
+
+
+class CacheTraffic:
+    """``MemPS``'s verbs on a small shadowed cache over a dict "SSD".
+
+    Up to a few rounds are in flight at once (the depth-k window); each
+    holds the rows its resolve and insert returned.  ``truth`` records
+    the last value written per key, and every resolve checks that what
+    it serves — from either tier, or back from the SSD after any number
+    of demotions and flushes — is exactly that (the losslessness
+    contract).  The shadow does the op-by-op parity checking.
+    """
+
+    def __init__(self, capacity: int, lru_fraction: float, dim: int = 2) -> None:
+        self.dim = dim
+        self.make = lambda: ShadowedCombinedCache(
+            capacity, lru_fraction=lru_fraction, value_dim=dim
+        )
+        self.cache = self.make()
+        self.ssd: dict[int, np.ndarray] = {}
+        self.truth: dict[int, np.ndarray] = {}
+        self.in_flight: list[tuple[np.ndarray, np.ndarray]] = []
+        self.prev: tuple = (None, None)
+        self.base: dict | None = None
+        self.dirty: set[int] = set()
+        self.writes = 0
+
+    def _init_value(self, key: int) -> np.ndarray:
+        return np.full(self.dim, key * 0.5, dtype=np.float32)
+
+    def _persist(self, fk: np.ndarray, fv: np.ndarray) -> None:
+        for k, v in zip(fk.tolist(), fv):
+            self.ssd[k] = v.copy()
+
+    @property
+    def at_boundary(self) -> bool:
+        return not self.in_flight
+
+    def room(self) -> int:
+        """Largest union guaranteed to fit beside the pins held."""
+        return self.cache.lru.capacity - self.cache.pinned_count()
+
+    # -- verbs -----------------------------------------------------------
+    def resolve(self, keys, *, carry: bool) -> bool:
+        """One ``MemPS._resolve``: tier-ordered lookup, pin the hits,
+        load the misses (SSD, else fresh init), insert them pinned.
+        Returns False — with the cache untouched — if the union was
+        refused as oversubscribed."""
+        cache = self.cache
+        keys = np.unique(as_keys(keys))
+        before = cache._ref_state()
+        try:
+            hit, rows = cache.prefetch_resolve(
+                keys, *(self.prev if carry else (None, None))
+            )
+        except TierStateError:
+            cache._assert_agrees("refused resolve must not mutate")
+            cache._assert_state(before, "refused resolve must not mutate")
+            return False
+        cache.pin_rows(rows[hit])
+        miss = keys[~hit]
+        if miss.size:
+            vals = np.stack(
+                [self.ssd.get(k, self._init_value(k)) for k in miss.tolist()]
+            )
+            fk, fv, rows[~hit] = cache.put_batch(miss, vals, pin=True)
+            self._persist(fk, fv)
+        served = cache.values_at(rows)
+        for k, v in zip(keys.tolist(), served):
+            assert np.array_equal(v, self.truth.get(k, self._init_value(k))), (
+                f"key {k} lost its last written value"
+            )
+        self.in_flight.append((keys, rows))
+        self.prev = (keys, rows)
+        return True
+
+    def write(self, which: int, mask) -> None:
+        """``absorb_updates`` / ``apply_gradients``: new values through
+        the rows of in-flight round ``which``."""
+        keys, rows = self.in_flight[which % len(self.in_flight)]
+        sel = np.flatnonzero(np.resize(np.asarray(mask, dtype=bool), keys.size))
+        self.writes += 1
+        vals = np.repeat(
+            (keys[sel].astype(np.float32) + 0.125 * self.writes)[:, None],
+            self.dim,
+            axis=1,
+        )
+        self.cache.update_rows(rows[sel], vals)
+        for k, v in zip(keys[sel].tolist(), vals):
+            self.truth[k] = v
+            self.dirty.add(k)
+
+    def touch(self, which: int) -> None:
+        """Window consume: account a hit at an in-flight round's rows."""
+        _, rows = self.in_flight[which % len(self.in_flight)]
+        self.cache.touch_rows(rows)
+
+    def end_round(self, which: int = 0) -> None:
+        """``end_batch``: release a round's pins except the rows the
+        rounds still in flight share with it."""
+        _, rows = self.in_flight.pop(which % len(self.in_flight))
+        self.cache.unpin_rows_except(rows, [r for _, r in self.in_flight])
+        if self.at_boundary:
+            assert self.cache.pinned_count() == 0
+
+    def abort(self) -> None:
+        """``abort_round``: drop every in-flight round and the carry."""
+        for _, rows in self.in_flight:
+            self.cache.unpin_rows(rows)
+        self.in_flight.clear()
+        self.prev = (None, None)
+        assert self.cache.pinned_count() == 0
+
+    def peek(self, keys) -> None:
+        self.cache.peek_batch(as_keys(keys))
+
+    def insert_unpinned(self, keys) -> None:
+        """The frozen micro-benchmark's shape: an unpinned insert of
+        absent keys, possibly larger than the LRU tier (spill-through)."""
+        keys = np.unique(as_keys(keys))
+        keys = keys[~self.cache.peek_batch(keys)[1]]
+        if keys.size == 0:
+            return
+        vals = np.stack(
+            [self.ssd.get(k, self._init_value(k)) for k in keys.tolist()]
+        )
+        fk, fv, _ = self.cache.put_batch(keys, vals)
+        self._persist(fk, fv)
+
+    def snapshot_roundtrip(self) -> None:
+        """Full checkpoint → restore into a fresh cache, which takes
+        over (its future evictions must be the original's)."""
+        state = self.cache.export_state()
+        restored = self.make()
+        restored.load_state(state)
+        self._adopt(restored)
+
+    def take_base(self) -> None:
+        """Start a delta chain: remember a full snapshot."""
+        self.base = self.cache.export_state()
+        self.dirty.clear()
+
+    def delta_roundtrip(self, *, by_dirty_keys: bool) -> None:
+        """Delta snapshot against the base → apply on a cache holding
+        the base → it takes over and becomes the next base."""
+        assert self.base is not None
+        dirty = as_keys(sorted(self.dirty)) if by_dirty_keys else None
+        delta = self.cache.export_delta(self.base, dirty_keys=dirty)
+        restored = self.make()
+        restored.load_state(self.base)
+        restored.load_delta(delta)
+        self._adopt(restored)
+        self.take_base()
+
+    def _adopt(self, restored: ShadowedCombinedCache) -> None:
+        want = self.cache.export_state()
+        got = restored.export_state()
+        for name, value in want.items():
+            assert np.array_equal(got[name], value), f"restore: {name}"
+        self.cache = restored
+        self.prev = (None, None)
+
+    def flush_all(self) -> None:
+        """``flush_to_ssd``: drain both tiers to the SSD."""
+        self._persist(*self.cache.flush_all())
+        assert len(self.cache) == 0
+        self.prev = (None, None)

@@ -9,6 +9,7 @@ import pytest
 
 from repro.config import ClusterConfig
 from repro.core.cluster import HPSCluster
+from repro.errors import TierStateError
 from repro.hbm.hash_table import HashTable
 from repro.mem.cache import CombinedCache
 
@@ -30,8 +31,11 @@ class TestCapacityViolations:
             cluster.train_round()
 
     def test_pinned_overflow_is_loud(self, tiny_spec):
-        """A pinned working set beyond MEM capacity must raise with the
-        paper's explanation."""
+        """A round's MEM working set beyond the LRU tier is refused at
+        the first resolve — typed, naming the sizes and the knobs, with
+        the paper's explanation and the cache untouched (it used to end
+        in a bare ``RuntimeError`` from the miss insert, or, when LRU
+        hits + LFU promotions alone overflowed, in stale rows)."""
         cfg = ClusterConfig(
             n_nodes=1,
             gpus_per_node=2,
@@ -42,8 +46,12 @@ class TestCapacityViolations:
             seed=0,
         )
         cluster = HPSCluster(tiny_spec, cfg, functional_batch_size=512)
-        with pytest.raises(RuntimeError, match="pinned"):
+        with pytest.raises(TierStateError, match="pinned") as err:
             cluster.train_round()
+        cache = cluster.nodes[0].mem_ps.cache
+        for part in ("10-row LRU tier", "mem_capacity_params", "cache_lru_fraction"):
+            assert part in str(err.value)
+        assert len(cache) == 0 and cache.stats.accesses == 0
 
     def test_hash_table_never_silently_drops(self):
         t = HashTable(4, 1)
@@ -103,18 +111,16 @@ class TestDataBoundaries:
         for node in cluster.nodes:
             node.ssd_ps.check_invariants()
             # No pins leak across batches.
-            assert node.mem_ps.cache.lru.pinned_count() == 0
+            assert node.mem_ps.cache.pinned_count() == 0
 
 
 class TestCacheEdges:
     def test_minimum_viable_cache(self):
         c = CombinedCache(2, lru_fraction=0.5, value_dim=1)
-        c.put(1, np.zeros(1, np.float32))
-        c.put(2, np.zeros(1, np.float32))
-        c.put(3, np.zeros(1, np.float32))
-        assert len(c) <= 2
-
-    def test_pending_flush_empty_by_default(self):
-        c = CombinedCache(4, value_dim=1)
-        fk, fv = c.take_pending_flush()
-        assert fk.size == 0 and fv.shape == (0, 1)
+        flushed = []
+        for k in (1, 2, 3):
+            fk, _, _ = c.put_batch(
+                np.array([k], dtype=np.uint64), np.zeros((1, 1), np.float32)
+            )
+            flushed += fk.tolist()
+        assert len(c) == 2 and flushed == [1]

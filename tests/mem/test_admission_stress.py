@@ -1,186 +1,140 @@
-"""Randomized collision-interleaving stress for the admission engine.
+"""Seeded pressure streams for the MEM cache's admission paths.
 
-The bulk-exact admission plan must be *sequential-equivalent* under the
-nastiest interleavings: cache capacity far below the batch size,
-duplicate keys inside one batch, pinned rows blocking the eviction
-frontier, and promotion/demotion storms.  Every trial drives the slab
-caches and the seed per-key reference (``tests/cache_oracles.py``) with
-an identical operation stream and asserts bit-identical contents,
-eviction order, flush pairs, and statistics.
+The cache must be *sequential-equivalent* to the seed per-key reference
+(``tests/cache_oracles.py``) in the regime that hurts: capacity far
+below the key space, several rounds' pins blocking the eviction
+frontier, and promotion / demotion / flush storms on every resolve.
+The streams are the traffic ``MemPS`` really sends — the same
+``CacheTraffic`` verbs the hypothesis state machine in
+``test_cache_traffic.py`` explores, here under fixed seeds so a failure
+names a trial that reproduces forever.  Every step is checked by the
+shadow: bit-identical contents, eviction order, flush pairs, statistics.
 
-A third cache — the slab cache driven key by key through its own scalar
-``get``/``put`` (``ScalarCombinedCache``) — is spot-checked against the
-bulk engine on a subset of trials, pinning down eviction *order* too.
+The two tier slabs are additionally driven on their own — LRU insert,
+its demotion stream into the LFU, chained by hand — against the seed
+tier classes.
 """
 
 import numpy as np
 import pytest
 
-from cache_oracles import (
-    DictCombinedCache,
-    ScalarCombinedCache,
-    replay_get,
-    replay_put,
-)
-from repro.mem.cache import CombinedCache, LFUCache, LRUCache
+from cache_oracles import CacheTraffic, DictLFUCache, DictLRUCache
+from repro.errors import TierStateError
+from repro.mem.cache import LFUCache, LRUCache
 
 N_TRIALS = 220
 
 
-def _flush_equal(a, b, ctx=""):
-    assert np.array_equal(a[0], b[0]), f"{ctx}: flush keys diverge"
-    assert np.array_equal(a[1], b[1]), f"{ctx}: flush values diverge"
-
-
-def _items_equal(a, b, ctx=""):
-    ka, va = a.items()
-    kb, vb = b.items()
-    assert np.array_equal(ka, kb), f"{ctx}: resident keys diverge"
-    assert np.array_equal(va, vb), f"{ctx}: resident values diverge"
-
-
-def _trial_ops(
-    rng: np.random.Generator, key_space: int, batch_hi: int, lru_cap: int
-):
-    """One trial's operation stream: heavy pressure, duplicates, pins."""
-    ops = []
-    pinned: set[int] = set()
-    pin_budget = max(1, lru_cap // 2)
-    for _ in range(int(rng.integers(6, 14))):
-        kind = rng.choice(
-            ["get_batch", "put_batch", "pin_put", "unpin", "settle"],
-            p=[0.3, 0.35, 0.15, 0.12, 0.08],
-        )
-        n = int(rng.integers(1, batch_hi))
-        # ~30% of batches carry duplicate keys (sampled with replacement).
-        replace = bool(rng.random() < 0.3) or n > key_space
-        keys = rng.choice(key_space, size=n, replace=replace).astype(np.uint64)
-        if kind == "get_batch":
-            ops.append(("get_batch", keys))
-        elif kind in ("put_batch", "pin_put"):
-            pin = kind == "pin_put"
-            if pin:
-                # Pinned working sets must fit the LRU tier (the paper's
-                # Section 5 contract) and be duplicate-free like a real
-                # working set; budget them like the MEM-PS does.
-                room = pin_budget - len(pinned)
-                keys = np.unique(keys)[: max(0, room)]
-                if keys.size == 0:
-                    continue
-                pinned.update(keys.tolist())
-            vals = rng.normal(size=(keys.size, 2)).astype(np.float32)
-            ops.append(("put_batch", (keys, vals, pin)))
-        elif kind == "unpin":
-            ops.append(("unpin", np.array(sorted(pinned), dtype=np.uint64)))
-            pinned.clear()
-        else:
-            ops.append(("settle", None))
-    ops.append(("unpin", np.array(sorted(pinned), dtype=np.uint64)))
-    ops.append(("settle", None))
-    return ops
-
-
-def _drive(cache, ops):
-    """Replay ``ops``; returns the trial's observable output trace."""
-    trace = []
-    for op, payload in ops:
-        if op == "get_batch":
-            values, hit = cache.get_batch(payload)
-            trace.append((values.copy(), hit.copy()))
-            trace.append(cache.take_pending_flush())
-        elif op == "put_batch":
-            keys, vals, pin = payload
-            trace.append(cache.put_batch(keys, vals, pin=pin))
-        elif op == "unpin":
-            cache.unpin_batch(payload)
-        else:
-            trace.append(cache.settle_overflow())
-    return trace
-
-
-def _assert_traces_equal(ta, tb, seed):
-    assert len(ta) == len(tb)
-    for i, (a, b) in enumerate(zip(ta, tb)):
-        ctx = f"seed {seed}, output {i}"
-        assert np.array_equal(a[0], b[0]), ctx
-        assert np.array_equal(a[1], b[1]), ctx
-
-
 @pytest.mark.parametrize("trial", range(N_TRIALS))
 def test_admission_matches_per_key_reference(trial):
-    """capacity ≪ batch, duplicates, pins: bit-identical to the seed."""
+    """capacity ≪ key space, overlapping pinned rounds, snapshots:
+    bit-identical to the seed at every step."""
     rng = np.random.default_rng(1000 + trial)
     capacity = int(rng.integers(8, 40))
-    lru_fraction = float(rng.uniform(0.3, 0.7))
     key_space = int(rng.integers(capacity, capacity * 6))
-    batch_hi = max(3, capacity * 2)
-    new = CombinedCache(capacity, lru_fraction=lru_fraction, value_dim=2)
-    old = DictCombinedCache(capacity, lru_fraction=lru_fraction, value_dim=2)
-    ops = _trial_ops(rng, key_space, batch_hi, new.lru.capacity)
-    ref_trace = _drive(old, ops)
-    _assert_traces_equal(_drive(new, ops), ref_trace, 1000 + trial)
-    _items_equal(new, old, f"trial {trial}")
-    assert len(new) == len(old)
-    assert new.stats.hits == old.stats.hits
-    assert new.stats.misses == old.stats.misses
-    if trial % 10 == 0:
-        # Spot-check the slab cache's own scalar ops against the bulk
-        # engine: export_state pins down eviction *order*, not just
-        # contents.
-        oracle = ScalarCombinedCache(
-            capacity, lru_fraction=lru_fraction, value_dim=2
-        )
-        _assert_traces_equal(_drive(oracle, ops), ref_trace, trial)
-        state_a, state_b = new.export_state(), oracle.export_state()
-        for field in state_a:
-            assert np.array_equal(state_a[field], state_b[field]), field
+    t = CacheTraffic(capacity, float(rng.uniform(0.3, 0.7)))
+    lru_cap = t.cache.lru.capacity
+
+    def some_keys(hi):
+        n = int(rng.integers(1, max(2, hi + 1)))
+        return rng.choice(key_space, size=min(n, key_space), replace=False)
+
+    for _ in range(int(rng.integers(8, 20))):
+        verbs = ["resolve", "peek", "insert_unpinned"]
+        if t.in_flight:
+            verbs += ["write", "write", "touch", "end_round", "end_round"]
+        else:
+            verbs += ["snapshot", "delta", "flush_all"]
+        verb = rng.choice(verbs)
+        if verb == "resolve" and len(t.in_flight) < 3:
+            # Mostly unions that fit beside the pins held; sometimes one
+            # sized against the whole tier, which must be refused —
+            # cache untouched — whenever it oversubscribes.
+            hi = t.room() if rng.random() < 0.85 else lru_cap + 2
+            t.resolve(some_keys(hi), carry=bool(rng.random() < 0.6))
+        elif verb == "write":
+            t.write(int(rng.integers(3)), rng.random(8) < 0.6)
+        elif verb == "touch":
+            t.touch(int(rng.integers(3)))
+        elif verb == "end_round":
+            t.end_round(int(rng.integers(3)))
+        elif verb == "peek":
+            t.peek(some_keys(12))
+        elif verb == "insert_unpinned":
+            t.insert_unpinned(some_keys(2 * lru_cap))
+        elif verb == "snapshot":
+            t.snapshot_roundtrip()
+        elif verb == "delta":
+            if t.base is None:
+                t.take_base()
+            else:
+                t.delta_roundtrip(by_dirty_keys=bool(rng.random() < 0.5))
+        elif verb == "flush_all":
+            t.flush_all()
+    if trial % 2:
+        t.abort()
+    while t.in_flight:
+        t.end_round()
+    assert t.cache.pinned_count() == 0
+    t.cache.export_state()  # one last full comparison against the seed
 
 
 @pytest.mark.parametrize("seed", range(40))
 def test_standalone_tiers_match_scalar_replay(seed):
-    """LRU and LFU batch admission vs their own per-key loops."""
+    """The two tier slabs chained by hand — LRU insert, its demotion
+    stream into the LFU — against the seed tiers looped per key: same
+    victims, order, values and frequency seeds, with pins, touches and
+    spill-through in the LRU and arrivals evicted inside their own batch
+    in the LFU."""
     rng = np.random.default_rng(2000 + seed)
     capacity = int(rng.integers(4, 24))
-    key_space = capacity * 4
-
-    bulk_lru = LRUCache(capacity, value_dim=2)
-    ref_lru = LRUCache(capacity, value_dim=2)
-    bulk_lfu = LFUCache(capacity, value_dim=2)
-    ref_lfu = LFUCache(capacity, value_dim=2)
+    fresh = iter(rng.permutation(100_000).astype(np.uint64))
+    lru, ref_lru = LRUCache(capacity, 2), DictLRUCache(capacity)
+    lfu, ref_lfu = LFUCache(capacity, 2), DictLFUCache(capacity)
+    counts: dict[int, int] = {}
     for _ in range(8):
+        # Touch some residents (a resolve's LRU segment), unpin others.
+        slots, _ = lru._items_in_order(lru._tick)
+        touched = slots[rng.random(slots.size) < 0.4]
+        lru._tick[touched] = lru._ticks(touched.size)
+        lru._count[touched] += 1
+        for k in lru._keys[touched].tolist():
+            assert ref_lru.get(k) is not None
+            counts[k] += 1
+        released = slots[rng.random(slots.size) < 0.5]
+        lru._pinned[released] = False
+        for k in lru._keys[released].tolist():
+            ref_lru.unpin(k)
+
         n = int(rng.integers(1, capacity * 2))
-        keys = rng.integers(0, key_space, size=n).astype(np.uint64)
+        keys = np.array([next(fresh) for _ in range(n)], dtype=np.uint64)
         vals = rng.normal(size=(n, 2)).astype(np.float32)
-        if rng.random() < 0.25 and bulk_lru.size:
-            pin_key = rng.choice(np.asarray(bulk_lru.keys()))
-            bulk_lru.pin_batch(np.array([pin_key], dtype=np.uint64))
-            ref_lru.pin_batch(np.array([pin_key], dtype=np.uint64))
-        _flush_equal(
-            bulk_lru.put_batch(keys, vals), replay_put(ref_lru, keys, vals)
-        )
-        _flush_equal(
-            bulk_lfu.put_batch(keys, vals), replay_put(ref_lfu, keys, vals)
-        )
-        probe = rng.integers(0, key_space, size=n).astype(np.uint64)
-        va, ha = bulk_lfu.get_batch(probe)
-        vb, hb = replay_get(ref_lfu, probe)
-        assert np.array_equal(ha, hb) and np.array_equal(va, vb)
-        bulk_lru.unpin_batch(keys)
-        ref_lru.unpin_batch(keys)
-    assert bulk_lru.keys() == ref_lru.keys()  # full recency order
-    assert bulk_lfu.keys() == ref_lfu.keys()
+        pin = bool(rng.random() < 0.3)
+        if pin and n + int(lru._pinned.sum()) > capacity:
+            with pytest.raises(TierStateError, match="pinned"):
+                lru.insert(keys, vals, True)
+            pin = False
+        rows, ekeys, evals, ecounts = lru.insert(keys, vals, pin)
+        demoted = []
+        for k, v in zip(keys.tolist(), vals):
+            counts[k] = 1
+            demoted += ref_lru.put(k, v, pin=pin)
+        assert ekeys.tolist() == [k for k, _ in demoted]
+        assert ecounts.tolist() == [counts.pop(k) for k, _ in demoted]
+        assert np.array_equal(evals, np.array([v for _, v in demoted]).reshape(-1, 2))
+        landed = rows >= 0
+        assert np.array_equal(lru._keys[rows[landed]], keys[landed])
+        assert landed.tolist() == [k in ref_lru for k in keys.tolist()]
+        assert lru._items_in_order(lru._tick)[1].tolist() == ref_lru.keys()
 
-
-def test_collision_splits_are_exercised():
-    """The pressure construction actually hits the collision path — a
-    promotion storm over a full LRU whose oldest residents are re-read."""
-    cache = CombinedCache(12, lru_fraction=0.5, value_dim=1)
-    warm = np.arange(12, dtype=np.uint64)
-    cache.put_batch(warm, np.zeros((12, 1), np.float32))
-    # keys 0..5 are now LFU residents; 6..11 fill the LRU.  Reading the
-    # oldest LRU keys interleaved with LFU promotions forces residents
-    # into the eviction frontier.
-    probe = np.array([6, 0, 7, 1, 8, 2], dtype=np.uint64)
-    _, hit = cache.get_batch(probe)
-    assert hit.all()
-    assert cache.stats.admission_runs + cache.stats.collision_splits > 1
+        fk, fv = lfu.bulk_insert(ekeys, evals, ecounts)
+        flushed = []
+        for (k, v), f in zip(demoted, ecounts.tolist()):
+            flushed += ref_lfu.put(k, v, freq=f)
+        assert fk.tolist() == [k for k, _ in flushed]
+        assert np.array_equal(fv, np.array([v for _, v in flushed]).reshape(-1, 2))
+        slots, resident = lfu._items_in_order(lfu._tick)
+        assert resident.tolist() == ref_lfu.keys()  # entry order
+        assert lfu._freq[slots].tolist() == [
+            ref_lfu.frequency(k) for k in ref_lfu.keys()
+        ]

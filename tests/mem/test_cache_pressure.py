@@ -2,8 +2,8 @@
 
 The working set of an in-flight batch is pinned and must survive any
 eviction storm; everything evicted on the way down (LRU→LFU demotion,
-LFU→SSD flush, promotion-induced flushes) must reach the SSD-PS with its
-latest value — losslessness is the Fig. 3(b) contract.
+LFU→SSD flush) must reach the SSD-PS with its latest value —
+losslessness is the Fig. 3(b) contract.
 """
 
 import numpy as np
@@ -49,23 +49,25 @@ class TestPinnedUnderPressure:
         cache = CombinedCache(40, lru_fraction=0.5, value_dim=1)
         working = np.arange(10, dtype=np.uint64)
         wvals = np.arange(10, dtype=np.float32).reshape(-1, 1)
-        cache.put_batch(working, wvals, pin=True)
+        _, _, rows = cache.put_batch(working, wvals, pin=True)
         for start in range(100, 500, 40):
             keys = np.arange(start, start + 40, dtype=np.uint64)
             cache.put_batch(keys, np.zeros((40, 1), np.float32))
         vals, hit = cache.get_batch(working)
         assert hit.all()
         assert np.array_equal(vals, wvals)
+        assert np.array_equal(cache.values_at(rows), wvals)  # rows stable
         assert len(cache) <= cache.capacity
-        cache.unpin_batch(working)
+        cache.unpin_rows(rows)
 
     def test_pinned_keys_skipped_in_eviction_order(self):
         cache = CombinedCache(8, lru_fraction=0.5, value_dim=1)
-        cache.put(0, np.array([0.0], np.float32), pin=True)  # oldest, pinned
+        one = np.zeros((1, 1), np.float32)
+        _, _, rows = cache.put_batch(keys_of([0]), one, pin=True)  # oldest, pinned
         for k in range(1, 10):
-            cache.put(k, np.array([float(k)], np.float32))
-        assert cache.contains(0)  # despite being least recent
-        cache.unpin_batch(keys_of([0]))
+            cache.put_batch(keys_of([k]), one + k)
+        assert cache.peek_batch(keys_of([0]))[1][0]  # despite being least recent
+        cache.unpin_rows(rows)
 
     def test_mem_ps_pins_the_round_until_end_batch(self, round_plan):
         m = make_mem(cache=64)
@@ -73,7 +75,7 @@ class TestPinnedUnderPressure:
         plan = round_plan([[keys]], node_partitioner=m.partitioner)
         m.prefetch(plan.prefetch[0])
         m.prepare(plan.nodes[0])
-        assert m.cache.lru.pinned_count() == 16
+        assert m.cache.pinned_count() == 16
         # Overflow pressure while the batch is in flight.
         m.cache.put_batch(
             keys_of(range(100, 160)), np.zeros((60, 2), np.float32)
@@ -82,25 +84,10 @@ class TestPinnedUnderPressure:
         assert hit.all()
         m.absorb_updates(np.ones((16, 2), np.float32), plan.nodes[0])
         m.end_batch()
-        assert m.cache.lru.pinned_count() == 0
+        assert m.cache.pinned_count() == 0
 
 
 class TestLosslessnessUnderChurn:
-    def test_promotion_flush_plumbing_is_drained_to_ssd(self, train_keys):
-        """Values parked by get-promotion flushes reach the SSD-PS on the
-        next resolve (``take_pending_flush`` drain path in prefetch)."""
-        m = make_mem(cache=16)
-        cache = m.cache
-        # Simulate a promotion flush: park a trained value in the pending
-        # buffer exactly as CombinedCache.get would.
-        parked_key = 999
-        parked_val = np.full(2, 7.5, dtype=np.float32)
-        cache._pending_flush.append((parked_key, parked_val))
-        train_keys(m, keys_of([1, 2]), 0.0)
-        result, _ = m.ssd_ps.load(keys_of([parked_key]))
-        assert result.found[0]
-        assert np.array_equal(result.values[0], parked_val)
-
     def test_lfu_to_lru_promotion_keeps_updated_values(self, train_keys):
         """A value updated, demoted to the LFU, promoted back, and evicted
         again is never lost — it always reads back with its last value."""
@@ -127,17 +114,15 @@ class TestLosslessnessUnderChurn:
         written: dict[int, float] = {}
         for round_ in range(40):
             keys = rng.choice(500, size=20, replace=False).astype(np.uint64)
-            vals = rng.normal(size=(20, 1)).astype(np.float32)
+            keys = keys[~cache.peek_batch(keys)[1]]  # the insert's contract
+            vals = rng.normal(size=(keys.size, 1)).astype(np.float32)
             for k, v in zip(keys.tolist(), vals[:, 0].tolist()):
                 written[k] = v
-            fk, fv = cache.put_batch(keys, vals)
+            fk, fv, _ = cache.put_batch(keys, vals)
             for k, v in zip(fk.tolist(), fv[:, 0].tolist()):
                 persisted[k] = v
-        ik, iv = cache.items()
+        ik, iv = cache.flush_all()
         current = dict(persisted)
         current.update(zip(ik.tolist(), iv[:, 0].tolist()))
-        for k, v in written.items():
-            assert k in current
-            # Resident entries must hold the latest write exactly.
-            if k in ik.tolist():
-                assert current[k] == v
+        # Flushed or resident, every key holds its latest write exactly.
+        assert current == written

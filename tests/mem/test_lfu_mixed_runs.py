@@ -1,18 +1,18 @@
-"""LFU mixed-run admission under eviction pressure.
+"""LFU insert runs under eviction pressure.
 
-The PR-5 planner cut any run where a resident overwrite collided with an
-eviction storm, because the static pool of ``_greedy_evictions`` cannot
-see mid-run frequency bumps.  The mixed-run extension models each bump
-as an arrival at its post-bump priority, so prefetch-shaped traces —
-re-dumping hot resident keys interleaved with a miss storm of fresh keys
-— stay collision-free.  Exactness is checked against the scalar replay
-(the cache's own ``get``/``put`` looped per key on a twin).
+A demotion run is *mixed*: its victims come both from the tier's
+residents and from the run's own arrivals (a cold arrival is evicted by a
+later one before a hot resident is), and frequencies are seeded per key.
+``LFUCache.bulk_insert`` solves the whole run offline in one pass
+(``_greedy_evictions``); exactness is checked against the seed
+``DictLFUCache`` looped per key, and — one level up — against the seed
+combined policy through the shadowed cache.
 """
 
 import numpy as np
 import pytest
 
-from cache_oracles import replay_get, replay_put
+from cache_oracles import DictLFUCache, ShadowedCombinedCache
 from repro.mem.cache import LFUCache
 
 
@@ -28,107 +28,103 @@ def vals_for(keys, dim=2, salt=0.0):
 
 
 def pair(capacity, dim=2):
-    return LFUCache(capacity, value_dim=dim), LFUCache(capacity, value_dim=dim)
+    return LFUCache(capacity, dim), DictLFUCache(capacity)
 
 
-def assert_same_state(fast: LFUCache, oracle: LFUCache):
-    # keys() is tick-ordered, so this also compares recency structure.
-    assert fast.keys() == oracle.keys()
-    for k in oracle.keys():
-        assert fast.frequency(k) == oracle.frequency(k), k
+def assert_same_state(fast: LFUCache, oracle: DictLFUCache):
+    # Tick order vs dict order: this also compares the entry-order
+    # structure that breaks frequency ties.
+    slots, keys = fast._items_in_order(fast._tick)
+    assert keys.tolist() == oracle.keys()
+    assert fast._freq[slots].tolist() == [oracle.frequency(k) for k in oracle.keys()]
 
 
-def put_both(fast, oracle, keys, vals, **kw):
-    fk, fv = fast.put_batch(keys, vals, **kw)
-    ok, ov = replay_put(oracle, keys, vals, **kw)
-    assert np.array_equal(fk, ok)
-    assert np.array_equal(fv, ov)
+def insert_both(fast, oracle, keys, vals, freqs):
+    fk, fv = fast.bulk_insert(keys, vals, np.asarray(freqs, dtype=np.int64))
+    flushed = []
+    for k, v, f in zip(keys.tolist(), vals, freqs):
+        flushed += oracle.put(k, v, freq=int(f))
+    assert fk.tolist() == [k for k, _ in flushed]
+    assert np.array_equal(fv, np.array([v for _, v in flushed]).reshape(-1, 2))
     assert_same_state(fast, oracle)
+
+
+def pressured_cache():
+    """A shadowed 8+8 cache, both tiers full: keys 0..7 demoted into the
+    LFU, 8..15 in the LRU."""
+    cache = ShadowedCombinedCache(16, lru_fraction=0.5, value_dim=2)
+    base = keys_of(range(16))
+    cache.put_batch(base, vals_for(base))
+    return cache
 
 
 class TestMixedRunExtension:
     def test_prefetch_shaped_trace_stays_collision_free(self):
-        """Hot residents re-dumped inside a miss storm: zero cuts."""
-        fast, oracle = pair(32)
-        base = keys_of(range(32))
-        put_both(fast, oracle, base, vals_for(base))
-        hot = keys_of(range(8))
-        for _ in range(3):  # make the residents clearly hot
-            fast.get_batch(hot)
-            replay_get(oracle, hot)
-        # The prefetch shape: predicted-miss pulls (fresh keys, eviction
-        # storm) interleaved with re-dumps of hot resident keys.
-        trace = np.empty(24, dtype=np.uint64)
-        trace[0::3] = hot
-        trace[1::3] = keys_of(range(100, 108))
-        trace[2::3] = keys_of(range(200, 208))
-        runs_before = fast.admission_runs
-        put_both(fast, oracle, trace, vals_for(trace, salt=0.5))
-        assert fast.collision_splits == 0
-        # The whole trace went through as one admission run.
-        assert fast.admission_runs == runs_before + 1
+        """Hot residents of both tiers re-read inside a miss storm, on a
+        full cache: the resolve is one dense pass per tier segment and
+        the miss insert one more — never a cut."""
+        cache = pressured_cache()
+        union = keys_of([2, 5, 9, 12, 14, 100, 101, 102])  # 2 LFU, 3 LRU, 3 new
+        runs_before = cache.stats.admission_runs
+        hit, rows = cache.prefetch_resolve(union)
+        assert hit.tolist() == [True] * 5 + [False] * 3
+        assert cache.stats.admission_runs == runs_before + 3
+        cache.pin_rows(rows[hit])
+        fk, _, rows[~hit] = cache.put_batch(
+            union[~hit], vals_for(union[~hit]), pin=True
+        )
+        assert cache.stats.admission_runs == runs_before + 4
+        # 2 promotions + 3 inserts pushed 5 rows down into a full LFU
+        # that the promotions had only freed 2 rows of.
+        assert fk.size == 3
+        assert np.array_equal(cache.lru._keys[rows], union)
 
     def test_bumped_resident_evicted_later_flushes_new_value(self):
-        """A resident overwritten early can still be evicted later in
-        the same run; the flush must carry the batch's new value."""
-        fast, oracle = pair(4)
-        base = keys_of([0, 1, 2, 3])
-        put_both(fast, oracle, base, vals_for(base))
-        # Key 0 is overwritten (freq→2) then 5 fresh keys storm the
-        # 4-slot cache: sequential order evicts 1,2,3 (freq 1), then the
-        # freq-2 items — including bumped key 0 with its NEW value.
-        trace = keys_of([0, 10, 11, 12, 13, 14])
-        put_both(fast, oracle, trace, vals_for(trace, salt=9.0))
-
-    def test_unsafe_run_still_cut_exactly(self):
-        """When every pool candidate is at least as hot as a resident
-        that an earlier arrival's eviction could reach, pre-bump safety
-        fails and the planner falls back to cutting — exactness over
-        speed."""
-        fast, oracle = pair(4)
-        base = keys_of([0, 1, 2, 3])
-        put_both(fast, oracle, base, vals_for(base))
-        # heat everything except key 0
-        fast.get_batch(keys_of([1, 2, 3]))
-        replay_get(oracle, keys_of([1, 2, 3]))
-        # Arrival 10 triggers an eviction whose only victim candidate
-        # cheaper than resident 0 is... nothing — key 0 IS the cache
-        # minimum, so its overwrite at position 1 is not pre-bump safe.
-        runs_before = fast.admission_runs
-        trace = keys_of([10, 0, 11, 12, 13])
-        put_both(fast, oracle, trace, vals_for(trace, salt=3.0))
-        # The run was cut (two admission runs).
-        assert fast.admission_runs == runs_before + 2
+        """A key promoted (frequency bumped), rewritten through its row,
+        demoted again and finally flushed leaves with its *new* value."""
+        cache = pressured_cache()
+        hit, rows = cache.prefetch_resolve(keys_of([3]))
+        assert hit.all()
+        cache.pin_rows(rows)
+        cache.update_rows(rows, vals_for([3], salt=9.0))
+        cache.unpin_rows(rows)
+        # Demote it (frequency 2) under eight keys made hotter still, so
+        # the LFU finally prefers to flush it.
+        hot = keys_of(range(100, 108))
+        cache.put_batch(hot, vals_for(hot))
+        for _ in range(2):
+            assert cache.prefetch_resolve(hot)[0].all()
+        more = keys_of(range(108, 116))
+        fk, fv, _ = cache.put_batch(more, vals_for(more))
+        assert dict(zip(fk.tolist(), fv[:, 0].tolist()))[3] == 12.0
 
     @pytest.mark.parametrize("seed", range(12))
     def test_randomized_oracle_parity(self, seed):
-        """Random mixed traces: flush pairs, tick order, and frequencies
-        match the scalar replay bit-for-bit at every step."""
+        """Random runs of fresh keys with random frequency seeds, up to
+        twice the tier: flush pairs, entry order and frequencies match
+        the per-key seed at every step."""
         rng = np.random.default_rng(seed)
         capacity = int(rng.integers(4, 24))
         fast, oracle = pair(capacity)
-        universe = np.arange(3 * capacity, dtype=np.uint64)
+        fresh = iter(rng.permutation(10_000).astype(np.uint64))
         for _ in range(10):
             n = int(rng.integers(1, 2 * capacity))
-            batch = rng.choice(universe, size=n, replace=True)
-            if rng.random() < 0.4:  # sometimes heat a few residents
-                resident = keys_of(fast.keys()[: capacity // 2])
-                if resident.size:
-                    fast.get_batch(resident)
-                    replay_get(oracle, resident)
-            put_both(
+            batch = keys_of([next(fresh) for _ in range(n)])
+            insert_both(
                 fast,
                 oracle,
                 batch,
                 vals_for(batch, salt=float(rng.integers(0, 100))),
-                freq=int(rng.integers(1, 4)),
+                rng.integers(1, 4, size=n),
             )
 
     def test_mixed_runs_count_as_single_admission_run(self):
-        fast, _ = pair(8)
-        fast.put_batch(keys_of(range(8)), vals_for(keys_of(range(8))))
-        runs_before = fast.admission_runs
-        trace = keys_of([0, 1, 20, 21, 22, 23, 24, 25, 26, 27])
-        fast.put_batch(trace, vals_for(trace, salt=1.0))
-        assert fast.admission_runs == runs_before + 1
-        assert fast.collision_splits == 0
+        """An insert whose demotion cascade evicts residents *and* its
+        own spilled arrivals is still one admission run."""
+        cache = pressured_cache()
+        runs_before = cache.stats.admission_runs
+        big = keys_of(range(200, 220))  # 20 keys through an 8-row LRU
+        fk, _, rows = cache.put_batch(big, vals_for(big))
+        assert cache.stats.admission_runs == runs_before + 1
+        assert (rows[:12] == -1).all() and (rows[12:] >= 0).all()
+        assert fk.size == 20  # 8 old LRU rows + 12 spilled, into a full LFU

@@ -230,10 +230,10 @@ class TestEviction:
         plan, _ = start_round(a, keys_of(range(30)), peers=[b])
         a.prepare(plan)
         # b pinned the partition it serves; before end_batch it stays so.
-        assert b.cache.lru.pinned_count() > 0
+        assert b.cache.pinned_count() > 0
         a.end_batch()
         b.end_batch()
-        assert b.cache.lru.pinned_count() == 0
+        assert b.cache.pinned_count() == 0
 
     def test_flush_to_ssd_drains_cache(self, start_round):
         m = make_mem()

@@ -1,11 +1,13 @@
-"""Every tier implements the batch-first ParameterStore protocol."""
+"""The HBM tables, the SSD-PS and the flat store implement the
+batch-first ParameterStore protocol.  (The MEM cache does not: it takes
+unique absent keys from its one caller and hands out rows — see
+``repro.mem.cache``.)"""
 
 import numpy as np
 import pytest
 
 from repro.hbm.distributed_table import DistributedHashTable
 from repro.hbm.hash_table import HashTable
-from repro.mem.cache import CombinedCache, LFUCache, LRUCache
 from repro.ssd.ssd_ps import SSDPS
 from repro.store import FlatStore, ParameterStore
 
@@ -21,9 +23,12 @@ def vals_of(n, dim=2, base=0.0):
 ALL_STORES = [
     lambda: HashTable(64, 2),
     lambda: DistributedHashTable(2, 64, 2),
-    lambda: CombinedCache(64, value_dim=2),
-    lambda: LRUCache(64, value_dim=2),
-    lambda: LFUCache(64, value_dim=2),
+    # the same stores off their easy path: a one-GPU fabric, keys
+    # spread over several files behind the extent cache, a slab that
+    # has to grow on its first put
+    lambda: DistributedHashTable(1, 64, 2),
+    lambda: SSDPS(2, file_capacity=2, extent_cache_files=2),
+    lambda: FlatStore(2, capacity=2),
     lambda: SSDPS(2, file_capacity=8),
     lambda: FlatStore(2),
 ]
