@@ -66,7 +66,7 @@ from repro.core.node import HPSNode
 from repro.core.pipeline import PipelineSchedule
 from repro.nn.optim import DenseAdagrad, SparseAdagrad, SparseOptimizer
 from repro.plan import RoundPlan, build_round_plan
-from repro.utils.keys import as_keys
+from repro.utils.keys import as_keys, compact_unique
 
 if TYPE_CHECKING:
     from repro.ckpt.checkpoint import CheckpointStats
@@ -1271,7 +1271,9 @@ class HPSCluster:
                 state["since_full"] = 0
             else:
                 dirty = [
-                    np.unique(np.concatenate(parts)) if parts else as_keys([])
+                    compact_unique(np.concatenate(parts))
+                    if parts
+                    else as_keys([])
                     for parts in state["dirty"]
                 ]
                 stats = self.save_checkpoint(

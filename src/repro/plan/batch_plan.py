@@ -307,7 +307,7 @@ class RoundPlan:
             own = sp.nodes[node_id].missing_own_idx
             if own.size:
                 parts.append(sp.keys[own])
-        return np.unique(np.concatenate(parts))
+        return compact_unique(np.concatenate(parts))
 
 
 def round_mem_unions(
@@ -434,11 +434,12 @@ def build_round_plan(
                 # shard, so the union is the whole working set.
                 union_idx = np.arange(working.size, dtype=np.int64)
             else:
-                union_idx = (
-                    np.unique(np.concatenate(idx_group))
-                    if any(ix.size for ix in idx_group)
-                    else np.empty(0, dtype=np.int64)
-                )
+                # Same boolean scatter as the shard split above (the
+                # groups are already positions in ``working``).
+                for ix in idx_group:
+                    member[ix] = True
+                union_idx = np.flatnonzero(member)
+                member[union_idx] = False
             unions.append(union_idx)
             for g in range(n_gpus):
                 widx = idx_group[g]
