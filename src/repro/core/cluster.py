@@ -1115,7 +1115,12 @@ class HPSCluster:
         """Read-only embedding lookup across owners (for evaluation).
 
         Unknown keys return the optimizer's deterministic zero-ish init
-        without being persisted, and cache statistics are untouched.
+        without being persisted.  The MEM cache is only peeked — its
+        statistics and replacement order are untouched — but a MEM miss
+        is a real ``FileStore.read``: it is charged to the owning node's
+        ``ssd_read`` ledger line and moves the SSD extent cache's LRU
+        order (the simulated makespan of a run that serves between
+        rounds depends on both).
         Only callable at a round boundary — every completed round's
         write-back has landed in the MEM tier, so MEM cache + SSD hold
         the newest copy of every key (enforced via

@@ -257,7 +257,7 @@ class FaultArm:
                 ) from exc
             values, nbytes, seconds = recovered
             values = np.asarray(values, dtype=np.float32)
-            expected = store._payload(f)
+            expected = store._payload(f.file_id)
             if not np.array_equal(values, expected):
                 raise PayloadLostError(
                     f"checkpointed copy of parameter file {f.file_id} does "
@@ -268,7 +268,7 @@ class FaultArm:
                     kind=exc.kind,
                     node=self.node,
                 ) from exc
-            store._store_payload(f, values)
+            store._store_payload(f.file_id, values)
             self._charge(seconds)
             self.bytes_reread += int(nbytes)
             self._record(

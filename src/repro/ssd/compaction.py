@@ -72,53 +72,52 @@ class Compactor:
             return self.store.total_bytes > 0
         return self.store.total_bytes > self.usage_threshold * live
 
-    def victims(self):
-        """Files eligible for merging, most-stale first."""
-        out = [
-            f
-            for f in self.store.files()
-            if f.stale_fraction() >= self.stale_fraction
-        ]
-        out.sort(key=lambda f: f.stale_fraction(), reverse=True)
-        return out
+    def _select(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(file ids, row counts)`` of the merge victims, most-stale
+        first, ties by ascending file id — a fixed order, because the
+        victims' ``device.read`` charges accumulate in it."""
+        fids, rows, stale = self.store.file_table()
+        fraction = np.where(rows > 0, stale / np.maximum(rows, 1), 1.0)
+        pick = np.flatnonzero(fraction >= self.stale_fraction)
+        pick = pick[np.lexsort((fids[pick], -fraction[pick]))]
+        return fids[pick], rows[pick]
+
+    def victims(self) -> list[int]:
+        """Ids of the files eligible for merging, most-stale first."""
+        return self._select()[0].tolist()
 
     def compact(self) -> CompactionStats:
         """Run one compaction check (no-op when below threshold)."""
         if not self.should_compact():
             return CompactionStats(False, 0, 0, 0, 0, 0.0)
-        victims = self.victims()
-        if not victims:
+        store = self.store
+        victims, rows = self._select()
+        if not victims.size:
             return CompactionStats(False, 0, 0, 0, 0, 0.0)
 
         seconds = 0.0
         bytes_read = 0
-        live_keys = []
-        live_vals = []
-        for f in victims:
-            # Read the whole victim file, keep its live rows.
-            seconds += self.store.device.read(self.store.file_bytes(f))
-            bytes_read += self.store.file_bytes(f)
-            k, v = self.store.live_rows(f)
-            if k.size:
-                live_keys.append(k)
-                live_vals.append(v)
-
+        for nbytes in (rows * store.row_bytes).tolist():
+            # Read each whole victim file; its live rows are kept.
+            seconds += store.device.read(nbytes)
+            bytes_read += nbytes
+        # A key can be live in at most one victim (the mapping points to
+        # exactly one row), so the keys are unique by construction.
+        keys, vals = store.live_rows(victims)
         files_created = 0
-        bytes_written = 0
-        if live_keys:
-            keys = np.concatenate(live_keys)
-            vals = np.concatenate(live_vals)
-            # A key can be live in at most one victim (the mapping points to
-            # exactly one file), so keys are unique by construction.
-            t_write, new_ids = self.store.write(keys, vals)
+        if keys.size:
+            t_write, new_ids = store.write(keys, vals)
             seconds += t_write
             files_created = len(new_ids)
-            bytes_written = sum(
-                self.store.file_bytes(self.store._files[fid]) for fid in new_ids
-            )
-        for f in victims:
-            self.store.erase(f.file_id)
+        for fid in victims.tolist():
+            store.erase(fid)
+        store.reclaim()
         self.total_compactions += 1
         return CompactionStats(
-            True, len(victims), files_created, bytes_read, bytes_written, seconds
+            True,
+            int(victims.size),
+            files_created,
+            bytes_read,
+            int(keys.size) * store.row_bytes,
+            seconds,
         )

@@ -1,10 +1,14 @@
 """Cross-round file/extent cache for the SSD miss path.
 
-:class:`FileHandleCache` keeps the payloads of recently-read parameter
-files resident across rounds, so repeated cache-miss batches that touch
-the same :class:`~repro.ssd.file_store.ParameterFile` stop re-paying the
-full payload-read cost every round.  The cache is bounded (``max_files``
-payloads, LRU replacement) and exactly invalidated:
+:class:`FileHandleCache` keeps recently-read parameter files resident
+across rounds, so repeated cache-miss batches that touch the same
+:class:`~repro.ssd.file_store.ParameterFile` stop re-paying the full
+payload-read cost every round.  It is a device of the *cost model*: an
+entry can carry a payload, but :class:`~repro.ssd.file_store.FileStore`
+records bare residency — its payloads live in the store's arena (or its
+``.npy`` files), and a cached view of the arena would pin, and after a
+repack misread, a superseded one.  The cache is bounded (``max_files``
+entries, LRU replacement) and exactly invalidated:
 
 * ``write`` never invalidates — parameter files are immutable, new data
   always lands in *new* file ids, and a repointed mapping simply stops
@@ -58,7 +62,8 @@ _GHOST_FACTOR = 4
 
 
 class FileHandleCache:
-    """Bounded LRU cache of parameter-file payloads, keyed by file id.
+    """Bounded LRU cache of parameter files (an entry is a payload or, as
+    ``FileStore`` uses it, bare residency), keyed by file id.
 
     ``max_files <= 0`` disables the cache entirely: every operation is a
     no-op and :meth:`get` always misses, so a disabled cache is

@@ -1,21 +1,35 @@
 """File-level parameter storage (paper Section 6, Appendix E).
 
 Parameters are materialized in immutable *parameter files*; an in-memory
-parameter→file mapping locates them.  Updates never touch old files —
-updated values are chunked into **new** files (sequential writes), the
-mapping is repointed, and superseded rows become *stale*.  A per-file stale
-counter (maintained exactly as the paper describes: bumped when the mapping
-is repointed away) lets the compactor pick merge victims without reading
-file contents.
+mapping locates them.  Updates never touch old files — updated values are
+chunked into **new** files (sequential writes), the mapping is repointed,
+and superseded rows become *stale*.  A per-file stale counter (maintained
+exactly as the paper describes: bumped when the mapping is repointed away)
+lets the compactor pick merge victims without reading file contents.
 
-Two backends: ``memory`` (default — file payloads held as NumPy arrays) and
-``disk`` (payloads written as ``.npy`` files in a directory, for tests that
-want real I/O).  Timing always comes from the :class:`SSDDevice` model.
+The I/O unit is the file and every *cost* is charged per file, but the
+bookkeeping is addressed by row.  The mapping sends a key to a **row
+locator** ``slot * file_capacity + row``: ``slot`` is a small integer
+naming a live file (recycled on erase; per-slot arrays hold its file id,
+first row, row count and stale counter), ``row`` the key's position in
+it.  Every file's keys — and, on the memory backend, its payload rows —
+sit packed in one arena per store, so a read is one index probe, one
+pass over the touched files that only *accounts* (extent cache, fault
+arm, device charge; in ascending file-id order, which is part of the
+simulated-clock contract because float seconds accumulate in it) and one
+gather.  What leaves the store (``mapping_of``, checkpoints) speaks file
+ids.
+
+Two backends: ``memory`` (default — payloads in the arena) and ``disk``
+(payloads as ``.npy`` files in a directory, for tests that want real
+I/O; loading them is the one step left per file).  Timing always comes
+from the :class:`SSDDevice` model.
 """
 
 from __future__ import annotations
 
 import io
+import mmap
 import os
 from dataclasses import dataclass
 
@@ -32,16 +46,28 @@ from repro.utils.keys import KEY_DTYPE, as_keys
 
 __all__ = ["FileStore", "ParameterFile", "ReadResult"]
 
+#: A fresh arena's capacity over the rows it must hold.  The spare rows are
+#: address space only — never touched until an append claims them — and
+#: with 4x a store compacting at the default 2x usage threshold appends
+#: from one reclaim to the next without outgrowing its arena.
+_HEADROOM = 4
 
-@dataclass
+#: :meth:`FileStore.reclaim` repacks once erased files hold more than this
+#: fraction of the arena, so compaction's garbage is returned, not kept.
+_REPACK_FRACTION = 0.25
+
+
+@dataclass(frozen=True)
 class ParameterFile:
-    """One immutable on-SSD parameter file."""
+    """Description of one immutable on-SSD parameter file.
+
+    A record built on demand from the store's slot table
+    (:meth:`FileStore.file`); the store keeps no per-file objects.
+    """
 
     file_id: int
-    keys: np.ndarray  # sorted unique keys stored in this file
+    keys: np.ndarray  # sorted unique keys stored in this file (a copy)
     stale_count: int = 0
-    #: memory backend: the payload rows, aligned with ``keys``.
-    values: np.ndarray | None = None
     #: disk backend: path of the .npy payload.
     path: str | None = None
 
@@ -77,7 +103,7 @@ class ReadResult:
 
 
 class FileStore:
-    """Append-only parameter-file store with key→file mapping."""
+    """Append-only parameter-file store with a key→row-locator mapping."""
 
     def __init__(
         self,
@@ -99,9 +125,11 @@ class FileStore:
             raise ValueError("file_capacity must be positive")
         self.value_dim = value_dim
         self.file_capacity = file_capacity
+        #: on-SSD bytes of one parameter row (uint64 key + float32 values)
+        self.row_bytes = 8 + 4 * value_dim
         self.ledger = ledger if ledger is not None else CostLedger()
         self.device = SSDDevice(ssd_spec or SSDSpec(), self.ledger)
-        #: cross-round payload cache; disabled (0 capacity) by default so
+        #: cross-round file cache; disabled (0 capacity) by default so
         #: charged seconds stay identical to the pre-cache behaviour.
         #: With ``extent_cache_resize_every`` > 0 the cache self-tunes
         #: its capacity to the observed file-reuse distances.
@@ -117,28 +145,52 @@ class FileStore:
         self.directory = directory
         if directory is not None:
             os.makedirs(directory, exist_ok=True)
-        self._files: dict[int, ParameterFile] = {}
         self._key_domain = key_domain
-        #: vectorized key -> file_id mapping (batch-first store layer).
+        #: vectorized key -> row locator (``slot * file_capacity + row``)
         self._mapping = SlotIndex(1024, key_domain=key_domain)
+        self._reset_files()
         self._next_file_id = 0
-        #: incrementally maintained disk footprint (updated on write and
-        #: erase) — the compactor polls ``total_bytes`` on every dump, so
-        #: recomputing it as a sum over all files would be O(files) per
-        #: check.
+
+    def _reset_files(self) -> None:
+        """Empty slot table and arenas (construction; full-state load)."""
+        #: file id -> slot of every live file
+        self._slot_of: dict[int, int] = {}
+        #: the slot table: file id (-1 = free slot), first arena row, row
+        #: count and stale counter of the file in each slot
+        self._slot_fid = np.full(16, -1, dtype=np.int64)
+        self._slot_base = np.zeros(16, dtype=np.int64)
+        self._slot_rows = np.zeros(16, dtype=np.int64)
+        self._slot_stale = np.zeros(16, dtype=np.int64)
+        self._n_slots = 0  # slots ever handed out (table high-water mark)
+        #: read()'s touched-slot scratch (all False between calls)
+        self._touched = np.zeros(16, dtype=bool)
+        #: the arenas: every live file's keys (both backends) and payload
+        #: rows (memory backend) at ``base .. base + rows``.  Rows of
+        #: erased files are garbage until the next repack.  Nothing may
+        #: keep a view: it would pin a superseded arena after growth.
+        self._arena_keys = np.empty(0, dtype=KEY_DTYPE)
+        self._arena = (
+            np.empty((0, self.value_dim), dtype=np.float32)
+            if self.directory is None
+            else None
+        )
+        self._arena_used = 0  # rows handed out (the append point)
+        self._arena_live = 0  # rows of live files
+        #: disk footprint, maintained on append and erase — the compactor
+        #: polls ``total_bytes`` on every dump
         self._total_bytes = 0
 
     # ------------------------------------------------------------------
     @property
     def n_files(self) -> int:
-        return len(self._files)
+        return len(self._slot_of)
 
     @property
     def n_live_params(self) -> int:
         return len(self._mapping)
 
     def file_bytes(self, f: ParameterFile) -> int:
-        return f.n_params * (8 + 4 * self.value_dim)
+        return f.n_params * self.row_bytes
 
     @property
     def total_bytes(self) -> int:
@@ -147,40 +199,178 @@ class FileStore:
 
     @property
     def live_bytes(self) -> int:
-        return self.n_live_params * (8 + 4 * self.value_dim)
+        return self.n_live_params * self.row_bytes
+
+    def file(self, file_id: int) -> ParameterFile:
+        """The record of live file ``file_id`` (KeyError if erased)."""
+        slot = self._slot_of[file_id]
+        base = int(self._slot_base[slot])
+        return ParameterFile(
+            file_id,
+            self._arena_keys[base : base + int(self._slot_rows[slot])].copy(),
+            int(self._slot_stale[slot]),
+            self._path(file_id),
+        )
 
     def files(self) -> list[ParameterFile]:
-        return list(self._files.values())
+        """Every live file's record, in ascending file-id order."""
+        return [self.file(fid) for fid in sorted(self._slot_of)]
+
+    def file_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(file ids, row counts, stale counters)`` of the live files,
+        in ascending file-id order."""
+        slots = self._live_slots()
+        return self._slot_fid[slots], self._slot_rows[slots], self._slot_stale[slots]
 
     def mapping_of(self, keys: np.ndarray) -> np.ndarray:
         """File id per key (-1 if unmapped), vectorized."""
-        fids, _ = self._mapping.get(as_keys(keys))
+        locs, found = self._mapping.get(as_keys(keys))
+        fids = self._slot_fid[locs // self.file_capacity]
+        fids[~found] = -1
         return fids
 
     # ------------------------------------------------------------------
-    def _payload(self, f: ParameterFile) -> np.ndarray:
-        if f.values is not None:
-            return f.values
-        assert f.path is not None
-        return np.load(f.path)
+    # Slot table and arenas
+    # ------------------------------------------------------------------
+    def _live_slots(self, min_file_id: int = 0) -> np.ndarray:
+        """Slots of the live files with id >= ``min_file_id``, by file id."""
+        fids = self._slot_fid[: self._n_slots]
+        slots = np.flatnonzero(fids >= min_file_id)
+        return slots[fids[slots].argsort()]
 
-    def _store_payload(self, f: ParameterFile, values: np.ndarray) -> None:
+    def _take_slots(self, k: int) -> np.ndarray:
+        """``k`` free slots: recycled ones first, then fresh ones."""
+        free = np.flatnonzero(self._slot_fid[: self._n_slots] < 0)[:k]
+        need = self._n_slots + k - free.size
+        if need > self._slot_fid.size:
+            pad = np.zeros(max(need, 2 * self._slot_fid.size) - self._slot_fid.size, np.int64)
+            self._slot_fid = np.concatenate((self._slot_fid, pad - 1))
+            self._slot_base = np.concatenate((self._slot_base, pad))
+            self._slot_rows = np.concatenate((self._slot_rows, pad))
+            self._slot_stale = np.concatenate((self._slot_stale, pad))
+            self._touched = np.zeros(self._slot_fid.size, dtype=bool)
+        slots = np.concatenate((free, np.arange(self._n_slots, need, dtype=np.int64)))
+        self._n_slots = need
+        return slots
+
+    def _rows_of(self, slots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(slot, row)`` of every row of the files in ``slots``, file by
+        file in the given order."""
+        rows = self._slot_rows[slots]
+        starts = np.cumsum(rows) - rows
+        within = np.arange(int(rows.sum()), dtype=np.int64) - np.repeat(starts, rows)
+        return np.repeat(slots, rows), within
+
+    def _reserve(self, n: int) -> int:
+        """Make room for ``n`` more rows at the arenas' tail (growing at
+        most once); returns their first row."""
+        base = self._arena_used
+        need = base + n
+        if need > self._arena_keys.shape[0]:
+            self._rehouse(_HEADROOM * need, slice(0, base))
+        self._arena_used = need
+        self._arena_live += n
+        return base
+
+    def reclaim(self) -> None:
+        """Repack the arenas if erased files hold more than a fixed
+        fraction of them: the live files move, packed, into fresh arenas
+        and the old ones — erased rows and touched tail included — go
+        back to the OS.  Whoever erases a batch of files (the compactor,
+        a delta load) calls this once, after the batch."""
+        if self._arena_used - self._arena_live <= _REPACK_FRACTION * self._arena_used:
+            return
+        slots = self._live_slots()
+        owner, within = self._rows_of(slots)
+        src = self._slot_base[owner] + within
+        rows = self._slot_rows[slots]
+        self._slot_base[slots] = np.cumsum(rows) - rows
+        self._rehouse(_HEADROOM * src.size, src)
+        self._arena_used = self._arena_live = int(src.size)
+
+    def _rehouse(self, capacity: int, src) -> None:
+        """Fresh ``capacity``-row arenas headed by the old ones' rows ``src``."""
+        self._arena_keys = _moved(self._arena_keys, capacity, src)
+        if self._arena is not None:
+            self._arena = _moved(self._arena, capacity, src)
+
+    def _append_files(
+        self,
+        file_ids: np.ndarray,
+        offsets: np.ndarray,
+        keys: np.ndarray,
+        values: np.ndarray,
+        stale: np.ndarray | None = None,
+    ) -> np.ndarray:
+        """Register new files packed as ``offsets`` into ``keys`` /
+        ``values``; returns their slots.  On the disk backend the
+        payloads are made durable *first*, so a write that dies midway
+        leaves nothing visible."""
+        if self._arena is None:
+            for fid, lo, hi in zip(
+                file_ids.tolist(), offsets[:-1].tolist(), offsets[1:].tolist()
+            ):
+                self._store_payload(fid, values[lo:hi])
+        n = keys.shape[0]
+        base = self._reserve(n)
+        self._arena_keys[base : base + n] = keys
+        if self._arena is not None:
+            self._arena[base : base + n] = values
+        slots = self._take_slots(file_ids.size)
+        self._slot_fid[slots] = file_ids
+        self._slot_base[slots] = base + offsets[:-1]
+        self._slot_rows[slots] = np.diff(offsets)
+        self._slot_stale[slots] = 0 if stale is None else stale
+        self._slot_of.update(zip(file_ids.tolist(), slots.tolist()))
+        self._total_bytes += n * self.row_bytes
+        return slots
+
+    # ------------------------------------------------------------------
+    # Payload access (never charged)
+    # ------------------------------------------------------------------
+    def _path(self, file_id: int) -> str | None:
+        if self.directory is None:
+            return None
+        return os.path.join(self.directory, f"params_{file_id:08d}.npy")
+
+    def _payload(self, file_id: int) -> np.ndarray:
+        """Payload rows of one file, aligned with its keys (memory
+        backend: a transient arena view — use it, don't keep it)."""
+        if self._arena is None:
+            return np.load(self._path(file_id))
+        slot = self._slot_of[file_id]
+        base = int(self._slot_base[slot])
+        return self._arena[base : base + int(self._slot_rows[slot])]
+
+    def _store_payload(self, file_id: int, values: np.ndarray) -> None:
         """Persist a file's payload; durable before it becomes visible.
 
         The disk backend writes to a temp file, fsyncs, and ``os.replace``s
         into the final name, so an interrupted write can never leave a
-        truncated ``.npy`` under the path the mapping will point at —
-        ``f.path`` (and with it the caller's mapping repoint) is only set
-        once the payload is fully on disk.
+        truncated ``.npy`` under the path a registered file will name.
+        The memory backend writes through the arena (the fault arm's
+        quarantine re-materializes a registered file this way).
         """
-        if self.directory is None:
-            f.values = values
+        if self._arena is not None:
+            self._payload(file_id)[:] = values
             return
-        path = os.path.join(self.directory, f"params_{f.file_id:08d}.npy")
         buf = io.BytesIO()
         np.save(buf, values)
-        atomic_write_bytes(path, buf.getvalue())
-        f.path = path
+        atomic_write_bytes(self._path(file_id), buf.getvalue())
+
+    def _gather(self, slots: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """Payload rows at ``(slot, row)`` pairs: one arena gather — on the
+        disk backend, one ``.npy`` load per distinct file instead."""
+        if self._arena is not None:
+            return self._arena[self._slot_base[slots] + rows]
+        out = np.empty((slots.size, self.value_dim), dtype=np.float32)
+        order = slots.argsort(kind="stable")
+        by_slot = slots[order]
+        cuts = np.flatnonzero(by_slot[1:] != by_slot[:-1]) + 1
+        for sel in np.split(order, cuts) if slots.size else ():
+            fid = int(self._slot_fid[slots[sel[0]]])
+            out[sel] = np.load(self._path(fid))[rows[sel]]
+        return out
 
     # ------------------------------------------------------------------
     def write(self, keys: np.ndarray, values: np.ndarray) -> tuple[float, list[int]]:
@@ -194,37 +384,32 @@ class FileStore:
         values = np.asarray(values, dtype=np.float32)
         if values.shape != (keys.size, self.value_dim):
             raise ValueError("values shape mismatch")
-        if keys.size == 0:
+        n = keys.size
+        if n == 0:
             return 0.0, []
-        uniq = np.unique(keys)
-        if uniq.size != keys.size:
+        order = keys.argsort()
+        keys = keys[order]
+        if n > 1 and bool((keys[1:] == keys[:-1]).any()):
             raise ValueError("write requires unique keys")
-        order = np.argsort(keys)
-        keys, values = keys[order], values[order]
-
+        cap = self.file_capacity
+        n_new = -(-n // cap)
+        offsets = np.minimum(np.arange(n_new + 1, dtype=np.int64) * cap, n)
+        file_ids = np.arange(n_new, dtype=np.int64) + self._next_file_id
+        slots = self._append_files(file_ids, offsets, keys, values[order])
+        self._next_file_id += n_new
         total_t = 0.0
-        new_ids: list[int] = []
-        for start in range(0, keys.size, self.file_capacity):
-            chunk_keys = keys[start : start + self.file_capacity]
-            chunk_vals = values[start : start + self.file_capacity]
-            fid = self._next_file_id
-            self._next_file_id += 1
-            f = ParameterFile(fid, chunk_keys.copy())
-            self._store_payload(f, chunk_vals.copy())
-            self._files[fid] = f
-            self._total_bytes += self.file_bytes(f)
-            total_t += self.device.write(self.file_bytes(f))
-            # Repoint the mapping; bump old files' stale counters.
-            old_fids, existed = self._mapping.set(
-                chunk_keys, np.full(chunk_keys.size, fid, dtype=np.int64)
+        for nbytes in (np.diff(offsets) * self.row_bytes).tolist():
+            total_t += self.device.write(nbytes)
+        # Repoint the mapping; bump the superseded files' stale counters.
+        within = np.arange(n, dtype=np.int64) % cap
+        old, existed = self._mapping.set(
+            keys, np.repeat(slots, np.diff(offsets)) * cap + within
+        )
+        if existed.any():
+            self._slot_stale[: self._n_slots] += np.bincount(
+                old[existed] // cap, minlength=self._n_slots
             )
-            stale_fids, stale_counts = np.unique(
-                old_fids[existed], return_counts=True
-            )
-            for old, count in zip(stale_fids, stale_counts):
-                self._files[int(old)].stale_count += int(count)
-            new_ids.append(fid)
-        return total_t, new_ids
+        return total_t, file_ids.tolist()
 
     def read(self, keys: np.ndarray) -> ReadResult:
         """Load values for ``keys``, reading whole files (I/O unit = file).
@@ -232,73 +417,82 @@ class FileStore:
         Unmapped keys come back zero-filled with ``found=False``.  Reading
         a file costs its *entire* size regardless of how many of its rows
         were requested — the I/O-amplification trade-off of Appendix E.
+        Each touched file is resolved (and charged) exactly once per
+        call, in ascending file-id order.
         """
         keys = as_keys(keys)
-        out = np.zeros((keys.size, self.value_dim), dtype=np.float32)
-        found = np.zeros(keys.size, dtype=bool)
-        if keys.size == 0:
+        locs, found = self._mapping.get(keys)
+        n_found = int(np.count_nonzero(found))
+        if n_found == 0:
+            out = np.zeros((keys.size, self.value_dim), dtype=np.float32)
             return ReadResult(out, found, 0.0, 0, 0)
-        fids, _ = self._mapping.get(keys)
+        if n_found != keys.size:
+            locs = locs[found]
+        slots, rows = np.divmod(locs, self.file_capacity)
+        touched = self._touched
+        touched[slots] = True
+        hit_slots = np.flatnonzero(touched[: self._n_slots])
+        touched[hit_slots] = False
+        fids = self._slot_fid[hit_slots]
+        by_fid = fids.argsort()
+        hit_slots, fids = hit_slots[by_fid], fids[by_fid]
+
+        # The accounting pass: per touched file, nothing but bookkeeping
+        # (the cache records residency; payloads stay where they live).
+        cache, device, faults = self.extent_cache, self.device, self.faults
         total_t = 0.0
-        files_read = 0
-        bytes_read = 0
-        cache_hits = 0
-        # Group requested keys by file with one sort instead of scanning
-        # the whole fid array once per touched file: each touched file is
-        # resolved (and charged) exactly once per read call, no matter how
-        # many of the batch's rows live in it.  All per-file boundaries
-        # come out of the sorted fid array in one pass.
-        order = fids.argsort(kind="stable")
-        sorted_fids = fids[order]
-        start = int(sorted_fids.searchsorted(0))  # skip unmapped (-1)
-        if start == order.size:
-            return ReadResult(out, found, 0.0, 0, 0)
-        sf = sorted_fids[start:]
-        cuts = np.flatnonzero(sf[1:] != sf[:-1]) + 1
-        starts = np.concatenate(([0], cuts)) + start
-        stops = np.append(cuts, sf.size) + start
-        files = self._files
-        cache = self.extent_cache
-        device = self.device
-        for s, e in zip(starts.tolist(), stops.tolist()):
-            fid = int(sorted_fids[s])
-            f = files[fid]
-            sel = order[s:e]
-            rows = f.keys.searchsorted(keys[sel])
-            payload = cache.get(fid)
-            if payload is None:
-                if self.faults is not None:
-                    # Armed cold read: transient read errors / torn
-                    # payloads (caught by the existing digests) retry
-                    # with backoff; exhaustion quarantines the file and
-                    # re-materializes it from the newest checkpoint
-                    # chain, or raises PayloadLostError if no durable
-                    # copy exists.  All extra seconds land in the
-                    # ledger's fault_retry line inside the arm.
-                    total_t += self.faults.ssd_read(self, f)
-                # Full payload read, charged to the device; admit it so
-                # the next round's misses to this file go at warm rate.
-                payload = self._payload(f)
-                total_t += device.read(self.file_bytes(f))
+        files_read = bytes_read = cache_hits = 0
+        sizes = self._slot_rows[hit_slots] * self.row_bytes
+        for fid, nbytes in zip(fids.tolist(), sizes.tolist()):
+            if cache.get(fid) is None:
+                if faults is not None:
+                    # Armed cold read: transient errors / torn payloads
+                    # retry with backoff; exhaustion quarantines the file
+                    # (re-materialized from the newest checkpoint chain)
+                    # or raises PayloadLostError.  The extra seconds land
+                    # on the ledger's fault_retry line inside the arm.
+                    total_t += faults.ssd_read(self, self.file(fid))
+                # Whole-file read at the device rate; admit it so the next
+                # miss to this file goes at the warm rate.
+                total_t += device.read(nbytes)
                 files_read += 1
-                bytes_read += self.file_bytes(f)
-                cache.put(fid, payload)
+                bytes_read += nbytes
+                cache.put(fid, True)
             else:
-                # Cache hit: a host-DRAM copy, cheap but not free, so
-                # the cache can default on without rewriting the cost
-                # model's parity story.
-                total_t += device.read_warm(self.file_bytes(f))
+                # A hit is a host-DRAM copy: cheap but priced, never free.
+                total_t += device.read_warm(nbytes)
                 cache_hits += 1
-            out[sel] = payload[rows]
-            found[sel] = True
+
+        out = self._gather(slots, rows)
+        if n_found != keys.size:
+            values = np.zeros((keys.size, self.value_dim), dtype=np.float32)
+            values[found] = out
+            out = values
         return ReadResult(out, found, total_t, files_read, bytes_read, cache_hits)
 
     # ------------------------------------------------------------------
-    def live_rows(self, f: ParameterFile) -> tuple[np.ndarray, np.ndarray]:
-        """(keys, values) of the non-stale rows of ``f``."""
-        fids = self.mapping_of(f.keys)
-        live = fids == f.file_id
-        return f.keys[live], self._payload(f)[live]
+    def items(self) -> tuple[np.ndarray, np.ndarray]:
+        """All live ``(keys, values)``, sorted by key (no I/O charged)."""
+        keys, locs = self._mapping.items()
+        order = keys.argsort()
+        slots, rows = np.divmod(locs[order], self.file_capacity)
+        return keys[order], self._gather(slots, rows)
+
+    def _live(self, slots: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(key, slot, row)`` of every row of the files in ``slots`` the
+        mapping still points at."""
+        owner, within = self._rows_of(slots)
+        keys = self._arena_keys[self._slot_base[owner] + within]
+        locs, _ = self._mapping.get(keys)
+        live = locs == owner * self.file_capacity + within
+        return keys[live], owner[live], within[live]
+
+    def live_rows(self, file_ids) -> tuple[np.ndarray, np.ndarray]:
+        """(keys, values) of the non-stale rows of the files ``file_ids``,
+        file by file in the given order (no I/O charged)."""
+        slots = np.asarray([self._slot_of[int(f)] for f in file_ids], dtype=np.int64)
+        keys, owner, within = self._live(slots)
+        return keys, self._gather(owner, within)
 
     def erase(self, file_id: int) -> None:
         """Remove a file (compaction has rewritten its live rows).
@@ -306,78 +500,75 @@ class FileStore:
         A disk-backed file whose ``.npy`` payload has vanished is *data
         loss*, not a no-op: silently proceeding would let compaction
         destroy the bookkeeping for rows whose only copy is already gone.
-        The memory backend has no payload file and erases trivially.
+        The memory backend has no payload file and erases trivially; the
+        file's arena rows are garbage until the next :meth:`reclaim`.
         """
-        f = self._files[file_id]
-        if f.values is None and (f.path is None or not os.path.exists(f.path)):
-            live = f.keys[self.mapping_of(f.keys) == file_id]
+        slot = self._slot_of[file_id]
+        path = self._path(file_id)
+        if path is not None and not os.path.exists(path):
             raise PayloadLostError(
                 f"parameter file {file_id} payload missing "
-                f"({f.path!r}) — refusing to erase lost data",
+                f"({path!r}) — refusing to erase lost data",
                 file_id=file_id,
-                keys=live,
+                keys=self._live(np.asarray([slot], dtype=np.int64))[0],
             )
-        del self._files[file_id]
-        self._total_bytes -= self.file_bytes(f)
+        del self._slot_of[file_id]
+        rows = int(self._slot_rows[slot])
+        self._total_bytes -= rows * self.row_bytes
+        self._arena_live -= rows
+        self._slot_fid[slot] = -1
         # Erase is the only operation that destroys a payload (compaction
-        # erases its victims through here) — drop the cached copy so the
-        # extent cache can never serve rows of a dead file.
+        # erases its victims through here) — drop the cache entry so the
+        # extent cache can never vouch for a dead file.
         self.extent_cache.invalidate(file_id)
-        if f.path is not None:
-            os.remove(f.path)
+        if path is not None:
+            os.remove(path)
+
+    # ------------------------------------------------------------------
+    # Checkpoint protocol
+    # ------------------------------------------------------------------
+    def _pack_files(self, slots: np.ndarray) -> dict[str, np.ndarray]:
+        """The files in ``slots`` in the snapshot layout: variable-length
+        payloads packed into one concatenated key/value pair plus an
+        offsets array, so they can live in a single ``.npz`` shard."""
+        offsets = np.zeros(slots.size + 1, dtype=np.int64)
+        np.cumsum(self._slot_rows[slots], out=offsets[1:])
+        owner, within = self._rows_of(slots)
+        return {
+            "file_ids": self._slot_fid[slots],
+            "file_offsets": offsets,
+            "file_keys": self._arena_keys[self._slot_base[owner] + within],
+            "file_values": self._gather(owner, within),
+            "file_stale": self._slot_stale[slots],
+        }
+
+    def _pack_extent_cache(self, out: dict[str, np.ndarray]) -> None:
+        """Attach the extent cache's residency (LRU-order file ids): hits
+        go at the warm rate instead of the device rate, so a restored run
+        only replays the original run's I/O schedule if the warm set
+        comes back too — plus the adaptive cache's replay state, if any."""
+        out["extent_cache_fids"] = np.asarray(
+            self.extent_cache.resident_ids(), dtype=np.int64
+        )
+        if self.extent_cache.adaptive:
+            for k, v in self.extent_cache.export_tuning().items():
+                out[f"extent_tuning_{k}"] = v
 
     def export_state(self) -> dict[str, np.ndarray]:
         """Flat-array snapshot of files, payloads, mapping and counters.
 
-        Variable-length per-file payloads are packed into one concatenated
-        key/value pair plus an offsets array, so the snapshot can live in
-        a single ``.npz`` shard.  The mapping is saved explicitly (rather
-        than re-derived) so a restore can cross-check it against the stale
-        counters via :meth:`check_invariants`.
+        The mapping is saved explicitly (rather than re-derived), as
+        ``(key, file id)`` rows sorted by key, so a restore can
+        cross-check it against the files and their stale counters.
         """
-        fids = sorted(self._files)
-        keys_parts = [self._files[fid].keys for fid in fids]
-        vals_parts = [self._payload(self._files[fid]) for fid in fids]
-        offsets = np.zeros(len(fids) + 1, dtype=np.int64)
-        if fids:
-            offsets[1:] = np.cumsum([k.size for k in keys_parts])
-        map_keys, map_fids = self._mapping.items()
-        order = np.argsort(map_keys)
-        out = {
-            "file_ids": np.asarray(fids, dtype=np.int64),
-            "file_offsets": offsets,
-            "file_keys": (
-                np.concatenate(keys_parts)
-                if fids
-                else np.zeros(0, dtype=KEY_DTYPE)
-            ),
-            "file_values": (
-                np.concatenate(vals_parts, axis=0)
-                if fids
-                else np.zeros((0, self.value_dim), dtype=np.float32)
-            ),
-            "file_stale": np.asarray(
-                [self._files[fid].stale_count for fid in fids], dtype=np.int64
-            ),
-            "map_keys": map_keys[order].astype(KEY_DTYPE),
-            "map_fids": map_fids[order].astype(np.int64),
-            "next_file_id": np.int64(self._next_file_id),
-            # Extent-cache residency (LRU-order file ids): hits go at the
-            # warm rate instead of the device rate, so a restored run only
-            # replays the original run's I/O schedule if the warm set
-            # comes back too.
-            "extent_cache_fids": np.asarray(
-                self.extent_cache.resident_ids(), dtype=np.int64
-            ),
-        }
-        self._export_extent_tuning(out)
+        out = self._pack_files(self._live_slots())
+        map_keys, locs = self._mapping.items()
+        order = map_keys.argsort()
+        out["map_keys"] = map_keys[order]
+        out["map_fids"] = self._slot_fid[locs[order] // self.file_capacity]
+        out["next_file_id"] = np.int64(self._next_file_id)
+        self._pack_extent_cache(out)
         return out
-
-    def _export_extent_tuning(self, out: dict[str, np.ndarray]) -> None:
-        """Attach the adaptive extent cache's replay state (if any)."""
-        if self.extent_cache.adaptive:
-            for k, v in self.extent_cache.export_tuning().items():
-                out[f"extent_tuning_{k}"] = v
 
     def export_delta(self, base: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
         """Diff the store against a prior :meth:`export_state` snapshot.
@@ -394,67 +585,74 @@ class FileStore:
         handful of ids).
         """
         watermark = int(base["next_file_id"])
-        new_fids = sorted(fid for fid in self._files if fid >= watermark)
-        keys_parts = [self._files[fid].keys for fid in new_fids]
-        vals_parts = [self._payload(self._files[fid]) for fid in new_fids]
-        offsets = np.zeros(len(new_fids) + 1, dtype=np.int64)
-        if new_fids:
-            offsets[1:] = np.cumsum([k.size for k in keys_parts])
+        out = {"base_next_file_id": np.int64(watermark)}
+        out.update(self._pack_files(self._live_slots(watermark)))
         base_fids = np.asarray(base["file_ids"], dtype=np.int64)
         base_stale = np.asarray(base["file_stale"], dtype=np.int64)
-        erased = [
-            int(fid) for fid in base_fids.tolist() if fid not in self._files
-        ]
-        stale_ids, stale_counts = [], []
-        for fid, old_stale in zip(base_fids.tolist(), base_stale.tolist()):
-            f = self._files.get(int(fid))
-            if f is not None and f.stale_count != old_stale:
-                stale_ids.append(int(fid))
-                stale_counts.append(f.stale_count)
-        if keys_parts:
-            touched = np.unique(np.concatenate(keys_parts))
-        else:
-            touched = np.zeros(0, dtype=KEY_DTYPE)
-        out = {
-            "base_next_file_id": np.int64(watermark),
-            "file_ids": np.asarray(new_fids, dtype=np.int64),
-            "file_offsets": offsets,
-            "file_keys": (
-                np.concatenate(keys_parts)
-                if new_fids
-                else np.zeros(0, dtype=KEY_DTYPE)
-            ),
-            "file_values": (
-                np.concatenate(vals_parts, axis=0)
-                if new_fids
-                else np.zeros((0, self.value_dim), dtype=np.float32)
-            ),
-            "file_stale": np.asarray(
-                [self._files[fid].stale_count for fid in new_fids],
-                dtype=np.int64,
-            ),
-            "erased_ids": np.asarray(erased, dtype=np.int64),
-            "stale_ids": np.asarray(stale_ids, dtype=np.int64),
-            "stale_counts": np.asarray(stale_counts, dtype=np.int64),
-            "map_keys": touched,
-            "map_fids": self.mapping_of(touched),
-            "next_file_id": np.int64(self._next_file_id),
-            "extent_cache_fids": np.asarray(
-                self.extent_cache.resident_ids(), dtype=np.int64
-            ),
-        }
-        self._export_extent_tuning(out)
+        slots = np.asarray(
+            [self._slot_of.get(fid, -1) for fid in base_fids.tolist()],
+            dtype=np.int64,
+        )
+        survives = slots >= 0
+        now_stale = self._slot_stale[slots[survives]]
+        changed = now_stale != base_stale[survives]
+        out["erased_ids"] = base_fids[~survives]
+        out["stale_ids"] = base_fids[survives][changed]
+        out["stale_counts"] = now_stale[changed]
+        out["map_keys"] = np.unique(out["file_keys"])
+        out["map_fids"] = self.mapping_of(out["map_keys"])
+        out["next_file_id"] = np.int64(self._next_file_id)
+        self._pack_extent_cache(out)
         return out
+
+    def _unpack(self, state: dict[str, np.ndarray], what: str) -> tuple:
+        """A snapshot's or delta's packed files and mapping rows, fully
+        validated (ValueError otherwise) without touching the store:
+        ``((file ids, offsets, keys, values, stale), (mapping keys,
+        file index, row))`` — see :func:`_resolve_mapping`."""
+        fids = np.asarray(state["file_ids"], dtype=np.int64)
+        offsets = np.asarray(state["file_offsets"], dtype=np.int64)
+        file_keys = as_keys(state["file_keys"])
+        file_values = np.asarray(state["file_values"], dtype=np.float32)
+        stale = np.asarray(state["file_stale"], dtype=np.int64)
+        map_keys = as_keys(state["map_keys"])
+        map_fids = np.asarray(state["map_fids"], dtype=np.int64)
+        if file_values.shape != (file_keys.size, self.value_dim):
+            raise ValueError(f"file-store {what} value shape mismatch")
+        if (
+            offsets.shape != (fids.size + 1,)
+            or stale.shape != fids.shape
+            or int(offsets[0]) != 0
+            or int(offsets[-1]) != file_keys.size
+            or bool((np.diff(offsets) < 0).any())
+        ):
+            raise ValueError(f"file-store {what} offsets mismatch")
+        if fids.size and int(state["next_file_id"]) <= int(fids.max()):
+            raise ValueError(f"file-store {what} next_file_id is stale")
+        if map_fids.shape != map_keys.shape:
+            raise ValueError(f"file-store {what} mapping malformed")
+        if not np.isin(map_fids, fids).all():
+            raise ValueError(f"file-store {what} maps keys to unknown files")
+        files = (fids, offsets, file_keys, file_values, stale)
+        return files, _resolve_mapping(map_keys, map_fids, fids, offsets, file_keys, what)
+
+    def _install(self, files: tuple, mapping: tuple, next_file_id) -> None:
+        """Append unpacked files and point their mapping rows at them."""
+        map_keys, file_index, row = mapping
+        slots = self._append_files(*files)
+        self._mapping.set(map_keys, slots[file_index] * self.file_capacity + row)
+        self._next_file_id = int(next_file_id)
 
     def load_delta(self, delta: dict[str, np.ndarray]) -> None:
         """Apply an :meth:`export_delta` diff on top of the base state.
 
         The store must currently hold exactly the base snapshot the
         delta was diffed against (``base_next_file_id`` is checked).
-        Validation runs before any mutation; the apply order — add new
-        files, repoint mapping, update stale counters, erase dead files
-        — mirrors how the live store evolved, and ends in the same
-        :meth:`check_invariants` sweep a full load runs.
+        Validation — down to every shipped mapping row naming a shipped
+        file that holds its key — runs before any mutation; the apply
+        order — add new files, repoint mapping, update stale counters,
+        erase dead files — mirrors how the live store evolved, and ends
+        in the same :meth:`check_invariants` sweep a full load runs.
         """
         if int(delta["base_next_file_id"]) != self._next_file_id:
             raise ValueError(
@@ -462,53 +660,23 @@ class FileStore:
                 f"{int(delta['base_next_file_id'])}, store is at "
                 f"{self._next_file_id}"
             )
-        fids = np.asarray(delta["file_ids"], dtype=np.int64)
-        offsets = np.asarray(delta["file_offsets"], dtype=np.int64)
-        file_keys = as_keys(delta["file_keys"])
-        file_values = np.asarray(delta["file_values"], dtype=np.float32)
-        stale = np.asarray(delta["file_stale"], dtype=np.int64)
-        erased = np.asarray(delta["erased_ids"], dtype=np.int64)
-        stale_ids = np.asarray(delta["stale_ids"], dtype=np.int64)
-        stale_counts = np.asarray(delta["stale_counts"], dtype=np.int64)
-        map_keys_in = as_keys(delta["map_keys"])
-        map_fids_in = np.asarray(delta["map_fids"], dtype=np.int64)
-        next_file_id = int(delta["next_file_id"])
-        if file_values.shape != (file_keys.size, self.value_dim):
-            raise ValueError("file-store delta value shape mismatch")
-        if offsets.shape != (fids.size + 1,) or (
-            fids.size and int(offsets[-1]) != file_keys.size
-        ):
-            raise ValueError("file-store delta offsets mismatch")
-        if fids.size and int(fids.min()) < self._next_file_id:
+        files, mapping = self._unpack(delta, "delta")
+        if files[0].size and int(files[0].min()) < self._next_file_id:
             raise ValueError("file-store delta contains pre-base file ids")
-        if fids.size and next_file_id <= int(fids.max()):
-            raise ValueError("file-store delta next_file_id is stale")
-        for fid in erased.tolist():
-            if int(fid) not in self._files:
+        erased = np.asarray(delta["erased_ids"], dtype=np.int64).tolist()
+        stale_ids = np.asarray(delta["stale_ids"], dtype=np.int64).tolist()
+        for fid in erased + stale_ids:
+            if fid not in self._slot_of:
                 raise ValueError(
-                    f"file-store delta erases unknown file {int(fid)}"
+                    f"file-store delta erases or re-counts unknown file {fid}"
                 )
-        for fid in stale_ids.tolist():
-            if int(fid) not in self._files:
-                raise ValueError(
-                    f"file-store delta updates stale counter of unknown "
-                    f"file {int(fid)}"
-                )
-        for i, fid in enumerate(fids.tolist()):
-            lo, hi = int(offsets[i]), int(offsets[i + 1])
-            f = ParameterFile(
-                int(fid), file_keys[lo:hi].copy(), stale_count=int(stale[i])
-            )
-            self._store_payload(f, file_values[lo:hi].copy())
-            self._files[int(fid)] = f
-            self._total_bytes += self.file_bytes(f)
-        if map_keys_in.size:
-            self._mapping.set(map_keys_in, map_fids_in)
-        for fid, count in zip(stale_ids.tolist(), stale_counts.tolist()):
-            self._files[int(fid)].stale_count = int(count)
-        for fid in erased.tolist():
-            self.erase(int(fid))
-        self._next_file_id = next_file_id
+        self._install(files, mapping, delta["next_file_id"])
+        self._slot_stale[[self._slot_of[fid] for fid in stale_ids]] = np.asarray(
+            delta["stale_counts"], dtype=np.int64
+        )
+        for fid in erased:
+            self.erase(fid)
+        self.reclaim()
         self._rewarm_extent_cache(delta)
         self.check_invariants()
 
@@ -518,63 +686,32 @@ class FileStore:
         Replaces any current contents; payloads are re-materialized
         through the store's own backend (disk-backed stores rewrite the
         ``.npy`` files under their directory).  The snapshot is fully
-        validated — shapes, ``next_file_id``, mapping-vs-stale-counter
-        consistency — *before* anything is erased, so a snapshot rejected
-        as invalid leaves the store untouched.  (A hard I/O failure while
+        validated — shapes, ``next_file_id``, every mapping row naming a
+        file that holds its key, mapping-vs-stale-counter consistency —
+        *before* anything is erased, so a snapshot rejected as invalid
+        leaves the store untouched.  (A hard I/O failure while
         re-materializing payloads can still leave a partial rebuild;
         checkpoint restores are immune because they load into a freshly
         constructed, empty store.)
         """
-        fids = np.asarray(state["file_ids"], dtype=np.int64)
-        offsets = np.asarray(state["file_offsets"], dtype=np.int64)
-        file_keys = as_keys(state["file_keys"])
-        file_values = np.asarray(state["file_values"], dtype=np.float32)
-        stale = np.asarray(state["file_stale"], dtype=np.int64)
-        map_keys_in = as_keys(state["map_keys"])
-        map_fids_in = np.asarray(state["map_fids"], dtype=np.int64)
-        next_file_id = int(state["next_file_id"])
-        if file_values.shape != (file_keys.size, self.value_dim):
-            raise ValueError("file-store snapshot value shape mismatch")
-        if offsets.shape != (fids.size + 1,) or (
-            fids.size and int(offsets[-1]) != file_keys.size
-        ):
-            raise ValueError("file-store snapshot offsets mismatch")
-        if fids.size and next_file_id <= int(fids.max()):
-            raise ValueError("file-store snapshot next_file_id is stale")
-        if map_fids_in.shape != map_keys_in.shape or (
-            np.unique(map_keys_in).size != map_keys_in.size
-        ):
-            raise ValueError("file-store snapshot mapping malformed")
+        files, mapping = self._unpack(state, "snapshot")
+        fids, offsets, _, _, stale = files
         # The mapping must agree with the stale counters file by file
         # (the on-store check_invariants contract, applied to the arrays).
-        mapped_fids, mapped_counts = np.unique(map_fids_in, return_counts=True)
-        if not np.isin(mapped_fids, fids).all():
-            raise ValueError("file-store snapshot maps keys to unknown files")
-        live_of = dict(zip(mapped_fids.tolist(), mapped_counts.tolist()))
-        for i, fid in enumerate(fids.tolist()):
-            n_params = int(offsets[i + 1] - offsets[i])
-            if live_of.get(fid, 0) != n_params - int(stale[i]):
-                raise ValueError(
-                    f"file-store snapshot stale counter of file {fid} "
-                    "disagrees with its mapping"
-                )
-        for fid in list(self._files):
-            self.erase(fid)
-        self._mapping = SlotIndex(
-            max(1024, int(state["map_keys"].size)),
-            key_domain=self._key_domain,
-        )
-        for i, fid in enumerate(fids):
-            lo, hi = int(offsets[i]), int(offsets[i + 1])
-            f = ParameterFile(
-                int(fid), file_keys[lo:hi].copy(), stale_count=int(stale[i])
+        live = np.bincount(mapping[1], minlength=fids.size)
+        wrong = np.flatnonzero(live != np.diff(offsets) - stale)
+        if wrong.size:
+            raise ValueError(
+                f"file-store snapshot stale counter of file "
+                f"{int(fids[wrong[0]])} disagrees with its mapping"
             )
-            self._store_payload(f, file_values[lo:hi].copy())
-            self._files[int(fid)] = f
-            self._total_bytes += self.file_bytes(f)
-        self._next_file_id = next_file_id
-        if map_keys_in.size:
-            self._mapping.set(map_keys_in, map_fids_in)
+        for fid in list(self._slot_of):
+            self.erase(fid)
+        self._reset_files()
+        self._mapping = SlotIndex(
+            max(1024, mapping[0].size), key_domain=self._key_domain
+        )
+        self._install(files, mapping, state["next_file_id"])
         self._rewarm_extent_cache(state)
         self.check_invariants()
 
@@ -600,29 +737,111 @@ class FileStore:
         fids = [
             int(fid)
             for fid in state.get("extent_cache_fids", np.zeros(0, np.int64))
-            if int(fid) in self._files
+            if int(fid) in self._slot_of
         ]
-        self.extent_cache.warm(
-            fids, lambda fid: self._payload(self._files[fid])
-        )
+        self.extent_cache.warm(fids, lambda fid: True)
 
     def check_invariants(self) -> None:
-        """Debug/test hook: mapping, stale counters, byte accounting."""
-        recomputed = sum(self.file_bytes(f) for f in self._files.values())
-        if recomputed != self._total_bytes:
+        """Debug/test hook: mapping, stale counters, byte and arena
+        accounting — array expressions over the locators."""
+        n = self._n_slots
+        fids = self._slot_fid[:n]
+        rows = np.where(fids >= 0, self._slot_rows[:n], 0)
+        n_rows = int(rows.sum())
+        if n_rows * self.row_bytes != self._total_bytes:
             raise AssertionError(
                 f"cached total_bytes {self._total_bytes} != recomputed "
-                f"{recomputed}"
+                f"{n_rows * self.row_bytes}"
             )
-        for fid, f in self._files.items():
-            live = int(np.sum(self.mapping_of(f.keys) == fid))
-            if live != f.n_live:
-                raise AssertionError(
-                    f"file {fid}: stale counter says {f.n_live} live, "
-                    f"mapping says {live}"
-                )
-        keys, fids = self._mapping.items()
-        for fid in np.unique(fids):
-            if int(fid) not in self._files:
-                bad = int(keys[fids == fid][0])
-                raise AssertionError(f"key {bad} maps to erased file {int(fid)}")
+        if n_rows != self._arena_live or self._arena_live > self._arena_used:
+            raise AssertionError(
+                f"arena accounts {self._arena_live} live of "
+                f"{self._arena_used} used rows, files hold {n_rows}"
+            )
+        keys, locs = self._mapping.items()
+        slots, within = np.divmod(locs, self.file_capacity)
+        dangling = (slots >= n) | (within >= rows[np.minimum(slots, n - 1)])
+        if not dangling.any():
+            dangling = self._arena_keys[self._slot_base[slots] + within] != keys
+        if dangling.any():
+            raise AssertionError(
+                f"key {int(keys[dangling][0])} maps to a row that does "
+                "not hold it (erased file?)"
+            )
+        live = np.bincount(slots, minlength=n)
+        wrong = np.flatnonzero((fids >= 0) & (live != rows - self._slot_stale[:n]))
+        if wrong.size:
+            slot = int(wrong[0])
+            raise AssertionError(
+                f"file {int(fids[slot])}: stale counter says "
+                f"{int(rows[slot] - self._slot_stale[slot])} live, mapping "
+                f"says {int(live[slot])}"
+            )
+
+
+def _moved(arena: np.ndarray, capacity: int, src) -> np.ndarray:
+    """A fresh ``capacity``-row arena headed by ``arena[src]`` (``src`` a
+    slice or an index array).
+
+    An anonymous mapping, not ``np.empty``: rows past the append point
+    cost address space rather than memory, and a superseded arena goes
+    straight back to the OS when dropped.  Megabyte blocks freed through
+    malloc instead raise glibc's mmap threshold and then stay on the
+    heap — on ``benchmarks/hps`` that alone was +6 % (``ssd_pressure``)
+    and +12 % (``snapshot_serving``) peak RSS.
+    """
+    shape = (capacity, *arena.shape[1:])
+    if capacity == 0:
+        return np.empty(shape, dtype=arena.dtype)
+    nbytes = int(np.prod(shape, dtype=np.int64)) * arena.dtype.itemsize
+    moved = np.frombuffer(mmap.mmap(-1, nbytes), dtype=arena.dtype).reshape(shape)
+    if isinstance(src, slice):
+        moved[src] = arena[src]
+    else:
+        np.take(arena, src, axis=0, out=moved[: src.size], mode="clip")
+    return moved
+
+
+def _resolve_mapping(
+    map_keys: np.ndarray,
+    map_fids: np.ndarray,
+    file_ids: np.ndarray,
+    offsets: np.ndarray,
+    file_keys: np.ndarray,
+    what: str,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Resolve checkpointed ``(key, file id)`` mapping rows to rows of the
+    packed files: returns ``(keys, file_index, row)`` with the keys in
+    ascending order, ``file_index`` into ``file_ids`` and ``row`` inside
+    that file.  ValueError on duplicate keys, or naming the first key
+    whose file does not hold it (exactly once)."""
+    m = map_keys.size
+    if m > 1 and not bool((map_keys[1:] > map_keys[:-1]).all()):
+        order = map_keys.argsort()
+        map_keys, map_fids = map_keys[order], map_fids[order]
+        if bool((map_keys[1:] == map_keys[:-1]).any()):
+            raise ValueError(f"file-store {what} mapping malformed")
+    if m == 0:
+        empty = np.zeros(0, dtype=np.int64)
+        return map_keys, empty, empty
+    # One binary search of every stored row into the sorted mapping: the
+    # stored rows that are live are those whose entry names their file.
+    owner = np.repeat(np.arange(file_ids.size, dtype=np.int64), np.diff(offsets))
+    at = np.minimum(np.searchsorted(map_keys, file_keys), m - 1)
+    live = np.flatnonzero(
+        (map_keys[at] == file_keys) & (map_fids[at] == file_ids[owner])
+    )
+    entry = at[live]
+    copies = np.bincount(entry, minlength=m)
+    if bool((copies != 1).any()):
+        i = int(np.flatnonzero(copies != 1)[0])
+        held = f"holds it {int(copies[i])} times" if copies[i] else "does not hold it"
+        raise ValueError(
+            f"file-store {what} maps key {int(map_keys[i])} to file "
+            f"{int(map_fids[i])}, which {held}"
+        )
+    file_index = np.empty(m, dtype=np.int64)
+    row = np.empty(m, dtype=np.int64)
+    file_index[entry] = owner[live]
+    row[entry] = live - offsets[owner[live]]
+    return map_keys, file_index, row

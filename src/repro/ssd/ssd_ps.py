@@ -160,21 +160,7 @@ class SSDPS:
 
     def items(self) -> tuple[np.ndarray, np.ndarray]:
         """All live ``(keys, values)``, sorted by key (no I/O charged)."""
-        ks, vs = [], []
-        for f in self.store.files():
-            k, v = self.store.live_rows(f)
-            ks.append(k)
-            vs.append(v)
-        keys = (
-            np.concatenate(ks) if ks else np.zeros(0, dtype=np.uint64)
-        )
-        values = (
-            np.concatenate(vs, axis=0)
-            if ks
-            else np.zeros((0, self.value_dim), dtype=np.float32)
-        )
-        order = np.argsort(keys)
-        return keys[order], values[order]
+        return self.store.items()
 
     def check_invariants(self) -> None:
         self.store.check_invariants()
@@ -188,12 +174,7 @@ class SSDPS:
         run only reproduces the original run's I/O schedule if the files
         and their counters come back verbatim.
         """
-        out = self.store.export_state()
-        out["load_seconds"] = np.float64(self.load_seconds)
-        out["dump_seconds"] = np.float64(self.dump_seconds)
-        out["total_compactions"] = np.int64(self.compactor.total_compactions)
-        out["extent_cache_hits"] = np.int64(self.extent_cache_hits)
-        return out
+        return self._with_counters(self.store.export_state())
 
     def load_state(self, state: dict[str, np.ndarray]) -> None:
         """Restore from an :meth:`export_state` snapshot."""
@@ -207,17 +188,19 @@ class SSDPS:
         the facade's running counters are scalars, so they ship in full
         with every delta.
         """
-        out = self.store.export_delta(base)
-        out["load_seconds"] = np.float64(self.load_seconds)
-        out["dump_seconds"] = np.float64(self.dump_seconds)
-        out["total_compactions"] = np.int64(self.compactor.total_compactions)
-        out["extent_cache_hits"] = np.int64(self.extent_cache_hits)
-        return out
+        return self._with_counters(self.store.export_delta(base))
 
     def load_delta(self, delta: dict[str, np.ndarray]) -> None:
         """Apply an :meth:`export_delta` diff on top of the base state."""
         self.store.load_delta(delta)
         self._load_counters(delta)
+
+    def _with_counters(self, out: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+        out["load_seconds"] = np.float64(self.load_seconds)
+        out["dump_seconds"] = np.float64(self.dump_seconds)
+        out["total_compactions"] = np.int64(self.compactor.total_compactions)
+        out["extent_cache_hits"] = np.int64(self.extent_cache_hits)
+        return out
 
     def _load_counters(self, state: dict[str, np.ndarray]) -> None:
         self.load_seconds = float(state["load_seconds"])

@@ -7,10 +7,8 @@ unbounded), with every batch operation vectorized — the Python-level loop
 runs O(max probe length) rounds, never O(n_keys).
 
 Deletion uses tombstones (:data:`~repro.utils.keys.TOMBSTONE_KEY`); the
-table rehashes itself when live + dead slots crowd the array.  Single-key
-operations take a scalar fast path (plain-int probing over the same
-arrays) so per-key workloads — the cache-policy ablation, the legacy
-single-key cache API — do not pay 1-element array dispatch per access.
+table rehashes itself when live + dead slots crowd the array.  Every
+operation is a batch verb — there is no per-key API.
 """
 
 from __future__ import annotations
@@ -23,13 +21,9 @@ from repro.utils.keys import (
     TOMBSTONE_KEY,
     as_keys,
     mix_hash,
-    splitmix64_scalar,
 )
 
 __all__ = ["SlotIndex"]
-
-_EMPTY = int(EMPTY_KEY)
-_TOMB = int(TOMBSTONE_KEY)
 
 #: Largest key domain served direct-addressed: one int64 payload per
 #: possible key (32 MiB at the cap).  Compact id spaces — the functional
@@ -508,84 +502,6 @@ class SlotIndex:
         self.n_live -= n_removed
         self._n_dead += n_removed
         return old, existed
-
-    # ------------------------------------------------------------------
-    # Scalar fast paths (single-key cache API, per-key ablations).
-    # ------------------------------------------------------------------
-    def _probe1(self, key: int) -> tuple[int, int]:
-        """``(match_slot, first_vacant_slot)`` for ``key``; -1 if none."""
-        hkeys = self._hkeys
-        mask = int(self._mask)
-        h = splitmix64_scalar(key) & mask
-        free = -1
-        for _ in range(self._n_slots + 1):
-            occ = int(hkeys[h])
-            if occ == key:
-                return h, free
-            if occ == _TOMB:
-                if free < 0:
-                    free = h
-            elif occ == _EMPTY:
-                return -1, (free if free >= 0 else h)
-            h = (h + 1) & mask
-        raise RuntimeError("index probe loop exceeded table size")
-
-    def get1(self, key: int) -> int:
-        """Payload for a single key, or -1."""
-        dense = self._dense
-        if dense is not None:
-            if key < dense.size:
-                return int(dense[key])
-            self._escape_dense()
-        s, _ = self._probe1(key)
-        return int(self._hvals[s]) if s >= 0 else -1
-
-    def set1(self, key: int, payload: int) -> int:
-        """Upsert a single key; returns the old payload or -1."""
-        if key >= _TOMB:
-            raise ValueError("keys >= 2**64 - 2 are reserved sentinels")
-        dense = self._dense
-        if dense is not None:
-            if key < dense.size:
-                old = int(dense[key])
-                dense[key] = payload
-                if old < 0:
-                    self.n_live += 1
-                return old
-            self._escape_dense()
-        self._maybe_grow(1)
-        s, free = self._probe1(key)
-        if s >= 0:
-            old = int(self._hvals[s])
-            self._hvals[s] = payload
-            return old
-        if int(self._hkeys[free]) == _TOMB:
-            self._n_dead -= 1
-        self._hkeys[free] = np.uint64(key)
-        self._hvals[free] = payload
-        self.n_live += 1
-        return -1
-
-    def remove1(self, key: int) -> int:
-        """Delete a single key; returns the old payload or -1."""
-        dense = self._dense
-        if dense is not None:
-            if key < dense.size:
-                old = int(dense[key])
-                if old >= 0:
-                    dense[key] = -1
-                    self.n_live -= 1
-                return old
-            self._escape_dense()
-        s, _ = self._probe1(key)
-        if s < 0:
-            return -1
-        old = int(self._hvals[s])
-        self._hkeys[s] = TOMBSTONE_KEY
-        self._hvals[s] = -1
-        self.n_live -= 1
-        self._n_dead += 1
-        return old
 
     # ------------------------------------------------------------------
     def items(self) -> tuple[np.ndarray, np.ndarray]:

@@ -16,7 +16,6 @@ __all__ = [
     "as_keys",
     "all_unique",
     "splitmix64",
-    "splitmix64_scalar",
     "mix_hash",
     "unique_keys",
 ]
@@ -33,7 +32,6 @@ EMPTY_KEY = np.uint64(0xFFFFFFFFFFFFFFFF)
 TOMBSTONE_KEY = np.uint64(0xFFFFFFFFFFFFFFFE)
 
 _U64 = np.uint64
-_MASK64 = (1 << 64) - 1
 
 
 def as_keys(values) -> np.ndarray:
@@ -69,23 +67,6 @@ def splitmix64(x: np.ndarray) -> np.ndarray:
         x ^= x >> _U64(27)
         x *= _U64(0x94D049BB133111EB)
         x ^= x >> _U64(31)
-    return x
-
-
-def splitmix64_scalar(x: int) -> int:
-    """Python-int splitmix64, bit-identical to :func:`splitmix64`.
-
-    Single-key cache operations probe with plain ints to avoid the
-    overhead of 1-element array dispatch; the two implementations must
-    agree exactly or a key inserted via the batch path would be probed at
-    the wrong slot by the scalar path.
-    """
-    x = (x + 0x9E3779B97F4A7C15) & _MASK64
-    x ^= x >> 30
-    x = (x * 0xBF58476D1CE4E5B9) & _MASK64
-    x ^= x >> 27
-    x = (x * 0x94D049BB133111EB) & _MASK64
-    x ^= x >> 31
     return x
 
 

@@ -52,7 +52,7 @@ class TestVictimSelection:
         write(store, range(4))       # file0
         write(store, range(4, 8))    # file1
         write(store, [0, 1, 2])      # makes file0 75% stale; file1 0%
-        victims = comp.victims()
+        victims = [store.file(fid) for fid in comp.victims()]
         assert [f.stale_fraction() for f in victims] == [0.75]
 
     def test_most_stale_first(self, store):
@@ -61,7 +61,7 @@ class TestVictimSelection:
         write(store, range(4, 8))
         write(store, [0, 1, 2])      # file0 75%
         write(store, [4, 5])         # file1 50%
-        fracs = [f.stale_fraction() for f in comp.victims()]
+        fracs = [store.file(fid).stale_fraction() for fid in comp.victims()]
         assert fracs == sorted(fracs, reverse=True)
 
 

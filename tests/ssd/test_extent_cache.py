@@ -89,12 +89,12 @@ def per_key_reference(store: FileStore, keys: np.ndarray):
         fid = int(store.mapping_of(keys_of([key]))[0])
         if fid < 0:
             continue
-        f = store._files[fid]
+        f = store.file(fid)
         if fid not in paid:
             seconds += pricer.read(store.file_bytes(f))
             paid.add(fid)
         row = int(np.searchsorted(f.keys, key))
-        out[i] = store._payload(f)[row]
+        out[i] = store._payload(fid)[row]
         found[i] = True
     return out, found, seconds, len(paid)
 

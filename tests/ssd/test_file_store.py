@@ -104,9 +104,9 @@ class TestAccounting:
     def test_live_rows(self, store):
         _, (fid,) = store.write(keys_of([1, 2]), vals_of(2))
         store.write(keys_of([2]), vals_of(1, base=7))
-        f = [f for f in store.files() if f.file_id == fid][0]
-        k, v = store.live_rows(f)
+        k, v = store.live_rows([fid])
         assert k.tolist() == [1]
+        assert np.array_equal(v, vals_of(2)[:1])
 
     def test_erase(self, store):
         _, (fid,) = store.write(keys_of([1]), vals_of(1))
@@ -220,19 +220,19 @@ class TestCrashConsistency:
 
         store = FileStore(1, file_capacity=4, directory=str(tmp_path))
         _, (fid,) = store.write(keys_of([1, 2]), np.ones((2, 1), np.float32))
-        path = store._files[fid].path
+        path = store.file(fid).path
         os.remove(path)  # the only copy of rows 1-2 is gone
         with pytest.raises(FileNotFoundError, match="payload missing"):
             store.erase(fid)
         # The file stays registered so the loss remains observable.
-        assert fid in store._files
+        assert store.file(fid).n_params == 2
 
     def test_erase_memory_backend_unaffected(self):
         store = FileStore(1, file_capacity=4)
         _, (fid,) = store.write(keys_of([1]), np.ones((1, 1), np.float32))
         store.write(keys_of([1]), np.zeros((1, 1), np.float32))
         store.erase(fid)
-        assert fid not in store._files
+        assert fid not in {f.file_id for f in store.files()}
 
 
 class TestStateSnapshot:
@@ -248,8 +248,8 @@ class TestStateSnapshot:
         a, b = store.read(keys_of(range(10))), other.read(keys_of(range(10)))
         assert np.array_equal(a.values, b.values)
         # Stale counters (compaction triggers) survive the round trip.
-        for fid, f in store._files.items():
-            assert other._files[fid].stale_count == f.stale_count
+        for mine, theirs in zip(store.file_table(), other.file_table()):
+            assert np.array_equal(mine, theirs)
         assert other._next_file_id == store._next_file_id
 
     def test_load_state_into_disk_backend(self, store, tmp_path):
@@ -290,3 +290,44 @@ class TestStateSnapshot:
         other = FileStore(2, file_capacity=4)
         with pytest.raises(ValueError, match="unknown files"):
             other.load_state(state)
+
+    def test_load_state_rejects_mapping_row_to_a_file_without_the_key(self):
+        """Per-file live *counts* can balance while the rows are wrong:
+        files {0: [1, 2], 1: [3, 4]} with keys 2 and 3 swapped.  That used
+        to pass validation, erase the target, and only then trip a bare
+        AssertionError in check_invariants."""
+        source = FileStore(2, file_capacity=2)
+        source.write(keys_of([1, 2]), vals_of(2))
+        source.write(keys_of([3, 4]), vals_of(2, base=10.0))
+        state = source.export_state()
+        assert state["map_fids"].tolist() == [0, 0, 1, 1]
+        state["map_fids"] = np.array([0, 1, 0, 1], dtype=np.int64)
+        target = FileStore(2, file_capacity=2)
+        target.write(keys_of([100, 101]), vals_of(2, base=9.0))
+        with pytest.raises(ValueError, match=r"key 2 to file 1\b"):
+            target.load_state(state)
+        r = target.read(keys_of([100, 101]))
+        assert r.found.all() and np.array_equal(r.values, vals_of(2, base=9.0))
+        assert target.n_files == 1
+        target.check_invariants()
+
+    def test_load_delta_rejects_mapping_row_to_a_file_without_the_key(self):
+        source = FileStore(2, file_capacity=2)
+        source.write(keys_of([1, 2]), vals_of(2))
+        base = source.export_state()
+        holder = FileStore(2, file_capacity=2)
+        holder.load_state(base)
+        source.write(keys_of([5, 6, 7, 8]), vals_of(4, base=20.0))  # files 1, 2
+        delta = source.export_delta(base)
+        assert delta["map_fids"].tolist() == [1, 1, 2, 2]
+        delta["map_fids"] = np.array([1, 2, 1, 2], dtype=np.int64)
+        with pytest.raises(ValueError, match=r"key 6 to file 2\b"):
+            holder.load_delta(delta)
+        # Rejected before any mutation: still exactly the base.
+        assert holder.n_files == 1 and holder.n_live_params == 2
+        r = holder.read(keys_of([1, 2, 5]))
+        assert r.found.tolist() == [True, True, False]
+        assert np.array_equal(r.values[:2], vals_of(2))
+        holder.check_invariants()
+        holder.load_delta(source.export_delta(base))  # the honest delta lands
+        assert holder.read(keys_of([5, 8])).found.all()

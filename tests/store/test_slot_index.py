@@ -70,28 +70,6 @@ class TestBasics:
         assert dict(zip(ks.tolist(), vs.tolist())) == {1: 10, 2: 20, 3: 30}
 
 
-class TestScalarPaths:
-    def test_scalar_and_batch_agree(self):
-        idx = SlotIndex()
-        idx.set(keys_of([7, 8]), np.array([70, 80]))
-        assert idx.get1(7) == 70
-        assert idx.get1(9) == -1
-        assert idx.set1(9, 90) == -1
-        assert idx.set1(9, 91) == 90
-        vals, found = idx.get(keys_of([9]))
-        assert found[0] and vals[0] == 91
-        assert idx.remove1(9) == 91
-        assert idx.remove1(9) == -1
-        assert idx.get1(9) == -1
-
-    def test_growth_preserves_scalar_entries(self):
-        idx = SlotIndex(capacity_hint=4)
-        for k in range(200):
-            idx.set1(k, k * 2)
-        for k in range(200):
-            assert idx.get1(k) == k * 2
-
-
 class TestGrowth:
     def test_grows_past_initial_capacity(self):
         idx = SlotIndex(capacity_hint=8)
@@ -119,25 +97,35 @@ class TestGrowth:
 @given(
     st.lists(
         st.tuples(
-            st.sampled_from(["set", "remove", "get"]), st.integers(0, 50)
+            st.sampled_from(["set", "remove", "get"]),
+            st.sets(st.integers(0, 50), min_size=1, max_size=8).map(sorted),
         ),
         max_size=200,
-    )
+    ),
+    st.sampled_from([None, 40]),
 )
 @settings(max_examples=40, deadline=None)
-def test_matches_python_dict(ops):
-    idx = SlotIndex(capacity_hint=4)
+def test_matches_python_dict(ops, key_domain):
+    """The batch verbs against a dict, over a generated sequence: tombstone
+    reuse, growth from a 4-key hint, and (``key_domain=40`` with keys up to
+    50) the escape from direct addressing to probing."""
+    idx = SlotIndex(capacity_hint=4, key_domain=key_domain)
     model: dict[int, int] = {}
-    for i, (op, k) in enumerate(ops):
+    for i, (op, ks) in enumerate(ops):
+        keys = keys_of(ks)
+        expected = [model.get(k, -1) for k in ks]
         if op == "set":
-            old = idx.set1(k, i)
-            assert old == model.get(k, -1)
-            model[k] = i
+            payloads = np.arange(len(ks)) + 10 * i
+            old, existed = idx.set(keys, payloads)
+            model.update(zip(ks, payloads.tolist()))
         elif op == "remove":
-            old = idx.remove1(k)
-            assert old == model.pop(k, -1)
+            old, existed = idx.remove(keys)
+            for k in ks:
+                model.pop(k, None)
         else:
-            assert idx.get1(k) == model.get(k, -1)
+            old, existed = idx.get(keys)
+        assert old.tolist() == expected
+        assert existed.tolist() == [e >= 0 for e in expected]
         assert len(idx) == len(model)
     ks, vs = idx.items()
     assert dict(zip(ks.tolist(), vs.tolist())) == model
