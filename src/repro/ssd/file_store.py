@@ -42,7 +42,7 @@ from repro.hardware.ssd_device import SSDDevice
 from repro.ssd.extent_cache import FileHandleCache
 from repro.store.slot_index import SlotIndex
 from repro.utils.io import atomic_write_bytes
-from repro.utils.keys import KEY_DTYPE, as_keys
+from repro.utils.keys import KEY_DTYPE, as_keys, compact_unique
 
 __all__ = ["FileStore", "ParameterFile", "ReadResult"]
 
@@ -253,13 +253,13 @@ class FileStore:
         self._n_slots = need
         return slots
 
-    def _rows_of(self, slots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``(slot, row)`` of every row of the files in ``slots``, file by
-        file in the given order."""
+    def _rows_of(self, slots: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(slot, row, arena row)`` of every row of the files in
+        ``slots``, file by file in the given order."""
         rows = self._slot_rows[slots]
         starts = np.cumsum(rows) - rows
         within = np.arange(int(rows.sum()), dtype=np.int64) - np.repeat(starts, rows)
-        return np.repeat(slots, rows), within
+        return np.repeat(slots, rows), within, np.repeat(self._slot_base[slots], rows) + within
 
     def _reserve(self, n: int) -> int:
         """Make room for ``n`` more rows at the arenas' tail (growing at
@@ -281,8 +281,7 @@ class FileStore:
         if self._arena_used - self._arena_live <= _REPACK_FRACTION * self._arena_used:
             return
         slots = self._live_slots()
-        owner, within = self._rows_of(slots)
-        src = self._slot_base[owner] + within
+        src = self._rows_of(slots)[2]
         rows = self._slot_rows[slots]
         self._slot_base[slots] = np.cumsum(rows) - rows
         self._rehouse(_HEADROOM * src.size, src)
@@ -362,7 +361,7 @@ class FileStore:
         """Payload rows at ``(slot, row)`` pairs: one arena gather — on the
         disk backend, one ``.npy`` load per distinct file instead."""
         if self._arena is not None:
-            return self._arena[self._slot_base[slots] + rows]
+            return self._arena.take(self._slot_base[slots] + rows, axis=0)
         out = np.empty((slots.size, self.value_dim), dtype=np.float32)
         order = slots.argsort(kind="stable")
         by_slot = slots[order]
@@ -394,17 +393,16 @@ class FileStore:
         cap = self.file_capacity
         n_new = -(-n // cap)
         offsets = np.minimum(np.arange(n_new + 1, dtype=np.int64) * cap, n)
+        rows = np.diff(offsets)
         file_ids = np.arange(n_new, dtype=np.int64) + self._next_file_id
-        slots = self._append_files(file_ids, offsets, keys, values[order])
+        slots = self._append_files(file_ids, offsets, keys, values.take(order, axis=0))
         self._next_file_id += n_new
         total_t = 0.0
-        for nbytes in (np.diff(offsets) * self.row_bytes).tolist():
+        for nbytes in (rows * self.row_bytes).tolist():
             total_t += self.device.write(nbytes)
         # Repoint the mapping; bump the superseded files' stale counters.
         within = np.arange(n, dtype=np.int64) % cap
-        old, existed = self._mapping.set(
-            keys, np.repeat(slots, np.diff(offsets)) * cap + within
-        )
+        old, existed = self._mapping.set(keys, np.repeat(slots, rows) * cap + within)
         if existed.any():
             self._slot_stale[: self._n_slots] += np.bincount(
                 old[existed] // cap, minlength=self._n_slots
@@ -481,8 +479,8 @@ class FileStore:
     def _live(self, slots: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(key, slot, row)`` of every row of the files in ``slots`` the
         mapping still points at."""
-        owner, within = self._rows_of(slots)
-        keys = self._arena_keys[self._slot_base[owner] + within]
+        owner, within, at = self._rows_of(slots)
+        keys = self._arena_keys[at]
         locs, _ = self._mapping.get(keys)
         live = locs == owner * self.file_capacity + within
         return keys[live], owner[live], within[live]
@@ -533,11 +531,11 @@ class FileStore:
         offsets array, so they can live in a single ``.npz`` shard."""
         offsets = np.zeros(slots.size + 1, dtype=np.int64)
         np.cumsum(self._slot_rows[slots], out=offsets[1:])
-        owner, within = self._rows_of(slots)
+        owner, within, at = self._rows_of(slots)
         return {
             "file_ids": self._slot_fid[slots],
             "file_offsets": offsets,
-            "file_keys": self._arena_keys[self._slot_base[owner] + within],
+            "file_keys": self._arena_keys[at],
             "file_values": self._gather(owner, within),
             "file_stale": self._slot_stale[slots],
         }
@@ -599,7 +597,7 @@ class FileStore:
         out["erased_ids"] = base_fids[~survives]
         out["stale_ids"] = base_fids[survives][changed]
         out["stale_counts"] = now_stale[changed]
-        out["map_keys"] = np.unique(out["file_keys"])
+        out["map_keys"] = compact_unique(out["file_keys"])
         out["map_fids"] = self.mapping_of(out["map_keys"])
         out["next_file_id"] = np.int64(self._next_file_id)
         self._pack_extent_cache(out)
@@ -661,7 +659,8 @@ class FileStore:
                 f"{self._next_file_id}"
             )
         files, mapping = self._unpack(delta, "delta")
-        if files[0].size and int(files[0].min()) < self._next_file_id:
+        fids = files[0]
+        if fids.size and int(fids.min()) < self._next_file_id:
             raise ValueError("file-store delta contains pre-base file ids")
         erased = np.asarray(delta["erased_ids"], dtype=np.int64).tolist()
         stale_ids = np.asarray(delta["stale_ids"], dtype=np.int64).tolist()
@@ -696,9 +695,10 @@ class FileStore:
         """
         files, mapping = self._unpack(state, "snapshot")
         fids, offsets, _, _, stale = files
+        map_keys, file_index, _ = mapping
         # The mapping must agree with the stale counters file by file
         # (the on-store check_invariants contract, applied to the arrays).
-        live = np.bincount(mapping[1], minlength=fids.size)
+        live = np.bincount(file_index, minlength=fids.size)
         wrong = np.flatnonzero(live != np.diff(offsets) - stale)
         if wrong.size:
             raise ValueError(
@@ -708,9 +708,7 @@ class FileStore:
         for fid in list(self._slot_of):
             self.erase(fid)
         self._reset_files()
-        self._mapping = SlotIndex(
-            max(1024, mapping[0].size), key_domain=self._key_domain
-        )
+        self._mapping = SlotIndex(max(1024, map_keys.size), key_domain=self._key_domain)
         self._install(files, mapping, state["next_file_id"])
         self._rewarm_extent_cache(state)
         self.check_invariants()

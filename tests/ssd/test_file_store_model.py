@@ -17,7 +17,6 @@ import shutil
 import tempfile
 
 import numpy as np
-import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (
@@ -27,7 +26,6 @@ from hypothesis.stateful import (
     rule,
 )
 
-from repro.faults.errors import PayloadLostError
 from repro.faults.policy import FaultArm, RetryPolicy
 from repro.faults.schedule import FaultSchedule
 from repro.ssd.compaction import Compactor
