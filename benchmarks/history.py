@@ -1,10 +1,13 @@
 """``python benchmarks/history.py append --commit <sha> <result.json>``
+``python benchmarks/history.py show --workload W --metric M``
 
-Appends one line per workload of a suite run (``benchmarks/hps/run.py
+``append`` adds one line per workload of a suite run (``benchmarks/hps/run.py
 --seed S --out result.json``) to ``BENCH_history.jsonl``: each
 ``BENCHMARK.json`` end-to-end metric as ``[median, q1, q3, n]`` (null where
 the run keeps none), ``param_digest`` and ``failed`` / ``attempted``.
 Append-only: a ``(commit, seed, workload)`` already on file is refused.
+``show`` prints one metric's committed trajectory on one workload, in file
+order: ``commit seed median [q1–q3] n``.
 """
 
 import argparse
@@ -29,15 +32,35 @@ def rows(commit: str, result: dict) -> list[dict]:
     return out
 
 
+def history() -> list[dict]:
+    return [json.loads(x) for x in HISTORY.read_text().splitlines()] if HISTORY.exists() else []
+
+
+def show(workload: str, metric: str) -> int:
+    series = [r for r in history() if r["workload"] == workload and isinstance(r.get(metric), list)]
+    for r in series:
+        median, q1, q3, n = r[metric]
+        spread = f" [{q1:.4g}–{q3:.4g}] n={n}" if q1 is not None else ""
+        print(f"{r['commit'][:7]} seed {r['seed']} {median:.4g}{spread}")
+    if not series:
+        print(f"history.py: no {metric} rows for {workload}", file=sys.stderr)
+    return 0 if series else 1
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description="append a suite run to BENCH_history.jsonl")
-    parser.add_argument("verb", choices=["append"])
-    parser.add_argument("--commit", required=True)
-    parser.add_argument("result", type=pathlib.Path)
+    parser = argparse.ArgumentParser(description="append to / read BENCH_history.jsonl")
+    verbs = parser.add_subparsers(dest="verb", required=True)
+    append = verbs.add_parser("append")
+    append.add_argument("--commit", required=True)
+    append.add_argument("result", type=pathlib.Path)
+    shown = verbs.add_parser("show")
+    shown.add_argument("--workload", required=True)
+    shown.add_argument("--metric", required=True)
     args = parser.parse_args(argv)
+    if args.verb == "show":
+        return show(args.workload, args.metric)
     new = rows(args.commit, json.loads(args.result.read_text()))
-    lines = HISTORY.read_text().splitlines() if HISTORY.exists() else []
-    seen = {(r["commit"], r["seed"], r["workload"]) for r in map(json.loads, lines)}
+    seen = {(r["commit"], r["seed"], r["workload"]) for r in history()}
     if any((r["commit"], r["seed"], r["workload"]) in seen for r in new):
         print(f"history.py: {args.commit} seed {new[0]['seed']} already on file", file=sys.stderr)
         return 1

@@ -191,8 +191,11 @@ class ClusterConfig:
                 raise ValueError(f"{name} must be positive")
         if self.ssd_extent_cache_files < 0:
             raise ValueError("ssd_extent_cache_files must be >= 0")
-        if not 0.0 <= self.cache_lru_fraction <= 1.0:
-            raise ValueError("cache_lru_fraction must be in [0, 1]")
+        # The MEM cache is two tiers: each needs at least one row.
+        if self.mem_capacity_params < 2:
+            raise ValueError("mem_capacity_params must be >= 2")
+        if not 0.0 < self.cache_lru_fraction < 1.0:
+            raise ValueError("cache_lru_fraction must be in (0, 1)")
         if self.compaction_threshold < 1.0:
             raise ValueError("compaction_threshold must be >= 1.0")
         if not 0.0 < self.compaction_stale_fraction <= 1.0:

@@ -6,30 +6,53 @@ evictions must be flushed to the SSD before their memory is released.
 Working parameters of in-flight rounds are **pinned** in the LRU tier and
 cannot be evicted until their round completes (pipeline integrity).
 
+**One slab, and the tier is metadata on the row.**  The cache owns
+``lru_capacity + lfu_capacity`` rows — values in a preallocated
+``(rows, value_dim)`` float32 array, parallel key / order / count / pin
+arrays, one :class:`~repro.store.SlotIndex` (key → row) and one stack
+of free rows.  Which tier a resident belongs to is read off its order
+fields: an LRU resident carries a recency tick (``_tick``), an LFU
+resident a frequency and a bucket-entry tick (``_freq``, ``_ftick``),
+and each order array holds ``_FAR`` outside its tier, so victim
+selection is ``argpartition`` / ``partition`` + ``lexsort`` over the
+whole slab with no tier mask.  ``_count`` is the LRU access count and
+the LFU frequency at once (they are the same number).  ``n_lru`` /
+``n_lfu`` enforce the two capacities, which stay policy quantities.
+Promotion and demotion are pure policy events and rewrite that metadata
+only: **a resident key's row never moves** — from the insert that
+admitted it to the flush that evicts it, across any number of
+promotions and demotions — and the index is written only where the key
+*set* changes (one ``install`` for an insert's keys, one ``remove`` for
+the rows it flushes).
+
 :class:`CombinedCache` serves exactly the traffic its one caller,
 :class:`~repro.mem.mem_ps.MemPS`, sends — and nothing more general:
 
 * **Keys are unique.**  Every key array handed to the cache is a set
   (the round plan's sorted-unique MEM-touch union, or a subset of it).
 * **One lookup: the tier-ordered resolve**
-  (:meth:`CombinedCache.prefetch_resolve`).  The union is accessed as
-  [LRU hits, LFU promotions, misses]: hits are recency ticks on located
-  rows, promotions move LFU residents into the LRU tier (demoting its
-  coldest unpinned rows, which can never be this union's own hits), and
-  misses only count.  Each index is probed once and the LRU row of every
-  hit is handed back.  The whole union must fit the LRU tier next to the
-  rows other in-flight rounds hold pinned — it is about to be pinned
-  itself — and a union that does not is refused *before* any state
-  changes (:class:`~repro.errors.TierStateError`).
+  (:meth:`CombinedCache.prefetch_resolve`).  One probe of the index
+  locates every resident and the tier is read off the located rows; the
+  union is then accessed as [LRU hits, LFU promotions, misses]: hits are
+  recency ticks, promotions re-label LFU rows as LRU rows (demoting the
+  LRU tier's coldest unpinned rows, which can never be this union's own
+  hits), and misses only count.  The row of every hit is handed back.
+  The whole union must fit the LRU tier next to the rows other in-flight
+  rounds hold pinned — it is about to be pinned itself — and a union
+  that does not is refused *before* any state changes
+  (:class:`~repro.errors.TierStateError`).
 * **One insert: absent keys** (:meth:`CombinedCache.put_batch`).  The
   caller inserts the resolve's misses — resident in neither tier by
-  construction — pinned.  LRU overflow demotes the oldest unpinned rows
-  into the LFU, LFU overflow comes back as flush pairs for the SSD, and
-  the rows the keys landed in are returned with them.
-* **Row ops in between.**  A pinned key's LRU row is stable until it is
-  unpinned (pinned rows are never victims), so everything from the
-  resolve to the round's end — gathers, scatters, touches, the final
-  unpin — goes through rows, with no further index probe.
+  construction — pinned.  In order: the LRU tier's oldest unpinned rows
+  are selected as victims; the LFU tier admits that demotion stream and
+  names what it flushes; the flushed rows leave the index and return to
+  the free stack (their pairs go back to the caller, for the SSD); only
+  then do the new keys allocate rows — with both tiers full the free
+  stack is empty until that flush.
+* **Row ops in between.**  Everything from the resolve to the round's
+  end — gathers, scatters, touches, the final unpin — goes through the
+  rows the resolve and the insert handed back, with no further index
+  probe.  Pinned rows are never victims, so they cannot be flushed.
 
 What is pinned, and when: the resolve's hits are pinned by the caller
 right after it returns (so the miss insert cannot evict them), the
@@ -38,17 +61,13 @@ at its end — except rows a deeper prefetch window still claims.  A
 snapshot (:meth:`CombinedCache.export_state`) is only defined with no
 pins held.
 
-Storage is two fixed slabs: values live in a preallocated ``(capacity,
-value_dim)`` float32 array with parallel key / recency / count /
-frequency / pin arrays, keys resolve to rows through a vectorized
-open-addressing :class:`~repro.store.SlotIndex`, and victims are chosen
-with ``argpartition`` over the recency / priority arrays.  Each tier has
-one insertion primitive (:meth:`LRUCache.insert`,
-:meth:`LFUCache.bulk_insert`), both **sequential-equivalent**: evictions
-and flush pairs come out in the order a per-key loop would produce them.
-The test suite holds the cache to the seed dict-of-ndarray
-implementation kept under ``tests/cache_oracles.py``, replayed key by
-key in the resolve's tier order.
+Both passes are **sequential-equivalent**: evictions and flush pairs
+come out in the order a per-key loop would produce them.  Row identity
+is unobservable to the policy — ticks are unique within a tier, so the
+same victims leave in the same order whatever rows they sit in.  The
+test suite holds the cache to the seed dict-of-ndarray implementation
+kept under ``tests/cache_oracles.py``, replayed key by key in the
+resolve's tier order.
 """
 
 from __future__ import annotations
@@ -59,46 +78,28 @@ import numpy as np
 
 from repro.errors import TierStateError
 from repro.store.slot_index import SlotIndex
-from repro.utils.keys import EMPTY_KEY, KEY_DTYPE, as_keys, mix_hash
+from repro.utils.keys import EMPTY_KEY, KEY_DTYPE, TOMBSTONE_KEY, as_keys, mix_hash
 
 __all__ = ["CombinedCache", "CacheStats"]
 
-#: Order sentinel for free slots — sorts after every live tick/priority.
+#: Order sentinel outside a tier — sorts after every live tick/frequency.
 _FAR = np.int64(2**62)
 
 _NO_SLOTS = np.empty(0, dtype=np.int64)
-
-
-def _full_i64(n: int, value) -> np.ndarray:
-    """``np.full(n, value, dtype=int64)`` without the broadcast wrapper.
-
-    The resolve allocates several small sentinel-filled arrays per
-    round; ``empty`` + C-level ``fill`` skips ``np.full``'s fill-value
-    coercion and ``copyto`` broadcast machinery.
-    """
-    out = np.empty(n, dtype=np.int64)
-    out.fill(value)
-    return out
-
-
-def _batch_hashes(keys: np.ndarray, *indices) -> np.ndarray | None:
-    """Precompute ``mix_hash`` once per batch — or not at all.
-
-    While every index involved is direct-addressed
-    (:attr:`SlotIndex.hash_free`) the hashes would never be read, so the
-    batch paths pass ``None``; an index that escapes to open addressing
-    mid-operation computes the hash itself.
-    """
-    for ix in indices:
-        if not ix.hash_free:
-            return mix_hash(keys)
-    return None
-
 
 _PINNED_MSG = (
     "cache over capacity with all residents pinned — the pinned "
     "working set must fit in memory (paper Section 5)"
 )
+
+
+def _full_i64(n: int, value) -> np.ndarray:
+    """``np.full(n, value, dtype=int64)`` without the broadcast wrapper
+    (``empty`` + C-level ``fill``; the per-round paths allocate several
+    small sentinel-filled arrays)."""
+    out = np.empty(n, dtype=np.int64)
+    out.fill(value)
+    return out
 
 
 @dataclass
@@ -127,237 +128,6 @@ class CacheStats:
 
 def _empty_pairs(dim: int) -> tuple[np.ndarray, np.ndarray]:
     return as_keys([]), np.zeros((0, dim), dtype=np.float32)
-
-
-class _SlabCache:
-    """Shared slab plumbing for the LRU and LFU tiers.
-
-    A fixed pool of ``capacity`` rows; ``_index`` maps keys to rows,
-    ``_free`` is a stack of unused rows.  Subclasses add the replacement
-    metadata (recency ticks / frequency+tick priorities).
-    """
-
-    def __init__(
-        self, capacity: int, value_dim: int, key_domain: int | None
-    ) -> None:
-        self.capacity = capacity
-        self.value_dim = value_dim
-        self._index = SlotIndex(capacity, key_domain=key_domain)
-        self._keys = np.full(capacity, EMPTY_KEY, dtype=KEY_DTYPE)
-        self._values = np.zeros((capacity, value_dim), dtype=np.float32)
-        self._free = np.arange(capacity - 1, -1, -1, dtype=np.int64)
-        self._n_free = capacity
-        self._now = 0
-
-    def _alloc(self, n: int) -> np.ndarray:
-        if n > self._n_free:
-            raise RuntimeError("slab out of rows (eviction planning bug)")
-        self._n_free -= n
-        return self._free[self._n_free : self._n_free + n].copy()
-
-    def _release(self, slots: np.ndarray) -> None:
-        n = slots.size
-        self._free[self._n_free : self._n_free + n] = slots
-        self._n_free += n
-
-    def _ticks(self, n: int) -> np.ndarray:
-        out = np.arange(self._now + 1, self._now + 1 + n, dtype=np.int64)
-        self._now += n
-        return out
-
-    @property
-    def size(self) -> int:
-        return self.capacity - self._n_free
-
-    def _items_in_order(self, order_key: np.ndarray):
-        """Resident ``(slots, keys)`` sorted by ``order_key`` per slot."""
-        occupied = np.flatnonzero(self._keys != EMPTY_KEY)
-        occupied = occupied[np.argsort(order_key[occupied], kind="stable")]
-        return occupied, self._keys[occupied]
-
-
-class LRUCache(_SlabCache):
-    """The recent tier of :class:`CombinedCache`: an LRU slab with pins.
-
-    Recency is a monotone per-slot tick: a touch rewrites the slot's
-    tick; eviction takes the smallest ticks among unpinned residents
-    (``argpartition``), skipping pinned rows exactly as the seed dict
-    scan did.  ``_count`` carries each resident's access count, which
-    seeds its LFU frequency on demotion.
-    """
-
-    def __init__(
-        self, capacity: int, value_dim: int, key_domain: int | None = None
-    ) -> None:
-        super().__init__(capacity, value_dim, key_domain)
-        self._tick = np.full(capacity, _FAR, dtype=np.int64)
-        self._pinned = np.zeros(capacity, dtype=bool)
-        self._count = np.zeros(capacity, dtype=np.int64)
-
-    def _select_evictions(self, n: int) -> np.ndarray:
-        """Up to ``n`` unpinned resident slots, oldest tick first."""
-        # Per-slot sort key: recency tick, pinned/free pushed to +inf.
-        order = np.where(self._pinned, _FAR, self._tick)
-        n = min(n, order.size)
-        cand = np.argpartition(order, n - 1)[:n] if n < order.size else (
-            np.arange(order.size)
-        )
-        cand = cand[order[cand] < _FAR]
-        return cand[np.argsort(order[cand], kind="stable")]
-
-    def _remove_slots(self, slots: np.ndarray) -> None:
-        if slots.size == 0:
-            return
-        self._index.remove(self._keys[slots])
-        self._keys[slots] = EMPTY_KEY
-        self._tick[slots] = _FAR
-        self._pinned[slots] = False
-        self._release(slots)
-
-    def insert(
-        self,
-        keys: np.ndarray,
-        vals: np.ndarray,
-        pin: bool,
-        hints: np.ndarray | None = None,
-        hashes: np.ndarray | None = None,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Insert unique *absent* ``keys`` in batch order.
-
-        The tier's one insertion primitive, sequential-equivalent to a
-        per-key insert loop.  Returns ``(rows, ekeys, evals, ecounts)``:
-        the row each key landed in, and the demotion stream in eviction
-        order with each victim's access count.  Victims are the oldest
-        unpinned residents; when that supply runs out mid-batch, an
-        unpinned insert *spills*: the earliest batch positions are
-        themselves evicted again by the later ones (exactly as the seed
-        scan reached them), leave with a fresh count of 1 and report row
-        -1.  A pinned insert cannot spill and raises instead.
-
-        ``hints`` / ``hashes`` are the probe slots and key hashes of the
-        :meth:`SlotIndex.locate` call that found the keys absent, if the
-        caller made one.
-        """
-        n = keys.size
-        overflow = max(0, self.size + n - self.capacity)
-        victims = self._select_evictions(overflow) if overflow else _NO_SLOTS
-        n_spill = overflow - victims.size
-        if n_spill and pin:
-            raise TierStateError(_PINNED_MSG)
-        ekeys = np.concatenate([self._keys[victims], keys[:n_spill]])
-        evals = np.concatenate([self._values[victims], vals[:n_spill]], axis=0)
-        ecounts = np.concatenate(
-            [self._count[victims], np.ones(n_spill, dtype=np.int64)]
-        )
-        self._remove_slots(victims)
-        ticks = self._ticks(n)
-        rows = _full_i64(n, -1)
-        landed = rows[n_spill:] = self._alloc(n - n_spill)
-        keys = keys[n_spill:]
-        if hashes is not None:
-            hashes = hashes[n_spill:]
-        self._keys[landed] = keys
-        self._values[landed] = vals[n_spill:]
-        self._tick[landed] = ticks[n_spill:]
-        self._pinned[landed] = pin
-        self._count[landed] = 1
-        if hints is not None:
-            self._index.install(keys, landed, hints[n_spill:], hashes)
-        else:
-            self._index.insert_absent(keys, landed, hashes)
-        return rows, ekeys, evals, ecounts
-
-
-class LFUCache(_SlabCache):
-    """The frequent tier of :class:`CombinedCache`: an LFU slab.
-
-    Eviction takes the minimum frequency, ties broken by the oldest
-    *bucket-entry* tick (the moment the key entered the tier) — exactly
-    the seed bucket implementation's least-recently-added rule.
-    """
-
-    def __init__(
-        self, capacity: int, value_dim: int, key_domain: int | None = None
-    ) -> None:
-        super().__init__(capacity, value_dim, key_domain)
-        self._freq = np.full(capacity, _FAR, dtype=np.int64)
-        self._tick = np.full(capacity, _FAR, dtype=np.int64)
-
-    def _remove_slots(self, slots: np.ndarray) -> None:
-        if slots.size == 0:
-            return
-        self._index.remove(self._keys[slots])
-        self._keys[slots] = EMPTY_KEY
-        self._freq[slots] = _FAR
-        self._tick[slots] = _FAR
-        self._release(slots)
-
-    def bulk_insert(
-        self, keys: np.ndarray, vals: np.ndarray, freqs: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Sequential-equivalent batch of seeded inserts of *new* keys.
-
-        The tier's one insertion primitive.  ``keys`` must be unique and
-        disjoint from current residents (the demotion stream of the
-        combined policy is both by construction); ``freqs`` seeds each
-        key's frequency — the access count it accumulated in the LRU
-        tier, so demoted hot parameters are not treated as cold.
-        Returns flushed ``(keys, values)`` in eviction order.
-        """
-        m = keys.size
-        if m == 0:
-            return _empty_pairs(self.value_dim)
-        free0 = self.capacity - self.size
-        n_evict = max(0, m - free0)
-        if n_evict == 0:
-            rows = self._alloc(m)
-            self._keys[rows] = keys
-            self._values[rows] = vals
-            self._freq[rows] = freqs
-            self._tick[rows] = self._ticks(m)
-            self._index.insert_absent(keys, rows)
-            return _empty_pairs(self.value_dim)
-        # Arrival j (0-based) becomes an eviction candidate once its
-        # insert has happened: eviction slot t (0-based) precedes insert
-        # free0 + t, so arrival j needs slot t >= j - free0 + 1.
-        d_release = np.maximum(0, np.arange(m, dtype=np.int64) - free0 + 1)
-        pool = self._pool_candidates(n_evict)
-        pool_slot, d_slot = _greedy_evictions(
-            self._freq[pool], self._tick[pool], freqs, d_release, n_evict
-        )
-        # Flush list in eviction (slot) order.
-        taken_pool = pool_slot >= 0
-        taken_d = d_slot >= 0
-        fkeys = np.concatenate([self._keys[pool[taken_pool]], keys[taken_d]])
-        fvals = np.concatenate(
-            [self._values[pool[taken_pool]].copy(), vals[taken_d]], axis=0
-        )
-        order = np.argsort(
-            np.concatenate([pool_slot[taken_pool], d_slot[taken_d]]),
-            kind="stable",
-        )
-        self._remove_slots(pool[taken_pool])
-        ticks = self._ticks(m)
-        keep = ~taken_d
-        rows = self._alloc(int(keep.sum()))
-        self._keys[rows] = keys[keep]
-        self._values[rows] = vals[keep]
-        self._freq[rows] = freqs[keep]
-        self._tick[rows] = ticks[keep]
-        self._index.insert_absent(keys[keep], rows)
-        return fkeys[order].astype(KEY_DTYPE), fvals[order]
-
-    def _pool_candidates(self, n_evict: int) -> np.ndarray:
-        """Resident slots that could be evicted: the ``n_evict`` smallest
-        by (freq, tick), returned in that priority order."""
-        order_f = self._freq  # _FAR on free slots keeps them out
-        if n_evict < self.size:
-            kth = np.partition(order_f, n_evict - 1)[n_evict - 1]
-            cand = np.flatnonzero(order_f <= kth)
-        else:
-            cand = np.flatnonzero(order_f < _FAR)
-        order = np.lexsort((self._tick[cand], self._freq[cand]))
-        return cand[order][:n_evict]
 
 
 def _greedy_evictions(
@@ -416,7 +186,7 @@ def _greedy_evictions(
 
 
 class CombinedCache:
-    """The paper's two-tier LRU→LFU policy with pinning.
+    """The paper's two-tier LRU→LFU policy with pinning, in one slab.
 
     * On access: LRU hit refreshes recency; LFU hit *promotes* the key back
       into the LRU tier (recent again); miss reports False.
@@ -425,9 +195,10 @@ class CombinedCache:
     * Pinned keys live in the LRU tier and are never evicted until
       unpinned.
 
-    Access counts of LRU residents ride in the LRU slab and seed the LFU
-    frequency on demotion, so demoted hot parameters keep their standing.
-    See the module docstring for the calling contract.
+    A resident's access count rides on its row through every tier change
+    — it seeds the LFU frequency on demotion, so demoted hot parameters
+    keep their standing.  See the module docstring for the layout and the
+    calling contract.
     """
 
     def __init__(
@@ -447,19 +218,79 @@ class CombinedCache:
         self.key_domain = key_domain
         self.value_dim = value_dim
         self.stats = CacheStats()
-        lru_cap = max(1, int(capacity * lru_fraction))
-        self._reset_tiers(lru_cap, max(1, capacity - lru_cap))
+        #: rows the LRU tier may hold (pins live here) / the LFU tier may hold
+        self.lru_capacity = max(1, int(capacity * lru_fraction))
+        self.lfu_capacity = max(1, capacity - self.lru_capacity)
+        self._reset()
 
-    def _reset_tiers(self, lru_cap: int, lfu_cap: int) -> None:
-        self.lru = LRUCache(lru_cap, self.value_dim, self.key_domain)
-        self.lfu = LFUCache(lfu_cap, self.value_dim, self.key_domain)
+    def _reset(self) -> None:
+        """Empty slab: every row free, every order field ``_FAR``."""
+        rows = self.capacity
+        self._index = SlotIndex(rows, key_domain=self.key_domain)
+        self._keys = np.full(rows, EMPTY_KEY, dtype=KEY_DTYPE)
+        self._values = np.zeros((rows, self.value_dim), dtype=np.float32)
+        self._tick = np.full(rows, _FAR, dtype=np.int64)  # LRU recency
+        self._freq = np.full(rows, _FAR, dtype=np.int64)  # LFU frequency
+        self._ftick = np.full(rows, _FAR, dtype=np.int64)  # LFU bucket entry
+        self._count = np.zeros(rows, dtype=np.int64)
+        self._pinned = np.zeros(rows, dtype=bool)
+        self._free = np.arange(rows - 1, -1, -1, dtype=np.int64)
+        self._n_free = rows
+        self.n_lru = 0
+        self.n_lfu = 0
+        self._now = 0
 
     def __len__(self) -> int:
-        return self.lru.size + self.lfu.size
+        return self.n_lru + self.n_lfu
 
     @property
     def capacity(self) -> int:
-        return self.lru.capacity + self.lfu.capacity
+        return self.lru_capacity + self.lfu_capacity
+
+    # -- slab plumbing ---------------------------------------------------
+    def _alloc(self, n: int) -> np.ndarray:
+        if n > self._n_free:
+            raise RuntimeError("slab out of rows (eviction planning bug)")
+        self._n_free -= n
+        return self._free[self._n_free : self._n_free + n].copy()
+
+    def _ticks(self, n: int) -> np.ndarray:
+        """``n`` fresh ascending ticks.  Both tiers draw from one clock:
+        ticks are only ever compared within a tier."""
+        out = np.arange(self._now + 1, self._now + 1 + n, dtype=np.int64)
+        self._now += n
+        return out
+
+    def _tier_rows(self, order: np.ndarray) -> np.ndarray:
+        """The rows of one tier (``order`` is ``_tick`` or ``_ftick``),
+        oldest tick first — LRU eviction order / LFU entry order."""
+        rows = np.flatnonzero(order < _FAR)
+        return rows[np.argsort(order[rows], kind="stable")]
+
+    def _lru_victims(self, n: int) -> np.ndarray:
+        """Up to ``n`` unpinned LRU rows, oldest tick first."""
+        # Per-row sort key: recency tick; pinned, LFU and free rows at +inf.
+        order = np.where(self._pinned, _FAR, self._tick)
+        n = min(n, order.size)
+        cand = np.argpartition(order, n - 1)[:n] if n < order.size else (
+            np.arange(order.size)
+        )
+        cand = cand[order[cand] < _FAR]
+        return cand[np.argsort(order[cand], kind="stable")]
+
+    def _pool_candidates(self, n_evict: int) -> np.ndarray:
+        """LFU rows that could be evicted: the ``n_evict`` smallest by
+        (freq, entry tick), returned in that priority order — minimum
+        frequency first, ties broken by the oldest bucket entry, exactly
+        the seed bucket implementation's least-recently-added rule."""
+        order_f = self._freq  # _FAR outside the LFU tier keeps rows out
+        if n_evict < self.n_lfu:
+            kth = np.partition(order_f, n_evict - 1)[n_evict - 1]
+            cand = np.flatnonzero(order_f <= kth)
+        else:
+            cand = np.flatnonzero(order_f < _FAR)
+        order = np.lexsort((self._ftick[cand], self._freq[cand]))
+        return cand[order][:n_evict]
 
     # -- the lookup ------------------------------------------------------
     def prefetch_resolve(
@@ -472,135 +303,116 @@ class CombinedCache:
 
         Sequential-equivalent to looking the union up key by key in the
         order [LRU hits, LFU promotions, misses] — the access order the
-        prefetch stage commits to.  Each index is probed exactly once:
+        prefetch stage commits to.  The index is probed exactly once and
+        each located row says which tier its key is in:
 
-        * the LRU segment is pure recency ticks on the located slots;
-        * the LFU segment reuses the same probe state (still valid — the
-          tick segment mutates no index) and promotes in one dense pass,
-          demoting the LRU tier's coldest unpinned rows to make room;
+        * the LRU segment is pure recency ticks on the located rows;
+        * the LFU segment promotes in one dense pass — the promoted rows
+          trade their LFU order fields for fresh recency ticks and the
+          LRU tier's coldest unpinned rows (selected *before* those
+          ticks land) take LFU order fields in exchange.  No value is
+          copied and the index is not written: every key keeps its row;
         * the miss segment only counts (lookups never insert).
 
-        Returns ``(hit, rows)`` in input order; ``rows[i]`` is the LRU
-        slab row of every hit (-1 for misses, reported later by
+        Returns ``(hit, rows)`` in input order; ``rows[i]`` is the slab
+        row of every hit (-1 for misses, reported later by
         :meth:`put_batch`).
 
         The union is about to be pinned whole, so it must fit the LRU
         tier beside the pinned rows it does not already share; otherwise
         :class:`~repro.errors.TierStateError` is raised with the cache
-        untouched.  (Past that bound a promotion would evict this very
-        union's LRU hits after their rows had been recorded.)
+        untouched.  (Past that bound a promotion would demote this very
+        union's LRU hits.)
 
         ``prev_keys``/``prev_rows`` (the previous round's resolved union)
-        let consecutive unions share their overlap: a key still sitting
-        in its old slab row — verified directly against the slab, the
-        source of truth the index mirrors — needs no probe at all, so
-        only the cross-round *delta* pays SlotIndex traffic.
+        let consecutive unions share their overlap while the index
+        hashes: a key still sitting in its old row — verified directly
+        against the slab, the source of truth the index mirrors — needs
+        no probe, whichever tier that row is in by now.  A
+        direct-addressed index answers the whole union in one gather,
+        cheaper than the carry check, so there the pair is ignored.
         """
         keys = as_keys(keys)
         n = keys.size
         if n == 0:
             return np.zeros(0, dtype=bool), _NO_SLOTS.copy()
-        lru, lfu = self.lru, self.lfu
-        carried = np.zeros(n, dtype=bool)
-        carried_rows = _NO_SLOTS
+        index = self._index
+        carried = _NO_SLOTS
         if (
-            prev_keys is not None
+            not index.hash_free
+            and prev_keys is not None
             and prev_keys.size
             and prev_rows is not None
-            and int(prev_rows.max(initial=-1)) < lru._keys.shape[0]
+            and int(prev_rows.max(initial=-1)) < self._keys.size
         ):
             pos = prev_keys.searchsorted(keys)
             np.minimum(pos, prev_keys.size - 1, out=pos)
-            cand = prev_keys[pos] == keys
+            cand = np.flatnonzero(prev_keys[pos] == keys)
             rows_cand = prev_rows[pos[cand]]
-            ok = lru._keys[rows_cand] == keys[cand]
-            carried[np.flatnonzero(cand)[ok]] = True
-            carried_rows = rows_cand[ok]
-        if carried.any():
-            sub = np.flatnonzero(~carried)
-            k_sub = keys[sub]
-            h_sub = _batch_hashes(k_sub, lru._index, lfu._index)
-            s_slots, s_in_lru, s_hints = lru._index.locate(k_sub, h_sub)
-            sf_slots, s_in_lfu = lfu._index.get(k_sub, h_sub)
-            in_lru = carried.copy()
-            in_lru[sub] = s_in_lru
-            lru_slots = np.empty(n, dtype=np.int64)
-            lru_slots[carried] = carried_rows
-            lru_slots[sub] = s_slots
-            in_lfu = np.zeros(n, dtype=bool)
-            in_lfu[sub] = s_in_lfu
-            lfu_slots = _full_i64(n, -1)
-            lfu_slots[sub] = sf_slots
-            lru_hints = _full_i64(n, -1)
-            lru_hints[sub] = s_hints
-            if h_sub is None:
-                hashes = None
-            else:
-                hashes = np.zeros(n, dtype=np.uint64)
-                hashes[sub] = h_sub
+            ok = self._keys[rows_cand] == keys[cand]
+            carried, carried_rows = cand[ok], rows_cand[ok]
+        if carried.size:
+            found = np.zeros(n, dtype=bool)
+            found[carried] = True
+            rows = _full_i64(n, -1)
+            rows[carried] = carried_rows
+            sub = np.flatnonzero(~found)
+            rows[sub], found[sub] = index.get(keys[sub])
         else:
-            hashes = _batch_hashes(keys, lru._index, lfu._index)
-            lru_slots, in_lru, lru_hints = lru._index.locate(keys, hashes)
-            lfu_slots, in_lfu = lfu._index.get(keys, hashes)
-        res = lru_slots[in_lru]
-        n0 = res.size
-        n1 = int(in_lfu.sum())
-        pins_outside = np.count_nonzero(lru._pinned) - np.count_nonzero(
-            lru._pinned[res]
+            rows, found = index.get(keys)
+        # An absent key's row is -1, which would read the last row's
+        # tier: mask by ``found``.
+        in_lru = found & (self._tick[rows] < _FAR)
+        in_lfu = found & ~in_lru
+        res, pro = rows[in_lru], rows[in_lfu]
+        n0, n1 = res.size, pro.size
+        pins_outside = np.count_nonzero(self._pinned) - np.count_nonzero(
+            self._pinned[res]
         )
-        if n + pins_outside > lru.capacity:
+        if n + pins_outside > self.lru_capacity:
             raise TierStateError(
                 f"a MEM working set of {n} keys does not fit the "
-                f"{lru.capacity}-row LRU tier beside the {pins_outside} "
+                f"{self.lru_capacity}-row LRU tier beside the {pins_outside} "
                 "rows other in-flight rounds hold pinned — the pinned "
                 "working set must fit in memory (paper Section 5); raise "
                 "mem_capacity_params or cache_lru_fraction"
             )
-        rows = _full_i64(n, -1)
-        # -- segment 1: LRU hits — ticks on known slots ----------------
+        # -- segment 1: LRU hits — ticks on known rows ------------------
         if n0:
-            lru._tick[res] = lru._ticks(n0)
-            lru._count[res] += 1
-            rows[in_lru] = res
+            self._tick[res] = self._ticks(n0)
+            self._count[res] += 1
             self.stats.hits += n0
             self.stats.admission_runs += 1
-        # -- segment 2: LFU promotions — one dense pass, probes reused --
+        # -- segment 2: LFU promotions — a metadata rewrite -------------
         if n1:
-            rows[in_lfu] = self._promote(
-                keys[in_lfu],
-                lfu_slots[in_lfu],
-                lru_hints[in_lfu],
-                None if hashes is None else hashes[in_lfu],
-            )
+            # The capacity check guarantees the LRU tier's unpinned
+            # non-union rows cover the demand (nothing spills), and every
+            # promotion frees LFU room before a demotion needs it
+            # (nothing flushes).
+            overflow = max(0, self.n_lru + n1 - self.lru_capacity)
+            victims = self._lru_victims(overflow) if overflow else _NO_SLOTS
+            assert victims.size == overflow
+            self._freq[pro] = _FAR
+            self._ftick[pro] = _FAR
+            self._tick[pro] = self._ticks(n1)
+            self._count[pro] += 1
+            self._to_lfu(victims, self._ticks(overflow))
+            self.n_lru += n1 - overflow
+            self.n_lfu += overflow - n1
             self.stats.hits += n1
             self.stats.admission_runs += 1
         # -- segment 3: misses — lookups never insert ------------------
         if n - n0 - n1:
             self.stats.misses += n - n0 - n1
             self.stats.admission_runs += 1
-        return in_lru | in_lfu, rows
+        return found, rows
 
-    def _promote(self, keys, lfu_slots, lru_hints, hashes) -> np.ndarray:
-        """Move LFU residents into the LRU tier; returns their new rows.
-
-        The promoted keys carry their frequency + 1 as access count.
-        The resolve's capacity check guarantees the LRU tier's unpinned
-        non-union residents cover the demand, so nothing spills.
-        """
-        lru, lfu = self.lru, self.lfu
-        vals = lfu._values[lfu_slots]
-        counts = lfu._freq[lfu_slots] + 1
-        lfu._remove_slots(lfu_slots)
-        rows, ekeys, evals, ecounts = lru.insert(
-            keys, vals, False, lru_hints, hashes
-        )
-        assert int(rows.min()) >= 0
-        lru._count[rows] = counts
-        # Every promotion freed an LFU row before any demotion needed
-        # one, so the demotions can never flush.
-        fk, _ = lfu.bulk_insert(ekeys, evals, ecounts)
-        assert fk.size == 0
-        return rows
+    def _to_lfu(self, rows: np.ndarray, entry_ticks: np.ndarray) -> None:
+        """Label ``rows`` LFU residents — frequency = their count — as a
+        demotion does to unpinned LRU rows (the value stays put)."""
+        self._tick[rows] = _FAR
+        self._freq[rows] = self._count[rows]
+        self._ftick[rows] = entry_ticks
 
     def get_batch(
         self, keys: np.ndarray, *, assume_unique: bool = False
@@ -613,7 +425,7 @@ class CombinedCache:
         """
         hit, rows = self.prefetch_resolve(keys)
         values = np.zeros((hit.size, self.value_dim), dtype=np.float32)
-        values[hit] = self.lru._values[rows[hit]]
+        values[hit] = self._values[rows[hit]]
         return values, hit
 
     # -- the insert ------------------------------------------------------
@@ -631,11 +443,18 @@ class CombinedCache:
         Sequential-equivalent to inserting the keys one by one: LRU
         overflow demotes the oldest unpinned rows into the LFU, whose
         overflow comes back as flush pairs the caller must persist.
-        ``rows[i]`` is the LRU row ``keys[i]`` landed in — -1 if an
-        unpinned batch larger than the free + unpinned LRU rows spilled
-        it straight through to the LFU (see :meth:`LRUCache.insert`).  A
-        pinned batch that does not fit raises
-        :class:`~repro.errors.TierStateError`.
+        The demotion stream the LFU admits is the victims in eviction
+        order, then — when an unpinned batch outruns the free + unpinned
+        LRU rows — its own earliest positions, *spilled* straight
+        through with a fresh count of 1 (exactly as the seed scan
+        reached them).  :func:`_greedy_evictions` solves that stream
+        against the LFU residents in one pass; an arrival may be flushed
+        inside the very insert that demoted it.
+
+        ``rows[i]`` is the row ``keys[i]`` landed in, -1 for a spilled
+        key (one that survives LFU admission is resident, in an LFU row
+        it is not told).  A pinned batch cannot spill and raises
+        :class:`~repro.errors.TierStateError`, cache untouched.
 
         ``assume_unique`` is accepted and ignored (keys are always
         unique) only because the frozen ``benchmarks/hps/micro.py``
@@ -645,35 +464,117 @@ class CombinedCache:
         vals = np.asarray(values, dtype=np.float32)
         if vals.shape != (keys.size, self.value_dim):
             raise ValueError("values shape mismatch")
-        if keys.size == 0:
+        n = keys.size
+        if n == 0:
             return (*_empty_pairs(self.value_dim), _NO_SLOTS.copy())
-        lru = self.lru
-        hashes = _batch_hashes(keys, lru._index)
-        _, resident, hints = lru._index.locate(keys, hashes)
+        index = self._index
+        # The probe's empty terminals are the install's hints (removals
+        # in between only leave tombstones); hashes ride along for keys
+        # whose hint is lost.  Direct-addressed, neither is ever read.
+        hashes = None if index.hash_free else mix_hash(keys)
+        at, resident, hints = index.locate(keys, hashes)
         if resident.any():
+            row = at[resident][0]
+            tier = "LRU" if self._tick[row] < _FAR else "LFU"
             raise TierStateError(
                 "put_batch inserts absent keys only, but "
-                f"{int(keys[resident][0])} is already LRU-resident — "
+                f"{int(self._keys[row])} is already {tier}-resident — "
                 "update resident values through their rows (update_rows)"
             )
-        rows, ekeys, evals, ecounts = lru.insert(keys, vals, pin, hints, hashes)
+        # 1. LRU victims, and the batch positions that spill past them.
+        overflow = max(0, self.n_lru + n - self.lru_capacity)
+        victims = self._lru_victims(overflow) if overflow else _NO_SLOTS
+        nv = victims.size
+        n_spill = overflow - nv
+        if n_spill and pin:
+            raise TierStateError(_PINNED_MSG)
+        # 2. LFU admission of the demotion stream [victims, spilled].
+        # Arrival j (0-based) becomes an eviction candidate once its
+        # insert has happened: eviction slot t (0-based) precedes insert
+        # free0 + t, so arrival j needs slot t >= j - free0 + 1.
+        free0 = self.lfu_capacity - self.n_lfu
+        n_evict = max(0, overflow - free0)
+        taken_d = np.zeros(overflow, dtype=bool)
+        fkeys, fvals = _empty_pairs(self.value_dim)
+        if n_evict:
+            d_freq = np.concatenate(
+                [self._count[victims], np.ones(n_spill, dtype=np.int64)]
+            )
+            d_release = np.maximum(
+                0, np.arange(overflow, dtype=np.int64) - free0 + 1
+            )
+            pool = self._pool_candidates(n_evict)
+            pool_slot, d_slot = _greedy_evictions(
+                self._freq[pool], self._ftick[pool], d_freq, d_release, n_evict
+            )
+            taken_pool = pool_slot >= 0
+            taken_d = d_slot >= 0
+            # A victim flushed in the insert that demoted it still owns
+            # its row: flush from it like a pool row.  Spilled arrivals
+            # never had one and leave straight from the batch.
+            out = np.concatenate([pool[taken_pool], victims[taken_d[:nv]]])
+            order = np.argsort(
+                np.concatenate([pool_slot[taken_pool], d_slot[taken_d]]),
+                kind="stable",
+            )
+            fkeys = np.concatenate(
+                [self._keys[out], keys[:n_spill][taken_d[nv:]]]
+            )[order]
+            fvals = np.concatenate(
+                [self._values[out], vals[:n_spill][taken_d[nv:]]], axis=0
+            )[order]
+            # 3. The flushed rows leave the index and free their rows.
+            index.remove(self._keys[out])
+            self._keys[out] = EMPTY_KEY
+            self._tick[out] = _FAR
+            self._freq[out] = _FAR
+            self._ftick[out] = _FAR
+            self._free[self._n_free : self._n_free + out.size] = out
+            self._n_free += out.size
+        entry_ticks = self._ticks(overflow)[~taken_d]
+        stay = victims[~taken_d[:nv]]
+        self._to_lfu(stay, entry_ticks[: stay.size])
+        # 4. Only now do the batch's keys allocate: the landed ones as
+        # LRU rows, spilled survivors (ahead of them) as LFU rows.
+        ticks = self._ticks(n)[n_spill:]
+        if n_spill:
+            entering = np.ones(n, dtype=bool)
+            entering[:n_spill] = ~taken_d[nv:]
+            keys, vals, hints = keys[entering], vals[entering], hints[entering]
+            if hashes is not None:
+                hashes = hashes[entering]
+        new = self._alloc(keys.size)
+        n_spilled = new.size - ticks.size
+        spilled, landed = new[:n_spilled], new[n_spilled:]
+        self._keys[new] = keys
+        self._values[new] = vals
+        self._count[new] = 1
+        self._freq[spilled] = 1
+        self._ftick[spilled] = entry_ticks[stay.size :]
+        self._tick[landed] = ticks
+        self._pinned[landed] = pin
+        index.install(keys, new, hints, hashes)
+        self.n_lru += landed.size - nv
+        self.n_lfu += overflow - fkeys.size
         self.stats.admission_runs += 1
-        fk, fv = self.lfu.bulk_insert(ekeys, evals, ecounts)
-        return fk, fv, rows
+        rows = _full_i64(n, -1)
+        rows[n_spill:] = landed
+        return fkeys, fvals, rows
 
     # -- row ops ---------------------------------------------------------
-    # A pinned key's LRU slab row is stable until it is unpinned: pinned
-    # rows are never eviction victims.  Callers that pin a working set
+    # A resident key's row is stable for its whole residency, and a
+    # pinned row is never an eviction victim, so it stays resident — and
+    # in the LRU tier — until unpinned.  Callers that pin a working set
     # therefore keep the rows the resolve and the insert handed back and
     # read, write, touch and unpin through them without further SlotIndex
-    # probes.
+    # probes.  Rows range over the whole slab.
     def pin_rows(self, rows: np.ndarray) -> None:
-        """Pin resident LRU slab rows (a resolve's hits)."""
-        self.lru._pinned[rows] = True
+        """Pin LRU-resident rows (a resolve's hits)."""
+        self._pinned[rows] = True
 
     def unpin_rows(self, rows: np.ndarray) -> None:
-        """Release pins at resolved LRU rows."""
-        self.lru._pinned[rows] = False
+        """Release pins at resolved rows."""
+        self._pinned[rows] = False
 
     def unpin_rows_except(
         self, rows: np.ndarray, keep: list[np.ndarray]
@@ -686,25 +587,25 @@ class CombinedCache:
         refcount, so a plain unpin would release the window's claim).
         """
         if not keep:
-            self.lru._pinned[rows] = False
+            self._pinned[rows] = False
             return
-        mask = np.zeros(self.lru._keys.shape[0], dtype=bool)
+        mask = np.zeros(self._pinned.size, dtype=bool)
         mask[rows] = True
         for k in keep:
             mask[k] = False
-        self.lru._pinned[mask] = False
+        self._pinned[mask] = False
 
     def pinned_count(self) -> int:
-        return int(self.lru._pinned.sum())
+        return int(self._pinned.sum())
 
     def update_rows(self, rows: np.ndarray, values: np.ndarray) -> None:
-        """Overwrite values at pinned LRU rows (no metadata changes)."""
-        self.lru._values[rows] = np.asarray(values, dtype=np.float32)
+        """Overwrite values at pinned rows (no metadata changes)."""
+        self._values[rows] = np.asarray(values, dtype=np.float32)
 
     def values_at(self, rows: np.ndarray) -> np.ndarray:
-        """Read values at pinned LRU rows — a pure slab gather, touching
+        """Read values at pinned rows — a pure slab gather, touching
         neither recency nor hit/miss statistics."""
-        return self.lru._values[rows]
+        return self._values[rows]
 
     def touch_rows(self, rows: np.ndarray) -> None:
         """Account an LRU access at already-resolved pinned rows.
@@ -712,30 +613,27 @@ class CombinedCache:
         The consume path of the depth-k prefetch window: the rows were
         located (and pinned) by an earlier round's
         :meth:`prefetch_resolve`, so serving them this round is recency
-        ticks + access counts + hit statistics on known slots — exactly
+        ticks + access counts + hit statistics on known rows — exactly
         segment 1 of the resolve, with zero index traffic.
         """
         n = rows.size
         if not n:
             return
-        self.lru._tick[rows] = self.lru._ticks(n)
-        self.lru._count[rows] += 1
+        self._tick[rows] = self._ticks(n)
+        self._count[rows] += 1
         self.stats.hits += n
 
     def peek_batch(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Read-only batch lookup: no recency, frequency, or stats."""
-        keys = as_keys(keys)
-        values = np.zeros((keys.size, self.value_dim), dtype=np.float32)
-        lru_slots, in_lru = self.lru._index.get(keys)
-        values[in_lru] = self.lru._values[lru_slots[in_lru]]
-        lfu_slots, in_lfu = self.lfu._index.get(keys)
-        in_lfu &= ~in_lru
-        values[in_lfu] = self.lfu._values[lfu_slots[in_lfu]]
-        return values, in_lru | in_lfu
+        """Read-only batch lookup — one probe, one gather: no recency,
+        frequency, or stats."""
+        rows, found = self._index.get(as_keys(keys))
+        values = self._values[rows]
+        values[~found] = 0.0
+        return values, found
 
     # -- snapshots -------------------------------------------------------
     def _require_unpinned(self) -> None:
-        if self.lru._pinned.any():
+        if self._pinned.any():
             raise TierStateError(
                 "cannot snapshot a cache with pinned entries — finish the "
                 "in-flight batch first"
@@ -744,54 +642,104 @@ class CombinedCache:
     def export_state(self) -> dict[str, np.ndarray]:
         """Replacement-exact snapshot of both tiers (checkpointing).
 
-        Per tier the entries come out in *recency order* (oldest tick
-        first) together with the replacement metadata that decides future
+        Per tier the entries come out in *tick order* (oldest first)
+        together with the replacement metadata that decides future
         evictions — LRU access counts, LFU frequencies.  Re-ingesting the
         snapshot through :meth:`load_state` therefore reproduces not just
         the resident values but the exact future eviction sequence: ticks
         are only ever compared relatively, so re-assigning them in
-        snapshot order is equivalence-preserving.
+        snapshot order is equivalence-preserving.  Rows are not part of
+        a snapshot — the policy cannot observe them.
 
         The snapshot is only well-defined at a batch boundary: pinned
         entries belong to an in-flight batch and have no on-disk meaning.
         """
         self._require_unpinned()
-        lru_rows, lru_keys = self.lru._items_in_order(self.lru._tick)
-        lfu_rows, lfu_keys = self.lfu._items_in_order(self.lfu._tick)
+        lru, lfu = self._tier_rows(self._tick), self._tier_rows(self._ftick)
         return {
-            "lru_keys": lru_keys.astype(KEY_DTYPE),
-            "lru_values": self.lru._values[lru_rows].copy(),
-            "lru_counts": self.lru._count[lru_rows].copy(),
-            "lfu_keys": lfu_keys.astype(KEY_DTYPE),
-            "lfu_values": self.lfu._values[lfu_rows].copy(),
-            "lfu_freqs": self.lfu._freq[lfu_rows].copy(),
+            "lru_keys": self._keys[lru],
+            "lru_values": self._values[lru],
+            "lru_counts": self._count[lru],
+            "lfu_keys": self._keys[lfu],
+            "lfu_values": self._values[lfu],
+            "lfu_freqs": self._count[lfu],
             "hits": np.int64(self.stats.hits),
             "misses": np.int64(self.stats.misses),
         }
 
-    def load_state(self, state: dict[str, np.ndarray]) -> None:
-        """Rebuild both tiers from an :meth:`export_state` snapshot."""
-        lru_keys = as_keys(state["lru_keys"])
-        lfu_keys = as_keys(state["lfu_keys"])
-        lru_values = np.asarray(state["lru_values"], dtype=np.float32)
-        lfu_values = np.asarray(state["lfu_values"], dtype=np.float32)
-        if lru_values.shape != (lru_keys.size, self.value_dim) or (
-            lfu_values.shape != (lfu_keys.size, self.value_dim)
+    def _validated(self, state: dict[str, np.ndarray]) -> list[tuple]:
+        """Check a snapshot is a state this cache can be in; returns
+        ``[(keys, values, counts)]`` for the LRU then the LFU tier.
+
+        Runs before :meth:`load_state` mutates anything, so a refused
+        snapshot leaves the cache as it was: array lengths, counts ≥ 1,
+        tier capacities, and every key in exactly one row of one tier
+        (a repeat would leave two rows behind one index entry).
+        """
+        tiers = []
+        for tier, meta, cap in (
+            ("lru", "lru_counts", self.lru_capacity),
+            ("lfu", "lfu_freqs", self.lfu_capacity),
         ):
-            raise ValueError("cache snapshot value shape mismatch")
-        if lru_keys.size > self.lru.capacity or lfu_keys.size > self.lfu.capacity:
+            keys = as_keys(state[f"{tier}_keys"])
+            values = np.asarray(state[f"{tier}_values"], dtype=np.float32)
+            counts = np.asarray(state[meta], dtype=np.int64)
+            if values.shape != (keys.size, self.value_dim):
+                raise ValueError(
+                    f"cache snapshot value shape mismatch: {tier}_values is "
+                    f"{values.shape} for {keys.size} {tier}_keys of width "
+                    f"{self.value_dim}"
+                )
+            if counts.shape != (keys.size,):
+                raise ValueError(
+                    f"cache snapshot {meta} has shape {counts.shape} for "
+                    f"{keys.size} {tier}_keys"
+                )
+            if counts.size and int(counts.min()) < 1:
+                raise ValueError(
+                    f"cache snapshot {meta} must be >= 1 (key "
+                    f"{int(keys[counts.argmin()])} has {int(counts.min())})"
+                )
+            if keys.size > cap:
+                raise ValueError(
+                    f"cache snapshot does not fit this cache's tier "
+                    f"capacities: {keys.size} {tier}_keys for {cap} rows"
+                )
+            tiers.append((keys, values, counts))
+        all_keys = np.sort(np.concatenate([tiers[0][0], tiers[1][0]]))
+        repeat = np.flatnonzero(all_keys[1:] == all_keys[:-1])
+        if repeat.size:
             raise ValueError(
-                "cache snapshot does not fit this cache's tier capacities"
+                f"cache snapshot holds key {int(all_keys[repeat[0]])} more "
+                "than once — a resident key sits in one row of one tier"
             )
-        self._reset_tiers(self.lru.capacity, self.lfu.capacity)
-        # Oldest-first re-insertion assigns fresh ascending ticks, which
-        # preserves every relative recency comparison the policy makes;
-        # both inserts fit by the capacity check above.
-        self.lfu.bulk_insert(
-            lfu_keys, lfu_values, np.asarray(state["lfu_freqs"], dtype=np.int64)
+        if all_keys.size and all_keys[-1] >= TOMBSTONE_KEY:
+            raise ValueError(
+                "cache snapshot holds a reserved sentinel key (>= 2**64 - 2)"
+            )
+        return tiers
+
+    def load_state(self, state: dict[str, np.ndarray]) -> None:
+        """Rebuild both tiers from an :meth:`export_state` snapshot
+        (validated first — a refused snapshot changes nothing)."""
+        (lru_keys, lru_values, lru_counts), (lfu_keys, lfu_values, lfu_freqs) = (
+            self._validated(state)
         )
-        rows = self.lru.insert(lru_keys, lru_values, False)[0]
-        self.lru._count[rows] = np.asarray(state["lru_counts"], dtype=np.int64)
+        self._reset()
+        # Snapshot order is tick order: fresh ascending ticks preserve
+        # every relative comparison the policy makes.
+        lru, lfu = self._alloc(lru_keys.size), self._alloc(lfu_keys.size)
+        new = np.concatenate([lru, lfu])
+        keys = np.concatenate([lru_keys, lfu_keys])
+        self._keys[new] = keys
+        self._values[lru] = lru_values
+        self._values[lfu] = lfu_values
+        self._count[lru] = lru_counts
+        self._tick[lru] = self._ticks(lru.size)
+        self._count[lfu] = lfu_freqs
+        self._to_lfu(lfu, self._ticks(lfu.size))
+        self._index.insert_absent(keys, new)
+        self.n_lru, self.n_lfu = lru.size, lfu.size
         self.stats.hits = int(state["hits"])
         self.stats.misses = int(state["misses"])
 
@@ -814,9 +762,8 @@ class CombinedCache:
         the base — e.g. the plan's local partitions plus owner-queue
         applications), changed rows are selected by membership instead
         of comparing slabs.  Both modes treat a key's base value as
-        tier-independent: promotions move entries between LRU and LFU
-        with values intact, so a row that merely switched tiers ships
-        metadata only.
+        tier-independent: a promotion or demotion leaves the value where
+        it is, so a row that merely switched tiers ships metadata only.
         """
         self._require_unpinned()
         base_keys = np.concatenate(
@@ -853,32 +800,31 @@ class CombinedCache:
                 ship |= changed
             return ship
 
-        lru_rows, lru_keys = self.lru._items_in_order(self.lru._tick)
-        lfu_rows, lfu_keys = self.lfu._items_in_order(self.lfu._tick)
-        lru_values = self.lru._values[lru_rows]
-        lfu_values = self.lfu._values[lfu_rows]
-        lru_ship = ship_mask(lru_keys, lru_values)
-        lfu_ship = ship_mask(lfu_keys, lfu_values)
-        return {
-            "lru_keys": lru_keys.astype(KEY_DTYPE),
-            "lru_counts": self.lru._count[lru_rows].copy(),
-            "lru_val_idx": np.flatnonzero(lru_ship).astype(np.int64),
-            "lru_values": lru_values[lru_ship].copy(),
-            "lfu_keys": lfu_keys.astype(KEY_DTYPE),
-            "lfu_freqs": self.lfu._freq[lfu_rows].copy(),
-            "lfu_val_idx": np.flatnonzero(lfu_ship).astype(np.int64),
-            "lfu_values": lfu_values[lfu_ship].copy(),
-            "hits": np.int64(self.stats.hits),
-            "misses": np.int64(self.stats.misses),
-        }
+        delta: dict[str, np.ndarray] = {}
+        for tier, meta, order_field in (
+            ("lru", "lru_counts", self._tick),
+            ("lfu", "lfu_freqs", self._ftick),
+        ):
+            rows = self._tier_rows(order_field)
+            keys, values = self._keys[rows], self._values[rows]
+            ship = ship_mask(keys, values)
+            delta[f"{tier}_keys"] = keys
+            delta[meta] = self._count[rows]
+            delta[f"{tier}_val_idx"] = np.flatnonzero(ship).astype(np.int64)
+            delta[f"{tier}_values"] = values[ship]
+        delta["hits"] = np.int64(self.stats.hits)
+        delta["misses"] = np.int64(self.stats.misses)
+        return delta
 
     def load_delta(self, delta: dict[str, np.ndarray]) -> None:
         """Apply an :meth:`export_delta` diff on top of the base state.
 
         The cache must currently hold the base the delta was diffed
         against; unshipped rows pull their (unchanged) values out of the
-        resident slabs via :meth:`peek_batch` — a key that cannot be
+        resident slab via :meth:`peek_batch` — a key that cannot be
         resolved means the delta is being applied to the wrong base.
+        Nothing is mutated until the rebuilt state has passed
+        :meth:`load_state`'s validation.
         """
         state: dict[str, np.ndarray] = {
             "hits": delta["hits"],
@@ -888,6 +834,16 @@ class CombinedCache:
             keys = as_keys(delta[f"{tier}_keys"])
             idx = np.asarray(delta[f"{tier}_val_idx"], dtype=np.int64)
             shipped = np.asarray(delta[f"{tier}_values"], dtype=np.float32)
+            if shipped.shape != (idx.size, self.value_dim):
+                raise ValueError(
+                    f"cache delta {tier}_values is {shipped.shape} for "
+                    f"{idx.size} {tier}_val_idx of width {self.value_dim}"
+                )
+            if idx.size and not 0 <= int(idx.min()) <= int(idx.max()) < keys.size:
+                raise ValueError(
+                    f"cache delta {tier}_val_idx points outside its "
+                    f"{keys.size} {tier}_keys"
+                )
             values = np.zeros((keys.size, self.value_dim), dtype=np.float32)
             carried = np.ones(keys.size, dtype=bool)
             carried[idx] = False
@@ -907,12 +863,11 @@ class CombinedCache:
         self.load_state(state)
 
     def flush_all(self) -> tuple[np.ndarray, np.ndarray]:
-        """Drain everything (shutdown / checkpoint path)."""
-        lru_rows, lru_keys = self.lru._items_in_order(self.lru._tick)
-        lfu_rows, lfu_keys = self.lfu._items_in_order(self.lfu._tick)
-        keys = np.concatenate([lru_keys, lfu_keys]).astype(KEY_DTYPE)
-        values = np.concatenate(
-            [self.lru._values[lru_rows], self.lfu._values[lfu_rows]], axis=0
+        """Drain everything (shutdown / checkpoint path): the LRU tier
+        then the LFU tier, each in tick order."""
+        rows = np.concatenate(
+            [self._tier_rows(self._tick), self._tier_rows(self._ftick)]
         )
-        self._reset_tiers(self.lru.capacity, self.lfu.capacity)
+        keys, values = self._keys[rows], self._values[rows]
+        self._reset()
         return keys, values

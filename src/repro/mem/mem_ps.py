@@ -46,9 +46,10 @@ _NODE_SALT = 0x6E6F6465  # "node"
 class _WindowEntry:
     """One resolved future round of the depth-k prefetch window.
 
-    ``rows`` are pinned LRU slab rows — pinned rows are never eviction
-    victims and in-place overwrites reuse the row, so the entry stays
-    valid (no slab re-verification needed) until its round consumes it.
+    ``rows`` are pinned slab rows (anywhere in the cache's one slab) —
+    a resident key's row never moves and pinned rows are never eviction
+    victims, so the entry stays valid (no slab re-verification needed)
+    until its round consumes it.
     """
 
     keys: np.ndarray
@@ -119,9 +120,10 @@ class MemPS:
         #: (set by :meth:`prefetch`, cleared by :meth:`end_batch`) — every
         #: other per-round method gathers/scatters through its rows.
         self._prefetch_plan: NodePrefetchPlan | None = None
-        #: previous round's resolved (union keys, LRU rows) — the probe
-        #: carry-over seed for the next :meth:`prefetch` (each carried
-        #: row is re-verified against the slab before reuse).
+        #: previous round's resolved (union keys, slab rows) — the probe
+        #: carry-over seed for the next :meth:`prefetch` (consulted only
+        #: while the cache's index hashes; each carried row is
+        #: re-verified against the slab before reuse).
         self._prev_union: tuple = (None, None)
         #: depth-k lookahead window: entry ``i`` is the resolved-and-
         #: pinned union of round ``b+1+i`` (consumed FIFO by
@@ -274,7 +276,7 @@ class MemPS:
 
     def _pin_ceiling(self) -> int:
         """Max LRU rows the round + window may pin."""
-        return int(self.prefetch_pin_fraction * self.cache.lru.capacity)
+        return int(self.prefetch_pin_fraction * self.cache.lru_capacity)
 
     def _extend_window(self, pplan: NodePrefetchPlan) -> float:
         """Resolve-and-pin the lookahead unions into the sliding window.
@@ -450,7 +452,7 @@ class MemPS:
         rows) unpins in a single row-level release — except rows the
         in-flight lookahead window shares with the finished round, which
         keep their pin (a pin is a boolean, not a refcount).  Device-free:
-        the LRU slab never holds more than its capacity, so there is no
+        the LRU tier never holds more than its capacity, so there is no
         overflow to settle.
         """
         pplan = self._round()

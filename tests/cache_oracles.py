@@ -10,9 +10,11 @@ Three layers, all test-only:
   every operation key by key on a ``DictCombinedCache`` (lookups in the
   resolve's tier order) and asserts the two agree on hit masks, flush
   pairs *in order*, row identities, both tiers' contents in eviction
-  order, replacement metadata, statistics and pins.  Swap it into a
-  cluster with :func:`shadow_caches` and the whole training run is
-  checked op by op.
+  order, replacement metadata, statistics and pins — plus the slab's
+  own invariants the seed cannot see (one tier per resident key, tier
+  counters + free stack = slab, one index entry per resident, and a
+  resident key's row never changing).  Swap it into a cluster with
+  :func:`shadow_caches` and the whole training run is checked op by op.
 * :class:`CacheTraffic` — the traffic ``MemPS`` sends, as verbs on a
   shadowed cache plus a dict standing in for the SSD: resolve a unique
   union, pin, insert the misses pinned, write through rows, touch,
@@ -28,8 +30,8 @@ from types import SimpleNamespace
 import numpy as np
 
 from repro.errors import TierStateError
-from repro.mem.cache import CombinedCache
-from repro.utils.keys import as_keys
+from repro.mem.cache import _FAR, CombinedCache
+from repro.utils.keys import EMPTY_KEY, as_keys
 
 __all__ = [
     "DictLRUCache",
@@ -275,8 +277,9 @@ class ShadowedCombinedCache(CombinedCache):
     Every public operation runs on the slab cache, is replayed per key
     on :attr:`ref` (a ``DictCombinedCache`` with the same tier sizes),
     and the two are compared — outputs first, then the whole resident
-    state.  Row identities are verified where they are minted (resolve,
-    insert), so the row ops can translate rows to keys through the slab.
+    state, then the slab layout (:meth:`_assert_layout`).  Row
+    identities are verified where they are minted (resolve, insert), so
+    the row ops can translate rows to keys through the slab.
     """
 
     def __init__(self, capacity, **kwargs) -> None:
@@ -285,8 +288,11 @@ class ShadowedCombinedCache(CombinedCache):
 
     def _new_ref(self) -> None:
         self.ref = DictCombinedCache(2, value_dim=self.value_dim)
-        self.ref.lru = DictLRUCache(self.lru.capacity)
-        self.ref.lfu = DictLFUCache(self.lfu.capacity)
+        self.ref.lru = DictLRUCache(self.lru_capacity)
+        self.ref.lfu = DictLFUCache(self.lfu_capacity)
+        #: key -> slab row after the last checked operation (row
+        #: stability); reset wherever the slab is rebuilt
+        self._row_of: dict[int, int] = {}
 
     # -- comparison ------------------------------------------------------
     def _ref_state(self) -> dict[str, np.ndarray]:
@@ -323,20 +329,56 @@ class ShadowedCombinedCache(CombinedCache):
     def _assert_agrees(self, ctx: str) -> None:
         """Full-state comparison, valid mid-round (pins lifted around
         the snapshot, then compared as a key set)."""
-        pins = self.lru._pinned.copy()
-        self.lru._pinned[:] = False
+        pins = self._pinned.copy()
+        self._pinned[:] = False
         try:
             state = CombinedCache.export_state(self)
         finally:
-            self.lru._pinned[:] = pins
+            self._pinned[:] = pins
         self._assert_state(state, ctx)
-        assert set(self.lru._keys[pins].tolist()) == self.ref.lru._pinned, (
+        assert set(self._keys[pins].tolist()) == self.ref.lru._pinned, (
             f"{ctx}: pinned sets diverge"
         )
         assert len(self) == len(self.ref), ctx
+        self._assert_layout(ctx)
+
+    def _assert_layout(self, ctx: str) -> None:
+        """The slab's own invariants, which the seed cannot see: every
+        resident key in exactly one tier, the tier counters and the free
+        stack adding up to the slab, one index entry per resident — and
+        **row stability**: a key resident before and after an operation
+        sits in the same row, whatever promotions and demotions the
+        operation performed (a flush ends the residency; a later insert
+        starts a new one)."""
+        in_lru = self._tick < _FAR
+        in_lfu = self._freq < _FAR
+        occupied = self._keys != EMPTY_KEY
+        assert np.array_equal(in_lru ^ in_lfu, occupied), f"{ctx}: tier fields"
+        assert not (in_lru & in_lfu).any(), f"{ctx}: a row in both tiers"
+        assert np.array_equal(self._ftick < _FAR, in_lfu), f"{ctx}: LFU fields"
+        assert np.array_equal(self._freq[in_lfu], self._count[in_lfu]), ctx
+        assert not self._pinned[~in_lru].any(), f"{ctx}: pin outside the LRU"
+        assert self.n_lru == int(in_lru.sum()) <= self.lru_capacity, ctx
+        assert self.n_lfu == int(in_lfu.sum()) <= self.lfu_capacity, ctx
+        assert self._n_free + self.n_lru + self.n_lfu == occupied.size, ctx
+        assert set(self._free[: self._n_free].tolist()) == set(
+            np.flatnonzero(~occupied).tolist()
+        ), f"{ctx}: free stack"
+        rows = np.flatnonzero(occupied)
+        assert len(self._index) == rows.size, f"{ctx}: index size"
+        at, found = self._index.get(self._keys[rows])
+        assert found.all() and np.array_equal(at, rows), f"{ctx}: index rows"
+        now = dict(zip(self._keys[rows].tolist(), rows.tolist()))
+        moved = {
+            k: (r, now[k])
+            for k, r in self._row_of.items()
+            if k in now and now[k] != r
+        }
+        assert not moved, f"{ctx}: resident keys changed rows {moved}"
+        self._row_of = now
 
     def _keys_at(self, rows: np.ndarray) -> list[int]:
-        return self.lru._keys[rows].tolist()
+        return self._keys[rows].tolist()
 
     # -- lookup ----------------------------------------------------------
     def prefetch_resolve(self, keys, prev_keys=None, prev_rows=None):
@@ -350,10 +392,10 @@ class ShadowedCombinedCache(CombinedCache):
             value = ref.get(int(keys[i]))
             if value is not None:
                 want_hit[i] = True
-                assert np.array_equal(self.lru._values[rows[i]], value)
+                assert np.array_equal(self._values[rows[i]], value)
         assert not ref._pending_flush, "a promotion flushed"
         assert np.array_equal(hit, want_hit), "resolve: hit mask diverges"
-        assert np.array_equal(self.lru._keys[rows[hit]], keys[hit])
+        assert np.array_equal(self._keys[rows[hit]], keys[hit])
         assert (rows[~hit] == -1).all()
         self._assert_agrees("resolve")
         return hit, rows
@@ -379,7 +421,7 @@ class ShadowedCombinedCache(CombinedCache):
         assert np.array_equal(fk, want_k), "insert: flush keys diverge"
         assert np.array_equal(fv, want_v), "insert: flush values diverge"
         landed = rows >= 0
-        assert np.array_equal(self.lru._keys[rows[landed]], keys[landed])
+        assert np.array_equal(self._keys[rows[landed]], keys[landed])
         self._assert_agrees("insert")
         return fk, fv, rows
 
@@ -488,10 +530,19 @@ class CacheTraffic:
     contract).  The shadow does the op-by-op parity checking.
     """
 
-    def __init__(self, capacity: int, lru_fraction: float, dim: int = 2) -> None:
+    def __init__(
+        self,
+        capacity: int,
+        lru_fraction: float,
+        dim: int = 2,
+        key_domain: int | None = None,
+    ) -> None:
         self.dim = dim
+        #: ``key_domain`` set: the cache's index is direct-addressed (what
+        #: a cluster runs; the carry-over is ignored).  None: it hashes,
+        #: and a ``carry=True`` resolve really consults the carry-over.
         self.make = lambda: ShadowedCombinedCache(
-            capacity, lru_fraction=lru_fraction, value_dim=dim
+            capacity, lru_fraction=lru_fraction, value_dim=dim, key_domain=key_domain
         )
         self.cache = self.make()
         self.ssd: dict[int, np.ndarray] = {}
@@ -515,7 +566,7 @@ class CacheTraffic:
 
     def room(self) -> int:
         """Largest union guaranteed to fit beside the pins held."""
-        return self.cache.lru.capacity - self.cache.pinned_count()
+        return self.cache.lru_capacity - self.cache.pinned_count()
 
     # -- verbs -----------------------------------------------------------
     def resolve(self, keys, *, carry: bool) -> bool:

@@ -281,7 +281,7 @@ class TestSingleMemPath:
         def boundary(ctx):
             for node in cluster.nodes:
                 mem = node.mem_ps
-                pinned = np.flatnonzero(mem.cache.lru._pinned)
+                pinned = np.flatnonzero(mem.cache._pinned)
                 window = [e.rows for e in mem._window]
                 allowed = np.concatenate(window) if window else pinned[:0]
                 if np.setdiff1d(pinned, allowed).size or (

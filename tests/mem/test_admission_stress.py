@@ -10,9 +10,14 @@ The streams are the traffic ``MemPS`` really sends — the same
 names a trial that reproduces forever.  Every step is checked by the
 shadow: bit-identical contents, eviction order, flush pairs, statistics.
 
-The two tier slabs are additionally driven on their own — LRU insert,
-its demotion stream into the LFU, chained by hand — against the seed
-tier classes.
+A third of the trials run direct-addressed (``key_domain`` set — what a
+cluster runs, the carry-over ignored), the rest open-addressed, where a
+``carry=True`` resolve really consults the carry-over.
+
+The two tier policies are additionally checked on their own: an
+equal-tiers cache against the seed *tier* classes (``DictLRUCache`` →
+its demotion stream → ``DictLFUCache``) chained by hand, with no
+combined-policy seed in between.
 """
 
 import numpy as np
@@ -20,7 +25,7 @@ import pytest
 
 from cache_oracles import CacheTraffic, DictLFUCache, DictLRUCache
 from repro.errors import TierStateError
-from repro.mem.cache import LFUCache, LRUCache
+from repro.mem.cache import CombinedCache
 
 N_TRIALS = 220
 
@@ -32,8 +37,12 @@ def test_admission_matches_per_key_reference(trial):
     rng = np.random.default_rng(1000 + trial)
     capacity = int(rng.integers(8, 40))
     key_space = int(rng.integers(capacity, capacity * 6))
-    t = CacheTraffic(capacity, float(rng.uniform(0.3, 0.7)))
-    lru_cap = t.cache.lru.capacity
+    t = CacheTraffic(
+        capacity,
+        float(rng.uniform(0.3, 0.7)),
+        key_domain=key_space if trial % 3 == 0 else None,
+    )
+    lru_cap = t.cache.lru_capacity
 
     def some_keys(hi):
         n = int(rng.integers(1, max(2, hi + 1)))
@@ -81,60 +90,64 @@ def test_admission_matches_per_key_reference(trial):
 
 @pytest.mark.parametrize("seed", range(40))
 def test_standalone_tiers_match_scalar_replay(seed):
-    """The two tier slabs chained by hand — LRU insert, its demotion
-    stream into the LFU — against the seed tiers looped per key: same
-    victims, order, values and frequency seeds, with pins, touches and
-    spill-through in the LRU and arrivals evicted inside their own batch
-    in the LFU."""
+    """The two tier policies against the seed tiers looped per key and
+    chained by hand — ``DictLRUCache.put``, its evictions into
+    ``DictLFUCache.put`` with the access counts as frequency seeds:
+    same victims, order, values and frequency seeds, with pins, touches
+    and spill-through in the LRU and arrivals evicted inside their own
+    batch in the LFU.  Both tiers get ``capacity`` rows."""
     rng = np.random.default_rng(2000 + seed)
     capacity = int(rng.integers(4, 24))
     fresh = iter(rng.permutation(100_000).astype(np.uint64))
-    lru, ref_lru = LRUCache(capacity, 2), DictLRUCache(capacity)
-    lfu, ref_lfu = LFUCache(capacity, 2), DictLFUCache(capacity)
+    cache = CombinedCache(2 * capacity, lru_fraction=0.5, value_dim=2)
+    assert cache.lru_capacity == cache.lfu_capacity == capacity
+    ref_lru, ref_lfu = DictLRUCache(capacity), DictLFUCache(capacity)
     counts: dict[int, int] = {}
     for _ in range(8):
         # Touch some residents (a resolve's LRU segment), unpin others.
-        slots, _ = lru._items_in_order(lru._tick)
-        touched = slots[rng.random(slots.size) < 0.4]
-        lru._tick[touched] = lru._ticks(touched.size)
-        lru._count[touched] += 1
-        for k in lru._keys[touched].tolist():
+        rows = cache._tier_rows(cache._tick)
+        touched = rows[rng.random(rows.size) < 0.4]
+        cache.touch_rows(touched)
+        for k in cache._keys[touched].tolist():
             assert ref_lru.get(k) is not None
             counts[k] += 1
-        released = slots[rng.random(slots.size) < 0.5]
-        lru._pinned[released] = False
-        for k in lru._keys[released].tolist():
+        released = rows[rng.random(rows.size) < 0.5]
+        cache.unpin_rows(released)
+        for k in cache._keys[released].tolist():
             ref_lru.unpin(k)
 
         n = int(rng.integers(1, capacity * 2))
         keys = np.array([next(fresh) for _ in range(n)], dtype=np.uint64)
         vals = rng.normal(size=(n, 2)).astype(np.float32)
         pin = bool(rng.random() < 0.3)
-        if pin and n + int(lru._pinned.sum()) > capacity:
+        if pin and n + cache.pinned_count() > capacity:
             with pytest.raises(TierStateError, match="pinned"):
-                lru.insert(keys, vals, True)
+                cache.put_batch(keys, vals, pin=True)
             pin = False
-        rows, ekeys, evals, ecounts = lru.insert(keys, vals, pin)
+        fk, fv, rows = cache.put_batch(keys, vals, pin=pin)
         demoted = []
         for k, v in zip(keys.tolist(), vals):
             counts[k] = 1
             demoted += ref_lru.put(k, v, pin=pin)
-        assert ekeys.tolist() == [k for k, _ in demoted]
-        assert ecounts.tolist() == [counts.pop(k) for k, _ in demoted]
-        assert np.array_equal(evals, np.array([v for _, v in demoted]).reshape(-1, 2))
         landed = rows >= 0
-        assert np.array_equal(lru._keys[rows[landed]], keys[landed])
+        assert np.array_equal(cache._keys[rows[landed]], keys[landed])
         assert landed.tolist() == [k in ref_lru for k in keys.tolist()]
-        assert lru._items_in_order(lru._tick)[1].tolist() == ref_lru.keys()
+        lru_rows = cache._tier_rows(cache._tick)
+        assert cache._keys[lru_rows].tolist() == ref_lru.keys()
+        assert cache._count[lru_rows].tolist() == [counts[k] for k in ref_lru.keys()]
 
-        fk, fv = lfu.bulk_insert(ekeys, evals, ecounts)
+        # The demotion stream itself is internal now; it shows in full
+        # through what the LFU flushed (in order) and kept (entry order,
+        # frequency seeds).
         flushed = []
-        for (k, v), f in zip(demoted, ecounts.tolist()):
-            flushed += ref_lfu.put(k, v, freq=f)
+        for k, v in demoted:
+            flushed += ref_lfu.put(k, v, freq=counts.pop(k))
         assert fk.tolist() == [k for k, _ in flushed]
         assert np.array_equal(fv, np.array([v for _, v in flushed]).reshape(-1, 2))
-        slots, resident = lfu._items_in_order(lfu._tick)
-        assert resident.tolist() == ref_lfu.keys()  # entry order
-        assert lfu._freq[slots].tolist() == [
+        lfu_rows = cache._tier_rows(cache._ftick)
+        assert cache._keys[lfu_rows].tolist() == ref_lfu.keys()  # entry order
+        assert cache._freq[lfu_rows].tolist() == [
             ref_lfu.frequency(k) for k in ref_lfu.keys()
         ]
+        for k, r in zip(ref_lfu.keys(), lfu_rows):
+            assert np.array_equal(cache._values[r], ref_lfu._data[k])

@@ -1,7 +1,7 @@
 """Policy examples for the LRU / LFU / combined cache (Appendix D).
 
 Small readable cases of what each tier's replacement policy does, seen
-through ``CombinedCache``'s surface (the tiers are its private slabs):
+through ``CombinedCache``'s surface (a tier is metadata on a row of its slab):
 ``export_state`` lists each tier's keys in eviction order.  Generated
 parity against the per-key seed lives in ``test_cache_traffic.py``.
 """
@@ -38,7 +38,7 @@ def tiers(c):
 
 def small(lru=2, lfu=2):
     c = CombinedCache(lru + lfu, lru_fraction=lru / (lru + lfu), value_dim=1)
-    assert (c.lru.capacity, c.lfu.capacity) == (lru, lfu)
+    assert (c.lru_capacity, c.lfu_capacity) == (lru, lfu)
     return c
 
 
@@ -145,7 +145,7 @@ class TestLFU:
         put(c, 5)
         put(c, 6)  # demotions into a full LFU must evict, not crash
         assert len(c) == 4
-        assert c.lfu.size == 2
+        assert c.n_lfu == 2
 
 
 class TestCombined:
@@ -346,3 +346,115 @@ class TestCombinedCacheSnapshot:
         small = CombinedCache(4, value_dim=2)
         with pytest.raises(ValueError, match="capacit"):
             small.load_state(cache.export_state())
+
+
+class TestLoadValidatesBeforeItMutates:
+    """``load_state`` / ``load_delta`` refuse — with a ``ValueError``
+    naming the key or the array, and the target's old contents intact —
+    snapshots no cache can be in.  (They used to load a key into both
+    tiers, or two rows behind one index entry, silently, and to die on a
+    short metadata array only after the tiers had been reset.)"""
+
+    @staticmethod
+    def _caches():
+        """A 16-row target holding keys 50..57 and a warmed donor whose
+        valid snapshot / delta the cases below corrupt."""
+        target = CombinedCache(16, value_dim=1, key_domain=100)
+        put(target, *range(50, 58))
+        donor = CombinedCache(16, value_dim=1, key_domain=100)
+        put(donor, *range(1, 13))  # 8 LRU rows, 4 demoted
+        look_up(donor, 9, 10)
+        return target, donor
+
+    @staticmethod
+    def _assert_untouched(target, before):
+        vals, found = target.peek_batch(keys_of(range(50, 58)))
+        assert found.all() and vals[:, 0].tolist() == list(range(50, 58))
+        after = target.export_state()
+        assert all(np.array_equal(before[f], after[f]) for f in before)
+        put(target, 99)  # and still a working cache
+        assert len(target) == 9
+
+    CORRUPTIONS = {
+        "key in both tiers": (
+            lambda s: s["lfu_keys"].__setitem__(0, s["lru_keys"][2]),
+            "key 7 more than once",
+        ),
+        "key twice in one tier": (
+            lambda s: s["lru_keys"].__setitem__(1, s["lru_keys"][0]),
+            "key 5 more than once",
+        ),
+        "short lru_counts": (
+            lambda s: s.__setitem__("lru_counts", s["lru_counts"][:-1]),
+            "lru_counts has shape",
+        ),
+        "short lfu_freqs": (
+            lambda s: s.__setitem__("lfu_freqs", s["lfu_freqs"][:-1]),
+            "lfu_freqs has shape",
+        ),
+        "zero frequency": (
+            lambda s: s["lfu_freqs"].__setitem__(1, 0),
+            "lfu_freqs must be >= 1",
+        ),
+        "negative count": (
+            lambda s: s["lru_counts"].__setitem__(0, -3),
+            "lru_counts must be >= 1",
+        ),
+        "tier over capacity": (
+            lambda s: s.update(
+                lru_keys=np.arange(20, 29, dtype=np.uint64),
+                lru_values=np.zeros((9, 1), np.float32),
+                lru_counts=np.ones(9, np.int64),
+            ),
+            "capacit",
+        ),
+        "sentinel key": (
+            lambda s: s["lru_keys"].__setitem__(0, np.uint64(2**64 - 1)),
+            "reserved sentinel",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CORRUPTIONS))
+    def test_load_state_refuses_and_keeps_old_contents(self, case):
+        corrupt, match = self.CORRUPTIONS[case]
+        target, donor = self._caches()
+        before = target.export_state()
+        state = donor.export_state()
+        corrupt(state)
+        with pytest.raises(ValueError, match=match):
+            target.load_state(state)
+        self._assert_untouched(target, before)
+
+    @pytest.mark.parametrize(
+        "case", sorted(set(CORRUPTIONS) - {"tier over capacity"})
+    )
+    def test_load_delta_refuses_and_keeps_old_contents(self, case):
+        corrupt, match = self.CORRUPTIONS[case]
+        target, donor = self._caches()
+        before = target.export_state()
+        # A delta against an empty base ships every value, so only the
+        # corruption stands between it and the target.
+        empty = CombinedCache(16, value_dim=1).export_state()
+        delta = donor.export_delta(empty)
+        corrupt(delta)
+        with pytest.raises(ValueError, match=match):
+            target.load_delta(delta)
+        self._assert_untouched(target, before)
+
+    @pytest.mark.parametrize(
+        "corrupt, match",
+        [
+            (lambda d: d["lru_val_idx"].__setitem__(-1, 99), "lru_val_idx points outside"),
+            (lambda d: d["lfu_val_idx"].__setitem__(0, -1), "lfu_val_idx points outside"),
+            (lambda d: d.__setitem__("lru_values", d["lru_values"][:3]), "lru_values is"),
+        ],
+        ids=["index past the keys", "negative index", "short values"],
+    )
+    def test_load_delta_checks_its_value_index(self, corrupt, match):
+        target, donor = self._caches()
+        before = target.export_state()
+        delta = donor.export_delta(CombinedCache(16, value_dim=1).export_state())
+        corrupt(delta)
+        with pytest.raises(ValueError, match=match):
+            target.load_delta(delta)
+        self._assert_untouched(target, before)

@@ -115,7 +115,7 @@ def test_every_public_method_is_reached_by_the_cluster(
 
 def test_mem_ps_calls_nothing_outside_the_list():
     """Statically: every ``self.cache.<name>`` in ``mem_ps.py`` is listed
-    traffic (or the ``stats`` / ``lru.capacity`` reads) — no private
+    traffic (or the ``stats`` / ``lru_capacity`` reads) — no private
     attribute, no second lookup or insert path."""
     used = set()
     for node in ast.walk(ast.parse(inspect.getsource(mem_ps))):
@@ -125,5 +125,5 @@ def test_mem_ps_calls_nothing_outside_the_list():
             and node.value.attr == "cache"
         ):
             used.add(node.attr)
-    assert used <= TRAFFIC | {"stats", "lru"}, used - TRAFFIC
+    assert used <= TRAFFIC | {"stats", "lru_capacity"}, used - TRAFFIC
     assert {"prefetch_resolve", "put_batch", "pin_rows"} <= used

@@ -8,8 +8,13 @@ machine generates exactly that traffic (``CacheTraffic`` in
 Every step runs on a ``ShadowedCombinedCache``, which replays it key by
 key on the seed dict implementation and compares hit masks, flush pairs
 in order, row identities, both tiers' contents in eviction order,
-replacement metadata, ``hits`` / ``misses`` and pins; the model adds the
-losslessness check (every key always reads back its last written value,
+replacement metadata, ``hits`` / ``misses`` and pins, and checks the
+slab layout the seed cannot see — a resident key's row constant from its
+insert to its flush across promotions and demotions, exactly one tier
+per resident key, ``n_lru`` / ``n_lfu`` within their capacities and
+summing with the free stack to the slab, one index entry per resident —
+on a direct-addressed and on an open-addressed index, with and without
+the carry-over; the model adds the losslessness check (every key always reads back its last written value,
 whatever tiers or SSD round trips it went through), pin count 0 at round
 boundaries, and "a refused resolve leaves the cache untouched".
 """
@@ -38,9 +43,14 @@ class MemPSTraffic(RuleBasedStateMachine):
     @initialize(
         capacity=st.integers(4, 40),
         lru_fraction=st.sampled_from([0.3, 0.5, 0.7]),
+        direct_addressed=st.booleans(),
     )
-    def build(self, capacity, lru_fraction):
-        self.t = CacheTraffic(capacity, lru_fraction)
+    def build(self, capacity, lru_fraction, direct_addressed):
+        # Direct-addressed is what a cluster runs (the carry-over is
+        # ignored there); open-addressed, ``carry`` really carries.
+        self.t = CacheTraffic(
+            capacity, lru_fraction, key_domain=96 if direct_addressed else None
+        )
 
     # -- a round ---------------------------------------------------------
     @precondition(lambda self: len(self.t.in_flight) < MAX_IN_FLIGHT)
@@ -113,15 +123,27 @@ TestMemPSTraffic.settings = settings(
 def test_the_model_reaches_every_regime():
     """The generated traffic is only worth its parity checks if it gets
     to the hard places: promotions into a full LRU, flushes to the SSD,
-    SSD read-backs, spill-through, a refused resolve."""
+    SSD read-backs, spill-through, a refused resolve — and, on the
+    hashing index this cache has, a carried-over key that was demoted
+    since (still in its old row, but a promotion now, not an LRU hit)."""
     rng = np.random.default_rng(0)
     t = CacheTraffic(16, 0.5)
-    seen = {"refused": 0, "promoted": 0, "flushed": 0, "read_back": 0}
+    assert not t.cache._index.hash_free
+    seen = dict.fromkeys(
+        ["refused", "promoted", "flushed", "read_back", "carried_demoted"], 0
+    )
     for round_ in range(60):
+        if round_ % 3 == 0:  # unpinned inserts demote the last round's keys
+            t.insert_unpinned(rng.choice(np.arange(64, 96), size=5, replace=False))
         keys = rng.choice(64, size=int(rng.integers(1, 9)), replace=False)
         lfu_before = set(t.cache.ref.lfu._data)
         ssd_before = len(t.ssd)
-        ok = t.resolve(keys, carry=bool(round_ % 2))
+        carry = bool(round_ % 2) or round_ % 3 == 0
+        if carry and t.prev[0] is not None:
+            seen["carried_demoted"] += len(
+                lfu_before & set(keys.tolist()) & set(t.prev[0].tolist())
+            )
+        ok = t.resolve(keys, carry=carry)
         assert ok
         seen["promoted"] += len(lfu_before & set(keys.tolist()))
         seen["read_back"] += sum(k in t.ssd for k in keys.tolist())

@@ -3,17 +3,16 @@
 A demotion run is *mixed*: its victims come both from the tier's
 residents and from the run's own arrivals (a cold arrival is evicted by a
 later one before a hot resident is), and frequencies are seeded per key.
-``LFUCache.bulk_insert`` solves the whole run offline in one pass
+``CombinedCache.put_batch`` solves the whole run offline in one pass
 (``_greedy_evictions``); exactness is checked against the seed
-``DictLFUCache`` looped per key, and — one level up — against the seed
-combined policy through the shadowed cache.
+``DictLFUCache`` looped per key inside the seed combined policy, through
+the shadowed cache.
 """
 
 import numpy as np
 import pytest
 
-from cache_oracles import DictLFUCache, ShadowedCombinedCache
-from repro.mem.cache import LFUCache
+from cache_oracles import ShadowedCombinedCache
 
 
 def keys_of(xs):
@@ -25,28 +24,6 @@ def vals_for(keys, dim=2, salt=0.0):
         np.asarray(keys, dtype=np.float32)[:, None] + salt, dim, axis=1
     )
     return out
-
-
-def pair(capacity, dim=2):
-    return LFUCache(capacity, dim), DictLFUCache(capacity)
-
-
-def assert_same_state(fast: LFUCache, oracle: DictLFUCache):
-    # Tick order vs dict order: this also compares the entry-order
-    # structure that breaks frequency ties.
-    slots, keys = fast._items_in_order(fast._tick)
-    assert keys.tolist() == oracle.keys()
-    assert fast._freq[slots].tolist() == [oracle.frequency(k) for k in oracle.keys()]
-
-
-def insert_both(fast, oracle, keys, vals, freqs):
-    fk, fv = fast.bulk_insert(keys, vals, np.asarray(freqs, dtype=np.int64))
-    flushed = []
-    for k, v, f in zip(keys.tolist(), vals, freqs):
-        flushed += oracle.put(k, v, freq=int(f))
-    assert fk.tolist() == [k for k, _ in flushed]
-    assert np.array_equal(fv, np.array([v for _, v in flushed]).reshape(-1, 2))
-    assert_same_state(fast, oracle)
 
 
 def pressured_cache():
@@ -77,7 +54,7 @@ class TestMixedRunExtension:
         # 2 promotions + 3 inserts pushed 5 rows down into a full LFU
         # that the promotions had only freed 2 rows of.
         assert fk.size == 3
-        assert np.array_equal(cache.lru._keys[rows], union)
+        assert np.array_equal(cache._keys[rows], union)
 
     def test_bumped_resident_evicted_later_flushes_new_value(self):
         """A key promoted (frequency bumped), rewritten through its row,
@@ -100,23 +77,36 @@ class TestMixedRunExtension:
 
     @pytest.mark.parametrize("seed", range(12))
     def test_randomized_oracle_parity(self, seed):
-        """Random runs of fresh keys with random frequency seeds, up to
-        twice the tier: flush pairs, entry order and frequencies match
-        the per-key seed at every step."""
+        """Random demotion runs with mixed frequency seeds, up to twice
+        the LFU tier: flush pairs, entry order and frequencies match the
+        per-key seed at every step.  The LRU tier is twice the LFU, so
+        one insert can demote a run of ``2 * capacity``; touching random
+        LRU rows first gives the run mixed frequency seeds (1, 2, 3, ...)."""
         rng = np.random.default_rng(seed)
         capacity = int(rng.integers(4, 24))
-        fast, oracle = pair(capacity)
+        cache = ShadowedCombinedCache(
+            3 * capacity, lru_fraction=(2 * capacity + 0.5) / (3 * capacity), value_dim=2
+        )
+        assert (cache.lru_capacity, cache.lfu_capacity) == (2 * capacity, capacity)
         fresh = iter(rng.permutation(10_000).astype(np.uint64))
+        longest, hottest, flushed = 0, 0, 0
         for _ in range(10):
+            for _ in range(2):
+                rows = cache._tier_rows(cache._tick)
+                cache.touch_rows(rows[rng.random(rows.size) < 0.4])
             n = int(rng.integers(1, 2 * capacity))
             batch = keys_of([next(fresh) for _ in range(n)])
-            insert_both(
-                fast,
-                oracle,
-                batch,
-                vals_for(batch, salt=float(rng.integers(0, 100))),
-                rng.integers(1, 4, size=n),
+            run = max(0, cache.n_lru + n - cache.lru_capacity)
+            victims = cache._lru_victims(run)
+            longest = max(longest, run)
+            hottest = max(hottest, int(cache._count[victims].max(initial=0)))
+            # The shadow replays the insert per key and compares the
+            # flush pairs in order, both tiers and every frequency.
+            fk, _, _ = cache.put_batch(
+                batch, vals_for(batch, salt=float(rng.integers(0, 100)))
             )
+            flushed += fk.size
+        assert longest > capacity and hottest >= 3 and flushed
 
     def test_mixed_runs_count_as_single_admission_run(self):
         """An insert whose demotion cascade evicts residents *and* its

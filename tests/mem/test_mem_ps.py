@@ -104,7 +104,7 @@ class TestPrepare:
         m = make_mem()
         plan, pf = start_round(m, keys_of([4, 5, 6]))
         assert np.array_equal(
-            m.cache.lru._keys[pf.rows[pf.local_pos]], plan.keys[plan.local_idx]
+            m.cache._keys[pf.rows[pf.local_pos]], plan.keys[plan.local_idx]
         )
         assert not pf.hit.any()
         assert pf.admission.n_runs >= 1

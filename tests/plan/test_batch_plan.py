@@ -149,12 +149,12 @@ class TestRecordPrepare:
             assert pf.rows.size == pf.hit.size == pf.ssd_found.size
             # the resolved rows hold exactly the pinned MEM-touch union,
             # the local working keys among them
-            lru = node.mem_ps.cache.lru
-            assert np.array_equal(lru._keys[pf.rows], pf.keys)
+            cache = node.mem_ps.cache
+            assert np.array_equal(cache._keys[pf.rows], pf.keys)
             assert np.array_equal(
                 pf.keys[pf.local_pos], npn.keys[npn.local_idx]
             )
-            assert bool(np.all(lru._pinned[pf.rows]))
+            assert bool(np.all(cache._pinned[pf.rows]))
         cluster.stage_load(ctx)
         cluster.stage_train(ctx)  # leave the cluster quiescent
 

@@ -19,7 +19,7 @@ from cache_oracles import (
     DictLRUCache,
     ShadowedCombinedCache,
 )
-from repro.mem.cache import LFUCache, LRUCache
+from repro.mem.cache import CombinedCache
 
 
 def keys_of(xs):
@@ -37,33 +37,48 @@ def zipf_trace(n_ops: int, n_keys: int, seed: int) -> np.ndarray:
 
 
 class TestTierParity:
-    """Batches of one: the tier primitives degenerate to the seed's
-    single-key ``put`` (first sight of each key; the tiers never
-    overwrite)."""
+    """Batches of one through an 8 + 8 cache: each tier's policy
+    degenerates to the seed *tier* class's single-key ``put`` (first
+    sight of each key; the tiers never overwrite), chained by hand."""
 
     def test_lru_single_op_trace(self):
-        new, old = LRUCache(8, 1), DictLRUCache(8)
+        new, old = CombinedCache(16, value_dim=1), DictLRUCache(8)
+        resident_before: list[int] = []
         for i, k in enumerate(dict.fromkeys(zipf_trace(500, 40, seed=1).tolist())):
             v = np.array([[float(i)]], dtype=np.float32)
-            _, ekeys, evals, _ = new.insert(keys_of([k]), v, False)
+            new.put_batch(keys_of([k]), v)
             want = old.put(k, v[0])
-            assert ekeys.tolist() == [wk for wk, _ in want], f"op {i}"
-            assert evals.ravel().tolist() == [wv[0] for _, wv in want]
-        assert new._items_in_order(new._tick)[1].tolist() == old.keys()
+            # What the LRU tier evicted is what left its key list.
+            lru = new._keys[new._tier_rows(new._tick)].tolist()
+            assert lru == old.keys(), f"op {i}"
+            assert [x for x in resident_before if x not in lru] == [
+                wk for wk, _ in want
+            ]
+            for wk, wv in want:  # demoted, value intact (or flushed later)
+                vals, found = new.peek_batch(keys_of([wk]))
+                assert found[0] and vals[0, 0] == wv[0]
+            resident_before = lru
 
     def test_lfu_single_op_trace(self):
-        new, old = LFUCache(8, 1), DictLFUCache(8)
-        for i, k in enumerate(dict.fromkeys(zipf_trace(500, 40, seed=2).tolist())):
+        """Key ``i`` is touched up to frequency ``1 + i % 3`` right after
+        its insert (it stays the most recent, so the LRU tier is a FIFO)
+        and reaches the LFU tier eight inserts later with that seed."""
+        new, old = CombinedCache(16, value_dim=1), DictLFUCache(8)
+        trace = list(dict.fromkeys(zipf_trace(500, 40, seed=2).tolist()))
+        for i, k in enumerate(trace):
             v = np.array([[float(i)]], dtype=np.float32)
-            freq = 1 + i % 3
-            fk, fv = new.bulk_insert(keys_of([k]), v, np.array([freq]))
-            want = old.put(k, v[0], freq=freq)
+            fk, fv, rows = new.put_batch(keys_of([k]), v)
+            for _ in range(i % 3):
+                new.touch_rows(rows)
+            want = []
+            if i >= 8:  # the LRU tier's oldest key is demoted
+                j = i - 8
+                want = old.put(trace[j], np.array([float(j)]), freq=1 + j % 3)
+                row = new._index.get(keys_of([trace[j]]))[0][0]
+                assert int(new._freq[row]) == old.frequency(trace[j])
             assert fk.tolist() == [wk for wk, _ in want], f"op {i}"
             assert fv.ravel().tolist() == [wv[0] for _, wv in want]
-            assert int(new._freq[new._index.get(keys_of([k]))[0][0]]) == (
-                old.frequency(k)
-            )
-        assert new._items_in_order(new._tick)[1].tolist() == old.keys()
+        assert new._keys[new._tier_rows(new._ftick)].tolist() == old.keys()
 
 
 class TestCombinedParity:
@@ -118,6 +133,29 @@ class TestCombinedParity:
         # in tier order.
         _, hit = cache.get_batch(keys_of([100, 7, 0, 101, 9, 102]))
         assert hit.tolist() == [True, True, False, True, True, True]
+
+    def test_seed_replay_state_loads_and_reexports_byte_equal(self):
+        """The checkpoint arrays are defined by the per-key seed, not by
+        the slab: the state the ``DictCombinedCache`` replay is in —
+        written the way a pre-slab checkpoint was — loads into a fresh
+        cache and comes back out byte for byte (``FORMAT_VERSION`` did
+        not move with the one-slab layout)."""
+        t = CacheTraffic(64, 0.6)
+        for round_ in range(12):
+            assert t.resolve(np.unique(zipf_trace(48, 300, seed=round_)), carry=False)
+            t.write(0, [True, False])
+            t.end_round()
+        state = t.cache._ref_state()
+        assert state["lru_keys"].size and state["lfu_keys"].size
+        assert state["lfu_freqs"].max() > 1 and state["lru_counts"].max() > 1
+        fresh = CombinedCache(64, lru_fraction=0.6, value_dim=t.dim)
+        fresh.load_state(state)
+        again = fresh.export_state()
+        assert list(again) == list(state)
+        for name, want in state.items():
+            got = again[name]
+            assert got.dtype == want.dtype and got.shape == want.shape, name
+            assert got.tobytes() == want.tobytes(), name
 
     @pytest.mark.parametrize("seed", [10, 11, 12])
     def test_randomized_mixed_trace(self, seed):

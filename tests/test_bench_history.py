@@ -71,3 +71,26 @@ def test_append_writes_one_row_per_workload_and_refuses_repeats(tmp_path, monkey
     check_rows(rows)
     assert rows[0]["round_ms_p50"] == [20.0, 19.0, 21.0, 42]
     assert rows[0]["setup_s"] == [1.5, None, None, None]
+
+
+def test_show_prints_one_series_in_file_order(tmp_path, monkeypatch, capsys):
+    history = load_history_module()
+    monkeypatch.setattr(history, "HISTORY", tmp_path / "history.jsonl")
+    rows = [
+        {"commit": "aaaaaaa111", "seed": 0, "workload": "ssd_pressure",
+         "round_ms_p50": [20.9, 20.25, 21.58, 42], "setup_s": [0.21, None, None, None]},
+        {"commit": "aaaaaaa111", "seed": 0, "workload": "dense_heavy",
+         "round_ms_p50": [72.0, 70.0, 74.0, 24], "setup_s": [0.4, None, None, None]},
+        {"commit": "bbbbbbb222", "seed": 1, "workload": "ssd_pressure",
+         "round_ms_p50": [19.25, 19.0, 19.5, 42], "setup_s": [0.2, None, None, None]},
+    ]
+    history.HISTORY.write_text("".join(json.dumps(r) + "\n" for r in rows))
+    assert history.main(["show", "--workload", "ssd_pressure", "--metric", "round_ms_p50"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "aaaaaaa seed 0 20.9 [20.25–21.58] n=42",
+        "bbbbbbb seed 1 19.25 [19–19.5] n=42",
+    ]
+    assert history.main(["show", "--workload", "dense_heavy", "--metric", "setup_s"]) == 0
+    assert capsys.readouterr().out == "aaaaaaa seed 0 0.4\n"
+    # An unknown workload or metric is an error, not an empty success.
+    assert history.main(["show", "--workload", "ssd_pressure", "--metric", "nope"]) == 1

@@ -9,6 +9,7 @@ from repro.config import (
     ModelSpec,
     scaled_model,
 )
+from repro.mem.cache import CombinedCache
 
 
 class TestPaperModels:
@@ -107,3 +108,25 @@ class TestClusterConfig:
         the error now names the field."""
         with pytest.raises(ValueError, match=f"{field} must be positive"):
             ClusterConfig(**{field: value})
+
+    @pytest.mark.parametrize(
+        "field, value, match",
+        [
+            ("cache_lru_fraction", 0.0, r"cache_lru_fraction must be in \(0, 1\)"),
+            ("cache_lru_fraction", 1.0, r"cache_lru_fraction must be in \(0, 1\)"),
+            ("mem_capacity_params", 1, "mem_capacity_params must be >= 2"),
+        ],
+    )
+    def test_values_the_mem_cache_refuses_are_rejected_here(self, field, value, match):
+        """These used to pass and die inside ``HPSCluster(...)`` with
+        ``CombinedCache``'s own words (``lru_fraction must be in (0, 1)``,
+        ``combined cache needs capacity >= 2``) — names the user never
+        wrote.  Every accepted pair builds a cache."""
+        with pytest.raises(ValueError, match=match):
+            ClusterConfig(**{field: value})
+        for capacity, fraction in ((2, 0.5), (2, 1e-9), (3, 1 - 1e-9)):
+            cfg = ClusterConfig(mem_capacity_params=capacity, cache_lru_fraction=fraction)
+            cache = CombinedCache(
+                cfg.mem_capacity_params, lru_fraction=cfg.cache_lru_fraction
+            )
+            assert cache.lru_capacity >= 1 and cache.lfu_capacity >= 1
