@@ -16,7 +16,7 @@ Resources are plain strings.  The cluster's vocabulary:
 ``stream``
     the per-node HDFS stream cursor (advanced by the read stage);
 ``mem`` / ``ssd`` / ``hbm``
-    the three storage tiers (cache slabs + replacement state, file store
+    the three storage tiers (cache slab + replacement state, file store
     + extent cache, per-GPU hash tables);
 ``model``
     the dense tower replicas and their optimizer state;

@@ -259,8 +259,8 @@ class NodePrefetchPlan:
     #: keys (``SyncPlan.keys[missing_own_idx]``)
     update_pos: list[np.ndarray]
     # -- filled in by ``MemPS.prefetch`` --------------------------------
-    #: LRU slab rows of the pinned prefetched keys (stable until the
-    #: round's ``end_batch`` unpins them)
+    #: cache slab rows of the pinned prefetched keys (a resident key's
+    #: row never moves; the pin keeps it resident until ``end_batch``)
     rows: np.ndarray | None = None
     #: cache hit mask over :attr:`keys`
     hit: np.ndarray | None = None

@@ -14,9 +14,10 @@ insert to its flush across promotions and demotions, exactly one tier
 per resident key, ``n_lru`` / ``n_lfu`` within their capacities and
 summing with the free stack to the slab, one index entry per resident —
 on a direct-addressed and on an open-addressed index, with and without
-the carry-over; the model adds the losslessness check (every key always reads back its last written value,
-whatever tiers or SSD round trips it went through), pin count 0 at round
-boundaries, and "a refused resolve leaves the cache untouched".
+the carry-over; the model adds the losslessness check (every key always
+reads back its last written value, whatever tiers or SSD round trips it
+went through), pin count 0 at round boundaries, and "a refused resolve
+leaves the cache untouched".
 """
 
 import numpy as np

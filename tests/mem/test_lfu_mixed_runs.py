@@ -85,7 +85,9 @@ class TestMixedRunExtension:
         rng = np.random.default_rng(seed)
         capacity = int(rng.integers(4, 24))
         cache = ShadowedCombinedCache(
-            3 * capacity, lru_fraction=(2 * capacity + 0.5) / (3 * capacity), value_dim=2
+            3 * capacity,
+            lru_fraction=(2 * capacity + 0.5) / (3 * capacity),
+            value_dim=2,
         )
         assert (cache.lru_capacity, cache.lfu_capacity) == (2 * capacity, capacity)
         fresh = iter(rng.permutation(10_000).astype(np.uint64))

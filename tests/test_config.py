@@ -125,7 +125,9 @@ class TestClusterConfig:
         with pytest.raises(ValueError, match=match):
             ClusterConfig(**{field: value})
         for capacity, fraction in ((2, 0.5), (2, 1e-9), (3, 1 - 1e-9)):
-            cfg = ClusterConfig(mem_capacity_params=capacity, cache_lru_fraction=fraction)
+            cfg = ClusterConfig(
+                mem_capacity_params=capacity, cache_lru_fraction=fraction
+            )
             cache = CombinedCache(
                 cfg.mem_capacity_params, lru_fraction=cfg.cache_lru_fraction
             )
