@@ -88,11 +88,9 @@ __all__ = [
     "StageConflictError",
     "COMMUTATIVE_RESOURCES",
     "ROUND_LOCAL_PREFIX",
-    "WINDOW_RESOURCE",
     "may_overlap",
     "find_stage_conflicts",
     "check_stage_conflicts",
-    "window_overlap_contracts",
 ]
 
 #: Resources whose writes are order-independent appends (accumulators):
@@ -107,66 +105,6 @@ COMMUTATIVE_RESOURCES: frozenset[str] = frozenset({"ledger", "fault"})
 #: Resources with this prefix are per-round instances — two overlapping
 #: stages always belong to different rounds and touch different copies.
 ROUND_LOCAL_PREFIX = "round:"
-
-#: The depth-k prefetch window's shared pin state (the sliding set of
-#: future-round rows held pinned in the MEM cache across rounds).  Only
-#: meaningful at ``prefetch_depth`` > 1: the prefetch stage extends the
-#: window, train's end-of-round unpin must except it, and a snapshot
-#: export transiently unpins + re-pins it.  Those stages may overlap on
-#: the clock, so every pair needs an :class:`OverlapContract` — built by
-#: :func:`window_overlap_contracts`, which refuses depths the window
-#: machinery never engages at.
-WINDOW_RESOURCE = "mem:window"
-
-
-def window_overlap_contracts(depth: int) -> tuple[OverlapContract, ...]:
-    """The sanctioned ``mem:window`` overlaps of a depth-``k`` window.
-
-    At depth ``k`` > 1 the prefetch stage of round ``b+k'`` (any
-    ``k' >= 1`` the queues admit) may share the clock with train(b) and
-    snapshot(b) while all three touch the window's pin state.  The
-    overlaps are safe for the same structural reason as the base
-    contracts — the engine fires closures in canonical batch-major
-    order, so the window mutations are totally ordered in execution no
-    matter what the clock claims — but they only *exist* at depth > 1,
-    so asking for contracts at depth 1 (or less) is a contradiction in
-    terms and raises instead of returning an empty sanction.
-    """
-    if depth < 2:
-        raise ValueError(
-            f"window overlap contracts are a depth>1 construct (the "
-            f"window never outlives its round at depth {depth}); do not "
-            "register them for shallow prefetch"
-        )
-    w = frozenset({WINDOW_RESOURCE})
-    return (
-        OverlapContract(
-            "prefetch",
-            "train",
-            w,
-            f"prefetch(b+k) extends the depth-{depth} window after "
-            "train(b)'s end-of-round unpin in canonical batch-major "
-            "execution; the unpin excepts exactly the window rows, so "
-            "the clock overlap cannot release a speculative pin",
-        ),
-        OverlapContract(
-            "prefetch",
-            "snapshot",
-            w,
-            "snapshot(b) unpins + re-pins the window around its MEM "
-            "export strictly before prefetch(b+1) extends it (canonical "
-            "order): the export observes a pin-free cache and hands the "
-            "window back untouched",
-        ),
-        OverlapContract(
-            "train",
-            "snapshot",
-            w,
-            "train(b+1)'s window-aware unpin runs after snapshot(b) "
-            "re-pinned the window in canonical order, so both see the "
-            "window whole",
-        ),
-    )
 
 
 class StageEffectsLike(Protocol):

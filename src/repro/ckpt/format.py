@@ -57,7 +57,10 @@ __all__ = [
 #: restored run continues long-horizon cost accounting.
 #: v3: manifests carry ``kind`` ("full" | "delta"); delta manifests chain
 #: to a sibling ``base`` directory via ``base_manifest_sha256``.
-FORMAT_VERSION = 3
+#: v4: the manifest's ``config.cluster_config`` lost five keys (the
+#: prefetch-window and extent-cache-tuner knobs), so an older chain can
+#: neither rebuild its ``ClusterConfig`` nor match a fingerprint.
+FORMAT_VERSION = 4
 
 MANIFEST_NAME = "manifest.json"
 DENSE_SHARD = "dense.npz"

@@ -143,22 +143,9 @@ class ClusterConfig:
     #: partition, peer-served partitions, owner-queue keys — one cache
     #: probe per distinct key, pinned for the round); it selects no code
     #: path.  True runs the resolve as its own pipeline stage between
-    #: read and prepare, where the engine can overlap it and
-    #: ``prefetch_depth`` can look ahead; False runs the same resolve
-    #: inline at the head of the prepare stage.
+    #: read and prepare, where the engine can overlap it; False runs the
+    #: same resolve inline at the head of the prepare stage.
     prefetch: bool = False
-    #: lookahead window of the prefetch stage in rounds: round ``b``'s
-    #: prefetch resolves and pins the unions of rounds ``b..b+depth-1``
-    #: (1 = today's next-round-only behavior, bit-identical to it).
-    #: Depth > 1 requires ``prefetch=True``; the deep rounds pay only
-    #: the union *delta* against the already-resolved window.
-    prefetch_depth: int = 1
-    #: ceiling on the LRU-tier fraction the prefetch window may pin —
-    #: a deep-round delta that would push pins past this backs the
-    #: window off to a shallower depth for that round (counted in
-    #: ``BatchStats.prefetch_depth_backoffs``) so admission never
-    #: starves behind speculative pins
-    prefetch_pin_fraction: float = 0.8
     #: SSD extent cache: parameter-file payloads kept hot so repeat
     #: miss-path reads of the same file pay the cheap warm rate instead
     #: of a device read (0 disables; see
@@ -166,14 +153,6 @@ class ClusterConfig:
     #: since hits are priced (warm ≠ free), so enabling it does not fork
     #: the sim-seconds parity groups.
     ssd_extent_cache_files: int = 16
-    #: self-tuning extent cache: when > 0, every ``…_resize_every``
-    #: device-path file touches the cache re-sizes itself toward the
-    #: observed file-reuse distance, clamped to
-    #: [``ssd_extent_cache_min_files``, ``ssd_extent_cache_max_files``]
-    #: (0 keeps the capacity fixed at ``ssd_extent_cache_files``)
-    ssd_extent_cache_resize_every: int = 0
-    ssd_extent_cache_min_files: int = 4
-    ssd_extent_cache_max_files: int = 64
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -200,22 +179,6 @@ class ClusterConfig:
             raise ValueError("compaction_threshold must be >= 1.0")
         if not 0.0 < self.compaction_stale_fraction <= 1.0:
             raise ValueError("compaction_stale_fraction must be in (0, 1]")
-        if self.prefetch_depth < 1:
-            raise ValueError("prefetch_depth must be >= 1")
-        if self.prefetch_depth > 1 and not self.prefetch:
-            raise ValueError("prefetch_depth > 1 requires prefetch=True")
-        if not 0.0 < self.prefetch_pin_fraction <= 1.0:
-            raise ValueError("prefetch_pin_fraction must be in (0, 1]")
-        if self.ssd_extent_cache_resize_every < 0:
-            raise ValueError("ssd_extent_cache_resize_every must be >= 0")
-        if self.ssd_extent_cache_resize_every > 0 and not (
-            0
-            < self.ssd_extent_cache_min_files
-            <= self.ssd_extent_cache_max_files
-        ):
-            raise ValueError(
-                "adaptive extent cache needs 0 < min_files <= max_files"
-            )
 
     @property
     def total_gpus(self) -> int:

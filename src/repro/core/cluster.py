@@ -53,11 +53,7 @@ from repro.hbm.allreduce import (
     allreduce_dense,
     hierarchical_allreduce,
 )
-from repro.analysis.effects import (
-    WINDOW_RESOURCE,
-    OverlapContract,
-    window_overlap_contracts,
-)
+from repro.analysis.effects import OverlapContract
 from repro.analysis.effects import (
     check_stage_conflicts as _check_stage_conflicts,
 )
@@ -288,17 +284,6 @@ class BatchStats:
     #: :attr:`pull_push_seconds` whether it ran as its own stage
     #: (``config.prefetch``) or at the head of prepare
     prefetch_seconds: float = 0.0
-    #: deep prefetch-window extensions this round that backed off to a
-    #: shallower depth because the pin ceiling
-    #: (``config.prefetch_pin_fraction``) would have been exceeded
-    #: (summed over nodes; always 0 at ``prefetch_depth`` 1)
-    prefetch_depth_backoffs: int = 0
-    #: adaptive extent-cache resize events this round, summed over nodes
-    #: (0 unless ``config.ssd_extent_cache_resize_every`` > 0)
-    extent_cache_resizes: int = 0
-    #: extent-cache capacity in files at the round boundary, summed over
-    #: nodes — moves only under the adaptive sizing
-    extent_cache_files: int = 0
 
     @property
     def bottleneck_seconds(self) -> float:
@@ -358,7 +343,6 @@ class RoundContext:
     cache_stats_before: list[tuple[int, int]] = field(default_factory=list)
     admission_before: list[int] = field(default_factory=list)
     compactions_before: int = 0
-    extent_before: list[int] = field(default_factory=list)
     ssd_before: list[float] = field(default_factory=list)
     # stage 4 output: the round's aggregated stats
     stats: BatchStats | None = None
@@ -463,26 +447,13 @@ class HPSCluster:
         #: manifest_sha256, node_states}``.  Maintained by
         #: :mod:`repro.ckpt.checkpoint`; None until a full save/restore.
         self._ckpt_base = None
-        #: pre-wrap stage registry, held while :meth:`wrap_stages`
+        #: wrapped spec → original spec, held while :meth:`wrap_stages`
         #: instrumentation is installed (None = not wrapped)
-        self._unwrapped_stages: list[StageSpec] | None = None
+        self._unwrapped_stages: dict[StageSpec, StageSpec] | None = None
         #: cluster-level fault guard for the cross-node collectives
         #: (:class:`repro.faults.policy.FaultArm`, installed by
         #: :func:`repro.faults.inject.inject_faults`; None = fault-free)
         self._fault_arm: Any | None = None
-        #: depth-k lookahead peek buffer, keyed by round index: batches
-        #: materialized ahead of their round's read stage so the plan can
-        #: price future unions.  Peeks are side-effect-free (batches are
-        #: pure functions of the global index); the round that actually
-        #: consumes a buffered batch settles its ledger/fault accounting
-        #: via :meth:`~repro.data.hdfs.HDFSStream.account`, keeping the
-        #: op order identical to the depth-1 schedule.
-        self._peeked: dict[int, list[TimedBatch]] = {}
-        #: per-node MEM unions of the next round plus its sync carry,
-        #: from the previous round's plan lookahead
-        #: (``(round_index, unions, (global_keys, owner) | None)``;
-        #: None = compute from scratch)
-        self._next_unions: tuple | None = None
         #: the pipeline's stages (:class:`StageSpec`: name, closure,
         #: declared effects), in execution order.  The four Algorithm 1
         #: stages are fixed; optional stages splice in via
@@ -496,16 +467,8 @@ class HPSCluster:
             "load": self.stage_load,
             "train": self.stage_train,
         }
-        depth = cluster_config.prefetch_depth
-        effects = dict(STAGE_EFFECTS)
-        if depth > 1:
-            # Deep windows make train's end-of-round unpin window-aware
-            # (unpin everything *except* the still-speculative window),
-            # which is a write to the shared window pin state.
-            t_reads, t_writes = effects["train"]
-            effects["train"] = (t_reads, t_writes | {WINDOW_RESOURCE})
         self._stage_defs: list[StageSpec] = [
-            StageSpec(name, base_fns[name], *effects[name])
+            StageSpec(name, base_fns[name], *STAGE_EFFECTS[name])
             for name in PIPELINE_STAGE_NAMES
         ]
         #: per-stage sanctioned-overlap declarations; the base contracts
@@ -516,17 +479,12 @@ class HPSCluster:
         }
         if cluster_config.prefetch:
             reads, writes = STAGE_EFFECTS["prefetch"]
-            contracts: tuple[OverlapContract, ...] = ()
-            if depth > 1:
-                writes = writes | {WINDOW_RESOURCE}
-                contracts = window_overlap_contracts(depth)
             self.register_stage(
                 "prefetch",
                 self.stage_prefetch,
                 after="read",
                 reads=reads,
                 writes=writes,
-                contracts=contracts,
             )
 
     # ------------------------------------------------------------------
@@ -668,29 +626,23 @@ class HPSCluster:
                 "stages are already wrapped — call unwrap_stages() before "
                 "installing another wrapper"
             )
-        self._unwrapped_stages = list(self._stage_defs)
-        self._stage_defs = [
+        wrapped = [
             dataclasses.replace(s, fn=wrap(s.name, s.fn))
             for s in self._stage_defs
         ]
+        self._unwrapped_stages = dict(zip(wrapped, self._stage_defs))
+        self._stage_defs = wrapped
 
     def unwrap_stages(self) -> None:
-        """Drop :meth:`wrap_stages` instrumentation, restoring the
-        pre-wrap registry (stages registered *after* wrapping are kept,
-        unwrapped only if they were wrapped individually by the caller).
+        """Drop :meth:`wrap_stages` instrumentation from the *current*
+        registry: every stage still carrying a wrapper gets its original
+        back; a stage registered while wrapped stays as it is, and one
+        unregistered while wrapped stays gone.
         """
         if self._unwrapped_stages is None:
             raise RuntimeError("stages are not wrapped")
-        wrapped_names = {s.name for s in self._unwrapped_stages}
-        extras = [
-            s for s in self._stage_defs if s.name not in wrapped_names
-        ]
-        restored = list(self._unwrapped_stages)
-        for spec in extras:
-            # Re-splice post-wrap registrations at their current position.
-            idx = [s.name for s in self._stage_defs].index(spec.name)
-            restored.insert(min(idx, len(restored)), spec)
-        self._stage_defs = restored
+        originals = self._unwrapped_stages
+        self._stage_defs = [originals.get(s, s) for s in self._stage_defs]
         self._unwrapped_stages = None
 
     @staticmethod
@@ -706,59 +658,19 @@ class HPSCluster:
         :class:`~repro.plan.RoundPlan` — the only place key metadata
         (unique sets, owner partitions, shard unions) is derived; every
         later stage consumes the plan's precomputed index arrays.
-
-        At ``prefetch_depth`` k > 1 it additionally peeks the batches of
-        rounds ``b+1..b+k-1`` (no ledger/fault side effects — those
-        settle in the round that consumes the batch) so the plan can
-        price each future round's per-node MEM unions, and it reuses the
-        current round's union carried from the previous round's
-        lookahead instead of recomputing it.
         """
         r = ctx.round_index
-        peeked = self._peeked.pop(r, None)
-        if peeked is not None:
-            ctx.timed = [
-                n.hdfs.account(t) for n, t in zip(self.nodes, peeked)
-            ]
-        else:
-            ctx.timed = [
-                n.hdfs.read(r * self.n_nodes + n.node_id) for n in self.nodes
-            ]
+        ctx.timed = [
+            n.hdfs.read(r * self.n_nodes + n.node_id) for n in self.nodes
+        ]
         ctx.read_seconds = max(t.read_seconds for t in ctx.timed)
-        depth = self.config.prefetch_depth
-        lookahead: list[list[Batch]] | None = None
-        prefetch_unions: list[np.ndarray] | None = None
-        sync_carry = None
-        if depth > 1:
-            lookahead = []
-            for d in range(1, depth):
-                fut = r + d
-                if fut not in self._peeked:
-                    self._peeked[fut] = [
-                        n.hdfs.peek(fut * self.n_nodes + n.node_id)
-                        for n in self.nodes
-                    ]
-                lookahead.append([t.batch for t in self._peeked[fut]])
-            if self._next_unions is not None and self._next_unions[0] == r:
-                prefetch_unions = self._next_unions[1]
-                sync_carry = self._next_unions[2]
-        plan = build_round_plan(
+        ctx.plan = build_round_plan(
             [t.batch for t in ctx.timed],
             node_partitioner=self.nodes[0].mem_ps.partitioner,
             gpu_partitioner=self.nodes[0].hbm_ps.params.partitioner,
             n_gpus=self.config.gpus_per_node,
             mb_rounds=self.config.minibatches_per_gpu,
-            lookahead=lookahead,
-            prefetch_unions=prefetch_unions,
-            sync_carry=sync_carry,
         )
-        ctx.plan = plan
-        if depth > 1:
-            self._next_unions = (
-                r + 1,
-                [p.lookahead[0] for p in plan.prefetch],
-                plan.lookahead_sync[0] if plan.lookahead_sync else None,
-            )
         return ctx.read_seconds
 
     def _snapshot_counters(self, ctx: RoundContext) -> None:
@@ -779,9 +691,6 @@ class HPSCluster:
             n.ledger.total("ssd_read") + n.ledger.total("ssd_write")
             for n in nodes
         ]
-        ctx.extent_before = [
-            n.ssd_ps.store.extent_cache.resizes for n in nodes
-        ]
 
     def stage_prefetch(self, ctx: RoundContext) -> float:
         """Resolve + pin the round's MEM working set, once.
@@ -792,9 +701,8 @@ class HPSCluster:
         the round, so every later stage's MEM access is a pure row
         gather.  Nodes run in parallel — the resolve costs the slowest
         node's resolve + load time.  ``config.prefetch`` only schedules
-        it: as its own pipeline stage between read and prepare (where
-        ``prefetch_depth`` can look ahead), or inline at the head of
-        :meth:`stage_prepare`.
+        it: as its own pipeline stage between read and prepare, or
+        inline at the head of :meth:`stage_prepare`.
         """
         self._snapshot_counters(ctx)
         seconds = 0.0
@@ -987,16 +895,6 @@ class HPSCluster:
             )
             - sum(ctx.admission_before),
             prefetch_seconds=ctx.prefetch_seconds,
-            prefetch_depth_backoffs=sum(
-                n.mem_ps.take_depth_backoffs() for n in nodes
-            ),
-            extent_cache_resizes=sum(
-                n.ssd_ps.store.extent_cache.resizes for n in nodes
-            )
-            - sum(ctx.extent_before),
-            extent_cache_files=sum(
-                n.ssd_ps.store.extent_cache.max_files for n in nodes
-            ),
         )
         ctx.stats = stats
         self.history.append(stats)
@@ -1091,11 +989,10 @@ class HPSCluster:
         ``prefetch`` or ``prepare``: those stages mutate only stream
         counters and cache *residency* (which rows are resident or
         pinned) — never parameter values, which change only in
-        ``train``'s write-back.  Releasing the pins and dropping the
-        cross-round prefetch union therefore returns every tier to a
-        value-exact round boundary, so the aborted round can be retried
-        from its read stage (or a partial ``restore_node`` applied)
-        without forking parameters.
+        ``train``'s write-back.  Releasing the pins therefore returns
+        every tier to a value-exact round boundary, so the aborted round
+        can be retried from its read stage (or a partial
+        ``restore_node`` applied) without forking parameters.
 
         Only valid while no round has working parameters staged in HBM —
         past ``stage_load`` the freshest values live only in the HBM
@@ -1104,12 +1001,6 @@ class HPSCluster:
         self._require_round_boundary("abort_round")
         for node in self.nodes:
             node.mem_ps.abort_round()
-        # The lookahead peek buffer and carried unions describe rounds
-        # the aborted schedule expected; the retried round re-peeks
-        # (batches are pure functions of the index, so a re-peek cannot
-        # fork the data — only recompute it).
-        self._peeked.clear()
-        self._next_unions = None
 
     def lookup_embeddings(self, keys: np.ndarray) -> np.ndarray:
         """Read-only embedding lookup across owners (for evaluation).
@@ -1295,12 +1186,6 @@ class HPSCluster:
 
         stage_snapshot.history = []  # type: ignore[attr-defined]
         reads, writes = STAGE_EFFECTS["snapshot"]
-        if self.config.prefetch_depth > 1:
-            # The MEM export transiently unpins + re-pins the in-flight
-            # window (pins are residency metadata, not snapshot state) —
-            # a write to the shared window resource, sanctioned by the
-            # depth-aware contracts registered with the prefetch stage.
-            writes = writes | {WINDOW_RESOURCE}
         self.register_stage(
             "snapshot",
             stage_snapshot,

@@ -57,9 +57,6 @@ class HPSNode:
             sparse_optimizer.value_dim,
             file_capacity=cfg.ssd_file_capacity,
             extent_cache_files=cfg.ssd_extent_cache_files,
-            extent_cache_resize_every=cfg.ssd_extent_cache_resize_every,
-            extent_cache_min_files=cfg.ssd_extent_cache_min_files,
-            extent_cache_max_files=cfg.ssd_extent_cache_max_files,
             ssd_spec=self.hardware.ssd,
             usage_threshold=cfg.compaction_threshold,
             stale_fraction=cfg.compaction_stale_fraction,
@@ -74,7 +71,6 @@ class HPSNode:
             self.ssd_ps,
             cache_capacity=cfg.mem_capacity_params,
             lru_fraction=cfg.cache_lru_fraction,
-            prefetch_pin_fraction=cfg.prefetch_pin_fraction,
             network=self.network,
             ledger=self.ledger,
             seed=cfg.seed,

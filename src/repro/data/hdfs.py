@@ -71,39 +71,6 @@ class HDFSStream:
         """Simulated seconds to stream ``batch`` from HDFS."""
         return self.transfer_seconds(batch.nbytes_raw_log())
 
-    def peek(self, global_index: int) -> TimedBatch:
-        """Materialize one batch without charging the ledger or counters.
-
-        Batches are pure functions of the global index, so a peeked
-        batch is bit-identical to what :meth:`read` would return for the
-        same index; the lookahead planner peeks rounds ``b+1..b+k-1``
-        and settles each via :meth:`account` in the round that actually
-        consumes it, keeping the ledger/fault op order identical to the
-        depth-1 schedule.
-        """
-        batch = self.generator.batch(global_index, self.batch_size)
-        return TimedBatch(global_index, batch, self.read_time(batch))
-
-    def account(self, timed: TimedBatch) -> TimedBatch:
-        """Charge the ledger/fault/counter side effects for a peeked batch.
-
-        Performs exactly the side effects :meth:`read` would, in the
-        same order, and returns the batch with any fault-retry seconds
-        folded into ``read_seconds``.
-        """
-        t = timed.read_seconds
-        extra = 0.0
-        if self.faults is not None:
-            extra = self.faults.guard(
-                {"hdfs_timeout": t, "hdfs_read_failure": 0.0}, scope="round"
-            )
-        self.ledger.add("hdfs_read", t)
-        self.batches_read += 1
-        self.bytes_read += timed.batch.nbytes_raw_log()
-        if extra:
-            return TimedBatch(timed.index, timed.batch, t + extra)
-        return timed
-
     def read(self, global_index: int) -> TimedBatch:
         """Fetch one batch by global index, charging the ledger.
 
@@ -114,7 +81,17 @@ class HDFSStream:
         retried round re-reads the identical batch (batches are pure
         functions of the global index, so a retry cannot fork the data).
         """
-        return self.account(self.peek(global_index))
+        batch = self.generator.batch(global_index, self.batch_size)
+        t = self.read_time(batch)
+        extra = 0.0
+        if self.faults is not None:
+            extra = self.faults.guard(
+                {"hdfs_timeout": t, "hdfs_read_failure": 0.0}, scope="round"
+            )
+        self.ledger.add("hdfs_read", t)
+        self.batches_read += 1
+        self.bytes_read += batch.nbytes_raw_log()
+        return TimedBatch(global_index, batch, t + extra)
 
     def stream(self, n_rounds: int):
         """Yield this node's share of ``n_rounds`` global rounds.

@@ -50,16 +50,15 @@ the rows it flushes).
   then do the new keys allocate rows — with both tiers full the free
   stack is empty until that flush.
 * **Row ops in between.**  Everything from the resolve to the round's
-  end — gathers, scatters, touches, the final unpin — goes through the
-  rows the resolve and the insert handed back, with no further index
-  probe.  Pinned rows are never victims, so they cannot be flushed.
+  end — gathers, scatters, the final unpin — goes through the rows the
+  resolve and the insert handed back, with no further index probe.
+  Pinned rows are never victims, so they cannot be flushed.
 
 What is pinned, and when: the resolve's hits are pinned by the caller
 right after it returns (so the miss insert cannot evict them), the
 misses are inserted pinned, and the round's rows are released together
-at its end — except rows a deeper prefetch window still claims.  A
-snapshot (:meth:`CombinedCache.export_state`) is only defined with no
-pins held.
+at its end.  A snapshot (:meth:`CombinedCache.export_state`) is only
+defined with no pins held.
 
 Both passes are **sequential-equivalent**: evictions and flush pairs
 come out in the order a per-key loop would produce them.  Row identity
@@ -293,12 +292,7 @@ class CombinedCache:
         return cand[order][:n_evict]
 
     # -- the lookup ------------------------------------------------------
-    def prefetch_resolve(
-        self,
-        keys: np.ndarray,
-        prev_keys: np.ndarray | None = None,
-        prev_rows: np.ndarray | None = None,
-    ) -> tuple[np.ndarray, np.ndarray]:
+    def prefetch_resolve(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Tier-ordered one-pass resolve of a unique key union.
 
         Sequential-equivalent to looking the union up key by key in the
@@ -323,43 +317,12 @@ class CombinedCache:
         :class:`~repro.errors.TierStateError` is raised with the cache
         untouched.  (Past that bound a promotion would demote this very
         union's LRU hits.)
-
-        ``prev_keys``/``prev_rows`` (the previous round's resolved union)
-        let consecutive unions share their overlap while the index
-        hashes: a key still sitting in its old row — verified directly
-        against the slab, the source of truth the index mirrors — needs
-        no probe, whichever tier that row is in by now.  A
-        direct-addressed index answers the whole union in one gather,
-        cheaper than the carry check, so there the pair is ignored.
         """
         keys = as_keys(keys)
         n = keys.size
         if n == 0:
             return np.zeros(0, dtype=bool), _NO_SLOTS.copy()
-        index = self._index
-        carried = _NO_SLOTS
-        if (
-            not index.hash_free
-            and prev_keys is not None
-            and prev_keys.size
-            and prev_rows is not None
-            and int(prev_rows.max(initial=-1)) < self._keys.size
-        ):
-            pos = prev_keys.searchsorted(keys)
-            np.minimum(pos, prev_keys.size - 1, out=pos)
-            cand = np.flatnonzero(prev_keys[pos] == keys)
-            rows_cand = prev_rows[pos[cand]]
-            ok = self._keys[rows_cand] == keys[cand]
-            carried, carried_rows = cand[ok], rows_cand[ok]
-        if carried.size:
-            found = np.zeros(n, dtype=bool)
-            found[carried] = True
-            rows = _full_i64(n, -1)
-            rows[carried] = carried_rows
-            sub = np.flatnonzero(~found)
-            rows[sub], found[sub] = index.get(keys[sub])
-        else:
-            rows, found = index.get(keys)
+        rows, found = self._index.get(keys)
         # An absent key's row is -1, which would read the last row's
         # tier: mask by ``found``.
         in_lru = found & (self._tick[rows] < _FAR)
@@ -566,7 +529,7 @@ class CombinedCache:
     # pinned row is never an eviction victim, so it stays resident — and
     # in the LRU tier — until unpinned.  Callers that pin a working set
     # therefore keep the rows the resolve and the insert handed back and
-    # read, write, touch and unpin through them without further SlotIndex
+    # read, write and unpin through them without further SlotIndex
     # probes.  Rows range over the whole slab.
     def pin_rows(self, rows: np.ndarray) -> None:
         """Pin LRU-resident rows (a resolve's hits)."""
@@ -575,25 +538,6 @@ class CombinedCache:
     def unpin_rows(self, rows: np.ndarray) -> None:
         """Release pins at resolved rows."""
         self._pinned[rows] = False
-
-    def unpin_rows_except(
-        self, rows: np.ndarray, keep: list[np.ndarray]
-    ) -> None:
-        """Release pins at ``rows`` except rows present in any ``keep``.
-
-        End-of-round face of the prefetch window: the finished round's
-        rows are unpinned, but rows the still-in-flight lookahead window
-        shares with it must stay pinned (a pin is a boolean, not a
-        refcount, so a plain unpin would release the window's claim).
-        """
-        if not keep:
-            self._pinned[rows] = False
-            return
-        mask = np.zeros(self._pinned.size, dtype=bool)
-        mask[rows] = True
-        for k in keep:
-            mask[k] = False
-        self._pinned[mask] = False
 
     def pinned_count(self) -> int:
         return int(self._pinned.sum())
@@ -606,22 +550,6 @@ class CombinedCache:
         """Read values at pinned rows — a pure slab gather, touching
         neither recency nor hit/miss statistics."""
         return self._values[rows]
-
-    def touch_rows(self, rows: np.ndarray) -> None:
-        """Account an LRU access at already-resolved pinned rows.
-
-        The consume path of the depth-k prefetch window: the rows were
-        located (and pinned) by an earlier round's
-        :meth:`prefetch_resolve`, so serving them this round is recency
-        ticks + access counts + hit statistics on known rows — exactly
-        segment 1 of the resolve, with zero index traffic.
-        """
-        n = rows.size
-        if not n:
-            return
-        self._tick[rows] = self._ticks(n)
-        self._count[rows] += 1
-        self.stats.hits += n
 
     def peek_batch(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Read-only batch lookup — one probe, one gather: no recency,

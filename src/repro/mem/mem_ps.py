@@ -15,6 +15,11 @@ round it:
 3. applies owner-queue gradients and, on round completion, absorbs updated
    values through the same rows, then unpins them.
 
+One resolved round is in flight per node: a second :meth:`MemPS.prefetch`
+before :meth:`MemPS.end_batch` raises, so pins of different rounds never
+overlap and nothing but the cache itself carries from one round to the
+next.
+
 All remote traffic is charged to the node's :class:`Network`; all disk
 traffic to the SSD-PS ledger.  The local/remote split is what Figure 4(b)
 measures.
@@ -40,23 +45,6 @@ from repro.utils.rng import spawn
 __all__ = ["MemPS", "PrepareStats"]
 
 _NODE_SALT = 0x6E6F6465  # "node"
-
-
-@dataclass
-class _WindowEntry:
-    """One resolved future round of the depth-k prefetch window.
-
-    ``rows`` are pinned slab rows (anywhere in the cache's one slab) —
-    a resident key's row never moves and pinned rows are never eviction
-    victims, so the entry stays valid (no slab re-verification needed)
-    until its round consumes it.
-    """
-
-    keys: np.ndarray
-    rows: np.ndarray
-    hit: np.ndarray
-    ssd_found: np.ndarray
-    admission: object
 
 
 @dataclass(frozen=True)
@@ -93,7 +81,6 @@ class MemPS:
         ledger: CostLedger | None = None,
         seed: int = 0,
         key_domain: int | None = None,
-        prefetch_pin_fraction: float = 0.8,
     ) -> None:
         if not 0 <= node_id < n_nodes:
             raise ValueError("node_id out of range")
@@ -120,23 +107,6 @@ class MemPS:
         #: (set by :meth:`prefetch`, cleared by :meth:`end_batch`) — every
         #: other per-round method gathers/scatters through its rows.
         self._prefetch_plan: NodePrefetchPlan | None = None
-        #: previous round's resolved (union keys, slab rows) — the probe
-        #: carry-over seed for the next :meth:`prefetch` (consulted only
-        #: while the cache's index hashes; each carried row is
-        #: re-verified against the slab before reuse).
-        self._prev_union: tuple = (None, None)
-        #: depth-k lookahead window: entry ``i`` is the resolved-and-
-        #: pinned union of round ``b+1+i`` (consumed FIFO by
-        #: :meth:`prefetch`; empty at depth 1, where behavior is
-        #: bit-identical to the pre-window code path).
-        self._window: list[_WindowEntry] = []
-        #: LRU-tier pin ceiling of the window (see
-        #: ``ClusterConfig.prefetch_pin_fraction``)
-        self.prefetch_pin_fraction = prefetch_pin_fraction
-        #: rounds where the window backed off to a shallower depth
-        #: because the pin ceiling would have been crossed (drained per
-        #: round by the cluster into ``BatchStats``)
-        self.depth_backoffs = 0
 
     # ------------------------------------------------------------------
     def owner_of(self, keys: np.ndarray) -> np.ndarray:
@@ -193,48 +163,18 @@ class MemPS:
         risk).  Returns simulated seconds (SSD loads plus the dumps of
         what the inserts flushed — all the device time the MEM tier pays
         for the round).
-
-        At depth ``k`` > 1 the round's union was usually resolved by an
-        earlier round's lookahead and sits pinned in the sliding window:
-        consuming it is pure accounting on known rows
-        (:meth:`CombinedCache.touch_rows`).  Either way the window is
-        then extended toward ``pplan.lookahead`` — each future union
-        pays only its *delta* against the deepest resolved union, under
-        the pin ceiling (see :meth:`_extend_window`).  At depth 1 the
-        window is empty and this is bit-identical to the pre-window
-        code path.
         """
         self._require_round_boundary()
-        seconds = 0.0
-        if self._window:
-            entry = self._window.pop(0)
-            assert np.array_equal(entry.keys, pplan.keys), (
-                "prefetch window and round plan diverged"
-            )
-            self.cache.touch_rows(entry.rows)
-            pplan.rows = entry.rows
-            pplan.hit = entry.hit
-            pplan.ssd_found = entry.ssd_found
-            pplan.admission = entry.admission
-        else:
-            adm_before = self._admission_snapshot()
-            # Consecutive rounds overlap heavily under a zipf head, so
-            # the previous union's resolved rows ride along: still-valid
-            # keys skip the probe entirely.
-            pplan.hit, pplan.rows, pplan.ssd_found, seconds = self._resolve(
-                pplan.keys, *self._prev_union
-            )
-            pplan.admission = self._admission_delta(adm_before)
-        self._prev_union = (pplan.keys, pplan.rows)
+        adm_before = self._admission_snapshot()
+        pplan.hit, pplan.rows, pplan.ssd_found, seconds = self._resolve(
+            pplan.keys
+        )
+        pplan.admission = self._admission_delta(adm_before)
         self._prefetch_plan = pplan
-        seconds += self._extend_window(pplan)
         return seconds
 
     def _resolve(
-        self,
-        keys: np.ndarray,
-        prev_keys: np.ndarray | None = None,
-        prev_rows: np.ndarray | None = None,
+        self, keys: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
         """Cache → SSD → fresh-init resolve of sorted-unique ``keys``.
 
@@ -250,7 +190,7 @@ class MemPS:
         the insert reports the rows they landed in.
         """
         seconds = 0.0
-        hit, rows = self.cache.prefetch_resolve(keys, prev_keys, prev_rows)
+        hit, rows = self.cache.prefetch_resolve(keys)
         # Pin hits before inserting the misses, which may otherwise
         # evict them.
         self.cache.pin_rows(rows[hit])
@@ -273,91 +213,6 @@ class MemPS:
             if flush_k.size:
                 seconds += self.ssd_ps.dump(flush_k, flush_v).total_seconds
         return hit, rows, ssd_found, seconds
-
-    def _pin_ceiling(self) -> int:
-        """Max LRU rows the round + window may pin."""
-        return int(self.prefetch_pin_fraction * self.cache.lru_capacity)
-
-    def _extend_window(self, pplan: NodePrefetchPlan) -> float:
-        """Resolve-and-pin the lookahead unions into the sliding window.
-
-        Each future union shares most of its keys with the deepest
-        already-resolved union (the consecutive-round overlap of a
-        skewed key stream), and those keys are pinned — their slab rows
-        are proof of residency — so only the union *delta* pays index
-        probes, SSD loads, and pins.  A delta that would push the pinned
-        LRU fraction past the ceiling stops the extension for this round
-        (counted in :attr:`depth_backoffs`); the next round retries from
-        the shallower window, so deep pins can never starve admission.
-        """
-        la = pplan.lookahead
-        if not la:
-            return 0.0
-        seconds = 0.0
-        ceiling = self._pin_ceiling()
-        for d in range(len(self._window), len(la)):
-            union = la[d]
-            if self._window:
-                deep_k = self._window[-1].keys
-                deep_r = self._window[-1].rows
-            else:
-                deep_k, deep_r = pplan.keys, pplan.rows
-            n = union.size
-            hit = np.zeros(n, dtype=bool)
-            rows = np.empty(n, dtype=np.int64)
-            rows.fill(-1)
-            ssd_found = np.zeros(n, dtype=bool)
-            if deep_k is not None and deep_k.size and deep_r is not None:
-                pos = deep_k.searchsorted(union)
-                np.minimum(pos, deep_k.size - 1, out=pos)
-                carried = deep_k[pos] == union
-            else:
-                pos = None
-                carried = np.zeros(n, dtype=bool)
-            delta_idx = np.flatnonzero(~carried)
-            if self.cache.pinned_count() + delta_idx.size > ceiling:
-                self.depth_backoffs += 1
-                break
-            adm_before = self._admission_snapshot()
-            if pos is not None:
-                # Carried rows are pinned — residency is structural, no
-                # slab re-verification, no probe, no new pin.
-                rows[carried] = deep_r[pos[carried]]
-                hit[carried] = True
-            if delta_idx.size:
-                d_hit, d_rows, d_found, t = self._resolve(union[delta_idx])
-                seconds += t
-                rows[delta_idx] = d_rows
-                hit[delta_idx] = d_hit
-                ssd_found[delta_idx] = d_found
-            self._window.append(
-                _WindowEntry(
-                    keys=union,
-                    rows=rows,
-                    hit=hit,
-                    ssd_found=ssd_found,
-                    admission=self._admission_delta(adm_before),
-                )
-            )
-        return seconds
-
-    def drop_window(self) -> None:
-        """Release the lookahead window's pins and forget its entries.
-
-        Values were never speculatively mutated — window entries are
-        resolve/load/pin only — so dropping the window is purely a
-        bookkeeping reset (used by fault recovery and full-cache
-        flushes; the next prefetch re-resolves from scratch).
-        """
-        for e in self._window:
-            self.cache.unpin_rows(e.rows)
-        self._window.clear()
-
-    def take_depth_backoffs(self) -> int:
-        """Drain the backoff counter (per-round ``BatchStats`` feed)."""
-        n = self.depth_backoffs
-        self.depth_backoffs = 0
-        return n
 
     def prepare(self, plan: NodePlan) -> tuple[np.ndarray, PrepareStats]:
         """Gather values for a batch's working set (Alg. 1 lines 3–4).
@@ -449,36 +304,34 @@ class MemPS:
         """Release the round's pins.
 
         The whole resolved working set (local + served + owner-queue
-        rows) unpins in a single row-level release — except rows the
-        in-flight lookahead window shares with the finished round, which
-        keep their pin (a pin is a boolean, not a refcount).  Device-free:
-        the LRU tier never holds more than its capacity, so there is no
-        overflow to settle.
+        rows) unpins in a single row-level release — one round is in
+        flight per node, so no other claim on a row can exist.
+        Device-free: the LRU tier never holds more than its capacity, so
+        there is no overflow to settle.
         """
         pplan = self._round()
         self._prefetch_plan = None
-        self.cache.unpin_rows_except(pplan.rows, [e.rows for e in self._window])
+        self.cache.unpin_rows(pplan.rows)
 
     def abort_round(self) -> None:
         """Roll in-flight round state back to a clean boundary.
 
         Fault-recovery counterpart of :meth:`end_batch`: releases the
-        resolve's pins of a round that will never reach write-back (if
-        this node got as far as resolving one) and — unlike
-        ``end_batch`` — forgets the cross-round prefetch union, because
-        the aborted round's resolved rows must not seed the retry's
-        ``prefetch_resolve`` carry-over (the retry re-derives residency
-        from scratch; values were never mutated, so this is purely a
-        bookkeeping reset).
+        resolve's pins of a round that will never reach write-back, if
+        this node got as far as resolving one.  Values were never
+        mutated, so this is purely a bookkeeping reset; the retry
+        re-derives residency from the cache itself.
         """
-        self.drop_window()
         if self._prefetch_plan is not None:
             self.end_batch()
-        self._prev_union = (None, None)
 
     def flush_to_ssd(self) -> float:
-        """Drain the entire cache to the SSD-PS (checkpoint/shutdown)."""
-        self.drop_window()
+        """Drain the entire cache to the SSD-PS (checkpoint/shutdown).
+
+        Only valid at a round boundary, like :meth:`export_state`: the
+        in-flight round's rows index the slab this call resets.
+        """
+        self._require_round_boundary()
         fk, fv = self.cache.flush_all()
         if fk.size == 0:
             return 0.0
@@ -493,7 +346,7 @@ class MemPS:
         capture in-flight working-set state that a restore cannot honour.
         """
         self._require_round_boundary()
-        return self._with_window_unpinned(self.cache.export_state)
+        return self.cache.export_state()
 
     def _require_round_boundary(self) -> None:
         pplan = self._prefetch_plan
@@ -503,36 +356,10 @@ class MemPS:
                 "valid at a round boundary (after end_batch)"
             )
 
-    def _with_window_unpinned(self, fn):
-        """Run a cache snapshot with the window's pins lifted.
-
-        At depth > 1 a round boundary still has the lookahead window
-        pinned, but pins are in-flight bookkeeping the snapshot format
-        deliberately excludes — a restore re-resolves its window from
-        scratch.  Lifting the pins around the (read-only) export and
-        re-applying them is observationally pure: nothing can evict
-        between the two, and the exported bytes are identical to a
-        windowless cache in the same state.
-        """
-        if not self._window:
-            return fn()
-        rows = [e.rows for e in self._window]
-        for r in rows:
-            self.cache.unpin_rows(r)
-        try:
-            return fn()
-        finally:
-            for r in rows:
-                self.cache.pin_rows(r)
-
     def load_state(self, state: dict[str, np.ndarray]) -> None:
         """Restore the MEM tier from an :meth:`export_state` snapshot."""
         self.cache.load_state(state)
         self._prefetch_plan = None
-        self._prev_union = (None, None)
-        # Window rows reference the pre-restore slab; the restored cache
-        # carries no pins, so the entries are dropped, not unpinned.
-        self._window.clear()
 
     def export_delta(
         self,
@@ -547,13 +374,9 @@ class MemPS:
         :meth:`CombinedCache.export_delta`.
         """
         self._require_round_boundary()
-        return self._with_window_unpinned(
-            lambda: self.cache.export_delta(base, dirty_keys=dirty_keys)
-        )
+        return self.cache.export_delta(base, dirty_keys=dirty_keys)
 
     def load_delta(self, delta: dict[str, np.ndarray]) -> None:
         """Apply an :meth:`export_delta` diff on top of the base state."""
         self.cache.load_delta(delta)
         self._prefetch_plan = None
-        self._prev_union = (None, None)
-        self._window.clear()

@@ -114,9 +114,6 @@ class FileStore:
         directory: str | None = None,
         ledger: CostLedger | None = None,
         extent_cache_files: int = 0,
-        extent_cache_resize_every: int = 0,
-        extent_cache_min_files: int = 1,
-        extent_cache_max_files: int | None = None,
         key_domain: int | None = None,
     ) -> None:
         if value_dim <= 0:
@@ -131,14 +128,7 @@ class FileStore:
         self.device = SSDDevice(ssd_spec or SSDSpec(), self.ledger)
         #: cross-round file cache; disabled (0 capacity) by default so
         #: charged seconds stay identical to the pre-cache behaviour.
-        #: With ``extent_cache_resize_every`` > 0 the cache self-tunes
-        #: its capacity to the observed file-reuse distances.
-        self.extent_cache = FileHandleCache(
-            extent_cache_files,
-            resize_every=extent_cache_resize_every,
-            min_files=extent_cache_min_files,
-            max_files_limit=extent_cache_max_files,
-        )
+        self.extent_cache = FileHandleCache(extent_cache_files)
         #: fault-injection guard for cold file reads
         #: (:class:`repro.faults.policy.FaultArm`; None = fault-free)
         self.faults = None
@@ -544,13 +534,10 @@ class FileStore:
         """Attach the extent cache's residency (LRU-order file ids): hits
         go at the warm rate instead of the device rate, so a restored run
         only replays the original run's I/O schedule if the warm set
-        comes back too — plus the adaptive cache's replay state, if any."""
+        comes back too."""
         out["extent_cache_fids"] = np.asarray(
             self.extent_cache.resident_ids(), dtype=np.int64
         )
-        if self.extent_cache.adaptive:
-            for k, v in self.extent_cache.export_tuning().items():
-                out[f"extent_tuning_{k}"] = v
 
     def export_state(self) -> dict[str, np.ndarray]:
         """Flat-array snapshot of files, payloads, mapping and counters.
@@ -714,23 +701,13 @@ class FileStore:
         self.check_invariants()
 
     def _rewarm_extent_cache(self, state: dict[str, np.ndarray]) -> None:
-        """Restore the warm set (and, if adaptive, the tuning state).
+        """Restore the warm set.
 
-        The tuning state loads *first* so the capacity in force during
-        the re-warm is the snapshot's — then :meth:`FileHandleCache.warm`
-        admits only the newest ``max_files`` surviving ids, so a live
-        capacity smaller than the snapshot's residency (a fixed-size
-        restore into a smaller store, or an adaptive cache that shrank)
-        can never over-warm nor spuriously count evictions.
+        :meth:`FileHandleCache.warm` admits only the newest
+        ``max_files`` surviving ids, so a live capacity smaller than the
+        snapshot's residency (a restore into a smaller store) can never
+        over-warm nor spuriously count evictions.
         """
-        if self.extent_cache.adaptive and "extent_tuning_capacity" in state:
-            self.extent_cache.load_tuning(
-                {
-                    k[len("extent_tuning_") :]: v
-                    for k, v in state.items()
-                    if k.startswith("extent_tuning_")
-                }
-            )
         self.extent_cache.clear()
         fids = [
             int(fid)

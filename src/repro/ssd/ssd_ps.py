@@ -49,9 +49,6 @@ class SSDPS:
         directory: str | None = None,
         ledger: CostLedger | None = None,
         extent_cache_files: int = 0,
-        extent_cache_resize_every: int = 0,
-        extent_cache_min_files: int = 1,
-        extent_cache_max_files: int | None = None,
         key_domain: int | None = None,
     ) -> None:
         self.ledger = ledger if ledger is not None else CostLedger()
@@ -62,9 +59,6 @@ class SSDPS:
             directory=directory,
             ledger=self.ledger,
             extent_cache_files=extent_cache_files,
-            extent_cache_resize_every=extent_cache_resize_every,
-            extent_cache_min_files=extent_cache_min_files,
-            extent_cache_max_files=extent_cache_max_files,
             key_domain=key_domain,
         )
         self.compactor = Compactor(

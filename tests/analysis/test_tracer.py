@@ -65,20 +65,6 @@ class TestCleanRun:
             cluster.train_pipelined(3)
         assert tracer.violations == []
 
-    def test_depth2_lookahead_traces_clean(
-        self, tiny_spec, small_config, tmp_path
-    ):
-        """The depth-2 window's extra pin traffic (prefetch extends it,
-        train's unpin excepts it, snapshot unpins/re-pins around the MEM
-        export) is fully covered by the declared effects + contracts."""
-        cluster = _build(
-            tiny_spec, small_config, prefetch=True, prefetch_depth=2
-        )
-        cluster.enable_snapshot_stage(str(tmp_path / "ckpt"), every=2)
-        with EffectTracer(cluster) as tracer:
-            cluster.train_pipelined(4)
-        assert tracer.violations == []
-
     def test_uninstall_restores_the_cluster(self, tiny_spec, small_config):
         cluster = _build(tiny_spec, small_config)
         node = cluster.nodes[0]

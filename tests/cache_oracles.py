@@ -17,8 +17,8 @@ Three layers, all test-only:
   :func:`shadow_caches` and the whole training run is checked op by op.
 * :class:`CacheTraffic` — the traffic ``MemPS`` sends, as verbs on a
   shadowed cache plus a dict standing in for the SSD: resolve a unique
-  union, pin, insert the misses pinned, write through rows, touch,
-  release, snapshot.  ``tests/mem/test_cache_traffic.py`` drives it from
+  union, pin, insert the misses pinned, write through rows, release,
+  snapshot.  ``tests/mem/test_cache_traffic.py`` drives it from
   a hypothesis state machine, ``tests/mem/test_admission_stress.py``
   from seeded random streams.
 """
@@ -381,12 +381,12 @@ class ShadowedCombinedCache(CombinedCache):
         return self._keys[rows].tolist()
 
     # -- lookup ----------------------------------------------------------
-    def prefetch_resolve(self, keys, prev_keys=None, prev_rows=None):
+    def prefetch_resolve(self, keys):
         keys = as_keys(keys)
         ref = self.ref
         tier = [0 if k in ref.lru else 1 if k in ref.lfu else 2 for k in keys.tolist()]
         # An oversubscribed union raises here, before the seed is touched.
-        hit, rows = super().prefetch_resolve(keys, prev_keys, prev_rows)
+        hit, rows = super().prefetch_resolve(keys)
         want_hit = np.zeros(keys.size, dtype=bool)
         for i in np.argsort(tier, kind="stable").tolist():
             value = ref.get(int(keys[i]))
@@ -438,14 +438,6 @@ class ShadowedCombinedCache(CombinedCache):
             self.ref.lru.unpin(k)
         self._assert_agrees("unpin_rows")
 
-    def unpin_rows_except(self, rows, keep):
-        kept = {k for r in keep for k in self._keys_at(r)}
-        super().unpin_rows_except(rows, keep)
-        for k in self._keys_at(rows):
-            if k not in kept:
-                self.ref.lru.unpin(k)
-        self._assert_agrees("unpin_rows_except")
-
     def update_rows(self, rows, values):
         super().update_rows(rows, values)
         values = np.array(values, dtype=np.float32)
@@ -459,12 +451,6 @@ class ShadowedCombinedCache(CombinedCache):
         for k, v in zip(self._keys_at(rows), values):
             assert np.array_equal(v, self.ref.lru._data[k]), f"values_at: {k}"
         return values
-
-    def touch_rows(self, rows):
-        super().touch_rows(rows)
-        for k in self._keys_at(rows):
-            assert self.ref.get(k) is not None
-        self._assert_agrees("touch_rows")
 
     def pinned_count(self):
         n = super().pinned_count()
@@ -522,12 +508,13 @@ def shadow_caches(cluster) -> None:
 class CacheTraffic:
     """``MemPS``'s verbs on a small shadowed cache over a dict "SSD".
 
-    Up to a few rounds are in flight at once (the depth-k window); each
-    holds the rows its resolve and insert returned.  ``truth`` records
-    the last value written per key, and every resolve checks that what
-    it serves — from either tier, or back from the SSD after any number
-    of demotions and flushes — is exactly that (the losslessness
-    contract).  The shadow does the op-by-op parity checking.
+    One round is in flight at a time — what ``MemPS`` can do (a second
+    ``prefetch`` before ``end_batch`` raises) — holding the rows its
+    resolve and insert returned.  ``truth`` records the last value
+    written per key, and every resolve checks that what it serves — from
+    either tier, or back from the SSD after any number of demotions and
+    flushes — is exactly that (the losslessness contract).  The shadow
+    does the op-by-op parity checking.
     """
 
     def __init__(
@@ -539,16 +526,15 @@ class CacheTraffic:
     ) -> None:
         self.dim = dim
         #: ``key_domain`` set: the cache's index is direct-addressed (what
-        #: a cluster runs; the carry-over is ignored).  None: it hashes,
-        #: and a ``carry=True`` resolve really consults the carry-over.
+        #: a cluster runs).  None: it hashes.
         self.make = lambda: ShadowedCombinedCache(
             capacity, lru_fraction=lru_fraction, value_dim=dim, key_domain=key_domain
         )
         self.cache = self.make()
         self.ssd: dict[int, np.ndarray] = {}
         self.truth: dict[int, np.ndarray] = {}
-        self.in_flight: list[tuple[np.ndarray, np.ndarray]] = []
-        self.prev: tuple = (None, None)
+        #: the in-flight round's (keys, rows); None at a round boundary
+        self.in_flight: tuple[np.ndarray, np.ndarray] | None = None
         self.base: dict | None = None
         self.dirty: set[int] = set()
         self.writes = 0
@@ -562,25 +548,20 @@ class CacheTraffic:
 
     @property
     def at_boundary(self) -> bool:
-        return not self.in_flight
-
-    def room(self) -> int:
-        """Largest union guaranteed to fit beside the pins held."""
-        return self.cache.lru_capacity - self.cache.pinned_count()
+        return self.in_flight is None
 
     # -- verbs -----------------------------------------------------------
-    def resolve(self, keys, *, carry: bool) -> bool:
+    def resolve(self, keys) -> bool:
         """One ``MemPS._resolve``: tier-ordered lookup, pin the hits,
         load the misses (SSD, else fresh init), insert them pinned.
         Returns False — with the cache untouched — if the union was
         refused as oversubscribed."""
+        assert self.at_boundary, "one round in flight"
         cache = self.cache
         keys = np.unique(as_keys(keys))
         before = cache._ref_state()
         try:
-            hit, rows = cache.prefetch_resolve(
-                keys, *(self.prev if carry else (None, None))
-            )
+            hit, rows = cache.prefetch_resolve(keys)
         except TierStateError:
             cache._assert_agrees("refused resolve must not mutate")
             cache._assert_state(before, "refused resolve must not mutate")
@@ -598,14 +579,13 @@ class CacheTraffic:
             assert np.array_equal(v, self.truth.get(k, self._init_value(k))), (
                 f"key {k} lost its last written value"
             )
-        self.in_flight.append((keys, rows))
-        self.prev = (keys, rows)
+        self.in_flight = (keys, rows)
         return True
 
-    def write(self, which: int, mask) -> None:
+    def write(self, mask) -> None:
         """``absorb_updates`` / ``apply_gradients``: new values through
-        the rows of in-flight round ``which``."""
-        keys, rows = self.in_flight[which % len(self.in_flight)]
+        the in-flight round's rows."""
+        keys, rows = self.in_flight
         sel = np.flatnonzero(np.resize(np.asarray(mask, dtype=bool), keys.size))
         self.writes += 1
         vals = np.repeat(
@@ -618,25 +598,11 @@ class CacheTraffic:
             self.truth[k] = v
             self.dirty.add(k)
 
-    def touch(self, which: int) -> None:
-        """Window consume: account a hit at an in-flight round's rows."""
-        _, rows = self.in_flight[which % len(self.in_flight)]
-        self.cache.touch_rows(rows)
-
-    def end_round(self, which: int = 0) -> None:
-        """``end_batch``: release a round's pins except the rows the
-        rounds still in flight share with it."""
-        _, rows = self.in_flight.pop(which % len(self.in_flight))
-        self.cache.unpin_rows_except(rows, [r for _, r in self.in_flight])
-        if self.at_boundary:
-            assert self.cache.pinned_count() == 0
-
-    def abort(self) -> None:
-        """``abort_round``: drop every in-flight round and the carry."""
-        for _, rows in self.in_flight:
-            self.cache.unpin_rows(rows)
-        self.in_flight.clear()
-        self.prev = (None, None)
+    def end_round(self) -> None:
+        """``end_batch`` (and ``abort_round``): release the round's pins."""
+        _, rows = self.in_flight
+        self.in_flight = None
+        self.cache.unpin_rows(rows)
         assert self.cache.pinned_count() == 0
 
     def peek(self, keys) -> None:
@@ -686,10 +652,8 @@ class CacheTraffic:
         for name, value in want.items():
             assert np.array_equal(got[name], value), f"restore: {name}"
         self.cache = restored
-        self.prev = (None, None)
 
     def flush_all(self) -> None:
         """``flush_to_ssd``: drain both tiers to the SSD."""
         self._persist(*self.cache.flush_all())
         assert len(self.cache) == 0
-        self.prev = (None, None)

@@ -32,9 +32,14 @@ def test_read_manifest_requires_commit_record(tmp_path):
 
 
 def test_read_manifest_rejects_future_version(tmp_path):
-    write_manifest(str(tmp_path), {"format_version": FORMAT_VERSION + 1})
-    with pytest.raises(CheckpointError, match="not supported"):
-        read_manifest(str(tmp_path))
+    # ... and the previous one: a chain written by an older build.
+    for version in (FORMAT_VERSION + 1, FORMAT_VERSION - 1):
+        write_manifest(str(tmp_path), {"format_version": version})
+        with pytest.raises(
+            CheckpointError,
+            match=f"v{version} is not supported .*reads v{FORMAT_VERSION}",
+        ):
+            read_manifest(str(tmp_path))
 
 
 def test_read_manifest_rejects_garbage(tmp_path):

@@ -315,6 +315,22 @@ class TestStageRegistry:
         cluster.train(1)
         assert fired == [0]  # survived the unwrap, still driven
 
+    def test_unwrap_keeps_stages_unregistered_while_wrapped_gone(
+        self, cluster, tmp_path
+    ):
+        """It used to come back on unwrap, without its contracts:
+        pipelined runs refused the registry, lockstep ran the stage."""
+        snapshot = cluster.enable_snapshot_stage(str(tmp_path))
+        cluster.wrap_stages(lambda name, fn: lambda ctx: fn(ctx))
+        cluster.unregister_stage("snapshot")
+        cluster.unwrap_stages()
+        assert [n for n, _ in cluster.stage_functions()] == [
+            "read", "prepare", "load", "train",
+        ]
+        cluster.train(1)
+        cluster.train_pipelined(1)
+        assert snapshot.history == []
+
     def test_wrapped_stages_train_bit_identically(
         self, tiny_spec, small_config
     ):

@@ -4,12 +4,12 @@ The resolve pulls each node's full MEM working set (local partition +
 peer-served partitions + owner-queue keys) through the cache in one
 pass, pins it for the round, and every later MEM access is a pure row
 gather.  It is the MEM tier's only path; ``config.prefetch`` merely
-schedules it — as its own ``prefetch`` pipeline stage (where depth-k
-lookahead applies) or inline at the head of ``prepare``.  Every
-schedule trains **bit-identical parameters**, within a schedule
-lockstep and pipelined agree on every simulated second, and a cluster
-whose caches are shadowed op by op on the per-key seed implementation
-trains through without a single disagreement.
+schedules it — as its own ``prefetch`` pipeline stage or inline at the
+head of ``prepare``.  Every schedule trains **bit-identical
+parameters**, within a schedule lockstep and pipelined agree on every
+simulated second, and a cluster whose caches are shadowed op by op on
+the per-key seed implementation trains through without a single
+disagreement.
 """
 
 import dataclasses
@@ -192,24 +192,22 @@ class TestPrefetchParity:
     def test_scalar_cache_oracle_matches_bulk_exactly(
         self, tiny_spec, pressured_prefetch
     ):
-        """Every cache op of a pressured run — at depth 1 and through the
-        depth-2 window — replayed key by key on the seed dict cache:
-        ``ShadowedCombinedCache`` asserts agreement after each one (hit
-        masks, flush pairs in order, rows, both tiers in eviction order,
-        metadata, stats, pins) and raises on the first difference."""
-        for depth in (1, 2):
-            cfg = dataclasses.replace(pressured_prefetch, prefetch_depth=depth)
-            plain = _build(tiny_spec, cfg)
-            shadowed = _build(tiny_spec, cfg)
-            shadow_caches(shadowed)
-            stats_plain = plain.train(N_ROUNDS)
-            stats_shadowed = shadowed.train(N_ROUNDS)
-            # The shadow only watches: same statistics, same parameters.
-            _assert_stats_parity(stats_plain, stats_shadowed)
-            _assert_param_parity(plain, shadowed)
-            # And it watched the hard regime: misses, flushes, promotions.
-            assert any(s.ssd_io_seconds > 0 for s in stats_plain)
-            assert all(s.cache_admission_runs > 0 for s in stats_plain)
+        """Every cache op of a pressured run replayed key by key on the
+        seed dict cache: ``ShadowedCombinedCache`` asserts agreement
+        after each one (hit masks, flush pairs in order, rows, both
+        tiers in eviction order, metadata, stats, pins) and raises on
+        the first difference."""
+        plain = _build(tiny_spec, pressured_prefetch)
+        shadowed = _build(tiny_spec, pressured_prefetch)
+        shadow_caches(shadowed)
+        stats_plain = plain.train(N_ROUNDS)
+        stats_shadowed = shadowed.train(N_ROUNDS)
+        # The shadow only watches: same statistics, same parameters.
+        _assert_stats_parity(stats_plain, stats_shadowed)
+        _assert_param_parity(plain, shadowed)
+        # And it watched the hard regime: misses, flushes, promotions.
+        assert any(s.ssd_io_seconds > 0 for s in stats_plain)
+        assert all(s.cache_admission_runs > 0 for s in stats_plain)
 
     def test_prefetch_admission_stays_collision_free(
         self, tiny_spec, pressured_prefetch
@@ -217,20 +215,15 @@ class TestPrefetchParity:
         """Under eviction pressure the prefetch-shaped unions (hot
         residents of both tiers mixed with miss storms) admit in at most
         four dense passes per resolve — one per tier segment and one for
-        the miss insert — so per round a node spends at most 4 per union
-        it resolves (its own round's, or one window extension)."""
+        the miss insert — so per round a node spends at most 4."""
         pf = _build(tiny_spec, pressured_prefetch)
         stats = pf.train(N_ROUNDS)
         assert all(0 < s.cache_admission_runs <= 4 * pf.n_nodes for s in stats)
         assert all(s.cache_collision_splits == 0 for s in stats)
 
 
-#: every way the resolve can be scheduled (depth > 1 needs the stage)
-SCHEDULES = [
-    dict(prefetch=False, prefetch_depth=1),
-    dict(prefetch=True, prefetch_depth=1),
-    dict(prefetch=True, prefetch_depth=2),
-]
+#: every way the resolve can be scheduled
+SCHEDULES = [dict(prefetch=False), dict(prefetch=True)]
 
 
 def _digest(cluster):
@@ -242,10 +235,6 @@ def _digest(cluster):
 
 
 class TestSingleMemPath:
-    def test_depth_needs_the_stage(self):
-        with pytest.raises(ValueError, match="requires prefetch=True"):
-            ClusterConfig(prefetch=False, prefetch_depth=2)
-
     def test_all_schedules_and_modes_share_one_digest(
         self, tiny_spec, pressured
     ):
@@ -273,20 +262,14 @@ class TestSingleMemPath:
     def test_no_pin_survives_a_round_boundary(
         self, tiny_spec, pressured, schedule, pipelined
     ):
-        """After every round's train stage only the lookahead window (if
-        any) is still pinned; at the end of the run, nothing is."""
+        """After every round's train stage nothing is pinned: one round
+        is in flight per node, and its end releases every pin."""
         cluster = _build(tiny_spec, dataclasses.replace(pressured, **schedule))
         leaked = []
 
         def boundary(ctx):
             for node in cluster.nodes:
-                mem = node.mem_ps
-                pinned = np.flatnonzero(mem.cache._pinned)
-                window = [e.rows for e in mem._window]
-                allowed = np.concatenate(window) if window else pinned[:0]
-                if np.setdiff1d(pinned, allowed).size or (
-                    schedule["prefetch_depth"] == 1 and pinned.size
-                ):
+                if node.mem_ps.cache.pinned_count():
                     leaked.append((ctx.round_index, node.node_id))
             return 0.0
 
@@ -296,9 +279,6 @@ class TestSingleMemPath:
         else:
             cluster.train(6)
         assert leaked == []
-        cluster.abort_round()  # drops the depth-2 window
-        for node in cluster.nodes:
-            assert node.mem_ps.cache.pinned_count() == 0
 
     @pytest.mark.parametrize("schedule", SCHEDULES, ids=str)
     def test_one_probe_per_key_per_round(
@@ -349,13 +329,12 @@ class TestSingleMemPath:
             "prepare", "serve_remote", "apply_gradients", "absorb_updates"
         }
         assert probes == []
-        if schedule["prefetch_depth"] == 1:
-            # ...which is also what ``cache_hit_rate`` now counts: one
-            # access per distinct key a node's MEM tier touches per round
-            # (the Fig. 4(c) definition), i.e. exactly the resolve unions.
-            assert np.diff(accesses).tolist() == [
-                sum(pf.keys.size for pf in plan.prefetch) for plan in plans
-            ]
+        # ...which is also what ``cache_hit_rate`` now counts: one
+        # access per distinct key a node's MEM tier touches per round
+        # (the Fig. 4(c) definition), i.e. exactly the resolve unions.
+        assert np.diff(accesses).tolist() == [
+            sum(pf.keys.size for pf in plan.prefetch) for plan in plans
+        ]
 
 
 class TestPrefetchMechanics:
@@ -418,60 +397,5 @@ class TestExtentCachePlumbing:
             assert not node.ssd_ps.store.extent_cache.enabled
 
     def test_validation(self):
-        from repro.config import ClusterConfig
-
         with pytest.raises(ValueError, match="ssd_extent_cache_files"):
             ClusterConfig(ssd_extent_cache_files=-1)
-
-
-class TestDepthSweep:
-    """Depth-k lookahead: parameters are depth-invariant, each depth's
-    lockstep/pipelined pair is its own exact sim-seconds parity group."""
-
-    @pytest.fixture
-    def depth_cfg(self, pressured_prefetch):
-        def at(k, **overrides):
-            return dataclasses.replace(
-                pressured_prefetch, prefetch_depth=k, **overrides
-            )
-
-        return at
-
-    def test_depth_sweep_parity(self, tiny_spec, depth_cfg):
-        baseline = _build(tiny_spec, depth_cfg(1))
-        stats_base = baseline.train(N_ROUNDS)
-        # The workload must exercise the SSD tier for parity to bite.
-        assert any(s.ssd_io_seconds > 0 for s in stats_base)
-        for k in (2, 3):
-            lock = _build(tiny_spec, depth_cfg(k))
-            piped = _build(tiny_spec, depth_cfg(k))
-            stats_lock = lock.train(N_ROUNDS)
-            run = piped.train_pipelined(N_ROUNDS)
-            # Lockstep and pipelined at depth k agree on *every* stats
-            # field — one sim-clock group per depth.
-            _assert_stats_parity(stats_lock, run.stats)
-            _assert_param_parity(lock, piped)
-            # Parameters (and therefore losses) are depth-invariant:
-            # lookahead is residency policy, not arithmetic.
-            _assert_param_parity(baseline, lock)
-            assert [s.mean_loss for s in stats_base] == [
-                s.mean_loss for s in stats_lock
-            ]
-
-    def test_depth1_window_is_inert(self, tiny_spec, depth_cfg):
-        """At the default depth the window machinery never engages:
-        no backoffs are ever counted."""
-        one = _build(tiny_spec, depth_cfg(1))
-        stats = one.train(N_ROUNDS)
-        assert all(s.prefetch_depth_backoffs == 0 for s in stats)
-
-    def test_pin_ceiling_backs_off_and_is_counted(self, tiny_spec, depth_cfg):
-        """A pin fraction too small for the depth-2 window forces
-        shallower rounds; the backoffs are counted and parameters stay
-        bit-identical to the unconstrained run."""
-        tight = _build(tiny_spec, depth_cfg(2, prefetch_pin_fraction=0.05))
-        loose = _build(tiny_spec, depth_cfg(2))
-        stats_tight = tight.train(N_ROUNDS)
-        loose.train(N_ROUNDS)
-        assert sum(s.prefetch_depth_backoffs for s in stats_tight) > 0
-        _assert_param_parity(tight, loose)

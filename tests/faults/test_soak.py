@@ -117,9 +117,9 @@ def twins():
 
 
 @pytest.fixture(scope="module")
-def depth2_twins():
-    """Fault-free references for the depth-2 lookahead configuration."""
-    return _twin_pair(_soak_config(prefetch=True, prefetch_depth=2))
+def staged_twins():
+    """Fault-free references with the MEM resolve as its own stage."""
+    return _twin_pair(_soak_config(prefetch=True))
 
 
 @pytest.mark.parametrize("index", range(N_SCHEDULES))
@@ -151,27 +151,26 @@ def test_soak_recoverable_schedule_is_bit_exact(index, twins, tmp_path):
 
 
 @pytest.mark.parametrize("index", range(5))
-def test_depth2_soak_is_bit_exact(index, depth2_twins, tmp_path):
-    """Five seeded schedules against the depth-2 lookahead window.
+def test_prefetch_stage_soak_is_bit_exact(index, staged_twins, tmp_path):
+    """Five seeded schedules against the five-stage registry.
 
-    Fault recovery must compose with the speculative window: an aborted
-    round drops the window and the in-flight lookahead unions, a restore
-    rebuilds them, and the run still ends bit-identical to its
-    fault-free depth-2 twin — with zero bulk-admission fallbacks."""
+    Fault recovery must compose with ``prefetch=True`` — the resolve as
+    its own stage, so a round can be aborted between resolve and
+    prepare: the run still ends bit-identical to its fault-free twin."""
     pipelined = index % 2 == 1
     schedule = FaultSchedule(
-        derive_seed(SOAK_BASE_SEED, "depth2", index),
+        derive_seed(SOAK_BASE_SEED, "prefetch-stage", index),
         rates=SOAK_RATES,
         max_faults=64,
     )
     supervisor = Supervisor(str(tmp_path / "sup"), checkpoint_every=2)
     run = supervisor.run(
-        depth2_twins["mk"](), N_ROUNDS, schedule, pipelined=pipelined
+        staged_twins["mk"](), N_ROUNDS, schedule, pipelined=pipelined
     )
 
     assert run.rounds == N_ROUNDS
-    twin = depth2_twins[pipelined]
-    probe = depth2_twins["probe"]
+    twin = staged_twins[pipelined]
+    probe = staged_twins["probe"]
     assert np.array_equal(
         run.cluster.lookup_embeddings(probe), twin.lookup_embeddings(probe)
     )

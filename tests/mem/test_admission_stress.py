@@ -2,7 +2,7 @@
 
 The cache must be *sequential-equivalent* to the seed per-key reference
 (``tests/cache_oracles.py``) in the regime that hurts: capacity far
-below the key space, several rounds' pins blocking the eviction
+below the key space, the in-flight round's pins blocking the eviction
 frontier, and promotion / demotion / flush storms on every resolve.
 The streams are the traffic ``MemPS`` really sends — the same
 ``CacheTraffic`` verbs the hypothesis state machine in
@@ -11,8 +11,7 @@ names a trial that reproduces forever.  Every step is checked by the
 shadow: bit-identical contents, eviction order, flush pairs, statistics.
 
 A third of the trials run direct-addressed (``key_domain`` set — what a
-cluster runs, the carry-over ignored), the rest open-addressed, where a
-``carry=True`` resolve really consults the carry-over.
+cluster runs), the rest open-addressed.
 
 The two tier policies are additionally checked on their own: an
 equal-tiers cache against the seed *tier* classes (``DictLRUCache`` →
@@ -32,7 +31,7 @@ N_TRIALS = 220
 
 @pytest.mark.parametrize("trial", range(N_TRIALS))
 def test_admission_matches_per_key_reference(trial):
-    """capacity ≪ key space, overlapping pinned rounds, snapshots:
+    """capacity ≪ key space, a pinned round in flight, snapshots:
     bit-identical to the seed at every step."""
     rng = np.random.default_rng(1000 + trial)
     capacity = int(rng.integers(8, 40))
@@ -49,24 +48,22 @@ def test_admission_matches_per_key_reference(trial):
         return rng.choice(key_space, size=min(n, key_space), replace=False)
 
     for _ in range(int(rng.integers(8, 20))):
-        verbs = ["resolve", "peek", "insert_unpinned"]
-        if t.in_flight:
-            verbs += ["write", "write", "touch", "end_round", "end_round"]
+        verbs = ["peek", "insert_unpinned"]
+        if t.at_boundary:
+            verbs += ["resolve", "snapshot", "delta", "flush_all"]
         else:
-            verbs += ["snapshot", "delta", "flush_all"]
+            verbs += ["write", "write", "end_round", "end_round"]
         verb = rng.choice(verbs)
-        if verb == "resolve" and len(t.in_flight) < 3:
-            # Mostly unions that fit beside the pins held; sometimes one
-            # sized against the whole tier, which must be refused —
-            # cache untouched — whenever it oversubscribes.
-            hi = t.room() if rng.random() < 0.85 else lru_cap + 2
-            t.resolve(some_keys(hi), carry=bool(rng.random() < 0.6))
+        if verb == "resolve":
+            # Mostly unions that fit the LRU tier; sometimes one sized
+            # past it, which must be refused — cache untouched —
+            # whenever it oversubscribes.
+            hi = lru_cap if rng.random() < 0.85 else lru_cap + 2
+            t.resolve(some_keys(hi))
         elif verb == "write":
-            t.write(int(rng.integers(3)), rng.random(8) < 0.6)
-        elif verb == "touch":
-            t.touch(int(rng.integers(3)))
+            t.write(rng.random(8) < 0.6)
         elif verb == "end_round":
-            t.end_round(int(rng.integers(3)))
+            t.end_round()
         elif verb == "peek":
             t.peek(some_keys(12))
         elif verb == "insert_unpinned":
@@ -80,9 +77,7 @@ def test_admission_matches_per_key_reference(trial):
                 t.delta_roundtrip(by_dirty_keys=bool(rng.random() < 0.5))
         elif verb == "flush_all":
             t.flush_all()
-    if trial % 2:
-        t.abort()
-    while t.in_flight:
+    if not t.at_boundary:
         t.end_round()
     assert t.cache.pinned_count() == 0
     t.cache.export_state()  # one last full comparison against the seed
@@ -107,7 +102,7 @@ def test_standalone_tiers_match_scalar_replay(seed):
         # Touch some residents (a resolve's LRU segment), unpin others.
         rows = cache._tier_rows(cache._tick)
         touched = rows[rng.random(rows.size) < 0.4]
-        cache.touch_rows(touched)
+        assert cache.prefetch_resolve(cache._keys[touched])[0].all()
         for k in cache._keys[touched].tolist():
             assert ref_lru.get(k) is not None
             counts[k] += 1

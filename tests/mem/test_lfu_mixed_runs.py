@@ -80,8 +80,9 @@ class TestMixedRunExtension:
         """Random demotion runs with mixed frequency seeds, up to twice
         the LFU tier: flush pairs, entry order and frequencies match the
         per-key seed at every step.  The LRU tier is twice the LFU, so
-        one insert can demote a run of ``2 * capacity``; touching random
-        LRU rows first gives the run mixed frequency seeds (1, 2, 3, ...)."""
+        one insert can demote a run of ``2 * capacity``; re-resolving
+        random LRU residents first gives the run mixed frequency seeds
+        (1, 2, 3, ...)."""
         rng = np.random.default_rng(seed)
         capacity = int(rng.integers(4, 24))
         cache = ShadowedCombinedCache(
@@ -95,7 +96,8 @@ class TestMixedRunExtension:
         for _ in range(10):
             for _ in range(2):
                 rows = cache._tier_rows(cache._tick)
-                cache.touch_rows(rows[rng.random(rows.size) < 0.4])
+                touched = cache._keys[rows[rng.random(rows.size) < 0.4]]
+                assert cache.prefetch_resolve(touched)[0].all()
             n = int(rng.integers(1, 2 * capacity))
             batch = keys_of([next(fresh) for _ in range(n)])
             run = max(0, cache.n_lru + n - cache.lru_capacity)

@@ -244,6 +244,19 @@ class TestEviction:
         assert len(m.cache) == 0
         assert m.ssd_ps.n_live_params == 10
 
+    def test_flush_to_ssd_inside_a_round_is_refused(self, start_round):
+        """Mid-round the resolved rows index the slab a flush would
+        reset (it used to go through, and the next gather read zeros):
+        typed error, cache untouched, ``prepare`` unchanged."""
+        m = make_mem()
+        plan, _ = start_round(m, keys_of(range(10)))
+        before, _ = m.prepare(plan)
+        with pytest.raises(TierStateError, match="round boundary"):
+            m.flush_to_ssd()
+        assert m.cache.pinned_count() == 10 and len(m.cache) == 10
+        assert np.array_equal(m.prepare(plan)[0], before)
+        m.end_batch()
+
 
 class TestValidation:
     def test_node_id_range(self):

@@ -46,8 +46,6 @@ class TestFileHandleCache:
             "invalidations": 0,
             "resident": 0,
             "capacity": 0,
-            "resizes": 0,
-            "reuse_target": 0,
         }
 
     def test_lru_eviction_order(self):
@@ -323,8 +321,8 @@ class TestSSDPSAccounting:
 
 class TestRewarmCapacity:
     """Satellite regression: re-warm must respect the *live* capacity,
-    which may be smaller than the snapshot's residency (fixed-size
-    restore into a smaller store, or an adaptive cache that shrank)."""
+    which may be smaller than the snapshot's residency (a restore into
+    a smaller store)."""
 
     def test_warm_admits_only_newest_ids_without_spurious_evictions(self):
         cache = FileHandleCache(2)
@@ -352,64 +350,3 @@ class TestRewarmCapacity:
             big.extent_cache.resident_ids()[-1:]
         )
         assert small.extent_cache.evictions == 0
-
-
-class TestAdaptiveCapacity:
-    """Self-tuning capacity: reuse-distance histogram -> periodic resize."""
-
-    def _touch_cycle(self, cache, fids, rounds):
-        for _ in range(rounds):
-            for fid in fids:
-                if cache.get(fid) is None:
-                    cache.put(fid, np.array([float(fid)]))
-
-    def test_retarget_tracks_reuse_distance(self):
-        cache = FileHandleCache(
-            8, resize_every=64, min_files=2, max_files_limit=8
-        )
-        # Cycling three files gives every touch reuse distance 3, so the
-        # tuner shrinks the oversized capacity straight to it.
-        self._touch_cycle(cache, [1, 2, 3], rounds=64)
-        assert cache.resizes >= 1
-        assert cache.reuse_target == 3
-        assert cache.max_files == 3
-
-    def test_capacity_clamped_to_bounds(self):
-        floor = FileHandleCache(
-            4, resize_every=32, min_files=4, max_files_limit=6
-        )
-        self._touch_cycle(floor, [1, 2], rounds=32)  # distance 2 < floor 4
-        assert floor.max_files == 4
-        ceil = FileHandleCache(
-            2, resize_every=32, min_files=1, max_files_limit=3
-        )
-        self._touch_cycle(ceil, list(range(8)), rounds=16)  # distance 8
-        assert ceil.resizes >= 1
-        assert ceil.max_files == 3  # grew, but only to the ceiling
-
-    def test_invalid_adaptive_bounds_rejected(self):
-        with pytest.raises(ValueError, match="min_files"):
-            FileHandleCache(4, resize_every=8, min_files=5, max_files_limit=3)
-        with pytest.raises(ValueError, match="initial capacity"):
-            FileHandleCache(9, resize_every=8, min_files=1, max_files_limit=8)
-
-    def test_tuning_state_replays_through_snapshot(self):
-        """A restored cache re-takes the original's resize decisions."""
-
-        def drive(cache, start, stop):
-            for i in range(start, stop):
-                fid = i % 5
-                if cache.get(fid) is None:
-                    cache.put(fid, np.array([float(fid)]))
-
-        a = FileHandleCache(6, resize_every=16, min_files=1, max_files_limit=6)
-        drive(a, 0, 40)
-        b = FileHandleCache(6, resize_every=16, min_files=1, max_files_limit=6)
-        b.load_tuning(a.export_tuning())
-        b.warm(a.resident_ids(), lambda fid: np.array([float(fid)]))
-        drive(a, 40, 120)
-        drive(b, 40, 120)
-        assert b.max_files == a.max_files
-        assert b.resizes == a.resizes
-        assert b.reuse_target == a.reuse_target
-        assert b.resident_ids() == a.resident_ids()

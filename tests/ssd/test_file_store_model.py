@@ -1,7 +1,7 @@
 """The row-addressed ``FileStore`` against the per-file store it replaced.
 
 A ``RuleBasedStateMachine`` drives a ``FileStore`` — memory and disk
-backend, extent cache off / small / roomy / self-tuning — in lockstep
+backend, extent cache off / small / roomy — in lockstep
 with ``ReferenceFileStore`` (``tests/ssd_oracles.py``: the parent's
 per-file implementation) and a plain dict.  After every step the two
 stores must agree on everything observable — values, found masks, every
@@ -32,24 +32,8 @@ from repro.ssd.compaction import Compactor
 from repro.ssd.file_store import FileStore
 from ssd_oracles import ReferenceFileStore, assert_stores_agree
 
-#: extent-cache shapes: off, thrashing, roomy, self-tuning
-CACHES = {
-    "off": dict(max_files=0),
-    "small": dict(max_files=2),
-    "roomy": dict(max_files=16),
-    "adaptive": dict(max_files=4, resize_every=8, min_files=1, max_files_limit=8),
-}
-
-
-def store_kwargs(cache: dict) -> dict:
-    """``FileHandleCache`` arguments under their ``FileStore`` names."""
-    names = {
-        "max_files": "extent_cache_files",
-        "resize_every": "extent_cache_resize_every",
-        "min_files": "extent_cache_min_files",
-        "max_files_limit": "extent_cache_max_files",
-    }
-    return {names[k]: v for k, v in cache.items()}
+#: extent-cache capacities in files: off, thrashing, roomy
+CACHES = {"off": 0, "small": 2, "roomy": 16}
 
 
 def assert_same_arrays(mine: dict, theirs: dict) -> None:
@@ -95,7 +79,7 @@ class FileStoreVsReference(RuleBasedStateMachine):
             directory = tempfile.mkdtemp(prefix="filestore-model-")
             self.dirs.append(directory)
         store = FileStore(
-            self.dim, self.capacity, directory=directory, **store_kwargs(self.cache)
+            self.dim, self.capacity, directory=directory, extent_cache_files=self.cache
         )
         reclaim = store.reclaim
 
@@ -109,7 +93,7 @@ class FileStoreVsReference(RuleBasedStateMachine):
                 assert store._arena_used == int(store.file_table()[1].sum())
 
         store.reclaim = checked_reclaim
-        return store, ReferenceFileStore(self.dim, self.capacity, **self.cache)
+        return store, ReferenceFileStore(self.dim, self.capacity, self.cache)
 
     def rebase(self):
         """Snapshot the store; keep a pair of stores holding exactly the

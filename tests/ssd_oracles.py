@@ -45,12 +45,12 @@ class ReferenceFile:
 
 
 class ReferenceFileStore:
-    def __init__(self, value_dim: int, file_capacity: int, **cache_kwargs) -> None:
+    def __init__(self, value_dim: int, file_capacity: int, max_files: int = 0) -> None:
         self.value_dim = value_dim
         self.file_capacity = file_capacity
         self.ledger = CostLedger()
         self.device = SSDDevice(SSDSpec(), self.ledger)
-        self.extent_cache = FileHandleCache(**cache_kwargs)
+        self.extent_cache = FileHandleCache(max_files)
         self.faults = None
         self.files: dict[int, ReferenceFile] = {}
         self.mapping: dict[int, int] = {}
@@ -214,9 +214,6 @@ class ReferenceFileStore:
         out["extent_cache_fids"] = np.asarray(
             self.extent_cache.resident_ids(), dtype=np.int64
         )
-        if self.extent_cache.adaptive:
-            for k, v in self.extent_cache.export_tuning().items():
-                out[f"extent_tuning_{k}"] = v
         return out
 
     def export_state(self) -> dict[str, np.ndarray]:
@@ -261,14 +258,6 @@ class ReferenceFileStore:
 
     def _rewarm(self, state: dict[str, np.ndarray]) -> None:
         cache = self.extent_cache
-        if cache.adaptive and "extent_tuning_capacity" in state:
-            cache.load_tuning(
-                {
-                    k[len("extent_tuning_") :]: v
-                    for k, v in state.items()
-                    if k.startswith("extent_tuning_")
-                }
-            )
         cache.clear()
         fids = [f for f in state["extent_cache_fids"].tolist() if f in self.files]
         cache.warm(fids, lambda fid: self.files[fid].values)

@@ -67,9 +67,9 @@ class TestTierParity:
         trace = list(dict.fromkeys(zipf_trace(500, 40, seed=2).tolist()))
         for i, k in enumerate(trace):
             v = np.array([[float(i)]], dtype=np.float32)
-            fk, fv, rows = new.put_batch(keys_of([k]), v)
+            fk, fv, _ = new.put_batch(keys_of([k]), v)
             for _ in range(i % 3):
-                new.touch_rows(rows)
+                assert new.prefetch_resolve(keys_of([k]))[0].all()
             want = []
             if i >= 8:  # the LRU tier's oldest key is demoted
                 j = i - 8
@@ -100,8 +100,8 @@ class TestCombinedParity:
         t = CacheTraffic(64, 0.6)
         for round_ in range(30):
             working = np.unique(zipf_trace(48, 300, seed=100 + round_))
-            assert t.resolve(working, carry=True)
-            t.write(0, [True])
+            assert t.resolve(working)
+            t.write([True])
             t.end_round()
         assert t.ssd  # the stream really overflowed both tiers
 
@@ -142,8 +142,8 @@ class TestCombinedParity:
         not move with the one-slab layout)."""
         t = CacheTraffic(64, 0.6)
         for round_ in range(12):
-            assert t.resolve(np.unique(zipf_trace(48, 300, seed=round_)), carry=False)
-            t.write(0, [True, False])
+            assert t.resolve(np.unique(zipf_trace(48, 300, seed=round_)))
+            t.write([True, False])
             t.end_round()
         state = t.cache._ref_state()
         assert state["lru_keys"].size and state["lfu_keys"].size
@@ -164,22 +164,21 @@ class TestCombinedParity:
         t = CacheTraffic(24, 0.4)
         for _ in range(250):
             kind = rng.choice(
-                ["resolve", "write", "touch", "end", "peek", "insert", "snapshot"]
+                ["resolve", "write", "end", "peek", "insert", "snapshot"]
             )
             ks = rng.choice(80, size=int(rng.integers(1, 10)), replace=False)
-            if kind == "resolve" and len(t.in_flight) < 2:
-                t.resolve(ks[: t.room()], carry=bool(rng.integers(2)))
+            if kind == "resolve" and t.at_boundary:
+                t.resolve(ks[: t.cache.lru_capacity])
             elif kind == "peek":
                 t.peek(ks)
             elif kind == "insert":
                 t.insert_unpinned(ks)
             elif kind == "snapshot" and t.at_boundary:
                 t.snapshot_roundtrip()
-            elif t.in_flight:
+            elif not t.at_boundary:
                 if kind == "write":
-                    t.write(int(rng.integers(2)), rng.random(4) < 0.5)
-                elif kind == "touch":
-                    t.touch(int(rng.integers(2)))
+                    t.write(rng.random(4) < 0.5)
                 elif kind == "end":
-                    t.end_round(int(rng.integers(2)))
-        t.abort()
+                    t.end_round()
+        if not t.at_boundary:
+            t.end_round()

@@ -1,5 +1,7 @@
 """Tests for model/cluster configuration (Table 3)."""
 
+from dataclasses import fields
+
 import pytest
 
 from repro.config import (
@@ -9,6 +11,7 @@ from repro.config import (
     ModelSpec,
     scaled_model,
 )
+from repro.core.cluster import BatchStats
 from repro.mem.cache import CombinedCache
 
 
@@ -74,6 +77,12 @@ class TestClusterConfig:
     def test_minibatches_per_batch(self):
         cfg = ClusterConfig(n_nodes=2, gpus_per_node=4, minibatches_per_gpu=3)
         assert cfg.minibatches_per_batch == 24
+
+    def test_field_counts_only_go_down(self):
+        """ROADMAP's structural needles: a new knob or stats column has
+        to raise these ceilings on purpose."""
+        assert len(fields(ClusterConfig)) <= 13
+        assert len(fields(BatchStats)) <= 21
 
     def test_with_nodes(self):
         cfg = ClusterConfig().with_nodes(2)
