@@ -815,7 +815,7 @@ class HPSCluster:
                 networks=[node.network for node in nodes],
                 nvlinks=[node.hbm_ps.nvlink for node in nodes],
                 gpus_per_node=n_gpus,
-                union_keys=splan.keys,
+                union=(splan.keys, [spn.union_pos for spn in splan.nodes]),
             )
             t_apply = 0.0
             for i, node in enumerate(nodes):

@@ -15,8 +15,6 @@ experiment in the paper is preserved:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.config import ModelSpec
@@ -36,27 +34,13 @@ def zipf_probabilities(n: int, exponent: float = 1.05) -> np.ndarray:
     return p / p.sum()
 
 
-@dataclass
-class _SlotSampler:
-    """Draws ids for one feature slot from a Zipf-over-hashed-ranks law."""
-
-    slot: int
-    vocab: int
-    key_base: int
-    exponent: float
-
-    def sample(self, rng: np.random.Generator, n: int, ids_per_slot: int) -> np.ndarray:
-        # Inverse-CDF sampling of Zipf ranks, then hash ranks to keys so hot
-        # keys are scattered across the key space (as real feature ids are).
-        u = rng.random(n * ids_per_slot)
-        # Zipf via inverse transform on the truncated harmonic CDF is
-        # expensive; use the standard approximation: rank ~ u^(-1/(a-1))
-        # clipped to the vocab, which preserves the heavy head.
-        a = max(self.exponent, 1.0001)
-        with np.errstate(over="ignore"):
-            raw_rank = np.floor(np.clip(u, 1e-12, None) ** (-1.0 / (a - 1.0)))
-        ranks = np.minimum(float(self.vocab - 1), raw_rank).astype(np.int64)
-        return (self.key_base + ranks).astype(KEY_DTYPE)
+def _median(x: np.ndarray) -> float:
+    """``np.median`` of a finite 1-D array, minus its wrapper overhead."""
+    mid = x.size // 2
+    if x.size % 2:
+        return np.partition(x, mid)[mid]
+    part = np.partition(x, (mid - 1, mid))
+    return (part[mid - 1] + part[mid]) / 2.0
 
 
 class CTRDataGenerator:
@@ -91,10 +75,11 @@ class CTRDataGenerator:
         vocab = spec.n_sparse // spec.n_slots
         if vocab == 0:
             raise ValueError("n_sparse must be >= n_slots")
-        self._samplers = [
-            _SlotSampler(s, vocab, s * vocab, zipf_exponent)
-            for s in range(spec.n_slots)
-        ]
+        # Every slot draws from the same law — one vocabulary size, one
+        # exponent — and differs only in its key band; that is what lets
+        # ``batch`` draw all slots at once.
+        self._vocab = vocab
+        self._slot_bases = np.arange(spec.n_slots, dtype=KEY_DTYPE) * KEY_DTYPE(vocab)
         # Planted ground-truth weights are derived lazily per key via
         # hashing, so the generator never materializes the full key space.
         self._w_seed = spawn(seed, "truth").integers(0, 2**31)
@@ -107,73 +92,66 @@ class CTRDataGenerator:
         u = (h >> np.uint64(11)).astype(np.float64) / float(2**53)
         return (u - 0.5) * 1.4
 
-    def _interaction_logit(self, batch_keys: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-        """Pairwise-interaction signal: hash adjacent slot ids together.
-
-        Gives the data genuinely non-linear structure a logistic model
-        cannot express but an embedding DNN can.
-        """
-        lengths = np.diff(offsets)
-        n = lengths.size
-        out = np.zeros(n, dtype=np.float64)
-        if batch_keys.size == 0:
-            return out
-        # Pair each key with the next key of the same example.
-        if n and bool(np.all(lengths == lengths[0])):
-            # Uniform rows (the generator's own layout): the pair
-            # positions are pure index arithmetic — pair ``j`` of row
-            # ``r`` sits at flat position ``r*L + j``, so with
-            # ``i = r*(L-1) + j`` that is ``i + i // (L-1)``.  Same
-            # pairs in the same order as the generic mask below.
-            L = int(lengths[0])
-            if L < 2:
-                return out
-            idx = np.arange(n * (L - 1), dtype=np.int64)
-            row_of_pair = idx // (L - 1)
-            pair_idx = idx + row_of_pair
-        else:
-            row = np.repeat(np.arange(n), lengths)
-            same_row = row[:-1] == row[1:]
-            pair_idx = np.flatnonzero(same_row)
-            row_of_pair = row[:-1][same_row]
-        with np.errstate(over="ignore"):
-            pair_hash = splitmix64(
-                batch_keys[pair_idx] * np.uint64(0x9E3779B97F4A7C15)
-                ^ batch_keys[pair_idx + 1]
-            )
-        u = (pair_hash >> np.uint64(11)).astype(np.float64) / float(2**53)
-        contrib = (u - 0.5) * 2.0
-        # Sequential float64 accumulation, bit-identical to np.add.at.
-        out += np.bincount(row_of_pair, weights=contrib, minlength=n)
-        return out
-
     # ------------------------------------------------------------------
     def batch(self, batch_index: int, n_examples: int) -> Batch:
-        """Generate batch ``batch_index`` with ``n_examples`` examples."""
+        """Generate batch ``batch_index`` with ``n_examples`` examples.
+
+        The batch's digest rests on the RNG call order — uniform ranks
+        (slot-major), label noise, label uniforms — and on float64
+        summation order; both are pinned by ``tests/data``.
+        """
         if n_examples <= 0:
             raise ValueError("n_examples must be positive")
         rng = spawn(self.seed, "batch", batch_index)
-        spec = self.spec
-        ids_per_slot = max(1, spec.nonzeros_per_example // spec.n_slots)
-        cols = []
-        for sampler in self._samplers:
-            cols.append(sampler.sample(rng, n_examples, ids_per_slot))
-        # Layout: example-major, slot-minor.
-        keys = (
-            np.stack([c.reshape(n_examples, ids_per_slot) for c in cols], axis=1)
-            .reshape(n_examples, -1)
-            .ravel()
-        )
-        nnz_per_example = spec.n_slots * ids_per_slot
-        offsets = np.arange(n_examples + 1, dtype=np.int64) * nnz_per_example
+        n, n_slots = n_examples, self.spec.n_slots
+        ids_per_slot = max(1, self.spec.nonzeros_per_example // n_slots)
+        row_len = n_slots * ids_per_slot
+        # Inverse-CDF sampling of Zipf ranks for every slot in one draw
+        # (slot-major, the stream of one draw per slot).  Inverting the
+        # truncated harmonic CDF is expensive; use the standard
+        # approximation rank ~ u^(-1/(a-1)) clipped to the vocab, which
+        # preserves the heavy head.
+        u = rng.random(n_slots * n * ids_per_slot)
+        a = max(self.zipf_exponent, 1.0001)
+        with np.errstate(over="ignore"):
+            raw_rank = np.floor(np.clip(u, 1e-12, None) ** (-1.0 / (a - 1.0)))
+        ranks = np.minimum(float(self._vocab - 1), raw_rank).astype(KEY_DTYPE)
+        # Ranks offset into each slot's key band (slot-major, as drawn),
+        # then laid out example-major, slot-minor.
+        banded = ranks.reshape(n_slots, -1) + self._slot_bases[:, None]
+        key_rows = np.ascontiguousarray(
+            banded.reshape(n_slots, n, ids_per_slot).transpose(1, 0, 2)
+        ).reshape(n, row_len)
+        keys = key_rows.reshape(-1)
+        offsets = np.arange(n + 1, dtype=np.int64) * row_len
 
-        logit = self._ground_truth_weight(keys).reshape(n_examples, -1).sum(axis=1)
-        logit += self._interaction_logit(keys, offsets)
-        logit += rng.normal(0.0, self.noise, size=n_examples)
-        logit -= np.median(logit)  # balanced-ish classes
+        logit = self._ground_truth_weight(keys).reshape(n, -1).sum(axis=1)
+        if row_len > 1:
+            # Pairwise-interaction signal: hash each id with the next id
+            # of the same example — non-linear structure a logistic model
+            # cannot express but an embedding DNN can.
+            with np.errstate(over="ignore"):
+                pair_hash = splitmix64(
+                    key_rows[:, :-1] * np.uint64(0x9E3779B97F4A7C15)
+                    ^ key_rows[:, 1:]
+                )
+            contrib = (
+                (pair_hash >> np.uint64(11)).astype(np.float64) / float(2**53)
+                - 0.5
+            ) * 2.0
+            # Each example's pairs summed left to right from +0.0 (not
+            # ``sum(axis=1)``, whose pairwise reduction rounds otherwise).
+            pair_sum = contrib[:, 0] + 0.0
+            for j in range(1, row_len - 1):
+                pair_sum += contrib[:, j]
+            logit += pair_sum
+        logit += rng.normal(0.0, self.noise, size=n)
+        logit -= _median(logit)  # balanced-ish classes
         prob = 1.0 / (1.0 + np.exp(-logit))
-        labels = (rng.random(n_examples) < prob).astype(np.float32)
-        return Batch(keys, offsets, labels)
+        labels = (rng.random(n) < prob).astype(np.float32)
+        # Correct by construction (uint64 C-contiguous keys, uniform
+        # int64 offsets, float32 labels): skip the validating constructor.
+        return Batch._trusted(keys, offsets, labels)
 
     def batches(self, n_batches: int, n_examples: int):
         """Yield ``n_batches`` consecutive batches."""

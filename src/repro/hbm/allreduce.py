@@ -99,7 +99,7 @@ def hierarchical_allreduce(
     networks: list[Network] | None = None,
     nvlinks: list[NVLink] | None = None,
     gpus_per_node: int = 8,
-    union_keys: np.ndarray | None = None,
+    union: tuple[np.ndarray, list[np.ndarray]] | None = None,
 ) -> tuple[SparseUpdate, float]:
     """All-reduce per-node sparse updates; returns (global update, seconds).
 
@@ -108,9 +108,10 @@ def hierarchical_allreduce(
     the critical path: max over participating nodes per step, summed over
     steps.
 
-    ``union_keys`` is the sorted union of every node's keys when the
-    caller already has it (the round's :class:`~repro.plan.SyncPlan`);
-    otherwise it is derived here with one dedup.
+    ``union`` is ``(keys, positions)`` when the caller already has them
+    (the round's :class:`~repro.plan.SyncPlan`): the sorted union of
+    every node's keys and, per node, the positions of its keys inside
+    that union.  Otherwise both are derived here with one dedup.
 
     Functionally only node 0's reduction tree is evaluated — after a
     doubling step every node of a block holds the same key union and the
@@ -125,17 +126,17 @@ def hierarchical_allreduce(
     if n == 0:
         raise ValueError("need at least one node")
     sizes = [u.n_keys for u in node_updates]
-    if union_keys is None:
+    if union is None:
         union_keys, inverse = compact_unique(
             np.concatenate([u.keys for u in node_updates]), return_inverse=True
         )
         positions = np.split(inverse, np.cumsum(sizes)[:-1])
     else:
-        positions = [union_keys.searchsorted(u.keys) for u in node_updates]
+        union_keys, positions = union
         assert all(
             np.array_equal(union_keys[pos], u.keys)
             for pos, u in zip(positions, node_updates)
-        ), "union_keys does not cover the drained updates"
+        ), "union does not cover the drained updates"
     row_shape = node_updates[0].grads.shape[1:]
     row_bytes = 8 + 4 * int(np.prod(row_shape))
     total_time = 0.0

@@ -143,9 +143,9 @@ class HBMPS:
         are charged from the plan's precomputed partition sizes.
         """
         for g in range(self.n_gpus):
-            if plan.gpu_parts[g].size > self.capacity_per_gpu:
+            if plan.gpu_counts[g] > self.capacity_per_gpu:
                 raise TierStateError(
-                    f"hash table capacity exceeded: 0+{plan.gpu_parts[g].size}"
+                    f"hash table capacity exceeded: 0+{plan.gpu_counts[g]}"
                     f" > {self.capacity_per_gpu} (room for "
                     f"{self.capacity_per_gpu})"
                 )
@@ -154,7 +154,7 @@ class HBMPS:
         )
         return self._charge_table_ops(
             self.optimizer.value_dim,
-            [p.size for p in plan.gpu_parts],
+            plan.gpu_counts,
             "hbm_insert",
             include_empty=True,
         )

@@ -29,9 +29,13 @@ def bucket_order(parts: np.ndarray, n_parts: int) -> tuple[np.ndarray, np.ndarra
     a bucket split — :meth:`ModuloPartitioner.split`, the plan builder's
     ``group_indices``, the distributed table's shard dispatch — routes
     through this one function so the grouping contract stays in one place.
+    Bucket ids (all in ``[0, n_parts)``) are sorted in the narrowest
+    unsigned dtype that holds them: NumPy's stable sort of 8- and 16-bit
+    integers is an O(n) radix sort.
     """
-    order = np.argsort(parts, kind="stable")
-    bounds = np.searchsorted(parts[order], np.arange(n_parts + 1))
+    narrow = parts.astype(np.min_scalar_type(n_parts - 1))
+    order = np.argsort(narrow, kind="stable")
+    bounds = np.searchsorted(narrow[order], np.arange(n_parts + 1))
     return order, bounds
 
 

@@ -24,9 +24,15 @@ instead of re-probing the SlotIndex.  Conversely the plan is what lets
 the cache assume unique keys: plan key sets are sorted-unique by
 construction.
 
-Plans are computed with exactly one ``np.unique`` per key set and one
-stable argsort per partition level; every later consumer is a pure index
-gather.
+The builder works in one *round-local code space*: the round's flat keys
+are deduplicated once into the sorted universe ``U`` (a code in
+``[0, |U|)`` per flat key) and each partitioner is evaluated once, on
+``U``.  Every key set the plan names is then a boolean mask over ``|U|``
+— ``U`` is sorted, so a mask's nonzero codes *are* its keys in ascending
+order — and every position array is a gather through a rank array over
+``|U|``.  Compact and sparse key domains share that one path (only
+:func:`~repro.utils.keys.compact_unique` looks at the domain), and every
+later consumer of the plan is a pure index gather.
 """
 
 from __future__ import annotations
@@ -37,7 +43,7 @@ import numpy as np
 
 from repro.data.batching import Batch
 from repro.hbm.partition import ModuloPartitioner, bucket_order
-from repro.utils.keys import KEY_DTYPE, compact_unique
+from repro.utils.keys import compact_unique
 
 __all__ = [
     "AdmissionRecord",
@@ -76,74 +82,6 @@ def group_indices(part_of: np.ndarray, n_parts: int) -> list[np.ndarray]:
     return [order[bounds[b] : bounds[b + 1]] for b in range(n_parts)]
 
 
-def _positions_in(sorted_keys: np.ndarray, queries: np.ndarray) -> np.ndarray:
-    """Positions of ``queries`` in ``sorted_keys`` (every query present)."""
-    return sorted_keys.searchsorted(queries)
-
-
-#: Largest key domain the plan builder direct-addresses (mirrors the
-#: store index's :data:`~repro.store.slot_index.DENSE_DOMAIN_CAP`).
-_DENSE_POS_CAP = 1 << 22
-
-
-def _key_lookup(sorted_keys: np.ndarray):
-    """``(positions_fn, membership_fn)`` over a sorted-unique key set.
-
-    For a compact key domain (max key below :data:`_DENSE_POS_CAP`) one
-    scatter of each key's rank into a dense array turns every lookup into
-    a single gather; otherwise both functions fall back to the
-    ``searchsorted`` forms.  ``positions_fn`` requires member queries
-    (the :func:`_positions_in` contract); ``membership_fn`` returns
-    ``(mask, positions)`` with positions meaningful under the mask.
-    """
-    n = sorted_keys.size
-    if n and int(sorted_keys[-1]) < _DENSE_POS_CAP:
-        hi = int(sorted_keys[-1]) + 1
-        # Uninitialized rank + boolean membership: the bool memset is 8x
-        # cheaper than sentinel-filling the int64 rank array, and rank is
-        # only ever read where the membership mask is True.
-        rank = np.empty(hi, dtype=np.int64)
-        member = np.zeros(hi, dtype=bool)
-        ki = sorted_keys.astype(np.int64)
-        rank[ki] = np.arange(n, dtype=np.int64)
-        member[ki] = True
-
-        def pos_fn(q: np.ndarray) -> np.ndarray:
-            return rank[q.astype(np.int64)]
-
-        def mem_fn(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            qi = q.astype(np.int64)
-            ok = qi < hi
-            qs = np.where(ok, qi, 0)
-            mask = ok & member[qs]
-            return mask, np.where(mask, rank[qs], 0)
-
-        return pos_fn, mem_fn
-
-    def pos_fn(q: np.ndarray) -> np.ndarray:
-        return sorted_keys.searchsorted(q)
-
-    def mem_fn(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return _membership(sorted_keys, q)
-
-    return pos_fn, mem_fn
-
-
-def _membership(
-    sorted_keys: np.ndarray, queries: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """(mask, positions) of sorted ``queries`` against sorted ``sorted_keys``.
-
-    ``positions`` is only meaningful where ``mask`` is True.
-    """
-    pos = sorted_keys.searchsorted(queries)
-    ok = pos < sorted_keys.size
-    mask = np.zeros(queries.size, dtype=bool)
-    if sorted_keys.size:
-        mask[ok] = sorted_keys[pos[ok]] == queries[ok]
-    return mask, pos
-
-
 @dataclass
 class MinibatchPlan:
     """Key plan of one worker mini-batch (one (node, shard) pair)."""
@@ -172,6 +110,9 @@ class NodeSyncPlan:
 
     #: the node's own drained key union for this sync round (sorted)
     keys: np.ndarray
+    #: positions of :attr:`keys` inside the *global* update key set
+    #: (where the all-reduce scatters this node's gradients)
+    union_pos: np.ndarray
     #: positions in the *global* update key set that are staged on this
     #: node's HBM (membership in the node's working set)
     resident_idx: np.ndarray
@@ -206,10 +147,9 @@ class NodePlan:
     #: per-node index arrays into :attr:`keys` (MEM-tier owner partition);
     #: ``node_parts[node_id]`` is the local shard
     node_parts: list[np.ndarray]
-    #: GPU owner of every working key (HBM-tier partition)
-    gpu_of: np.ndarray
-    #: per-GPU index arrays into :attr:`keys`
-    gpu_parts: list[np.ndarray]
+    #: number of working keys staged on each GPU (HBM-tier partition
+    #: sizes: the capacity check and the insert charge)
+    gpu_counts: np.ndarray
     #: the sharded mini-batches (``Batch.shard``, precomputed)
     shards: list[Batch]
     #: per-shard plans, aligned with :attr:`shards`
@@ -243,8 +183,8 @@ class NodePrefetchPlan:
     resolves this set against the cache exactly once — cache probe, SSD
     load, fresh-init, pin — and records the LRU rows; every later MEM
     access this round is a pure row gather through the ``*_pos``
-    segments below (each a :func:`numpy.searchsorted` into :attr:`keys`,
-    precomputed at plan-build time).
+    segments below (positions in :attr:`keys`, precomputed at plan-build
+    time).
     """
 
     #: sorted unique union of every key the node's MEM tier touches
@@ -310,170 +250,164 @@ def build_round_plan(
     """Compute the round's full key plan from its batches.
 
     ``batches[i]`` is node ``i``'s global batch; partitioners are the
-    cluster's shared MEM-tier (node) and HBM-tier (GPU) policies.  The
-    plan always carries one :class:`NodePrefetchPlan` per node — the
-    union of every key that node's MEM tier will touch, with gather
-    segments for each consumer; ``prefetch`` is accepted and ignored (the
-    frozen ``benchmarks/hps/micro.py`` still passes it).
+    cluster's shared MEM-tier (node) and HBM-tier (GPU) policies and must
+    match the topology (one node bucket per batch, one GPU bucket per
+    GPU) — a key hashed to a bucket nobody owns would silently drop out
+    of every partition.  The plan always carries one
+    :class:`NodePrefetchPlan` per node; ``prefetch`` is accepted and
+    ignored (the frozen ``benchmarks/hps/micro.py`` still passes it).
     """
     n_nodes = len(batches)
+    if n_nodes == 0:
+        raise ValueError("need at least one node's batch")
+    if node_partitioner.n_parts != n_nodes:
+        raise ValueError(
+            f"node_partitioner has {node_partitioner.n_parts} buckets "
+            f"for {n_nodes} nodes"
+        )
+    if gpu_partitioner.n_parts != n_gpus:
+        raise ValueError(
+            f"gpu_partitioner has {gpu_partitioner.n_parts} buckets "
+            f"for {n_gpus} GPUs"
+        )
+    # The round universe: every set below is a mask over it (ascending
+    # codes are ascending keys), every position a gather through a rank.
+    universe, code = compact_unique(
+        np.concatenate([b.keys for b in batches]), return_inverse=True
+    )
+    n_codes = universe.size
+    owner = node_partitioner.part_of(universe)
+    gpu = gpu_partitioner.part_of(universe)
+    ranks = np.arange(n_codes, dtype=np.int64)
+    # Node i's MEM tier touches its local working partition, the
+    # partitions it serves to peers and its owner-queue keys.  Every code
+    # is in some node's working set, so together those are exactly the
+    # codes node i owns: the prefetch unions partition the universe, and
+    # one array holds each code's position inside its owner's union.
+    prefetch_codes = group_indices(owner, n_nodes)
+    own_rank = np.empty(n_codes, dtype=np.int64)
+    for pg in prefetch_codes:
+        own_rank[pg] = ranks[: pg.size]
+    node_mask = np.zeros((n_nodes, n_codes), dtype=bool)
+    sync_mask = (
+        node_mask[None]  # one sync round: its union is the working set
+        if mb_rounds == 1
+        else np.zeros((mb_rounds, n_nodes, n_codes), dtype=bool)
+    )
+    #: per node: code -> position in the node's working set
+    work_rank = np.empty((n_nodes, n_codes), dtype=np.int64)
+    # Scratch reused across shards and unions: each user reads only the
+    # codes it has just written (``touch`` is handed back all-False).
+    touch = np.zeros(n_codes, dtype=bool)
+    rank = np.empty(n_codes, dtype=np.int64)
+
     node_plans: list[NodePlan] = []
-    # Per (node, m): positions of the sync-round key union inside the
-    # node's working set — reused to build the cross-node sync plans.
-    m_union_work_idx: list[list[np.ndarray]] = []
-    # Per-node (positions, membership) lookups over the working sets —
-    # built once and reused by the shard split and the sync-plan pass.
-    work_lookups: list[tuple] = []
+    sync_codes: list[list[np.ndarray]] = []  # [node][m]
+    #: [p][i]: prefetch positions (on node i) of node p's keys owned by i
+    served: list[list[np.ndarray]] = []
+    lo = 0
     for i, batch in enumerate(batches):
-        working = batch.unique_keys()
-        work_pos, work_mem = _key_lookup(working)
-        work_lookups.append((work_pos, work_mem))
-        node_parts = group_indices(node_partitioner.part_of(working), n_nodes)
-        gpu_of = gpu_partitioner.part_of(working)
-        gpu_parts = group_indices(gpu_of, n_gpus)
+        node_code = code[lo : lo + batch.keys.size]
+        lo += batch.keys.size
+        node_mask[i][node_code] = True
+        wg = node_mask[i].nonzero()[0]
+        working = universe[wg]
+        batch._unique = working  # what unique_keys() would memoize
+        work_rank[i][wg] = ranks[: wg.size]
+        node_parts = group_indices(owner[wg], n_nodes)
+        own_pos = own_rank[wg]
+        served.append([own_pos[part] for part in node_parts])
         shards = batch.shard(n_gpus * mb_rounds)
-        # Shard uniques by membership against the already-sorted working
-        # set (one searchsorted + mask per shard) instead of a fresh
-        # O(n log n) ``np.unique`` per shard; the result is identical by
-        # construction (every shard key is a working key).
-        shard_keys: list[np.ndarray] = []
-        shard_work_idx: list[np.ndarray] = []
-        shard_emb_idx: list[np.ndarray] = []
-        member = np.zeros(working.size, dtype=bool)
-        # Scratch rank map working-position -> shard-unique position; safe
-        # to reuse across shards because each shard only reads positions
-        # it just wrote (its flat keys are a subset of its unique keys).
-        rank = np.empty(working.size, dtype=np.int64)
+        shard_codes: list[np.ndarray] = []
+        emb_idx: list[np.ndarray] = []
+        s_lo = 0
         for s in shards:
-            pos = work_pos(s.keys)
-            member[pos] = True
-            widx = np.flatnonzero(member)
-            member[widx] = False
-            shard_work_idx.append(widx)
-            k = working[widx]
-            shard_keys.append(k)
-            s._unique = k  # seed the batch memo: same set, same order
-            rank[widx] = np.arange(widx.size, dtype=np.int64)
-            shard_emb_idx.append(rank[pos])
+            flat = node_code[s_lo : s_lo + s.keys.size]
+            s_lo += s.keys.size
+            touch[flat] = True
+            sg = touch.nonzero()[0]
+            touch[sg] = False
+            shard_codes.append(sg)
+            s._unique = universe[sg]
+            rank[sg] = ranks[: sg.size]
+            emb_idx.append(rank[flat])
         unions: list[np.ndarray] = []
         minibatches: list[MinibatchPlan] = []
         for m in range(mb_rounds):
-            idx_group = shard_work_idx[m * n_gpus : (m + 1) * n_gpus]
+            group = range(m * n_gpus, (m + 1) * n_gpus)
             if mb_rounds == 1:
-                # Single sync round: every working key appears in some
-                # shard, so the union is the whole working set.
-                union_idx = np.arange(working.size, dtype=np.int64)
+                ug = wg
             else:
-                # Same boolean scatter as the shard split above (the
-                # groups are already positions in ``working``).
-                for ix in idx_group:
-                    member[ix] = True
-                union_idx = np.flatnonzero(member)
-                member[union_idx] = False
-            unions.append(union_idx)
-            for g in range(n_gpus):
-                widx = idx_group[g]
+                for j in group:
+                    sync_mask[m, i, shard_codes[j]] = True
+                ug = sync_mask[m, i].nonzero()[0]
+                rank[ug] = ranks[: ug.size]
+            unions.append(ug)
+            for j in group:
+                sg = shard_codes[j]
+                work_idx = work_rank[i][sg]
                 minibatches.append(
                     MinibatchPlan(
-                        keys=shard_keys[m * n_gpus + g],
-                        work_idx=widx,
-                        # Single sync round: union_idx is the identity,
-                        # so each work index is its own sync position.
-                        sync_idx=widx
-                        if mb_rounds == 1
-                        else _positions_in(union_idx, widx),
-                        gpu_counts=np.bincount(
-                            gpu_of[widx], minlength=n_gpus
-                        ),
-                        sync_size=int(union_idx.size),
-                        emb_idx=shard_emb_idx[m * n_gpus + g],
+                        keys=shards[j]._unique,
+                        work_idx=work_idx,
+                        sync_idx=work_idx if mb_rounds == 1 else rank[sg],
+                        gpu_counts=np.bincount(gpu[sg], minlength=n_gpus),
+                        sync_size=int(ug.size),
+                        emb_idx=emb_idx[j],
                     )
                 )
-        m_union_work_idx.append(unions)
+        sync_codes.append(unions)
         node_plans.append(
             NodePlan(
                 node_id=i,
                 keys=working,
                 node_parts=node_parts,
-                gpu_of=gpu_of,
-                gpu_parts=gpu_parts,
+                gpu_counts=np.bincount(gpu[wg], minlength=n_gpus),
                 shards=shards,
                 minibatches=minibatches,
             )
         )
 
     sync_plans: list[SyncPlan] = []
+    update_pos: list[list[np.ndarray]] = [[] for _ in range(n_nodes)]
     for m in range(mb_rounds):
-        node_keys = [
-            node_plans[i].keys[m_union_work_idx[i][m]] for i in range(n_nodes)
-        ]
-        non_empty = [k for k in node_keys if k.size]
-        global_keys = (
-            compact_unique(np.concatenate(non_empty))
-            if non_empty
-            else np.empty(0, dtype=KEY_DTYPE)
-        )
-        owner_of_global = node_partitioner.part_of(global_keys)
+        gidx = sync_mask[m].any(axis=0).nonzero()[0]
+        rank[gidx] = ranks[: gidx.size]
+        owner_g = owner[gidx]
         per_node: list[NodeSyncPlan] = []
-        for i, plan in enumerate(node_plans):
-            resident, pos = work_lookups[i][1](global_keys)
-            resident_idx = np.flatnonzero(resident)
-            resident_work_idx = pos[resident]
-            missing_idx = np.flatnonzero(~resident)
+        for i in range(n_nodes):
+            ug = sync_codes[i][m]
+            resident = node_mask[i][gidx]
+            resident_idx = resident.nonzero()[0]
+            resident_codes = gidx[resident_idx]
+            missing_idx = (~resident).nonzero()[0]
+            missing_own_idx = missing_idx[owner_g[missing_idx] == i]
+            update_pos[i].append(own_rank[gidx[missing_own_idx]])
             per_node.append(
                 NodeSyncPlan(
-                    keys=node_keys[i],
+                    keys=universe[ug],
+                    union_pos=rank[ug],
                     resident_idx=resident_idx,
-                    resident_work_idx=resident_work_idx,
+                    resident_work_idx=work_rank[i][resident_codes],
                     resident_gpu_counts=np.bincount(
-                        plan.gpu_of[resident_work_idx], minlength=n_gpus
+                        gpu[resident_codes], minlength=n_gpus
                     ),
                     missing_idx=missing_idx,
-                    missing_own_idx=missing_idx[
-                        owner_of_global[missing_idx] == i
-                    ],
+                    missing_own_idx=missing_own_idx,
                 )
             )
-        sync_plans.append(SyncPlan(keys=global_keys, nodes=per_node))
+        sync_plans.append(SyncPlan(keys=universe[gidx], nodes=per_node))
 
-    prefetch_plans: list[NodePrefetchPlan] = []
-    base_pos = _key_lookup(sync_plans[0].keys)[0] if mb_rounds == 1 else None
-    for i, plan in enumerate(node_plans):
-        # Every constituent is sorted unique by construction; the
-        # union only needs the cross-part dedup.
-        local_keys = plan.keys[plan.node_parts[i]]
-        serve_keys = [
-            node_plans[p].keys[node_plans[p].node_parts[i]]
-            if p != i
-            else np.empty(0, dtype=KEY_DTYPE)
-            for p in range(n_nodes)
-        ]
-        update_keys = [
-            sp.keys[sp.nodes[i].missing_own_idx] for sp in sync_plans
-        ]
-        parts = [k for k in (local_keys, *serve_keys, *update_keys) if k.size]
-        if mb_rounds == 1 and parts:
-            # Single sync round: every part is a subset of that round's
-            # global key set (each node contributes its full working
-            # set, and the owner queue is drawn from the global set
-            # itself), so the union is a membership mask over it — no
-            # sort needed.
-            base = sync_plans[0].keys
-            member = np.zeros(base.size, dtype=bool)
-            for k in parts:
-                member[base_pos(k)] = True
-            union = base[np.flatnonzero(member)]
-        elif parts:
-            union = compact_unique(np.concatenate(parts))
-        else:
-            union = np.empty(0, dtype=KEY_DTYPE)
-        union_pos = _key_lookup(union)[0]
-        prefetch_plans.append(
-            NodePrefetchPlan(
-                keys=union,
-                local_pos=union_pos(local_keys),
-                serve_pos=[union_pos(k) for k in serve_keys],
-                update_pos=[union_pos(k) for k in update_keys],
-            )
+    no_pos = np.empty(0, dtype=np.int64)
+    prefetch_plans = [
+        NodePrefetchPlan(
+            keys=universe[prefetch_codes[i]],
+            local_pos=served[i][i],
+            serve_pos=[
+                served[p][i] if p != i else no_pos for p in range(n_nodes)
+            ],
+            update_pos=update_pos[i],
         )
+        for i in range(n_nodes)
+    ]
     return RoundPlan(nodes=node_plans, sync=sync_plans, prefetch=prefetch_plans)

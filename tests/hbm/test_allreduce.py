@@ -268,14 +268,16 @@ def _node_updates(draw):
 def test_allreduce_equals_full_recursive_doubling(updates, planned):
     """Node 0's reduction tree alone reproduces the all-nodes reference
     bit for bit — keys, every float64 sum, and the simulated seconds —
-    whether the key union is derived or handed in by the plan."""
+    whether the key union and each node's positions in it are derived
+    or handed in by the plan."""
     nets = [Network(NetworkSpec()) for _ in updates]
     want, want_s = reference_allreduce(updates, networks=nets, gpus_per_node=2)
     union = None
     if planned:
-        union = np.unique(np.concatenate([u.keys for u in updates]))
+        keys = np.unique(np.concatenate([u.keys for u in updates]))
+        union = (keys, [keys.searchsorted(u.keys) for u in updates])
     got, got_s = hierarchical_allreduce(
-        updates, networks=nets, gpus_per_node=2, union_keys=union
+        updates, networks=nets, gpus_per_node=2, union=union
     )
     assert np.array_equal(got.keys, want.keys)
     assert got.grads.dtype == np.float64

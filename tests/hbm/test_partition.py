@@ -2,10 +2,10 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.hbm.partition import ModuloPartitioner
+from repro.hbm.partition import ModuloPartitioner, bucket_order
 
 
 class TestPartitioner:
@@ -90,3 +90,28 @@ def test_split_is_a_partition(keys, n_parts):
     assert total == keys.size
     merged = np.sort(np.concatenate(pieces)) if total else np.array([], dtype=np.uint64)
     assert np.array_equal(merged, np.sort(keys))
+
+
+@given(
+    st.integers(min_value=1, max_value=300).flatmap(
+        lambda n_parts: st.tuples(
+            st.just(n_parts),
+            st.lists(st.integers(min_value=0, max_value=n_parts - 1), max_size=400),
+        )
+    )
+)
+@example((256, [255, 0, 255, 128]))
+@example((257, [256, 0, 255, 256, 1]))
+@settings(max_examples=100, deadline=None)
+def test_bucket_order_groups_like_flatnonzero(case):
+    """The grouping primitive's contract, on both sides of the
+    uint8 -> uint16 boundary of the narrow sort key: bucket ``b`` is
+    ``flatnonzero(parts == b)`` — ascending original position."""
+    n_parts, ids = case
+    parts = np.array(ids, dtype=np.int64)
+    order, bounds = bucket_order(parts, n_parts)
+    assert order.dtype == np.int64 and bounds.shape == (n_parts + 1,)
+    for b in range(n_parts):
+        assert np.array_equal(
+            order[bounds[b] : bounds[b + 1]], np.flatnonzero(parts == b)
+        )

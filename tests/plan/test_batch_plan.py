@@ -69,13 +69,12 @@ class TestNodePlan:
             for peer, idx in enumerate(npn.node_parts):
                 assert np.array_equal(idx, np.flatnonzero(owners == peer))
 
-    def test_gpu_parts_partition_by_gpu(self, plan, partitioners):
+    def test_gpu_counts_partition_by_gpu(self, plan, partitioners):
         _, rp = plan
         _, gpu_p = partitioners
         for npn in rp.nodes:
-            assert np.array_equal(npn.gpu_of, gpu_p.part_of(npn.keys))
-            for g, idx in enumerate(npn.gpu_parts):
-                assert np.array_equal(idx, np.flatnonzero(npn.gpu_of == g))
+            assert np.array_equal(npn.gpu_counts, gpu_p.counts(npn.keys))
+            assert npn.gpu_counts.shape == (N_GPUS,)
 
     def test_minibatch_plans_align_with_shards(self, plan):
         _, rp = plan
@@ -130,6 +129,35 @@ class TestSyncPlan:
                 owners = node_p.part_of(sp.keys)
                 expected = nsp.missing_idx[owners[nsp.missing_idx] == i]
                 assert np.array_equal(nsp.missing_own_idx, expected)
+
+
+class TestTopologyMismatch:
+    """Partitioners that disagree with the topology are refused up front:
+    a key hashed to a bucket no node / GPU owns used to drop out of every
+    partition without an error."""
+
+    def _build(self, batches, *, node_parts, gpu_parts, n_gpus=N_GPUS):
+        return build_round_plan(
+            batches,
+            node_partitioner=ModuloPartitioner(node_parts, salt=_NODE_SALT),
+            gpu_partitioner=ModuloPartitioner(gpu_parts, salt=_GPU_SALT),
+            n_gpus=n_gpus,
+            mb_rounds=MB_ROUNDS,
+        )
+
+    def test_node_partitioner_wider_than_the_cluster(self, plan):
+        batches, _ = plan
+        with pytest.raises(ValueError, match="node_partitioner has 4 buckets"):
+            self._build(batches, node_parts=4, gpu_parts=N_GPUS)
+
+    def test_gpu_partitioner_wider_than_the_node(self, plan):
+        batches, _ = plan
+        with pytest.raises(ValueError, match="gpu_partitioner has 4 buckets"):
+            self._build(batches, node_parts=N_NODES, gpu_parts=4)
+
+    def test_no_batches(self):
+        with pytest.raises(ValueError, match="at least one"):
+            self._build([], node_parts=N_NODES, gpu_parts=N_GPUS)
 
 
 class TestRecordPrepare:
