@@ -86,7 +86,9 @@ _CLASSIFY: dict[str, _Classification] = {
         state_attrs=frozenset({"store", "compactor"}),
     ),
     "hbm": _Classification(
-        reads=frozenset({"export_state", "export_delta"}),
+        # the transient tier's mark is assert-only (nothing to remember);
+        # MEM's and SSD's are writes, by the unknown-method default
+        reads=frozenset({"export_state", "export_delta", "mark_snapshot"}),
         # .params / .nvlink expose partitioner + fabric config on the
         # read path; mutation goes through the HBMPS methods.
         neutral=frozenset({"partitioner", "params", "nvlink"}),

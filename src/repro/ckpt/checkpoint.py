@@ -14,10 +14,16 @@ parallel, so their cost is the slowest node.
 Delta snapshots (:func:`save_cluster_delta`, format v3) record only the
 state that changed since the previous snapshot: new SSD parameter files
 plus the mapping/stale-counter diff, the MEM cache's metadata plus only
-its changed value rows, and the (full, tiny) dense/optimizer state.  The
-diff source is the cluster's in-memory record of its last snapshot
-(``cluster._ckpt_base``), refreshed on every save, so steady-state
-snapshot bytes scale with the round's write set, not the model.  Restore
+its written value rows, and the (full, tiny) dense/optimizer state.
+Each tier holds its own delta base — row-dirty bits in the MEM slab, a
+file-id watermark in the SSD store — so a delta export reads only what
+changed and steady-state snapshot cost scales with the round's write
+set, not the model.  This module tells the tiers *when* a snapshot
+exists: ``node.mark_snapshot()`` runs after a manifest commits (full or
+delta) and after a restore finishes loading, never before, so a save
+that dies mid-write leaves every mark where it was and the retry ships
+the same bytes.  The cluster keeps only the chain link
+(``cluster._ckpt_base``: directory, round, manifest digest).  Restore
 walks the manifest chain (:func:`~repro.ckpt.format.resolve_chain`) —
 base first, deltas replayed in order.
 
@@ -118,9 +124,9 @@ def _write_shard(directory: str, name: str, arrays: dict) -> tuple[int, str]:
     """
     buf = io.BytesIO()
     np.savez(buf, **arrays)
-    data = buf.getvalue()
-    fmt.atomic_write_bytes(os.path.join(directory, name), data)
-    return len(data), hashlib.sha256(data).hexdigest()
+    with buf.getbuffer() as data:  # the buffer itself, not a copy of it
+        fmt.atomic_write_bytes(os.path.join(directory, name), data)
+        return data.nbytes, hashlib.sha256(data).hexdigest()
 
 
 def _hdfs_transfer_seconds(node, nbytes: int) -> float:
@@ -232,13 +238,16 @@ def _load_node_counters(node, arrays: dict[str, np.ndarray]) -> None:
     )
 
 
-def _record_base(cluster, directory: str, node_states: list[dict]) -> None:
-    """Remember the snapshot just committed as the next delta's base."""
+def _record_base(cluster, directory: str) -> None:
+    """The snapshot in ``directory`` has committed (or just loaded) and
+    is the cluster's state: every tier marks it as its delta base and
+    the cluster remembers the chain link."""
+    for node in cluster.nodes:
+        node.mark_snapshot()
     cluster._ckpt_base = {
         "directory": os.path.abspath(directory),
         "rounds": cluster.rounds_completed,
         "manifest_sha256": fmt.manifest_sha256(directory),
-        "node_states": node_states,
     }
 
 
@@ -269,16 +278,13 @@ def save_cluster(cluster, directory: str) -> CheckpointStats:
     shards[DENSE_SHARD] = digest
 
     node_bytes: list[int] = []
-    node_states: list[dict] = []
     for node in cluster.nodes:
-        tiers = node.tier_states()
         name = node_shard_name(node.node_id)
         nbytes, digest = _write_shard(
-            directory, name, _node_shard_arrays(node, tiers)
+            directory, name, _node_shard_arrays(node, node.tier_states())
         )
         shards[name] = digest
         node_bytes.append(nbytes)
-        node_states.append(tiers)
 
     payload = _config_payload(cluster)
     manifest = {
@@ -291,7 +297,7 @@ def save_cluster(cluster, directory: str) -> CheckpointStats:
         "shards": shards,
     }
     manifest_bytes = fmt.write_manifest(directory, manifest)
-    _record_base(cluster, directory, node_states)
+    _record_base(cluster, directory)
 
     # Simulated cost: serialize/transfer flow shop over node shards —
     # shard n+1 serializes while shard n ships; node 0 additionally
@@ -333,24 +339,19 @@ def delta_base_valid(cluster, directory: str) -> bool:
         return False
 
 
-def save_cluster_delta(
-    cluster, directory: str, *, dirty_keys=None
-) -> CheckpointStats:
+def save_cluster_delta(cluster, directory: str) -> CheckpointStats:
     """Materialize a delta snapshot chained to the previous snapshot.
 
-    The diff source is the cluster's in-memory base record (set by the
-    previous :func:`save_cluster` / :func:`save_cluster_delta` /
-    restore), so no disk reads are needed to diff.  ``directory`` must
-    be a *sibling* of the base (the manifest's ``base`` link is a
-    directory name).  ``dirty_keys`` is an optional per-node list of
-    key arrays — the union of keys each node's MEM tier wrote since the
-    base (the snapshot stage feeds it straight from the round plans);
-    without it the cache diff compares value slabs.
+    Each tier diffs against the mark it took when the previous snapshot
+    committed (:func:`save_cluster` / :func:`save_cluster_delta` /
+    restore), so nothing is re-exported or read back to diff.
+    ``directory`` must be a *sibling* of the base (the manifest's
+    ``base`` link is a directory name).
 
     Same atomicity discipline as a full save: invalidate first, commit
-    the manifest last.  The base record only advances after the manifest
-    commits, so a crashed delta save can be retried into the same
-    directory against the unchanged base.
+    the manifest last.  The tiers' marks and the chain link only advance
+    after the manifest commits, so a crashed delta save can be retried
+    into the same directory against the unchanged base.
     """
     _require_boundary(cluster)
     base = getattr(cluster, "_ckpt_base", None)
@@ -376,8 +377,6 @@ def save_cluster_delta(
             f"base snapshot at {base['directory']!r} changed on disk since "
             "it was recorded — take a full checkpoint"
         )
-    if dirty_keys is not None and len(dirty_keys) != cluster.n_nodes:
-        raise ValueError("dirty_keys must list one key array per node")
 
     os.makedirs(directory, exist_ok=True)
     fmt.invalidate(directory)
@@ -387,22 +386,13 @@ def save_cluster_delta(
     shards[DENSE_SHARD] = digest
 
     node_bytes: list[int] = []
-    node_states: list[dict] = []
     for node in cluster.nodes:
-        tiers = node.tier_states()  # current full state — the next base
-        deltas = node.tier_deltas(
-            base["node_states"][node.node_id],
-            dirty_keys=(
-                dirty_keys[node.node_id] if dirty_keys is not None else None
-            ),
-        )
         name = node_shard_name(node.node_id)
         nbytes, digest = _write_shard(
-            directory, name, _node_shard_arrays(node, deltas)
+            directory, name, _node_shard_arrays(node, node.tier_deltas())
         )
         shards[name] = digest
         node_bytes.append(nbytes)
-        node_states.append(tiers)
 
     payload = _config_payload(cluster)
     manifest = {
@@ -417,7 +407,7 @@ def save_cluster_delta(
         "shards": shards,
     }
     manifest_bytes = fmt.write_manifest(directory, manifest)
-    _record_base(cluster, directory, node_states)
+    _record_base(cluster, directory)
 
     per_node, ser_s, xfer_s, makespan = _overlap_snapshot_cost(
         cluster, node_bytes, dense_bytes, manifest_bytes
@@ -591,9 +581,9 @@ def restore_cluster(
         per_node_seconds=tuple(per_node),
         kind=manifest.get("kind", "full"),
     )
-    # The restored state *is* the newest snapshot — record it as the
-    # next delta's base so a resumed run keeps chaining.
-    _record_base(cluster, newest_dir, [n.tier_states() for n in cluster.nodes])
+    # The restored state *is* the newest snapshot — mark it as the next
+    # delta's base so a resumed run keeps chaining.
+    _record_base(cluster, newest_dir)
     return cluster
 
 
@@ -648,6 +638,9 @@ def restore_node(cluster, directory: str, node_id: int) -> CheckpointStats:
             node.load_tier_deltas(_split_tier_arrays(arrays))
         own_bytes += os.path.getsize(path)
     _load_node_counters(node, arrays)
+    # The replacement now holds the snapshot; the survivors sit at its
+    # boundary (checked above), so their marks stand as they are.
+    node.mark_snapshot()
 
     dense_bytes = os.path.getsize(dense_path)
     manifest_bytes = sum(
@@ -661,9 +654,10 @@ def restore_node(cluster, directory: str, node_id: int) -> CheckpointStats:
     for n in cluster.nodes:
         n.mem_ps.peers = peers
 
-    # The in-memory delta base stays valid only if it records exactly
-    # the chain we just restored from; otherwise the next delta would
-    # diff the replacement against a different snapshot.
+    # The chain link stays valid only if it records exactly the chain we
+    # just restored from; otherwise the survivors' marks and the
+    # replacement's belong to different snapshots and the next save must
+    # be full.
     base = getattr(cluster, "_ckpt_base", None)
     if base is not None and base["manifest_sha256"] != fmt.manifest_sha256(
         newest_dir

@@ -62,7 +62,7 @@ from repro.core.node import HPSNode
 from repro.core.pipeline import PipelineSchedule
 from repro.nn.optim import DenseAdagrad, SparseAdagrad, SparseOptimizer
 from repro.plan import RoundPlan, build_round_plan
-from repro.utils.keys import as_keys, compact_unique
+from repro.utils.keys import as_keys
 
 if TYPE_CHECKING:
     from repro.ckpt.checkpoint import CheckpointStats
@@ -113,7 +113,9 @@ class StageSpec:
 #: streams plus the incident log) every armed stage may advance; the
 #: cache-touching stages additionally *read* ``ckpt`` because an
 #: exhausted SSD read quarantines by re-materializing the payload from
-#: the newest checkpoint chain (:mod:`repro.faults.inject`).
+#: the newest checkpoint chain (:mod:`repro.faults.inject`).  The
+#: snapshot stage's only write to ``mem`` / ``ssd`` is the delta mark
+#: each tier takes once the manifest has committed (``mark_snapshot``).
 STAGE_EFFECTS: dict[str, tuple[frozenset[str], frozenset[str]]] = {
     "read": (
         frozenset(),
@@ -136,8 +138,8 @@ STAGE_EFFECTS: dict[str, tuple[frozenset[str], frozenset[str]]] = {
         frozenset({"mem", "ssd", "hbm", "model", "ledger", "stats", "fault"}),
     ),
     "snapshot": (
-        frozenset({"mem", "ssd", "hbm", "model", "stats", "stream"}),
-        frozenset({"ckpt", "ledger", "fault"}),
+        frozenset({"hbm", "model", "stats", "stream"}),
+        frozenset({"mem", "ssd", "ckpt", "ledger", "fault"}),
     ),
 }
 
@@ -203,7 +205,8 @@ SNAPSHOT_OVERLAP_CONTRACTS: tuple[OverlapContract, ...] = (
         "prefetch",
         "snapshot",
         frozenset({"mem", "ssd", "ckpt"}),
-        "snapshot(b) exports the MEM/SSD state before prefetch(b+1) "
+        "snapshot(b) exports the MEM/SSD state, and takes each tier's "
+        "delta mark once its manifest commits, before prefetch(b+1) "
         "executes (canonical order); the clock-only overlap is the "
         "pipeline shadow the snapshot stage exists to exploit — and any "
         "quarantine re-read prefetch(b+1) performs resolves the "
@@ -213,9 +216,9 @@ SNAPSHOT_OVERLAP_CONTRACTS: tuple[OverlapContract, ...] = (
         "prepare",
         "snapshot",
         frozenset({"mem", "ssd", "ckpt"}),
-        "as for prefetch: the export completes before prepare(b+1) "
-        "mutates cache state (or re-reads the committed chain) in "
-        "execution order",
+        "as for prefetch: the export and the delta mark complete before "
+        "prepare(b+1) mutates cache state (or re-reads the committed "
+        "chain) in execution order",
     ),
     OverlapContract(
         "load",
@@ -229,7 +232,8 @@ SNAPSHOT_OVERLAP_CONTRACTS: tuple[OverlapContract, ...] = (
         "snapshot",
         frozenset({"mem", "ssd", "hbm", "model", "stats", "ckpt"}),
         "snapshot(b) runs between train(b) and train(b+1) in canonical "
-        "order, so the exported state is exactly round b's boundary "
+        "order, so the exported state — and the delta mark the tiers "
+        "take when the manifest commits — is exactly round b's boundary "
         "state (PR 7 asserts lockstep and pipelined snapshot histories "
         "bit-identical); train(b+1)'s quarantine re-reads see only "
         "committed manifests for the same reason",
@@ -442,10 +446,11 @@ class HPSCluster:
         #: Cost accounting of the restore that produced this cluster
         #: (set by :meth:`restore`; None for a freshly built cluster).
         self.restore_stats = None
-        #: In-memory record of the last committed snapshot — the diff
-        #: source for delta checkpoints: ``{directory, rounds,
-        #: manifest_sha256, node_states}``.  Maintained by
-        #: :mod:`repro.ckpt.checkpoint`; None until a full save/restore.
+        #: The chain link to the last committed snapshot — what a delta
+        #: checkpoint names as its base: ``{directory, rounds,
+        #: manifest_sha256}`` (the tiers hold the diff bases themselves).
+        #: Maintained by :mod:`repro.ckpt.checkpoint`; None until a full
+        #: save/restore.
         self._ckpt_base = None
         #: wrapped spec → original spec, held while :meth:`wrap_stages`
         #: instrumentation is installed (None = not wrapped)
@@ -1058,11 +1063,7 @@ class HPSCluster:
     # Checkpoint / restore (repro.ckpt)
     # ------------------------------------------------------------------
     def save_checkpoint(
-        self,
-        directory: str,
-        *,
-        mode: str = "full",
-        dirty_keys: list[np.ndarray] | None = None,
+        self, directory: str, *, mode: str = "full"
     ) -> "CheckpointStats":
         """Materialize a crash-consistent snapshot into ``directory``.
 
@@ -1077,10 +1078,9 @@ class HPSCluster:
         ``mode`` selects the snapshot form: ``"full"`` (self-contained),
         ``"delta"`` (only state changed since the last snapshot, chained
         to it — requires a prior save/restore this process), or
-        ``"auto"`` (delta when a valid base exists, else full).
-        ``dirty_keys`` optionally narrows the delta's MEM cache diff to
-        the given per-node key arrays (see
-        :func:`~repro.ckpt.checkpoint.save_cluster_delta`).
+        ``"auto"`` (delta when a valid base exists, else full).  Every
+        tier tracks what it wrote since the last committed snapshot, so
+        a delta is exact whoever took that snapshot and whenever.
         """
         from repro.ckpt import checkpoint as ckpt
 
@@ -1089,7 +1089,7 @@ class HPSCluster:
         if mode == "full":
             return ckpt.save_cluster(self, directory)
         if mode == "delta":
-            return ckpt.save_cluster_delta(self, directory, dirty_keys=dirty_keys)
+            return ckpt.save_cluster_delta(self, directory)
         raise ValueError(f"unknown checkpoint mode {mode!r}")
 
     def restore_node(self, directory: str, node_id: int) -> "CheckpointStats":
@@ -1120,12 +1120,12 @@ class HPSCluster:
         path.  Every ``every`` rounds it saves
         ``<directory>/round_<NNNNNN>`` — a delta chained to the previous
         snapshot (the first save, and every ``full_every``-th thereafter
-        when set, is full).  The delta's MEM dirty-key set is
-        accumulated from each round's plan
-        (:meth:`~repro.plan.RoundPlan.dirty_keys_of`) — no
-        re-partitioning, no slab comparison.  With ``keep_last`` set, the retention
-        ladder (:func:`~repro.ckpt.format.prune_checkpoints`) runs after
-        each save; it is delta-chain-aware, so a base referenced by a
+        when set, is full).  The stage keeps no write set of its own:
+        each tier carries its delta base, so registering the stage late,
+        or around other saves, ships exactly what changed.  With
+        ``keep_last`` set, the retention ladder
+        (:func:`~repro.ckpt.format.prune_checkpoints`) runs after each
+        save; it is delta-chain-aware, so a base referenced by a
         surviving delta is never dropped.
 
         Returns the stage function (``unregister_stage("snapshot")``
@@ -1143,17 +1143,9 @@ class HPSCluster:
         if full_every is not None and full_every < 1:
             raise ValueError("full_every must be >= 1")
         os.makedirs(directory, exist_ok=True)
-        state: dict[str, Any] = {
-            "dirty": [[] for _ in range(self.n_nodes)],
-            "since_full": 0,
-        }
+        state = {"since_full": 0}
 
         def stage_snapshot(ctx: RoundContext) -> float:
-            # Accumulate the round's MEM write set straight from the plan
-            # (write-back local partition + owner-queue applies).
-            plan = self._plan_of(ctx)
-            for i in range(self.n_nodes):
-                state["dirty"][i].append(plan.dirty_keys_of(i))
             if self.rounds_completed % every:
                 return 0.0
             target = os.path.join(
@@ -1166,17 +1158,8 @@ class HPSCluster:
                 stats = self.save_checkpoint(target, mode="full")
                 state["since_full"] = 0
             else:
-                dirty = [
-                    compact_unique(np.concatenate(parts))
-                    if parts
-                    else as_keys([])
-                    for parts in state["dirty"]
-                ]
-                stats = self.save_checkpoint(
-                    target, mode="delta", dirty_keys=dirty
-                )
+                stats = self.save_checkpoint(target, mode="delta")
                 state["since_full"] += 1
-            state["dirty"] = [[] for _ in range(self.n_nodes)]
             stage_snapshot.history.append(stats)  # type: ignore[attr-defined]
             if keep_last is not None:
                 prune_checkpoints(

@@ -104,8 +104,9 @@ class HPSNode:
         return self.config.gpus_per_node
 
     # ------------------------------------------------------------------
-    # Checkpoint protocol: every storage tier exposes the same
-    # export/load pair in both full and delta form; the node drives them
+    # Checkpoint protocol: every storage tier exposes the same verbs —
+    # export_state / export_delta / mark_snapshot / load_state /
+    # load_delta — and keeps its own delta base; the node drives them
     # uniformly so the checkpoint writer never reaches into tiers.
     # ------------------------------------------------------------------
     TIERS = ("mem", "ssd", "hbm")
@@ -118,20 +119,24 @@ class HPSNode:
             "hbm": self.hbm_ps.export_state(),
         }
 
-    def tier_deltas(
-        self, base: dict[str, dict], *, dirty_keys: np.ndarray | None = None
-    ) -> dict[str, dict]:
-        """Per-tier diffs against a prior :meth:`tier_states` snapshot.
-
-        ``dirty_keys`` (optional) is the union of keys this node's MEM
-        tier wrote since the base — when provided, the cache diff selects
-        changed rows by membership instead of comparing value slabs.
-        """
+    def tier_deltas(self) -> dict[str, dict]:
+        """Per-tier diffs against the snapshot last marked
+        (:meth:`mark_snapshot`); an unmarked tier raises
+        :class:`~repro.errors.TierStateError`."""
         return {
-            "mem": self.mem_ps.export_delta(base["mem"], dirty_keys=dirty_keys),
-            "ssd": self.ssd_ps.export_delta(base["ssd"]),
-            "hbm": self.hbm_ps.export_delta(base["hbm"]),
+            "mem": self.mem_ps.export_delta(),
+            "ssd": self.ssd_ps.export_delta(),
+            "hbm": self.hbm_ps.export_delta(),
         }
+
+    def mark_snapshot(self) -> None:
+        """Every tier's state as of now is a committed snapshot — the
+        base the next :meth:`tier_deltas` diffs against.  The checkpoint
+        writer calls this after a manifest commits, the reader once a
+        chain has loaded; an export never does."""
+        self.mem_ps.mark_snapshot()
+        self.ssd_ps.mark_snapshot()
+        self.hbm_ps.mark_snapshot()
 
     def load_tier_states(self, tiers: dict[str, dict]) -> None:
         """Restore every tier from a :meth:`tier_states` snapshot."""

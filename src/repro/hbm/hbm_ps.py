@@ -254,10 +254,11 @@ class HBMPS:
     # write-back (``dump`` + ``MemPS.absorb_updates``) pulls the values
     # back down, so between rounds the staged array is a
     # non-authoritative shadow (the next ``load_working_set`` replaces it
-    # unconditionally).  The export pair therefore ships nothing — but it
-    # *asserts* the tier is actually quiescent, catching any attempt to
-    # snapshot mid-round, and keeps the per-tier protocol uniform so the
-    # checkpoint writer can drive every tier identically.
+    # unconditionally).  The export pair therefore ships nothing and the
+    # mark remembers nothing — but each *asserts* the tier is actually
+    # quiescent, catching any attempt to snapshot mid-round, and keeps
+    # the per-tier protocol uniform so the checkpoint writer can drive
+    # every tier identically.
     def _require_quiescent(self) -> None:
         if self._staged is not None and self._staged.grad_buf is not None:
             raise TierStateError(
@@ -274,10 +275,14 @@ class HBMPS:
         """Checkpoint hook: restore to the cleared (pre-round) state."""
         self.clear()
 
-    def export_delta(self, base: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    def export_delta(self) -> dict[str, np.ndarray]:
         """Delta hook: same quiescence contract as :meth:`export_state`."""
         self._require_quiescent()
         return {}
+
+    def mark_snapshot(self) -> None:
+        """Snapshot-committed hook: asserts quiescence, remembers nothing."""
+        self._require_quiescent()
 
     def load_delta(self, delta: dict[str, np.ndarray]) -> None:
         """Delta hook: identical to a full load — the tier is transient."""

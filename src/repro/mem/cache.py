@@ -220,6 +220,9 @@ class CombinedCache:
         #: rows the LRU tier may hold (pins live here) / the LFU tier may hold
         self.lru_capacity = max(1, int(capacity * lru_fraction))
         self.lfu_capacity = max(1, capacity - self.lru_capacity)
+        #: whether a committed snapshot stands behind the dirty bits
+        #: (:meth:`mark_snapshot`); survives :meth:`flush_all`, not a load
+        self._marked = False
         self._reset()
 
     def _reset(self) -> None:
@@ -233,6 +236,8 @@ class CombinedCache:
         self._ftick = np.full(rows, _FAR, dtype=np.int64)  # LFU bucket entry
         self._count = np.zeros(rows, dtype=np.int64)
         self._pinned = np.zeros(rows, dtype=bool)
+        #: value written (insert or update) since the last mark_snapshot
+        self._dirty = np.zeros(rows, dtype=bool)
         self._free = np.arange(rows - 1, -1, -1, dtype=np.int64)
         self._n_free = rows
         self.n_lru = 0
@@ -511,6 +516,7 @@ class CombinedCache:
         spilled, landed = new[:n_spilled], new[n_spilled:]
         self._keys[new] = keys
         self._values[new] = vals
+        self._dirty[new] = True
         self._count[new] = 1
         self._freq[spilled] = 1
         self._ftick[spilled] = entry_ticks[stay.size :]
@@ -545,6 +551,7 @@ class CombinedCache:
     def update_rows(self, rows: np.ndarray, values: np.ndarray) -> None:
         """Overwrite values at pinned rows (no metadata changes)."""
         self._values[rows] = np.asarray(values, dtype=np.float32)
+        self._dirty[rows] = True
 
     def values_at(self, rows: np.ndarray) -> np.ndarray:
         """Read values at pinned rows — a pure slab gather, touching
@@ -649,11 +656,14 @@ class CombinedCache:
 
     def load_state(self, state: dict[str, np.ndarray]) -> None:
         """Rebuild both tiers from an :meth:`export_state` snapshot
-        (validated first — a refused snapshot changes nothing)."""
+        (validated first — a refused snapshot changes nothing).  The
+        loaded cache is unmarked: its reader calls :meth:`mark_snapshot`
+        once the whole chain is in."""
         (lru_keys, lru_values, lru_counts), (lfu_keys, lfu_values, lfu_freqs) = (
             self._validated(state)
         )
         self._reset()
+        self._marked = False  # until the checkpoint reader marks it
         # Snapshot order is tick order: fresh ascending ticks preserve
         # every relative comparison the policy makes.
         lru, lfu = self._alloc(lru_keys.size), self._alloc(lfu_keys.size)
@@ -671,78 +681,53 @@ class CombinedCache:
         self.stats.hits = int(state["hits"])
         self.stats.misses = int(state["misses"])
 
-    def export_delta(
-        self,
-        base: dict[str, np.ndarray],
-        *,
-        dirty_keys: np.ndarray | None = None,
-    ) -> dict[str, np.ndarray]:
-        """Diff the cache against a prior :meth:`export_state` snapshot.
+    def export_delta(self) -> dict[str, np.ndarray]:
+        """Diff the cache against the snapshot it was last marked at.
 
         Replacement metadata (key order, access counts, frequencies)
         changes on nearly every access and is cheap — a few int64 per
         resident — so it ships in full.  The bulk of a snapshot is the
         value slab (``value_dim`` float32 per row); the delta ships
-        values only for rows that are new since ``base`` or whose value
-        changed, recorded as positions into the shipped key arrays.
+        values only for the rows written since :meth:`mark_snapshot` —
+        inserted by :meth:`put_batch` or overwritten by
+        :meth:`update_rows`, the only two value writers — recorded as
+        positions into the shipped key arrays.  A promotion or demotion
+        leaves the value where it is, so a row that merely switched
+        tiers ships metadata only.
 
-        With ``dirty_keys`` (the caller's union of keys written since
-        the base — e.g. the plan's local partitions plus owner-queue
-        applications), changed rows are selected by membership instead
-        of comparing slabs.  Both modes treat a key's base value as
-        tier-independent: a promotion or demotion leaves the value where
-        it is, so a row that merely switched tiers ships metadata only.
+        A cache that holds no mark — fresh, or loaded and not yet marked
+        — has nothing to diff against: :class:`TierStateError`.
         """
         self._require_unpinned()
-        base_keys = np.concatenate(
-            [as_keys(base["lru_keys"]), as_keys(base["lfu_keys"])]
-        )
-        base_values = np.concatenate(
-            [
-                np.asarray(base["lru_values"], dtype=np.float32),
-                np.asarray(base["lfu_values"], dtype=np.float32),
-            ],
-            axis=0,
-        )
-        order = np.argsort(base_keys)
-        base_keys, base_values = base_keys[order], base_values[order]
-        if dirty_keys is not None:
-            dirty_keys = np.unique(as_keys(dirty_keys))
-
-        def ship_mask(keys: np.ndarray, values: np.ndarray) -> np.ndarray:
-            pos = base_keys.searchsorted(keys)
-            pos_c = np.minimum(pos, max(0, base_keys.size - 1))
-            in_base = (
-                (base_keys[pos_c] == keys)
-                if base_keys.size
-                else np.zeros(keys.size, dtype=bool)
+        if not self._marked:
+            raise TierStateError(
+                "MEM cache holds no snapshot mark to diff against — "
+                "mark_snapshot() once a full snapshot or a restore commits"
             )
-            ship = ~in_base
-            if dirty_keys is not None:
-                ship |= np.isin(keys, dirty_keys)
-            else:
-                changed = np.zeros(keys.size, dtype=bool)
-                changed[in_base] = np.any(
-                    values[in_base] != base_values[pos_c[in_base]], axis=1
-                )
-                ship |= changed
-            return ship
-
         delta: dict[str, np.ndarray] = {}
         for tier, meta, order_field in (
             ("lru", "lru_counts", self._tick),
             ("lfu", "lfu_freqs", self._ftick),
         ):
             rows = self._tier_rows(order_field)
-            keys, values = self._keys[rows], self._values[rows]
-            ship = ship_mask(keys, values)
-            delta[f"{tier}_keys"] = keys
+            ship = self._dirty[rows]
+            delta[f"{tier}_keys"] = self._keys[rows]
             delta[meta] = self._count[rows]
             delta[f"{tier}_val_idx"] = np.flatnonzero(ship).astype(np.int64)
-            delta[f"{tier}_values"] = values[ship]
+            delta[f"{tier}_values"] = self._values[rows[ship]]
         delta["hits"] = np.int64(self.stats.hits)
         delta["misses"] = np.int64(self.stats.misses)
         return delta
+
+    def mark_snapshot(self) -> None:
+        """The state as of now is a committed snapshot: the next
+        :meth:`export_delta` ships values written from here on.  Called
+        by the checkpoint writer after the manifest commits (or a restore
+        finishes loading) — never by an export, so a save that dies
+        mid-write leaves the mark where it was."""
+        self._require_unpinned()
+        self._dirty[:] = False
+        self._marked = True
 
     def load_delta(self, delta: dict[str, np.ndarray]) -> None:
         """Apply an :meth:`export_delta` diff on top of the base state.
@@ -792,7 +777,9 @@ class CombinedCache:
 
     def flush_all(self) -> tuple[np.ndarray, np.ndarray]:
         """Drain everything (shutdown / checkpoint path): the LRU tier
-        then the LFU tier, each in tick order."""
+        then the LFU tier, each in tick order.  The snapshot mark stands
+        (the committed base is still valid): the emptied cache diffs as
+        full metadata, and whatever comes back in ships its value."""
         rows = np.concatenate(
             [self._tier_rows(self._tick), self._tier_rows(self._ftick)]
         )

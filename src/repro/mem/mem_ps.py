@@ -361,20 +361,21 @@ class MemPS:
         self.cache.load_state(state)
         self._prefetch_plan = None
 
-    def export_delta(
-        self,
-        base: dict[str, np.ndarray],
-        *,
-        dirty_keys: np.ndarray | None = None,
-    ) -> dict[str, np.ndarray]:
-        """Diff the MEM tier against a prior :meth:`export_state`.
+    def export_delta(self) -> dict[str, np.ndarray]:
+        """Diff the MEM tier against the snapshot last marked.
 
         Same round-boundary contract as :meth:`export_state`; the heavy
-        lifting (full metadata, changed-values-only slab) happens in
+        lifting (full metadata, written-values-only slab) happens in
         :meth:`CombinedCache.export_delta`.
         """
         self._require_round_boundary()
-        return self.cache.export_delta(base, dirty_keys=dirty_keys)
+        return self.cache.export_delta()
+
+    def mark_snapshot(self) -> None:
+        """The state as of now is a committed snapshot — the next
+        :meth:`export_delta`'s base.  Round boundaries only."""
+        self._require_round_boundary()
+        self.cache.mark_snapshot()
 
     def load_delta(self, delta: dict[str, np.ndarray]) -> None:
         """Apply an :meth:`export_delta` diff on top of the base state."""

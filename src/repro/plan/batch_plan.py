@@ -160,17 +160,6 @@ class NodePlan:
         """Index array of the locally-owned working keys."""
         return self.node_parts[self.node_id]
 
-    @property
-    def local_keys(self) -> np.ndarray:
-        """The locally-owned working keys themselves (sorted).
-
-        The write-back (``MemPS.absorb_updates``) updates exactly this
-        partition in the node's MEM tier, which makes it the per-round
-        MEM dirty set a delta snapshot ships — reusing the plan's
-        ``node_parts`` split instead of re-partitioning.
-        """
-        return self.keys[self.node_parts[self.node_id]]
-
 
 @dataclass
 class NodePrefetchPlan:
@@ -222,20 +211,6 @@ class RoundPlan:
     @property
     def n_working_keys(self) -> int:
         return int(sum(n.keys.size for n in self.nodes))
-
-    def dirty_keys_of(self, node_id: int) -> np.ndarray:
-        """Keys node ``node_id``'s MEM tier wrote this round (sorted
-        unique): its local working partition (the write-back) plus every
-        sync round's owner-queue keys (the ``missing_own_idx``
-        application path).  Snapshot deltas consume this instead of
-        re-partitioning the round's key sets.
-        """
-        parts = [self.nodes[node_id].local_keys]
-        for sp in self.sync:
-            own = sp.nodes[node_id].missing_own_idx
-            if own.size:
-                parts.append(sp.keys[own])
-        return compact_unique(np.concatenate(parts))
 
 
 def build_round_plan(

@@ -35,6 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.errors import TierStateError
 from repro.faults.errors import PayloadLostError
 from repro.hardware.ledger import CostLedger
 from repro.hardware.specs import SSDSpec
@@ -140,6 +141,10 @@ class FileStore:
         self._mapping = SlotIndex(1024, key_domain=key_domain)
         self._reset_files()
         self._next_file_id = 0
+        #: the delta base (:meth:`mark_snapshot`): ``(next file id, live
+        #: file ids, their stale counters)`` as of the last committed
+        #: snapshot; None until one is marked, and again after a load
+        self._mark: tuple[int, np.ndarray, np.ndarray] | None = None
 
     def _reset_files(self) -> None:
         """Empty slot table and arenas (construction; full-state load)."""
@@ -555,25 +560,31 @@ class FileStore:
         self._pack_extent_cache(out)
         return out
 
-    def export_delta(self, base: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-        """Diff the store against a prior :meth:`export_state` snapshot.
+    def export_delta(self) -> dict[str, np.ndarray]:
+        """Diff the store against the snapshot it was last marked at.
 
         Files are immutable and ids monotone, so the diff is exact and
-        cheap: every file with ``id >= base["next_file_id"]`` is new (its
-        keys/values ship in the same packed layout as the full export);
-        base files absent now were erased by compaction; surviving base
-        files can only have changed their stale counter.  Mapping rows
-        are shipped for exactly the keys appearing in new files — the
-        only operation that repoints the mapping is :meth:`write`, which
-        always lands keys in a new file, so that set covers every
-        changed row.  The extent-cache residency ships in full (it is a
-        handful of ids).
+        cheap: every file with an id at or past the mark's watermark is
+        new (its keys/values ship in the same packed layout as the full
+        export); marked files absent now were erased by compaction;
+        surviving ones can only have changed their stale counter.
+        Mapping rows are shipped for exactly the keys appearing in new
+        files — the only operation that repoints the mapping is
+        :meth:`write`, which always lands keys in a new file, so that
+        set covers every changed row.  The extent-cache residency ships
+        in full (it is a handful of ids).
+
+        A store that holds no mark — fresh, or loaded and not yet marked
+        — has nothing to diff against: :class:`TierStateError`.
         """
-        watermark = int(base["next_file_id"])
+        if self._mark is None:
+            raise TierStateError(
+                "SSD file store holds no snapshot mark to diff against — "
+                "mark_snapshot() once a full snapshot or a restore commits"
+            )
+        watermark, base_fids, base_stale = self._mark
         out = {"base_next_file_id": np.int64(watermark)}
         out.update(self._pack_files(self._live_slots(watermark)))
-        base_fids = np.asarray(base["file_ids"], dtype=np.int64)
-        base_stale = np.asarray(base["file_stale"], dtype=np.int64)
         slots = np.asarray(
             [self._slot_of.get(fid, -1) for fid in base_fids.tolist()],
             dtype=np.int64,
@@ -589,6 +600,20 @@ class FileStore:
         out["next_file_id"] = np.int64(self._next_file_id)
         self._pack_extent_cache(out)
         return out
+
+    def mark_snapshot(self) -> None:
+        """The state as of now is a committed snapshot: remember the
+        file-id watermark and the live files' ids and stale counters —
+        ids, never slots, which a repack moves — for the next
+        :meth:`export_delta` to diff against.  Called after the
+        manifest commits or a restore finishes loading, never by an
+        export."""
+        slots = self._live_slots()
+        self._mark = (
+            self._next_file_id,
+            self._slot_fid[slots],
+            self._slot_stale[slots],
+        )
 
     def _unpack(self, state: dict[str, np.ndarray], what: str) -> tuple:
         """A snapshot's or delta's packed files and mapping rows, fully
@@ -622,8 +647,10 @@ class FileStore:
         return files, _resolve_mapping(map_keys, map_fids, fids, offsets, file_keys, what)
 
     def _install(self, files: tuple, mapping: tuple, next_file_id) -> None:
-        """Append unpacked files and point their mapping rows at them."""
+        """Append unpacked files and point their mapping rows at them
+        (a load: the store is unmarked until its reader marks it)."""
         map_keys, file_index, row = mapping
+        self._mark = None
         slots = self._append_files(*files)
         self._mapping.set(map_keys, slots[file_index] * self.file_capacity + row)
         self._next_file_id = int(next_file_id)

@@ -175,14 +175,19 @@ class SSDPS:
         self.store.load_state(state)
         self._load_counters(state)
 
-    def export_delta(self, base: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-        """Diff against a prior :meth:`export_state` snapshot.
+    def export_delta(self) -> dict[str, np.ndarray]:
+        """Diff against the snapshot last marked.
 
         The file store diffs exactly (immutable files, monotone ids);
         the facade's running counters are scalars, so they ship in full
         with every delta.
         """
-        return self._with_counters(self.store.export_delta(base))
+        return self._with_counters(self.store.export_delta())
+
+    def mark_snapshot(self) -> None:
+        """The state as of now is a committed snapshot — the next
+        :meth:`export_delta`'s base."""
+        self.store.mark_snapshot()
 
     def load_delta(self, delta: dict[str, np.ndarray]) -> None:
         """Apply an :meth:`export_delta` diff on top of the base state."""

@@ -15,8 +15,8 @@ import os
 __all__ = ["atomic_write_bytes"]
 
 
-def atomic_write_bytes(path: str, data: bytes) -> None:
-    """Durably write ``data`` to ``path``; all-or-nothing.
+def atomic_write_bytes(path: str, data: bytes | bytearray | memoryview) -> None:
+    """Durably write ``data`` (any bytes-like) to ``path``; all-or-nothing.
 
     The final name either keeps its previous contents or holds ``data``
     in full — never a truncated intermediate.  The temp file is removed

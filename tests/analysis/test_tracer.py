@@ -96,6 +96,26 @@ class TestViolations:
         with pytest.raises(EffectViolationError, match="undeclared write"):
             tracer.verify()
 
+    @pytest.mark.parametrize("resource", ["mem", "ssd"])
+    def test_the_snapshot_stage_marks_the_tiers_it_declares(
+        self, tiny_spec, small_config, tmp_path, resource
+    ):
+        """``mark_snapshot`` after the manifest commits is a write of
+        ``mem`` and ``ssd``; the transient HBM tier's mark is a read."""
+        cluster = _build(tiny_spec, small_config)
+        cluster.enable_snapshot_stage(str(tmp_path / "ckpt"))
+        _strip_effect(cluster, "snapshot", resource)
+        tracer = EffectTracer(cluster).install()
+        try:
+            cluster.train_round()
+        finally:
+            tracer.uninstall()
+        assert {(v.stage, v.resource, v.member) for v in tracer.violations} == {
+            ("snapshot", resource, "export_state"),
+            ("snapshot", resource, "mark_snapshot"),
+        }
+        assert [v.access for v in tracer.violations] == ["read", "write"]
+
     def test_context_manager_raises_on_exit(self, tiny_spec, small_config):
         cluster = _build(tiny_spec, small_config)
         _strip_effect(cluster, "prepare", "mem")

@@ -21,6 +21,13 @@ Three layers, all test-only:
   snapshot.  ``tests/mem/test_cache_traffic.py`` drives it from
   a hypothesis state machine, ``tests/mem/test_admission_stress.py``
   from seeded random streams.
+
+:func:`oracle_cache_delta` is the base-diffing delta export the cache
+shipped before each tier carried its own delta base (row-dirty bits
+since ``mark_snapshot``): it diffs against a *retained full export*, by
+comparing value slabs or by membership in a caller-supplied write set.
+Production must equal the second where the write set is exact and always
+cover the first.
 """
 
 from __future__ import annotations
@@ -40,6 +47,8 @@ __all__ = [
     "ShadowedCombinedCache",
     "shadow_caches",
     "CacheTraffic",
+    "oracle_cache_delta",
+    "assert_delta_matches_oracle",
 ]
 
 
@@ -505,6 +514,105 @@ def shadow_caches(cluster) -> None:
         cache._new_ref()
 
 
+def oracle_cache_delta(
+    cache: CombinedCache,
+    base: dict[str, np.ndarray],
+    *,
+    dirty_keys: np.ndarray | None = None,
+) -> dict[str, np.ndarray]:
+    """``cache``'s delta against ``base``, a prior ``export_state()``.
+
+    Metadata ships in full; values ship for keys absent from the base
+    and for those that changed — with ``dirty_keys`` (the union of keys
+    written since the base) selected by membership, without it by
+    comparing against the base's value slab.  Both treat a key's base
+    value as tier-independent (a promotion or demotion moves no value).
+    """
+    base_keys = np.concatenate(
+        [as_keys(base["lru_keys"]), as_keys(base["lfu_keys"])]
+    )
+    base_values = np.concatenate(
+        [
+            np.asarray(base["lru_values"], dtype=np.float32),
+            np.asarray(base["lfu_values"], dtype=np.float32),
+        ],
+        axis=0,
+    )
+    order = np.argsort(base_keys)
+    base_keys, base_values = base_keys[order], base_values[order]
+    if dirty_keys is not None:
+        dirty_keys = np.unique(as_keys(dirty_keys))
+
+    def ship_mask(keys: np.ndarray, values: np.ndarray) -> np.ndarray:
+        pos = base_keys.searchsorted(keys)
+        pos_c = np.minimum(pos, max(0, base_keys.size - 1))
+        in_base = (
+            (base_keys[pos_c] == keys)
+            if base_keys.size
+            else np.zeros(keys.size, dtype=bool)
+        )
+        ship = ~in_base
+        if dirty_keys is not None:
+            ship |= np.isin(keys, dirty_keys)
+        else:
+            changed = np.zeros(keys.size, dtype=bool)
+            changed[in_base] = np.any(
+                values[in_base] != base_values[pos_c[in_base]], axis=1
+            )
+            ship |= changed
+        return ship
+
+    delta: dict[str, np.ndarray] = {}
+    for tier, meta, order_field in (
+        ("lru", "lru_counts", cache._tick),
+        ("lfu", "lfu_freqs", cache._ftick),
+    ):
+        rows = cache._tier_rows(order_field)
+        keys, values = cache._keys[rows], cache._values[rows]
+        ship = ship_mask(keys, values)
+        delta[f"{tier}_keys"] = keys
+        delta[meta] = cache._count[rows]
+        delta[f"{tier}_val_idx"] = np.flatnonzero(ship).astype(np.int64)
+        delta[f"{tier}_values"] = values[ship]
+    delta["hits"] = np.int64(cache.stats.hits)
+    delta["misses"] = np.int64(cache.stats.misses)
+    return delta
+
+
+def assert_delta_matches_oracle(
+    cache: CombinedCache,
+    delta: dict[str, np.ndarray],
+    base: dict[str, np.ndarray],
+    *,
+    written: np.ndarray | None = None,
+) -> None:
+    """``delta`` (production's ``export_delta()``) against the oracle
+    diffing ``base``, the full export retained when the mark was taken.
+
+    Always sound: every key absent from the base and every row whose
+    value differs from it is shipped, and what is shipped is the row's
+    current value.  With ``written`` — the exact set of keys inserted or
+    written since the mark — array for array what the oracle ships.
+    """
+    by_value = oracle_cache_delta(cache, base)
+    assert set(delta) == set(by_value)
+    for tier in ("lru", "lfu"):
+        shipped = delta[f"{tier}_val_idx"]
+        assert np.isin(by_value[f"{tier}_val_idx"], shipped).all(), (
+            f"{tier}: a changed or new row was not shipped"
+        )
+        rows = cache._index.get(delta[f"{tier}_keys"][shipped])[0]
+        assert np.array_equal(delta[f"{tier}_values"], cache._values[rows])
+    for name in ("lru_keys", "lru_counts", "lfu_keys", "lfu_freqs", "hits", "misses"):
+        assert np.array_equal(delta[name], by_value[name]), name
+    if written is not None:
+        exact = oracle_cache_delta(cache, base, dirty_keys=written)
+        assert list(delta) == list(exact)
+        for name, value in exact.items():
+            assert np.array_equal(delta[name], value), name
+            assert delta[name].dtype == value.dtype, name
+
+
 class CacheTraffic:
     """``MemPS``'s verbs on a small shadowed cache over a dict "SSD".
 
@@ -535,6 +643,9 @@ class CacheTraffic:
         self.truth: dict[int, np.ndarray] = {}
         #: the in-flight round's (keys, rows); None at a round boundary
         self.in_flight: tuple[np.ndarray, np.ndarray] | None = None
+        #: the full export retained at the last ``mark_snapshot`` (what
+        #: the oracle diffs against) and every key inserted or written
+        #: since — the cache's exact write set
         self.base: dict | None = None
         self.dirty: set[int] = set()
         self.writes = 0
@@ -574,6 +685,7 @@ class CacheTraffic:
             )
             fk, fv, rows[~hit] = cache.put_batch(miss, vals, pin=True)
             self._persist(fk, fv)
+            self.dirty.update(miss.tolist())
         served = cache.values_at(rows)
         for k, v in zip(keys.tolist(), served):
             assert np.array_equal(v, self.truth.get(k, self._init_value(k))), (
@@ -620,31 +732,68 @@ class CacheTraffic:
         )
         fk, fv, _ = self.cache.put_batch(keys, vals)
         self._persist(fk, fv)
+        self.dirty.update(keys.tolist())
 
     def snapshot_roundtrip(self) -> None:
         """Full checkpoint → restore into a fresh cache, which takes
-        over (its future evictions must be the original's)."""
+        over (its future evictions must be the original's) and — as a
+        restore does once the chain is in — marks what it loaded."""
         state = self.cache.export_state()
         restored = self.make()
         restored.load_state(state)
+        self.assert_unmarked(restored)
         self._adopt(restored)
+        self.take_base()
 
     def take_base(self) -> None:
-        """Start a delta chain: remember a full snapshot."""
+        """Start a delta chain: retain a full export for the oracle and
+        mark the cache at it."""
         self.base = self.cache.export_state()
+        self.cache.mark_snapshot()
         self.dirty.clear()
 
-    def delta_roundtrip(self, *, by_dirty_keys: bool) -> None:
-        """Delta snapshot against the base → apply on a cache holding
-        the base → it takes over and becomes the next base."""
+    def delta_roundtrip(self) -> None:
+        """Delta snapshot since the mark → checked against the oracle's
+        diff of the retained base → applied on a cache holding the base
+        → it takes over and becomes the next base."""
         assert self.base is not None
-        dirty = as_keys(sorted(self.dirty)) if by_dirty_keys else None
-        delta = self.cache.export_delta(self.base, dirty_keys=dirty)
+        delta = self.cache.export_delta()
+        assert_delta_matches_oracle(
+            self.cache, delta, self.base, written=as_keys(sorted(self.dirty))
+        )
         restored = self.make()
         restored.load_state(self.base)
         restored.load_delta(delta)
+        self.assert_unmarked(restored)
         self._adopt(restored)
         self.take_base()
+
+    def assert_unmarked(self, cache: CombinedCache) -> None:
+        """A cache with no mark (fresh, or loaded and not yet marked)
+        refuses to diff, and the refusal changes nothing."""
+        before = cache.export_state()
+        try:
+            cache.export_delta()
+        except TierStateError as err:
+            assert "mark" in str(err)
+        else:
+            raise AssertionError("an unmarked cache exported a delta")
+        after = cache.export_state()
+        assert all(np.array_equal(before[k], after[k]) for k in before)
+
+    def mark_mid_round(self) -> None:
+        """``mark_snapshot`` with the round's pins held is refused like
+        ``export_state``, dirty bits and mark untouched."""
+        assert not self.at_boundary and self.cache.pinned_count()
+        dirty, marked = self.cache._dirty.copy(), self.cache._marked
+        try:
+            self.cache.mark_snapshot()
+        except TierStateError as err:
+            assert "pinned" in str(err)
+        else:
+            raise AssertionError("marked a snapshot mid-round")
+        assert np.array_equal(self.cache._dirty, dirty)
+        assert self.cache._marked == marked
 
     def _adopt(self, restored: ShadowedCombinedCache) -> None:
         want = self.cache.export_state()

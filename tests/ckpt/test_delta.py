@@ -13,14 +13,19 @@ cluster.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
+import os
 
 import numpy as np
 import pytest
 
+from cache_oracles import assert_delta_matches_oracle, oracle_cache_delta
 from repro.ckpt import checkpoint as ckpt
 from repro.ckpt import format as fmt
 from repro.ckpt.format import CheckpointError
-from repro.core.cluster import HPSCluster
+from repro.core.cluster import HPSCluster, RoundContext
+from repro.errors import TierStateError
+from ssd_oracles import ReferenceFileStore
 
 
 @pytest.fixture
@@ -28,6 +33,16 @@ def pressured(small_config):
     # MEM tier small enough that evictions spill real state to the SSD
     # store — every tier's delta hook carries payload, not just MEM's.
     return dataclasses.replace(small_config, mem_capacity_params=1_400)
+
+
+#: content digests (:func:`shard_content_digest`) of ``node_0000.npz`` /
+#: ``node_0001.npz`` of ``round_000006`` in
+#: ``test_second_delta_of_a_stage_chain_is_pinned``, recorded on the
+#: commit before the tiers carried their own delta bases
+PINNED_SECOND_DELTA = [
+    "6c23c07732bedbcb9a0f08be024e9a46574f555cd3ad7b3ae0ecefd16d8a58d7",
+    "61a55f5292445039a731fcf1c78060991a59624b501c7c0f05946c86eec72ac4",
+]
 
 
 def build(tiny_spec, config, **kwargs):
@@ -48,6 +63,30 @@ def assert_cluster_parity(a: HPSCluster, b: HPSCluster) -> None:
     assert a.evaluate_auc(eval_batch) == b.evaluate_auc(eval_batch)
 
 
+def wrong_rows(a: HPSCluster, b: HPSCluster) -> int:
+    """Probed embedding rows on which two clusters disagree."""
+    probe = a.generator.batch(10_000, 1024).unique_keys()
+    differs = a.lookup_embeddings(probe) != b.lookup_embeddings(probe)
+    return int(np.any(differs, axis=1).sum())
+
+
+def shard_digests(directory) -> dict[str, str]:
+    """The committed SHA-256 of every shard of one snapshot."""
+    return dict(fmt.read_manifest(str(directory))["shards"])
+
+
+def shard_content_digest(path) -> str:
+    """SHA-256 over a shard's arrays — names, dtypes, shapes and bytes,
+    in file order — so the pin survives a change of zip container."""
+    h = hashlib.sha256()
+    with np.load(str(path)) as z:
+        for name in z.files:
+            a = np.ascontiguousarray(z[name])
+            h.update(f"{name}|{a.dtype.str}|{a.shape}|".encode())
+            h.update(a.tobytes())
+    return h.hexdigest()
+
+
 def assert_deep_state_parity(a: HPSCluster, b: HPSCluster) -> None:
     """Replacement metadata and SSD layout match, not just values."""
     for na, nb in zip(a.nodes, b.nodes):
@@ -62,21 +101,23 @@ def assert_deep_state_parity(a: HPSCluster, b: HPSCluster) -> None:
 # Tier-level export_delta / load_delta round-trips
 # ----------------------------------------------------------------------
 class TestTierDeltaRoundTrip:
-    """base + export_delta(base) replayed onto base == current state,
-    for every tier that implements the protocol."""
+    """base + export_delta() since the mark replayed onto base ==
+    current state, for every tier that implements the protocol."""
 
     @pytest.mark.parametrize("tier", ["mem_ps", "ssd_ps", "hbm_ps"])
     def test_round_trip(self, tiny_spec, pressured, tmp_path, tier):
         trained = build(tiny_spec, pressured)
         trained.train(7)
         bases = [getattr(n, tier).export_state() for n in trained.nodes]
+        for node in trained.nodes:
+            getattr(node, tier).mark_snapshot()
         trained.train(3)
 
         fresh = build(tiny_spec, pressured)
         for node, fresh_node, base in zip(
             trained.nodes, fresh.nodes, bases
         ):
-            delta = getattr(node, tier).export_delta(base)
+            delta = getattr(node, tier).export_delta()
             getattr(fresh_node, tier).load_state(
                 {k: v.copy() for k, v in base.items()}
             )
@@ -92,9 +133,9 @@ class TestTierDeltaRoundTrip:
     ):
         trained = build(tiny_spec, pressured)
         trained.train(10)
-        base = trained.nodes[0].ssd_ps.export_state()
+        trained.nodes[0].ssd_ps.mark_snapshot()
         trained.train(1)
-        delta = trained.nodes[0].ssd_ps.export_delta(base)
+        delta = trained.nodes[0].ssd_ps.export_delta()
         full = trained.nodes[0].ssd_ps.export_state()
         delta_bytes = sum(v.nbytes for v in delta.values())
         full_bytes = sum(v.nbytes for v in full.values())
@@ -107,7 +148,8 @@ class TestTierDeltaRoundTrip:
             for tier in type(node).TIERS:
                 ps = {"mem": node.mem_ps, "ssd": node.ssd_ps, "hbm": node.hbm_ps}[tier]
                 base = ps.export_state()
-                delta = ps.export_delta(base)
+                ps.mark_snapshot()
+                delta = ps.export_delta()
                 # Against itself a tier ships (at most) fixed-size
                 # bookkeeping, never value payload of the full state.
                 base_bytes = sum(v.nbytes for v in base.values())
@@ -122,6 +164,93 @@ class TestTierDeltaRoundTrip:
                 after = ps.export_state()
                 for key in base:
                     assert np.array_equal(base[key], after[key]), (tier, key)
+
+
+# ----------------------------------------------------------------------
+# Misuse of the mark protocol ends in a typed error
+# ----------------------------------------------------------------------
+class TestMarkProtocolMisuse:
+    @pytest.mark.parametrize(
+        "tier, names", [("mem_ps", "MEM"), ("ssd_ps", "SSD")]
+    )
+    def test_export_delta_without_a_mark_is_a_tier_state_error(
+        self, tiny_spec, pressured, tier, names
+    ):
+        """Freshly constructed, or loaded (full or delta) and not yet
+        marked: the tier has no base — TierStateError naming the tier,
+        state untouched."""
+        trained = build(tiny_spec, pressured)
+        trained.train(7)
+        ps = getattr(trained.nodes[0], tier)
+        before = ps.export_state()
+        with pytest.raises(TierStateError, match=f"{names}.*no snapshot mark"):
+            ps.export_delta()
+        after = ps.export_state()
+        assert all(np.array_equal(before[k], after[k]) for k in before)
+
+        ps.mark_snapshot()
+        trained.train(2)
+        delta = ps.export_delta()
+        holder = getattr(build(tiny_spec, pressured).nodes[0], tier)
+        holder.load_state(before)
+        with pytest.raises(TierStateError, match=names):
+            holder.export_delta()
+        holder.load_delta(delta)
+        with pytest.raises(TierStateError, match=names):
+            holder.export_delta()
+        want, got = ps.export_state(), holder.export_state()
+        assert all(np.array_equal(want[k], got[k]) for k in want)
+        holder.mark_snapshot()
+        assert holder.export_delta()  # marked: now it diffs
+
+    def test_mark_snapshot_mid_round_is_a_tier_state_error(
+        self, tiny_spec, pressured, tmp_path
+    ):
+        """Pins held / a round in flight: the same TierStateError
+        ``export_state`` raises, marks untouched — the delta taken once
+        the round is aborted still covers everything since the base."""
+        cluster = build(tiny_spec, pressured)
+        cluster.train(3)
+        cluster.save_checkpoint(str(tmp_path / "s0"), mode="full")
+        cluster.train(1)
+        ctx = RoundContext(round_index=cluster.rounds_completed)
+        cluster.stage_read(ctx)
+        cluster.stage_prefetch(ctx)
+        for node in cluster.nodes:
+            with pytest.raises(TierStateError, match="round boundary"):
+                node.mem_ps.mark_snapshot()
+            with pytest.raises(TierStateError, match="pinned"):
+                node.mem_ps.cache.mark_snapshot()
+            with pytest.raises(TierStateError, match="round boundary"):
+                node.mark_snapshot()
+        cluster.abort_round()
+        cluster.save_checkpoint(str(tmp_path / "s1"), mode="delta")
+        restored = HPSCluster.restore(str(tmp_path / "s1"))
+        assert wrong_rows(cluster, restored) == 0
+
+    def test_the_mark_survives_a_flush_to_ssd(
+        self, tiny_spec, pressured, tmp_path
+    ):
+        """``flush_to_ssd`` empties the cache but the committed base is
+        still the base: the next delta is valid and chain-restores
+        bit-identically."""
+        cluster = build(tiny_spec, pressured)
+        cluster.train(4)
+        cluster.save_checkpoint(str(tmp_path / "s0"), mode="full")
+        cluster.train(2)
+        for node in cluster.nodes:
+            node.mem_ps.flush_to_ssd()
+            assert len(node.mem_ps.cache) == 0
+        cluster.train(1)
+        stats = cluster.save_checkpoint(str(tmp_path / "s1"), mode="delta")
+        assert stats.kind == "delta"
+        restored = HPSCluster.restore(str(tmp_path / "s1"))
+        assert restored.restore_stats.kind == "delta"
+        assert_cluster_parity(cluster, restored)
+        assert_deep_state_parity(cluster, restored)
+        cluster.train(2)
+        restored.train(2)
+        assert_cluster_parity(cluster, restored)
 
 
 # ----------------------------------------------------------------------
@@ -188,41 +317,149 @@ class TestDeltaChainRestore:
         assert not ckpt.delta_base_valid(cluster, str(other / "d1"))
         assert ckpt.delta_base_valid(cluster, str(tmp_path / "d1"))
 
-    def test_dirty_keys_mode_matches_value_diff_mode(
+    def test_cluster_delta_equals_oracle_delta(
         self, tiny_spec, pressured, tmp_path
     ):
-        """Plan-supplied dirty keys and the value-diff fallback must
-        produce byte-equivalent restored state (the dirty set may
-        over-approximate, never under-approximate)."""
-        planned = build(tiny_spec, pressured)
-        diffed = build(tiny_spec, pressured)
-        planned.train(3)
-        diffed.train(3)
-        planned.save_checkpoint(str(tmp_path / "a" / "base"), mode="full")
-        diffed.save_checkpoint(str(tmp_path / "b" / "base"), mode="full")
+        """The delta a cluster commits is, shard digest for shard
+        digest, the one the base-diffing oracles produce from full
+        exports retained at the base: plan-collected write sets for the
+        MEM tier (the predecessor's ``dirty_keys`` mode), and it covers
+        the value-compare mode's ship set (never under-approximates)."""
+        cluster = build(tiny_spec, pressured)
+        cluster.train(3)
+        cluster.save_checkpoint(str(tmp_path / "base"), mode="full")
+        bases = [n.tier_states() for n in cluster.nodes]
 
-        collected = [[] for _ in range(planned.n_nodes)]
+        collected = [[] for _ in range(cluster.n_nodes)]
 
         def collect(ctx) -> float:
-            for i in range(planned.n_nodes):
-                collected[i].append(ctx.plan.dirty_keys_of(i))
+            # The round's MEM write set straight from its plan: the local
+            # working partition (write-back) plus every sync round's
+            # owner-queue keys.
+            for i, parts in enumerate(collected):
+                node_plan = ctx.plan.nodes[i]
+                parts.append(node_plan.keys[node_plan.local_idx])
+                for sp in ctx.plan.sync:
+                    parts.append(sp.keys[sp.nodes[i].missing_own_idx])
             return 0.0
 
-        planned.register_stage("collect", collect, after="train")
-        planned.train(3)
-        diffed.train(3)
-        dirty = [np.unique(np.concatenate(parts)) for parts in collected]
-        sa = planned.save_checkpoint(
-            str(tmp_path / "a" / "next"), mode="delta", dirty_keys=dirty
-        )
-        sb = diffed.save_checkpoint(str(tmp_path / "b" / "next"), mode="delta")
-        assert sa.kind == sb.kind == "delta"
+        cluster.register_stage("collect", collect, after="train")
+        cluster.train(3)
+        stats = cluster.save_checkpoint(str(tmp_path / "next"), mode="delta")
+        assert stats.kind == "delta"
+        committed = shard_digests(tmp_path / "next")
 
-        ra = HPSCluster.restore(str(tmp_path / "a" / "next"))
-        rb = HPSCluster.restore(str(tmp_path / "b" / "next"))
-        assert_deep_state_parity(ra, rb)
-        assert_cluster_parity(ra, rb)
-        assert_cluster_parity(planned, ra)
+        for node, base, parts in zip(cluster.nodes, bases, collected):
+            with np.load(str(tmp_path / "next" / fmt.node_shard_name(node.node_id))) as z:
+                shipped = {k: z[k] for k in z.files}
+            mem = {k[4:]: v for k, v in shipped.items() if k.startswith("mem_")}
+            written = np.unique(np.concatenate(parts))
+            assert_delta_matches_oracle(
+                node.mem_ps.cache, mem, base["mem"], written=written
+            )
+            # The whole shard, rebuilt from the oracles' diffs of the
+            # retained full exports, hashes to the committed digest.
+            ref = ReferenceFileStore(
+                node.ssd_ps.store.value_dim,
+                node.ssd_ps.store.file_capacity,
+                node.ssd_ps.store.extent_cache.max_files,
+            )
+            ref.load_state(node.ssd_ps.export_state())
+            oracle = {
+                "mem": oracle_cache_delta(
+                    node.mem_ps.cache, base["mem"], dirty_keys=written
+                ),
+                "ssd": node.ssd_ps._with_counters(ref.export_delta(base["ssd"])),
+                "hbm": {},
+            }
+            arrays = ckpt._node_shard_arrays(node, oracle)
+            # The ledger moved on (this save's own ckpt_write): take the
+            # counters the shard committed.
+            for name in ("ledger_categories", "ledger_totals", "ledger_counts"):
+                arrays[name] = shipped[name]
+            _, digest = ckpt._write_shard(str(tmp_path), "oracle.npz", arrays)
+            assert digest == committed[fmt.node_shard_name(node.node_id)]
+
+        restored = HPSCluster.restore(str(tmp_path / "next"))
+        assert_cluster_parity(cluster, restored)
+        assert_deep_state_parity(cluster, restored)
+
+    def test_second_delta_of_a_stage_chain_is_pinned(
+        self, tiny_spec, pressured, tmp_path
+    ):
+        """The node shards of the second delta of a snapshot-stage chain
+        (full @2, deltas @4 @6 @8), pinned to what the base-diffing
+        implementation committed before the tiers carried their own
+        bases — oracle and production cannot drift together."""
+        cluster = build(tiny_spec, pressured)
+        stage = cluster.enable_snapshot_stage(str(tmp_path), every=2)
+        cluster.train_pipelined(8)
+        assert [(s.kind, s.nbytes) for s in stage.history] == [
+            ("full", 98131), ("delta", 128652), ("delta", 141292), ("delta", 163204)
+        ]
+        target = tmp_path / "round_000006"
+        assert [
+            shard_content_digest(target / fmt.node_shard_name(i)) for i in range(2)
+        ] == PINNED_SECOND_DELTA
+
+    def test_snapshot_stage_registered_after_unrecorded_rounds(
+        self, tiny_spec, pressured, tmp_path
+    ):
+        """A stage registered late finds a valid sibling base and opens
+        with a delta — which must cover every round since that base, not
+        just the ones the stage watched.  (It used to ship the plan keys
+        of round 8 alone: every digest valid, 190 of 1 007 probed rows
+        restored wrong.)"""
+        cluster = build(tiny_spec, pressured)
+        cluster.train(4)
+        cluster.save_checkpoint(str(tmp_path / "round_000004"), mode="full")
+        cluster.train(3)
+        stage = cluster.enable_snapshot_stage(str(tmp_path), every=1)
+        cluster.train(1)
+        assert [(s.kind, s.rounds_completed) for s in stage.history] == [("delta", 8)]
+        restored = HPSCluster.restore(fmt.latest_checkpoint(str(tmp_path)))
+        assert wrong_rows(cluster, restored) == 0
+        assert_cluster_parity(cluster, restored)
+        assert_deep_state_parity(cluster, restored)
+
+    def test_snapshot_stage_reenabled_after_unrecorded_rounds(
+        self, tiny_spec, pressured, tmp_path
+    ):
+        """unregister → train → re-enable: same hole, same fix."""
+        cluster = build(tiny_spec, pressured)
+        cluster.enable_snapshot_stage(str(tmp_path), every=1)
+        cluster.train(4)
+        cluster.unregister_stage("snapshot")
+        cluster.train(3)
+        stage = cluster.enable_snapshot_stage(str(tmp_path), every=1)
+        cluster.train(1)
+        assert [(s.kind, s.rounds_completed) for s in stage.history] == [("delta", 8)]
+        restored = HPSCluster.restore(fmt.latest_checkpoint(str(tmp_path)))
+        assert wrong_rows(cluster, restored) == 0
+        assert_deep_state_parity(cluster, restored)
+
+    def test_auto_save_between_two_stage_snapshots(
+        self, tiny_spec, pressured, tmp_path
+    ):
+        """A ``mode="auto"`` save (what the Supervisor takes) lands
+        between two stage snapshots and becomes the chain's base: the
+        stage's next delta diffs against *it*."""
+        cluster = build(tiny_spec, pressured)
+        stage = cluster.enable_snapshot_stage(str(tmp_path), every=2)
+        cluster.train(3)
+        between = cluster.save_checkpoint(
+            str(tmp_path / fmt.checkpoint_dir_name(3)), mode="auto"
+        )
+        cluster.train(1)
+        assert between.kind == "delta"
+        assert [s.kind for s in stage.history] == ["full", "delta"]
+        chain = fmt.resolve_chain(str(tmp_path / "round_000004"))
+        assert [os.path.basename(d) for d, _ in chain] == [
+            "round_000002", "round_000003", "round_000004"
+        ]
+        restored = HPSCluster.restore(str(tmp_path / "round_000004"))
+        assert wrong_rows(cluster, restored) == 0
+        assert_deep_state_parity(cluster, restored)
 
     def test_snapshot_stage_chain_restores_from_pipelined_run(
         self, tiny_spec, pressured, tmp_path
@@ -328,6 +565,35 @@ class TestPartialRestore:
         assert_cluster_parity(twin, cluster)
         assert_deep_state_parity(twin, cluster)
 
+    def test_delta_after_a_partial_restore_ships_what_a_twin_ships(
+        self, tiny_spec, pressured, tmp_path
+    ):
+        """The replacement is marked at the snapshot it loaded and the
+        survivors keep their marks: the next delta is, shard for shard,
+        the one a cluster that never lost a node commits."""
+        clusters = {}
+        for name in ("failed", "twin"):
+            c = clusters[name] = build(tiny_spec, pressured)
+            c.train(2)
+            c.save_checkpoint(str(tmp_path / name / "s0"), mode="full")
+            c.train(2)
+            c.save_checkpoint(str(tmp_path / name / "s1"), mode="delta")
+        failed, twin = clusters["failed"], clusters["twin"]
+        failed.restore_node(str(tmp_path / "failed" / "s1"), 1)
+        # The replacement paid a ckpt_read the twin never did; the cost
+        # history rides in the shard, so level it before comparing.
+        failed.nodes[1].ledger.load_state(twin.nodes[1].ledger.export_state())
+        for name, c in clusters.items():
+            c.train(2)
+            stats = c.save_checkpoint(str(tmp_path / name / "s2"), mode="delta")
+            assert stats.kind == "delta"
+        assert shard_digests(tmp_path / "failed" / "s2") == shard_digests(
+            tmp_path / "twin" / "s2"
+        )
+        restored = HPSCluster.restore(str(tmp_path / "failed" / "s2"))
+        assert_cluster_parity(twin, restored)
+        assert_deep_state_parity(twin, restored)
+
     def test_partial_restore_after_snapshot_stage_run(
         self, tiny_spec, pressured, tmp_path
     ):
@@ -404,7 +670,9 @@ class TestCrashConsistency:
         n-1 writes of a delta save.  Every crash must leave (a) the
         wrecked directory uncommitted and rejected by readers, (b) the
         prior chain member restorable bit-identically, and (c) the
-        failed save retryable into the *same* directory."""
+        failed save retryable into the *same* directory — where it
+        commits exactly the shards an un-killed save commits (the tiers'
+        marks only advance once a manifest has)."""
         total = self._count_writes(tiny_spec, pressured, tmp_path)
         assert total >= 3  # node shards + dense + manifest at minimum
 
@@ -412,6 +680,14 @@ class TestCrashConsistency:
         twin.train(4)
         twin_now = build(tiny_spec, pressured)
         twin_now.train(5)
+        unkilled = build(tiny_spec, pressured)
+        unkilled.train(3)
+        unkilled.save_checkpoint(str(tmp_path / "unkilled" / "s0"), mode="full")
+        unkilled.train(1)
+        unkilled.save_checkpoint(str(tmp_path / "unkilled" / "s1"), mode="delta")
+        unkilled.train(1)
+        unkilled.save_checkpoint(str(tmp_path / "unkilled" / "s2"), mode="delta")
+        want_shards = shard_digests(tmp_path / "unkilled" / "s2")
 
         for budget in range(total):
             root = tmp_path / f"kill{budget}"
@@ -439,6 +715,7 @@ class TestCrashConsistency:
             # ...(c) and retrying the failed save succeeds in place.
             retry = cluster.save_checkpoint(str(root / "s2"), mode="auto")
             assert retry.kind == "delta"
+            assert shard_digests(root / "s2") == want_shards
             now = HPSCluster.restore(str(root / "s2"))
             assert now.rounds_completed == 5
             assert_cluster_parity(twin_now, now)

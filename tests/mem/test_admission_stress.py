@@ -74,7 +74,7 @@ def test_admission_matches_per_key_reference(trial):
             if t.base is None:
                 t.take_base()
             else:
-                t.delta_roundtrip(by_dirty_keys=bool(rng.random() < 0.5))
+                t.delta_roundtrip()
         elif verb == "flush_all":
             t.flush_all()
     if not t.at_boundary:

@@ -362,6 +362,7 @@ class TestLoadValidatesBeforeItMutates:
         target = CombinedCache(16, value_dim=1, key_domain=100)
         put(target, *range(50, 58))
         donor = CombinedCache(16, value_dim=1, key_domain=100)
+        donor.mark_snapshot()  # marked empty: its delta ships every value
         put(donor, *range(1, 13))  # 8 LRU rows, 4 demoted
         look_up(donor, 9, 10)
         return target, donor
@@ -434,8 +435,8 @@ class TestLoadValidatesBeforeItMutates:
         before = target.export_state()
         # A delta against an empty base ships every value, so only the
         # corruption stands between it and the target.
-        empty = CombinedCache(16, value_dim=1).export_state()
-        delta = donor.export_delta(empty)
+        delta = donor.export_delta()
+        assert delta["lru_val_idx"].size + delta["lfu_val_idx"].size == len(donor)
         corrupt(delta)
         with pytest.raises(ValueError, match=match):
             target.load_delta(delta)
@@ -453,7 +454,7 @@ class TestLoadValidatesBeforeItMutates:
     def test_load_delta_checks_its_value_index(self, corrupt, match):
         target, donor = self._caches()
         before = target.export_state()
-        delta = donor.export_delta(CombinedCache(16, value_dim=1).export_state())
+        delta = donor.export_delta()
         corrupt(delta)
         with pytest.raises(ValueError, match=match):
             target.load_delta(delta)

@@ -16,7 +16,11 @@ summing with the free stack to the slab, one index entry per resident —
 on a direct-addressed and on an open-addressed index; the model adds the
 losslessness check (every key always reads back its last written value,
 whatever tiers or SSD round trips it went through), pin count 0 at round
-boundaries, and "a refused resolve leaves the cache untouched".
+boundaries, and "a refused resolve leaves the cache untouched".  Delta
+snapshots go through the tier's own verbs — ``mark_snapshot()`` /
+``export_delta()`` — and every delta is held to the base-diffing oracle
+(``oracle_cache_delta``) over a retained full export; a delta without a
+mark and a mark with pins held must be refused, state untouched.
 """
 
 import numpy as np
@@ -91,9 +95,23 @@ class MemPSTraffic(RuleBasedStateMachine):
         self.t.take_base()
 
     @precondition(lambda self: self.t.at_boundary and self.t.base is not None)
-    @rule(by_dirty_keys=st.booleans())
-    def delta_roundtrip(self, by_dirty_keys):
-        self.t.delta_roundtrip(by_dirty_keys=by_dirty_keys)
+    @rule()
+    def delta_roundtrip(self):
+        """``export_delta()`` since the mark, against the oracle's diff
+        of the retained base: exact, and sound."""
+        self.t.delta_roundtrip()
+
+    @precondition(lambda self: self.t.at_boundary and self.t.base is None)
+    @rule()
+    def delta_without_a_mark(self):
+        self.t.assert_unmarked(self.t.cache)
+
+    @precondition(
+        lambda self: not self.t.at_boundary and self.t.cache.pinned_count()
+    )
+    @rule()
+    def mark_mid_round(self):
+        self.t.mark_mid_round()
 
     @precondition(lambda self: self.t.at_boundary)
     @rule()

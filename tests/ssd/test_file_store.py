@@ -315,10 +315,11 @@ class TestStateSnapshot:
         source = FileStore(2, file_capacity=2)
         source.write(keys_of([1, 2]), vals_of(2))
         base = source.export_state()
+        source.mark_snapshot()
         holder = FileStore(2, file_capacity=2)
         holder.load_state(base)
         source.write(keys_of([5, 6, 7, 8]), vals_of(4, base=20.0))  # files 1, 2
-        delta = source.export_delta(base)
+        delta = source.export_delta()
         assert delta["map_fids"].tolist() == [1, 1, 2, 2]
         delta["map_fids"] = np.array([1, 2, 1, 2], dtype=np.int64)
         with pytest.raises(ValueError, match=r"key 6 to file 2\b"):
@@ -329,5 +330,5 @@ class TestStateSnapshot:
         assert r.found.tolist() == [True, True, False]
         assert np.array_equal(r.values[:2], vals_of(2))
         holder.check_invariants()
-        holder.load_delta(source.export_delta(base))  # the honest delta lands
+        holder.load_delta(source.export_delta())  # the honest delta lands
         assert holder.read(keys_of([5, 8])).found.all()

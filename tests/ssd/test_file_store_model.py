@@ -17,6 +17,7 @@ import shutil
 import tempfile
 
 import numpy as np
+import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (
@@ -26,6 +27,7 @@ from hypothesis.stateful import (
     rule,
 )
 
+from repro.errors import TierStateError
 from repro.faults.policy import FaultArm, RetryPolicy
 from repro.faults.schedule import FaultSchedule
 from repro.ssd.compaction import Compactor
@@ -96,13 +98,18 @@ class FileStoreVsReference(RuleBasedStateMachine):
         return store, ReferenceFileStore(self.dim, self.capacity, self.cache)
 
     def rebase(self):
-        """Snapshot the store; keep a pair of stores holding exactly the
+        """Snapshot the store and mark it there; keep the full export
+        (the oracle's base) and a pair of stores holding exactly the
         snapshot, for the next delta to land on."""
         state = self.store.export_state()
         assert_same_arrays(state, self.ref.export_state())
+        self.store.mark_snapshot()
         holder, holder_ref = self.fresh_pair()
         holder.load_state(state)
         holder_ref.load_state(state)
+        # Loaded, not yet marked: nothing to diff against.
+        with pytest.raises(TierStateError, match="mark"):
+            holder.export_delta()
         self.base = (state, holder, holder_ref)
 
     def teardown(self):
@@ -175,10 +182,13 @@ class FileStoreVsReference(RuleBasedStateMachine):
 
     @rule()
     def restore_from_delta(self):
-        """export_delta -> load_delta onto the base's holder, which then
-        carries on as the live store."""
+        """export_delta (against the store's own mark) -> load_delta
+        onto the base's holder, which then carries on as the live store.
+        A file store's write set is exact — files are immutable, ids
+        monotone — so the delta is array for array what the oracle gets
+        by diffing the retained full export."""
         state, holder, holder_ref = self.base
-        delta = self.store.export_delta(state)
+        delta = self.store.export_delta()
         assert_same_arrays(delta, self.ref.export_delta(state))
         holder.load_delta(delta)
         holder_ref.load_delta(delta)
