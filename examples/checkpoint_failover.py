@@ -1,10 +1,12 @@
 """Checkpoint/restore and failure injection across the three-tier store.
 
-Trains a 2-node deployment with batch-granular snapshots (manifest +
-per-node shards, committed atomically), kills a node mid-run, recovers
-through the paper's restore-and-replay protocol, and verifies that the
-recovered cluster is bit-identical — embeddings, dense tower, and AUC —
-to a run that never failed.
+Trains a 2-node deployment under the fault supervisor with
+batch-granular snapshots (manifest + per-node shards, committed
+atomically; a full snapshot, then deltas), crashes a node mid-run with a
+scripted ``node_crash``, recovers through the paper's
+restore-and-replay protocol, and verifies that the recovered cluster is
+bit-identical — embeddings, dense tower, and AUC — to a run that never
+failed.
 
 Run:  python examples/checkpoint_failover.py
 """
@@ -14,9 +16,9 @@ import tempfile
 import numpy as np
 
 from repro.bench.report import format_table
-from repro.ckpt import FailureInjector
 from repro.config import ClusterConfig, ModelSpec
 from repro.core.cluster import HPSCluster
+from repro.faults import FaultSchedule, Supervisor
 
 N_ROUNDS = 8
 CHECKPOINT_EVERY = 2
@@ -57,29 +59,31 @@ def main() -> None:
         f"Failure run: snapshot every {CHECKPOINT_EVERY} rounds, "
         f"node {KILL_NODE} dies after round {KILL_AFTER_ROUND}.\n"
     )
+    # Node probes run once per round boundary: probe op k fires before
+    # round k, so "dies right after round r" is op r + 1.
+    crash = {("node_crash", KILL_NODE, KILL_AFTER_ROUND + 1): 1}
     with tempfile.TemporaryDirectory() as tmp:
-        injector = FailureInjector(tmp, checkpoint_every=CHECKPOINT_EVERY)
-        recovered, report = injector.run(
-            build(),
-            N_ROUNDS,
-            kill_node=KILL_NODE,
-            kill_after_round=KILL_AFTER_ROUND,
+        run = Supervisor(tmp, checkpoint_every=CHECKPOINT_EVERY).run(
+            build(), N_ROUNDS, FaultSchedule(0, script=crash)
         )
+    recovered = run.cluster
+    (report,) = run.reports
 
     print(
         format_table(
-            ["snapshot @round", "simulated s", "bytes"],
+            ["snapshot @round", "kind", "simulated s", "bytes"],
             [
-                (c.rounds_completed, f"{c.seconds:.6f}", c.nbytes)
-                for c in report.checkpoints
+                (c.rounds_completed, c.kind, f"{c.seconds:.6f}", c.nbytes)
+                for c in run.checkpoints
             ],
         )
     )
     print(
-        f"\nRecovery: restored round-{report.checkpoint_round} snapshot in "
-        f"{report.restore_seconds:.6f}s, replayed {report.rounds_replayed} "
-        f"lost round(s) in {report.replay_seconds:.6f}s "
-        f"(total downtime {report.recovery_seconds:.6f}s)"
+        f"\nRecovery ({report.action}): restored the round-"
+        f"{report.round - report.replay_rounds} snapshot in "
+        f"{run.restore_seconds:.6f}s, replayed {report.replay_rounds} "
+        f"lost round(s) in {run.replay_seconds:.6f}s "
+        f"(total downtime {run.downtime_seconds:.6f}s)"
     )
 
     probe = baseline.generator.batch(10_000, 2048).unique_keys()

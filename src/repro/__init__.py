@@ -13,8 +13,10 @@ Public API highlights
   parameter-server baseline the paper compares against.
 - :mod:`repro.hashing.op_osrp` — the OP+OSRP hashing study of Section 2.
 - :mod:`repro.ckpt` — crash-consistent checkpoint/restore of the
-  three-tier store plus :class:`repro.ckpt.FailureInjector` for
-  kill-and-recover experiments.
+  three-tier store.
+- :class:`repro.faults.Supervisor` — seeded fault schedules (a scripted
+  ``node_crash`` for kill-and-recover experiments) healed by partial or
+  full restore + replay.
 """
 
 from repro.config import PAPER_MODELS, ClusterConfig, ModelSpec, scaled_model

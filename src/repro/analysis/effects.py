@@ -17,7 +17,7 @@ Resources are plain strings.  The cluster's vocabulary:
     the per-node HDFS stream cursor (advanced by the read stage);
 ``mem`` / ``ssd`` / ``hbm``
     the three storage tiers (cache slab + replacement state, file store
-    + extent cache, per-GPU hash tables);
+    + extent cache, the staged HBM working set);
 ``model``
     the dense tower replicas and their optimizer state;
 ``ledger``

@@ -437,17 +437,14 @@ def run_checkpoint_overhead(
     """Checkpoint overhead and failure-recovery cost (paper Section 7).
 
     Trains one cluster straight through as the no-failure baseline, then
-    an identical cluster under the :class:`~repro.ckpt.FailureInjector`
+    an identical cluster under the :class:`~repro.faults.Supervisor`
     (snapshot every ``checkpoint_every`` rounds, node ``kill_node``
-    killed after round ``kill_after_round``).  Reports the snapshot
-    overhead relative to training time, the recovery breakdown (restore
-    + replay), and a bit-exact parity check of the recovered cluster
-    against the run that never failed.
+    crashing right after round ``kill_after_round`` — a scripted
+    ``node_crash``).  Reports the snapshot overhead relative to training
+    time, the recovery breakdown (restore + replay), and a bit-exact
+    parity check of the recovered cluster against the run that never
+    failed.
     """
-    import tempfile
-
-    from repro.ckpt import FailureInjector
-
     spec = spec or functional_model()
     cfg = small_cluster_config(seed=seed)
 
@@ -458,55 +455,66 @@ def run_checkpoint_overhead(
     base_stats = baseline.train(n_rounds)
     train_seconds = sum(sum(s.pipeline_stage_seconds) for s in base_stats)
 
-    with tempfile.TemporaryDirectory() as tmp:
-        injector = FailureInjector(
-            directory or tmp, checkpoint_every=checkpoint_every
-        )
-        recovered, report = injector.run(
-            build(),
-            n_rounds,
-            kill_node=kill_node,
-            kill_after_round=kill_after_round,
-        )
-
-    probe = baseline.generator.batch(10_000, 2048).unique_keys()
-    sparse_equal = bool(
-        np.array_equal(
-            baseline.lookup_embeddings(probe), recovered.lookup_embeddings(probe)
-        )
+    run, crash = _scripted_crash(
+        build(),
+        n_rounds,
+        checkpoint_every=checkpoint_every,
+        kill_node=kill_node,
+        kill_after_round=kill_after_round,
+        directory=directory,
     )
-    dense_equal = all(
-        np.array_equal(a, b)
-        for a, b in zip(
-            baseline.nodes[0].model.dense_state(),
-            recovered.nodes[0].model.dense_state(),
-        )
-    )
+    checkpoints = run.checkpoints
     return {
         "n_rounds": n_rounds,
         "checkpoint_every": checkpoint_every,
         "train_seconds": train_seconds,
-        "n_checkpoints": len(report.checkpoints),
-        "checkpoint_seconds": report.checkpoint_seconds,
+        "n_checkpoints": len(checkpoints),
+        "checkpoint_seconds": run.checkpoint_seconds,
         "checkpoint_serialize_seconds": float(
-            sum(c.serialize_seconds for c in report.checkpoints)
+            sum(c.serialize_seconds for c in checkpoints)
         ),
         "checkpoint_transfer_seconds": float(
-            sum(c.transfer_seconds for c in report.checkpoints)
+            sum(c.transfer_seconds for c in checkpoints)
         ),
-        "checkpoint_bytes": report.checkpoint_nbytes,
+        "checkpoint_bytes": sum(c.nbytes for c in checkpoints),
         "checkpoint_overhead": (
-            report.checkpoint_seconds / train_seconds if train_seconds else 0.0
+            run.checkpoint_seconds / train_seconds if train_seconds else 0.0
         ),
-        "kill_node": report.kill_node,
-        "kill_after_round": report.kill_after_round,
-        "checkpoint_round": report.checkpoint_round,
-        "rounds_replayed": report.rounds_replayed,
-        "restore_seconds": report.restore_seconds,
-        "replay_seconds": report.replay_seconds,
-        "recovery_seconds": report.recovery_seconds,
-        "parameter_parity": sparse_equal and dense_equal,
+        "kill_node": kill_node,
+        "kill_after_round": kill_after_round,
+        "checkpoint_round": crash.round - crash.replay_rounds,
+        "rounds_replayed": crash.replay_rounds,
+        "restore_seconds": run.restore_seconds,
+        "replay_seconds": run.replay_seconds,
+        "recovery_seconds": run.downtime_seconds,
+        "parameter_parity": _parameter_parity(baseline, (run.cluster,)),
     }
+
+
+def _scripted_crash(
+    cluster: HPSCluster,
+    n_rounds: int,
+    *,
+    checkpoint_every: int,
+    kill_node: int,
+    kill_after_round: int,
+    directory: str | None = None,
+):
+    """Supervise ``n_rounds`` of ``cluster`` with one scripted crash of
+    ``kill_node`` right after round ``kill_after_round``; returns the
+    :class:`~repro.faults.SupervisedRun` and the crash's
+    :class:`~repro.faults.FaultReport`."""
+    import tempfile
+
+    from repro.faults import FaultSchedule, Supervisor
+
+    op = kill_after_round + 1 - cluster.rounds_completed
+    schedule = FaultSchedule(0, script={("node_crash", kill_node, op): 1})
+    with tempfile.TemporaryDirectory() as tmp:
+        supervisor = Supervisor(directory or tmp, checkpoint_every=checkpoint_every)
+        run = supervisor.run(cluster, n_rounds, schedule)
+    (crash,) = [r for r in run.reports if r.kind == "node_crash"]
+    return run, crash
 
 
 def _parameter_parity(reference: HPSCluster, others) -> bool:
@@ -540,14 +548,13 @@ def _recovery_scenario(*, n_rounds: int, queue_capacity, seed: int) -> dict:
       next round's read/prepare, so the overhead is what the bottleneck
       stage cannot absorb.  Parameters must be bit-identical to the
       snapshot-free run.
-    * **recovery-downtime** — the :class:`~repro.ckpt.FailureInjector`
-      under delta snapshots, full mode (restore everything + replay)
-      vs partial mode (splice in one replacement node, replay nothing);
-      both recoveries must be bit-identical to a run that never failed.
+    * **recovery-downtime** — a scripted node crash under the
+      :class:`~repro.faults.Supervisor` (delta-chained snapshots), off
+      the cadence (full restore + replay) vs right after a cadence
+      snapshot (splice in one replacement node, replay nothing); both
+      recoveries must be bit-identical to a run that never failed.
     """
     import tempfile
-
-    from repro.ckpt import FailureInjector
 
     wl = RECOVERY_WORKLOAD
     spec = functional_model(n_sparse=wl["n_sparse"])
@@ -622,43 +629,32 @@ def _recovery_scenario(*, n_rounds: int, queue_capacity, seed: int) -> dict:
     fi_rounds = wl["fi_rounds"]
     straight = build()
     straight.train(fi_rounds)
-    with tempfile.TemporaryDirectory() as tmp:
-        injector = FailureInjector(
-            tmp,
-            checkpoint_every=wl["checkpoint_every"],
-            snapshot_mode="delta",
-        )
-        full_rec, full_report = injector.run(
+
+    def crash_run(kill_after_round: int):
+        return _scripted_crash(
             build(),
             fi_rounds,
-            kill_node=wl["kill_node"],
-            kill_after_round=wl["full_kill_after_round"],
-        )
-    with tempfile.TemporaryDirectory() as tmp:
-        injector = FailureInjector(
-            tmp,
             checkpoint_every=wl["checkpoint_every"],
-            snapshot_mode="delta",
-        )
-        partial_rec, partial_report = injector.run(
-            build(),
-            fi_rounds,
             kill_node=wl["kill_node"],
-            kill_after_round=wl["partial_kill_after_round"],
-            partial=True,
+            kill_after_round=kill_after_round,
         )
+
+    # Off the cadence the crash costs a full restore + replay; right
+    # after a cadence snapshot, one replacement node and no replay.
+    full, full_crash = crash_run(wl["full_kill_after_round"])
+    partial, partial_crash = crash_run(wl["partial_kill_after_round"])
     downtime_row = {
         "mode": "recovery-downtime",
-        "full_restore_seconds": float(full_report.restore_seconds),
-        "full_replay_seconds": float(full_report.replay_seconds),
-        "full_recovery_seconds": float(full_report.recovery_seconds),
-        "full_rounds_replayed": int(full_report.rounds_replayed),
-        "partial_restore_seconds": float(partial_report.restore_seconds),
-        "partial_recovery_seconds": float(partial_report.recovery_seconds),
-        "partial_rounds_replayed": int(partial_report.rounds_replayed),
+        "full_restore_seconds": float(full.restore_seconds),
+        "full_replay_seconds": float(full.replay_seconds),
+        "full_recovery_seconds": float(full.downtime_seconds),
+        "full_rounds_replayed": int(full_crash.replay_rounds),
+        "partial_restore_seconds": float(partial.restore_seconds),
+        "partial_recovery_seconds": float(partial.downtime_seconds),
+        "partial_rounds_replayed": int(partial_crash.replay_rounds),
         "recovery_speedup_partial_over_full": (
-            full_report.recovery_seconds / partial_report.recovery_seconds
-            if partial_report.recovery_seconds
+            full.downtime_seconds / partial.downtime_seconds
+            if partial.downtime_seconds
             else 0.0
         ),
     }
@@ -678,7 +674,7 @@ def _recovery_scenario(*, n_rounds: int, queue_capacity, seed: int) -> dict:
         ],
         "snapshot_parameter_parity": _parameter_parity(baseline, (snapped,)),
         "recovery_parameter_parity": _parameter_parity(
-            straight, (full_rec, partial_rec)
+            straight, (full.cluster, partial.cluster)
         ),
     }
 

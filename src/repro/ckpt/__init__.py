@@ -16,6 +16,8 @@ directory either holds a complete, self-consistent checkpoint or no
 manifest at all.  Simulated write/read cost is charged per node through
 the HDFS model (snapshots persist to the distributed FS, as in the
 paper) under the ``ckpt_write`` / ``ckpt_read`` ledger categories.
+Crash recovery — restore + replay, or a single-node partial restore —
+is driven by :class:`repro.faults.Supervisor`.
 """
 
 from repro.ckpt.checkpoint import (
@@ -23,7 +25,6 @@ from repro.ckpt.checkpoint import (
     restore_cluster,
     save_cluster,
 )
-from repro.ckpt.failure import FailureInjector, RecoveryReport
 from repro.ckpt.format import (
     FORMAT_VERSION,
     MANIFEST_NAME,
@@ -39,9 +40,7 @@ __all__ = [
     "CheckpointScanWarning",
     "CheckpointStats",
     "FORMAT_VERSION",
-    "FailureInjector",
     "MANIFEST_NAME",
-    "RecoveryReport",
     "latest_checkpoint",
     "prune_checkpoints",
     "read_manifest",

@@ -66,7 +66,7 @@ MANIFEST_NAME = "manifest.json"
 DENSE_SHARD = "dense.npz"
 
 #: Per-snapshot subdirectory prefix used by every periodic writer
-#: (Trainer, FailureInjector) and by :func:`latest_checkpoint`'s scan.
+#: (Trainer, Supervisor) and by :func:`latest_checkpoint`'s scan.
 CHECKPOINT_DIR_PREFIX = "round_"
 
 
@@ -335,7 +335,7 @@ def latest_checkpoint(directory: str, upto_round: int | None = None) -> str | No
     """Newest committed checkpoint under ``directory``.
 
     Scans for :func:`checkpoint_dir_name` subdirectories (the layout the
-    trainer and :class:`~repro.ckpt.failure.FailureInjector` write),
+    trainer and :class:`~repro.faults.Supervisor` write),
     keeping only those with a committed manifest at
     ``rounds_completed <= upto_round``; returns the path of the newest,
     or None.  A directory whose manifest disappears (or is torn) mid-scan

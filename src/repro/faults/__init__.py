@@ -18,7 +18,7 @@ surface:
   :class:`FaultArm`, the per-surface guard each I/O layer consults;
 * :mod:`repro.faults.inject` — threads arms through every I/O surface
   of a live cluster (`FileStore`/`SSDDevice`, `HDFSStream`,
-  `DistributedHashTable`, allreduce, per-node stage stragglers) and the
+  `HBMPS` dispatch, allreduce, per-node stage stragglers) and the
   checkpoint-chain quarantine recovery for exhausted SSD reads;
 * :mod:`repro.faults.supervisor` — :class:`Supervisor`, which drives
   ``train_round``/``train_pipelined``, classifies escaped faults

@@ -23,6 +23,13 @@ applies the cheapest safe action:
     from a checkpoint boundary): rebuild the whole cluster from the
     newest checkpoint and replay the lost rounds.
 
+Every node is probed for a ``node_crash`` once per round boundary, so a
+scripted crash is the deterministic kill-and-recover experiment: on a
+run started at round ``start``, ``script={("node_crash", node, r + 1 -
+start): 1}`` kills ``node`` right after round ``r`` (probe ops keep
+counting after a restore, so that equality holds up to the first
+recovery).
+
 The invariant the soak suite enforces: any schedule whose faults are
 all recoverable yields **bit-identical** final parameters to the
 fault-free run.  The classification above preserves it by construction
@@ -41,6 +48,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 
+from repro.ckpt.checkpoint import CheckpointStats
 from repro.ckpt.format import checkpoint_dir_name
 from repro.faults.errors import FaultError, UnrecoverableFaultError
 from repro.faults.inject import FaultInjection
@@ -87,9 +95,16 @@ class SupervisedRun:
     training_seconds: float = 0.0
     replay_seconds: float = 0.0
     restore_seconds: float = 0.0
-    checkpoint_seconds: float = 0.0
+    #: every snapshot the run committed, in save order (the first is the
+    #: baseline full; ``mode="auto"`` chains the rest as deltas)
+    checkpoints: tuple[CheckpointStats, ...] = ()
     recoveries: int = 0
     totals: dict = field(default_factory=dict)
+
+    @property
+    def checkpoint_seconds(self) -> float:
+        """Simulated seconds spent taking snapshots."""
+        return sum(c.seconds for c in self.checkpoints)
 
     @property
     def downtime_seconds(self) -> float:
@@ -139,14 +154,13 @@ class Supervisor:
         self.max_recoveries = max_recoveries
 
     # ------------------------------------------------------------------
-    def _checkpoint(self, cluster, checkpoints: dict[int, str]) -> float:
+    def _checkpoint(
+        self, cluster, checkpoints: dict[int, CheckpointStats]
+    ) -> None:
         rc = cluster.rounds_completed
-        if rc in checkpoints:
-            return 0.0
-        target = os.path.join(self.directory, checkpoint_dir_name(rc))
-        stats = cluster.save_checkpoint(target, mode="auto")
-        checkpoints[rc] = target
-        return stats.seconds
+        if rc not in checkpoints:
+            target = os.path.join(self.directory, checkpoint_dir_name(rc))
+            checkpoints[rc] = cluster.save_checkpoint(target, mode="auto")
 
     @staticmethod
     def _stamp(
@@ -192,7 +206,7 @@ class Supervisor:
         injection.attach(cluster)
         out = SupervisedRun(cluster=cluster, reports=())
         reports: list[FaultReport] = []
-        checkpoints: dict[int, str] = {}
+        checkpoints: dict[int, CheckpointStats] = {}
         base = cluster.rounds_completed
         target = base + n_rounds
         #: rounds below this mark were already trained once — re-running
@@ -200,7 +214,7 @@ class Supervisor:
         replaying_until = base
         round_retries = 0
         try:
-            out.checkpoint_seconds += self._checkpoint(cluster, checkpoints)
+            self._checkpoint(cluster, checkpoints)
             while cluster.rounds_completed < target:
                 rc = cluster.rounds_completed
                 crashed = [
@@ -259,13 +273,12 @@ class Supervisor:
                     )
                 )
                 if (cluster.rounds_completed - base) % self.checkpoint_every == 0:
-                    out.checkpoint_seconds += self._checkpoint(
-                        cluster, checkpoints
-                    )
+                    self._checkpoint(cluster, checkpoints)
         finally:
             injection.detach()
             out.cluster = cluster
             out.reports = tuple(reports)
+            out.checkpoints = tuple(checkpoints.values())
             out.rounds = cluster.rounds_completed - base
             out.totals = injection.totals()
         return out
@@ -281,15 +294,17 @@ class Supervisor:
                 surface="supervisor",
             ) from err
 
-    def _newest(self, checkpoints: dict[int, str]) -> tuple[int, str]:
+    def _newest(
+        self, checkpoints: dict[int, CheckpointStats]
+    ) -> tuple[int, str]:
         rc = max(checkpoints)
-        return rc, checkpoints[rc]
+        return rc, checkpoints[rc].directory
 
     def _full_restore(
         self,
         cluster,
         injection: FaultInjection,
-        checkpoints: dict[int, str],
+        checkpoints: dict[int, CheckpointStats],
     ) -> tuple[object, float, int]:
         """Rebuild from the newest checkpoint; returns
         ``(new_cluster, restore_seconds, replay_rounds)``."""
@@ -298,20 +313,17 @@ class Supervisor:
         injection.detach()
         restored = type(cluster).restore(ck_dir, **self.restore_kwargs)
         injection.attach(restored)
-        # Restore cost: the checkpoint read-back is already charged to
-        # the new cluster's ledgers under ckpt_read; mirror the critical
-        # path into the run's downtime accounting.
-        seconds = max(
-            (node.ledger.total("ckpt_read") for node in restored.nodes),
-            default=0.0,
-        )
+        # Restore cost: this read-back's critical path.  (Not the new
+        # ledgers' ckpt_read total — a restored ledger carries the
+        # snapshot's cost history, earlier restores included.)
+        seconds = restored.restore_stats.seconds
         return restored, seconds, max(0, detect - ck_round)
 
     def _recover_crash(
         self,
         cluster,
         injection: FaultInjection,
-        checkpoints: dict[int, str],
+        checkpoints: dict[int, CheckpointStats],
         crashed: list[int],
         out: SupervisedRun,
         reports: list[FaultReport],
@@ -357,7 +369,7 @@ class Supervisor:
         self,
         cluster,
         injection: FaultInjection,
-        checkpoints: dict[int, str],
+        checkpoints: dict[int, CheckpointStats],
         err: FaultError,
         pipelined: bool,
         out: SupervisedRun,
@@ -368,7 +380,7 @@ class Supervisor:
         """Classify an escaped fault and apply the cheapest safe action."""
         self._spend_recovery(out, err)
         detect = cluster.rounds_completed
-        ck_round, _ = self._newest(checkpoints)
+        ck_round, ck_dir = self._newest(checkpoints)
         retries = getattr(err, "retries", 0)
 
         if (
@@ -405,7 +417,6 @@ class Supervisor:
             # One node's durable state is suspect, the survivors sit
             # exactly at the newest snapshot's round boundary, and no
             # values were staged: heal just that node, zero replay.
-            ck_dir = checkpoints[ck_round]
             cluster.abort_round()
             stats = cluster.restore_node(ck_dir, err.node)
             out.restore_seconds += stats.seconds

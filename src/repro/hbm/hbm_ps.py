@@ -14,12 +14,13 @@ which applies the optimizer to every staged key and reports the keys
 this node does *not* have staged (the MEM-PS owner applies those —
 Section 5 "Update parameters").
 
-The simulated cost model charges exactly what the per-GPU hash tables of
-Section 4.1 / Algorithm 2 would (:class:`~repro.hbm.distributed_table.
-DistributedHashTable` is the standalone model): per-GPU key counts come
-from the plan, and :meth:`HBMPS._charge_table_ops` prices them on the
-same devices, NVLink and ledger categories (``params``, a
-:class:`~repro.hbm.distributed_table.GPUFabric`).
+The simulated cost model charges what the per-GPU hash tables of
+Section 4.1 / Algorithm 2 would: per-GPU key counts come from the plan,
+and :meth:`HBMPS._charge_table_ops` prices them on a
+:class:`GPUFabric` (``params``) — the node's GPUs as a sharded key
+space with their devices and NVLink.  The tables themselves are a test
+oracle (``tests/hbm_oracles.py``) that holds the pricing to them
+charge for charge.
 """
 
 from __future__ import annotations
@@ -27,15 +28,44 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import TierStateError
+from repro.hardware.gpu import GPUDevice, NVLink
 from repro.hardware.ledger import CostLedger
 from repro.hardware.specs import GPUSpec, NVLinkSpec
 from repro.hbm.allreduce import SparseUpdate
-from repro.hbm.distributed_table import GPUFabric
+from repro.hbm.partition import ModuloPartitioner
 from repro.nn.optim import SparseOptimizer
 from repro.plan.batch_plan import MinibatchPlan, NodePlan, NodeSyncPlan
 from repro.utils.keys import as_keys
 
-__all__ = ["HBMPS"]
+__all__ = ["GPUFabric", "HBMPS"]
+
+_GPU_SALT = 0x67707573  # "gpus" — distinct from the node-level salt
+
+
+class GPUFabric:
+    """One node's GPUs as a sharded key space: who owns a key, what a
+    table op on that GPU costs, and the NVLink between them — everything
+    the simulated cost model charges against (no storage)."""
+
+    def __init__(
+        self,
+        n_gpus: int,
+        value_dim: int,
+        *,
+        gpu_spec: GPUSpec | None = None,
+        nvlink_spec: NVLinkSpec | None = None,
+        ledger: CostLedger | None = None,
+    ) -> None:
+        if n_gpus <= 0:
+            raise ValueError("n_gpus must be positive")
+        self.n_gpus = n_gpus
+        self.value_dim = value_dim
+        self.ledger = ledger if ledger is not None else CostLedger()
+        self.partitioner = ModuloPartitioner(n_gpus, salt=_GPU_SALT)
+        self.devices = [
+            GPUDevice(gpu_spec or GPUSpec(), self.ledger) for _ in range(n_gpus)
+        ]
+        self.nvlink = NVLink(nvlink_spec or NVLinkSpec(), self.ledger)
 
 
 class _StagedRound:
@@ -110,11 +140,11 @@ class HBMPS:
         """Charge per-GPU table ops from precomputed key counts.
 
         The single cost-charging primitive of the tier.  It prices what
-        :class:`~repro.hbm.distributed_table.DistributedHashTable` would
-        for the same key partition — same devices, same NVLink object,
-        same ledger categories, and the same skip rules (``insert``
-        charges empty partitions, the others skip them; cross-GPU
-        traffic only with a ``source_gpu``).
+        the Algorithm-2 tables would for the same key partition — a
+        table op on each owning GPU's device, one NVLink send for the
+        cross-GPU share, the same ledger categories, and the same skip
+        rules (``insert`` charges empty partitions, the others skip
+        them; cross-GPU traffic only with a ``source_gpu``).
         """
         fabric = self.params
         vb = 4 * value_dim

@@ -17,7 +17,6 @@ from repro.hardware.ledger import CostLedger
 from repro.hardware.specs import SSDSpec
 from repro.ssd.compaction import CompactionStats, Compactor
 from repro.ssd.file_store import FileStore, ReadResult
-from repro.utils.keys import KEY_DTYPE, as_keys
 
 __all__ = ["SSDPS", "SSDBatchStats"]
 
@@ -88,10 +87,8 @@ class SSDPS:
         Extent-cache hits are accounted exactly once, here: the store's
         :class:`~repro.ssd.file_store.ReadResult` already prices hit
         files at the warm rate inside its charged ``seconds``, so this
-        facade must only accumulate the result — never re-price the read
-        — and every protocol face (:meth:`get_batch`, :meth:`transform`)
-        goes through this method so a cache hit can never be
-        double-charged.
+        facade only accumulates the result and never re-prices the read
+        (a cache hit is charged once).
         """
         result = self.store.read(keys)
         self.load_seconds += result.seconds
@@ -104,57 +101,6 @@ class SSDPS:
         comp = self.compactor.compact()
         self.dump_seconds += seconds + comp.seconds
         return SSDBatchStats(seconds, comp if comp.triggered else None)
-
-    # ------------------------------------------------------------------
-    # ParameterStore protocol (functional surface; I/O time is still
-    # charged to the ledger through load/dump underneath).
-    # ------------------------------------------------------------------
-    def get_batch(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Values + found mask for ``keys`` (protocol face of :meth:`load`)."""
-        result, _ = self.load(keys)
-        return result.values, result.found
-
-    def put_batch(
-        self, keys: np.ndarray, values: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Persist ``keys`` (protocol face of :meth:`dump`); the bottom
-        tier never evicts, so the flush pair is always empty."""
-        self.dump(keys, values)
-        return (
-            np.zeros(0, dtype=KEY_DTYPE),
-            np.zeros((0, self.value_dim), dtype=np.float32),
-        )
-
-    def contains(self, keys: np.ndarray) -> np.ndarray:
-        """Materialized-on-SSD mask (no I/O charged — mapping lookup).
-
-        Consistent with :meth:`load` under the extent cache: membership
-        comes from the mapping alone, so a key whose file happens to be
-        cache-resident answers identically to one whose file is not —
-        and neither touches the device or the hit counters.
-        """
-        return self.store.mapping_of(keys) >= 0
-
-    def transform(self, keys: np.ndarray, fn) -> float:
-        """Read-modify-write resident ``keys``; returns simulated seconds.
-
-        ``keys`` is normalized to the canonical ``uint64`` key dtype up
-        front so plain Python int lists cannot mismatch the file-store
-        mapping (whose keys are always ``uint64``).
-        """
-        keys = as_keys(keys)
-        result, stats = self.load(keys)
-        if not np.all(result.found):
-            missing = keys[~result.found][:5]
-            raise KeyError(f"transform on absent keys, e.g. {missing.tolist()}")
-        new_values = np.asarray(fn(result.values), dtype=np.float32)
-        seconds = stats.total_seconds
-        seconds += self.dump(keys, new_values).total_seconds
-        return seconds
-
-    def items(self) -> tuple[np.ndarray, np.ndarray]:
-        """All live ``(keys, values)``, sorted by key (no I/O charged)."""
-        return self.store.items()
 
     def check_invariants(self) -> None:
         self.store.check_invariants()

@@ -1,12 +1,11 @@
-"""Batch-first parameter-store layer.
+"""Vectorized key→value building blocks.
 
-Defines the :class:`ParameterStore` protocol the general-purpose stores
-(HBM hash tables, SSD-PS, flat store) implement, plus the vectorized
-building blocks (:class:`SlotIndex`, :class:`FlatStore`).
+:class:`SlotIndex` is the open-addressing key→row index the MEM cache
+and the SSD file store probe; :class:`FlatStore` is the reference
+trainer's unbounded in-memory store.
 """
 
 from repro.store.flat import FlatStore
-from repro.store.protocol import ParameterStore
 from repro.store.slot_index import SlotIndex
 
-__all__ = ["ParameterStore", "SlotIndex", "FlatStore"]
+__all__ = ["SlotIndex", "FlatStore"]

@@ -1,7 +1,7 @@
 """Vectorized open-addressing key→payload index.
 
-The batch-first store layer needs one primitive the HBM hash table does
-not provide: a ``uint64 key -> int64 payload`` map that supports
+The MEM cache, the SSD file store and the reference trainer's flat store
+share one primitive: a ``uint64 key -> int64 payload`` map that supports
 **deletion** (caches evict constantly) and **growth** (the SSD mapping is
 unbounded), with every batch operation vectorized — the Python-level loop
 runs O(max probe length) rounds, never O(n_keys).
@@ -308,9 +308,8 @@ class SlotIndex:
         """Upsert unique ``keys``; returns ``(old_payloads, existed)``.
 
         New keys claim the first tombstone (or empty slot) on their probe
-        path; several keys racing for one slot resolve like the GPU CAS in
-        :class:`~repro.hbm.hash_table.HashTable` — first wins, rest
-        re-probe.
+        path; several keys racing for one slot resolve like a GPU
+        compare-and-swap — first wins, rest re-probe.
         """
         keys = as_keys(keys)
         payloads = np.asarray(payloads, dtype=np.int64)

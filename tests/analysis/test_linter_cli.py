@@ -117,8 +117,8 @@ class TestCLI:
 
 
 #: Suppressed findings allowed under ``src/`` (all ``f64-hot-path``:
-#: allreduce 3, hash_table 1, hbm_ps 1, mem_ps 1).
-MAX_SRC_SUPPRESSIONS = 6
+#: allreduce 3, hbm_ps 1, mem_ps 1).
+MAX_SRC_SUPPRESSIONS = 5
 
 
 class TestTreeIsClean:

@@ -1,16 +1,39 @@
-"""Failure injection: kill → restore → replay reaches the no-failure state."""
+"""Crash recovery from the checkpoint chain: a scripted ``node_crash``
+under the :class:`~repro.faults.Supervisor` → restore → replay reaches
+the state of a run that never failed, bit for bit.
+
+A run from round 0 probes every node once per round boundary, so probe
+op ``r + 1`` kills the node right after round ``r``.  The boundary crash
+healed by a partial restore at the baseline snapshot and the off-cadence
+crash that replays one round live in ``tests/faults/test_supervisor.py``.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.ckpt import FailureInjector
 from repro.core.cluster import HPSCluster
+from repro.faults import FaultSchedule, Supervisor
 
 
 def build(tiny_spec, small_config):
     return HPSCluster(tiny_spec, small_config, functional_batch_size=128)
+
+
+def crash_after(node: int, round_index: int) -> FaultSchedule:
+    """Node ``node`` dies right after round ``round_index``."""
+    return FaultSchedule(0, script={("node_crash", node, round_index + 1): 1})
+
+
+def supervise(cluster, directory, n_rounds, schedule, *, every):
+    supervisor = Supervisor(str(directory), checkpoint_every=every)
+    return supervisor.run(cluster, n_rounds, schedule)
+
+
+def the_crash(run):
+    (crash,) = [r for r in run.reports if r.kind == "node_crash"]
+    return crash
 
 
 def assert_same_final_state(a: HPSCluster, b: HPSCluster) -> None:
@@ -24,55 +47,20 @@ def assert_same_final_state(a: HPSCluster, b: HPSCluster) -> None:
     assert a.evaluate_auc(eval_batch) == b.evaluate_auc(eval_batch)
 
 
-def test_recovery_reaches_no_failure_state(tiny_spec, small_config, tmp_path):
-    baseline = build(tiny_spec, small_config)
-    baseline.train(6)
-
-    injector = FailureInjector(str(tmp_path), checkpoint_every=2)
-    recovered, report = injector.run(
-        build(tiny_spec, small_config), 6, kill_node=1, kill_after_round=3
-    )
-    assert recovered.rounds_completed == 6
-    assert report.kill_node == 1
-    # Kill after round 3 (4 rounds complete); newest snapshot is round 2.
-    assert report.checkpoint_round == 2
-    assert report.rounds_replayed == 2
-    assert report.restore_seconds > 0
-    assert report.replay_seconds > 0
-    assert report.recovery_seconds == pytest.approx(
-        report.restore_seconds + report.replay_seconds
-    )
-    assert_same_final_state(baseline, recovered)
-
-
-def test_kill_right_after_snapshot_replays_one_round(
-    tiny_spec, small_config, tmp_path
-):
-    baseline = build(tiny_spec, small_config)
-    baseline.train(5)
-
-    injector = FailureInjector(str(tmp_path), checkpoint_every=2)
-    recovered, report = injector.run(
-        build(tiny_spec, small_config), 5, kill_node=0, kill_after_round=2
-    )
-    # Rounds 0-2 complete, snapshot exists at round 2 — only round 2 is
-    # replayed (the kill fires before the next snapshot commits).
-    assert report.checkpoint_round == 2
-    assert report.rounds_replayed == 1
-    assert_same_final_state(baseline, recovered)
-
-
 def test_checkpoint_accounting_in_report(tiny_spec, small_config, tmp_path):
-    injector = FailureInjector(str(tmp_path), checkpoint_every=3)
-    _, report = injector.run(
-        build(tiny_spec, small_config), 4, kill_node=0, kill_after_round=1
+    baseline = build(tiny_spec, small_config)
+    baseline.train(4)
+
+    run = supervise(
+        build(tiny_spec, small_config), tmp_path, 4, crash_after(0, 1), every=3
     )
-    # Round-0 snapshot + the cadence snapshot after round 2.
-    assert [c.rounds_completed for c in report.checkpoints] == [0, 3]
-    assert report.checkpoint_seconds == pytest.approx(
-        sum(c.seconds for c in report.checkpoints)
-    )
-    assert report.checkpoint_nbytes == sum(c.nbytes for c in report.checkpoints)
+    # Round-0 snapshot + the cadence snapshot after round 2; the restore
+    # reads round 0's back and writes nothing.
+    assert [c.rounds_completed for c in run.checkpoints] == [0, 3]
+    assert [c.kind for c in run.checkpoints] == ["full", "delta"]
+    assert run.checkpoint_seconds > 0
+    assert run.checkpoint_seconds == sum(c.seconds for c in run.checkpoints)
+    assert_same_final_state(baseline, run.cluster)
 
 
 def test_kill_before_any_cadence_snapshot_uses_round_zero(
@@ -81,116 +69,97 @@ def test_kill_before_any_cadence_snapshot_uses_round_zero(
     baseline = build(tiny_spec, small_config)
     baseline.train(3)
 
-    injector = FailureInjector(str(tmp_path), checkpoint_every=10)
-    recovered, report = injector.run(
-        build(tiny_spec, small_config), 3, kill_node=0, kill_after_round=1
+    run = supervise(
+        build(tiny_spec, small_config), tmp_path, 3, crash_after(0, 1), every=10
     )
-    assert report.checkpoint_round == 0  # fell back to the initial snapshot
-    assert report.rounds_replayed == 2
-    assert_same_final_state(baseline, recovered)
+    crash = the_crash(run)
+    assert crash.action == "full_restore"
+    assert crash.round - crash.replay_rounds == 0  # the initial snapshot
+    assert crash.replay_rounds == 2
+    assert run.restore_seconds > 0
+    assert run.replay_seconds > 0
+    assert run.downtime_seconds == run.restore_seconds + run.replay_seconds
+    assert_same_final_state(baseline, run.cluster)
 
 
 def test_run_validates_arguments(tiny_spec, small_config, tmp_path):
-    injector = FailureInjector(str(tmp_path), checkpoint_every=2)
-    cluster = build(tiny_spec, small_config)
-    with pytest.raises(ValueError, match="kill_after_round"):
-        injector.run(cluster, 3, kill_after_round=3)
-    with pytest.raises(ValueError, match="kill_node"):
-        injector.run(cluster, 3, kill_node=9, kill_after_round=1)
     with pytest.raises(ValueError, match="checkpoint_every"):
-        FailureInjector(str(tmp_path), checkpoint_every=0)
+        Supervisor(str(tmp_path), checkpoint_every=0)
+    with pytest.raises(ValueError, match="max_recoveries"):
+        Supervisor(str(tmp_path), max_recoveries=0)
+    with pytest.raises(ValueError, match="n_rounds"):
+        Supervisor(str(tmp_path)).run(
+            build(tiny_spec, small_config), -1, FaultSchedule(0)
+        )
 
 
-def test_partial_recovery_matches_no_failure_state(
+def test_crash_the_run_never_reaches_is_never_probed(
     tiny_spec, small_config, tmp_path
 ):
-    """Partial mode: the failure strikes right after a boundary snapshot
-    committed, so one replacement node splices in and nothing replays."""
-    baseline = build(tiny_spec, small_config)
-    baseline.train(8)
-
-    injector = FailureInjector(
-        str(tmp_path), checkpoint_every=2, snapshot_mode="delta"
+    """A crash scripted after the last round, or of a node the cluster
+    does not have, is never drawn: the run is clean."""
+    schedule = FaultSchedule(
+        0, script={("node_crash", 0, 3): 1, ("node_crash", 9, 1): 1}
     )
-    recovered, report = injector.run(
-        build(tiny_spec, small_config),
-        8,
-        kill_node=1,
-        kill_after_round=5,
-        partial=True,
-    )
-    assert recovered.rounds_completed == 8
-    assert report.partial is True
-    assert report.rounds_replayed == 0
-    assert report.replay_seconds == 0.0
-    assert report.restore_seconds > 0
-    # Recovered from the boundary snapshot the kill landed on.
-    assert report.checkpoint_round == 6
-    # The round-0 snapshot is full; every cadence snapshot after chains.
-    assert [c.kind for c in report.checkpoints] == ["full"] + ["delta"] * 4
-    assert_same_final_state(baseline, recovered)
+    run = supervise(build(tiny_spec, small_config), tmp_path, 3, schedule, every=2)
+    assert run.reports == ()
+    assert run.recoveries == 0
+    assert schedule.faults_fired == 0
 
 
 def test_partial_recovery_is_cheaper_than_full(
     tiny_spec, small_config, tmp_path
 ):
-    """Same failure round, both recovery paths: the splice-in must beat
-    restore-everything-and-replay on downtime (the paper's argument for
-    tolerating single-node failures without a global rollback)."""
-    partial_injector = FailureInjector(
-        str(tmp_path / "partial"), checkpoint_every=2, snapshot_mode="delta"
-    )
-    _, partial_report = partial_injector.run(
+    """Same crash round, both recovery paths: right after a cadence
+    snapshot one replacement node splices in (delta chain, zero replay);
+    at a coarser cadence the whole cluster restores and replays.  The
+    splice-in must win on downtime (the paper's argument for tolerating
+    single-node failures without a global rollback)."""
+    baseline = build(tiny_spec, small_config)
+    baseline.train(8)
+
+    partial = supervise(
         build(tiny_spec, small_config),
+        tmp_path / "partial",
         8,
-        kill_node=1,
-        kill_after_round=5,
-        partial=True,
+        crash_after(1, 5),
+        every=2,
     )
-    full_injector = FailureInjector(
-        str(tmp_path / "full"), checkpoint_every=2, snapshot_mode="delta"
+    full = supervise(
+        build(tiny_spec, small_config),
+        tmp_path / "full",
+        8,
+        crash_after(1, 5),
+        every=4,
     )
-    _, full_report = full_injector.run(
-        build(tiny_spec, small_config), 8, kill_node=1, kill_after_round=4
-    )
-    assert full_report.rounds_replayed > 0
-    assert partial_report.recovery_seconds < full_report.recovery_seconds
-
-
-def test_partial_requires_boundary_kill(tiny_spec, small_config, tmp_path):
-    injector = FailureInjector(str(tmp_path), checkpoint_every=2)
-    with pytest.raises(ValueError, match="boundary"):
-        injector.run(
-            build(tiny_spec, small_config),
-            6,
-            kill_after_round=2,
-            partial=True,
-        )
+    p, f = the_crash(partial), the_crash(full)
+    assert p.action == "partial_restore" and p.replay_rounds == 0
+    assert partial.replay_seconds == 0.0
+    assert [c.kind for c in partial.checkpoints] == ["full"] + ["delta"] * 4
+    assert f.action == "full_restore" and f.replay_rounds == 2
+    assert partial.downtime_seconds < full.downtime_seconds
+    assert_same_final_state(baseline, partial.cluster)
+    assert_same_final_state(baseline, full.cluster)
 
 
 def test_delta_snapshot_mode_full_recovery(tiny_spec, small_config, tmp_path):
-    """snapshot_mode='delta' with the classic full recovery path: the
-    restore replays the whole chain and still reaches the no-failure
-    state bit-identically."""
+    """A crash off the cadence restores the whole cluster through the
+    delta chain (full@0 → delta@3 → delta@6), replays the lost rounds,
+    and still reaches the no-failure state bit-identically."""
     baseline = build(tiny_spec, small_config)
-    baseline.train(6)
+    baseline.train(9)
 
-    injector = FailureInjector(
-        str(tmp_path), checkpoint_every=2, snapshot_mode="delta"
+    run = supervise(
+        build(tiny_spec, small_config), tmp_path, 9, crash_after(0, 7), every=3
     )
-    recovered, report = injector.run(
-        build(tiny_spec, small_config), 6, kill_node=0, kill_after_round=3
-    )
-    assert report.checkpoint_round == 2
-    assert report.rounds_replayed == 2
-    assert report.checkpoints[0].kind == "full"
-    assert all(c.kind == "delta" for c in report.checkpoints[1:])
-    assert_same_final_state(baseline, recovered)
-
-
-def test_injector_validates_snapshot_mode(tmp_path):
-    with pytest.raises(ValueError, match="snapshot_mode"):
-        FailureInjector(str(tmp_path), snapshot_mode="incremental")
+    crash = the_crash(run)
+    assert crash.action == "full_restore"
+    assert crash.round - crash.replay_rounds == 6
+    assert crash.replay_rounds == 2
+    assert [c.kind for c in run.checkpoints] == ["full", "delta", "delta", "delta"]
+    assert run.cluster.restore_stats.kind == "delta"
+    assert run.replay_seconds > 0
+    assert_same_final_state(baseline, run.cluster)
 
 
 def test_recovery_ignores_stale_checkpoints_from_other_runs(
@@ -216,12 +185,14 @@ def test_recovery_ignores_stale_checkpoints_from_other_runs(
 
     baseline = build(tiny_spec, small_config)
     baseline.train(5)
-    injector = FailureInjector(str(tmp_path), checkpoint_every=3)
-    recovered, report = injector.run(
-        build(tiny_spec, small_config), 5, kill_node=0, kill_after_round=3
+    run = supervise(
+        build(tiny_spec, small_config), tmp_path, 5, crash_after(0, 3), every=3
     )
     # Recovery restored this run's own round-3 snapshot, not the stale
     # (newer-looking) round-4 one.
-    assert report.checkpoint_round == 3
-    assert report.rounds_replayed == 1
-    assert_same_final_state(baseline, recovered)
+    crash = the_crash(run)
+    assert crash.action == "full_restore"
+    assert crash.round - crash.replay_rounds == 3
+    assert crash.replay_rounds == 1
+    assert run.cluster.restore_stats.directory == str(tmp_path / "round_000003")
+    assert_same_final_state(baseline, run.cluster)

@@ -8,7 +8,6 @@ import pytest
 from repro.config import ClusterConfig
 from repro.core.cluster import HPSCluster
 from repro.core.trainer import ReferenceTrainer, Trainer
-from repro.hbm.hash_table import HashTable
 
 
 @pytest.fixture
@@ -168,7 +167,9 @@ class TestHBMStagingIsDense:
         cluster.save_checkpoint(str(tmp_path / "ckpt"))
         restored = HPSCluster.restore(str(tmp_path / "ckpt"))
         restored.train(1)
-        n_slots = HashTable(small_config.hbm_capacity_params, 1).n_slots
+        # A per-GPU table sized for the capacity would have at least
+        # ``hbm_capacity_params`` rows; the staged round has far fewer.
+        cap = small_config.hbm_capacity_params
         for c in (cluster, restored):
             for node in c.nodes:
                 hbm = node.hbm_ps
@@ -176,7 +177,7 @@ class TestHBMStagingIsDense:
                 assert not hasattr(hbm.params, "tables")
                 arrays = list(_arrays_under(hbm, set()))
                 assert arrays  # the walk does see the staged values
-                assert all(a.shape[:1] != (n_slots,) for a in arrays)
+                assert all(a.ndim == 0 or a.shape[0] < cap for a in arrays)
 
 
 class TestMultiNodeConsistency:

@@ -10,7 +10,6 @@ import pytest
 from repro.config import ClusterConfig
 from repro.core.cluster import HPSCluster
 from repro.errors import TierStateError
-from repro.hbm.hash_table import HashTable
 from repro.mem.cache import CombinedCache
 
 
@@ -52,16 +51,6 @@ class TestCapacityViolations:
         for part in ("10-row LRU tier", "mem_capacity_params", "cache_lru_fraction"):
             assert part in str(err.value)
         assert len(cache) == 0 and cache.stats.accesses == 0
-
-    def test_hash_table_never_silently_drops(self):
-        t = HashTable(4, 1)
-        keys = np.arange(4, dtype=np.uint64)
-        t.insert(keys, np.zeros((4, 1), np.float32))
-        with pytest.raises(RuntimeError):
-            t.insert(np.array([99], dtype=np.uint64), np.zeros((1, 1), np.float32))
-        # The original contents are intact after the failed insert.
-        _, found = t.get(keys)
-        assert found.all()
 
 
 class TestDataBoundaries:

@@ -113,6 +113,33 @@ class TestRecoveryActions:
         assert run.rounds == 6
         assert_param_parity(run.cluster, twin)
 
+    def test_second_full_restore_prices_only_its_own_read(
+        self, mk_cluster, tmp_path
+    ):
+        """Regression: a restored cluster's ledgers carry the snapshot's
+        cost history — an earlier restore's ``ckpt_read`` included — so
+        a restore priced off the ledger counted the first read again."""
+        twin = mk_cluster()
+        twin.train(10)
+        # Op 3 lands at round 3 (newest snapshot 2); probes keep counting
+        # through the replay, so op 9 lands at round 7 (newest 6, taken
+        # after the first restore).
+        schedule = FaultSchedule(
+            0, script={("node_crash", 0, 3): 1, ("node_crash", 0, 9): 1}
+        )
+        run = run_supervised(mk_cluster, tmp_path, schedule, n_rounds=10)
+        crashes = [r for r in run.reports if r.kind == "node_crash"]
+        assert [(c.round, c.action) for c in crashes] == [
+            (3, "full_restore"),
+            (7, "full_restore"),
+        ]
+        assert crashes[1].downtime_seconds == run.cluster.restore_stats.seconds
+        assert run.restore_seconds == (
+            crashes[0].downtime_seconds + crashes[1].downtime_seconds
+        )
+        assert run.rounds == 10
+        assert_param_parity(run.cluster, twin)
+
     def test_pipelined_escape_full_restores(self, mk_cluster, tmp_path):
         twin = mk_cluster()
         twin.train_pipelined(6)

@@ -1,9 +1,9 @@
-"""Tests for the multi-GPU distributed hash table (Algorithm 2)."""
+"""Tests for the multi-GPU distributed hash table oracle (Algorithm 2)."""
 
 import numpy as np
 import pytest
 
-from repro.hbm.distributed_table import DistributedHashTable
+from hbm_oracles import DistributedHashTable
 
 
 def keys_of(xs):
@@ -132,7 +132,7 @@ class TestTransformItemsClear:
 class TestEquivalenceWithSingleTable:
     def test_matches_one_gpu_table(self):
         """N-GPU distributed semantics == a single hash table."""
-        from repro.hbm.hash_table import HashTable
+        from hbm_oracles import HashTable
 
         multi = DistributedHashTable(4, 500, 1)
         single = HashTable(2000, 1)

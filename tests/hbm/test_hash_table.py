@@ -1,11 +1,11 @@
-"""Unit + property tests for the open-addressing hash table."""
+"""Unit + property tests for the open-addressing hash table oracle."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.hbm.hash_table import HashTable
+from hbm_oracles import HashTable
 
 
 def keys_of(xs):

@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
+from hbm_oracles import DistributedHashTable
 from repro.errors import TierStateError
 from repro.hardware.ledger import CostLedger
 from repro.hbm.allreduce import SparseUpdate
-from repro.hbm.distributed_table import DistributedHashTable
 from repro.hbm.hbm_ps import HBMPS
 from repro.nn.optim import SparseAdagrad, SparseSGD
 
@@ -219,8 +219,8 @@ class TestDump:
 
 class TestCostModelEquivalence:
     """``_charge_table_ops`` prices a key partition exactly as the
-    Section 4.1 / Algorithm 2 hash tables do — the cost-model equivalence
-    the dense staging rests on."""
+    Section 4.1 / Algorithm 2 hash tables (``tests/hbm_oracles.py``) do —
+    the cost-model equivalence the dense staging rests on."""
 
     @staticmethod
     def _pair():

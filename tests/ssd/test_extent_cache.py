@@ -262,21 +262,22 @@ class TestExtentCacheReads:
 
 
 class TestSSDPSAccounting:
-    """Satellite bugfix: every protocol face reports hits consistently
-    with ``load`` and never double-charges the ledger."""
+    """Satellite bugfix: a warm hit is charged exactly once — ``load``
+    accumulates what the store's read priced and never re-prices it."""
 
     def test_get_batch_counts_hits_once(self):
         ps = SSDPS(2, file_capacity=4, extent_cache_files=4)
         ps.dump(keys_of(range(4)), vals_of(4))
-        ps.get_batch(keys_of(range(4)))  # miss → charged at device rate
+        ps.load(keys_of(range(4)))  # miss → charged at device rate
         charged = ps.load_seconds
-        vals, found = ps.get_batch(keys_of(range(4)))  # hit → warm rate
-        assert found.all()
-        assert np.array_equal(vals, vals_of(4))
+        result, stats = ps.load(keys_of(range(4)))  # hit → warm rate
+        assert result.found.all()
+        assert np.array_equal(result.values, vals_of(4))
         assert ps.extent_cache_hits == 1
         # The hit pays the host-copy rate, far below the device read.
         warm = warm_cost(ps.store)
         assert 0.0 < warm < charged
+        assert stats.seconds == pytest.approx(warm)
         assert ps.load_seconds == pytest.approx(charged + warm)
 
     def test_contains_is_mapping_only(self):
@@ -285,19 +286,21 @@ class TestSSDPSAccounting:
         ps.load(keys_of(range(4)))  # warm the cache
         hits_before = ps.extent_cache_hits
         seconds_before = ps.load_seconds
-        mask = ps.contains(keys_of([0, 1, 99]))
+        mask = ps.store.mapping_of(keys_of([0, 1, 99])) >= 0
         assert mask.tolist() == [True, True, False]
         # Membership touched neither the device nor the hit counters.
         assert ps.extent_cache_hits == hits_before
         assert ps.load_seconds == seconds_before
 
     def test_transform_hits_are_warm_reads(self):
+        """Read-modify-write as the MEM tier drives it (``load`` on a
+        miss, ``dump`` on the write-back): the read half of a cached
+        file costs the warm rate, the write half what a plain dump does."""
         ps = SSDPS(2, file_capacity=4, extent_cache_files=4)
         ps.dump(keys_of(range(4)), vals_of(4))
         ps.load(keys_of(range(4)))
-        seconds = ps.transform(keys_of(range(4)), lambda v: v + 1.0)
-        # The read half was a cache hit — charged at the warm rate on
-        # top of the rewrite's dump cost.
+        result, read = ps.load(keys_of(range(4)))
+        write = ps.dump(keys_of(range(4)), result.values + 1.0)
         assert ps.extent_cache_hits == 1
         f = next(iter(ps.store.files()))
         warm = ps.store.device.warm_read_time(ps.store.file_bytes(f))
@@ -306,7 +309,9 @@ class TestSSDPSAccounting:
         dump_cost = dump_only.dump(
             keys_of(range(4)), vals_of(4, base=1.0)
         ).total_seconds
-        assert seconds == pytest.approx(dump_cost + warm)
+        assert read.total_seconds + write.total_seconds == pytest.approx(
+            dump_cost + warm
+        )
 
     def test_hit_counter_survives_state_round_trip(self):
         ps = SSDPS(2, file_capacity=4, extent_cache_files=4)

@@ -79,27 +79,3 @@ class TestCompactionCoupling:
         result, _ = ps.load(keys)
         assert result.found.all()
         assert result.values[:, 0].tolist() == [expected[int(k)] for k in keys]
-
-
-class TestTransform:
-    def test_read_modify_write(self, ps):
-        keys = keys_of(range(6))
-        ps.dump(keys, np.ones((6, 2), np.float32))
-        seconds = ps.transform(keys, lambda v: v * 4)
-        assert seconds > 0
-        result, _ = ps.load(keys)
-        assert np.all(result.values == 4.0)
-
-    def test_python_int_list_keys(self, ps):
-        """Plain int lists must be normalized to uint64, not flow through
-        as int64 and miss the uint64 file-store mapping."""
-        ps.dump(keys_of([3, 5, 7]), np.ones((3, 2), np.float32))
-        ps.transform([3, 5, 7], lambda v: v + 1)
-        result, _ = ps.load(keys_of([3, 5, 7]))
-        assert result.found.all()
-        assert np.all(result.values == 2.0)
-
-    def test_absent_key_raises(self, ps):
-        ps.dump(keys_of([1]), np.ones((1, 2), np.float32))
-        with pytest.raises(KeyError, match="absent"):
-            ps.transform([1, 99], lambda v: v)
