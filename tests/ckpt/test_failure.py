@@ -3,9 +3,9 @@ under the :class:`~repro.faults.Supervisor` → restore → replay reaches
 the state of a run that never failed, bit for bit.
 
 A run from round 0 probes every node once per round boundary, so probe
-op ``r + 1`` kills the node right after round ``r``.  The boundary crash
-healed by a partial restore at the baseline snapshot and the off-cadence
-crash that replays one round live in ``tests/faults/test_supervisor.py``.
+op ``r + 1`` kills the node right after round ``r``.  The partial
+restore at, and the one-round replay from, the round-0 baseline
+snapshot live in ``tests/faults/test_supervisor.py``.
 """
 
 from __future__ import annotations
@@ -45,6 +45,52 @@ def assert_same_final_state(a: HPSCluster, b: HPSCluster) -> None:
         assert np.array_equal(pa, pb)
     eval_batch = a.generator.batch(20_000, 2048)
     assert a.evaluate_auc(eval_batch) == b.evaluate_auc(eval_batch)
+
+
+def test_recovery_reaches_no_failure_state(tiny_spec, small_config, tmp_path):
+    baseline = build(tiny_spec, small_config)
+    baseline.train(6)
+
+    run = supervise(
+        build(tiny_spec, small_config), tmp_path, 6, crash_after(1, 4), every=3
+    )
+    assert run.cluster.rounds_completed == 6
+    assert run.rounds == 6
+    crash = the_crash(run)
+    assert crash.node == 1
+    assert crash.action == "full_restore"
+    # Killed after round 4 (5 rounds complete); newest snapshot is round 3.
+    assert crash.round == 5
+    assert crash.round - crash.replay_rounds == 3
+    assert crash.replay_rounds == 2
+    assert run.restore_seconds > 0
+    assert run.replay_seconds > 0
+    assert run.downtime_seconds == pytest.approx(
+        run.restore_seconds + run.replay_seconds
+    )
+    assert run.recoveries == 1
+    assert_same_final_state(baseline, run.cluster)
+
+
+def test_kill_right_after_snapshot_replays_one_round(
+    tiny_spec, small_config, tmp_path
+):
+    baseline = build(tiny_spec, small_config)
+    baseline.train(5)
+
+    run = supervise(
+        build(tiny_spec, small_config), tmp_path, 5, crash_after(0, 2), every=2
+    )
+    # Rounds 0-2 complete and the cadence snapshot of round 2 (a delta on
+    # the round-0 full) committed one round earlier: only round 2 is
+    # replayed.
+    crash = the_crash(run)
+    assert crash.action == "full_restore"
+    assert crash.round - crash.replay_rounds == 2
+    assert crash.replay_rounds == 1
+    assert run.cluster.restore_stats.kind == "delta"
+    assert run.cluster.restore_stats.directory == str(tmp_path / "round_000002")
+    assert_same_final_state(baseline, run.cluster)
 
 
 def test_checkpoint_accounting_in_report(tiny_spec, small_config, tmp_path):
@@ -105,6 +151,32 @@ def test_crash_the_run_never_reaches_is_never_probed(
     assert run.reports == ()
     assert run.recoveries == 0
     assert schedule.faults_fired == 0
+
+
+def test_partial_recovery_matches_no_failure_state(
+    tiny_spec, small_config, tmp_path
+):
+    """The crash strikes right after a cadence snapshot committed, deep
+    in a delta chain, so one replacement node splices in and nothing
+    replays."""
+    baseline = build(tiny_spec, small_config)
+    baseline.train(8)
+
+    run = supervise(
+        build(tiny_spec, small_config), tmp_path, 8, crash_after(1, 5), every=2
+    )
+    assert run.cluster.rounds_completed == 8
+    crash = the_crash(run)
+    assert crash.action == "partial_restore"
+    assert crash.node == 1
+    # Recovered from the boundary snapshot the crash landed on.
+    assert crash.round == 6
+    assert crash.replay_rounds == 0
+    assert run.replay_seconds == 0.0
+    assert run.restore_seconds == crash.downtime_seconds > 0
+    # The round-0 snapshot is full; every cadence snapshot after chains.
+    assert [c.kind for c in run.checkpoints] == ["full"] + ["delta"] * 4
+    assert_same_final_state(baseline, run.cluster)
 
 
 def test_partial_recovery_is_cheaper_than_full(

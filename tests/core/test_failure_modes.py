@@ -10,7 +10,9 @@ import pytest
 from repro.config import ClusterConfig
 from repro.core.cluster import HPSCluster
 from repro.errors import TierStateError
+from repro.hbm.hbm_ps import HBMPS
 from repro.mem.cache import CombinedCache
+from repro.nn.optim import SparseSGD
 
 
 class TestCapacityViolations:
@@ -51,6 +53,27 @@ class TestCapacityViolations:
         for part in ("10-row LRU tier", "mem_capacity_params", "cache_lru_fraction"):
             assert part in str(err.value)
         assert len(cache) == 0 and cache.stats.accesses == 0
+
+    def test_hash_table_never_silently_drops(self, round_plan):
+        """An over-capacity staging into the HBM-PS is refused before it
+        touches the staged working set."""
+        ps = HBMPS(2, capacity_per_gpu=3, optimizer=SparseSGD(1, lr=1.0))
+
+        def plan_of(keys):
+            return round_plan(
+                [[keys, []]], n_gpus=2, gpu_partitioner=ps.params.partitioner
+            ).nodes[0]
+
+        values = np.arange(4, dtype=np.float32)[:, None]
+        ps.load_working_set(values, plan_of(range(4)))
+        with pytest.raises(RuntimeError, match="capacity"):
+            ps.load_working_set(
+                np.zeros((20, 1), np.float32), plan_of(range(20))
+            )
+        # The original contents are intact after the failed load.
+        keys, kept = ps.dump()
+        assert keys.tolist() == [0, 1, 2, 3]
+        assert np.array_equal(kept, values)
 
 
 class TestDataBoundaries:
