@@ -139,12 +139,12 @@ class ClusterConfig:
     cache_lru_fraction: float = 0.5
     compaction_threshold: float = 2.0
     compaction_stale_fraction: float = 0.5
-    #: *schedules* the MEM tier's once-per-round resolve (local
-    #: partition, peer-served partitions, owner-queue keys — one cache
-    #: probe per distinct key, pinned for the round); it selects no code
-    #: path.  True runs the resolve as its own pipeline stage between
-    #: read and prepare, where the engine can overlap it; False runs the
-    #: same resolve inline at the head of the prepare stage.
+    #: *schedules* the MEM tier's once-per-round resolve (every key of
+    #: the round the node owns — one cache probe per distinct key,
+    #: pinned for the round); it selects no code path.  True runs the
+    #: resolve as its own pipeline stage between read and prepare,
+    #: where the engine can overlap it; False runs the same resolve
+    #: inline at the head of the prepare stage.
     prefetch: bool = False
     #: SSD extent cache: parameter-file payloads kept hot so repeat
     #: miss-path reads of the same file pay the cheap warm rate instead

@@ -18,16 +18,19 @@ independently-callable stage functions (:meth:`HPSCluster.stage_read`,
 One round performs:
 
 1.  every node streams its own batch from HDFS (data parallel);
-2.  every node gathers its batch's working parameters from local
-    MEM-PS/SSD-PS and remote MEM-PS;
+2.  every MEM-PS owner resolves the round's keys it owns from its cache
+    or SSD-PS and fills them into the round array — one row per distinct
+    key of the round — which is how each node gathers its batch's working
+    parameters from local and remote MEM-PS;
 3.  working parameters are partitioned across the node's GPUs and staged
-    in the HBM-PS;
+    in the HBM-PS, as a view of the round array;
 4.  the batch is sharded into mini-batches; per mini-batch each GPU worker
     pulls embeddings, runs forward/backward, pushes gradients back
     (Algorithm 2), and the cluster synchronizes with the hierarchical
-    all-reduce before the next mini-batch — eliminating staleness;
-5.  after the last mini-batch the MEM-PS pulls updated parameters back
-    from the HBM-PS and dumps cache overflow to the SSD-PS.
+    all-reduce and applies the merged update to the round array once
+    before the next mini-batch — eliminating staleness;
+5.  after the last mini-batch every MEM-PS owner writes its rows of the
+    round array back and dumps cache overflow to the SSD-PS.
 
 Every step reports simulated seconds; :class:`BatchStats` aggregates them
 into the exact stage decomposition the paper's Figures 3(c), 4(a) and 4(b)
@@ -339,7 +342,10 @@ class RoundContext:
     # the MEM working-set resolve (own stage, or the head of stage 2)
     prefetch_seconds: float = 0.0
     # stage 2: MEM-PS/SSD-PS prepare
-    prep_values: list[np.ndarray] = field(default_factory=list)
+    #: the round array: one value row per round-local code, filled by the
+    #: MEM owners, staged (as a view) by every node's HBM-PS, updated
+    #: once per sync round and written back by the owners
+    values: np.ndarray | None = None
     pull_remote_seconds: float = 0.0
     # stage 3: CPU partition + HBM working-set staging
     cpu_partition_seconds: float = 0.0
@@ -441,7 +447,7 @@ class HPSCluster:
         #: Rounds whose working parameters are currently staged in HBM
         #: (between stage_load and the end of stage_train).  Non-zero
         #: means cross-tier reads and checkpoints are unsafe — freshly
-        #: trained values may exist only in a node's HBM staging array.
+        #: trained values may exist only in the round array HBM stages.
         self._staged_rounds = 0
         #: Cost accounting of the restore that produced this cluster
         #: (set by :meth:`restore`; None for a freshly built cluster).
@@ -701,13 +707,13 @@ class HPSCluster:
         """Resolve + pin the round's MEM working set, once.
 
         Every node pulls its :class:`~repro.plan.NodePrefetchPlan` union
-        (local partition, peer-served partitions, owner-queue keys)
-        through cache → SSD → fresh-init exactly once and pins it for
-        the round, so every later stage's MEM access is a pure row
-        gather.  Nodes run in parallel — the resolve costs the slowest
-        node's resolve + load time.  ``config.prefetch`` only schedules
-        it: as its own pipeline stage between read and prepare, or
-        inline at the head of :meth:`stage_prepare`.
+        (every key of the round it owns) through cache → SSD →
+        fresh-init exactly once and pins it for the round, so every later
+        stage's MEM access is a pure row gather.  Nodes run in parallel
+        — the resolve costs the slowest node's resolve + load time.
+        ``config.prefetch`` only schedules it: as its own pipeline stage
+        between read and prepare, or inline at the head of
+        :meth:`stage_prepare`.
         """
         self._snapshot_counters(ctx)
         seconds = 0.0
@@ -718,23 +724,30 @@ class HPSCluster:
 
     def stage_prepare(self, ctx: RoundContext) -> float:
         """Stage 2 — gather working parameters (lines 3-4), preceded by
-        the MEM resolve when no prefetch stage ran it."""
+        the MEM resolve when no prefetch stage ran it.
+
+        The owners' resolve sets partition the round, so together they
+        write every row of the round array exactly once.
+        """
         resolve_s = 0.0 if self.config.prefetch else self.stage_prefetch(ctx)
-        prep_out = [
-            node.mem_ps.prepare(p)
-            for node, p in zip(self.nodes, self._plan_of(ctx).nodes)
-        ]
-        ctx.prep_values = [values for values, _ in prep_out]
-        ctx.pull_remote_seconds = max(p.remote_seconds for _, p in prep_out)
+        plan = self._plan_of(ctx)
+        values = np.empty(
+            (plan.keys.size, self.sparse_optimizer.value_dim), dtype=np.float32
+        )
+        ctx.pull_remote_seconds = max(
+            node.mem_ps.prepare(p, values).remote_seconds
+            for node, p in zip(self.nodes, plan.nodes)
+        )
+        ctx.values = values
         return resolve_s + ctx.pull_remote_seconds
 
     def stage_load(self, ctx: RoundContext) -> float:
         """Stage 3 — CPU partition + HBM working-set staging (lines 5-10)."""
         cpu_s = 0.0
         load_s = 0.0
-        for node, nplan, values in zip(
-            self.nodes, self._plan_of(ctx).nodes, ctx.prep_values
-        ):
+        values = ctx.values
+        assert values is not None, "stage_prepare fills the round array"
+        for node, nplan in zip(self.nodes, self._plan_of(ctx).nodes):
             cpu_s = max(cpu_s, node.cpu_partition_time(nplan.keys.size))
             load_s = max(load_s, node.hbm_ps.load_working_set(values, nplan))
         ctx.cpu_partition_seconds = cpu_s + load_s
@@ -752,6 +765,8 @@ class HPSCluster:
         n_gpus = self.config.gpus_per_node
         mb_rounds = self.config.minibatches_per_gpu
         plan = self._plan_of(ctx)
+        values = ctx.values
+        assert values is not None, "stage_prepare fills the round array"
         flops_per_ex = dense_flops_per_example(
             self.model_spec.n_slots,
             self.model_spec.embedding_dim,
@@ -822,17 +837,17 @@ class HPSCluster:
                 gpus_per_node=n_gpus,
                 union=(splan.keys, [spn.union_pos for spn in splan.nodes]),
             )
-            t_apply = 0.0
-            for i, node in enumerate(nodes):
-                spn = splan.nodes[i]
-                _, t_a = node.hbm_ps.apply_update(global_update, spn)
-                t_apply = max(t_apply, t_a)
-                own = spn.missing_own_idx
-                if own.size:
-                    pf = plan.prefetch[i]
-                    node.mem_ps.apply_gradients(
-                        pf.rows[pf.update_pos[m]], global_update.grads[own]
-                    )
+            # One value per key: every node stages a view of the round
+            # array, so the update is applied once — to every staged key
+            # and every key only a peer staged — and each node is charged
+            # for its GPUs' share (on the ledger; the stage clock never
+            # counted the apply).
+            codes = splan.codes
+            values[codes] = self.sparse_optimizer.apply(
+                values[codes], global_update.grads
+            )
+            for node, spn in zip(nodes, splan.nodes):
+                node.hbm_ps.apply_update(spn)
             dense_sum, t_dense = allreduce_dense(
                 node_dense_grads,
                 networks=[node.network for node in nodes],
@@ -855,9 +870,8 @@ class HPSCluster:
             worker_critical_s += round_worker_t
 
         # --- write back (lines 16-18) ------------------------------------
-        for node, nplan in zip(nodes, plan.nodes):
-            _, values = node.hbm_ps.dump()
-            node.mem_ps.absorb_updates(values, nplan)
+        for node in nodes:
+            node.mem_ps.absorb_updates(values)
             node.mem_ps.end_batch()
 
         # --- aggregate ---------------------------------------------------
@@ -948,36 +962,45 @@ class HPSCluster:
         """
         self.check_stage_conflicts()
         base = self.rounds_completed
-        ctxs: dict[int, RoundContext] = {}
+        last = len(self._stage_defs) - 1
+        live: dict[int, RoundContext] = {}
+        stats: list[BatchStats] = []
 
-        def ctx_for(b: int) -> RoundContext:
-            if b not in ctxs:
-                ctxs[b] = RoundContext(round_index=base + b)
-            return ctxs[b]
+        def fire(b: int, s: int, fn: StageFn) -> float:
+            ctx = live.get(b)
+            if ctx is None:
+                ctx = live[b] = RoundContext(round_index=base + b)
+            seconds = fn(ctx)
+            if s == last:
+                # Round b has run its last stage: keep its stats, drop
+                # its plan, batches and round array rather than holding
+                # every round's until the segment returns.
+                stats.append(live.pop(b).stats)
+            return seconds
 
         stages = [
             StageDef(
                 spec.name,
-                lambda b, fn=spec.fn: fn(ctx_for(b)),
+                lambda b, s=s, fn=spec.fn: fire(b, s, fn),
                 reads=spec.reads,
                 writes=spec.writes,
             )
-            for spec in self._stage_defs
+            for s, spec in enumerate(self._stage_defs)
         ]
         engine = PipelinedEngine(stages, queue_capacity=queue_capacity)
         run = engine.run(n_rounds)
-        return PipelinedRun([ctxs[b].stats for b in range(n_rounds)], run)
+        return PipelinedRun(stats, run)
 
     # ------------------------------------------------------------------
     def _require_round_boundary(self, what: str) -> None:
         """Cross-tier reads/snapshots are only coherent between rounds.
 
         Between ``stage_load`` and the end of ``stage_train`` the freshest
-        copy of a working parameter lives *only* in a node's HBM staging
-        array — the MEM/SSD tiers see it again at write-back.  A MEM/SSD
-        read in that window would silently serve stale values (or fall
-        through to the fresh-key init), so it is an error, not a best
-        effort.
+        copy of a working parameter lives *only* in the round array the
+        nodes' HBM-PS stage — the MEM/SSD tiers see it again at
+        write-back.  A MEM/SSD read in that window would silently serve
+        stale values (or fall through to the fresh-key init), so it is an
+        error, not a best effort.
         """
         if self._staged_rounds:
             raise RuntimeError(
@@ -1000,8 +1023,8 @@ class HPSCluster:
         ``restore_node`` applied) without forking parameters.
 
         Only valid while no round has working parameters staged in HBM —
-        past ``stage_load`` the freshest values live only in the HBM
-        staging arrays and a full restore is the sole safe recovery.
+        past ``stage_load`` the freshest values live only in the round
+        array and a full restore is the sole safe recovery.
         """
         self._require_round_boundary("abort_round")
         for node in self.nodes:

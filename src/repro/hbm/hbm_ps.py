@@ -1,26 +1,32 @@
 """HBM-PS — the top layer of the hierarchy (paper Section 4).
 
-One :class:`HBMPS` instance manages a node's GPUs.  Per round the
-cluster threads the round's :class:`~repro.plan.NodePlan` through
-:meth:`load_working_set`, which stages the working parameters (value =
-embedding + optimizer state, as defined by the sparse optimizer's value
-layout) as one dense array aligned with the plan's sorted keys.  Every
-worker-facing call then takes the matching mini-batch / sync plan and is
-a pure index gather/scatter — no hashing, no probing, no per-stage
-``np.unique``: workers pull embedding rows, scatter-add gradients into
-the sync round's buffer (Algorithm 1 line 14), the trainer drains that
-buffer, all-reduces it across nodes, and calls :meth:`apply_update`,
-which applies the optimizer to every staged key and reports the keys
-this node does *not* have staged (the MEM-PS owner applies those —
-Section 5 "Update parameters").
+One :class:`HBMPS` instance manages a node's GPUs.  A round's parameter
+values (value = embedding + optimizer state, as defined by the sparse
+optimizer's value layout) live in one *round array*, one row per
+distinct key of the round, indexed by the round-local codes of the
+:class:`~repro.plan.RoundPlan`: the MEM owners fill it, every node's
+HBM-PS stages a view of it with its :class:`~repro.plan.NodePlan`
+(:meth:`HBMPS.load_working_set`), and the owners write it back at the
+round's end.  A key staged on several nodes therefore has one value,
+not one copy per node.  Every worker-facing call takes the matching
+mini-batch / sync plan and is a pure index gather/scatter — no hashing,
+no probing, no per-stage ``np.unique``: workers pull embedding rows at
+their mini-batch's codes and scatter-add gradients into the node's
+sync-round buffer (Algorithm 1 line 14); the trainer drains each node's
+buffer, all-reduces them across nodes and applies the merged update to
+the round array once, at the sync union's codes — which covers every
+staged replica and every key its MEM owner updates for peers (Section
+5 "Update parameters").
 
 The simulated cost model charges what the per-GPU hash tables of
-Section 4.1 / Algorithm 2 would: per-GPU key counts come from the plan,
-and :meth:`HBMPS._charge_table_ops` prices them on a
+Section 4.1 / Algorithm 2 would, node by node: per-GPU key counts come
+from the plan, and :meth:`HBMPS._charge_table_ops` prices them on a
 :class:`GPUFabric` (``params``) — the node's GPUs as a sharded key
-space with their devices and NVLink.  The tables themselves are a test
-oracle (``tests/hbm_oracles.py``) that holds the pricing to them
-charge for charge.
+space with their devices and NVLink.  :meth:`HBMPS.apply_update`
+charges each node's GPUs for their staged share of a sync round's
+update.  The tables themselves are a test oracle
+(``tests/hbm_oracles.py``) that holds the pricing to them charge for
+charge, beside the per-node replicas the round array replaced.
 """
 
 from __future__ import annotations
@@ -35,7 +41,6 @@ from repro.hbm.allreduce import SparseUpdate
 from repro.hbm.partition import ModuloPartitioner
 from repro.nn.optim import SparseOptimizer
 from repro.plan.batch_plan import MinibatchPlan, NodePlan, NodeSyncPlan
-from repro.utils.keys import as_keys
 
 __all__ = ["GPUFabric", "HBMPS"]
 
@@ -69,13 +74,14 @@ class GPUFabric:
 
 
 class _StagedRound:
-    """Dense working-set staging for one round."""
+    """One round's staging: a view of the round array and its node plan."""
 
     __slots__ = ("plan", "values", "grad_buf")
 
     def __init__(self, plan: NodePlan, values: np.ndarray) -> None:
         self.plan = plan
-        #: (n_working, value_dim) float32, mutated in place by apply_update
+        #: the round array, (n_codes, value_dim) float32 — shared with
+        #: every node of the round; ``plan.codes`` are this node's rows
         self.values = values
         #: (sync_size, dim) float32 gradient buffer of the current sync
         #: round; allocated lazily at the first push, dropped at drain
@@ -169,8 +175,9 @@ class HBMPS:
     def load_working_set(self, values: np.ndarray, plan: NodePlan) -> float:
         """Stage the batch's working parameters (Alg. 1 lines 6–10).
 
-        ``values`` is aligned with ``plan.keys``; per-GPU insert costs
-        are charged from the plan's precomputed partition sizes.
+        ``values`` is the round array (one row per round-local code); the
+        node stages a view of it, its working set at ``plan.codes``, and
+        is charged the per-GPU inserts from the plan's partition sizes.
         """
         for g in range(self.n_gpus):
             if plan.gpu_counts[g] > self.capacity_per_gpu:
@@ -179,9 +186,7 @@ class HBMPS:
                     f" > {self.capacity_per_gpu} (room for "
                     f"{self.capacity_per_gpu})"
                 )
-        self._staged = _StagedRound(
-            plan, np.array(values, dtype=np.float32, copy=True)
-        )
+        self._staged = _StagedRound(plan, values)
         return self._charge_table_ops(
             self.optimizer.value_dim,
             plan.gpu_counts,
@@ -200,7 +205,7 @@ class HBMPS:
             # exhaustion escapes with global scope — mid-train HBM state
             # is only recoverable by a full restore.
             extra = self.faults.guard({"hbm_dispatch": 0.0}, scope="global")
-        values = self._round().values[mb.work_idx]
+        values = self._round().values[mb.codes]
         t = self._charge_table_ops(
             self.optimizer.value_dim, mb.gpu_counts, "hbm_pull", source_gpu=gpu
         )
@@ -246,34 +251,27 @@ class HBMPS:
             sync.keys, buf.astype(np.float64)  # repro: allow(f64-hot-path)
         )
 
-    def apply_update(
-        self, update: SparseUpdate, sync: NodeSyncPlan
-    ) -> tuple[np.ndarray, float]:
-        """Apply a (post-all-reduce) global update to resident keys.
+    def apply_update(self, sync: NodeSyncPlan) -> float:
+        """Charge this node's GPUs for a sync round's update.
 
-        Returns ``(missing_keys, seconds)`` — keys in ``update`` that are
-        not staged on this node; the caller forwards those to the MEM-PS
-        owner queue.
+        The update itself is applied once per sync round, to the round
+        array every node stages a view of; each node pays for applying
+        it to its staged share (``sync.resident_gpu_counts``), as its
+        per-GPU tables would.
         """
-        if update.n_keys == 0:
-            return as_keys([]), 0.0
-        st = self._round()
-        missing = update.keys[sync.missing_idx]
-        if sync.resident_idx.size == 0:
-            return missing, 0.0
-        rows = sync.resident_work_idx
-        st.values[rows] = self.optimizer.apply(
-            st.values[rows], update.grads[sync.resident_idx]
-        )
-        t = self._charge_table_ops(
+        self._round()
+        return self._charge_table_ops(
             self.optimizer.value_dim, sync.resident_gpu_counts, "hbm_push"
         )
-        return missing, t
 
     def dump(self) -> tuple[np.ndarray, np.ndarray]:
-        """All staged (keys, values) — the MEM-PS pull-back (line 16)."""
+        """All staged (keys, values) — the working set as it stands.
+
+        Kept only because frozen ``benchmarks/hps/spans.py`` binds it;
+        drop at benchmark v2 (the owners write the round array back).
+        """
         st = self._round()
-        return st.plan.keys, st.values
+        return st.plan.keys, st.values[st.plan.codes]
 
     def clear(self) -> None:
         self._staged = None
@@ -281,14 +279,13 @@ class HBMPS:
     # ------------------------------------------------------------------
     # Checkpoint protocol.  The HBM tier is *transient*: every round
     # restages its working set from the MEM tier and the round-end
-    # write-back (``dump`` + ``MemPS.absorb_updates``) pulls the values
-    # back down, so between rounds the staged array is a
-    # non-authoritative shadow (the next ``load_working_set`` replaces it
-    # unconditionally).  The export pair therefore ships nothing and the
-    # mark remembers nothing — but each *asserts* the tier is actually
-    # quiescent, catching any attempt to snapshot mid-round, and keeps
-    # the per-tier protocol uniform so the checkpoint writer can drive
-    # every tier identically.
+    # write-back (``MemPS.absorb_updates``) pulls the values back down,
+    # so between rounds the staged array is a non-authoritative shadow
+    # (the next ``load_working_set`` replaces it unconditionally).  The
+    # export pair therefore ships nothing and the mark remembers nothing
+    # — but each *asserts* the tier is actually quiescent, catching any
+    # attempt to snapshot mid-round, and keeps the per-tier protocol
+    # uniform so the checkpoint writer can drive every tier identically.
     def _require_quiescent(self) -> None:
         if self._staged is not None and self._staged.grad_buf is not None:
             raise TierStateError(

@@ -4,16 +4,19 @@ Each node's MEM-PS owns a *shard* of the global parameter space (modulo
 hashing on the key, Section 5 "Prepare parameters").  For a training
 round it:
 
-1. resolves, exactly once, every key it will touch this round — its local
-   working partition, the partitions it serves to peers, the owner-queue
-   keys of every sync round — through the LRU+LFU cache, falling back to
-   the SSD-PS and initializing never-seen keys from the optimizer's init
-   rule (:meth:`MemPS.prefetch`), and pins them until the round ends;
-2. gathers its local partition and pulls remote partitions from their
-   owning nodes' MEM-PS over the network — pure row gathers on the
-   resolved rows, no further index probe;
-3. applies owner-queue gradients and, on round completion, absorbs updated
-   values through the same rows, then unpins them.
+1. resolves, exactly once, every key of the round it owns — its local
+   working partition and the partitions its peers stage — through the
+   LRU+LFU cache, falling back to the SSD-PS and initializing never-seen
+   keys from the optimizer's init rule (:meth:`MemPS.prefetch`), and pins
+   them until the round ends;
+2. fills those keys' rows of the round's value array (one row per key of
+   the round, shared by every node) — a pure row gather on the resolved
+   rows, no further index probe — and charges its own pulls of the
+   partitions peers own to the network (:meth:`MemPS.prepare`);
+3. on round completion writes its rows of the round array, now holding
+   every sync round's update, back through the same rows in one write
+   (:meth:`MemPS.absorb_updates`), then unpins them.  Nothing else writes
+   a MEM value mid-round.
 
 One resolved round is in flight per node: a second :meth:`MemPS.prefetch`
 before :meth:`MemPS.end_batch` raises, so pins of different rounds never
@@ -39,7 +42,6 @@ from repro.mem.cache import CombinedCache
 from repro.nn.optim import SparseOptimizer
 from repro.plan.batch_plan import AdmissionRecord, NodePlan, NodePrefetchPlan
 from repro.ssd.ssd_ps import SSDPS
-from repro.utils.keys import all_unique
 from repro.utils.rng import spawn
 
 __all__ = ["MemPS", "PrepareStats"]
@@ -134,14 +136,13 @@ class MemPS:
         return pplan
 
     def serve_remote(self, keys: np.ndarray, *, requester: int) -> np.ndarray:
-        """Handle node ``requester``'s pull of ``keys`` (all owned here).
+        """Values of node ``requester``'s pull of ``keys`` (all owned here).
 
-        ``keys`` is the partition the requester's
-        :class:`~repro.plan.NodePlan` assigned to this node — sorted
-        unique and owned here by construction (validated by the plan
-        unit tests), so there is no ownership re-hash.  The round's
-        resolve already loaded and pinned the partition, so the pull is
-        a pure row gather with no device traffic and no extra pin.
+        Kept only because frozen ``benchmarks/hps/spans.py`` binds it;
+        drop at benchmark v2 (:meth:`prepare` fills peers' rows of the
+        round array instead).  ``keys`` is the partition the requester's
+        :class:`~repro.plan.NodePlan` assigned to this node; the pull is
+        a row gather on the rows the round's resolve pinned.
         """
         pplan = self._round()
         pos = pplan.serve_pos[requester]
@@ -154,15 +155,15 @@ class MemPS:
         """Resolve, load, and pin the round's full MEM working set.
 
         ``pplan`` is the node's :class:`~repro.plan.NodePrefetchPlan`:
-        the sorted union of the local working partition, every partition
-        served to a peer, and the owner-queue keys of every sync round.
-        The whole set goes through cache → SSD → fresh-init exactly once
-        and stays pinned until :meth:`end_batch`; the resolved LRU rows
-        land on the plan, so every later MEM access this round is a pure
-        row gather (no SlotIndex probe, no admission work, no eviction
-        risk).  Returns simulated seconds (SSD loads plus the dumps of
-        what the inserts flushed — all the device time the MEM tier pays
-        for the round).
+        every key of the round this node owns (its local working
+        partition and the partitions its peers stage).  The whole set
+        goes through cache → SSD → fresh-init exactly once and stays
+        pinned until :meth:`end_batch`; the resolved LRU rows land on the
+        plan, so every later MEM access this round is a pure row gather
+        (no SlotIndex probe, no admission work, no eviction risk).
+        Returns simulated seconds (SSD loads plus the dumps of what the
+        inserts flushed — all the device time the MEM tier pays for the
+        round).
         """
         self._require_round_boundary()
         adm_before = self._admission_snapshot()
@@ -214,80 +215,67 @@ class MemPS:
                 seconds += self.ssd_ps.dump(flush_k, flush_v).total_seconds
         return hit, rows, ssd_found, seconds
 
-    def prepare(self, plan: NodePlan) -> tuple[np.ndarray, PrepareStats]:
-        """Gather values for a batch's working set (Alg. 1 lines 3–4).
+    def prepare(self, plan: NodePlan, values: np.ndarray) -> PrepareStats:
+        """Fill the round array with this owner's keys (Alg. 1 lines 3–4).
 
-        Returns values aligned with ``plan.keys`` plus the stats used by
-        the Fig. 4(b) decomposition.  The owner partition comes from the
-        plan's precomputed index arrays (no re-hash, no re-unique — the
-        plan guarantees uniqueness by construction, so ``all_unique`` is
-        a debug assertion); the local partition and every peer-served
-        one are row gathers on what :meth:`prefetch` resolved.
+        ``values`` is the round array, one row per round-local code.  The
+        owner writes every key it resolved — its local partition and the
+        partitions its peers stage, which is how it serves their pulls —
+        with one row gather; the prefetch unions partition the round, so
+        once every node has prepared, every row is written exactly once.
+        ``plan`` is this node's :class:`~repro.plan.NodePlan`: its
+        remote partitions are the pulls the node pays network time for,
+        and the returned stats are the Fig. 4(b) decomposition.
         """
-        keys = plan.keys
-        assert all_unique(keys), "BatchPlan working keys must be unique"
         pplan = self._round()
-        local_idx = plan.local_idx
-        values = np.zeros((keys.size, self.optimizer.value_dim), dtype=np.float32)
-        values[local_idx] = self.cache.values_at(pplan.rows[pplan.local_pos])
+        values[pplan.codes] = self.cache.values_at(pplan.rows)
         n_hits = int(pplan.hit[pplan.local_pos].sum())
         n_ssd = int(pplan.ssd_found[pplan.local_pos].sum())
 
         t_remote = 0.0
         n_remote = 0
-        for peer_id in range(self.n_nodes):
-            if peer_id == self.node_id:
+        for peer_id, idx in enumerate(plan.node_parts):
+            if peer_id == self.node_id or idx.size == 0:
                 continue
-            idx = plan.node_parts[peer_id]
-            if idx.size == 0:
-                continue
-            values[idx] = self.peers[peer_id].serve_remote(
-                keys[idx], requester=self.node_id
-            )
             n_remote += idx.size
             # Request (keys out) + response (keys+values back).
             nbytes = idx.size * (8 + (8 + 4 * self.optimizer.value_dim))
             if self.network is not None:
                 t_remote += self.network.send(nbytes, category="net_remote_pull")
-        stats = PrepareStats(
-            n_keys=keys.size,
-            n_local=local_idx.size,
+        n_local = plan.local_idx.size
+        return PrepareStats(
+            n_keys=plan.keys.size,
+            n_local=n_local,
             n_remote=n_remote,
             n_cache_hits=n_hits,
             n_ssd_loaded=n_ssd,
-            n_fresh=local_idx.size - n_hits - n_ssd,
+            n_fresh=n_local - n_hits - n_ssd,
             remote_seconds=t_remote,
         )
-        return values, stats
 
     # ------------------------------------------------------------------
-    def absorb_updates(self, values: np.ndarray, plan: NodePlan) -> None:
-        """Write updated values back after a batch (Alg. 1 lines 16–18).
+    def absorb_updates(self, values: np.ndarray) -> None:
+        """Write the round's result back (Alg. 1 lines 16–18).
 
-        ``values`` is aligned with ``plan.keys``.  Only locally-owned
-        keys are kept (remote owners get their updates from their own
-        GPUs — Section 5 "Update parameters"); the owner split and the
-        cache update go through the plan's precomputed indices and the
-        resolved LRU rows — no re-hash, no SlotIndex probe, no device
-        traffic.  The rows stay pinned: :meth:`end_batch` releases the
-        round's whole set.
+        ``values`` is the round array after every sync round's update.
+        The owner writes back every key it resolved — the ones its own
+        GPUs staged and the ones only peers staged (Section 5 "Update
+        parameters") — through the resolved rows in one write: no
+        re-hash, no SlotIndex probe, no device traffic.  This is the only
+        write to a MEM value in a round.  The rows stay pinned:
+        :meth:`end_batch` releases the round's whole set.
         """
         pplan = self._round()
-        self.cache.update_rows(
-            pplan.rows[pplan.local_pos],
-            np.asarray(values, dtype=np.float32)[plan.local_idx],
-        )
+        self.cache.update_rows(pplan.rows, values[pplan.codes])
 
     def apply_gradients(self, rows: np.ndarray, grads: np.ndarray) -> None:
-        """Owner-side optimizer application for keys *not* staged in the
-        local HBM (the update queue described in the module docstring of
-        :mod:`repro.hbm.hbm_ps`).
+        """Apply the sparse optimizer to resolved rows in place.
 
-        ``rows`` are the resolved LRU rows of a sync round's owner-queue
-        keys (``pplan.rows[pplan.update_pos[m]]``) — pinned residents, so
-        the optimizer applies through a pure row gather/scatter: no cache
-        probe, no admission work, no eviction risk, no device traffic
-        (hence no seconds to return).
+        Kept only because frozen ``benchmarks/hps/spans.py`` binds it;
+        drop at benchmark v2 (updates reach MEM through
+        :meth:`absorb_updates`).  ``rows`` are pinned resolved rows, so
+        this is a pure row gather/scatter: no cache probe, no admission
+        work, no device traffic (hence no seconds to return).
         """
         self._round()
         if rows.size == 0:
@@ -303,8 +291,8 @@ class MemPS:
     def end_batch(self) -> None:
         """Release the round's pins.
 
-        The whole resolved working set (local + served + owner-queue
-        rows) unpins in a single row-level release — one round is in
+        The whole resolved set (the local partition and the peers'
+        partitions) unpins in a single row-level release — one round is in
         flight per node, so no other claim on a row can exist.
         Device-free: the LRU tier never holds more than its capacity, so
         there is no overflow to settle.
@@ -318,8 +306,8 @@ class MemPS:
 
         Fault-recovery counterpart of :meth:`end_batch`: releases the
         resolve's pins of a round that will never reach write-back, if
-        this node got as far as resolving one.  Values were never
-        mutated, so this is purely a bookkeeping reset; the retry
+        this node got as far as resolving one.  Values change only at
+        the write-back, so this is purely a bookkeeping reset; the retry
         re-derives residency from the cache itself.
         """
         if self._prefetch_plan is not None:

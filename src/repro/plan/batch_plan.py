@@ -7,12 +7,11 @@ whole plan can be computed in the read stage, before any tier is touched:
 * per node: the sorted unique working keys, their node-owner partition
   (who serves each key in the MEM tier), their per-GPU partition (where
   each key is staged in the HBM tier), and the sharded mini-batches;
-* per (node, shard): the mini-batch's sorted unique keys, their gather
-  positions inside the node's working set, and per-GPU key counts (what
-  the HBM pull/push cost model charges);
+* per (node, shard): the mini-batch's sorted unique keys and per-GPU key
+  counts (what the HBM pull/push cost model charges);
 * per sync round ``m``: the union of keys every node's workers touched —
-  which is exactly the key set of the merged all-reduce update — with each
-  node's resident/missing split against its staged working set.
+  which is exactly the key set of the merged all-reduce update — with the
+  per-GPU counts of each node's staged share of it.
 
 A few :class:`NodePrefetchPlan` fields are *not* known at build time and
 are filled in by the MEM tier's once-per-round resolve
@@ -33,6 +32,11 @@ order — and every position array is a gather through a rank array over
 ``|U|``.  Compact and sparse key domains share that one path (only
 :func:`~repro.utils.keys.compact_unique` looks at the domain), and every
 later consumer of the plan is a pure index gather.
+
+The codes outlive the build: every key set carries its ``codes``, and
+the tiers hold the round's parameter values in one ``(|U|, value_dim)``
+array indexed by them — one value per key per round, whichever nodes
+stage it.
 """
 
 from __future__ import annotations
@@ -88,8 +92,8 @@ class MinibatchPlan:
 
     #: sorted unique keys of the shard (``Batch.unique_keys()``, precomputed)
     keys: np.ndarray
-    #: positions of :attr:`keys` inside the node's sorted working set
-    work_idx: np.ndarray
+    #: round-local codes of :attr:`keys` (their rows in the round array)
+    codes: np.ndarray
     #: positions of :attr:`keys` inside the node's sync-round key union
     #: (the gradient-buffer row of each key)
     sync_idx: np.ndarray
@@ -113,18 +117,9 @@ class NodeSyncPlan:
     #: positions of :attr:`keys` inside the *global* update key set
     #: (where the all-reduce scatters this node's gradients)
     union_pos: np.ndarray
-    #: positions in the *global* update key set that are staged on this
-    #: node's HBM (membership in the node's working set)
-    resident_idx: np.ndarray
-    #: their positions inside the node's working set
-    resident_work_idx: np.ndarray
-    #: per-GPU counts of the resident keys (apply-update cost charges)
+    #: per-GPU counts of the global update's keys staged on this node
+    #: (the keys of its working set: the apply-update cost charges)
     resident_gpu_counts: np.ndarray
-    #: positions in the global update key set absent from this node's HBM
-    missing_idx: np.ndarray
-    #: subset of :attr:`missing_idx` whose keys this node *owns* in the
-    #: MEM tier (the owner-queue application path)
-    missing_own_idx: np.ndarray
 
 
 @dataclass
@@ -134,6 +129,8 @@ class SyncPlan:
     #: union over nodes of the keys their workers touched this round —
     #: exactly the key set of the merged all-reduce update, sorted
     keys: np.ndarray
+    #: round-local codes of :attr:`keys` (the rows the update applies to)
+    codes: np.ndarray
     nodes: list[NodeSyncPlan]
 
 
@@ -144,6 +141,8 @@ class NodePlan:
     node_id: int
     #: sorted unique working keys of the node's batch (Alg. 1 line 3)
     keys: np.ndarray
+    #: round-local codes of :attr:`keys` (the rows the node's HBM stages)
+    codes: np.ndarray
     #: per-node index arrays into :attr:`keys` (MEM-tier owner partition);
     #: ``node_parts[node_id]`` is the local shard
     node_parts: list[np.ndarray]
@@ -165,27 +164,26 @@ class NodePlan:
 class NodePrefetchPlan:
     """One node's MEM-tier resolve set for a round.
 
-    :attr:`keys` is the sorted union of every key the node's MEM-PS will
-    touch this round: its local working partition, the partitions it
-    serves to each peer, and the owner-queue keys of every sync round
-    (the ``missing_own_idx`` application path).  ``MemPS.prefetch``
-    resolves this set against the cache exactly once — cache probe, SSD
-    load, fresh-init, pin — and records the LRU rows; every later MEM
-    access this round is a pure row gather through the ``*_pos``
-    segments below (positions in :attr:`keys`, precomputed at plan-build
-    time).
+    :attr:`keys` is every key of the round the node owns: its local
+    working partition and the partitions its peers stage.  Every key of
+    the round is in some node's working set, so the nodes' resolve sets
+    partition the round universe.  ``MemPS.prefetch`` resolves this set
+    against the cache exactly once — cache probe, SSD load, fresh-init,
+    pin — and records the LRU rows; the owner then fills the round array
+    from those rows and writes the round's result back through them,
+    with no further probe.
     """
 
-    #: sorted unique union of every key the node's MEM tier touches
+    #: sorted unique keys the node's MEM tier owns this round
     keys: np.ndarray
+    #: round-local codes of :attr:`keys` (the owner's rows of the round
+    #: array)
+    codes: np.ndarray
     #: positions in :attr:`keys` of the node's local working partition
     local_pos: np.ndarray
     #: per peer node ``p``, positions in :attr:`keys` of the partition
-    #: served to ``p`` (the node's own entry is empty)
+    #: ``p`` stages (the node's own entry is empty)
     serve_pos: list[np.ndarray]
-    #: per sync round ``m``, positions in :attr:`keys` of the owner-queue
-    #: keys (``SyncPlan.keys[missing_own_idx]``)
-    update_pos: list[np.ndarray]
     # -- filled in by ``MemPS.prefetch`` --------------------------------
     #: cache slab rows of the pinned prefetched keys (a resident key's
     #: row never moves; the pin keeps it resident until ``end_batch``)
@@ -203,6 +201,9 @@ class RoundPlan:
     """The complete per-round key plan, shared by every tier."""
 
     nodes: list[NodePlan]
+    #: the round universe: every key of the round, sorted; a key's code
+    #: is its position here
+    keys: np.ndarray
     #: one :class:`SyncPlan` per mini-batch round
     sync: list[SyncPlan] = field(default_factory=list)
     #: one :class:`NodePrefetchPlan` per node
@@ -254,11 +255,11 @@ def build_round_plan(
     owner = node_partitioner.part_of(universe)
     gpu = gpu_partitioner.part_of(universe)
     ranks = np.arange(n_codes, dtype=np.int64)
-    # Node i's MEM tier touches its local working partition, the
-    # partitions it serves to peers and its owner-queue keys.  Every code
-    # is in some node's working set, so together those are exactly the
-    # codes node i owns: the prefetch unions partition the universe, and
-    # one array holds each code's position inside its owner's union.
+    # Node i's MEM tier owns its local working partition and the
+    # partitions its peers stage.  Every code is in some node's working
+    # set, so together those are exactly the codes node i owns: the
+    # prefetch unions partition the universe, and one array holds each
+    # code's position inside its owner's union.
     prefetch_codes = group_indices(owner, n_nodes)
     own_rank = np.empty(n_codes, dtype=np.int64)
     for pg in prefetch_codes:
@@ -269,8 +270,6 @@ def build_round_plan(
         if mb_rounds == 1
         else np.zeros((mb_rounds, n_nodes, n_codes), dtype=bool)
     )
-    #: per node: code -> position in the node's working set
-    work_rank = np.empty((n_nodes, n_codes), dtype=np.int64)
     # Scratch reused across shards and unions: each user reads only the
     # codes it has just written (``touch`` is handed back all-False).
     touch = np.zeros(n_codes, dtype=bool)
@@ -288,7 +287,6 @@ def build_round_plan(
         wg = node_mask[i].nonzero()[0]
         working = universe[wg]
         batch._unique = working  # what unique_keys() would memoize
-        work_rank[i][wg] = ranks[: wg.size]
         node_parts = group_indices(owner[wg], n_nodes)
         own_pos = own_rank[wg]
         served.append([own_pos[part] for part in node_parts])
@@ -316,16 +314,15 @@ def build_round_plan(
                 for j in group:
                     sync_mask[m, i, shard_codes[j]] = True
                 ug = sync_mask[m, i].nonzero()[0]
-                rank[ug] = ranks[: ug.size]
+            rank[ug] = ranks[: ug.size]
             unions.append(ug)
             for j in group:
                 sg = shard_codes[j]
-                work_idx = work_rank[i][sg]
                 minibatches.append(
                     MinibatchPlan(
                         keys=shards[j]._unique,
-                        work_idx=work_idx,
-                        sync_idx=work_idx if mb_rounds == 1 else rank[sg],
+                        codes=sg,
+                        sync_idx=rank[sg],
                         gpu_counts=np.bincount(gpu[sg], minlength=n_gpus),
                         sync_size=int(ug.size),
                         emb_idx=emb_idx[j],
@@ -336,6 +333,7 @@ def build_round_plan(
             NodePlan(
                 node_id=i,
                 keys=working,
+                codes=wg,
                 node_parts=node_parts,
                 gpu_counts=np.bincount(gpu[wg], minlength=n_gpus),
                 shards=shards,
@@ -344,45 +342,39 @@ def build_round_plan(
         )
 
     sync_plans: list[SyncPlan] = []
-    update_pos: list[list[np.ndarray]] = [[] for _ in range(n_nodes)]
     for m in range(mb_rounds):
         gidx = sync_mask[m].any(axis=0).nonzero()[0]
         rank[gidx] = ranks[: gidx.size]
-        owner_g = owner[gidx]
-        per_node: list[NodeSyncPlan] = []
-        for i in range(n_nodes):
-            ug = sync_codes[i][m]
-            resident = node_mask[i][gidx]
-            resident_idx = resident.nonzero()[0]
-            resident_codes = gidx[resident_idx]
-            missing_idx = (~resident).nonzero()[0]
-            missing_own_idx = missing_idx[owner_g[missing_idx] == i]
-            update_pos[i].append(own_rank[gidx[missing_own_idx]])
-            per_node.append(
-                NodeSyncPlan(
-                    keys=universe[ug],
-                    union_pos=rank[ug],
-                    resident_idx=resident_idx,
-                    resident_work_idx=work_rank[i][resident_codes],
-                    resident_gpu_counts=np.bincount(
-                        gpu[resident_codes], minlength=n_gpus
-                    ),
-                    missing_idx=missing_idx,
-                    missing_own_idx=missing_own_idx,
-                )
+        gpu_g = gpu[gidx]
+        per_node = [
+            NodeSyncPlan(
+                keys=universe[sync_codes[i][m]],
+                union_pos=rank[sync_codes[i][m]],
+                resident_gpu_counts=np.bincount(
+                    gpu_g[node_mask[i][gidx]], minlength=n_gpus
+                ),
             )
-        sync_plans.append(SyncPlan(keys=universe[gidx], nodes=per_node))
+            for i in range(n_nodes)
+        ]
+        sync_plans.append(
+            SyncPlan(keys=universe[gidx], codes=gidx, nodes=per_node)
+        )
 
     no_pos = np.empty(0, dtype=np.int64)
     prefetch_plans = [
         NodePrefetchPlan(
             keys=universe[prefetch_codes[i]],
+            codes=prefetch_codes[i],
             local_pos=served[i][i],
             serve_pos=[
                 served[p][i] if p != i else no_pos for p in range(n_nodes)
             ],
-            update_pos=update_pos[i],
         )
         for i in range(n_nodes)
     ]
-    return RoundPlan(nodes=node_plans, sync=sync_plans, prefetch=prefetch_plans)
+    return RoundPlan(
+        nodes=node_plans,
+        keys=universe,
+        sync=sync_plans,
+        prefetch=prefetch_plans,
+    )

@@ -334,13 +334,15 @@ class TestDeltaChainRestore:
 
         def collect(ctx) -> float:
             # The round's MEM write set straight from its plan: the local
-            # working partition (write-back) plus every sync round's
-            # owner-queue keys.
+            # working partition plus every sync round's keys the node
+            # owns but did not stage (the owner queue's keys).
             for i, parts in enumerate(collected):
                 node_plan = ctx.plan.nodes[i]
                 parts.append(node_plan.keys[node_plan.local_idx])
+                owner_of = cluster.nodes[i].mem_ps.owner_of
                 for sp in ctx.plan.sync:
-                    parts.append(sp.keys[sp.nodes[i].missing_own_idx])
+                    queued = ~np.isin(sp.keys, node_plan.keys)
+                    parts.append(sp.keys[queued & (owner_of(sp.keys) == i)])
             return 0.0
 
         cluster.register_stage("collect", collect, after="train")

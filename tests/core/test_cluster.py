@@ -1,6 +1,7 @@
 """Integration tests for the full hierarchical PS cluster (Algorithm 1)."""
 
 import dataclasses
+import gc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from repro.config import ClusterConfig
 from repro.core.cluster import HPSCluster
 from repro.core.trainer import ReferenceTrainer, Trainer
+from repro.plan import RoundPlan
 
 
 @pytest.fixture
@@ -178,6 +180,33 @@ class TestHBMStagingIsDense:
                 arrays = list(_arrays_under(hbm, set()))
                 assert arrays  # the walk does see the staged values
                 assert all(a.ndim == 0 or a.shape[0] < cap for a in arrays)
+
+
+def _round_plans_alive() -> int:
+    return sum(isinstance(o, RoundPlan) for o in gc.get_objects())
+
+
+class TestPipelinedMemory:
+    def test_a_finished_round_drops_its_payload(self, tiny_spec, small_config):
+        """Execution is batch-major, so once a round's last stage has run
+        only its stats are kept: with ``gc`` off, one round plan is alive
+        at the end of each round and at most one after the segment."""
+        cluster = HPSCluster(tiny_spec, small_config, functional_batch_size=128)
+        alive: list[int] = []
+        cluster.register_stage(
+            "count", lambda ctx: alive.append(_round_plans_alive()) or 0.0,
+            after="train",
+        )
+        gc.collect()
+        gc.disable()
+        try:
+            run = cluster.train_pipelined(10)
+            after = _round_plans_alive()
+        finally:
+            gc.enable()
+        assert alive == [1] * 10
+        assert after <= 1
+        assert [s.round_index for s in run.stats] == list(range(10))
 
 
 class TestMultiNodeConsistency:

@@ -1,11 +1,11 @@
 """The once-per-round MEM resolve: scheduling, parity, pinning.
 
-The resolve pulls each node's full MEM working set (local partition +
-peer-served partitions + owner-queue keys) through the cache in one
-pass, pins it for the round, and every later MEM access is a pure row
-gather.  It is the MEM tier's only path; ``config.prefetch`` merely
-schedules it — as its own ``prefetch`` pipeline stage or inline at the
-head of ``prepare``.  Every schedule trains **bit-identical
+The resolve pulls each node's full MEM working set (every key of the
+round it owns: its local partition and the partitions peers stage)
+through the cache in one pass, pins it for the round, and every later
+MEM access is a pure row gather.  It is the MEM tier's only path;
+``config.prefetch`` merely schedules it — as its own ``prefetch``
+pipeline stage or inline at the head of ``prepare``.  Every schedule trains **bit-identical
 parameters**, within a schedule lockstep and pipelined agree on every
 simulated second, and a cluster whose caches are shadowed op by op on
 the per-key seed implementation trains through without a single
@@ -128,17 +128,17 @@ class TestPrefetchPlan:
                     pf.keys[pos], peer.keys[peer.node_parts[i]]
                 )
                 covered.append(pos)
-            for m, pos in enumerate(pf.update_pos):
-                sp = plan.sync[m]
-                assert np.array_equal(
-                    pf.keys[pos], sp.keys[sp.nodes[i].missing_own_idx]
-                )
-                covered.append(pos)
             # The union holds nothing else.
             assert np.array_equal(
                 np.unique(np.concatenate(covered)),
                 np.arange(pf.keys.size, dtype=np.int64),
             )
+            assert np.array_equal(plan.keys[pf.codes], pf.keys)
+        # The owners' unions partition the round: one owner per row.
+        assert np.array_equal(
+            np.sort(np.concatenate([pf.codes for pf in plan.prefetch])),
+            np.arange(plan.keys.size),
+        )
 
     def test_the_knob_is_not_a_plan_input(self, tiny_spec, pressured):
         """``prefetch=`` is still accepted (the frozen benchmark passes
@@ -285,8 +285,9 @@ class TestSingleMemPath:
         self, tiny_spec, pressured, schedule, monkeypatch
     ):
         """Every SlotIndex probe of a round happens inside the resolve:
-        prepare / serve_remote / apply_gradients / absorb_updates gather
-        and scatter through resolved rows and never locate a key."""
+        prepare and absorb_updates gather and scatter through resolved
+        rows and never locate a key (serve_remote and apply_gradients,
+        which did the same, are off the training path)."""
         inside: list[str] = []
         probes: list[str] = []
         locate = SlotIndex.locate
@@ -325,9 +326,7 @@ class TestSingleMemPath:
             accesses.append(
                 sum(n.mem_ps.cache.stats.accesses for n in cluster.nodes)
             )
-        assert entered == {
-            "prepare", "serve_remote", "apply_gradients", "absorb_updates"
-        }
+        assert entered == {"prepare", "absorb_updates"}
         assert probes == []
         # ...which is also what ``cache_hit_rate`` now counts: one
         # access per distinct key a node's MEM tier touches per round

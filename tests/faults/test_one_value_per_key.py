@@ -1,54 +1,58 @@
 """Every copy of a key agrees after every sync round.
 
-The HBM tier stages each node's working set, every node applies each
-sync round's all-reduced update to the keys it staged, and each MEM
-owner applies it again to the keys it owns but no GPU of its own node
-staged (the owner queue).  Those copies must never diverge: after every
-sync round's applies, in lockstep, pipelined and under the first three
-fault-soak schedules,
-
-* a key staged on several nodes holds byte-equal values on each;
-* an owner-queue key's MEM row is byte-equal to its staged replicas.
+A round keeps one value per key: every node's HBM-PS stages a view of
+the round array and each sync round's update is applied to it once.
+Before, every node applied the update to its own copy of its working
+set and each MEM owner applied it again to the keys it owns but no GPU
+of its own node staged (the owner queue).  That per-node apply is
+:class:`~hbm_oracles.PerNodeReplicas`; after every sync round, in
+lockstep, pipelined and under the first three fault-soak schedules,
+each of its copies — shared replicas and owner-queue rows alike — must
+be byte-equal to the round array.
 """
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 import repro.core.cluster as cluster_module
+from hbm_oracles import PerNodeReplicas
 from repro.core.cluster import HPSCluster
 from repro.faults import Supervisor
 from test_soak import N_ROUNDS, _soak_config, _soak_schedule, _soak_spec
 
 
-def _same_bytes(a: np.ndarray, b: np.ndarray) -> bool:
-    return a.shape == b.shape and np.array_equal(
-        a.view(np.uint32), b.view(np.uint32)
-    )
-
-
 class ReplicaCheck:
-    """Checks every cluster built while installed, at the end of each
-    sync round (the dense all-reduce follows the sparse applies)."""
+    """Shadows every cluster built while installed with the per-node
+    apply, and checks it at the end of each sync round (the dense
+    all-reduce follows the sparse apply)."""
 
     def __init__(self, monkeypatch) -> None:
         self.clusters: list[HPSCluster] = []
+        self.oracle: PerNodeReplicas | None = None
+        self.update = None
         self.syncs = 0
         self.shared_rows = 0
         self.owner_rows = 0
         init = HPSCluster.__init__
+        sparse = cluster_module.hierarchical_allreduce
         dense = cluster_module.allreduce_dense
 
         def tracked_init(cluster, *args, **kwargs):
             init(cluster, *args, **kwargs)
             self.clusters.append(cluster)
 
+        def captured_sparse(node_updates, *, networks, **kwargs):
+            self.stage(self._cluster_of(networks))
+            self.update, seconds = sparse(node_updates, networks=networks, **kwargs)
+            return self.update, seconds
+
         def checked_dense(node_grads, *, networks, **kwargs):
             self.check(self._cluster_of(networks))
             return dense(node_grads, networks=networks, **kwargs)
 
         monkeypatch.setattr(HPSCluster, "__init__", tracked_init)
+        monkeypatch.setattr(cluster_module, "hierarchical_allreduce", captured_sparse)
         monkeypatch.setattr(cluster_module, "allreduce_dense", checked_dense)
 
     def _cluster_of(self, networks) -> HPSCluster:
@@ -58,25 +62,24 @@ class ReplicaCheck:
             if all(n.network is net for n, net in zip(c.nodes, networks))
         )
 
-    def check(self, cluster: HPSCluster) -> None:
+    def stage(self, cluster: HPSCluster) -> None:
+        """At a round's first sync, copy the round array as staged."""
         staged = [node.hbm_ps._staged for node in cluster.nodes]
-        keys = np.concatenate([st.plan.keys for st in staged])
-        values = np.concatenate([st.values for st in staged])
-        uniq, inv = np.unique(keys, return_inverse=True)
-        first = np.empty((uniq.size, values.shape[1]), dtype=np.float32)
-        first[inv[::-1]] = values[::-1]
-        assert _same_bytes(first[inv], values), "replicas diverged"
-        self.shared_rows += int((np.bincount(inv)[inv] > 1).sum())
-        for node in cluster.nodes:
-            pf = node.mem_ps._prefetch_plan
-            pos = np.unique(np.concatenate(pf.update_pos))
-            queued = pf.keys[pos]
-            at = np.searchsorted(uniq, queued)
-            assert np.array_equal(uniq[at], queued)
-            assert _same_bytes(
-                node.mem_ps.cache.values_at(pf.rows[pos]), first[at]
-            ), "an owner-queue row diverged from its replica"
-            self.owner_rows += int(pos.size)
+        values = staged[0].values
+        assert all(st.values is values for st in staged), "one array per round"
+        if self.oracle is None or self.oracle.values is not values:
+            self.oracle = PerNodeReplicas(
+                cluster.sparse_optimizer,
+                values,
+                [st.plan for st in staged],
+                [node.mem_ps._prefetch_plan for node in cluster.nodes],
+            )
+            self.shared_rows += self.oracle.shared_rows
+            self.owner_rows += self.oracle.queued_rows
+
+    def check(self, cluster: HPSCluster) -> None:
+        self.oracle.apply(self.update)
+        self.oracle.assert_matches(cluster.nodes[0].hbm_ps._staged.values)
         self.syncs += 1
 
 

@@ -14,6 +14,7 @@ import os
 import numpy as np
 import pytest
 
+from repro.core.cluster import RoundContext
 from repro.faults import (
     FaultError,
     FaultSchedule,
@@ -121,6 +122,33 @@ class TestStageSurfaces:
         clear_faults(cluster)
         assert any(i.kind == "hbm_dispatch" for i in injection.incidents)
         assert_param_parity(cluster, twin)
+
+    def test_escape_mid_train_leaves_mem_values_untouched(self, mk_cluster):
+        """MEM values change only at the round's write-back: an HBM
+        dispatch fault that escapes at the first pull of sync round 1
+        leaves every slab value and dirty bit as ``stage_load`` left
+        them, although sync round 0 was already applied."""
+        cluster = mk_cluster()
+        assert cluster.config.minibatches_per_gpu == 2
+        cluster.train(2)
+        for node in cluster.nodes:
+            node.mem_ps.mark_snapshot()
+        ctx = RoundContext(round_index=cluster.rounds_completed)
+        for stage in (cluster.stage_read, cluster.stage_prepare, cluster.stage_load):
+            stage(ctx)
+        caches = [node.mem_ps.cache for node in cluster.nodes]
+        before = [(c._values.copy(), c._dirty.copy()) for c in caches]
+        # Node 0's two GPUs pull and push once each per sync round.
+        shards = ctx.plan.nodes[0].shards
+        assert all(s.n_examples for s in shards)
+        schedule = FaultSchedule(0, script={("hbm_dispatch", 0, 4): 8})
+        inject_faults(cluster, schedule)
+        with pytest.raises(FaultError) as exc:
+            cluster.stage_train(ctx)
+        assert (exc.value.kind, exc.value.scope) == ("hbm_dispatch", "global")
+        for cache, (values, dirty) in zip(caches, before):
+            assert np.array_equal(cache._values.view(np.uint32), values.view(np.uint32))
+            assert np.array_equal(cache._dirty, dirty)
 
 
 class TestSSDSurface:

@@ -6,7 +6,6 @@ import pytest
 from hbm_oracles import DistributedHashTable
 from repro.errors import TierStateError
 from repro.hardware.ledger import CostLedger
-from repro.hbm.allreduce import SparseUpdate
 from repro.hbm.hbm_ps import HBMPS
 from repro.nn.optim import SparseAdagrad, SparseSGD
 
@@ -22,22 +21,22 @@ def ps():
 
 @pytest.fixture
 def staged(ps, round_plan):
-    """Stage one node's working set; returns its NodePlan.
+    """Stage one node's working set; returns the round's RoundPlan.
 
-    ``shards`` are the two workers' key lists (GPU 0, GPU 1); values
-    default to zeros and are aligned with the plan's sorted keys.
+    ``shards`` are the two workers' key lists (GPU 0, GPU 1).  ``values``
+    is the round array (zeros by default); with one node its rows are
+    the node's sorted keys.
     """
 
     def stage(shards, values=None, *, hbm=ps):
         plan = round_plan(
             [shards], n_gpus=2, gpu_partitioner=hbm.params.partitioner
         )
-        node = plan.nodes[0]
         if values is None:
             values = np.zeros(
-                (node.keys.size, hbm.optimizer.value_dim), dtype=np.float32
+                (plan.keys.size, hbm.optimizer.value_dim), dtype=np.float32
             )
-        hbm.load_working_set(values, node)
+        hbm.load_working_set(values, plan.nodes[0])
         return plan
 
     return stage
@@ -77,12 +76,25 @@ class TestLoadPull:
         assert k.tolist() == [2]
         assert np.all(v == 2.0)
 
-    def test_staging_copies_the_callers_values(self, ps, staged):
-        values = np.zeros((2, 2), dtype=np.float32)
-        plan = staged([[1, 2], []], values)
-        update = SparseUpdate(keys_of([1, 2]), np.ones((2, 2)))
-        ps.apply_update(update, plan.sync[0].nodes[0])
-        assert np.all(values == 0.0)
+    def test_staging_is_a_view_of_the_round_array(self, round_plan):
+        """Nodes stage views of one round array: a key both nodes stage
+        has one value, and a write to it is what both nodes' workers
+        pull."""
+        a, b = (HBMPS(2, 1000, SparseSGD(2, lr=1.0)) for _ in range(2))
+        plan = round_plan(
+            [[[1, 2], []], [[2, 3], []]],
+            n_gpus=2,
+            gpu_partitioner=a.params.partitioner,
+        )
+        assert plan.keys.tolist() == [1, 2, 3]
+        values = np.zeros((3, 2), dtype=np.float32)
+        for ps, node in zip((a, b), plan.nodes):
+            ps.load_working_set(values, node)
+        values[1] = 5.0
+        emb_a, _ = a.pull_embeddings(plan.nodes[0].minibatches[0])
+        emb_b, _ = b.pull_embeddings(plan.nodes[1].minibatches[0])
+        assert emb_a.tolist() == [[0.0, 0.0], [5.0, 5.0]]
+        assert emb_b.tolist() == [[5.0, 5.0], [0.0, 0.0]]
 
     def test_partition_over_capacity_raises(self, round_plan):
         ps = HBMPS(2, capacity_per_gpu=3, optimizer=SparseSGD(2, lr=1.0))
@@ -105,12 +117,11 @@ class TestLoadPull:
         still catch it)."""
         plan = round_plan([[[1], []]], n_gpus=2)
         mb, sync = plan.nodes[0].minibatches[0], plan.sync[0].nodes[0]
-        update = SparseUpdate(keys_of([1]), np.ones((1, 2)))
         for op in (
             lambda: ps.pull_embeddings(mb),
             lambda: ps.push_gradients(mb, np.ones((1, 2), dtype=np.float32)),
             lambda: ps.drain_gradients(sync),
-            lambda: ps.apply_update(update, sync),
+            lambda: ps.apply_update(sync),
             ps.dump,
         ):
             with pytest.raises(TierStateError, match="load_working_set first"):
@@ -160,45 +171,63 @@ class TestPushDrain:
 
 
 class TestApplyUpdate:
+    """A sync round's update is applied once, to the round array at the
+    sync union's codes (``HPSCluster.stage_train``); ``apply_update``
+    charges each node for its staged share."""
+
+    @staticmethod
+    def _apply(values, sync, grads, opt):
+        values[sync.codes] = opt.apply(values[sync.codes], grads)
+
     def test_sgd_applies_gradients(self, ps, staged):
-        plan = staged([[1, 2], []])
-        update = SparseUpdate(keys_of([1, 2]), np.ones((2, 2)))
-        missing, t = ps.apply_update(update, plan.sync[0].nodes[0])
-        assert missing.size == 0
+        values = np.zeros((2, 2), dtype=np.float32)
+        plan = staged([[1, 2], []], values)
+        self._apply(values, plan.sync[0], np.ones((2, 2)), ps.optimizer)
+        t = ps.apply_update(plan.sync[0].nodes[0])
         assert t > 0
         emb, _ = ps.pull_embeddings(plan.nodes[0].minibatches[0])
         assert np.all(emb == -1.0)  # lr=1.0 SGD: 0 - 1*1
 
     def test_missing_keys_reported(self, ps, round_plan):
-        """Keys of the global update another node touched are not staged
-        here; they come back for the MEM-PS owner queue."""
+        """Keys of the global update only another node staged are not
+        charged here — the node pays for its staged share — yet the one
+        apply updates them too, for their MEM owner to write back."""
         plan = round_plan(
             [[[1], []], [[5, 9], []]],
             n_gpus=2,
             gpu_partitioner=ps.params.partitioner,
         )
-        ps.load_working_set(np.zeros((1, 2), dtype=np.float32), plan.nodes[0])
-        assert plan.sync[0].keys.tolist() == [1, 5, 9]
-        update = SparseUpdate(plan.sync[0].keys, np.ones((3, 2)))
-        missing, _ = ps.apply_update(update, plan.sync[0].nodes[0])
-        assert missing.tolist() == [5, 9]
+        values = np.zeros((3, 2), dtype=np.float32)
+        ps.load_working_set(values, plan.nodes[0])
+        sync = plan.sync[0]
+        assert sync.keys.tolist() == [1, 5, 9]
+        assert sync.nodes[0].resident_gpu_counts.sum() == 1
+        self._apply(values, sync, np.ones((3, 2)), ps.optimizer)
+        t = ps.apply_update(sync.nodes[0])
+        solo = HBMPS(2, 1000, SparseSGD(2, lr=1.0))
+        alone = round_plan(
+            [[[1], []]], n_gpus=2, gpu_partitioner=solo.params.partitioner
+        )
+        solo.load_working_set(np.zeros((1, 2), dtype=np.float32), alone.nodes[0])
+        assert t == solo.apply_update(alone.sync[0].nodes[0])
+        assert np.all(values == -1.0)
         emb, _ = ps.pull_embeddings(plan.nodes[0].minibatches[0])
         assert np.all(emb == -1.0)
 
-    def test_empty_update_noop(self, ps, round_plan):
-        plan = round_plan([[[], []]], n_gpus=2)
-        missing, t = ps.apply_update(
-            SparseUpdate.empty(2), plan.sync[0].nodes[0]
-        )
-        assert missing.size == 0
-        assert t == 0.0
+    def test_empty_update_noop(self, ps, staged):
+        plan = staged([[], []])
+        before = dict(ps.ledger)
+        assert ps.apply_update(plan.sync[0].nodes[0]) == 0.0
+        assert dict(ps.ledger) == before
 
     def test_gradient_alignment_across_partitions(self, ps, staged):
-        """Each GPU partition must receive *its own* gradient rows."""
-        plan = staged([range(20), []])
-        keys = keys_of(range(20))
+        """Each key — whichever GPU stages it — must receive *its own*
+        gradient row."""
+        values = np.zeros((20, 2), dtype=np.float32)
+        plan = staged([range(20), []], values)
+        assert plan.sync[0].keys.tolist() == list(range(20))
         grads = np.arange(20, dtype=np.float64).repeat(2).reshape(20, 2)
-        ps.apply_update(SparseUpdate(keys, grads), plan.sync[0].nodes[0])
+        self._apply(values, plan.sync[0], grads, ps.optimizer)
         emb, _ = ps.pull_embeddings(plan.nodes[0].minibatches[0])
         assert np.allclose(emb, -grads)  # SGD lr=1
 

@@ -1,7 +1,8 @@
-"""The per-GPU hash tables of paper Section 4.1 / Algorithm 2, kept as
-the test oracle for the HBM tier's cost model.
+"""Oracles for the HBM tier: the per-GPU hash tables of paper Section
+4.1 / Algorithm 2 behind its cost model, and the per-node replicas
+behind its one value per key.
 
-``HBMPS`` stages a round's working set densely and prices the plan's
+``HBMPS`` stages a view of the round array and prices the plan's
 per-GPU key counts through ``HBMPS._charge_table_ops``.  The tables
 below are what that pricing stands in for: :class:`HashTable` is the
 fixed-capacity open-addressing map (the cuDF ``concurrent_unordered_map``
@@ -10,6 +11,11 @@ its GPUs, dispatching real keys by the partitioner and charging each
 touch to the owning :class:`~repro.hardware.gpu.GPUDevice` and every
 cross-GPU movement to the NVLink — independently of the counts-based
 code it checks (``tests/hbm/test_hbm_ps.py::TestCostModelEquivalence``).
+
+:class:`PerNodeReplicas` is the apply the round array replaced: every
+node updating its own copy of its working set, and every MEM owner its
+own copy of the keys only peers staged, sync round by sync round
+(``tests/faults/test_one_value_per_key.py``).
 """
 
 from __future__ import annotations
@@ -19,10 +25,13 @@ import numpy as np
 from repro.hardware.ledger import CostLedger
 from repro.hardware.specs import GPUSpec, NVLinkSpec
 from repro.hbm.hbm_ps import GPUFabric
+from repro.hbm.allreduce import SparseUpdate
 from repro.hbm.partition import bucket_order
+from repro.nn.optim import SparseOptimizer
+from repro.plan import NodePlan, NodePrefetchPlan
 from repro.utils.keys import EMPTY_KEY, KEY_DTYPE, all_unique, as_keys, mix_hash
 
-__all__ = ["DistributedHashTable", "HashTable"]
+__all__ = ["DistributedHashTable", "HashTable", "PerNodeReplicas"]
 
 
 class HashTable:
@@ -436,3 +445,80 @@ class DistributedHashTable(GPUFabric):
     def _check_gpu(self, gpu: int) -> None:
         if not 0 <= gpu < self.n_gpus:
             raise IndexError(f"gpu {gpu} out of range [0, {self.n_gpus})")
+
+
+class PerNodeReplicas:
+    """One round's per-node copies of its parameter values, updated the
+    way ``HBMPS.apply_update`` and ``MemPS.apply_gradients`` did before
+    the round kept one value per key.
+
+    Node ``i`` holds a replica of its working set (``nodes[i].keys``) and
+    an owner queue: the keys it owns (``prefetch[i].keys``) that none of
+    its GPUs staged.  Each sync round's update is applied to every
+    replica row of its keys and, for keys a node did not stage, to the
+    owner's queue row.  Built from the round array as staged (before the
+    first update), :meth:`assert_matches` then holds the array to every
+    copy after each update.
+    """
+
+    def __init__(
+        self,
+        optimizer: SparseOptimizer,
+        values: np.ndarray,
+        nodes: list[NodePlan],
+        prefetch: list[NodePrefetchPlan],
+    ) -> None:
+        self.optimizer = optimizer
+        #: the round array the copies were taken from
+        self.values = values
+        #: round universe, rebuilt from the node plans (code -> key)
+        self.universe = np.empty(values.shape[0], dtype=KEY_DTYPE)
+        for node in nodes:
+            self.universe[node.codes] = node.keys
+        self.node_codes = [node.codes for node in nodes]
+        self.queue_codes = [
+            pf.codes[~np.isin(pf.codes, node.codes)]
+            for node, pf in zip(nodes, prefetch)
+        ]
+        self.replicas = [values[c].copy() for c in self.node_codes]
+        self.queues = [values[c].copy() for c in self.queue_codes]
+
+    @property
+    def shared_rows(self) -> int:
+        """Replica rows whose key more than one node staged."""
+        staged = np.bincount(
+            np.concatenate(self.node_codes), minlength=self.universe.size
+        )
+        return int(staged[staged > 1].sum())
+
+    @property
+    def queued_rows(self) -> int:
+        return int(sum(c.size for c in self.queue_codes))
+
+    def apply(self, update: SparseUpdate) -> None:
+        """One sync round's per-node applies of the all-reduced update."""
+        codes = np.searchsorted(self.universe, update.keys)
+        assert np.array_equal(self.universe[codes], update.keys)
+        for held, copies in (
+            (self.node_codes, self.replicas),
+            (self.queue_codes, self.queues),
+        ):
+            for mine, copy in zip(held, copies):
+                hit = np.isin(codes, mine)
+                if not hit.any():
+                    continue
+                rows = np.searchsorted(mine, codes[hit])
+                copy[rows] = self.optimizer.apply(
+                    copy[rows], update.grads[hit]
+                )
+
+    def assert_matches(self, values: np.ndarray) -> None:
+        """Every copy byte-equal to the round array's row of its key."""
+        for held, copies, what in (
+            (self.node_codes, self.replicas, "a staged replica"),
+            (self.queue_codes, self.queues, "an owner-queue row"),
+        ):
+            for node, (mine, copy) in enumerate(zip(held, copies)):
+                assert np.array_equal(
+                    values[mine].view(np.uint32), copy.view(np.uint32)
+                ), f"{what} of node {node} diverged from the round array"

@@ -33,10 +33,11 @@ def train_keys(round_plan):
     def run(m, keys, value):
         plan = round_plan([[keys]], node_partitioner=m.partitioner)
         m.prefetch(plan.prefetch[0])
-        before, _ = m.prepare(plan.nodes[0])
-        m.absorb_updates(
-            np.full((keys.size, 2), value, np.float32), plan.nodes[0]
-        )
+        values = np.empty((plan.keys.size, 2), np.float32)
+        m.prepare(plan.nodes[0], values)
+        before = values.copy()
+        values[:] = value
+        m.absorb_updates(values)
         m.end_batch()
         return before
 
@@ -74,7 +75,7 @@ class TestPinnedUnderPressure:
         keys = keys_of(range(16))
         plan = round_plan([[keys]], node_partitioner=m.partitioner)
         m.prefetch(plan.prefetch[0])
-        m.prepare(plan.nodes[0])
+        m.prepare(plan.nodes[0], np.empty((16, 2), np.float32))
         assert m.cache.pinned_count() == 16
         # Overflow pressure while the batch is in flight.
         m.cache.put_batch(
@@ -82,7 +83,7 @@ class TestPinnedUnderPressure:
         )
         _, hit = m.cache.get_batch(keys)
         assert hit.all()
-        m.absorb_updates(np.ones((16, 2), np.float32), plan.nodes[0])
+        m.absorb_updates(np.ones((16, 2), np.float32))
         m.end_batch()
         assert m.cache.pinned_count() == 0
 

@@ -44,8 +44,9 @@ def make_pair(cache=64):
 def start_round(round_plan):
     """``start_round(mem, keys, peers=())`` — node ``mem.node_id`` works
     on ``keys`` (every other node's batch is empty) and ``mem`` plus
-    ``peers`` run the round's resolve; returns ``(node_plan, resolved)``
-    with ``resolved`` the worker's :class:`NodePrefetchPlan`."""
+    ``peers`` run the round's resolve; returns ``(plan, values)``: the
+    :class:`RoundPlan` and a zeroed round array (one row per key of the
+    round, in key order)."""
 
     def start(mem, keys, peers=()):
         shards = [[[]] for _ in range(mem.n_nodes)]
@@ -53,7 +54,10 @@ def start_round(round_plan):
         plan = round_plan(shards, node_partitioner=mem.partitioner)
         for m in (mem, *peers):
             m.prefetch(plan.prefetch[m.node_id])
-        return plan.nodes[mem.node_id], plan.prefetch[mem.node_id]
+        values = np.zeros(
+            (plan.keys.size, mem.optimizer.value_dim), dtype=np.float32
+        )
+        return plan, values
 
     return start
 
@@ -81,69 +85,79 @@ class TestPrepare:
     def test_fresh_keys_initialized_deterministically(self, start_round):
         m = make_mem()
         keys = keys_of([1, 2, 3])
-        plan, _ = start_round(m, keys)
-        vals, stats = m.prepare(plan)
+        plan, values = start_round(m, keys)
+        stats = m.prepare(plan.nodes[0], values)
         expected = m.optimizer.init_for_keys(keys, seed=0)
-        assert np.array_equal(vals, expected)
+        assert np.array_equal(values[plan.nodes[0].codes], expected)
         assert stats.n_fresh == 3
         m.end_batch()
 
     def test_second_visit_hits_cache(self, start_round):
         m = make_mem()
         keys = keys_of([1, 2, 3])
-        plan, _ = start_round(m, keys)
-        m.prepare(plan)
-        m.absorb_updates(np.ones((3, 2), dtype=np.float32), plan)
+        plan, values = start_round(m, keys)
+        m.prepare(plan.nodes[0], values)
+        m.absorb_updates(np.ones_like(values))
         m.end_batch()
-        plan, _ = start_round(m, keys)
-        _, stats = m.prepare(plan)
+        plan, values = start_round(m, keys)
+        stats = m.prepare(plan.nodes[0], values)
         assert stats.n_cache_hits == 3
         assert stats.n_fresh == 0
 
     def test_resolve_records_rows_on_the_prefetch_plan(self, start_round):
         m = make_mem()
-        plan, pf = start_round(m, keys_of([4, 5, 6]))
+        plan, _ = start_round(m, keys_of([4, 5, 6]))
+        node, pf = plan.nodes[0], plan.prefetch[0]
         assert np.array_equal(
-            m.cache._keys[pf.rows[pf.local_pos]], plan.keys[plan.local_idx]
+            m.cache._keys[pf.rows[pf.local_pos]], node.keys[node.local_idx]
         )
         assert not pf.hit.any()
         assert pf.admission.n_runs >= 1
 
     def test_remote_keys_pulled_from_peer(self, start_round):
+        """The requester's remote partition is in the round array once
+        its owner has prepared: the peer serves it by filling its rows."""
         a, b = make_pair()
         keys = keys_of(range(40))
-        plan, _ = start_round(a, keys, peers=[b])
-        vals, stats = a.prepare(plan)
+        plan, values = start_round(a, keys, peers=[b])
+        values[:] = np.nan
+        stats = a.prepare(plan.nodes[0], values)
         assert stats.n_local + stats.n_remote == 40
         assert stats.n_remote > 0
+        theirs = plan.prefetch[1].codes
+        assert theirs.size == stats.n_remote
+        assert np.isnan(values[theirs]).all()
+        b.prepare(plan.nodes[1], values)
         # All values match the deterministic per-key init regardless of owner.
-        assert np.array_equal(vals, a.optimizer.init_for_keys(keys, seed=0))
+        assert np.array_equal(values, a.optimizer.init_for_keys(keys, seed=0))
         a.end_batch()
         b.end_batch()
 
     def test_remote_pull_charges_network_and_only_network(self, start_round):
         a, b = make_pair()
-        plan, _ = start_round(a, keys_of(range(40)), peers=[b])
+        plan, values = start_round(a, keys_of(range(40)), peers=[b])
         before = a.network.bytes_sent
-        _, stats = a.prepare(plan)
+        stats = a.prepare(plan.nodes[0], values)
         assert a.network.bytes_sent > before
         assert stats.remote_seconds > 0
         solo = make_mem()
-        plan, _ = start_round(solo, keys_of(range(20)))
-        assert solo.prepare(plan)[1].remote_seconds == 0.0
+        plan, values = start_round(solo, keys_of(range(20)))
+        assert solo.prepare(plan.nodes[0], values).remote_seconds == 0.0
 
 
 class TestUpdates:
     def test_absorb_keeps_only_owned(self, start_round):
         a, b = make_pair()
         keys = keys_of(range(20))
-        plan, _ = start_round(a, keys, peers=[b])
-        a.prepare(plan)
-        a.absorb_updates(np.full((20, 2), 7.0, dtype=np.float32), plan)
+        plan, values = start_round(a, keys, peers=[b])
+        a.prepare(plan.nodes[0], values)
+        b.prepare(plan.nodes[1], values)
+        values[:] = 7.0
+        a.absorb_updates(values)
         a.end_batch()
         b.end_batch()
         assert np.all(peek(a, keys[a.owns(keys)]) == 7.0)
-        # The peer's shard was served read-only: still the fresh init.
+        # The peer did not write back: its shard is still the fresh init.
         theirs = keys[b.owns(keys)]
         assert np.array_equal(
             peek(b, theirs), b.optimizer.init_for_keys(theirs, seed=0)
@@ -154,12 +168,11 @@ class TestUpdates:
         error, never a silent re-probe."""
         m = make_mem()
         plan = round_plan([[keys_of([1])]], node_partitioner=m.partitioner)
+        values = np.zeros((1, 2), dtype=np.float32)
         calls = {
-            "prepare": lambda: m.prepare(plan.nodes[0]),
+            "prepare": lambda: m.prepare(plan.nodes[0], values),
             "serve_remote": lambda: m.serve_remote(keys_of([1]), requester=0),
-            "absorb_updates": lambda: m.absorb_updates(
-                np.ones((1, 2), dtype=np.float32), plan.nodes[0]
-            ),
+            "absorb_updates": lambda: m.absorb_updates(values),
             "apply_gradients": lambda: m.apply_gradients(
                 np.zeros(1, dtype=np.int64), np.ones((1, 2))
             ),
@@ -178,13 +191,14 @@ class TestUpdates:
             m.end_batch()
 
     def test_apply_gradients_is_a_device_free_row_op(self, start_round):
-        """The owner queue applies through the resolved rows: same
+        """``apply_gradients`` applies through the resolved rows: same
         arithmetic, no cache probe, nothing returned to account and
         nothing charged — the node ledger does not move."""
         m = make_mem()
         keys = keys_of([5, 6])
-        plan, pf = start_round(m, keys)
-        vals, _ = m.prepare(plan)
+        plan, values = start_round(m, keys)
+        pf = plan.prefetch[0]
+        m.prepare(plan.nodes[0], values)
         hits_before = m.cache.stats.hits
         ledgers_before = dict(m.ledger), dict(m.ssd_ps.ledger)
         result = m.apply_gradients(
@@ -194,19 +208,31 @@ class TestUpdates:
         assert (dict(m.ledger), dict(m.ssd_ps.ledger)) == ledgers_before
         assert m.cache.stats.hits == hits_before
         m.end_batch()
-        assert np.allclose(peek(m, keys), vals - 1.0)  # SGD lr=1
+        assert np.allclose(peek(m, keys), values - 1.0)  # SGD lr=1
+
+    def test_values_change_only_at_write_back(self, start_round):
+        """Filling the round array copies the MEM rows: training writes
+        to the array reach the cache only through ``absorb_updates``."""
+        m = make_mem()
+        keys = keys_of([1, 2, 3])
+        plan, values = start_round(m, keys)
+        m.prepare(plan.nodes[0], values)
+        fresh = values.copy()
+        values += 1.0
+        assert np.array_equal(peek(m, keys), fresh)
+        m.absorb_updates(values)
+        assert np.array_equal(peek(m, keys), fresh + 1.0)
+        m.end_batch()
 
 
 class TestEviction:
     @staticmethod
     def _round(m, start_round, keys, value):
-        plan, pf = start_round(m, keys)
-        m.prepare(plan)
-        m.absorb_updates(
-            np.full((keys.size, 2), value, dtype=np.float32), plan
-        )
+        plan, values = start_round(m, keys)
+        m.prepare(plan.nodes[0], values)
+        values[:] = value
+        m.absorb_updates(values)
         m.end_batch()
-        return pf
 
     def test_cache_overflow_flushes_to_ssd(self, start_round):
         m = make_mem(cache=16)
@@ -220,15 +246,15 @@ class TestEviction:
         self._round(m, start_round, first, 3.0)
         for start in range(8, 64, 8):
             self._round(m, start_round, keys_of(range(start, start + 8)), 1.0)
-        plan, pf = start_round(m, first)
-        vals, stats = m.prepare(plan)
-        assert pf.ssd_found.any() and stats.n_ssd_loaded > 0
-        assert np.all(vals == 3.0)
+        plan, values = start_round(m, first)
+        stats = m.prepare(plan.nodes[0], values)
+        assert plan.prefetch[0].ssd_found.any() and stats.n_ssd_loaded > 0
+        assert np.all(values == 3.0)
 
     def test_served_pins_released_at_end_batch(self, start_round):
         a, b = make_pair(cache=128)
-        plan, _ = start_round(a, keys_of(range(30)), peers=[b])
-        a.prepare(plan)
+        plan, values = start_round(a, keys_of(range(30)), peers=[b])
+        a.prepare(plan.nodes[0], values)
         # b pinned the partition it serves; before end_batch it stays so.
         assert b.cache.pinned_count() > 0
         a.end_batch()
@@ -237,8 +263,8 @@ class TestEviction:
 
     def test_flush_to_ssd_drains_cache(self, start_round):
         m = make_mem()
-        plan, _ = start_round(m, keys_of(range(10)))
-        m.prepare(plan)
+        plan, values = start_round(m, keys_of(range(10)))
+        m.prepare(plan.nodes[0], values)
         m.end_batch()
         m.flush_to_ssd()
         assert len(m.cache) == 0
@@ -249,12 +275,14 @@ class TestEviction:
         reset (it used to go through, and the next gather read zeros):
         typed error, cache untouched, ``prepare`` unchanged."""
         m = make_mem()
-        plan, _ = start_round(m, keys_of(range(10)))
-        before, _ = m.prepare(plan)
+        plan, values = start_round(m, keys_of(range(10)))
+        m.prepare(plan.nodes[0], values)
+        before = values.copy()
         with pytest.raises(TierStateError, match="round boundary"):
             m.flush_to_ssd()
         assert m.cache.pinned_count() == 10 and len(m.cache) == 10
-        assert np.array_equal(m.prepare(plan)[0], before)
+        m.prepare(plan.nodes[0], values)
+        assert np.array_equal(values, before)
         m.end_batch()
 
 

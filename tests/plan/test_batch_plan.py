@@ -79,11 +79,12 @@ class TestNodePlan:
     def test_minibatch_plans_align_with_shards(self, plan):
         _, rp = plan
         for npn in rp.nodes:
+            assert np.array_equal(rp.keys[npn.codes], npn.keys)
             assert len(npn.shards) == len(npn.minibatches) == N_GPUS * MB_ROUNDS
             for shard, mbp in zip(npn.shards, npn.minibatches):
                 assert np.array_equal(mbp.keys, shard.unique_keys())
-                # work_idx gathers the mini-batch keys from the working set
-                assert np.array_equal(npn.keys[mbp.work_idx], mbp.keys)
+                # codes gather the mini-batch keys from the round universe
+                assert np.array_equal(rp.keys[mbp.codes], mbp.keys)
                 assert int(mbp.gpu_counts.sum()) == mbp.keys.size
 
     def test_sync_idx_points_into_round_union(self, plan):
@@ -109,26 +110,33 @@ class TestSyncPlan:
             union = np.unique(np.concatenate(per_node))
             assert np.array_equal(sp.keys, union)
 
-    def test_resident_missing_split(self, plan):
+    def test_resident_missing_split(self, plan, partitioners):
+        """A node is charged for the update's keys it staged, per GPU;
+        the rest are staged elsewhere."""
         _, rp = plan
+        _, gpu_p = partitioners
         for sp in rp.sync:
+            assert np.array_equal(rp.keys[sp.codes], sp.keys)
             for npn, nsp in zip(rp.nodes, sp.nodes):
                 in_working = np.isin(sp.keys, npn.keys)
-                assert np.array_equal(nsp.resident_idx, np.flatnonzero(in_working))
-                assert np.array_equal(nsp.missing_idx, np.flatnonzero(~in_working))
                 assert np.array_equal(
-                    npn.keys[nsp.resident_work_idx], sp.keys[nsp.resident_idx]
+                    nsp.resident_gpu_counts, gpu_p.counts(sp.keys[in_working])
                 )
-                assert int(nsp.resident_gpu_counts.sum()) == nsp.resident_idx.size
 
     def test_missing_own_is_owner_filtered(self, plan, partitioners):
+        """A node's resolve set is every key of the round it owns — so
+        it holds each sync round's keys the node owns but did not stage,
+        and the owner writes their update back."""
         _, rp = plan
         node_p, _ = partitioners
-        for sp in rp.sync:
-            for i, nsp in enumerate(sp.nodes):
-                owners = node_p.part_of(sp.keys)
-                expected = nsp.missing_idx[owners[nsp.missing_idx] == i]
-                assert np.array_equal(nsp.missing_own_idx, expected)
+        for i, (npn, pf) in enumerate(zip(rp.nodes, rp.prefetch)):
+            owned = node_p.part_of(rp.keys) == i
+            assert np.array_equal(pf.keys, rp.keys[owned])
+            assert np.array_equal(pf.codes, np.flatnonzero(owned))
+            for sp in rp.sync:
+                missing = ~np.isin(sp.keys, npn.keys)
+                missing_own = sp.keys[missing & (node_p.part_of(sp.keys) == i)]
+                assert np.isin(missing_own, pf.keys).all()
 
 
 class TestTopologyMismatch:

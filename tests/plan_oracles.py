@@ -7,11 +7,16 @@ evaluation per key set, and three lookup idioms (``_key_lookup``'s
 direct-addressed rank table for compact key domains, ``_membership`` /
 ``_positions_in``'s ``searchsorted`` forms for the rest).  It shares the
 plan dataclasses and ``group_indices`` with production and nothing
-else, and it fills the two fields the code-space builder introduced the
-way their consumers used to derive them: ``NodePlan.gpu_counts`` from
+else, and it fills the fields the code-space builder introduced the
+way their consumers would derive them: ``NodePlan.gpu_counts`` from
 the per-GPU index groups ``HBMPS.load_working_set`` took ``.size`` of,
 ``NodeSyncPlan.union_pos`` from the ``searchsorted``
-``hierarchical_allreduce`` ran per node.
+``hierarchical_allreduce`` ran per node, and every ``codes`` array —
+rows of the round array — by a ``searchsorted`` into the union of the
+nodes' working sets.  Its resolve sets are still the union of their
+constituents: the local partition, the partitions peers stage and the
+owner-queue keys (a sync round's keys the node owns but did not
+stage).
 
 :func:`assert_plans_equal` compares two plans field by field — values
 *and* dtypes, the ``_unique`` memos seeded on batches and shards
@@ -114,6 +119,13 @@ def reference_round_plan(
 ) -> RoundPlan:
     """The round's key plan, rediscovered key set by key set."""
     n_nodes = len(batches)
+    workings = [b.unique_keys() for b in batches]
+    non_empty = [k for k in workings if k.size]
+    universe = (
+        compact_unique(np.concatenate(non_empty))
+        if non_empty
+        else np.empty(0, dtype=KEY_DTYPE)
+    )
     node_plans: list[NodePlan] = []
     # Per node: GPU owner of every working key (the sync pass reads it).
     gpu_ofs: list[np.ndarray] = []
@@ -123,7 +135,7 @@ def reference_round_plan(
     # Per-node (positions, membership) lookups over the working sets.
     work_lookups: list[tuple] = []
     for i, batch in enumerate(batches):
-        working = batch.unique_keys()
+        working = workings[i]
         work_pos, work_mem = _key_lookup(working)
         work_lookups.append((work_pos, work_mem))
         node_parts = group_indices(node_partitioner.part_of(working), n_nodes)
@@ -164,7 +176,7 @@ def reference_round_plan(
                 minibatches.append(
                     MinibatchPlan(
                         keys=shard_keys[m * n_gpus + g],
-                        work_idx=widx,
+                        codes=_positions_in(universe, shard_keys[m * n_gpus + g]),
                         sync_idx=widx
                         if mb_rounds == 1
                         else _positions_in(union_idx, widx),
@@ -180,6 +192,7 @@ def reference_round_plan(
             NodePlan(
                 node_id=i,
                 keys=working,
+                codes=_positions_in(universe, working),
                 node_parts=node_parts,
                 gpu_counts=np.array(
                     [p.size for p in gpu_parts], dtype=np.int64
@@ -190,6 +203,8 @@ def reference_round_plan(
         )
 
     sync_plans: list[SyncPlan] = []
+    #: per (m, node): the owner-queue keys
+    update_keys: list[list[np.ndarray]] = []
     for m in range(mb_rounds):
         node_keys = [
             node_plans[i].keys[m_union_work_idx[i][m]] for i in range(n_nodes)
@@ -202,27 +217,30 @@ def reference_round_plan(
         )
         owner_of_global = node_partitioner.part_of(global_keys)
         per_node: list[NodeSyncPlan] = []
+        queued: list[np.ndarray] = []
         for i in range(n_nodes):
             resident, pos = work_lookups[i][1](global_keys)
-            resident_idx = np.flatnonzero(resident)
-            resident_work_idx = pos[resident]
             missing_idx = np.flatnonzero(~resident)
+            queued.append(
+                global_keys[missing_idx[owner_of_global[missing_idx] == i]]
+            )
             per_node.append(
                 NodeSyncPlan(
                     keys=node_keys[i],
                     union_pos=global_keys.searchsorted(node_keys[i]),
-                    resident_idx=resident_idx,
-                    resident_work_idx=resident_work_idx,
                     resident_gpu_counts=np.bincount(
-                        gpu_ofs[i][resident_work_idx], minlength=n_gpus
+                        gpu_ofs[i][pos[resident]], minlength=n_gpus
                     ),
-                    missing_idx=missing_idx,
-                    missing_own_idx=missing_idx[
-                        owner_of_global[missing_idx] == i
-                    ],
                 )
             )
-        sync_plans.append(SyncPlan(keys=global_keys, nodes=per_node))
+        update_keys.append(queued)
+        sync_plans.append(
+            SyncPlan(
+                keys=global_keys,
+                codes=_positions_in(universe, global_keys),
+                nodes=per_node,
+            )
+        )
 
     prefetch_plans: list[NodePrefetchPlan] = []
     base_pos = _key_lookup(sync_plans[0].keys)[0] if mb_rounds == 1 else None
@@ -234,10 +252,8 @@ def reference_round_plan(
             else np.empty(0, dtype=KEY_DTYPE)
             for p in range(n_nodes)
         ]
-        update_keys = [
-            sp.keys[sp.nodes[i].missing_own_idx] for sp in sync_plans
-        ]
-        parts = [k for k in (local_keys, *serve_keys, *update_keys) if k.size]
+        queued = [update_keys[m][i] for m in range(mb_rounds)]
+        parts = [k for k in (local_keys, *serve_keys, *queued) if k.size]
         if mb_rounds == 1 and parts:
             base = sync_plans[0].keys
             member = np.zeros(base.size, dtype=bool)
@@ -252,12 +268,17 @@ def reference_round_plan(
         prefetch_plans.append(
             NodePrefetchPlan(
                 keys=union,
+                codes=_positions_in(universe, union),
                 local_pos=union_pos(local_keys),
                 serve_pos=[union_pos(k) for k in serve_keys],
-                update_pos=[union_pos(k) for k in update_keys],
             )
         )
-    return RoundPlan(nodes=node_plans, sync=sync_plans, prefetch=prefetch_plans)
+    return RoundPlan(
+        nodes=node_plans,
+        keys=universe,
+        sync=sync_plans,
+        prefetch=prefetch_plans,
+    )
 
 
 def _assert_same(a, b, where: str) -> None:
