@@ -724,11 +724,7 @@ class HPSCluster:
 
     def stage_prepare(self, ctx: RoundContext) -> float:
         """Stage 2 — gather working parameters (lines 3-4), preceded by
-        the MEM resolve when no prefetch stage ran it.
-
-        The owners' resolve sets partition the round, so together they
-        write every row of the round array exactly once.
-        """
+        the MEM resolve when no prefetch stage ran it."""
         resolve_s = 0.0 if self.config.prefetch else self.stage_prefetch(ctx)
         plan = self._plan_of(ctx)
         values = np.empty(
