@@ -2,10 +2,11 @@
 
     python3 benchmarks/pairs.py --base DIR --head DIR \
         --workload cache_resident ssd_pressure --seeds 0 1 --pairs 10 \
-        [--seconds 12] [--json out.json]
+        [--json out.json]
 
 For each (workload, seed) it runs each checkout's driver form
-(``DIR/benchmarks/hps/run.py --workload W --seed S --seconds T --trace 0``)
+(``DIR/benchmarks/hps/run.py --workload W --seed S --seconds T --trace 0``,
+T being ``BENCHMARK.json``'s ``run_seconds``)
 ``--pairs`` times, alternating which side runs first, so slow drift of the
 machine lands on both sides alike.  Each checkout measures its own ``src/``.
 
@@ -158,12 +159,11 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--workload", nargs="+", required=True)
     parser.add_argument("--seeds", nargs="+", type=int, default=[0])
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=None)
     parser.add_argument("--json", help="write every run and summary here")
     args = parser.parse_args(argv)
     with open(BENCHMARK_JSON, encoding="utf-8") as fh:
         spec = json.load(fh)
-    seconds = args.seconds if args.seconds is not None else spec["run_seconds"]
+    seconds = spec["run_seconds"]
     report = []
     bad = False
     for workload in args.workload:
