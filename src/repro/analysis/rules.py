@@ -4,8 +4,8 @@
 rule id          invariant
 ===============  ======================================================
 ``hot-loop``     hot-path modules (``mem/ ssd/ hbm/ plan/ store/``)
-                 never iterate batch key arrays per element in Python —
-                 the PR-1/5/6 vectorization work must not silently rot
+                 never iterate batch key / file-id arrays per element in
+                 Python, ``.tolist()`` included — vectorization must not rot
 ``atomic-write`` durable-artifact modules (``ckpt/ ssd/ bench/``) never
                  write files with bare ``open(..., "w")`` — every
                  durable byte goes through ``atomic_write_bytes`` so a
@@ -99,16 +99,22 @@ class HotLoopRule:
         "explicit allow."
     )
 
-    #: iterable names treated as batch key arrays
-    _KEYISH_EXACT = frozenset({"keys", "working", "uniq"})
+    #: iterable names treated as batch key (or touched-file id) arrays
+    _KEYISH_EXACT = frozenset({"keys", "working", "uniq", "fids", "file_ids"})
 
     def applies_to(self, relpath: str) -> bool:
         return _repro_subdir(relpath) in HOT_PATH_DIRS
 
     def _keyish(self, name: str | None) -> bool:
         return name is not None and (
-            name in self._KEYISH_EXACT or name.endswith("_keys")
+            name in self._KEYISH_EXACT or name.endswith(("_keys", "_fids"))
         )
+
+    @staticmethod
+    def _untolist(node: ast.expr) -> ast.expr:
+        """``x.tolist()`` iterates ``x`` per element all the same."""
+        fn = node.func if isinstance(node, ast.Call) else None
+        return fn.value if isinstance(fn, ast.Attribute) and fn.attr == "tolist" else node
 
     def _target_is_array_collection(self, target: ast.expr) -> bool:
         """``for keys in list_of_key_arrays`` iterates arrays, not keys."""
@@ -119,6 +125,7 @@ class HotLoopRule:
 
     def _iter_hits(self, node: ast.expr) -> str | None:
         """The offending array name if ``node`` iterates per key."""
+        node = self._untolist(node)
         name = _terminal_name(node)
         if self._keyish(name):
             return name
@@ -143,7 +150,7 @@ class HotLoopRule:
             return None
         if fn in ("enumerate", "zip", "as_keys"):
             for arg in node.args:
-                inner = _terminal_name(arg)
+                inner = _terminal_name(self._untolist(arg))
                 if self._keyish(inner):
                     return inner
         return None

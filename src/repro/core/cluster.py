@@ -65,7 +65,7 @@ from repro.core.node import HPSNode
 from repro.core.pipeline import PipelineSchedule
 from repro.nn.optim import DenseAdagrad, SparseAdagrad, SparseOptimizer
 from repro.plan import RoundPlan, build_round_plan
-from repro.utils.keys import as_keys
+from repro.utils.keys import as_keys, compact_unique
 
 if TYPE_CHECKING:
     from repro.ckpt.checkpoint import CheckpointStats
@@ -1068,10 +1068,11 @@ class HPSCluster:
         return opt.embedding(values)
 
     def predict(self, batch: Batch) -> np.ndarray:
-        """Click probabilities under the current global model."""
-        keys = batch.unique_keys()
+        """Click probabilities under the current global model.  One dedup;
+        its inverse places every flat key, so the forward searches none."""
+        keys, codes = compact_unique(batch.keys, return_inverse=True)
         emb = self.lookup_embeddings(keys)
-        return self.nodes[0].model.predict_proba(batch, keys, emb)
+        return self.nodes[0].model.predict_proba(batch, keys, emb, flat_idx=codes)
 
     def evaluate_auc(self, batch: Batch) -> float:
         from repro.nn.metrics import auc

@@ -12,6 +12,8 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterator
 
+import numpy as np
+
 __all__ = ["CostLedger", "Cost"]
 
 
@@ -54,6 +56,17 @@ class CostLedger:
         self._totals[category] += seconds
         self._counts[category] += 1
         return seconds
+
+    def add_each(self, category: str, seconds: np.ndarray) -> None:
+        """One :meth:`add` per entry of ``seconds``, in order (the float
+        total is bit-identical), without a Python loop."""
+        if seconds.size == 0:
+            return
+        if seconds.min() < 0:
+            raise ValueError(f"negative cost for {category!r}: {seconds.min()}")
+        total = np.cumsum(np.concatenate(([self._totals[category]], seconds)))[-1]
+        self._totals[category] = float(total)
+        self._counts[category] += seconds.size
 
     def total(self, category: str | None = None) -> float:
         """Total seconds for ``category``, or across all categories."""

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from repro.hardware.ledger import CostLedger
 from repro.hardware.specs import SSDSpec
 
@@ -69,20 +71,26 @@ class SSDDevice:
         return n_bytes / self.spec.warm_read_bandwidth
 
     # ------------------------------------------------------------------
-    def read(self, n_bytes: int, *, sequential: bool = True) -> float:
-        """Account a read on the ledger; returns simulated seconds."""
-        t = self.read_time(n_bytes, sequential=sequential)
-        self.bytes_read += n_bytes
-        self.read_ops += 1
-        self.ledger.add("ssd_read", t)
-        return t
-
-    def read_warm(self, n_bytes: int) -> float:
-        """Account an extent-cache hit on the ledger (``ssd_read``
-        category — it substitutes for a device read); returns seconds."""
-        t = self.warm_read_time(n_bytes)
-        self.ledger.add("ssd_read", t)
-        return t
+    def read_files(self, n_bytes: np.ndarray, warm: np.ndarray | None = None):
+        """Account whole-file reads of ``n_bytes`` each on the ledger, in
+        order, one ``ssd_read`` sample per file; returns their seconds:
+        :meth:`read_time`, or :meth:`warm_read_time` for a file flagged
+        in ``warm`` (an extent-cache hit, not counted as a device read).
+        """
+        n_bytes = np.asarray(n_bytes, dtype=np.int64)
+        if (n_bytes < 0).any():
+            raise ValueError("negative read size")
+        block = self.spec.block_bytes
+        padded = np.maximum(1, -(-n_bytes // block)) * block
+        seconds = np.where(n_bytes > 0, padded / self.spec.seq_read_bandwidth, 0.0)
+        cold = n_bytes
+        if warm is not None:
+            seconds = np.where(warm, n_bytes / self.spec.warm_read_bandwidth, seconds)
+            cold = n_bytes[~warm]
+        self.bytes_read += int(cold.sum())
+        self.read_ops += int(cold.size)
+        self.ledger.add_each("ssd_read", seconds)
+        return seconds
 
     def write(self, n_bytes: int, *, sequential: bool = True) -> float:
         """Account a write on the ledger; returns simulated seconds.

@@ -125,7 +125,8 @@ class EmbeddingLayer:
             ``(len(unique_keys), dim)`` embedding table rows.
         flat_idx:
             Optional precomputed positions of ``batch.keys`` inside
-            ``unique_keys`` (the plan builder's ``MinibatchPlan.emb_idx``);
+            ``unique_keys`` (the plan builder's ``MinibatchPlan.emb_idx``,
+            or the inverse of the dedup that produced ``unique_keys``);
             skips the per-minibatch ``searchsorted`` and its validation.
         training:
             Record the gather for :meth:`backward` and pool into the

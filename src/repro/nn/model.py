@@ -68,10 +68,11 @@ class CTRModel:
         return self.mlp.forward(feats, training=training)
 
     def predict_proba(
-        self, batch: Batch, unique_keys: np.ndarray, emb_values: np.ndarray
+        self, batch: Batch, unique_keys: np.ndarray, emb_values: np.ndarray,
+        *, flat_idx: np.ndarray | None = None,
     ) -> np.ndarray:
         """Click probabilities for ``batch`` (no gradient bookkeeping)."""
-        return sigmoid(self.forward(batch, unique_keys, emb_values))
+        return sigmoid(self.forward(batch, unique_keys, emb_values, flat_idx=flat_idx))
 
     def train_minibatch(
         self,

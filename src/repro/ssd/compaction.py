@@ -75,7 +75,7 @@ class Compactor:
     def _select(self) -> tuple[np.ndarray, np.ndarray]:
         """``(file ids, row counts)`` of the merge victims, most-stale
         first, ties by ascending file id — a fixed order, because the
-        victims' ``device.read`` charges accumulate in it."""
+        victims' read charges accumulate in it."""
         fids, rows, stale = self.store.file_table()
         fraction = np.where(rows > 0, stale / np.maximum(rows, 1), 1.0)
         pick = np.flatnonzero(fraction >= self.stale_fraction)
@@ -95,12 +95,9 @@ class Compactor:
         if not victims.size:
             return CompactionStats(False, 0, 0, 0, 0, 0.0)
 
-        seconds = 0.0
-        bytes_read = 0
-        for nbytes in (rows * store.row_bytes).tolist():
-            # Read each whole victim file; its live rows are kept.
-            seconds += store.device.read(nbytes)
-            bytes_read += nbytes
+        # Read each whole victim file; its live rows are kept.
+        sizes = rows * store.row_bytes
+        seconds = float(np.cumsum(store.device.read_files(sizes))[-1])
         # A key can be live in at most one victim (the mapping points to
         # exactly one row), so the keys are unique by construction.
         keys, vals = store.live_rows(victims)
@@ -117,7 +114,7 @@ class Compactor:
             True,
             int(victims.size),
             files_created,
-            bytes_read,
+            int(sizes.sum()),
             int(keys.size) * store.row_bytes,
             seconds,
         )

@@ -2,29 +2,29 @@
 
 :class:`FileHandleCache` keeps recently-read parameter files resident
 across rounds, so repeated cache-miss batches that touch the same
-:class:`~repro.ssd.file_store.ParameterFile` stop re-paying the full
-payload-read cost every round.  It is a device of the *cost model*: an
-entry can carry a payload, but :class:`~repro.ssd.file_store.FileStore`
-records bare residency — its payloads live in the store's arena (or its
-``.npy`` files), and a cached view of the arena would pin, and after a
-repack misread, a superseded one.  The cache is bounded (``max_files``
-entries, LRU replacement) and exactly invalidated:
+parameter file stop re-paying the full payload-read cost every round.
+It is a device of the *cost model* and records bare residency: the
+payloads live in the store's arena (or its ``.npy`` files), and a cached
+view of the arena would pin, and after a repack misread, a superseded
+one.  The cache is bounded (``max_files`` entries, LRU replacement) and
+exactly invalidated:
 
 * ``write`` never invalidates — parameter files are immutable, new data
   always lands in *new* file ids, and a repointed mapping simply stops
-  routing reads at the stale rows (the cached payload stays byte-valid
-  for every key still mapped to that file);
+  routing reads at the stale rows (the file stays byte-valid for every
+  key still mapped to it);
 * ``erase`` (the only operation that destroys a payload — compaction
   erases its victims through it) must drop the entry, which
   :meth:`FileStore.erase` does via :meth:`invalidate`.
 
 A hit serves the payload at the *warm* rate — a host-DRAM copy priced by
-:meth:`~repro.hardware.ssd_device.SSDDevice.read_warm`, far cheaper than
-the device read it replaces but never free — so the cache can default on
-(``ClusterConfig.ssd_extent_cache_files``) without forking the
-sim-seconds parity groups: like-configured runs still agree bit-exactly,
-and the cost model keeps an honest account of where every byte came
-from.
+:meth:`~repro.hardware.ssd_device.SSDDevice.warm_read_time`, far cheaper
+than the device read it replaces but never free — so the cache can
+default on (``ClusterConfig.ssd_extent_cache_files``) without forking
+the sim-seconds parity groups: like-configured runs still agree
+bit-exactly, and the cost model keeps an honest account of where every
+byte came from.  A read accesses its touched files as one batch, exactly
+as if one by one, in Python work bounded by the capacity.
 """
 
 from __future__ import annotations
@@ -35,19 +35,18 @@ __all__ = ["FileHandleCache"]
 
 
 class FileHandleCache:
-    """Bounded LRU cache of parameter files (an entry is a payload or, as
-    ``FileStore`` uses it, bare residency), keyed by file id.
+    """Bounded LRU set of resident parameter-file ids.
 
-    ``max_files <= 0`` disables the cache entirely: every operation is a
-    no-op and :meth:`get` always misses, so a disabled cache is
-    bit-identical (values, found masks, *and* charged seconds) to not
-    constructing one at all.
+    ``max_files <= 0`` disables the cache entirely: every file misses
+    and nothing is counted, so a disabled cache is bit-identical
+    (values, found masks, *and* charged seconds) to not constructing
+    one at all.
     """
 
     def __init__(self, max_files: int = 0) -> None:
         self.max_files = int(max_files)
         #: insertion-ordered: oldest (least recently used) first.
-        self._payloads: dict[int, np.ndarray] = {}
+        self._resident: dict[int, bool] = {}
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -59,70 +58,77 @@ class FileHandleCache:
         return self.max_files > 0
 
     def __len__(self) -> int:
-        return len(self._payloads)
+        return len(self._resident)
 
     def __contains__(self, file_id: int) -> bool:
-        return int(file_id) in self._payloads
+        return int(file_id) in self._resident
 
     # ------------------------------------------------------------------
-    def get(self, file_id: int) -> np.ndarray | None:
-        """Cached payload of ``file_id`` (refreshing recency), or None."""
-        if not self.enabled:
-            return None
-        fid = int(file_id)
-        payload = self._payloads.pop(fid, None)
-        if payload is None:
-            self.misses += 1
-            return None
-        # Re-insert to move to the most-recently-used end.
-        self._payloads[fid] = payload
-        self.hits += 1
-        return payload
+    def probe(self, file_ids: np.ndarray) -> np.ndarray:
+        """Hit mask of accessing the unique ``file_ids`` in order, each
+        miss admitted as it goes (a get-then-put-on-miss walk); changes
+        nothing.  A resident file hits if fewer than ``max_files`` others
+        are more recent at its turn — so misses ahead of it in the batch
+        can evict it first."""
+        hits = np.zeros(file_ids.size, dtype=bool)
+        r = len(self._resident)
+        if not self.enabled or r == 0 or file_ids.size == 0:
+            return hits
+        resident = np.fromiter(self._resident, dtype=np.int64, count=r)
+        order = file_ids.argsort()
+        at = np.minimum(file_ids[order].searchsorted(resident), order.size - 1)
+        pos = np.where(file_ids[order[at]] == resident, order[at], -1)
+        # [p, q]: resident q is after p in LRU order and comes earlier in
+        # the batch — counted once already, among the residents after p.
+        seen = np.triu((pos >= 0) & (pos < pos[:, None]), 1).sum(axis=1)
+        newer = np.arange(r - 1, -1, -1) + pos - seen
+        hit = (pos >= 0) & (newer < self.max_files)
+        hits[pos[hit]] = True
+        return hits
 
-    def put(self, file_id: int, payload: np.ndarray) -> None:
-        """Admit ``payload``; evicts the least recently used past capacity."""
-        if not self.enabled:
+    def touch(self, file_ids: np.ndarray, hits: np.ndarray) -> None:
+        """Record the access :meth:`probe` returned ``hits`` for: the
+        batch becomes the most recently used end, in order, and the
+        least recently used files beyond ``max_files`` are evicted."""
+        if not self.enabled or file_ids.size == 0:
             return
-        fid = int(file_id)
-        self._payloads.pop(fid, None)
-        self._payloads[fid] = payload
-        while len(self._payloads) > self.max_files:
-            oldest = next(iter(self._payloads))
-            del self._payloads[oldest]
-            self.evictions += 1
+        n_hits = int(np.count_nonzero(hits))
+        ids = file_ids[-self.max_files :].tolist()
+        room = self.max_files - len(ids)
+        if room:
+            batch = set(ids)
+            older = [fid for fid in self._resident if fid not in batch]
+            ids = older[max(0, len(older) - room) :] + ids
+        misses = file_ids.size - n_hits
+        self.evictions += len(self._resident) + misses - len(ids)
+        self.hits += n_hits
+        self.misses += misses
+        self._resident = dict.fromkeys(ids, True)
 
-    def warm(self, file_ids, payload_of) -> None:
-        """Re-warm from a snapshot's LRU-ordered resident ids.
+    def warm(self, file_ids) -> None:
+        """Replace the residency with a snapshot's LRU-ordered ids.
 
-        Admits only the *newest* ``max_files`` ids — the snapshot may
+        Keeps only the *newest* ``max_files`` of them — the snapshot may
         have been taken at a larger capacity (a restore into a smaller
-        store), and pushing every snapshot id through :meth:`put` would
-        churn the over-capacity prefix straight through the cache,
-        spuriously counting an eviction (and materializing a payload)
-        per dropped id.  ``payload_of(fid)`` materializes the payload
-        for an admitted id; ids the caller no longer holds must be
-        filtered before calling.
+        store) — and counts no eviction for the ones left out.  Ids the
+        caller no longer holds must be filtered before calling.
         """
         if not self.enabled:
             return
         ids = [int(f) for f in file_ids]
-        for fid in ids[max(0, len(ids) - self.max_files) :]:
-            self.put(fid, payload_of(fid))
+        self._resident = dict.fromkeys(ids[max(0, len(ids) - self.max_files) :], True)
 
     def invalidate(self, file_id: int) -> bool:
-        """Drop ``file_id``'s payload (file erased); True if present."""
-        if self._payloads.pop(int(file_id), None) is not None:
+        """Drop ``file_id`` (file erased); True if it was resident."""
+        if self._resident.pop(int(file_id), False):
             self.invalidations += 1
             return True
         return False
 
-    def clear(self) -> None:
-        self._payloads.clear()
-
     # ------------------------------------------------------------------
     def resident_ids(self) -> list[int]:
         """Cached file ids, least recently used first."""
-        return list(self._payloads)
+        return list(self._resident)
 
     def stats(self) -> dict[str, int]:
         return {
@@ -130,6 +136,6 @@ class FileHandleCache:
             "misses": self.misses,
             "evictions": self.evictions,
             "invalidations": self.invalidations,
-            "resident": len(self._payloads),
+            "resident": len(self._resident),
             "capacity": self.max_files,
         }

@@ -14,11 +14,11 @@ naming a live file (recycled on erase; per-slot arrays hold its file id,
 first row, row count and stale counter), ``row`` the key's position in
 it.  Every file's keys — and, on the memory backend, its payload rows —
 sit packed in one arena per store, so a read is one index probe, one
-pass over the touched files that only *accounts* (extent cache, fault
-arm, device charge; in ascending file-id order, which is part of the
-simulated-clock contract because float seconds accumulate in it) and one
-gather.  What leaves the store (``mapping_of``, checkpoints) speaks file
-ids.
+array pass over the touched files that only *accounts* (extent cache,
+fault arm, device charge; in ascending file-id order, which is part of
+the simulated-clock contract because float seconds accumulate in it) and
+one gather.  What leaves the store (``mapping_of``, checkpoints) speaks
+file ids.
 
 Two backends: ``memory`` (default — payloads in the arena) and ``disk``
 (payloads as ``.npy`` files in a directory, for tests that want real
@@ -301,10 +301,9 @@ class FileStore:
         payloads are made durable *first*, so a write that dies midway
         leaves nothing visible."""
         if self._arena is None:
-            for fid, lo, hi in zip(
-                file_ids.tolist(), offsets[:-1].tolist(), offsets[1:].tolist()
-            ):
-                self._store_payload(fid, values[lo:hi])
+            # One .npy write per file: the disk backend's I/O unit.
+            for i in range(offsets.size - 1):
+                self._store_payload(int(file_ids[i]), values[offsets[i] : offsets[i + 1]])
         n = keys.shape[0]
         base = self._reserve(n)
         self._arena_keys[base : base + n] = keys
@@ -411,7 +410,9 @@ class FileStore:
         a file costs its *entire* size regardless of how many of its rows
         were requested — the I/O-amplification trade-off of Appendix E.
         Each touched file is resolved (and charged) exactly once per
-        call, in ascending file-id order.
+        call, in ascending file-id order.  A cold-read fault that escapes
+        the arm leaves the ``ssd_read`` ledger line, the device counters
+        and the extent cache as they were.
         """
         keys = as_keys(keys)
         locs, found = self._mapping.get(keys)
@@ -430,38 +431,34 @@ class FileStore:
         by_fid = fids.argsort()
         hit_slots, fids = hit_slots[by_fid], fids[by_fid]
 
-        # The accounting pass: per touched file, nothing but bookkeeping
-        # (the cache records residency; payloads stay where they live).
-        cache, device, faults = self.extent_cache, self.device, self.faults
-        total_t = 0.0
-        files_read = bytes_read = cache_hits = 0
+        # The accounting pass, as arrays: which touched files the extent
+        # cache holds (a hit is a host-DRAM copy, priced at the warm
+        # rate), the fault arm's guard on every cold file, then one
+        # device charge.  Per file, the seconds step is [guard, read].
         sizes = self._slot_rows[hit_slots] * self.row_bytes
-        for fid, nbytes in zip(fids.tolist(), sizes.tolist()):
-            if cache.get(fid) is None:
-                if faults is not None:
-                    # Armed cold read: transient errors / torn payloads
-                    # retry with backoff; exhaustion quarantines the file
-                    # (re-materialized from the newest checkpoint chain)
-                    # or raises PayloadLostError.  The extra seconds land
-                    # on the ledger's fault_retry line inside the arm.
-                    total_t += faults.ssd_read(self, self.file(fid))
-                # Whole-file read at the device rate; admit it so the next
-                # miss to this file goes at the warm rate.
-                total_t += device.read(nbytes)
-                files_read += 1
-                bytes_read += nbytes
-                cache.put(fid, True)
-            else:
-                # A hit is a host-DRAM copy: cheap but priced, never free.
-                total_t += device.read_warm(nbytes)
-                cache_hits += 1
+        warm = self.extent_cache.probe(fids)
+        cold = np.flatnonzero(~warm)
+        steps = np.zeros((fids.size, 2))
+        if self.faults is not None:
+            # Armed cold reads: transient errors / torn payloads retry
+            # with backoff; exhaustion quarantines the file (from the
+            # newest checkpoint chain) or raises PayloadLostError — before
+            # anything else is charged or cached.  The extra seconds land
+            # on the ledger's fault_retry line inside the arm.
+            for i in cold.tolist():
+                steps[i, 0] = self.faults.ssd_read(self, self.file(int(fids[i])))
+        self.extent_cache.touch(fids, warm)
+        steps[:, 1] = self.device.read_files(sizes, warm)
+        total_t = float(np.cumsum(steps)[-1])
 
         out = self._gather(slots, rows)
         if n_found != keys.size:
             values = np.zeros((keys.size, self.value_dim), dtype=np.float32)
             values[found] = out
             out = values
-        return ReadResult(out, found, total_t, files_read, bytes_read, cache_hits)
+        return ReadResult(
+            out, found, total_t, cold.size, int(sizes[cold].sum()), fids.size - cold.size
+        )
 
     # ------------------------------------------------------------------
     def items(self) -> tuple[np.ndarray, np.ndarray]:
@@ -735,13 +732,12 @@ class FileStore:
         snapshot's residency (a restore into a smaller store) can never
         over-warm nor spuriously count evictions.
         """
-        self.extent_cache.clear()
         fids = [
             int(fid)
             for fid in state.get("extent_cache_fids", np.zeros(0, np.int64))
             if int(fid) in self._slot_of
         ]
-        self.extent_cache.warm(fids, lambda fid: True)
+        self.extent_cache.warm(fids)
 
     def check_invariants(self) -> None:
         """Debug/test hook: mapping, stale counters, byte and arena

@@ -72,6 +72,46 @@ class TestHotLoopRule:
         )
         assert len(_active(findings, "hot-loop")) == 3
 
+    def test_tolist_and_file_id_arrays_are_flagged(self):
+        # The per-file accounting loop FileStore.read ran before its
+        # array pass, and the other shapes the rule must see through.
+        findings = _lint(
+            HOT,
+            """
+            def account(self, fids, sizes):
+                for fid, nbytes in zip(fids.tolist(), sizes.tolist()):
+                    self.charge(fid, nbytes)
+
+            def a(keys):
+                for k in keys.tolist():
+                    pass
+
+            def b(file_ids):
+                for fid in file_ids:
+                    pass
+
+            def c(self, victim_fids):
+                for i, fid in enumerate(victim_fids.tolist()):
+                    pass
+            """,
+        )
+        hits = _active(findings, "hot-loop")
+        assert [f.line for f in hits] == [3, 7, 11, 15]
+        assert "'fids'" in hits[0].message
+
+    def test_tolist_of_a_non_batch_array_is_clean(self):
+        findings = _lint(
+            HOT,
+            """
+            def per_file(self, sizes, offsets):
+                for nbytes in sizes.tolist():
+                    self.charge(nbytes)
+                for i in range(offsets.size - 1):
+                    pass
+            """,
+        )
+        assert not _active(findings, "hot-loop")
+
     def test_vectorized_code_is_clean(self):
         findings = _lint(
             HOT,

@@ -209,6 +209,37 @@ class TestPipelinedMemory:
         assert [s.round_index for s in run.stats] == list(range(10))
 
 
+class TestPredict:
+    def test_predict_is_byte_equal_to_the_searchsorted_path(
+        self, tiny_spec, small_config
+    ):
+        """Twin clusters whose MEM tier spills to SSD: ``predict`` (one
+        dedup, its codes handed to the forward) on one is byte-equal to
+        looking up ``batch.unique_keys()`` and letting the forward find
+        every key on the other, and both end with the same SSD read
+        charges and extent-cache order."""
+        config = dataclasses.replace(small_config, mem_capacity_params=1_400)
+        served, parent = (
+            HPSCluster(tiny_spec, config, functional_batch_size=512) for _ in range(2)
+        )
+        for cluster in (served, parent):
+            cluster.train(8)
+        reads_before = [n.ssd_ps.store.ledger.count("ssd_read") for n in served.nodes]
+        for i in range(3):
+            batch = served.generator.batch(20_000 + i, 1024)
+            keys = batch.unique_keys()
+            emb = parent.lookup_embeddings(keys)
+            expect = parent.nodes[0].model.predict_proba(batch, keys, emb)
+            got = served.predict(batch)
+            assert got.dtype == expect.dtype and got.tobytes() == expect.tobytes()
+        for mine, theirs, before in zip(served.nodes, parent.nodes, reads_before):
+            a, b = mine.ssd_ps.store, theirs.ssd_ps.store
+            assert a.ledger.count("ssd_read") > before  # serving reached SSD
+            assert a.ledger.total("ssd_read") == b.ledger.total("ssd_read")
+            assert a.ledger.count("ssd_read") == b.ledger.count("ssd_read")
+            assert a.extent_cache.resident_ids() == b.extent_cache.resident_ids()
+
+
 class TestMultiNodeConsistency:
     def test_node_counts_agree(self, tiny_spec):
         """1-node and 2-node clusters on the same per-round data produce

@@ -1,5 +1,6 @@
 """Tests for the hardware cost models and ledger."""
 
+import numpy as np
 import pytest
 
 from repro.hardware.gpu import GPUDevice, NVLink, dense_flops_per_example
@@ -111,13 +112,35 @@ class TestSSDDevice:
 
     def test_accounting(self):
         dev = SSDDevice(SSDSpec())
-        dev.read(8192)
+        dev.read_files(np.asarray([8192]))
         dev.write(4096)
         assert dev.bytes_read == 8192
         assert dev.bytes_written == 4096
         assert dev.read_ops == 1 and dev.write_ops == 1
         assert dev.ledger.total("ssd_read") > 0
         assert dev.ledger.total("ssd_write") > 0
+
+    def test_read_files_prices_and_sums_like_one_read_per_file(self):
+        """Per-file seconds are read_time / warm_read_time, the ledger
+        line is their in-order sum, and warm files are no device read."""
+        dev = SSDDevice(SSDSpec())
+        dev.ledger.add("ssd_read", 0.1)
+        sizes = np.asarray([0, 1, 4096, 4097, 3 * 10**6, 777])
+        warm = np.asarray([False, False, True, False, False, True])
+        seconds = dev.read_files(sizes, warm)
+        expect = [
+            dev.warm_read_time(n) if w else dev.read_time(n)
+            for n, w in zip(sizes.tolist(), warm.tolist())
+        ]
+        assert seconds.tolist() == expect
+        total = 0.1
+        for t in expect:
+            total += t
+        assert dev.ledger.total("ssd_read") == total  # bit-equal
+        assert dev.ledger.count("ssd_read") == 1 + sizes.size
+        assert dev.read_ops == 4 and dev.bytes_read == 1 + 4097 + 3 * 10**6
+        with pytest.raises(ValueError):
+            dev.read_files(np.asarray([-1]))
 
     def test_zero_io(self):
         dev = SSDDevice(SSDSpec())

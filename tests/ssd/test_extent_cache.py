@@ -7,19 +7,23 @@ Covers the two halves of the SSD fast read path:
   found masks, and charged seconds) while the cache is disabled;
 * :class:`FileHandleCache` staleness — the cache never serves stale rows
   across ``write`` / ``erase`` / compaction, and a disabled cache is
-  bit-identical to not having one.
+  bit-identical to not having one;
+* its batch access against the per-file get-then-put LRU walk
+  (``ReferenceFileCache`` in ``tests/ssd_oracles.py``).
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.hardware.ledger import CostLedger
 from repro.hardware.specs import SSDSpec
-from repro.hardware.ssd_device import SSDDevice
 from repro.ssd.compaction import Compactor
 from repro.ssd.extent_cache import FileHandleCache
 from repro.ssd.file_store import FileStore
 from repro.ssd.ssd_ps import SSDPS
+from ssd_oracles import ReferenceFileCache, ReferenceSSDDevice
 
 
 def keys_of(xs):
@@ -30,12 +34,30 @@ def vals_of(n, dim=2, base=0.0):
     return (np.arange(n * dim, dtype=np.float32) + base).reshape(n, dim)
 
 
+def access(cache: FileHandleCache, file_ids) -> list[bool]:
+    """One batch access (probe, then touch); returns the hit mask."""
+    fids = np.asarray(file_ids, dtype=np.int64)
+    hits = cache.probe(fids)
+    cache.touch(fids, hits)
+    return hits.tolist()
+
+
+def reference_access(cache: ReferenceFileCache, file_ids) -> list[bool]:
+    """The same access one file at a time: get, then put on a miss."""
+    hits = []
+    for fid in file_ids:
+        hits.append(cache.get(fid) is not None)
+        if not hits[-1]:
+            cache.put(fid, True)
+    return hits
+
+
 class TestFileHandleCache:
     def test_disabled_cache_is_inert(self):
         cache = FileHandleCache(0)
         assert not cache.enabled
-        cache.put(1, np.ones(3))
-        assert cache.get(1) is None
+        assert access(cache, [1]) == [False]
+        assert access(cache, [1]) == [False]
         assert len(cache) == 0
         # A disabled cache never even counts misses — bit-identical to
         # not constructing one.
@@ -50,17 +72,16 @@ class TestFileHandleCache:
 
     def test_lru_eviction_order(self):
         cache = FileHandleCache(2)
-        cache.put(1, np.array([1.0]))
-        cache.put(2, np.array([2.0]))
-        cache.get(1)  # refresh 1 → 2 becomes LRU
-        cache.put(3, np.array([3.0]))
+        access(cache, [1, 2])
+        assert access(cache, [1]) == [True]  # refresh 1 → 2 becomes LRU
+        access(cache, [3])
         assert 2 not in cache
         assert 1 in cache and 3 in cache
         assert cache.evictions == 1
 
     def test_invalidate_counts_only_present_entries(self):
         cache = FileHandleCache(4)
-        cache.put(7, np.array([7.0]))
+        access(cache, [7])
         assert cache.invalidate(7) is True
         assert cache.invalidate(7) is False
         assert cache.invalidations == 1
@@ -68,17 +89,49 @@ class TestFileHandleCache:
 
     def test_resident_ids_lru_order(self):
         cache = FileHandleCache(3)
-        for fid in (1, 2, 3):
-            cache.put(fid, np.array([float(fid)]))
-        cache.get(1)
+        access(cache, [1, 2, 3])
+        access(cache, [1])
         assert cache.resident_ids() == [2, 3, 1]
+
+    def test_earlier_misses_evict_a_resident_before_its_turn(self):
+        """File 5 sits at the LRU end; the miss on file 1 ahead of it in
+        the batch evicts it before its turn, so it misses too — as the
+        per-file get-then-put walk does.  First in the batch, it hits."""
+        cache, ref = FileHandleCache(2), ReferenceFileCache(2)
+        access(cache, [5, 9])
+        reference_access(ref, [5, 9])
+        assert access(cache, [1, 5]) == reference_access(ref, [1, 5]) == [False, False]
+        assert cache.resident_ids() == ref.resident_ids() == [1, 5]
+        assert access(cache, [5, 2]) == reference_access(ref, [5, 2]) == [True, False]
+        assert cache.resident_ids() == ref.resident_ids() == [5, 2]
+        assert cache.stats() == ref.stats()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        capacity=st.sampled_from([0, 1, 2, 16]),
+        batches=st.lists(
+            st.lists(st.integers(0, 40), unique=True, max_size=24), max_size=6
+        ),
+        invalidate=st.lists(st.integers(0, 40), max_size=3),
+    )
+    def test_batch_touch_matches_per_file_lru(self, capacity, batches, invalidate):
+        """Unique-id batches shorter and longer than the capacity, with
+        invalidations between them: the batch access and the per-file
+        walk agree on every hit mask, the counters and the LRU order."""
+        cache, ref = FileHandleCache(capacity), ReferenceFileCache(capacity)
+        for i, batch in enumerate(batches):
+            assert access(cache, batch) == reference_access(ref, batch)
+            if i < len(invalidate):
+                assert cache.invalidate(invalidate[i]) == ref.invalidate(invalidate[i])
+            assert cache.resident_ids() == ref.resident_ids()
+            assert cache.stats() == ref.stats()
 
 
 def per_key_reference(store: FileStore, keys: np.ndarray):
     """Per-key read against ``store``'s state, charging each touched
     file exactly once (the I/O unit is the whole file, so a correct
     per-key loop must not re-pay a file already read in this call)."""
-    pricer = SSDDevice(SSDSpec(), CostLedger())
+    pricer = ReferenceSSDDevice(SSDSpec(), CostLedger())
     out = np.zeros((keys.size, store.value_dim), dtype=np.float32)
     found = np.zeros(keys.size, dtype=bool)
     seconds = 0.0
@@ -331,18 +384,12 @@ class TestRewarmCapacity:
 
     def test_warm_admits_only_newest_ids_without_spurious_evictions(self):
         cache = FileHandleCache(2)
-        materialized = []
-
-        def payload_of(fid):
-            materialized.append(fid)
-            return np.array([float(fid)])
-
-        cache.warm([1, 2, 3, 4, 5], payload_of)
+        access(cache, [9])
+        cache.warm([1, 2, 3, 4, 5])
+        # The snapshot's residency replaces the live one; dropped ids
+        # were never churned through the cache.
         assert cache.resident_ids() == [4, 5]
         assert cache.evictions == 0
-        # Dropped ids were never even materialized, let alone churned
-        # through the cache.
-        assert materialized == [4, 5]
 
     def test_restore_into_smaller_store_respects_live_capacity(self):
         big = FileStore(2, file_capacity=2, extent_cache_files=3)

@@ -28,6 +28,7 @@ from hypothesis.stateful import (
 )
 
 from repro.errors import TierStateError
+from repro.faults.errors import PayloadLostError
 from repro.faults.policy import FaultArm, RetryPolicy
 from repro.faults.schedule import FaultSchedule
 from repro.ssd.compaction import Compactor
@@ -290,6 +291,36 @@ class TestArmedRead:
         assert_stores_agree(store, ref)
         store.check_invariants()
 
+    def test_an_escaping_fault_charges_and_caches_nothing(self):
+        """The second cold file of a read is lost for good (exhausted, no
+        checkpointed copy): PayloadLostError leaves the ``ssd_read`` line,
+        the device counters and the extent cache's counters and LRU order
+        exactly as before the call.  Only the arm's own ``fault_retry``
+        seconds — here a retried first cold file — stay charged."""
+        script = {("ssd_read_error", 0, 1): 1, ("ssd_read_error", 0, 2): 8}
+        store, _, seen = armed_pair(script, None)
+        store.read(np.asarray([9], dtype=np.uint64))  # file 3 now resident
+
+        def observed():
+            cache = store.extent_cache
+            return (
+                store.ledger.total("ssd_read"),
+                store.ledger.count("ssd_read"),
+                store.device.bytes_read,
+                store.device.read_ops,
+                cache.stats(),
+                cache.resident_ids(),
+            )
+
+        before, retried = observed(), store.ledger.total("fault_retry")
+        with pytest.raises(PayloadLostError) as lost:
+            store.read(self.PROBE)  # files 0, 1 cold; 3 warm
+        assert lost.value.file_id == 1
+        assert [fid for fid, _ in seen["store"]] == [3, 0, 1]
+        assert observed() == before
+        assert store.ledger.total("fault_retry") > retried
+        store.check_invariants()
+
     def test_rematerialized_rows_are_the_rows_reads_gather(self):
         """``_store_payload`` — the quarantine's write — lands in the
         arena rows the locators point at, wherever a repack moved them."""
@@ -330,7 +361,7 @@ def test_arena_holds_packed_rows_not_capacity_sized_slots():
 
 
 # ----------------------------------------------------------------------
-# (d) victim order fixes the order of the compactor's device.read charges
+# (d) victim order fixes the order of the compactor's read charges
 # ----------------------------------------------------------------------
 def test_victims_most_stale_first_ties_by_ascending_file_id():
     store = FileStore(1, 4)
@@ -358,8 +389,8 @@ def test_victims_most_stale_first_ties_by_ascending_file_id():
     assert comp.victims() == [1, 0, 2, 10]
 
     charged = []
-    read = store.device.read
-    store.device.read = lambda nbytes: charged.append(nbytes) or read(nbytes)
+    read_files = store.device.read_files
+    store.device.read_files = lambda sizes: charged.extend(sizes.tolist()) or read_files(sizes)
     stats = comp.compact()
     assert stats.files_merged == 4
     assert charged == [4 * store.row_bytes] * 4

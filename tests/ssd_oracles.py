@@ -7,11 +7,13 @@ key and value arrays, a plain ``dict`` for the key→file-id mapping, and
 the per-file ``read`` exactly as it ran in production — group the batch
 by file id, then per touched file ``searchsorted`` + slice + gather +
 scatter around the extent-cache / fault-arm / device-charge bookkeeping.
-It prices on its own :class:`SSDDevice` and ledger and keeps its own
-:class:`FileHandleCache`, so a test can drive it in lockstep with a
-``FileStore`` and demand that every simulated second, counter and cache
-decision agrees bit for bit.  It trusts its input: validation is the
-store's job, not the oracle's.
+It prices on its own device and ledger and keeps its own extent cache —
+the per-file ``ReferenceSSDDevice.read`` / ``read_warm`` and the
+per-file ``ReferenceFileCache.get`` / ``put`` LRU that ``FileStore``'s
+array accounting pass replaced — so a test can drive it in lockstep with
+a ``FileStore`` and demand that every simulated second, counter and
+cache decision agrees bit for bit.  It trusts its input: validation is
+the store's job, not the oracle's.
 """
 
 from __future__ import annotations
@@ -23,10 +25,105 @@ import numpy as np
 from repro.hardware.ledger import CostLedger
 from repro.hardware.ssd_device import SSDDevice
 from repro.hardware.specs import SSDSpec
-from repro.ssd.extent_cache import FileHandleCache
 from repro.ssd.file_store import ReadResult
 
-__all__ = ["ReferenceFile", "ReferenceFileStore", "assert_stores_agree"]
+__all__ = [
+    "ReferenceFile",
+    "ReferenceFileCache",
+    "ReferenceFileStore",
+    "ReferenceSSDDevice",
+    "assert_stores_agree",
+]
+
+
+class ReferenceSSDDevice(SSDDevice):
+    """The device with its per-file read charges: one ledger ``add`` per
+    file, in call order."""
+
+    def read(self, n_bytes: int) -> float:
+        """Account a whole-file device read; returns simulated seconds."""
+        t = self.read_time(n_bytes)
+        self.bytes_read += n_bytes
+        self.read_ops += 1
+        self.ledger.add("ssd_read", t)
+        return t
+
+    def read_warm(self, n_bytes: int) -> float:
+        """Account an extent-cache hit (``ssd_read`` category, not a
+        device read); returns seconds."""
+        t = self.warm_read_time(n_bytes)
+        self.ledger.add("ssd_read", t)
+        return t
+
+
+class ReferenceFileCache:
+    """The per-file LRU extent cache: ``get`` refreshes a resident entry,
+    ``put`` admits one and evicts the least recently used past
+    ``max_files``; a disabled cache (``max_files <= 0``) counts
+    nothing."""
+
+    def __init__(self, max_files: int = 0) -> None:
+        self.max_files = int(max_files)
+        self._payloads: dict[int, object] = {}  # oldest first
+        self.hits = 0
+        self.misses = 0
+        self.evictions = 0
+        self.invalidations = 0
+
+    @property
+    def enabled(self) -> bool:
+        return self.max_files > 0
+
+    def get(self, file_id: int):
+        if not self.enabled:
+            return None
+        fid = int(file_id)
+        payload = self._payloads.pop(fid, None)
+        if payload is None:
+            self.misses += 1
+            return None
+        self._payloads[fid] = payload
+        self.hits += 1
+        return payload
+
+    def put(self, file_id: int, payload) -> None:
+        if not self.enabled:
+            return
+        fid = int(file_id)
+        self._payloads.pop(fid, None)
+        self._payloads[fid] = payload
+        while len(self._payloads) > self.max_files:
+            del self._payloads[next(iter(self._payloads))]
+            self.evictions += 1
+
+    def warm(self, file_ids, payload_of) -> None:
+        if not self.enabled:
+            return
+        ids = [int(f) for f in file_ids]
+        for fid in ids[max(0, len(ids) - self.max_files) :]:
+            self.put(fid, payload_of(fid))
+
+    def invalidate(self, file_id: int) -> bool:
+        if self._payloads.pop(int(file_id), None) is not None:
+            self.invalidations += 1
+            return True
+        return False
+
+    def clear(self) -> None:
+        self._payloads.clear()
+
+    def resident_ids(self) -> list[int]:
+        return list(self._payloads)
+
+    def stats(self) -> dict[str, int]:
+        return {
+            "hits": self.hits,
+            "misses": self.misses,
+            "evictions": self.evictions,
+            "invalidations": self.invalidations,
+            "resident": len(self._payloads),
+            "capacity": self.max_files,
+        }
 
 
 @dataclass
@@ -49,8 +146,8 @@ class ReferenceFileStore:
         self.value_dim = value_dim
         self.file_capacity = file_capacity
         self.ledger = CostLedger()
-        self.device = SSDDevice(SSDSpec(), self.ledger)
-        self.extent_cache = FileHandleCache(max_files)
+        self.device = ReferenceSSDDevice(SSDSpec(), self.ledger)
+        self.extent_cache = ReferenceFileCache(max_files)
         self.faults = None
         self.files: dict[int, ReferenceFile] = {}
         self.mapping: dict[int, int] = {}
