@@ -11,14 +11,17 @@ failed.
 Run:  python examples/checkpoint_failover.py
 """
 
+import os
 import tempfile
 
 import numpy as np
 
 from repro.bench.report import format_table
+from repro.ckpt.format import CHECKPOINT_DIR_PREFIX
 from repro.config import ClusterConfig, ModelSpec
 from repro.core.cluster import HPSCluster
 from repro.faults import FaultSchedule, Supervisor
+from repro.faults.supervisor import FULL_EVERY, KEEP_LAST
 
 N_ROUNDS = 8
 CHECKPOINT_EVERY = 2
@@ -66,6 +69,7 @@ def main() -> None:
         run = Supervisor(tmp, checkpoint_every=CHECKPOINT_EVERY).run(
             build(), N_ROUNDS, FaultSchedule(0, script=crash)
         )
+        on_disk = [e for e in os.listdir(tmp) if e.startswith(CHECKPOINT_DIR_PREFIX)]
     recovered = run.cluster
     (report,) = run.reports
 
@@ -78,6 +82,10 @@ def main() -> None:
             ],
         )
     )
+    # Retention keeps the newest chain only: the root stays bounded.
+    bound = FULL_EVERY + KEEP_LAST - 1
+    print(f"\n{len(on_disk)} snapshot directories left on disk (bound {bound})")
+    assert len(on_disk) <= bound
     print(
         f"\nRecovery ({report.action}): restored the round-"
         f"{report.round - report.replay_rounds} snapshot in "

@@ -23,7 +23,8 @@ exists: ``node.mark_snapshot()`` runs after a manifest commits (full or
 delta) and after a restore finishes loading, never before, so a save
 that dies mid-write leaves every mark where it was and the retry ships
 the same bytes.  The cluster keeps only the chain link
-(``cluster._ckpt_base``: directory, round, manifest digest).  Restore
+(``cluster._ckpt_base``: directory, round, manifest digest, chain
+length).  Restore
 walks the manifest chain (:func:`~repro.ckpt.format.resolve_chain`) —
 base first, deltas replayed in order.
 
@@ -238,16 +239,18 @@ def _load_node_counters(node, arrays: dict[str, np.ndarray]) -> None:
     )
 
 
-def _record_base(cluster, directory: str) -> None:
+def _record_base(cluster, directory: str, chain_length: int) -> None:
     """The snapshot in ``directory`` has committed (or just loaded) and
     is the cluster's state: every tier marks it as its delta base and
-    the cluster remembers the chain link."""
+    the cluster remembers the chain link and how many members a restore
+    from it walks."""
     for node in cluster.nodes:
         node.mark_snapshot()
     cluster._ckpt_base = {
         "directory": os.path.abspath(directory),
         "rounds": cluster.rounds_completed,
         "manifest_sha256": fmt.manifest_sha256(directory),
+        "chain_length": chain_length,
     }
 
 
@@ -297,7 +300,7 @@ def save_cluster(cluster, directory: str) -> CheckpointStats:
         "shards": shards,
     }
     manifest_bytes = fmt.write_manifest(directory, manifest)
-    _record_base(cluster, directory)
+    _record_base(cluster, directory, 1)
 
     # Simulated cost: serialize/transfer flow shop over node shards —
     # shard n+1 serializes while shard n ships; node 0 additionally
@@ -407,7 +410,7 @@ def save_cluster_delta(cluster, directory: str) -> CheckpointStats:
         "shards": shards,
     }
     manifest_bytes = fmt.write_manifest(directory, manifest)
-    _record_base(cluster, directory)
+    _record_base(cluster, directory, base["chain_length"] + 1)
 
     per_node, ser_s, xfer_s, makespan = _overlap_snapshot_cost(
         cluster, node_bytes, dense_bytes, manifest_bytes
@@ -583,7 +586,7 @@ def restore_cluster(
     )
     # The restored state *is* the newest snapshot — mark it as the next
     # delta's base so a resumed run keeps chaining.
-    _record_base(cluster, newest_dir)
+    _record_base(cluster, newest_dir, len(chain))
     return cluster
 
 

@@ -65,8 +65,8 @@ FORMAT_VERSION = 4
 MANIFEST_NAME = "manifest.json"
 DENSE_SHARD = "dense.npz"
 
-#: Per-snapshot subdirectory prefix used by every periodic writer
-#: (Trainer, Supervisor) and by :func:`latest_checkpoint`'s scan.
+#: Per-snapshot subdirectory prefix used by the periodic writer (the
+#: snapshot stage) and by :func:`latest_checkpoint`'s scan.
 CHECKPOINT_DIR_PREFIX = "round_"
 
 
@@ -267,7 +267,11 @@ def verify_shard(directory: str, name: str, expected_digest: str) -> str:
 
 
 def prune_checkpoints(
-    directory: str, keep_last: int, *, keep_every: int | None = None
+    directory: str,
+    keep_last: int,
+    *,
+    keep_every: int | None = None,
+    pin: str | None = None,
 ) -> list[str]:
     """Retention-ladder GC over committed snapshots.
 
@@ -279,10 +283,14 @@ def prune_checkpoints(
       rung — cheap rollback to any recent round);
     * with ``keep_every=M``, snapshots whose ``rounds_completed`` is a
       multiple of ``M`` are *also* kept, however old (the sparse rung —
-      long-horizon restore points that survive the sliding window).
+      long-horizon restore points that survive the sliding window);
+    * ``pin``, the caller's just-committed snapshot directory, is kept
+      whatever its round, so a newer snapshot a previous run left in a
+      reused directory can fill the window but never evict the caller's
+      restore point.
 
-    The two rungs compose as a union: a snapshot survives if **either**
-    rule keeps it.  The ladder is then closed over delta chains: a
+    The rules compose as a union: a snapshot survives if **any** rule
+    keeps it.  The ladder is then closed over delta chains: a
     snapshot referenced (transitively, via ``base`` links) by any kept
     snapshot is also kept, however old — GC may never strand a live
     delta chain without its full base.  Deletion is crash-safe in the
@@ -307,6 +315,8 @@ def prune_checkpoints(
         manifests[entry] = manifest
     committed.sort()
     keep: set[str] = {os.path.basename(sub) for _, sub in committed[-keep_last:]}
+    if pin is not None:
+        keep.add(os.path.basename(os.path.normpath(pin)))
     if keep_every is not None:
         keep |= {
             os.path.basename(sub)
@@ -335,7 +345,7 @@ def latest_checkpoint(directory: str, upto_round: int | None = None) -> str | No
     """Newest committed checkpoint under ``directory``.
 
     Scans for :func:`checkpoint_dir_name` subdirectories (the layout the
-    trainer and :class:`~repro.faults.Supervisor` write),
+    snapshot stage writes, under :class:`~repro.faults.Supervisor` too),
     keeping only those with a committed manifest at
     ``rounds_completed <= upto_round``; returns the path of the newest,
     or None.  A directory whose manifest disappears (or is torn) mid-scan

@@ -454,10 +454,11 @@ class HPSCluster:
         self.restore_stats = None
         #: The chain link to the last committed snapshot — what a delta
         #: checkpoint names as its base: ``{directory, rounds,
-        #: manifest_sha256}`` (the tiers hold the diff bases themselves).
+        #: manifest_sha256, chain_length}`` (the tiers hold the diff bases
+        #: themselves).
         #: Maintained by :mod:`repro.ckpt.checkpoint`; None until a full
         #: save/restore.
-        self._ckpt_base = None
+        self._ckpt_base: dict[str, Any] | None = None
         #: wrapped spec → original spec, held while :meth:`wrap_stages`
         #: instrumentation is installed (None = not wrapped)
         self._unwrapped_stages: dict[StageSpec, StageSpec] | None = None
@@ -1137,16 +1138,19 @@ class HPSCluster:
         so both execution modes run it; under :meth:`train_pipelined`
         its simulated cost lands in the pipeline shadow of the next
         round's read/prepare stages instead of the training critical
-        path.  Every ``every`` rounds it saves
+        path.  At every round boundary divisible by ``every`` it saves
         ``<directory>/round_<NNNNNN>`` — a delta chained to the previous
-        snapshot (the first save, and every ``full_every``-th thereafter
-        when set, is full).  The stage keeps no write set of its own:
-        each tier carries its delta base, so registering the stage late,
-        or around other saves, ships exactly what changed.  With
-        ``keep_last`` set, the retention ladder
+        snapshot, or a full one when there is no valid base or (with
+        ``full_every`` set) the base's chain already holds
+        ``full_every`` members, whoever wrote them.  The stage keeps no
+        write set of its own: each tier carries its delta base, so
+        registering the stage late, or around other saves, ships exactly
+        what changed.  With ``keep_last`` set, the retention ladder
         (:func:`~repro.ckpt.format.prune_checkpoints`) runs after each
-        save; it is delta-chain-aware, so a base referenced by a
-        surviving delta is never dropped.
+        save with the new snapshot pinned; it is delta-chain-aware, so
+        that snapshot's whole chain survives even when a newer one in a
+        reused directory fills the window.  Bad retention arguments are
+        refused here, before anything is created or registered.
 
         Returns the stage function (``unregister_stage("snapshot")``
         removes it); its ``history`` attribute accumulates the
@@ -1162,8 +1166,16 @@ class HPSCluster:
             raise ValueError("every must be >= 1")
         if full_every is not None and full_every < 1:
             raise ValueError("full_every must be >= 1")
+        if keep_last is not None and keep_last < 1:
+            raise ValueError("keep_last must be >= 1")
+        if keep_every is not None and keep_every < 1:
+            raise ValueError("keep_every must be >= 1")
+        if keep_every is not None and keep_last is None:
+            raise ValueError(
+                "keep_every requires keep_last (the ladder's sparse rung "
+                "composes on top of the window)"
+            )
         os.makedirs(directory, exist_ok=True)
-        state = {"since_full": 0}
 
         def stage_snapshot(ctx: RoundContext) -> float:
             if self.rounds_completed % every:
@@ -1171,19 +1183,15 @@ class HPSCluster:
             target = os.path.join(
                 directory, checkpoint_dir_name(self.rounds_completed)
             )
-            take_full = not ckpt.delta_base_valid(self, target) or (
-                full_every is not None and state["since_full"] >= full_every - 1
+            base = self._ckpt_base if ckpt.delta_base_valid(self, target) else None
+            delta = base is not None and (
+                full_every is None or base["chain_length"] < full_every
             )
-            if take_full:
-                stats = self.save_checkpoint(target, mode="full")
-                state["since_full"] = 0
-            else:
-                stats = self.save_checkpoint(target, mode="delta")
-                state["since_full"] += 1
+            stats = self.save_checkpoint(target, mode="delta" if delta else "full")
             stage_snapshot.history.append(stats)  # type: ignore[attr-defined]
             if keep_last is not None:
                 prune_checkpoints(
-                    directory, keep_last=keep_last, keep_every=keep_every
+                    directory, keep_last=keep_last, keep_every=keep_every, pin=target
                 )
             return stats.seconds
 

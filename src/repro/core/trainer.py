@@ -13,7 +13,6 @@ Fig. 3(b) losslessness claim, verified exactly in the test suite.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,9 +38,6 @@ class TrainingHistory:
     batch_stats: list[BatchStats] = field(default_factory=list)
     losses: list[float] = field(default_factory=list)
     aucs: list[float] = field(default_factory=list)
-    #: :class:`~repro.ckpt.checkpoint.CheckpointStats` of every snapshot
-    #: the trainer materialized during :meth:`Trainer.run`.
-    checkpoints: list = field(default_factory=list)
 
     @property
     def n_rounds(self) -> int:
@@ -55,29 +51,13 @@ class TrainingHistory:
         total_seconds = sum(s.bottleneck_seconds for s in self.batch_stats)
         return total_examples / total_seconds if total_seconds else 0.0
 
-    def checkpoint_seconds(self) -> float:
-        """Total simulated time spent materializing snapshots."""
-        return sum(c.seconds for c in self.checkpoints)
-
 
 class Trainer:
     """Drives an HPS cluster and records quality/timing history.
 
-    With ``checkpoint_dir`` set, the trainer materializes a
-    batch-granular snapshot every ``checkpoint_every`` rounds (under
-    ``<checkpoint_dir>/round_<rounds_completed>``), so a killed run can
-    resume via :meth:`HPSCluster.restore` from the newest committed
-    snapshot and replay forward bit-identically.
-
-    ``checkpoint_keep_last=N`` is the retention policy: after each
-    successful commit the oldest committed snapshots beyond the newest
-    ``N`` are pruned atomically (manifest deleted first, so a crash
-    mid-prune can never leave a half-valid snapshot).  Pruning runs only
-    *after* the new snapshot commits — the newest restore point is never
-    at risk.  ``checkpoint_keep_every=M`` adds the sparse rung of the
-    retention ladder: snapshots at rounds divisible by ``M`` survive the
-    sliding window forever (see
-    :func:`~repro.ckpt.format.prune_checkpoints`).
+    Periodic checkpoints are the cluster's snapshot stage
+    (:meth:`HPSCluster.enable_snapshot_stage`); ``run`` trains through
+    whatever stages the cluster has registered.
     """
 
     def __init__(
@@ -86,61 +66,11 @@ class Trainer:
         *,
         eval_batch: Batch | None = None,
         eval_every: int = 0,
-        checkpoint_dir: str | None = None,
-        checkpoint_every: int = 1,
-        checkpoint_keep_last: int | None = None,
-        checkpoint_keep_every: int | None = None,
-        checkpoint_mode: str = "full",
     ) -> None:
-        if checkpoint_every < 1:
-            raise ValueError("checkpoint_every must be >= 1")
-        if checkpoint_mode not in ("full", "delta", "auto"):
-            raise ValueError("checkpoint_mode must be 'full', 'delta' or 'auto'")
-        if checkpoint_keep_last is not None and checkpoint_keep_last < 1:
-            raise ValueError("checkpoint_keep_last must be >= 1")
-        if checkpoint_keep_every is not None and checkpoint_keep_every < 1:
-            raise ValueError("checkpoint_keep_every must be >= 1")
-        if checkpoint_keep_every is not None and checkpoint_keep_last is None:
-            raise ValueError(
-                "checkpoint_keep_every requires checkpoint_keep_last "
-                "(the ladder's sparse rung composes on top of the window)"
-            )
         self.cluster = cluster
         self.eval_batch = eval_batch
         self.eval_every = eval_every
-        self.checkpoint_dir = checkpoint_dir
-        self.checkpoint_every = checkpoint_every
-        self.checkpoint_keep_last = checkpoint_keep_last
-        self.checkpoint_keep_every = checkpoint_keep_every
-        #: "full" | "delta" | "auto" — forwarded to
-        #: :meth:`HPSCluster.save_checkpoint`; "auto" writes deltas
-        #: whenever a valid in-memory base exists (the run's first
-        #: snapshot is full either way).
-        self.checkpoint_mode = checkpoint_mode
         self.history = TrainingHistory()
-
-    def _maybe_checkpoint(self, round_in_run: int) -> None:
-        if self.checkpoint_dir is None:
-            return
-        if round_in_run % self.checkpoint_every:
-            return
-        from repro.ckpt.format import checkpoint_dir_name, prune_checkpoints
-
-        directory = os.path.join(
-            self.checkpoint_dir,
-            checkpoint_dir_name(self.cluster.rounds_completed),
-        )
-        self.history.checkpoints.append(
-            self.cluster.save_checkpoint(directory, mode=self.checkpoint_mode)
-        )
-        if self.checkpoint_keep_last is not None:
-            # Only after the new snapshot committed: the retention window
-            # always contains the snapshot that just landed.
-            prune_checkpoints(
-                self.checkpoint_dir,
-                self.checkpoint_keep_last,
-                keep_every=self.checkpoint_keep_every,
-            )
 
     def run(self, n_rounds: int) -> TrainingHistory:
         for i in range(n_rounds):
@@ -153,7 +83,6 @@ class Trainer:
                 and (i + 1) % self.eval_every == 0
             ):
                 self.history.aucs.append(self.cluster.evaluate_auc(self.eval_batch))
-            self._maybe_checkpoint(i + 1)
         return self.history
 
     def final_auc(self) -> float:

@@ -2,9 +2,16 @@
 
 :class:`Supervisor` drives a cluster through ``n_rounds`` of training
 under a seeded :class:`~repro.faults.schedule.FaultSchedule`, absorbing
-whatever escapes the retry layer.  It keeps a periodic checkpoint
-cadence, classifies every escaped
-:class:`~repro.faults.errors.FaultError` by its recovery scope, and
+whatever escapes the retry layer.  It takes one baseline snapshot and
+leaves the cadence to the snapshot stage
+(:meth:`~repro.core.cluster.HPSCluster.enable_snapshot_stage`) it
+registers on every cluster it drives, with :data:`FULL_EVERY` and
+:data:`KEEP_LAST`: however long the run, its root holds at most
+``FULL_EVERY + KEEP_LAST - 1`` of its snapshots and a restore walks at
+most ``FULL_EVERY``.  Snapshots land on absolute multiples of
+``checkpoint_every`` (round 4, 6, … for a run started at round 3 with
+cadence 2), and pipelined chunks end on them.  It classifies every escaped
+:class:`~repro.faults.errors.FaultError` by its recovery scope and
 applies the cheapest safe action:
 
 ``retry_round``
@@ -41,6 +48,7 @@ and a full restore replays rounds that are pure functions of
 Time accounting is all simulated: ``training_seconds`` is productive
 round time, ``replay_seconds`` re-trained rounds after a full restore,
 ``restore_seconds`` checkpoint read-back — the latter two are downtime.
+A pipelined chunk's makespan includes its snapshot stage.
 """
 
 from __future__ import annotations
@@ -55,7 +63,14 @@ from repro.faults.inject import FaultInjection
 from repro.faults.policy import FaultIncident, RetryPolicy
 from repro.faults.schedule import FaultSchedule
 
-__all__ = ["FaultReport", "SupervisedRun", "Supervisor"]
+__all__ = ["FULL_EVERY", "KEEP_LAST", "FaultReport", "SupervisedRun", "Supervisor"]
+
+#: The supervised snapshot stage's ``full_every``: a chain a restore
+#: walks never holds more members than this.
+FULL_EVERY = 8
+#: The supervised snapshot stage's ``keep_last``: recovery and SSD
+#: quarantine read only the newest chain, so older ones are pruned.
+KEEP_LAST = 1
 
 
 @dataclass(frozen=True)
@@ -95,9 +110,10 @@ class SupervisedRun:
     training_seconds: float = 0.0
     replay_seconds: float = 0.0
     restore_seconds: float = 0.0
-    #: every snapshot the run committed, in save order (the first is the
-    #: baseline full; ``mode="auto"`` chains the rest as deltas)
-    checkpoints: tuple[CheckpointStats, ...] = ()
+    #: every snapshot the run committed, in save order: the baseline,
+    #: then what each registration of the snapshot stage appended (the
+    #: last entry is always the newest restore point)
+    checkpoints: list[CheckpointStats] = field(default_factory=list)
     recoveries: int = 0
     totals: dict = field(default_factory=dict)
 
@@ -126,10 +142,12 @@ class SupervisedRun:
 class Supervisor:
     """Checkpoint-cadenced, fault-classifying training driver.
 
-    ``directory`` is the checkpoint root: ``round_<NNNNNN>`` snapshot
-    chains accumulate there (an immediate baseline snapshot makes every
-    subsequent fault recoverable), and the injection layer uses the same
-    root for SSD quarantine re-materialization.
+    ``directory`` is the checkpoint root: the baseline snapshot (which
+    makes every later fault recoverable) and the stage's bounded
+    ``round_<NNNNNN>`` chain, one snapshot at every round boundary
+    divisible by ``checkpoint_every`` (an absolute multiple, whatever
+    round the run starts at), live there, and the injection
+    layer uses it for SSD quarantine re-materialization.
     """
 
     def __init__(
@@ -154,13 +172,21 @@ class Supervisor:
         self.max_recoveries = max_recoveries
 
     # ------------------------------------------------------------------
-    def _checkpoint(
-        self, cluster, checkpoints: dict[int, CheckpointStats]
-    ) -> None:
-        rc = cluster.rounds_completed
-        if rc not in checkpoints:
-            target = os.path.join(self.directory, checkpoint_dir_name(rc))
-            checkpoints[rc] = cluster.save_checkpoint(target, mode="auto")
+    @staticmethod
+    def _has_snapshot_stage(cluster) -> bool:
+        return any(spec.name == "snapshot" for spec in cluster.stage_specs())
+
+    def _enable_snapshots(self, cluster, out: SupervisedRun) -> None:
+        """Register the snapshot stage on ``cluster``, appending to the
+        run's one record.  Called after the injection attached, so the
+        straggler wrapper leaves the stage (and the fault draws) alone."""
+        stage = cluster.enable_snapshot_stage(
+            self.directory,
+            every=self.checkpoint_every,
+            full_every=FULL_EVERY,
+            keep_last=KEEP_LAST,
+        )
+        stage.history = out.checkpoints
 
     @staticmethod
     def _stamp(
@@ -195,10 +221,16 @@ class Supervisor:
         Returns the :class:`SupervisedRun`; raises
         :class:`~repro.faults.errors.UnrecoverableFaultError` only when
         the recovery budget is exceeded (a fault storm the configured
-        ``max_recoveries`` cannot absorb).
+        ``max_recoveries`` cannot absorb), or ``ValueError`` before
+        anything runs when ``cluster`` already has a ``snapshot`` stage.
         """
         if n_rounds < 0:
             raise ValueError("n_rounds must be non-negative")
+        if self._has_snapshot_stage(cluster):
+            raise ValueError(
+                "cluster already has a 'snapshot' stage — the supervisor "
+                "registers its own; unregister_stage('snapshot') first"
+            )
         os.makedirs(self.directory, exist_ok=True)
         injection = FaultInjection(
             schedule, self.policy, recovery_directory=self.directory
@@ -206,15 +238,17 @@ class Supervisor:
         injection.attach(cluster)
         out = SupervisedRun(cluster=cluster, reports=())
         reports: list[FaultReport] = []
-        checkpoints: dict[int, CheckpointStats] = {}
         base = cluster.rounds_completed
         target = base + n_rounds
+        every = self.checkpoint_every
         #: rounds below this mark were already trained once — re-running
         #: them after a full restore is replay (downtime), not progress.
         replaying_until = base
         round_retries = 0
         try:
-            self._checkpoint(cluster, checkpoints)
+            baseline = os.path.join(self.directory, checkpoint_dir_name(base))
+            out.checkpoints.append(cluster.save_checkpoint(baseline, mode="auto"))
+            self._enable_snapshots(cluster, out)
             while cluster.rounds_completed < target:
                 rc = cluster.rounds_completed
                 crashed = [
@@ -226,7 +260,6 @@ class Supervisor:
                     cluster, replaying_until = self._recover_crash(
                         cluster,
                         injection,
-                        checkpoints,
                         crashed,
                         out,
                         reports,
@@ -235,7 +268,9 @@ class Supervisor:
                     continue
                 try:
                     if pipelined:
-                        chunk = min(self.checkpoint_every, target - rc)
+                        # Chunks end on cadence points, so a chunk's last
+                        # stage is the snapshot a later restore starts from.
+                        chunk = min(every - rc % every, target - rc)
                         run = cluster.train_pipelined(
                             chunk, queue_capacity=self.queue_capacity
                         )
@@ -258,7 +293,6 @@ class Supervisor:
                     cluster, replaying_until, round_retries = self._recover(
                         cluster,
                         injection,
-                        checkpoints,
                         err,
                         pipelined,
                         out,
@@ -272,13 +306,12 @@ class Supervisor:
                         injection.drain_incidents(), cluster.rounds_completed
                     )
                 )
-                if (cluster.rounds_completed - base) % self.checkpoint_every == 0:
-                    self._checkpoint(cluster, checkpoints)
         finally:
             injection.detach()
+            if self._has_snapshot_stage(cluster):
+                cluster.unregister_stage("snapshot")
             out.cluster = cluster
             out.reports = tuple(reports)
-            out.checkpoints = tuple(checkpoints.values())
             out.rounds = cluster.rounds_completed - base
             out.totals = injection.totals()
         return out
@@ -294,36 +327,31 @@ class Supervisor:
                 surface="supervisor",
             ) from err
 
-    def _newest(
-        self, checkpoints: dict[int, CheckpointStats]
-    ) -> tuple[int, str]:
-        rc = max(checkpoints)
-        return rc, checkpoints[rc].directory
-
     def _full_restore(
         self,
         cluster,
         injection: FaultInjection,
-        checkpoints: dict[int, CheckpointStats],
+        out: SupervisedRun,
     ) -> tuple[object, float, int]:
         """Rebuild from the newest checkpoint; returns
         ``(new_cluster, restore_seconds, replay_rounds)``."""
         detect = cluster.rounds_completed
-        ck_round, ck_dir = self._newest(checkpoints)
+        newest = out.checkpoints[-1]
         injection.detach()
-        restored = type(cluster).restore(ck_dir, **self.restore_kwargs)
+        cluster.unregister_stage("snapshot")
+        restored = type(cluster).restore(newest.directory, **self.restore_kwargs)
         injection.attach(restored)
+        self._enable_snapshots(restored, out)
         # Restore cost: this read-back's critical path.  (Not the new
         # ledgers' ckpt_read total — a restored ledger carries the
         # snapshot's cost history, earlier restores included.)
         seconds = restored.restore_stats.seconds
-        return restored, seconds, max(0, detect - ck_round)
+        return restored, seconds, max(0, detect - newest.rounds_completed)
 
     def _recover_crash(
         self,
         cluster,
         injection: FaultInjection,
-        checkpoints: dict[int, CheckpointStats],
         crashed: list[int],
         out: SupervisedRun,
         reports: list[FaultReport],
@@ -332,9 +360,9 @@ class Supervisor:
         """Boundary node-crash probe fired: heal before training resumes."""
         self._spend_recovery(out, None)
         rc = cluster.rounds_completed
-        ck_round, ck_dir = self._newest(checkpoints)
-        if len(crashed) == 1 and ck_round == rc:
-            stats = cluster.restore_node(ck_dir, crashed[0])
+        newest = out.checkpoints[-1]
+        if len(crashed) == 1 and newest.rounds_completed == rc:
+            stats = cluster.restore_node(newest.directory, crashed[0])
             out.restore_seconds += stats.seconds
             reports.append(
                 FaultReport(
@@ -347,9 +375,7 @@ class Supervisor:
                 )
             )
             return cluster, replaying_until
-        cluster, seconds, replay = self._full_restore(
-            cluster, injection, checkpoints
-        )
+        cluster, seconds, replay = self._full_restore(cluster, injection, out)
         out.restore_seconds += seconds
         replaying_until = max(replaying_until, rc)
         reports.append(
@@ -369,7 +395,6 @@ class Supervisor:
         self,
         cluster,
         injection: FaultInjection,
-        checkpoints: dict[int, CheckpointStats],
         err: FaultError,
         pipelined: bool,
         out: SupervisedRun,
@@ -380,7 +405,7 @@ class Supervisor:
         """Classify an escaped fault and apply the cheapest safe action."""
         self._spend_recovery(out, err)
         detect = cluster.rounds_completed
-        ck_round, ck_dir = self._newest(checkpoints)
+        newest = out.checkpoints[-1]
         retries = getattr(err, "retries", 0)
 
         if (
@@ -412,13 +437,13 @@ class Supervisor:
             and not pipelined
             and cluster._staged_rounds == 0
             and err.stage in ("read", "prefetch", "prepare")
-            and ck_round == detect
+            and newest.rounds_completed == detect
         ):
             # One node's durable state is suspect, the survivors sit
             # exactly at the newest snapshot's round boundary, and no
             # values were staged: heal just that node, zero replay.
             cluster.abort_round()
-            stats = cluster.restore_node(ck_dir, err.node)
+            stats = cluster.restore_node(newest.directory, err.node)
             out.restore_seconds += stats.seconds
             reports.append(
                 FaultReport(
@@ -434,9 +459,7 @@ class Supervisor:
             )
             return cluster, replaying_until, 0
 
-        cluster, seconds, replay = self._full_restore(
-            cluster, injection, checkpoints
-        )
+        cluster, seconds, replay = self._full_restore(cluster, injection, out)
         out.restore_seconds += seconds
         replaying_until = max(replaying_until, detect)
         reports.append(

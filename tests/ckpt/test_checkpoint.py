@@ -15,7 +15,6 @@ from repro.ckpt.format import (
 )
 from repro.config import ClusterConfig
 from repro.core.cluster import HPSCluster, RoundContext
-from repro.core.trainer import Trainer
 
 
 def build(tiny_spec, small_config, **kwargs):
@@ -242,12 +241,10 @@ def test_save_overwrites_previous_checkpoint(tiny_spec, small_config, tmp_path):
 # ----------------------------------------------------------------------
 def test_trainer_checkpoint_cadence(tiny_spec, small_config, tmp_path):
     cluster = build(tiny_spec, small_config)
-    trainer = Trainer(
-        cluster, checkpoint_dir=str(tmp_path), checkpoint_every=2
-    )
-    history = trainer.run(5)
-    assert [c.rounds_completed for c in history.checkpoints] == [2, 4]
-    assert history.checkpoint_seconds() > 0
+    stage = cluster.enable_snapshot_stage(str(tmp_path), every=2)
+    cluster.train(5)
+    assert [c.rounds_completed for c in stage.history] == [2, 4]
+    assert sum(c.seconds for c in stage.history) > 0
     assert sorted(os.listdir(tmp_path)) == ["round_000002", "round_000004"]
     restored = HPSCluster.restore(str(tmp_path / "round_000004"))
     restored.train(1)
@@ -255,17 +252,12 @@ def test_trainer_checkpoint_cadence(tiny_spec, small_config, tmp_path):
 
 
 def test_trainer_delta_checkpoint_mode(tiny_spec, small_config, tmp_path):
-    """checkpoint_mode='auto' chains cadence snapshots: first full, the
-    rest deltas — and the newest chain member restores bit-identically."""
+    """Cadence snapshots chain: first full, the rest deltas — and the
+    newest chain member restores bit-identically."""
     cluster = build(tiny_spec, small_config)
-    trainer = Trainer(
-        cluster,
-        checkpoint_dir=str(tmp_path),
-        checkpoint_every=2,
-        checkpoint_mode="auto",
-    )
-    history = trainer.run(6)
-    assert [c.kind for c in history.checkpoints] == ["full", "delta", "delta"]
+    stage = cluster.enable_snapshot_stage(str(tmp_path), every=2)
+    cluster.train(6)
+    assert [c.kind for c in stage.history] == ["full", "delta", "delta"]
     restored = HPSCluster.restore(str(tmp_path / "round_000006"))
     assert_cluster_parity(cluster, restored)
     assert_deep_state_parity(cluster, restored)
@@ -274,6 +266,18 @@ def test_trainer_delta_checkpoint_mode(tiny_spec, small_config, tmp_path):
     assert_cluster_parity(cluster, restored)
 
 
-def test_trainer_validates_checkpoint_mode():
-    with pytest.raises(ValueError, match="checkpoint_mode"):
-        Trainer(None, checkpoint_mode="incremental")
+def test_trainer_validates_checkpoint_mode(tiny_spec, small_config, tmp_path):
+    """The stage refuses a bad cadence at registration, naming the
+    argument: nothing registered, no directory created."""
+    cluster = build(tiny_spec, small_config)
+    before = cluster.stage_specs()
+    target = str(tmp_path / "snaps")
+    for kwargs, match in (
+        ({"every": 0}, "every must be >= 1"),
+        ({"full_every": 0}, "full_every must be >= 1"),
+        ({"keep_last": 0}, "keep_last must be >= 1"),
+    ):
+        with pytest.raises(ValueError, match=match):
+            cluster.enable_snapshot_stage(target, **kwargs)
+        assert cluster.stage_specs() == before
+        assert not os.path.exists(target)

@@ -268,3 +268,25 @@ def test_recovery_ignores_stale_checkpoints_from_other_runs(
     assert crash.replay_rounds == 1
     assert run.cluster.restore_stats.directory == str(tmp_path / "round_000003")
     assert_same_final_state(baseline, run.cluster)
+
+
+def test_recovery_ignores_stale_same_config_snapshots(
+    tiny_spec, small_config, tmp_path
+):
+    """A rerun of the same job in the same directory: the earlier run's
+    newer snapshot fills the retention window, but pruning must not
+    delete this run's own restore point or the baseline it chains to."""
+    stale = build(tiny_spec, small_config)
+    stale.train(8)
+    stale.save_checkpoint(str(tmp_path / "round_000008"))
+
+    baseline = build(tiny_spec, small_config)
+    baseline.train(5)
+    run = supervise(
+        build(tiny_spec, small_config), tmp_path, 5, crash_after(0, 3), every=3
+    )
+    crash = the_crash(run)
+    assert crash.action == "full_restore"
+    assert crash.round - crash.replay_rounds == 3
+    assert run.cluster.restore_stats.directory == str(tmp_path / "round_000003")
+    assert_same_final_state(baseline, run.cluster)

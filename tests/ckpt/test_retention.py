@@ -1,7 +1,7 @@
 """Checkpoint GC (keep-last-N retention) and ledger carry-over.
 
-Production trainers cannot keep every ``round_*`` snapshot: the
-:class:`~repro.core.trainer.Trainer`'s ``checkpoint_keep_last=N`` prunes
+Production runs cannot keep every ``round_*`` snapshot: the snapshot
+stage's ``keep_last=N`` (:meth:`HPSCluster.enable_snapshot_stage`) prunes
 the oldest committed snapshots after each successful commit, atomically
 (manifest deleted before any shard, the same discipline every writer
 uses).  And per-node :class:`~repro.hardware.ledger.CostLedger` totals
@@ -11,14 +11,15 @@ cost accounting instead of restarting at zero.
 
 from __future__ import annotations
 
+import dataclasses
 import os
 
+import numpy as np
 import pytest
 
 from repro.ckpt import latest_checkpoint, prune_checkpoints
-from repro.ckpt.format import MANIFEST_NAME, checkpoint_dir_name
+from repro.ckpt.format import MANIFEST_NAME, checkpoint_dir_name, resolve_chain
 from repro.core.cluster import HPSCluster
-from repro.core.trainer import Trainer
 from repro.hardware.ledger import CostLedger
 
 
@@ -37,18 +38,25 @@ def committed_rounds(directory: str) -> list[int]:
     return out
 
 
+def assert_registration_refused(cluster, directory, match, **kwargs) -> None:
+    """Bad retention arguments fail at registration, naming the argument:
+    no stage registered, no directory created."""
+    before = cluster.stage_specs()
+    with pytest.raises(ValueError, match=match):
+        cluster.enable_snapshot_stage(directory, **kwargs)
+    assert cluster.stage_specs() == before
+    assert not os.path.exists(directory)
+
+
 class TestRetention:
     def test_trainer_keeps_last_n(self, tiny_spec, small_config, tmp_path):
         cluster = build(tiny_spec, small_config)
-        trainer = Trainer(
-            cluster,
-            checkpoint_dir=str(tmp_path),
-            checkpoint_every=1,
-            checkpoint_keep_last=2,
+        stage = cluster.enable_snapshot_stage(
+            str(tmp_path), every=1, full_every=1, keep_last=2
         )
-        trainer.run(5)
+        cluster.train(5)
         # Every snapshot was materialized (history sees all five)...
-        assert len(trainer.history.checkpoints) == 5
+        assert len(stage.history) == 5
         # ...but only the newest two survive on disk.
         assert committed_rounds(str(tmp_path)) == [4, 5]
         assert latest_checkpoint(str(tmp_path)).endswith(
@@ -59,13 +67,12 @@ class TestRetention:
         self, tiny_spec, small_config, tmp_path
     ):
         cluster = build(tiny_spec, small_config)
-        trainer = Trainer(
-            cluster,
-            checkpoint_dir=str(tmp_path),
-            checkpoint_every=1,
-            checkpoint_keep_last=1,
+        cluster.enable_snapshot_stage(
+            str(tmp_path), every=1, full_every=2, keep_last=1
         )
-        trainer.run(3)
+        cluster.train(3)
+        # Round 3 is a full snapshot, so its predecessors were pruned.
+        assert committed_rounds(str(tmp_path)) == [3]
         restored = HPSCluster.restore(latest_checkpoint(str(tmp_path)))
         assert restored.rounds_completed == 3
         # Resumed training replays bit-identically to never-pruned runs.
@@ -73,8 +80,6 @@ class TestRetention:
         straight.train(4)
         restored.train(1)
         probe = straight.generator.batch(10_000, 1024).unique_keys()
-        import numpy as np
-
         assert np.array_equal(
             straight.lookup_embeddings(probe),
             restored.lookup_embeddings(probe),
@@ -84,10 +89,8 @@ class TestRetention:
         """An interrupted prune leaves only uncommitted debris, which
         readers already reject and later prunes leave untouched."""
         cluster = build(tiny_spec, small_config)
-        trainer = Trainer(
-            cluster, checkpoint_dir=str(tmp_path), checkpoint_every=1
-        )
-        trainer.run(3)
+        cluster.enable_snapshot_stage(str(tmp_path), every=1, full_every=1)
+        cluster.train(3)
         # Simulate a prune that died between invalidate and rmtree.
         victim = os.path.join(str(tmp_path), checkpoint_dir_name(1))
         os.remove(os.path.join(victim, MANIFEST_NAME))
@@ -103,11 +106,46 @@ class TestRetention:
         assert os.path.isdir(victim)
         assert committed_rounds(str(tmp_path)) == [3]
 
-    def test_prune_validates_keep_last(self, tmp_path):
+    def test_prune_validates_keep_last(self, tiny_spec, small_config, tmp_path):
         with pytest.raises(ValueError, match="keep_last"):
             prune_checkpoints(str(tmp_path), keep_last=0)
-        with pytest.raises(ValueError, match="checkpoint_keep_last"):
-            Trainer(None, checkpoint_keep_last=0)
+        assert_registration_refused(
+            build(tiny_spec, small_config),
+            str(tmp_path / "snaps"),
+            "keep_last must be >= 1",
+            keep_last=0,
+        )
+
+    def test_window_is_per_configuration(self, tiny_spec, small_config, tmp_path):
+        """A newer snapshot an earlier run left in a reused directory —
+        of another configuration or of this one — fills the window, but
+        never evicts the stage's newest snapshot or its chain."""
+        for seed_offset in (1, 0):
+            root = str(tmp_path / f"reused{seed_offset}")
+            earlier = build(
+                tiny_spec,
+                dataclasses.replace(small_config, seed=small_config.seed + seed_offset),
+            )
+            earlier.train(4)
+            earlier.save_checkpoint(os.path.join(root, checkpoint_dir_name(4)))
+            cluster = build(tiny_spec, small_config)
+            stage = cluster.enable_snapshot_stage(
+                root, every=1, full_every=3, keep_last=1
+            )
+            cluster.train(3)
+            # Full@1 → delta@2 → delta@3 all survive beside the stale 4.
+            assert committed_rounds(root) == [1, 2, 3, 4]
+            newest = stage.history[-1].directory
+            assert [m for m, _ in resolve_chain(newest)] == [
+                s.directory for s in stage.history
+            ]
+            straight = build(tiny_spec, small_config)
+            straight.train(3)
+            probe = straight.generator.batch(10_000, 1024).unique_keys()
+            assert np.array_equal(
+                straight.lookup_embeddings(probe),
+                HPSCluster.restore(newest).lookup_embeddings(probe),
+            )
 
     def test_prune_missing_directory_is_noop(self, tmp_path):
         assert prune_checkpoints(str(tmp_path / "absent"), 3) == []
@@ -120,14 +158,10 @@ class TestRetentionLadder:
         self, tiny_spec, small_config, tmp_path
     ):
         cluster = build(tiny_spec, small_config)
-        trainer = Trainer(
-            cluster,
-            checkpoint_dir=str(tmp_path),
-            checkpoint_every=1,
-            checkpoint_keep_last=2,
-            checkpoint_keep_every=3,
+        cluster.enable_snapshot_stage(
+            str(tmp_path), every=1, full_every=1, keep_last=2, keep_every=3
         )
-        trainer.run(7)
+        cluster.train(7)
         # Window rung {6, 7} ∪ sparse rung {3, 6}.
         assert committed_rounds(str(tmp_path)) == [3, 6, 7]
 
@@ -135,24 +169,18 @@ class TestRetentionLadder:
         """A snapshot in both rungs (recent AND a multiple) survives and
         later leaves the window without being re-deletable debris."""
         cluster = build(tiny_spec, small_config)
-        trainer = Trainer(
-            cluster,
-            checkpoint_dir=str(tmp_path),
-            checkpoint_every=1,
-            checkpoint_keep_last=1,
-            checkpoint_keep_every=2,
+        cluster.enable_snapshot_stage(
+            str(tmp_path), every=1, full_every=1, keep_last=1, keep_every=2
         )
-        trainer.run(2)  # round 2 is the newest AND a multiple of 2
+        cluster.train(2)  # round 2 is the newest AND a multiple of 2
         assert committed_rounds(str(tmp_path)) == [2]
-        trainer.run(2)  # rounds 3, 4: 2 exits the window but stays (rung 2)
+        cluster.train(2)  # rounds 3, 4: 2 exits the window but stays (rung 2)
         assert committed_rounds(str(tmp_path)) == [2, 4]
 
     def test_prune_keep_every_direct(self, tiny_spec, small_config, tmp_path):
         cluster = build(tiny_spec, small_config)
-        trainer = Trainer(
-            cluster, checkpoint_dir=str(tmp_path), checkpoint_every=1
-        )
-        trainer.run(6)
+        cluster.enable_snapshot_stage(str(tmp_path), every=1, full_every=1)
+        cluster.train(6)
         removed = prune_checkpoints(str(tmp_path), keep_last=1, keep_every=4)
         assert committed_rounds(str(tmp_path)) == [4, 6]
         assert [os.path.basename(p) for p in removed] == [
@@ -163,10 +191,8 @@ class TestRetentionLadder:
         self, tiny_spec, small_config, tmp_path
     ):
         cluster = build(tiny_spec, small_config)
-        trainer = Trainer(
-            cluster, checkpoint_dir=str(tmp_path), checkpoint_every=1
-        )
-        trainer.run(4)
+        cluster.enable_snapshot_stage(str(tmp_path), every=1, full_every=1)
+        cluster.train(4)
         assert prune_checkpoints(str(tmp_path), keep_last=1, keep_every=1) == []
         assert committed_rounds(str(tmp_path)) == [1, 2, 3, 4]
 
@@ -174,27 +200,28 @@ class TestRetentionLadder:
         self, tiny_spec, small_config, tmp_path
     ):
         cluster = build(tiny_spec, small_config)
-        trainer = Trainer(
-            cluster,
-            checkpoint_dir=str(tmp_path),
-            checkpoint_every=1,
-            checkpoint_keep_last=1,
-            checkpoint_keep_every=2,
+        cluster.enable_snapshot_stage(
+            str(tmp_path), every=1, full_every=1, keep_last=1, keep_every=2
         )
-        trainer.run(3)
+        cluster.train(3)
         # Restore from the sparse-rung survivor (round 2), not the newest.
         old = HPSCluster.restore(
             latest_checkpoint(str(tmp_path), upto_round=2)
         )
         assert old.rounds_completed == 2
 
-    def test_validation(self, tmp_path):
+    def test_validation(self, tiny_spec, small_config, tmp_path):
         with pytest.raises(ValueError, match="keep_every"):
             prune_checkpoints(str(tmp_path), keep_last=1, keep_every=0)
-        with pytest.raises(ValueError, match="checkpoint_keep_every"):
-            Trainer(None, checkpoint_keep_last=2, checkpoint_keep_every=0)
-        with pytest.raises(ValueError, match="requires checkpoint_keep_last"):
-            Trainer(None, checkpoint_keep_every=2)
+        cluster = build(tiny_spec, small_config)
+        snaps = str(tmp_path / "snaps")
+        assert_registration_refused(
+            cluster, snaps, "keep_every must be >= 1", keep_last=2, keep_every=0
+        )
+        # Without keep_last the stage would never prune: refused too.
+        assert_registration_refused(
+            cluster, snaps, "keep_every requires keep_last", keep_every=2
+        )
 
 
 class TestLedgerCarryOver:
@@ -277,8 +304,6 @@ class TestDeltaChainGC:
         )
         straight = build(tiny_spec, small_config)
         straight.train(5)
-        import numpy as np
-
         probe = straight.generator.batch(10_000, 1024).unique_keys()
         assert np.array_equal(
             straight.lookup_embeddings(probe),

@@ -3,25 +3,35 @@
 The first half scripts one escalation of each class — round retry,
 partial restore, full restore, boundary crash — and checks both the
 recovery action and the healed run's bit-parity with a fault-free twin.
-The second half is the determinism satellite: the same seed must yield
-the identical ``FaultReport`` sequence, identical ``fault_retry``
-pricing, and bit-identical parameters across two runs, in both
-execution modes.
+The determinism satellite: the same seed must yield the identical
+``FaultReport`` sequence, identical ``fault_retry`` pricing, and
+bit-identical parameters across two runs, in both execution modes.  The
+last class holds the supervisor's snapshot stage to its bounds: a
+chain and a checkpoint root that stop growing however long the run, one
+record across restores, and no stage left behind.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import os
 
 import numpy as np
 import pytest
 
+from repro.ckpt.format import (
+    CHECKPOINT_DIR_PREFIX,
+    latest_checkpoint,
+    resolve_chain,
+)
+from repro.core.cluster import HPSCluster
 from repro.faults import (
     FaultSchedule,
     RetryPolicy,
     Supervisor,
     UnrecoverableFaultError,
 )
+from repro.faults.supervisor import FULL_EVERY, KEEP_LAST
 
 
 def assert_param_parity(a, b) -> None:
@@ -233,3 +243,156 @@ class TestDeterminism:
                 "fault_straggler"
             )
         assert_param_parity(a.cluster, b.cluster)
+
+
+def has_snapshot_stage(cluster) -> bool:
+    return any(spec.name == "snapshot" for spec in cluster.stage_specs())
+
+
+class TestBoundedSnapshots:
+    """The snapshot stage is the supervisor's only periodic writer."""
+
+    def test_long_run_keeps_the_chain_and_root_bounded(
+        self, mk_cluster, tmp_path
+    ):
+        root = str(tmp_path / "sup")
+        bound = FULL_EVERY + KEEP_LAST - 1
+        seen: list[tuple[int, int]] = []
+
+        def probe(ctx) -> float:
+            # Registered before the supervisor's stage, both after
+            # ``train``: this runs right after every snapshot commits.
+            if cluster.rounds_completed % 2 == 0:
+                dirs = [
+                    e for e in os.listdir(root) if e.startswith(CHECKPOINT_DIR_PREFIX)
+                ]
+                chain = resolve_chain(latest_checkpoint(root))
+                seen.append((len(dirs), len(chain)))
+            return 0.0
+
+        cluster = mk_cluster()
+        cluster.register_stage("probe", probe, after="train")
+        run = Supervisor(root, checkpoint_every=2).run(
+            cluster, 200, FaultSchedule(0)
+        )
+        assert run.rounds == 200
+        assert len(seen) == 100
+        assert max(n_dirs for n_dirs, _ in seen) <= bound
+        assert max(length for _, length in seen) == FULL_EVERY
+        # The record is every snapshot taken (the disk keeps only the
+        # newest chain): the baseline plus one per cadence point.
+        assert [c.rounds_completed for c in run.checkpoints] == list(
+            range(0, 201, 2)
+        )
+
+        newest = latest_checkpoint(root)
+        assert newest == run.checkpoints[-1].directory
+        straight = mk_cluster()
+        straight.train(200)
+        assert_param_parity(HPSCluster.restore(newest), straight)
+        assert_param_parity(run.cluster, straight)
+
+    def test_restored_cluster_keeps_the_chain_bound(self, mk_cluster, tmp_path):
+        """A full restore from a chain already ``FULL_EVERY`` long must
+        start a new full at the restored cluster's first snapshot."""
+        # Both nodes die at round 7, where the chain is full@0 + 7 deltas.
+        schedule = FaultSchedule(
+            0, script={("node_crash", 0, 7): 1, ("node_crash", 1, 7): 1}
+        )
+        sup = Supervisor(str(tmp_path / "sup"), checkpoint_every=1)
+        run = sup.run(mk_cluster(), 12, schedule)
+        (crash,) = [r for r in run.reports if r.kind == "node_crash"]
+        assert (crash.action, crash.round, crash.replay_rounds) == (
+            "full_restore",
+            7,
+            0,
+        )
+        assert [c.rounds_completed for c in run.checkpoints] == list(range(13))
+        lengths = []
+        for c in run.checkpoints:
+            lengths.append(1 if c.kind == "full" else lengths[-1] + 1)
+        assert lengths == [1, 2, 3, 4, 5, 6, 7, 8, 1, 2, 3, 4, 5]
+
+    @pytest.mark.parametrize("pipelined", [False, True])
+    def test_unaligned_start_snapshots_on_absolute_multiples(
+        self, mk_cluster, tmp_path, pipelined
+    ):
+        """A run started at round 3 with cadence 2 snapshots at rounds 4,
+        6 and 8 (its first pipelined chunk is one round), and a fault
+        away from a cadence point restores from one of those and replays
+        to the fault-free state."""
+        twin = mk_cluster()
+        cluster = mk_cluster()
+        if pipelined:
+            twin.train_pipelined(9)
+            cluster.train_pipelined(3)
+            # Round 5's read (op 2 from the start) escapes mid-chunk 4–6.
+            schedule = FaultSchedule(0, script={("hdfs_read_failure", 0, 2): 8})
+            restored_from = 4
+        else:
+            twin.train(9)
+            cluster.train(3)
+            # Node 0 dies right after round 6 (rounds completed: 7).
+            schedule = FaultSchedule(0, script={("node_crash", 0, 7 - 3): 1})
+            restored_from = 6
+        sup = Supervisor(str(tmp_path / "sup"), checkpoint_every=2)
+        run = sup.run(cluster, 6, schedule, pipelined=pipelined)
+        (full,) = [r for r in run.reports if r.action == "full_restore"]
+        assert full.round - full.replay_rounds == restored_from
+        assert full.replay_rounds == 1
+        assert run.replay_seconds > 0.0
+        assert [c.rounds_completed for c in run.checkpoints] == [3, 4, 6, 8]
+        assert run.rounds == 6
+        assert_param_parity(run.cluster, twin)
+
+    def test_record_spans_a_full_restore(self, mk_cluster, tmp_path, monkeypatch):
+        registered = []
+        enable = HPSCluster.enable_snapshot_stage
+
+        def spy(cluster, *args, **kwargs):
+            registered.append(cluster)
+            return enable(cluster, *args, **kwargs)
+
+        monkeypatch.setattr(HPSCluster, "enable_snapshot_stage", spy)
+        twin = mk_cluster()
+        twin.train_pipelined(6)
+        # Round 3's read escapes mid-chunk: full restore from round 2.
+        schedule = FaultSchedule(0, script={("hdfs_read_failure", 0, 3): 8})
+        original = mk_cluster()
+        run = run_supervised(lambda: original, tmp_path, schedule, pipelined=True)
+        (full,) = [r for r in run.reports if r.action == "full_restore"]
+        assert full.round - full.replay_rounds == 2
+        # One registration per cluster driven: the one handed in, then
+        # the one the restore built (and returned).
+        assert registered == [original, run.cluster]
+        assert run.cluster is not original
+        # Baseline, the first registration's round 2, the second's 4, 6.
+        rounds = [c.rounds_completed for c in run.checkpoints]
+        assert rounds == [0, 2, 4, 6]
+        assert [c.kind for c in run.checkpoints] == ["full"] + ["delta"] * 3
+        assert run.checkpoints[0].directory.endswith("round_000000")
+        # Neither cluster keeps the supervisor's stage.
+        assert not has_snapshot_stage(run.cluster)
+        assert not has_snapshot_stage(original)
+        assert_param_parity(run.cluster, twin)
+
+    def test_returned_cluster_trains_without_the_stage(self, mk_cluster, tmp_path):
+        root = tmp_path / "sup"
+        run = run_supervised(mk_cluster, tmp_path, FaultSchedule(0))
+        assert not has_snapshot_stage(run.cluster)
+        on_disk = sorted(os.listdir(root))
+        run.cluster.train(2)  # round 8: a cadence point, were the stage left
+        assert sorted(os.listdir(root)) == on_disk
+
+    def test_refuses_a_cluster_with_its_own_snapshot_stage(
+        self, mk_cluster, tmp_path
+    ):
+        cluster = mk_cluster()
+        cluster.enable_snapshot_stage(str(tmp_path / "own"), every=2)
+        specs = cluster.stage_specs()
+        sup = Supervisor(str(tmp_path / "sup"), checkpoint_every=2)
+        with pytest.raises(ValueError, match="snapshot"):
+            sup.run(cluster, 4, FaultSchedule(0))
+        assert cluster.rounds_completed == 0
+        assert cluster.stage_specs() == specs
+        assert not os.path.exists(tmp_path / "sup")
