@@ -10,7 +10,7 @@ Two halves:
   suppressions are in-source ``# repro: allow(<rule>)`` comments;
 * the **stage-effect race detector** (:mod:`~repro.analysis.effects`,
   :mod:`~repro.analysis.tracer`) — declared read/write effect sets on
-  pipeline stages, a static conflict check against the engine's
+  pipeline stages, a static conflict check against the clock's
   may-overlap relation (with explicit :class:`OverlapContract` records
   for the pinning-protected overlaps), and a dynamic tracer that fails
   a test run when a stage touches a resource it never declared.

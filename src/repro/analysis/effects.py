@@ -1,13 +1,14 @@
-"""Stage-effect model for the pipelined execution engine.
+"""Stage-effect model for the pipeline clock.
 
-The :class:`~repro.core.engine.PipelinedEngine` overlaps consecutive
-rounds' stages on the simulated clock.  Each stage therefore needs a
-*declared* effect set — the named resources it reads and writes — so that
-the overlap the schedule claims can be checked against the state the
-stages actually share.  This module defines the effect vocabulary, the
-engine's may-overlap relation, and the static conflict check; the dynamic
-counterpart (verifying that a running stage touches only what it
-declared) lives in :mod:`repro.analysis.tracer`.
+:func:`~repro.core.pipeline.schedule` overlaps consecutive rounds'
+stages on the simulated clock.  Each stage therefore needs a *declared*
+effect set — the named resources it reads and writes — so that the
+overlap the schedule claims can be checked against the state the stages
+actually share.  This module defines the effect vocabulary, the clock's
+may-overlap relation, and the static conflict check over the registry's
+:class:`~repro.core.pipeline.StageSpec` records; the dynamic counterpart
+(verifying that a running stage touches only what it declared) lives in
+:mod:`repro.analysis.tracer`.
 
 Resources
 ---------
@@ -37,7 +38,7 @@ noise:
 
 * resources prefixed ``round:`` (e.g. ``round:plan``) are *per-round*
   instances: stage ``s`` of round ``b`` only ever touches round ``b``'s
-  copy, and the engine never overlaps two stages of the same round
+  copy, and the clock never overlaps two stages of the same round
   (stage precedence), so ``round:`` resources cannot race across rounds
   and are excluded from the static conflict check — they still matter to
   the dynamic tracer;
@@ -47,8 +48,8 @@ noise:
 
 The may-overlap relation
 ------------------------
-Under :func:`~repro.core.pipeline.earliest_start` with queue capacities
-``>= 1`` (the engine enforces this), for rounds ``b' > b``:
+Under :func:`~repro.core.pipeline.schedule` with queue capacities
+``>= 1`` (it enforces this), for rounds ``b' > b``:
 
 * *serialization* gives ``start[b', s] >= finish[b, s]`` for every stage
   ``s``;
@@ -58,31 +59,33 @@ Under :func:`~repro.core.pipeline.earliest_start` with queue capacities
 So stage ``s'`` of a later round can only overlap stage ``s`` of an
 earlier round when ``s' < s``: an **upstream** (earlier-registry) stage
 of a later round may run concurrently with any **downstream** stage of
-an earlier round, and that is the *only* concurrency the engine ever
+an earlier round, and that is the *only* concurrency the clock ever
 schedules.  :func:`may_overlap` encodes exactly this, and
 ``tests/analysis/test_effects.py`` confirms it empirically against
-randomized :class:`~repro.core.pipeline.PipelineSimulator` schedules.
+randomized :func:`~repro.core.pipeline.schedule` clocks.
 
 Sanctioned overlaps
 -------------------
 Some conflicts are the point of the paper: MEM prepare of round ``b+1``
 overlapping the GPU/write-back stage of round ``b`` is safe *because*
 the tiers implement the pinning + canonical-order write-back discipline
-(paper Section 5), and the engine executes closures in batch-major
-dependency order.  Such pairs must be declared as
-:class:`OverlapContract` records carrying a justification — exactly like
-a lint suppression, the escape is explicit and reviewable.  A stage that
-introduces a new conflicting overlap without a contract fails
-:func:`check_stage_conflicts`.
+(paper Section 5), and the cluster's round loop runs every stage of
+round ``b`` before any stage of round ``b + 1``.  Such pairs must be
+declared as :class:`OverlapContract` records carrying a justification —
+exactly like a lint suppression, the escape is explicit and reviewable.
+A stage that introduces a new conflicting overlap without a contract
+fails :func:`check_stage_conflicts`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Protocol, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
+
+if TYPE_CHECKING:
+    from repro.core.pipeline import StageSpec
 
 __all__ = [
-    "StageEffectsLike",
     "OverlapContract",
     "StageConflict",
     "StageConflictError",
@@ -97,31 +100,13 @@ __all__ = [
 #: concurrent writers commute, so they never constitute a conflict.
 #: ``ledger`` is cost accounting; ``fault`` is the fault-injection state
 #: (the schedule's per-(kind, node) RNG streams plus the incident log,
-#: :mod:`repro.faults`) — both only ever advance/append, and the engine
-#: executes closures in canonical order, so their final state is
-#: schedule-independent.
+#: :mod:`repro.faults`) — both only ever advance/append, and stages run
+#: in round-major order, so their final state is schedule-independent.
 COMMUTATIVE_RESOURCES: frozenset[str] = frozenset({"ledger", "fault"})
 
 #: Resources with this prefix are per-round instances — two overlapping
 #: stages always belong to different rounds and touch different copies.
 ROUND_LOCAL_PREFIX = "round:"
-
-
-class StageEffectsLike(Protocol):
-    """Anything with a name and declared read/write sets.
-
-    Both :class:`repro.core.engine.StageDef` and the cluster's
-    :class:`repro.core.cluster.StageSpec` satisfy this.
-    """
-
-    @property
-    def name(self) -> str: ...
-
-    @property
-    def reads(self) -> frozenset[str]: ...
-
-    @property
-    def writes(self) -> frozenset[str]: ...
 
 
 @dataclass(frozen=True)
@@ -183,7 +168,7 @@ def may_overlap(upstream_index: int, downstream_index: int) -> bool:
     """Can these two registry positions run concurrently on the clock?
 
     Derivation in the module docstring: with queue capacities ``>= 1``,
-    the engine can overlap stage ``i`` of round ``b+k`` with stage ``j``
+    the clock can overlap stage ``i`` of round ``b+k`` with stage ``j``
     of round ``b`` exactly when ``i < j``.  Same-stage events are
     serialized; later-registry stages of later rounds are ordered after
     earlier rounds' earlier stages by precedence + serialization.
@@ -192,8 +177,8 @@ def may_overlap(upstream_index: int, downstream_index: int) -> bool:
 
 
 def _conflicting(
-    up: StageEffectsLike,
-    down: StageEffectsLike,
+    up: StageSpec,
+    down: StageSpec,
     commutative: frozenset[str],
 ) -> frozenset[str]:
     shared_writes = (up.writes & (down.reads | down.writes)) | (
@@ -207,7 +192,7 @@ def _conflicting(
 
 
 def find_stage_conflicts(
-    stages: Sequence[StageEffectsLike],
+    stages: Sequence[StageSpec],
     *,
     contracts: Iterable[OverlapContract] = (),
     commutative: frozenset[str] = COMMUTATIVE_RESOURCES,
@@ -221,7 +206,7 @@ def find_stage_conflicts(
     Contracts naming stages absent from ``stages`` are ignored (they
     describe optional stages such as ``prefetch`` or ``snapshot``), but
     a contract whose stages are both present in the *wrong order* is an
-    error — it sanctions an overlap the engine can never schedule.
+    error — it sanctions an overlap the clock can never schedule.
     """
     names = [s.name for s in stages]
     if len(set(names)) != len(names):
@@ -235,7 +220,7 @@ def find_stage_conflicts(
         if not may_overlap(iu, idn):
             raise ValueError(
                 f"OverlapContract({c.upstream!r}, {c.downstream!r}) is "
-                "unsatisfiable: the engine never overlaps that ordered pair"
+                "unsatisfiable: the clock never overlaps that ordered pair"
             )
         allowed.setdefault((c.upstream, c.downstream), set()).update(
             c.resources
@@ -252,7 +237,7 @@ def find_stage_conflicts(
 
 
 def check_stage_conflicts(
-    stages: Sequence[StageEffectsLike],
+    stages: Sequence[StageSpec],
     *,
     contracts: Iterable[OverlapContract] = (),
     commutative: frozenset[str] = COMMUTATIVE_RESOURCES,

@@ -369,7 +369,7 @@ def run_pipeline_overlap(
     """Lockstep vs pipelined end-to-end training (paper Section 3).
 
     Trains two identical clusters on identical data — one lockstep, one
-    through the :class:`~repro.core.engine.PipelinedEngine` — and reports
+    with :meth:`~repro.core.cluster.HPSCluster.train_pipelined` — and reports
     both makespans plus a parameter-parity check.  The pipeline performs
     the same work in the same order, so ``parameter_parity`` must be
     ``True`` (bit-identical sparse and dense parameters) while

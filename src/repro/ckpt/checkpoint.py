@@ -11,10 +11,10 @@ them (serialize shard ``n + 1`` while shipping shard ``n``), so the
 save-level cost is a flow-shop makespan; restores read shards in
 parallel, so their cost is the slowest node.
 
-Delta snapshots (:func:`save_cluster_delta`, format v3) record only the
-state that changed since the previous snapshot: new SSD parameter files
-plus the mapping/stale-counter diff, the MEM cache's metadata plus only
-its written value rows, and the (full, tiny) dense/optimizer state.
+Delta snapshots (``save_cluster(kind="delta")``, format v3) record only
+the state that changed since the previous snapshot: new SSD parameter
+files plus the mapping/stale-counter diff, the MEM cache's metadata plus
+only its written value rows, and the (full, tiny) dense/optimizer state.
 Each tier holds its own delta base — row-dirty bits in the MEM slab, a
 file-id watermark in the SSD store — so a delta export reads only what
 changed and steady-state snapshot cost scales with the round's write
@@ -64,7 +64,8 @@ from repro.config import ClusterConfig, ModelSpec
 __all__ = [
     "CheckpointStats",
     "save_cluster",
-    "save_cluster_delta",
+    "delta_base_problem",
+    "delta_base_valid",
     "restore_cluster",
     "restore_node",
 ]
@@ -263,44 +264,104 @@ def _require_boundary(cluster) -> None:
 
 
 # ----------------------------------------------------------------------
-def save_cluster(cluster, directory: str) -> CheckpointStats:
-    """Materialize a full checkpoint of ``cluster`` into ``directory``.
+def delta_base_problem(cluster, directory: str) -> str | None:
+    """Why a delta into ``directory`` has no usable in-memory base, or
+    ``None`` when it has one: the base exists, it is a committed
+    *sibling* of the target, training has advanced past it, and the
+    on-disk manifest still hashes to the recorded link."""
+    base = cluster._ckpt_base
+    if base is None:
+        return "no base snapshot in memory — take a full checkpoint first"
+    abs_dir = os.path.abspath(directory)
+    if os.path.dirname(abs_dir) != os.path.dirname(base["directory"]):
+        return (
+            "a delta snapshot must be a sibling of its base "
+            f"({base['directory']!r})"
+        )
+    if abs_dir == base["directory"]:
+        return "a delta snapshot cannot overwrite its base"
+    if cluster.rounds_completed <= base["rounds"]:
+        return "no training progress since the base snapshot — nothing to delta"
+    try:
+        actual = fmt.manifest_sha256(base["directory"])
+    except CheckpointError as err:
+        return str(err)
+    if actual != base["manifest_sha256"]:
+        return (
+            f"base snapshot at {base['directory']!r} changed on disk since "
+            "it was recorded — take a full checkpoint"
+        )
+    return None
+
+
+def delta_base_valid(cluster, directory: str) -> bool:
+    """Whether a delta into ``directory`` has a usable in-memory base."""
+    return delta_base_problem(cluster, directory) is None
+
+
+def save_cluster(cluster, directory: str, *, kind: str = "full") -> CheckpointStats:
+    """Materialize a checkpoint of ``cluster`` into ``directory``.
+
+    ``kind`` is ``"full"`` (self-contained), ``"delta"`` (only the state
+    each tier changed since the mark it took when the previous snapshot
+    committed — nothing is re-exported or read back to diff; raises
+    :class:`CheckpointError` with :func:`delta_base_problem`'s reason
+    when there is no usable base) or ``"auto"`` (delta when the base is
+    usable, else full).  A delta must be a *sibling* of its base (the
+    manifest's ``base`` link is a directory name).
 
     The cluster must be quiescent (no round staged between HBM load and
     write-back) — both training modes are quiescent between ``train`` /
     ``train_pipelined`` calls.  The manifest is invalidated first and
     committed last, so a crash mid-save can never leave a directory that
-    reads back as a valid-but-inconsistent checkpoint.
+    reads back as a valid-but-inconsistent checkpoint; the tiers' marks
+    and the chain link only advance after it commits, so a crashed save
+    can be retried into the same directory against the unchanged base.
     """
+    if kind not in ("full", "delta", "auto"):
+        raise ValueError(f"unknown checkpoint mode {kind!r}")
     _require_boundary(cluster)
+    base = None
+    if kind != "full":
+        problem = delta_base_problem(cluster, directory)
+        if problem is None:
+            base = cluster._ckpt_base
+        elif kind == "delta":
+            raise CheckpointError(problem)
     os.makedirs(directory, exist_ok=True)
     fmt.invalidate(directory)
 
     shards: dict[str, str] = {}
-    dense_bytes, digest = _write_shard(directory, DENSE_SHARD, _dense_arrays(cluster))
-    shards[DENSE_SHARD] = digest
-
+    dense_bytes, shards[DENSE_SHARD] = _write_shard(
+        directory, DENSE_SHARD, _dense_arrays(cluster)
+    )
     node_bytes: list[int] = []
     for node in cluster.nodes:
         name = node_shard_name(node.node_id)
-        nbytes, digest = _write_shard(
-            directory, name, _node_shard_arrays(node, node.tier_states())
+        tiers = node.tier_states() if base is None else node.tier_deltas()
+        nbytes, shards[name] = _write_shard(
+            directory, name, _node_shard_arrays(node, tiers)
         )
-        shards[name] = digest
         node_bytes.append(nbytes)
 
+    written = "full" if base is None else "delta"
     payload = _config_payload(cluster)
     manifest = {
         "format_version": FORMAT_VERSION,
-        "kind": "full",
+        "kind": written,
         "fingerprint": fingerprint(payload),
         "config": payload,
         "rounds_completed": cluster.rounds_completed,
         "n_nodes": cluster.n_nodes,
         "shards": shards,
     }
+    if base is not None:
+        manifest["base"] = os.path.basename(base["directory"])
+        manifest["base_manifest_sha256"] = base["manifest_sha256"]
     manifest_bytes = fmt.write_manifest(directory, manifest)
-    _record_base(cluster, directory, 1)
+    _record_base(
+        cluster, directory, 1 if base is None else base["chain_length"] + 1
+    )
 
     # Simulated cost: serialize/transfer flow shop over node shards —
     # shard n+1 serializes while shard n ships; node 0 additionally
@@ -315,114 +376,7 @@ def save_cluster(cluster, directory: str) -> CheckpointStats:
         seconds=makespan,
         nbytes=sum(node_bytes) + dense_bytes + manifest_bytes,
         per_node_seconds=per_node,
-        kind="full",
-        serialize_seconds=ser_s,
-        transfer_seconds=xfer_s,
-    )
-
-
-def delta_base_valid(cluster, directory: str) -> bool:
-    """Whether a delta into ``directory`` has a usable in-memory base:
-    one exists, it is a committed *sibling* of the target, the on-disk
-    manifest still hashes to the recorded link, and training has
-    advanced past it."""
-    base = getattr(cluster, "_ckpt_base", None)
-    if base is None:
-        return False
-    abs_dir = os.path.abspath(directory)
-    if os.path.dirname(abs_dir) != os.path.dirname(base["directory"]):
-        return False
-    if abs_dir == base["directory"]:
-        return False
-    if cluster.rounds_completed <= base["rounds"]:
-        return False
-    try:
-        return fmt.manifest_sha256(base["directory"]) == base["manifest_sha256"]
-    except CheckpointError:
-        return False
-
-
-def save_cluster_delta(cluster, directory: str) -> CheckpointStats:
-    """Materialize a delta snapshot chained to the previous snapshot.
-
-    Each tier diffs against the mark it took when the previous snapshot
-    committed (:func:`save_cluster` / :func:`save_cluster_delta` /
-    restore), so nothing is re-exported or read back to diff.
-    ``directory`` must be a *sibling* of the base (the manifest's
-    ``base`` link is a directory name).
-
-    Same atomicity discipline as a full save: invalidate first, commit
-    the manifest last.  The tiers' marks and the chain link only advance
-    after the manifest commits, so a crashed delta save can be retried
-    into the same directory against the unchanged base.
-    """
-    _require_boundary(cluster)
-    base = getattr(cluster, "_ckpt_base", None)
-    if base is None:
-        raise CheckpointError(
-            "no base snapshot in memory — take a full checkpoint first"
-        )
-    abs_dir = os.path.abspath(directory)
-    if os.path.dirname(abs_dir) != os.path.dirname(base["directory"]):
-        raise CheckpointError(
-            "a delta snapshot must be a sibling of its base "
-            f"({base['directory']!r})"
-        )
-    if abs_dir == base["directory"]:
-        raise CheckpointError("a delta snapshot cannot overwrite its base")
-    if cluster.rounds_completed <= base["rounds"]:
-        raise CheckpointError(
-            "no training progress since the base snapshot — nothing to delta"
-        )
-    actual = fmt.manifest_sha256(base["directory"])
-    if actual != base["manifest_sha256"]:
-        raise CheckpointError(
-            f"base snapshot at {base['directory']!r} changed on disk since "
-            "it was recorded — take a full checkpoint"
-        )
-
-    os.makedirs(directory, exist_ok=True)
-    fmt.invalidate(directory)
-
-    shards: dict[str, str] = {}
-    dense_bytes, digest = _write_shard(directory, DENSE_SHARD, _dense_arrays(cluster))
-    shards[DENSE_SHARD] = digest
-
-    node_bytes: list[int] = []
-    for node in cluster.nodes:
-        name = node_shard_name(node.node_id)
-        nbytes, digest = _write_shard(
-            directory, name, _node_shard_arrays(node, node.tier_deltas())
-        )
-        shards[name] = digest
-        node_bytes.append(nbytes)
-
-    payload = _config_payload(cluster)
-    manifest = {
-        "format_version": FORMAT_VERSION,
-        "kind": "delta",
-        "base": os.path.basename(base["directory"]),
-        "base_manifest_sha256": base["manifest_sha256"],
-        "fingerprint": fingerprint(payload),
-        "config": payload,
-        "rounds_completed": cluster.rounds_completed,
-        "n_nodes": cluster.n_nodes,
-        "shards": shards,
-    }
-    manifest_bytes = fmt.write_manifest(directory, manifest)
-    _record_base(cluster, directory, base["chain_length"] + 1)
-
-    per_node, ser_s, xfer_s, makespan = _overlap_snapshot_cost(
-        cluster, node_bytes, dense_bytes, manifest_bytes
-    )
-    return CheckpointStats(
-        op="save",
-        directory=directory,
-        rounds_completed=cluster.rounds_completed,
-        seconds=makespan,
-        nbytes=sum(node_bytes) + dense_bytes + manifest_bytes,
-        per_node_seconds=per_node,
-        kind="delta",
+        kind=written,
         serialize_seconds=ser_s,
         transfer_seconds=xfer_s,
     )

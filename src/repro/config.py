@@ -143,7 +143,7 @@ class ClusterConfig:
     #: the round the node owns — one cache probe per distinct key,
     #: pinned for the round); it selects no code path.  True runs the
     #: resolve as its own pipeline stage between read and prepare,
-    #: where the engine can overlap it; False runs the same resolve
+    #: where the clock can overlap it; False runs the same resolve
     #: inline at the head of the prepare stage.
     prefetch: bool = False
     #: SSD extent cache: parameter-file payloads kept hot so repeat

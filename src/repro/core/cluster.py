@@ -5,15 +5,19 @@ objects, wires their MEM-PS peers together, and drives the full Algorithm 1
 training workflow across nodes.  The workflow is factored into four
 independently-callable stage functions (:meth:`HPSCluster.stage_read`,
 :meth:`~HPSCluster.stage_prepare`, :meth:`~HPSCluster.stage_load`,
-:meth:`~HPSCluster.stage_train`) with two execution modes:
+:meth:`~HPSCluster.stage_train`), held with any registered extras in one
+stage registry.  One round loop drives the registry — every stage once
+per round, in registry order, each returned duration checked and
+recorded — and the two execution modes differ only in the clock they
+read off it:
 
 * **lockstep** (:meth:`HPSCluster.train_round` / :meth:`HPSCluster.train`)
-  runs the stages back-to-back per round;
-* **pipelined** (:meth:`HPSCluster.train_pipelined`) hands the same stage
-  functions to the :class:`~repro.core.engine.PipelinedEngine`, which
-  overlaps consecutive rounds' stages on the simulated clock under bounded
-  prefetch queues while executing identical work in identical order, so
-  trained parameters stay bit-identical to lockstep.
+  prices the stages back-to-back per round;
+* **pipelined** (:meth:`HPSCluster.train_pipelined`) hands the recorded
+  stage-time matrix to :func:`~repro.core.pipeline.schedule`, which
+  overlaps consecutive rounds' stages under bounded prefetch queues.  The
+  work and its order are the loop's either way, so trained parameters
+  are bit-identical to lockstep.
 
 One round performs:
 
@@ -60,9 +64,14 @@ from repro.analysis.effects import OverlapContract
 from repro.analysis.effects import (
     check_stage_conflicts as _check_stage_conflicts,
 )
-from repro.core.engine import EngineRun, PipelinedEngine, StageDef
 from repro.core.node import HPSNode
-from repro.core.pipeline import PipelineSchedule
+from repro.core.pipeline import (
+    PipelineSchedule,
+    StageSpec,
+    queue_capacities,
+    schedule,
+    stage_duration,
+)
 from repro.nn.optim import DenseAdagrad, SparseAdagrad, SparseOptimizer
 from repro.plan import RoundPlan, build_round_plan
 from repro.utils.keys import as_keys, compact_unique
@@ -88,25 +97,6 @@ PIPELINE_STAGE_NAMES = ("read", "prepare", "load", "train")
 #: A stage function: performs one round's work for its stage against the
 #: shared :class:`RoundContext` and returns its simulated seconds.
 StageFn = Callable[["RoundContext"], float]
-
-
-@dataclass(frozen=True)
-class StageSpec:
-    """One registered pipeline stage: name, closure, declared effects.
-
-    ``reads`` / ``writes`` use the resource vocabulary of
-    :mod:`repro.analysis.effects` (``stream``, ``mem``, ``ssd``,
-    ``hbm``, ``model``, ``ledger``, ``ckpt``, ``stats``, plus
-    round-local ``round:*`` names).  The static conflict check runs over
-    these declarations before every pipelined run, and the dynamic
-    tracer (:class:`repro.analysis.tracer.EffectTracer`) verifies them
-    against actual tier accesses in tests.
-    """
-
-    name: str
-    fn: StageFn
-    reads: frozenset[str] = frozenset()
-    writes: frozenset[str] = frozenset()
 
 
 #: Declared effect sets of the built-in stages.  ``round:plan`` is the
@@ -148,7 +138,7 @@ STAGE_EFFECTS: dict[str, tuple[frozenset[str], frozenset[str]]] = {
 
 #: Sanctioned concurrent overlaps among the built-in training stages.
 #: Each records *why* the write/read+write intersection is safe: the
-#: engine fires closures in canonical batch-major order, and the tiers
+#: round loop runs stages in canonical round-major order, and the tiers
 #: implement the paper's pinning + write-back discipline (Section 5), so
 #: the overlap the simulated clock claims cannot reorder conflicting
 #: accesses.  A new stage that conflicts without such a contract fails
@@ -167,8 +157,8 @@ BASE_OVERLAP_CONTRACTS: tuple[OverlapContract, ...] = (
         "train",
         frozenset({"mem", "ssd"}),
         "the paper's pinning discipline (Section 5): round b's working "
-        "set is pinned in MEM until its write-back lands, and the engine "
-        "executes prefetch(b+1) after train(b) in canonical order",
+        "set is pinned in MEM until its write-back lands, and the round "
+        "loop executes prefetch(b+1) after train(b) in canonical order",
     ),
     OverlapContract(
         "prepare",
@@ -185,7 +175,7 @@ BASE_OVERLAP_CONTRACTS: tuple[OverlapContract, ...] = (
         frozenset({"hbm"}),
         "Algorithm 1 pre-stages round b+1's working set into the per-GPU "
         "tables while round b trains; the tables key by round-disjoint "
-        "working sets and the engine orders load(b+1) after train(b)'s "
+        "working sets and the round loop runs load(b+1) after train(b)'s "
         "dump in execution",
     ),
 )
@@ -305,11 +295,10 @@ class BatchStats:
     def pipeline_stage_seconds(self) -> tuple[float, float, float, float]:
         """The four Algorithm 1 stage durations of this round.
 
-        Matches the base :class:`~repro.core.engine.PipelinedEngine`
-        stage split (HDFS read, MEM/SSD prepare, CPU partition + HBM
-        load, GPU train/sync/write-back); the MEM resolve folds into the
-        prepare element wherever it was scheduled.  Summing all four
-        gives the round's serial makespan.
+        Matches the base registry's stage split (HDFS read, MEM/SSD
+        prepare, CPU partition + HBM load, GPU train/sync/write-back);
+        the MEM resolve folds into the prepare element wherever it was
+        scheduled.  Summing all four gives the round's serial makespan.
         """
         prepare = self.prefetch_seconds + self.pull_remote_seconds
         absorb = self.pull_push_seconds - prepare
@@ -362,36 +351,45 @@ class RoundContext:
 class PipelinedRun:
     """One :meth:`HPSCluster.train_pipelined` call.
 
-    Couples the per-round :class:`BatchStats` (identical to what lockstep
-    would report) with the overlapped :class:`PipelineSchedule` the engine
-    produced.
+    The per-round :class:`BatchStats` (identical to what lockstep would
+    report) plus the overlapped :class:`PipelineSchedule` of their
+    stage-time matrix.
     """
 
     stats: list[BatchStats]
-    engine_run: EngineRun
+    schedule: PipelineSchedule
 
     @property
-    def schedule(self) -> PipelineSchedule:
-        return self.engine_run.schedule
+    def engine_run(self) -> "PipelinedRun":
+        """This run: the frozen ``benchmarks/hps/onepass.py`` reads the
+        clock through ``run.engine_run`` — drop at benchmark v2."""
+        return self
 
     @property
     def stage_times(self) -> np.ndarray:
-        """Measured per-round durations, shape ``(n_rounds, 4)``."""
-        return self.engine_run.stage_times
+        """Measured per-round durations, shape ``(n_rounds, n_stages)``."""
+        return self.schedule.stage_times
 
     @property
     def makespan(self) -> float:
-        """Wall time of the overlapped execution."""
-        return self.engine_run.makespan
+        """Simulated time of the overlapped execution."""
+        return self.schedule.makespan
 
     @property
     def serial_makespan(self) -> float:
         """What the same rounds would have cost run back-to-back."""
-        return self.engine_run.serial_makespan
+        return self.schedule.serial_makespan
 
     @property
     def speedup(self) -> float:
-        return self.engine_run.speedup
+        return self.schedule.speedup
+
+    # The two queries engine_run's frozen reader calls besides the above.
+    def queue_stall_seconds(self, stage: int) -> float:
+        return self.schedule.queue_stall_seconds(stage)
+
+    def shadow_idle_seconds(self, stage: int) -> float:
+        return self.schedule.shadow_idle_seconds(stage)
 
     @property
     def n_examples(self) -> int:
@@ -469,10 +467,9 @@ class HPSCluster:
         #: the pipeline's stages (:class:`StageSpec`: name, closure,
         #: declared effects), in execution order.  The four Algorithm 1
         #: stages are fixed; optional stages splice in via
-        #: :meth:`register_stage` — both execution modes and the bench
-        #: harness drive whatever :meth:`stage_functions` returns, so a
-        #: registered stage is automatically executed, scheduled, and
-        #: instrumented.
+        #: :meth:`register_stage` — the round loop of both execution
+        #: modes drives whatever the registry holds, so a registered
+        #: stage is automatically executed, scheduled, and instrumented.
         base_fns: dict[str, StageFn] = {
             "read": self.stage_read,
             "prepare": self.stage_prepare,
@@ -529,10 +526,10 @@ class HPSCluster:
         )
 
     # ------------------------------------------------------------------
-    # Algorithm 1 as four independently-callable pipeline stages.  The
-    # lockstep path (train_round) runs them back-to-back; the pipelined
-    # path (train_pipelined) hands the same functions to the
-    # PipelinedEngine, which overlaps consecutive rounds on the clock.
+    # Algorithm 1 as four independently-callable pipeline stages.  One
+    # round loop (_run_rounds) drives them for both modes; lockstep
+    # prices them back-to-back, pipelined overlaps consecutive rounds
+    # on the clock computed from the recorded stage times.
     # ------------------------------------------------------------------
     def stage_functions(self) -> tuple[tuple[str, StageFn], ...]:
         """The pipeline stages as ``(name, fn(ctx) -> seconds)`` pairs.
@@ -565,9 +562,9 @@ class HPSCluster:
         """Splice stage ``name`` into the pipeline right after ``after``.
 
         Stage functions share the uniform ``fn(ctx) -> seconds``
-        signature; lockstep, the pipelined engine, and the bench
-        harness's instrumentation all iterate :meth:`stage_functions`,
-        so a registered stage needs no further wiring anywhere.
+        signature; the round loop of both modes and the bench harness's
+        instrumentation all iterate the registry, so a registered stage
+        needs no further wiring anywhere.
 
         ``reads`` / ``writes`` declare the shared resources the stage
         touches (:mod:`repro.analysis.effects`); a stage that conflicts
@@ -612,7 +609,7 @@ class HPSCluster:
         """Statically validate the registered stage set's effect sets.
 
         Raises :class:`~repro.analysis.effects.StageConflictError` if
-        two stages the engine may overlap share a written resource
+        two stages the clock may overlap share a written resource
         without an :class:`~repro.analysis.effects.OverlapContract`.
         :meth:`train_pipelined` runs this before every pipelined run;
         lockstep execution never overlaps stages and does not need it.
@@ -625,13 +622,13 @@ class HPSCluster:
         """Replace every stage fn with ``wrap(name, fn)`` in the registry.
 
         Instrumentation hook: the bench harness wraps each stage with a
-        wall-clock accumulator.  Both execution modes resolve stages
-        through :meth:`stage_functions`, so wrappers installed here are
-        driven everywhere a stage runs.  Declared effect sets are
-        preserved — a wrapper instruments a stage, it does not change
-        what the stage touches.  Re-wrapping already-wrapped stages
-        would double-count (and strand the originals), so it is an
-        error — call :meth:`unwrap_stages` first.
+        wall-clock accumulator.  Both execution modes drive the
+        registry, so wrappers installed here are driven everywhere a
+        stage runs.  Declared effect sets are preserved — a wrapper
+        instruments a stage, it does not change what the stage touches.
+        Re-wrapping already-wrapped stages would double-count (and
+        strand the originals), so it is an error — call
+        :meth:`unwrap_stages` first.
         """
         if self._unwrapped_stages is not None:
             raise RuntimeError(
@@ -919,18 +916,44 @@ class HPSCluster:
         return worker_critical_s + allreduce_s
 
     # ------------------------------------------------------------------
+    def _run_rounds(
+        self, n_rounds: int, first_round: int
+    ) -> tuple[list[BatchStats], np.ndarray]:
+        """The round loop both execution modes share.
+
+        Calls every registered stage once per round, in registry order,
+        rounds in order — the work and its order never depend on the
+        clock.  Each returned duration is checked (a NaN, infinite or
+        negative one raises ``ValueError`` naming the stage) and
+        recorded.  Returns the rounds' stats and their stage-time
+        matrix, shape ``(n_rounds, n_stages)``; a round's context (plan,
+        batches, round array) is dropped once its last stage has run.
+        """
+        if n_rounds < 0:
+            raise ValueError("n_rounds must be non-negative")
+        specs = tuple(self._stage_defs)
+        times = np.zeros((n_rounds, len(specs)))
+        stats: list[BatchStats] = []
+        for b in range(n_rounds):
+            ctx = RoundContext(round_index=first_round + b)
+            for s, spec in enumerate(specs):
+                times[b, s] = stage_duration(
+                    spec.fn(ctx), spec.name, ctx.round_index
+                )
+            assert ctx.stats is not None, "stage_train records the stats"
+            stats.append(ctx.stats)
+        return stats, times
+
     def train_round(self, round_index: int | None = None) -> BatchStats:
         """Run one global batch through Algorithm 1 on every node.
 
         Lockstep mode: the pipeline stages run back-to-back.
-        :meth:`train_pipelined` calls the same stage functions in the
-        same order, so the two modes train bit-identical parameters.
+        :meth:`train_pipelined` drives the same round loop, so the two
+        modes train bit-identical parameters.
         """
         r = self.rounds_completed if round_index is None else round_index
-        ctx = RoundContext(round_index=r)
-        for _, stage_fn in self.stage_functions():
-            stage_fn(ctx)
-        return ctx.stats
+        (stats,), _ = self._run_rounds(1, r)
+        return stats
 
     def train(self, n_rounds: int) -> list[BatchStats]:
         """Run ``n_rounds`` global batches in lockstep; returns their stats."""
@@ -950,43 +973,20 @@ class HPSCluster:
         queues, so the reported makespan reflects I/O hidden behind GPU
         compute (paper Section 3).
 
-        Before anything runs, the registered stage set is validated
-        against its declared effects (:meth:`check_stage_conflicts`):
-        pipelined execution is exactly the mode in which stages of
-        different rounds share the clock, so an undeclared write/write
-        or write/read overlap is refused up front instead of silently
-        racing in spirit.
+        Before anything runs, the queue depths and the registered stage
+        set are validated, the latter against its declared effects
+        (:meth:`check_stage_conflicts`): pipelined execution is exactly
+        the mode in which stages of different rounds share the clock, so
+        an undeclared write/write or write/read overlap is refused up
+        front instead of silently racing in spirit.
         """
+        caps = queue_capacities(queue_capacity, len(self._stage_defs))
         self.check_stage_conflicts()
-        base = self.rounds_completed
-        last = len(self._stage_defs) - 1
-        live: dict[int, RoundContext] = {}
-        stats: list[BatchStats] = []
-
-        def fire(b: int, s: int, fn: StageFn) -> float:
-            ctx = live.get(b)
-            if ctx is None:
-                ctx = live[b] = RoundContext(round_index=base + b)
-            seconds = fn(ctx)
-            if s == last:
-                # Round b has run its last stage: keep its stats, drop
-                # its plan, batches and round array rather than holding
-                # every round's until the segment returns.
-                stats.append(live.pop(b).stats)
-            return seconds
-
-        stages = [
-            StageDef(
-                spec.name,
-                lambda b, s=s, fn=spec.fn: fire(b, s, fn),
-                reads=spec.reads,
-                writes=spec.writes,
-            )
-            for s, spec in enumerate(self._stage_defs)
-        ]
-        engine = PipelinedEngine(stages, queue_capacity=queue_capacity)
-        run = engine.run(n_rounds)
-        return PipelinedRun(stats, run)
+        names = tuple(spec.name for spec in self._stage_defs)
+        stats, times = self._run_rounds(n_rounds, self.rounds_completed)
+        return PipelinedRun(
+            stats, schedule(times, queue_capacity=caps, stage_names=names)
+        )
 
     # ------------------------------------------------------------------
     def _require_round_boundary(self, what: str) -> None:
@@ -1103,15 +1103,9 @@ class HPSCluster:
         tier tracks what it wrote since the last committed snapshot, so
         a delta is exact whoever took that snapshot and whenever.
         """
-        from repro.ckpt import checkpoint as ckpt
+        from repro.ckpt.checkpoint import save_cluster
 
-        if mode == "auto":
-            mode = "delta" if ckpt.delta_base_valid(self, directory) else "full"
-        if mode == "full":
-            return ckpt.save_cluster(self, directory)
-        if mode == "delta":
-            return ckpt.save_cluster_delta(self, directory)
-        raise ValueError(f"unknown checkpoint mode {mode!r}")
+        return save_cluster(self, directory, kind=mode)
 
     def restore_node(self, directory: str, node_id: int) -> "CheckpointStats":
         """Partial restore: rebuild one dead node from a snapshot chain
@@ -1159,7 +1153,6 @@ class HPSCluster:
         """
         import os
 
-        from repro.ckpt import checkpoint as ckpt
         from repro.ckpt.format import checkpoint_dir_name, prune_checkpoints
 
         if every < 1:
@@ -1183,11 +1176,13 @@ class HPSCluster:
             target = os.path.join(
                 directory, checkpoint_dir_name(self.rounds_completed)
             )
-            base = self._ckpt_base if ckpt.delta_base_valid(self, target) else None
-            delta = base is not None and (
-                full_every is None or base["chain_length"] < full_every
+            base = self._ckpt_base
+            chain_full = (
+                full_every is not None
+                and base is not None
+                and base["chain_length"] >= full_every
             )
-            stats = self.save_checkpoint(target, mode="delta" if delta else "full")
+            stats = self.save_checkpoint(target, mode="full" if chain_full else "auto")
             stage_snapshot.history.append(stats)  # type: ignore[attr-defined]
             if keep_last is not None:
                 prune_checkpoints(

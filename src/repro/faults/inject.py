@@ -17,12 +17,13 @@ budget carry across the restore, so replayed rounds draw fresh,
 deterministic faults).
 
 Quarantine recovery: parameter files are immutable and their ids are
-never reused, so any file that predates the newest checkpoint has its
-exact payload in the chain's SSD exports (a full member packs every
-file; a delta member packs the files at or above its base watermark —
-walking the chain newest-first finds at most one copy, always exact).
-:class:`CheckpointRecovery` resolves that copy, digest-verified, and
-prices the re-read as an HDFS transfer on the ``fault_retry`` line.
+never reused, so any file that predates the cluster's last committed
+(or restored) snapshot has its exact payload in that snapshot chain's
+SSD exports (a full member packs every file; a delta member packs the
+files at or above its base watermark — walking the chain newest-first
+finds at most one copy, always exact).  :class:`CheckpointRecovery`
+resolves that copy, digest-verified, and prices the re-read as an HDFS
+transfer on the ``fault_retry`` line.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ import numpy as np
 
 from repro.ckpt.format import (
     CheckpointError,
-    latest_checkpoint,
     node_shard_name,
     resolve_chain,
     verify_shard,
@@ -59,18 +59,23 @@ class CheckpointRecovery:
     exhausts its retries.  ``seconds`` is the simulated HDFS transfer
     time of the shard holding the payload; ``nbytes`` its on-disk size
     (the bytes re-read the fault report accounts).
+
+    The chain is the one ``cluster`` last committed or restored (its
+    ``_ckpt_base``), and only when that snapshot lives in ``directory``:
+    a newer snapshot another run left in a reused root is never read.
     """
 
-    def __init__(self, directory: str, node) -> None:
-        self.directory = directory
+    def __init__(self, directory: str, cluster, node) -> None:
+        self.directory = os.path.abspath(directory)
+        self.cluster = cluster
         self.node = node
 
     def __call__(self, file_id: int, expected_keys: np.ndarray):
-        newest = latest_checkpoint(self.directory)
-        if newest is None:
+        base = self.cluster._ckpt_base
+        if base is None or os.path.dirname(base["directory"]) != self.directory:
             return None
         try:
-            chain = resolve_chain(newest)
+            chain = resolve_chain(base["directory"])
         except CheckpointError:
             return None
         shard = node_shard_name(self.node.node_id)
@@ -153,7 +158,7 @@ class FaultInjection:
         self._stage_arms = []
         for node in cluster.nodes:
             recovery = (
-                CheckpointRecovery(self.recovery_directory, node)
+                CheckpointRecovery(self.recovery_directory, cluster, node)
                 if self.recovery_directory is not None
                 else None
             )

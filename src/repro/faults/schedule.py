@@ -5,8 +5,8 @@ operation fails, and how hard.  Determinism comes from the same plumbing
 as every other stochastic component (:mod:`repro.utils.rng`): each
 ``(kind, node)`` pair owns an independent child stream derived from the
 schedule seed, consumed once per armed operation, in execution order.
-Because the pipelined engine executes stage closures in the same
-canonical batch-major order as lockstep, a given schedule injects the
+Because both execution modes run stage closures through the same
+round-major loop, a given schedule injects the
 *identical* fault sequence in both execution modes; two schedules built
 from the same seed and configuration inject bit-identical sequences.
 

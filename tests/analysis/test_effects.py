@@ -1,11 +1,11 @@
 """The static stage-effect model: may-overlap, conflicts, contracts.
 
-The load-bearing claim is the may-overlap relation: the engine can run
+The load-bearing claim is the may-overlap relation: the clock can run
 registry stage ``i`` (of a later round) concurrently with registry stage
 ``j`` (of an earlier round) exactly when ``i < j``.  ``TestMayOverlap``
 re-derives that empirically from randomized
-:class:`~repro.core.pipeline.PipelineSimulator` schedules rather than
-trusting the docstring algebra.
+:func:`~repro.core.pipeline.schedule` clocks rather than trusting the
+docstring algebra.
 """
 
 import dataclasses
@@ -22,12 +22,13 @@ from repro.analysis.effects import (
 )
 from repro.core.cluster import (
     BASE_OVERLAP_CONTRACTS,
+    PIPELINE_STAGE_NAMES,
     SNAPSHOT_OVERLAP_CONTRACTS,
     STAGE_EFFECTS,
     HPSCluster,
     StageSpec,
 )
-from repro.core.pipeline import PipelineSimulator
+from repro.core.pipeline import schedule
 
 
 def spec(name, reads=(), writes=()):
@@ -44,10 +45,11 @@ class TestMayOverlap:
     def test_empirical_only_upstream_overlaps_downstream(self):
         """No schedule ever overlaps (i, j) with i >= j across rounds."""
         rng = np.random.default_rng(42)
-        sim = PipelineSimulator(n_stages=4, queue_capacity=2)
         for _ in range(25):
             times = rng.uniform(0.1, 3.0, size=(8, 4))
-            sched = sim.schedule(times)
+            sched = schedule(
+                times, queue_capacity=2, stage_names=PIPELINE_STAGE_NAMES
+            )
             start, finish = sched.start, sched.finish
             for b in range(8):
                 for bp in range(b + 1, 8):
@@ -65,10 +67,11 @@ class TestMayOverlap:
 
     def test_empirical_every_allowed_pair_does_overlap(self):
         """may_overlap is tight: every i < j pair overlaps somewhere."""
-        sim = PipelineSimulator(n_stages=4, queue_capacity=2)
         # Uniform long stages keep every stage busy simultaneously in
         # steady state, realizing every upstream/downstream pair.
-        sched = sim.schedule(np.ones((12, 4)))
+        sched = schedule(
+            np.ones((12, 4)), queue_capacity=2, stage_names=PIPELINE_STAGE_NAMES
+        )
         start, finish = sched.start, sched.finish
         seen = set()
         for b in range(12):

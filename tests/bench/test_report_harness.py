@@ -14,7 +14,12 @@ from repro.bench.harness import (
     small_cluster_config,
 )
 from repro.bench.report import ascii_bars, ascii_gantt, format_series, format_table
-from repro.core.pipeline import PipelineSimulator
+from repro.core.cluster import PIPELINE_STAGE_NAMES
+from repro.core.pipeline import schedule
+
+
+def algorithm1_schedule(stage_times):
+    return schedule(np.asarray(stage_times), stage_names=PIPELINE_STAGE_NAMES)
 
 
 class TestFormatTable:
@@ -56,16 +61,16 @@ class TestSeriesAndBars:
 
 class TestGantt:
     def test_rows_and_legend(self):
-        sched = PipelineSimulator().schedule(np.tile([1.0, 1.0, 1.0, 1.0], (3, 1)))
+        sched = algorithm1_schedule(np.tile([1.0, 1.0, 1.0, 1.0], (3, 1)))
         out = ascii_gantt(sched, width=40)
         lines = out.splitlines()
         assert len(lines) == 4  # 3 batch rows + legend
         assert lines[0].startswith("batch  0 |")
-        assert "N=network" in lines[-1]
+        assert "R=read" in lines[-1]
 
     def test_overlap_visible(self):
         """Consecutive batches occupy overlapping columns."""
-        sched = PipelineSimulator().schedule(np.tile([2.0, 2.0, 2.0, 2.0], (2, 1)))
+        sched = algorithm1_schedule(np.tile([2.0, 2.0, 2.0, 2.0], (2, 1)))
         out = ascii_gantt(sched, width=40).splitlines()
         row0, row1 = out[0], out[1]
         overlap = [
@@ -76,7 +81,7 @@ class TestGantt:
         assert overlap
 
     def test_empty_schedule(self):
-        sched = PipelineSimulator().schedule(np.zeros((0, 4)))
+        sched = algorithm1_schedule(np.zeros((0, 4)))
         assert "empty" in ascii_gantt(sched)
 
 

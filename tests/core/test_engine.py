@@ -1,151 +1,178 @@
-"""Tests for the discrete-event pipelined executor (core/engine.py)."""
+"""The pipeline clock run on real stage durations, and the round loop.
+
+The clock is :func:`~repro.core.pipeline.schedule`, a pure function of
+the stage-time matrix; :meth:`HPSCluster.train_pipelined` records that
+matrix with the same round loop lockstep uses and calls it once.  The
+synthetic-duration classes hold the clock's overlap and backpressure
+properties; the cluster classes hold the loop's order, its duration
+checks and lockstep parity.
+"""
 
 import numpy as np
 import pytest
 
 from repro.core.cluster import HPSCluster
-from repro.core.engine import PipelinedEngine, StageDef
-from repro.core.pipeline import PipelineSimulator
+from repro.core.pipeline import schedule
 
 
-def recording_stages(durations, calls=None):
-    """StageDefs whose closures replay ``durations[b, s]`` and log calls."""
+def names(n_stages):
+    return tuple(f"s{i}" for i in range(n_stages))
+
+
+def clock(durations, queue_capacity=2):
     durations = np.asarray(durations, dtype=np.float64)
-    calls = calls if calls is not None else []
+    return schedule(
+        durations,
+        queue_capacity=queue_capacity,
+        stage_names=names(durations.shape[1]),
+    )
 
-    def make(s):
-        def fn(b):
-            calls.append((b, s))
-            return float(durations[b, s])
 
-        return fn
+@pytest.fixture
+def cluster(tiny_spec, small_config):
+    return HPSCluster(tiny_spec, small_config, functional_batch_size=256)
 
-    return [
-        StageDef(f"s{s}", make(s)) for s in range(durations.shape[1])
-    ], calls
+
+def replay_durations(cluster, durations):
+    """Wrap every stage to run its real work but report
+    ``durations[round, stage]`` to the clock."""
+    index = {name: s for s, (name, _) in enumerate(cluster.stage_functions())}
+
+    def wrap(name, fn):
+        def wrapped(ctx):
+            fn(ctx)
+            return float(durations[ctx.round_index, index[name]])
+
+        return wrapped
+
+    cluster.wrap_stages(wrap)
 
 
 class TestValidation:
     def test_no_stages(self):
         with pytest.raises(ValueError):
-            PipelinedEngine([])
+            schedule(np.ones((1, 0)), stage_names=())
 
     def test_queue_capacity_count(self):
-        stages, _ = recording_stages(np.ones((1, 3)))
         with pytest.raises(ValueError):
-            PipelinedEngine(stages, queue_capacity=(1,))
+            clock(np.ones((1, 3)), queue_capacity=(1,))
 
     def test_queue_capacity_positive(self):
-        stages, _ = recording_stages(np.ones((1, 2)))
         with pytest.raises(ValueError):
-            PipelinedEngine(stages, queue_capacity=0)
+            clock(np.ones((1, 2)), queue_capacity=0)
 
     def test_negative_duration_rejected(self):
-        engine = PipelinedEngine([StageDef("bad", lambda b: -1.0)])
-        with pytest.raises(ValueError, match="invalid duration"):
-            engine.run(1)
+        with pytest.raises(ValueError, match="'s0' returned invalid duration"):
+            clock([[-1.0]])
 
     def test_nan_duration_rejected(self):
-        engine = PipelinedEngine([StageDef("bad", lambda b: float("nan"))])
-        with pytest.raises(ValueError, match="invalid duration"):
-            engine.run(1)
+        with pytest.raises(ValueError, match="'s1' returned invalid duration"):
+            clock([[1.0, float("nan")]])
 
-    def test_negative_batches_rejected(self):
-        stages, _ = recording_stages(np.ones((1, 2)))
+    def test_negative_batches_rejected(self, cluster):
+        with pytest.raises(ValueError, match="non-negative"):
+            cluster.train_pipelined(-1)
+
+
+class TestRoundLoopRefusesBadDurations:
+    """Both modes check every stage's return as the round loop records it."""
+
+    @pytest.mark.parametrize("train", ["train_round", "train_pipelined"])
+    @pytest.mark.parametrize("bad", [-1.0, float("nan"), float("inf")])
+    def test_bad_stage_duration_rejected(self, cluster, train, bad):
+        cluster.register_stage("bad", lambda ctx: bad, after="load")
+        args = () if train == "train_round" else (1,)
+        with pytest.raises(ValueError, match="'bad' returned invalid duration"):
+            getattr(cluster, train)(*args)
+
+    @pytest.mark.parametrize("queue_capacity", [0, (2, 2)])
+    def test_bad_queue_capacity_refused_before_any_round(
+        self, cluster, queue_capacity
+    ):
         with pytest.raises(ValueError):
-            PipelinedEngine(stages).run(-1)
+            cluster.train_pipelined(2, queue_capacity=queue_capacity)
+        assert cluster.rounds_completed == 0
 
 
 class TestScheduleParity:
-    """The engine and the analytic simulator share one recurrence, so a run
-    over closures must produce the exact schedule the simulator computes
-    from the recorded durations."""
+    """A pipelined run's clock is ``schedule`` of the durations its stages
+    returned, each in its (round, stage) cell."""
 
     @pytest.mark.parametrize("queue_capacity", [1, 2, 4])
-    def test_matches_simulator_exactly(self, queue_capacity):
+    def test_matches_simulator_exactly(self, cluster, queue_capacity):
         rng = np.random.default_rng(17)
-        durations = rng.uniform(0.1, 5.0, size=(12, 4))
-        stages, _ = recording_stages(durations)
-        run = PipelinedEngine(stages, queue_capacity=queue_capacity).run(12)
-        sim = PipelineSimulator(
-            n_stages=4,
+        durations = rng.uniform(0.1, 5.0, size=(6, 4))
+        replay_durations(cluster, durations)
+        run = cluster.train_pipelined(6, queue_capacity=queue_capacity)
+        expected = schedule(
+            durations,
             queue_capacity=queue_capacity,
-            stage_names=tuple(s.name for s in stages),
+            stage_names=("read", "prepare", "load", "train"),
         )
-        expected = sim.schedule(run.stage_times)
+        assert np.array_equal(run.stage_times, durations)
         assert np.array_equal(run.schedule.start, expected.start)
         assert np.array_equal(run.schedule.finish, expected.finish)
-        assert np.array_equal(run.stage_times, durations)
+        assert run.schedule.stage_names == expected.stage_names
 
-    def test_execution_order_is_batch_major(self):
-        """Closures fire in canonical dependency order — the parity
+    def test_execution_order_is_batch_major(self, cluster):
+        """Stages fire in canonical round-major order — the parity
         guarantee for stateful stage work."""
-        stages, calls = recording_stages(np.ones((4, 3)))
-        run = PipelinedEngine(stages).run(4)
-        expected = [(b, s) for b in range(4) for s in range(3)]
-        assert calls == expected
-        assert list(run.execution_order) == expected
+        calls = []
+        cluster.register_stage("probe", lambda ctx: 0.0, after="read")
+
+        def wrap(name, fn):
+            def wrapped(ctx):
+                calls.append((ctx.round_index, name))
+                return fn(ctx)
+
+            return wrapped
+
+        cluster.wrap_stages(wrap)
+        cluster.train_pipelined(3)
+        stages = ["read", "probe", "prepare", "load", "train"]
+        assert calls == [(r, name) for r in range(3) for name in stages]
 
 
 class TestOverlap:
     def test_makespan_beats_serial(self):
-        stages, _ = recording_stages(np.tile([2.0, 2.0, 2.0, 2.0], (8, 1)))
-        run = PipelinedEngine(stages).run(8)
+        run = clock(np.tile([2.0, 2.0, 2.0, 2.0], (8, 1)))
         assert run.makespan < run.serial_makespan
         assert run.speedup > 1.0
 
     def test_makespan_bounded_below_by_bottleneck(self):
         durations = np.tile([1.0, 5.0, 2.0, 3.0], (10, 1))
-        stages, _ = recording_stages(durations)
-        run = PipelinedEngine(stages).run(10)
+        run = clock(durations)
         assert run.makespan >= durations.sum(axis=0).max()
 
     def test_single_batch_is_serial(self):
-        stages, _ = recording_stages(np.array([[1.0, 2.0, 3.0, 4.0]]))
-        run = PipelinedEngine(stages).run(1)
+        run = clock(np.array([[1.0, 2.0, 3.0, 4.0]]))
         assert run.makespan == pytest.approx(10.0)
         assert run.speedup == pytest.approx(1.0)
 
     def test_empty_run(self):
-        stages, calls = recording_stages(np.ones((1, 4)))
-        run = PipelinedEngine(stages).run(0)
+        run = clock(np.ones((0, 4)))
         assert run.makespan == 0.0
-        assert calls == []
-
-    def test_events_sorted_by_start(self):
-        rng = np.random.default_rng(3)
-        stages, _ = recording_stages(rng.uniform(0.1, 2.0, size=(6, 4)))
-        run = PipelinedEngine(stages).run(6)
-        events = run.events()
-        assert len(events) == 6 * 4
-        starts = [e.start for e in events]
-        assert starts == sorted(starts)
-        assert all(e.duration >= 0 for e in events)
+        assert run.serial_makespan == 0.0
+        assert run.speedup == 1.0
 
 
 class TestBackpressure:
     def test_queue_capacity_one_stalls_producer(self):
         """A slow downstream stage stalls the producer once its queue of
         one is full: stage 0 of batch 2 waits for stage 1 to start batch 1."""
-        stages, _ = recording_stages(np.tile([1.0, 10.0], (4, 1)))
-        run = PipelinedEngine(stages, queue_capacity=1).run(4)
-        assert run.schedule.start[2, 0] >= run.schedule.start[1, 1]
+        run = clock(np.tile([1.0, 10.0], (4, 1)), queue_capacity=1)
+        assert run.start[2, 0] >= run.start[1, 1]
         assert run.queue_stall_seconds(0) > 0.0
 
     def test_deeper_queues_reduce_stalls(self):
         durations = np.tile([1.0, 3.0, 1.0, 1.0], (12, 1))
-        shallow = PipelinedEngine(
-            recording_stages(durations)[0], queue_capacity=1
-        ).run(12)
-        deep = PipelinedEngine(
-            recording_stages(durations)[0], queue_capacity=4
-        ).run(12)
+        shallow = clock(durations, queue_capacity=1)
+        deep = clock(durations, queue_capacity=4)
         assert deep.makespan <= shallow.makespan
         assert deep.queue_stall_seconds(0) <= shallow.queue_stall_seconds(0)
 
     def test_no_stalls_without_bottleneck(self):
-        stages, _ = recording_stages(np.tile([2.0, 1.0, 1.0, 1.0], (6, 1)))
-        run = PipelinedEngine(stages).run(6)
+        run = clock(np.tile([2.0, 1.0, 1.0, 1.0], (6, 1)))
         for s in range(4):
             assert run.queue_stall_seconds(s) == pytest.approx(0.0)
 
@@ -153,17 +180,15 @@ class TestBackpressure:
         """A fast stage behind a slow one idles; the bottleneck never does.
 
         With a 2s stage 0 feeding a 1s stage 1, stage 1 waits 1s between
-        every pair of its 5 consecutive events — the shadow budget the
-        depth-k prefetch stage schedules its resolve work into.
+        every pair of its 6 consecutive events — the shadow budget the
+        prefetch stage's resolve work can hide in.
         """
-        stages, _ = recording_stages(np.tile([2.0, 1.0, 1.0, 1.0], (6, 1)))
-        run = PipelinedEngine(stages).run(6)
+        run = clock(np.tile([2.0, 1.0, 1.0, 1.0], (6, 1)))
         assert run.shadow_idle_seconds(0) == pytest.approx(0.0)
         assert run.shadow_idle_seconds(1) == pytest.approx(5.0)
 
     def test_shadow_idle_empty_run(self):
-        stages, _ = recording_stages(np.ones((1, 4)))
-        run = PipelinedEngine(stages).run(0)
+        run = clock(np.ones((0, 4)))
         assert run.shadow_idle_seconds(0) == 0.0
 
 

@@ -96,10 +96,10 @@ class TestStageSurfaces:
         assert straggle > 0.0
         assert all(i.action == "straggler" for i in injection.incidents)
         assert_param_parity(cluster, twin)
-        # The slowdown lands on the simulated clock (the engine times the
-        # wrapped stage closures), never in the trained values: with the
-        # multiplier pinned at 2 every stage doubles, so the makespan at
-        # least doubles too.
+        # The slowdown lands on the simulated clock (the round loop records
+        # the wrapped stages' durations), never in the trained values:
+        # with the multiplier pinned at 2 every stage doubles, so the
+        # makespan at least doubles too.
         assert run.makespan >= 2.0 * twin_run.makespan - 1e-9
 
     def test_comm_fault_escapes_globally_from_train_stage(self, mk_cluster):
@@ -204,6 +204,34 @@ class TestSSDSurface:
         assert quarantines[0].bytes_reread > 0
         assert injection.totals()["bytes_reread"] > 0
         assert fault_retry_total(cluster) > 0.0
+
+    def test_quarantine_reads_its_own_chain_in_a_reused_root(
+        self, mk_cluster, mk_pressured, tmp_path
+    ):
+        """A newer snapshot another run (another seed) left in the root
+        holds no copy of this cluster's files; the quarantine must read
+        the chain this cluster committed, not the root's newest."""
+        root = tmp_path / "ckpt"
+        leftover = mk_cluster(batch=512, mem_capacity_params=1_400, seed=8)
+        leftover.train(12)
+        leftover.save_checkpoint(str(root / "round_000012"), mode="full")
+
+        cluster = mk_pressured()
+        cluster.train(8)
+        cluster.save_checkpoint(str(root / "round_000008"), mode="full")
+        store = cluster.nodes[0].ssd_ps.store
+        f = store.files()[2]
+        before = store.read(f.keys)
+        store.extent_cache.invalidate(f.file_id)
+
+        schedule = FaultSchedule(0, script={("ssd_read_error", 0, 0): 8})
+        injection = inject_faults(cluster, schedule, recovery_directory=str(root))
+        result = store.read(f.keys)
+        clear_faults(cluster)
+
+        assert np.array_equal(result.values, before.values)
+        (quarantine,) = [i for i in injection.incidents if i.action == "quarantine"]
+        assert quarantine.bytes_reread > 0
 
     def test_exhausted_read_without_checkpoint_raises_typed_loss(self, mk_pressured):
         cluster = mk_pressured()
