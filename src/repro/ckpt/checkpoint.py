@@ -24,14 +24,17 @@ delta) and after a restore finishes loading, never before, so a save
 that dies mid-write leaves every mark where it was and the retry ships
 the same bytes.  The cluster keeps only the chain link
 (``cluster._ckpt_base``: directory, round, manifest digest, chain
-length).  Restore
-walks the manifest chain (:func:`~repro.ckpt.format.resolve_chain`) —
-base first, deltas replayed in order.
+length).
 
-Partial restore (:func:`restore_node`): node shards are independent, so
-when one node dies at a round boundary where a snapshot exists, the
-surviving majority reloads *nothing* — a fresh replacement node loads
-its base shard, replays its delta chain, and splices in.
+Every restore takes one path: resolve the manifest chain
+(:func:`~repro.ckpt.format.resolve_chain`), build fresh nodes from the
+cluster's own recipe, fold each node's shards base first in memory —
+every tier's ``fold_delta`` is a pure function of its exported arrays —
+and load each tier once.  :func:`restore_cluster` does it for a newly
+constructed cluster; :func:`restore_nodes` replaces nodes of a live one
+in place: one dead node at a round boundary where a snapshot exists (the
+surviving majority reloads *nothing*), or every node (a full restore
+that keeps the cluster object, its stages and its instrumentation).
 
 Resume parity: batches are pure functions of ``(seed, index)`` and every
 piece of mutable training state is captured (dense tower, dense/sparse
@@ -67,7 +70,7 @@ __all__ = [
     "delta_base_problem",
     "delta_base_valid",
     "restore_cluster",
-    "restore_node",
+    "restore_nodes",
 ]
 
 
@@ -131,11 +134,6 @@ def _write_shard(directory: str, name: str, arrays: dict) -> tuple[int, str]:
         return data.nbytes, hashlib.sha256(data).hexdigest()
 
 
-def _hdfs_transfer_seconds(node, nbytes: int) -> float:
-    """Checkpoint traffic prices through the node's HDFS stream model."""
-    return node.hdfs.transfer_seconds(nbytes)
-
-
 def _overlap_snapshot_cost(
     cluster, node_bytes: list[int], dense_bytes: int, manifest_bytes: int
 ) -> tuple[tuple[float, ...], float, float, float]:
@@ -160,7 +158,7 @@ def _overlap_snapshot_cost(
             dense_bytes + manifest_bytes if node.node_id == 0 else 0
         )
         serialize.append(total / node.hdfs.spec.serialize_bandwidth)
-        transfer.append(_hdfs_transfer_seconds(node, total))
+        transfer.append(node.hdfs.transfer_seconds(total))
     per_node: list[float] = []
     s_done = 0.0
     t_done = 0.0
@@ -395,35 +393,12 @@ def _diff_hint(saved: dict, current: dict) -> str:
     return ", ".join(diffs) if diffs else "unknown"
 
 
-def _verify_chain_shards(chain, node_ids, *, dense: bool = True):
-    """Digest-verify every shard the restore will read, up front.
-
-    Returns one ``{shard name: verified path}`` dict per chain member.
-    A truncated or missing shard anywhere in the chain fails the restore
-    before any state has been loaded.
-    """
-    verified: list[dict[str, str]] = []
-    for directory, manifest in chain:
-        shards = dict(manifest["shards"])
-        wanted: list[str] = []
-        if dense:
-            if DENSE_SHARD not in shards:
-                raise CheckpointError("checkpoint manifest lists no dense shard")
-            wanted.append(DENSE_SHARD)
-        for node_id in node_ids:
-            name = node_shard_name(node_id)
-            if name not in shards:
-                raise CheckpointError(
-                    f"checkpoint manifest lists no shard {name!r}"
-                )
-            wanted.append(name)
-        verified.append(
-            {
-                name: fmt.verify_shard(directory, name, shards[name])
-                for name in wanted
-            }
-        )
-    return verified
+def _verified_shard(directory: str, manifest: dict, name: str) -> str:
+    """Path of shard ``name`` of one chain member, digest-verified."""
+    digest = manifest["shards"].get(name)
+    if digest is None:
+        raise CheckpointError(f"checkpoint manifest lists no shard {name!r}")
+    return fmt.verify_shard(directory, name, digest)
 
 
 def _load_dense(node, dense: dict[str, np.ndarray]) -> None:
@@ -434,6 +409,100 @@ def _load_dense(node, dense: dict[str, np.ndarray]) -> None:
     ]
     node.model.mlp.load_state_dict(mlp_state)
     node.dense_optimizer.set_state([a.copy() for a in acc])
+
+
+def _restore_nodes(cluster, chain, nodes) -> CheckpointStats:
+    """The one restore path: load fresh ``nodes`` (built by the cluster's
+    own recipe) from a resolved chain and splice them into ``cluster``.
+
+    Every shard the restore reads is digest-verified before any state
+    loads.  Each node folds its shards base first in memory
+    (:meth:`~repro.core.node.HPSNode.fold_tier_deltas`) and loads every
+    tier once, takes the newest member's dense replica, stream position
+    and cost history, and pays its own ``ckpt_read``: its shard chain
+    plus the dense replica and the chain's manifests.
+
+    Replacing every node rewinds the cluster to the snapshot — its
+    round, nothing staged, the chain as the next delta's base.
+    Replacing some is sound only while the survivors sit at the
+    snapshot's round boundary, which is enforced; the replacements are
+    marked at the snapshot, and the chain link survives only if it
+    records this chain (otherwise survivors and replacements hold marks
+    of different snapshots and the next save must be full).
+    """
+    newest_dir, manifest = chain[-1]
+    current = _config_payload(cluster)
+    if fingerprint(current) != manifest["fingerprint"]:
+        raise CheckpointError(
+            "checkpoint configuration mismatch (differs in: "
+            f"{_diff_hint(manifest['config'], current)}) — refusing to restore"
+        )
+    if int(manifest["n_nodes"]) != cluster.n_nodes:
+        raise CheckpointError("checkpoint n_nodes does not match cluster")
+    partial = len(nodes) < cluster.n_nodes
+    if partial:
+        _require_boundary(cluster)
+        if int(manifest["rounds_completed"]) != cluster.rounds_completed:
+            raise CheckpointError(
+                "partial restore requires a snapshot at the survivors' round "
+                f"boundary (snapshot at round {manifest['rounds_completed']}, "
+                f"survivors at {cluster.rounds_completed}) — restore the full "
+                "cluster and replay instead"
+            )
+
+    dense_path = _verified_shard(newest_dir, manifest, DENSE_SHARD)
+    shards = {
+        node.node_id: [
+            _verified_shard(d, m, node_shard_name(node.node_id)) for d, m in chain
+        ]
+        for node in nodes
+    }
+    dense = _load_npz(dense_path)
+    shared_bytes = os.path.getsize(dense_path) + sum(
+        os.path.getsize(os.path.join(d, fmt.MANIFEST_NAME)) for d, _ in chain
+    )
+    nbytes = shared_bytes
+    per_node = [0.0] * cluster.n_nodes
+    for node in nodes:
+        states: dict[str, dict] = {}
+        own_bytes = 0
+        for path in shards[node.node_id]:
+            arrays = _load_npz(path)
+            tiers = _split_tier_arrays(arrays)
+            states = node.fold_tier_deltas(states, tiers) if states else tiers
+            own_bytes += os.path.getsize(path)
+        node.load_tier_states(states)
+        _load_dense(node, dense)
+        _load_node_counters(node, arrays)  # the newest member's
+        t = node.hdfs.transfer_seconds(own_bytes + shared_bytes)
+        node.ledger.add("ckpt_read", t)
+        per_node[node.node_id] = t
+        nbytes += own_bytes
+        cluster.nodes[node.node_id] = node
+
+    if partial:
+        for node in nodes:
+            node.mark_snapshot()
+        base = cluster._ckpt_base
+        if base is not None and base["manifest_sha256"] != fmt.manifest_sha256(
+            newest_dir
+        ):
+            cluster._ckpt_base = None
+    else:
+        cluster.rounds_completed = int(manifest["rounds_completed"])
+        cluster._staged_rounds = 0
+        _record_base(cluster, newest_dir, len(chain))
+    stats = CheckpointStats(
+        op="restore",
+        directory=newest_dir,
+        rounds_completed=cluster.rounds_completed,
+        seconds=max(per_node),
+        nbytes=nbytes,
+        per_node_seconds=tuple(per_node),
+        kind="partial" if partial else manifest.get("kind", "full"),
+    )
+    cluster.restore_stats = stats
+    return stats
 
 
 def restore_cluster(
@@ -449,21 +518,18 @@ def restore_cluster(
     zipf_exponent: float | None = None,
     ssd_directory: str | None = None,
 ):
-    """Rebuild a cluster from a committed checkpoint (full or delta).
+    """Build a cluster from a committed checkpoint (full or delta).
 
-    A delta target resolves its whole chain first
-    (:func:`~repro.ckpt.format.resolve_chain`); every chain member's
-    shard digests are verified before any state loads, then each node
-    loads its base shard and replays its deltas oldest-first.
-    Construction parameters left as ``None`` are taken from the
-    manifest; parameters passed explicitly must hash to the saved
-    configuration fingerprint (a checkpoint restored under a different
-    config would silently train a different model, so mismatches are
-    errors, not warnings).
+    The chain is resolved (:func:`~repro.ckpt.format.resolve_chain`)
+    and the freshly constructed cluster's nodes are loaded from it by
+    the one restore path every restore takes.  Construction parameters
+    left as ``None`` are taken from the manifest; parameters passed
+    explicitly must hash to the saved configuration fingerprint (a
+    checkpoint restored under a different config would silently train a
+    different model, so mismatches are errors, not warnings).
     """
     chain = fmt.resolve_chain(directory)
-    newest_dir, manifest = chain[-1]
-    saved = manifest["config"]
+    saved = chain[-1][1]["config"]
     if model_spec is None:
         kwargs = dict(saved["model_spec"])
         kwargs["hidden_layers"] = tuple(kwargs["hidden_layers"])
@@ -486,152 +552,24 @@ def restore_cluster(
         ),
         ssd_directory=ssd_directory,
     )
-    current = _config_payload(cluster)
-    if fingerprint(current) != manifest["fingerprint"]:
-        raise CheckpointError(
-            "checkpoint configuration mismatch (differs in: "
-            f"{_diff_hint(saved, current)}) — refusing to restore"
-        )
-    if int(manifest["n_nodes"]) != cluster.n_nodes:
-        raise CheckpointError("checkpoint n_nodes does not match cluster")
-
-    node_ids = [node.node_id for node in cluster.nodes]
-    verified = _verify_chain_shards(chain, node_ids)
-
-    dense_path = verified[-1][DENSE_SHARD]
-    dense = _load_npz(dense_path)
-    dense_bytes = os.path.getsize(dense_path)
-    manifest_bytes = sum(
-        os.path.getsize(os.path.join(d, fmt.MANIFEST_NAME)) for d, _ in chain
-    )
-
-    per_node: list[float] = []
-    read_bytes = 0
-    for node in cluster.nodes:
-        name = node_shard_name(node.node_id)
-        own_bytes = 0
-        arrays: dict[str, np.ndarray] = {}
-        for i, member in enumerate(verified):
-            path = member[name]
-            arrays = _load_npz(path)
-            if i == 0:
-                node.load_tier_states(_split_tier_arrays(arrays))
-            else:
-                node.load_tier_deltas(_split_tier_arrays(arrays))
-            own_bytes += os.path.getsize(path)
-        _load_dense(node, dense)
-        _load_node_counters(node, arrays)  # newest chain member's counters
-        # Every node pulls its own shard chain plus the shared dense
-        # replica and the chain's manifests back from the distributed FS.
-        t = _hdfs_transfer_seconds(node, own_bytes + dense_bytes + manifest_bytes)
-        node.ledger.add("ckpt_read", t)
-        per_node.append(t)
-        read_bytes += own_bytes
-
-    cluster.rounds_completed = int(manifest["rounds_completed"])
-    cluster.restore_stats = CheckpointStats(
-        op="restore",
-        directory=directory,
-        rounds_completed=cluster.rounds_completed,
-        seconds=max(per_node),
-        nbytes=read_bytes + dense_bytes + manifest_bytes,
-        per_node_seconds=tuple(per_node),
-        kind=manifest.get("kind", "full"),
-    )
-    # The restored state *is* the newest snapshot — mark it as the next
-    # delta's base so a resumed run keeps chaining.
-    _record_base(cluster, newest_dir, len(chain))
+    _restore_nodes(cluster, chain, list(cluster.nodes))
     return cluster
 
 
-def restore_node(cluster, directory: str, node_id: int) -> CheckpointStats:
-    """Partial restore: replace one dead node, survivors reload nothing.
+def restore_nodes(cluster, directory: str, node_ids) -> CheckpointStats:
+    """Replace the nodes ``node_ids`` of ``cluster`` in place with fresh
+    ones loaded from a committed checkpoint (full or delta).
 
-    Node shards are independent (format v2+), so when node ``node_id``
-    dies the surviving majority's state is already exactly the newest
-    committed snapshot *iff* that snapshot was taken at the survivors'
-    current round boundary — which is the only condition under which
-    zero-replay recovery is sound, and is therefore enforced.  A fresh
-    replacement node loads the dense replica, its base shard, and its
-    delta chain, then splices into the cluster; only the replacement
-    pays ``ckpt_read``.
+    Node shards are independent, so one dead node is rebuilt from its
+    own shard chain while the survivors reload nothing — valid only when
+    the snapshot was taken at the survivors' current round boundary,
+    which is enforced.  Replacing every node is a full restore into the
+    same object: stage registry, instrumentation and fault wrappers
+    stay, and the cluster rewinds to the snapshot's round.  Only the
+    replacements pay ``ckpt_read``.
     """
-    if not 0 <= node_id < cluster.n_nodes:
+    ids = sorted({int(i) for i in node_ids})
+    if not ids or ids[0] < 0 or ids[-1] >= cluster.n_nodes:
         raise ValueError("node_id out of range")
-    _require_boundary(cluster)
     chain = fmt.resolve_chain(directory)
-    newest_dir, manifest = chain[-1]
-    current = _config_payload(cluster)
-    if fingerprint(current) != manifest["fingerprint"]:
-        raise CheckpointError(
-            "checkpoint configuration mismatch — refusing a partial restore"
-        )
-    if int(manifest["n_nodes"]) != cluster.n_nodes:
-        raise CheckpointError("checkpoint n_nodes does not match cluster")
-    if int(manifest["rounds_completed"]) != cluster.rounds_completed:
-        raise CheckpointError(
-            "partial restore requires a snapshot at the survivors' round "
-            f"boundary (snapshot at round {manifest['rounds_completed']}, "
-            f"survivors at {cluster.rounds_completed}) — restore the full "
-            "cluster and replay instead"
-        )
-
-    verified = _verify_chain_shards(chain, [node_id], dense=False)
-    name = node_shard_name(node_id)
-    dense_path = fmt.verify_shard(
-        newest_dir, DENSE_SHARD, dict(manifest["shards"])[DENSE_SHARD]
-    )
-
-    node = cluster._make_node(node_id)
-    _load_dense(node, _load_npz(dense_path))
-    own_bytes = 0
-    arrays: dict[str, np.ndarray] = {}
-    for i, member in enumerate(verified):
-        path = member[name]
-        arrays = _load_npz(path)
-        if i == 0:
-            node.load_tier_states(_split_tier_arrays(arrays))
-        else:
-            node.load_tier_deltas(_split_tier_arrays(arrays))
-        own_bytes += os.path.getsize(path)
-    _load_node_counters(node, arrays)
-    # The replacement now holds the snapshot; the survivors sit at its
-    # boundary (checked above), so their marks stand as they are.
-    node.mark_snapshot()
-
-    dense_bytes = os.path.getsize(dense_path)
-    manifest_bytes = sum(
-        os.path.getsize(os.path.join(d, fmt.MANIFEST_NAME)) for d, _ in chain
-    )
-    t = _hdfs_transfer_seconds(node, own_bytes + dense_bytes + manifest_bytes)
-    node.ledger.add("ckpt_read", t)
-
-    cluster.nodes[node_id] = node
-    peers = [n.mem_ps for n in cluster.nodes]
-    for n in cluster.nodes:
-        n.mem_ps.peers = peers
-
-    # The chain link stays valid only if it records exactly the chain we
-    # just restored from; otherwise the survivors' marks and the
-    # replacement's belong to different snapshots and the next save must
-    # be full.
-    base = getattr(cluster, "_ckpt_base", None)
-    if base is not None and base["manifest_sha256"] != fmt.manifest_sha256(
-        newest_dir
-    ):
-        cluster._ckpt_base = None
-
-    per_node = tuple(
-        t if n.node_id == node_id else 0.0 for n in cluster.nodes
-    )
-    stats = CheckpointStats(
-        op="restore",
-        directory=directory,
-        rounds_completed=cluster.rounds_completed,
-        seconds=t,
-        nbytes=own_bytes + dense_bytes + manifest_bytes,
-        per_node_seconds=per_node,
-        kind="partial",
-    )
-    cluster.restore_stats = stats
-    return stats
+    return _restore_nodes(cluster, chain, [cluster._make_node(i) for i in ids])

@@ -1,15 +1,14 @@
 """The distributed hierarchical parameter server cluster.
 
 :class:`HPSCluster` instantiates ``n_nodes`` :class:`~repro.core.node.HPSNode`
-objects, wires their MEM-PS peers together, and drives the full Algorithm 1
-training workflow across nodes.  The workflow is factored into four
-independently-callable stage functions (:meth:`HPSCluster.stage_read`,
-:meth:`~HPSCluster.stage_prepare`, :meth:`~HPSCluster.stage_load`,
-:meth:`~HPSCluster.stage_train`), held with any registered extras in one
-stage registry.  One round loop drives the registry — every stage once
-per round, in registry order, each returned duration checked and
-recorded — and the two execution modes differ only in the clock they
-read off it:
+objects and drives the full Algorithm 1 training workflow across nodes.
+The workflow is factored into four independently-callable stage
+functions (:meth:`HPSCluster.stage_read`, :meth:`~HPSCluster.stage_prepare`,
+:meth:`~HPSCluster.stage_load`, :meth:`~HPSCluster.stage_train`), held
+with any registered extras in one stage registry.  One round loop drives
+the registry — every stage once per round, in registry order, each
+returned duration checked and recorded — and the two execution modes
+differ only in the clock they read off it:
 
 * **lockstep** (:meth:`HPSCluster.train_round` / :meth:`HPSCluster.train`)
   prices the stages back-to-back per round;
@@ -44,6 +43,7 @@ plot.
 from __future__ import annotations
 
 import dataclasses
+import weakref
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Iterable
 
@@ -97,6 +97,20 @@ PIPELINE_STAGE_NAMES = ("read", "prepare", "load", "train")
 #: A stage function: performs one round's work for its stage against the
 #: shared :class:`RoundContext` and returns its simulated seconds.
 StageFn = Callable[["RoundContext"], float]
+
+
+def _weak_stage(method: StageFn) -> StageFn:
+    """A cluster's bound stage method as a stage function holding the
+    cluster weakly: the registry lives on the cluster, and a cycle would
+    keep a dropped cluster's slabs alive until a full garbage collection."""
+    ref = weakref.WeakMethod(method)
+
+    def stage(ctx: RoundContext) -> float:
+        bound = ref()
+        assert bound is not None, "a stage runs only while its cluster lives"
+        return bound(ctx)
+
+    return stage
 
 
 #: Declared effect sets of the built-in stages.  ``round:plan`` is the
@@ -431,9 +445,6 @@ class HPSCluster:
         self.nodes = [
             self._make_node(i) for i in range(cluster_config.n_nodes)
         ]
-        peers = [n.mem_ps for n in self.nodes]
-        for node in self.nodes:
-            node.mem_ps.peers = peers
         self.rounds_completed = 0
         self.history: list[BatchStats] = []
         #: reused float32 dense-gradient buffers (one accumulator per node
@@ -470,14 +481,13 @@ class HPSCluster:
         #: :meth:`register_stage` — the round loop of both execution
         #: modes drives whatever the registry holds, so a registered
         #: stage is automatically executed, scheduled, and instrumented.
-        base_fns: dict[str, StageFn] = {
-            "read": self.stage_read,
-            "prepare": self.stage_prepare,
-            "load": self.stage_load,
-            "train": self.stage_train,
-        }
+        #: The cluster's own stages hold it weakly (:func:`_weak_stage`).
         self._stage_defs: list[StageSpec] = [
-            StageSpec(name, base_fns[name], *STAGE_EFFECTS[name])
+            StageSpec(
+                name,
+                _weak_stage(getattr(self, f"stage_{name}")),
+                *STAGE_EFFECTS[name],
+            )
             for name in PIPELINE_STAGE_NAMES
         ]
         #: per-stage sanctioned-overlap declarations; the base contracts
@@ -490,7 +500,7 @@ class HPSCluster:
             reads, writes = STAGE_EFFECTS["prefetch"]
             self.register_stage(
                 "prefetch",
-                self.stage_prefetch,
+                _weak_stage(self.stage_prefetch),
                 after="read",
                 reads=reads,
                 writes=writes,
@@ -504,10 +514,10 @@ class HPSCluster:
     def _make_node(self, node_id: int) -> HPSNode:
         """Build one fresh node from the cluster's construction recipe.
 
-        Used at construction and to spawn the replacement node in a
-        partial restore (:meth:`restore_node`) — the replacement must be
-        built exactly like the original so restored state lands on an
-        identical substrate.
+        Used at construction and to spawn the replacement nodes of a
+        restore in place (:meth:`restore_node`, the supervisor's full
+        recovery) — a replacement must be built exactly like the
+        original so restored state lands on an identical substrate.
         """
         return HPSNode(
             node_id,
@@ -1111,11 +1121,11 @@ class HPSCluster:
         """Partial restore: rebuild one dead node from a snapshot chain
         taken at the survivors' current round boundary; the surviving
         majority reloads nothing.  See
-        :func:`~repro.ckpt.checkpoint.restore_node`.
+        :func:`~repro.ckpt.checkpoint.restore_nodes`.
         """
-        from repro.ckpt.checkpoint import restore_node
+        from repro.ckpt.checkpoint import restore_nodes
 
-        return restore_node(self, directory, node_id)
+        return restore_nodes(self, directory, [node_id])
 
     def enable_snapshot_stage(
         self,
@@ -1169,20 +1179,23 @@ class HPSCluster:
                 "composes on top of the window)"
             )
         os.makedirs(directory, exist_ok=True)
+        owner = weakref.ref(self)  # the registry must not keep its cluster alive
 
         def stage_snapshot(ctx: RoundContext) -> float:
-            if self.rounds_completed % every:
+            cluster = owner()
+            assert cluster is not None, "a stage runs only while its cluster lives"
+            if cluster.rounds_completed % every:
                 return 0.0
             target = os.path.join(
-                directory, checkpoint_dir_name(self.rounds_completed)
+                directory, checkpoint_dir_name(cluster.rounds_completed)
             )
-            base = self._ckpt_base
+            base = cluster._ckpt_base
             chain_full = (
                 full_every is not None
                 and base is not None
                 and base["chain_length"] >= full_every
             )
-            stats = self.save_checkpoint(target, mode="full" if chain_full else "auto")
+            stats = cluster.save_checkpoint(target, mode="full" if chain_full else "auto")
             stage_snapshot.history.append(stats)  # type: ignore[attr-defined]
             if keep_last is not None:
                 prune_checkpoints(

@@ -105,9 +105,10 @@ class HPSNode:
 
     # ------------------------------------------------------------------
     # Checkpoint protocol: every storage tier exposes the same verbs —
-    # export_state / export_delta / mark_snapshot / load_state /
-    # load_delta — and keeps its own delta base; the node drives them
-    # uniformly so the checkpoint writer never reaches into tiers.
+    # export_state / export_delta / mark_snapshot / the pure fold_delta /
+    # one loader, load_state — and keeps its own delta base; the node
+    # drives them uniformly so the checkpoint code never reaches into
+    # tiers.  A restore folds a chain in memory and loads each tier once.
     # ------------------------------------------------------------------
     TIERS = ("mem", "ssd", "hbm")
 
@@ -144,11 +145,16 @@ class HPSNode:
         self.ssd_ps.load_state(tiers["ssd"])
         self.hbm_ps.load_state(tiers["hbm"])
 
-    def load_tier_deltas(self, tiers: dict[str, dict]) -> None:
-        """Apply a :meth:`tier_deltas` diff on top of the loaded base."""
-        self.mem_ps.load_delta(tiers["mem"])
-        self.ssd_ps.load_delta(tiers["ssd"])
-        self.hbm_ps.load_delta(tiers["hbm"])
+    def fold_tier_deltas(
+        self, states: dict[str, dict], deltas: dict[str, dict]
+    ) -> dict[str, dict]:
+        """The :meth:`tier_states` snapshot a :meth:`tier_deltas` diff
+        describes, built on the ``states`` it was taken against (pure)."""
+        return {
+            "mem": self.mem_ps.fold_delta(states["mem"], deltas["mem"]),
+            "ssd": self.ssd_ps.fold_delta(states["ssd"], deltas["ssd"]),
+            "hbm": self.hbm_ps.fold_delta(states["hbm"], deltas["hbm"]),
+        }
 
     def cpu_partition_time(self, n_keys: int) -> float:
         """Simulated seconds to shard ``n_keys`` working keys across this

@@ -9,10 +9,10 @@ originating stage onto any escaping
 :class:`~repro.faults.errors.FaultError`.  :func:`clear_faults` undoes
 all of it.
 
-The returned :class:`FaultInjection` owns the shared incident log and
-can re-:meth:`~FaultInjection.attach` the same schedule/policy to a
-*different* cluster object — exactly what the supervisor needs after a
-full restore replaces the cluster mid-run (the schedule's streams and
+The returned :class:`FaultInjection` owns the shared incident log.  A
+restore replaces nodes of the cluster in place, and
+:meth:`~FaultInjection.rearm` arms exactly those — what the supervisor
+calls after every partial or full restore (the schedule's streams and
 budget carry across the restore, so replayed rounds draw fresh,
 deterministic faults).
 
@@ -128,11 +128,13 @@ class FaultInjection:
         #: execution-ordered log of every absorbed fault, shared by all
         #: arms; the supervisor drains and round-stamps it.
         self.incidents: list[FaultIncident] = []
-        #: every arm ever attached (kept across re-attach so totals
-        #: account the pre-restore cluster's retry work too).
+        #: every arm ever installed (a replaced node's included, so
+        #: totals account its retry work too)
         self.arms: list[FaultArm] = []
         self.cluster = None
-        self._stage_arms: list[FaultArm] = []
+        #: per node id: the node object armed, and its stage arm
+        self._armed: list = []
+        self._stage_arms: list = []
 
     # ------------------------------------------------------------------
     def _arm(self, ledger, *, surface: str, node: int | None, recovery=None):
@@ -155,56 +157,47 @@ class FaultInjection:
                 "injection is already attached — detach() it first",
                 surface="inject",
             )
-        self._stage_arms = []
-        for node in cluster.nodes:
+        self.cluster = cluster
+        self._armed = [None] * cluster.n_nodes
+        self._stage_arms = [None] * cluster.n_nodes
+        self.rearm()
+        cluster.wrap_stages(self._wrap)
+        return self
+
+    def rearm(self) -> None:
+        """Arm every node of the attached cluster this injection has not
+        armed yet — all of them on :meth:`attach`, and the ones a restore
+        in place replaced since (one after a partial restore, all after
+        a full one).  A node's arms charge its own ledger, so a
+        replacement's straggler and retry seconds land on it; the
+        collectives' arm charges node 0's.  The stage wrappers stay:
+        they read the per-node stage arms at call time."""
+        cluster = self.cluster
+        new = [node for node in cluster.nodes if self._armed[node.node_id] is not node]
+        for node in new:
+            i = node.node_id
             recovery = (
                 CheckpointRecovery(self.recovery_directory, cluster, node)
                 if self.recovery_directory is not None
                 else None
             )
-            ssd_arm = self._arm(
-                node.ledger,
-                surface="ssd",
-                node=node.node_id,
-                recovery=recovery,
-            )
+            ssd_arm = self._arm(node.ledger, surface="ssd", node=i, recovery=recovery)
             node.ssd_ps.store.faults = ssd_arm
             node.ssd_ps.store.device.faults = ssd_arm
-            node.hdfs.faults = self._arm(
-                node.ledger, surface="hdfs", node=node.node_id
+            node.hdfs.faults = self._arm(node.ledger, surface="hdfs", node=i)
+            node.hbm_ps.faults = self._arm(node.ledger, surface="hbm", node=i)
+            self._stage_arms[i] = self._arm(node.ledger, surface="stage", node=i)
+            self._armed[i] = node
+        if new and new[0].node_id == 0:
+            cluster._fault_arm = self._arm(
+                cluster.nodes[0].ledger, surface="comm", node=None
             )
-            node.hbm_ps.faults = self._arm(
-                node.ledger, surface="hbm", node=node.node_id
-            )
-            self._stage_arms.append(
-                self._arm(node.ledger, surface="stage", node=node.node_id)
-            )
-        cluster._fault_arm = self._arm(
-            cluster.nodes[0].ledger, surface="comm", node=None
-        )
-        cluster.wrap_stages(self._wrap)
-        self.cluster = cluster
-        return self
 
     def detach(self) -> None:
         """Unwrap the stages and disarm every surface."""
-        cluster = self.cluster
-        if cluster is None:
-            return
-        cluster.unwrap_stages()
-        for node in cluster.nodes:
-            node.ssd_ps.store.faults = None
-            node.ssd_ps.store.device.faults = None
-            node.hdfs.faults = None
-            node.hbm_ps.faults = None
-        cluster._fault_arm = None
-        self.cluster = None
-        self._stage_arms = []
-
-    def reattach(self, cluster) -> None:
-        """Move the injection to a replacement cluster (full restore)."""
-        self.detach()
-        self.attach(cluster)
+        if self.cluster is not None:
+            _disarm(self.cluster)
+            self.cluster = None
 
     # ------------------------------------------------------------------
     def _wrap(self, name: str, fn):
@@ -282,10 +275,13 @@ def clear_faults(cluster) -> None:
     Safe on a cluster that was never armed — provided its stages are
     not wrapped by someone else's instrumentation.
     """
-    if getattr(cluster, "_fault_arm", None) is None and not any(
+    if getattr(cluster, "_fault_arm", None) is not None or any(
         node.ssd_ps.store.faults is not None for node in cluster.nodes
     ):
-        return
+        _disarm(cluster)
+
+
+def _disarm(cluster) -> None:
     cluster.unwrap_stages()
     for node in cluster.nodes:
         node.ssd_ps.store.faults = None

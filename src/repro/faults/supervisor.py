@@ -5,7 +5,7 @@ under a seeded :class:`~repro.faults.schedule.FaultSchedule`, absorbing
 whatever escapes the retry layer.  It takes one baseline snapshot and
 leaves the cadence to the snapshot stage
 (:meth:`~repro.core.cluster.HPSCluster.enable_snapshot_stage`) it
-registers on every cluster it drives, with :data:`FULL_EVERY` and
+registers on the cluster it drives, with :data:`FULL_EVERY` and
 :data:`KEEP_LAST`: however long the run, its root holds at most
 ``FULL_EVERY + KEEP_LAST - 1`` of its snapshots and a restore walks at
 most ``FULL_EVERY``.  Snapshots land on absolute multiples of
@@ -23,12 +23,18 @@ applies the cheapest safe action:
 ``partial_restore``
     a node-scoped fault (lost SSD payload, boundary node crash) while
     the survivors sit exactly at the newest checkpoint's round: rebuild
-    the one node via
-    :meth:`~repro.core.cluster.HPSCluster.restore_node`, zero replay;
+    the one node, zero replay;
 ``full_restore``
     everything else (global scope, pipelined escapes, node faults away
-    from a checkpoint boundary): rebuild the whole cluster from the
+    from a checkpoint boundary): replace every node in place from the
     newest checkpoint and replay the lost rounds.
+
+Either restore heals the cluster it is driving — the very object handed
+to :meth:`Supervisor.run`, whose stage registry (the injection's
+wrappers, the snapshot stage) stays as it is — and the injection arms
+the nodes the restore replaced
+(:meth:`~repro.faults.inject.FaultInjection.rearm`); both go through
+:func:`~repro.ckpt.checkpoint.restore_nodes`.
 
 Every node is probed for a ``node_crash`` once per round boundary, so a
 scripted crash is the deterministic kill-and-recover experiment: on a
@@ -56,7 +62,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 
-from repro.ckpt.checkpoint import CheckpointStats
+from repro.ckpt.checkpoint import CheckpointStats, restore_nodes
 from repro.ckpt.format import checkpoint_dir_name
 from repro.faults.errors import FaultError, UnrecoverableFaultError
 from repro.faults.inject import FaultInjection
@@ -101,8 +107,8 @@ class FaultReport:
 class SupervisedRun:
     """Outcome of one :meth:`Supervisor.run`."""
 
-    #: the cluster that finished the run (a *different* object from the
-    #: one passed in whenever a full restore happened)
+    #: the cluster that finished the run: the one handed in, which every
+    #: restore heals in place
     cluster: object
     reports: tuple[FaultReport, ...]
     stats: list = field(default_factory=list)
@@ -111,8 +117,8 @@ class SupervisedRun:
     replay_seconds: float = 0.0
     restore_seconds: float = 0.0
     #: every snapshot the run committed, in save order: the baseline,
-    #: then what each registration of the snapshot stage appended (the
-    #: last entry is always the newest restore point)
+    #: then what the snapshot stage appended (the last entry is always
+    #: the newest restore point)
     checkpoints: list[CheckpointStats] = field(default_factory=list)
     recoveries: int = 0
     totals: dict = field(default_factory=dict)
@@ -157,7 +163,6 @@ class Supervisor:
         checkpoint_every: int = 2,
         policy: RetryPolicy | None = None,
         queue_capacity: int | tuple[int, ...] = 2,
-        restore_kwargs: dict | None = None,
         max_recoveries: int = 32,
     ) -> None:
         if checkpoint_every < 1:
@@ -168,25 +173,12 @@ class Supervisor:
         self.checkpoint_every = checkpoint_every
         self.policy = policy if policy is not None else RetryPolicy()
         self.queue_capacity = queue_capacity
-        self.restore_kwargs = dict(restore_kwargs) if restore_kwargs else {}
         self.max_recoveries = max_recoveries
 
     # ------------------------------------------------------------------
     @staticmethod
     def _has_snapshot_stage(cluster) -> bool:
         return any(spec.name == "snapshot" for spec in cluster.stage_specs())
-
-    def _enable_snapshots(self, cluster, out: SupervisedRun) -> None:
-        """Register the snapshot stage on ``cluster``, appending to the
-        run's one record.  Called after the injection attached, so the
-        straggler wrapper leaves the stage (and the fault draws) alone."""
-        stage = cluster.enable_snapshot_stage(
-            self.directory,
-            every=self.checkpoint_every,
-            full_every=FULL_EVERY,
-            keep_last=KEEP_LAST,
-        )
-        stage.history = out.checkpoints
 
     @staticmethod
     def _stamp(
@@ -248,7 +240,15 @@ class Supervisor:
         try:
             baseline = os.path.join(self.directory, checkpoint_dir_name(base))
             out.checkpoints.append(cluster.save_checkpoint(baseline, mode="auto"))
-            self._enable_snapshots(cluster, out)
+            # After the injection attached, so the straggler wrapper
+            # leaves the stage (and the fault draws) alone.
+            stage = cluster.enable_snapshot_stage(
+                self.directory,
+                every=self.checkpoint_every,
+                full_every=FULL_EVERY,
+                keep_last=KEEP_LAST,
+            )
+            stage.history = out.checkpoints
             while cluster.rounds_completed < target:
                 rc = cluster.rounds_completed
                 crashed = [
@@ -257,13 +257,8 @@ class Supervisor:
                     if schedule.draw("node_crash", node.node_id) > 0
                 ]
                 if crashed:
-                    cluster, replaying_until = self._recover_crash(
-                        cluster,
-                        injection,
-                        crashed,
-                        out,
-                        reports,
-                        replaying_until,
+                    replaying_until = self._recover_crash(
+                        cluster, injection, crashed, out, reports, replaying_until
                     )
                     continue
                 try:
@@ -290,7 +285,7 @@ class Supervisor:
                     round_retries = 0
                 except FaultError as err:
                     reports.extend(self._stamp(injection.drain_incidents(), rc))
-                    cluster, replaying_until, round_retries = self._recover(
+                    replaying_until, round_retries = self._recover(
                         cluster,
                         injection,
                         err,
@@ -310,7 +305,6 @@ class Supervisor:
             injection.detach()
             if self._has_snapshot_stage(cluster):
                 cluster.unregister_stage("snapshot")
-            out.cluster = cluster
             out.reports = tuple(reports)
             out.rounds = cluster.rounds_completed - base
             out.totals = injection.totals()
@@ -327,26 +321,29 @@ class Supervisor:
                 surface="supervisor",
             ) from err
 
+    @staticmethod
+    def _restore(cluster, injection: FaultInjection, directory: str, node_ids):
+        """Replace ``node_ids`` in place from the snapshot in ``directory``
+        and arm the replacements; returns the restore's
+        :class:`~repro.ckpt.checkpoint.CheckpointStats`.  Its cost is this
+        read-back's critical path — not the ledgers' ``ckpt_read`` total,
+        which carries the snapshot's cost history, earlier restores
+        included."""
+        stats = restore_nodes(cluster, directory, node_ids)
+        injection.rearm()
+        return stats
+
     def _full_restore(
-        self,
-        cluster,
-        injection: FaultInjection,
-        out: SupervisedRun,
-    ) -> tuple[object, float, int]:
-        """Rebuild from the newest checkpoint; returns
-        ``(new_cluster, restore_seconds, replay_rounds)``."""
+        self, cluster, injection: FaultInjection, out: SupervisedRun
+    ) -> tuple[float, int]:
+        """Rewind every node to the newest checkpoint; returns
+        ``(restore_seconds, replay_rounds)``."""
         detect = cluster.rounds_completed
         newest = out.checkpoints[-1]
-        injection.detach()
-        cluster.unregister_stage("snapshot")
-        restored = type(cluster).restore(newest.directory, **self.restore_kwargs)
-        injection.attach(restored)
-        self._enable_snapshots(restored, out)
-        # Restore cost: this read-back's critical path.  (Not the new
-        # ledgers' ckpt_read total — a restored ledger carries the
-        # snapshot's cost history, earlier restores included.)
-        seconds = restored.restore_stats.seconds
-        return restored, seconds, max(0, detect - newest.rounds_completed)
+        stats = self._restore(
+            cluster, injection, newest.directory, range(cluster.n_nodes)
+        )
+        return stats.seconds, max(0, detect - newest.rounds_completed)
 
     def _recover_crash(
         self,
@@ -362,7 +359,7 @@ class Supervisor:
         rc = cluster.rounds_completed
         newest = out.checkpoints[-1]
         if len(crashed) == 1 and newest.rounds_completed == rc:
-            stats = cluster.restore_node(newest.directory, crashed[0])
+            stats = self._restore(cluster, injection, newest.directory, crashed)
             out.restore_seconds += stats.seconds
             reports.append(
                 FaultReport(
@@ -374,8 +371,8 @@ class Supervisor:
                     downtime_seconds=stats.seconds,
                 )
             )
-            return cluster, replaying_until
-        cluster, seconds, replay = self._full_restore(cluster, injection, out)
+            return replaying_until
+        seconds, replay = self._full_restore(cluster, injection, out)
         out.restore_seconds += seconds
         replaying_until = max(replaying_until, rc)
         reports.append(
@@ -389,7 +386,7 @@ class Supervisor:
                 replay_rounds=replay,
             )
         )
-        return cluster, replaying_until
+        return replaying_until
 
     def _recover(
         self,
@@ -429,7 +426,7 @@ class Supervisor:
                     retries=retries,
                 )
             )
-            return cluster, replaying_until, round_retries + 1
+            return replaying_until, round_retries + 1
 
         if (
             err.scope == "node"
@@ -443,7 +440,7 @@ class Supervisor:
             # exactly at the newest snapshot's round boundary, and no
             # values were staged: heal just that node, zero replay.
             cluster.abort_round()
-            stats = cluster.restore_node(newest.directory, err.node)
+            stats = self._restore(cluster, injection, newest.directory, [err.node])
             out.restore_seconds += stats.seconds
             reports.append(
                 FaultReport(
@@ -457,9 +454,9 @@ class Supervisor:
                     downtime_seconds=stats.seconds,
                 )
             )
-            return cluster, replaying_until, 0
+            return replaying_until, 0
 
-        cluster, seconds, replay = self._full_restore(cluster, injection, out)
+        seconds, replay = self._full_restore(cluster, injection, out)
         out.restore_seconds += seconds
         replaying_until = max(replaying_until, detect)
         reports.append(
@@ -475,4 +472,4 @@ class Supervisor:
                 replay_rounds=replay,
             )
         )
-        return cluster, replaying_until, 0
+        return replaying_until, 0

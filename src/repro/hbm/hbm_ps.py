@@ -311,6 +311,9 @@ class HBMPS:
         """Snapshot-committed hook: asserts quiescence, remembers nothing."""
         self._require_quiescent()
 
-    def load_delta(self, delta: dict[str, np.ndarray]) -> None:
-        """Delta hook: identical to a full load — the tier is transient."""
-        self.clear()
+    def fold_delta(
+        self, base: dict[str, np.ndarray], delta: dict[str, np.ndarray]
+    ) -> dict[str, np.ndarray]:
+        """Fold hook: the tier is transient, so the snapshot a delta
+        describes is as empty as both."""
+        return {}

@@ -729,20 +729,22 @@ class CombinedCache:
         self._dirty[:] = False
         self._marked = True
 
-    def load_delta(self, delta: dict[str, np.ndarray]) -> None:
-        """Apply an :meth:`export_delta` diff on top of the base state.
+    def fold_delta(
+        self, base: dict[str, np.ndarray], delta: dict[str, np.ndarray]
+    ) -> dict[str, np.ndarray]:
+        """The :meth:`export_state` snapshot an :meth:`export_delta` diff
+        describes, built on ``base`` — the snapshot it was diffed against.
 
-        The cache must currently hold the base the delta was diffed
-        against; unshipped rows pull their (unchanged) values out of the
-        resident slab via :meth:`peek_batch` — a key that cannot be
-        resolved means the delta is being applied to the wrong base.
-        Nothing is mutated until the rebuilt state has passed
-        :meth:`load_state`'s validation.
+        Pure: neither input nor the cache is touched.  The metadata is
+        the delta's; a value it did not ship is unchanged since the base
+        and is taken from there by key — a key the base lacks means the
+        wrong base.  :meth:`load_state` validates the result.
         """
-        state: dict[str, np.ndarray] = {
-            "hits": delta["hits"],
-            "misses": delta["misses"],
-        }
+        base_keys = np.concatenate([as_keys(base["lru_keys"]), as_keys(base["lfu_keys"])])
+        base_values = np.concatenate([base["lru_values"], base["lfu_values"]])
+        index = SlotIndex(base_keys.size, key_domain=self.key_domain)
+        index.insert_absent(base_keys, np.arange(base_keys.size))
+        state: dict[str, np.ndarray] = {}
         for tier, meta in (("lru", "lru_counts"), ("lfu", "lfu_freqs")):
             keys = as_keys(delta[f"{tier}_keys"])
             idx = np.asarray(delta[f"{tier}_val_idx"], dtype=np.int64)
@@ -757,23 +759,23 @@ class CombinedCache:
                     f"cache delta {tier}_val_idx points outside its "
                     f"{keys.size} {tier}_keys"
                 )
-            values = np.zeros((keys.size, self.value_dim), dtype=np.float32)
+            values = np.empty((keys.size, self.value_dim), dtype=np.float32)
             carried = np.ones(keys.size, dtype=bool)
             carried[idx] = False
             values[idx] = shipped
-            if carried.any():
-                old, found = self.peek_batch(keys[carried])
-                if not bool(np.all(found)):
-                    missing = keys[carried][~found][:5]
-                    raise ValueError(
-                        "cache delta carries values for keys absent from "
-                        f"the base, e.g. {missing.tolist()} — wrong base?"
-                    )
-                values[carried] = old
+            rows, found = index.get(keys[carried])
+            if not found.all():
+                raise ValueError(
+                    "cache delta carries values for keys absent from the "
+                    f"base, e.g. {keys[carried][~found][:5].tolist()} — wrong base?"
+                )
+            values[carried] = base_values[rows]
             state[f"{tier}_keys"] = keys
             state[f"{tier}_values"] = values
             state[meta] = delta[meta]
-        self.load_state(state)
+        state["hits"] = delta["hits"]
+        state["misses"] = delta["misses"]
+        return state
 
     def flush_all(self) -> tuple[np.ndarray, np.ndarray]:
         """Drain everything (shutdown / checkpoint path): the LRU tier

@@ -103,8 +103,6 @@ class MemPS:
         #: per-key init seed — identical on every node so a key initializes
         #: the same regardless of which node first touches it.
         self._init_seed = seed
-        #: peers[i] is node i's MemPS; wired by the cluster after construction.
-        self.peers: list["MemPS"] = []
         #: the round's resolved :class:`~repro.plan.NodePrefetchPlan`
         #: (set by :meth:`prefetch`, cleared by :meth:`end_batch`) — every
         #: other per-round method gathers/scatters through its rows.
@@ -365,7 +363,9 @@ class MemPS:
         self._require_round_boundary()
         self.cache.mark_snapshot()
 
-    def load_delta(self, delta: dict[str, np.ndarray]) -> None:
-        """Apply an :meth:`export_delta` diff on top of the base state."""
-        self.cache.load_delta(delta)
-        self._prefetch_plan = None
+    def fold_delta(
+        self, base: dict[str, np.ndarray], delta: dict[str, np.ndarray]
+    ) -> dict[str, np.ndarray]:
+        """The snapshot an :meth:`export_delta` diff describes, built on
+        the ``base`` it was diffed against (:meth:`CombinedCache.fold_delta`)."""
+        return self.cache.fold_delta(base, delta)

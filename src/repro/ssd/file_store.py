@@ -271,8 +271,8 @@ class FileStore:
         """Repack the arenas if erased files hold more than a fixed
         fraction of them: the live files move, packed, into fresh arenas
         and the old ones — erased rows and touched tail included — go
-        back to the OS.  Whoever erases a batch of files (the compactor,
-        a delta load) calls this once, after the batch."""
+        back to the OS.  Whoever erases a batch of files (the compactor)
+        calls this once, after the batch."""
         if self._arena_used - self._arena_live <= _REPACK_FRACTION * self._arena_used:
             return
         slots = self._live_slots()
@@ -612,83 +612,66 @@ class FileStore:
             self._slot_stale[slots],
         )
 
-    def _unpack(self, state: dict[str, np.ndarray], what: str) -> tuple:
-        """A snapshot's or delta's packed files and mapping rows, fully
-        validated (ValueError otherwise) without touching the store:
-        ``((file ids, offsets, keys, values, stale), (mapping keys,
-        file index, row))`` — see :func:`_resolve_mapping`."""
-        fids = np.asarray(state["file_ids"], dtype=np.int64)
-        offsets = np.asarray(state["file_offsets"], dtype=np.int64)
-        file_keys = as_keys(state["file_keys"])
-        file_values = np.asarray(state["file_values"], dtype=np.float32)
-        stale = np.asarray(state["file_stale"], dtype=np.int64)
-        map_keys = as_keys(state["map_keys"])
-        map_fids = np.asarray(state["map_fids"], dtype=np.int64)
-        if file_values.shape != (file_keys.size, self.value_dim):
-            raise ValueError(f"file-store {what} value shape mismatch")
-        if (
-            offsets.shape != (fids.size + 1,)
-            or stale.shape != fids.shape
-            or int(offsets[0]) != 0
-            or int(offsets[-1]) != file_keys.size
-            or bool((np.diff(offsets) < 0).any())
-        ):
-            raise ValueError(f"file-store {what} offsets mismatch")
-        if fids.size and int(state["next_file_id"]) <= int(fids.max()):
-            raise ValueError(f"file-store {what} next_file_id is stale")
-        if map_fids.shape != map_keys.shape:
-            raise ValueError(f"file-store {what} mapping malformed")
-        if not np.isin(map_fids, fids).all():
-            raise ValueError(f"file-store {what} maps keys to unknown files")
-        files = (fids, offsets, file_keys, file_values, stale)
-        return files, _resolve_mapping(map_keys, map_fids, fids, offsets, file_keys, what)
+    def fold_delta(
+        self, base: dict[str, np.ndarray], delta: dict[str, np.ndarray]
+    ) -> dict[str, np.ndarray]:
+        """The :meth:`export_state` snapshot an :meth:`export_delta` diff
+        describes, built on ``base`` — the snapshot it was diffed against.
 
-    def _install(self, files: tuple, mapping: tuple, next_file_id) -> None:
-        """Append unpacked files and point their mapping rows at them
-        (a load: the store is unmarked until its reader marks it)."""
-        map_keys, file_index, row = mapping
-        self._mark = None
-        slots = self._append_files(*files)
-        self._mapping.set(map_keys, slots[file_index] * self.file_capacity + row)
-        self._next_file_id = int(next_file_id)
-
-    def load_delta(self, delta: dict[str, np.ndarray]) -> None:
-        """Apply an :meth:`export_delta` diff on top of the base state.
-
-        The store must currently hold exactly the base snapshot the
-        delta was diffed against (``base_next_file_id`` is checked).
-        Validation — down to every shipped mapping row naming a shipped
-        file that holds its key — runs before any mutation; the apply
-        order — add new files, repoint mapping, update stale counters,
-        erase dead files — mirrors how the live store evolved, and ends
-        in the same :meth:`check_invariants` sweep a full load runs.
+        Pure: neither input nor the store is touched.  Files are
+        immutable and ids monotone, so the fold is the store's history on
+        arrays: erased base files drop out, survivors take their new
+        stale counters, new files append and every shipped mapping row
+        replaces its key's base row.  The delta is validated as a load
+        validates a snapshot and must name ``base``'s file-id watermark
+        and only files ``base`` holds; :meth:`load_state` validates the
+        result.
         """
-        if int(delta["base_next_file_id"]) != self._next_file_id:
+        watermark = int(base["next_file_id"])
+        if int(delta["base_next_file_id"]) != watermark:
             raise ValueError(
                 f"delta was diffed against next_file_id="
-                f"{int(delta['base_next_file_id'])}, store is at "
-                f"{self._next_file_id}"
+                f"{int(delta['base_next_file_id'])}, base is at {watermark}"
             )
-        files, mapping = self._unpack(delta, "delta")
-        fids = files[0]
-        if fids.size and int(fids.min()) < self._next_file_id:
+        (fids, offsets, keys, values, stale), _ = _unpack(delta, "delta", self.value_dim)
+        if fids.size and int(fids.min()) < watermark:
             raise ValueError("file-store delta contains pre-base file ids")
-        erased = np.asarray(delta["erased_ids"], dtype=np.int64).tolist()
-        stale_ids = np.asarray(delta["stale_ids"], dtype=np.int64).tolist()
-        for fid in erased + stale_ids:
-            if fid not in self._slot_of:
-                raise ValueError(
-                    f"file-store delta erases or re-counts unknown file {fid}"
-                )
-        self._install(files, mapping, delta["next_file_id"])
-        self._slot_stale[[self._slot_of[fid] for fid in stale_ids]] = np.asarray(
-            delta["stale_counts"], dtype=np.int64
-        )
-        for fid in erased:
-            self.erase(fid)
-        self.reclaim()
-        self._rewarm_extent_cache(delta)
-        self.check_invariants()
+        base_fids = np.asarray(base["file_ids"], dtype=np.int64)
+        erased = np.asarray(delta["erased_ids"], dtype=np.int64)
+        stale_ids = np.asarray(delta["stale_ids"], dtype=np.int64)
+        named = np.concatenate([erased, stale_ids])
+        unknown = named[~np.isin(named, base_fids)]
+        if unknown.size:
+            raise ValueError(
+                f"file-store delta erases or re-counts unknown file {int(unknown[0])}"
+            )
+        by_id = base_fids.argsort()
+        recount = by_id[base_fids.searchsorted(stale_ids, sorter=by_id)]
+        base_stale = np.array(base["file_stale"], dtype=np.int64)
+        base_stale[recount] = delta["stale_counts"]
+        keep = ~np.isin(base_fids, erased)
+        base_rows = np.diff(np.asarray(base["file_offsets"], dtype=np.int64))
+        kept_rows = np.repeat(keep, base_rows)
+        sizes = np.concatenate([base_rows[keep], np.diff(offsets)])
+        file_offsets = np.zeros(sizes.size + 1, dtype=np.int64)
+        np.cumsum(sizes, out=file_offsets[1:])
+        unshipped = ~np.isin(base["map_keys"], delta["map_keys"])
+        map_keys = np.concatenate([base["map_keys"][unshipped], delta["map_keys"]])
+        map_fids = np.concatenate([base["map_fids"][unshipped], delta["map_fids"]])
+        by_key = map_keys.argsort(kind="stable")
+        return {
+            "file_ids": np.concatenate([base_fids[keep], fids]),
+            "file_offsets": file_offsets,
+            "file_keys": np.concatenate([as_keys(base["file_keys"])[kept_rows], keys]),
+            "file_values": np.concatenate(
+                [np.compress(kept_rows, base["file_values"], axis=0), values]
+            ),
+            "file_stale": np.concatenate([base_stale[keep], stale]),
+            "map_keys": as_keys(map_keys[by_key]),
+            "map_fids": map_fids[by_key],
+            "next_file_id": np.int64(delta["next_file_id"]),
+            "extent_cache_fids": np.asarray(delta["extent_cache_fids"], dtype=np.int64),
+        }
 
     def load_state(self, state: dict[str, np.ndarray]) -> None:
         """Rebuild the store from an :meth:`export_state` snapshot.
@@ -704,9 +687,8 @@ class FileStore:
         checkpoint restores are immune because they load into a freshly
         constructed, empty store.)
         """
-        files, mapping = self._unpack(state, "snapshot")
+        files, (map_keys, file_index, row) = _unpack(state, "snapshot", self.value_dim)
         fids, offsets, _, _, stale = files
-        map_keys, file_index, _ = mapping
         # The mapping must agree with the stale counters file by file
         # (the on-store check_invariants contract, applied to the arrays).
         live = np.bincount(file_index, minlength=fids.size)
@@ -720,24 +702,16 @@ class FileStore:
             self.erase(fid)
         self._reset_files()
         self._mapping = SlotIndex(max(1024, map_keys.size), key_domain=self._key_domain)
-        self._install(files, mapping, state["next_file_id"])
-        self._rewarm_extent_cache(state)
+        self._mark = None  # a load: unmarked until its reader marks it
+        slots = self._append_files(*files)
+        self._mapping.set(map_keys, slots[file_index] * self.file_capacity + row)
+        self._next_file_id = int(state["next_file_id"])
+        # The warm set: warm() admits only the newest max_files ids, so a
+        # store smaller than the snapshot's never over-warms nor counts
+        # evictions.
+        warm = np.asarray(state.get("extent_cache_fids", ()), dtype=np.int64)
+        self.extent_cache.warm(warm[np.isin(warm, fids)])
         self.check_invariants()
-
-    def _rewarm_extent_cache(self, state: dict[str, np.ndarray]) -> None:
-        """Restore the warm set.
-
-        :meth:`FileHandleCache.warm` admits only the newest
-        ``max_files`` surviving ids, so a live capacity smaller than the
-        snapshot's residency (a restore into a smaller store) can never
-        over-warm nor spuriously count evictions.
-        """
-        fids = [
-            int(fid)
-            for fid in state.get("extent_cache_fids", np.zeros(0, np.int64))
-            if int(fid) in self._slot_of
-        ]
-        self.extent_cache.warm(fids)
 
     def check_invariants(self) -> None:
         """Debug/test hook: mapping, stale counters, byte and arena
@@ -798,6 +772,38 @@ def _moved(arena: np.ndarray, capacity: int, src) -> np.ndarray:
     else:
         np.take(arena, src, axis=0, out=moved[: src.size], mode="clip")
     return moved
+
+
+def _unpack(state: dict[str, np.ndarray], what: str, value_dim: int) -> tuple:
+    """A snapshot's or delta's packed files and mapping rows, fully
+    validated (ValueError otherwise): ``((file ids, offsets, keys,
+    values, stale), (mapping keys, file index, row))`` — see
+    :func:`_resolve_mapping`."""
+    fids = np.asarray(state["file_ids"], dtype=np.int64)
+    offsets = np.asarray(state["file_offsets"], dtype=np.int64)
+    file_keys = as_keys(state["file_keys"])
+    file_values = np.asarray(state["file_values"], dtype=np.float32)
+    stale = np.asarray(state["file_stale"], dtype=np.int64)
+    map_keys = as_keys(state["map_keys"])
+    map_fids = np.asarray(state["map_fids"], dtype=np.int64)
+    if file_values.shape != (file_keys.size, value_dim):
+        raise ValueError(f"file-store {what} value shape mismatch")
+    if (
+        offsets.shape != (fids.size + 1,)
+        or stale.shape != fids.shape
+        or int(offsets[0]) != 0
+        or int(offsets[-1]) != file_keys.size
+        or bool((np.diff(offsets) < 0).any())
+    ):
+        raise ValueError(f"file-store {what} offsets mismatch")
+    if fids.size and int(state["next_file_id"]) <= int(fids.max()):
+        raise ValueError(f"file-store {what} next_file_id is stale")
+    if map_fids.shape != map_keys.shape:
+        raise ValueError(f"file-store {what} mapping malformed")
+    if not np.isin(map_fids, fids).all():
+        raise ValueError(f"file-store {what} maps keys to unknown files")
+    files = (fids, offsets, file_keys, file_values, stale)
+    return files, _resolve_mapping(map_keys, map_fids, fids, offsets, file_keys, what)
 
 
 def _resolve_mapping(

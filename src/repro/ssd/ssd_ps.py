@@ -20,6 +20,9 @@ from repro.ssd.file_store import FileStore, ReadResult
 
 __all__ = ["SSDPS", "SSDBatchStats"]
 
+#: the facade's running counters, shipped whole with every snapshot
+_COUNTERS = ("load_seconds", "dump_seconds", "total_compactions", "extent_cache_hits")
+
 
 @dataclass(frozen=True)
 class SSDBatchStats:
@@ -119,7 +122,10 @@ class SSDPS:
     def load_state(self, state: dict[str, np.ndarray]) -> None:
         """Restore from an :meth:`export_state` snapshot."""
         self.store.load_state(state)
-        self._load_counters(state)
+        self.load_seconds = float(state["load_seconds"])
+        self.dump_seconds = float(state["dump_seconds"])
+        self.compactor.total_compactions = int(state["total_compactions"])
+        self.extent_cache_hits = int(state.get("extent_cache_hits", 0))
 
     def export_delta(self) -> dict[str, np.ndarray]:
         """Diff against the snapshot last marked.
@@ -135,10 +141,15 @@ class SSDPS:
         :meth:`export_delta`'s base."""
         self.store.mark_snapshot()
 
-    def load_delta(self, delta: dict[str, np.ndarray]) -> None:
-        """Apply an :meth:`export_delta` diff on top of the base state."""
-        self.store.load_delta(delta)
-        self._load_counters(delta)
+    def fold_delta(
+        self, base: dict[str, np.ndarray], delta: dict[str, np.ndarray]
+    ) -> dict[str, np.ndarray]:
+        """The snapshot an :meth:`export_delta` diff describes, built on
+        the ``base`` it was diffed against (:meth:`FileStore.fold_delta`);
+        the running counters are the delta's."""
+        state = self.store.fold_delta(base, delta)
+        state.update((name, delta[name]) for name in _COUNTERS)
+        return state
 
     def _with_counters(self, out: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
         out["load_seconds"] = np.float64(self.load_seconds)
@@ -146,9 +157,3 @@ class SSDPS:
         out["total_compactions"] = np.int64(self.compactor.total_compactions)
         out["extent_cache_hits"] = np.int64(self.extent_cache_hits)
         return out
-
-    def _load_counters(self, state: dict[str, np.ndarray]) -> None:
-        self.load_seconds = float(state["load_seconds"])
-        self.dump_seconds = float(state["dump_seconds"])
-        self.compactor.total_compactions = int(state["total_compactions"])
-        self.extent_cache_hits = int(state.get("extent_cache_hits", 0))

@@ -39,6 +39,7 @@ import numpy as np
 from repro.errors import TierStateError
 from repro.mem.cache import _FAR, CombinedCache
 from repro.utils.keys import EMPTY_KEY, as_keys
+from ssd_oracles import assert_same_arrays
 
 __all__ = [
     "DictLRUCache",
@@ -466,7 +467,7 @@ class ShadowedCombinedCache(CombinedCache):
         assert n == self.ref.lru.pinned_count()
         return n
 
-    # -- snapshots (load_delta lands in load_state) ----------------------
+    # -- snapshots (a delta folds onto its base, then lands in load_state)
     def export_state(self):
         state = super().export_state()
         self._assert_state(state, "export_state")
@@ -754,16 +755,21 @@ class CacheTraffic:
 
     def delta_roundtrip(self) -> None:
         """Delta snapshot since the mark → checked against the oracle's
-        diff of the retained base → applied on a cache holding the base
-        → it takes over and becomes the next base."""
+        diff of the retained base → folded onto that base it is, byte for
+        byte, the cache's export now (and neither input moved) → loaded
+        into a fresh cache, which takes over and becomes the next base."""
         assert self.base is not None
         delta = self.cache.export_delta()
         assert_delta_matches_oracle(
             self.cache, delta, self.base, written=as_keys(sorted(self.dirty))
         )
+        inputs = [{k: np.copy(v) for k, v in d.items()} for d in (self.base, delta)]
+        folded = self.cache.fold_delta(self.base, delta)
+        for before, after in zip(inputs, (self.base, delta)):
+            assert_same_arrays(before, after)
+        assert_same_arrays(folded, self.cache.export_state())
         restored = self.make()
-        restored.load_state(self.base)
-        restored.load_delta(delta)
+        restored.load_state(folded)
         self.assert_unmarked(restored)
         self._adopt(restored)
         self.take_base()

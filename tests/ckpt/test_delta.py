@@ -25,7 +25,7 @@ from repro.ckpt import format as fmt
 from repro.ckpt.format import CheckpointError
 from repro.core.cluster import HPSCluster, RoundContext
 from repro.errors import TierStateError
-from ssd_oracles import ReferenceFileStore
+from ssd_oracles import ReferenceFileStore, assert_same_arrays
 
 
 @pytest.fixture
@@ -87,6 +87,13 @@ def shard_content_digest(path) -> str:
     return h.hexdigest()
 
 
+def assert_same_tiers(a: HPSCluster, b: HPSCluster) -> None:
+    """Every node's per-tier ``export_state()`` byte for byte."""
+    for na, nb in zip(a.nodes, b.nodes):
+        for tier in type(na).TIERS:
+            assert_same_arrays(na.tier_states()[tier], nb.tier_states()[tier])
+
+
 def assert_deep_state_parity(a: HPSCluster, b: HPSCluster) -> None:
     """Replacement metadata and SSD layout match, not just values."""
     for na, nb in zip(a.nodes, b.nodes):
@@ -98,11 +105,12 @@ def assert_deep_state_parity(a: HPSCluster, b: HPSCluster) -> None:
 
 
 # ----------------------------------------------------------------------
-# Tier-level export_delta / load_delta round-trips
+# Tier-level export_delta / fold_delta round-trips
 # ----------------------------------------------------------------------
 class TestTierDeltaRoundTrip:
-    """base + export_delta() since the mark replayed onto base ==
-    current state, for every tier that implements the protocol."""
+    """export_delta() since the mark, folded onto the export_state()
+    taken at the mark, is the current export_state() byte for byte, for
+    every tier — and loads into a fresh tier as that state."""
 
     @pytest.mark.parametrize("tier", ["mem_ps", "ssd_ps", "hbm_ps"])
     def test_round_trip(self, tiny_spec, pressured, tmp_path, tier):
@@ -117,16 +125,12 @@ class TestTierDeltaRoundTrip:
         for node, fresh_node, base in zip(
             trained.nodes, fresh.nodes, bases
         ):
-            delta = getattr(node, tier).export_delta()
-            getattr(fresh_node, tier).load_state(
-                {k: v.copy() for k, v in base.items()}
-            )
-            getattr(fresh_node, tier).load_delta(delta)
-            want = getattr(node, tier).export_state()
-            got = getattr(fresh_node, tier).export_state()
-            assert set(want) == set(got)
-            for key in want:
-                assert np.array_equal(want[key], got[key]), key
+            ps = getattr(node, tier)
+            want = ps.export_state()
+            folded = ps.fold_delta(base, ps.export_delta())
+            assert_same_arrays(folded, want)
+            getattr(fresh_node, tier).load_state(folded)
+            assert_same_arrays(getattr(fresh_node, tier).export_state(), want)
 
     def test_ssd_delta_ships_only_new_files(
         self, tiny_spec, pressured, tmp_path
@@ -160,10 +164,8 @@ class TestTierDeltaRoundTrip:
                     # An empty tier (HBM is unloaded between rounds)
                     # must not invent payload out of nothing.
                     assert delta_bytes == 0, tier
-                ps.load_delta(delta)  # and replaying it is the identity
-                after = ps.export_state()
-                for key in base:
-                    assert np.array_equal(base[key], after[key]), (tier, key)
+                # ...and folding it onto the base is the identity.
+                assert_same_arrays(ps.fold_delta(base, delta), base)
 
 
 # ----------------------------------------------------------------------
@@ -176,9 +178,9 @@ class TestMarkProtocolMisuse:
     def test_export_delta_without_a_mark_is_a_tier_state_error(
         self, tiny_spec, pressured, tier, names
     ):
-        """Freshly constructed, or loaded (full or delta) and not yet
-        marked: the tier has no base — TierStateError naming the tier,
-        state untouched."""
+        """Freshly constructed, or loaded (a full snapshot, or a delta
+        folded onto one) and not yet marked: the tier has no base —
+        TierStateError naming the tier, state untouched."""
         trained = build(tiny_spec, pressured)
         trained.train(7)
         ps = getattr(trained.nodes[0], tier)
@@ -195,7 +197,7 @@ class TestMarkProtocolMisuse:
         holder.load_state(before)
         with pytest.raises(TierStateError, match=names):
             holder.export_delta()
-        holder.load_delta(delta)
+        holder.load_state(holder.fold_delta(before, delta))
         with pytest.raises(TierStateError, match=names):
             holder.export_delta()
         want, got = ps.export_state(), holder.export_state()
@@ -674,7 +676,9 @@ class TestCrashConsistency:
         prior chain member restorable bit-identically, and (c) the
         failed save retryable into the *same* directory — where it
         commits exactly the shards an un-killed save commits (the tiers'
-        marks only advance once a manifest has)."""
+        marks only advance once a manifest has), and the chain it ends
+        restores to per-tier state byte-identical to a full restore taken
+        at the same round."""
         total = self._count_writes(tiny_spec, pressured, tmp_path)
         assert total >= 3  # node shards + dense + manifest at minimum
 
@@ -690,6 +694,8 @@ class TestCrashConsistency:
         unkilled.train(1)
         unkilled.save_checkpoint(str(tmp_path / "unkilled" / "s2"), mode="delta")
         want_shards = shard_digests(tmp_path / "unkilled" / "s2")
+        unkilled.save_checkpoint(str(tmp_path / "unkilled" / "full"), mode="full")
+        from_full = HPSCluster.restore(str(tmp_path / "unkilled" / "full"))
 
         for budget in range(total):
             root = tmp_path / f"kill{budget}"
@@ -722,6 +728,7 @@ class TestCrashConsistency:
             assert now.rounds_completed == 5
             assert_cluster_parity(twin_now, now)
             assert_deep_state_parity(twin_now, now)
+            assert_same_tiers(now, from_full)
 
     def test_randomized_kill_points_across_a_snapshot_stage_run(
         self, tiny_spec, pressured, tmp_path, monkeypatch

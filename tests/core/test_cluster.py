@@ -2,6 +2,7 @@
 
 import dataclasses
 import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -207,6 +208,35 @@ class TestPipelinedMemory:
         assert alive == [1] * 10
         assert after <= 1
         assert [s.round_index for s in run.stats] == list(range(10))
+
+
+class TestFreedByRefcount:
+    """The stage registry lives on the cluster and holds it weakly, and
+    the MEM tiers hold no peer list, so a dropped cluster — nodes,
+    slabs, arenas — is freed the moment its last reference goes, not at
+    the next full garbage collection."""
+
+    @staticmethod
+    def _refs(cluster) -> list:
+        return [weakref.ref(cluster)] + [
+            weakref.ref(node.mem_ps) for node in cluster.nodes
+        ]
+
+    def test_trained_and_restored_clusters(self, tiny_spec, small_config, tmp_path):
+        config = dataclasses.replace(small_config, mem_capacity_params=1_400)
+        gc.collect()
+        gc.disable()
+        try:
+            cluster = HPSCluster(tiny_spec, config, functional_batch_size=512)
+            cluster.enable_snapshot_stage(str(tmp_path), every=2)
+            cluster.train_pipelined(4)
+            refs = self._refs(cluster)
+            del cluster
+            assert [ref() for ref in refs] == [None] * 3
+            refs = self._refs(HPSCluster.restore(str(tmp_path / "round_000004")))
+            assert [ref() for ref in refs] == [None] * 3
+        finally:
+            gc.enable()
 
 
 class TestPredict:

@@ -106,6 +106,54 @@ class TestRecoveryActions:
         assert run.rounds == 6
         assert_param_parity(run.cluster, twin)
 
+    def test_partially_restored_node_is_armed(self, mk_pressured, tmp_path):
+        """Regression: the replacement a partial restore splices in
+        carries the injection's arms — its SSD, HDFS and HBM surfaces are
+        guarded, a fault scripted on its SSD fires — and its straggler
+        seconds land on its own ledger.  (The replacement used to run
+        unarmed, and node 1's stragglers were charged to the dead node's
+        ledger, so the live one read 0.0.)"""
+        twin = mk_pressured()
+        twin.train(10)
+        schedule = FaultSchedule(
+            0,
+            rates={"straggler": 0.5},
+            max_faults=10_000,
+            script={("node_crash", 1, 0): 1, ("ssd_read_error", 1, 0): 1},
+        )
+        cluster = mk_pressured()
+        armed = []
+
+        def probe(ctx) -> float:
+            node = cluster.nodes[1]
+            armed.append(
+                (node.ssd_ps.store.faults, node.hdfs.faults, node.hbm_ps.faults)
+            )
+            return 0.0
+
+        cluster.register_stage("probe", probe, after="train")
+        original = cluster.nodes[1]
+        run = Supervisor(str(tmp_path / "sup"), checkpoint_every=2).run(
+            cluster, 10, schedule
+        )
+        (crash,) = [r for r in run.reports if r.kind == "node_crash"]
+        assert (crash.action, crash.node, crash.round) == ("partial_restore", 1, 0)
+        assert cluster.nodes[1] is not original
+        assert len(armed) == 10
+        assert all(all(arm is not None for arm in arms) for arms in armed)
+        assert [
+            (r.surface, r.action) for r in run.reports if r.kind == "ssd_read_error"
+        ] == [("ssd", "retried")]
+        for node in cluster.nodes:
+            straggled = [
+                r.downtime_seconds
+                for r in run.reports
+                if r.action == "straggler" and r.node == node.node_id
+            ]
+            assert straggled
+            assert node.ledger.total("fault_straggler") == sum(straggled)
+        assert_param_parity(run.cluster, twin)
+
     def test_boundary_crash_off_checkpoint_full_restores(
         self, mk_cluster, tmp_path
     ):
@@ -359,20 +407,21 @@ class TestBoundedSnapshots:
         # Round 3's read escapes mid-chunk: full restore from round 2.
         schedule = FaultSchedule(0, script={("hdfs_read_failure", 0, 3): 8})
         original = mk_cluster()
+        nodes = list(original.nodes)
         run = run_supervised(lambda: original, tmp_path, schedule, pipelined=True)
         (full,) = [r for r in run.reports if r.action == "full_restore"]
         assert full.round - full.replay_rounds == 2
-        # One registration per cluster driven: the one handed in, then
-        # the one the restore built (and returned).
-        assert registered == [original, run.cluster]
-        assert run.cluster is not original
-        # Baseline, the first registration's round 2, the second's 4, 6.
+        # The restore heals the cluster handed in, in place: every node
+        # is new, the object and its one registration are not.
+        assert run.cluster is original
+        assert registered == [original]
+        assert not any(a is b for a, b in zip(nodes, original.nodes))
+        # Baseline, then rounds 2 (before the restore), 4 and 6.
         rounds = [c.rounds_completed for c in run.checkpoints]
         assert rounds == [0, 2, 4, 6]
         assert [c.kind for c in run.checkpoints] == ["full"] + ["delta"] * 3
         assert run.checkpoints[0].directory.endswith("round_000000")
-        # Neither cluster keeps the supervisor's stage.
-        assert not has_snapshot_stage(run.cluster)
+        # The cluster does not keep the supervisor's stage.
         assert not has_snapshot_stage(original)
         assert_param_parity(run.cluster, twin)
 

@@ -349,23 +349,38 @@ class TestCombinedCacheSnapshot:
 
 
 class TestLoadValidatesBeforeItMutates:
-    """``load_state`` / ``load_delta`` refuse — with a ``ValueError``
-    naming the key or the array, and the target's old contents intact —
-    snapshots no cache can be in.  (They used to load a key into both
-    tiers, or two rows behind one index entry, silently, and to die on a
-    short metadata array only after the tiers had been reset.)"""
+    """``load_state`` — directly, or of a delta folded onto its base —
+    refuses, with a ``ValueError`` naming the key or the array and the
+    target's old contents intact, snapshots no cache can be in; the fold
+    refuses a malformed delta without mutating either input.  (Loads
+    used to put a key into both tiers, or two rows behind one index
+    entry, silently, and to die on a short metadata array only after the
+    tiers had been reset.)"""
 
     @staticmethod
     def _caches():
-        """A 16-row target holding keys 50..57 and a warmed donor whose
-        valid snapshot / delta the cases below corrupt."""
+        """A 16-row target holding keys 50..57, a warmed donor whose
+        valid snapshot / delta the cases below corrupt, and the donor's
+        (empty) export at its mark — the base its delta folds onto."""
         target = CombinedCache(16, value_dim=1, key_domain=100)
         put(target, *range(50, 58))
         donor = CombinedCache(16, value_dim=1, key_domain=100)
+        base = donor.export_state()
         donor.mark_snapshot()  # marked empty: its delta ships every value
         put(donor, *range(1, 13))  # 8 LRU rows, 4 demoted
         look_up(donor, 9, 10)
-        return target, donor
+        return target, donor, base
+
+    @staticmethod
+    def _load_folded(target, base, delta, match):
+        """Fold ``delta`` onto ``base`` and load it into ``target``,
+        expecting ``match``; neither input may change."""
+        inputs = [{k: np.copy(v) for k, v in d.items()} for d in (base, delta)]
+        with pytest.raises(ValueError, match=match):
+            target.load_state(target.fold_delta(base, delta))
+        for before, after in zip(inputs, (base, delta)):
+            assert list(before) == list(after)
+            assert all(np.array_equal(before[k], after[k]) for k in before)
 
     @staticmethod
     def _assert_untouched(target, before):
@@ -418,7 +433,7 @@ class TestLoadValidatesBeforeItMutates:
     @pytest.mark.parametrize("case", sorted(CORRUPTIONS))
     def test_load_state_refuses_and_keeps_old_contents(self, case):
         corrupt, match = self.CORRUPTIONS[case]
-        target, donor = self._caches()
+        target, donor, _ = self._caches()
         before = target.export_state()
         state = donor.export_state()
         corrupt(state)
@@ -431,15 +446,14 @@ class TestLoadValidatesBeforeItMutates:
     )
     def test_load_delta_refuses_and_keeps_old_contents(self, case):
         corrupt, match = self.CORRUPTIONS[case]
-        target, donor = self._caches()
+        target, donor, base = self._caches()
         before = target.export_state()
         # A delta against an empty base ships every value, so only the
         # corruption stands between it and the target.
         delta = donor.export_delta()
         assert delta["lru_val_idx"].size + delta["lfu_val_idx"].size == len(donor)
         corrupt(delta)
-        with pytest.raises(ValueError, match=match):
-            target.load_delta(delta)
+        self._load_folded(target, base, delta, match)
         self._assert_untouched(target, before)
 
     @pytest.mark.parametrize(
@@ -452,10 +466,25 @@ class TestLoadValidatesBeforeItMutates:
         ids=["index past the keys", "negative index", "short values"],
     )
     def test_load_delta_checks_its_value_index(self, corrupt, match):
-        target, donor = self._caches()
+        target, donor, base = self._caches()
         before = target.export_state()
         delta = donor.export_delta()
         corrupt(delta)
-        with pytest.raises(ValueError, match=match):
-            target.load_delta(delta)
+        self._load_folded(target, base, delta, match)
         self._assert_untouched(target, before)
+
+    def test_fold_refuses_a_wrong_base(self):
+        """A value the delta did not ship comes from the base by key; a
+        base that lacks the key is the wrong base."""
+        target, donor, _ = self._caches()
+        base = donor.export_state()
+        donor.mark_snapshot()
+        look_up(donor, 1, 2)  # metadata moves, no value is written
+        delta = donor.export_delta()
+        assert delta["lru_val_idx"].size == delta["lfu_val_idx"].size == 0
+        before = target.export_state()
+        self._load_folded(target, before, delta, r"absent from the base, e\.g\. \[")
+        self._assert_untouched(target, before)
+        target.load_state(target.fold_delta(base, delta))  # the right base
+        want, got = donor.export_state(), target.export_state()
+        assert all(np.array_equal(want[k], got[k]) for k in want)

@@ -35,7 +35,7 @@ TRAFFIC = {
     "export_delta",
     "mark_snapshot",
     "load_state",
-    "load_delta",
+    "fold_delta",
     "flush_all",
 }
 #: the two shims kept only because the frozen ``benchmarks/hps/micro.py``

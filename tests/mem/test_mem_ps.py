@@ -32,11 +32,7 @@ def make_mem(node_id=0, n_nodes=1, cache=64, seed=0):
 def make_pair(cache=64):
     a = make_mem(0, 2, cache)
     b = make_mem(1, 2, cache)
-    opt = a.optimizer
-    b.optimizer = opt
-    peers = [a, b]
-    a.peers = peers
-    b.peers = peers
+    b.optimizer = a.optimizer
     return a, b
 
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.ssd.file_store import FileStore
+from ssd_oracles import assert_same_arrays
 
 
 def keys_of(xs):
@@ -14,6 +15,10 @@ def keys_of(xs):
 
 def vals_of(n, dim=2, base=0.0):
     return (np.arange(n * dim, dtype=np.float32) + base).reshape(n, dim)
+
+
+def copied(state):
+    return {k: np.copy(v) for k, v in state.items()}
 
 
 @pytest.fixture
@@ -312,6 +317,32 @@ class TestStateSnapshot:
         target.check_invariants()
 
     def test_load_delta_rejects_mapping_row_to_a_file_without_the_key(self):
+        """Loading a delta is folding it onto its base (pure) and loading
+        the result: a delta row naming a shipped file that does not hold
+        its key is refused by the fold, nothing mutated."""
+        source, base, holder = self._delta_source()
+        delta = source.export_delta()
+        assert delta["map_fids"].tolist() == [1, 1, 2, 2]
+        delta["map_fids"] = np.array([1, 2, 1, 2], dtype=np.int64)
+        inputs = [copied(base), copied(delta)]
+        with pytest.raises(ValueError, match=r"key 6 to file 2\b"):
+            holder.load_state(holder.fold_delta(base, delta))
+        assert_same_arrays(inputs[0], base)
+        assert_same_arrays(inputs[1], delta)
+        # Rejected before any mutation: still exactly the base.
+        assert holder.n_files == 1 and holder.n_live_params == 2
+        r = holder.read(keys_of([1, 2, 5]))
+        assert r.found.tolist() == [True, True, False]
+        assert np.array_equal(r.values[:2], vals_of(2))
+        holder.check_invariants()
+        # The honest delta lands.
+        holder.load_state(holder.fold_delta(base, source.export_delta()))
+        assert holder.read(keys_of([5, 8])).found.all()
+
+    @staticmethod
+    def _delta_source():
+        """A store marked at files {0: [1, 2]} that then wrote files 1
+        and 2, its export at the mark, and a store holding that export."""
         source = FileStore(2, file_capacity=2)
         source.write(keys_of([1, 2]), vals_of(2))
         base = source.export_state()
@@ -319,16 +350,47 @@ class TestStateSnapshot:
         holder = FileStore(2, file_capacity=2)
         holder.load_state(base)
         source.write(keys_of([5, 6, 7, 8]), vals_of(4, base=20.0))  # files 1, 2
+        return source, base, holder
+
+    @pytest.mark.parametrize(
+        "corrupt, match",
+        [
+            (
+                lambda b, d: d.__setitem__("base_next_file_id", np.int64(0)),
+                "diffed against next_file_id=0, base is at 1",
+            ),
+            (
+                lambda b, d: b.__setitem__("next_file_id", np.int64(2)),
+                "diffed against next_file_id=1, base is at 2",
+            ),
+            (
+                lambda b, d: d.update(
+                    file_ids=np.array([0, 2], np.int64),
+                    map_fids=np.array([0, 0, 2, 2], np.int64),
+                ),
+                "pre-base file ids",
+            ),
+            (
+                lambda b, d: d.__setitem__("erased_ids", np.array([7], np.int64)),
+                "erases or re-counts unknown file 7",
+            ),
+            (
+                lambda b, d: d.update(
+                    stale_ids=np.array([9], np.int64),
+                    stale_counts=np.array([1], np.int64),
+                ),
+                "erases or re-counts unknown file 9",
+            ),
+        ],
+        ids=["delta of another base", "base of another delta", "pre-base file",
+             "unknown erased file", "unknown re-counted file"],
+    )
+    def test_fold_refuses_a_wrong_base(self, corrupt, match):
+        source, base, holder = self._delta_source()
         delta = source.export_delta()
-        assert delta["map_fids"].tolist() == [1, 1, 2, 2]
-        delta["map_fids"] = np.array([1, 2, 1, 2], dtype=np.int64)
-        with pytest.raises(ValueError, match=r"key 6 to file 2\b"):
-            holder.load_delta(delta)
-        # Rejected before any mutation: still exactly the base.
-        assert holder.n_files == 1 and holder.n_live_params == 2
-        r = holder.read(keys_of([1, 2, 5]))
-        assert r.found.tolist() == [True, True, False]
-        assert np.array_equal(r.values[:2], vals_of(2))
-        holder.check_invariants()
-        holder.load_delta(source.export_delta())  # the honest delta lands
-        assert holder.read(keys_of([5, 8])).found.all()
+        corrupt(base, delta)
+        inputs = [copied(base), copied(delta)]
+        with pytest.raises(ValueError, match=match):
+            holder.fold_delta(base, delta)
+        assert_same_arrays(inputs[0], base)
+        assert_same_arrays(inputs[1], delta)

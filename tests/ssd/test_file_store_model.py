@@ -33,20 +33,10 @@ from repro.faults.policy import FaultArm, RetryPolicy
 from repro.faults.schedule import FaultSchedule
 from repro.ssd.compaction import Compactor
 from repro.ssd.file_store import FileStore
-from ssd_oracles import ReferenceFileStore, assert_stores_agree
+from ssd_oracles import ReferenceFileStore, assert_same_arrays, assert_stores_agree
 
 #: extent-cache capacities in files: off, thrashing, roomy
 CACHES = {"off": 0, "small": 2, "roomy": 16}
-
-
-def assert_same_arrays(mine: dict, theirs: dict) -> None:
-    """Two checkpoint dicts: same names in the same order, same dtypes,
-    same bytes."""
-    assert list(mine) == list(theirs)
-    for name in mine:
-        a, b = np.asarray(mine[name]), np.asarray(theirs[name])
-        assert a.dtype == b.dtype and a.shape == b.shape, name
-        assert a.tobytes() == b.tobytes(), name
 
 
 def values_for(keys, dim: int, stamp: int) -> np.ndarray:
@@ -100,8 +90,9 @@ class FileStoreVsReference(RuleBasedStateMachine):
 
     def rebase(self):
         """Snapshot the store and mark it there; keep the full export
-        (the oracle's base) and a pair of stores holding exactly the
-        snapshot, for the next delta to land on."""
+        (the base the next delta folds onto) and a pair of stores holding
+        exactly the snapshot (the oracle applies the next delta to its
+        own)."""
         state = self.store.export_state()
         assert_same_arrays(state, self.ref.export_state())
         self.store.mark_snapshot()
@@ -183,17 +174,25 @@ class FileStoreVsReference(RuleBasedStateMachine):
 
     @rule()
     def restore_from_delta(self):
-        """export_delta (against the store's own mark) -> load_delta
-        onto the base's holder, which then carries on as the live store.
-        A file store's write set is exact — files are immutable, ids
-        monotone — so the delta is array for array what the oracle gets
-        by diffing the retained full export."""
-        state, holder, holder_ref = self.base
+        """export_delta (against the store's own mark) folded onto the
+        full export taken at the mark is, byte for byte, the store's
+        export now; loading it into a fresh store agrees with the oracle
+        applying the delta member by member to its copy of the base, and
+        that store carries on as the live one.  A file store's write set
+        is exact — files are immutable, ids monotone — so the delta is
+        array for array what the oracle gets by diffing the retained full
+        export."""
+        state, _, holder_ref = self.base
         delta = self.store.export_delta()
         assert_same_arrays(delta, self.ref.export_delta(state))
-        holder.load_delta(delta)
+        inputs = [{k: np.copy(v) for k, v in d.items()} for d in (state, delta)]
+        folded = self.store.fold_delta(state, delta)
+        for before, after in zip(inputs, (state, delta)):
+            assert_same_arrays(before, after)  # the fold mutates nothing
+        assert_same_arrays(folded, self.store.export_state())
+        holder, _ = self.fresh_pair()
+        holder.load_state(folded)
         holder_ref.load_delta(delta)
-        assert_same_arrays(holder.export_state(), self.store.export_state())
         self.store, self.ref = holder, holder_ref
         self.rebase()
 

@@ -32,6 +32,7 @@ __all__ = [
     "ReferenceFileCache",
     "ReferenceFileStore",
     "ReferenceSSDDevice",
+    "assert_same_arrays",
     "assert_stores_agree",
 ]
 
@@ -366,14 +367,29 @@ class ReferenceFileStore:
         self._rewarm(state)
 
     def load_delta(self, delta: dict[str, np.ndarray]) -> None:
+        """Apply a delta on top of the base this store holds, member by
+        member — the oracle ``FileStore.fold_delta`` + ``load_state`` is
+        held to.  A load is not runtime traffic: the erased files leave
+        without counting an extent-cache invalidation (the residency is
+        re-warmed from the delta anyway)."""
         self._unpack(delta)
         for fid, count in zip(
             delta["stale_ids"].tolist(), delta["stale_counts"].tolist()
         ):
             self.files[fid].stale_count = count
         for fid in delta["erased_ids"].tolist():
-            self.erase(fid)
+            del self.files[fid]
         self._rewarm(delta)
+
+
+def assert_same_arrays(mine: dict, theirs: dict) -> None:
+    """Two checkpoint dicts: same names in the same order, same dtypes,
+    same bytes."""
+    assert list(mine) == list(theirs)
+    for name in mine:
+        a, b = np.asarray(mine[name]), np.asarray(theirs[name])
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert a.tobytes() == b.tobytes(), name
 
 
 def assert_stores_agree(store, ref: ReferenceFileStore) -> None:
