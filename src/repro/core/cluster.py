@@ -72,6 +72,7 @@ from repro.core.pipeline import (
     schedule,
     stage_duration,
 )
+from repro.nn.model import Shard
 from repro.nn.optim import DenseAdagrad, SparseAdagrad, SparseOptimizer
 from repro.plan import RoundPlan, build_round_plan
 from repro.utils.keys import as_keys, compact_unique
@@ -780,44 +781,57 @@ class HPSCluster:
         worker_critical_s = 0.0
         losses: list[float] = []
         n_examples = 0
+        # Replicas hold identical dense state (the sync step below keeps
+        # them so), so the lead's tower trains every worker's minibatch.
+        lead = nodes[0]
         for m in range(mb_rounds):
-            round_worker_t = 0.0
-            node_dense_grads: list[list[np.ndarray]] = []
-            for i, (node, nplan) in enumerate(zip(nodes, plan.nodes)):
-                acc = self._node_dense_acc[i]
-                started = False
-                worker_t = 0.0
-                for gpu in range(n_gpus):
-                    mb = nplan.shards[m * n_gpus + gpu]
-                    if mb.n_examples == 0:
-                        continue
-                    mbp = nplan.minibatches[m * n_gpus + gpu]
-                    emb, t_pull = node.hbm_ps.pull_embeddings(mbp, gpu=gpu)
-                    result = node.model.train_minibatch(
-                        mb, mbp.keys, emb, flat_idx=mbp.emb_idx
+            # The sync round's workers, node order then GPU order.
+            workers = [
+                (i, gpu, nplan.shards[j], nplan.minibatches[j])
+                for i, nplan in enumerate(plan.nodes)
+                for gpu, j in enumerate(range(m * n_gpus, (m + 1) * n_gpus))
+                if nplan.shards[j].n_examples
+            ]
+            # Algorithm 1 lines 12-14 for all of them in one pass, each
+            # worker's results exactly its own minibatch's.
+            results = lead.model.train_minibatch(
+                values,
+                [
+                    Shard(mb, mbp.keys, mbp.emb_idx, mbp.codes[mbp.emb_idx])
+                    for _, _, mb, mbp in workers
+                ],
+            )
+            # Then each worker's pull, GPU time and push, in worker order
+            # (the charges and fault draws of a worker-by-worker loop).
+            worker_t = [0.0] * len(nodes)
+            started = [False] * len(nodes)
+            for (i, gpu, mb, mbp), result in zip(workers, results):
+                node = nodes[i]
+                t_pull = node.hbm_ps.pull_embeddings(mbp, gpu=gpu)
+                t_gpu = node.gpu_compute.train(flops_per_ex * mb.n_examples)
+                t_push = node.hbm_ps.push_gradients(
+                    mbp,
+                    result.sparse_grad.grads.astype(np.float32),
+                    gpu=gpu,
+                )
+                worker_t[i] = max(worker_t[i], t_pull + t_gpu + t_push)
+                hbm_pull_s += t_pull
+                hbm_push_s += t_push
+                gpu_s += t_gpu
+                losses.append(result.loss)
+                n_examples += mb.n_examples
+                if started[i]:
+                    self._node_dense_acc[i].add(result.dense_grads)
+                else:
+                    self._node_dense_acc[i].start(result.dense_grads)
+                    started[i] = True
+            for i, node in enumerate(nodes):
+                if not started[i]:
+                    self._node_dense_acc[i].start_zero(
+                        node.model.mlp.parameters()
                     )
-                    t_gpu = node.gpu_compute.train(flops_per_ex * mb.n_examples)
-                    t_push = node.hbm_ps.push_gradients(
-                        mbp,
-                        result.sparse_grad.grads.astype(np.float32),
-                        gpu=gpu,
-                    )
-                    worker_t = max(worker_t, t_pull + t_gpu + t_push)
-                    hbm_pull_s += t_pull
-                    hbm_push_s += t_push
-                    gpu_s += t_gpu
-                    losses.append(result.loss)
-                    n_examples += mb.n_examples
-                    grads = node.model.mlp.gradients()
-                    if not started:
-                        acc.start(grads)
-                        started = True
-                    else:
-                        acc.add(grads)
-                if not started:
-                    acc.start_zero(node.model.mlp.parameters())
-                node_dense_grads.append(acc.arrays)
-                round_worker_t = max(round_worker_t, worker_t)
+            node_dense_grads = [acc.arrays for acc in self._node_dense_acc]
+            round_worker_t = max(worker_t)
 
             # Inter-node synchronization (Section 4.2) per mini-batch.
             splan = plan.sync[m]
@@ -859,7 +873,6 @@ class HPSCluster:
             )
             # Replicas hold identical dense state and receive the same
             # summed gradient: step the lead, copy its result to the rest.
-            lead = nodes[0]
             lead_params = lead.model.mlp.parameters()
             lead.dense_optimizer.step(lead_params, dense_sum)
             for node in nodes[1:]:

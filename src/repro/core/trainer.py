@@ -22,7 +22,7 @@ from repro.core.cluster import BatchStats, HPSCluster
 from repro.data.batching import Batch
 from repro.data.generator import CTRDataGenerator
 from repro.nn.metrics import auc
-from repro.nn.model import CTRModel
+from repro.nn.model import CTRModel, Shard
 from repro.nn.optim import DenseAdagrad, SparseAdagrad, SparseOptimizer
 from repro.store.flat import FlatStore
 from repro.utils.keys import as_keys, compact_unique
@@ -128,7 +128,9 @@ class ReferenceTrainer:
             model_spec, seed=derive_seed(cluster_config.seed, "dense")
         )
         self.dense_optimizer = DenseAdagrad(lr=0.05)
-        self._store = FlatStore(self.optimizer.value_dim)
+        self._store = FlatStore(
+            self.optimizer.value_dim, key_domain=model_spec.n_sparse
+        )
         self._init_seed = cluster_config.seed
         self.rounds_completed = 0
 
@@ -179,14 +181,15 @@ class ReferenceTrainer:
                     mb = node_shards[m * n_gpus + gpu]
                     if mb.n_examples == 0:
                         continue
-                    mb_keys = mb.unique_keys()
-                    emb = self.optimizer.embedding(self._fetch(mb_keys))
-                    result = self.model.train_minibatch(mb, mb_keys, emb)
+                    shard = Shard.of(mb)
+                    (result,) = self.model.train_minibatch(
+                        self._fetch(shard.keys), [shard]
+                    )
                     sg = result.sparse_grad
                     gpu_keys.append(as_keys(sg.keys))
                     gpu_grads.append(sg.grads.astype(np.float32))
                     losses.append(result.loss)
-                    grads = self.model.mlp.gradients()
+                    grads = result.dense_grads
                     if dense_acc is None:
                         dense_acc = [g.astype(np.float32) for g in grads]
                     else:

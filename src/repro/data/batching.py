@@ -72,7 +72,7 @@ class Batch:
         return self._unique
 
     def row_lengths(self) -> np.ndarray:
-        return np.diff(self.offsets)
+        return self.offsets[1:] - self.offsets[:-1]
 
     # ------------------------------------------------------------------
     @classmethod

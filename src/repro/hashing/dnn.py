@@ -14,7 +14,7 @@ import numpy as np
 from repro.config import ModelSpec
 from repro.data.batching import Batch
 from repro.nn.metrics import auc
-from repro.nn.model import CTRModel
+from repro.nn.model import CTRModel, Shard
 from repro.nn.optim import DenseAdagrad, SparseAdagrad
 from repro.utils.keys import as_keys
 
@@ -79,12 +79,12 @@ class SimpleDNN:
 
     # ------------------------------------------------------------------
     def train_batch(self, batch: Batch) -> float:
-        keys = batch.unique_keys()
+        shard = Shard.of(batch)
+        keys = shard.keys
         if keys.size == 0:
             return float("nan")
         values = self._fetch(keys)
-        emb = self.sparse_opt.embedding(values)
-        result = self.model.train_minibatch(batch, keys, emb)
+        (result,) = self.model.train_minibatch(values, [shard])
         new_values = self.sparse_opt.apply(
             values, result.sparse_grad.grads
         )
@@ -92,7 +92,7 @@ class SimpleDNN:
             self._store[int(k)] = new_values[i]
         self.dense_opt.step(
             self.model.mlp.parameters(),
-            [g.astype(np.float32) for g in self.model.mlp.gradients()],
+            [g.astype(np.float32) for g in result.dense_grads],
         )
         return result.loss
 

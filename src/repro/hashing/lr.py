@@ -51,7 +51,7 @@ class SparseLogisticRegression:
     def partial_fit(self, batch: Batch) -> float:
         """One Adagrad step on ``batch``; returns the loss."""
         logits = self.decision_function(batch)
-        loss, _, grad_logit = bce_with_logits(logits, batch.labels)
+        (loss,), _, grad_logit = bce_with_logits(logits, batch.labels)
         keys = batch.keys.astype(np.int64)
         rows = np.repeat(np.arange(batch.n_examples), batch.row_lengths())
         grad_w = np.zeros(self.n_features, dtype=np.float64)

@@ -11,8 +11,10 @@ round's end.  A key staged on several nodes therefore has one value,
 not one copy per node.  Every worker-facing call takes the matching
 mini-batch / sync plan and is a pure index gather/scatter — no hashing,
 no probing, no per-stage ``np.unique``: workers pull embedding rows at
-their mini-batch's codes and scatter-add gradients into the node's
-sync-round buffer (Algorithm 1 line 14); the trainer drains each node's
+their mini-batch's codes (the trainer reads them from the round array
+for every worker at once; the pull is the charge) and scatter-add
+gradients into the node's sync-round buffer (Algorithm 1 line 14); the
+trainer drains each node's
 buffer, all-reduces them across nodes and applies the merged update to
 the round array once, at the sync union's codes — which covers every
 staged replica and every key its MEM owner updates for peers (Section
@@ -194,10 +196,13 @@ class HBMPS:
             include_empty=True,
         )
 
-    def pull_embeddings(
-        self, mb: MinibatchPlan, *, gpu: int = 0
-    ) -> tuple[np.ndarray, float]:
-        """Embedding rows for a worker's mini-batch keys (line 12)."""
+    def pull_embeddings(self, mb: MinibatchPlan, *, gpu: int = 0) -> float:
+        """A worker's pull of its mini-batch's embedding rows (line 12).
+
+        The rows are the staged round array's at ``mb.codes``; the
+        trainer gathers every worker's straight from it in one pass, so
+        this dispatches and charges the pull and copies nothing.
+        """
         extra = 0.0
         if self.faults is not None:
             # Transient dispatch fault: a retried fetch costs only
@@ -205,11 +210,11 @@ class HBMPS:
             # exhaustion escapes with global scope — mid-train HBM state
             # is only recoverable by a full restore.
             extra = self.faults.guard({"hbm_dispatch": 0.0}, scope="global")
-        values = self._round().values[mb.codes]
+        self._round()
         t = self._charge_table_ops(
             self.optimizer.value_dim, mb.gpu_counts, "hbm_pull", source_gpu=gpu
         )
-        return self.optimizer.embedding(values), t + extra
+        return t + extra
 
     def push_gradients(
         self, mb: MinibatchPlan, grads: np.ndarray, *, gpu: int = 0

@@ -21,19 +21,18 @@ from repro.utils.keys import as_keys
 __all__ = ["EmbeddingLayer", "EmbeddingGradient"]
 
 
-def _scatter_add(
-    idx: np.ndarray, vals: np.ndarray, n_bins: int, dim: int
-) -> np.ndarray:
-    """``out[idx[i]] += vals[i]`` via one :func:`numpy.bincount` per column.
+def _scatter_add(idx: np.ndarray, cols: np.ndarray, n_bins: int) -> np.ndarray:
+    """``out[idx[p]] += cols[:, p]`` via one :func:`numpy.bincount` per row
+    of ``cols`` (shape ``(dim, len(idx))``).
 
-    Bit-identical to ``np.add.at(out, idx, vals)``: both accumulate
+    Bit-identical to ``np.add.at(out, idx, cols.T)``: both accumulate
     sequentially in input order, so every bin sees the same additions in
     the same order and rounds identically — ``bincount`` just does it
     without the per-element buffered-ufunc dispatch.
     """
-    out = np.empty((n_bins, dim), dtype=np.float64)
-    for d in range(dim):
-        out[:, d] = np.bincount(idx, weights=vals[:, d], minlength=n_bins)
+    out = np.empty((n_bins, cols.shape[0]), dtype=np.float64)
+    for d, weights in enumerate(cols):
+        out[:, d] = np.bincount(idx, weights=weights, minlength=n_bins)
     return out
 
 
@@ -67,7 +66,6 @@ class EmbeddingLayer:
         self.n_slots = n_slots
         self.dim = dim
         self._cache: tuple | None = None
-        self._gathered = Workspace()
         self._pooled = Workspace()
 
     @property
@@ -76,9 +74,10 @@ class EmbeddingLayer:
 
     # ------------------------------------------------------------------
     def _slot_of_positions(
-        self, batch: Batch
-    ) -> tuple[np.ndarray | None, int, int]:
-        """``(bins, per_slot, n_examples)`` of the batch's flat keys.
+        self, lengths: np.ndarray
+    ) -> tuple[np.ndarray | None, int]:
+        """``(bins, per_slot)`` of the flat keys of examples with
+        ``lengths`` keys each.
 
         Rows must have a length divisible by ``n_slots`` (the generator's
         slot-major layout); slot of position ``j`` within a row of length
@@ -88,21 +87,20 @@ class EmbeddingLayer:
         ``per_slot`` = ``L / n_slots``.  Otherwise ``per_slot`` is 0 and
         ``bins[p]`` = ``row * n_slots + slot``.
         """
-        lengths = batch.row_lengths()
-        if np.any(lengths % self.n_slots):
+        n = lengths.size
+        uniform = bool(n) and lengths.min() == lengths.max()
+        if np.any((lengths[:1] if uniform else lengths) % self.n_slots):
             raise ValueError(
                 "every example's nonzero count must be divisible by n_slots"
             )
-        n = batch.n_examples
-        if n and lengths[0] and lengths.min() == lengths.max():
-            return None, int(lengths[0]) // self.n_slots, n
+        if uniform and lengths[0]:
+            return None, int(lengths[0]) // self.n_slots
+        starts = np.cumsum(lengths) - lengths
         rows = np.repeat(np.arange(n), lengths)
-        pos_in_row = np.arange(batch.n_nonzeros) - np.repeat(
-            batch.offsets[:-1], lengths
-        )
+        pos_in_row = np.arange(int(lengths.sum())) - np.repeat(starts, lengths)
         ids_per_slot = np.repeat(lengths // self.n_slots, lengths)
         slots = pos_in_row // np.maximum(ids_per_slot, 1)
-        return rows * self.n_slots + slots, 0, n
+        return rows * self.n_slots + slots, 0
 
     def forward(
         self,
@@ -125,13 +123,11 @@ class EmbeddingLayer:
             ``(len(unique_keys), dim)`` embedding table rows.
         flat_idx:
             Optional precomputed positions of ``batch.keys`` inside
-            ``unique_keys`` (the plan builder's ``MinibatchPlan.emb_idx``,
-            or the inverse of the dedup that produced ``unique_keys``);
-            skips the per-minibatch ``searchsorted`` and its validation.
+            ``unique_keys`` (the inverse of the dedup that produced
+            ``unique_keys``); skips the ``searchsorted`` and its
+            validation.
         training:
-            Record the gather for :meth:`backward` and pool into the
-            layer's workspace (the result is overwritten by the next
-            training forward); ``False`` touches neither.
+            As for :meth:`pool`.
         """
         unique_keys = as_keys(unique_keys)
         if emb_values.shape != (unique_keys.size, self.dim):
@@ -143,43 +139,69 @@ class EmbeddingLayer:
                 or np.any(unique_keys[flat_idx] != batch.keys)
             ):
                 raise KeyError("batch references keys missing from unique_keys")
-        bins, per_slot, n = self._slot_of_positions(batch)
+        return self.pool(
+            emb_values, flat_idx, batch.row_lengths(), training=training
+        )
+
+    def pool(
+        self,
+        table: np.ndarray,
+        rows: np.ndarray,
+        lengths: np.ndarray,
+        *,
+        training: bool = True,
+    ) -> np.ndarray:
+        """Pooled features of examples with ``lengths`` flat keys each,
+        whose embeddings are the first ``dim`` columns of ``table[rows]``.
+
+        ``table`` may carry more columns (a parameter server's value rows:
+        embedding, then optimizer state); the embedding columns of a row
+        must be contiguous.  ``training`` records the layout for
+        :meth:`backward` and pools into the layer's workspace (the result
+        is overwritten by the next training pool); ``False`` touches
+        neither.
+        """
+        bins, per_slot = self._slot_of_positions(lengths)
+        n = lengths.size
         n_bins = n * self.n_slots
-        gathered = out = None
         if training:
-            self._cache = (flat_idx, bins, per_slot, unique_keys.size)
-            gathered = self._gathered.rows(
-                (flat_idx.size, self.dim), emb_values.dtype
-            )
-        gathered = np.take(emb_values, flat_idx, axis=0, out=gathered)
+            self._cache = (bins, per_slot)
+        # Each row's embedding as one opaque element, so a gather moves
+        # just those bytes and lands them contiguously.
+        emb = table[:, : self.dim]
+        keyed = emb.view(np.dtype((np.void, emb.itemsize * self.dim)))[:, 0]
         if not per_slot:
-            return _scatter_add(bins, gathered, n_bins, self.dim).reshape(
+            gathered = keyed[rows].view(emb.dtype).reshape(-1, self.dim)
+            return _scatter_add(bins, gathered.T, n_bins).reshape(
                 n, self.out_dim
             )
         # Uniform rows: every (example, slot) bin is ``per_slot``
-        # consecutive gathered rows, so pooling is ``0.0 + g[0] + g[1] +
-        # ...`` per bin — bincount's accumulation order exactly.
-        if training:
-            out = self._pooled.rows((n_bins, self.dim))
-        g3 = gathered.reshape(n_bins, per_slot, self.dim)
-        out = np.add(g3[:, 0], 0.0, out=out, dtype=np.float64)
+        # consecutive flat keys, so pooling is ``0.0 + g[0] + g[1] + ...``
+        # per bin — bincount's accumulation order exactly.  Gathered
+        # slot-major, each ``g[j]`` is one contiguous block.
+        by_slot = np.ascontiguousarray(rows.reshape(n_bins, per_slot).T)
+        g = keyed[by_slot].view(emb.dtype).reshape(per_slot, -1)
+        out = self._pooled.rows((g.shape[1],)) if training else None
+        out = np.add(g[0], 0.0, out=out, dtype=np.float64)
         for j in range(1, per_slot):
-            out += g3[:, j]
+            out += g[j]
         return out.reshape(n, self.out_dim)
 
     def backward(
-        self, grad_features: np.ndarray, unique_keys: np.ndarray
-    ) -> EmbeddingGradient:
-        """Scatter the feature gradient back onto the unique keys."""
+        self, grad_features: np.ndarray, key_idx: np.ndarray, n_keys: int
+    ) -> np.ndarray:
+        """The feature gradient scattered back onto the keys.
+
+        Returns ``(n_keys, dim)`` float64: row ``k`` sums, in flat
+        position order, the gradient of every flat key of the last
+        training pool with ``key_idx[p] == k``.
+        """
         if self._cache is None:
             raise TierStateError("backward called before forward")
-        flat_idx, bins, per_slot, n_unique = self._cache
-        if n_unique != unique_keys.shape[0]:
-            raise ValueError("unique_keys changed between forward and backward")
+        bins, per_slot = self._cache
         g2 = grad_features.reshape(-1, self.dim)
         if per_slot:
             spread = np.repeat(g2, per_slot, axis=0)
         else:
             spread = g2[bins]
-        grads = _scatter_add(flat_idx, spread, n_unique, self.dim)
-        return EmbeddingGradient(as_keys(unique_keys), grads)
+        return _scatter_add(key_idx, spread.T, n_keys)

@@ -8,12 +8,14 @@ parameters vs 10^11 sparse ones), so clarity wins over micro-optimization.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 import numpy as np
 
 from repro.errors import TierStateError
 from repro.utils.rng import spawn
 
-__all__ = ["Dense", "ReLU", "Sigmoid", "MLP", "Workspace"]
+__all__ = ["Dense", "ReLU", "MLP", "Workspace"]
 
 
 class Workspace:
@@ -49,7 +51,7 @@ class Dense:
     array across forwards.
 
     A training ``forward`` / ``backward`` writes into per-layer workspaces:
-    the returned array and :meth:`gradients` are overwritten by the next
+    the returned array and ``dW`` / ``db`` are overwritten by the next
     training call.  ``forward(x, training=False)`` touches no workspace
     and records nothing for ``backward``.
     """
@@ -67,8 +69,13 @@ class Dense:
         self._x: np.ndarray | None = None
         self._out = Workspace()
         self._grad_in = Workspace()
-        self.dW = np.zeros((in_dim, out_dim), dtype=np.float64)
-        self.db = np.zeros(out_dim, dtype=np.float64)
+        self._dW = Workspace()
+        self._db = Workspace()
+        #: per-minibatch weight gradients of the last ``backward``, float64,
+        #: shapes ``(n_minibatches, in_dim, out_dim)`` / ``(n_minibatches,
+        #: out_dim)``
+        self.dW = np.empty((0, in_dim, out_dim))
+        self.db = np.empty((0, out_dim))
 
     @property
     def W(self) -> np.ndarray:
@@ -98,38 +105,51 @@ class Dense:
         y += self.b
         return y
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._x is None:
+    def backward(
+        self, grad_out: np.ndarray, bounds: Sequence[int] | None = None
+    ) -> np.ndarray:
+        """Input gradient of every row; ``dW[w]`` / ``db[w]`` are the
+        weight gradients of minibatch ``w``, rows ``bounds[w]:bounds[w +
+        1]`` (default: one minibatch of every row), each computed on its
+        own rows."""
+        x = self._x
+        if x is None:
             raise TierStateError("backward called before forward")
-        np.matmul(self._x.T, grad_out, out=self.dW)
-        np.add.reduce(grad_out, axis=0, out=self.db)
+        if bounds is None:
+            bounds = (0, x.shape[0])
+        n = len(bounds) - 1
+        self.dW = self._dW.rows((n, *self._W.shape))
+        self.db = self._db.rows((n, self.b.size))
+        for w, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+            np.matmul(x[lo:hi].T, grad_out[lo:hi], out=self.dW[w])
+            np.add.reduce(grad_out[lo:hi], axis=0, out=self.db[w])
         return np.matmul(
-            grad_out,
-            self._weights64()[1],
-            out=self._grad_in.rows(self._x.shape),
+            grad_out, self._weights64()[1], out=self._grad_in.rows(x.shape)
         )
 
     def parameters(self) -> list[np.ndarray]:
         return [self.W, self.b]
 
-    def gradients(self) -> list[np.ndarray]:
-        return [self.dW, self.db]
-
 
 class ReLU:
-    """Elementwise rectifier (workspace contract as :class:`Dense`)."""
+    """Elementwise rectifier.
+
+    A training ``forward`` / ``backward`` writes its result over its
+    input — in the tower, a :class:`Dense` workspace nothing reads
+    afterwards (a Dense layer's backward needs its input, not its
+    output) — so the layer keeps only its mask workspace.
+    ``forward(x, training=False)`` allocates its result.
+    """
 
     def __init__(self) -> None:
         self._mask: np.ndarray | None = None
         self._mask_ws = Workspace()
-        self._out = Workspace()
-        self._grad_in = Workspace()
 
     def forward(self, x: np.ndarray, *, training: bool = True) -> np.ndarray:
         out = None
         if training:
             self._mask = np.greater(x, 0, out=self._mask_ws.rows(x.shape, bool))
-            out = self._out.rows(x.shape)
+            out = x
         # ``where(x > 0, x, 0.0)`` for every input: fmax drops NaN, and
         # adding +0.0 turns the -0.0 it may pass through into +0.0.
         y = np.fmax(x, 0.0, out=out)
@@ -139,30 +159,7 @@ class ReLU:
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._mask is None:
             raise TierStateError("backward called before forward")
-        return np.multiply(
-            grad_out, self._mask, out=self._grad_in.rows(grad_out.shape)
-        )
-
-
-class Sigmoid:
-    """Elementwise logistic function (numerically stable)."""
-
-    def __init__(self) -> None:
-        self._y: np.ndarray | None = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        out = np.empty_like(x, dtype=np.float64)
-        pos = x >= 0
-        out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-        ex = np.exp(x[~pos])
-        out[~pos] = ex / (1.0 + ex)
-        self._y = out
-        return out
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._y is None:
-            raise TierStateError("backward called before forward")
-        return grad_out * self._y * (1.0 - self._y)
+        return np.multiply(grad_out, self._mask, out=grad_out)
 
 
 class MLP:
@@ -185,10 +182,17 @@ class MLP:
             x = layer.forward(x, training=training)
         return x[:, 0]
 
-    def backward(self, grad_logit: np.ndarray) -> np.ndarray:
+    def backward(
+        self, grad_logit: np.ndarray, bounds: Sequence[int] | None = None
+    ) -> np.ndarray:
+        """Input gradient; ``bounds`` cuts the rows into minibatches whose
+        weight gradients :meth:`gradients` reads one by one."""
         g = grad_logit[:, None]
         for layer in reversed(self.layers):
-            g = layer.backward(g)
+            if isinstance(layer, Dense):
+                g = layer.backward(g, bounds)
+            else:
+                g = layer.backward(g)
         return g
 
     def dense_layers(self) -> list[Dense]:
@@ -197,8 +201,10 @@ class MLP:
     def parameters(self) -> list[np.ndarray]:
         return [p for l in self.dense_layers() for p in l.parameters()]
 
-    def gradients(self) -> list[np.ndarray]:
-        return [g for l in self.dense_layers() for g in l.gradients()]
+    def gradients(self, w: int = 0) -> list[np.ndarray]:
+        """Minibatch ``w``'s ``[dW, db, ...]`` from the last backward
+        (workspace views, overwritten by the next one)."""
+        return [g for l in self.dense_layers() for g in (l.dW[w], l.db[w])]
 
     def get_state(self) -> list[np.ndarray]:
         """Copies of all dense parameters (for sync / checkpoint)."""

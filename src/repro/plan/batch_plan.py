@@ -102,10 +102,10 @@ class MinibatchPlan:
     #: size of the node's sync-round key union (gradient-buffer height)
     sync_size: int
     #: positions of the shard's *flat* (per-example) keys inside
-    #: :attr:`keys` — the embedding layer's gather index, precomputed so
-    #: the worker skips a per-minibatch ``searchsorted`` (None when the
-    #: plan builder did not materialize it)
-    emb_idx: np.ndarray | None = None
+    #: :attr:`keys` — where each flat key's gradient lands, precomputed
+    #: so the trainer skips a per-minibatch ``searchsorted``
+    #: (``codes[emb_idx]`` are the flat keys' round-array rows)
+    emb_idx: np.ndarray
 
 
 @dataclass

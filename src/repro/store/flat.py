@@ -19,11 +19,20 @@ __all__ = ["FlatStore"]
 class FlatStore:
     """Unbounded batch-first key→value store over a growable slab."""
 
-    def __init__(self, value_dim: int, *, capacity: int = 1024) -> None:
+    def __init__(
+        self,
+        value_dim: int,
+        *,
+        capacity: int = 1024,
+        key_domain: int | None = None,
+    ) -> None:
+        """``key_domain`` promises keys in ``[0, key_domain)`` (a model's
+        ``n_sparse``): the index then addresses them directly, as every
+        production index does (see :class:`SlotIndex`)."""
         if value_dim <= 0:
             raise ValueError("value_dim must be positive")
         self.value_dim = value_dim
-        self._index = SlotIndex(capacity)
+        self._index = SlotIndex(capacity, key_domain=key_domain)
         self._values = np.zeros((max(1, capacity), value_dim), dtype=np.float32)
         self._n_rows = 0
 

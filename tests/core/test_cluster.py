@@ -126,13 +126,50 @@ class TestLosslessness:
             cluster.lookup_embeddings(probe), ref.embedding_of(probe), atol=1e-5
         )
 
-    def test_dense_replicas_stay_identical(self, tiny_spec, small_config):
-        cluster = HPSCluster(tiny_spec, small_config, functional_batch_size=256)
-        cluster.train(3)
-        states = [n.model.dense_state() for n in cluster.nodes]
-        for s in states[1:]:
-            for a, b in zip(states[0], s):
-                assert np.array_equal(a, b)
+    def test_dense_replicas_stay_identical(
+        self, tiny_spec, small_config, tmp_path
+    ):
+        """Every worker of a sync round trains on the lead's tower, which
+        is right only while each node's replica — weights and optimizer
+        accumulators — is the lead's bit for bit.  Checked after every
+        round: lockstep, pipelined, on a cluster restored from a
+        snapshot, and after the lead itself is rebuilt in place."""
+
+        def replicas_agree(cluster) -> float:
+            lead = cluster.nodes[0]
+            for node in cluster.nodes[1:]:
+                for mine, theirs in zip(
+                    node.model.dense_state() + node.dense_optimizer.get_state(),
+                    lead.model.dense_state() + lead.dense_optimizer.get_state(),
+                ):
+                    assert mine.tobytes() == theirs.tobytes()
+            checked.append(cluster.rounds_completed)
+            return 0.0
+
+        def probed(cluster):
+            cluster.register_stage(
+                "probe", lambda ctx: replicas_agree(cluster), after="train"
+            )
+            return cluster
+
+        for mode in ("lockstep", "pipelined", "restore", "restore_lead"):
+            checked: list[int] = []
+            ckpt = str(tmp_path / mode)
+            cluster = probed(
+                HPSCluster(tiny_spec, small_config, functional_batch_size=256)
+            )
+            if mode == "pipelined":
+                cluster.train_pipelined(3)
+            else:
+                cluster.train(3)
+            if mode == "restore":
+                cluster.save_checkpoint(ckpt)
+                cluster = probed(HPSCluster.restore(ckpt))
+            elif mode == "restore_lead":
+                cluster.save_checkpoint(ckpt)
+                cluster.restore_node(ckpt, 0)
+            cluster.train(3)
+            assert checked == [1, 2, 3, 4, 5, 6], mode
 
 
 def _arrays_under(obj, seen):

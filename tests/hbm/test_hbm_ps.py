@@ -42,22 +42,29 @@ def staged(ps, round_plan):
     return stage
 
 
+def pulled(ps, mb):
+    """The rows a worker's pull reads: the staged round array's at the
+    mini-batch's codes (the trainer gathers them; the pull charges)."""
+    return ps.optimizer.embedding(ps._round().values[mb.codes])
+
+
 class TestLoadPull:
-    def test_pull_returns_embeddings(self, ps, staged):
+    def test_pull_charges_and_copies_nothing(self, ps, staged):
         values = np.arange(20, dtype=np.float32).reshape(10, 2)
         plan = staged([range(10), []], values)
-        emb, t = ps.pull_embeddings(plan.nodes[0].minibatches[0], gpu=0)
-        assert np.array_equal(emb, values)  # SGD: value == embedding
-        assert t > 0
+        mb = plan.nodes[0].minibatches[0]
+        t = ps.pull_embeddings(mb, gpu=0)
+        assert isinstance(t, float) and t > 0
+        assert ps.ledger.total("hbm_pull") > 0
+        assert np.array_equal(pulled(ps, mb), values)  # SGD: value == embedding
 
     def test_pull_gathers_the_workers_own_keys(self, ps, staged):
         values = np.arange(8, dtype=np.float32).reshape(4, 2)
         plan = staged([[4, 1], [5, 1, 0]], values)  # working set: 0 1 4 5
         node = plan.nodes[0]
         assert node.keys.tolist() == [0, 1, 4, 5]
-        emb, _ = ps.pull_embeddings(node.minibatches[1], gpu=1)
         assert node.minibatches[1].keys.tolist() == [0, 1, 5]
-        assert np.array_equal(emb, values[[0, 1, 3]])
+        assert np.array_equal(pulled(ps, node.minibatches[1]), values[[0, 1, 3]])
 
     def test_adagrad_embedding_slice(self, staged):
         opt = SparseAdagrad(2, lr=0.1)
@@ -66,8 +73,7 @@ class TestLoadPull:
             [[1, 2, 10, 20], [3, 4, 30, 40]], dtype=np.float32
         )  # emb + accumulator
         plan = staged([[1, 2], []], values, hbm=ps)
-        emb, _ = ps.pull_embeddings(plan.nodes[0].minibatches[0])
-        assert emb.tolist() == [[1, 2], [3, 4]]
+        assert pulled(ps, plan.nodes[0].minibatches[0]).tolist() == [[1, 2], [3, 4]]
 
     def test_reload_replaces_working_set(self, ps, staged):
         staged([[1], []], np.ones((1, 2), dtype=np.float32))
@@ -91,8 +97,8 @@ class TestLoadPull:
         for ps, node in zip((a, b), plan.nodes):
             ps.load_working_set(values, node)
         values[1] = 5.0
-        emb_a, _ = a.pull_embeddings(plan.nodes[0].minibatches[0])
-        emb_b, _ = b.pull_embeddings(plan.nodes[1].minibatches[0])
+        emb_a = pulled(a, plan.nodes[0].minibatches[0])
+        emb_b = pulled(b, plan.nodes[1].minibatches[0])
         assert emb_a.tolist() == [[0.0, 0.0], [5.0, 5.0]]
         assert emb_b.tolist() == [[5.0, 5.0], [0.0, 0.0]]
 
@@ -185,8 +191,7 @@ class TestApplyUpdate:
         self._apply(values, plan.sync[0], np.ones((2, 2)), ps.optimizer)
         t = ps.apply_update(plan.sync[0].nodes[0])
         assert t > 0
-        emb, _ = ps.pull_embeddings(plan.nodes[0].minibatches[0])
-        assert np.all(emb == -1.0)  # lr=1.0 SGD: 0 - 1*1
+        assert np.all(pulled(ps, plan.nodes[0].minibatches[0]) == -1.0)  # lr=1.0 SGD: 0 - 1*1
 
     def test_missing_keys_reported(self, ps, round_plan):
         """Keys of the global update only another node staged are not
@@ -211,8 +216,7 @@ class TestApplyUpdate:
         solo.load_working_set(np.zeros((1, 2), dtype=np.float32), alone.nodes[0])
         assert t == solo.apply_update(alone.sync[0].nodes[0])
         assert np.all(values == -1.0)
-        emb, _ = ps.pull_embeddings(plan.nodes[0].minibatches[0])
-        assert np.all(emb == -1.0)
+        assert np.all(pulled(ps, plan.nodes[0].minibatches[0]) == -1.0)
 
     def test_empty_update_noop(self, ps, staged):
         plan = staged([[], []])
@@ -228,7 +232,7 @@ class TestApplyUpdate:
         assert plan.sync[0].keys.tolist() == list(range(20))
         grads = np.arange(20, dtype=np.float64).repeat(2).reshape(20, 2)
         self._apply(values, plan.sync[0], grads, ps.optimizer)
-        emb, _ = ps.pull_embeddings(plan.nodes[0].minibatches[0])
+        emb = pulled(ps, plan.nodes[0].minibatches[0])
         assert np.allclose(emb, -grads)  # SGD lr=1
 
 

@@ -8,7 +8,7 @@ from repro.config import ModelSpec
 from repro.data.batching import Batch
 from repro.nn.embedding import EmbeddingLayer
 from repro.nn.loss import bce_with_logits
-from repro.nn.model import CTRModel
+from repro.nn.model import CTRModel, Shard
 from repro.nn.optim import (
     DenseAdagrad,
     DenseSGD,
@@ -74,9 +74,11 @@ class TestEmbeddingBackward:
         batch = make_batch([[1, 2], [2]])
         uniq = np.array([1, 2], dtype=np.uint64)
         layer.forward(batch, uniq, np.zeros((2, 1), np.float32))
-        grad = layer.backward(np.array([[1.0], [10.0]]), uniq)
+        grad = layer.backward(
+            np.array([[1.0], [10.0]]), uniq.searchsorted(batch.keys), uniq.size
+        )
         # key1 appears in row0; key2 in rows 0 and 1.
-        assert grad.grads[:, 0].tolist() == [1.0, 11.0]
+        assert grad[:, 0].tolist() == [1.0, 11.0]
 
     def test_numerical_gradient(self):
         rng = np.random.default_rng(0)
@@ -87,13 +89,13 @@ class TestEmbeddingBackward:
 
         def loss_of(e):
             out = layer.forward(batch, uniq, e.astype(np.float32))
-            loss, _, _ = bce_with_logits(out.sum(axis=1), batch.labels)
+            (loss,), _, _ = bce_with_logits(out.sum(axis=1), batch.labels)
             return loss
 
         out = layer.forward(batch, uniq, emb)
-        loss, _, gl = bce_with_logits(out.sum(axis=1), batch.labels)
+        _, _, gl = bce_with_logits(out.sum(axis=1), batch.labels)
         grad_feats = np.repeat(gl[:, None], out.shape[1], axis=1)
-        sg = layer.backward(grad_feats, uniq)
+        sg = layer.backward(grad_feats, uniq.searchsorted(batch.keys), uniq.size)
         eps = 1e-4
         for i, j in [(0, 0), (3, 1)]:
             ep = emb.copy()
@@ -101,12 +103,12 @@ class TestEmbeddingBackward:
             em = emb.copy()
             em[i, j] -= eps
             numeric = (loss_of(ep) - loss_of(em)) / (2 * eps)
-            assert sg.grads[i, j] == pytest.approx(numeric, rel=1e-2, abs=1e-6)
+            assert sg[i, j] == pytest.approx(numeric, rel=1e-2, abs=1e-6)
 
     def test_backward_before_forward(self):
         layer = EmbeddingLayer(1, 1)
         with pytest.raises(RuntimeError):
-            layer.backward(np.zeros((1, 1)), np.array([1], dtype=np.uint64))
+            layer.backward(np.zeros((1, 1)), np.zeros(1, dtype=np.int64), 1)
 
 
 class TestSparseOptimizers:
@@ -199,12 +201,14 @@ class TestCTRModel:
     def test_train_minibatch_returns_sparse_grads(self, spec):
         model = CTRModel(spec, seed=0)
         batch = make_batch([[0, 1, 2, 3]], labels=[1])
-        uniq = np.array([0, 1, 2, 3], dtype=np.uint64)
         emb = np.zeros((4, 2), dtype=np.float32)
-        result = model.train_minibatch(batch, uniq, emb)
+        (result,) = model.train_minibatch(emb, [Shard.of(batch)])
         assert result.sparse_grad.keys.tolist() == [0, 1, 2, 3]
         assert result.sparse_grad.grads.shape == (4, 2)
         assert result.loss > 0
+        assert [g.shape for g in result.dense_grads] == [
+            p.shape for p in model.mlp.parameters()
+        ]
 
     def test_training_reduces_loss(self, spec):
         from repro.data.generator import CTRDataGenerator
@@ -228,15 +232,15 @@ class TestCTRModel:
         batch = gen.batch(0, 256)
         losses = []
         for _ in range(30):
-            uniq = batch.unique_keys()
-            values = fetch(uniq)
-            res = model.train_minibatch(batch, uniq, sparse_opt.embedding(values))
+            shard = Shard.of(batch)
+            values = fetch(shard.keys)
+            (res,) = model.train_minibatch(values, [shard])
             new_vals = sparse_opt.apply(values, res.sparse_grad.grads)
-            for i, k in enumerate(uniq):
+            for i, k in enumerate(shard.keys):
                 store[int(k)] = new_vals[i]
             dense_opt.step(
                 model.mlp.parameters(),
-                [g.astype(np.float32) for g in model.mlp.gradients()],
+                [g.astype(np.float32) for g in res.dense_grads],
             )
             losses.append(res.loss)
         assert losses[-1] < losses[0] * 0.8

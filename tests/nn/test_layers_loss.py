@@ -4,7 +4,8 @@ gradient checks, the ground truth for all backward passes."""
 import numpy as np
 import pytest
 
-from repro.nn.layers import MLP, Dense, ReLU, Sigmoid
+from nn_oracles import masked_sigmoid, oracle_bce
+from repro.nn.layers import MLP, Dense, ReLU
 from repro.nn.loss import bce_with_logits, sigmoid
 
 
@@ -37,7 +38,7 @@ class TestDense:
             down = loss_fn()
             d.W[idx] = orig
             numeric = (up - down) / (2 * eps)
-            assert d.dW[idx] == pytest.approx(numeric, rel=1e-2)
+            assert d.dW[0][idx] == pytest.approx(numeric, rel=1e-2)
 
     def test_gradient_check_input(self):
         rng = np.random.default_rng(0)
@@ -69,18 +70,6 @@ class TestActivations:
         grad = r.backward(np.array([1.0, 1.0]))
         assert grad.tolist() == [0.0, 1.0]
 
-    def test_sigmoid_stable_extremes(self):
-        s = Sigmoid()
-        out = s.forward(np.array([-1000.0, 0.0, 1000.0]))
-        assert np.all(np.isfinite(out))
-        assert out[1] == pytest.approx(0.5)
-
-    def test_sigmoid_gradient(self):
-        s = Sigmoid()
-        y = s.forward(np.array([0.3]))
-        g = s.backward(np.array([1.0]))
-        assert g[0] == pytest.approx(float(y[0] * (1 - y[0])))
-
 
 class TestMLP:
     def test_output_shape(self):
@@ -95,10 +84,10 @@ class TestMLP:
         labels = rng.integers(0, 2, 6).astype(np.float64)
 
         def total_loss():
-            loss, _, _ = bce_with_logits(mlp.forward(x), labels)
+            (loss,), _, _ = bce_with_logits(mlp.forward(x), labels)
             return loss
 
-        loss, _, grad_logit = bce_with_logits(mlp.forward(x), labels)
+        _, _, grad_logit = bce_with_logits(mlp.forward(x), labels)
         mlp.backward(grad_logit)
         eps = 1e-5
         for layer in mlp.dense_layers():
@@ -111,7 +100,7 @@ class TestMLP:
             layer.W[idx] = orig
             numeric = (up - down) / (2 * eps)
             # float32 weights bound the attainable agreement.
-            assert layer.dW[idx] == pytest.approx(numeric, rel=5e-3, abs=1e-7)
+            assert layer.dW[0][idx] == pytest.approx(numeric, rel=5e-3, abs=1e-7)
 
     def test_state_roundtrip(self):
         a = MLP(3, (4,), seed=0)
@@ -135,7 +124,9 @@ class TestBCE:
         assert np.allclose(grad, (p - labels) / 2)
 
     def test_stable_at_extreme_logits(self):
-        loss, p, grad = bce_with_logits(np.array([1000.0, -1000.0]), np.array([1.0, 0.0]))
+        (loss,), p, grad = bce_with_logits(
+            np.array([1000.0, -1000.0]), np.array([1.0, 0.0])
+        )
         assert np.isfinite(loss)
         assert loss < 1e-6
 
@@ -147,3 +138,44 @@ class TestBCE:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             bce_with_logits(np.array([]), np.array([]))
+        with pytest.raises(ValueError, match="empty"):
+            bce_with_logits(np.zeros(3), np.zeros(3), [0, 2, 2, 3])
+
+    def test_slices_are_their_own_minibatches(self):
+        """Each slice's loss and gradient are bit-equal to the slice's
+        own one-minibatch loss (its mean, divided by its own size)."""
+        rng = np.random.default_rng(4)
+        logits = rng.normal(scale=4.0, size=101)
+        labels = (rng.random(101) < 0.3).astype(np.float32)
+        bounds = [0, 1, 40, 41, 101]
+        losses, p, grad = bce_with_logits(logits, labels, bounds)
+        assert np.array_equal(p, masked_sigmoid(logits))
+        for w, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+            want_loss, want_grad = oracle_bce(logits[lo:hi], labels[lo:hi])
+            assert losses[w] == want_loss
+            assert np.array_equal(grad[lo:hi], want_grad)
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
+
+
+class TestSigmoid:
+    """``loss.sigmoid`` is branch-free and bitwise the two-branch form."""
+
+    SPECIAL = [0.0, -0.0, 1.0, -1.0, 1000.0, -1000.0, np.inf, -np.inf,
+               np.nan, -np.nan, 5e-324, -5e-324, 709.8, -745.2]
+
+    def test_bitwise_equal_on_special_values(self):
+        x = np.array(self.SPECIAL)
+        assert np.array_equal(_bits(sigmoid(x)), _bits(masked_sigmoid(x)))
+
+    def test_bitwise_equal_on_random_logits(self):
+        rng = np.random.default_rng(9)
+        for scale in (1e-3, 1.0, 30.0, 800.0):
+            x = rng.normal(scale=scale, size=20_000)
+            assert np.array_equal(_bits(sigmoid(x)), _bits(masked_sigmoid(x)))
+
+    def test_stable_extremes(self):
+        out = sigmoid(np.array([-1000.0, 0.0, 1000.0]))
+        assert out.tolist() == [0.0, 0.5, 1.0]

@@ -4,7 +4,10 @@ The ``Dense`` / ``ReLU`` / embedding forward+backward exactly as they were
 before the per-layer workspaces: every call allocates its result, the
 float32 weights are cast implicitly by each matmul, and slot pooling goes
 through ``np.bincount``.  ``tests/nn/test_tower_parity.py`` holds the
-workspace tower to these bit for bit.
+workspace tower to these bit for bit.  :func:`oracle_step` is one
+worker's minibatch step on its own — with the two-branch sigmoid and the
+one-minibatch loss — the per-worker oracle the one-pass
+``CTRModel.train_minibatch`` is held to.
 """
 
 from __future__ import annotations
@@ -104,3 +107,41 @@ class OracleEmbedding:
         flat_idx, rows, slots, n_unique = self._cache
         g3 = grad_features.reshape(-1, self.n_slots, self.dim)
         return scatter_add(flat_idx, g3[rows, slots], n_unique, self.dim)
+
+
+def masked_sigmoid(x):
+    """The two-branch logistic function ``repro.nn.loss.sigmoid`` replaced:
+    each sign's stable form evaluated on its own masked half."""
+    out = np.empty_like(x, dtype=np.float64)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def oracle_bce(logits, labels):
+    """One minibatch's ``(loss, d loss / d logit)`` as computed before the
+    loss took slice bounds."""
+    labels = np.asarray(labels, dtype=np.float64)
+    p = masked_sigmoid(logits)
+    loss = float(
+        np.mean(
+            np.maximum(logits, 0)
+            - logits * labels
+            + np.log1p(np.exp(-np.abs(logits)))
+        )
+    )
+    return loss, (p - labels) / logits.size
+
+
+def oracle_step(model, batch, keys, emb):
+    """One worker's minibatch on its own, as separate per-worker calls
+    computed it: ``(loss, sparse grads over keys, [dW, db, ...])`` through
+    the allocate-everything tower mirroring ``model``'s parameters."""
+    o_emb = OracleEmbedding(model.spec.n_slots, model.spec.embedding_dim)
+    o_mlp = OracleMLP(model.mlp)
+    logits = o_mlp.forward(o_emb.forward(batch, keys, emb))
+    loss, grad_logit = oracle_bce(logits, batch.labels)
+    sparse = o_emb.backward(o_mlp.backward(grad_logit))
+    return loss, sparse, o_mlp.gradients()

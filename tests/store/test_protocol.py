@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from hbm_oracles import DistributedHashTable, HashTable
+from repro.core.trainer import ReferenceTrainer
 from repro.store import FlatStore
 
 BATCH_SURFACE = ("get_batch", "put_batch", "contains", "transform", "items")
@@ -33,6 +34,9 @@ ALL_STORES = [
     lambda: FlatStore(2, capacity=2),
     lambda: HashTable(3, 2),
     lambda: FlatStore(2),
+    # direct-addressed, as the reference trainer builds it
+    lambda: FlatStore(2, key_domain=128),
+    lambda: FlatStore(2, capacity=2, key_domain=128),
 ]
 
 
@@ -86,6 +90,19 @@ def test_transform_absent_raises(make):
 
 
 class TestFlatStore:
+    def test_key_domain_addresses_directly(self):
+        assert FlatStore(2, key_domain=128)._index.hash_free
+        assert not FlatStore(2)._index.hash_free
+
+    def test_reference_store_is_direct_addressed(self, tiny_spec, small_config):
+        """``ReferenceTrainer`` hands its store the spec's ``n_sparse``, so
+        its index addresses keys directly like every production index."""
+        ref = ReferenceTrainer(tiny_spec, small_config, functional_batch_size=64)
+        ref.train_round()
+        assert ref._store._index.hash_free
+        keys, _ = ref._store.items()
+        assert keys.size and np.all(keys[:-1] < keys[1:])
+
     def test_grows_unbounded(self):
         store = FlatStore(3, capacity=4)
         n = 10_000
