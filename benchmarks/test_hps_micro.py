@@ -2,7 +2,9 @@
 
 ``benchmarks/hps/micro.py`` is frozen, and ``src/`` keeps a few
 signatures alive only for it (``CombinedCache.get_batch``,
-``put_batch(assume_unique=)``, ``build_round_plan(prefetch=)``).  Nothing
+``put_batch(assume_unique=)``, ``build_round_plan(prefetch=)``, and
+``SlotIndex``'s ignored constructor argument and its ``locate`` /
+``install`` wrappers over ``get`` / ``set``).  Nothing
 else executes it, so this runs it: if a rename in ``src/`` breaks a
 kernel, tier-1 says so — and when benchmark v2 drops the shims, this file
 names what they were for.  No timing is asserted.

@@ -75,7 +75,7 @@ from repro.core.pipeline import (
 from repro.nn.model import Shard
 from repro.nn.optim import DenseAdagrad, SparseAdagrad, SparseOptimizer
 from repro.plan import RoundPlan, build_round_plan
-from repro.utils.keys import as_keys, compact_unique
+from repro.utils.keys import as_keys, check_key_cap, compact_unique
 
 if TYPE_CHECKING:
     from repro.ckpt.checkpoint import CheckpointStats
@@ -430,6 +430,10 @@ class HPSCluster:
         zipf_exponent: float = 1.05,
         ssd_directory: str | None = None,
     ) -> None:
+        check_key_cap(
+            model_spec.n_sparse - 1,
+            f"model {model_spec.name!r} (n_sparse={model_spec.n_sparse})",
+        )
         self.model_spec = model_spec
         self.config = cluster_config
         self.sparse_optimizer = sparse_optimizer or SparseAdagrad(

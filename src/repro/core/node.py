@@ -8,8 +8,6 @@ Algorithm 1 across them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.config import ClusterConfig, ModelSpec
 from repro.data.generator import CTRDataGenerator
 from repro.data.hdfs import HDFSStream
@@ -62,7 +60,6 @@ class HPSNode:
             stale_fraction=cfg.compaction_stale_fraction,
             directory=ssd_directory,
             ledger=self.ledger,
-            key_domain=model_spec.n_sparse,
         )
         self.mem_ps = MemPS(
             node_id,
@@ -74,7 +71,6 @@ class HPSNode:
             network=self.network,
             ledger=self.ledger,
             seed=cfg.seed,
-            key_domain=model_spec.n_sparse,
         )
         self.hbm_ps = HBMPS(
             cfg.gpus_per_node,

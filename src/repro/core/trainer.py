@@ -25,7 +25,7 @@ from repro.nn.metrics import auc
 from repro.nn.model import CTRModel, Shard
 from repro.nn.optim import DenseAdagrad, SparseAdagrad, SparseOptimizer
 from repro.store.flat import FlatStore
-from repro.utils.keys import as_keys, compact_unique
+from repro.utils.keys import as_keys, check_key_cap, compact_unique
 from repro.utils.rng import derive_seed
 
 __all__ = ["Trainer", "TrainingHistory", "ReferenceTrainer"]
@@ -113,6 +113,10 @@ class ReferenceTrainer:
         functional_batch_size: int = 4096,
         zipf_exponent: float = 1.05,
     ) -> None:
+        check_key_cap(
+            model_spec.n_sparse - 1,
+            f"model {model_spec.name!r} (n_sparse={model_spec.n_sparse})",
+        )
         self.model_spec = model_spec
         self.config = cluster_config
         self.optimizer = sparse_optimizer or SparseAdagrad(
@@ -128,9 +132,7 @@ class ReferenceTrainer:
             model_spec, seed=derive_seed(cluster_config.seed, "dense")
         )
         self.dense_optimizer = DenseAdagrad(lr=0.05)
-        self._store = FlatStore(
-            self.optimizer.value_dim, key_domain=model_spec.n_sparse
-        )
+        self._store = FlatStore(self.optimizer.value_dim)
         self._init_seed = cluster_config.seed
         self.rounds_completed = 0
 

@@ -3,7 +3,7 @@
 
 from __future__ import annotations
 
-__all__ = ["TierStateError"]
+__all__ = ["TierStateError", "KeyDomainError"]
 
 
 class TierStateError(RuntimeError):
@@ -11,3 +11,9 @@ class TierStateError(RuntimeError):
     a tier too small to hold it: an ``HBMPS`` op before
     ``load_working_set`` or past its capacity, a ``MemPS`` op outside a
     resolved round, a layer's ``backward`` before its ``forward``."""
+
+
+class KeyDomainError(ValueError):
+    """A key, or a model's ``n_sparse``, outside the key domain the
+    direct-addressed store index serves
+    (:data:`repro.utils.keys.KEY_DOMAIN_CAP`)."""

@@ -11,14 +11,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.utils.keys import KEY_DTYPE, as_keys, mix_hash
+from repro.utils.keys import KEY_DOMAIN_CAP, KEY_DTYPE, as_keys, mix_hash
 
 __all__ = ["ModuloPartitioner", "partition_arrays", "bucket_order"]
-
-#: Largest key domain served by the memoized bucket table (mirrors the
-#: dense caps in :mod:`repro.store.slot_index` and :mod:`repro.utils.keys`).
-#: Compact domains pay the hashed modulo once per key ever, then gather.
-_PART_TABLE_CAP = 1 << 22
 
 
 def bucket_order(parts: np.ndarray, n_parts: int) -> tuple[np.ndarray, np.ndarray]:
@@ -70,7 +65,9 @@ class ModuloPartitioner:
             return (keys % np.uint64(self.n_parts)).astype(np.int64)
         if keys.size:
             mx = int(keys.max())
-            if mx < _PART_TABLE_CAP:
+            # Compact domains pay the hashed modulo once per key ever,
+            # then gather from a memoized bucket table.
+            if mx < KEY_DOMAIN_CAP:
                 tab = self._table
                 if tab is not None and tab.size > mx:
                     return tab[keys.astype(np.int64)]

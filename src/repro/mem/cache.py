@@ -22,7 +22,7 @@ Promotion and demotion are pure policy events and rewrite that metadata
 only: **a resident key's row never moves** — from the insert that
 admitted it to the flush that evicts it, across any number of
 promotions and demotions — and the index is written only where the key
-*set* changes (one ``install`` for an insert's keys, one ``remove`` for
+*set* changes (one ``set`` for an insert's keys, one ``remove`` for
 the rows it flushes).
 
 :class:`CombinedCache` serves exactly the traffic its one caller,
@@ -77,7 +77,13 @@ import numpy as np
 
 from repro.errors import TierStateError
 from repro.store.slot_index import SlotIndex
-from repro.utils.keys import EMPTY_KEY, KEY_DTYPE, TOMBSTONE_KEY, as_keys, mix_hash
+from repro.utils.keys import (
+    EMPTY_KEY,
+    KEY_DTYPE,
+    all_unique,
+    as_keys,
+    check_key_cap,
+)
 
 __all__ = ["CombinedCache", "CacheStats"]
 
@@ -206,7 +212,6 @@ class CombinedCache:
         *,
         lru_fraction: float = 0.5,
         value_dim: int = 1,
-        key_domain: int | None = None,
     ) -> None:
         if capacity < 2:
             raise ValueError("combined cache needs capacity >= 2")
@@ -214,7 +219,6 @@ class CombinedCache:
             raise ValueError("lru_fraction must be in (0, 1)")
         if value_dim <= 0:
             raise ValueError("value_dim must be positive")
-        self.key_domain = key_domain
         self.value_dim = value_dim
         self.stats = CacheStats()
         #: rows the LRU tier may hold (pins live here) / the LFU tier may hold
@@ -228,7 +232,7 @@ class CombinedCache:
     def _reset(self) -> None:
         """Empty slab: every row free, every order field ``_FAR``."""
         rows = self.capacity
-        self._index = SlotIndex(rows, key_domain=self.key_domain)
+        self._index = SlotIndex()
         self._keys = np.full(rows, EMPTY_KEY, dtype=KEY_DTYPE)
         self._values = np.zeros((rows, self.value_dim), dtype=np.float32)
         self._tick = np.full(rows, _FAR, dtype=np.int64)  # LRU recency
@@ -422,7 +426,8 @@ class CombinedCache:
         ``rows[i]`` is the row ``keys[i]`` landed in, -1 for a spilled
         key (one that survives LFU admission is resident, in an LFU row
         it is not told).  A pinned batch cannot spill and raises
-        :class:`~repro.errors.TierStateError`, cache untouched.
+        :class:`~repro.errors.TierStateError`, cache untouched; so does a
+        resident key, and a repeated key raises ``ValueError``.
 
         ``assume_unique`` is accepted and ignored (keys are always
         unique) only because the frozen ``benchmarks/hps/micro.py``
@@ -435,12 +440,10 @@ class CombinedCache:
         n = keys.size
         if n == 0:
             return (*_empty_pairs(self.value_dim), _NO_SLOTS.copy())
+        if not all_unique(keys):
+            raise ValueError("put_batch requires unique keys")
         index = self._index
-        # The probe's empty terminals are the install's hints (removals
-        # in between only leave tombstones); hashes ride along for keys
-        # whose hint is lost.  Direct-addressed, neither is ever read.
-        hashes = None if index.hash_free else mix_hash(keys)
-        at, resident, hints = index.locate(keys, hashes)
+        at, resident = index.get(keys)
         if resident.any():
             row = at[resident][0]
             tier = "LRU" if self._tick[row] < _FAR else "LFU"
@@ -508,9 +511,7 @@ class CombinedCache:
         if n_spill:
             entering = np.ones(n, dtype=bool)
             entering[:n_spill] = ~taken_d[nv:]
-            keys, vals, hints = keys[entering], vals[entering], hints[entering]
-            if hashes is not None:
-                hashes = hashes[entering]
+            keys, vals = keys[entering], vals[entering]
         new = self._alloc(keys.size)
         n_spilled = new.size - ticks.size
         spilled, landed = new[:n_spilled], new[n_spilled:]
@@ -522,7 +523,7 @@ class CombinedCache:
         self._ftick[spilled] = entry_ticks[stay.size :]
         self._tick[landed] = ticks
         self._pinned[landed] = pin
-        index.install(keys, new, hints, hashes)
+        index.set(keys, new)
         self.n_lru += landed.size - nv
         self.n_lfu += overflow - fkeys.size
         self.stats.admission_runs += 1
@@ -648,10 +649,8 @@ class CombinedCache:
                 f"cache snapshot holds key {int(all_keys[repeat[0]])} more "
                 "than once — a resident key sits in one row of one tier"
             )
-        if all_keys.size and all_keys[-1] >= TOMBSTONE_KEY:
-            raise ValueError(
-                "cache snapshot holds a reserved sentinel key (>= 2**64 - 2)"
-            )
+        if all_keys.size:
+            check_key_cap(int(all_keys[-1]), "cache snapshot")
         return tiers
 
     def load_state(self, state: dict[str, np.ndarray]) -> None:
@@ -676,7 +675,7 @@ class CombinedCache:
         self._tick[lru] = self._ticks(lru.size)
         self._count[lfu] = lfu_freqs
         self._to_lfu(lfu, self._ticks(lfu.size))
-        self._index.insert_absent(keys, new)
+        self._index.set(keys, new)
         self.n_lru, self.n_lfu = lru.size, lfu.size
         self.stats.hits = int(state["hits"])
         self.stats.misses = int(state["misses"])
@@ -742,8 +741,8 @@ class CombinedCache:
         """
         base_keys = np.concatenate([as_keys(base["lru_keys"]), as_keys(base["lfu_keys"])])
         base_values = np.concatenate([base["lru_values"], base["lfu_values"]])
-        index = SlotIndex(base_keys.size, key_domain=self.key_domain)
-        index.insert_absent(base_keys, np.arange(base_keys.size))
+        index = SlotIndex()
+        index.set(base_keys, np.arange(base_keys.size))
         state: dict[str, np.ndarray] = {}
         for tier, meta in (("lru", "lru_counts"), ("lfu", "lfu_freqs")):
             keys = as_keys(delta[f"{tier}_keys"])

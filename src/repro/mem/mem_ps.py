@@ -82,7 +82,6 @@ class MemPS:
         network: Network | None = None,
         ledger: CostLedger | None = None,
         seed: int = 0,
-        key_domain: int | None = None,
     ) -> None:
         if not 0 <= node_id < n_nodes:
             raise ValueError("node_id out of range")
@@ -97,7 +96,6 @@ class MemPS:
             cache_capacity,
             lru_fraction=lru_fraction,
             value_dim=optimizer.value_dim,
-            key_domain=key_domain,
         )
         self._rng = spawn(seed, "mem_ps", node_id)
         #: per-key init seed — identical on every node so a key initializes

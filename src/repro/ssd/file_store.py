@@ -43,7 +43,7 @@ from repro.hardware.ssd_device import SSDDevice
 from repro.ssd.extent_cache import FileHandleCache
 from repro.store.slot_index import SlotIndex
 from repro.utils.io import atomic_write_bytes
-from repro.utils.keys import KEY_DTYPE, as_keys, compact_unique
+from repro.utils.keys import KEY_DTYPE, as_keys, check_key_cap, compact_unique
 
 __all__ = ["FileStore", "ParameterFile", "ReadResult"]
 
@@ -115,7 +115,6 @@ class FileStore:
         directory: str | None = None,
         ledger: CostLedger | None = None,
         extent_cache_files: int = 0,
-        key_domain: int | None = None,
     ) -> None:
         if value_dim <= 0:
             raise ValueError("value_dim must be positive")
@@ -136,9 +135,8 @@ class FileStore:
         self.directory = directory
         if directory is not None:
             os.makedirs(directory, exist_ok=True)
-        self._key_domain = key_domain
         #: vectorized key -> row locator (``slot * file_capacity + row``)
-        self._mapping = SlotIndex(1024, key_domain=key_domain)
+        self._mapping = SlotIndex()
         self._reset_files()
         self._next_file_id = 0
         #: the delta base (:meth:`mark_snapshot`): ``(next file id, live
@@ -384,6 +382,7 @@ class FileStore:
         keys = keys[order]
         if n > 1 and bool((keys[1:] == keys[:-1]).any()):
             raise ValueError("write requires unique keys")
+        check_key_cap(int(keys[-1]), "FileStore.write")
         cap = self.file_capacity
         n_new = -(-n // cap)
         offsets = np.minimum(np.arange(n_new + 1, dtype=np.int64) * cap, n)
@@ -464,9 +463,8 @@ class FileStore:
     def items(self) -> tuple[np.ndarray, np.ndarray]:
         """All live ``(keys, values)``, sorted by key (no I/O charged)."""
         keys, locs = self._mapping.items()
-        order = keys.argsort()
-        slots, rows = np.divmod(locs[order], self.file_capacity)
-        return keys[order], self._gather(slots, rows)
+        slots, rows = np.divmod(locs, self.file_capacity)
+        return keys, self._gather(slots, rows)
 
     def _live(self, slots: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(key, slot, row)`` of every row of the files in ``slots`` the
@@ -549,10 +547,8 @@ class FileStore:
         cross-check it against the files and their stale counters.
         """
         out = self._pack_files(self._live_slots())
-        map_keys, locs = self._mapping.items()
-        order = map_keys.argsort()
-        out["map_keys"] = map_keys[order]
-        out["map_fids"] = self._slot_fid[locs[order] // self.file_capacity]
+        out["map_keys"], locs = self._mapping.items()
+        out["map_fids"] = self._slot_fid[locs // self.file_capacity]
         out["next_file_id"] = np.int64(self._next_file_id)
         self._pack_extent_cache(out)
         return out
@@ -701,7 +697,7 @@ class FileStore:
         for fid in list(self._slot_of):
             self.erase(fid)
         self._reset_files()
-        self._mapping = SlotIndex(max(1024, map_keys.size), key_domain=self._key_domain)
+        self._mapping = SlotIndex()
         self._mark = None  # a load: unmarked until its reader marks it
         slots = self._append_files(*files)
         self._mapping.set(map_keys, slots[file_index] * self.file_capacity + row)
@@ -803,7 +799,10 @@ def _unpack(state: dict[str, np.ndarray], what: str, value_dim: int) -> tuple:
     if not np.isin(map_fids, fids).all():
         raise ValueError(f"file-store {what} maps keys to unknown files")
     files = (fids, offsets, file_keys, file_values, stale)
-    return files, _resolve_mapping(map_keys, map_fids, fids, offsets, file_keys, what)
+    mapping = _resolve_mapping(map_keys, map_fids, fids, offsets, file_keys, what)
+    if mapping[0].size:
+        check_key_cap(int(mapping[0][-1]), f"file-store {what} mapping")
+    return files, mapping
 
 
 def _resolve_mapping(

@@ -51,7 +51,6 @@ class SSDPS:
         directory: str | None = None,
         ledger: CostLedger | None = None,
         extent_cache_files: int = 0,
-        key_domain: int | None = None,
     ) -> None:
         self.ledger = ledger if ledger is not None else CostLedger()
         self.store = FileStore(
@@ -61,7 +60,6 @@ class SSDPS:
             directory=directory,
             ledger=self.ledger,
             extent_cache_files=extent_cache_files,
-            key_domain=key_domain,
         )
         self.compactor = Compactor(
             self.store,

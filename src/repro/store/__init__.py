@@ -1,6 +1,6 @@
 """Vectorized key→value building blocks.
 
-:class:`SlotIndex` is the open-addressing key→row index the MEM cache
+:class:`SlotIndex` is the direct-addressed key→row index the MEM cache
 and the SSD file store probe; :class:`FlatStore` is the reference
 trainer's unbounded in-memory store.
 """

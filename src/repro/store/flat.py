@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.store.slot_index import SlotIndex
-from repro.utils.keys import as_keys
+from repro.utils.keys import all_unique, as_keys
 
 __all__ = ["FlatStore"]
 
@@ -19,20 +19,11 @@ __all__ = ["FlatStore"]
 class FlatStore:
     """Unbounded batch-first key→value store over a growable slab."""
 
-    def __init__(
-        self,
-        value_dim: int,
-        *,
-        capacity: int = 1024,
-        key_domain: int | None = None,
-    ) -> None:
-        """``key_domain`` promises keys in ``[0, key_domain)`` (a model's
-        ``n_sparse``): the index then addresses them directly, as every
-        production index does (see :class:`SlotIndex`)."""
+    def __init__(self, value_dim: int, *, capacity: int = 1024) -> None:
         if value_dim <= 0:
             raise ValueError("value_dim must be positive")
         self.value_dim = value_dim
-        self._index = SlotIndex(capacity, key_domain=key_domain)
+        self._index = SlotIndex()
         self._values = np.zeros((max(1, capacity), value_dim), dtype=np.float32)
         self._n_rows = 0
 
@@ -61,11 +52,14 @@ class FlatStore:
     def put_batch(
         self, keys: np.ndarray, values: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Upsert unique ``keys``; never evicts (returns empty flushes)."""
+        """Upsert unique ``keys``; never evicts (returns empty flushes).
+        A repeated key raises ``ValueError``, store untouched."""
         keys = as_keys(keys)
         values = np.asarray(values, dtype=np.float32)
         if values.shape != (keys.size, self.value_dim):
             raise ValueError("values shape mismatch")
+        if not all_unique(keys):
+            raise ValueError("put_batch requires unique keys")
         if keys.size == 0:
             return as_keys([]), np.zeros((0, self.value_dim), dtype=np.float32)
         slots, found = self._index.get(keys)
@@ -99,5 +93,4 @@ class FlatStore:
     def items(self) -> tuple[np.ndarray, np.ndarray]:
         """All resident ``(keys, values)``, sorted by key."""
         keys, slots = self._index.items()
-        order = np.argsort(keys)
-        return keys[order], self._values[slots[order]].copy()
+        return keys, self._values[slots]

@@ -9,27 +9,33 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.errors import KeyDomainError
+
 __all__ = [
     "KEY_DTYPE",
     "EMPTY_KEY",
-    "TOMBSTONE_KEY",
+    "KEY_DOMAIN_CAP",
     "as_keys",
     "all_unique",
     "splitmix64",
     "mix_hash",
     "unique_keys",
+    "check_key_cap",
 ]
 
 KEY_DTYPE = np.uint64
 
-#: Sentinel stored in empty hash-table slots.  ``2**64 - 1`` is never a valid
-#: feature id in any of the generators (they draw from ``[0, n_sparse)``).
+#: Sentinel stored in empty hash-table slots and free cache rows.
+#: ``2**64 - 1`` is never a valid feature id in any of the generators
+#: (they draw from ``[0, n_sparse)``).
 EMPTY_KEY = np.uint64(0xFFFFFFFFFFFFFFFF)
 
-#: Sentinel marking deleted slots in indices that support removal (the
-#: batch-first :mod:`repro.store` layer).  Like :data:`EMPTY_KEY`, it is
-#: reserved: feature ids never reach ``2**64 - 2``.
-TOMBSTONE_KEY = np.uint64(0xFFFFFFFFFFFFFFFE)
+#: The compact key domain ``[0, KEY_DOMAIN_CAP)``.  The store index
+#: (:class:`~repro.store.SlotIndex`) addresses keys directly inside it —
+#: one int64 per possible key, 32 MiB at the cap — and refuses keys past
+#: it; :func:`compact_unique` and the partitioner's bucket table switch to
+#: sort / hash paths at it.
+KEY_DOMAIN_CAP = 1 << 22
 
 _U64 = np.uint64
 
@@ -88,20 +94,15 @@ def all_unique(keys: np.ndarray) -> bool:
     """
     if keys.size <= 1:
         return True
-    if bool(np.all(keys[1:] > keys[:-1])):
+    if bool((keys[1:] > keys[:-1]).all()):
         return True
     return np.unique(keys).size == keys.size
-
-
-#: Largest key domain deduplicated by scatter instead of sort (mirrors
-#: the store index's :data:`~repro.store.slot_index.DENSE_DOMAIN_CAP`).
-_COMPACT_DOMAIN_CAP = 1 << 22
 
 
 def compact_unique(keys: np.ndarray, *, return_inverse: bool = False):
     """``np.unique`` — sorted dedup, optional inverse — for key arrays.
 
-    Compact key domains (max key below :data:`_COMPACT_DOMAIN_CAP`, e.g.
+    Compact key domains (max key below :data:`KEY_DOMAIN_CAP`, e.g.
     the functional models' ``[0, n_sparse)`` ids) dedup via one boolean
     scatter over the domain instead of the O(n log n) sort/hash; results
     are identical.  Larger domains fall back to ``np.unique``.
@@ -110,7 +111,7 @@ def compact_unique(keys: np.ndarray, *, return_inverse: bool = False):
         empty = keys[:0].copy()
         return (empty, np.empty(0, dtype=np.int64)) if return_inverse else empty
     mx = int(keys.max())
-    if mx >= _COMPACT_DOMAIN_CAP:
+    if mx >= KEY_DOMAIN_CAP:
         if return_inverse:
             return np.unique(keys, return_inverse=True)
         return np.unique(keys)
@@ -136,3 +137,13 @@ def unique_keys(*key_arrays: np.ndarray) -> np.ndarray:
     if not non_empty:
         return np.empty(0, dtype=KEY_DTYPE)
     return compact_unique(np.concatenate(non_empty))
+
+
+def check_key_cap(max_key: int, what: str) -> None:
+    """Refuse a largest key at or past :data:`KEY_DOMAIN_CAP` with a
+    :class:`~repro.errors.KeyDomainError` naming ``what``."""
+    if max_key >= KEY_DOMAIN_CAP:
+        raise KeyDomainError(
+            f"{what} holds key {max_key}, outside the key domain "
+            f"[0, KEY_DOMAIN_CAP = {KEY_DOMAIN_CAP}) the store index serves"
+        )

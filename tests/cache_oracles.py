@@ -626,18 +626,10 @@ class CacheTraffic:
     does the op-by-op parity checking.
     """
 
-    def __init__(
-        self,
-        capacity: int,
-        lru_fraction: float,
-        dim: int = 2,
-        key_domain: int | None = None,
-    ) -> None:
+    def __init__(self, capacity: int, lru_fraction: float, dim: int = 2) -> None:
         self.dim = dim
-        #: ``key_domain`` set: the cache's index is direct-addressed (what
-        #: a cluster runs).  None: it hashes.
         self.make = lambda: ShadowedCombinedCache(
-            capacity, lru_fraction=lru_fraction, value_dim=dim, key_domain=key_domain
+            capacity, lru_fraction=lru_fraction, value_dim=dim
         )
         self.cache = self.make()
         self.ssd: dict[int, np.ndarray] = {}

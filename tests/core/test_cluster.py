@@ -10,7 +10,9 @@ import pytest
 from repro.config import ClusterConfig
 from repro.core.cluster import HPSCluster
 from repro.core.trainer import ReferenceTrainer, Trainer
+from repro.errors import KeyDomainError
 from repro.plan import RoundPlan
+from repro.utils.keys import KEY_DOMAIN_CAP
 
 
 @pytest.fixture
@@ -50,6 +52,17 @@ class TestTrainRound:
         assert s.pull_push_seconds >= 0
         assert s.train_seconds > 0
         assert s.bottleneck_seconds == max(s.stage_times)
+
+    @pytest.mark.parametrize("build", [HPSCluster, ReferenceTrainer])
+    def test_n_sparse_past_the_key_domain_is_refused(
+        self, build, tiny_spec, small_config
+    ):
+        """Every store index addresses ``[0, n_sparse)`` directly, so a
+        model whose ids reach the cap is refused before any tier exists."""
+        build(dataclasses.replace(tiny_spec, n_sparse=KEY_DOMAIN_CAP), small_config)
+        spec = dataclasses.replace(tiny_spec, n_sparse=KEY_DOMAIN_CAP + 1)
+        with pytest.raises(KeyDomainError, match=f"key {KEY_DOMAIN_CAP},"):
+            build(spec, small_config)
 
     def test_auc_improves_over_random(self, tiny_spec, small_config):
         cluster = HPSCluster(tiny_spec, small_config, functional_batch_size=512)

@@ -290,14 +290,14 @@ class TestSingleMemPath:
         which did the same, are off the training path)."""
         inside: list[str] = []
         probes: list[str] = []
-        locate = SlotIndex.locate
+        get = SlotIndex.get
 
-        def counting_locate(self, *args, **kwargs):
+        def counting_get(self, *args, **kwargs):
             if inside:
                 probes.append(inside[-1])
-            return locate(self, *args, **kwargs)
+            return get(self, *args, **kwargs)
 
-        monkeypatch.setattr(SlotIndex, "locate", counting_locate)
+        monkeypatch.setattr(SlotIndex, "get", counting_get)
         entered = set()
         for name in (
             "prepare", "serve_remote", "apply_gradients", "absorb_updates"

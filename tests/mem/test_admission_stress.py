@@ -10,9 +10,6 @@ The streams are the traffic ``MemPS`` really sends — the same
 names a trial that reproduces forever.  Every step is checked by the
 shadow: bit-identical contents, eviction order, flush pairs, statistics.
 
-A third of the trials run direct-addressed (``key_domain`` set — what a
-cluster runs), the rest open-addressed.
-
 The two tier policies are additionally checked on their own: an
 equal-tiers cache against the seed *tier* classes (``DictLRUCache`` →
 its demotion stream → ``DictLFUCache``) chained by hand, with no
@@ -36,11 +33,7 @@ def test_admission_matches_per_key_reference(trial):
     rng = np.random.default_rng(1000 + trial)
     capacity = int(rng.integers(8, 40))
     key_space = int(rng.integers(capacity, capacity * 6))
-    t = CacheTraffic(
-        capacity,
-        float(rng.uniform(0.3, 0.7)),
-        key_domain=key_space if trial % 3 == 0 else None,
-    )
+    t = CacheTraffic(capacity, float(rng.uniform(0.3, 0.7)))
     lru_cap = t.cache.lru_capacity
 
     def some_keys(hi):

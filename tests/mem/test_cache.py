@@ -237,6 +237,18 @@ class TestCombined:
         assert look_up(c, 1, 2, 7) == [True, True, False]
         c.unpin_rows(held)
 
+    def test_repeated_key_in_put_batch_is_refused_untouched(self):
+        """``[3, 3, 5]`` used to land key 3 in two slab rows behind one
+        index entry, with ``len(cache) == 3``."""
+        c = CombinedCache(8, value_dim=1)
+        put(c, 1)
+        before = c.export_state()
+        with pytest.raises(ValueError, match="unique"):
+            put(c, 3, 3, 5)
+        after = c.export_state()
+        assert all(np.array_equal(before[f], after[f]) for f in before)
+        assert len(c) == 1
+
     def test_flush_all_drains(self):
         c = CombinedCache(4, value_dim=1)
         put(c, 1, 2)
@@ -362,9 +374,9 @@ class TestLoadValidatesBeforeItMutates:
         """A 16-row target holding keys 50..57, a warmed donor whose
         valid snapshot / delta the cases below corrupt, and the donor's
         (empty) export at its mark — the base its delta folds onto."""
-        target = CombinedCache(16, value_dim=1, key_domain=100)
+        target = CombinedCache(16, value_dim=1)
         put(target, *range(50, 58))
-        donor = CombinedCache(16, value_dim=1, key_domain=100)
+        donor = CombinedCache(16, value_dim=1)
         base = donor.export_state()
         donor.mark_snapshot()  # marked empty: its delta ships every value
         put(donor, *range(1, 13))  # 8 LRU rows, 4 demoted
@@ -426,7 +438,7 @@ class TestLoadValidatesBeforeItMutates:
         ),
         "sentinel key": (
             lambda s: s["lru_keys"].__setitem__(0, np.uint64(2**64 - 1)),
-            "reserved sentinel",
+            "outside the key domain",
         ),
     }
 

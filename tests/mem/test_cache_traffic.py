@@ -12,8 +12,8 @@ replacement metadata, ``hits`` / ``misses`` and pins, and checks the
 slab layout the seed cannot see — a resident key's row constant from its
 insert to its flush across promotions and demotions, exactly one tier
 per resident key, ``n_lru`` / ``n_lfu`` within their capacities and
-summing with the free stack to the slab, one index entry per resident —
-on a direct-addressed and on an open-addressed index; the model adds the
+summing with the free stack to the slab, one index entry per resident;
+the model adds the
 losslessness check (every key always reads back its last written value,
 whatever tiers or SSD round trips it went through), pin count 0 at round
 boundaries, and "a refused resolve leaves the cache untouched".  Delta
@@ -44,14 +44,9 @@ class MemPSTraffic(RuleBasedStateMachine):
     @initialize(
         capacity=st.integers(4, 40),
         lru_fraction=st.sampled_from([0.3, 0.5, 0.7]),
-        direct_addressed=st.booleans(),
     )
-    def build(self, capacity, lru_fraction, direct_addressed):
-        # Direct-addressed is what a cluster runs; both index kinds
-        # must behave identically.
-        self.t = CacheTraffic(
-            capacity, lru_fraction, key_domain=96 if direct_addressed else None
-        )
+    def build(self, capacity, lru_fraction):
+        self.t = CacheTraffic(capacity, lru_fraction)
 
     # -- a round ---------------------------------------------------------
     @precondition(lambda self: self.t.at_boundary)
@@ -128,11 +123,9 @@ TestMemPSTraffic.settings = settings(
 def test_the_model_reaches_every_regime():
     """The generated traffic is only worth its parity checks if it gets
     to the hard places: promotions into a full LRU, flushes to the SSD,
-    SSD read-backs, spill-through, a refused resolve — on the hashing
-    index as well as the direct-addressed one a cluster runs."""
+    SSD read-backs, spill-through, a refused resolve."""
     rng = np.random.default_rng(0)
     t = CacheTraffic(16, 0.5)
-    assert not t.cache._index.hash_free
     seen = dict.fromkeys(["refused", "promoted", "flushed", "read_back"], 0)
     for round_ in range(60):
         if round_ % 3 == 0:  # unpinned inserts demote the last round's keys

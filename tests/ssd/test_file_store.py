@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import KeyDomainError
 from repro.ssd.file_store import FileStore
+from repro.utils.keys import KEY_DOMAIN_CAP
 from ssd_oracles import assert_same_arrays
 
 
@@ -286,6 +288,25 @@ class TestStateSnapshot:
         # Validation rejected the snapshot before anything was erased.
         r = target.read(keys_of([100, 101]))
         assert r.found.all()
+        target.check_invariants()
+
+    def test_key_past_the_cap_is_refused_untouched(self, store):
+        """A snapshot mapping a key outside the index's domain used to
+        pass validation, erase the target and only then raise from the
+        index, leaving the snapshot's file behind an empty mapping."""
+        store.write(keys_of([1, 2, 3]), vals_of(3))
+        state = store.export_state()
+        for name in ("file_keys", "map_keys"):
+            state[name][-1] = np.uint64(2**64 - 1)
+        target = FileStore(2, file_capacity=4)
+        target.write(keys_of([100, 101]), vals_of(2, base=9.0))
+        with pytest.raises(KeyDomainError, match="snapshot mapping holds key"):
+            target.load_state(state)
+        with pytest.raises(KeyDomainError, match="write holds key"):
+            target.write(keys_of([5, KEY_DOMAIN_CAP]), vals_of(2))
+        assert target.n_files == 1 and target.n_live_params == 2
+        r = target.read(keys_of([100, 101]))
+        assert r.found.all() and np.array_equal(r.values, vals_of(2, base=9.0))
         target.check_invariants()
 
     def test_load_state_rejects_mapping_to_unknown_file(self, store):

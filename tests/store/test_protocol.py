@@ -23,20 +23,25 @@ def vals_of(n, dim=2, base=0.0):
     return (np.arange(n * dim, dtype=np.float32).reshape(n, dim) + base)
 
 
+def read_far_first(store):
+    """``store`` after a miss on a far key: reads grow the index too."""
+    assert not store.contains(keys_of([5_000])).any()
+    return store
+
+
 ALL_STORES = [
     lambda: HashTable(64, 2),
     lambda: DistributedHashTable(2, 64, 2),
     # the same stores off their easy path: a one-GPU fabric, an odd GPU
     # count, a slab that has to grow on its first put, a table the
-    # roundtrip fills to exact capacity
+    # roundtrip fills to exact capacity, an index a read already grew
     lambda: DistributedHashTable(1, 64, 2),
     lambda: DistributedHashTable(3, 64, 2),
     lambda: FlatStore(2, capacity=2),
     lambda: HashTable(3, 2),
     lambda: FlatStore(2),
-    # direct-addressed, as the reference trainer builds it
-    lambda: FlatStore(2, key_domain=128),
-    lambda: FlatStore(2, capacity=2, key_domain=128),
+    lambda: read_far_first(FlatStore(2)),
+    lambda: read_far_first(FlatStore(2, capacity=2)),
 ]
 
 
@@ -90,18 +95,23 @@ def test_transform_absent_raises(make):
 
 
 class TestFlatStore:
-    def test_key_domain_addresses_directly(self):
-        assert FlatStore(2, key_domain=128)._index.hash_free
-        assert not FlatStore(2)._index.hash_free
-
     def test_reference_store_is_direct_addressed(self, tiny_spec, small_config):
-        """``ReferenceTrainer`` hands its store the spec's ``n_sparse``, so
-        its index addresses keys directly like every production index."""
+        """The reference trainer's index covers exactly the key range it
+        has seen (one doubling step past its largest key at most), and
+        its items come back in key order with no sort."""
         ref = ReferenceTrainer(tiny_spec, small_config, functional_batch_size=64)
         ref.train_round()
-        assert ref._store._index.hash_free
         keys, _ = ref._store.items()
         assert keys.size and np.all(keys[:-1] < keys[1:])
+        assert ref._store._index._payload.size <= max(1024, 2 * int(keys[-1]) + 2)
+
+    def test_repeated_key_is_refused_untouched(self):
+        store = FlatStore(2)
+        store.put_batch(keys_of([1]), vals_of(1))
+        with pytest.raises(ValueError, match="unique"):
+            store.put_batch(keys_of([3, 3, 5]), vals_of(3, base=7.0))
+        assert len(store) == 1
+        assert store.items()[0].tolist() == [1]
 
     def test_grows_unbounded(self):
         store = FlatStore(3, capacity=4)

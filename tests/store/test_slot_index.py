@@ -1,12 +1,13 @@
-"""Tests for the vectorized open-addressing SlotIndex."""
+"""Tests for the direct-addressed SlotIndex."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import KeyDomainError
 from repro.store.slot_index import SlotIndex
-from repro.utils.keys import EMPTY_KEY, TOMBSTONE_KEY
+from repro.utils.keys import EMPTY_KEY, KEY_DOMAIN_CAP
 
 
 def keys_of(xs):
@@ -48,31 +49,29 @@ class TestBasics:
         _, found = idx.get(keys_of([2]))
         assert not found[0]
 
-    def test_reinsert_after_remove_reuses_tombstone(self):
-        idx = SlotIndex()
-        idx.set(keys_of([1]), np.array([10]))
-        idx.remove(keys_of([1]))
-        idx.set(keys_of([1]), np.array([11]))
-        vals, found = idx.get(keys_of([1]))
-        assert found[0] and vals[0] == 11
-
-    def test_reserved_keys_rejected(self):
-        idx = SlotIndex()
-        with pytest.raises(ValueError, match="reserved"):
-            idx.set(keys_of([int(TOMBSTONE_KEY)]), np.array([1]))
-        with pytest.raises(ValueError, match="reserved"):
-            idx.set(keys_of([int(EMPTY_KEY)]), np.array([1]))
-
     def test_items(self):
         idx = SlotIndex()
         idx.set(keys_of([3, 1, 2]), np.array([30, 10, 20]))
         ks, vs = idx.items()
-        assert dict(zip(ks.tolist(), vs.tolist())) == {1: 10, 2: 20, 3: 30}
+        assert ks.tolist() == [1, 2, 3]  # ascending by construction
+        assert vs.tolist() == [10, 20, 30]
+
+    def test_keys_past_the_cap_are_refused(self):
+        idx = SlotIndex()
+        idx.set(keys_of([7]), np.array([70]))
+        for key in (KEY_DOMAIN_CAP, int(EMPTY_KEY)):
+            for verb in (idx.get, idx.remove, lambda k: idx.set(k, np.array([0]))):
+                with pytest.raises(KeyDomainError, match=str(key)):
+                    verb(keys_of([key]))
+        assert [a.tolist() for a in idx.items()] == [[7], [70]]
+        assert len(idx) == 1
+        idx.set(keys_of([KEY_DOMAIN_CAP - 1]), np.array([1]))  # the last key
+        assert len(idx) == 2
 
 
 class TestGrowth:
     def test_grows_past_initial_capacity(self):
-        idx = SlotIndex(capacity_hint=8)
+        idx = SlotIndex()
         n = 5_000
         ks = np.arange(n, dtype=np.uint64)
         idx.set(ks, np.arange(n))
@@ -80,42 +79,41 @@ class TestGrowth:
         assert found.all()
         assert np.array_equal(vals, np.arange(n))
 
-    def test_tombstone_churn_does_not_degrade(self):
-        idx = SlotIndex(capacity_hint=8)
-        for start in range(0, 2_000, 100):
-            ks = np.arange(start, start + 100, dtype=np.uint64)
-            idx.set(ks, np.arange(100))
-            idx.remove(ks)
-        assert len(idx) == 0
-        # A full insert/get cycle still works after heavy churn.
-        ks = np.arange(64, dtype=np.uint64)
-        idx.set(ks, np.arange(64))
-        _, found = idx.get(ks)
-        assert found.all()
+
+#: keys below the first allocation and across three doublings of it
+_KEYS = st.one_of(st.integers(0, 60), st.integers(0, 9_000))
 
 
 @given(
     st.lists(
         st.tuples(
             st.sampled_from(["set", "remove", "get"]),
-            st.sets(st.integers(0, 50), min_size=1, max_size=8).map(sorted),
+            st.sets(_KEYS, min_size=1, max_size=8).map(sorted),
+            st.one_of(st.none(), st.integers(KEY_DOMAIN_CAP, 2**64 - 1)),
         ),
-        max_size=200,
-    ),
-    st.sampled_from([None, 40]),
+        max_size=120,
+    )
 )
-@settings(max_examples=40, deadline=None)
-def test_matches_python_dict(ops, key_domain):
-    """The batch verbs against a dict, over a generated sequence: tombstone
-    reuse, growth from a 4-key hint, and (``key_domain=40`` with keys up to
-    50) the escape from direct addressing to probing."""
-    idx = SlotIndex(capacity_hint=4, key_domain=key_domain)
+@settings(max_examples=60, deadline=None)
+def test_matches_python_dict(ops):
+    """The batch verbs against a dict over a generated sequence whose
+    keys grow the index several times.  A batch holding a key past the
+    cap raises ``KeyDomainError`` with the contents unchanged."""
+    idx = SlotIndex()
     model: dict[int, int] = {}
-    for i, (op, ks) in enumerate(ops):
+    for i, (op, ks, outside) in enumerate(ops):
         keys = keys_of(ks)
+        payloads = np.arange(len(ks)) + 10 * i
+        if outside is not None:
+            batch = keys_of([*ks, outside])
+            with pytest.raises(KeyDomainError):
+                if op == "set":
+                    idx.set(batch, np.append(payloads, 0))
+                else:
+                    getattr(idx, op)(batch)
+            assert idx.items()[0].tolist() == sorted(model)
         expected = [model.get(k, -1) for k in ks]
         if op == "set":
-            payloads = np.arange(len(ks)) + 10 * i
             old, existed = idx.set(keys, payloads)
             model.update(zip(ks, payloads.tolist()))
         elif op == "remove":
@@ -128,4 +126,5 @@ def test_matches_python_dict(ops, key_domain):
         assert existed.tolist() == [e >= 0 for e in expected]
         assert len(idx) == len(model)
     ks, vs = idx.items()
-    assert dict(zip(ks.tolist(), vs.tolist())) == model
+    assert ks.tolist() == sorted(model)
+    assert vs.tolist() == [model[k] for k in sorted(model)]

@@ -1,0 +1,50 @@
+"""The docs cite only code that exists.
+
+Every backticked ``src/repro/…py`` path and every dotted ``repro.…`` name
+in the README, the benchmark README and the verify skill must resolve: a
+path by importing its module, a name by importing its longest module
+prefix and ``getattr`` of the rest.  A rename in ``src/`` that leaves a
+doc behind fails here.
+"""
+
+import importlib
+import pathlib
+import re
+
+import pytest
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+DOCS = ("README.md", "benchmarks/hps/README.md", ".claude/skills/verify/SKILL.md")
+_PATH = re.compile(r"`src/(repro/[\w/]+)\.py`")
+_NAME = re.compile(r"\brepro(?:\.[A-Za-z_]\w*)+")
+
+
+def cited(doc: str) -> list[str]:
+    text = (ROOT / doc).read_text()
+    paths = {p.replace("/", ".") for p in _PATH.findall(text)}
+    return sorted(paths | set(_NAME.findall(text)))
+
+
+def resolve(name: str) -> object:
+    parts = name.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:cut]))
+        except ModuleNotFoundError:
+            continue
+        for attr in parts[cut:]:
+            obj = getattr(obj, attr)
+        return obj
+    raise ModuleNotFoundError(name)
+
+
+@pytest.mark.parametrize("doc", DOCS)
+def test_every_cited_name_resolves(doc):
+    names = cited(doc)
+    unresolved = []
+    for name in names:
+        try:
+            resolve(name)
+        except (ImportError, AttributeError):
+            unresolved.append(name)
+    assert names and unresolved == [], f"{doc} cites missing code: {unresolved}"
