@@ -42,10 +42,9 @@ plot.
 
 from __future__ import annotations
 
-import dataclasses
 import weakref
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Iterable
+from typing import TYPE_CHECKING, Any, Callable
 
 import numpy as np
 
@@ -59,10 +58,6 @@ from repro.hbm.allreduce import (
     DenseGradAccumulator,
     allreduce_dense,
     hierarchical_allreduce,
-)
-from repro.analysis.effects import OverlapContract
-from repro.analysis.effects import (
-    check_stage_conflicts as _check_stage_conflicts,
 )
 from repro.core.node import HPSNode
 from repro.core.pipeline import (
@@ -87,9 +82,6 @@ __all__ = [
     "PipelinedRun",
     "StageSpec",
     "PIPELINE_STAGE_NAMES",
-    "STAGE_EFFECTS",
-    "BASE_OVERLAP_CONTRACTS",
-    "SNAPSHOT_OVERLAP_CONTRACTS",
 ]
 
 #: Executor-stage names, in Algorithm 1 order.
@@ -112,141 +104,6 @@ def _weak_stage(method: StageFn) -> StageFn:
         return bound(ctx)
 
     return stage
-
-
-#: Declared effect sets of the built-in stages.  ``round:plan`` is the
-#: per-round plan/context (never shared across overlapping stages);
-#: ``ledger`` is commutative cost accounting (appends commute), and so
-#: is ``fault`` — the fault-injection state (per-(kind, node) schedule
-#: streams plus the incident log) every armed stage may advance; the
-#: cache-touching stages additionally *read* ``ckpt`` because an
-#: exhausted SSD read quarantines by re-materializing the payload from
-#: the newest checkpoint chain (:mod:`repro.faults.inject`).  The
-#: snapshot stage's only write to ``mem`` / ``ssd`` is the delta mark
-#: each tier takes once the manifest has committed (``mark_snapshot``).
-STAGE_EFFECTS: dict[str, tuple[frozenset[str], frozenset[str]]] = {
-    "read": (
-        frozenset(),
-        frozenset({"stream", "round:plan", "ledger", "fault"}),
-    ),
-    "prefetch": (
-        frozenset({"round:plan", "ckpt"}),
-        frozenset({"mem", "ssd", "ledger", "fault"}),
-    ),
-    "prepare": (
-        frozenset({"round:plan", "ckpt"}),
-        frozenset({"mem", "ssd", "ledger", "fault"}),
-    ),
-    "load": (
-        frozenset({"round:plan"}),
-        frozenset({"hbm", "ledger", "fault"}),
-    ),
-    "train": (
-        frozenset({"round:plan", "ckpt"}),
-        frozenset({"mem", "ssd", "hbm", "model", "ledger", "stats", "fault"}),
-    ),
-    "snapshot": (
-        frozenset({"hbm", "model", "stats", "stream"}),
-        frozenset({"mem", "ssd", "ckpt", "ledger", "fault"}),
-    ),
-}
-
-#: Sanctioned concurrent overlaps among the built-in training stages.
-#: Each records *why* the write/read+write intersection is safe: the
-#: round loop runs stages in canonical round-major order, and the tiers
-#: implement the paper's pinning + write-back discipline (Section 5), so
-#: the overlap the simulated clock claims cannot reorder conflicting
-#: accesses.  A new stage that conflicts without such a contract fails
-#: :meth:`HPSCluster.check_stage_conflicts`.
-BASE_OVERLAP_CONTRACTS: tuple[OverlapContract, ...] = (
-    OverlapContract(
-        "prefetch",
-        "prepare",
-        frozenset({"mem", "ssd"}),
-        "prefetch(b+1) resolves against the post-write-back MEM/SSD state "
-        "of round b: canonical batch-major execution orders it after "
-        "prepare(b), and the round's rows stay pinned until write-back",
-    ),
-    OverlapContract(
-        "prefetch",
-        "train",
-        frozenset({"mem", "ssd"}),
-        "the paper's pinning discipline (Section 5): round b's working "
-        "set is pinned in MEM until its write-back lands, and the round "
-        "loop executes prefetch(b+1) after train(b) in canonical order",
-    ),
-    OverlapContract(
-        "prepare",
-        "train",
-        frozenset({"mem", "ssd"}),
-        "prepare(b+1) must observe round b's write-back (paper Section "
-        "5); canonical batch-major execution guarantees it, which is "
-        "exactly what makes pipelined parameters bit-identical to "
-        "lockstep",
-    ),
-    OverlapContract(
-        "load",
-        "train",
-        frozenset({"hbm"}),
-        "Algorithm 1 pre-stages round b+1's working set into the per-GPU "
-        "tables while round b trains; the tables key by round-disjoint "
-        "working sets and the round loop runs load(b+1) after train(b)'s "
-        "dump in execution",
-    ),
-)
-
-#: Sanctioned overlaps of the continuous-checkpoint stage: the snapshot
-#: of round b reads tier state *as of round b's boundary* — canonical
-#: execution order materializes the delta before any round-(b+1) stage
-#: mutates a tier, which is what lets its cost land in the pipeline
-#: shadow (PR 7's lockstep-vs-pipelined snapshot-history parity).
-SNAPSHOT_OVERLAP_CONTRACTS: tuple[OverlapContract, ...] = (
-    OverlapContract(
-        "read",
-        "snapshot",
-        frozenset({"stream"}),
-        "the snapshot records the stream cursor at round b's boundary; "
-        "read(b+1) advances it only after the snapshot closure ran in "
-        "canonical order",
-    ),
-    OverlapContract(
-        "prefetch",
-        "snapshot",
-        frozenset({"mem", "ssd", "ckpt"}),
-        "snapshot(b) exports the MEM/SSD state, and takes each tier's "
-        "delta mark once its manifest commits, before prefetch(b+1) "
-        "executes (canonical order); the clock-only overlap is the "
-        "pipeline shadow the snapshot stage exists to exploit — and any "
-        "quarantine re-read prefetch(b+1) performs resolves the "
-        "checkpoint chain only after snapshot(b)'s manifest committed",
-    ),
-    OverlapContract(
-        "prepare",
-        "snapshot",
-        frozenset({"mem", "ssd", "ckpt"}),
-        "as for prefetch: the export and the delta mark complete before "
-        "prepare(b+1) mutates cache state (or re-reads the committed "
-        "chain) in execution order",
-    ),
-    OverlapContract(
-        "load",
-        "snapshot",
-        frozenset({"hbm"}),
-        "the HBM export reads round b's drained tables before load(b+1) "
-        "stages the next working set in execution order",
-    ),
-    OverlapContract(
-        "train",
-        "snapshot",
-        frozenset({"mem", "ssd", "hbm", "model", "stats", "ckpt"}),
-        "snapshot(b) runs between train(b) and train(b+1) in canonical "
-        "order, so the exported state — and the delta mark the tiers "
-        "take when the manifest commits — is exactly round b's boundary "
-        "state (PR 7 asserts lockstep and pipelined snapshot histories "
-        "bit-identical); train(b+1)'s quarantine re-reads see only "
-        "committed manifests for the same reason",
-    ),
-)
 
 
 @dataclass
@@ -480,35 +337,20 @@ class HPSCluster:
         #: (:class:`repro.faults.policy.FaultArm`, installed by
         #: :func:`repro.faults.inject.inject_faults`; None = fault-free)
         self._fault_arm: Any | None = None
-        #: the pipeline's stages (:class:`StageSpec`: name, closure,
-        #: declared effects), in execution order.  The four Algorithm 1
-        #: stages are fixed; optional stages splice in via
-        #: :meth:`register_stage` — the round loop of both execution
-        #: modes drives whatever the registry holds, so a registered
-        #: stage is automatically executed, scheduled, and instrumented.
-        #: The cluster's own stages hold it weakly (:func:`_weak_stage`).
+        #: the pipeline's stages (:class:`StageSpec`: name, closure), in
+        #: execution order.  The four Algorithm 1 stages are fixed;
+        #: optional stages splice in via :meth:`register_stage` — the
+        #: round loop of both execution modes drives whatever the
+        #: registry holds, so a registered stage is automatically
+        #: executed, scheduled, and instrumented.  The cluster's own
+        #: stages hold it weakly (:func:`_weak_stage`).
         self._stage_defs: list[StageSpec] = [
-            StageSpec(
-                name,
-                _weak_stage(getattr(self, f"stage_{name}")),
-                *STAGE_EFFECTS[name],
-            )
+            StageSpec(name, _weak_stage(getattr(self, f"stage_{name}")))
             for name in PIPELINE_STAGE_NAMES
         ]
-        #: per-stage sanctioned-overlap declarations; the base contracts
-        #: live under the reserved "" key, stages registered with
-        #: ``contracts=`` add their own (dropped on unregister)
-        self._stage_contracts: dict[str, tuple[OverlapContract, ...]] = {
-            "": BASE_OVERLAP_CONTRACTS
-        }
         if cluster_config.prefetch:
-            reads, writes = STAGE_EFFECTS["prefetch"]
             self.register_stage(
-                "prefetch",
-                _weak_stage(self.stage_prefetch),
-                after="read",
-                reads=reads,
-                writes=writes,
+                "prefetch", _weak_stage(self.stage_prefetch), after="read"
             )
 
     # ------------------------------------------------------------------
@@ -554,84 +396,49 @@ class HPSCluster:
         """
         return tuple((s.name, s.fn) for s in self._stage_defs)
 
-    def stage_specs(self) -> tuple[StageSpec, ...]:
-        """The registered stages with their declared effect sets."""
-        return tuple(self._stage_defs)
-
-    def overlap_contracts(self) -> tuple[OverlapContract, ...]:
-        """Every sanctioned-overlap declaration currently in force."""
-        return tuple(
-            c for group in self._stage_contracts.values() for c in group
-        )
-
-    def register_stage(
-        self,
-        name: str,
-        fn: StageFn,
-        *,
-        after: str,
-        reads: Iterable[str] = (),
-        writes: Iterable[str] = (),
-        contracts: Iterable[OverlapContract] = (),
-    ) -> None:
-        """Splice stage ``name`` into the pipeline right after ``after``.
-
-        Stage functions share the uniform ``fn(ctx) -> seconds``
-        signature; the round loop of both modes and the bench harness's
-        instrumentation all iterate the registry, so a registered stage
-        needs no further wiring anywhere.
-
-        ``reads`` / ``writes`` declare the shared resources the stage
-        touches (:mod:`repro.analysis.effects`); a stage that conflicts
-        with a potentially-concurrent stage must also supply
-        ``contracts`` justifying the overlap, or
-        :meth:`train_pipelined` will refuse to run the registry.
-        Stages with empty effect sets conflict with nothing (but the
-        dynamic :class:`~repro.analysis.tracer.EffectTracer` will hold
-        them to that claim in tests).
-        """
+    def _stage_slot(self, name: str, after: str) -> int:
+        """Where :meth:`register_stage` would splice ``name`` (right after
+        ``after``); ``ValueError`` for a taken name or an unknown
+        ``after``."""
         names = [s.name for s in self._stage_defs]
         if name in names:
             raise ValueError(f"stage {name!r} is already registered")
         if after not in names:
             raise ValueError(f"cannot register after unknown stage {after!r}")
-        spec = StageSpec(name, fn, frozenset(reads), frozenset(writes))
-        self._stage_defs.insert(names.index(after) + 1, spec)
-        extra = tuple(contracts)
-        if extra:
-            self._stage_contracts[name] = extra
+        return names.index(after) + 1
+
+    def register_stage(self, name: str, fn: StageFn, *, after: str) -> None:
+        """Splice stage ``name`` into the pipeline right after ``after``.
+
+        Stage functions share the uniform ``fn(ctx) -> seconds``
+        signature; the round loop of both modes and the bench harness's
+        instrumentation all iterate the registry, so a registered stage
+        needs no further wiring anywhere.  The loop runs every stage of
+        round ``b`` before any stage of round ``b + 1``, so a stage sees
+        the tiers exactly as the stages before it left them.
+        """
+        self._stage_defs.insert(self._stage_slot(name, after), StageSpec(name, fn))
 
     def unregister_stage(self, name: str) -> None:
         """Remove a stage spliced in via :meth:`register_stage`.
 
         The four base Algorithm 1 stages are structural and cannot be
-        removed; unregistering a name that is not in the registry is an
-        error (it usually means a typo, not a no-op).  Contracts the
-        stage registered are dropped with it.
+        removed, nor can ``prefetch`` on a ``config.prefetch`` cluster
+        (:meth:`stage_prepare` then leaves the MEM resolve to it);
+        unregistering a name that is not in the registry is an error (it
+        usually means a typo, not a no-op).
         """
-        if name in PIPELINE_STAGE_NAMES:
+        if name in PIPELINE_STAGE_NAMES or (
+            name == "prefetch" and self.config.prefetch
+        ):
             raise ValueError(
-                f"stage {name!r} is a base Algorithm 1 stage and cannot "
-                "be unregistered"
+                f"stage {name!r} is a base stage of this pipeline and "
+                "cannot be unregistered"
             )
         names = [s.name for s in self._stage_defs]
         if name not in names:
             raise ValueError(f"stage {name!r} is not registered")
         del self._stage_defs[names.index(name)]
-        self._stage_contracts.pop(name, None)
-
-    def check_stage_conflicts(self) -> None:
-        """Statically validate the registered stage set's effect sets.
-
-        Raises :class:`~repro.analysis.effects.StageConflictError` if
-        two stages the clock may overlap share a written resource
-        without an :class:`~repro.analysis.effects.OverlapContract`.
-        :meth:`train_pipelined` runs this before every pipelined run;
-        lockstep execution never overlaps stages and does not need it.
-        """
-        _check_stage_conflicts(
-            self.stage_specs(), contracts=self.overlap_contracts()
-        )
 
     def wrap_stages(self, wrap: Callable[[str, StageFn], StageFn]) -> None:
         """Replace every stage fn with ``wrap(name, fn)`` in the registry.
@@ -639,21 +446,16 @@ class HPSCluster:
         Instrumentation hook: the bench harness wraps each stage with a
         wall-clock accumulator.  Both execution modes drive the
         registry, so wrappers installed here are driven everywhere a
-        stage runs.  Declared effect sets are preserved — a wrapper
-        instruments a stage, it does not change what the stage touches.
-        Re-wrapping already-wrapped stages would double-count (and
-        strand the originals), so it is an error — call
-        :meth:`unwrap_stages` first.
+        stage runs.  Re-wrapping already-wrapped stages would
+        double-count (and strand the originals), so it is an error —
+        call :meth:`unwrap_stages` first.
         """
         if self._unwrapped_stages is not None:
             raise RuntimeError(
                 "stages are already wrapped — call unwrap_stages() before "
                 "installing another wrapper"
             )
-        wrapped = [
-            dataclasses.replace(s, fn=wrap(s.name, s.fn))
-            for s in self._stage_defs
-        ]
+        wrapped = [StageSpec(s.name, wrap(s.name, s.fn)) for s in self._stage_defs]
         self._unwrapped_stages = dict(zip(wrapped, self._stage_defs))
         self._stage_defs = wrapped
 
@@ -998,17 +800,12 @@ class HPSCluster:
         calls — trained parameters are bit-identical to lockstep — but the
         clock overlaps consecutive rounds' stages under bounded prefetch
         queues, so the reported makespan reflects I/O hidden behind GPU
-        compute (paper Section 3).
-
-        Before anything runs, the queue depths and the registered stage
-        set are validated, the latter against its declared effects
-        (:meth:`check_stage_conflicts`): pipelined execution is exactly
-        the mode in which stages of different rounds share the clock, so
-        an undeclared write/write or write/read overlap is refused up
-        front instead of silently racing in spirit.
+        compute (paper Section 3).  The overlap belongs to the clock
+        alone: the round loop still runs every stage of round ``b``
+        before any stage of round ``b + 1``.  The queue depths are
+        validated before anything runs.
         """
         caps = queue_capacities(queue_capacity, len(self._stage_defs))
-        self.check_stage_conflicts()
         names = tuple(spec.name for spec in self._stage_defs)
         stats, times = self._run_rounds(n_rounds, self.rounds_completed)
         return PipelinedRun(
@@ -1170,8 +967,9 @@ class HPSCluster:
         (:func:`~repro.ckpt.format.prune_checkpoints`) runs after each
         save with the new snapshot pinned; it is delta-chain-aware, so
         that snapshot's whole chain survives even when a newer one in a
-        reused directory fills the window.  Bad retention arguments are
-        refused here, before anything is created or registered.
+        reused directory fills the window.  Bad retention arguments and a
+        second snapshot stage are refused here, before anything is
+        created or registered.
 
         Returns the stage function (``unregister_stage("snapshot")``
         removes it); its ``history`` attribute accumulates the
@@ -1195,6 +993,7 @@ class HPSCluster:
                 "keep_every requires keep_last (the ladder's sparse rung "
                 "composes on top of the window)"
             )
+        self._stage_slot("snapshot", "train")  # refused before makedirs
         os.makedirs(directory, exist_ok=True)
         owner = weakref.ref(self)  # the registry must not keep its cluster alive
 
@@ -1221,15 +1020,7 @@ class HPSCluster:
             return stats.seconds
 
         stage_snapshot.history = []  # type: ignore[attr-defined]
-        reads, writes = STAGE_EFFECTS["snapshot"]
-        self.register_stage(
-            "snapshot",
-            stage_snapshot,
-            after="train",
-            reads=reads,
-            writes=writes,
-            contracts=SNAPSHOT_OVERLAP_CONTRACTS,
-        )
+        self.register_stage("snapshot", stage_snapshot, after="train")
         return stage_snapshot
 
     @classmethod

@@ -12,9 +12,10 @@ matrix: :func:`schedule` threads ``stage_times[b, s]`` through that rule
 and returns the :class:`PipelineSchedule` every clock query reads.  The
 steady-state round latency is the *bottleneck* stage, which is how the
 paper hides I/O behind GPU compute (and why Fig. 3(c)'s tallest bar is
-the whole story).  :class:`StageSpec` is the one stage record: the
-cluster's registry holds them, and the effect checks of
-:mod:`repro.analysis.effects` read their declared resources.
+the whole story).  The clock prices the work; it does not order it —
+the cluster's round loop runs every stage of round ``b`` before any
+stage of round ``b + 1``.  :class:`StageSpec` is the one stage record
+the cluster's registry holds.
 """
 
 from __future__ import annotations
@@ -36,23 +37,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class StageSpec:
-    """One registered pipeline stage: name, closure, declared effects.
-
-    ``fn(ctx)`` performs one round's work for the stage and returns its
-    simulated seconds.  ``reads`` / ``writes`` use the resource
-    vocabulary of :mod:`repro.analysis.effects` (``stream``, ``mem``,
-    ``ssd``, ``hbm``, ``model``, ``ledger``, ``ckpt``, ``stats``, plus
-    round-local ``round:*`` names).  The static conflict check runs over
-    these declarations before every pipelined run, and the dynamic
-    tracer (:class:`repro.analysis.tracer.EffectTracer`) verifies them
-    against actual tier accesses in tests.  Empty effect sets mean
-    "touches nothing shared" and conflict with nothing.
-    """
+    """One registered pipeline stage: ``fn(ctx)`` performs one round's
+    work for the stage and returns its simulated seconds."""
 
     name: str
     fn: Callable[[Any], float]
-    reads: frozenset[str] = frozenset()
-    writes: frozenset[str] = frozenset()
 
 
 def stage_duration(seconds: float, name: str, round_index: int) -> float:

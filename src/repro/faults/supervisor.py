@@ -178,7 +178,7 @@ class Supervisor:
     # ------------------------------------------------------------------
     @staticmethod
     def _has_snapshot_stage(cluster) -> bool:
-        return any(spec.name == "snapshot" for spec in cluster.stage_specs())
+        return any(name == "snapshot" for name, _ in cluster.stage_functions())
 
     @staticmethod
     def _stamp(

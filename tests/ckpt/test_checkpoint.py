@@ -267,10 +267,11 @@ def test_trainer_delta_checkpoint_mode(tiny_spec, small_config, tmp_path):
 
 
 def test_trainer_validates_checkpoint_mode(tiny_spec, small_config, tmp_path):
-    """The stage refuses a bad cadence at registration, naming the
-    argument: nothing registered, no directory created."""
+    """The stage refuses a bad cadence, naming the argument, and a second
+    snapshot stage at registration: nothing registered, no directory
+    created."""
     cluster = build(tiny_spec, small_config)
-    before = cluster.stage_specs()
+    before = cluster.stage_functions()
     target = str(tmp_path / "snaps")
     for kwargs, match in (
         ({"every": 0}, "every must be >= 1"),
@@ -279,5 +280,11 @@ def test_trainer_validates_checkpoint_mode(tiny_spec, small_config, tmp_path):
     ):
         with pytest.raises(ValueError, match=match):
             cluster.enable_snapshot_stage(target, **kwargs)
-        assert cluster.stage_specs() == before
+        assert cluster.stage_functions() == before
         assert not os.path.exists(target)
+    cluster.enable_snapshot_stage(str(tmp_path / "first"))
+    before = cluster.stage_functions()
+    with pytest.raises(ValueError, match="already registered"):
+        cluster.enable_snapshot_stage(target)
+    assert cluster.stage_functions() == before
+    assert not os.path.exists(target)

@@ -41,10 +41,10 @@ def committed_rounds(directory: str) -> list[int]:
 def assert_registration_refused(cluster, directory, match, **kwargs) -> None:
     """Bad retention arguments fail at registration, naming the argument:
     no stage registered, no directory created."""
-    before = cluster.stage_specs()
+    before = cluster.stage_functions()
     with pytest.raises(ValueError, match=match):
         cluster.enable_snapshot_stage(directory, **kwargs)
-    assert cluster.stage_specs() == before
+    assert cluster.stage_functions() == before
     assert not os.path.exists(directory)
 
 

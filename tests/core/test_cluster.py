@@ -2,6 +2,9 @@
 
 import dataclasses
 import gc
+import os
+import subprocess
+import sys
 import weakref
 
 import numpy as np
@@ -287,6 +290,35 @@ class TestFreedByRefcount:
             assert [ref() for ref in refs] == [None] * 3
         finally:
             gc.enable()
+
+
+class TestTrainingImports:
+    def test_training_path_does_not_import_the_analysis_package(
+        self, tiny_spec, small_config
+    ):
+        """The linter is a tool over the tree, not part of training: a
+        fresh interpreter that imports the cluster and trains a
+        pipelined round has loaded no ``repro.analysis`` module."""
+        script = "\n".join(
+            [
+                "import sys",
+                "import repro.core.cluster as cm",
+                "from repro.config import ClusterConfig, ModelSpec",
+                f"cm.HPSCluster({tiny_spec!r}, {small_config!r}, "
+                "functional_batch_size=192).train_pipelined(1)",
+                "print(sorted(m for m in sys.modules "
+                "if m.startswith('repro.analysis')))",
+            ]
+        )
+        src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": os.path.abspath(src)},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
 
 class TestPredict:

@@ -93,6 +93,40 @@ class TestScheduling:
         assert sched.makespan == 0.0
 
 
+def cross_round_overlaps(sched):
+    """Every ``(i, j)``: stage ``i`` of a later round ran concurrently
+    with stage ``j`` of an earlier round on the clock."""
+    start, finish = sched.start, sched.finish
+    n, n_stages = start.shape
+    return {
+        (i, j)
+        for b in range(n)
+        for later in range(b + 1, n)
+        for i in range(n_stages)
+        for j in range(n_stages)
+        if start[later, i] < finish[b, j] and start[b, j] < finish[later, i]
+    }
+
+
+class TestCrossRoundOverlap:
+    """Across rounds the clock overlaps an upstream stage with a
+    downstream one and nothing else."""
+
+    def test_only_upstream_overlaps_downstream(self):
+        rng = np.random.default_rng(42)
+        for _ in range(25):
+            times = rng.uniform(0.1, 3.0, size=(8, 4))
+            sched = schedule(times, queue_capacity=2, stage_names=NAMES)
+            assert all(i < j for i, j in cross_round_overlaps(sched))
+
+    def test_uniform_stages_overlap_every_upstream_downstream_pair(self):
+        # Uniform stages keep every stage busy at once in steady state.
+        sched = schedule(np.ones((12, 4)), queue_capacity=2, stage_names=NAMES)
+        assert cross_round_overlaps(sched) == {
+            (i, j) for i in range(4) for j in range(4) if i < j
+        }
+
+
 class TestHidesIOLatency:
     def test_io_hidden_behind_gpu(self):
         """Paper Section 3: with the GPU as the bottleneck, adding I/O

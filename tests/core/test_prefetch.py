@@ -95,6 +95,19 @@ class TestStageRegistration:
         cluster.train_pipelined(2)
         assert fired == [0, 1, 2]
 
+    def test_prefetch_stage_cannot_be_unregistered(
+        self, tiny_spec, pressured_prefetch
+    ):
+        """``prepare`` leaves the MEM resolve to the ``prefetch`` stage,
+        so removing it would break the next round: refused at the call,
+        registry untouched, training goes on."""
+        cluster = _build(tiny_spec, pressured_prefetch)
+        before = cluster.stage_functions()
+        with pytest.raises(ValueError, match="'prefetch'"):
+            cluster.unregister_stage("prefetch")
+        assert cluster.stage_functions() == before
+        cluster.train_round()
+
 
 class TestPrefetchPlan:
     def test_segments_gather_their_constituents(self, tiny_spec, pressured):

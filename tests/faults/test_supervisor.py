@@ -294,7 +294,7 @@ class TestDeterminism:
 
 
 def has_snapshot_stage(cluster) -> bool:
-    return any(spec.name == "snapshot" for spec in cluster.stage_specs())
+    return any(name == "snapshot" for name, _ in cluster.stage_functions())
 
 
 class TestBoundedSnapshots:
@@ -438,10 +438,10 @@ class TestBoundedSnapshots:
     ):
         cluster = mk_cluster()
         cluster.enable_snapshot_stage(str(tmp_path / "own"), every=2)
-        specs = cluster.stage_specs()
+        stages = cluster.stage_functions()
         sup = Supervisor(str(tmp_path / "sup"), checkpoint_every=2)
         with pytest.raises(ValueError, match="snapshot"):
             sup.run(cluster, 4, FaultSchedule(0))
         assert cluster.rounds_completed == 0
-        assert cluster.stage_specs() == specs
+        assert cluster.stage_functions() == stages
         assert not os.path.exists(tmp_path / "sup")
