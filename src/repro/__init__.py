@@ -7,8 +7,8 @@ Public API highlights
   paper's Table 3 model zoo.
 - :class:`repro.core.cluster.HPSCluster` — the 3-layer (HBM/MEM/SSD)
   hierarchical parameter server, trained with Algorithm 1.
-- :class:`repro.core.trainer.Trainer` / ``ReferenceTrainer`` — training
-  drivers and the lossless single-store reference.
+- :class:`repro.core.trainer.ReferenceTrainer` — the lossless
+  single-store reference trainer.
 - :class:`repro.baselines.mpi_ps.MPIClusterBaseline` — the in-memory MPI
   parameter-server baseline the paper compares against.
 - :mod:`repro.hashing.op_osrp` — the OP+OSRP hashing study of Section 2.

@@ -31,7 +31,6 @@ from repro.ckpt.format import (
     CheckpointError,
     CheckpointScanWarning,
     latest_checkpoint,
-    prune_checkpoints,
     read_manifest,
 )
 
@@ -42,7 +41,6 @@ __all__ = [
     "FORMAT_VERSION",
     "MANIFEST_NAME",
     "latest_checkpoint",
-    "prune_checkpoints",
     "read_manifest",
     "restore_cluster",
     "save_cluster",

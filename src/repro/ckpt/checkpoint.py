@@ -22,9 +22,10 @@ set, not the model.  This module tells the tiers *when* a snapshot
 exists: ``node.mark_snapshot()`` runs after a manifest commits (full or
 delta) and after a restore finishes loading, never before, so a save
 that dies mid-write leaves every mark where it was and the retry ships
-the same bytes.  The cluster keeps only the chain link
-(``cluster._ckpt_base``: directory, round, manifest digest, chain
-length).
+the same bytes.  The cluster keeps the chain link (``cluster._ckpt_base``:
+directory, round, manifest digest, chain length) and, in commit order,
+every snapshot it wrote with its base (``cluster._ckpt_written``) — the
+only snapshots its snapshot stage ever prunes.
 
 Every restore takes one path: resolve the manifest chain
 (:func:`~repro.ckpt.format.resolve_chain`), build fresh nodes from the
@@ -68,7 +69,6 @@ __all__ = [
     "CheckpointStats",
     "save_cluster",
     "delta_base_problem",
-    "delta_base_valid",
     "restore_cluster",
     "restore_nodes",
 ]
@@ -183,11 +183,10 @@ def _dense_arrays(cluster) -> dict[str, np.ndarray]:
 def _node_shard_arrays(node, tiers: dict[str, dict]) -> dict[str, np.ndarray]:
     """Pack one node's tier exports (full or delta) into shard arrays.
 
-    Tier arrays are namespaced with a 4-char prefix (``mem_``/``ssd_``/
-    ``hbm_``); the stream position and the long-horizon cost accounting
-    ride alongside — the cost of *this* save lands after the snapshot
-    (it depends on the shard bytes), exactly as a deployment would book
-    it.
+    Tier arrays are namespaced with a 4-char prefix (``mem_``/``ssd_``);
+    the stream position and the long-horizon cost accounting ride
+    alongside — the cost of *this* save lands after the snapshot (it
+    depends on the shard bytes), exactly as a deployment would book it.
     """
     arrays: dict[str, np.ndarray] = {}
     for tier, state in tiers.items():
@@ -292,11 +291,6 @@ def delta_base_problem(cluster, directory: str) -> str | None:
     return None
 
 
-def delta_base_valid(cluster, directory: str) -> bool:
-    """Whether a delta into ``directory`` has a usable in-memory base."""
-    return delta_base_problem(cluster, directory) is None
-
-
 def save_cluster(cluster, directory: str, *, kind: str = "full") -> CheckpointStats:
     """Materialize a checkpoint of ``cluster`` into ``directory``.
 
@@ -315,6 +309,8 @@ def save_cluster(cluster, directory: str, *, kind: str = "full") -> CheckpointSt
     reads back as a valid-but-inconsistent checkpoint; the tiers' marks
     and the chain link only advance after it commits, so a crashed save
     can be retried into the same directory against the unchanged base.
+    A committed save is appended to ``cluster._ckpt_written`` (a re-saved
+    directory moves to the end) with its base directory, or ``None``.
     """
     if kind not in ("full", "delta", "auto"):
         raise ValueError(f"unknown checkpoint mode {kind!r}")
@@ -360,6 +356,9 @@ def save_cluster(cluster, directory: str, *, kind: str = "full") -> CheckpointSt
     _record_base(
         cluster, directory, 1 if base is None else base["chain_length"] + 1
     )
+    committed = os.path.abspath(directory)
+    cluster._ckpt_written.pop(committed, None)  # a re-save is the newest commit
+    cluster._ckpt_written[committed] = None if base is None else base["directory"]
 
     # Simulated cost: serialize/transfer flow shop over node shards —
     # shard n+1 serializes while shard n ships; node 0 additionally

@@ -20,8 +20,9 @@ Format v3 adds *delta* snapshots: a manifest whose ``kind`` is
 snapshot (a sibling directory, itself full or delta), chained through
 ``base_manifest_sha256`` so a restore can prove the exact base it was
 diffed against is the one on disk.  :func:`resolve_chain` walks the
-links and returns the chain oldest-first; :func:`prune_checkpoints`
-never drops a snapshot that a surviving delta still references.
+links and returns the chain oldest-first.  Retention is the writer's:
+the snapshot stage prunes only what its own cluster committed
+(:meth:`~repro.core.cluster.HPSCluster.enable_snapshot_stage`).
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import shutil
 import warnings
 
 from repro.utils.io import atomic_write_bytes
@@ -45,7 +45,6 @@ __all__ = [
     "fingerprint",
     "latest_checkpoint",
     "manifest_sha256",
-    "prune_checkpoints",
     "read_manifest",
     "resolve_chain",
     "sha256_file",
@@ -77,12 +76,12 @@ class CheckpointError(RuntimeError):
 class CheckpointScanWarning(UserWarning):
     """A snapshot subdirectory was skipped during a directory scan.
 
-    Scans (:func:`latest_checkpoint`, :func:`prune_checkpoints`) race
-    benignly with concurrent pruning and with crash debris: a directory
-    whose manifest disappears (or is torn) between ``os.listdir`` and
-    the manifest read is not an error — the snapshot is simply not
-    available — but the skip is *recorded* via this warning category so
-    a supervisor's scan never silently narrows its restore options.
+    :func:`latest_checkpoint`'s scan races benignly with concurrent
+    pruning and with crash debris: a directory whose manifest disappears
+    (or is torn) between ``os.listdir`` and the manifest read is not an
+    error — the snapshot is simply not available — but the skip is
+    *recorded* via this warning category so a supervisor's scan never
+    silently narrows its restore options.
     """
 
 
@@ -264,81 +263,6 @@ def verify_shard(directory: str, name: str, expected_digest: str) -> str:
             f"(sha256 {digest[:12]}… != manifest {expected_digest[:12]}…)"
         )
     return path
-
-
-def prune_checkpoints(
-    directory: str,
-    keep_last: int,
-    *,
-    keep_every: int | None = None,
-    pin: str | None = None,
-) -> list[str]:
-    """Retention-ladder GC over committed snapshots.
-
-    Scans ``directory`` for :func:`checkpoint_dir_name` subdirectories
-    with a committed manifest, sorted by ``rounds_completed``, and
-    removes every snapshot outside the retention ladder:
-
-    * the newest ``keep_last`` snapshots are always kept (the dense
-      rung — cheap rollback to any recent round);
-    * with ``keep_every=M``, snapshots whose ``rounds_completed`` is a
-      multiple of ``M`` are *also* kept, however old (the sparse rung —
-      long-horizon restore points that survive the sliding window);
-    * ``pin``, the caller's just-committed snapshot directory, is kept
-      whatever its round, so a newer snapshot a previous run left in a
-      reused directory can fill the window but never evict the caller's
-      restore point.
-
-    The rules compose as a union: a snapshot survives if **any** rule
-    keeps it.  The ladder is then closed over delta chains: a
-    snapshot referenced (transitively, via ``base`` links) by any kept
-    snapshot is also kept, however old — GC may never strand a live
-    delta chain without its full base.  Deletion is crash-safe in the
-    same delete-manifest-first discipline every writer uses: the commit
-    record goes first (:func:`invalidate`), so an interrupted prune
-    leaves an *uncommitted* directory that every reader already rejects
-    — never a half-valid snapshot.  Uncommitted directories (crash
-    debris) are left untouched for inspection, each recorded with a
-    :class:`CheckpointScanWarning`.  Returns the removed paths, oldest
-    first.
-    """
-    if keep_last < 1:
-        raise ValueError("keep_last must be >= 1")
-    if keep_every is not None and keep_every < 1:
-        raise ValueError("keep_every must be >= 1")
-    if not os.path.isdir(directory):
-        return []
-    committed: list[tuple[int, str]] = []
-    manifests: dict[str, dict] = {}
-    for entry, sub, manifest in _scan_committed(directory):
-        committed.append((int(manifest["rounds_completed"]), sub))
-        manifests[entry] = manifest
-    committed.sort()
-    keep: set[str] = {os.path.basename(sub) for _, sub in committed[-keep_last:]}
-    if pin is not None:
-        keep.add(os.path.basename(os.path.normpath(pin)))
-    if keep_every is not None:
-        keep |= {
-            os.path.basename(sub)
-            for rounds, sub in committed
-            if rounds % keep_every == 0
-        }
-    # Close over base links: a kept delta pins its whole ancestry.
-    frontier = list(keep)
-    while frontier:
-        entry = frontier.pop()
-        base = manifests.get(entry, {}).get("base")
-        if base and base in manifests and base not in keep:
-            keep.add(base)
-            frontier.append(base)
-    removed: list[str] = []
-    for _, sub in committed:
-        if os.path.basename(sub) in keep:
-            continue
-        invalidate(sub)  # commit record first — readers reject from here on
-        shutil.rmtree(sub)
-        removed.append(sub)
-    return removed
 
 
 def latest_checkpoint(directory: str, upto_round: int | None = None) -> str | None:

@@ -330,6 +330,10 @@ class HPSCluster:
         #: Maintained by :mod:`repro.ckpt.checkpoint`; None until a full
         #: save/restore.
         self._ckpt_base: dict[str, Any] | None = None
+        #: Every snapshot this cluster committed, oldest first: directory
+        #: (abspath) → its delta base's directory, or None for a full one.
+        #: A restore adds nothing — the snapshot stage prunes only these.
+        self._ckpt_written: dict[str, str | None] = {}
         #: wrapped spec → original spec, held while :meth:`wrap_stages`
         #: instrumentation is installed (None = not wrapped)
         self._unwrapped_stages: dict[StageSpec, StageSpec] | None = None
@@ -948,7 +952,6 @@ class HPSCluster:
         every: int = 1,
         full_every: int | None = None,
         keep_last: int | None = None,
-        keep_every: int | None = None,
     ) -> StageFn:
         """Register the continuous-checkpoint pipeline stage.
 
@@ -963,13 +966,17 @@ class HPSCluster:
         ``full_every`` members, whoever wrote them.  The stage keeps no
         write set of its own: each tier carries its delta base, so
         registering the stage late, or around other saves, ships exactly
-        what changed.  With ``keep_last`` set, the retention ladder
-        (:func:`~repro.ckpt.format.prune_checkpoints`) runs after each
-        save with the new snapshot pinned; it is delta-chain-aware, so
-        that snapshot's whole chain survives even when a newer one in a
-        reused directory fills the window.  Bad retention arguments and a
-        second snapshot stage are refused here, before anything is
-        created or registered.
+        what changed.
+
+        With ``keep_last`` set, each save is followed by a prune of what
+        this cluster committed under ``directory`` (its ``_ckpt_written``
+        index — no directory scan, no manifest read): the newest
+        ``keep_last`` of those commits are kept, closed over their delta
+        base links, and every other one is deleted manifest first.  A
+        snapshot another run left in ``directory``, and a chain this
+        cluster was restored from, are never read or deleted.  Bad
+        arguments and a second snapshot stage are refused here, before
+        anything is created or registered.
 
         Returns the stage function (``unregister_stage("snapshot")``
         removes it); its ``history`` attribute accumulates the
@@ -977,8 +984,9 @@ class HPSCluster:
         snapshot taken.
         """
         import os
+        import shutil
 
-        from repro.ckpt.format import checkpoint_dir_name, prune_checkpoints
+        from repro.ckpt.format import checkpoint_dir_name, invalidate
 
         if every < 1:
             raise ValueError("every must be >= 1")
@@ -986,15 +994,9 @@ class HPSCluster:
             raise ValueError("full_every must be >= 1")
         if keep_last is not None and keep_last < 1:
             raise ValueError("keep_last must be >= 1")
-        if keep_every is not None and keep_every < 1:
-            raise ValueError("keep_every must be >= 1")
-        if keep_every is not None and keep_last is None:
-            raise ValueError(
-                "keep_every requires keep_last (the ladder's sparse rung "
-                "composes on top of the window)"
-            )
         self._stage_slot("snapshot", "train")  # refused before makedirs
         os.makedirs(directory, exist_ok=True)
+        root = os.path.abspath(directory)
         owner = weakref.ref(self)  # the registry must not keep its cluster alive
 
         def stage_snapshot(ctx: RoundContext) -> float:
@@ -1014,9 +1016,21 @@ class HPSCluster:
             stats = cluster.save_checkpoint(target, mode="full" if chain_full else "auto")
             stage_snapshot.history.append(stats)  # type: ignore[attr-defined]
             if keep_last is not None:
-                prune_checkpoints(
-                    directory, keep_last=keep_last, keep_every=keep_every, pin=target
-                )
+                written = cluster._ckpt_written
+                mine = [d for d in written if os.path.dirname(d) == root]
+                keep = set(mine[-keep_last:])
+                frontier = list(keep)
+                while frontier:  # a kept delta keeps its whole chain
+                    link = written[frontier.pop()]
+                    if link in written and link not in keep:
+                        keep.add(link)
+                        frontier.append(link)
+                for d in mine:
+                    if d not in keep:
+                        invalidate(d)  # commit record first: readers reject it
+                        if os.path.isdir(d):
+                            shutil.rmtree(d)
+                        del written[d]
             return stats.seconds
 
         stage_snapshot.history = []  # type: ignore[attr-defined]

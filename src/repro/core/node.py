@@ -100,20 +100,21 @@ class HPSNode:
         return self.config.gpus_per_node
 
     # ------------------------------------------------------------------
-    # Checkpoint protocol: every storage tier exposes the same verbs —
+    # Checkpoint protocol: every persistent tier exposes the same verbs —
     # export_state / export_delta / mark_snapshot / the pure fold_delta /
     # one loader, load_state — and keeps its own delta base; the node
     # drives them uniformly so the checkpoint code never reaches into
     # tiers.  A restore folds a chain in memory and loads each tier once.
+    # HBM is transient (every round restages its working set from MEM and
+    # writes it back), so it holds nothing between rounds and has no part.
     # ------------------------------------------------------------------
-    TIERS = ("mem", "ssd", "hbm")
+    TIERS = ("mem", "ssd")
 
     def tier_states(self) -> dict[str, dict]:
         """Full per-tier snapshots (each tier's ``export_state``)."""
         return {
             "mem": self.mem_ps.export_state(),
             "ssd": self.ssd_ps.export_state(),
-            "hbm": self.hbm_ps.export_state(),
         }
 
     def tier_deltas(self) -> dict[str, dict]:
@@ -123,7 +124,6 @@ class HPSNode:
         return {
             "mem": self.mem_ps.export_delta(),
             "ssd": self.ssd_ps.export_delta(),
-            "hbm": self.hbm_ps.export_delta(),
         }
 
     def mark_snapshot(self) -> None:
@@ -133,13 +133,11 @@ class HPSNode:
         chain has loaded; an export never does."""
         self.mem_ps.mark_snapshot()
         self.ssd_ps.mark_snapshot()
-        self.hbm_ps.mark_snapshot()
 
     def load_tier_states(self, tiers: dict[str, dict]) -> None:
         """Restore every tier from a :meth:`tier_states` snapshot."""
         self.mem_ps.load_state(tiers["mem"])
         self.ssd_ps.load_state(tiers["ssd"])
-        self.hbm_ps.load_state(tiers["hbm"])
 
     def fold_tier_deltas(
         self, states: dict[str, dict], deltas: dict[str, dict]
@@ -149,7 +147,6 @@ class HPSNode:
         return {
             "mem": self.mem_ps.fold_delta(states["mem"], deltas["mem"]),
             "ssd": self.ssd_ps.fold_delta(states["ssd"], deltas["ssd"]),
-            "hbm": self.hbm_ps.fold_delta(states["hbm"], deltas["hbm"]),
         }
 
     def cpu_partition_time(self, n_keys: int) -> float:

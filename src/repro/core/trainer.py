@@ -1,9 +1,4 @@
-"""High-level training drivers.
-
-:class:`Trainer` runs an :class:`~repro.core.cluster.HPSCluster` for a
-number of global rounds, tracking loss/AUC history.
-
-:class:`ReferenceTrainer` is the "MPI-semantics" single-store trainer: the
+""":class:`ReferenceTrainer` is the "MPI-semantics" single-store trainer: the
 same model, data order, gradient math, and optimizer applied against one
 flat in-memory parameter store.  Because the hierarchical cluster
 synchronizes after *every* mini-batch (no staleness), the two must produce
@@ -13,12 +8,9 @@ Fig. 3(b) losslessness claim, verified exactly in the test suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from repro.config import ClusterConfig, ModelSpec
-from repro.core.cluster import BatchStats, HPSCluster
 from repro.data.batching import Batch
 from repro.data.generator import CTRDataGenerator
 from repro.nn.metrics import auc
@@ -28,67 +20,7 @@ from repro.store.flat import FlatStore
 from repro.utils.keys import as_keys, check_key_cap, compact_unique
 from repro.utils.rng import derive_seed
 
-__all__ = ["Trainer", "TrainingHistory", "ReferenceTrainer"]
-
-
-@dataclass
-class TrainingHistory:
-    """Per-round records collected by :class:`Trainer`."""
-
-    batch_stats: list[BatchStats] = field(default_factory=list)
-    losses: list[float] = field(default_factory=list)
-    aucs: list[float] = field(default_factory=list)
-
-    @property
-    def n_rounds(self) -> int:
-        return len(self.batch_stats)
-
-    def throughput(self) -> float:
-        """Steady-state examples/second under the pipelined schedule."""
-        if not self.batch_stats:
-            return 0.0
-        total_examples = sum(s.n_examples for s in self.batch_stats)
-        total_seconds = sum(s.bottleneck_seconds for s in self.batch_stats)
-        return total_examples / total_seconds if total_seconds else 0.0
-
-
-class Trainer:
-    """Drives an HPS cluster and records quality/timing history.
-
-    Periodic checkpoints are the cluster's snapshot stage
-    (:meth:`HPSCluster.enable_snapshot_stage`); ``run`` trains through
-    whatever stages the cluster has registered.
-    """
-
-    def __init__(
-        self,
-        cluster: HPSCluster,
-        *,
-        eval_batch: Batch | None = None,
-        eval_every: int = 0,
-    ) -> None:
-        self.cluster = cluster
-        self.eval_batch = eval_batch
-        self.eval_every = eval_every
-        self.history = TrainingHistory()
-
-    def run(self, n_rounds: int) -> TrainingHistory:
-        for i in range(n_rounds):
-            stats = self.cluster.train_round()
-            self.history.batch_stats.append(stats)
-            self.history.losses.append(stats.mean_loss)
-            if (
-                self.eval_batch is not None
-                and self.eval_every
-                and (i + 1) % self.eval_every == 0
-            ):
-                self.history.aucs.append(self.cluster.evaluate_auc(self.eval_batch))
-        return self.history
-
-    def final_auc(self) -> float:
-        if self.eval_batch is None:
-            raise ValueError("no eval batch configured")
-        return self.cluster.evaluate_auc(self.eval_batch)
+__all__ = ["ReferenceTrainer"]
 
 
 class ReferenceTrainer:

@@ -277,48 +277,3 @@ class HBMPS:
         """
         st = self._round()
         return st.plan.keys, st.values[st.plan.codes]
-
-    def clear(self) -> None:
-        self._staged = None
-
-    # ------------------------------------------------------------------
-    # Checkpoint protocol.  The HBM tier is *transient*: every round
-    # restages its working set from the MEM tier and the round-end
-    # write-back (``MemPS.absorb_updates``) pulls the values back down,
-    # so between rounds the staged array is a non-authoritative shadow
-    # (the next ``load_working_set`` replaces it unconditionally).  The
-    # export pair therefore ships nothing and the mark remembers nothing
-    # — but each *asserts* the tier is actually quiescent, catching any
-    # attempt to snapshot mid-round, and keeps the per-tier protocol
-    # uniform so the checkpoint writer can drive every tier identically.
-    def _require_quiescent(self) -> None:
-        if self._staged is not None and self._staged.grad_buf is not None:
-            raise TierStateError(
-                "HBM-PS gradient buffer not drained — checkpoint only at "
-                "a round boundary"
-            )
-
-    def export_state(self) -> dict[str, np.ndarray]:
-        """Checkpoint hook: asserts quiescence, exports nothing."""
-        self._require_quiescent()
-        return {}
-
-    def load_state(self, state: dict[str, np.ndarray]) -> None:
-        """Checkpoint hook: restore to the cleared (pre-round) state."""
-        self.clear()
-
-    def export_delta(self) -> dict[str, np.ndarray]:
-        """Delta hook: same quiescence contract as :meth:`export_state`."""
-        self._require_quiescent()
-        return {}
-
-    def mark_snapshot(self) -> None:
-        """Snapshot-committed hook: asserts quiescence, remembers nothing."""
-        self._require_quiescent()
-
-    def fold_delta(
-        self, base: dict[str, np.ndarray], delta: dict[str, np.ndarray]
-    ) -> dict[str, np.ndarray]:
-        """Fold hook: the tier is transient, so the snapshot a delta
-        describes is as empty as both."""
-        return {}

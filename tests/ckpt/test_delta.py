@@ -112,7 +112,7 @@ class TestTierDeltaRoundTrip:
     taken at the mark, is the current export_state() byte for byte, for
     every tier — and loads into a fresh tier as that state."""
 
-    @pytest.mark.parametrize("tier", ["mem_ps", "ssd_ps", "hbm_ps"])
+    @pytest.mark.parametrize("tier", ["mem_ps", "ssd_ps"])
     def test_round_trip(self, tiny_spec, pressured, tmp_path, tier):
         trained = build(tiny_spec, pressured)
         trained.train(7)
@@ -150,7 +150,7 @@ class TestTierDeltaRoundTrip:
         trained.train(10)
         for node in trained.nodes:
             for tier in type(node).TIERS:
-                ps = {"mem": node.mem_ps, "ssd": node.ssd_ps, "hbm": node.hbm_ps}[tier]
+                ps = {"mem": node.mem_ps, "ssd": node.ssd_ps}[tier]
                 base = ps.export_state()
                 ps.mark_snapshot()
                 delta = ps.export_delta()
@@ -158,12 +158,7 @@ class TestTierDeltaRoundTrip:
                 # bookkeeping, never value payload of the full state.
                 base_bytes = sum(v.nbytes for v in base.values())
                 delta_bytes = sum(v.nbytes for v in delta.values())
-                if base_bytes:
-                    assert delta_bytes < base_bytes, tier
-                else:
-                    # An empty tier (HBM is unloaded between rounds)
-                    # must not invent payload out of nothing.
-                    assert delta_bytes == 0, tier
+                assert delta_bytes < base_bytes, tier
                 # ...and folding it onto the base is the identity.
                 assert_same_arrays(ps.fold_delta(base, delta), base)
 
@@ -310,14 +305,14 @@ class TestDeltaChainRestore:
         with pytest.raises(CheckpointError, match="no.*base|base"):
             cluster.save_checkpoint(str(tmp_path / "d0"), mode="delta")
         cluster.save_checkpoint(str(tmp_path / "full"), mode="full")
-        # Same round → nothing to chain; delta_base_valid refuses.
-        assert not ckpt.delta_base_valid(cluster, str(tmp_path / "d1"))
+        # Same round → nothing to chain; delta_base_problem says so.
+        assert ckpt.delta_base_problem(cluster, str(tmp_path / "d1")) is not None
         cluster.train(1)
         # A different parent directory is not a sibling of the base.
         other = tmp_path / "elsewhere"
         other.mkdir()
-        assert not ckpt.delta_base_valid(cluster, str(other / "d1"))
-        assert ckpt.delta_base_valid(cluster, str(tmp_path / "d1"))
+        assert ckpt.delta_base_problem(cluster, str(other / "d1")) is not None
+        assert ckpt.delta_base_problem(cluster, str(tmp_path / "d1")) is None
 
     def test_cluster_delta_equals_oracle_delta(
         self, tiny_spec, pressured, tmp_path
@@ -374,7 +369,6 @@ class TestDeltaChainRestore:
                     node.mem_ps.cache, base["mem"], dirty_keys=written
                 ),
                 "ssd": node.ssd_ps._with_counters(ref.export_delta(base["ssd"])),
-                "hbm": {},
             }
             arrays = ckpt._node_shard_arrays(node, oracle)
             # The ledger moved on (this save's own ckpt_write): take the

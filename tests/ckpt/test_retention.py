@@ -2,22 +2,28 @@
 
 Production runs cannot keep every ``round_*`` snapshot: the snapshot
 stage's ``keep_last=N`` (:meth:`HPSCluster.enable_snapshot_stage`) prunes
-the oldest committed snapshots after each successful commit, atomically
-(manifest deleted before any shard, the same discipline every writer
-uses).  And per-node :class:`~repro.hardware.ledger.CostLedger` totals
-ride inside the node shards, so a restored run *continues* long-horizon
-cost accounting instead of restarting at zero.
+after each successful commit, and only from what its own cluster
+committed (``cluster._ckpt_written``): the newest ``N`` of those commits,
+closed over their delta base links, survive; the rest are deleted
+manifest first (the same discipline every writer uses).  Snapshots
+another run left in the root are neither read nor deleted.  And per-node
+:class:`~repro.hardware.ledger.CostLedger` totals ride inside the node
+shards, so a restored run *continues* long-horizon cost accounting
+instead of restarting at zero.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import os
+import shutil
 
 import numpy as np
 import pytest
 
-from repro.ckpt import latest_checkpoint, prune_checkpoints
+import repro.ckpt.format as ckpt_format
+from repro.ckpt import CheckpointScanWarning, latest_checkpoint
+from repro.ckpt.checkpoint import restore_nodes
 from repro.ckpt.format import MANIFEST_NAME, checkpoint_dir_name, resolve_chain
 from repro.core.cluster import HPSCluster
 from repro.hardware.ledger import CostLedger
@@ -35,6 +41,17 @@ def committed_rounds(directory: str) -> list[int]:
         sub = os.path.join(directory, entry)
         if os.path.isfile(os.path.join(sub, MANIFEST_NAME)):
             out.append(int(entry.removeprefix("round_")))
+    return out
+
+
+def tree_bytes(directory: str) -> dict[str, bytes]:
+    """Every file under ``directory`` by relative path, with its bytes."""
+    out = {}
+    for here, _, files in os.walk(directory):
+        for name in files:
+            path = os.path.join(here, name)
+            with open(path, "rb") as fh:
+                out[os.path.relpath(path, directory)] = fh.read()
     return out
 
 
@@ -85,30 +102,36 @@ class TestRetention:
             restored.lookup_embeddings(probe),
         )
 
-    def test_prune_is_manifest_first(self, tiny_spec, small_config, tmp_path):
-        """An interrupted prune leaves only uncommitted debris, which
-        readers already reject and later prunes leave untouched."""
+    def test_prune_is_manifest_first(
+        self, tiny_spec, small_config, tmp_path, monkeypatch
+    ):
+        """A prune that dies between ``invalidate`` and ``rmtree`` leaves
+        an uncommitted directory: readers skip it with a recorded warning,
+        and the next snapshot's prune removes it."""
+        root = str(tmp_path)
+        victim = os.path.join(root, checkpoint_dir_name(1))
         cluster = build(tiny_spec, small_config)
-        cluster.enable_snapshot_stage(str(tmp_path), every=1, full_every=1)
-        cluster.train(3)
-        # Simulate a prune that died between invalidate and rmtree.
-        victim = os.path.join(str(tmp_path), checkpoint_dir_name(1))
-        os.remove(os.path.join(victim, MANIFEST_NAME))
-        assert latest_checkpoint(str(tmp_path)).endswith(
-            checkpoint_dir_name(3)
-        )
-        removed = prune_checkpoints(str(tmp_path), keep_last=1)
-        # The uncommitted directory is not "the newest", nor removable —
-        # it is debris, skipped entirely.
-        assert [os.path.basename(p) for p in removed] == [
-            checkpoint_dir_name(2)
-        ]
+        cluster.enable_snapshot_stage(root, every=1, full_every=1, keep_last=1)
+        cluster.train(1)
+        real_rmtree = shutil.rmtree
+
+        def rmtree_dies_once(path, *args, **kwargs):
+            monkeypatch.setattr(shutil, "rmtree", real_rmtree)
+            assert not os.path.exists(os.path.join(path, MANIFEST_NAME))
+            raise OSError("disk went away mid-prune")
+
+        monkeypatch.setattr(shutil, "rmtree", rmtree_dies_once)
+        with pytest.raises(OSError, match="mid-prune"):
+            cluster.train(1)
         assert os.path.isdir(victim)
-        assert committed_rounds(str(tmp_path)) == [3]
+        assert committed_rounds(root) == [2]
+        with pytest.warns(CheckpointScanWarning, match="skipping snapshot"):
+            assert latest_checkpoint(root).endswith(checkpoint_dir_name(2))
+        cluster.train(1)
+        assert not os.path.exists(victim)
+        assert sorted(os.listdir(root)) == [checkpoint_dir_name(3)]
 
     def test_prune_validates_keep_last(self, tiny_spec, small_config, tmp_path):
-        with pytest.raises(ValueError, match="keep_last"):
-            prune_checkpoints(str(tmp_path), keep_last=0)
         assert_registration_refused(
             build(tiny_spec, small_config),
             str(tmp_path / "snaps"),
@@ -147,80 +170,132 @@ class TestRetention:
                 HPSCluster.restore(newest).lookup_embeddings(probe),
             )
 
-    def test_prune_missing_directory_is_noop(self, tmp_path):
-        assert prune_checkpoints(str(tmp_path / "absent"), 3) == []
-
-
-class TestRetentionLadder:
-    """keep-every-M composed on top of keep-last-N (the sparse rung)."""
-
-    def test_trainer_ladder_keeps_window_union_multiples(
+    def test_prune_missing_directory_is_noop(
         self, tiny_spec, small_config, tmp_path
     ):
+        """A snapshot this cluster committed that vanished from disk is
+        dropped from its record without error."""
+        root = str(tmp_path)
         cluster = build(tiny_spec, small_config)
-        cluster.enable_snapshot_stage(
-            str(tmp_path), every=1, full_every=1, keep_last=2, keep_every=3
-        )
-        cluster.train(7)
-        # Window rung {6, 7} ∪ sparse rung {3, 6}.
-        assert committed_rounds(str(tmp_path)) == [3, 6, 7]
-
-    def test_ladder_intersection_counted_once(self, tiny_spec, small_config, tmp_path):
-        """A snapshot in both rungs (recent AND a multiple) survives and
-        later leaves the window without being re-deletable debris."""
-        cluster = build(tiny_spec, small_config)
-        cluster.enable_snapshot_stage(
-            str(tmp_path), every=1, full_every=1, keep_last=1, keep_every=2
-        )
-        cluster.train(2)  # round 2 is the newest AND a multiple of 2
-        assert committed_rounds(str(tmp_path)) == [2]
-        cluster.train(2)  # rounds 3, 4: 2 exits the window but stays (rung 2)
-        assert committed_rounds(str(tmp_path)) == [2, 4]
-
-    def test_prune_keep_every_direct(self, tiny_spec, small_config, tmp_path):
-        cluster = build(tiny_spec, small_config)
-        cluster.enable_snapshot_stage(str(tmp_path), every=1, full_every=1)
-        cluster.train(6)
-        removed = prune_checkpoints(str(tmp_path), keep_last=1, keep_every=4)
-        assert committed_rounds(str(tmp_path)) == [4, 6]
-        assert [os.path.basename(p) for p in removed] == [
-            checkpoint_dir_name(r) for r in (1, 2, 3, 5)
+        cluster.enable_snapshot_stage(root, every=1, full_every=1, keep_last=1)
+        cluster.train(1)
+        gone = os.path.join(root, checkpoint_dir_name(1))
+        shutil.rmtree(gone)
+        cluster.train(1)
+        assert committed_rounds(root) == [2]
+        assert list(cluster._ckpt_written) == [
+            os.path.join(os.path.abspath(root), checkpoint_dir_name(2))
         ]
 
-    def test_keep_every_one_keeps_everything(
+
+class TestWriterIndex:
+    """The writer's own record of what it committed is the retention
+    authority: no directory scan, no manifest read, nobody else's files."""
+
+    def test_index_records_commits_in_order(
         self, tiny_spec, small_config, tmp_path
     ):
+        """Each commit maps its directory to its base (None when full);
+        a re-save moves to the newest place; a restore adds nothing."""
+        a, b = (os.path.abspath(tmp_path / name) for name in ("a", "b"))
         cluster = build(tiny_spec, small_config)
-        cluster.enable_snapshot_stage(str(tmp_path), every=1, full_every=1)
-        cluster.train(4)
-        assert prune_checkpoints(str(tmp_path), keep_last=1, keep_every=1) == []
-        assert committed_rounds(str(tmp_path)) == [1, 2, 3, 4]
+        cluster.train(1)
+        cluster.save_checkpoint(a, mode="full")
+        cluster.train(1)
+        cluster.save_checkpoint(b, mode="delta")
+        assert cluster._ckpt_written == {a: None, b: a}
+        cluster.train(1)
+        cluster.save_checkpoint(a, mode="full")
+        assert list(cluster._ckpt_written.items()) == [(b, a), (a, None)]
+        assert HPSCluster.restore(a)._ckpt_written == {}
+        restore_all = restore_nodes(cluster, a, range(cluster.n_nodes))
+        assert restore_all.kind == "full"
+        assert list(cluster._ckpt_written) == [b, a]
 
-    def test_ladder_snapshot_still_restores(
+    def test_reused_root_is_neither_read_nor_deleted(
+        self, tiny_spec, small_config, tmp_path, monkeypatch
+    ):
+        """Snapshots other runs left in the root — older and newer than
+        this run's, of this configuration and of another — survive byte
+        for byte, and the stage never reads their manifests."""
+        root = str(tmp_path)
+        other = dataclasses.replace(small_config, seed=small_config.seed + 1)
+        foreign = {}
+        for rounds, config in (
+            (1, other), (3, small_config), (7, small_config), (9, other)
+        ):
+            earlier = build(tiny_spec, config)
+            earlier.train(rounds)
+            path = os.path.join(root, checkpoint_dir_name(rounds))
+            earlier.save_checkpoint(path)
+            foreign[os.path.abspath(path)] = tree_bytes(path)
+
+        real_read = ckpt_format.read_manifest
+
+        def read_own_only(directory):
+            assert os.path.abspath(directory) not in foreign, directory
+            return real_read(directory)
+
+        monkeypatch.setattr(ckpt_format, "read_manifest", read_own_only)
+        cluster = build(tiny_spec, small_config)
+        stage = cluster.enable_snapshot_stage(
+            root, every=2, full_every=1, keep_last=1
+        )
+        cluster.train(6)
+        assert [s.rounds_completed for s in stage.history] == [2, 4, 6]
+        assert committed_rounds(root) == [1, 3, 6, 7, 9]
+        for path, files in foreign.items():
+            assert tree_bytes(path) == files, path
+
+    def test_prune_scans_no_directory(
+        self, tiny_spec, small_config, tmp_path, monkeypatch
+    ):
+        """With every directory listing refused, the stage still prunes
+        down to the live chain."""
+        root = str(tmp_path)
+        cluster = build(tiny_spec, small_config)
+        cluster.enable_snapshot_stage(root, every=1, full_every=2, keep_last=2)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the prune listed a directory")
+
+        with monkeypatch.context() as patched:
+            patched.setattr(os, "listdir", refuse)
+            patched.setattr(ckpt_format, "_scan_committed", refuse)
+            cluster.train(6)
+        # Fulls at 1, 3, 5: keeping {5, 6} strands nothing.
+        assert committed_rounds(root) == [5, 6]
+        newest = os.path.join(root, checkpoint_dir_name(6))
+        assert [os.path.basename(d) for d, _ in resolve_chain(newest)] == [
+            checkpoint_dir_name(5),
+            checkpoint_dir_name(6),
+        ]
+
+    def test_restored_chain_survives_the_resumed_run(
         self, tiny_spec, small_config, tmp_path
     ):
-        cluster = build(tiny_spec, small_config)
-        cluster.enable_snapshot_stage(
-            str(tmp_path), every=1, full_every=1, keep_last=1, keep_every=2
+        """A cluster resumed from a chain in the root deltas on top of it
+        but never deletes it: that chain is not its commit."""
+        root = str(tmp_path)
+        first = build(tiny_spec, small_config)
+        first.enable_snapshot_stage(root, every=2)
+        first.train(4)  # full @2, delta @4
+        resumed = HPSCluster.restore(os.path.join(root, checkpoint_dir_name(4)))
+        stage = resumed.enable_snapshot_stage(
+            root, every=2, full_every=3, keep_last=1
         )
-        cluster.train(3)
-        # Restore from the sparse-rung survivor (round 2), not the newest.
-        old = HPSCluster.restore(
-            latest_checkpoint(str(tmp_path), upto_round=2)
-        )
-        assert old.rounds_completed == 2
-
-    def test_validation(self, tiny_spec, small_config, tmp_path):
-        with pytest.raises(ValueError, match="keep_every"):
-            prune_checkpoints(str(tmp_path), keep_last=1, keep_every=0)
-        cluster = build(tiny_spec, small_config)
-        snaps = str(tmp_path / "snaps")
-        assert_registration_refused(
-            cluster, snaps, "keep_every must be >= 1", keep_last=2, keep_every=0
-        )
-        # Without keep_last the stage would never prune: refused too.
-        assert_registration_refused(
-            cluster, snaps, "keep_every requires keep_last", keep_every=2
+        resumed.train(4)  # delta @6 on the restored chain, full @8
+        assert [s.kind for s in stage.history] == ["delta", "full"]
+        assert committed_rounds(root) == [2, 4, 8]
+        assert len(resolve_chain(os.path.join(root, checkpoint_dir_name(4)))) == 2
+        straight = build(tiny_spec, small_config)
+        straight.train(4)
+        probe = straight.generator.batch(10_000, 1024).unique_keys()
+        assert np.array_equal(
+            straight.lookup_embeddings(probe),
+            HPSCluster.restore(
+                os.path.join(root, checkpoint_dir_name(4))
+            ).lookup_embeddings(probe),
         )
 
 
@@ -313,22 +388,23 @@ class TestDeltaChainGC:
     def test_direct_prune_respects_base_links(
         self, tiny_spec, small_config, tmp_path
     ):
-        """prune_checkpoints itself (not just the stage) closes the keep
-        set over ``base`` links before removing anything."""
+        """Direct ``save_checkpoint`` calls are this cluster's commits
+        too: the stage's prune closes over their base links, and
+        collects them once a full snapshot starts a fresh chain."""
+        root = str(tmp_path)
         cluster = build(tiny_spec, small_config)
+        for rounds, mode in ((1, "full"), (2, "delta"), (3, "delta")):
+            cluster.train(1)
+            cluster.save_checkpoint(
+                os.path.join(root, checkpoint_dir_name(rounds)), mode=mode
+            )
+        stage = cluster.enable_snapshot_stage(root, every=1, keep_last=1)
         cluster.train(1)
+        # Keeping round 4 keeps 3, 2 and 1 through the chain.
+        assert stage.history[-1].kind == "delta"
+        assert committed_rounds(root) == [1, 2, 3, 4]
         cluster.save_checkpoint(
-            os.path.join(str(tmp_path), checkpoint_dir_name(1)), mode="full"
+            os.path.join(root, checkpoint_dir_name(4)), mode="full"
         )
         cluster.train(1)
-        cluster.save_checkpoint(
-            os.path.join(str(tmp_path), checkpoint_dir_name(2)), mode="delta"
-        )
-        cluster.train(1)
-        cluster.save_checkpoint(
-            os.path.join(str(tmp_path), checkpoint_dir_name(3)), mode="delta"
-        )
-        removed = prune_checkpoints(str(tmp_path), keep_last=1)
-        # Keeping round 3 pins rounds 2 and 1 through the chain.
-        assert removed == []
-        assert committed_rounds(str(tmp_path)) == [1, 2, 3]
+        assert committed_rounds(root) == [4, 5]

@@ -1,7 +1,7 @@
 """Checkpoint-directory scans racing with concurrent pruning.
 
-``latest_checkpoint``/``prune_checkpoints`` walk ``round_*``
-subdirectories via ``os.listdir`` and then read each manifest — a window
+``latest_checkpoint`` walks ``round_*`` subdirectories via
+``os.listdir`` and then reads each manifest — a window
 in which a concurrent pruner (or a crashed writer's debris) can make the
 manifest vanish or leave it torn.  The hardened scan must *skip* such a
 directory with a recorded :class:`CheckpointScanWarning` and still
@@ -17,7 +17,7 @@ import os
 import pytest
 
 import repro.ckpt.format as ckpt_format
-from repro.ckpt import CheckpointScanWarning, latest_checkpoint, prune_checkpoints
+from repro.ckpt import CheckpointScanWarning, latest_checkpoint
 from repro.ckpt.format import MANIFEST_NAME, checkpoint_dir_name, resolve_chain
 from repro.core.cluster import HPSCluster
 
@@ -72,21 +72,6 @@ class TestScanRace:
         assert found == older
         # The surviving snapshot still resolves to a loadable chain.
         assert resolve_chain(found)
-
-    def test_prune_scan_survives_racing_unlink(
-        self, two_checkpoints, monkeypatch
-    ):
-        root, older, newer = two_checkpoints
-        racing_unlink(monkeypatch, older)
-        with pytest.warns(CheckpointScanWarning):
-            removed = prune_checkpoints(str(root), keep_last=1)
-        # The racer already removed the older snapshot's manifest; the
-        # pruner keeps the newest and reports nothing else to remove.
-        assert removed == []
-        # The older directory's manifest stays gone, so later scans keep
-        # warning about the debris but still resolve the newest snapshot.
-        with pytest.warns(CheckpointScanWarning):
-            assert latest_checkpoint(str(root)) == newer
 
     def test_clean_scan_emits_no_warning(self, two_checkpoints):
         root, _, newer = two_checkpoints

@@ -12,7 +12,7 @@ import pytest
 
 from repro.config import ClusterConfig
 from repro.core.cluster import HPSCluster
-from repro.core.trainer import ReferenceTrainer, Trainer
+from repro.core.trainer import ReferenceTrainer
 from repro.errors import KeyDomainError
 from repro.plan import RoundPlan
 from repro.utils.keys import KEY_DOMAIN_CAP
@@ -379,22 +379,6 @@ class TestMultiNodeConsistency:
             s = cluster.train_round()
             l = ref.train_round()
             assert s.mean_loss == pytest.approx(l, rel=1e-6)
-
-
-class TestTrainer:
-    def test_history_collection(self, tiny_spec, small_config):
-        cluster = HPSCluster(tiny_spec, small_config, functional_batch_size=256)
-        eval_batch = cluster.generator.batch(999, 512)
-        trainer = Trainer(cluster, eval_batch=eval_batch, eval_every=2)
-        hist = trainer.run(4)
-        assert hist.n_rounds == 4
-        assert len(hist.aucs) == 2
-        assert hist.throughput() > 0
-
-    def test_final_auc_requires_eval_batch(self, cluster):
-        trainer = Trainer(cluster)
-        with pytest.raises(ValueError):
-            trainer.final_auc()
 
 
 class TestRoundBoundaryGuard:

@@ -165,16 +165,6 @@ class TestPushDrain:
         update = ps.drain_gradients(plan.sync[0].nodes[0])
         assert np.all(update.grads == 1.0)
 
-    def test_undrained_buffer_blocks_checkpoint(self, ps, staged):
-        plan = staged([[1], []])
-        ps.push_gradients(
-            plan.nodes[0].minibatches[0], np.ones((1, 2), dtype=np.float32)
-        )
-        with pytest.raises(RuntimeError, match="not drained"):
-            ps.export_state()
-        ps.drain_gradients(plan.sync[0].nodes[0])
-        assert ps.export_state() == {}
-
 
 class TestApplyUpdate:
     """A sync round's update is applied once, to the round array at the
@@ -242,12 +232,6 @@ class TestDump:
         k, v = ps.dump()
         assert k.tolist() == [3, 7, 9]
         assert v.shape == (3, 2)
-
-    def test_clear(self, ps, staged):
-        staged([[1], []], np.ones((1, 2), dtype=np.float32))
-        ps.clear()
-        with pytest.raises(RuntimeError, match="no working set staged"):
-            ps.dump()
 
 
 class TestCostModelEquivalence:

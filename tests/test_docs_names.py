@@ -3,8 +3,11 @@
 Every backticked ``src/repro/…py`` path and every dotted ``repro.…`` name
 in the README, the benchmark README and the verify skill must resolve: a
 path by importing its module, a name by importing its longest module
-prefix and ``getattr`` of the rest.  A rename in ``src/`` that leaves a
-doc behind fails here.
+prefix and ``getattr`` of the rest.  So must every Sphinx cross-reference
+(``:func:``, ``:class:``, ``:meth:``, ``:attr:``, ``:data:``, ``:mod:``,
+``:exc:``) to a ``repro.…`` target in ``src/repro``'s docstrings and
+``#:`` comments.  A rename in ``src/`` that leaves a doc behind fails
+here.
 """
 
 import importlib
@@ -17,6 +20,7 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 DOCS = ("README.md", "benchmarks/hps/README.md", ".claude/skills/verify/SKILL.md")
 _PATH = re.compile(r"`src/(repro/[\w/]+)\.py`")
 _NAME = re.compile(r"\brepro(?:\.[A-Za-z_]\w*)+")
+_ROLE = re.compile(r":(?:func|class|meth|attr|data|mod|exc):`~?(repro(?:\.\w+)+)`")
 
 
 def cited(doc: str) -> list[str]:
@@ -48,3 +52,19 @@ def test_every_cited_name_resolves(doc):
         except (ImportError, AttributeError):
             unresolved.append(name)
     assert names and unresolved == [], f"{doc} cites missing code: {unresolved}"
+
+
+def test_every_docstring_cross_reference_resolves():
+    sources = sorted((ROOT / "src" / "repro").rglob("*.py"))
+    targets = {
+        (path.relative_to(ROOT).as_posix(), name)
+        for path in sources
+        for name in _ROLE.findall(path.read_text())
+    }
+    unresolved = []
+    for where, name in sorted(targets):
+        try:
+            resolve(name)
+        except (ImportError, AttributeError):
+            unresolved.append(f"{where}: {name}")
+    assert targets and unresolved == [], f"stale cross-references: {unresolved}"
