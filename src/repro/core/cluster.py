@@ -71,6 +71,7 @@ from repro.nn.model import Shard
 from repro.nn.optim import DenseAdagrad, SparseAdagrad, SparseOptimizer
 from repro.plan import RoundPlan, build_round_plan
 from repro.utils.keys import as_keys, check_key_cap, compact_unique
+from repro.utils.rows import put_rows, take_rows
 
 if TYPE_CHECKING:
     from repro.ckpt.checkpoint import CheckpointStats
@@ -671,8 +672,12 @@ class HPSCluster:
             # for its GPUs' share (on the ledger; the stage clock never
             # counted the apply).
             codes = splan.codes
-            values[codes] = self.sparse_optimizer.apply(
-                values[codes], global_update.grads
+            put_rows(
+                values,
+                codes,
+                self.sparse_optimizer.apply(
+                    take_rows(values, codes), global_update.grads
+                ),
             )
             for node, spn in zip(nodes, splan.nodes):
                 node.hbm_ps.apply_update(spn)
@@ -881,18 +886,22 @@ class HPSCluster:
             if idx.size == 0:
                 continue
             mem = node.mem_ps
+            # A peek and a read zero-fill what they miss, and those rows
+            # are still zero here: scatter every row, found or not.
             vals, found = mem.cache.peek_batch(keys[idx])
-            values[idx[found]] = vals[found]
+            put_rows(values, idx, vals)
             found_any[idx[found]] = True
-            miss = idx[~found_any[idx]]
+            miss = idx[~found]
             if miss.size:
                 result = node.ssd_ps.store.read(keys[miss])
-                values[miss[result.found]] = result.values[result.found]
+                put_rows(values, miss, result.values)
                 found_any[miss[result.found]] = True
         never_seen = np.flatnonzero(~found_any)
         if never_seen.size:
-            values[never_seen] = opt.init_for_keys(
-                keys[never_seen], seed=self.config.seed
+            put_rows(
+                values,
+                never_seen,
+                opt.init_for_keys(keys[never_seen], seed=self.config.seed),
             )
         return opt.embedding(values)
 

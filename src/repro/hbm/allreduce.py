@@ -26,6 +26,7 @@ import numpy as np
 from repro.hardware.gpu import NVLink
 from repro.hardware.network import Network
 from repro.utils.keys import KEY_DTYPE, as_keys, compact_unique
+from repro.utils.rows import put_rows, take_rows
 
 __all__ = [
     "SparseUpdate",
@@ -155,8 +156,11 @@ def hierarchical_allreduce(
 
     def _scatter(out: np.ndarray, present: np.ndarray, k: int) -> None:
         """Add node ``k``'s own update into a dense partial."""
-        out[positions[k]] += node_updates[k].grads
-        present[positions[k]] = True
+        pos = positions[k]
+        acc = take_rows(out, pos)
+        acc += node_updates[k].grads
+        put_rows(out, pos, acc)
+        present[pos] = True
 
     def _merge(i: int, j: int) -> None:
         """partial[i] <- merge(partial[i], partial[j]); consumes j's."""

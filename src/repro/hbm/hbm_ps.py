@@ -43,6 +43,7 @@ from repro.hbm.allreduce import SparseUpdate
 from repro.hbm.partition import ModuloPartitioner
 from repro.nn.optim import SparseOptimizer
 from repro.plan.batch_plan import MinibatchPlan, NodePlan, NodeSyncPlan
+from repro.utils.rows import put_rows, take_rows
 
 __all__ = ["GPUFabric", "HBMPS"]
 
@@ -237,7 +238,9 @@ class HBMPS:
         # Mini-batch keys are unique, so this scatter-add is the hash
         # table's insert-then-accumulate bit for bit (0 + d == d, and
         # float32 -> float64 -> float32 round-trips exactly).
-        st.grad_buf[mb.sync_idx] += np.asarray(grads, dtype=np.float32)
+        acc = take_rows(st.grad_buf, mb.sync_idx)
+        acc += np.asarray(grads, dtype=np.float32)
+        put_rows(st.grad_buf, mb.sync_idx, acc)
         return extra + self._charge_table_ops(
             self.optimizer.dim, mb.gpu_counts, "hbm_push", source_gpu=gpu
         )

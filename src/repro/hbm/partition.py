@@ -13,7 +13,7 @@ import numpy as np
 
 from repro.utils.keys import KEY_DOMAIN_CAP, KEY_DTYPE, as_keys, mix_hash
 
-__all__ = ["ModuloPartitioner", "partition_arrays", "bucket_order"]
+__all__ = ["ModuloPartitioner", "bucket_order"]
 
 
 def bucket_order(parts: np.ndarray, n_parts: int) -> tuple[np.ndarray, np.ndarray]:
@@ -107,11 +107,3 @@ class ModuloPartitioner:
         """Number of keys per bucket."""
         return np.bincount(self.part_of(keys), minlength=self.n_parts)
 
-
-def partition_arrays(
-    partitioner: ModuloPartitioner, keys: np.ndarray, values: np.ndarray
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Convenience wrapper returning ``[(keys_b, values_b), ...]``."""
-    return [
-        (k, v) for k, v in partitioner.split(keys, values)
-    ]

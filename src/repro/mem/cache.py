@@ -52,7 +52,10 @@ the rows it flushes).
 * **Row ops in between.**  Everything from the resolve to the round's
   end — gathers, scatters, the final unpin — goes through the rows the
   resolve and the insert handed back, with no further index probe.
-  Pinned rows are never victims, so they cannot be flushed.
+  Values move as whole slab rows through
+  :func:`~repro.utils.rows.take_rows` / :func:`~repro.utils.rows.put_rows`,
+  the insert's scatter and its flush gather included.  Pinned rows are
+  never victims, so they cannot be flushed.
 
 What is pinned, and when: the resolve's hits are pinned by the caller
 right after it returns (so the miss insert cannot evict them), the
@@ -84,6 +87,7 @@ from repro.utils.keys import (
     as_keys,
     check_key_cap,
 )
+from repro.utils.rows import put_rows, take_rows
 
 __all__ = ["CombinedCache", "CacheStats"]
 
@@ -491,9 +495,12 @@ class CombinedCache:
             fkeys = np.concatenate(
                 [self._keys[out], keys[:n_spill][taken_d[nv:]]]
             )[order]
-            fvals = np.concatenate(
-                [self._values[out], vals[:n_spill][taken_d[nv:]]], axis=0
-            )[order]
+            fvals = take_rows(
+                np.concatenate(
+                    [take_rows(self._values, out), vals[:n_spill][taken_d[nv:]]]
+                ),
+                order,
+            )
             # 3. The flushed rows leave the index and free their rows.
             index.remove(self._keys[out])
             self._keys[out] = EMPTY_KEY
@@ -516,7 +523,7 @@ class CombinedCache:
         n_spilled = new.size - ticks.size
         spilled, landed = new[:n_spilled], new[n_spilled:]
         self._keys[new] = keys
-        self._values[new] = vals
+        put_rows(self._values, new, vals)
         self._dirty[new] = True
         self._count[new] = 1
         self._freq[spilled] = 1
@@ -551,19 +558,19 @@ class CombinedCache:
 
     def update_rows(self, rows: np.ndarray, values: np.ndarray) -> None:
         """Overwrite values at pinned rows (no metadata changes)."""
-        self._values[rows] = np.asarray(values, dtype=np.float32)
+        put_rows(self._values, rows, values)
         self._dirty[rows] = True
 
     def values_at(self, rows: np.ndarray) -> np.ndarray:
         """Read values at pinned rows — a pure slab gather, touching
         neither recency nor hit/miss statistics."""
-        return self._values[rows]
+        return take_rows(self._values, rows)
 
     def peek_batch(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Read-only batch lookup — one probe, one gather: no recency,
         frequency, or stats."""
         rows, found = self._index.get(as_keys(keys))
-        values = self._values[rows]
+        values = take_rows(self._values, rows)
         values[~found] = 0.0
         return values, found
 

@@ -43,6 +43,7 @@ from repro.nn.optim import SparseOptimizer
 from repro.plan.batch_plan import AdmissionRecord, NodePlan, NodePrefetchPlan
 from repro.ssd.ssd_ps import SSDPS
 from repro.utils.rng import spawn
+from repro.utils.rows import put_rows, take_rows
 
 __all__ = ["MemPS", "PrepareStats"]
 
@@ -201,8 +202,12 @@ class MemPS:
             vals = result.values
             fresh_idx = np.flatnonzero(~result.found)
             if fresh_idx.size:
-                vals[fresh_idx] = self.optimizer.init_for_keys(
-                    miss_keys[fresh_idx], seed=self._init_seed
+                put_rows(
+                    vals,
+                    fresh_idx,
+                    self.optimizer.init_for_keys(
+                        miss_keys[fresh_idx], seed=self._init_seed
+                    ),
                 )
             flush_k, flush_v, rows[miss_idx] = self.cache.put_batch(
                 miss_keys, vals, pin=True
@@ -224,7 +229,7 @@ class MemPS:
         and the returned stats are the Fig. 4(b) decomposition.
         """
         pplan = self._round()
-        values[pplan.codes] = self.cache.values_at(pplan.rows)
+        put_rows(values, pplan.codes, self.cache.values_at(pplan.rows))
         n_hits = int(pplan.hit[pplan.local_pos].sum())
         n_ssd = int(pplan.ssd_found[pplan.local_pos].sum())
 
@@ -262,7 +267,7 @@ class MemPS:
         :meth:`end_batch` releases the round's whole set.
         """
         pplan = self._round()
-        self.cache.update_rows(pplan.rows, values[pplan.codes])
+        self.cache.update_rows(pplan.rows, take_rows(values, pplan.codes))
 
     def apply_gradients(self, rows: np.ndarray, grads: np.ndarray) -> None:
         """Apply the sparse optimizer to resolved rows in place.

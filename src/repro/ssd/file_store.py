@@ -44,6 +44,7 @@ from repro.ssd.extent_cache import FileHandleCache
 from repro.store.slot_index import SlotIndex
 from repro.utils.io import atomic_write_bytes
 from repro.utils.keys import KEY_DTYPE, as_keys, check_key_cap, compact_unique
+from repro.utils.rows import put_rows, take_rows
 
 __all__ = ["FileStore", "ParameterFile", "ReadResult"]
 
@@ -353,7 +354,7 @@ class FileStore:
         """Payload rows at ``(slot, row)`` pairs: one arena gather — on the
         disk backend, one ``.npy`` load per distinct file instead."""
         if self._arena is not None:
-            return self._arena.take(self._slot_base[slots] + rows, axis=0)
+            return take_rows(self._arena, self._slot_base[slots] + rows)
         out = np.empty((slots.size, self.value_dim), dtype=np.float32)
         order = slots.argsort(kind="stable")
         by_slot = slots[order]
@@ -453,7 +454,7 @@ class FileStore:
         out = self._gather(slots, rows)
         if n_found != keys.size:
             values = np.zeros((keys.size, self.value_dim), dtype=np.float32)
-            values[found] = out
+            put_rows(values, np.flatnonzero(found), out)
             out = values
         return ReadResult(
             out, found, total_t, cold.size, int(sizes[cold].sum()), fids.size - cold.size

@@ -7,9 +7,12 @@ prefix and ``getattr`` of the rest.  So must every Sphinx cross-reference
 (``:func:``, ``:class:``, ``:meth:``, ``:attr:``, ``:data:``, ``:mod:``,
 ``:exc:``) to a ``repro.…`` target in ``src/repro``'s docstrings and
 ``#:`` comments.  A rename in ``src/`` that leaves a doc behind fails
-here.
+here.  Every ``tests/…py`` path and ``tests/…py::Class::name`` test the
+README and the verify skill cite must exist too: the file, and each
+``::`` name as a class or function nested in the one before it.
 """
 
+import ast
 import importlib
 import pathlib
 import re
@@ -20,6 +23,7 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 DOCS = ("README.md", "benchmarks/hps/README.md", ".claude/skills/verify/SKILL.md")
 _PATH = re.compile(r"`src/(repro/[\w/]+)\.py`")
 _NAME = re.compile(r"\brepro(?:\.[A-Za-z_]\w*)+")
+_TEST = re.compile(r"\b(tests/[\w/]+\.py)((?:::\w+)*)")
 _ROLE = re.compile(r":(?:func|class|meth|attr|data|mod|exc):`~?(repro(?:\.\w+)+)`")
 
 
@@ -68,3 +72,26 @@ def test_every_docstring_cross_reference_resolves():
         except (ImportError, AttributeError):
             unresolved.append(f"{where}: {name}")
     assert targets and unresolved == [], f"stale cross-references: {unresolved}"
+
+
+def test_every_cited_test_resolves():
+    docs = [ROOT / "README.md", *sorted((ROOT / ".claude/skills/verify").glob("*"))]
+    cited_tests = {m for doc in docs for m in _TEST.findall(doc.read_text())}
+    missing = []
+    for path, names in sorted(cited_tests):
+        file = ROOT / path
+        if not file.is_file():
+            missing.append(path)
+            continue
+        scope = ast.parse(file.read_text()).body
+        for name in names.split("::")[1:]:
+            defs = {
+                node.name: node
+                for node in scope
+                if isinstance(node, (ast.ClassDef, ast.FunctionDef))
+            }
+            if name not in defs:
+                missing.append(path + names)
+                break
+            scope = defs[name].body
+    assert cited_tests and missing == [], f"docs cite missing tests: {missing}"
