@@ -170,6 +170,8 @@ class ClusterConfig:
                 raise ValueError(f"{name} must be positive")
         if self.ssd_extent_cache_files < 0:
             raise ValueError("ssd_extent_cache_files must be >= 0")
+        if not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
         # The MEM cache is two tiers: each needs at least one row.
         if self.mem_capacity_params < 2:
             raise ValueError("mem_capacity_params must be >= 2")

@@ -15,7 +15,11 @@ import numpy as np
 from repro.errors import TierStateError
 from repro.utils.rng import spawn
 
-__all__ = ["Dense", "ReLU", "MLP", "Workspace"]
+__all__ = ["Dense", "ReLU", "MLP", "Workspace", "INFER_BLOCK_BYTES"]
+
+#: Byte budget of one inference row block's widest activation.  Two such
+#: buffers plus a layer's weights fit a 2 MiB L2 cache.
+INFER_BLOCK_BYTES = 512 * 1024
 
 
 class Workspace:
@@ -53,7 +57,9 @@ class Dense:
     A training ``forward`` / ``backward`` writes into per-layer workspaces:
     the returned array and ``dW`` / ``db`` are overwritten by the next
     training call.  ``forward(x, training=False)`` touches no workspace
-    and records nothing for ``backward``.
+    and records nothing for ``backward``.  A ``forward`` given ``out``
+    (C-contiguous float64, ``(rows, out_dim)``) writes its result there
+    instead of into the workspace or a new array.
     """
 
     def __init__(self, in_dim: int, out_dim: int, *, seed: int = 0) -> None:
@@ -96,11 +102,17 @@ class Dense:
     def n_params(self) -> int:
         return self._W.size + self.b.size
 
-    def forward(self, x: np.ndarray, *, training: bool = True) -> np.ndarray:
-        out = None
+    def forward(
+        self,
+        x: np.ndarray,
+        *,
+        training: bool = True,
+        out: np.ndarray | None = None,
+    ) -> np.ndarray:
         if training:
             self._x = x
-            out = self._out.rows((x.shape[0], self.b.size))
+            if out is None:
+                out = self._out.rows((x.shape[0], self.b.size))
         y = np.matmul(x, self._weights64()[0], out=out)
         y += self.b
         return y
@@ -138,18 +150,25 @@ class ReLU:
     input — in the tower, a :class:`Dense` workspace nothing reads
     afterwards (a Dense layer's backward needs its input, not its
     output) — so the layer keeps only its mask workspace.
-    ``forward(x, training=False)`` allocates its result.
+    ``forward(x, training=False)`` allocates its result, or writes it
+    into ``out`` when given (``out=x`` rectifies in place).
     """
 
     def __init__(self) -> None:
         self._mask: np.ndarray | None = None
         self._mask_ws = Workspace()
 
-    def forward(self, x: np.ndarray, *, training: bool = True) -> np.ndarray:
-        out = None
+    def forward(
+        self,
+        x: np.ndarray,
+        *,
+        training: bool = True,
+        out: np.ndarray | None = None,
+    ) -> np.ndarray:
         if training:
             self._mask = np.greater(x, 0, out=self._mask_ws.rows(x.shape, bool))
-            out = x
+            if out is None:
+                out = x
         # ``where(x > 0, x, 0.0)`` for every input: fmax drops NaN, and
         # adding +0.0 turns the -0.0 it may pass through into +0.0.
         y = np.fmax(x, 0.0, out=out)
@@ -163,7 +182,26 @@ class ReLU:
 
 
 class MLP:
-    """ReLU tower ending in a single logit."""
+    """ReLU tower ending in a single logit.
+
+    Inference (``forward(x, training=False)``) streams ``x`` through the
+    tower one row block at a time.  The block is the largest multiple of 4
+    rows (at least 8) whose widest layer output fits
+    :data:`INFER_BLOCK_BYTES`.  Layer by layer a block ping-pongs between
+    two buffers allocated for the call, and its logits land in the
+    returned ``(n,)`` array: besides its input and result a call holds
+    at most ``2 * block * widest`` float64, keeps nothing afterwards and
+    leaves the training workspaces alone.
+
+    Blocks start at multiples of 4 rows because there OpenBLAS computes a
+    row of a product independently of the rows around it — the premise
+    :meth:`repro.nn.model.CTRModel.train_minibatch` rests on — so the blocked
+    logits equal one pass over all rows bit for bit.  OpenBLAS 0.3.31
+    keeps that premise for towers shaped like the workloads' (widths
+    multiples of 8, layer inputs at most 256 wide); ragged or wider
+    layers pick different kernels for small and large products, so
+    there a row's last bits already depend on the batch around it.
+    """
 
     def __init__(self, in_dim: int, hidden: tuple[int, ...], *, seed: int = 0):
         dims = [in_dim, *hidden, 1]
@@ -178,9 +216,37 @@ class MLP:
         return sum(l.n_params for l in self.layers if isinstance(l, Dense))
 
     def forward(self, x: np.ndarray, *, training: bool = True) -> np.ndarray:
-        for layer in self.layers:
-            x = layer.forward(x, training=training)
-        return x[:, 0]
+        if training:
+            for layer in self.layers:
+                x = layer.forward(x)
+            return x[:, 0]
+        n = x.shape[0]
+        logits = np.empty(n)
+        # Dense and ReLU alternate: Dense k writes buffer k % 2, except
+        # the last, which writes the logits.
+        widths = [layer.b.size for layer in self.layers[::2]]
+        block = max(8, INFER_BLOCK_BYTES // (8 * max(widths)) // 4 * 4)
+        rows = min(n, block)
+        bufs = [np.empty(rows * max(widths[k:-1:2], default=0)) for k in (0, 1)]
+        edges = [*range(0, n, block), n]
+        if len(edges) > 2 and n - edges[-2] == 1:
+            # NumPy hands a 1-row product to gemv, which rounds unlike the
+            # gemm of a single pass: end the previous block 4 rows early.
+            edges[-2] -= 4
+        last = self.layers[-1]
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            h = x[lo:hi]
+            rows = hi - lo
+            for i, layer in enumerate(self.layers):
+                if isinstance(layer, ReLU):
+                    out = h
+                elif layer is last:
+                    out = logits[lo:hi].reshape(rows, 1)
+                else:
+                    out = bufs[i // 2 % 2][: rows * layer.b.size]
+                    out = out.reshape(rows, layer.b.size)
+                h = layer.forward(h, training=False, out=out)
+        return logits
 
     def backward(
         self, grad_logit: np.ndarray, bounds: Sequence[int] | None = None

@@ -81,7 +81,9 @@ class CTRModel:
         flat_idx: np.ndarray | None = None,
     ) -> np.ndarray:
         """Logits for ``batch`` — a pure function of the inputs and the
-        current parameters (no workspace, nothing recorded)."""
+        current parameters (no workspace, nothing recorded).  The tower
+        streams row blocks of a multiple of 4 rows through two per-call
+        buffers (see :class:`~repro.nn.layers.MLP`)."""
         feats = self.embedding.forward(
             batch, unique_keys, emb_values, flat_idx=flat_idx, training=False
         )
@@ -91,7 +93,17 @@ class CTRModel:
         self, batch: Batch, unique_keys: np.ndarray, emb_values: np.ndarray,
         *, flat_idx: np.ndarray | None = None,
     ) -> np.ndarray:
-        """Click probabilities for ``batch`` (no gradient bookkeeping)."""
+        """Click probabilities for ``batch`` (no gradient bookkeeping).
+
+        Memory is bounded by the row block, not the batch: beyond the
+        pooled features and the ``(n,)`` result the tower holds two
+        buffers of ``block × widest layer`` float64, the block being the
+        largest multiple of 4 rows whose widest layer output fits
+        :data:`~repro.nn.layers.INFER_BLOCK_BYTES`, and keeps nothing
+        past the call.  Blocks start at multiples of 4 rows, where
+        OpenBLAS computes a row independently of its neighbours, so the
+        result equals a single pass over all rows bit for bit.
+        """
         return sigmoid(self.forward(batch, unique_keys, emb_values, flat_idx=flat_idx))
 
     def train_minibatch(

@@ -22,8 +22,11 @@ def derive_seed(seed: int, *tags: int | str) -> int:
 
     Tags may be strings (component names) or integers (shard ids).  The
     derivation is stable across processes and Python versions — it does not
-    use :func:`hash`.
+    use :func:`hash`.  ``seed`` must lie in ``[0, 2**64)``; any other
+    raises ``ValueError`` naming it.
     """
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed {seed} is outside [0, 2**64)")
     h = np.uint64(seed) ^ np.uint64(0x9E3779B97F4A7C15)
     with np.errstate(over="ignore"):
         for tag in tags:

@@ -67,6 +67,17 @@ class TestTrainRound:
         with pytest.raises(KeyDomainError, match=f"key {KEY_DOMAIN_CAP},"):
             build(spec, small_config)
 
+    @pytest.mark.parametrize("data_seed", [-1, 2**64])
+    def test_out_of_range_data_seed_is_a_value_error(
+        self, tiny_spec, small_config, data_seed
+    ):
+        with pytest.raises(ValueError, match=f"seed {data_seed} is outside"):
+            HPSCluster(tiny_spec, small_config, data_seed=data_seed)
+
+    def test_largest_seeds_build_a_cluster(self, tiny_spec, small_config):
+        config = dataclasses.replace(small_config, seed=2**64 - 1)
+        HPSCluster(tiny_spec, config, data_seed=2**64 - 1).train_round()
+
     def test_auc_improves_over_random(self, tiny_spec, small_config):
         cluster = HPSCluster(tiny_spec, small_config, functional_batch_size=512)
         cluster.train(8)

@@ -6,9 +6,11 @@ reused buffers, the float64 weight shadow and reshape-sum pooling may
 change where results live, never a bit of them.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nn_oracles import OracleEmbedding, OracleMLP
@@ -17,7 +19,7 @@ from repro.data.batching import Batch
 from repro.data.generator import CTRDataGenerator
 from repro.errors import TierStateError
 from repro.nn.embedding import EmbeddingLayer
-from repro.nn.layers import MLP, Dense, ReLU
+from repro.nn.layers import INFER_BLOCK_BYTES, MLP, Dense, ReLU
 from repro.nn.loss import bce_with_logits, sigmoid
 from repro.nn.model import CTRModel
 from repro.nn.optim import DenseAdagrad
@@ -65,6 +67,66 @@ def test_inference_forward_equals_training_forward_and_owns_its_output():
     assert _bits(mlp.forward(x), snapshot)
     mlp.forward(rng.normal(size=(11, 6)))  # overwrites workspaces only
     assert _bits(held, snapshot)
+
+
+def _widths(lo, hi):
+    return st.integers(lo // 8, hi // 8).map(lambda k: 8 * k)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    in_dim=_widths(8, 64),
+    first=_widths(32, 256),
+    middle=st.lists(_widths(8, 256), max_size=1),
+    last=_widths(8, 64),
+    n_blocks=st.integers(0, 3),
+    tail=st.integers(0, 5),
+    seed=st.integers(0, 2**16),
+)
+@example(in_dim=64, first=256, middle=[128], last=64, n_blocks=0, tail=1, seed=0)
+@example(in_dim=64, first=256, middle=[128], last=64, n_blocks=2, tail=1, seed=0)
+@example(in_dim=16, first=32, middle=[], last=8, n_blocks=3, tail=3, seed=0)
+def test_blocked_inference_matches_oracle(
+    in_dim, first, middle, last, n_blocks, tail, seed
+):
+    """Inference streams row blocks of a multiple of 4 rows through the
+    tower; its logits equal the oracle's single pass over every row bit
+    for bit — whole blocks, a ragged tail (1 row included) and no rows.
+
+    The towers are shaped like the workloads' — widths multiples of 8 up
+    to 256, some layer at least 32 wide (so a block is at most 2048
+    rows), the last hidden layer at most 64 wide.  Past those bounds
+    OpenBLAS 0.3.31 no longer computes a row independently of the rows
+    around it in the *single pass*: ragged widths pick a different
+    kernel for small and large products, and the logit gemv over a wide
+    input splits across BLAS threads at a row that need not be a multiple
+    of 4."""
+    rng = np.random.default_rng(seed)
+    hidden = (first, *middle, last)
+    mlp = MLP(in_dim, hidden, seed=seed)
+    widest = max(hidden)
+    block = max(8, INFER_BLOCK_BYTES // (8 * widest) // 4 * 4)
+    n = n_blocks * block + tail
+    x = rng.normal(size=(n, in_dim))
+    got = mlp.forward(x, training=False)
+    assert _bits(got, OracleMLP(mlp).forward(x))
+
+
+@pytest.mark.parametrize("n", [0, 8192])
+def test_inference_memory_is_bounded_by_the_block(n):
+    """The dense-heavy tower's inference peaks at two block buffers plus
+    its logits — not two ``(rows, width)`` arrays per layer, which
+    traced 32 MiB for 8192 rows."""
+    mlp = MLP(64, (256, 128, 64))
+    x = np.random.default_rng(0).normal(size=(n, 64))
+    tracemalloc.start()
+    try:
+        logits = mlp.forward(x, training=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert logits.shape == (n,)
+    assert peak < 2 * 2**20
 
 
 def test_weight_write_through_W_reaches_the_next_forward():

@@ -118,6 +118,17 @@ class TestClusterConfig:
         with pytest.raises(ValueError, match=f"{field} must be positive"):
             ClusterConfig(**{field: value})
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_out_of_range_seed_rejected_at_construction(self, seed):
+        """Such a seed used to be accepted and die in the cluster's
+        ``derive_seed`` as a bare ``OverflowError``."""
+        match = rf"seed must be in \[0, 2\*\*64\), got {seed}"
+        with pytest.raises(ValueError, match=match):
+            ClusterConfig(seed=seed)
+
+    def test_largest_seed_accepted(self):
+        assert ClusterConfig(seed=2**64 - 1).seed == 2**64 - 1
+
     @pytest.mark.parametrize(
         "field, value, match",
         [

@@ -1,6 +1,7 @@
 """Tests for deterministic RNG derivation."""
 
 import numpy as np
+import pytest
 
 from repro.utils.rng import derive_seed, make_rng, spawn
 
@@ -21,6 +22,14 @@ class TestDeriveSeed:
     def test_result_is_valid_seed(self):
         s = derive_seed(123, "component", 5)
         assert 0 <= s < 2**31
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_out_of_range_seed_is_a_value_error_naming_it(self, seed):
+        with pytest.raises(ValueError, match=f"seed {seed} is outside"):
+            derive_seed(seed, "x")
+
+    def test_largest_seed_is_accepted(self):
+        assert 0 <= derive_seed(2**64 - 1, "x") < 2**31
 
 
 class TestSpawn:
