@@ -9,8 +9,8 @@ Public API highlights
   hierarchical parameter server, trained with Algorithm 1.
 - :class:`repro.core.trainer.ReferenceTrainer` — the lossless
   single-store reference trainer.
-- :class:`repro.baselines.mpi_ps.MPIClusterBaseline` — the in-memory MPI
-  parameter-server baseline the paper compares against.
+- :class:`repro.baselines.mpi_ps.MPITimingModel` — the timing of the
+  in-memory MPI parameter-server baseline the paper compares against.
 - :mod:`repro.hashing.op_osrp` — the OP+OSRP hashing study of Section 2.
 - :mod:`repro.ckpt` — crash-consistent checkpoint/restore of the
   three-tier store.
@@ -19,7 +19,7 @@ Public API highlights
   full restore + replay.
 """
 
-from repro.config import PAPER_MODELS, ClusterConfig, ModelSpec, scaled_model
+from repro.config import PAPER_MODELS, ClusterConfig, ModelSpec
 
 __version__ = "1.0.0"
 
@@ -27,6 +27,5 @@ __all__ = [
     "PAPER_MODELS",
     "ClusterConfig",
     "ModelSpec",
-    "scaled_model",
     "__version__",
 ]

@@ -5,15 +5,14 @@ holding the full model sharded *in memory*; each node streams its own
 training batches, pulls referenced parameters from the owning nodes over
 Ethernet, computes gradients on the CPU, and pushes them back.
 
-Two layers, matching the rest of the library:
-
-* **Functional** — :class:`MPIClusterBaseline` trains the identical CTR
-  model with identical math (it *is* the single-store reference trainer's
-  semantics, sharded); the paper's Fig. 3(b) holds by construction.
-* **Timing** — :class:`MPITimingModel` prices one batch on an ``M``-node
-  CPU cluster: per-node CPU forward/backward, parameter pull/push traffic,
-  and the synchronization barrier whose straggler penalty grows with the
-  node count.  This is what Table 4 and Fig. 3(a) compare against.
+Its math is the classic BSP data-parallel parameter server, which on
+identical data order computes the updates of the single-store
+:class:`~repro.core.trainer.ReferenceTrainer`, so that trainer is the
+functional baseline of Fig. 3(b).  This module prices it:
+:class:`MPITimingModel` times one batch on an ``M``-node CPU cluster —
+per-node CPU forward/backward, parameter pull/push traffic, and the
+synchronization barrier whose straggler penalty grows with the node
+count.  This is what Table 4 and Fig. 3(a) compare against.
 """
 
 from __future__ import annotations
@@ -23,12 +22,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.config import ModelSpec
-from repro.core.trainer import ReferenceTrainer
 from repro.hardware.network import Network
 from repro.hardware.specs import CPUSpec, HDFSSpec, NetworkSpec
 from repro.utils.stats import expected_unique_zipf
 
-__all__ = ["MPITimingModel", "MPIBatchTime", "MPIClusterBaseline"]
+__all__ = ["MPITimingModel", "MPIBatchTime"]
 
 
 @dataclass(frozen=True)
@@ -155,29 +153,3 @@ class MPITimingModel:
     def throughput(self) -> float:
         """Cluster examples/second (Fig. 3(a) y-axis)."""
         return self.n_nodes * self.node_rate()
-
-
-class MPIClusterBaseline(ReferenceTrainer):
-    """Functional MPI baseline: reference-trainer math + MPI timing.
-
-    The MPI solution is algorithmically the classic BSP data-parallel
-    parameter server, which on identical data order computes identical
-    updates to our reference trainer — so it reuses that implementation
-    (and with it the vectorized :class:`~repro.store.flat.FlatStore`
-    parameter shard) and attaches the :class:`MPITimingModel` for
-    throughput accounting.
-    """
-
-    def __init__(self, *args, n_mpi_nodes: int | None = None, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.timing = MPITimingModel(
-            self.model_spec,
-            n_mpi_nodes,
-            zipf_exponent=self.generator.zipf_exponent,
-        )
-
-    def simulated_batch_seconds(self) -> float:
-        return self.timing.batch_time().total_seconds
-
-    def simulated_throughput(self) -> float:
-        return self.timing.throughput()

@@ -1,19 +1,18 @@
 """Model and cluster configuration.
 
 :class:`ModelSpec` carries the paper's Table 3 verbatim (models A–E) plus
-scaled-down variants that actually run on a laptop.  :class:`ClusterConfig`
+the laptop-scale :data:`TINY_MODEL`.  :class:`ClusterConfig`
 describes the simulated deployment (nodes, GPUs per node, batch sharding).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 __all__ = [
     "ModelSpec",
     "ClusterConfig",
     "PAPER_MODELS",
-    "scaled_model",
     "TINY_MODEL",
 ]
 
@@ -79,31 +78,6 @@ PAPER_MODELS: dict[str, ModelSpec] = {
     "D": ModelSpec("D", 500, int(1e11), int(4e6), 6_000.0, 150),
     "E": ModelSpec("E", 500, int(2e11), int(7e6), 10_000.0, 128),
 }
-
-
-def scaled_model(
-    name: str,
-    *,
-    scale: float = 1e-6,
-    embedding_dim: int = 8,
-    hidden_layers: tuple[int, ...] = (32, 16),
-) -> ModelSpec:
-    """A laptop-scale functional variant of a paper model.
-
-    ``scale`` multiplies the sparse key space; nonzeros per example are
-    scaled with a gentler factor so batches stay realistically sparse.
-    """
-    base = PAPER_MODELS[name]
-    n_sparse = max(1_000, int(base.n_sparse * scale))
-    nnz = max(5, base.nonzeros_per_example // 10)
-    return replace(
-        base,
-        n_sparse=n_sparse,
-        nonzeros_per_example=nnz,
-        n_dense=sum(hidden_layers) * 8,
-        embedding_dim=embedding_dim,
-        hidden_layers=hidden_layers,
-    )
 
 
 #: A minimal spec used throughout the unit tests.
@@ -189,7 +163,3 @@ class ClusterConfig:
     @property
     def minibatches_per_batch(self) -> int:
         return self.total_gpus * self.minibatches_per_gpu
-
-    def with_nodes(self, n_nodes: int) -> "ClusterConfig":
-        """Copy of this config with a different node count."""
-        return replace(self, n_nodes=n_nodes)

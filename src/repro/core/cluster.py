@@ -288,6 +288,8 @@ class HPSCluster:
         zipf_exponent: float = 1.05,
         ssd_directory: str | None = None,
     ) -> None:
+        if functional_batch_size < 1:
+            raise ValueError("functional_batch_size must be at least 1")
         check_key_cap(
             model_spec.n_sparse - 1,
             f"model {model_spec.name!r} (n_sparse={model_spec.n_sparse})",
@@ -367,8 +369,8 @@ class HPSCluster:
         """Build one fresh node from the cluster's construction recipe.
 
         Used at construction and to spawn the replacement nodes of a
-        restore in place (:meth:`restore_node`, the supervisor's full
-        recovery) — a replacement must be built exactly like the
+        restore in place (:func:`~repro.ckpt.checkpoint.restore_nodes`, the
+        supervisor's full recovery) — a replacement must be built exactly like the
         original so restored state lands on an identical substrate.
         """
         return HPSNode(
@@ -850,7 +852,7 @@ class HPSCluster:
         ``train``'s write-back.  Releasing the pins therefore returns
         every tier to a value-exact round boundary, so the aborted round
         can be retried from its read stage (or a partial
-        ``restore_node`` applied) without forking parameters.
+        ``restore_nodes`` applied) without forking parameters.
 
         Only valid while no round has working parameters staged in HBM —
         past ``stage_load`` the freshest values live only in the round
@@ -943,16 +945,6 @@ class HPSCluster:
         from repro.ckpt.checkpoint import save_cluster
 
         return save_cluster(self, directory, kind=mode)
-
-    def restore_node(self, directory: str, node_id: int) -> "CheckpointStats":
-        """Partial restore: rebuild one dead node from a snapshot chain
-        taken at the survivors' current round boundary; the surviving
-        majority reloads nothing.  See
-        :func:`~repro.ckpt.checkpoint.restore_nodes`.
-        """
-        from repro.ckpt.checkpoint import restore_nodes
-
-        return restore_nodes(self, directory, [node_id])
 
     def enable_snapshot_stage(
         self,

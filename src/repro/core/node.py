@@ -85,7 +85,7 @@ class HPSNode:
             self.hardware.hdfs,
             node_id=node_id,
             n_nodes=cfg.n_nodes,
-            batch_size=functional_batch_size or cfg.batch_size,
+            batch_size=cfg.batch_size if functional_batch_size is None else functional_batch_size,
             ledger=self.ledger,
         )
         # Every node starts from the same dense initialization (seeded by

@@ -12,9 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.utils.keys import KEY_DTYPE, as_keys, unique_keys
+from repro.utils.keys import as_keys, unique_keys
 
-__all__ = ["Batch", "concat_batches"]
+__all__ = ["Batch"]
 
 
 @dataclass
@@ -92,25 +92,6 @@ class Batch:
         b._unique = None
         return b
 
-    def select(self, example_idx: np.ndarray) -> "Batch":
-        """Sub-batch containing ``example_idx`` rows (in the given order)."""
-        example_idx = np.asarray(example_idx, dtype=np.int64)
-        if example_idx.size == 0:
-            return Batch(
-                np.empty(0, dtype=KEY_DTYPE),
-                np.zeros(1, dtype=np.int64),
-                np.empty(0, dtype=np.float32),
-            )
-        if example_idx.min() < 0 or example_idx.max() >= self.n_examples:
-            raise IndexError("example index out of range")
-        lengths = self.row_lengths()[example_idx]
-        new_offsets = np.zeros(example_idx.size + 1, dtype=np.int64)
-        np.cumsum(lengths, out=new_offsets[1:])
-        # Gather the flat key ranges without a Python-level inner loop.
-        starts = self.offsets[example_idx]
-        take = _ranges(starts, lengths)
-        return Batch(self.keys[take], new_offsets, self.labels[example_idx])
-
     def shard(self, n_shards: int) -> list["Batch"]:
         """Split into ``n_shards`` contiguous mini-batches (Alg. 1 line 5).
 
@@ -121,8 +102,7 @@ class Batch:
             raise ValueError("n_shards must be positive")
         bounds = np.linspace(0, self.n_examples, n_shards + 1).astype(np.int64)
         # Shards are contiguous example ranges, so each is a pure slice
-        # of the CSR arrays — identical to ``select(arange(lo, hi))``
-        # without the generic gather.
+        # of the CSR arrays.
         offsets, keys, labels = self.offsets, self.keys, self.labels
         out = []
         for i in range(n_shards):
@@ -145,35 +125,3 @@ class Batch:
         ids, timestamps) plus one encoded key per non-zero.
         """
         return self.n_examples * header + self.n_nonzeros * bytes_per_key
-
-
-def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Vectorized ``concatenate([arange(s, s+l) for s, l in zip(...)])``.
-
-    Implemented as a restarting cumulative sum: every element steps by one
-    except each row's first element, which jumps to that row's start.
-    """
-    starts = np.asarray(starts, dtype=np.int64)
-    lengths = np.asarray(lengths, dtype=np.int64)
-    mask = lengths > 0
-    starts, lengths = starts[mask], lengths[mask]
-    total = int(lengths.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
-    inc = np.ones(total, dtype=np.int64)
-    row_first = np.concatenate(([0], np.cumsum(lengths)[:-1]))
-    inc[row_first] = np.concatenate(
-        ([starts[0]], np.diff(starts) - lengths[:-1] + 1)
-    )
-    return inc.cumsum()
-
-
-def concat_batches(batches: list[Batch]) -> Batch:
-    """Concatenate batches preserving example order."""
-    if not batches:
-        raise ValueError("need at least one batch")
-    keys = np.concatenate([b.keys for b in batches])
-    labels = np.concatenate([b.labels for b in batches])
-    offsets = np.zeros(sum(b.n_examples for b in batches) + 1, dtype=np.int64)
-    np.cumsum(np.concatenate([b.row_lengths() for b in batches]), out=offsets[1:])
-    return Batch(keys, offsets, labels)

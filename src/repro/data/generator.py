@@ -22,16 +22,7 @@ from repro.data.batching import Batch
 from repro.utils.keys import KEY_DTYPE, splitmix64
 from repro.utils.rng import spawn
 
-__all__ = ["CTRDataGenerator", "zipf_probabilities"]
-
-
-def zipf_probabilities(n: int, exponent: float = 1.05) -> np.ndarray:
-    """Normalized Zipf pmf over ``n`` ranks (rank 1 most popular)."""
-    if n <= 0:
-        raise ValueError("n must be positive")
-    ranks = np.arange(1, n + 1, dtype=np.float64)
-    p = ranks ** (-exponent)
-    return p / p.sum()
+__all__ = ["CTRDataGenerator"]
 
 
 def _median(x: np.ndarray) -> float:
@@ -152,8 +143,3 @@ class CTRDataGenerator:
         # Correct by construction (uint64 C-contiguous keys, uniform
         # int64 offsets, float32 labels): skip the validating constructor.
         return Batch._trusted(keys, offsets, labels)
-
-    def batches(self, n_batches: int, n_examples: int):
-        """Yield ``n_batches`` consecutive batches."""
-        for i in range(n_batches):
-            yield self.batch(i, n_examples)

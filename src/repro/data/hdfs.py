@@ -92,12 +92,3 @@ class HDFSStream:
         self.batches_read += 1
         self.bytes_read += batch.nbytes_raw_log()
         return TimedBatch(global_index, batch, t + extra)
-
-    def stream(self, n_rounds: int):
-        """Yield this node's share of ``n_rounds`` global rounds.
-
-        In round ``r`` every node reads one batch; node ``i`` reads global
-        batch ``r * n_nodes + i``.
-        """
-        for r in range(n_rounds):
-            yield self.read(r * self.n_nodes + self.node_id)

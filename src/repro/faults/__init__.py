@@ -22,7 +22,7 @@ surface:
   checkpoint-chain quarantine recovery for exhausted SSD reads;
 * :mod:`repro.faults.supervisor` — :class:`Supervisor`, which drives
   ``train_round``/``train_pipelined``, classifies escaped faults
-  (transient → retry the round, single-node-fatal → ``restore_node``
+  (transient → retry the round, single-node-fatal → ``restore_nodes``
   partial restore, global-fatal → full restore + replay) and records a
   :class:`FaultReport` per incident.
 

@@ -11,7 +11,7 @@ supervisor how much state the escape may have corrupted:
     was mutated — safe to retry the round from its read stage;
 ``"node"``
     one node's durable state is suspect (e.g. an SSD payload lost
-    beyond the retry budget) — a partial ``restore_node`` from a
+    beyond the retry budget) — a partial ``restore_nodes`` from a
     current snapshot heals it;
 ``"global"``
     cross-node state may have diverged mid-mutation — only a full

@@ -96,22 +96,6 @@ class FaultSchedule:
         self._op_counts: dict[tuple[str, int], int] = {}
 
     # ------------------------------------------------------------------
-    @classmethod
-    def mixed(
-        cls, seed: int, *, rate: float = 0.02, max_faults: int = 32, **kwargs
-    ) -> "FaultSchedule":
-        """A schedule arming every kind at a uniform rate (soak tests).
-
-        Node crashes and stragglers get a fraction of ``rate`` — they
-        fire per round / per stage rather than per I/O operation, so an
-        equal per-draw rate would drown the run in restores.
-        """
-        rates = {kind: rate for kind in FAULT_KINDS}
-        rates["node_crash"] = rate / 4
-        rates["straggler"] = rate / 2
-        return cls(seed, rates=rates, max_faults=max_faults, **kwargs)
-
-    # ------------------------------------------------------------------
     def _key(self, kind: str, node: int | None) -> tuple[str, int]:
         return (kind, -1 if node is None else int(node))
 
@@ -163,17 +147,3 @@ class FaultSchedule:
             return 1.0
         u = self.uniform("straggler", node)
         return self.straggler_min + u * (self.straggler_max - self.straggler_min)
-
-    # ------------------------------------------------------------------
-    def describe(self) -> dict:
-        """Config fingerprint (used by determinism tests)."""
-        return {
-            "seed": self.seed,
-            "rates": dict(sorted(self.rates.items())),
-            "max_faults": self.max_faults,
-            "depth_p": self.depth_p,
-            "max_depth": self.max_depth,
-            "straggler_min": self.straggler_min,
-            "straggler_max": self.straggler_max,
-            "script": {str(k): int(v) for k, v in sorted(self.script.items())},
-        }

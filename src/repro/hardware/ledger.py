@@ -9,24 +9,11 @@ benchmarks aggregate them into the paper's per-stage decompositions.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
 
-__all__ = ["CostLedger", "Cost"]
-
-
-@dataclass(frozen=True)
-class Cost:
-    """A single simulated cost sample."""
-
-    category: str
-    seconds: float
-
-    def __post_init__(self) -> None:
-        if self.seconds < 0:
-            raise ValueError("cost cannot be negative")
+__all__ = ["CostLedger"]
 
 
 class CostLedger:

@@ -71,12 +71,6 @@ class SimpleDNN:
                 self._store[int(keys[i])] = fresh[j].copy()
         return out
 
-    def _pad_rows(self, batch: Batch) -> Batch:
-        """Hashed rows can be empty (all z=0); embedding pooling handles
-        empty rows only when lengths divide n_slots — with n_slots=1 any
-        length including 0 is fine, so no padding is needed."""
-        return batch
-
     # ------------------------------------------------------------------
     def train_batch(self, batch: Batch) -> float:
         shard = Shard.of(batch)

@@ -21,8 +21,8 @@ def bucket_order(parts: np.ndarray, n_parts: int) -> tuple[np.ndarray, np.ndarra
 
     ``order[bounds[b]:bounds[b+1]]`` are the positions of bucket ``b``'s
     elements in ascending original order (stable sort).  Every consumer of
-    a bucket split — :meth:`ModuloPartitioner.split`, the plan builder's
-    ``group_indices``, the distributed table's shard dispatch — routes
+    a bucket split — the plan builder's ``group_indices``, the distributed
+    table's shard dispatch — routes
     through this one function so the grouping contract stays in one place.
     Bucket ids (all in ``[0, n_parts)``) are sorted in the narrowest
     unsigned dtype that holds them: NumPy's stable sort of 8- and 16-bit
@@ -87,23 +87,3 @@ class ModuloPartitioner:
                     return self._table[keys.astype(np.int64)]
         h = mix_hash(keys, seed=self.salt)
         return (h % np.uint64(self.n_parts)).astype(np.int64)
-
-    def split(self, keys: np.ndarray, *arrays: np.ndarray):
-        """Partition ``keys`` (and parallel ``arrays``) into buckets.
-
-        Returns a list of tuples, one per bucket: ``(keys_b, *arrays_b)``.
-        This is the ``parallel_partition`` of Algorithm 2 line 2.
-        """
-        keys = as_keys(keys)
-        parts = self.part_of(keys)
-        order, bounds = bucket_order(parts, self.n_parts)
-        out = []
-        for b in range(self.n_parts):
-            sel = order[bounds[b] : bounds[b + 1]]
-            out.append((keys[sel], *(np.asarray(a)[sel] for a in arrays)))
-        return out
-
-    def counts(self, keys: np.ndarray) -> np.ndarray:
-        """Number of keys per bucket."""
-        return np.bincount(self.part_of(keys), minlength=self.n_parts)
-

@@ -129,11 +129,6 @@ class CacheStats:
     def hit_rate(self) -> float:
         return self.hits / self.accesses if self.accesses else 0.0
 
-    def reset(self) -> None:
-        self.hits = 0
-        self.misses = 0
-        self.admission_runs = 0
-
 
 def _empty_pairs(dim: int) -> tuple[np.ndarray, np.ndarray]:
     return as_keys([]), np.zeros((0, dim), dtype=np.float32)

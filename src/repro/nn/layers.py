@@ -276,15 +276,6 @@ class MLP:
         """Copies of all dense parameters (for sync / checkpoint)."""
         return [p.copy() for p in self.parameters()]
 
-    def set_state(self, state: list[np.ndarray]) -> None:
-        params = self.parameters()
-        if len(state) != len(params):
-            raise ValueError("state length mismatch")
-        for p, s in zip(params, state):
-            if p.shape != s.shape:
-                raise ValueError("state shape mismatch")
-            p[...] = s
-
     def state_dict(self) -> dict[str, np.ndarray]:
         """Named parameter copies (``layer<i>.W`` / ``layer<i>.b``).
 

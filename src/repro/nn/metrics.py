@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["auc", "log_loss"]
+__all__ = ["auc"]
 
 
 def auc(labels: np.ndarray, scores: np.ndarray) -> float:
@@ -52,12 +52,3 @@ def _average_ranks(x: np.ndarray) -> np.ndarray:
     avg = first_idx + (counts + 1) / 2.0  # average of 1-based positions
     ranks[order] = avg[group_id]
     return ranks
-
-
-def log_loss(labels: np.ndarray, probs: np.ndarray, eps: float = 1e-12) -> float:
-    """Mean binary cross-entropy."""
-    labels = np.asarray(labels, dtype=np.float64).ravel()
-    probs = np.clip(np.asarray(probs, dtype=np.float64).ravel(), eps, 1 - eps)
-    if labels.shape != probs.shape:
-        raise ValueError("labels and probs must have the same shape")
-    return float(-np.mean(labels * np.log(probs) + (1 - labels) * np.log(1 - probs)))

@@ -156,12 +156,5 @@ class CTRModel:
         ]
 
     # ------------------------------------------------------------------
-    @property
-    def n_dense_params(self) -> int:
-        return self.mlp.n_params
-
     def dense_state(self) -> list[np.ndarray]:
         return self.mlp.get_state()
-
-    def load_dense_state(self, state: list[np.ndarray]) -> None:
-        self.mlp.set_state(state)

@@ -79,17 +79,6 @@ class FlatStore:
         _, found = self._index.get(as_keys(keys))
         return found
 
-    def transform(self, keys: np.ndarray, fn) -> None:
-        """Apply ``new = fn(old)`` to resident ``keys`` (all must exist)."""
-        keys = as_keys(keys)
-        if keys.size == 0:
-            return
-        slots, found = self._index.get(keys)
-        if not np.all(found):
-            missing = keys[~found][:5]
-            raise KeyError(f"transform on absent keys, e.g. {missing.tolist()}")
-        self._values[slots] = np.asarray(fn(self._values[slots]), dtype=np.float32)
-
     def items(self) -> tuple[np.ndarray, np.ndarray]:
         """All resident ``(keys, values)``, sorted by key."""
         keys, slots = self._index.items()

@@ -15,22 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = [
-    "expected_unique_uniform",
-    "expected_unique_zipf",
-    "expected_overlap_fraction",
-    "zipf_head_mass",
-]
-
-
-def expected_unique_uniform(n_draws: float, key_space: float) -> float:
-    """E[#unique] for ``n_draws`` uniform draws over ``key_space`` keys."""
-    if n_draws < 0 or key_space <= 0:
-        raise ValueError("invalid arguments")
-    if n_draws == 0:
-        return 0.0
-    # K * (1 - (1 - 1/K)^n), computed stably.
-    return float(key_space * -np.expm1(n_draws * np.log1p(-1.0 / key_space)))
+__all__ = ["expected_unique_zipf"]
 
 
 def _zipf_bucket_pmf(
@@ -67,38 +52,3 @@ def expected_unique_zipf(
     # 1 - (1-p)^n per key, stably: -expm1(n * log1p(-p)).
     per_key = -np.expm1(n_draws * np.log1p(-np.minimum(p, 1 - 1e-12)))
     return float((sizes * per_key).sum())
-
-
-def zipf_head_mass(
-    top_k: float, key_space: float, exponent: float = 1.05
-) -> float:
-    """Probability mass of the ``top_k`` most popular Zipf keys.
-
-    This is the best-case hit rate of a ``top_k``-entry frequency cache —
-    the quantity behind the MEM-PS steady-state hit rate: a cache holding
-    the hottest keys serves exactly the head mass of the access stream.
-    """
-    if key_space <= 0:
-        raise ValueError("key_space must be positive")
-    top_k = min(max(top_k, 0.0), key_space)
-    if top_k == 0:
-        return 0.0
-    sizes, p = _zipf_bucket_pmf(key_space, exponent)
-    cum_keys = np.cumsum(sizes)
-    cum_mass = np.cumsum(sizes * p)
-    return float(np.interp(top_k, cum_keys, cum_mass))
-
-
-def expected_overlap_fraction(
-    n_draws_each: float, key_space: float, exponent: float = 1.05
-) -> float:
-    """Fraction of one batch's unique keys also hit by an independent batch.
-
-    Drives the steady-state cache-hit model: hot Zipf keys recur across
-    batches, cold-tail keys do not.
-    """
-    u1 = expected_unique_zipf(n_draws_each, key_space, exponent)
-    u2 = expected_unique_zipf(2 * n_draws_each, key_space, exponent)
-    # |A ∩ B| = |A| + |B| - |A ∪ B|, with E|A|=E|B|=u1, E|A ∪ B|=u2.
-    inter = max(0.0, 2 * u1 - u2)
-    return inter / u1 if u1 > 0 else 0.0

@@ -547,7 +547,7 @@ class TestPartialRestore:
         cluster.save_checkpoint(str(tmp_path / "s1"), mode="delta")
 
         dead = cluster.nodes[1]
-        stats = cluster.restore_node(str(tmp_path / "s1"), 1)
+        stats = ckpt.restore_nodes(cluster, str(tmp_path / "s1"), [1])
         assert stats.kind == "partial"
         assert stats.rounds_completed == 4
         assert cluster.nodes[1] is not dead
@@ -577,7 +577,7 @@ class TestPartialRestore:
             c.train(2)
             c.save_checkpoint(str(tmp_path / name / "s1"), mode="delta")
         failed, twin = clusters["failed"], clusters["twin"]
-        failed.restore_node(str(tmp_path / "failed" / "s1"), 1)
+        ckpt.restore_nodes(failed, str(tmp_path / "failed" / "s1"), [1])
         # The replacement paid a ckpt_read the twin never did; the cost
         # history rides in the shard, so level it before comparing.
         failed.nodes[1].ledger.load_state(twin.nodes[1].ledger.export_state())
@@ -600,7 +600,7 @@ class TestPartialRestore:
         cluster = build(tiny_spec, pressured)
         cluster.enable_snapshot_stage(str(tmp_path), every=2)
         cluster.train_pipelined(6)
-        stats = cluster.restore_node(str(tmp_path / "round_000006"), 0)
+        stats = ckpt.restore_nodes(cluster, str(tmp_path / "round_000006"), [0])
         assert stats.kind == "partial"
         assert_cluster_parity(twin, cluster)
         assert_deep_state_parity(twin, cluster)
@@ -612,14 +612,14 @@ class TestPartialRestore:
         cluster.train(2)
         cluster.save_checkpoint(str(tmp_path / "s0"), mode="full")
         with pytest.raises(ValueError, match="node_id"):
-            cluster.restore_node(str(tmp_path / "s0"), cluster.n_nodes)
+            ckpt.restore_nodes(cluster, str(tmp_path / "s0"), [cluster.n_nodes])
         with pytest.raises(ValueError, match="node_id"):
-            cluster.restore_node(str(tmp_path / "s0"), -1)
+            ckpt.restore_nodes(cluster, str(tmp_path / "s0"), [-1])
         # The survivors have moved past the snapshot: zero-replay splice
         # would mix rounds — must be rejected, not silently skewed.
         cluster.train(1)
         with pytest.raises(CheckpointError, match="round"):
-            cluster.restore_node(str(tmp_path / "s0"), 1)
+            ckpt.restore_nodes(cluster, str(tmp_path / "s0"), [1])
 
 
 # ----------------------------------------------------------------------

@@ -10,6 +10,7 @@ import weakref
 import numpy as np
 import pytest
 
+from repro.ckpt.checkpoint import restore_nodes
 from repro.config import ClusterConfig
 from repro.core.cluster import HPSCluster
 from repro.core.trainer import ReferenceTrainer
@@ -77,6 +78,21 @@ class TestTrainRound:
     def test_largest_seeds_build_a_cluster(self, tiny_spec, small_config):
         config = dataclasses.replace(small_config, seed=2**64 - 1)
         HPSCluster(tiny_spec, config, data_seed=2**64 - 1).train_round()
+
+    @pytest.mark.parametrize("size", [0, -1])
+    def test_functional_batch_size_below_one_is_refused(
+        self, tiny_spec, small_config, tmp_path, size
+    ):
+        """A zero size once fell back to ``ClusterConfig.batch_size``
+        (4,000,000 examples per read) while the cluster and its
+        checkpoint manifest recorded 0."""
+        with pytest.raises(ValueError, match="functional_batch_size"):
+            HPSCluster(tiny_spec, small_config, functional_batch_size=size)
+        cluster = HPSCluster(tiny_spec, small_config, functional_batch_size=64)
+        assert [n.hdfs.batch_size for n in cluster.nodes] == [64, 64]
+        cluster.save_checkpoint(str(tmp_path / "s0"))
+        with pytest.raises(ValueError, match="functional_batch_size"):
+            HPSCluster.restore(str(tmp_path / "s0"), functional_batch_size=size)
 
     def test_auc_improves_over_random(self, tiny_spec, small_config):
         cluster = HPSCluster(tiny_spec, small_config, functional_batch_size=512)
@@ -194,7 +210,7 @@ class TestLosslessness:
                 cluster = probed(HPSCluster.restore(ckpt))
             elif mode == "restore_lead":
                 cluster.save_checkpoint(ckpt)
-                cluster.restore_node(ckpt, 0)
+                restore_nodes(cluster, ckpt, [0])
             cluster.train(3)
             assert checked == [1, 2, 3, 4, 5, 6], mode
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.data.batching import Batch, concat_batches
+from repro.data.batching import Batch
 
 
 def make_batch(rows, labels=None):
@@ -13,6 +13,16 @@ def make_batch(rows, labels=None):
     offsets = np.cumsum([0] + [len(r) for r in rows])
     labels = labels if labels is not None else [0.0] * len(rows)
     return Batch(keys, offsets, np.array(labels, dtype=np.float32))
+
+
+def joined(shards):
+    """``(keys, offsets, labels)`` of the shards laid end to end."""
+    lengths = np.concatenate([s.row_lengths() for s in shards])
+    return (
+        np.concatenate([s.keys for s in shards]),
+        np.concatenate(([0], np.cumsum(lengths))),
+        np.concatenate([s.labels for s in shards]),
+    )
 
 
 class TestBatchValidation:
@@ -52,40 +62,14 @@ class TestUniqueKeys:
         assert b.unique_keys().tolist() == [7]
 
 
-class TestSelect:
-    def test_reorders_rows(self):
-        b = make_batch([[1], [2, 3], [4]], labels=[0, 1, 0])
-        sub = b.select(np.array([2, 0]))
-        assert sub.n_examples == 2
-        assert sub.keys.tolist() == [4, 1]
-        assert sub.labels.tolist() == [0.0, 0.0]
-
-    def test_empty_selection(self):
-        b = make_batch([[1], [2]])
-        sub = b.select(np.array([], dtype=np.int64))
-        assert sub.n_examples == 0
-        assert sub.n_nonzeros == 0
-
-    def test_out_of_range(self):
-        b = make_batch([[1]])
-        with pytest.raises(IndexError):
-            b.select(np.array([5]))
-
-    def test_select_with_empty_rows(self):
-        b = make_batch([[], [2, 3], []])
-        sub = b.select(np.array([1, 0]))
-        assert sub.keys.tolist() == [2, 3]
-        assert sub.row_lengths().tolist() == [2, 0]
-
-
 class TestShard:
     def test_partition_preserves_everything(self):
         b = make_batch([[i, i + 1] for i in range(10)], labels=list(range(10)))
         shards = b.shard(3)
         assert sum(s.n_examples for s in shards) == 10
-        rebuilt = concat_batches(shards)
-        assert np.array_equal(rebuilt.keys, b.keys)
-        assert np.array_equal(rebuilt.labels, b.labels)
+        keys, _, labels = joined(shards)
+        assert np.array_equal(keys, b.keys)
+        assert np.array_equal(labels, b.labels)
 
     def test_balanced_sizes(self):
         b = make_batch([[1]] * 10)
@@ -101,19 +85,6 @@ class TestShard:
     def test_invalid_shard_count(self):
         with pytest.raises(ValueError):
             make_batch([[1]]).shard(0)
-
-
-class TestConcat:
-    def test_roundtrip(self):
-        a = make_batch([[1, 2]], labels=[1])
-        b = make_batch([[3]], labels=[0])
-        c = concat_batches([a, b])
-        assert c.n_examples == 2
-        assert c.keys.tolist() == [1, 2, 3]
-
-    def test_empty_list_rejected(self):
-        with pytest.raises(ValueError):
-            concat_batches([])
 
 
 class TestRawLogBytes:
@@ -134,7 +105,7 @@ class TestRawLogBytes:
 @settings(max_examples=60, deadline=None)
 def test_shard_concat_identity_property(rows, n_shards):
     b = make_batch(rows, labels=list(range(len(rows))))
-    rebuilt = concat_batches(b.shard(n_shards))
-    assert np.array_equal(rebuilt.keys, b.keys)
-    assert np.array_equal(rebuilt.offsets, b.offsets)
-    assert np.array_equal(rebuilt.labels, b.labels)
+    keys, offsets, labels = joined(b.shard(n_shards))
+    assert np.array_equal(keys, b.keys)
+    assert np.array_equal(offsets, b.offsets)
+    assert np.array_equal(labels, b.labels)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from data_oracles import ReferenceCTRDataGenerator
 from repro.config import ModelSpec
 from repro.data.batching import Batch
-from repro.data.generator import CTRDataGenerator, zipf_probabilities
+from repro.data.generator import CTRDataGenerator
 
 
 @pytest.fixture
@@ -25,20 +25,6 @@ def spec():
         embedding_dim=4,
         n_slots=4,
     )
-
-
-class TestZipfProbabilities:
-    def test_sums_to_one(self):
-        p = zipf_probabilities(1000)
-        assert p.sum() == pytest.approx(1.0)
-
-    def test_decreasing(self):
-        p = zipf_probabilities(100)
-        assert np.all(np.diff(p) < 0)
-
-    def test_invalid_n(self):
-        with pytest.raises(ValueError):
-            zipf_probabilities(0)
 
 
 class TestGenerator:
@@ -92,10 +78,6 @@ class TestGenerator:
         counts = np.sort(counts)[::-1]
         top = counts[: max(1, counts.size // 100)].sum()
         assert top / counts.sum() > 0.05
-
-    def test_batches_generator_yields_n(self, spec):
-        gen = CTRDataGenerator(spec, seed=0)
-        assert len(list(gen.batches(3, 16))) == 3
 
     def test_signal_is_learnable(self, spec):
         """A trivial per-key frequency model must beat random AUC —

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.config import ModelSpec
+from repro.core.cluster import HPSCluster, RoundContext
 from repro.data.generator import CTRDataGenerator
 from repro.data.hdfs import HDFSStream
 from repro.hardware.specs import HDFSSpec
@@ -37,15 +38,16 @@ class TestHDFSStream:
         large = HDFSStream(gen, spec, batch_size=640).read(0)
         assert large.read_seconds > small.read_seconds
 
-    def test_nodes_receive_disjoint_batches(self, gen):
-        spec = HDFSSpec()
-        s0 = HDFSStream(gen, spec, node_id=0, n_nodes=2, batch_size=32)
-        s1 = HDFSStream(gen, spec, node_id=1, n_nodes=2, batch_size=32)
-        b0 = [tb.index for tb in s0.stream(3)]
-        b1 = [tb.index for tb in s1.stream(3)]
-        assert b0 == [0, 2, 4]
-        assert b1 == [1, 3, 5]
-        assert not set(b0) & set(b1)
+    def test_nodes_receive_disjoint_batches(self, tiny_spec, small_config):
+        """A cluster's read stage hands node ``i`` of ``n`` global batch
+        ``r * n + i`` in round ``r``, so no two streams share a batch."""
+        cluster = HPSCluster(tiny_spec, small_config, functional_batch_size=32)
+        read = []
+        for r in range(3):
+            ctx = RoundContext(round_index=r)
+            cluster.stage_read(ctx)
+            read.append([timed.index for timed in ctx.timed])
+        assert read == [[0, 1], [2, 3], [4, 5]]
 
     def test_same_index_same_data(self, gen):
         spec = HDFSSpec()
@@ -55,7 +57,8 @@ class TestHDFSStream:
 
     def test_counters(self, gen):
         s = HDFSStream(gen, HDFSSpec(), batch_size=64)
-        list(s.stream(4))
+        for index in range(4):
+            s.read(index)
         assert s.batches_read == 4
         assert s.bytes_read > 0
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.faults import FAULT_KINDS, FaultSchedule
+from repro.faults import FaultSchedule
 
 
 def drain(schedule: FaultSchedule, kind: str, node, n: int) -> list[int]:
@@ -104,15 +104,3 @@ class TestValidation:
     def test_straggler_bounds_rejected(self):
         with pytest.raises(ValueError, match="straggler"):
             FaultSchedule(0, straggler_min=0.5)
-
-    def test_mixed_arms_every_kind(self):
-        s = FaultSchedule.mixed(1, rate=0.04)
-        assert set(s.rates) == set(FAULT_KINDS)
-        assert s.rates["node_crash"] == pytest.approx(0.01)
-        assert s.rates["straggler"] == pytest.approx(0.02)
-
-    def test_describe_fingerprints_config(self):
-        a = FaultSchedule.mixed(7, rate=0.1, max_faults=5)
-        b = FaultSchedule.mixed(7, rate=0.1, max_faults=5)
-        assert a.describe() == b.describe()
-        assert a.describe() != FaultSchedule.mixed(8, rate=0.1).describe()

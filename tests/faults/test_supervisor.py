@@ -26,6 +26,7 @@ from repro.ckpt.format import (
 )
 from repro.core.cluster import HPSCluster
 from repro.faults import (
+    FAULT_KINDS,
     FaultSchedule,
     RetryPolicy,
     Supervisor,
@@ -269,7 +270,9 @@ class TestDeterminism:
     @pytest.mark.parametrize("pipelined", [False, True])
     def test_identical_runs(self, mk_cluster, tmp_path, pipelined):
         def once(tag: str):
-            schedule = FaultSchedule.mixed(1234, rate=0.2)
+            rates = dict.fromkeys(FAULT_KINDS, 0.2)
+            rates.update(node_crash=0.05, straggler=0.1)
+            schedule = FaultSchedule(1234, rates=rates)
             sup = Supervisor(str(tmp_path / tag), checkpoint_every=2)
             return sup.run(mk_cluster(), 6, schedule, pipelined=pipelined)
 

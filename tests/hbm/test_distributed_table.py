@@ -98,6 +98,11 @@ class TestTransformItemsClear:
         got, _ = table.get(keys)
         assert np.all(got == 3.0)
 
+    def test_transform_absent_key_raises(self, table):
+        table.insert(keys_of([1]), np.ones((1, 2), dtype=np.float32))
+        with pytest.raises(KeyError):
+            table.transform(keys_of([1, 99]), lambda v: v)
+
     def test_transform_duplicate_keys_rejected(self, table):
         keys = keys_of(range(10))
         table.insert(keys, np.ones((10, 2), dtype=np.float32))

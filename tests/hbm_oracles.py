@@ -375,9 +375,10 @@ class DistributedHashTable(GPUFabric):
         keys = as_keys(keys)
         if not all_unique(keys):
             raise ValueError("transform requires unique keys")
-        parts = self.partitioner.split(keys)
+        order, bounds = self._dispatch(keys)
         t = 0.0
-        for gpu, (k,) in enumerate(parts):
+        for gpu in range(self.n_gpus):
+            k = keys[order[bounds[gpu] : bounds[gpu + 1]]]
             if k.size == 0:
                 continue
             self.tables[gpu].transform(k, fn)

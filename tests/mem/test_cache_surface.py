@@ -17,6 +17,7 @@ import inspect
 
 import pytest
 
+from repro.ckpt.checkpoint import restore_nodes
 from repro.core.cluster import HPSCluster, RoundContext
 from repro.mem import mem_ps
 from repro.mem.cache import CombinedCache
@@ -87,7 +88,7 @@ def test_every_public_method_is_reached_by_the_cluster(
     cluster.train(2)
     cluster.save_checkpoint(str(tmp_path / "s1"), mode="delta")
     restored = HPSCluster.restore(str(tmp_path / "s1"))
-    restored.restore_node(str(tmp_path / "s1"), 1)
+    restore_nodes(restored, str(tmp_path / "s1"), [1])
     # A fault between resolve and load: abort, then retry the round.
     ctx = RoundContext(round_index=restored.rounds_completed)
     restored.stage_read(ctx)

@@ -255,7 +255,7 @@ class TestCTRModel:
     def test_dense_state_roundtrip(self, spec):
         a = CTRModel(spec, seed=0)
         b = CTRModel(spec, seed=5)
-        b.load_dense_state(a.dense_state())
+        b.mlp.load_state_dict(a.mlp.state_dict())
         batch = make_batch([[0, 1, 2, 3]])
         uniq = np.array([0, 1, 2, 3], dtype=np.uint64)
         emb = np.ones((4, 2), dtype=np.float32)

@@ -105,15 +105,15 @@ class TestMLP:
     def test_state_roundtrip(self):
         a = MLP(3, (4,), seed=0)
         b = MLP(3, (4,), seed=99)
-        b.set_state(a.get_state())
+        b.load_state_dict(a.state_dict())
         x = np.ones((2, 3))
         assert np.array_equal(a.forward(x), b.forward(x))
 
     def test_state_shape_mismatch(self):
         a = MLP(3, (4,))
         b = MLP(3, (5,))
-        with pytest.raises(ValueError):
-            b.set_state(a.get_state())
+        with pytest.raises(ValueError, match="shape"):
+            b.load_state_dict(a.state_dict())
 
 
 class TestBCE:

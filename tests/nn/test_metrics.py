@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.nn.metrics import auc, log_loss
+from repro.nn.metrics import auc
 
 
 class TestAUC:
@@ -60,18 +60,3 @@ class TestAUC:
         neg = scores[labels < 0.5]
         wins = sum((p > n) + 0.5 * (p == n) for p in pos for n in neg)
         assert auc(labels, scores) == pytest.approx(wins / (len(pos) * len(neg)))
-
-
-class TestLogLoss:
-    def test_perfect_predictions_near_zero(self):
-        assert log_loss([0, 1], [0.0, 1.0]) < 1e-10
-
-    def test_uninformed_is_log2(self):
-        assert log_loss([0, 1], [0.5, 0.5]) == pytest.approx(np.log(2))
-
-    def test_clipping_avoids_inf(self):
-        assert np.isfinite(log_loss([1], [0.0]))
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            log_loss([0, 1], [0.5])

@@ -73,7 +73,8 @@ class TestNodePlan:
         _, rp = plan
         _, gpu_p = partitioners
         for npn in rp.nodes:
-            assert np.array_equal(npn.gpu_counts, gpu_p.counts(npn.keys))
+            per_gpu = np.bincount(gpu_p.part_of(npn.keys), minlength=N_GPUS)
+            assert np.array_equal(npn.gpu_counts, per_gpu)
             assert npn.gpu_counts.shape == (N_GPUS,)
 
     def test_minibatch_plans_align_with_shards(self, plan):
@@ -120,7 +121,8 @@ class TestSyncPlan:
             for npn, nsp in zip(rp.nodes, sp.nodes):
                 in_working = np.isin(sp.keys, npn.keys)
                 assert np.array_equal(
-                    nsp.resident_gpu_counts, gpu_p.counts(sp.keys[in_working])
+                    nsp.resident_gpu_counts,
+                    np.bincount(gpu_p.part_of(sp.keys[in_working]), minlength=N_GPUS),
                 )
 
     def test_missing_own_is_owner_filtered(self, plan, partitioners):

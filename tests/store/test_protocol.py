@@ -1,7 +1,7 @@
 """The reference stores — the reference trainer's ``FlatStore`` and the
 Algorithm-2 HBM tables kept as oracles in ``tests/hbm_oracles.py`` —
 share one batch-first key→value surface: ``get_batch`` / ``put_batch`` /
-``contains`` / ``transform`` / ``items`` over ``uint64`` key arrays.
+``contains`` / ``items`` over ``uint64`` key arrays.
 (The production tiers speak plan-driven APIs of their own: ``MemPS`` /
 ``CombinedCache`` rows, ``SSDPS.load`` / ``dump``, dense HBM staging.)"""
 
@@ -12,7 +12,7 @@ from hbm_oracles import DistributedHashTable, HashTable
 from repro.core.trainer import ReferenceTrainer
 from repro.store import FlatStore
 
-BATCH_SURFACE = ("get_batch", "put_batch", "contains", "transform", "items")
+BATCH_SURFACE = ("get_batch", "put_batch", "contains", "items")
 
 
 def keys_of(xs):
@@ -53,7 +53,7 @@ def test_conforms_to_protocol(make):
 
 @pytest.mark.parametrize("make", ALL_STORES)
 def test_roundtrip_through_protocol(make):
-    """put → get → contains → transform → items behave uniformly."""
+    """put → get → contains → overwrite → items behave uniformly."""
     store = make()
     keys = keys_of([3, 11, 42])
     values = vals_of(3)
@@ -67,7 +67,7 @@ def test_roundtrip_through_protocol(make):
     mask = store.contains(keys_of([11, 7]))
     assert mask.tolist() == [True, False]
 
-    store.transform(keys, lambda v: v + 1.0)
+    store.put_batch(keys, values + 1.0)
     got, found = store.get_batch(keys)
     assert found.all()
     assert np.array_equal(got, values + 1.0)
@@ -84,14 +84,6 @@ def test_get_batch_zero_fills_missing(make):
     got, found = store.get_batch(keys_of([2, 1]))
     assert found.tolist() == [False, True]
     assert (got[0] == 0.0).all()
-
-
-@pytest.mark.parametrize("make", ALL_STORES)
-def test_transform_absent_raises(make):
-    store = make()
-    store.put_batch(keys_of([1]), vals_of(1))
-    with pytest.raises(KeyError):
-        store.transform(keys_of([1, 99]), lambda v: v)
 
 
 class TestFlatStore:

@@ -1,16 +1,10 @@
 """Tests for model/cluster configuration (Table 3)."""
 
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import pytest
 
-from repro.config import (
-    PAPER_MODELS,
-    TINY_MODEL,
-    ClusterConfig,
-    ModelSpec,
-    scaled_model,
-)
+from repro.config import PAPER_MODELS, TINY_MODEL, ClusterConfig, ModelSpec
 from repro.core.cluster import BatchStats
 from repro.mem.cache import CombinedCache
 
@@ -55,17 +49,6 @@ class TestModelSpecValidation:
             TINY_MODEL.n_sparse = 5
 
 
-class TestScaledModel:
-    def test_shrinks_key_space(self):
-        s = scaled_model("E", scale=1e-6)
-        assert s.n_sparse < PAPER_MODELS["E"].n_sparse
-        assert s.n_sparse >= 1_000
-
-    def test_keeps_identity(self):
-        assert scaled_model("C").name == "C"
-        assert scaled_model("C").mpi_nodes == 75
-
-
 class TestClusterConfig:
     def test_defaults_match_paper_deployment(self):
         cfg = ClusterConfig()
@@ -85,9 +68,13 @@ class TestClusterConfig:
         assert len(fields(BatchStats)) <= 21
 
     def test_with_nodes(self):
-        cfg = ClusterConfig().with_nodes(2)
+        """Derive a config with ``dataclasses.replace``: the other fields
+        carry over and the derived config is validated like any other."""
+        cfg = replace(ClusterConfig(), n_nodes=2)
         assert cfg.n_nodes == 2
         assert cfg.gpus_per_node == 8
+        with pytest.raises(ValueError):
+            replace(cfg, n_nodes=0)
 
     def test_validation(self):
         with pytest.raises(ValueError):

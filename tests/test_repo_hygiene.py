@@ -1,10 +1,17 @@
-"""CI guard: the tracked tree must contain no bytecode artifacts.
+"""CI guards on the tree itself.
 
-Committed ``.pyc`` files go stale silently (they shadow source edits on
-mismatched interpreter versions) and bloat every checkout; ``.gitignore``
-keeps them out locally and this check keeps them out of the index.
+The tracked tree must contain no bytecode artifacts: committed ``.pyc``
+files go stale silently (they shadow source edits on mismatched
+interpreter versions) and bloat every checkout; ``.gitignore`` keeps them
+out locally and this check keeps them out of the index.
+
+``benchmarks/reach_allow.txt`` must name only defs that exist, each once
+and with a known reason, so deleting a def forces its entry out too.
+(Whether the listed defs are still unreached is the CI ``reachability``
+job's question; it runs the scenarios, this test runs none.)
 """
 
+import importlib.util
 import pathlib
 import shutil
 import subprocess
@@ -39,3 +46,27 @@ def test_gitignore_covers_bytecode():
     gitignore = (REPO_ROOT / ".gitignore").read_text()
     assert "__pycache__/" in gitignore
     assert "*.py[cod]" in gitignore
+
+
+def load_reach_module():
+    spec = importlib.util.spec_from_file_location(
+        "bench_reach", REPO_ROOT / "benchmarks" / "reach.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_reach_allowlist_names_existing_defs_with_a_reason():
+    reach = load_reach_module()
+    entries = reach.read_allowlist(str(REPO_ROOT / reach.ALLOW_FILE))
+    names = [(path, qualname) for path, qualname, _ in entries]
+    defined = {
+        (path, qualname) for (path, _), (qualname, _) in reach.defs(str(REPO_ROOT)).items()
+    }
+    assert sorted({n for n in names if names.count(n) > 1}) == []
+    assert [n for n in names if n not in defined] == []
+    assert [e for e in entries if e[2] not in reach.REASONS] == []
+    # A ceiling, like the ROADMAP's structural needles: keeping more
+    # unreached code has to raise it on purpose.
+    assert len(entries) <= 84

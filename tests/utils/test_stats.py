@@ -1,46 +1,10 @@
-"""Tests for the analytic unique-count / head-mass estimators, including
-agreement with Monte-Carlo simulation of the actual generator law."""
+"""Tests for the analytic unique-count estimator, including agreement
+with Monte-Carlo simulation of the actual generator law."""
 
 import numpy as np
 import pytest
 
-from repro.utils.stats import (
-    expected_overlap_fraction,
-    expected_unique_uniform,
-    expected_unique_zipf,
-    zipf_head_mass,
-)
-
-
-class TestExpectedUniqueUniform:
-    def test_zero_draws(self):
-        assert expected_unique_uniform(0, 100) == 0.0
-
-    def test_single_draw(self):
-        assert expected_unique_uniform(1, 100) == pytest.approx(1.0)
-
-    def test_saturates_at_key_space(self):
-        assert expected_unique_uniform(1e9, 100) == pytest.approx(100.0, rel=1e-6)
-
-    def test_monotone_in_draws(self):
-        vals = [expected_unique_uniform(n, 1000) for n in (10, 100, 1000, 10000)]
-        assert all(a < b for a, b in zip(vals, vals[1:]))
-
-    def test_matches_monte_carlo(self):
-        rng = np.random.default_rng(0)
-        draws, k = 5000, 2000
-        sims = [
-            np.unique(rng.integers(0, k, size=draws)).size for _ in range(20)
-        ]
-        assert expected_unique_uniform(draws, k) == pytest.approx(
-            np.mean(sims), rel=0.02
-        )
-
-    def test_invalid_args(self):
-        with pytest.raises(ValueError):
-            expected_unique_uniform(-1, 10)
-        with pytest.raises(ValueError):
-            expected_unique_uniform(10, 0)
+from repro.utils.stats import expected_unique_zipf
 
 
 class TestExpectedUniqueZipf:
@@ -81,33 +45,3 @@ class TestExpectedUniqueZipf:
         # The generator's truncated power-law differs slightly from the
         # exact Zipf pmf; agreement within ~15% is what we rely on.
         assert est == pytest.approx(np.mean(sims), rel=0.15)
-
-
-class TestZipfHeadMass:
-    def test_zero_top(self):
-        assert zipf_head_mass(0, 1000) == 0.0
-
-    def test_full_head_is_one(self):
-        assert zipf_head_mass(1000, 1000) == pytest.approx(1.0, rel=1e-6)
-
-    def test_monotone_in_top_k(self):
-        vals = [zipf_head_mass(t, 10**9) for t in (10**3, 10**5, 10**7)]
-        assert all(a < b for a, b in zip(vals, vals[1:]))
-
-    def test_head_heavier_than_uniform(self):
-        assert zipf_head_mass(100, 10_000) > 100 / 10_000
-
-
-class TestOverlapFraction:
-    def test_in_unit_interval(self):
-        f = expected_overlap_fraction(1e6, 1e9)
-        assert 0.0 <= f <= 1.0
-
-    def test_small_key_space_high_overlap(self):
-        # Draws saturate the space -> batches nearly identical.
-        f = expected_overlap_fraction(1e6, 1e3)
-        assert f > 0.95
-
-    def test_sparse_draws_low_overlap(self):
-        f = expected_overlap_fraction(10, 1e12)
-        assert f < 0.2
