@@ -392,19 +392,6 @@ def run_pipeline_overlap(
     pipelined = build()
     run = pipelined.train_pipelined(n_batches, queue_capacity=queue_capacity)
 
-    probe = lockstep.generator.batch(10_000, 2048).unique_keys()
-    sparse_equal = bool(
-        np.array_equal(
-            lockstep.lookup_embeddings(probe), pipelined.lookup_embeddings(probe)
-        )
-    )
-    dense_equal = all(
-        np.array_equal(a, b)
-        for a, b in zip(
-            lockstep.nodes[0].model.dense_state(),
-            pipelined.nodes[0].model.dense_state(),
-        )
-    )
     schedule = run.schedule
     return {
         "n_batches": n_batches,
@@ -419,7 +406,7 @@ def run_pipeline_overlap(
             else 0.0
         ),
         "pipelined_throughput": run.throughput(),
-        "parameter_parity": sparse_equal and dense_equal,
+        "parameter_parity": _parameter_parity(lockstep, (pipelined,)),
     }
 
 

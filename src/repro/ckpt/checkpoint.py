@@ -504,52 +504,24 @@ def _restore_nodes(cluster, chain, nodes) -> CheckpointStats:
     return stats
 
 
-def restore_cluster(
-    cluster_cls,
-    directory: str,
-    cluster_config: ClusterConfig | None = None,
-    *,
-    model_spec: ModelSpec | None = None,
-    sparse_optimizer=None,
-    hardware=None,
-    data_seed: int | None = None,
-    functional_batch_size: int | None = None,
-    zipf_exponent: float | None = None,
-    ssd_directory: str | None = None,
-):
+def restore_cluster(cluster_cls, directory: str):
     """Build a cluster from a committed checkpoint (full or delta).
 
-    The chain is resolved (:func:`~repro.ckpt.format.resolve_chain`)
-    and the freshly constructed cluster's nodes are loaded from it by
-    the one restore path every restore takes.  Construction parameters
-    left as ``None`` are taken from the manifest; parameters passed
-    explicitly must hash to the saved configuration fingerprint (a
-    checkpoint restored under a different config would silently train a
-    different model, so mismatches are errors, not warnings).
+    The chain is resolved (:func:`~repro.ckpt.format.resolve_chain`), a
+    cluster is built from the newest manifest's model, cluster config
+    and stream parameters, and its nodes are loaded by the one restore
+    path every restore takes — which checks that the rebuilt cluster
+    hashes to the saved configuration fingerprint.
     """
     chain = fmt.resolve_chain(directory)
     saved = chain[-1][1]["config"]
-    if model_spec is None:
-        kwargs = dict(saved["model_spec"])
-        kwargs["hidden_layers"] = tuple(kwargs["hidden_layers"])
-        model_spec = ModelSpec(**kwargs)
-    if cluster_config is None:
-        cluster_config = ClusterConfig(**saved["cluster_config"])
+    spec = dict(saved["model_spec"])
+    spec["hidden_layers"] = tuple(spec["hidden_layers"])
     cluster = cluster_cls(
-        model_spec,
-        cluster_config,
-        sparse_optimizer=sparse_optimizer,
-        hardware=hardware,
-        data_seed=saved["data_seed"] if data_seed is None else data_seed,
-        functional_batch_size=(
-            saved["functional_batch_size"]
-            if functional_batch_size is None
-            else functional_batch_size
-        ),
-        zipf_exponent=(
-            saved["zipf_exponent"] if zipf_exponent is None else zipf_exponent
-        ),
-        ssd_directory=ssd_directory,
+        ModelSpec(**spec),
+        ClusterConfig(**saved["cluster_config"]),
+        functional_batch_size=saved["functional_batch_size"],
+        zipf_exponent=saved["zipf_exponent"],
     )
     _restore_nodes(cluster, chain, list(cluster.nodes))
     return cluster

@@ -265,24 +265,22 @@ def verify_shard(directory: str, name: str, expected_digest: str) -> str:
     return path
 
 
-def latest_checkpoint(directory: str, upto_round: int | None = None) -> str | None:
+def latest_checkpoint(directory: str) -> str | None:
     """Newest committed checkpoint under ``directory``.
 
     Scans for :func:`checkpoint_dir_name` subdirectories (the layout the
     snapshot stage writes, under :class:`~repro.faults.Supervisor` too),
-    keeping only those with a committed manifest at
-    ``rounds_completed <= upto_round``; returns the path of the newest,
-    or None.  A directory whose manifest disappears (or is torn) mid-scan
-    — e.g. a concurrent prune racing the scan — is skipped with a
-    recorded :class:`CheckpointScanWarning` instead of aborting.
+    keeping only those with a committed manifest; returns the path of
+    the newest, or None.  A directory whose manifest disappears (or is
+    torn) mid-scan — e.g. a concurrent prune racing the scan — is
+    skipped with a recorded :class:`CheckpointScanWarning` instead of
+    aborting.
     """
     if not os.path.isdir(directory):
         return None
     best: tuple[int, str] | None = None
     for _, sub, manifest in _scan_committed(directory):
         rounds = int(manifest["rounds_completed"])
-        if upto_round is not None and rounds > upto_round:
-            continue
         if best is None or rounds > best[0]:
             best = (rounds, sub)
     return best[1] if best else None

@@ -151,7 +151,7 @@ class ClusterConfig:
             raise ValueError("mem_capacity_params must be >= 2")
         if not 0.0 < self.cache_lru_fraction < 1.0:
             raise ValueError("cache_lru_fraction must be in (0, 1)")
-        if self.compaction_threshold < 1.0:
+        if not self.compaction_threshold >= 1.0:  # NaN fails too
             raise ValueError("compaction_threshold must be >= 1.0")
         if not 0.0 < self.compaction_stale_fraction <= 1.0:
             raise ValueError("compaction_stale_fraction must be in (0, 1]")

@@ -53,7 +53,6 @@ from repro.data.batching import Batch
 from repro.data.generator import CTRDataGenerator
 from repro.data.hdfs import TimedBatch
 from repro.hardware.gpu import dense_flops_per_example
-from repro.hardware.specs import NodeHardware
 from repro.hbm.allreduce import (
     DenseGradAccumulator,
     allreduce_dense,
@@ -68,7 +67,7 @@ from repro.core.pipeline import (
     stage_duration,
 )
 from repro.nn.model import Shard
-from repro.nn.optim import DenseAdagrad, SparseAdagrad, SparseOptimizer
+from repro.nn.optim import SparseAdagrad
 from repro.plan import RoundPlan, build_round_plan
 from repro.utils.keys import as_keys, check_key_cap, compact_unique
 from repro.utils.rows import put_rows, take_rows
@@ -281,12 +280,8 @@ class HPSCluster:
         model_spec: ModelSpec,
         cluster_config: ClusterConfig,
         *,
-        sparse_optimizer: SparseOptimizer | None = None,
-        hardware: NodeHardware | None = None,
-        data_seed: int | None = None,
         functional_batch_size: int = 4096,
         zipf_exponent: float = 1.05,
-        ssd_directory: str | None = None,
     ) -> None:
         if functional_batch_size < 1:
             raise ValueError("functional_batch_size must be at least 1")
@@ -296,16 +291,10 @@ class HPSCluster:
         )
         self.model_spec = model_spec
         self.config = cluster_config
-        self.sparse_optimizer = sparse_optimizer or SparseAdagrad(
-            model_spec.embedding_dim, lr=0.05
-        )
+        self.sparse_optimizer = SparseAdagrad(model_spec.embedding_dim, lr=0.05)
         self.generator = CTRDataGenerator(
-            model_spec,
-            seed=data_seed if data_seed is not None else cluster_config.seed,
-            zipf_exponent=zipf_exponent,
+            model_spec, seed=cluster_config.seed, zipf_exponent=zipf_exponent
         )
-        self._hardware = hardware
-        self._ssd_directory = ssd_directory
         self.functional_batch_size = functional_batch_size
         self.nodes = [
             self._make_node(i) for i in range(cluster_config.n_nodes)
@@ -379,13 +368,6 @@ class HPSCluster:
             self.config,
             self.sparse_optimizer,
             self.generator,
-            hardware=self._hardware,
-            dense_optimizer=DenseAdagrad(lr=0.05),
-            ssd_directory=(
-                f"{self._ssd_directory}/node{node_id}"
-                if self._ssd_directory
-                else None
-            ),
             functional_batch_size=self.functional_batch_size,
         )
 
@@ -784,15 +766,14 @@ class HPSCluster:
             stats.append(ctx.stats)
         return stats, times
 
-    def train_round(self, round_index: int | None = None) -> BatchStats:
+    def train_round(self) -> BatchStats:
         """Run one global batch through Algorithm 1 on every node.
 
         Lockstep mode: the pipeline stages run back-to-back.
         :meth:`train_pipelined` drives the same round loop, so the two
         modes train bit-identical parameters.
         """
-        r = self.rounds_completed if round_index is None else round_index
-        (stats,), _ = self._run_rounds(1, r)
+        (stats,), _ = self._run_rounds(1, self.rounds_completed)
         return stats
 
     def train(self, n_rounds: int) -> list[BatchStats]:
@@ -1039,39 +1020,15 @@ class HPSCluster:
         return stage_snapshot
 
     @classmethod
-    def restore(
-        cls,
-        directory: str,
-        cluster_config: ClusterConfig | None = None,
-        *,
-        model_spec: ModelSpec | None = None,
-        sparse_optimizer: SparseOptimizer | None = None,
-        hardware: NodeHardware | None = None,
-        data_seed: int | None = None,
-        functional_batch_size: int | None = None,
-        zipf_exponent: float | None = None,
-        ssd_directory: str | None = None,
-    ) -> "HPSCluster":
+    def restore(cls, directory: str) -> "HPSCluster":
         """Rebuild a cluster from a checkpoint written by
         :meth:`save_checkpoint`.
 
-        Parameters left as ``None`` come from the manifest; explicitly
-        passed configuration must match the saved fingerprint or
-        :class:`~repro.ckpt.format.CheckpointError` is raised.  Simulated
-        read cost lands under ``ckpt_read``; the resulting cluster's
-        :attr:`restore_stats` carries the accounting.
+        The model, cluster config and stream parameters come from the
+        manifest, and the rebuilt cluster must hash to its fingerprint.
+        Simulated read cost lands under ``ckpt_read``; the resulting
+        cluster's :attr:`restore_stats` carries the accounting.
         """
         from repro.ckpt.checkpoint import restore_cluster
 
-        return restore_cluster(
-            cls,
-            directory,
-            cluster_config,
-            model_spec=model_spec,
-            sparse_optimizer=sparse_optimizer,
-            hardware=hardware,
-            data_seed=data_seed,
-            functional_batch_size=functional_batch_size,
-            zipf_exponent=zipf_exponent,
-            ssd_directory=ssd_directory,
-        )
+        return restore_cluster(cls, directory)

@@ -14,11 +14,11 @@ from repro.data.hdfs import HDFSStream
 from repro.hardware.gpu import GPUDevice
 from repro.hardware.ledger import CostLedger
 from repro.hardware.network import Network
-from repro.hardware.specs import NodeHardware, default_node_hardware
+from repro.hardware.specs import default_node_hardware
 from repro.hbm.hbm_ps import HBMPS
 from repro.mem.mem_ps import MemPS
 from repro.nn.model import CTRModel
-from repro.nn.optim import DenseAdagrad, DenseOptimizer, SparseOptimizer
+from repro.nn.optim import DenseAdagrad, SparseOptimizer
 from repro.ssd.ssd_ps import SSDPS
 from repro.utils.rng import derive_seed
 
@@ -36,18 +36,13 @@ class HPSNode:
         sparse_optimizer: SparseOptimizer,
         generator: CTRDataGenerator,
         *,
-        hardware: NodeHardware | None = None,
-        dense_optimizer: DenseOptimizer | None = None,
-        ssd_directory: str | None = None,
-        functional_batch_size: int | None = None,
+        functional_batch_size: int,
     ) -> None:
         cfg = cluster_config
         self.node_id = node_id
         self.config = cfg
         self.model_spec = model_spec
-        self.hardware = hardware or default_node_hardware(
-            gpus_per_node=cfg.gpus_per_node
-        )
+        self.hardware = default_node_hardware(gpus_per_node=cfg.gpus_per_node)
         self.ledger = CostLedger()
         self.network = Network(self.hardware.network, self.ledger)
 
@@ -58,7 +53,6 @@ class HPSNode:
             ssd_spec=self.hardware.ssd,
             usage_threshold=cfg.compaction_threshold,
             stale_fraction=cfg.compaction_stale_fraction,
-            directory=ssd_directory,
             ledger=self.ledger,
         )
         self.mem_ps = MemPS(
@@ -85,13 +79,13 @@ class HPSNode:
             self.hardware.hdfs,
             node_id=node_id,
             n_nodes=cfg.n_nodes,
-            batch_size=cfg.batch_size if functional_batch_size is None else functional_batch_size,
+            batch_size=functional_batch_size,
             ledger=self.ledger,
         )
         # Every node starts from the same dense initialization (seeded by
         # the cluster seed, not the node id) so replicas are identical.
         self.model = CTRModel(model_spec, seed=derive_seed(cfg.seed, "dense"))
-        self.dense_optimizer = dense_optimizer or DenseAdagrad(lr=0.05)
+        self.dense_optimizer = DenseAdagrad(lr=0.05)
         self.gpu_compute = GPUDevice(self.hardware.gpu, self.ledger)
 
     # ------------------------------------------------------------------

@@ -15,7 +15,7 @@ from repro.data.batching import Batch
 from repro.data.generator import CTRDataGenerator
 from repro.nn.metrics import auc
 from repro.nn.model import CTRModel, Shard
-from repro.nn.optim import DenseAdagrad, SparseAdagrad, SparseOptimizer
+from repro.nn.optim import DenseAdagrad, SparseAdagrad
 from repro.store.flat import FlatStore
 from repro.utils.keys import as_keys, check_key_cap, compact_unique
 from repro.utils.rng import derive_seed
@@ -40,10 +40,7 @@ class ReferenceTrainer:
         model_spec: ModelSpec,
         cluster_config: ClusterConfig,
         *,
-        sparse_optimizer: SparseOptimizer | None = None,
-        data_seed: int | None = None,
         functional_batch_size: int = 4096,
-        zipf_exponent: float = 1.05,
     ) -> None:
         check_key_cap(
             model_spec.n_sparse - 1,
@@ -51,14 +48,8 @@ class ReferenceTrainer:
         )
         self.model_spec = model_spec
         self.config = cluster_config
-        self.optimizer = sparse_optimizer or SparseAdagrad(
-            model_spec.embedding_dim, lr=0.05
-        )
-        self.generator = CTRDataGenerator(
-            model_spec,
-            seed=data_seed if data_seed is not None else cluster_config.seed,
-            zipf_exponent=zipf_exponent,
-        )
+        self.optimizer = SparseAdagrad(model_spec.embedding_dim, lr=0.05)
+        self.generator = CTRDataGenerator(model_spec, seed=cluster_config.seed)
         self.batch_size = functional_batch_size
         self.model = CTRModel(
             model_spec, seed=derive_seed(cluster_config.seed, "dense")

@@ -57,7 +57,7 @@ class CTRDataGenerator:
         zipf_exponent: float = 1.05,
         noise: float = 0.3,
     ) -> None:
-        if zipf_exponent <= 1.0:
+        if not zipf_exponent > 1.0:  # NaN fails too
             raise ValueError("zipf_exponent must exceed 1.0")
         self.spec = spec
         self.seed = seed

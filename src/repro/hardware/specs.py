@@ -84,14 +84,13 @@ class NetworkSpec:
 class SSDSpec:
     """NVMe RAID-0 array.
 
-    Sequential bandwidth applies to whole-file reads/writes; random small
-    I/O pays ``random_iops`` instead.  ``block_bytes`` is the device I/O
+    Sequential bandwidth applies to whole-file reads/writes (the SSD-PS
+    only ever moves whole files).  ``block_bytes`` is the device I/O
     granularity — the source of the I/O-amplification argument in Section 6.
     """
 
     seq_read_bandwidth: float = 10e9
     seq_write_bandwidth: float = 8e9
-    random_iops: float = 500_000.0
     block_bytes: int = 4096
     capacity_bytes: float = 20e12
     #: Bandwidth charged when a whole-file read is served from the

@@ -1,8 +1,8 @@
 """SSD block-device cost model.
 
 The SSD-PS reads and writes whole parameter files; the device model converts
-file sizes into simulated seconds.  Sequential transfers run at the array's
-sequential bandwidth; small random reads are charged per-IOP.  Sizes are
+file sizes into simulated seconds.  Every transfer is a whole file, so it
+runs at the array's sequential bandwidth.  Sizes are
 rounded up to the block granularity, which is what makes small files waste
 bandwidth (the I/O-amplification trade-off of Appendix E).
 """
@@ -37,27 +37,23 @@ class SSDDevice:
     def _blocks(self, n_bytes: int) -> int:
         return max(1, math.ceil(n_bytes / self.spec.block_bytes))
 
-    def read_time(self, n_bytes: int, *, sequential: bool = True) -> float:
+    def read_time(self, n_bytes: int) -> float:
         """Seconds to read ``n_bytes`` (one file)."""
         if n_bytes < 0:
             raise ValueError("negative read size")
         if n_bytes == 0:
             return 0.0
         padded = self._blocks(n_bytes) * self.spec.block_bytes
-        if sequential:
-            return padded / self.spec.seq_read_bandwidth
-        return self._blocks(n_bytes) / self.spec.random_iops
+        return padded / self.spec.seq_read_bandwidth
 
-    def write_time(self, n_bytes: int, *, sequential: bool = True) -> float:
+    def write_time(self, n_bytes: int) -> float:
         """Seconds to write ``n_bytes`` (one file, append-only)."""
         if n_bytes < 0:
             raise ValueError("negative write size")
         if n_bytes == 0:
             return 0.0
         padded = self._blocks(n_bytes) * self.spec.block_bytes
-        if sequential:
-            return padded / self.spec.seq_write_bandwidth
-        return self._blocks(n_bytes) / self.spec.random_iops
+        return padded / self.spec.seq_write_bandwidth
 
     def warm_read_time(self, n_bytes: int) -> float:
         """Seconds to serve ``n_bytes`` from the host-memory extent cache.
@@ -92,7 +88,7 @@ class SSDDevice:
         self.ledger.add_each("ssd_read", seconds)
         return seconds
 
-    def write(self, n_bytes: int, *, sequential: bool = True) -> float:
+    def write(self, n_bytes: int) -> float:
         """Account a write on the ledger; returns simulated seconds.
 
         An armed device may additionally stall the write (garbage
@@ -100,7 +96,7 @@ class SSDDevice:
         the operation, it just costs extra simulated seconds, charged to
         the ledger's ``fault_retry`` line by the arm.
         """
-        t = self.write_time(n_bytes, sequential=sequential)
+        t = self.write_time(n_bytes)
         self.bytes_written += n_bytes
         self.write_ops += 1
         self.ledger.add("ssd_write", t)

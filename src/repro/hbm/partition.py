@@ -3,8 +3,7 @@
 The paper uses modulo hashing for both levels (Section 5, Appendix C.1):
 it is constant-memory, balanced for randomly distributed feature ids, and
 cheap.  We hash with splitmix64 before the modulo so that structured key
-spaces (our generator's slot-banded ids) still balance; a plain ``key % n``
-policy is also provided for tests and for the Appendix-A worked example.
+spaces (our generator's slot-banded ids) still balance.
 """
 
 from __future__ import annotations
@@ -44,25 +43,19 @@ class ModuloPartitioner:
     salt:
         Distinct salts give independent partitions for the two levels, so
         a node's shard still spreads evenly over its GPUs.
-    hashed:
-        If False, uses raw ``key % n_parts`` (the paper's round-robin
-        example in Appendix A).
     """
 
-    def __init__(self, n_parts: int, *, salt: int = 0, hashed: bool = True) -> None:
+    def __init__(self, n_parts: int, *, salt: int = 0) -> None:
         if n_parts <= 0:
             raise ValueError("n_parts must be positive")
         self.n_parts = n_parts
         self.salt = salt
-        self.hashed = hashed
         self._table: np.ndarray | None = None
         self._untabled = 0
 
     def part_of(self, keys: np.ndarray) -> np.ndarray:
         """Bucket index for every key (vectorized)."""
         keys = as_keys(keys)
-        if not self.hashed:
-            return (keys % np.uint64(self.n_parts)).astype(np.int64)
         if keys.size:
             mx = int(keys.max())
             # Compact domains pay the hashed modulo once per key ever,

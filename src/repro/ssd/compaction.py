@@ -56,7 +56,7 @@ class Compactor:
         usage_threshold: float = 1.6,
         stale_fraction: float = 0.5,
     ) -> None:
-        if usage_threshold < 1.0:
+        if not usage_threshold >= 1.0:  # NaN fails too
             raise ValueError("usage_threshold must be >= 1.0")
         if not 0.0 < stale_fraction <= 1.0:
             raise ValueError("stale_fraction must be in (0, 1]")

@@ -20,10 +20,12 @@ the simulated-clock contract because float seconds accumulate in it) and
 one gather.  What leaves the store (``mapping_of``, checkpoints) speaks
 file ids.
 
-Two backends: ``memory`` (default — payloads in the arena) and ``disk``
-(payloads as ``.npy`` files in a directory, for tests that want real
-I/O; loading them is the one step left per file).  Timing always comes
-from the :class:`SSDDevice` model.
+Payloads live in the arena.  ``directory=`` selects a ``disk`` backend
+instead (payloads as ``.npy`` files; loading them is the one step left
+per file), which no cluster builds: only the frozen
+``benchmarks/hps/micro.py`` kernels and tests reach it, and it goes with
+them at benchmark v2.  Timing always comes from the :class:`SSDDevice`
+model.
 """
 
 from __future__ import annotations

@@ -48,7 +48,6 @@ class SSDPS:
         ssd_spec: SSDSpec | None = None,
         usage_threshold: float = 1.6,
         stale_fraction: float = 0.5,
-        directory: str | None = None,
         ledger: CostLedger | None = None,
         extent_cache_files: int = 0,
     ) -> None:
@@ -57,7 +56,6 @@ class SSDPS:
             value_dim,
             file_capacity,
             ssd_spec=ssd_spec,
-            directory=directory,
             ledger=self.ledger,
             extent_cache_files=extent_cache_files,
         )

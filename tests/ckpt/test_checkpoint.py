@@ -3,24 +3,23 @@
 from __future__ import annotations
 
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from repro.ckpt.checkpoint import restore_nodes
 from repro.ckpt.format import (
     DENSE_SHARD,
     MANIFEST_NAME,
     CheckpointError,
     node_shard_name,
 )
-from repro.config import ClusterConfig
 from repro.core.cluster import HPSCluster, RoundContext
 
 
-def build(tiny_spec, small_config, **kwargs):
-    return HPSCluster(
-        tiny_spec, small_config, functional_batch_size=128, **kwargs
-    )
+def build(tiny_spec, small_config):
+    return HPSCluster(tiny_spec, small_config, functional_batch_size=128)
 
 
 def assert_cluster_parity(a: HPSCluster, b: HPSCluster) -> None:
@@ -93,25 +92,6 @@ def test_restore_is_identity_at_the_boundary(tiny_spec, small_config, tmp_path):
         assert node.hdfs.batches_read == 3
 
 
-def test_disk_backed_ssd_round_trip(tiny_spec, small_config, tmp_path):
-    src_dir = tmp_path / "ssd_src"
-    dst_dir = tmp_path / "ssd_dst"
-    ckpt = tmp_path / "ckpt"
-    cluster = build(tiny_spec, small_config, ssd_directory=str(src_dir))
-    cluster.train(3)
-    # Shutdown-style flush guarantees the SSD tier holds payload files.
-    for node in cluster.nodes:
-        node.mem_ps.flush_to_ssd()
-    assert cluster.nodes[0].ssd_ps.store.n_files > 0
-    cluster.save_checkpoint(str(ckpt))
-    restored = HPSCluster.restore(str(ckpt), ssd_directory=str(dst_dir))
-    assert_cluster_parity(cluster, restored)
-    # Payloads were re-materialized under the new directory.
-    assert any(f.endswith(".npy") for f in os.listdir(dst_dir / "node0"))
-    for node in restored.nodes:
-        node.ssd_ps.check_invariants()
-
-
 def test_save_charges_ckpt_write_and_restore_charges_ckpt_read(
     tiny_spec, small_config, tmp_path
 ):
@@ -168,22 +148,18 @@ def test_snapshot_cost_is_flow_shop_makespan(tiny_spec, small_config, tmp_path):
 
 # ----------------------------------------------------------------------
 def test_restore_rejects_config_mismatch(tiny_spec, small_config, tmp_path):
+    """A restore rebuilds from the manifest, so a mismatch can only meet
+    a live cluster built with another config: ``restore_nodes`` runs the
+    same fingerprint check and refuses before any node is replaced."""
     cluster = build(tiny_spec, small_config)
     cluster.train(1)
     cluster.save_checkpoint(str(tmp_path))
-    other = ClusterConfig(
-        n_nodes=small_config.n_nodes,
-        gpus_per_node=small_config.gpus_per_node,
-        minibatches_per_gpu=small_config.minibatches_per_gpu,
-        mem_capacity_params=small_config.mem_capacity_params,
-        hbm_capacity_params=small_config.hbm_capacity_params,
-        ssd_file_capacity=small_config.ssd_file_capacity,
-        seed=small_config.seed + 1,
-    )
+    other = build(tiny_spec, replace(small_config, seed=small_config.seed + 1))
+    nodes = list(other.nodes)
     with pytest.raises(CheckpointError, match="configuration mismatch"):
-        HPSCluster.restore(str(tmp_path), other)
-    # The saved config restores fine when passed explicitly.
-    restored = HPSCluster.restore(str(tmp_path), small_config)
+        restore_nodes(other, str(tmp_path), range(other.n_nodes))
+    assert other.nodes == nodes and other.rounds_completed == 0
+    restored = HPSCluster.restore(str(tmp_path))
     assert restored.rounds_completed == 1
 
 

@@ -45,10 +45,10 @@ PINNED_SECOND_DELTA = [
 ]
 
 
-def build(tiny_spec, config, **kwargs):
+def build(tiny_spec, config):
     # Batch size large enough that the pressured MEM tier spills to the
     # SSD store within a handful of rounds (content from round ~6 on).
-    return HPSCluster(tiny_spec, config, functional_batch_size=512, **kwargs)
+    return HPSCluster(tiny_spec, config, functional_batch_size=512)
 
 
 def assert_cluster_parity(a: HPSCluster, b: HPSCluster) -> None:

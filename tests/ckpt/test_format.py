@@ -83,10 +83,6 @@ def test_latest_checkpoint_picks_newest_committed(tmp_path):
     # An interrupted save (no manifest) must never be selected.
     (tmp_path / "round_000008").mkdir()
     assert latest_checkpoint(str(tmp_path)) == str(tmp_path / "round_000006")
-    assert latest_checkpoint(str(tmp_path), upto_round=5) == str(
-        tmp_path / "round_000004"
-    )
-    assert latest_checkpoint(str(tmp_path), upto_round=1) is None
     assert latest_checkpoint(str(tmp_path / "missing")) is None
 
 

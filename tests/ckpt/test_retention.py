@@ -29,10 +29,8 @@ from repro.core.cluster import HPSCluster
 from repro.hardware.ledger import CostLedger
 
 
-def build(tiny_spec, small_config, **kwargs):
-    return HPSCluster(
-        tiny_spec, small_config, functional_batch_size=128, **kwargs
-    )
+def build(tiny_spec, small_config):
+    return HPSCluster(tiny_spec, small_config, functional_batch_size=128)
 
 
 def committed_rounds(directory: str) -> list[int]:

@@ -68,20 +68,13 @@ class TestTrainRound:
         with pytest.raises(KeyDomainError, match=f"key {KEY_DOMAIN_CAP},"):
             build(spec, small_config)
 
-    @pytest.mark.parametrize("data_seed", [-1, 2**64])
-    def test_out_of_range_data_seed_is_a_value_error(
-        self, tiny_spec, small_config, data_seed
-    ):
-        with pytest.raises(ValueError, match=f"seed {data_seed} is outside"):
-            HPSCluster(tiny_spec, small_config, data_seed=data_seed)
-
     def test_largest_seeds_build_a_cluster(self, tiny_spec, small_config):
         config = dataclasses.replace(small_config, seed=2**64 - 1)
-        HPSCluster(tiny_spec, config, data_seed=2**64 - 1).train_round()
+        HPSCluster(tiny_spec, config).train_round()
 
     @pytest.mark.parametrize("size", [0, -1])
     def test_functional_batch_size_below_one_is_refused(
-        self, tiny_spec, small_config, tmp_path, size
+        self, tiny_spec, small_config, size
     ):
         """A zero size once fell back to ``ClusterConfig.batch_size``
         (4,000,000 examples per read) while the cluster and its
@@ -90,9 +83,6 @@ class TestTrainRound:
             HPSCluster(tiny_spec, small_config, functional_batch_size=size)
         cluster = HPSCluster(tiny_spec, small_config, functional_batch_size=64)
         assert [n.hdfs.batch_size for n in cluster.nodes] == [64, 64]
-        cluster.save_checkpoint(str(tmp_path / "s0"))
-        with pytest.raises(ValueError, match="functional_batch_size"):
-            HPSCluster.restore(str(tmp_path / "s0"), functional_batch_size=size)
 
     def test_auc_improves_over_random(self, tiny_spec, small_config):
         cluster = HPSCluster(tiny_spec, small_config, functional_batch_size=512)

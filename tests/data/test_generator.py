@@ -105,8 +105,9 @@ class TestGenerator:
         assert auc(test.labels, scores) > 0.55
 
     def test_invalid_exponent(self, spec):
-        with pytest.raises(ValueError):
-            CTRDataGenerator(spec, zipf_exponent=1.0)
+        for exponent in (1.0, float("nan")):
+            with pytest.raises(ValueError, match="zipf_exponent"):
+                CTRDataGenerator(spec, zipf_exponent=exponent)
 
     def test_invalid_batch_size(self, spec):
         with pytest.raises(ValueError):

@@ -103,13 +103,6 @@ class TestSSDDevice:
         assert dev.read_time(1) == dev.read_time(4096)
         assert dev.read_time(4097) > dev.read_time(4096)
 
-    def test_sequential_faster_than_random_for_small_io(self):
-        dev = SSDDevice(SSDSpec())
-        small = 4096
-        assert dev.read_time(small, sequential=True) < dev.read_time(
-            small, sequential=False
-        )
-
     def test_accounting(self):
         dev = SSDDevice(SSDSpec())
         dev.read_files(np.asarray([8192]))

@@ -23,11 +23,6 @@ class TestPartitioner:
         parts = p.part_of(np.arange(1000, dtype=np.uint64))
         assert parts.min() >= 0 and parts.max() < 7
 
-    def test_unhashed_is_plain_modulo(self):
-        p = ModuloPartitioner(3, hashed=False)
-        parts = p.part_of(np.array([0, 1, 2, 3, 4, 5], dtype=np.uint64))
-        assert parts.tolist() == [0, 1, 2, 0, 1, 2]
-
     def test_salts_give_independent_partitions(self):
         keys = np.arange(1000, dtype=np.uint64)
         a = ModuloPartitioner(4, salt=1).part_of(keys)

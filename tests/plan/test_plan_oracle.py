@@ -6,7 +6,7 @@ rediscovers each set with its own dedup, partition and lookup.  Every
 field of every plan dataclass must agree in value and dtype on generated
 topologies and batches — empty shards, uneven nodes, compact and sparse
 key domains (the reference switches lookup idiom at 2**22; the builder
-has one path), hashed and plain-modulo partitioners.
+has one path), and two independent salt pairs for the partitioners.
 """
 
 import numpy as np
@@ -21,6 +21,8 @@ from repro.plan import build_round_plan
 #: key ranges ``(span, base)``: tiny (heavy reuse), compact, a compact
 #: span lifted past the 2**22 dense cap, and the whole 62-bit space
 _KEY_DOMAINS = [(50, 0), (5_000, 0), (5_000, 1 << 40), (1 << 62, 0)]
+#: ``(node salt, GPU salt)``: two independent partitionings of one round
+_SALT_PAIRS = [(1, 2), (7, 11)]
 
 
 @st.composite
@@ -29,7 +31,7 @@ def _rounds(draw):
     n_gpus = draw(st.integers(1, 4))
     mb_rounds = draw(st.integers(1, 3))
     span, base = draw(st.sampled_from(_KEY_DOMAINS))
-    hashed = draw(st.booleans())
+    salts = draw(st.sampled_from(_SALT_PAIRS))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     batches = []
     for _ in range(n_nodes):
@@ -38,17 +40,17 @@ def _rounds(draw):
         keys = rng.integers(0, span, int(lengths.sum())).astype(np.uint64)
         offsets = np.concatenate([[0], np.cumsum(lengths)])
         batches.append((keys + np.uint64(base), offsets))
-    return n_nodes, n_gpus, mb_rounds, hashed, batches
+    return n_nodes, n_gpus, mb_rounds, salts, batches
 
 
 def _plan(builder, case):
-    n_nodes, n_gpus, mb_rounds, hashed, arrays = case
+    n_nodes, n_gpus, mb_rounds, (node_salt, gpu_salt), arrays = case
     # Fresh batches and partitioners per builder: both memoize.
     batches = [Batch(k, o, np.zeros(o.size - 1)) for k, o in arrays]
     plan = builder(
         batches,
-        node_partitioner=ModuloPartitioner(n_nodes, salt=1, hashed=hashed),
-        gpu_partitioner=ModuloPartitioner(n_gpus, salt=2, hashed=hashed),
+        node_partitioner=ModuloPartitioner(n_nodes, salt=node_salt),
+        gpu_partitioner=ModuloPartitioner(n_gpus, salt=gpu_salt),
         n_gpus=n_gpus,
         mb_rounds=mb_rounds,
     )

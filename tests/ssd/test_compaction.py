@@ -40,8 +40,9 @@ class TestTrigger:
         assert stats.files_merged > 0
 
     def test_validation(self, store):
-        with pytest.raises(ValueError):
-            Compactor(store, usage_threshold=0.5)
+        for threshold in (0.5, float("nan")):
+            with pytest.raises(ValueError, match="usage_threshold"):
+                Compactor(store, usage_threshold=threshold)
         with pytest.raises(ValueError):
             Compactor(store, stale_fraction=0.0)
 

@@ -1,5 +1,7 @@
 """Tests for model/cluster configuration (Table 3)."""
 
+import importlib
+import inspect
 from dataclasses import fields, replace
 
 import pytest
@@ -7,6 +9,39 @@ import pytest
 from repro.config import PAPER_MODELS, TINY_MODEL, ClusterConfig, ModelSpec
 from repro.core.cluster import BatchStats
 from repro.mem.cache import CombinedCache
+
+#: The signatures on the cluster's build/restore path.  A defaulted
+#: parameter there is an option a caller may set, so their count is a
+#: structural needle like the field counts (CI prints it head vs base).
+BUILD_RESTORE_SIGNATURES = (
+    "repro.core.cluster:HPSCluster.__init__",
+    "repro.core.cluster:HPSCluster.restore",
+    "repro.core.cluster:HPSCluster.train_round",
+    "repro.ckpt.checkpoint:restore_cluster",
+    "repro.ckpt.format:latest_checkpoint",
+    "repro.core.node:HPSNode.__init__",
+    "repro.core.trainer:ReferenceTrainer.__init__",
+    "repro.ssd.ssd_ps:SSDPS.__init__",
+    "repro.hbm.partition:ModuloPartitioner.__init__",
+    "repro.hardware.ssd_device:SSDDevice.read_time",
+    "repro.hardware.ssd_device:SSDDevice.write_time",
+    "repro.hardware.ssd_device:SSDDevice.write",
+)
+
+
+def defaulted_build_options() -> int:
+    """Defaulted parameters across :data:`BUILD_RESTORE_SIGNATURES`."""
+    count = 0
+    for name in BUILD_RESTORE_SIGNATURES:
+        module, qualname = name.split(":")
+        obj = importlib.import_module(module)
+        for attr in qualname.split("."):
+            obj = getattr(obj, attr)
+        count += sum(
+            p.default is not inspect.Parameter.empty
+            for p in inspect.signature(obj).parameters.values()
+        )
+    return count
 
 
 class TestPaperModels:
@@ -66,6 +101,7 @@ class TestClusterConfig:
         to raise these ceilings on purpose."""
         assert len(fields(ClusterConfig)) <= 13
         assert len(fields(BatchStats)) <= 21
+        assert defaulted_build_options() <= 10
 
     def test_with_nodes(self):
         """Derive a config with ``dataclasses.replace``: the other fields
@@ -83,8 +119,9 @@ class TestClusterConfig:
             ClusterConfig(batch_size=-1)
         with pytest.raises(ValueError):
             ClusterConfig(cache_lru_fraction=1.5)
-        with pytest.raises(ValueError):
-            ClusterConfig(compaction_threshold=0.5)
+        for threshold in (0.5, float("nan")):
+            with pytest.raises(ValueError, match="compaction_threshold"):
+                ClusterConfig(compaction_threshold=threshold)
         with pytest.raises(ValueError):
             ClusterConfig(compaction_stale_fraction=0.0)
 
