@@ -11,10 +11,15 @@ them (serialize shard ``n + 1`` while shipping shard ``n``), so the
 save-level cost is a flow-shop makespan; restores read shards in
 parallel, so their cost is the slowest node.
 
-Delta snapshots (``save_cluster(kind="delta")``, format v3) record only
-the state that changed since the previous snapshot: new SSD parameter
-files plus the mapping/stale-counter diff, the MEM cache's metadata plus
-only its written value rows, and the (full, tiny) dense/optimizer state.
+Delta snapshots (``save_cluster(kind="delta")``) record only the state
+that changed since the previous snapshot: new SSD parameter files plus
+the erased-file and stale-counter diff (the key → file mapping is never
+shipped: a load derives it, each key's newest file), per MEM tier a
+bitmask of the base entries still in place plus the reordered entries
+with values for their written rows only, and the (full, tiny)
+dense/optimizer state.  Every shard is one header plus raw arrays
+(:func:`~repro.ckpt.format.write_shard`), read back once and hashed over
+the bytes it decodes (:func:`~repro.ckpt.format.read_shard`).
 Each tier holds its own delta base — row-dirty bits in the MEM slab, a
 file-id watermark in the SSD store — so a delta export reads only what
 changed and steady-state snapshot cost scales with the round's write
@@ -48,8 +53,6 @@ partial-node restores alike.
 
 from __future__ import annotations
 
-import hashlib
-import io
 import os
 from dataclasses import asdict, dataclass
 
@@ -64,6 +67,7 @@ from repro.ckpt.format import (
     node_shard_name,
 )
 from repro.config import ClusterConfig, ModelSpec
+from repro.utils.io import fsync_dir
 
 __all__ = [
     "CheckpointStats",
@@ -105,8 +109,9 @@ def _config_payload(cluster) -> dict:
 
     Covers everything that shapes training semantics: model/cluster
     config, optimizer identities (the sparse value layout in particular),
-    and the data stream's RNG identity (seed, skew, batch size) — batch
-    ``i`` is a pure function of these, which is what makes replay exact.
+    and the data stream's RNG identity (``cluster_config.seed``, skew,
+    batch size) — batch ``i`` is a pure function of these, which is what
+    makes replay exact.
     """
     return {
         "format_version": FORMAT_VERSION,
@@ -114,24 +119,10 @@ def _config_payload(cluster) -> dict:
         "cluster_config": asdict(cluster.config),
         "sparse_optimizer": cluster.sparse_optimizer.spec(),
         "dense_optimizer": cluster.nodes[0].dense_optimizer.spec(),
-        "data_seed": cluster.generator.seed,
         "zipf_exponent": cluster.generator.zipf_exponent,
         "noise": cluster.generator.noise,
         "functional_batch_size": cluster.functional_batch_size,
     }
-
-
-def _write_shard(directory: str, name: str, arrays: dict) -> tuple[int, str]:
-    """Serialize ``arrays`` to an ``.npz`` shard; returns (bytes, digest).
-
-    The shard is built in memory so its digest is of exactly what was
-    committed, then written durably (temp + ``os.replace``).
-    """
-    buf = io.BytesIO()
-    np.savez(buf, **arrays)
-    with buf.getbuffer() as data:  # the buffer itself, not a copy of it
-        fmt.atomic_write_bytes(os.path.join(directory, name), data)
-        return data.nbytes, hashlib.sha256(data).hexdigest()
 
 
 def _overlap_snapshot_cost(
@@ -215,11 +206,6 @@ def _split_tier_arrays(arrays: dict[str, np.ndarray]) -> dict[str, dict]:
         }
         for tier in HPSNode.TIERS
     }
-
-
-def _load_npz(path: str) -> dict[str, np.ndarray]:
-    with np.load(path) as z:
-        return {key: z[key] for key in z.files}
 
 
 def _load_node_counters(node, arrays: dict[str, np.ndarray]) -> None:
@@ -326,14 +312,14 @@ def save_cluster(cluster, directory: str, *, kind: str = "full") -> CheckpointSt
     fmt.invalidate(directory)
 
     shards: dict[str, str] = {}
-    dense_bytes, shards[DENSE_SHARD] = _write_shard(
+    dense_bytes, shards[DENSE_SHARD] = fmt.write_shard(
         directory, DENSE_SHARD, _dense_arrays(cluster)
     )
     node_bytes: list[int] = []
     for node in cluster.nodes:
         name = node_shard_name(node.node_id)
         tiers = node.tier_states() if base is None else node.tier_deltas()
-        nbytes, shards[name] = _write_shard(
+        nbytes, shards[name] = fmt.write_shard(
             directory, name, _node_shard_arrays(node, tiers)
         )
         node_bytes.append(nbytes)
@@ -353,6 +339,9 @@ def save_cluster(cluster, directory: str, *, kind: str = "full") -> CheckpointSt
         manifest["base"] = os.path.basename(base["directory"])
         manifest["base_manifest_sha256"] = base["manifest_sha256"]
     manifest_bytes = fmt.write_manifest(directory, manifest)
+    # The commit is durable only once the directory entries are: without
+    # this a power loss could undo it after a prune deleted older chains.
+    fsync_dir(directory)
     _record_base(
         cluster, directory, 1 if base is None else base["chain_length"] + 1
     )
@@ -392,12 +381,15 @@ def _diff_hint(saved: dict, current: dict) -> str:
     return ", ".join(diffs) if diffs else "unknown"
 
 
-def _verified_shard(directory: str, manifest: dict, name: str) -> str:
-    """Path of shard ``name`` of one chain member, digest-verified."""
+def _read_shard(
+    directory: str, manifest: dict, name: str
+) -> tuple[dict[str, np.ndarray], int]:
+    """Shard ``name`` of one chain member, read once and digest-verified:
+    ``(arrays, bytes)``."""
     digest = manifest["shards"].get(name)
     if digest is None:
         raise CheckpointError(f"checkpoint manifest lists no shard {name!r}")
-    return fmt.verify_shard(directory, name, digest)
+    return fmt.read_shard(directory, name, digest)
 
 
 def _load_dense(node, dense: dict[str, np.ndarray]) -> None:
@@ -414,12 +406,14 @@ def _restore_nodes(cluster, chain, nodes) -> CheckpointStats:
     """The one restore path: load fresh ``nodes`` (built by the cluster's
     own recipe) from a resolved chain and splice them into ``cluster``.
 
-    Every shard the restore reads is digest-verified before any state
-    loads.  Each node folds its shards base first in memory
-    (:meth:`~repro.core.node.HPSNode.fold_tier_deltas`) and loads every
+    Each node reads its shards once, base first, digest-verifying each
+    and folding it in memory
+    (:meth:`~repro.core.node.HPSNode.fold_tier_deltas`), and loads every
     tier once, takes the newest member's dense replica, stream position
     and cost history, and pays its own ``ckpt_read``: its shard chain
-    plus the dense replica and the chain's manifests.
+    plus the dense replica and the chain's manifests.  The nodes are
+    spliced into ``cluster`` only once every one has loaded, so a missing
+    or corrupt shard leaves the cluster as it was.
 
     Replacing every node rewinds the cluster to the snapshot — its
     round, nothing staged, the chain as the next delta's base.
@@ -449,27 +443,21 @@ def _restore_nodes(cluster, chain, nodes) -> CheckpointStats:
                 "cluster and replay instead"
             )
 
-    dense_path = _verified_shard(newest_dir, manifest, DENSE_SHARD)
-    shards = {
-        node.node_id: [
-            _verified_shard(d, m, node_shard_name(node.node_id)) for d, m in chain
-        ]
-        for node in nodes
-    }
-    dense = _load_npz(dense_path)
-    shared_bytes = os.path.getsize(dense_path) + sum(
+    dense, dense_bytes = _read_shard(newest_dir, manifest, DENSE_SHARD)
+    shared_bytes = dense_bytes + sum(
         os.path.getsize(os.path.join(d, fmt.MANIFEST_NAME)) for d, _ in chain
     )
     nbytes = shared_bytes
     per_node = [0.0] * cluster.n_nodes
     for node in nodes:
+        # One member's shard in memory at a time: read, verify, fold in.
         states: dict[str, dict] = {}
         own_bytes = 0
-        for path in shards[node.node_id]:
-            arrays = _load_npz(path)
+        for d, m in chain:
+            arrays, size = _read_shard(d, m, node_shard_name(node.node_id))
             tiers = _split_tier_arrays(arrays)
             states = node.fold_tier_deltas(states, tiers) if states else tiers
-            own_bytes += os.path.getsize(path)
+            own_bytes += size
         node.load_tier_states(states)
         _load_dense(node, dense)
         _load_node_counters(node, arrays)  # the newest member's
@@ -477,6 +465,7 @@ def _restore_nodes(cluster, chain, nodes) -> CheckpointStats:
         node.ledger.add("ckpt_read", t)
         per_node[node.node_id] = t
         nbytes += own_bytes
+    for node in nodes:  # every shard read and verified: splice them in
         cluster.nodes[node.node_id] = node
 
     if partial:

@@ -3,9 +3,18 @@
 A checkpoint directory holds::
 
     manifest.json        # commit record: version, fingerprint, shard digests
-    dense.npz            # dense tower parameters + dense optimizer state
-    node_0000.npz        # node 0: MEM cache + SSD file store + HDFS counters
-    node_0001.npz        # ...one shard per node
+    dense.shard          # dense tower parameters + dense optimizer state
+    node_0000.shard      # node 0: MEM cache + SSD file store + HDFS counters
+    node_0001.shard      # ...one shard per node
+
+A shard is one header plus raw arrays (:func:`write_shard`):
+:data:`SHARD_MAGIC`, the header's length as a little-endian uint64, a
+JSON header listing every array's name, dtype, shape and offset, then
+each array's bytes at a 64-byte-aligned offset from the aligned end of
+the header.  A save builds it in one buffer and writes that; a restore
+reads the file once into one buffer, hashes those bytes and decodes the
+same bytes with ``np.frombuffer`` (:func:`read_shard`) — no archive, no
+second read.
 
 The manifest is the *commit point*: it is deleted before any shard is
 touched and atomically rewritten (temp file + ``os.replace``) only after
@@ -32,6 +41,8 @@ import json
 import os
 import warnings
 
+import numpy as np
+
 from repro.utils.io import atomic_write_bytes
 
 __all__ = [
@@ -46,9 +57,10 @@ __all__ = [
     "latest_checkpoint",
     "manifest_sha256",
     "read_manifest",
+    "read_shard",
     "resolve_chain",
-    "sha256_file",
     "write_manifest",
+    "write_shard",
 ]
 
 #: Bump when the manifest schema or shard layout changes incompatibly.
@@ -59,10 +71,22 @@ __all__ = [
 #: v4: the manifest's ``config.cluster_config`` lost five keys (the
 #: prefetch-window and extent-cache-tuner knobs), so an older chain can
 #: neither rebuild its ``ClusterConfig`` nor match a fingerprint.
-FORMAT_VERSION = 4
+#: v5: shards are a header plus aligned raw arrays, not ``.npz``; SSD
+#: exports drop the mapping (derived on load); MEM deltas ship a kept
+#: mask of the base plus the reordered entries, with a packed dirty mask
+#: instead of int64 value positions; the config lost ``batch_size`` and
+#: ``data_seed``.
+FORMAT_VERSION = 5
 
 MANIFEST_NAME = "manifest.json"
-DENSE_SHARD = "dense.npz"
+DENSE_SHARD = "dense.shard"
+
+#: First bytes of every shard file; the header's length follows.
+SHARD_MAGIC = b"HPSSHRD5"
+#: Where a shard's JSON header starts: after the magic and its length.
+_HEADER_AT = len(SHARD_MAGIC) + 8
+#: Array offsets in a shard are multiples of this (a cache line).
+_ALIGN = 64
 
 #: Per-snapshot subdirectory prefix used by the periodic writer (the
 #: snapshot stage) and by :func:`latest_checkpoint`'s scan.
@@ -113,7 +137,7 @@ def _scan_committed(directory: str) -> list[tuple[str, str, dict]]:
 
 
 def node_shard_name(node_id: int) -> str:
-    return f"node_{node_id:04d}.npz"
+    return f"node_{node_id:04d}.shard"
 
 
 def checkpoint_dir_name(rounds_completed: int) -> str:
@@ -251,18 +275,73 @@ def resolve_chain(directory: str) -> list[tuple[str, dict]]:
     return chain
 
 
-def verify_shard(directory: str, name: str, expected_digest: str) -> str:
-    """Existence + integrity check for one shard; returns its path."""
-    path = os.path.join(directory, name)
-    if not os.path.isfile(path):
-        raise CheckpointError(f"checkpoint shard {name!r} is missing")
-    digest = sha256_file(path)
-    if digest != expected_digest:
+def _aligned(n: int) -> int:
+    return -(-n // _ALIGN) * _ALIGN
+
+
+def write_shard(
+    directory: str, name: str, arrays: dict[str, np.ndarray]
+) -> tuple[int, str]:
+    """Durably write ``arrays`` as shard ``name`` — magic, header length,
+    JSON header, then every array's raw bytes at a 64-byte-aligned
+    offset, built in one zero-padded buffer (equal arrays, equal bytes).
+    Returns (bytes, digest) of exactly the bytes committed."""
+    packed = {key: np.asarray(a, order="C") for key, a in arrays.items()}
+    entries = []
+    end = 0
+    for key, a in packed.items():
+        if a.dtype.hasobject:
+            raise ValueError(f"shard array {key!r} has object dtype")
+        entries.append([key, a.dtype.str, list(a.shape), _aligned(end)])
+        end = entries[-1][3] + a.nbytes
+    header = json.dumps({"arrays": entries}, separators=(",", ":")).encode()
+    start = _aligned(_HEADER_AT + len(header))
+    buf = bytearray(start + end)
+    buf[: len(SHARD_MAGIC)] = SHARD_MAGIC
+    buf[len(SHARD_MAGIC) : _HEADER_AT] = len(header).to_bytes(8, "little")
+    buf[_HEADER_AT : _HEADER_AT + len(header)] = header
+    for (_, _, _, offset), a in zip(entries, packed.values()):
+        dst = np.frombuffer(buf, np.uint8, a.nbytes, start + offset)
+        dst[:] = a.reshape(-1).view(np.uint8)
+    atomic_write_bytes(os.path.join(directory, name), buf)
+    return len(buf), hashlib.sha256(buf).hexdigest()
+
+
+def read_shard(
+    directory: str, name: str, expected_digest: str
+) -> tuple[dict[str, np.ndarray], int]:
+    """Read shard ``name`` once, check its SHA-256 against the manifest's
+    and decode the bytes it hashed: returns (arrays, bytes), the arrays
+    writable views of that one buffer."""
+    try:
+        with open(os.path.join(directory, name), "rb") as fh:
+            data = bytearray(os.fstat(fh.fileno()).st_size)
+            n = fh.readinto(data)
+    except OSError:
+        raise CheckpointError(f"checkpoint shard {name!r} is missing") from None
+    digest = hashlib.sha256(memoryview(data)[:n]).hexdigest()
+    if n != len(data) or digest != expected_digest:
         raise CheckpointError(
             f"checkpoint shard {name!r} is corrupt "
             f"(sha256 {digest[:12]}… != manifest {expected_digest[:12]}…)"
         )
-    return path
+    out = {}
+    try:
+        if bytes(data[: len(SHARD_MAGIC)]) != SHARD_MAGIC:
+            raise ValueError("bad magic")
+        length = int.from_bytes(data[len(SHARD_MAGIC) : _HEADER_AT], "little")
+        start = _aligned(_HEADER_AT + length)
+        for key, dtype, shape, offset in json.loads(
+            bytes(data[_HEADER_AT : _HEADER_AT + length])
+        )["arrays"]:
+            dt = np.dtype(dtype)
+            count = int(np.prod(shape, dtype=np.int64))
+            if start + offset + count * dt.itemsize > n:
+                raise ValueError(f"array {key!r} runs past the end")
+            out[key] = np.frombuffer(data, dt, count, start + offset).reshape(shape)
+    except (ValueError, KeyError, TypeError) as exc:
+        raise CheckpointError(f"checkpoint shard {name!r} is malformed: {exc}") from exc
+    return out, n
 
 
 def latest_checkpoint(directory: str) -> str | None:

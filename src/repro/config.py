@@ -98,14 +98,14 @@ TINY_MODEL = ModelSpec(
 class ClusterConfig:
     """Deployment shape of the hierarchical parameter server.
 
-    The paper's flagship deployment is 4 nodes × 8 GPUs.  ``batch_size`` is
-    the HDFS batch (paper: ~4M examples); each batch is sharded into
-    ``minibatches_per_gpu`` minibatches per GPU worker.
+    The paper's flagship deployment is 4 nodes × 8 GPUs.  Each HDFS
+    batch (paper: ~4M examples; here the cluster's
+    ``functional_batch_size``) is sharded into ``minibatches_per_gpu``
+    minibatches per GPU worker.
     """
 
     n_nodes: int = 4
     gpus_per_node: int = 8
-    batch_size: int = 4_000_000
     minibatches_per_gpu: int = 4
     mem_capacity_params: int = 10**9
     hbm_capacity_params: int = 10**8
@@ -132,8 +132,6 @@ class ClusterConfig:
     def __post_init__(self) -> None:
         if self.n_nodes <= 0 or self.gpus_per_node <= 0:
             raise ValueError("cluster must have at least one node and GPU")
-        if self.batch_size <= 0:
-            raise ValueError("batch_size must be positive")
         for name in (
             "minibatches_per_gpu",
             "mem_capacity_params",

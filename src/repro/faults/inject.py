@@ -35,8 +35,8 @@ import numpy as np
 from repro.ckpt.format import (
     CheckpointError,
     node_shard_name,
+    read_shard,
     resolve_chain,
-    verify_shard,
 )
 from repro.faults.errors import FaultError
 from repro.faults.policy import FaultArm, FaultIncident, RetryPolicy
@@ -86,30 +86,27 @@ class CheckpointRecovery:
             if digest is None:
                 continue
             try:
-                path = verify_shard(member_dir, shard, digest)
+                arrays, nbytes = read_shard(member_dir, shard, digest)
             except CheckpointError:
                 continue
-            found = self._payload_in_shard(path, file_id, expected_keys)
-            if found is not None:
-                values, nbytes = found
+            values = self._payload_in_shard(arrays, file_id, expected_keys)
+            if values is not None:
                 return values, nbytes, self.node.hdfs.transfer_seconds(nbytes)
         return None
 
     @staticmethod
-    def _payload_in_shard(path: str, file_id: int, expected_keys: np.ndarray):
-        with np.load(path) as z:
-            if "ssd_file_ids" not in z.files:
-                return None
-            pos = np.flatnonzero(z["ssd_file_ids"] == int(file_id))
-            if pos.size == 0:
-                return None
-            offsets = z["ssd_file_offsets"]
-            lo, hi = int(offsets[int(pos[0])]), int(offsets[int(pos[0]) + 1])
-            keys = z["ssd_file_keys"][lo:hi]
-            values = np.asarray(z["ssd_file_values"][lo:hi], dtype=np.float32)
+    def _payload_in_shard(arrays: dict, file_id: int, expected_keys: np.ndarray):
+        if "ssd_file_ids" not in arrays:
+            return None
+        pos = np.flatnonzero(arrays["ssd_file_ids"] == int(file_id))
+        if pos.size == 0:
+            return None
+        offsets = arrays["ssd_file_offsets"]
+        lo, hi = int(offsets[int(pos[0])]), int(offsets[int(pos[0]) + 1])
+        keys = arrays["ssd_file_keys"][lo:hi]
         if not np.array_equal(keys, np.asarray(expected_keys)):
             return None
-        return values, int(os.path.getsize(path))
+        return np.array(arrays["ssd_file_values"][lo:hi], dtype=np.float32)
 
 
 class FaultInjection:

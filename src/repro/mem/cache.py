@@ -96,6 +96,9 @@ _FAR = np.int64(2**62)
 
 _NO_SLOTS = np.empty(0, dtype=np.int64)
 
+#: per tier: snapshot name, count array name, order field
+_TIERS = (("lru", "lru_counts", "_tick"), ("lfu", "lfu_freqs", "_ftick"))
+
 _PINNED_MSG = (
     "cache over capacity with all residents pinned — the pinned "
     "working set must fit in memory (paper Section 5)"
@@ -132,6 +135,18 @@ class CacheStats:
 
 def _empty_pairs(dim: int) -> tuple[np.ndarray, np.ndarray]:
     return as_keys([]), np.zeros((0, dim), dtype=np.float32)
+
+
+def _unpacked(delta: dict, name: str, n: int, of: str) -> np.ndarray:
+    """``delta[name]`` unpacked to ``n`` booleans; ValueError unless it
+    is exactly a packed mask of ``n`` bits (no bit set past them)."""
+    bits = np.asarray(delta[name])
+    if bits.dtype != np.uint8 or bits.shape != (-(-n // 8),):
+        raise ValueError(f"cache delta {name} is not a packed mask of {n} {of}")
+    mask = np.unpackbits(bits).view(bool)
+    if mask[n:].any():
+        raise ValueError(f"cache delta {name} marks rows past its {n} {of}")
+    return mask[:n]
 
 
 def _greedy_evictions(
@@ -223,9 +238,13 @@ class CombinedCache:
         #: rows the LRU tier may hold (pins live here) / the LFU tier may hold
         self.lru_capacity = max(1, int(capacity * lru_fraction))
         self.lfu_capacity = max(1, capacity - self.lru_capacity)
-        #: whether a committed snapshot stands behind the dirty bits
-        #: (:meth:`mark_snapshot`); survives :meth:`flush_all`, not a load
-        self._marked = False
+        #: the delta base (:meth:`mark_snapshot`): ``(clock, LRU size, LFU
+        #: size)`` at the last committed snapshot; None until one is
+        #: marked, and again after a load.  Survives :meth:`flush_all`.
+        self._mark: tuple[int, int, int] | None = None
+        #: the tick clock; only a mark resets it, so every tick drawn
+        #: after the mark is larger than the mark's clock
+        self._now = 0
         self._reset()
 
     def _reset(self) -> None:
@@ -245,7 +264,6 @@ class CombinedCache:
         self._n_free = rows
         self.n_lru = 0
         self.n_lfu = 0
-        self._now = 0
 
     def __len__(self) -> int:
         return self.n_lru + self.n_lfu
@@ -664,7 +682,7 @@ class CombinedCache:
             self._validated(state)
         )
         self._reset()
-        self._marked = False  # until the checkpoint reader marks it
+        self._mark = None  # until the checkpoint reader marks it
         # Snapshot order is tick order: fresh ascending ticks preserve
         # every relative comparison the policy makes.
         lru, lfu = self._alloc(lru_keys.size), self._alloc(lfu_keys.size)
@@ -685,50 +703,64 @@ class CombinedCache:
     def export_delta(self) -> dict[str, np.ndarray]:
         """Diff the cache against the snapshot it was last marked at.
 
-        Replacement metadata (key order, access counts, frequencies)
-        changes on nearly every access and is cheap — a few int64 per
-        resident — so it ships in full.  The bulk of a snapshot is the
-        value slab (``value_dim`` float32 per row); the delta ships
-        values only for the rows written since :meth:`mark_snapshot` —
-        inserted by :meth:`put_batch` or overwritten by
-        :meth:`update_rows`, the only two value writers — recorded as
-        positions into the shipped key arrays.  A promotion or demotion
-        leaves the value where it is, so a row that merely switched
-        tiers ships metadata only.
+        Per tier, in tier order, the entries split in two.  The *kept*
+        ones carry a tick from before the mark and were not written
+        since: untouched, so still in base order with base counts and
+        values — a packed bitmask over the base tier names them
+        (``{tier}_kept``).  Every later entry was reordered since the
+        mark (a tick is fresh on every access, insert, promotion and
+        demotion): it ships its key and count, a packed mask of which
+        rows were written since the mark (``{tier}_dirty`` — inserted by
+        :meth:`put_batch` or overwritten by :meth:`update_rows`, the
+        only two value writers) and values for those rows only.  A row
+        that merely moved tiers ships no value.
 
         A cache that holds no mark — fresh, or loaded and not yet marked
         — has nothing to diff against: :class:`TierStateError`.
         """
         self._require_unpinned()
-        if not self._marked:
+        if self._mark is None:
             raise TierStateError(
                 "MEM cache holds no snapshot mark to diff against — "
                 "mark_snapshot() once a full snapshot or a restore commits"
             )
+        clock, *base_sizes = self._mark
         delta: dict[str, np.ndarray] = {}
-        for tier, meta, order_field in (
-            ("lru", "lru_counts", self._tick),
-            ("lfu", "lfu_freqs", self._ftick),
-        ):
-            rows = self._tier_rows(order_field)
-            ship = self._dirty[rows]
-            delta[f"{tier}_keys"] = self._keys[rows]
-            delta[meta] = self._count[rows]
-            delta[f"{tier}_val_idx"] = np.flatnonzero(ship).astype(np.int64)
-            delta[f"{tier}_values"] = self._values[rows[ship]]
+        for (tier, meta, field), n_base in zip(_TIERS, base_sizes):
+            order = getattr(self, field)
+            rows = self._tier_rows(order)
+            moved = (order[rows] > clock) | self._dirty[rows]
+            cut = int(moved.argmax()) if moved.any() else rows.size
+            kept = np.zeros(n_base, dtype=bool)
+            kept[order[rows[:cut]]] = True  # a kept tick is its base position
+            tail = rows[cut:]
+            dirty = self._dirty[tail]
+            delta[f"{tier}_kept"] = np.packbits(kept)
+            delta[f"{tier}_keys"] = self._keys[tail]
+            delta[meta] = self._count[tail]
+            delta[f"{tier}_dirty"] = np.packbits(dirty)
+            delta[f"{tier}_values"] = self._values[tail[dirty]]
         delta["hits"] = np.int64(self.stats.hits)
         delta["misses"] = np.int64(self.stats.misses)
         return delta
 
     def mark_snapshot(self) -> None:
         """The state as of now is a committed snapshot: the next
-        :meth:`export_delta` ships values written from here on.  Called
-        by the checkpoint writer after the manifest commits (or a restore
+        :meth:`export_delta` diffs against it.  Each tier's ticks are
+        renumbered to the residents' positions in the tier, order kept
+        (ticks are only compared within a tier, as :meth:`load_state`
+        relies on too), and the clock moves past them: a tick no larger
+        than the mark's clock names a base position.  Called by the
+        checkpoint writer after the manifest commits (or a restore
         finishes loading) — never by an export, so a save that dies
         mid-write leaves the mark where it was."""
         self._require_unpinned()
+        lru, lfu = self._tier_rows(self._tick), self._tier_rows(self._ftick)
+        self._tick[lru] = np.arange(lru.size)
+        self._ftick[lfu] = np.arange(lfu.size)
+        self._now = max(lru.size, lfu.size)
         self._dirty[:] = False
-        self._marked = True
+        self._mark = (self._now, lru.size, lfu.size)
 
     def fold_delta(
         self, base: dict[str, np.ndarray], delta: dict[str, np.ndarray]
@@ -736,53 +768,59 @@ class CombinedCache:
         """The :meth:`export_state` snapshot an :meth:`export_delta` diff
         describes, built on ``base`` — the snapshot it was diffed against.
 
-        Pure: neither input nor the cache is touched.  The metadata is
-        the delta's; a value it did not ship is unchanged since the base
-        and is taken from there by key — a key the base lacks means the
-        wrong base.  :meth:`load_state` validates the result.
+        Pure: neither input nor the cache is touched, and the result
+        shares no memory with either.  Per tier the kept base entries
+        come first, in base order, then the delta's entries; a value the
+        delta did not ship is unchanged since the base and is taken from
+        there by key — a key the base lacks, or a mask that does not fit
+        the base, means the wrong base.  :meth:`load_state` validates
+        the result.
         """
         base_keys = np.concatenate([as_keys(base["lru_keys"]), as_keys(base["lfu_keys"])])
         base_values = np.concatenate([base["lru_values"], base["lfu_values"]])
         index = SlotIndex()
         index.set(base_keys, np.arange(base_keys.size))
         state: dict[str, np.ndarray] = {}
-        for tier, meta in (("lru", "lru_counts"), ("lfu", "lfu_freqs")):
+        for tier, meta, _ in _TIERS:
             keys = as_keys(delta[f"{tier}_keys"])
-            idx = np.asarray(delta[f"{tier}_val_idx"], dtype=np.int64)
+            dirty = _unpacked(delta, f"{tier}_dirty", keys.size, f"{tier}_keys")
             shipped = np.asarray(delta[f"{tier}_values"], dtype=np.float32)
-            if shipped.shape != (idx.size, self.value_dim):
+            n_dirty = int(np.count_nonzero(dirty))
+            if shipped.shape != (n_dirty, self.value_dim):
                 raise ValueError(
                     f"cache delta {tier}_values is {shipped.shape} for "
-                    f"{idx.size} {tier}_val_idx of width {self.value_dim}"
-                )
-            if idx.size and not 0 <= int(idx.min()) <= int(idx.max()) < keys.size:
-                raise ValueError(
-                    f"cache delta {tier}_val_idx points outside its "
-                    f"{keys.size} {tier}_keys"
+                    f"{n_dirty} dirty {tier}_keys of width {self.value_dim}"
                 )
             values = np.empty((keys.size, self.value_dim), dtype=np.float32)
-            carried = np.ones(keys.size, dtype=bool)
-            carried[idx] = False
-            values[idx] = shipped
-            rows, found = index.get(keys[carried])
+            values[dirty] = shipped
+            rows, found = index.get(keys[~dirty])
             if not found.all():
                 raise ValueError(
                     "cache delta carries values for keys absent from the "
-                    f"base, e.g. {keys[carried][~found][:5].tolist()} — wrong base?"
+                    f"base, e.g. {keys[~dirty][~found][:5].tolist()} — wrong base?"
                 )
-            values[carried] = base_values[rows]
-            state[f"{tier}_keys"] = keys
-            state[f"{tier}_values"] = values
-            state[meta] = delta[meta]
-        state["hits"] = delta["hits"]
-        state["misses"] = delta["misses"]
+            values[~dirty] = base_values[rows]
+            tier_keys = as_keys(base[f"{tier}_keys"])
+            kept = _unpacked(
+                delta, f"{tier}_kept", tier_keys.size, f"base {tier}_keys"
+            )
+            state[f"{tier}_keys"] = np.concatenate([tier_keys[kept], keys])
+            state[f"{tier}_values"] = np.concatenate(
+                [np.compress(kept, base[f"{tier}_values"], axis=0), values]
+            )
+            state[meta] = np.concatenate(
+                [np.asarray(base[meta], dtype=np.int64)[kept], delta[meta]]
+            )
+        state["hits"] = np.int64(delta["hits"])
+        state["misses"] = np.int64(delta["misses"])
         return state
 
     def flush_all(self) -> tuple[np.ndarray, np.ndarray]:
         """Drain everything (shutdown / checkpoint path): the LRU tier
         then the LFU tier, each in tick order.  The snapshot mark stands
-        (the committed base is still valid): the emptied cache diffs as
-        full metadata, and whatever comes back in ships its value."""
+        (the committed base is still valid) and the clock runs on: the
+        emptied cache diffs as no kept entries, and whatever comes back
+        in ships its value."""
         rows = np.concatenate(
             [self._tier_rows(self._tick), self._tier_rows(self._ftick)]
         )

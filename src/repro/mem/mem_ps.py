@@ -354,7 +354,8 @@ class MemPS:
         """Diff the MEM tier against the snapshot last marked.
 
         Same round-boundary contract as :meth:`export_state`; the heavy
-        lifting (full metadata, written-values-only slab) happens in
+        lifting (a mask of the untouched base entries, the reordered
+        ones, written values only) happens in
         :meth:`CombinedCache.export_delta`.
         """
         self._require_round_boundary()

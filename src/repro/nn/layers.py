@@ -280,7 +280,7 @@ class MLP:
         """Named parameter copies (``layer<i>.W`` / ``layer<i>.b``).
 
         The names are stable across processes, so a checkpoint shard can
-        store them flat (e.g. in an ``.npz``) and a restore can detect a
+        store them flat (one array per name) and a restore can detect a
         tower-shape mismatch by key set rather than by position.
         """
         out: dict[str, np.ndarray] = {}

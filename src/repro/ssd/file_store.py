@@ -17,8 +17,11 @@ sit packed in one arena per store, so a read is one index probe, one
 array pass over the touched files that only *accounts* (extent cache,
 fault arm, device charge; in ascending file-id order, which is part of
 the simulated-clock contract because float seconds accumulate in it) and
-one gather.  What leaves the store (``mapping_of``, checkpoints) speaks
-file ids.
+one gather.  What leaves the store (checkpoints) speaks file ids.  A
+checkpoint never ships the mapping: the store is log-structured, so a
+key's live copy is its copy in the newest file holding it, and a load
+derives the mapping from the files and checks it against their stale
+counters.
 
 Payloads live in the arena.  ``directory=`` selects a ``disk`` backend
 instead (payloads as ``.npy`` files; loading them is the one step left
@@ -45,7 +48,7 @@ from repro.hardware.ssd_device import SSDDevice
 from repro.ssd.extent_cache import FileHandleCache
 from repro.store.slot_index import SlotIndex
 from repro.utils.io import atomic_write_bytes
-from repro.utils.keys import KEY_DTYPE, as_keys, check_key_cap, compact_unique
+from repro.utils.keys import KEY_DTYPE, as_keys, check_key_cap
 from repro.utils.rows import put_rows, take_rows
 
 __all__ = ["FileStore", "ParameterFile", "ReadResult"]
@@ -217,13 +220,6 @@ class FileStore:
         in ascending file-id order."""
         slots = self._live_slots()
         return self._slot_fid[slots], self._slot_rows[slots], self._slot_stale[slots]
-
-    def mapping_of(self, keys: np.ndarray) -> np.ndarray:
-        """File id per key (-1 if unmapped), vectorized."""
-        locs, found = self._mapping.get(as_keys(keys))
-        fids = self._slot_fid[locs // self.file_capacity]
-        fids[~found] = -1
-        return fids
 
     # ------------------------------------------------------------------
     # Slot table and arenas
@@ -521,7 +517,7 @@ class FileStore:
     def _pack_files(self, slots: np.ndarray) -> dict[str, np.ndarray]:
         """The files in ``slots`` in the snapshot layout: variable-length
         payloads packed into one concatenated key/value pair plus an
-        offsets array, so they can live in a single ``.npz`` shard."""
+        offsets array, so they can live as flat arrays in one shard."""
         offsets = np.zeros(slots.size + 1, dtype=np.int64)
         np.cumsum(self._slot_rows[slots], out=offsets[1:])
         owner, within, at = self._rows_of(slots)
@@ -543,15 +539,14 @@ class FileStore:
         )
 
     def export_state(self) -> dict[str, np.ndarray]:
-        """Flat-array snapshot of files, payloads, mapping and counters.
+        """Flat-array snapshot of files, payloads and counters.
 
-        The mapping is saved explicitly (rather than re-derived), as
-        ``(key, file id)`` rows sorted by key, so a restore can
-        cross-check it against the files and their stale counters.
+        The mapping is not shipped: every write and every compaction
+        lands its keys in a new file, so a key's live copy is the one in
+        the newest file holding it.  :meth:`load_state` derives it and
+        cross-checks it against the stale counters.
         """
         out = self._pack_files(self._live_slots())
-        out["map_keys"], locs = self._mapping.items()
-        out["map_fids"] = self._slot_fid[locs // self.file_capacity]
         out["next_file_id"] = np.int64(self._next_file_id)
         self._pack_extent_cache(out)
         return out
@@ -563,12 +558,11 @@ class FileStore:
         cheap: every file with an id at or past the mark's watermark is
         new (its keys/values ship in the same packed layout as the full
         export); marked files absent now were erased by compaction;
-        surviving ones can only have changed their stale counter.
-        Mapping rows are shipped for exactly the keys appearing in new
-        files — the only operation that repoints the mapping is
-        :meth:`write`, which always lands keys in a new file, so that
-        set covers every changed row.  The extent-cache residency ships
-        in full (it is a handful of ids).
+        surviving ones can only have changed their stale counter.  No
+        mapping rows ship: the only operation that repoints the mapping
+        is :meth:`write`, which lands keys in a new file, so the fold's
+        files say where every key lives.  The extent-cache residency
+        ships in full (it is a handful of ids).
 
         A store that holds no mark — fresh, or loaded and not yet marked
         — has nothing to diff against: :class:`TierStateError`.
@@ -591,8 +585,6 @@ class FileStore:
         out["erased_ids"] = base_fids[~survives]
         out["stale_ids"] = base_fids[survives][changed]
         out["stale_counts"] = now_stale[changed]
-        out["map_keys"] = compact_unique(out["file_keys"])
-        out["map_fids"] = self.mapping_of(out["map_keys"])
         out["next_file_id"] = np.int64(self._next_file_id)
         self._pack_extent_cache(out)
         return out
@@ -617,13 +609,14 @@ class FileStore:
         """The :meth:`export_state` snapshot an :meth:`export_delta` diff
         describes, built on ``base`` — the snapshot it was diffed against.
 
-        Pure: neither input nor the store is touched.  Files are
+        Pure: neither input nor the store is touched, and the result
+        shares no memory with either.  Files are
         immutable and ids monotone, so the fold is the store's history on
         arrays: erased base files drop out, survivors take their new
-        stale counters, new files append and every shipped mapping row
-        replaces its key's base row.  The delta is validated as a load
-        validates a snapshot and must name ``base``'s file-id watermark
-        and only files ``base`` holds; :meth:`load_state` validates the
+        stale counters and new files append (the mapping follows from
+        the files).  The delta's files are validated as a load validates
+        a snapshot's, and it must name ``base``'s file-id watermark and
+        only files ``base`` holds; :meth:`load_state` validates the
         result.
         """
         watermark = int(base["next_file_id"])
@@ -632,7 +625,7 @@ class FileStore:
                 f"delta was diffed against next_file_id="
                 f"{int(delta['base_next_file_id'])}, base is at {watermark}"
             )
-        (fids, offsets, keys, values, stale), _ = _unpack(delta, "delta", self.value_dim)
+        fids, offsets, keys, values, stale = _unpack(delta, "delta", self.value_dim)
         if fids.size and int(fids.min()) < watermark:
             raise ValueError("file-store delta contains pre-base file ids")
         base_fids = np.asarray(base["file_ids"], dtype=np.int64)
@@ -654,10 +647,6 @@ class FileStore:
         sizes = np.concatenate([base_rows[keep], np.diff(offsets)])
         file_offsets = np.zeros(sizes.size + 1, dtype=np.int64)
         np.cumsum(sizes, out=file_offsets[1:])
-        unshipped = ~np.isin(base["map_keys"], delta["map_keys"])
-        map_keys = np.concatenate([base["map_keys"][unshipped], delta["map_keys"]])
-        map_fids = np.concatenate([base["map_fids"][unshipped], delta["map_fids"]])
-        by_key = map_keys.argsort(kind="stable")
         return {
             "file_ids": np.concatenate([base_fids[keep], fids]),
             "file_offsets": file_offsets,
@@ -666,10 +655,8 @@ class FileStore:
                 [np.compress(kept_rows, base["file_values"], axis=0), values]
             ),
             "file_stale": np.concatenate([base_stale[keep], stale]),
-            "map_keys": as_keys(map_keys[by_key]),
-            "map_fids": map_fids[by_key],
             "next_file_id": np.int64(delta["next_file_id"]),
-            "extent_cache_fids": np.asarray(delta["extent_cache_fids"], dtype=np.int64),
+            "extent_cache_fids": np.array(delta["extent_cache_fids"], dtype=np.int64),
         }
 
     def load_state(self, state: dict[str, np.ndarray]) -> None:
@@ -677,17 +664,19 @@ class FileStore:
 
         Replaces any current contents; payloads are re-materialized
         through the store's own backend (disk-backed stores rewrite the
-        ``.npy`` files under their directory).  The snapshot is fully
-        validated — shapes, ``next_file_id``, every mapping row naming a
-        file that holds its key, mapping-vs-stale-counter consistency —
+        ``.npy`` files under their directory).  The mapping is derived —
+        each key's newest file — and the snapshot is fully validated —
+        shapes, ascending file ids, ``next_file_id``, no file holding a
+        key twice, derived-mapping-vs-stale-counter consistency —
         *before* anything is erased, so a snapshot rejected as invalid
         leaves the store untouched.  (A hard I/O failure while
         re-materializing payloads can still leave a partial rebuild;
         checkpoint restores are immune because they load into a freshly
         constructed, empty store.)
         """
-        files, (map_keys, file_index, row) = _unpack(state, "snapshot", self.value_dim)
-        fids, offsets, _, _, stale = files
+        files = _unpack(state, "snapshot", self.value_dim)
+        fids, offsets, file_keys, _, stale = files
+        map_keys, file_index, row = _derive_mapping(fids, offsets, file_keys)
         # The mapping must agree with the stale counters file by file
         # (the on-store check_invariants contract, applied to the arrays).
         live = np.bincount(file_index, minlength=fids.size)
@@ -774,17 +763,14 @@ def _moved(arena: np.ndarray, capacity: int, src) -> np.ndarray:
 
 
 def _unpack(state: dict[str, np.ndarray], what: str, value_dim: int) -> tuple:
-    """A snapshot's or delta's packed files and mapping rows, fully
-    validated (ValueError otherwise): ``((file ids, offsets, keys,
-    values, stale), (mapping keys, file index, row))`` — see
-    :func:`_resolve_mapping`."""
+    """A snapshot's or delta's packed files, validated (ValueError
+    otherwise): ``(file ids, offsets, keys, values, stale)``, ids
+    ascending."""
     fids = np.asarray(state["file_ids"], dtype=np.int64)
     offsets = np.asarray(state["file_offsets"], dtype=np.int64)
     file_keys = as_keys(state["file_keys"])
     file_values = np.asarray(state["file_values"], dtype=np.float32)
     stale = np.asarray(state["file_stale"], dtype=np.int64)
-    map_keys = as_keys(state["map_keys"])
-    map_fids = np.asarray(state["map_fids"], dtype=np.int64)
     if file_values.shape != (file_keys.size, value_dim):
         raise ValueError(f"file-store {what} value shape mismatch")
     if (
@@ -795,59 +781,36 @@ def _unpack(state: dict[str, np.ndarray], what: str, value_dim: int) -> tuple:
         or bool((np.diff(offsets) < 0).any())
     ):
         raise ValueError(f"file-store {what} offsets mismatch")
-    if fids.size and int(state["next_file_id"]) <= int(fids.max()):
+    if bool((np.diff(fids) <= 0).any()):
+        raise ValueError(f"file-store {what} file ids do not ascend")
+    if fids.size and int(state["next_file_id"]) <= int(fids[-1]):
         raise ValueError(f"file-store {what} next_file_id is stale")
-    if map_fids.shape != map_keys.shape:
-        raise ValueError(f"file-store {what} mapping malformed")
-    if not np.isin(map_fids, fids).all():
-        raise ValueError(f"file-store {what} maps keys to unknown files")
-    files = (fids, offsets, file_keys, file_values, stale)
-    mapping = _resolve_mapping(map_keys, map_fids, fids, offsets, file_keys, what)
-    if mapping[0].size:
-        check_key_cap(int(mapping[0][-1]), f"file-store {what} mapping")
-    return files, mapping
+    return fids, offsets, file_keys, file_values, stale
 
 
-def _resolve_mapping(
-    map_keys: np.ndarray,
-    map_fids: np.ndarray,
-    file_ids: np.ndarray,
-    offsets: np.ndarray,
-    file_keys: np.ndarray,
-    what: str,
+def _derive_mapping(
+    file_ids: np.ndarray, offsets: np.ndarray, file_keys: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Resolve checkpointed ``(key, file id)`` mapping rows to rows of the
-    packed files: returns ``(keys, file_index, row)`` with the keys in
-    ascending order, ``file_index`` into ``file_ids`` and ``row`` inside
-    that file.  ValueError on duplicate keys, or naming the first key
-    whose file does not hold it (exactly once)."""
-    m = map_keys.size
-    if m > 1 and not bool((map_keys[1:] > map_keys[:-1]).all()):
-        order = map_keys.argsort()
-        map_keys, map_fids = map_keys[order], map_fids[order]
-        if bool((map_keys[1:] == map_keys[:-1]).any()):
-            raise ValueError(f"file-store {what} mapping malformed")
-    if m == 0:
-        empty = np.zeros(0, dtype=np.int64)
-        return map_keys, empty, empty
-    # One binary search of every stored row into the sorted mapping: the
-    # stored rows that are live are those whose entry names their file.
+    """The mapping packed files imply: each key lives in the newest file
+    holding it.  Returns ``(keys, file_index, row)`` with the keys
+    ascending, ``file_index`` into ``file_ids`` (ascending) and ``row``
+    inside that file.  ValueError naming the first file that holds a key
+    twice, or a key past the index's domain."""
     owner = np.repeat(np.arange(file_ids.size, dtype=np.int64), np.diff(offsets))
-    at = np.minimum(np.searchsorted(map_keys, file_keys), m - 1)
-    live = np.flatnonzero(
-        (map_keys[at] == file_keys) & (map_fids[at] == file_ids[owner])
-    )
-    entry = at[live]
-    copies = np.bincount(entry, minlength=m)
-    if bool((copies != 1).any()):
-        i = int(np.flatnonzero(copies != 1)[0])
-        held = f"holds it {int(copies[i])} times" if copies[i] else "does not hold it"
+    # Stable over rows in file order: equal keys stay oldest file first.
+    order = np.argsort(file_keys, kind="stable")
+    keys, owner = file_keys[order], owner[order]
+    repeat = keys[1:] == keys[:-1]
+    twice = np.flatnonzero(repeat & (owner[1:] == owner[:-1]))
+    if twice.size:
+        i = int(twice[0])
         raise ValueError(
-            f"file-store {what} maps key {int(map_keys[i])} to file "
-            f"{int(map_fids[i])}, which {held}"
+            f"file-store snapshot file {int(file_ids[owner[i]])} holds key "
+            f"{int(keys[i])} twice"
         )
-    file_index = np.empty(m, dtype=np.int64)
-    row = np.empty(m, dtype=np.int64)
-    file_index[entry] = owner[live]
-    row[entry] = live - offsets[owner[live]]
-    return map_keys, file_index, row
+    newest = np.ones(keys.size, dtype=bool)
+    newest[:-1] = ~repeat
+    keys, owner, at = keys[newest], owner[newest], order[newest]
+    if keys.size:
+        check_key_cap(int(keys[-1]), "file-store snapshot mapping")
+    return keys, owner, at - offsets[owner]

@@ -144,7 +144,7 @@ class SSDPS:
         the ``base`` it was diffed against (:meth:`FileStore.fold_delta`);
         the running counters are the delta's."""
         state = self.store.fold_delta(base, delta)
-        state.update((name, delta[name]) for name in _COUNTERS)
+        state.update((name, delta[name].copy()) for name in _COUNTERS)
         return state
 
     def _with_counters(self, out: dict[str, np.ndarray]) -> dict[str, np.ndarray]:

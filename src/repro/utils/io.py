@@ -3,16 +3,16 @@
 One implementation of the write-temp → fsync → ``os.replace`` sequence,
 shared by every component that must never expose a torn file under its
 final name (the SSD file store's payloads, the checkpoint shards and
-manifest).  Keeping it in one place means a future durability fix —
-fsyncing the parent directory, platform-specific replace handling —
-lands everywhere at once.
+manifest), and :func:`fsync_dir`, which makes the renames themselves
+durable: the checkpoint writer calls it once per commit, after the
+manifest's rename.
 """
 
 from __future__ import annotations
 
 import os
 
-__all__ = ["atomic_write_bytes"]
+__all__ = ["atomic_write_bytes", "fsync_dir"]
 
 
 def atomic_write_bytes(path: str, data: bytes | bytearray | memoryview) -> None:
@@ -33,3 +33,12 @@ def atomic_write_bytes(path: str, data: bytes | bytearray | memoryview) -> None:
         if os.path.exists(tmp):
             os.remove(tmp)
         raise
+
+
+def fsync_dir(path: str) -> None:
+    """Flush ``path``'s directory entries (the renames into it) to disk."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)

@@ -22,12 +22,14 @@ Three layers, all test-only:
   a hypothesis state machine, ``tests/mem/test_admission_stress.py``
   from seeded random streams.
 
-:func:`oracle_cache_delta` is the base-diffing delta export the cache
-shipped before each tier carried its own delta base (row-dirty bits
-since ``mark_snapshot``): it diffs against a *retained full export*, by
-comparing value slabs or by membership in a caller-supplied write set.
-Production must equal the second where the write set is exact and always
-cover the first.
+:func:`oracle_cache_delta` is the base-diffing delta export: it diffs
+the cache's export against a *retained full export* taken at the mark,
+by comparing value slabs or by membership in a caller-supplied write
+set, and reads the kept base entries off the two exports (the longest
+prefix of each tier that is base entries, in base order, with base
+counts and unwritten values) — no ticks.  :func:`oracle_fold_delta`
+applies a delta key by key.  Production must equal the oracle's delta
+where the write set is exact, and always fold back to its own export.
 """
 
 from __future__ import annotations
@@ -49,6 +51,7 @@ __all__ = [
     "shadow_caches",
     "CacheTraffic",
     "oracle_cache_delta",
+    "oracle_fold_delta",
     "assert_delta_matches_oracle",
 ]
 
@@ -523,61 +526,86 @@ def oracle_cache_delta(
 ) -> dict[str, np.ndarray]:
     """``cache``'s delta against ``base``, a prior ``export_state()``.
 
-    Metadata ships in full; values ship for keys absent from the base
-    and for those that changed — with ``dirty_keys`` (the union of keys
-    written since the base) selected by membership, without it by
-    comparing against the base's value slab.  Both treat a key's base
-    value as tier-independent (a promotion or demotion moves no value).
+    A row is *written* when its key is absent from the base or — with
+    ``dirty_keys`` (the union of keys written since the base) — in that
+    set, without it when its value differs from the base's (a key's base
+    value is tier-independent: a promotion or demotion moves no value).
+    Per tier, the kept entries are the longest prefix of the tier that
+    are entries of the same base tier, in base order, with their base
+    count and unwritten; the rest ship keys, counts, a packed written
+    mask and the written rows' values.
     """
-    base_keys = np.concatenate(
-        [as_keys(base["lru_keys"]), as_keys(base["lfu_keys"])]
-    )
-    base_values = np.concatenate(
-        [
-            np.asarray(base["lru_values"], dtype=np.float32),
-            np.asarray(base["lfu_values"], dtype=np.float32),
-        ],
-        axis=0,
-    )
-    order = np.argsort(base_keys)
-    base_keys, base_values = base_keys[order], base_values[order]
-    if dirty_keys is not None:
-        dirty_keys = np.unique(as_keys(dirty_keys))
+    now = CombinedCache.export_state(cache)
+    base_value = {
+        int(k): np.asarray(v, dtype=np.float32)
+        for tier in ("lru", "lfu")
+        for k, v in zip(as_keys(base[f"{tier}_keys"]).tolist(), base[f"{tier}_values"])
+    }
+    dirty = set() if dirty_keys is None else set(as_keys(dirty_keys).tolist())
 
-    def ship_mask(keys: np.ndarray, values: np.ndarray) -> np.ndarray:
-        pos = base_keys.searchsorted(keys)
-        pos_c = np.minimum(pos, max(0, base_keys.size - 1))
-        in_base = (
-            (base_keys[pos_c] == keys)
-            if base_keys.size
-            else np.zeros(keys.size, dtype=bool)
-        )
-        ship = ~in_base
+    def written(key: int, value: np.ndarray) -> bool:
+        if key not in base_value:
+            return True
         if dirty_keys is not None:
-            ship |= np.isin(keys, dirty_keys)
-        else:
-            changed = np.zeros(keys.size, dtype=bool)
-            changed[in_base] = np.any(
-                values[in_base] != base_values[pos_c[in_base]], axis=1
-            )
-            ship |= changed
-        return ship
+            return key in dirty
+        return not np.array_equal(value, base_value[key])
 
     delta: dict[str, np.ndarray] = {}
-    for tier, meta, order_field in (
-        ("lru", "lru_counts", cache._tick),
-        ("lfu", "lfu_freqs", cache._ftick),
-    ):
-        rows = cache._tier_rows(order_field)
-        keys, values = cache._keys[rows], cache._values[rows]
-        ship = ship_mask(keys, values)
-        delta[f"{tier}_keys"] = keys
-        delta[meta] = cache._count[rows]
-        delta[f"{tier}_val_idx"] = np.flatnonzero(ship).astype(np.int64)
-        delta[f"{tier}_values"] = values[ship]
-    delta["hits"] = np.int64(cache.stats.hits)
-    delta["misses"] = np.int64(cache.stats.misses)
+    for tier, meta in (("lru", "lru_counts"), ("lfu", "lfu_freqs")):
+        keys = as_keys(now[f"{tier}_keys"])
+        base_pos = {k: i for i, k in enumerate(as_keys(base[f"{tier}_keys"]).tolist())}
+        kept = np.zeros(len(base_pos), dtype=bool)
+        cut, last = 0, -1
+        for k, c, v in zip(keys.tolist(), now[meta].tolist(), now[f"{tier}_values"]):
+            pos = base_pos.get(k, -1)
+            if pos <= last or int(base[meta][pos]) != c or written(k, v):
+                break
+            kept[pos] = True
+            cut, last = cut + 1, pos
+        ship = np.array(
+            [written(k, v) for k, v in zip(keys[cut:].tolist(), now[f"{tier}_values"][cut:])],
+            dtype=bool,
+        )
+        delta[f"{tier}_kept"] = np.packbits(kept)
+        delta[f"{tier}_keys"] = keys[cut:]
+        delta[meta] = now[meta][cut:]
+        delta[f"{tier}_dirty"] = np.packbits(ship)
+        delta[f"{tier}_values"] = now[f"{tier}_values"][cut:][ship]
+    delta["hits"] = now["hits"]
+    delta["misses"] = now["misses"]
     return delta
+
+
+def oracle_fold_delta(
+    base: dict[str, np.ndarray], delta: dict[str, np.ndarray]
+) -> dict[str, np.ndarray]:
+    """The export a delta describes, applied to its base key by key."""
+    base_value = {
+        int(k): np.asarray(v, dtype=np.float32)
+        for tier in ("lru", "lfu")
+        for k, v in zip(as_keys(base[f"{tier}_keys"]).tolist(), base[f"{tier}_values"])
+    }
+    out: dict[str, np.ndarray] = {}
+    for tier, meta in (("lru", "lru_counts"), ("lfu", "lfu_freqs")):
+        base_keys = as_keys(base[f"{tier}_keys"]).tolist()
+        kept = np.unpackbits(delta[f"{tier}_kept"])[: len(base_keys)].tolist()
+        tail = as_keys(delta[f"{tier}_keys"]).tolist()
+        dirty = np.unpackbits(delta[f"{tier}_dirty"])[: len(tail)].tolist()
+        shipped = iter(delta[f"{tier}_values"])
+        keys = [k for k, bit in zip(base_keys, kept) if bit] + tail
+        counts = [int(c) for c, bit in zip(base[meta].tolist(), kept) if bit]
+        values = [base_value[k] for k, bit in zip(base_keys, kept) if bit] + [
+            np.asarray(next(shipped), dtype=np.float32) if bit else base_value[k]
+            for k, bit in zip(tail, dirty)
+        ]
+        out[f"{tier}_keys"] = as_keys(keys)
+        out[f"{tier}_values"] = np.asarray(values, dtype=np.float32).reshape(
+            len(keys), delta[f"{tier}_values"].shape[1]
+        )
+        out[meta] = np.asarray(counts + [int(c) for c in delta[meta]], dtype=np.int64)
+    out["hits"] = delta["hits"]
+    out["misses"] = delta["misses"]
+    return out
 
 
 def assert_delta_matches_oracle(
@@ -587,25 +615,24 @@ def assert_delta_matches_oracle(
     *,
     written: np.ndarray | None = None,
 ) -> None:
-    """``delta`` (production's ``export_delta()``) against the oracle
-    diffing ``base``, the full export retained when the mark was taken.
+    """``delta`` (production's ``export_delta()``) against the oracles,
+    with ``base`` the full export retained when the mark was taken.
 
-    Always sound: every key absent from the base and every row whose
-    value differs from it is shipped, and what is shipped is the row's
-    current value.  With ``written`` — the exact set of keys inserted or
-    written since the mark — array for array what the oracle ships.
+    Always sound: folded key by key onto the base it is the cache's
+    export now, and every value it ships is that row's current value.
+    With ``written`` — the exact set of keys inserted or written since
+    the mark — array for array what the oracle ships.
     """
-    by_value = oracle_cache_delta(cache, base)
-    assert set(delta) == set(by_value)
+    now = CombinedCache.export_state(cache)
+    folded = oracle_fold_delta(base, delta)
+    assert list(folded) == list(now)
+    for name, value in now.items():
+        assert np.array_equal(folded[name], value), name
     for tier in ("lru", "lfu"):
-        shipped = delta[f"{tier}_val_idx"]
-        assert np.isin(by_value[f"{tier}_val_idx"], shipped).all(), (
-            f"{tier}: a changed or new row was not shipped"
-        )
-        rows = cache._index.get(delta[f"{tier}_keys"][shipped])[0]
+        keys = as_keys(delta[f"{tier}_keys"])
+        dirty = np.unpackbits(delta[f"{tier}_dirty"])[: keys.size].astype(bool)
+        rows = cache._index.get(keys[dirty])[0]
         assert np.array_equal(delta[f"{tier}_values"], cache._values[rows])
-    for name in ("lru_keys", "lru_counts", "lfu_keys", "lfu_freqs", "hits", "misses"):
-        assert np.array_equal(delta[name], by_value[name]), name
     if written is not None:
         exact = oracle_cache_delta(cache, base, dirty_keys=written)
         assert list(delta) == list(exact)
@@ -783,7 +810,7 @@ class CacheTraffic:
         """``mark_snapshot`` with the round's pins held is refused like
         ``export_state``, dirty bits and mark untouched."""
         assert not self.at_boundary and self.cache.pinned_count()
-        dirty, marked = self.cache._dirty.copy(), self.cache._marked
+        dirty, mark = self.cache._dirty.copy(), self.cache._mark
         try:
             self.cache.mark_snapshot()
         except TierStateError as err:
@@ -791,7 +818,7 @@ class CacheTraffic:
         else:
             raise AssertionError("marked a snapshot mid-round")
         assert np.array_equal(self.cache._dirty, dirty)
-        assert self.cache._marked == marked
+        assert self.cache._mark == mark
 
     def _adopt(self, restored: ShadowedCombinedCache) -> None:
         want = self.cache.export_state()

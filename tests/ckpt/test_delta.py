@@ -1,13 +1,14 @@
 """Delta-export protocol: chained snapshots, partial restore, crash safety.
 
 A delta snapshot ships only what changed since its base — new SSD
-payload files, the mapping/stale-counter diff, and the MEM dirty-slot
-export — chained to the base manifest by name and content hash.  The
-acceptance bar is the same as for full snapshots: ``train(k) + save +
-crash + restore + train(m)`` must be **bit-identical** to
-``train(k + m)``, whether the restore replays a whole chain into a
-fresh process or splices a single replacement node into a surviving
-cluster.
+payload files, the erased-file and stale-counter diff (the mapping is
+derived on load), and per MEM tier a mask of the untouched base entries
+plus the reordered ones with their written values — chained to the base
+manifest by name and content hash. The acceptance bar is the same as for
+full snapshots: ``train(k) + save + crash + restore + train(m)`` must be
+**bit-identical** to ``train(k + m)``, whether the restore replays a
+whole chain into a fresh process or splices a single replacement node
+into a surviving cluster.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from repro.ckpt import format as fmt
 from repro.ckpt.format import CheckpointError
 from repro.core.cluster import HPSCluster, RoundContext
 from repro.errors import TierStateError
-from ssd_oracles import ReferenceFileStore, assert_same_arrays
+from ssd_oracles import ReferenceFileStore, assert_same_arrays, derived_mapping
 
 
 @pytest.fixture
@@ -35,13 +36,15 @@ def pressured(small_config):
     return dataclasses.replace(small_config, mem_capacity_params=1_400)
 
 
-#: content digests (:func:`shard_content_digest`) of ``node_0000.npz`` /
-#: ``node_0001.npz`` of ``round_000006`` in
+#: digests (:func:`folded_tiers_digest`) of nodes 0 and 1's tier states
+#: folded from the chain ending at ``round_000006`` in
 #: ``test_second_delta_of_a_stage_chain_is_pinned``, recorded on the
-#: commit before the tiers carried their own delta bases
+#: format-v4 commit before the snapshot format stopped shipping the SSD
+#: mapping and the MEM value positions — the encoding moved, the state
+#: it restores did not
 PINNED_SECOND_DELTA = [
-    "6c23c07732bedbcb9a0f08be024e9a46574f555cd3ad7b3ae0ecefd16d8a58d7",
-    "61a55f5292445039a731fcf1c78060991a59624b501c7c0f05946c86eec72ac4",
+    "f8bb035669f30cc0095840ba9fa4a90698be5a2083da9532f71093377819d0de",
+    "e8e179b6579eeb7b127e0b74bfb0dfd71bed9ac7388729aef1ebbf57f38bf3f6",
 ]
 
 
@@ -75,15 +78,32 @@ def shard_digests(directory) -> dict[str, str]:
     return dict(fmt.read_manifest(str(directory))["shards"])
 
 
-def shard_content_digest(path) -> str:
-    """SHA-256 over a shard's arrays — names, dtypes, shapes and bytes,
-    in file order — so the pin survives a change of zip container."""
+def node_shard(directory, node_id: int) -> dict[str, np.ndarray]:
+    """One node's committed shard of a snapshot, digest-verified."""
+    name = fmt.node_shard_name(node_id)
+    return fmt.read_shard(str(directory), name, shard_digests(directory)[name])[0]
+
+
+def folded_tiers_digest(cluster: HPSCluster, directory, node_id: int) -> str:
+    """SHA-256 over one node's tier states folded from the chain ending
+    at ``directory`` — every array's name, dtype, shape and bytes in name
+    order, then the SSD mapping the files imply as (key, file id) rows —
+    so the pin holds across changes of the shard encoding."""
+    node = cluster.nodes[node_id]
+    states: dict[str, dict] = {}
+    for member, _ in fmt.resolve_chain(str(directory)):
+        tiers = ckpt._split_tier_arrays(node_shard(member, node_id))
+        states = node.fold_tier_deltas(states, tiers) if states else tiers
     h = hashlib.sha256()
-    with np.load(str(path)) as z:
-        for name in z.files:
-            a = np.ascontiguousarray(z[name])
-            h.update(f"{name}|{a.dtype.str}|{a.shape}|".encode())
+    for tier in type(node).TIERS:
+        for name in sorted(states[tier]):
+            a = np.ascontiguousarray(states[tier][name])
+            h.update(f"{tier}|{name}|{a.dtype.str}|{a.shape}|".encode())
             h.update(a.tobytes())
+    mapping = derived_mapping(states["ssd"])
+    h.update(b"ssd|mapping|")
+    h.update(np.asarray(sorted(mapping), dtype=np.uint64).tobytes())
+    h.update(np.asarray([mapping[k] for k in sorted(mapping)], dtype=np.int64).tobytes())
     return h.hexdigest()
 
 
@@ -349,8 +369,7 @@ class TestDeltaChainRestore:
         committed = shard_digests(tmp_path / "next")
 
         for node, base, parts in zip(cluster.nodes, bases, collected):
-            with np.load(str(tmp_path / "next" / fmt.node_shard_name(node.node_id))) as z:
-                shipped = {k: z[k] for k in z.files}
+            shipped = node_shard(tmp_path / "next", node.node_id)
             mem = {k[4:]: v for k, v in shipped.items() if k.startswith("mem_")}
             written = np.unique(np.concatenate(parts))
             assert_delta_matches_oracle(
@@ -375,7 +394,7 @@ class TestDeltaChainRestore:
             # counters the shard committed.
             for name in ("ledger_categories", "ledger_totals", "ledger_counts"):
                 arrays[name] = shipped[name]
-            _, digest = ckpt._write_shard(str(tmp_path), "oracle.npz", arrays)
+            _, digest = fmt.write_shard(str(tmp_path), "oracle.shard", arrays)
             assert digest == committed[fmt.node_shard_name(node.node_id)]
 
         restored = HPSCluster.restore(str(tmp_path / "next"))
@@ -385,19 +404,19 @@ class TestDeltaChainRestore:
     def test_second_delta_of_a_stage_chain_is_pinned(
         self, tiny_spec, pressured, tmp_path
     ):
-        """The node shards of the second delta of a snapshot-stage chain
-        (full @2, deltas @4 @6 @8), pinned to what the base-diffing
-        implementation committed before the tiers carried their own
-        bases — oracle and production cannot drift together."""
+        """The tier states the chain of a snapshot stage (full @2,
+        deltas @4 @6 @8) folds to at its second delta, pinned to what
+        the format-v4 chain folded to — oracle and production cannot
+        drift together, and a change of encoding cannot move them."""
         cluster = build(tiny_spec, pressured)
         stage = cluster.enable_snapshot_stage(str(tmp_path), every=2)
         cluster.train_pipelined(8)
         assert [(s.kind, s.nbytes) for s in stage.history] == [
-            ("full", 98131), ("delta", 128652), ("delta", 141292), ("delta", 163204)
+            ("full", 85354), ("delta", 100595), ("delta", 105027), ("delta", 121043)
         ]
         target = tmp_path / "round_000006"
         assert [
-            shard_content_digest(target / fmt.node_shard_name(i)) for i in range(2)
+            folded_tiers_digest(cluster, target, i) for i in range(2)
         ] == PINNED_SECOND_DELTA
 
     def test_snapshot_stage_registered_after_unrecorded_rounds(

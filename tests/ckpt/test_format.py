@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 
+import numpy as np
 import pytest
 
 from repro.ckpt.format import (
@@ -14,8 +16,11 @@ from repro.ckpt.format import (
     atomic_write_bytes,
     fingerprint,
     latest_checkpoint,
+    node_shard_name,
     read_manifest,
+    read_shard,
     write_manifest,
+    write_shard,
 )
 
 
@@ -26,9 +31,40 @@ def test_read_manifest_missing_directory(tmp_path):
 
 def test_read_manifest_requires_commit_record(tmp_path):
     # Shards without a manifest are an uncommitted (interrupted) save.
-    (tmp_path / "node_0000.npz").write_bytes(b"shard")
+    (tmp_path / node_shard_name(0)).write_bytes(b"shard")
     with pytest.raises(CheckpointError, match="no committed checkpoint"):
         read_manifest(str(tmp_path))
+
+
+def test_shard_round_trips_every_array_it_holds(tmp_path):
+    """Scalars, strings, empty and strided arrays come back with their
+    dtype, shape and bytes, as writable arrays; the digest is of the file."""
+    arrays = {
+        "scalar": np.int64(7),
+        "names": np.array(["ssd_read", "ckpt_write"]),
+        "empty": np.zeros((0, 3), dtype=np.float32),
+        "strided": np.arange(12, dtype=np.float32).reshape(3, 4)[:, ::2],
+    }
+    nbytes, digest = write_shard(str(tmp_path), "s.shard", arrays)
+    data = (tmp_path / "s.shard").read_bytes()
+    assert (nbytes, digest) == (len(data), hashlib.sha256(data).hexdigest())
+    got, size = read_shard(str(tmp_path), "s.shard", digest)
+    assert size == nbytes and list(got) == list(arrays)
+    for key, want in arrays.items():
+        want = np.asarray(want)
+        assert got[key].dtype == want.dtype and got[key].shape == want.shape
+        assert np.array_equal(got[key], want) and got[key].flags.writeable
+    with pytest.raises(ValueError, match="object dtype"):
+        write_shard(str(tmp_path), "o.shard", {"o": np.array([None])})
+
+
+def test_shard_read_refuses_a_file_that_is_not_a_shard(tmp_path):
+    """A digest can vouch for bytes no shard writer produced: refused as
+    malformed, not decoded."""
+    (tmp_path / "s.shard").write_bytes(b"not a shard")
+    digest = hashlib.sha256(b"not a shard").hexdigest()
+    with pytest.raises(CheckpointError, match="is malformed"):
+        read_shard(str(tmp_path), "s.shard", digest)
 
 
 def test_read_manifest_rejects_future_version(tmp_path):

@@ -463,7 +463,7 @@ class TestLoadValidatesBeforeItMutates:
         # A delta against an empty base ships every value, so only the
         # corruption stands between it and the target.
         delta = donor.export_delta()
-        assert delta["lru_val_idx"].size + delta["lfu_val_idx"].size == len(donor)
+        assert len(delta["lru_values"]) + len(delta["lfu_values"]) == len(donor)
         corrupt(delta)
         self._load_folded(target, base, delta, match)
         self._assert_untouched(target, before)
@@ -471,13 +471,22 @@ class TestLoadValidatesBeforeItMutates:
     @pytest.mark.parametrize(
         "corrupt, match",
         [
-            (lambda d: d["lru_val_idx"].__setitem__(-1, 99), "lru_val_idx points outside"),
-            (lambda d: d["lfu_val_idx"].__setitem__(0, -1), "lfu_val_idx points outside"),
+            (
+                lambda d: d.__setitem__("lfu_dirty", d["lfu_dirty"] | np.uint8(1)),
+                "lfu_dirty marks rows past its 4 lfu_keys",
+            ),
+            (
+                lambda d: d.__setitem__("lfu_kept", np.packbits([True])),
+                "lfu_kept is not a packed mask of 0 base lfu_keys",
+            ),
             (lambda d: d.__setitem__("lru_values", d["lru_values"][:3]), "lru_values is"),
         ],
-        ids=["index past the keys", "negative index", "short values"],
+        ids=["index past the keys", "kept past the base", "short values"],
     )
     def test_load_delta_checks_its_value_index(self, corrupt, match):
+        """The packed dirty mask indexes the shipped values and the kept
+        mask the base: a bit past either, or values the mask does not
+        count, is refused before anything loads."""
         target, donor, base = self._caches()
         before = target.export_state()
         delta = donor.export_delta()
@@ -493,7 +502,7 @@ class TestLoadValidatesBeforeItMutates:
         donor.mark_snapshot()
         look_up(donor, 1, 2)  # metadata moves, no value is written
         delta = donor.export_delta()
-        assert delta["lru_val_idx"].size == delta["lfu_val_idx"].size == 0
+        assert len(delta["lru_values"]) == len(delta["lfu_values"]) == 0
         before = target.export_state()
         self._load_folded(target, before, delta, r"absent from the base, e\.g\. \[")
         self._assert_untouched(target, before)

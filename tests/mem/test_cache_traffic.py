@@ -20,7 +20,10 @@ boundaries, and "a refused resolve leaves the cache untouched".  Delta
 snapshots go through the tier's own verbs — ``mark_snapshot()`` /
 ``export_delta()`` — and every delta is held to the base-diffing oracle
 (``oracle_cache_delta``) over a retained full export; a delta without a
-mark and a mark with pins held must be refused, state untouched.
+mark and a mark with pins held must be refused, state untouched.  After
+every step at a round boundary, the delta since the mark folded onto the
+export taken there is the export now, array for array — tick order,
+counts and values — and matches the oracle's diff.
 """
 
 import numpy as np
@@ -29,11 +32,15 @@ from hypothesis import strategies as st
 from hypothesis.stateful import (
     RuleBasedStateMachine,
     initialize,
+    invariant,
     precondition,
     rule,
 )
 
-from cache_oracles import CacheTraffic
+from cache_oracles import CacheTraffic, assert_delta_matches_oracle
+from repro.mem.cache import CombinedCache
+from repro.utils.keys import as_keys
+from ssd_oracles import assert_same_arrays
 
 
 def key_sets(max_size: int = 64):
@@ -86,7 +93,8 @@ class MemPSTraffic(RuleBasedStateMachine):
 
     @precondition(lambda self: self.t.at_boundary)
     @rule()
-    def take_base(self):
+    def mark_snapshot(self):
+        """A snapshot commits: retain its export, mark the cache there."""
         self.t.take_base()
 
     @precondition(lambda self: self.t.at_boundary and self.t.base is not None)
@@ -112,6 +120,20 @@ class MemPSTraffic(RuleBasedStateMachine):
     @rule()
     def flush_all(self):
         self.t.flush_all()
+
+
+    # -- after every step --------------------------------------------------
+    @invariant()
+    def delta_folds_to_the_export(self):
+        t = getattr(self, "t", None)
+        if t is None or not t.at_boundary or t.base is None:
+            return
+        delta = t.cache.export_delta()
+        folded = t.cache.fold_delta(t.base, delta)
+        assert_same_arrays(folded, CombinedCache.export_state(t.cache))
+        assert_delta_matches_oracle(
+            t.cache, delta, t.base, written=as_keys(sorted(t.dirty))
+        )
 
 
 TestMemPSTraffic = MemPSTraffic.TestCase

@@ -23,7 +23,7 @@ from repro.ssd.compaction import Compactor
 from repro.ssd.extent_cache import FileHandleCache
 from repro.ssd.file_store import FileStore
 from repro.ssd.ssd_ps import SSDPS
-from ssd_oracles import ReferenceFileCache, ReferenceSSDDevice
+from ssd_oracles import ReferenceFileCache, ReferenceSSDDevice, store_mapping
 
 
 def keys_of(xs):
@@ -136,8 +136,9 @@ def per_key_reference(store: FileStore, keys: np.ndarray):
     found = np.zeros(keys.size, dtype=bool)
     seconds = 0.0
     paid: set[int] = set()
+    mapping = store_mapping(store)
     for i, key in enumerate(keys):
-        fid = int(store.mapping_of(keys_of([key]))[0])
+        fid = mapping.get(int(key), -1)
         if fid < 0:
             continue
         f = store.file(fid)
@@ -339,8 +340,8 @@ class TestSSDPSAccounting:
         ps.load(keys_of(range(4)))  # warm the cache
         hits_before = ps.extent_cache_hits
         seconds_before = ps.load_seconds
-        mask = ps.store.mapping_of(keys_of([0, 1, 99])) >= 0
-        assert mask.tolist() == [True, True, False]
+        mapping = store_mapping(ps.store)
+        assert [k in mapping for k in (0, 1, 99)] == [True, True, False]
         # Membership touched neither the device nor the hit counters.
         assert ps.extent_cache_hits == hits_before
         assert ps.load_seconds == seconds_before

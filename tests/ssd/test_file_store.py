@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from repro.errors import KeyDomainError
 from repro.ssd.file_store import FileStore
 from repro.utils.keys import KEY_DOMAIN_CAP
-from ssd_oracles import assert_same_arrays
+from ssd_oracles import assert_same_arrays, store_mapping
 
 
 def keys_of(xs):
@@ -36,9 +36,8 @@ class TestWrite:
         assert t > 0
 
     def test_mapping_points_to_new_files(self, store):
-        store.write(keys_of([1, 2]), vals_of(2))
-        fids = store.mapping_of(keys_of([1, 2]))
-        assert (fids >= 0).all()
+        _, ids = store.write(keys_of([1, 2]), vals_of(2))
+        assert store_mapping(store) == {1: ids[0], 2: ids[0]}
 
     def test_rewrite_marks_old_stale(self, store):
         _, (fid,) = store.write(keys_of([1, 2]), vals_of(2))
@@ -296,8 +295,7 @@ class TestStateSnapshot:
         index, leaving the snapshot's file behind an empty mapping."""
         store.write(keys_of([1, 2, 3]), vals_of(3))
         state = store.export_state()
-        for name in ("file_keys", "map_keys"):
-            state[name][-1] = np.uint64(2**64 - 1)
+        state["file_keys"][-1] = np.uint64(2**64 - 1)
         target = FileStore(2, file_capacity=4)
         target.write(keys_of([100, 101]), vals_of(2, base=9.0))
         with pytest.raises(KeyDomainError, match="snapshot mapping holds key"):
@@ -309,44 +307,51 @@ class TestStateSnapshot:
         assert r.found.all() and np.array_equal(r.values, vals_of(2, base=9.0))
         target.check_invariants()
 
-    def test_load_state_rejects_mapping_to_unknown_file(self, store):
-        store.write(keys_of(range(4)), vals_of(4))
-        state = store.export_state()
-        state["map_fids"] = state["map_fids"] + 7
-        other = FileStore(2, file_capacity=4)
-        with pytest.raises(ValueError, match="unknown files"):
-            other.load_state(state)
+    def test_load_state_derives_the_mapping_from_the_newest_file(self):
+        """No mapping ships: key 2's live copy is the one in file 1, the
+        newer of the two files holding it — so the files must come in
+        ascending id order, or "newest" has no meaning."""
+        source = FileStore(2, file_capacity=2)
+        source.write(keys_of([1, 2]), vals_of(2))
+        source.write(keys_of([2, 3]), vals_of(2, base=10.0))
+        state = source.export_state()
+        assert "map_keys" not in state and "map_fids" not in state
+        target = FileStore(2, file_capacity=2)
+        target.load_state(state)
+        assert store_mapping(target) == {1: 0, 2: 1, 3: 1}
+        assert np.array_equal(target.read(keys_of([2])).values, vals_of(1, base=10.0))
+        target.check_invariants()
+        state["file_ids"] = state["file_ids"][::-1].copy()
+        with pytest.raises(ValueError, match="file ids do not ascend"):
+            FileStore(2, file_capacity=2).load_state(state)
 
-    def test_load_state_rejects_mapping_row_to_a_file_without_the_key(self):
-        """Per-file live *counts* can balance while the rows are wrong:
-        files {0: [1, 2], 1: [3, 4]} with keys 2 and 3 swapped.  That used
-        to pass validation, erase the target, and only then trip a bare
-        AssertionError in check_invariants."""
+    def test_load_state_rejects_a_file_holding_a_key_twice(self):
+        """A file holds each key once: files {0: [1, 2], 1: [3, 3]} is
+        refused naming the file and the key, target untouched."""
         source = FileStore(2, file_capacity=2)
         source.write(keys_of([1, 2]), vals_of(2))
         source.write(keys_of([3, 4]), vals_of(2, base=10.0))
         state = source.export_state()
-        assert state["map_fids"].tolist() == [0, 0, 1, 1]
-        state["map_fids"] = np.array([0, 1, 0, 1], dtype=np.int64)
+        state["file_keys"][3] = 3
         target = FileStore(2, file_capacity=2)
         target.write(keys_of([100, 101]), vals_of(2, base=9.0))
-        with pytest.raises(ValueError, match=r"key 2 to file 1\b"):
+        with pytest.raises(ValueError, match=r"file 1 holds key 3 twice"):
             target.load_state(state)
         r = target.read(keys_of([100, 101]))
         assert r.found.all() and np.array_equal(r.values, vals_of(2, base=9.0))
         assert target.n_files == 1
         target.check_invariants()
 
-    def test_load_delta_rejects_mapping_row_to_a_file_without_the_key(self):
+    def test_load_delta_rejects_stale_counters_the_files_contradict(self):
         """Loading a delta is folding it onto its base (pure) and loading
-        the result: a delta row naming a shipped file that does not hold
-        its key is refused by the fold, nothing mutated."""
+        the result: a delta whose stale counters disagree with the
+        mapping its files imply is refused, nothing mutated."""
         source, base, holder = self._delta_source()
         delta = source.export_delta()
-        assert delta["map_fids"].tolist() == [1, 1, 2, 2]
-        delta["map_fids"] = np.array([1, 2, 1, 2], dtype=np.int64)
+        assert "map_keys" not in delta and "map_fids" not in delta
+        delta["file_stale"] = np.array([0, 1], dtype=np.int64)
         inputs = [copied(base), copied(delta)]
-        with pytest.raises(ValueError, match=r"key 6 to file 2\b"):
+        with pytest.raises(ValueError, match=r"stale counter of file 2 disagrees"):
             holder.load_state(holder.fold_delta(base, delta))
         assert_same_arrays(inputs[0], base)
         assert_same_arrays(inputs[1], delta)
@@ -385,10 +390,7 @@ class TestStateSnapshot:
                 "diffed against next_file_id=1, base is at 2",
             ),
             (
-                lambda b, d: d.update(
-                    file_ids=np.array([0, 2], np.int64),
-                    map_fids=np.array([0, 0, 2, 2], np.int64),
-                ),
+                lambda b, d: d.__setitem__("file_ids", np.array([0, 2], np.int64)),
                 "pre-base file ids",
             ),
             (

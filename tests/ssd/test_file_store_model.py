@@ -7,7 +7,11 @@ per-file implementation) and a plain dict.  After every step the two
 stores must agree on everything observable — values, found masks, every
 ``ReadResult`` field, device counters, ledger lines **bit-equal**,
 extent-cache residency and statistics, checkpoint arrays byte for byte —
-and the store's own invariants must hold.  The simulated clock is a
+and the store's own invariants must hold.  A ``mark_snapshot`` rule moves
+the delta base at any step, and after every step the store's delta since
+its mark, folded onto the export taken there, is its export now array
+for array, and the mapping those files imply (each key's newest file) is
+the store's and the oracle's.  The simulated clock is a
 contract: a reordered charge shows up here as a last-digit difference in
 ``ssd_read``.
 """
@@ -33,7 +37,13 @@ from repro.faults.policy import FaultArm, RetryPolicy
 from repro.faults.schedule import FaultSchedule
 from repro.ssd.compaction import Compactor
 from repro.ssd.file_store import FileStore
-from ssd_oracles import ReferenceFileStore, assert_same_arrays, assert_stores_agree
+from ssd_oracles import (
+    ReferenceFileStore,
+    assert_same_arrays,
+    assert_stores_agree,
+    derived_mapping,
+    store_mapping,
+)
 
 #: extent-cache capacities in files: off, thrashing, roomy
 CACHES = {"off": 0, "small": 2, "roomy": 16}
@@ -166,6 +176,12 @@ class FileStoreVsReference(RuleBasedStateMachine):
             self.ref.erase(fid)
 
     @rule()
+    def mark_snapshot(self):
+        """A snapshot commits: the store marks it, the next delta diffs
+        against it."""
+        self.rebase()
+
+    @rule()
     def restore_from_full_snapshot(self):
         """export_state -> load_state; the fresh store carries on."""
         self.rebase()
@@ -203,6 +219,10 @@ class FileStoreVsReference(RuleBasedStateMachine):
             return
         self.store.check_invariants()
         assert_stores_agree(self.store, self.ref)
+        now = self.store.export_state()
+        folded = self.store.fold_delta(self.base[0], self.store.export_delta())
+        assert_same_arrays(folded, now)
+        assert derived_mapping(folded) == store_mapping(self.store) == self.ref.mapping
         keys, values = self.store.items()
         assert keys.tolist() == sorted(self.model)
         for k, row in zip(keys.tolist(), values):

@@ -14,6 +14,11 @@ array accounting pass replaced — so a test can drive it in lockstep with
 a ``FileStore`` and demand that every simulated second, counter and
 cache decision agrees bit for bit.  It trusts its input: validation is
 the store's job, not the oracle's.
+
+Snapshots carry no mapping (format v5): the oracle derives it file by
+file in ascending id order, a later file's copy of a key replacing an
+earlier one's (:func:`derived_mapping`), and :func:`store_mapping` reads
+a ``FileStore``'s mapping as file ids for the comparison.
 """
 
 from __future__ import annotations
@@ -34,6 +39,8 @@ __all__ = [
     "ReferenceSSDDevice",
     "assert_same_arrays",
     "assert_stores_agree",
+    "derived_mapping",
+    "store_mapping",
 ]
 
 
@@ -315,10 +322,7 @@ class ReferenceFileStore:
         return out
 
     def export_state(self) -> dict[str, np.ndarray]:
-        out = self._pack(sorted(self.files))
-        out["map_keys"] = np.asarray(sorted(self.mapping), dtype=np.uint64)
-        out["map_fids"] = self.mapping_of(out["map_keys"])
-        return self._pack_tail(out)
+        return self._pack_tail(self._pack(sorted(self.files)))
 
     def export_delta(self, base: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
         watermark = int(base["next_file_id"])
@@ -335,8 +339,6 @@ class ReferenceFileStore:
         ]
         out["stale_ids"] = np.asarray([c[0] for c in changed], dtype=np.int64)
         out["stale_counts"] = np.asarray([c[1] for c in changed], dtype=np.int64)
-        out["map_keys"] = np.unique(out["file_keys"])
-        out["map_fids"] = self.mapping_of(out["map_keys"])
         return self._pack_tail(out)
 
     def _unpack(self, state: dict[str, np.ndarray]) -> None:
@@ -349,9 +351,7 @@ class ReferenceFileStore:
                 state["file_values"][lo:hi].copy(),
                 int(state["file_stale"][i]),
             )
-        self.mapping.update(
-            zip(state["map_keys"].tolist(), state["map_fids"].tolist())
-        )
+        self.mapping.update(derived_mapping(state))
         self.next_file_id = int(state["next_file_id"])
 
     def _rewarm(self, state: dict[str, np.ndarray]) -> None:
@@ -382,6 +382,24 @@ class ReferenceFileStore:
         self._rewarm(delta)
 
 
+def derived_mapping(state: dict[str, np.ndarray]) -> dict[int, int]:
+    """key -> file id a snapshot's packed files imply: files in ascending
+    id order, each key's newest copy wins."""
+    mapping: dict[int, int] = {}
+    offsets = state["file_offsets"].tolist()
+    for i, fid in sorted(enumerate(state["file_ids"].tolist()), key=lambda p: p[1]):
+        for k in state["file_keys"][offsets[i] : offsets[i + 1]].tolist():
+            mapping[k] = fid
+    return mapping
+
+
+def store_mapping(store) -> dict[int, int]:
+    """A ``FileStore``'s key -> file id mapping."""
+    keys, locs = store._mapping.items()
+    fids = store._slot_fid[locs // store.file_capacity]
+    return dict(zip(keys.tolist(), fids.tolist()))
+
+
 def assert_same_arrays(mine: dict, theirs: dict) -> None:
     """Two checkpoint dicts: same names in the same order, same dtypes,
     same bytes."""
@@ -402,9 +420,8 @@ def assert_stores_agree(store, ref: ReferenceFileStore) -> None:
         assert np.array_equal(f.keys, r.keys)
         assert f.stale_count == r.stale_count
         assert np.array_equal(store._payload(f.file_id), r.values)
-    keys = np.asarray(sorted(ref.mapping), dtype=np.uint64)
-    assert store.n_live_params == keys.size
-    assert np.array_equal(store.mapping_of(keys), ref.mapping_of(keys))
+    assert store.n_live_params == len(ref.mapping)
+    assert store_mapping(store) == ref.mapping
     assert store.total_bytes == ref.total_bytes
     assert store.live_bytes == ref.live_bytes
     for counter in ("bytes_read", "bytes_written", "read_ops", "write_ops"):

@@ -89,7 +89,6 @@ class TestClusterConfig:
         cfg = ClusterConfig()
         assert cfg.n_nodes == 4
         assert cfg.gpus_per_node == 8
-        assert cfg.batch_size == 4_000_000
         assert cfg.total_gpus == 32
 
     def test_minibatches_per_batch(self):
@@ -99,7 +98,7 @@ class TestClusterConfig:
     def test_field_counts_only_go_down(self):
         """ROADMAP's structural needles: a new knob or stats column has
         to raise these ceilings on purpose."""
-        assert len(fields(ClusterConfig)) <= 13
+        assert len(fields(ClusterConfig)) <= 12
         assert len(fields(BatchStats)) <= 21
         assert defaulted_build_options() <= 10
 
@@ -115,8 +114,6 @@ class TestClusterConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             ClusterConfig(n_nodes=0)
-        with pytest.raises(ValueError):
-            ClusterConfig(batch_size=-1)
         with pytest.raises(ValueError):
             ClusterConfig(cache_lru_fraction=1.5)
         for threshold in (0.5, float("nan")):
