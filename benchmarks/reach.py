@@ -3,7 +3,8 @@
     python3 benchmarks/reach.py [--root CHECKOUT] [--list]
 
 Runs the committed scenarios — every ``examples/*.py``, ``pytest
-benchmarks/`` and ``benchmarks/hps/run.py --smoke --seed 0`` — with a
+benchmarks/``, ``benchmarks/hps/run.py --smoke --seed 0`` and CI's lint
+command, ``python -m repro.analysis src tests benchmarks`` — with a
 ``sys.setprofile`` hook that records every Python function entered, then
 matches the record against every ``def`` under ``CHECKOUT/src/repro``
 (found with ``ast``).  The hook is installed by a ``sitecustomize`` on
@@ -34,8 +35,8 @@ ALLOW_FILE = os.path.join("benchmarks", "reach_allow.txt")
 
 #: why an unreached def stays; each is explained in ``reach_allow.txt``
 REASONS = (
-    "item 1(a)", "item 1(b)", "item 2", "item 13", "linter", "abstract",
-    "oracle", "input-dependent", "trivial",
+    "item 1(a)", "item 1(b)", "item 2", "item 13", "abstract", "oracle",
+    "input-dependent", "trivial",
 )
 
 # Installed as sitecustomize.py: record every code object entered, and
@@ -125,6 +126,10 @@ def run_scenarios(root: str, out_dir: str) -> None:
     scenarios.append([
         os.path.join("benchmarks", "hps", "run.py"), "--smoke", "--seed", "0",
         "--out", os.path.join(out_dir, "smoke.json"),
+    ])
+    scenarios.append([
+        "-m", "repro.analysis", "src", "tests", "benchmarks",
+        "--json", os.path.join(out_dir, "analysis.json"),
     ])
     for args in scenarios:
         print("[reach] python", *args, file=sys.stderr, flush=True)

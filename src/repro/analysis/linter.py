@@ -46,10 +46,6 @@ class ModuleSource:
     text: str
     tree: ast.Module
 
-    @property
-    def parts(self) -> tuple[str, ...]:
-        return tuple(self.relpath.split("/"))
-
     @classmethod
     def parse(cls, relpath: str, text: str) -> "ModuleSource":
         return cls(

@@ -80,9 +80,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CheckpointStats:
-    """Cost accounting for one save or restore."""
+    """Cost accounting for one save or restore (each node's share is its
+    ``ckpt_write`` / ``ckpt_read`` ledger charge)."""
 
-    op: str  # "save" | "restore"
     directory: str
     rounds_completed: int
     #: Critical path.  Saves price as a serialize/transfer flow shop
@@ -91,7 +91,6 @@ class CheckpointStats:
     #: (slowest node).
     seconds: float
     nbytes: int
-    per_node_seconds: tuple[float, ...]
     #: "full" | "delta" for saves; "full" | "delta" | "partial" for
     #: restores (what the newest chain member / restore mode was).
     kind: str = "full"
@@ -127,7 +126,7 @@ def _config_payload(cluster) -> dict:
 
 def _overlap_snapshot_cost(
     cluster, node_bytes: list[int], dense_bytes: int, manifest_bytes: int
-) -> tuple[tuple[float, ...], float, float, float]:
+) -> tuple[float, float, float]:
     """Flow-shop cost of materializing a snapshot's shards.
 
     A shard costs two distinct things: CPU-side serialization (priced by
@@ -139,8 +138,7 @@ def _overlap_snapshot_cost(
     carries the dense replica and the manifest.
 
     Charges each node's ledger its own ``serialize + transfer`` share
-    and returns ``(per_node_seconds, serialize_total, transfer_total,
-    makespan)``.
+    and returns ``(serialize_total, transfer_total, makespan)``.
     """
     serialize: list[float] = []
     transfer: list[float] = []
@@ -150,15 +148,13 @@ def _overlap_snapshot_cost(
         )
         serialize.append(total / node.hdfs.spec.serialize_bandwidth)
         transfer.append(node.hdfs.transfer_seconds(total))
-    per_node: list[float] = []
     s_done = 0.0
     t_done = 0.0
     for node, s, t in zip(cluster.nodes, serialize, transfer):
         s_done += s
         t_done = max(t_done, s_done) + t
         node.ledger.add("ckpt_write", s + t)
-        per_node.append(s + t)
-    return tuple(per_node), sum(serialize), sum(transfer), t_done
+    return sum(serialize), sum(transfer), t_done
 
 
 def _dense_arrays(cluster) -> dict[str, np.ndarray]:
@@ -352,16 +348,14 @@ def save_cluster(cluster, directory: str, *, kind: str = "full") -> CheckpointSt
     # Simulated cost: serialize/transfer flow shop over node shards —
     # shard n+1 serializes while shard n ships; node 0 additionally
     # commits the dense replica and the manifest.
-    per_node, ser_s, xfer_s, makespan = _overlap_snapshot_cost(
+    ser_s, xfer_s, makespan = _overlap_snapshot_cost(
         cluster, node_bytes, dense_bytes, manifest_bytes
     )
     return CheckpointStats(
-        op="save",
         directory=directory,
         rounds_completed=cluster.rounds_completed,
         seconds=makespan,
         nbytes=sum(node_bytes) + dense_bytes + manifest_bytes,
-        per_node_seconds=per_node,
         kind=written,
         serialize_seconds=ser_s,
         transfer_seconds=xfer_s,
@@ -448,7 +442,7 @@ def _restore_nodes(cluster, chain, nodes) -> CheckpointStats:
         os.path.getsize(os.path.join(d, fmt.MANIFEST_NAME)) for d, _ in chain
     )
     nbytes = shared_bytes
-    per_node = [0.0] * cluster.n_nodes
+    seconds = 0.0
     for node in nodes:
         # One member's shard in memory at a time: read, verify, fold in.
         states: dict[str, dict] = {}
@@ -463,7 +457,7 @@ def _restore_nodes(cluster, chain, nodes) -> CheckpointStats:
         _load_node_counters(node, arrays)  # the newest member's
         t = node.hdfs.transfer_seconds(own_bytes + shared_bytes)
         node.ledger.add("ckpt_read", t)
-        per_node[node.node_id] = t
+        seconds = max(seconds, t)
         nbytes += own_bytes
     for node in nodes:  # every shard read and verified: splice them in
         cluster.nodes[node.node_id] = node
@@ -481,12 +475,10 @@ def _restore_nodes(cluster, chain, nodes) -> CheckpointStats:
         cluster._staged_rounds = 0
         _record_base(cluster, newest_dir, len(chain))
     stats = CheckpointStats(
-        op="restore",
         directory=newest_dir,
         rounds_completed=cluster.rounds_completed,
-        seconds=max(per_node),
+        seconds=seconds,
         nbytes=nbytes,
-        per_node_seconds=tuple(per_node),
         kind="partial" if partial else manifest.get("kind", "full"),
     )
     cluster.restore_stats = stats

@@ -76,7 +76,9 @@ __all__ = [
 #: mask of the base plus the reordered entries, with a packed dirty mask
 #: instead of int64 value positions; the config lost ``batch_size`` and
 #: ``data_seed``.
-FORMAT_VERSION = 5
+#: v6: SSD exports drop the facade's ``load_seconds``, ``dump_seconds``
+#: and ``extent_cache_hits``; the config lost ``compaction_stale_fraction``.
+FORMAT_VERSION = 6
 
 MANIFEST_NAME = "manifest.json"
 DENSE_SHARD = "dense.shard"

@@ -112,7 +112,6 @@ class ClusterConfig:
     ssd_file_capacity: int = 2**16
     cache_lru_fraction: float = 0.5
     compaction_threshold: float = 2.0
-    compaction_stale_fraction: float = 0.5
     #: *schedules* the MEM tier's once-per-round resolve (every key of
     #: the round the node owns — one cache probe per distinct key,
     #: pinned for the round); it selects no code path.  True runs the
@@ -151,8 +150,6 @@ class ClusterConfig:
             raise ValueError("cache_lru_fraction must be in (0, 1)")
         if not self.compaction_threshold >= 1.0:  # NaN fails too
             raise ValueError("compaction_threshold must be >= 1.0")
-        if not 0.0 < self.compaction_stale_fraction <= 1.0:
-            raise ValueError("compaction_stale_fraction must be in (0, 1]")
 
     @property
     def total_gpus(self) -> int:

@@ -135,11 +135,6 @@ class BatchStats:
     n_examples: int
     mean_loss: float
     compactions: int = 0
-    #: Critical-path worker time: sum over mini-batch rounds of the slowest
-    #: worker's (pull + compute + push).  Workers run in parallel, so this —
-    #: not the per-worker average — is what the GPU stage actually costs
-    #: when workers are imbalanced.
-    worker_critical_seconds: float = 0.0
     #: dense slab passes the MEM caches applied, summed over nodes (one
     #: per non-empty tier segment of a resolve, one per insert)
     cache_admission_runs: int = 0
@@ -153,15 +148,6 @@ class BatchStats:
     #: :attr:`pull_push_seconds` whether it ran as its own stage
     #: (``config.prefetch``) or at the head of prepare
     prefetch_seconds: float = 0.0
-
-    @property
-    def bottleneck_seconds(self) -> float:
-        """Steady-state pipelined batch latency: the slowest stage."""
-        return max(self.read_seconds, self.pull_push_seconds, self.train_seconds)
-
-    @property
-    def stage_times(self) -> tuple[float, float, float]:
-        return (self.read_seconds, self.pull_push_seconds, self.train_seconds)
 
     @property
     def pipeline_stage_seconds(self) -> tuple[float, float, float, float]:
@@ -251,10 +237,6 @@ class PipelinedRun:
     def serial_makespan(self) -> float:
         """What the same rounds would have cost run back-to-back."""
         return self.schedule.serial_makespan
-
-    @property
-    def speedup(self) -> float:
-        return self.schedule.speedup
 
     # The two queries engine_run's frozen reader calls besides the above.
     def queue_stall_seconds(self, stage: int) -> float:
@@ -496,9 +478,7 @@ class HPSCluster:
             (n.mem_ps.cache.stats.hits, n.mem_ps.cache.stats.misses)
             for n in nodes
         ]
-        ctx.admission_before = [
-            n.mem_ps._admission_snapshot() for n in nodes
-        ]
+        ctx.admission_before = [n.mem_ps.cache.stats.admission_runs for n in nodes]
         ctx.compactions_before = sum(
             n.ssd_ps.compactor.total_compactions for n in nodes
         )
@@ -535,8 +515,7 @@ class HPSCluster:
             (plan.keys.size, self.sparse_optimizer.value_dim), dtype=np.float32
         )
         ctx.pull_remote_seconds = max(
-            node.mem_ps.prepare(p, values).remote_seconds
-            for node, p in zip(self.nodes, plan.nodes)
+            node.mem_ps.prepare(p, values) for node, p in zip(self.nodes, plan.nodes)
         )
         ctx.values = values
         return resolve_s + ctx.pull_remote_seconds
@@ -717,7 +696,6 @@ class HPSCluster:
             # the synchronization.  An average over workers would
             # underestimate the stage whenever workers are imbalanced.
             train_seconds=worker_critical_s + allreduce_s,
-            worker_critical_seconds=worker_critical_s,
             ssd_io_seconds=max(a - b for a, b in zip(ssd_after, ctx.ssd_before)),
             cache_hit_rate=hits / max(1, hits + misses),
             n_working_params=plan.n_working_keys,
@@ -726,7 +704,7 @@ class HPSCluster:
             compactions=sum(n.ssd_ps.compactor.total_compactions for n in nodes)
             - ctx.compactions_before,
             cache_admission_runs=sum(
-                n.mem_ps._admission_snapshot() for n in nodes
+                n.mem_ps.cache.stats.admission_runs for n in nodes
             )
             - sum(ctx.admission_before),
             prefetch_seconds=ctx.prefetch_seconds,

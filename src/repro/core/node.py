@@ -52,7 +52,6 @@ class HPSNode:
             extent_cache_files=cfg.ssd_extent_cache_files,
             ssd_spec=self.hardware.ssd,
             usage_threshold=cfg.compaction_threshold,
-            stale_fraction=cfg.compaction_stale_fraction,
             ledger=self.ledger,
         )
         self.mem_ps = MemPS(

@@ -152,11 +152,6 @@ class PipelineSchedule:
         return float(self.stage_times.sum())
 
     @property
-    def speedup(self) -> float:
-        """Serial / pipelined makespan (>= 1; > 1 whenever overlap helps)."""
-        return self.serial_makespan / self.makespan if self.makespan else 1.0
-
-    @property
     def steady_state_interval(self) -> float:
         """Average inter-round completion interval after pipeline fill."""
         if self.n_batches < 2:

@@ -43,9 +43,9 @@ from repro.faults.inject import (
     clear_faults,
     inject_faults,
 )
-from repro.faults.policy import FaultArm, FaultIncident, RetryPolicy
+from repro.faults.policy import FaultArm, FaultReport, RetryPolicy
 from repro.faults.schedule import FAULT_KINDS, FaultSchedule
-from repro.faults.supervisor import FaultReport, SupervisedRun, Supervisor
+from repro.faults.supervisor import SupervisedRun, Supervisor
 
 __all__ = [
     "FAULT_KINDS",
@@ -53,7 +53,6 @@ __all__ = [
     "FaultArm",
     "FaultError",
     "FaultExhaustedError",
-    "FaultIncident",
     "FaultInjection",
     "FaultReport",
     "FaultSchedule",

@@ -39,7 +39,7 @@ from repro.ckpt.format import (
     resolve_chain,
 )
 from repro.faults.errors import FaultError
-from repro.faults.policy import FaultArm, FaultIncident, RetryPolicy
+from repro.faults.policy import FaultArm, FaultReport, RetryPolicy
 from repro.faults.schedule import FaultSchedule
 
 __all__ = [
@@ -124,7 +124,7 @@ class FaultInjection:
         self.recovery_directory = recovery_directory
         #: execution-ordered log of every absorbed fault, shared by all
         #: arms; the supervisor drains and round-stamps it.
-        self.incidents: list[FaultIncident] = []
+        self.incidents: list[FaultReport] = []
         #: every arm ever installed (a replaced node's included, so
         #: totals account its retry work too)
         self.arms: list[FaultArm] = []
@@ -223,7 +223,7 @@ class FaultInjection:
         return wrapped
 
     # ------------------------------------------------------------------
-    def drain_incidents(self) -> list[FaultIncident]:
+    def drain_incidents(self) -> list[FaultReport]:
         """Pop (and return) every incident recorded since the last drain."""
         out = list(self.incidents)
         self.incidents.clear()

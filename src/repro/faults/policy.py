@@ -31,7 +31,7 @@ from repro.faults.errors import FaultExhaustedError, PayloadLostError
 from repro.faults.schedule import FaultSchedule
 from repro.hardware.ledger import CostLedger
 
-__all__ = ["FaultArm", "FaultIncident", "RetryPolicy"]
+__all__ = ["FaultArm", "FaultReport", "RetryPolicy"]
 
 
 @dataclass(frozen=True)
@@ -68,19 +68,29 @@ class RetryPolicy:
 
 
 @dataclass(frozen=True)
-class FaultIncident:
-    """One fault the arms absorbed (or escalated) — the raw record the
-    supervisor drains and round-stamps into
-    :class:`~repro.faults.supervisor.FaultReport` entries."""
+class FaultReport:
+    """One fault incident: absorbed by an arm, or escalated to the
+    :class:`~repro.faults.supervisor.Supervisor`.
+
+    ``downtime_seconds`` is the simulated time the incident cost: retry
+    backoff + wasted attempts for absorbed faults, restore + replay time
+    for escalated ones.  ``round`` is stamped by the supervisor when it
+    drains the arms' records (-1 until then).
+    """
 
     surface: str
     kind: str
     node: int | None
-    action: str  # "retried" | "stall" | "straggler" | "quarantine"
+    #: "retried" | "stall" | "straggler" | "quarantine" (absorbed by the
+    #: arms) or "retry_round" | "partial_restore" | "full_restore"
+    #: (supervisor escalations)
+    action: str
     stage: str | None = None
     retries: int = 0
-    seconds: float = 0.0
+    downtime_seconds: float = 0.0
+    replay_rounds: int = 0
     bytes_reread: int = 0
+    round: int = -1
 
 
 class FaultArm:
@@ -100,7 +110,7 @@ class FaultArm:
         *,
         surface: str,
         node: int | None = None,
-        incidents: list[FaultIncident] | None = None,
+        incidents: list[FaultReport] | None = None,
         recovery: Callable[[int, np.ndarray], tuple | None] | None = None,
     ) -> None:
         self.schedule = schedule
@@ -130,18 +140,22 @@ class FaultArm:
         retries: int = 0,
         seconds: float = 0.0,
         bytes_reread: int = 0,
+        counted: bool = False,
     ) -> None:
-        self.fault_counts[kind] = self.fault_counts.get(kind, 0) + 1
+        """Log one incident and count its fault (unless ``counted``: the
+        guard already counted the exhausted fault a quarantine absorbs)."""
+        if not counted:
+            self.fault_counts[kind] = self.fault_counts.get(kind, 0) + 1
         if self.incidents is not None:
             self.incidents.append(
-                FaultIncident(
+                FaultReport(
                     surface=self.surface,
                     kind=kind,
                     node=self.node,
                     action=action,
                     stage=stage,
                     retries=retries,
-                    seconds=seconds,
+                    downtime_seconds=seconds,
                     bytes_reread=bytes_reread,
                 )
             )
@@ -277,5 +291,6 @@ class FaultArm:
                 retries=exc.retries,
                 seconds=exc.seconds + seconds,
                 bytes_reread=int(nbytes),
+                counted=True,
             )
             return exc.seconds + seconds

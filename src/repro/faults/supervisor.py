@@ -60,13 +60,13 @@ A pipelined chunk's makespan includes its snapshot stage.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.ckpt.checkpoint import CheckpointStats, restore_nodes
 from repro.ckpt.format import checkpoint_dir_name
 from repro.faults.errors import FaultError, UnrecoverableFaultError
 from repro.faults.inject import FaultInjection
-from repro.faults.policy import FaultIncident, RetryPolicy
+from repro.faults.policy import FaultReport, RetryPolicy
 from repro.faults.schedule import FaultSchedule
 
 __all__ = ["FULL_EVERY", "KEEP_LAST", "FaultReport", "SupervisedRun", "Supervisor"]
@@ -77,30 +77,6 @@ FULL_EVERY = 8
 #: The supervised snapshot stage's ``keep_last``: recovery and SSD
 #: quarantine read only the newest chain, so older ones are pruned.
 KEEP_LAST = 1
-
-
-@dataclass(frozen=True)
-class FaultReport:
-    """One incident the supervisor witnessed, round-stamped.
-
-    ``downtime_seconds`` is the simulated time the incident cost: retry
-    backoff + wasted attempts for absorbed faults, restore + replay time
-    for escalated ones.
-    """
-
-    round: int
-    surface: str
-    kind: str
-    node: int | None
-    #: "retried" | "stall" | "straggler" | "quarantine" (absorbed by the
-    #: arms) or "retry_round" | "partial_restore" | "full_restore"
-    #: (supervisor escalations)
-    action: str
-    stage: str | None = None
-    retries: int = 0
-    downtime_seconds: float = 0.0
-    replay_rounds: int = 0
-    bytes_reread: int = 0
 
 
 @dataclass
@@ -179,25 +155,6 @@ class Supervisor:
     @staticmethod
     def _has_snapshot_stage(cluster) -> bool:
         return any(name == "snapshot" for name, _ in cluster.stage_functions())
-
-    @staticmethod
-    def _stamp(
-        incidents: list[FaultIncident], round_index: int
-    ) -> list[FaultReport]:
-        return [
-            FaultReport(
-                round=round_index,
-                surface=i.surface,
-                kind=i.kind,
-                node=i.node,
-                action=i.action,
-                stage=i.stage,
-                retries=i.retries,
-                downtime_seconds=i.seconds,
-                bytes_reread=i.bytes_reread,
-            )
-            for i in incidents
-        ]
 
     # ------------------------------------------------------------------
     def run(
@@ -284,7 +241,9 @@ class Supervisor:
                             out.training_seconds += seconds
                     round_retries = 0
                 except FaultError as err:
-                    reports.extend(self._stamp(injection.drain_incidents(), rc))
+                    reports.extend(
+                        replace(r, round=rc) for r in injection.drain_incidents()
+                    )
                     replaying_until, round_retries = self._recover(
                         cluster,
                         injection,
@@ -297,9 +256,8 @@ class Supervisor:
                     )
                     continue
                 reports.extend(
-                    self._stamp(
-                        injection.drain_incidents(), cluster.rounds_completed
-                    )
+                    replace(r, round=cluster.rounds_completed)
+                    for r in injection.drain_incidents()
                 )
         finally:
             injection.detach()

@@ -30,8 +30,6 @@ measures.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.errors import TierStateError
@@ -40,32 +38,13 @@ from repro.hardware.network import Network
 from repro.hbm.partition import ModuloPartitioner
 from repro.mem.cache import CombinedCache
 from repro.nn.optim import SparseOptimizer
-from repro.plan.batch_plan import AdmissionRecord, NodePlan, NodePrefetchPlan
+from repro.plan.batch_plan import NodePlan, NodePrefetchPlan
 from repro.ssd.ssd_ps import SSDPS
-from repro.utils.rng import spawn
 from repro.utils.rows import put_rows, take_rows
 
-__all__ = ["MemPS", "PrepareStats"]
+__all__ = ["MemPS"]
 
 _NODE_SALT = 0x6E6F6465  # "node"
-
-
-@dataclass(frozen=True)
-class PrepareStats:
-    """Traffic decomposition of one prepare() call.
-
-    The local partition is a row gather on rows the round's resolve
-    already loaded (its device time is the resolve's), so the only
-    simulated time here is the remote pulls' network transfer.
-    """
-
-    n_keys: int
-    n_local: int
-    n_remote: int
-    n_cache_hits: int
-    n_ssd_loaded: int
-    n_fresh: int
-    remote_seconds: float
 
 
 class MemPS:
@@ -98,7 +77,6 @@ class MemPS:
             lru_fraction=lru_fraction,
             value_dim=optimizer.value_dim,
         )
-        self._rng = spawn(seed, "mem_ps", node_id)
         #: per-key init seed — identical on every node so a key initializes
         #: the same regardless of which node first touches it.
         self._init_seed = seed
@@ -113,14 +91,6 @@ class MemPS:
 
     def owns(self, keys: np.ndarray) -> np.ndarray:
         return self.owner_of(keys) == self.node_id
-
-    # ------------------------------------------------------------------
-    def _admission_snapshot(self) -> int:
-        """The cache's admission-run counter."""
-        return self.cache.stats.admission_runs
-
-    def _admission_delta(self, before: int) -> AdmissionRecord:
-        return AdmissionRecord(n_runs=self._admission_snapshot() - before)
 
     # ------------------------------------------------------------------
     def _round(self) -> NodePrefetchPlan:
@@ -163,22 +133,15 @@ class MemPS:
         round).
         """
         self._require_round_boundary()
-        adm_before = self._admission_snapshot()
-        pplan.hit, pplan.rows, pplan.ssd_found, seconds = self._resolve(
-            pplan.keys
-        )
-        pplan.admission = self._admission_delta(adm_before)
+        pplan.rows, seconds = self._resolve(pplan.keys)
         self._prefetch_plan = pplan
         return seconds
 
-    def _resolve(
-        self, keys: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    def _resolve(self, keys: np.ndarray) -> tuple[np.ndarray, float]:
         """Cache → SSD → fresh-init resolve of sorted-unique ``keys``.
 
-        Returns ``(hit, rows, ssd_found, seconds)``: the cache hit mask,
-        the (now pinned) LRU rows, which misses the SSD resolved (the
-        rest were fresh-initialized), and the simulated device seconds.
+        Returns ``(rows, seconds)``: the (now pinned) LRU rows and the
+        simulated device seconds.
 
         Tier-ordered access: LRU hits first (pure recency ticks — no
         eviction can form), then LFU promotions (every LRU batch key is
@@ -192,13 +155,11 @@ class MemPS:
         # Pin hits before inserting the misses, which may otherwise
         # evict them.
         self.cache.pin_rows(rows[hit])
-        ssd_found = np.zeros(keys.size, dtype=bool)
         miss_idx = np.flatnonzero(~hit)
         if miss_idx.size:
             miss_keys = keys[miss_idx]
-            result, stats = self.ssd_ps.load(miss_keys)
-            seconds += stats.total_seconds
-            ssd_found[miss_idx] = result.found
+            result = self.ssd_ps.load(miss_keys)
+            seconds += result.seconds
             vals = result.values
             fresh_idx = np.flatnonzero(~result.found)
             if fresh_idx.size:
@@ -213,10 +174,10 @@ class MemPS:
                 miss_keys, vals, pin=True
             )
             if flush_k.size:
-                seconds += self.ssd_ps.dump(flush_k, flush_v).total_seconds
-        return hit, rows, ssd_found, seconds
+                seconds += self.ssd_ps.dump(flush_k, flush_v)
+        return rows, seconds
 
-    def prepare(self, plan: NodePlan, values: np.ndarray) -> PrepareStats:
+    def prepare(self, plan: NodePlan, values: np.ndarray) -> float:
         """Fill the round array with this owner's keys (Alg. 1 lines 3–4).
 
         ``values`` is the round array, one row per round-local code.  The
@@ -225,34 +186,23 @@ class MemPS:
         with one row gather; the prefetch unions partition the round, so
         once every node has prepared, every row is written exactly once.
         ``plan`` is this node's :class:`~repro.plan.NodePlan`: its
-        remote partitions are the pulls the node pays network time for,
-        and the returned stats are the Fig. 4(b) decomposition.
+        remote partitions are the pulls the node pays network time for.
+        Returns their simulated seconds: the local partition is a row
+        gather on rows the resolve already loaded (its device time is
+        the resolve's), so the only time here is the remote pulls'
+        network transfer.
         """
         pplan = self._round()
         put_rows(values, pplan.codes, self.cache.values_at(pplan.rows))
-        n_hits = int(pplan.hit[pplan.local_pos].sum())
-        n_ssd = int(pplan.ssd_found[pplan.local_pos].sum())
-
         t_remote = 0.0
-        n_remote = 0
         for peer_id, idx in enumerate(plan.node_parts):
             if peer_id == self.node_id or idx.size == 0:
                 continue
-            n_remote += idx.size
             # Request (keys out) + response (keys+values back).
             nbytes = idx.size * (8 + (8 + 4 * self.optimizer.value_dim))
             if self.network is not None:
                 t_remote += self.network.send(nbytes, category="net_remote_pull")
-        n_local = plan.local_idx.size
-        return PrepareStats(
-            n_keys=plan.keys.size,
-            n_local=n_local,
-            n_remote=n_remote,
-            n_cache_hits=n_hits,
-            n_ssd_loaded=n_ssd,
-            n_fresh=n_local - n_hits - n_ssd,
-            remote_seconds=t_remote,
-        )
+        return t_remote
 
     # ------------------------------------------------------------------
     def absorb_updates(self, values: np.ndarray) -> None:
@@ -324,7 +274,7 @@ class MemPS:
         fk, fv = self.cache.flush_all()
         if fk.size == 0:
             return 0.0
-        return self.ssd_ps.dump(fk, fv).total_seconds
+        return self.ssd_ps.dump(fk, fv)
 
     # ------------------------------------------------------------------
     def export_state(self) -> dict[str, np.ndarray]:

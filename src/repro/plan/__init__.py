@@ -11,7 +11,6 @@ re-probing per stage.
 """
 
 from repro.plan.batch_plan import (
-    AdmissionRecord,
     MinibatchPlan,
     NodePlan,
     NodePrefetchPlan,
@@ -23,7 +22,6 @@ from repro.plan.batch_plan import (
 )
 
 __all__ = [
-    "AdmissionRecord",
     "MinibatchPlan",
     "NodePlan",
     "NodePrefetchPlan",

@@ -13,13 +13,11 @@ whole plan can be computed in the read stage, before any tier is touched:
   which is exactly the key set of the merged all-reduce update — with the
   per-GPU counts of each node's staged share of it.
 
-A few :class:`NodePrefetchPlan` fields are *not* known at build time and
-are filled in by the MEM tier's once-per-round resolve
-(``MemPS.prefetch``): the cache hit/miss split of the node's MEM-touch
-union, the resolved LRU slot rows of the (now pinned) keys, and the
-cache's :class:`AdmissionRecord` (how many dense passes the resolve
-took).  Every later MEM access of the round goes through those rows
-instead of re-probing the SlotIndex.  Conversely the plan is what lets
+One :class:`NodePrefetchPlan` field is *not* known at build time and is
+filled in by the MEM tier's once-per-round resolve (``MemPS.prefetch``):
+the resolved LRU slot rows of the node's (now pinned) MEM-touch union.
+Every later MEM access of the round goes through those rows instead of
+re-probing the SlotIndex.  Conversely the plan is what lets
 the cache assume unique keys: plan key sets are sorted-unique by
 construction.
 
@@ -50,7 +48,6 @@ from repro.hbm.partition import ModuloPartitioner, bucket_order
 from repro.utils.keys import compact_unique
 
 __all__ = [
-    "AdmissionRecord",
     "MinibatchPlan",
     "NodePlan",
     "NodePrefetchPlan",
@@ -60,18 +57,6 @@ __all__ = [
     "build_round_plan",
     "group_indices",
 ]
-
-
-@dataclass(frozen=True)
-class AdmissionRecord:
-    """How the MEM cache admitted one resolve's key batch.
-
-    Recorded by ``MemPS.prefetch`` alongside the resolved slot rows: the
-    number of dense slab passes applied (one per non-empty tier segment
-    of the resolve, one per insert).  ``BatchStats`` sums it per round.
-    """
-
-    n_runs: int
 
 
 def group_indices(part_of: np.ndarray, n_parts: int) -> list[np.ndarray]:
@@ -154,11 +139,6 @@ class NodePlan:
     #: per-shard plans, aligned with :attr:`shards`
     minibatches: list[MinibatchPlan]
 
-    @property
-    def local_idx(self) -> np.ndarray:
-        """Index array of the locally-owned working keys."""
-        return self.node_parts[self.node_id]
-
 
 @dataclass
 class NodePrefetchPlan:
@@ -179,21 +159,13 @@ class NodePrefetchPlan:
     #: round-local codes of :attr:`keys` (the owner's rows of the round
     #: array)
     codes: np.ndarray
-    #: positions in :attr:`keys` of the node's local working partition
-    local_pos: np.ndarray
     #: per peer node ``p``, positions in :attr:`keys` of the partition
     #: ``p`` stages (the node's own entry is empty)
     serve_pos: list[np.ndarray]
-    # -- filled in by ``MemPS.prefetch`` --------------------------------
-    #: cache slab rows of the pinned prefetched keys (a resident key's
-    #: row never moves; the pin keeps it resident until ``end_batch``)
+    #: cache slab rows of the pinned prefetched keys, filled in by
+    #: ``MemPS.prefetch`` (a resident key's row never moves; the pin
+    #: keeps it resident until ``end_batch``)
     rows: np.ndarray | None = None
-    #: cache hit mask over :attr:`keys`
-    hit: np.ndarray | None = None
-    #: which of the misses the SSD resolved (the rest fresh-initialized)
-    ssd_found: np.ndarray | None = None
-    #: how many dense passes the cache took to admit the union
-    admission: AdmissionRecord | None = None
 
 
 @dataclass
@@ -365,7 +337,6 @@ def build_round_plan(
         NodePrefetchPlan(
             keys=universe[prefetch_codes[i]],
             codes=prefetch_codes[i],
-            local_pos=served[i][i],
             serve_pos=[
                 served[p][i] if p != i else no_pos for p in range(n_nodes)
             ],

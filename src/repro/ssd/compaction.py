@@ -13,25 +13,11 @@ no file contents are read to make the decision.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.ssd.file_store import FileStore
 
-__all__ = ["Compactor", "CompactionStats"]
-
-
-@dataclass(frozen=True)
-class CompactionStats:
-    """Outcome of one compaction check."""
-
-    triggered: bool
-    files_merged: int
-    files_created: int
-    bytes_read: int
-    bytes_written: int
-    seconds: float
+__all__ = ["Compactor"]
 
 
 class Compactor:
@@ -86,14 +72,16 @@ class Compactor:
         """Ids of the files eligible for merging, most-stale first."""
         return self._select()[0].tolist()
 
-    def compact(self) -> CompactionStats:
-        """Run one compaction check (no-op when below threshold)."""
+    def compact(self) -> float:
+        """Run one compaction check; returns its simulated seconds (0.0
+        when it does not trigger — :attr:`total_compactions` counts the
+        ones that do; the bytes moved are the device's counters)."""
         if not self.should_compact():
-            return CompactionStats(False, 0, 0, 0, 0, 0.0)
+            return 0.0
         store = self.store
         victims, rows = self._select()
         if not victims.size:
-            return CompactionStats(False, 0, 0, 0, 0, 0.0)
+            return 0.0
 
         # Read each whole victim file; its live rows are kept.
         sizes = rows * store.row_bytes
@@ -101,20 +89,10 @@ class Compactor:
         # A key can be live in at most one victim (the mapping points to
         # exactly one row), so the keys are unique by construction.
         keys, vals = store.live_rows(victims)
-        files_created = 0
         if keys.size:
-            t_write, new_ids = store.write(keys, vals)
-            seconds += t_write
-            files_created = len(new_ids)
+            seconds += store.write(keys, vals)[0]
         for fid in victims.tolist():
             store.erase(fid)
         store.reclaim()
         self.total_compactions += 1
-        return CompactionStats(
-            True,
-            int(victims.size),
-            files_created,
-            int(sizes.sum()),
-            int(keys.size) * store.row_bytes,
-            seconds,
-        )
+        return seconds

@@ -95,10 +95,10 @@ class ReadResult:
     """Outcome of a batched read.
 
     ``files_read``/``bytes_read`` count what was actually charged to the
-    device; ``cache_hits`` counts the touched files served from the
-    :class:`~repro.ssd.extent_cache.FileHandleCache` instead, each
-    charged the cheap warm (host-DRAM copy) rate rather than a device
-    read.
+    device; a touched file the
+    :class:`~repro.ssd.extent_cache.FileHandleCache` holds is charged the
+    cheap warm (host-DRAM copy) rate instead and counted in the cache's
+    ``stats()``.
     """
 
     values: np.ndarray
@@ -106,7 +106,6 @@ class ReadResult:
     seconds: float
     files_read: int
     bytes_read: int
-    cache_hits: int = 0
 
 
 class FileStore:
@@ -454,9 +453,7 @@ class FileStore:
             values = np.zeros((keys.size, self.value_dim), dtype=np.float32)
             put_rows(values, np.flatnonzero(found), out)
             out = values
-        return ReadResult(
-            out, found, total_t, cold.size, int(sizes[cold].sum()), fids.size - cold.size
-        )
+        return ReadResult(out, found, total_t, cold.size, int(sizes[cold].sum()))
 
     # ------------------------------------------------------------------
     def items(self) -> tuple[np.ndarray, np.ndarray]:

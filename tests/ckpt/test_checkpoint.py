@@ -98,20 +98,17 @@ def test_save_charges_ckpt_write_and_restore_charges_ckpt_read(
     cluster = build(tiny_spec, small_config)
     cluster.train(2)
     stats = cluster.save_checkpoint(str(tmp_path))
-    assert stats.op == "save"
     assert stats.seconds > 0 and stats.nbytes > 0
-    assert len(stats.per_node_seconds) == cluster.n_nodes
+    per_node = [node.ledger.total("ckpt_write") for node in cluster.nodes]
+    assert min(per_node) > 0
     # Saves price as a serialize/transfer flow shop: the makespan beats
     # the serial sum (overlap) but can't beat the slowest single shard.
     assert stats.serialize_seconds > 0 and stats.transfer_seconds > 0
-    assert max(stats.per_node_seconds) <= stats.seconds
+    assert max(per_node) <= stats.seconds
     assert stats.seconds < stats.serialize_seconds + stats.transfer_seconds
-    assert stats.seconds <= sum(stats.per_node_seconds)
-    for node in cluster.nodes:
-        assert node.ledger.total("ckpt_write") > 0
+    assert stats.seconds <= sum(per_node)
 
     restored = HPSCluster.restore(str(tmp_path))
-    assert restored.restore_stats.op == "restore"
     assert restored.restore_stats.seconds > 0
     # Restores keep the parallel-shard model — no serialize component.
     assert restored.restore_stats.serialize_seconds == 0.0
@@ -122,8 +119,8 @@ def test_save_charges_ckpt_write_and_restore_charges_ckpt_read(
 def test_snapshot_cost_is_flow_shop_makespan(tiny_spec, small_config, tmp_path):
     """``seconds`` follows the serialize/transfer overlap recurrence.
 
-    Per-shard components are recoverable from ``per_node_seconds``
-    (``s_i + t_i`` with both rates known), so the flow-shop makespan —
+    Per-shard components are recoverable from each node's ``ckpt_write``
+    charge (``s_i + t_i`` with both rates known), so the flow-shop makespan —
     ``s_done += s_i; t_done = max(t_done, s_done) + t_i`` in node order —
     can be recomputed independently and compared against the stats.
     """
@@ -133,7 +130,7 @@ def test_snapshot_cost_is_flow_shop_makespan(tiny_spec, small_config, tmp_path):
     spec = cluster.nodes[0].hdfs.spec
     rate = 1.0 / spec.bandwidth + 1.0 / spec.serialize_bandwidth
     s_done = t_done = ser_sum = xfer_sum = 0.0
-    for per in stats.per_node_seconds:
+    for per in (node.ledger.total("ckpt_write") for node in cluster.nodes):
         total_bytes = (per - spec.latency_s) / rate
         s = total_bytes / spec.serialize_bandwidth
         t = spec.latency_s + total_bytes / spec.bandwidth

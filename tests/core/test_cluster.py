@@ -55,7 +55,7 @@ class TestTrainRound:
         s = cluster.train_round()
         assert s.pull_push_seconds >= 0
         assert s.train_seconds > 0
-        assert s.bottleneck_seconds == max(s.stage_times)
+        assert s.read_seconds > 0
 
     @pytest.mark.parametrize("build", [HPSCluster, ReferenceTrainer])
     def test_n_sparse_past_the_key_domain_is_refused(
@@ -141,7 +141,6 @@ class TestLosslessness:
             mem_capacity_params=600,
             ssd_file_capacity=64,
             compaction_threshold=1.1,
-            compaction_stale_fraction=0.3,
             **prefetch,
         )
         cluster = HPSCluster(tiny_spec, config, functional_batch_size=128)

@@ -137,7 +137,6 @@ class TestOverlap:
     def test_makespan_beats_serial(self):
         run = clock(np.tile([2.0, 2.0, 2.0, 2.0], (8, 1)))
         assert run.makespan < run.serial_makespan
-        assert run.speedup > 1.0
 
     def test_makespan_bounded_below_by_bottleneck(self):
         durations = np.tile([1.0, 5.0, 2.0, 3.0], (10, 1))
@@ -146,14 +145,12 @@ class TestOverlap:
 
     def test_single_batch_is_serial(self):
         run = clock(np.array([[1.0, 2.0, 3.0, 4.0]]))
-        assert run.makespan == pytest.approx(10.0)
-        assert run.speedup == pytest.approx(1.0)
+        assert run.makespan == pytest.approx(10.0) == run.serial_makespan
 
     def test_empty_run(self):
         run = clock(np.ones((0, 4)))
         assert run.makespan == 0.0
         assert run.serial_makespan == 0.0
-        assert run.speedup == 1.0
 
 
 class TestBackpressure:
@@ -237,7 +234,6 @@ class TestClusterPipelined:
         run = pipelined.train_pipelined(4)
         assert np.all(run.stage_times > 0)  # non-degenerate stages
         assert run.makespan < run.serial_makespan
-        assert run.speedup > 1.0
 
     def test_rounds_and_history_advance(self, tiny_spec, small_config):
         cluster = HPSCluster(tiny_spec, small_config, functional_batch_size=256)

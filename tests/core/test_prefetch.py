@@ -128,10 +128,10 @@ class TestPrefetchPlan:
             # Sorted unique union.
             assert np.array_equal(pf.keys, np.unique(pf.keys))
             # Each segment gathers exactly its constituent key set.
-            assert np.array_equal(
-                pf.keys[pf.local_pos], node_plan.keys[node_plan.local_idx]
-            )
-            covered = [pf.local_pos]
+            local = node_plan.keys[node_plan.node_parts[i]]
+            local_pos = np.searchsorted(pf.keys, local)
+            assert np.array_equal(pf.keys[local_pos], local)
+            covered = [local_pos]
             for p, pos in enumerate(pf.serve_pos):
                 if p == i:
                     assert pos.size == 0

@@ -67,7 +67,7 @@ class TestGuard:
         assert ledger.total("fault_retry") == pytest.approx(expected)
         (inc,) = incidents
         assert (inc.kind, inc.action, inc.retries) == ("hdfs_timeout", "retried", 2)
-        assert inc.seconds == pytest.approx(expected)
+        assert inc.downtime_seconds == pytest.approx(expected)
         assert arm.retries == 2
 
     def test_exhaustion_raises_with_scope_and_pricing(self):

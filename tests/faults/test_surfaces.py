@@ -202,7 +202,10 @@ class TestSSDSurface:
         quarantines = [i for i in injection.incidents if i.action == "quarantine"]
         assert len(quarantines) == 1
         assert quarantines[0].bytes_reread > 0
-        assert injection.totals()["bytes_reread"] > 0
+        totals = injection.totals()
+        assert totals["bytes_reread"] > 0
+        # Counted once: not at exhaustion and again at the quarantine.
+        assert sum(totals["fault_counts"].values()) == totals["faults_fired"] == 1
         assert fault_retry_total(cluster) > 0.0
 
     def test_quarantine_reads_its_own_chain_in_a_reused_root(

@@ -184,35 +184,18 @@ class TestRecordPrepare:
         for node, npn, pf in zip(
             cluster.nodes, ctx.plan.nodes, ctx.plan.prefetch
         ):
-            assert pf.rows.size == pf.hit.size == pf.ssd_found.size
             # the resolved rows hold exactly the pinned MEM-touch union,
             # the local working keys among them
             cache = node.mem_ps.cache
             assert np.array_equal(cache._keys[pf.rows], pf.keys)
-            assert np.array_equal(
-                pf.keys[pf.local_pos], npn.keys[npn.local_idx]
-            )
+            assert np.isin(npn.keys[npn.node_parts[npn.node_id]], pf.keys).all()
             assert bool(np.all(cache._pinned[pf.rows]))
         cluster.stage_load(ctx)
         cluster.stage_train(ctx)  # leave the cluster quiescent
 
 
 class TestAdmissionThreading:
-    """The cache's admission outcome is threaded through plan + stats."""
-
-    def test_plan_records_admission(self, tiny_spec, small_config):
-        from repro.core.cluster import HPSCluster, RoundContext
-        from repro.plan import AdmissionRecord
-
-        cluster = HPSCluster(tiny_spec, small_config, functional_batch_size=128)
-        ctx = RoundContext(round_index=0)
-        cluster.stage_read(ctx)
-        cluster.stage_prepare(ctx)
-        for pf in ctx.plan.prefetch:
-            assert isinstance(pf.admission, AdmissionRecord)
-            assert pf.admission.n_runs >= 1
-        cluster.stage_load(ctx)
-        cluster.stage_train(ctx)
+    """The cache's admission counter is threaded through the stats."""
 
     def test_batch_stats_carry_admission_counters(
         self, tiny_spec, small_config

@@ -269,7 +269,6 @@ def reference_round_plan(
             NodePrefetchPlan(
                 keys=union,
                 codes=_positions_in(universe, union),
-                local_pos=union_pos(local_keys),
                 serve_pos=[union_pos(k) for k in serve_keys],
             )
         )

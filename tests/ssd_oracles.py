@@ -222,7 +222,6 @@ class ReferenceFileStore:
         total_t = 0.0
         files_read = 0
         bytes_read = 0
-        cache_hits = 0
         order = fids.argsort(kind="stable")
         sorted_fids = fids[order]
         start = int(sorted_fids.searchsorted(0))  # skip unmapped (-1)
@@ -250,10 +249,9 @@ class ReferenceFileStore:
                 cache.put(fid, payload)
             else:
                 total_t += device.read_warm(self.file_bytes(f))
-                cache_hits += 1
             out[sel] = payload[rows]
             found[sel] = True
-        return ReadResult(out, found, total_t, files_read, bytes_read, cache_hits)
+        return ReadResult(out, found, total_t, files_read, bytes_read)
 
     def live_rows(self, f: ReferenceFile) -> tuple[np.ndarray, np.ndarray]:
         live = self.mapping_of(f.keys) == f.file_id

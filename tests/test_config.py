@@ -98,8 +98,8 @@ class TestClusterConfig:
     def test_field_counts_only_go_down(self):
         """ROADMAP's structural needles: a new knob or stats column has
         to raise these ceilings on purpose."""
-        assert len(fields(ClusterConfig)) <= 12
-        assert len(fields(BatchStats)) <= 21
+        assert len(fields(ClusterConfig)) <= 11
+        assert len(fields(BatchStats)) <= 20
         assert defaulted_build_options() <= 10
 
     def test_with_nodes(self):
@@ -119,8 +119,6 @@ class TestClusterConfig:
         for threshold in (0.5, float("nan")):
             with pytest.raises(ValueError, match="compaction_threshold"):
                 ClusterConfig(compaction_threshold=threshold)
-        with pytest.raises(ValueError):
-            ClusterConfig(compaction_stale_fraction=0.0)
 
     @pytest.mark.parametrize(
         "field",

@@ -9,8 +9,13 @@ out locally and this check keeps them out of the index.
 and with a known reason, so deleting a def forces its entry out too.
 (Whether the listed defs are still unreached is the CI ``reachability``
 job's question; it runs the scenarios, this test runs none.)
+
+Every ``self.<name>`` store and dataclass field in ``src/repro`` must have
+a reader outside ``tests/`` — one place each fact is recorded, and no
+record kept only for the tests to look at.
 """
 
+import ast
 import importlib.util
 import pathlib
 import shutil
@@ -69,4 +74,48 @@ def test_reach_allowlist_names_existing_defs_with_a_reason():
     assert [e for e in entries if e[2] not in reach.REASONS] == []
     # A ceiling, like the ROADMAP's structural needles: keeping more
     # unreached code has to raise it on purpose.
-    assert len(entries) <= 84
+    assert len(entries) <= 63
+
+
+#: state nothing outside ``tests/`` reads, kept on purpose: (name, reason)
+_COUNTER = "a device work counter; item 16 checks the charges against it"
+WRITE_ONLY_KEPT = (
+    ("bytes_sent", _COUNTER), ("messages_sent", _COUNTER), ("bytes_moved", _COUNTER),
+    ("read_ops", _COUNTER), ("write_ops", _COUNTER),
+    ("capacity_bytes", "SSDSpec's rated capacity, part of the spec sheet"),
+    ("restore_stats", "HPSCluster.restore returns the cluster: its cost lives here"),
+)
+
+
+def test_no_write_only_state_in_src():
+    """A name-level scan: a stored name counts as read when any attribute
+    load, name load or string constant under src/, benchmarks/ or
+    examples/ spells it."""
+    stored: dict[str, str] = {}
+    loaded: set[str] = set()
+    for top in ("src", "benchmarks", "examples"):
+        for path in sorted((REPO_ROOT / top).rglob("*.py")):
+            where = path.relative_to(REPO_ROOT).as_posix()
+            for node in ast.walk(ast.parse(path.read_text(), where)):
+                if isinstance(node, (ast.Attribute, ast.Name)) and isinstance(
+                    node.ctx, ast.Load
+                ):
+                    loaded.add(node.attr if isinstance(node, ast.Attribute) else node.id)
+                elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    loaded.add(node.value)
+                elif not where.startswith("src/repro/"):
+                    continue
+                elif isinstance(node, ast.Attribute) and ast.unparse(node.value) == "self":
+                    stored.setdefault(node.attr, f"{where}:{node.lineno}")
+                elif isinstance(node, ast.ClassDef) and "dataclass" in str(
+                    [ast.unparse(d) for d in node.decorator_list]
+                ):
+                    for f in node.body:
+                        if isinstance(f, ast.AnnAssign):
+                            stored.setdefault(ast.unparse(f.target), f"{where}:{f.lineno}")
+    kept = dict(WRITE_ONLY_KEPT)
+    assert len(kept) <= 10 and all(kept.values())
+    unread = {name: where for name, where in stored.items() if name not in loaded}
+    assert sorted(f"{w} {n}" for n, w in unread.items() if n not in kept) == []
+    # An entry whose name gained a reader, or is gone, leaves the list.
+    assert sorted(kept) == sorted(unread)
