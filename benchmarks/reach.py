@@ -14,7 +14,8 @@ pytest-benchmark calls ``sys.setprofile(None)`` around every timed call.
 
 It prints ``defs / reached / unreached / lines`` and exits non-zero when
 a def no scenario reaches is not listed in ``benchmarks/reach_allow.txt``
-— the one place a decision to keep unreached code lives.  Each line
+— the one place a decision to keep unreached code lives — and when a
+listed def is reached or gone, so the list never outlives its reason.  Each line
 there is ``src/repro/PATH.py:QUALNAME  REASON`` with ``REASON`` one of
 :data:`REASONS`; ``#`` starts a comment.  ``--list`` prints every
 unreached def, listed or not.
@@ -182,8 +183,10 @@ def main(argv: list[str] | None = None) -> int:
     if missing:
         print(f"{missing} unreached defs are not in {ALLOW_FILE}: "
               "reach them from a scenario, delete them, or list them with a reason")
-        return 1
-    return 0
+    if allowed:
+        print(f"{len(allowed)} entries of {ALLOW_FILE} are reached or gone: "
+              "delete them")
+    return 1 if missing or allowed else 0
 
 
 if __name__ == "__main__":

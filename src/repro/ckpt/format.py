@@ -78,7 +78,9 @@ __all__ = [
 #: ``data_seed``.
 #: v6: SSD exports drop the facade's ``load_seconds``, ``dump_seconds``
 #: and ``extent_cache_hits``; the config lost ``compaction_stale_fraction``.
-FORMAT_VERSION = 6
+#: v7: SSD exports drop ``extent_cache_fids`` (the SSD tier has no file
+#: cache); the config lost ``ssd_extent_cache_files``.
+FORMAT_VERSION = 7
 
 MANIFEST_NAME = "manifest.json"
 DENSE_SHARD = "dense.shard"

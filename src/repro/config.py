@@ -119,13 +119,6 @@ class ClusterConfig:
     #: where the clock can overlap it; False runs the same resolve
     #: inline at the head of the prepare stage.
     prefetch: bool = False
-    #: SSD extent cache: parameter-file payloads kept hot so repeat
-    #: miss-path reads of the same file pay the cheap warm rate instead
-    #: of a device read (0 disables; see
-    #: :class:`~repro.ssd.extent_cache.FileHandleCache`).  On by default
-    #: since hits are priced (warm ≠ free), so enabling it does not fork
-    #: the sim-seconds parity groups.
-    ssd_extent_cache_files: int = 16
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -139,8 +132,6 @@ class ClusterConfig:
         ):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-        if self.ssd_extent_cache_files < 0:
-            raise ValueError("ssd_extent_cache_files must be >= 0")
         if not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
         # The MEM cache is two tiers: each needs at least one row.

@@ -313,7 +313,8 @@ class HPSCluster:
         self._unwrapped_stages: dict[StageSpec, StageSpec] | None = None
         #: cluster-level fault guard for the cross-node collectives
         #: (:class:`repro.faults.policy.FaultArm`, installed by
-        #: :func:`repro.faults.inject.inject_faults`; None = fault-free)
+        #: :meth:`repro.faults.inject.FaultInjection.attach`; None =
+        #: fault-free)
         self._fault_arm: Any | None = None
         #: the pipeline's stages (:class:`StageSpec`: name, closure), in
         #: execution order.  The four Algorithm 1 stages are fixed;
@@ -828,9 +829,8 @@ class HPSCluster:
         without being persisted.  The MEM cache is only peeked — its
         statistics and replacement order are untouched — but a MEM miss
         is a real ``FileStore.read``: it is charged to the owning node's
-        ``ssd_read`` ledger line and moves the SSD extent cache's LRU
-        order (the simulated makespan of a run that serves between
-        rounds depends on both).
+        ``ssd_read`` ledger line (the simulated makespan of a run that
+        serves between rounds depends on it).
         Only callable at a round boundary — every completed round's
         write-back has landed in the MEM tier, so MEM cache + SSD hold
         the newest copy of every key (enforced via

@@ -49,7 +49,6 @@ class HPSNode:
         self.ssd_ps = SSDPS(
             sparse_optimizer.value_dim,
             file_capacity=cfg.ssd_file_capacity,
-            extent_cache_files=cfg.ssd_extent_cache_files,
             ssd_spec=self.hardware.ssd,
             usage_threshold=cfg.compaction_threshold,
             ledger=self.ledger,

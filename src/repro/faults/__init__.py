@@ -37,12 +37,7 @@ from repro.faults.errors import (
     PayloadLostError,
     UnrecoverableFaultError,
 )
-from repro.faults.inject import (
-    CheckpointRecovery,
-    FaultInjection,
-    clear_faults,
-    inject_faults,
-)
+from repro.faults.inject import CheckpointRecovery, FaultInjection
 from repro.faults.policy import FaultArm, FaultReport, RetryPolicy
 from repro.faults.schedule import FAULT_KINDS, FaultSchedule
 from repro.faults.supervisor import SupervisedRun, Supervisor
@@ -61,6 +56,4 @@ __all__ = [
     "SupervisedRun",
     "Supervisor",
     "UnrecoverableFaultError",
-    "clear_faults",
-    "inject_faults",
 ]

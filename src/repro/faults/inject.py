@@ -1,15 +1,15 @@
 """Thread fault arms through every I/O surface of a live cluster.
 
-:func:`inject_faults` installs one :class:`~repro.faults.policy.FaultArm`
-per (surface, node) on the file store + SSD device (read errors, torn
-payloads, write stalls), the HDFS stream (timeouts, transient read
-failures), the per-node HBM dispatch, the cluster's collectives, and a
-stage wrapper that applies per-node straggler multipliers and stamps the
-originating stage onto any escaping
-:class:`~repro.faults.errors.FaultError`.  :func:`clear_faults` undoes
-all of it.
+:meth:`FaultInjection.attach` installs one
+:class:`~repro.faults.policy.FaultArm` per (surface, node) on the file
+store + SSD device (read errors, torn payloads, write stalls), the HDFS
+stream (timeouts, transient read failures), the per-node HBM dispatch,
+the cluster's collectives, and a stage wrapper that applies per-node
+straggler multipliers and stamps the originating stage onto any escaping
+:class:`~repro.faults.errors.FaultError`.  :meth:`~FaultInjection.detach`
+undoes all of it.
 
-The returned :class:`FaultInjection` owns the shared incident log.  A
+The :class:`FaultInjection` owns the shared incident log.  A
 restore replaces nodes of the cluster in place, and
 :meth:`~FaultInjection.rearm` arms exactly those — what the supervisor
 calls after every partial or full restore (the schedule's streams and
@@ -42,12 +42,7 @@ from repro.faults.errors import FaultError
 from repro.faults.policy import FaultArm, FaultReport, RetryPolicy
 from repro.faults.schedule import FaultSchedule
 
-__all__ = [
-    "CheckpointRecovery",
-    "FaultInjection",
-    "clear_faults",
-    "inject_faults",
-]
+__all__ = ["CheckpointRecovery", "FaultInjection"]
 
 
 class CheckpointRecovery:
@@ -110,7 +105,12 @@ class CheckpointRecovery:
 
 
 class FaultInjection:
-    """The armed state of one schedule/policy pair on a cluster."""
+    """The armed state of one schedule/policy pair on a cluster.
+
+    ``recovery_directory`` (the supervisor's checkpoint root) enables
+    the SSD quarantine path; without it an exhausted SSD read raises
+    :class:`~repro.faults.errors.PayloadLostError` directly.
+    """
 
     def __init__(
         self,
@@ -192,9 +192,17 @@ class FaultInjection:
 
     def detach(self) -> None:
         """Unwrap the stages and disarm every surface."""
-        if self.cluster is not None:
-            _disarm(self.cluster)
-            self.cluster = None
+        cluster = self.cluster
+        if cluster is None:
+            return
+        cluster.unwrap_stages()
+        for node in cluster.nodes:
+            node.ssd_ps.store.faults = None
+            node.ssd_ps.store.device.faults = None
+            node.hdfs.faults = None
+            node.hbm_ps.faults = None
+        cluster._fault_arm = None
+        self.cluster = None
 
     # ------------------------------------------------------------------
     def _wrap(self, name: str, fn):
@@ -244,45 +252,3 @@ class FaultInjection:
             "fault_counts": counts,
         }
 
-
-def inject_faults(
-    cluster,
-    schedule: FaultSchedule,
-    policy: RetryPolicy | None = None,
-    *,
-    recovery_directory: str | None = None,
-) -> FaultInjection:
-    """Arm every fault surface of ``cluster`` under ``schedule``.
-
-    ``recovery_directory`` (the supervisor's checkpoint root) enables
-    the SSD quarantine path; without it an exhausted SSD read raises
-    :class:`~repro.faults.errors.PayloadLostError` directly.
-    """
-    injection = FaultInjection(
-        schedule,
-        policy if policy is not None else RetryPolicy(),
-        recovery_directory=recovery_directory,
-    )
-    return injection.attach(cluster)
-
-
-def clear_faults(cluster) -> None:
-    """Disarm a cluster wholesale (inverse of :func:`inject_faults`).
-
-    Safe on a cluster that was never armed — provided its stages are
-    not wrapped by someone else's instrumentation.
-    """
-    if getattr(cluster, "_fault_arm", None) is not None or any(
-        node.ssd_ps.store.faults is not None for node in cluster.nodes
-    ):
-        _disarm(cluster)
-
-
-def _disarm(cluster) -> None:
-    cluster.unwrap_stages()
-    for node in cluster.nodes:
-        node.ssd_ps.store.faults = None
-        node.ssd_ps.store.device.faults = None
-        node.hdfs.faults = None
-        node.hbm_ps.faults = None
-    cluster._fault_arm = None

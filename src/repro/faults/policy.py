@@ -56,8 +56,14 @@ class RetryPolicy:
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
-        if self.backoff_base_s < 0 or self.backoff_cap_s < 0:
-            raise ValueError("backoff seconds must be non-negative")
+        # ``not x >= 0`` so NaN fails too: a backoff is priced seconds.
+        for name in ("backoff_base_s", "backoff_cap_s", "jitter", "max_round_retries"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+        if not self.backoff_multiplier > 0:
+            raise ValueError(
+                f"backoff_multiplier must be > 0, got {self.backoff_multiplier}"
+            )
 
     def backoff_seconds(self, attempt: int, u: float) -> float:
         base = min(
@@ -240,8 +246,13 @@ class FaultArm:
         return extra
 
     # ------------------------------------------------------------------
+    def ssd_reads(self, store: Any, file_ids: np.ndarray) -> np.ndarray:
+        """:meth:`ssd_read` on each of ``file_ids``, in order (one armed
+        operation per file); their seconds."""
+        return np.array([self.ssd_read(store, store.file(f)) for f in file_ids.tolist()])
+
     def ssd_read(self, store: Any, f: Any) -> float:
-        """Guard one cold parameter-file read; quarantine on exhaustion.
+        """Guard one parameter-file read; quarantine on exhaustion.
 
         Parameter files are immutable, so a file that predates the
         newest checkpoint has its exact payload in the checkpoint

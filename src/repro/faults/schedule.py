@@ -83,6 +83,12 @@ class FaultSchedule:
                 raise ValueError(f"rate for {kind!r} must be in [0, 1]")
         if not 1.0 <= straggler_min <= straggler_max:
             raise ValueError("straggler multipliers must satisfy 1 <= min <= max")
+        if not 0.0 <= depth_p <= 1.0:  # NaN fails too
+            raise ValueError("depth_p must be in [0, 1]")
+        if not max_faults >= 0:
+            raise ValueError("max_faults must be non-negative")
+        if not max_depth >= 1:
+            raise ValueError("max_depth must be >= 1")
         self.seed = int(seed)
         self.rates = rates
         self.max_faults = int(max_faults)

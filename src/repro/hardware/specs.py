@@ -93,19 +93,12 @@ class SSDSpec:
     seq_write_bandwidth: float = 8e9
     block_bytes: int = 4096
     capacity_bytes: float = 20e12
-    #: Bandwidth charged when a whole-file read is served from the
-    #: host-memory extent cache instead of the device: a DRAM copy, far
-    #: cheaper than the array but not free, and unpadded (no block
-    #: amplification off-device).
-    warm_read_bandwidth: float = 80e9
 
     def __post_init__(self) -> None:
         if min(self.seq_read_bandwidth, self.seq_write_bandwidth) <= 0:
             raise ValueError("SSD bandwidths must be positive")
         if self.block_bytes <= 0:
             raise ValueError("block size must be positive")
-        if self.warm_read_bandwidth <= 0:
-            raise ValueError("warm read bandwidth must be positive")
 
 
 @dataclass(frozen=True)

@@ -55,36 +55,19 @@ class SSDDevice:
         padded = self._blocks(n_bytes) * self.spec.block_bytes
         return padded / self.spec.seq_write_bandwidth
 
-    def warm_read_time(self, n_bytes: int) -> float:
-        """Seconds to serve ``n_bytes`` from the host-memory extent cache.
-
-        A DRAM copy: unpadded (block granularity is a device property)
-        and priced at ``warm_read_bandwidth``, so a cache hit is cheap
-        but never free on the simulated clock.
-        """
-        if n_bytes < 0:
-            raise ValueError("negative read size")
-        return n_bytes / self.spec.warm_read_bandwidth
-
     # ------------------------------------------------------------------
-    def read_files(self, n_bytes: np.ndarray, warm: np.ndarray | None = None):
+    def read_files(self, n_bytes: np.ndarray) -> np.ndarray:
         """Account whole-file reads of ``n_bytes`` each on the ledger, in
-        order, one ``ssd_read`` sample per file; returns their seconds:
-        :meth:`read_time`, or :meth:`warm_read_time` for a file flagged
-        in ``warm`` (an extent-cache hit, not counted as a device read).
-        """
+        order, one ``ssd_read`` sample per file; returns their seconds,
+        :meth:`read_time` of each."""
         n_bytes = np.asarray(n_bytes, dtype=np.int64)
         if (n_bytes < 0).any():
             raise ValueError("negative read size")
         block = self.spec.block_bytes
         padded = np.maximum(1, -(-n_bytes // block)) * block
         seconds = np.where(n_bytes > 0, padded / self.spec.seq_read_bandwidth, 0.0)
-        cold = n_bytes
-        if warm is not None:
-            seconds = np.where(warm, n_bytes / self.spec.warm_read_bandwidth, seconds)
-            cold = n_bytes[~warm]
-        self.bytes_read += int(cold.sum())
-        self.read_ops += int(cold.size)
+        self.bytes_read += int(n_bytes.sum())
+        self.read_ops += int(n_bytes.size)
         self.ledger.add_each("ssd_read", seconds)
         return seconds
 

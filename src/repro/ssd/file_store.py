@@ -14,14 +14,15 @@ naming a live file (recycled on erase; per-slot arrays hold its file id,
 first row, row count and stale counter), ``row`` the key's position in
 it.  Every file's keys — and, on the memory backend, its payload rows —
 sit packed in one arena per store, so a read is one index probe, one
-array pass over the touched files that only *accounts* (extent cache,
-fault arm, device charge; in ascending file-id order, which is part of
-the simulated-clock contract because float seconds accumulate in it) and
-one gather.  What leaves the store (checkpoints) speaks file ids.  A
-checkpoint never ships the mapping: the store is log-structured, so a
-key's live copy is its copy in the newest file holding it, and a load
-derives the mapping from the files and checks it against their stale
-counters.
+array pass over the touched files that only *accounts* (fault arm,
+device charge; in ascending file-id order, which is part of the
+simulated-clock contract because float seconds accumulate in it) and one
+gather.  Every touched file is a device read: there is no host-side file
+cache between the MEM tier and the array.  What leaves the store
+(checkpoints) speaks file ids.  A checkpoint never ships the mapping:
+the store is log-structured, so a key's live copy is its copy in the
+newest file holding it, and a load derives the mapping from the files
+and checks it against their stale counters.
 
 Payloads live in the arena.  ``directory=`` selects a ``disk`` backend
 instead (payloads as ``.npy`` files; loading them is the one step left
@@ -37,6 +38,7 @@ import io
 import mmap
 import os
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -45,7 +47,6 @@ from repro.faults.errors import PayloadLostError
 from repro.hardware.ledger import CostLedger
 from repro.hardware.specs import SSDSpec
 from repro.hardware.ssd_device import SSDDevice
-from repro.ssd.extent_cache import FileHandleCache
 from repro.store.slot_index import SlotIndex
 from repro.utils.io import atomic_write_bytes
 from repro.utils.keys import KEY_DTYPE, as_keys, check_key_cap
@@ -92,14 +93,8 @@ class ParameterFile:
 
 @dataclass(frozen=True)
 class ReadResult:
-    """Outcome of a batched read.
-
-    ``files_read``/``bytes_read`` count what was actually charged to the
-    device; a touched file the
-    :class:`~repro.ssd.extent_cache.FileHandleCache` holds is charged the
-    cheap warm (host-DRAM copy) rate instead and counted in the cache's
-    ``stats()``.
-    """
+    """Outcome of a batched read: ``files_read``/``bytes_read`` count
+    the whole files charged to the device."""
 
     values: np.ndarray
     found: np.ndarray
@@ -119,7 +114,6 @@ class FileStore:
         ssd_spec: SSDSpec | None = None,
         directory: str | None = None,
         ledger: CostLedger | None = None,
-        extent_cache_files: int = 0,
     ) -> None:
         if value_dim <= 0:
             raise ValueError("value_dim must be positive")
@@ -131,10 +125,7 @@ class FileStore:
         self.row_bytes = 8 + 4 * value_dim
         self.ledger = ledger if ledger is not None else CostLedger()
         self.device = SSDDevice(ssd_spec or SSDSpec(), self.ledger)
-        #: cross-round file cache; disabled (0 capacity) by default so
-        #: charged seconds stay identical to the pre-cache behaviour.
-        self.extent_cache = FileHandleCache(extent_cache_files)
-        #: fault-injection guard for cold file reads
+        #: fault-injection guard for file reads
         #: (:class:`repro.faults.policy.FaultArm`; None = fault-free)
         self.faults = None
         self.directory = directory
@@ -213,6 +204,12 @@ class FileStore:
     def files(self) -> list[ParameterFile]:
         """Every live file's record, in ascending file-id order."""
         return [self.file(fid) for fid in sorted(self._slot_of)]
+
+    @property
+    def extent_cache(self) -> SimpleNamespace:
+        """Frozen-only: ``benchmarks/hps/onepass.py`` reads its ``stats()``;
+        there is no file cache.  Drop at benchmark v2."""
+        return SimpleNamespace(stats=lambda: {"hits": 0, "misses": 0})
 
     def file_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(file ids, row counts, stale counters)`` of the live files,
@@ -407,9 +404,9 @@ class FileStore:
         a file costs its *entire* size regardless of how many of its rows
         were requested — the I/O-amplification trade-off of Appendix E.
         Each touched file is resolved (and charged) exactly once per
-        call, in ascending file-id order.  A cold-read fault that escapes
-        the arm leaves the ``ssd_read`` ledger line, the device counters
-        and the extent cache as they were.
+        call, in ascending file-id order.  A read fault that escapes the
+        arm leaves the ``ssd_read`` ledger line and the device counters as
+        they were.
         """
         keys = as_keys(keys)
         locs, found = self._mapping.get(keys)
@@ -428,24 +425,19 @@ class FileStore:
         by_fid = fids.argsort()
         hit_slots, fids = hit_slots[by_fid], fids[by_fid]
 
-        # The accounting pass, as arrays: which touched files the extent
-        # cache holds (a hit is a host-DRAM copy, priced at the warm
-        # rate), the fault arm's guard on every cold file, then one
-        # device charge.  Per file, the seconds step is [guard, read].
+        # The accounting pass, as arrays: the fault arm's guard on every
+        # touched file, then one device charge.  Per file, the seconds
+        # step is [guard, read].
         sizes = self._slot_rows[hit_slots] * self.row_bytes
-        warm = self.extent_cache.probe(fids)
-        cold = np.flatnonzero(~warm)
         steps = np.zeros((fids.size, 2))
         if self.faults is not None:
-            # Armed cold reads: transient errors / torn payloads retry
-            # with backoff; exhaustion quarantines the file (from the
-            # newest checkpoint chain) or raises PayloadLostError — before
-            # anything else is charged or cached.  The extra seconds land
-            # on the ledger's fault_retry line inside the arm.
-            for i in cold.tolist():
-                steps[i, 0] = self.faults.ssd_read(self, self.file(int(fids[i])))
-        self.extent_cache.touch(fids, warm)
-        steps[:, 1] = self.device.read_files(sizes, warm)
+            # Armed reads: transient errors / torn payloads retry with
+            # backoff; exhaustion quarantines the file (from the newest
+            # checkpoint chain) or raises PayloadLostError — before
+            # anything is charged.  The extra seconds land on the
+            # ledger's fault_retry line inside the arm.
+            steps[:, 0] = self.faults.ssd_reads(self, fids)
+        steps[:, 1] = self.device.read_files(sizes)
         total_t = float(np.cumsum(steps)[-1])
 
         out = self._gather(slots, rows)
@@ -453,7 +445,7 @@ class FileStore:
             values = np.zeros((keys.size, self.value_dim), dtype=np.float32)
             put_rows(values, np.flatnonzero(found), out)
             out = values
-        return ReadResult(out, found, total_t, cold.size, int(sizes[cold].sum()))
+        return ReadResult(out, found, total_t, fids.size, int(sizes.sum()))
 
     # ------------------------------------------------------------------
     def items(self) -> tuple[np.ndarray, np.ndarray]:
@@ -501,10 +493,6 @@ class FileStore:
         self._total_bytes -= rows * self.row_bytes
         self._arena_live -= rows
         self._slot_fid[slot] = -1
-        # Erase is the only operation that destroys a payload (compaction
-        # erases its victims through here) — drop the cache entry so the
-        # extent cache can never vouch for a dead file.
-        self.extent_cache.invalidate(file_id)
         if path is not None:
             os.remove(path)
 
@@ -526,15 +514,6 @@ class FileStore:
             "file_stale": self._slot_stale[slots],
         }
 
-    def _pack_extent_cache(self, out: dict[str, np.ndarray]) -> None:
-        """Attach the extent cache's residency (LRU-order file ids): hits
-        go at the warm rate instead of the device rate, so a restored run
-        only replays the original run's I/O schedule if the warm set
-        comes back too."""
-        out["extent_cache_fids"] = np.asarray(
-            self.extent_cache.resident_ids(), dtype=np.int64
-        )
-
     def export_state(self) -> dict[str, np.ndarray]:
         """Flat-array snapshot of files, payloads and counters.
 
@@ -545,7 +524,6 @@ class FileStore:
         """
         out = self._pack_files(self._live_slots())
         out["next_file_id"] = np.int64(self._next_file_id)
-        self._pack_extent_cache(out)
         return out
 
     def export_delta(self) -> dict[str, np.ndarray]:
@@ -558,8 +536,7 @@ class FileStore:
         surviving ones can only have changed their stale counter.  No
         mapping rows ship: the only operation that repoints the mapping
         is :meth:`write`, which lands keys in a new file, so the fold's
-        files say where every key lives.  The extent-cache residency
-        ships in full (it is a handful of ids).
+        files say where every key lives.
 
         A store that holds no mark — fresh, or loaded and not yet marked
         — has nothing to diff against: :class:`TierStateError`.
@@ -583,7 +560,6 @@ class FileStore:
         out["stale_ids"] = base_fids[survives][changed]
         out["stale_counts"] = now_stale[changed]
         out["next_file_id"] = np.int64(self._next_file_id)
-        self._pack_extent_cache(out)
         return out
 
     def mark_snapshot(self) -> None:
@@ -653,7 +629,6 @@ class FileStore:
             ),
             "file_stale": np.concatenate([base_stale[keep], stale]),
             "next_file_id": np.int64(delta["next_file_id"]),
-            "extent_cache_fids": np.array(delta["extent_cache_fids"], dtype=np.int64),
         }
 
     def load_state(self, state: dict[str, np.ndarray]) -> None:
@@ -691,11 +666,6 @@ class FileStore:
         slots = self._append_files(*files)
         self._mapping.set(map_keys, slots[file_index] * self.file_capacity + row)
         self._next_file_id = int(state["next_file_id"])
-        # The warm set: warm() admits only the newest max_files ids, so a
-        # store smaller than the snapshot's never over-warms nor counts
-        # evictions.
-        warm = np.asarray(state.get("extent_cache_fids", ()), dtype=np.int64)
-        self.extent_cache.warm(warm[np.isin(warm, fids)])
         self.check_invariants()
 
     def check_invariants(self) -> None:

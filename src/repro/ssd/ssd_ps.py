@@ -30,15 +30,10 @@ class SSDPS:
         ssd_spec: SSDSpec | None = None,
         usage_threshold: float = 1.6,
         ledger: CostLedger | None = None,
-        extent_cache_files: int = 0,
     ) -> None:
         self.ledger = ledger if ledger is not None else CostLedger()
         self.store = FileStore(
-            value_dim,
-            file_capacity,
-            ssd_spec=ssd_spec,
-            ledger=self.ledger,
-            extent_cache_files=extent_cache_files,
+            value_dim, file_capacity, ssd_spec=ssd_spec, ledger=self.ledger
         )
         self.compactor = Compactor(self.store, usage_threshold=usage_threshold)
 
@@ -52,12 +47,8 @@ class SSDPS:
         return self.store.n_live_params
 
     def load(self, keys: np.ndarray) -> ReadResult:
-        """Read values for ``keys`` (never-seen keys return found=False).
-
-        The result's ``seconds`` already price extent-cache hits at the
-        warm rate; the ledger's ``ssd_read`` line and
-        ``store.extent_cache.stats()`` are the running record.
-        """
+        """Read values for ``keys`` (never-seen keys return found=False);
+        every touched file is charged to the ledger's ``ssd_read`` line."""
         return self.store.read(keys)
 
     def dump(self, keys: np.ndarray, values: np.ndarray) -> float:

@@ -18,7 +18,6 @@ import numpy as np
 import pytest
 
 from cache_oracles import shadow_caches
-from repro.config import ClusterConfig
 from repro.core.cluster import HPSCluster
 from repro.core.trainer import ReferenceTrainer
 from repro.mem.mem_ps import MemPS
@@ -385,29 +384,3 @@ class TestPrefetchMechanics:
         straight.train(6)
         restored.train(2)
         _assert_param_parity(straight, restored)
-
-
-class TestExtentCachePlumbing:
-    def test_config_reaches_the_file_store(self, tiny_spec, small_config):
-        cfg = dataclasses.replace(small_config, ssd_extent_cache_files=3)
-        cluster = _build(tiny_spec, cfg)
-        for node in cluster.nodes:
-            assert node.ssd_ps.store.extent_cache.max_files == 3
-            assert node.ssd_ps.store.extent_cache.enabled
-
-    def test_enabled_by_default(self, tiny_spec, small_config):
-        # Default on since hits are priced at the warm host-copy rate —
-        # the cache no longer forks sim-seconds parity groups.
-        cluster = _build(tiny_spec, small_config)
-        for node in cluster.nodes:
-            assert node.ssd_ps.store.extent_cache.enabled
-        off = _build(
-            tiny_spec,
-            dataclasses.replace(small_config, ssd_extent_cache_files=0),
-        )
-        for node in off.nodes:
-            assert not node.ssd_ps.store.extent_cache.enabled
-
-    def test_validation(self):
-        with pytest.raises(ValueError, match="ssd_extent_cache_files"):
-            ClusterConfig(ssd_extent_cache_files=-1)

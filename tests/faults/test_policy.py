@@ -49,6 +49,26 @@ class TestRetryPolicy:
         with pytest.raises(ValueError):
             RetryPolicy(backoff_base_s=-1.0)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("jitter", -5.0),
+            ("jitter", float("nan")),
+            ("backoff_multiplier", -1.0),
+            ("backoff_multiplier", 0.0),
+            ("backoff_multiplier", float("nan")),
+            ("backoff_base_s", float("nan")),
+            ("backoff_cap_s", float("nan")),
+            ("max_round_retries", -1),
+        ],
+    )
+    def test_inputs_that_price_negative_or_nan_seconds_are_refused(self, field, value):
+        """Each would price a backoff below zero or as NaN, or loop a
+        round a negative number of times: refused at construction, not
+        deep in the round loop."""
+        with pytest.raises(ValueError, match=field):
+            RetryPolicy(**{field: value})
+
 
 class TestGuard:
     def test_clean_draw_costs_nothing(self):

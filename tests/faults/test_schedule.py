@@ -104,3 +104,17 @@ class TestValidation:
     def test_straggler_bounds_rejected(self):
         with pytest.raises(ValueError, match="straggler"):
             FaultSchedule(0, straggler_min=0.5)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("depth_p", float("nan")),
+            ("depth_p", 2.0),
+            ("depth_p", -0.1),
+            ("max_faults", -1),
+            ("max_depth", 0),
+        ],
+    )
+    def test_depth_and_budget_out_of_range_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            FaultSchedule(0, **{field: value})

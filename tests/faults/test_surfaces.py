@@ -19,9 +19,8 @@ from repro.faults import (
     FaultError,
     FaultSchedule,
     PayloadLostError,
+    FaultInjection,
     RetryPolicy,
-    clear_faults,
-    inject_faults,
 )
 from repro.ssd.file_store import FileStore
 
@@ -44,9 +43,9 @@ class TestHDFSSurface:
 
         cluster = mk_cluster()
         schedule = FaultSchedule(0, script={("hdfs_timeout", 0, 1): 2})
-        injection = inject_faults(cluster, schedule)
+        injection = FaultInjection(schedule, RetryPolicy()).attach(cluster)
         cluster.train(3)
-        clear_faults(cluster)
+        injection.detach()
 
         assert fault_retry_total(cluster) > 0.0
         (incident,) = injection.incidents
@@ -57,7 +56,7 @@ class TestHDFSSurface:
     def test_exhausted_read_escapes_with_round_scope(self, mk_cluster):
         cluster = mk_cluster()
         schedule = FaultSchedule(0, script={("hdfs_read_failure", 1, 0): 8})
-        inject_faults(cluster, schedule)
+        injection = FaultInjection(schedule, RetryPolicy()).attach(cluster)
         with pytest.raises(FaultError) as exc:
             cluster.train_round()
         err = exc.value
@@ -67,7 +66,7 @@ class TestHDFSSurface:
         # round retries cleanly after discarding in-flight residency.
         assert cluster._staged_rounds == 0
         cluster.abort_round()
-        clear_faults(cluster)
+        injection.detach()
         cluster.train(3)
 
         twin = mk_cluster()
@@ -88,9 +87,9 @@ class TestStageSurfaces:
             straggler_min=2.0,
             straggler_max=2.0,
         )
-        injection = inject_faults(cluster, schedule)
+        injection = FaultInjection(schedule, RetryPolicy()).attach(cluster)
         run = cluster.train_pipelined(4)
-        clear_faults(cluster)
+        injection.detach()
 
         straggle = sum(n.ledger.total("fault_straggler") for n in cluster.nodes)
         assert straggle > 0.0
@@ -105,7 +104,7 @@ class TestStageSurfaces:
     def test_comm_fault_escapes_globally_from_train_stage(self, mk_cluster):
         cluster = mk_cluster()
         schedule = FaultSchedule(0, script={("comm_allreduce", None, 0): 8})
-        inject_faults(cluster, schedule)
+        FaultInjection(schedule, RetryPolicy()).attach(cluster)
         with pytest.raises(FaultError) as exc:
             cluster.train_round()
         assert exc.value.scope == "global"
@@ -117,9 +116,9 @@ class TestStageSurfaces:
 
         cluster = mk_cluster()
         schedule = FaultSchedule(0, script={("hbm_dispatch", 0, 0): 1})
-        injection = inject_faults(cluster, schedule)
+        injection = FaultInjection(schedule, RetryPolicy()).attach(cluster)
         cluster.train(2)
-        clear_faults(cluster)
+        injection.detach()
         assert any(i.kind == "hbm_dispatch" for i in injection.incidents)
         assert_param_parity(cluster, twin)
 
@@ -142,7 +141,7 @@ class TestStageSurfaces:
         shards = ctx.plan.nodes[0].shards
         assert all(s.n_examples for s in shards)
         schedule = FaultSchedule(0, script={("hbm_dispatch", 0, 4): 8})
-        inject_faults(cluster, schedule)
+        FaultInjection(schedule, RetryPolicy()).attach(cluster)
         with pytest.raises(FaultError) as exc:
             cluster.stage_train(ctx)
         assert (exc.value.kind, exc.value.scope) == ("hbm_dispatch", "global")
@@ -160,9 +159,9 @@ class TestSSDSurface:
         schedule = FaultSchedule(
             4, rates={"ssd_write_stall": 1.0}, max_faults=10_000
         )
-        injection = inject_faults(cluster, schedule)
+        injection = FaultInjection(schedule, RetryPolicy()).attach(cluster)
         cluster.train(8)
-        clear_faults(cluster)
+        injection.detach()
 
         stalls = [i for i in injection.incidents if i.action == "stall"]
         assert stalls, "pressured run must have hit the SSD write path"
@@ -180,9 +179,6 @@ class TestSSDSurface:
         f = store.files()[0]
         before = store.read(f.keys)
         assert bool(before.found.all())
-        # The cross-round extent cache would serve the file warm and
-        # bypass the cold-read fault point — drop it.
-        store.extent_cache.invalidate(f.file_id)
 
         schedule = FaultSchedule(
             0,
@@ -190,11 +186,11 @@ class TestSSDSurface:
                 ("ssd_read_error", 0, 0): 8,  # exhaust every retry
             },
         )
-        injection = inject_faults(
-            cluster, schedule, recovery_directory=str(tmp_path / "ckpt")
-        )
+        injection = FaultInjection(
+            schedule, RetryPolicy(), recovery_directory=str(tmp_path / "ckpt")
+        ).attach(cluster)
         result = store.read(f.keys)
-        clear_faults(cluster)
+        injection.detach()
 
         # Quarantine re-materialized the identical payload and priced
         # the re-read; the read still succeeded end to end.
@@ -225,12 +221,13 @@ class TestSSDSurface:
         store = cluster.nodes[0].ssd_ps.store
         f = store.files()[2]
         before = store.read(f.keys)
-        store.extent_cache.invalidate(f.file_id)
 
         schedule = FaultSchedule(0, script={("ssd_read_error", 0, 0): 8})
-        injection = inject_faults(cluster, schedule, recovery_directory=str(root))
+        injection = FaultInjection(
+            schedule, RetryPolicy(), recovery_directory=str(root)
+        ).attach(cluster)
         result = store.read(f.keys)
-        clear_faults(cluster)
+        injection.detach()
 
         assert np.array_equal(result.values, before.values)
         (quarantine,) = [i for i in injection.incidents if i.action == "quarantine"]
@@ -241,10 +238,9 @@ class TestSSDSurface:
         cluster.train(8)
         store = cluster.nodes[0].ssd_ps.store
         f = store.files()[0]
-        store.extent_cache.invalidate(f.file_id)
 
         schedule = FaultSchedule(0, script={("ssd_read_error", 0, 0): 8})
-        inject_faults(cluster, schedule)  # no recovery directory
+        FaultInjection(schedule, RetryPolicy()).attach(cluster)  # no recovery directory
         with pytest.raises(PayloadLostError) as exc:
             store.read(f.keys)
         err = exc.value

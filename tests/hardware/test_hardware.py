@@ -114,24 +114,20 @@ class TestSSDDevice:
         assert dev.ledger.total("ssd_write") > 0
 
     def test_read_files_prices_and_sums_like_one_read_per_file(self):
-        """Per-file seconds are read_time / warm_read_time, the ledger
-        line is their in-order sum, and warm files are no device read."""
+        """Per-file seconds are read_time, the ledger line is their
+        in-order sum, and every file is a device read."""
         dev = SSDDevice(SSDSpec())
         dev.ledger.add("ssd_read", 0.1)
         sizes = np.asarray([0, 1, 4096, 4097, 3 * 10**6, 777])
-        warm = np.asarray([False, False, True, False, False, True])
-        seconds = dev.read_files(sizes, warm)
-        expect = [
-            dev.warm_read_time(n) if w else dev.read_time(n)
-            for n, w in zip(sizes.tolist(), warm.tolist())
-        ]
+        seconds = dev.read_files(sizes)
+        expect = [dev.read_time(n) for n in sizes.tolist()]
         assert seconds.tolist() == expect
         total = 0.1
         for t in expect:
             total += t
         assert dev.ledger.total("ssd_read") == total  # bit-equal
         assert dev.ledger.count("ssd_read") == 1 + sizes.size
-        assert dev.read_ops == 4 and dev.bytes_read == 1 + 4097 + 3 * 10**6
+        assert dev.read_ops == 6 and dev.bytes_read == 1 + 4096 + 4097 + 3 * 10**6 + 777
         with pytest.raises(ValueError):
             dev.read_files(np.asarray([-1]))
 

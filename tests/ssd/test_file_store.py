@@ -6,9 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import KeyDomainError
+from repro.hardware.ledger import CostLedger
+from repro.hardware.specs import SSDSpec
 from repro.ssd.file_store import FileStore
 from repro.utils.keys import KEY_DOMAIN_CAP
-from ssd_oracles import assert_same_arrays, store_mapping
+from ssd_oracles import ReferenceSSDDevice, assert_same_arrays, store_mapping
 
 
 def keys_of(xs):
@@ -98,6 +100,65 @@ class TestRead:
         r = store.read(keys_of([]))
         assert r.seconds == 0.0
         assert r.values.shape == (0, 2)
+
+
+def per_key_reference(store: FileStore, keys: np.ndarray):
+    """Per-key read against ``store``'s state, charging each touched
+    file exactly once (the I/O unit is the whole file, so a correct
+    per-key loop must not re-pay a file already read in this call)."""
+    pricer = ReferenceSSDDevice(SSDSpec(), CostLedger())
+    out = np.zeros((keys.size, store.value_dim), dtype=np.float32)
+    found = np.zeros(keys.size, dtype=bool)
+    seconds = 0.0
+    paid: set[int] = set()
+    mapping = store_mapping(store)
+    for i, key in enumerate(keys):
+        fid = mapping.get(int(key), -1)
+        if fid < 0:
+            continue
+        f = store.file(fid)
+        if fid not in paid:
+            seconds += pricer.read(store.file_bytes(f))
+            paid.add(fid)
+        row = int(np.searchsorted(f.keys, key))
+        out[i] = store._payload(fid)[row]
+        found[i] = True
+    return out, found, seconds, len(paid)
+
+
+class TestGroupedReadParity:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_randomized_grouped_vs_per_key(self, seed):
+        """Grouped reads == per-key reference: values, found, seconds."""
+        rng = np.random.default_rng(seed)
+        store = FileStore(3, file_capacity=int(rng.integers(2, 7)))
+        universe = np.arange(60, dtype=np.uint64)
+        for _ in range(int(rng.integers(1, 5))):
+            n = int(rng.integers(1, 30))
+            ks = rng.choice(universe, size=n, replace=False)
+            store.write(np.sort(ks), rng.normal(size=(n, 3)).astype(np.float32))
+        probe = rng.choice(
+            np.arange(80, dtype=np.uint64),
+            size=int(rng.integers(1, 40)),
+            replace=True,  # duplicates allowed — grouped path must cope
+        )
+        ref_vals, ref_found, ref_seconds, ref_files = per_key_reference(
+            store, probe
+        )
+        r = store.read(probe)
+        assert np.array_equal(r.values, ref_vals)
+        assert np.array_equal(r.found, ref_found)
+        assert r.seconds == ref_seconds  # bit-identical, not approx
+        assert r.files_read == ref_files
+
+    def test_grouped_read_charges_each_file_once(self):
+        store = FileStore(2, file_capacity=4)
+        store.write(keys_of(range(8)), vals_of(8))  # two files
+        single = store.read(keys_of([0])).seconds
+        whole = store.read(keys_of(range(8)))
+        assert whole.files_read == 2
+        # Eight keys over two files cost two file reads, not eight.
+        assert whole.seconds == pytest.approx(2 * single)
 
 
 class TestAccounting:

@@ -1,12 +1,11 @@
 """The row-addressed ``FileStore`` against the per-file store it replaced.
 
 A ``RuleBasedStateMachine`` drives a ``FileStore`` — memory and disk
-backend, extent cache off / small / roomy — in lockstep
-with ``ReferenceFileStore`` (``tests/ssd_oracles.py``: the parent's
+backend — in lockstep with ``ReferenceFileStore`` (``tests/ssd_oracles.py``: the parent's
 per-file implementation) and a plain dict.  After every step the two
 stores must agree on everything observable — values, found masks, every
 ``ReadResult`` field, device counters, ledger lines **bit-equal**,
-extent-cache residency and statistics, checkpoint arrays byte for byte —
+checkpoint arrays byte for byte —
 and the store's own invariants must hold.  A ``mark_snapshot`` rule moves
 the delta base at any step, and after every step the store's delta since
 its mark, folded onto the export taken there, is its export now array
@@ -45,10 +44,6 @@ from ssd_oracles import (
     store_mapping,
 )
 
-#: extent-cache capacities in files: off, thrashing, roomy
-CACHES = {"off": 0, "small": 2, "roomy": 16}
-
-
 def values_for(keys, dim: int, stamp: int) -> np.ndarray:
     """Distinct per (key, write) so a stale row can never pass for live."""
     k = np.asarray(keys, dtype=np.float32)[:, None]
@@ -64,11 +59,9 @@ class FileStoreVsReference(RuleBasedStateMachine):
         disk=st.booleans(),
         capacity=st.sampled_from([1, 3, 4, 8]),
         dim=st.integers(1, 3),
-        cache=st.sampled_from(sorted(CACHES)),
     )
-    def build(self, disk, capacity, dim, cache):
+    def build(self, disk, capacity, dim):
         self.disk, self.capacity, self.dim = disk, capacity, dim
-        self.cache = CACHES[cache]
         self.dirs: list[str] = []
         self.store, self.ref = self.fresh_pair()
         self.model: dict[int, np.ndarray] = {}
@@ -81,9 +74,7 @@ class FileStoreVsReference(RuleBasedStateMachine):
         if self.disk:
             directory = tempfile.mkdtemp(prefix="filestore-model-")
             self.dirs.append(directory)
-        store = FileStore(
-            self.dim, self.capacity, directory=directory, extent_cache_files=self.cache
-        )
+        store = FileStore(self.dim, self.capacity, directory=directory)
         reclaim = store.reclaim
 
         def checked_reclaim():
@@ -96,7 +87,7 @@ class FileStoreVsReference(RuleBasedStateMachine):
                 assert store._arena_used == int(store.file_table()[1].sum())
 
         store.reclaim = checked_reclaim
-        return store, ReferenceFileStore(self.dim, self.capacity, self.cache)
+        return store, ReferenceFileStore(self.dim, self.capacity)
 
     def rebase(self):
         """Snapshot the store and mark it there; keep the full export
@@ -147,7 +138,6 @@ class FileStoreVsReference(RuleBasedStateMachine):
             theirs.files_read,
             theirs.bytes_read,
         )
-        assert self.store.extent_cache.stats() == self.ref.extent_cache.stats()
         assert mine.found.tolist() == [k in self.model for k in keys]
         for k, row in zip(keys, mine.values):
             if k in self.model:
@@ -241,8 +231,8 @@ TestFileStoreVsReference.settings = settings(
 def armed_pair(script, recovery_of):
     """A store and the oracle with identical contents, each behind its own
     ``FaultArm`` on an identical scripted schedule."""
-    store = FileStore(2, 4, extent_cache_files=2)
-    ref = ReferenceFileStore(2, 4, max_files=2)
+    store = FileStore(2, 4)
+    ref = ReferenceFileStore(2, 4)
     seen = {"store": [], "ref": []}
     for name, target in (("store", store), ("ref", ref)):
         for stamp, keys in enumerate(([0, 1, 2, 3, 4, 5, 6, 7, 8, 9], [2, 3, 9, 11])):
@@ -310,30 +300,27 @@ class TestArmedRead:
         assert_stores_agree(store, ref)
         store.check_invariants()
 
-    def test_an_escaping_fault_charges_and_caches_nothing(self):
-        """The second cold file of a read is lost for good (exhausted, no
-        checkpointed copy): PayloadLostError leaves the ``ssd_read`` line,
-        the device counters and the extent cache's counters and LRU order
-        exactly as before the call.  Only the arm's own ``fault_retry``
-        seconds — here a retried first cold file — stay charged."""
+    def test_an_escaping_fault_charges_nothing(self):
+        """The second file of a read is lost for good (exhausted, no
+        checkpointed copy): PayloadLostError leaves the ``ssd_read`` line
+        and the device counters exactly as before the call.  Only the
+        arm's own ``fault_retry`` seconds — here a retried first file —
+        stay charged."""
         script = {("ssd_read_error", 0, 1): 1, ("ssd_read_error", 0, 2): 8}
         store, _, seen = armed_pair(script, None)
-        store.read(np.asarray([9], dtype=np.uint64))  # file 3 now resident
+        store.read(np.asarray([9], dtype=np.uint64))  # file 3, clean
 
         def observed():
-            cache = store.extent_cache
             return (
                 store.ledger.total("ssd_read"),
                 store.ledger.count("ssd_read"),
                 store.device.bytes_read,
                 store.device.read_ops,
-                cache.stats(),
-                cache.resident_ids(),
             )
 
         before, retried = observed(), store.ledger.total("fault_retry")
         with pytest.raises(PayloadLostError) as lost:
-            store.read(self.PROBE)  # files 0, 1 cold; 3 warm
+            store.read(self.PROBE)  # files 0 (retried), 1 (lost), 3
         assert lost.value.file_id == 1
         assert [fid for fid, _ in seen["store"]] == [3, 0, 1]
         assert observed() == before

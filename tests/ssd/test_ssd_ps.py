@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.ssd.ssd_ps import SSDPS
+from ssd_oracles import store_mapping
 
 
 def keys_of(xs):
@@ -42,6 +43,41 @@ class TestLoadDump:
         t_load = ps.load(keys).seconds
         assert t_dump == ps.ledger.total("ssd_write") > 0
         assert t_load == ps.ledger.total("ssd_read") > 0
+
+    def test_every_load_is_charged_at_the_device_rate(self, ps):
+        """A repeat load re-reads its file: ``load`` returns what the
+        store's read priced, and the ledger grows by exactly that."""
+        ps.dump(keys_of(range(4)), np.arange(8, dtype=np.float32).reshape(4, 2))
+        f = next(iter(ps.store.files()))
+        device = ps.store.device.read_time(ps.store.file_bytes(f))
+        for n in (1, 2):
+            result = ps.load(keys_of(range(4)))
+            assert result.found.all()
+            assert result.seconds == device
+            assert ps.ledger.total("ssd_read") == pytest.approx(n * device)
+        assert ps.store.device.read_ops == 2
+
+    def test_membership_is_mapping_only(self, ps):
+        ps.dump(keys_of(range(4)), np.zeros((4, 2), np.float32))
+        ps.load(keys_of(range(4)))
+        seconds_before = ps.ledger.total("ssd_read")
+        mapping = store_mapping(ps.store)
+        assert [k in mapping for k in (0, 1, 99)] == [True, True, False]
+        assert ps.ledger.total("ssd_read") == seconds_before
+
+    def test_read_modify_write_costs_a_read_plus_a_dump(self):
+        """As the MEM tier drives it (``load`` on a miss, ``dump`` on the
+        write-back): a device read of the file plus a plain dump."""
+        ps = SSDPS(2, file_capacity=4)
+        ps.dump(keys_of(range(4)), np.zeros((4, 2), np.float32))
+        read = ps.load(keys_of(range(4)))
+        write = ps.dump(keys_of(range(4)), read.values + 1.0)
+        f = next(iter(ps.store.files()))
+        device = ps.store.device.read_time(ps.store.file_bytes(f))
+        dump_only = SSDPS(2, file_capacity=4)
+        dump_only.dump(keys_of(range(4)), np.zeros((4, 2), np.float32))
+        dump_cost = dump_only.dump(keys_of(range(4)), np.ones((4, 2), np.float32))
+        assert read.seconds + write == pytest.approx(dump_cost + device)
 
     def test_n_live_params(self, ps):
         ps.dump(keys_of(range(6)), np.zeros((6, 2), np.float32))

@@ -6,13 +6,11 @@ reference needs: one ``ReferenceFile`` object per file holding its own
 key and value arrays, a plain ``dict`` for the key→file-id mapping, and
 the per-file ``read`` exactly as it ran in production — group the batch
 by file id, then per touched file ``searchsorted`` + slice + gather +
-scatter around the extent-cache / fault-arm / device-charge bookkeeping.
-It prices on its own device and ledger and keeps its own extent cache —
-the per-file ``ReferenceSSDDevice.read`` / ``read_warm`` and the
-per-file ``ReferenceFileCache.get`` / ``put`` LRU that ``FileStore``'s
-array accounting pass replaced — so a test can drive it in lockstep with
-a ``FileStore`` and demand that every simulated second, counter and
-cache decision agrees bit for bit.  It trusts its input: validation is
+scatter around the fault-arm / device-charge bookkeeping.  It prices on
+its own device and ledger — the per-file ``ReferenceSSDDevice.read``
+that ``FileStore``'s array accounting pass replaced — so a test can
+drive it in lockstep with a ``FileStore`` and demand that every
+simulated second and counter agrees bit for bit.  It trusts its input: validation is
 the store's job, not the oracle's.
 
 Snapshots carry no mapping (format v5): the oracle derives it file by
@@ -34,7 +32,6 @@ from repro.ssd.file_store import ReadResult
 
 __all__ = [
     "ReferenceFile",
-    "ReferenceFileCache",
     "ReferenceFileStore",
     "ReferenceSSDDevice",
     "assert_same_arrays",
@@ -56,83 +53,6 @@ class ReferenceSSDDevice(SSDDevice):
         self.ledger.add("ssd_read", t)
         return t
 
-    def read_warm(self, n_bytes: int) -> float:
-        """Account an extent-cache hit (``ssd_read`` category, not a
-        device read); returns seconds."""
-        t = self.warm_read_time(n_bytes)
-        self.ledger.add("ssd_read", t)
-        return t
-
-
-class ReferenceFileCache:
-    """The per-file LRU extent cache: ``get`` refreshes a resident entry,
-    ``put`` admits one and evicts the least recently used past
-    ``max_files``; a disabled cache (``max_files <= 0``) counts
-    nothing."""
-
-    def __init__(self, max_files: int = 0) -> None:
-        self.max_files = int(max_files)
-        self._payloads: dict[int, object] = {}  # oldest first
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self.invalidations = 0
-
-    @property
-    def enabled(self) -> bool:
-        return self.max_files > 0
-
-    def get(self, file_id: int):
-        if not self.enabled:
-            return None
-        fid = int(file_id)
-        payload = self._payloads.pop(fid, None)
-        if payload is None:
-            self.misses += 1
-            return None
-        self._payloads[fid] = payload
-        self.hits += 1
-        return payload
-
-    def put(self, file_id: int, payload) -> None:
-        if not self.enabled:
-            return
-        fid = int(file_id)
-        self._payloads.pop(fid, None)
-        self._payloads[fid] = payload
-        while len(self._payloads) > self.max_files:
-            del self._payloads[next(iter(self._payloads))]
-            self.evictions += 1
-
-    def warm(self, file_ids, payload_of) -> None:
-        if not self.enabled:
-            return
-        ids = [int(f) for f in file_ids]
-        for fid in ids[max(0, len(ids) - self.max_files) :]:
-            self.put(fid, payload_of(fid))
-
-    def invalidate(self, file_id: int) -> bool:
-        if self._payloads.pop(int(file_id), None) is not None:
-            self.invalidations += 1
-            return True
-        return False
-
-    def clear(self) -> None:
-        self._payloads.clear()
-
-    def resident_ids(self) -> list[int]:
-        return list(self._payloads)
-
-    def stats(self) -> dict[str, int]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "invalidations": self.invalidations,
-            "resident": len(self._payloads),
-            "capacity": self.max_files,
-        }
-
 
 @dataclass
 class ReferenceFile:
@@ -150,12 +70,11 @@ class ReferenceFile:
 
 
 class ReferenceFileStore:
-    def __init__(self, value_dim: int, file_capacity: int, max_files: int = 0) -> None:
+    def __init__(self, value_dim: int, file_capacity: int) -> None:
         self.value_dim = value_dim
         self.file_capacity = file_capacity
         self.ledger = CostLedger()
         self.device = ReferenceSSDDevice(SSDSpec(), self.ledger)
-        self.extent_cache = ReferenceFileCache(max_files)
         self.faults = None
         self.files: dict[int, ReferenceFile] = {}
         self.mapping: dict[int, int] = {}
@@ -231,25 +150,17 @@ class ReferenceFileStore:
         cuts = np.flatnonzero(sf[1:] != sf[:-1]) + 1
         starts = np.concatenate(([0], cuts)) + start
         stops = np.append(cuts, sf.size) + start
-        cache = self.extent_cache
-        device = self.device
         for s, e in zip(starts.tolist(), stops.tolist()):
             fid = int(sorted_fids[s])
             f = self.files[fid]
             sel = order[s:e]
             rows = f.keys.searchsorted(keys[sel])
-            payload = cache.get(fid)
-            if payload is None:
-                if self.faults is not None:
-                    total_t += self.faults.ssd_read(self, f)
-                payload = f.values
-                total_t += device.read(self.file_bytes(f))
-                files_read += 1
-                bytes_read += self.file_bytes(f)
-                cache.put(fid, payload)
-            else:
-                total_t += device.read_warm(self.file_bytes(f))
-            out[sel] = payload[rows]
+            if self.faults is not None:
+                total_t += self.faults.ssd_read(self, f)
+            total_t += self.device.read(self.file_bytes(f))
+            files_read += 1
+            bytes_read += self.file_bytes(f)
+            out[sel] = f.values[rows]
             found[sel] = True
         return ReadResult(out, found, total_t, files_read, bytes_read)
 
@@ -259,7 +170,6 @@ class ReferenceFileStore:
 
     def erase(self, file_id: int) -> None:
         del self.files[file_id]
-        self.extent_cache.invalidate(file_id)
 
     def compact(self, usage_threshold: float, stale_fraction: float) -> float | None:
         """The parent's ``Compactor.compact``; seconds, or None if idle."""
@@ -314,9 +224,6 @@ class ReferenceFileStore:
 
     def _pack_tail(self, out: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
         out["next_file_id"] = np.int64(self.next_file_id)
-        out["extent_cache_fids"] = np.asarray(
-            self.extent_cache.resident_ids(), dtype=np.int64
-        )
         return out
 
     def export_state(self) -> dict[str, np.ndarray]:
@@ -352,24 +259,15 @@ class ReferenceFileStore:
         self.mapping.update(derived_mapping(state))
         self.next_file_id = int(state["next_file_id"])
 
-    def _rewarm(self, state: dict[str, np.ndarray]) -> None:
-        cache = self.extent_cache
-        cache.clear()
-        fids = [f for f in state["extent_cache_fids"].tolist() if f in self.files]
-        cache.warm(fids, lambda fid: self.files[fid].values)
-
     def load_state(self, state: dict[str, np.ndarray]) -> None:
         self.files.clear()
         self.mapping.clear()
         self._unpack(state)
-        self._rewarm(state)
 
     def load_delta(self, delta: dict[str, np.ndarray]) -> None:
         """Apply a delta on top of the base this store holds, member by
         member — the oracle ``FileStore.fold_delta`` + ``load_state`` is
-        held to.  A load is not runtime traffic: the erased files leave
-        without counting an extent-cache invalidation (the residency is
-        re-warmed from the delta anyway)."""
+        held to."""
         self._unpack(delta)
         for fid, count in zip(
             delta["stale_ids"].tolist(), delta["stale_counts"].tolist()
@@ -377,7 +275,6 @@ class ReferenceFileStore:
             self.files[fid].stale_count = count
         for fid in delta["erased_ids"].tolist():
             del self.files[fid]
-        self._rewarm(delta)
 
 
 def derived_mapping(state: dict[str, np.ndarray]) -> dict[int, int]:
@@ -410,8 +307,7 @@ def assert_same_arrays(mine: dict, theirs: dict) -> None:
 
 def assert_stores_agree(store, ref: ReferenceFileStore) -> None:
     """Everything observable about ``store`` equals the oracle's: files,
-    mapping, byte accounting, device counters, ledger lines (bit-equal),
-    extent-cache residency and statistics."""
+    mapping, byte accounting, device counters, ledger lines (bit-equal)."""
     assert store.n_files == len(ref.files)
     for f in store.files():
         r = ref.files[f.file_id]
@@ -427,5 +323,3 @@ def assert_stores_agree(store, ref: ReferenceFileStore) -> None:
     for line in ("ssd_read", "ssd_write", "fault_retry"):
         assert store.ledger.total(line) == ref.ledger.total(line)
         assert store.ledger.count(line) == ref.ledger.count(line)
-    assert store.extent_cache.resident_ids() == ref.extent_cache.resident_ids()
-    assert store.extent_cache.stats() == ref.extent_cache.stats()

@@ -74,7 +74,7 @@ def test_reach_allowlist_names_existing_defs_with_a_reason():
     assert [e for e in entries if e[2] not in reach.REASONS] == []
     # A ceiling, like the ROADMAP's structural needles: keeping more
     # unreached code has to raise it on purpose.
-    assert len(entries) <= 63
+    assert len(entries) <= 54
 
 
 #: state nothing outside ``tests/`` reads, kept on purpose: (name, reason)
