@@ -170,23 +170,41 @@ def main(argv: list[str] | None = None) -> int:
     )
     allowed = {(path, qualname) for path, qualname, _ in read_allowlist(
         os.path.join(root, ALLOW_FILE))}
+    report, code = verdict(all_defs, unreached, allowed, show_all=args.list)
+    for line in report:
+        print(line)
+    return code
+
+
+def verdict(
+    all_defs: dict[tuple[str, int], tuple[str, int]],
+    unreached: list[tuple[str, int]],
+    allowed: set[tuple[str, str]],
+    show_all: bool = False,
+) -> tuple[list[str], int]:
+    """The report lines and exit code for ``unreached`` (keys of
+    ``all_defs``) against the allow-list's ``(path, qualname)`` names: 1
+    when an unreached def is unlisted or a listed def is reached or gone,
+    else 0.  ``show_all`` also prints the listed unreached defs."""
+    allowed = set(allowed)
+    out: list[str] = []
     missing = 0
     for path, first in unreached:
         qualname = all_defs[path, first][0]
         listed = (path, qualname) in allowed
         allowed.discard((path, qualname))
         missing += not listed
-        if args.list or not listed:
-            print(f"{'  ' if listed else '! '}{path}:{qualname}  (line {first})")
+        if show_all or not listed:
+            out.append(f"{'  ' if listed else '! '}{path}:{qualname}  (line {first})")
     for path, qualname in sorted(allowed):
-        print(f"listed but not unreached (reached, or gone): {path}:{qualname}")
+        out.append(f"listed but not unreached (reached, or gone): {path}:{qualname}")
     if missing:
-        print(f"{missing} unreached defs are not in {ALLOW_FILE}: "
-              "reach them from a scenario, delete them, or list them with a reason")
+        out.append(f"{missing} unreached defs are not in {ALLOW_FILE}: "
+                   "reach them from a scenario, delete them, or list them with a reason")
     if allowed:
-        print(f"{len(allowed)} entries of {ALLOW_FILE} are reached or gone: "
-              "delete them")
-    return 1 if missing or allowed else 0
+        out.append(f"{len(allowed)} entries of {ALLOW_FILE} are reached or gone: "
+                   "delete them")
+    return out, 1 if missing or allowed else 0
 
 
 if __name__ == "__main__":

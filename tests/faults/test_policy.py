@@ -69,6 +69,26 @@ class TestRetryPolicy:
         with pytest.raises(ValueError, match=field):
             RetryPolicy(**{field: value})
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("jitter", 0.0),
+            ("backoff_base_s", 0.0),
+            ("backoff_cap_s", 0.0),
+            ("max_round_retries", 0),
+        ],
+    )
+    def test_zero_is_a_valid_bound(self, field, value):
+        """The refusals are strict only below zero: a zero jitter, base,
+        cap or round-retry budget is a real policy, pricing finite
+        non-negative backoffs."""
+        p = RetryPolicy(**{field: value})
+        for attempt in (1, 2, 5):
+            for u in (0.0, 0.5, 0.999):
+                assert 0.0 <= p.backoff_seconds(attempt, u) <= p.backoff_cap_s * (
+                    1.0 + p.jitter
+                )
+
 
 class TestGuard:
     def test_clean_draw_costs_nothing(self):

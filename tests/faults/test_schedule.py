@@ -118,3 +118,20 @@ class TestValidation:
     def test_depth_and_budget_out_of_range_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
             FaultSchedule(0, **{field: value})
+
+    @pytest.mark.parametrize(
+        "kwargs, depths",
+        [
+            ({"depth_p": 0.0}, {1}),
+            ({"depth_p": 1.0, "max_depth": 5}, {5}),
+            ({"max_depth": 1, "depth_p": 0.9}, {1}),
+            ({"max_faults": 0}, {0}),
+        ],
+    )
+    def test_depth_and_budget_bounds_are_valid(self, kwargs, depths):
+        """The closed ends of each range are accepted and mean what they
+        say: depth_p 0 never extends a fault, depth_p 1 always runs to
+        max_depth, max_depth 1 caps every fault at one attempt and
+        max_faults 0 fires nothing even at rate 1."""
+        s = FaultSchedule(0, rates={"hdfs_timeout": 1.0}, **kwargs)
+        assert set(drain(s, "hdfs_timeout", 0, 20)) == depths

@@ -319,6 +319,30 @@ class TestStateSnapshot:
             assert np.array_equal(mine, theirs)
         assert other._next_file_id == store._next_file_id
 
+    def test_snapshot_ships_only_files_and_the_id_counter(self, store):
+        """No cache residency or derived mapping in a snapshot: the
+        packed files and the next file id are the whole state."""
+        store.write(keys_of(range(6)), vals_of(6))
+        store.read(keys_of(range(6)))
+        assert sorted(store.export_state()) == [
+            "file_ids", "file_keys", "file_offsets", "file_stale",
+            "file_values", "next_file_id",
+        ]
+
+    def test_restored_store_reads_at_the_device_rate(self, store):
+        """A restore leaves nothing resident: the first and the repeat
+        read of each file after it are each a full device read, priced
+        exactly as on the store that wrote them."""
+        store.write(keys_of(range(8)), vals_of(8))  # two files
+        first = store.read(keys_of(range(8)))
+        other = FileStore(2, file_capacity=4)
+        other.load_state(store.export_state())
+        for _ in range(2):
+            again = other.read(keys_of(range(8)))
+            assert (again.seconds, again.files_read) == (first.seconds, 2)
+        assert other.device.read_ops == 4
+        assert other.extent_cache.stats() == {"hits": 0, "misses": 0}
+
     def test_load_state_into_disk_backend(self, store, tmp_path):
         store.write(keys_of(range(6)), vals_of(6))
         disk = FileStore(2, file_capacity=4, directory=str(tmp_path))

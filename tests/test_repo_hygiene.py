@@ -77,6 +77,43 @@ def test_reach_allowlist_names_existing_defs_with_a_reason():
     assert len(entries) <= 54
 
 
+#: two defs of a fake checkout, as ``reach.defs`` keys them
+FAKE_DEFS = {
+    ("src/repro/a.py", 1): ("kept", 3),
+    ("src/repro/a.py", 5): ("Gone.method", 2),
+}
+
+
+def test_reach_verdict_passes_when_the_list_is_exactly_the_unreached():
+    reach = load_reach_module()
+    allowed = {("src/repro/a.py", "kept")}
+    report, code = reach.verdict(FAKE_DEFS, [("src/repro/a.py", 1)], allowed)
+    assert (report, code) == ([], 0)
+    report, _ = reach.verdict(FAKE_DEFS, [("src/repro/a.py", 1)], allowed, show_all=True)
+    assert report == ["  src/repro/a.py:kept  (line 1)"]
+
+
+def test_reach_verdict_fails_on_an_unlisted_unreached_def():
+    reach = load_reach_module()
+    unreached = [("src/repro/a.py", 1), ("src/repro/a.py", 5)]
+    report, code = reach.verdict(FAKE_DEFS, unreached, {("src/repro/a.py", "kept")})
+    assert code == 1
+    assert "! src/repro/a.py:Gone.method  (line 5)" in report
+
+
+def test_reach_verdict_fails_on_a_stale_entry():
+    """A listed def that a scenario now reaches (or that was deleted)
+    fails the gate, so the list never outlives its reason."""
+    reach = load_reach_module()
+    allowed = {("src/repro/a.py", "kept"), ("src/repro/b.py", "deleted")}
+    report, code = reach.verdict(FAKE_DEFS, [("src/repro/a.py", 1)], allowed)
+    assert code == 1
+    assert report[0] == (
+        "listed but not unreached (reached, or gone): src/repro/b.py:deleted"
+    )
+    assert allowed == {("src/repro/a.py", "kept"), ("src/repro/b.py", "deleted")}
+
+
 #: state nothing outside ``tests/`` reads, kept on purpose: (name, reason)
 _COUNTER = "a device work counter; item 16 checks the charges against it"
 WRITE_ONLY_KEPT = (
