@@ -73,6 +73,7 @@ __all__ = [
     "CheckpointStats",
     "save_cluster",
     "delta_base_problem",
+    "find_ssd_file",
     "restore_cluster",
     "restore_nodes",
 ]
@@ -384,6 +385,35 @@ def _read_shard(
     if digest is None:
         raise CheckpointError(f"checkpoint manifest lists no shard {name!r}")
     return fmt.read_shard(directory, name, digest)
+
+
+def find_ssd_file(directory: str, node, file_id: int):
+    """Look for ``node``'s SSD parameter file ``file_id`` in the chain
+    ending at ``directory``, newest member first: a delta packs the files
+    at or above its base's watermark, a full member every live file, and
+    files are immutable with ids never reused, so the first copy found
+    is exact.  Each member's node shard is read once, digest-verified;
+    one that is missing, corrupt or malformed is skipped.  Returns
+    ``((keys, values) or None, sizes)`` with the size of every shard the
+    walk read, in reading order."""
+    from repro.ssd.file_store import packed_file
+
+    name = node_shard_name(node.node_id)
+    sizes: list[int] = []
+    for member_dir, manifest in reversed(fmt.resolve_chain(directory)):
+        try:
+            arrays, size = _read_shard(member_dir, manifest, name)
+            sizes.append(size)
+            found = packed_file(
+                _split_tier_arrays(arrays)["ssd"],
+                file_id,
+                node.ssd_ps.store.value_dim,
+            )
+        except (CheckpointError, KeyError, ValueError):
+            continue
+        if found is not None:
+            return found, sizes
+    return None, sizes
 
 
 def _load_dense(node, dense: dict[str, np.ndarray]) -> None:

@@ -32,12 +32,8 @@ import os
 
 import numpy as np
 
-from repro.ckpt.format import (
-    CheckpointError,
-    node_shard_name,
-    read_shard,
-    resolve_chain,
-)
+from repro.ckpt.checkpoint import find_ssd_file
+from repro.ckpt.format import CheckpointError
 from repro.faults.errors import FaultError
 from repro.faults.policy import FaultArm, FaultReport, RetryPolicy
 from repro.faults.schedule import FaultSchedule
@@ -58,6 +54,7 @@ class CheckpointRecovery:
     The chain is the one ``cluster`` last committed or restored (its
     ``_ckpt_base``), and only when that snapshot lives in ``directory``:
     a newer snapshot another run left in a reused root is never read.
+    :func:`~repro.ckpt.checkpoint.find_ssd_file` walks it.
     """
 
     def __init__(self, directory: str, cluster, node) -> None:
@@ -70,38 +67,12 @@ class CheckpointRecovery:
         if base is None or os.path.dirname(base["directory"]) != self.directory:
             return None
         try:
-            chain = resolve_chain(base["directory"])
+            found, sizes = find_ssd_file(base["directory"], self.node, file_id)
         except CheckpointError:
             return None
-        shard = node_shard_name(self.node.node_id)
-        # Newest-first: a delta member supersedes its base for any file
-        # it packs, and immutability makes every packed copy exact.
-        for member_dir, manifest in reversed(chain):
-            digest = manifest.get("shards", {}).get(shard)
-            if digest is None:
-                continue
-            try:
-                arrays, nbytes = read_shard(member_dir, shard, digest)
-            except CheckpointError:
-                continue
-            values = self._payload_in_shard(arrays, file_id, expected_keys)
-            if values is not None:
-                return values, nbytes, self.node.hdfs.transfer_seconds(nbytes)
-        return None
-
-    @staticmethod
-    def _payload_in_shard(arrays: dict, file_id: int, expected_keys: np.ndarray):
-        if "ssd_file_ids" not in arrays:
+        if found is None or not np.array_equal(found[0], expected_keys):
             return None
-        pos = np.flatnonzero(arrays["ssd_file_ids"] == int(file_id))
-        if pos.size == 0:
-            return None
-        offsets = arrays["ssd_file_offsets"]
-        lo, hi = int(offsets[int(pos[0])]), int(offsets[int(pos[0]) + 1])
-        keys = arrays["ssd_file_keys"][lo:hi]
-        if not np.array_equal(keys, np.asarray(expected_keys)):
-            return None
-        return np.array(arrays["ssd_file_values"][lo:hi], dtype=np.float32)
+        return found[1], sizes[-1], self.node.hdfs.transfer_seconds(sizes[-1])
 
 
 class FaultInjection:
@@ -245,8 +216,6 @@ class FaultInjection:
                 counts[kind] = counts.get(kind, 0) + n
         return {
             "retries": sum(a.retries for a in self.arms),
-            "retry_seconds": sum(a.retry_seconds for a in self.arms),
-            "straggler_seconds": sum(a.straggler_seconds for a in self.arms),
             "bytes_reread": sum(a.bytes_reread for a in self.arms),
             "faults_fired": self.schedule.faults_fired,
             "fault_counts": counts,

@@ -127,14 +127,11 @@ class FaultArm:
         self.incidents = incidents
         self.recovery = recovery
         self.retries = 0
-        self.retry_seconds = 0.0
-        self.straggler_seconds = 0.0
         self.bytes_reread = 0
         self.fault_counts: dict[str, int] = {}
 
     # ------------------------------------------------------------------
     def _charge(self, seconds: float) -> float:
-        self.retry_seconds += seconds
         return self.ledger.add("fault_retry", seconds)
 
     def _record(
@@ -240,7 +237,6 @@ class FaultArm:
         if mult <= 1.0 or stage_seconds <= 0.0:
             return 0.0
         extra = stage_seconds * (mult - 1.0)
-        self.straggler_seconds += extra
         self.ledger.add("fault_straggler", extra)
         self._record("straggler", "straggler", stage=stage, seconds=extra)
         return extra
@@ -260,8 +256,9 @@ class FaultArm:
         there (priced as a ``fault_retry`` HDFS transfer, counted in
         ``bytes_reread``) instead of crashing.  Only a file *newer* than
         every durable copy is truly lost — that raises
-        :class:`PayloadLostError` and the supervisor heals the node by
-        partial restore.
+        :class:`PayloadLostError`.  Such a file is only read after a
+        round past the newest snapshot dumped it, never at a snapshot
+        boundary, so the supervisor heals the loss by full restore.
         """
         per_attempt = store.device.read_time(store.file_bytes(f))
         costs = {"ssd_read_error": per_attempt, "ssd_torn_payload": per_attempt}

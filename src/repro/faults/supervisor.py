@@ -2,42 +2,59 @@
 
 :class:`Supervisor` drives a cluster through ``n_rounds`` of training
 under a seeded :class:`~repro.faults.schedule.FaultSchedule`, absorbing
-whatever escapes the retry layer.  It takes one baseline snapshot and
-leaves the cadence to the snapshot stage
-(:meth:`~repro.core.cluster.HPSCluster.enable_snapshot_stage`) it
-registers on the cluster it drives, with :data:`FULL_EVERY` and
-:data:`KEEP_LAST`: however long the run, its root holds at most
-``FULL_EVERY + KEEP_LAST - 1`` of its snapshots and a restore walks at
-most ``FULL_EVERY``.  Snapshots land on absolute multiples of
-``checkpoint_every`` (round 4, 6, … for a run started at round 3 with
-cadence 2), and pipelined chunks end on them.  It classifies every escaped
-:class:`~repro.faults.errors.FaultError` by its recovery scope and
-applies the cheapest safe action:
+whatever escapes the retry layer.
+
+**Snapshots.**  It attaches the injection, takes one baseline snapshot
+(``mode="auto"``) and then registers the snapshot stage
+(:meth:`~repro.core.cluster.HPSCluster.enable_snapshot_stage`) on the
+cluster it drives, with :data:`FULL_EVERY` and :data:`KEEP_LAST` —
+after the injection, so the straggler wrapper never wraps the stage and
+the fault draws are those of a stage-free registry.  Snapshots land on
+absolute multiples of ``checkpoint_every`` (round 4, 6, … for a run
+started at round 3 with cadence 2), and pipelined chunks end on them; a
+chunk's makespan includes its snapshot stage.  Recovery and SSD
+quarantine read only the newest chain, so however long the run, its
+root holds at most ``FULL_EVERY + KEEP_LAST - 1`` of its snapshots and
+a restore walks at most ``FULL_EVERY``.  The stage is unregistered in
+the same ``finally`` that detaches the injection; a cluster handed in
+with a ``snapshot`` stage of its own is refused before training.
+
+**One recovery decision.**  Every incident reaches :meth:`Supervisor._recover`
+as a :class:`~repro.faults.errors.FaultError`: whatever escapes the
+arms, and the boundary crash probe — every node is probed for a
+``node_crash`` before each round (or pipelined chunk), and a crash
+raises with scope ``"node"`` for one dead node, ``"global"`` for
+several.  Whenever no round is staged in HBM the round's in-flight
+residency is discarded
+(:meth:`~repro.core.cluster.HPSCluster.abort_round`); then the cheapest
+safe action applies:
 
 ``retry_round``
-    a round-scoped fault (HDFS exhaustion) detected in lockstep mode
-    before any durable mutation: discard the round's in-flight
-    residency (:meth:`~repro.core.cluster.HPSCluster.abort_round`) and
+    round scope (HDFS exhaustion), lockstep, nothing staged, and the
+    round's retry budget (``RetryPolicy.max_round_retries``) not spent:
     re-run the same round — batches are pure functions of the global
     index, so the retry reads identical data;
 ``partial_restore``
-    a node-scoped fault (lost SSD payload, boundary node crash) while
-    the survivors sit exactly at the newest checkpoint's round: rebuild
-    the one node, zero replay;
+    node scope, nothing staged, and the newest snapshot taken at the
+    detection round: rebuild the one node, zero replay;
 ``full_restore``
-    everything else (global scope, pipelined escapes, node faults away
-    from a checkpoint boundary): replace every node in place from the
-    newest checkpoint and replay the lost rounds.
+    everything else: replace every node from the newest snapshot and
+    replay the lost rounds.
 
-Either restore heals the cluster it is driving — the very object handed
-to :meth:`Supervisor.run`, whose stage registry (the injection's
-wrappers, the snapshot stage) stays as it is — and the injection arms
-the nodes the restore replaced
-(:meth:`~repro.faults.inject.FaultInjection.rearm`); both go through
-:func:`~repro.ckpt.checkpoint.restore_nodes`.
+A round's retry budget resets after every restore.  Either restore heals
+the cluster it is driving — the very object handed to
+:meth:`Supervisor.run`, whose stage registry (the injection's wrappers,
+the snapshot stage) stays as it is — through
+:func:`~repro.ckpt.checkpoint.restore_nodes`, and the injection arms the
+nodes the restore replaced
+(:meth:`~repro.faults.inject.FaultInjection.rearm`), so a replacement's
+SSD, HDFS, HBM and straggler arms charge its own ledger.  Every
+escalation is one :class:`~repro.faults.policy.FaultReport` (detection
+round, action, retries, downtime seconds, replayed rounds); more than
+``max_recoveries`` of them raise
+:class:`~repro.faults.errors.UnrecoverableFaultError`.
 
-Every node is probed for a ``node_crash`` once per round boundary, so a
-scripted crash is the deterministic kill-and-recover experiment: on a
+A scripted crash is the deterministic kill-and-recover experiment: on a
 run started at round ``start``, ``script={("node_crash", node, r + 1 -
 start): 1}`` kills ``node`` right after round ``r`` (probe ops keep
 counting after a restore, so that equality holds up to the first
@@ -45,16 +62,15 @@ recovery).
 
 The invariant the soak suite enforces: any schedule whose faults are
 all recoverable yields **bit-identical** final parameters to the
-fault-free run.  The classification above preserves it by construction
-— read/prefetch/prepare mutate only residency (never values), partial
-restore rebuilds a node from the round boundary the survivors are at,
-and a full restore replays rounds that are pure functions of
-``(seed, round_index)``.
+fault-free run.  The rule preserves it by construction — read/prefetch/
+prepare mutate only residency (never values), a partial restore
+rebuilds a node from the round boundary the survivors are at, and a full
+restore replays rounds that are pure functions of ``(seed,
+round_index)``.
 
 Time accounting is all simulated: ``training_seconds`` is productive
 round time, ``replay_seconds`` re-trained rounds after a full restore,
 ``restore_seconds`` checkpoint read-back — the latter two are downtime.
-A pipelined chunk's makespan includes its snapshot stage.
 """
 
 from __future__ import annotations
@@ -137,8 +153,6 @@ class Supervisor:
         directory: str,
         *,
         checkpoint_every: int = 2,
-        policy: RetryPolicy | None = None,
-        queue_capacity: int | tuple[int, ...] = 2,
         max_recoveries: int = 32,
     ) -> None:
         if checkpoint_every < 1:
@@ -147,14 +161,32 @@ class Supervisor:
             raise ValueError("max_recoveries must be >= 1")
         self.directory = directory
         self.checkpoint_every = checkpoint_every
-        self.policy = policy if policy is not None else RetryPolicy()
-        self.queue_capacity = queue_capacity
         self.max_recoveries = max_recoveries
 
     # ------------------------------------------------------------------
     @staticmethod
     def _has_snapshot_stage(cluster) -> bool:
         return any(name == "snapshot" for name, _ in cluster.stage_functions())
+
+    @staticmethod
+    def _probe_crash(cluster, schedule: FaultSchedule) -> None:
+        """Draw every node's ``node_crash`` at this round boundary; raise
+        the crash as a :class:`FaultError` — node scope for one dead
+        node, global for several."""
+        crashed = [
+            node.node_id
+            for node in cluster.nodes
+            if schedule.draw("node_crash", node.node_id) > 0
+        ]
+        if crashed:
+            raise FaultError(
+                f"node(s) {crashed} crashed after round "
+                f"{cluster.rounds_completed}",
+                surface="node",
+                kind="node_crash",
+                node=crashed[0] if len(crashed) == 1 else None,
+                scope="node" if len(crashed) == 1 else "global",
+            )
 
     # ------------------------------------------------------------------
     def run(
@@ -182,7 +214,7 @@ class Supervisor:
             )
         os.makedirs(self.directory, exist_ok=True)
         injection = FaultInjection(
-            schedule, self.policy, recovery_directory=self.directory
+            schedule, RetryPolicy(), recovery_directory=self.directory
         )
         injection.attach(cluster)
         out = SupervisedRun(cluster=cluster, reports=())
@@ -208,24 +240,13 @@ class Supervisor:
             stage.history = out.checkpoints
             while cluster.rounds_completed < target:
                 rc = cluster.rounds_completed
-                crashed = [
-                    node.node_id
-                    for node in cluster.nodes
-                    if schedule.draw("node_crash", node.node_id) > 0
-                ]
-                if crashed:
-                    replaying_until = self._recover_crash(
-                        cluster, injection, crashed, out, reports, replaying_until
-                    )
-                    continue
                 try:
+                    self._probe_crash(cluster, schedule)
                     if pipelined:
                         # Chunks end on cadence points, so a chunk's last
                         # stage is the snapshot a later restore starts from.
                         chunk = min(every - rc % every, target - rc)
-                        run = cluster.train_pipelined(
-                            chunk, queue_capacity=self.queue_capacity
-                        )
+                        run = cluster.train_pipelined(chunk)
                         out.stats.extend(run.stats)
                         n_replayed = max(0, min(replaying_until, rc + chunk) - rc)
                         frac = n_replayed / chunk
@@ -244,16 +265,14 @@ class Supervisor:
                     reports.extend(
                         replace(r, round=rc) for r in injection.drain_incidents()
                     )
-                    replaying_until, round_retries = self._recover(
-                        cluster,
-                        injection,
-                        err,
-                        pipelined,
-                        out,
-                        reports,
-                        replaying_until,
-                        round_retries,
+                    report = self._recover(
+                        cluster, injection, err, pipelined, out, round_retries
                     )
+                    reports.append(report)
+                    retried = report.action == "retry_round"
+                    round_retries = round_retries + 1 if retried else 0
+                    if report.action == "full_restore":
+                        replaying_until = max(replaying_until, report.round)
                     continue
                 reports.extend(
                     replace(r, round=cluster.rounds_completed)
@@ -269,7 +288,17 @@ class Supervisor:
         return out
 
     # ------------------------------------------------------------------
-    def _spend_recovery(self, out: SupervisedRun, err: Exception | None) -> None:
+    def _recover(
+        self,
+        cluster,
+        injection: FaultInjection,
+        err: FaultError,
+        pipelined: bool,
+        out: SupervisedRun,
+        round_retries: int,
+    ) -> FaultReport:
+        """Apply the cheapest safe action for ``err`` (the module
+        docstring's one rule); returns its report."""
         out.recoveries += 1
         if out.recoveries > self.max_recoveries:
             raise UnrecoverableFaultError(
@@ -278,156 +307,41 @@ class Supervisor:
                 "survivable at this cadence",
                 surface="supervisor",
             ) from err
-
-    @staticmethod
-    def _restore(cluster, injection: FaultInjection, directory: str, node_ids):
-        """Replace ``node_ids`` in place from the snapshot in ``directory``
-        and arm the replacements; returns the restore's
-        :class:`~repro.ckpt.checkpoint.CheckpointStats`.  Its cost is this
-        read-back's critical path — not the ledgers' ``ckpt_read`` total,
-        which carries the snapshot's cost history, earlier restores
-        included."""
-        stats = restore_nodes(cluster, directory, node_ids)
-        injection.rearm()
-        return stats
-
-    def _full_restore(
-        self, cluster, injection: FaultInjection, out: SupervisedRun
-    ) -> tuple[float, int]:
-        """Rewind every node to the newest checkpoint; returns
-        ``(restore_seconds, replay_rounds)``."""
         detect = cluster.rounds_completed
         newest = out.checkpoints[-1]
-        stats = self._restore(
-            cluster, injection, newest.directory, range(cluster.n_nodes)
-        )
-        return stats.seconds, max(0, detect - newest.rounds_completed)
-
-    def _recover_crash(
-        self,
-        cluster,
-        injection: FaultInjection,
-        crashed: list[int],
-        out: SupervisedRun,
-        reports: list[FaultReport],
-        replaying_until: int,
-    ):
-        """Boundary node-crash probe fired: heal before training resumes."""
-        self._spend_recovery(out, None)
-        rc = cluster.rounds_completed
-        newest = out.checkpoints[-1]
-        if len(crashed) == 1 and newest.rounds_completed == rc:
-            stats = self._restore(cluster, injection, newest.directory, crashed)
-            out.restore_seconds += stats.seconds
-            reports.append(
-                FaultReport(
-                    round=rc,
-                    surface="node",
-                    kind="node_crash",
-                    node=crashed[0],
-                    action="partial_restore",
-                    downtime_seconds=stats.seconds,
-                )
-            )
-            return replaying_until
-        seconds, replay = self._full_restore(cluster, injection, out)
-        out.restore_seconds += seconds
-        replaying_until = max(replaying_until, rc)
-        reports.append(
-            FaultReport(
-                round=rc,
-                surface="node",
-                kind="node_crash",
-                node=crashed[0] if len(crashed) == 1 else None,
-                action="full_restore",
-                downtime_seconds=seconds,
-                replay_rounds=replay,
-            )
-        )
-        return replaying_until
-
-    def _recover(
-        self,
-        cluster,
-        injection: FaultInjection,
-        err: FaultError,
-        pipelined: bool,
-        out: SupervisedRun,
-        reports: list[FaultReport],
-        replaying_until: int,
-        round_retries: int,
-    ):
-        """Classify an escaped fault and apply the cheapest safe action."""
-        self._spend_recovery(out, err)
-        detect = cluster.rounds_completed
-        newest = out.checkpoints[-1]
-        retries = getattr(err, "retries", 0)
-
+        staged = cluster._staged_rounds > 0
+        if not staged:
+            # Residency only — values change at write-back — so the
+            # boundary is value-exact again.
+            cluster.abort_round()
         if (
             err.scope == "round"
             and not pipelined
-            and cluster._staged_rounds == 0
-            and round_retries < self.policy.max_round_retries
+            and not staged
+            and round_retries < injection.policy.max_round_retries
         ):
-            # Round inputs are suspect but nothing durable moved: the
-            # round's residency is discarded and the identical round
-            # re-runs (batches are pure functions of the global index).
-            cluster.abort_round()
-            reports.append(
-                FaultReport(
-                    round=detect,
-                    surface=err.surface or "unknown",
-                    kind=err.kind or "unknown",
-                    node=err.node,
-                    action="retry_round",
-                    stage=err.stage,
-                    retries=retries,
-                )
-            )
-            return replaying_until, round_retries + 1
-
-        if (
-            err.scope == "node"
-            and err.node is not None
-            and not pipelined
-            and cluster._staged_rounds == 0
-            and err.stage in ("read", "prefetch", "prepare")
-            and newest.rounds_completed == detect
-        ):
-            # One node's durable state is suspect, the survivors sit
-            # exactly at the newest snapshot's round boundary, and no
-            # values were staged: heal just that node, zero replay.
-            cluster.abort_round()
-            stats = self._restore(cluster, injection, newest.directory, [err.node])
-            out.restore_seconds += stats.seconds
-            reports.append(
-                FaultReport(
-                    round=detect,
-                    surface=err.surface or "unknown",
-                    kind=err.kind or "unknown",
-                    node=err.node,
-                    action="partial_restore",
-                    stage=err.stage,
-                    retries=retries,
-                    downtime_seconds=stats.seconds,
-                )
-            )
-            return replaying_until, 0
-
-        seconds, replay = self._full_restore(cluster, injection, out)
-        out.restore_seconds += seconds
-        replaying_until = max(replaying_until, detect)
-        reports.append(
-            FaultReport(
-                round=detect,
-                surface=err.surface or "unknown",
-                kind=err.kind or "unknown",
-                node=err.node,
-                action="full_restore",
-                stage=err.stage,
-                retries=retries,
-                downtime_seconds=seconds,
-                replay_rounds=replay,
-            )
+            action, node_ids = "retry_round", []
+        elif err.scope == "node" and not staged and newest.rounds_completed == detect:
+            action, node_ids = "partial_restore", [err.node]
+        else:
+            action, node_ids = "full_restore", range(cluster.n_nodes)
+        seconds = 0.0
+        if node_ids:
+            # The restore's own read-back — not the ledgers' ``ckpt_read``
+            # total, which carries the snapshot's cost history.
+            seconds = restore_nodes(cluster, newest.directory, node_ids).seconds
+            injection.rearm()
+            out.restore_seconds += seconds
+        return FaultReport(
+            round=detect,
+            surface=err.surface or "unknown",
+            kind=err.kind or "unknown",
+            node=err.node,
+            action=action,
+            stage=err.stage,
+            retries=getattr(err, "retries", 0),
+            downtime_seconds=seconds,
+            replay_rounds=(
+                detect - newest.rounds_completed if action == "full_restore" else 0
+            ),
         )
-        return replaying_until, 0

@@ -755,6 +755,21 @@ def _unpack(state: dict[str, np.ndarray], what: str, value_dim: int) -> tuple:
     return fids, offsets, file_keys, file_values, stale
 
 
+def packed_file(
+    state: dict[str, np.ndarray], file_id: int, value_dim: int
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """File ``file_id``'s ``(keys, values)`` out of an
+    :meth:`FileStore.export_state` / :meth:`FileStore.export_delta`
+    tier's packed files (validated as a load validates them), or
+    ``None`` when they pack no such file."""
+    fids, offsets, keys, values, _ = _unpack(state, "packed", value_dim)
+    i = int(np.searchsorted(fids, file_id))
+    if i == fids.size or int(fids[i]) != file_id:
+        return None
+    lo, hi = int(offsets[i]), int(offsets[i + 1])
+    return keys[lo:hi], values[lo:hi]
+
+
 def _derive_mapping(
     file_ids: np.ndarray, offsets: np.ndarray, file_keys: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

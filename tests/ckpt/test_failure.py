@@ -26,9 +26,9 @@ def crash_after(node: int, round_index: int) -> FaultSchedule:
     return FaultSchedule(0, script={("node_crash", node, round_index + 1): 1})
 
 
-def supervise(cluster, directory, n_rounds, schedule, *, every):
+def supervise(cluster, directory, n_rounds, schedule, *, every, pipelined=False):
     supervisor = Supervisor(str(directory), checkpoint_every=every)
-    return supervisor.run(cluster, n_rounds, schedule)
+    return supervisor.run(cluster, n_rounds, schedule, pipelined=pipelined)
 
 
 def the_crash(run):
@@ -153,17 +153,29 @@ def test_crash_the_run_never_reaches_is_never_probed(
     assert schedule.faults_fired == 0
 
 
+@pytest.mark.parametrize("pipelined", [False, True])
 def test_partial_recovery_matches_no_failure_state(
-    tiny_spec, small_config, tmp_path
+    tiny_spec, small_config, tmp_path, pipelined
 ):
     """The crash strikes right after a cadence snapshot committed, deep
     in a delta chain, so one replacement node splices in and nothing
-    replays."""
+    replays.  Pipelined, the probe runs once per two-round chunk, so its
+    op 3 is the boundary after round 5."""
     baseline = build(tiny_spec, small_config)
     baseline.train(8)
 
+    schedule = (
+        FaultSchedule(0, script={("node_crash", 1, 3): 1})
+        if pipelined
+        else crash_after(1, 5)
+    )
     run = supervise(
-        build(tiny_spec, small_config), tmp_path, 8, crash_after(1, 5), every=2
+        build(tiny_spec, small_config),
+        tmp_path,
+        8,
+        schedule,
+        every=2,
+        pipelined=pipelined,
     )
     assert run.cluster.rounds_completed == 8
     crash = the_crash(run)

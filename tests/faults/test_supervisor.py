@@ -239,6 +239,27 @@ class TestRecoveryActions:
         assert run.rounds == 4
         assert_param_parity(run.cluster, twin)
 
+    def test_a_restore_resets_the_round_retry_budget(self, mk_cluster, tmp_path):
+        """Round 2's read exhausts (node 0's HDFS op 2), node 1 crashes
+        before the re-run (probe op 3, at the round-2 snapshot), and the
+        healed round still gets every retry: ops 3–5 exhaust again
+        without escalating."""
+        twin = mk_cluster()
+        twin.train(4)
+        script = {("hdfs_timeout", 0, i): 8 for i in range(2, 6)}
+        script[("node_crash", 1, 3)] = 1
+        run = run_supervised(
+            mk_cluster, tmp_path, FaultSchedule(0, script=script), n_rounds=4
+        )
+        retries = RetryPolicy().max_round_retries
+        assert [
+            (r.round, r.action) for r in run.reports if r.action != "retried"
+        ] == [(2, "retry_round"), (2, "partial_restore")] + [
+            (2, "retry_round")
+        ] * retries
+        assert run.rounds == 4
+        assert_param_parity(run.cluster, twin)
+
 
 class TestQuarantineUnderSupervision:
     def test_ssd_exhaustion_is_absorbed_by_quarantine(
