@@ -44,12 +44,12 @@ __all__ = ["CheckpointRecovery", "FaultInjection"]
 class CheckpointRecovery:
     """Re-materialize one node's lost parameter file from a checkpoint.
 
-    Callable as ``(file_id, expected_keys) -> (values, nbytes, seconds)
-    or None`` — the quarantine hook a
+    Callable as ``(file_id, expected_keys) -> (values or None, nbytes,
+    seconds)`` — the quarantine hook a
     :class:`~repro.faults.policy.FaultArm` consults when an SSD read
-    exhausts its retries.  ``seconds`` is the simulated HDFS transfer
-    time of the shard holding the payload; ``nbytes`` its on-disk size
-    (the bytes re-read the fault report accounts).
+    exhausts its retries.  ``nbytes`` sums the on-disk sizes of every
+    shard the walk read, found or not (the bytes re-read the fault
+    report accounts), and ``seconds`` their simulated HDFS transfer.
 
     The chain is the one ``cluster`` last committed or restored (its
     ``_ckpt_base``), and only when that snapshot lives in ``directory``:
@@ -65,14 +65,17 @@ class CheckpointRecovery:
     def __call__(self, file_id: int, expected_keys: np.ndarray):
         base = self.cluster._ckpt_base
         if base is None or os.path.dirname(base["directory"]) != self.directory:
-            return None
+            return None, 0, 0.0
         try:
             found, sizes = find_ssd_file(base["directory"], self.node, file_id)
         except CheckpointError:
-            return None
-        if found is None or not np.array_equal(found[0], expected_keys):
-            return None
-        return found[1], sizes[-1], self.node.hdfs.transfer_seconds(sizes[-1])
+            return None, 0, 0.0
+        # One transfer per walk, as a restore prices its shard chain.
+        nbytes = sum(sizes)
+        seconds = self.node.hdfs.transfer_seconds(nbytes) if sizes else 0.0
+        if found is not None and np.array_equal(found[0], expected_keys):
+            return found[1], nbytes, seconds
+        return None, nbytes, seconds
 
 
 class FaultInjection:

@@ -103,9 +103,10 @@ class FaultArm:
     """One surface's guard: draw → retry/backoff → degrade or raise.
 
     ``recovery`` (optional) is the quarantine source for exhausted SSD
-    reads: a callable ``(file_id, expected_keys) -> (values, nbytes,
-    seconds) | None`` that re-materializes an immutable parameter file's
-    payload from the newest checkpoint chain.
+    reads: a callable ``(file_id, expected_keys) -> (values or None,
+    nbytes, seconds)`` that re-materializes an immutable parameter
+    file's payload from the newest checkpoint chain and reports what
+    that read cost, found or not.
     """
 
     def __init__(
@@ -117,7 +118,7 @@ class FaultArm:
         surface: str,
         node: int | None = None,
         incidents: list[FaultReport] | None = None,
-        recovery: Callable[[int, np.ndarray], tuple | None] | None = None,
+        recovery: Callable[[int, np.ndarray], tuple] | None = None,
     ) -> None:
         self.schedule = schedule
         self.policy = policy
@@ -265,10 +266,15 @@ class FaultArm:
         try:
             return self.guard(costs, scope="node")
         except FaultExhaustedError as exc:
-            recovered = (
-                None if self.recovery is None else self.recovery(f.file_id, f.keys)
+            values, nbytes, seconds = (
+                (None, 0, 0.0)
+                if self.recovery is None
+                else self.recovery(f.file_id, f.keys)
             )
-            if recovered is None:
+            # Every shard the walk read is a re-read, found or not.
+            self._charge(seconds)
+            self.bytes_reread += int(nbytes)
+            if values is None:
                 raise PayloadLostError(
                     f"parameter file {f.file_id} unreadable after "
                     f"{exc.retries} retries and no checkpointed copy exists",
@@ -277,7 +283,6 @@ class FaultArm:
                     kind=exc.kind,
                     node=self.node,
                 ) from exc
-            values, nbytes, seconds = recovered
             values = np.asarray(values, dtype=np.float32)
             expected = store._payload(f.file_id)
             if not np.array_equal(values, expected):
@@ -291,8 +296,6 @@ class FaultArm:
                     node=self.node,
                 ) from exc
             store._store_payload(f.file_id, values)
-            self._charge(seconds)
-            self.bytes_reread += int(nbytes)
             self._record(
                 exc.kind or "ssd_read_error",
                 "quarantine",

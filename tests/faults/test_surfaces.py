@@ -14,6 +14,7 @@ import os
 import numpy as np
 import pytest
 
+from repro.ckpt.format import node_shard_name
 from repro.core.cluster import RoundContext
 from repro.faults import (
     FaultError,
@@ -203,6 +204,33 @@ class TestSSDSurface:
         # Counted once: not at exhaustion and again at the quarantine.
         assert sum(totals["fault_counts"].values()) == totals["faults_fired"] == 1
         assert fault_retry_total(cluster) > 0.0
+
+    def test_quarantine_prices_every_shard_the_walk_reads(self, mk_pressured, tmp_path):
+        """A file only the full base packs: the walk reads the delta's
+        shard first, finds nothing there, then the base's — both count."""
+        cluster = mk_pressured()
+        cluster.train(8)
+        root = tmp_path / "ckpt"
+        cluster.save_checkpoint(str(root / "round_000008"), mode="full")
+        based = {f.file_id for f in cluster.nodes[0].ssd_ps.store.files()}
+        cluster.train(2)
+        cluster.save_checkpoint(str(root / "round_000010"), mode="delta")
+        store = cluster.nodes[0].ssd_ps.store
+        f = next(f for f in store.files() if f.file_id in based and not f.stale_count)
+
+        schedule = FaultSchedule(0, script={("ssd_read_error", 0, 0): 8})
+        injection = FaultInjection(
+            schedule, RetryPolicy(), recovery_directory=str(root)
+        ).attach(cluster)
+        store.read(f.keys)
+        injection.detach()
+
+        walked = sum(
+            os.path.getsize(root / member / node_shard_name(0))
+            for member in ("round_000010", "round_000008")
+        )
+        (quarantine,) = [i for i in injection.incidents if i.action == "quarantine"]
+        assert quarantine.bytes_reread == injection.totals()["bytes_reread"] == walked
 
     def test_quarantine_reads_its_own_chain_in_a_reused_root(
         self, mk_cluster, mk_pressured, tmp_path
