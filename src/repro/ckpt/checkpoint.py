@@ -388,14 +388,11 @@ def _read_shard(
 
 
 def find_ssd_file(directory: str, node, file_id: int):
-    """Look for ``node``'s SSD parameter file ``file_id`` in the chain
-    ending at ``directory``, newest member first: a delta packs the files
-    at or above its base's watermark, a full member every live file, and
-    files are immutable with ids never reused, so the first copy found
-    is exact.  Each member's node shard is read once, digest-verified;
-    one that is missing, corrupt or malformed is skipped.  Returns
-    ``((keys, values) or None, sizes)`` with the size of every shard the
-    walk read, in reading order."""
+    """``node``'s SSD parameter file ``file_id`` from the chain ending at
+    ``directory``, newest member first — files are immutable and ids
+    never reused, so the first copy is exact.  A member whose shard is
+    missing, corrupt or malformed is skipped.  Returns ``((keys, values)
+    or None, sizes)``: the size of every shard the walk read."""
     from repro.ssd.file_store import packed_file
 
     name = node_shard_name(node.node_id)

@@ -16,14 +16,9 @@ calls after every partial or full restore (the schedule's streams and
 budget carry across the restore, so replayed rounds draw fresh,
 deterministic faults).
 
-Quarantine recovery: parameter files are immutable and their ids are
-never reused, so any file that predates the cluster's last committed
-(or restored) snapshot has its exact payload in that snapshot chain's
-SSD exports (a full member packs every file; a delta member packs the
-files at or above its base watermark — walking the chain newest-first
-finds at most one copy, always exact).  :class:`CheckpointRecovery`
-resolves that copy, digest-verified, and prices the re-read as an HDFS
-transfer on the ``fault_retry`` line.
+Quarantine recovery: :class:`CheckpointRecovery` re-materializes the
+file of an exhausted SSD read from the cluster's own snapshot chain
+(:func:`~repro.ckpt.checkpoint.find_ssd_file`).
 """
 
 from __future__ import annotations
@@ -73,9 +68,8 @@ class CheckpointRecovery:
         # One transfer per walk, as a restore prices its shard chain.
         nbytes = sum(sizes)
         seconds = self.node.hdfs.transfer_seconds(nbytes) if sizes else 0.0
-        if found is not None and np.array_equal(found[0], expected_keys):
-            return found[1], nbytes, seconds
-        return None, nbytes, seconds
+        exact = found is not None and np.array_equal(found[0], expected_keys)
+        return (found[1] if exact else None), nbytes, seconds
 
 
 class FaultInjection:

@@ -132,9 +132,6 @@ class FaultArm:
         self.fault_counts: dict[str, int] = {}
 
     # ------------------------------------------------------------------
-    def _charge(self, seconds: float) -> float:
-        return self.ledger.add("fault_retry", seconds)
-
     def _record(
         self,
         kind: str,
@@ -193,7 +190,7 @@ class FaultArm:
                 seconds += self.policy.backoff_seconds(
                     attempt, self.schedule.uniform(kind, self.node)
                 )
-            self._charge(seconds)
+            self.ledger.add("fault_retry", seconds)
             retries = backoffs
             self.retries += retries
             extra += seconds
@@ -223,7 +220,7 @@ class FaultArm:
             return 0.0
         u = self.schedule.uniform(kind, self.node)
         extra = max(base_seconds * depth, self.policy.backoff_base_s) * (1.0 + u)
-        self._charge(extra)
+        self.ledger.add("fault_retry", extra)
         self._record(kind, "stall", seconds=extra)
         return extra
 
@@ -272,7 +269,7 @@ class FaultArm:
                 else self.recovery(f.file_id, f.keys)
             )
             # Every shard the walk read is a re-read, found or not.
-            self._charge(seconds)
+            self.ledger.add("fault_retry", seconds)
             self.bytes_reread += int(nbytes)
             if values is None:
                 raise PayloadLostError(

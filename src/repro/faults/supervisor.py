@@ -180,8 +180,7 @@ class Supervisor:
         ]
         if crashed:
             raise FaultError(
-                f"node(s) {crashed} crashed after round "
-                f"{cluster.rounds_completed}",
+                f"node(s) {crashed} crashed after round {cluster.rounds_completed}",
                 surface="node",
                 kind="node_crash",
                 node=crashed[0] if len(crashed) == 1 else None,
