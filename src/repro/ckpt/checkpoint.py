@@ -391,7 +391,7 @@ def find_ssd_file(directory: str, node, file_id: int):
     """``node``'s SSD parameter file ``file_id`` from the chain ending at
     ``directory``, newest member first — files are immutable and ids
     never reused, so the first copy is exact.  A member whose shard is
-    missing, corrupt or malformed is skipped.  Returns ``((keys, values)
+    missing or corrupt is skipped.  Returns ``((keys, values)
     or None, sizes)``: the size of every shard the walk read."""
     from repro.ssd.file_store import packed_file
 
@@ -400,14 +400,11 @@ def find_ssd_file(directory: str, node, file_id: int):
     for member_dir, manifest in reversed(fmt.resolve_chain(directory)):
         try:
             arrays, size = _read_shard(member_dir, manifest, name)
-            sizes.append(size)
-            found = packed_file(
-                _split_tier_arrays(arrays)["ssd"],
-                file_id,
-                node.ssd_ps.store.value_dim,
-            )
-        except (CheckpointError, KeyError, ValueError):
+        except CheckpointError:
             continue
+        sizes.append(size)
+        ssd = _split_tier_arrays(arrays)["ssd"]
+        found = packed_file(ssd, file_id, node.ssd_ps.store.value_dim)
         if found is not None:
             return found, sizes
     return None, sizes

@@ -159,16 +159,12 @@ def test_partial_recovery_matches_no_failure_state(
 ):
     """The crash strikes right after a cadence snapshot committed, deep
     in a delta chain, so one replacement node splices in and nothing
-    replays.  Pipelined, the probe runs once per two-round chunk, so its
-    op 3 is the boundary after round 5."""
+    replays.  The boundary after round 5 is probe op 6 in lockstep (one
+    probe a round) and op 3 pipelined (one per two-round chunk)."""
     baseline = build(tiny_spec, small_config)
     baseline.train(8)
 
-    schedule = (
-        FaultSchedule(0, script={("node_crash", 1, 3): 1})
-        if pipelined
-        else crash_after(1, 5)
-    )
+    schedule = FaultSchedule(0, script={("node_crash", 1, 3 if pipelined else 6): 1})
     run = supervise(
         build(tiny_spec, small_config),
         tmp_path,
