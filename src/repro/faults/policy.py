@@ -105,8 +105,9 @@ class FaultArm:
     ``recovery`` (optional) is the quarantine source for exhausted SSD
     reads: a callable ``(file_id, expected_keys) -> (values or None,
     nbytes, seconds)`` that re-materializes an immutable parameter
-    file's payload from the newest checkpoint chain and reports what
-    that read cost, found or not.
+    file's payload from the newest checkpoint chain — ``None`` unless
+    the copy holds every expected key, the file's live ones — and
+    reports what that read cost, found or not.
     """
 
     def __init__(
@@ -263,10 +264,13 @@ class FaultArm:
         try:
             return self.guard(costs, scope="node")
         except FaultExhaustedError as exc:
+            # Stale rows' newest copies sit in other files: what is at
+            # stake is the live keys.
+            keys = f.keys[store.live_mask(f.file_id)]
             values, nbytes, seconds = (
                 (None, 0, 0.0)
                 if self.recovery is None
-                else self.recovery(f.file_id, f.keys)
+                else self.recovery(f.file_id, keys)
             )
             # Every shard the walk read is a re-read, found or not.
             self.ledger.add("fault_retry", seconds)
@@ -276,7 +280,7 @@ class FaultArm:
                     f"parameter file {f.file_id} unreadable after "
                     f"{exc.retries} retries and no checkpointed copy exists",
                     file_id=f.file_id,
-                    keys=f.keys,
+                    keys=keys,
                     kind=exc.kind,
                     node=self.node,
                 ) from exc
@@ -288,7 +292,7 @@ class FaultArm:
                     "not match the immutable payload — refusing to "
                     "re-materialize",
                     file_id=f.file_id,
-                    keys=f.keys,
+                    keys=keys,
                     kind=exc.kind,
                     node=self.node,
                 ) from exc

@@ -454,21 +454,25 @@ class FileStore:
         slots, rows = np.divmod(locs, self.file_capacity)
         return keys, self._gather(slots, rows)
 
-    def _live(self, slots: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(key, slot, row)`` of every row of the files in ``slots`` the
-        mapping still points at."""
+    def _live(self, slots: np.ndarray) -> tuple[np.ndarray, ...]:
+        """``(live, key, slot, row)`` of every row of the files in
+        ``slots``, file by file: ``live`` says whether the mapping still
+        points at the row."""
         owner, within, at = self._rows_of(slots)
         keys = self._arena_keys[at]
         locs, _ = self._mapping.get(keys)
-        live = locs == owner * self.file_capacity + within
-        return keys[live], owner[live], within[live]
+        return locs == owner * self.file_capacity + within, keys, owner, within
+
+    def live_mask(self, file_id: int) -> np.ndarray:
+        """Which rows of live file ``file_id`` the mapping points at."""
+        return self._live(np.asarray([self._slot_of[file_id]], dtype=np.int64))[0]
 
     def live_rows(self, file_ids) -> tuple[np.ndarray, np.ndarray]:
         """(keys, values) of the non-stale rows of the files ``file_ids``,
         file by file in the given order (no I/O charged)."""
         slots = np.asarray([self._slot_of[int(f)] for f in file_ids], dtype=np.int64)
-        keys, owner, within = self._live(slots)
-        return keys, self._gather(owner, within)
+        live, keys, owner, within = self._live(slots)
+        return keys[live], self._gather(owner[live], within[live])
 
     def erase(self, file_id: int) -> None:
         """Remove a file (compaction has rewritten its live rows).
@@ -482,11 +486,12 @@ class FileStore:
         slot = self._slot_of[file_id]
         path = self._path(file_id)
         if path is not None and not os.path.exists(path):
+            live, keys, _, _ = self._live(np.asarray([slot], dtype=np.int64))
             raise PayloadLostError(
                 f"parameter file {file_id} payload missing "
                 f"({path!r}) — refusing to erase lost data",
                 file_id=file_id,
-                keys=self._live(np.asarray([slot], dtype=np.int64))[0],
+                keys=keys[live],
             )
         del self._slot_of[file_id]
         rows = int(self._slot_rows[slot])

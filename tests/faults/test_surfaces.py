@@ -23,6 +23,7 @@ from repro.faults import (
     FaultInjection,
     RetryPolicy,
 )
+from repro.faults.policy import FaultArm
 from repro.ssd.file_store import FileStore
 
 
@@ -276,6 +277,24 @@ class TestSSDSurface:
         assert np.array_equal(err.keys, f.keys)
         assert err.scope == "node"
         assert isinstance(err, FileNotFoundError)
+
+    def test_lost_file_reports_its_live_keys_only(self):
+        """A stale row's newest copy sits in another file, so a loss
+        names the live keys — as ``erase`` does — not every row."""
+        store = FileStore(2, 4)
+        store.write(np.arange(4), np.ones((4, 2), np.float32))  # file 0
+        store.write(np.asarray([1]), np.zeros((1, 2), np.float32))  # row 1 stale
+        store.faults = FaultArm(  # no recovery: the exhausted read is a loss
+            FaultSchedule(0, script={("ssd_read_error", 0, 0): 8}),
+            RetryPolicy(),
+            store.ledger,
+            surface="ssd",
+            node=0,
+        )
+        with pytest.raises(PayloadLostError) as exc:
+            store.read(np.asarray([0, 2, 3]))
+        assert exc.value.file_id == 0
+        assert exc.value.keys.tolist() == [0, 2, 3]
 
 
 class TestEraseLossSurface:

@@ -164,8 +164,11 @@ class ReferenceFileStore:
             found[sel] = True
         return ReadResult(out, found, total_t, files_read, bytes_read)
 
+    def live_mask(self, file_id: int) -> np.ndarray:
+        return self.mapping_of(self.files[file_id].keys) == file_id
+
     def live_rows(self, f: ReferenceFile) -> tuple[np.ndarray, np.ndarray]:
-        live = self.mapping_of(f.keys) == f.file_id
+        live = self.live_mask(f.file_id)
         return f.keys[live], f.values[live]
 
     def erase(self, file_id: int) -> None:
