@@ -80,7 +80,9 @@ __all__ = [
 #: and ``extent_cache_hits``; the config lost ``compaction_stale_fraction``.
 #: v7: SSD exports drop ``extent_cache_fids`` (the SSD tier has no file
 #: cache); the config lost ``ssd_extent_cache_files``.
-FORMAT_VERSION = 7
+#: v8: SSD exports ship live rows only: a packed ``file_live`` mask over
+#: every row, then keys and values of its set bits.
+FORMAT_VERSION = 8
 
 MANIFEST_NAME = "manifest.json"
 DENSE_SHARD = "dense.shard"

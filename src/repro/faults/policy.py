@@ -249,10 +249,11 @@ class FaultArm:
     def ssd_read(self, store: Any, f: Any) -> float:
         """Guard one parameter-file read; quarantine on exhaustion.
 
-        Parameter files are immutable, so a file that predates the
-        newest checkpoint has its exact payload in the checkpoint
-        chain's SSD exports: an exhausted read re-materializes it from
-        there (priced as a ``fault_retry`` HDFS transfer, counted in
+        Parameter files are immutable and rows only ever go stale, so a
+        file that predates the newest checkpoint has every live row in
+        the checkpoint chain's SSD exports: an exhausted read
+        re-materializes it from there as a restore would, stale rows
+        zeroed (priced as a ``fault_retry`` HDFS transfer, counted in
         ``bytes_reread``) instead of crashing.  Only a file *newer* than
         every durable copy is truly lost — that raises
         :class:`PayloadLostError`.  Such a file is only read after a
@@ -265,8 +266,9 @@ class FaultArm:
             return self.guard(costs, scope="node")
         except FaultExhaustedError as exc:
             # Stale rows' newest copies sit in other files: what is at
-            # stake is the live keys.
-            keys = f.keys[store.live_mask(f.file_id)]
+            # stake is the live rows, all a snapshot ships.
+            live = store.live_mask(f.file_id)
+            keys = f.keys[live]
             values, nbytes, seconds = (
                 (None, 0, 0.0)
                 if self.recovery is None
@@ -286,7 +288,9 @@ class FaultArm:
                 ) from exc
             values = np.asarray(values, dtype=np.float32)
             expected = store._payload(f.file_id)
-            if not np.array_equal(values, expected):
+            if values.shape != expected.shape or not np.array_equal(
+                values[live], expected[live]
+            ):
                 raise PayloadLostError(
                     f"checkpointed copy of parameter file {f.file_id} does "
                     "not match the immutable payload — refusing to "

@@ -19,10 +19,12 @@ device charge; in ascending file-id order, which is part of the
 simulated-clock contract because float seconds accumulate in it) and one
 gather.  Every touched file is a device read: there is no host-side file
 cache between the MEM tier and the array.  What leaves the store
-(checkpoints) speaks file ids.  A checkpoint never ships the mapping:
-the store is log-structured, so a key's live copy is its copy in the
-newest file holding it, and a load derives the mapping from the files
-and checks it against their stale counters.
+(checkpoints) speaks file ids and ships live rows only: per file its
+id, row count and stale counter, one packed live mask, and the set
+bits' keys and values.  A restore writes key 0 and zeros at the stale
+rows, which nothing reads, and the row count still prices the whole
+file.  Nothing removes a key, so each live key ships exactly once and
+a load derives the mapping from the shipped rows.
 
 Payloads live in the arena.  ``directory=`` selects a ``disk`` backend
 instead (payloads as ``.npy`` files; loading them is the one step left
@@ -74,7 +76,9 @@ class ParameterFile:
     """
 
     file_id: int
-    keys: np.ndarray  # sorted unique keys stored in this file (a copy)
+    #: the file's keys by row (a copy): sorted and unique as written; a
+    #: restored file holds key 0 at its stale rows
+    keys: np.ndarray
     stale_count: int = 0
     #: disk backend: path of the .npy payload.
     path: str | None = None
@@ -505,27 +509,26 @@ class FileStore:
     # Checkpoint protocol
     # ------------------------------------------------------------------
     def _pack_files(self, slots: np.ndarray) -> dict[str, np.ndarray]:
-        """The files in ``slots`` in the snapshot layout: variable-length
-        payloads packed into one concatenated key/value pair plus an
-        offsets array, so they can live as flat arrays in one shard."""
+        """The files in ``slots`` in the snapshot layout, flat arrays for
+        one shard: ids, row offsets and stale counters, one packed live
+        mask over all their rows, and keys and values of the live rows."""
         offsets = np.zeros(slots.size + 1, dtype=np.int64)
         np.cumsum(self._slot_rows[slots], out=offsets[1:])
-        owner, within, at = self._rows_of(slots)
+        live, keys, owner, within = self._live(slots)
         return {
             "file_ids": self._slot_fid[slots],
             "file_offsets": offsets,
-            "file_keys": self._arena_keys[at],
-            "file_values": self._gather(owner, within),
+            "file_live": np.packbits(live),
+            "file_keys": keys[live],
+            "file_values": self._gather(owner[live], within[live]),
             "file_stale": self._slot_stale[slots],
         }
 
     def export_state(self) -> dict[str, np.ndarray]:
-        """Flat-array snapshot of files, payloads and counters.
+        """Flat-array snapshot of the files' live rows and counters.
 
-        The mapping is not shipped: every write and every compaction
-        lands its keys in a new file, so a key's live copy is the one in
-        the newest file holding it.  :meth:`load_state` derives it and
-        cross-checks it against the stale counters.
+        The mapping is not shipped: each live row ships once, so
+        :meth:`load_state` derives it from the shipped keys.
         """
         out = self._pack_files(self._live_slots())
         out["next_file_id"] = np.int64(self._next_file_id)
@@ -536,7 +539,7 @@ class FileStore:
 
         Files are immutable and ids monotone, so the diff is exact and
         cheap: every file with an id at or past the mark's watermark is
-        new (its keys/values ship in the same packed layout as the full
+        new (its live rows ship in the same packed layout as the full
         export); marked files absent now were erased by compaction;
         surviving ones can only have changed their stale counter.  No
         mapping rows ship: the only operation that repoints the mapping
@@ -591,10 +594,12 @@ class FileStore:
         shares no memory with either.  Files are
         immutable and ids monotone, so the fold is the store's history on
         arrays: erased base files drop out, survivors take their new
-        stale counters and new files append (the mapping follows from
-        the files).  The delta's files are validated as a load validates
-        a snapshot's, and it must name ``base``'s file-id watermark and
-        only files ``base`` holds; :meth:`load_state` validates the
+        stale counters and new files append.  Nothing removes a key, so
+        the newest shipped copy of a key is its live one: a base row
+        whose key the delta ships again has gone stale, and its bit
+        clears.  Both inputs' files are validated as a load validates a
+        snapshot's, and the delta must name ``base``'s file-id watermark
+        and only files ``base`` holds; :meth:`load_state` validates the
         result.
         """
         watermark = int(base["next_file_id"])
@@ -603,10 +608,13 @@ class FileStore:
                 f"delta was diffed against next_file_id="
                 f"{int(delta['base_next_file_id'])}, base is at {watermark}"
             )
-        fids, offsets, keys, values, stale = _unpack(delta, "delta", self.value_dim)
+        dim = self.value_dim
+        fids, offsets, live, keys, values, stale = _unpack(delta, "delta", dim)
         if fids.size and int(fids.min()) < watermark:
             raise ValueError("file-store delta contains pre-base file ids")
-        base_fids = np.asarray(base["file_ids"], dtype=np.int64)
+        base_fids, base_offsets, base_live, base_keys, base_values, base_stale = (
+            _unpack(base, "base", dim)
+        )
         erased = np.asarray(delta["erased_ids"], dtype=np.int64)
         stale_ids = np.asarray(delta["stale_ids"], dtype=np.int64)
         named = np.concatenate([erased, stale_ids])
@@ -615,22 +623,23 @@ class FileStore:
             raise ValueError(
                 f"file-store delta erases or re-counts unknown file {int(unknown[0])}"
             )
-        by_id = base_fids.argsort()
-        recount = by_id[base_fids.searchsorted(stale_ids, sorter=by_id)]
-        base_stale = np.array(base["file_stale"], dtype=np.int64)
-        base_stale[recount] = delta["stale_counts"]
+        base_stale = base_stale.copy()
+        base_stale[base_fids.searchsorted(stale_ids)] = delta["stale_counts"]
         keep = ~np.isin(base_fids, erased)
-        base_rows = np.diff(np.asarray(base["file_offsets"], dtype=np.int64))
+        base_rows = np.diff(base_offsets)
         kept_rows = np.repeat(keep, base_rows)
+        shipped = kept_rows[base_live] & ~np.isin(base_keys, keys)
+        base_live[base_live] = shipped  # unpacked afresh: a private copy
         sizes = np.concatenate([base_rows[keep], np.diff(offsets)])
         file_offsets = np.zeros(sizes.size + 1, dtype=np.int64)
         np.cumsum(sizes, out=file_offsets[1:])
         return {
             "file_ids": np.concatenate([base_fids[keep], fids]),
             "file_offsets": file_offsets,
-            "file_keys": np.concatenate([as_keys(base["file_keys"])[kept_rows], keys]),
+            "file_live": np.packbits(np.concatenate([base_live[kept_rows], live])),
+            "file_keys": np.concatenate([base_keys[shipped], keys]),
             "file_values": np.concatenate(
-                [np.compress(kept_rows, base["file_values"], axis=0), values]
+                [np.compress(shipped, base_values, axis=0), values]
             ),
             "file_stale": np.concatenate([base_stale[keep], stale]),
             "next_file_id": np.int64(delta["next_file_id"]),
@@ -641,35 +650,28 @@ class FileStore:
 
         Replaces any current contents; payloads are re-materialized
         through the store's own backend (disk-backed stores rewrite the
-        ``.npy`` files under their directory).  The mapping is derived —
-        each key's newest file — and the snapshot is fully validated —
-        shapes, ascending file ids, ``next_file_id``, no file holding a
-        key twice, derived-mapping-vs-stale-counter consistency —
+        ``.npy`` files under their directory), key 0 and zero values at
+        the stale rows.  The mapping is derived — each shipped key at its
+        row — and the snapshot is fully validated — shapes, ascending
+        file ids, ``next_file_id``, live-mask-vs-stale-counter
+        consistency, no key shipped twice —
         *before* anything is erased, so a snapshot rejected as invalid
         leaves the store untouched.  (A hard I/O failure while
         re-materializing payloads can still leave a partial rebuild;
         checkpoint restores are immune because they load into a freshly
         constructed, empty store.)
         """
-        files = _unpack(state, "snapshot", self.value_dim)
-        fids, offsets, file_keys, _, stale = files
-        map_keys, file_index, row = _derive_mapping(fids, offsets, file_keys)
-        # The mapping must agree with the stale counters file by file
-        # (the on-store check_invariants contract, applied to the arrays).
-        live = np.bincount(file_index, minlength=fids.size)
-        wrong = np.flatnonzero(live != np.diff(offsets) - stale)
-        if wrong.size:
-            raise ValueError(
-                f"file-store snapshot stale counter of file "
-                f"{int(fids[wrong[0]])} disagrees with its mapping"
-            )
+        fids, offsets, live, keys, values, stale = _unpack(
+            state, "snapshot", self.value_dim
+        )
+        file_index, row = _derive_mapping(fids, offsets, live, keys)
         for fid in list(self._slot_of):
             self.erase(fid)
         self._reset_files()
         self._mapping = SlotIndex()
         self._mark = None  # a load: unmarked until its reader marks it
-        slots = self._append_files(*files)
-        self._mapping.set(map_keys, slots[file_index] * self.file_capacity + row)
+        slots = self._append_files(fids, offsets, *_spread(live, keys, values), stale)
+        self._mapping.set(keys, slots[file_index] * self.file_capacity + row)
         self._next_file_id = int(state["next_file_id"])
         self.check_invariants()
 
@@ -736,10 +738,12 @@ def _moved(arena: np.ndarray, capacity: int, src) -> np.ndarray:
 
 def _unpack(state: dict[str, np.ndarray], what: str, value_dim: int) -> tuple:
     """A snapshot's or delta's packed files, validated (ValueError
-    otherwise): ``(file ids, offsets, keys, values, stale)``, ids
-    ascending."""
+    otherwise): ``(file ids, offsets, live, keys, values, stale)``, ids
+    ascending, ``live`` the unpacked mask over every row, keys and values
+    those of its set bits."""
     fids = np.asarray(state["file_ids"], dtype=np.int64)
     offsets = np.asarray(state["file_offsets"], dtype=np.int64)
+    bits = np.asarray(state["file_live"])
     file_keys = as_keys(state["file_keys"])
     file_values = np.asarray(state["file_values"], dtype=np.float32)
     stale = np.asarray(state["file_stale"], dtype=np.int64)
@@ -749,55 +753,83 @@ def _unpack(state: dict[str, np.ndarray], what: str, value_dim: int) -> tuple:
         offsets.shape != (fids.size + 1,)
         or stale.shape != fids.shape
         or int(offsets[0]) != 0
-        or int(offsets[-1]) != file_keys.size
         or bool((np.diff(offsets) < 0).any())
     ):
         raise ValueError(f"file-store {what} offsets mismatch")
+    n = int(offsets[-1])
+    if bits.dtype != np.uint8 or bits.shape != (-(-n // 8),):
+        raise ValueError(f"file-store {what} live mask is not {n} packed bits")
+    live = np.unpackbits(bits).view(bool)
+    if np.count_nonzero(live) != file_keys.size or live[n:].any():
+        raise ValueError(
+            f"file-store {what} ships {file_keys.size} rows for "
+            f"{np.count_nonzero(live)} live bits"
+        )
+    live = live[:n]
+    shipped = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(live, out=shipped[1:])
     if bool((np.diff(fids) <= 0).any()):
         raise ValueError(f"file-store {what} file ids do not ascend")
     if fids.size and int(state["next_file_id"]) <= int(fids[-1]):
         raise ValueError(f"file-store {what} next_file_id is stale")
-    return fids, offsets, file_keys, file_values, stale
+    # Each file ships exactly its live rows (the on-store check_invariants
+    # contract, applied to the arrays).
+    wrong = np.flatnonzero(np.diff(shipped[offsets]) != np.diff(offsets) - stale)
+    if wrong.size:
+        raise ValueError(
+            f"file-store {what} stale counter of file "
+            f"{int(fids[wrong[0]])} disagrees with its live mask"
+        )
+    return fids, offsets, live, file_keys, file_values, stale
+
+
+def _spread(
+    live: np.ndarray, keys: np.ndarray, values: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Shipped rows as a restore writes them: at the set bits of
+    ``live``, key 0 and zero values at the rest."""
+    at = np.flatnonzero(live)
+    all_keys = np.zeros(live.size, dtype=KEY_DTYPE)
+    all_keys[at] = keys
+    all_values = np.zeros((live.size, values.shape[1]), dtype=np.float32)
+    put_rows(all_values, at, values)
+    return all_keys, all_values
 
 
 def packed_file(
     state: dict[str, np.ndarray], file_id: int, value_dim: int
 ) -> tuple[np.ndarray, np.ndarray] | None:
-    """File ``file_id``'s ``(keys, values)`` out of an
-    :meth:`FileStore.export_state` / :meth:`FileStore.export_delta`
+    """File ``file_id``'s ``(keys, values)`` as a restore writes them,
+    out of an :meth:`FileStore.export_state` / :meth:`FileStore.export_delta`
     tier's packed files (validated as a load validates them), or
     ``None`` when they pack no such file."""
-    fids, offsets, keys, values, _ = _unpack(state, "packed", value_dim)
+    fids, offsets, live, keys, values, _ = _unpack(state, "packed", value_dim)
     i = int(np.searchsorted(fids, file_id))
     if i == fids.size or int(fids[i]) != file_id:
         return None
     lo, hi = int(offsets[i]), int(offsets[i + 1])
-    return keys[lo:hi], values[lo:hi]
+    first = int(np.count_nonzero(live[:lo]))
+    rows = slice(first, first + int(np.count_nonzero(live[lo:hi])))
+    return _spread(live[lo:hi], keys[rows], values[rows])
 
 
 def _derive_mapping(
-    file_ids: np.ndarray, offsets: np.ndarray, file_keys: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The mapping packed files imply: each key lives in the newest file
-    holding it.  Returns ``(keys, file_index, row)`` with the keys
-    ascending, ``file_index`` into ``file_ids`` (ascending) and ``row``
-    inside that file.  ValueError naming the first file that holds a key
-    twice, or a key past the index's domain."""
-    owner = np.repeat(np.arange(file_ids.size, dtype=np.int64), np.diff(offsets))
-    # Stable over rows in file order: equal keys stay oldest file first.
-    order = np.argsort(file_keys, kind="stable")
-    keys, owner = file_keys[order], owner[order]
-    repeat = keys[1:] == keys[:-1]
-    twice = np.flatnonzero(repeat & (owner[1:] == owner[:-1]))
+    file_ids: np.ndarray, offsets: np.ndarray, live: np.ndarray, keys: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The mapping packed files imply: each shipped key lives at its row.
+    Returns ``(file_index, row)`` aligned with ``keys``, ``file_index``
+    into ``file_ids``.  ValueError naming a key shipped twice and the
+    files shipping it, or a key past the index's domain."""
+    at = np.flatnonzero(live)
+    owner = np.searchsorted(offsets, at, side="right") - 1
+    order = keys.argsort(kind="stable")
+    twice = np.flatnonzero(keys[order[1:]] == keys[order[:-1]])
     if twice.size:
-        i = int(twice[0])
+        a, b = order[twice[0]], order[twice[0] + 1]
         raise ValueError(
-            f"file-store snapshot file {int(file_ids[owner[i]])} holds key "
-            f"{int(keys[i])} twice"
+            f"file-store snapshot ships key {int(keys[a])} twice, in file "
+            f"{int(file_ids[owner[a]])} and file {int(file_ids[owner[b]])}"
         )
-    newest = np.ones(keys.size, dtype=bool)
-    newest[:-1] = ~repeat
-    keys, owner, at = keys[newest], owner[newest], order[newest]
     if keys.size:
-        check_key_cap(int(keys[-1]), "file-store snapshot mapping")
-    return keys, owner, at - offsets[owner]
+        check_key_cap(int(keys[order[-1]]), "file-store snapshot mapping")
+    return owner, at - offsets[owner]

@@ -44,10 +44,12 @@ def pressured(small_config):
 #: it restores did not.  Re-pinned at format v6, which drops three SSD
 #: counters nothing read: the v5 digest over the other arrays is this;
 #: and at format v7, which drops the SSD file cache's residency: the v6
-#: digest over the other arrays is this.
+#: digest over the other arrays is this; and at format v8, which ships
+#: live SSD rows only: the v7 chain's folded files, recast as a live
+#: mask (from the mapping they imply) plus the live rows, hash to this.
 PINNED_SECOND_DELTA = [
-    "edbec1102a8ae5ac53ce7c518b83771f9aa32e28f66fcb52dec48cbbbcbf66a6",
-    "1139503334205882916ab1a4ac869331f46667b908202a567849f288d42bbf2b",
+    "b6aa3b57bb1f211bde7e8dccb2581ed2b29cbd613c87cfaa37494f9fa143c405",
+    "9670d74414c38e99edea9bc5ae12ac3855e910eff75c84d2debdf04100c14fae",
 ]
 
 
@@ -413,7 +415,7 @@ class TestDeltaChainRestore:
         stage = cluster.enable_snapshot_stage(str(tmp_path), every=2)
         cluster.train_pipelined(8)
         assert [(s.kind, s.nbytes) for s in stage.history] == [
-            ("full", 84638), ("delta", 99751), ("delta", 104183), ("delta", 120135)
+            ("full", 84638), ("delta", 99879), ("delta", 104439), ("delta", 120327)
         ]
         target = tmp_path / "round_000006"
         assert [

@@ -206,6 +206,33 @@ class TestSSDSurface:
         assert sum(totals["fault_counts"].values()) == totals["faults_fired"] == 1
         assert fault_retry_total(cluster) > 0.0
 
+    def test_file_with_stale_rows_is_quarantined_from_its_live_rows(
+        self, mk_pressured, tmp_path
+    ):
+        """The chain ships a file's live rows only: the quarantine checks
+        and re-materializes those, stale rows zeroed as a restore
+        writes them, and the read returns the live values."""
+        cluster = mk_pressured()
+        cluster.train(12)
+        cluster.save_checkpoint(str(tmp_path / "ckpt" / "round_000012"), mode="full")
+        store = cluster.nodes[0].ssd_ps.store
+        f = next(f for f in store.files() if 0 < f.stale_count < f.n_params)
+        live = store.live_mask(f.file_id)
+        before = store.read(f.keys[live])  # touches this file alone
+
+        schedule = FaultSchedule(0, script={("ssd_read_error", 0, 0): 8})
+        injection = FaultInjection(
+            schedule, RetryPolicy(), recovery_directory=str(tmp_path / "ckpt")
+        ).attach(cluster)
+        result = store.read(f.keys[live])
+        injection.detach()
+
+        (quarantine,) = [i for i in injection.incidents if i.action == "quarantine"]
+        assert quarantine.bytes_reread > 0
+        assert np.array_equal(result.values, before.values)
+        assert not store._payload(f.file_id)[~live].any()
+        store.check_invariants()
+
     def test_quarantine_prices_every_shard_the_walk_reads(self, mk_pressured, tmp_path):
         """A file only the full base packs: the walk reads the delta's
         shard first, finds nothing there, then the base's — both count."""

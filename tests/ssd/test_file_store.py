@@ -325,9 +325,59 @@ class TestStateSnapshot:
         store.write(keys_of(range(6)), vals_of(6))
         store.read(keys_of(range(6)))
         assert sorted(store.export_state()) == [
-            "file_ids", "file_keys", "file_offsets", "file_stale",
+            "file_ids", "file_keys", "file_live", "file_offsets", "file_stale",
             "file_values", "next_file_id",
         ]
+
+    def test_full_export_ships_live_rows_only(self, store):
+        """Format v8: one mask bit per row of every file, and keys and
+        values for the live rows alone — in file order, then row order."""
+        store.write(keys_of(range(10)), vals_of(10))  # files 0, 1, 2
+        store.write(keys_of([1, 2, 5, 9]), vals_of(4, base=50.0))  # file 3
+        state = store.export_state()
+        rows = store.file_table()[1]
+        assert state["file_keys"].size == store.n_live_params == 10
+        assert state["file_live"].size == -(-int(rows.sum()) // 8)
+        live = np.unpackbits(state["file_live"], count=int(rows.sum())).astype(bool)
+        assert live.tolist() == [True, False, False, True, True, False, True, True,
+                                 True, False, True, True, True, True]
+        assert state["file_keys"].tolist() == [0, 3, 4, 6, 7, 8, 1, 2, 5, 9]
+        keys, values = store.items()
+        order = state["file_keys"].argsort()
+        assert np.array_equal(state["file_keys"][order], keys)
+        assert np.array_equal(state["file_values"][order], values)
+
+    def test_export_load_export_is_array_equal(self, store):
+        """A restored store exports exactly what it loaded, though its
+        stale rows hold key 0 and zeros instead of what was written."""
+        store.write(keys_of(range(10)), vals_of(10))
+        store.write(keys_of([1, 2, 5, 9]), vals_of(4, base=50.0))
+        state = store.export_state()
+        other = FileStore(2, file_capacity=4)
+        other.load_state(copied(state))
+        assert_same_arrays(other.export_state(), state)
+        assert other.file(0).keys.tolist() == [0, 0, 0, 3]
+        assert np.array_equal(other._payload(0)[1:3], np.zeros((2, 2), np.float32))
+        other.check_invariants()
+
+    def test_mask_disagreeing_with_a_stale_counter_is_refused(self, store):
+        """A live bit moved from file 0 to a stale row of file 1: as many
+        bits as shipped keys, but file 0 ships one row fewer than its
+        stale counter allows — refused naming it, target untouched."""
+        store.write(keys_of(range(10)), vals_of(10))
+        store.write(keys_of([1, 2, 5, 9]), vals_of(4, base=50.0))
+        state = store.export_state()
+        live = np.unpackbits(state["file_live"], count=14)
+        live[0], live[5] = 0, 1
+        state["file_live"] = np.packbits(live)
+        target = FileStore(2, file_capacity=4)
+        target.write(keys_of([100, 101]), vals_of(2, base=9.0))
+        with pytest.raises(ValueError, match="stale counter of file 0 disagrees"):
+            target.load_state(state)
+        r = target.read(keys_of([100, 101]))
+        assert r.found.all() and np.array_equal(r.values, vals_of(2, base=9.0))
+        assert target.n_files == 1
+        target.check_invariants()
 
     def test_restored_store_reads_at_the_device_rate(self, store):
         """A restore leaves nothing resident: the first and the repeat
@@ -394,8 +444,8 @@ class TestStateSnapshot:
 
     def test_load_state_derives_the_mapping_from_the_newest_file(self):
         """No mapping ships: key 2's live copy is the one in file 1, the
-        newer of the two files holding it — so the files must come in
-        ascending id order, or "newest" has no meaning."""
+        newer of the two files that held it, and the only one shipped.
+        The files must still come in ascending id order."""
         source = FileStore(2, file_capacity=2)
         source.write(keys_of([1, 2]), vals_of(2))
         source.write(keys_of([2, 3]), vals_of(2, base=10.0))
@@ -420,12 +470,23 @@ class TestStateSnapshot:
         state["file_keys"][3] = 3
         target = FileStore(2, file_capacity=2)
         target.write(keys_of([100, 101]), vals_of(2, base=9.0))
-        with pytest.raises(ValueError, match=r"file 1 holds key 3 twice"):
+        with pytest.raises(ValueError, match=r"ships key 3 twice, in file 1 and file 1"):
             target.load_state(state)
         r = target.read(keys_of([100, 101]))
         assert r.found.all() and np.array_equal(r.values, vals_of(2, base=9.0))
         assert target.n_files == 1
         target.check_invariants()
+
+    def test_load_state_rejects_a_key_shipped_by_two_files(self):
+        """Each live row ships once, so two files shipping one key is a
+        corrupt snapshot, not an older copy to skip."""
+        source = FileStore(2, file_capacity=2)
+        source.write(keys_of([1, 2]), vals_of(2))
+        source.write(keys_of([3, 4]), vals_of(2, base=10.0))
+        state = source.export_state()
+        state["file_keys"][2] = 2
+        with pytest.raises(ValueError, match=r"ships key 2 twice, in file 0 and file 1"):
+            FileStore(2, file_capacity=2).load_state(state)
 
     def test_load_delta_rejects_stale_counters_the_files_contradict(self):
         """Loading a delta is folding it onto its base (pure) and loading

@@ -10,7 +10,10 @@ and the store's own invariants must hold.  A ``mark_snapshot`` rule moves
 the delta base at any step, and after every step the store's delta since
 its mark, folded onto the export taken there, is its export now array
 for array, and the mapping those files imply (each key's newest file) is
-the store's and the oracle's.  The simulated clock is a
+the store's and the oracle's.  Stale rows are don't-care — a snapshot
+ships live rows only (format v8), so a restored file holds key 0 there —
+and a rule overwrites them with junk at any step to show nothing reads
+them.  The simulated clock is a
 contract: a reordered charge shows up here as a last-digit difference in
 ``ssd_read``.
 """
@@ -164,6 +167,19 @@ class FileStoreVsReference(RuleBasedStateMachine):
             self.store.erase(fid)
             self.store.reclaim()
             self.ref.erase(fid)
+
+    @rule(junk=st.integers(0, 24))
+    def scribble_stale_rows(self, junk):
+        """Nothing reads a stale row: overwrite each one's key (often a
+        key live elsewhere) and values in the store alone."""
+        store = self.store
+        for fid in store.file_table()[0].tolist():
+            stale = np.flatnonzero(~store.live_mask(fid))
+            base = int(store._slot_base[store._slot_of[fid]])
+            store._arena_keys[base + stale] = junk
+            values = np.array(store._payload(fid))
+            values[stale] = -1.0
+            store._store_payload(fid, values)
 
     @rule()
     def mark_snapshot(self):

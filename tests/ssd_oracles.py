@@ -3,20 +3,23 @@ kept as the test oracle.
 
 ``ReferenceFileStore`` is the parent implementation reduced to what a
 reference needs: one ``ReferenceFile`` object per file holding its own
-key and value arrays, a plain ``dict`` for the key→file-id mapping, and
-the per-file ``read`` exactly as it ran in production — group the batch
-by file id, then per touched file ``searchsorted`` + slice + gather +
-scatter around the fault-arm / device-charge bookkeeping.  It prices on
+key and value arrays, plain ``dict``s for the key→file-id mapping and
+each key's row in its file, and the per-file ``read`` as it ran in
+production — group the batch by file id, then per touched file row
+lookup + gather + scatter around the fault-arm / device-charge
+bookkeeping.  It prices on
 its own device and ledger — the per-file ``ReferenceSSDDevice.read``
 that ``FileStore``'s array accounting pass replaced — so a test can
 drive it in lockstep with a ``FileStore`` and demand that every
 simulated second and counter agrees bit for bit.  It trusts its input: validation is
 the store's job, not the oracle's.
 
-Snapshots carry no mapping (format v5): the oracle derives it file by
-file in ascending id order, a later file's copy of a key replacing an
-earlier one's (:func:`derived_mapping`), and :func:`store_mapping` reads
-a ``FileStore``'s mapping as file ids for the comparison.
+Snapshots carry no mapping (format v5) and ship live rows only (format
+v8): the oracle derives the mapping from the shipped keys, each at its
+row (:func:`derived_mapping`), and :func:`store_mapping` reads a
+``FileStore``'s mapping as file ids for the comparison.  A restored
+file's stale rows are key 0 and zeros here as in the store, but they are
+don't-care: :func:`assert_stores_agree` compares live rows only.
 """
 
 from __future__ import annotations
@@ -57,7 +60,7 @@ class ReferenceSSDDevice(SSDDevice):
 @dataclass
 class ReferenceFile:
     file_id: int
-    keys: np.ndarray  # sorted unique
+    keys: np.ndarray  # by row; sorted unique as written
     values: np.ndarray  # aligned with keys
     stale_count: int = 0
 
@@ -78,6 +81,7 @@ class ReferenceFileStore:
         self.faults = None
         self.files: dict[int, ReferenceFile] = {}
         self.mapping: dict[int, int] = {}
+        self.rows: dict[int, int] = {}  # key -> its row in its file
         self.next_file_id = 0
         self.compactions = 0
 
@@ -122,11 +126,12 @@ class ReferenceFileStore:
             )
             self.files[fid] = f
             total_t += self.device.write(self.file_bytes(f))
-            for k in f.keys.tolist():
+            for row, k in enumerate(f.keys.tolist()):
                 old = self.mapping.get(k)
                 if old is not None:
                     self.files[old].stale_count += 1
                 self.mapping[k] = fid
+                self.rows[k] = row
             new_ids.append(fid)
         return total_t, new_ids
 
@@ -154,7 +159,7 @@ class ReferenceFileStore:
             fid = int(sorted_fids[s])
             f = self.files[fid]
             sel = order[s:e]
-            rows = f.keys.searchsorted(keys[sel])
+            rows = [self.rows[k] for k in keys[sel].tolist()]
             if self.faults is not None:
                 total_t += self.faults.ssd_read(self, f)
             total_t += self.device.read(self.file_bytes(f))
@@ -165,7 +170,12 @@ class ReferenceFileStore:
         return ReadResult(out, found, total_t, files_read, bytes_read)
 
     def live_mask(self, file_id: int) -> np.ndarray:
-        return self.mapping_of(self.files[file_id].keys) == file_id
+        keys = self.files[file_id].keys.tolist()
+        return np.asarray(
+            [self.mapping.get(k) == file_id and self.rows[k] == row
+             for row, k in enumerate(keys)],
+            dtype=bool,
+        )
 
     def live_rows(self, f: ReferenceFile) -> tuple[np.ndarray, np.ndarray]:
         live = self.live_mask(f.file_id)
@@ -210,14 +220,17 @@ class ReferenceFileStore:
         offsets = np.zeros(len(fids) + 1, dtype=np.int64)
         if fids:
             offsets[1:] = np.cumsum([f.n_params for f in files])
+        live = [self.live_mask(fid) for fid in fids]
         return {
             "file_ids": np.asarray(fids, dtype=np.int64),
             "file_offsets": offsets,
+            "file_live": np.packbits(np.concatenate(live + [np.zeros(0, bool)])),
             "file_keys": np.concatenate(
-                [f.keys for f in files] + [np.zeros(0, dtype=np.uint64)]
+                [f.keys[m] for f, m in zip(files, live)]
+                + [np.zeros(0, dtype=np.uint64)]
             ),
             "file_values": np.concatenate(
-                [f.values for f in files]
+                [f.values[m] for f, m in zip(files, live)]
                 + [np.zeros((0, self.value_dim), dtype=np.float32)]
             ),
             "file_stale": np.asarray(
@@ -250,21 +263,22 @@ class ReferenceFileStore:
         return self._pack_tail(out)
 
     def _unpack(self, state: dict[str, np.ndarray]) -> None:
-        offsets = state["file_offsets"].tolist()
-        for i, fid in enumerate(state["file_ids"].tolist()):
-            lo, hi = offsets[i], offsets[i + 1]
-            self.files[fid] = ReferenceFile(
-                fid,
-                state["file_keys"][lo:hi].copy(),
-                state["file_values"][lo:hi].copy(),
-                int(state["file_stale"][i]),
-            )
-        self.mapping.update(derived_mapping(state))
+        """Each file's shipped rows at their positions, key 0 and zeros
+        at the rest; each shipped key maps to its file and row."""
+        for fid, stale, live, shipped_keys, shipped_values in _shipped(state):
+            keys = np.zeros(live.size, dtype=np.uint64)
+            values = np.zeros((live.size, self.value_dim), dtype=np.float32)
+            keys[live], values[live] = shipped_keys, shipped_values
+            self.files[fid] = ReferenceFile(fid, keys, values, stale)
+            for row, k in zip(np.flatnonzero(live).tolist(), shipped_keys.tolist()):
+                self.mapping[k] = fid
+                self.rows[k] = row
         self.next_file_id = int(state["next_file_id"])
 
     def load_state(self, state: dict[str, np.ndarray]) -> None:
         self.files.clear()
         self.mapping.clear()
+        self.rows.clear()
         self._unpack(state)
 
     def load_delta(self, delta: dict[str, np.ndarray]) -> None:
@@ -280,15 +294,29 @@ class ReferenceFileStore:
             del self.files[fid]
 
 
-def derived_mapping(state: dict[str, np.ndarray]) -> dict[int, int]:
-    """key -> file id a snapshot's packed files imply: files in ascending
-    id order, each key's newest copy wins."""
-    mapping: dict[int, int] = {}
+def _shipped(state: dict[str, np.ndarray]):
+    """Per packed file: ``(file id, stale counter, live mask, shipped
+    keys, shipped values)``."""
     offsets = state["file_offsets"].tolist()
-    for i, fid in sorted(enumerate(state["file_ids"].tolist()), key=lambda p: p[1]):
-        for k in state["file_keys"][offsets[i] : offsets[i + 1]].tolist():
-            mapping[k] = fid
-    return mapping
+    live = np.unpackbits(state["file_live"], count=offsets[-1]).astype(bool)
+    lo = 0
+    for i, fid in enumerate(state["file_ids"].tolist()):
+        mask = live[offsets[i] : offsets[i + 1]]
+        hi = lo + int(mask.sum())
+        yield (
+            fid,
+            int(state["file_stale"][i]),
+            mask,
+            state["file_keys"][lo:hi],
+            state["file_values"][lo:hi],
+        )
+        lo = hi
+
+
+def derived_mapping(state: dict[str, np.ndarray]) -> dict[int, int]:
+    """key -> file id a snapshot's packed files imply: each shipped key
+    lives in the file shipping it."""
+    return {k: fid for fid, _, _, keys, _ in _shipped(state) for k in keys.tolist()}
 
 
 def store_mapping(store) -> dict[int, int]:
@@ -309,14 +337,17 @@ def assert_same_arrays(mine: dict, theirs: dict) -> None:
 
 
 def assert_stores_agree(store, ref: ReferenceFileStore) -> None:
-    """Everything observable about ``store`` equals the oracle's: files,
-    mapping, byte accounting, device counters, ledger lines (bit-equal)."""
+    """Everything observable about ``store`` equals the oracle's: files
+    (their live rows — stale ones are don't-care), mapping, byte
+    accounting, device counters, ledger lines (bit-equal)."""
     assert store.n_files == len(ref.files)
     for f in store.files():
         r = ref.files[f.file_id]
-        assert np.array_equal(f.keys, r.keys)
-        assert f.stale_count == r.stale_count
-        assert np.array_equal(store._payload(f.file_id), r.values)
+        live = ref.live_mask(f.file_id)
+        assert np.array_equal(store.live_mask(f.file_id), live)
+        assert f.n_params == r.n_params and f.stale_count == r.stale_count
+        assert np.array_equal(f.keys[live], r.keys[live])
+        assert np.array_equal(store._payload(f.file_id)[live], r.values[live])
     assert store.n_live_params == len(ref.mapping)
     assert store_mapping(store) == ref.mapping
     assert store.total_bytes == ref.total_bytes
