@@ -623,13 +623,16 @@ class FileStore:
             raise ValueError(
                 f"file-store delta erases or re-counts unknown file {int(unknown[0])}"
             )
-        base_stale = base_stale.copy()
-        base_stale[base_fids.searchsorted(stale_ids)] = delta["stale_counts"]
         keep = ~np.isin(base_fids, erased)
         base_rows = np.diff(base_offsets)
+        # The base's shipped rows that stay: their file is kept and the
+        # delta ships no newer copy of their key.
+        shipped = np.repeat(keep, base_rows - base_stale)
+        shipped &= ~np.isin(base_keys, keys)
+        base_live[np.flatnonzero(base_live)[~shipped]] = False  # a private copy
         kept_rows = np.repeat(keep, base_rows)
-        shipped = kept_rows[base_live] & ~np.isin(base_keys, keys)
-        base_live[base_live] = shipped  # unpacked afresh: a private copy
+        base_stale = base_stale.copy()
+        base_stale[base_fids.searchsorted(stale_ids)] = delta["stale_counts"]
         sizes = np.concatenate([base_rows[keep], np.diff(offsets)])
         file_offsets = np.zeros(sizes.size + 1, dtype=np.int64)
         np.cumsum(sizes, out=file_offsets[1:])
