@@ -629,7 +629,7 @@ class FileStore:
         # delta ships no newer copy of their key.
         shipped = np.repeat(keep, base_rows - base_stale)
         shipped &= ~np.isin(base_keys, keys)
-        base_live[np.flatnonzero(base_live)[~shipped]] = False  # a private copy
+        base_live[np.flatnonzero(base_live)[~shipped]] = False  # unpacked afresh
         kept_rows = np.repeat(keep, base_rows)
         base_stale = base_stale.copy()
         base_stale[base_fids.searchsorted(stale_ids)] = delta["stale_counts"]
