@@ -341,6 +341,8 @@ def read_shard(
             bytes(data[_HEADER_AT : _HEADER_AT + length])
         )["arrays"]:
             dt = np.dtype(dtype)
+            if any(not isinstance(v, int) or v < 0 for v in (*shape, offset)):
+                raise ValueError(f"array {key!r} has a negative or non-integer extent")
             count = int(np.prod(shape, dtype=np.int64))
             if start + offset + count * dt.itemsize > n:
                 raise ValueError(f"array {key!r} runs past the end")

@@ -10,9 +10,12 @@ import numpy as np
 import pytest
 
 from repro.ckpt.format import (
+    _HEADER_AT,
     FORMAT_VERSION,
     MANIFEST_NAME,
+    SHARD_MAGIC,
     CheckpointError,
+    _aligned,
     atomic_write_bytes,
     fingerprint,
     latest_checkpoint,
@@ -63,6 +66,42 @@ def test_shard_read_refuses_a_file_that_is_not_a_shard(tmp_path):
     malformed, not decoded."""
     (tmp_path / "s.shard").write_bytes(b"not a shard")
     digest = hashlib.sha256(b"not a shard").hexdigest()
+    with pytest.raises(CheckpointError, match="is malformed"):
+        read_shard(str(tmp_path), "s.shard", digest)
+
+
+def forge_shard(path, arrays, edit) -> str:
+    """Write ``arrays`` as a shard, let ``edit`` rewrite its header's
+    entries, and re-emit the same array bytes behind the forged header;
+    returns the digest a manifest would record for the forged file."""
+    write_shard(str(path.parent), path.name, arrays)
+    data = path.read_bytes()
+    length = int.from_bytes(data[len(SHARD_MAGIC) : _HEADER_AT], "little")
+    header = json.loads(data[_HEADER_AT : _HEADER_AT + length])
+    edit(header["arrays"])
+    blob = json.dumps(header, separators=(",", ":")).encode()
+    head = SHARD_MAGIC + len(blob).to_bytes(8, "little") + blob
+    forged = head.ljust(_aligned(len(head)), b"\0")
+    forged += data[_aligned(_HEADER_AT + length) :]
+    path.write_bytes(forged)
+    return hashlib.sha256(forged).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [(2, [-1]), (3, -64)],
+    ids=["negative-dim", "negative-offset"],
+)
+def test_shard_read_refuses_a_negative_extent(tmp_path, field, value):
+    """A header whose digest matches but whose first array claims a
+    negative dimension or offset is malformed — not decoded into bytes
+    that run into the next array or back into the header."""
+    arrays = {"a": np.arange(10, dtype=np.int64), "b": np.arange(10, dtype=np.int64)}
+
+    def edit(entries):
+        entries[0][field] = value
+
+    digest = forge_shard(tmp_path / "s.shard", arrays, edit)
     with pytest.raises(CheckpointError, match="is malformed"):
         read_shard(str(tmp_path), "s.shard", digest)
 
