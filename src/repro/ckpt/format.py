@@ -9,12 +9,17 @@ A checkpoint directory holds::
 
 A shard is one header plus raw arrays (:func:`write_shard`):
 :data:`SHARD_MAGIC`, the header's length as a little-endian uint64, a
-JSON header listing every array's name, dtype, shape and offset, then
-each array's bytes at a 64-byte-aligned offset from the aligned end of
-the header.  A save builds it in one buffer and writes that; a restore
-reads the file once into one buffer, hashes those bytes and decodes the
-same bytes with ``np.frombuffer`` (:func:`read_shard`) — no archive, no
-second read.
+JSON header listing every array as ``[name, dtype, shape, offset]`` or
+``[name, dtype, shape, offset, stored dtype]``, then each array's bytes
+at a 64-byte-aligned offset from the aligned end of the header.  The
+fifth field is present when a non-negative integer array went to disk
+in the narrowest unsigned dtype that holds its maximum (keys below
+``KEY_DOMAIN_CAP``, LRU counts, LFU frequencies, file ids, offsets);
+:func:`read_shard` widens it back, so a reader sees the dtype the
+writer was given.  A save builds the shard in one buffer and writes
+that; a restore reads the file once into one buffer, hashes those bytes
+and decodes the same bytes with ``np.frombuffer`` (:func:`read_shard`)
+— no archive, no second read.
 
 The manifest is the *commit point*: it is deleted before any shard is
 touched and atomically rewritten (temp file + ``os.replace``) only after
@@ -82,7 +87,10 @@ __all__ = [
 #: cache); the config lost ``ssd_extent_cache_files``.
 #: v8: SSD exports ship live rows only: a packed ``file_live`` mask over
 #: every row, then keys and values of its set bits.
-FORMAT_VERSION = 8
+#: v9: a non-negative integer array is stored in the narrowest unsigned
+#: dtype that holds its maximum, when that is smaller than its own; the
+#: header entry names the stored dtype as a fifth field.
+FORMAT_VERSION = 9
 
 MANIFEST_NAME = "manifest.json"
 DENSE_SHARD = "dense.shard"
@@ -285,20 +293,39 @@ def _aligned(n: int) -> int:
     return -(-n // _ALIGN) * _ALIGN
 
 
+def _narrowed(a: np.ndarray) -> np.dtype | None:
+    """The unsigned dtype a non-empty, non-negative integer array (not a
+    0-d scalar) is stored in — the narrowest that holds its maximum — or
+    None when that is no smaller than its own dtype."""
+    if a.dtype.kind not in "iu" or a.dtype.itemsize == 1 or a.ndim == 0 or not a.size:
+        return None
+    if a.dtype.kind == "i" and a.min() < 0:
+        return None
+    stored = np.min_scalar_type(a.max())
+    return stored if stored.itemsize < a.dtype.itemsize else None
+
+
 def write_shard(
     directory: str, name: str, arrays: dict[str, np.ndarray]
 ) -> tuple[int, str]:
     """Durably write ``arrays`` as shard ``name`` — magic, header length,
     JSON header, then every array's raw bytes at a 64-byte-aligned
     offset, built in one zero-padded buffer (equal arrays, equal bytes).
+    An integer array is stored narrower when :func:`_narrowed` allows.
     Returns (bytes, digest) of exactly the bytes committed."""
-    packed = {key: np.asarray(a, order="C") for key, a in arrays.items()}
+    packed = {}
     entries = []
     end = 0
-    for key, a in packed.items():
+    for key, a in arrays.items():
+        a = np.asarray(a, order="C")
         if a.dtype.hasobject:
             raise ValueError(f"shard array {key!r} has object dtype")
         entries.append([key, a.dtype.str, list(a.shape), _aligned(end)])
+        stored = _narrowed(a)
+        if stored is not None:
+            a = a.astype(stored)
+            entries[-1].append(stored.str)
+        packed[key] = a
         end = entries[-1][3] + a.nbytes
     header = json.dumps({"arrays": entries}, separators=(",", ":")).encode()
     start = _aligned(_HEADER_AT + len(header))
@@ -306,7 +333,7 @@ def write_shard(
     buf[: len(SHARD_MAGIC)] = SHARD_MAGIC
     buf[len(SHARD_MAGIC) : _HEADER_AT] = len(header).to_bytes(8, "little")
     buf[_HEADER_AT : _HEADER_AT + len(header)] = header
-    for (_, _, _, offset), a in zip(entries, packed.values()):
+    for (_, _, _, offset, *_), a in zip(entries, packed.values()):
         dst = np.frombuffer(buf, np.uint8, a.nbytes, start + offset)
         dst[:] = a.reshape(-1).view(np.uint8)
     atomic_write_bytes(os.path.join(directory, name), buf)
@@ -317,8 +344,9 @@ def read_shard(
     directory: str, name: str, expected_digest: str
 ) -> tuple[dict[str, np.ndarray], int]:
     """Read shard ``name`` once, check its SHA-256 against the manifest's
-    and decode the bytes it hashed: returns (arrays, bytes), the arrays
-    writable views of that one buffer."""
+    and decode the bytes it hashed: returns (arrays, bytes), every array
+    in the dtype :func:`write_shard` was given and writable — a view of
+    that one buffer, or a widened copy of an array stored narrower."""
     try:
         with open(os.path.join(directory, name), "rb") as fh:
             data = bytearray(os.fstat(fh.fileno()).st_size)
@@ -337,16 +365,22 @@ def read_shard(
             raise ValueError("bad magic")
         length = int.from_bytes(data[len(SHARD_MAGIC) : _HEADER_AT], "little")
         start = _aligned(_HEADER_AT + length)
-        for key, dtype, shape, offset in json.loads(
+        for key, dtype, shape, offset, *stored in json.loads(
             bytes(data[_HEADER_AT : _HEADER_AT + length])
         )["arrays"]:
             dt = np.dtype(dtype)
             if any(not isinstance(v, int) or v < 0 for v in (*shape, offset)):
                 raise ValueError(f"array {key!r} has a negative or non-integer extent")
+            st = np.dtype(stored[0]) if stored else dt
+            if len(stored) > 1 or stored and not (
+                dt.kind in "iu" and st.kind == "u" and st.itemsize < dt.itemsize
+            ):
+                raise ValueError(f"array {key!r} cannot be stored as {st} for {dt}")
             count = int(np.prod(shape, dtype=np.int64))
-            if start + offset + count * dt.itemsize > n:
+            if start + offset + count * st.itemsize > n:
                 raise ValueError(f"array {key!r} runs past the end")
-            out[key] = np.frombuffer(data, dt, count, start + offset).reshape(shape)
+            a = np.frombuffer(data, st, count, start + offset).reshape(shape)
+            out[key] = a.astype(dt) if stored else a
     except (ValueError, KeyError, TypeError) as exc:
         raise CheckpointError(f"checkpoint shard {name!r} is malformed: {exc}") from exc
     return out, n

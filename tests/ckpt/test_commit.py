@@ -78,10 +78,10 @@ def test_restore_nbytes_are_the_chain_it_read(tiny_spec, pressured, tmp_path):
     assert partial.nbytes == read([1])
 
 
-def test_a_v7_chain_is_refused(tiny_spec, pressured, tmp_path):
-    """A chain a format-v7 build wrote (its manifests say so; its SSD
-    exports ship stale rows) is refused with CheckpointError naming both
-    versions, before any shard is read."""
+def test_a_v8_chain_is_refused(tiny_spec, pressured, tmp_path):
+    """A chain a format-v8 build wrote (its manifests say so; its shards
+    store every integer array at 8 bytes) is refused with CheckpointError
+    naming both versions, before any shard is read."""
     cluster = build(tiny_spec, pressured)
     stage = cluster.enable_snapshot_stage(str(tmp_path), every=2)
     cluster.train(4)
@@ -89,9 +89,9 @@ def test_a_v7_chain_is_refused(tiny_spec, pressured, tmp_path):
     for member in ("round_000002", "round_000004"):
         path = tmp_path / member / fmt.MANIFEST_NAME
         manifest = json.loads(path.read_text())
-        manifest["format_version"] = 7
+        manifest["format_version"] = 8
         path.write_text(json.dumps(manifest))
-    with pytest.raises(fmt.CheckpointError, match="v7 is not supported .*reads v8"):
+    with pytest.raises(fmt.CheckpointError, match="v8 is not supported .*reads v9"):
         HPSCluster.restore(str(tmp_path / "round_000004"))
 
 

@@ -415,7 +415,7 @@ class TestDeltaChainRestore:
         stage = cluster.enable_snapshot_stage(str(tmp_path), every=2)
         cluster.train_pipelined(8)
         assert [(s.kind, s.nbytes) for s in stage.history] == [
-            ("full", 84638), ("delta", 99879), ("delta", 104439), ("delta", 120327)
+            ("full", 64672), ("delta", 70171), ("delta", 74141), ("delta", 87647)
         ]
         target = tmp_path / "round_000006"
         assert [

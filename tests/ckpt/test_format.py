@@ -9,6 +9,7 @@ import os
 import numpy as np
 import pytest
 
+import repro.ckpt.format as format_module
 from repro.ckpt.format import (
     _HEADER_AT,
     FORMAT_VERSION,
@@ -39,24 +40,54 @@ def test_read_manifest_requires_commit_record(tmp_path):
         read_manifest(str(tmp_path))
 
 
-def test_shard_round_trips_every_array_it_holds(tmp_path):
-    """Scalars, strings, empty and strided arrays come back with their
-    dtype, shape and bytes, as writable arrays; the digest is of the file."""
+def shard_header(path) -> dict[str, list]:
+    """A shard file's header entries by array name."""
+    data = path.read_bytes()
+    length = int.from_bytes(data[len(SHARD_MAGIC) : _HEADER_AT], "little")
+    entries = json.loads(data[_HEADER_AT : _HEADER_AT + length])["arrays"]
+    return {entry[0]: entry for entry in entries}
+
+
+def test_shard_round_trips_every_array_it_holds(tmp_path, monkeypatch):
+    """Scalars, strings, empty, strided, bool, float and integer arrays
+    come back with their dtype, shape and bytes, as writable arrays; the
+    digest is of the file.  Only non-negative integer arrays wider than
+    their maximum needs are stored narrower, which makes the file
+    smaller than the same arrays stored at their own width."""
+    keys = np.arange(0, 2**32, 2**20, dtype=np.uint64)
+    keys[-1] = 2**32 - 1
     arrays = {
         "scalar": np.int64(7),
         "names": np.array(["ssd_read", "ckpt_write"]),
         "empty": np.zeros((0, 3), dtype=np.float32),
+        "empty_keys": np.zeros(0, dtype=np.uint64),
         "strided": np.arange(12, dtype=np.float32).reshape(3, 4)[:, ::2],
+        "keys": keys,
+        "counts": np.array([[1, 70], [3, 255]], dtype=np.int64),
+        "wide": np.array([1, 2**32], dtype=np.int64),
+        "negative": np.array([5, -1], dtype=np.int64),
+        "mask": np.array([True, False, True]),
+        "packed": np.packbits(np.array([True, False, True])),
+        "f32": np.array([0.5, -2.0], dtype=np.float32),
+        "f64": np.array([1e300, -0.0], dtype=np.float64),
     }
+    stored = {"keys": "<u4", "counts": "|u1"}
     nbytes, digest = write_shard(str(tmp_path), "s.shard", arrays)
     data = (tmp_path / "s.shard").read_bytes()
     assert (nbytes, digest) == (len(data), hashlib.sha256(data).hexdigest())
+    header = shard_header(tmp_path / "s.shard")
+    for key, want in arrays.items():
+        assert header[key][1] == np.asarray(want).dtype.str
+        assert header[key][4:] == ([stored[key]] if key in stored else [])
     got, size = read_shard(str(tmp_path), "s.shard", digest)
     assert size == nbytes and list(got) == list(arrays)
     for key, want in arrays.items():
         want = np.asarray(want)
         assert got[key].dtype == want.dtype and got[key].shape == want.shape
         assert np.array_equal(got[key], want) and got[key].flags.writeable
+    monkeypatch.setattr(format_module, "_narrowed", lambda a: None)
+    wide_bytes, _ = write_shard(str(tmp_path), "wide.shard", arrays)
+    assert nbytes < wide_bytes
     with pytest.raises(ValueError, match="object dtype"):
         write_shard(str(tmp_path), "o.shard", {"o": np.array([None])})
 
@@ -89,16 +120,26 @@ def forge_shard(path, arrays, edit) -> str:
 
 @pytest.mark.parametrize(
     "field, value",
-    [(2, [-1]), (3, -64)],
-    ids=["negative-dim", "negative-offset"],
+    [(2, [-1]), (3, -64), (4, "<u8"), (4, "<i4"), (4, "<f4"), (1, "<f8")],
+    ids=[
+        "negative-dim",
+        "negative-offset",
+        "stored-not-narrower",
+        "stored-signed",
+        "stored-float",
+        "declared-float",
+    ],
 )
-def test_shard_read_refuses_a_negative_extent(tmp_path, field, value):
+def test_shard_read_refuses_a_forged_header(tmp_path, field, value):
     """A header whose digest matches but whose first array claims a
-    negative dimension or offset is malformed — not decoded into bytes
-    that run into the next array or back into the header."""
+    negative dimension or offset, or a stored dtype that is not an
+    unsigned integer narrower than the declared integer dtype, is
+    malformed — not decoded into bytes that run into the next array or
+    back into the header, nor cast into values the writer never held."""
     arrays = {"a": np.arange(10, dtype=np.int64), "b": np.arange(10, dtype=np.int64)}
 
     def edit(entries):
+        assert entries[0][4] == "|u1"
         entries[0][field] = value
 
     digest = forge_shard(tmp_path / "s.shard", arrays, edit)
