@@ -614,10 +614,10 @@ class CombinedCache:
         lru, lfu = self._tier_rows(self._tick), self._tier_rows(self._ftick)
         return {
             "lru_keys": self._keys[lru],
-            "lru_values": self._values[lru],
+            "lru_values": take_rows(self._values, lru),
             "lru_counts": self._count[lru],
             "lfu_keys": self._keys[lfu],
-            "lfu_values": self._values[lfu],
+            "lfu_values": take_rows(self._values, lfu),
             "lfu_freqs": self._count[lfu],
             "hits": np.int64(self.stats.hits),
             "misses": np.int64(self.stats.misses),
@@ -689,8 +689,8 @@ class CombinedCache:
         new = np.concatenate([lru, lfu])
         keys = np.concatenate([lru_keys, lfu_keys])
         self._keys[new] = keys
-        self._values[lru] = lru_values
-        self._values[lfu] = lfu_values
+        put_rows(self._values, lru, lru_values)
+        put_rows(self._values, lfu, lfu_values)
         self._count[lru] = lru_counts
         self._tick[lru] = self._ticks(lru.size)
         self._count[lfu] = lfu_freqs
@@ -739,7 +739,7 @@ class CombinedCache:
             delta[f"{tier}_keys"] = self._keys[tail]
             delta[meta] = self._count[tail]
             delta[f"{tier}_dirty"] = np.packbits(dirty)
-            delta[f"{tier}_values"] = self._values[tail[dirty]]
+            delta[f"{tier}_values"] = take_rows(self._values, tail[dirty])
         delta["hits"] = np.int64(self.stats.hits)
         delta["misses"] = np.int64(self.stats.misses)
         return delta
@@ -799,7 +799,7 @@ class CombinedCache:
                     "cache delta carries values for keys absent from the "
                     f"base, e.g. {keys[~dirty][~found][:5].tolist()} — wrong base?"
                 )
-            values[~dirty] = base_values[rows]
+            values[~dirty] = take_rows(base_values, rows)
             tier_keys = as_keys(base[f"{tier}_keys"])
             kept = _unpacked(
                 delta, f"{tier}_kept", tier_keys.size, f"base {tier}_keys"
@@ -824,6 +824,6 @@ class CombinedCache:
         rows = np.concatenate(
             [self._tier_rows(self._tick), self._tier_rows(self._ftick)]
         )
-        keys, values = self._keys[rows], self._values[rows]
+        keys, values = self._keys[rows], take_rows(self._values, rows)
         self._reset()
         return keys, values
