@@ -372,9 +372,8 @@ def read_shard(
             if any(not isinstance(v, int) or v < 0 for v in (*shape, offset)):
                 raise ValueError(f"array {key!r} has a negative or non-integer extent")
             st = np.dtype(stored[0]) if stored else dt
-            if len(stored) > 1 or stored and not (
-                dt.kind in "iu" and st.kind == "u" and st.itemsize < dt.itemsize
-            ):
+            narrower = dt.kind in "iu" and st.kind == "u" and st.itemsize < dt.itemsize
+            if len(stored) > 1 or (stored and not narrower):
                 raise ValueError(f"array {key!r} cannot be stored as {st} for {dt}")
             count = int(np.prod(shape, dtype=np.int64))
             if start + offset + count * st.itemsize > n:
