@@ -10,6 +10,7 @@ data streamed from HDFS.  All bandwidth/latency figures are effective
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 __all__ = [
@@ -26,6 +27,23 @@ __all__ = [
 GB = 1e9
 
 
+def _validate(
+    spec, positive: tuple[str, ...], non_negative: tuple[str, ...] = ()
+) -> None:
+    """Refuse a spec that would price an operation at negative or NaN
+    seconds: rates, sizes and counts (``positive``) must be finite and
+    ``> 0``, latencies and overheads (``non_negative``) finite and
+    ``>= 0``."""
+    for name in positive + non_negative:
+        v = getattr(spec, name)
+        lower = name in non_negative
+        if not (math.isfinite(v) and (v >= 0 if lower else v > 0)):
+            raise ValueError(
+                f"{type(spec).__name__}.{name} must be finite and "
+                f"{'non-negative' if lower else 'positive'}, got {v!r}"
+            )
+
+
 @dataclass(frozen=True)
 class GPUSpec:
     """One accelerator card."""
@@ -40,8 +58,9 @@ class GPUSpec:
     kernel_launch_s: float = 10e-6
 
     def __post_init__(self) -> None:
-        if min(self.hbm_bytes, self.flops, self.hbm_bandwidth) <= 0:
-            raise ValueError("GPU spec values must be positive")
+        _validate(
+            self, ("hbm_bytes", "flops", "hbm_bandwidth"), ("kernel_launch_s",)
+        )
 
 
 @dataclass(frozen=True)
@@ -53,8 +72,7 @@ class NVLinkSpec:
     latency_s: float = 5e-6
 
     def __post_init__(self) -> None:
-        if self.bandwidth <= 0 or self.latency_s < 0:
-            raise ValueError("invalid NVLink spec")
+        _validate(self, ("bandwidth",), ("latency_s",))
 
 
 @dataclass(frozen=True)
@@ -76,8 +94,11 @@ class NetworkSpec:
     cpu_bounce_overhead_s: float = 50e-6
 
     def __post_init__(self) -> None:
-        if self.bandwidth <= 0 or self.pcie_bandwidth <= 0:
-            raise ValueError("network bandwidths must be positive")
+        _validate(
+            self,
+            ("bandwidth", "pcie_bandwidth"),
+            ("latency_s", "cpu_bounce_overhead_s"),
+        )
 
 
 @dataclass(frozen=True)
@@ -95,10 +116,15 @@ class SSDSpec:
     capacity_bytes: float = 20e12
 
     def __post_init__(self) -> None:
-        if min(self.seq_read_bandwidth, self.seq_write_bandwidth) <= 0:
-            raise ValueError("SSD bandwidths must be positive")
-        if self.block_bytes <= 0:
-            raise ValueError("block size must be positive")
+        _validate(
+            self,
+            (
+                "seq_read_bandwidth",
+                "seq_write_bandwidth",
+                "block_bytes",
+                "capacity_bytes",
+            ),
+        )
 
 
 @dataclass(frozen=True)
@@ -118,10 +144,7 @@ class HDFSSpec:
     serialize_bandwidth: float = 2e9
 
     def __post_init__(self) -> None:
-        if self.bandwidth <= 0:
-            raise ValueError("HDFS bandwidth must be positive")
-        if self.serialize_bandwidth <= 0:
-            raise ValueError("HDFS serialize bandwidth must be positive")
+        _validate(self, ("bandwidth", "serialize_bandwidth"), ("latency_s",))
 
 
 @dataclass(frozen=True)
@@ -136,8 +159,9 @@ class CPUSpec:
     memory_bytes: float = 1e12
 
     def __post_init__(self) -> None:
-        if self.cores <= 0 or self.flops <= 0:
-            raise ValueError("invalid CPU spec")
+        _validate(
+            self, ("cores", "keys_per_second_per_core", "flops", "memory_bytes")
+        )
 
 
 @dataclass(frozen=True)
@@ -153,8 +177,7 @@ class NodeHardware:
     gpus_per_node: int = 8
 
     def __post_init__(self) -> None:
-        if self.gpus_per_node <= 0:
-            raise ValueError("node needs at least one GPU")
+        _validate(self, ("gpus_per_node",))
 
 
 def default_node_hardware(

@@ -1,5 +1,7 @@
 """Tests for the hardware cost models and ledger."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from repro.hardware.gpu import GPUDevice, NVLink, dense_flops_per_example
 from repro.hardware.ledger import CostLedger
 from repro.hardware.network import Network
 from repro.hardware.specs import (
+    CPUSpec,
     GPUSpec,
     HDFSSpec,
     NetworkSpec,
@@ -189,3 +192,21 @@ class TestSpecs:
             HDFSSpec(bandwidth=0)
         with pytest.raises(ValueError):
             NVLinkSpec(bandwidth=-1)
+
+    @pytest.mark.parametrize(
+        "cls, field, value",
+        [
+            (cls, f.name, value)
+            for cls in (GPUSpec, NVLinkSpec, NetworkSpec, SSDSpec, HDFSSpec, CPUSpec)
+            for f in fields(cls)
+            if f.type != "bool"
+            for value in (-1.0, float("nan"), float("inf"))
+        ],
+    )
+    def test_spec_refuses_negative_or_non_finite_values(self, cls, field, value):
+        """Every rate, size, latency and overhead of every spec: a value
+        that would price an operation at negative, NaN or infinite
+        seconds is refused at construction, naming the field — e.g.
+        ``HDFSSpec(latency_s=-1.0)`` or ``SSDSpec(seq_read_bandwidth=nan)``."""
+        with pytest.raises(ValueError, match=f"{cls.__name__}.{field} must be"):
+            cls(**{field: value})

@@ -119,7 +119,6 @@ _COUNTER = "a device work counter; item 16 checks the charges against it"
 WRITE_ONLY_KEPT = (
     ("bytes_sent", _COUNTER), ("messages_sent", _COUNTER), ("bytes_moved", _COUNTER),
     ("read_ops", _COUNTER), ("write_ops", _COUNTER),
-    ("capacity_bytes", "SSDSpec's rated capacity, part of the spec sheet"),
     ("restore_stats", "HPSCluster.restore returns the cluster: its cost lives here"),
 )
 
