@@ -22,8 +22,6 @@ def test_checkpoint_overhead(benchmark):
                 ("snapshots taken", row["n_checkpoints"]),
                 ("training time (s)", row["train_seconds"]),
                 ("snapshot time (s)", row["checkpoint_seconds"]),
-                ("snapshot serialize (s)", row["checkpoint_serialize_seconds"]),
-                ("snapshot transfer (s)", row["checkpoint_transfer_seconds"]),
                 ("snapshot bytes", row["checkpoint_bytes"]),
                 ("overhead fraction", row["checkpoint_overhead"]),
                 ("killed node", row["kill_node"]),
@@ -45,15 +43,6 @@ def test_checkpoint_overhead(benchmark):
     assert 0 < row["rounds_replayed"] <= row["checkpoint_every"]
     assert row["restore_seconds"] > 0
     assert row["recovery_seconds"] > row["restore_seconds"]
-    # Snapshot cost is a two-stage flow shop (serialize shard n+1 while
-    # shipping shard n), so the makespan must beat the unoverlapped
-    # serialize + transfer sum...
-    assert row["checkpoint_seconds"] < (
-        row["checkpoint_serialize_seconds"]
-        + row["checkpoint_transfer_seconds"]
-    )
-    # ...and can never undercut the total bytes shipped.
-    assert row["checkpoint_seconds"] >= row["checkpoint_transfer_seconds"]
     # Snapshots cost real (simulated) I/O but stay amortizable: one
     # snapshot costs less than the cadence of training rounds it
     # protects (the functional workload's rounds are unrealistically

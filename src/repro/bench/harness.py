@@ -57,8 +57,9 @@ __all__ = [
 #: (``snapshot-overhead`` / ``recovery-downtime`` rows) and ``faults``
 #: (one supervised row per execution mode), rows as in v6.  Wall-clock
 #: throughput is ``benchmarks/hps``'s job (repeats and spread), not this
-#: ledger's.
-BENCH_E2E_SCHEMA = "bench-e2e/v7"
+#: ledger's.  v8: a save is priced at one HDFS transfer per node, so the
+#: serialize/transfer split columns are gone.
+BENCH_E2E_SCHEMA = "bench-e2e/v8"
 
 #: The recovery e2e workload: a key space far above the MEM cache with
 #: mild skew, warmed long enough that the accumulated SSD/MEM state
@@ -457,12 +458,6 @@ def run_checkpoint_overhead(
         "train_seconds": train_seconds,
         "n_checkpoints": len(checkpoints),
         "checkpoint_seconds": run.checkpoint_seconds,
-        "checkpoint_serialize_seconds": float(
-            sum(c.serialize_seconds for c in checkpoints)
-        ),
-        "checkpoint_transfer_seconds": float(
-            sum(c.transfer_seconds for c in checkpoints)
-        ),
         "checkpoint_bytes": sum(c.nbytes for c in checkpoints),
         "checkpoint_overhead": (
             run.checkpoint_seconds / train_seconds if train_seconds else 0.0
@@ -587,21 +582,6 @@ def _recovery_scenario(*, n_rounds: int, queue_capacity, seed: int) -> dict:
         ),
         "snapshot_sim_seconds": float(
             sum(s.seconds for s in stage.history)
-        ),
-        # Serialize/transfer split: the flow-shop overlap (serialize
-        # shard n+1 while shipping shard n) is what keeps continuous
-        # delta snapshots off the serial cost chain.
-        "snapshot_serialize_seconds": float(
-            sum(s.serialize_seconds for s in stage.history)
-        ),
-        "snapshot_transfer_seconds": float(
-            sum(s.transfer_seconds for s in stage.history)
-        ),
-        "snapshot_overlap_saving_seconds": float(
-            sum(
-                s.serialize_seconds + s.transfer_seconds - s.seconds
-                for s in stage.history
-            )
         ),
         "baseline_makespan": float(base_run.makespan),
         "snapshot_makespan": float(snap_run.makespan),

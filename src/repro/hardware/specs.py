@@ -137,14 +137,9 @@ class HDFSSpec:
 
     bandwidth: float = 300e6
     latency_s: float = 1e-3
-    #: CPU-side rate at which checkpoint shards are serialized into their
-    #: on-wire form, distinct from :attr:`bandwidth` (the network pipe).
-    #: The snapshot stage overlaps the two (serialize shard ``n + 1``
-    #: while shipping shard ``n``), so they are priced separately.
-    serialize_bandwidth: float = 2e9
 
     def __post_init__(self) -> None:
-        _validate(self, ("bandwidth", "serialize_bandwidth"), ("latency_s",))
+        _validate(self, ("bandwidth",), ("latency_s",))
 
 
 @dataclass(frozen=True)

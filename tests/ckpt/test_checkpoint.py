@@ -101,46 +101,77 @@ def test_save_charges_ckpt_write_and_restore_charges_ckpt_read(
     assert stats.seconds > 0 and stats.nbytes > 0
     per_node = [node.ledger.total("ckpt_write") for node in cluster.nodes]
     assert min(per_node) > 0
-    # Saves price as a serialize/transfer flow shop: the makespan beats
-    # the serial sum (overlap) but can't beat the slowest single shard.
-    assert stats.serialize_seconds > 0 and stats.transfer_seconds > 0
-    assert max(per_node) <= stats.seconds
-    assert stats.seconds < stats.serialize_seconds + stats.transfer_seconds
-    assert stats.seconds <= sum(per_node)
+    # Saves are node-serial: the sum of every node's transfer.
+    assert stats.seconds == sum(per_node)
 
     restored = HPSCluster.restore(str(tmp_path))
-    assert restored.restore_stats.seconds > 0
-    # Restores keep the parallel-shard model — no serialize component.
-    assert restored.restore_stats.serialize_seconds == 0.0
-    for node in restored.nodes:
-        assert node.ledger.total("ckpt_read") > 0
+    per_node = [node.ledger.total("ckpt_read") for node in restored.nodes]
+    assert min(per_node) > 0
+    # Restores read every node's chain at once: the slowest node.
+    assert restored.restore_stats.seconds == max(per_node)
 
 
-def test_snapshot_cost_is_flow_shop_makespan(tiny_spec, small_config, tmp_path):
-    """``seconds`` follows the serialize/transfer overlap recurrence.
+def _size(directory, name: str) -> int:
+    return os.path.getsize(os.path.join(directory, name))
 
-    Per-shard components are recoverable from each node's ``ckpt_write``
-    charge (``s_i + t_i`` with both rates known), so the flow-shop makespan —
-    ``s_done += s_i; t_done = max(t_done, s_done) + t_i`` in node order —
-    can be recomputed independently and compared against the stats.
-    """
+
+def _chained_saves(tiny_spec, small_config, tmp_path, kind: str):
+    """A full snapshot ``s0``, one more round, then a ``kind`` save ``s1``;
+    returns the cluster, ``s1``'s stats and every node's ``ckpt_write``
+    total just before ``s1``."""
     cluster = build(tiny_spec, small_config)
     cluster.train(2)
-    stats = cluster.save_checkpoint(str(tmp_path))
-    spec = cluster.nodes[0].hdfs.spec
-    rate = 1.0 / spec.bandwidth + 1.0 / spec.serialize_bandwidth
-    s_done = t_done = ser_sum = xfer_sum = 0.0
-    for per in (node.ledger.total("ckpt_write") for node in cluster.nodes):
-        total_bytes = (per - spec.latency_s) / rate
-        s = total_bytes / spec.serialize_bandwidth
-        t = spec.latency_s + total_bytes / spec.bandwidth
-        s_done += s
-        t_done = max(t_done, s_done) + t
-        ser_sum += s
-        xfer_sum += t
-    assert stats.seconds == pytest.approx(t_done, rel=1e-9)
-    assert stats.serialize_seconds == pytest.approx(ser_sum, rel=1e-9)
-    assert stats.transfer_seconds == pytest.approx(xfer_sum, rel=1e-9)
+    cluster.save_checkpoint(str(tmp_path / "s0"))
+    cluster.train(1)
+    before = [node.ledger.total("ckpt_write") for node in cluster.nodes]
+    stats = cluster.save_checkpoint(str(tmp_path / "s1"), mode=kind)
+    assert stats.kind == kind
+    return cluster, stats, before
+
+
+@pytest.mark.parametrize("kind", ["full", "delta"])
+def test_save_prices_each_node_as_one_hdfs_transfer(
+    kind, tiny_spec, small_config, tmp_path
+):
+    """One price per HDFS byte: a node's ``ckpt_write`` charge is
+    ``transfer_seconds`` of the bytes it shipped — node 0's include the
+    dense shard and the manifest — and the save's ``seconds`` is their
+    sum in node order."""
+    cluster, stats, before = _chained_saves(
+        tiny_spec, small_config, tmp_path, kind
+    )
+    d = tmp_path / "s1"
+    shipped = [_size(d, node_shard_name(n.node_id)) for n in cluster.nodes]
+    shipped[0] += _size(d, DENSE_SHARD) + _size(d, MANIFEST_NAME)
+    prices = [n.hdfs.transfer_seconds(b) for n, b in zip(cluster.nodes, shipped)]
+    assert [n.ledger.total("ckpt_write") for n in cluster.nodes] == [
+        b + t for b, t in zip(before, prices)
+    ]
+    assert stats.seconds == sum(prices)
+    assert stats.nbytes == sum(shipped)
+
+
+@pytest.mark.parametrize("ids", [[1], [0, 1]], ids=["partial", "all"])
+def test_restore_prices_each_node_as_one_hdfs_transfer(
+    ids, tiny_spec, small_config, tmp_path
+):
+    """A replacement's ``ckpt_read`` is ``transfer_seconds`` of its own
+    shard chain plus the bytes every node reads (the newest dense shard
+    and each member's manifest); the restore's ``seconds`` is their max."""
+    cluster, _, _ = _chained_saves(tiny_spec, small_config, tmp_path, "delta")
+    chain = [tmp_path / "s0", tmp_path / "s1"]
+    shared = _size(chain[-1], DENSE_SHARD) + sum(
+        _size(d, MANIFEST_NAME) for d in chain
+    )
+    stats = restore_nodes(cluster, str(chain[-1]), ids)
+    prices = [
+        cluster.nodes[i].hdfs.transfer_seconds(
+            sum(_size(d, node_shard_name(i)) for d in chain) + shared
+        )
+        for i in ids
+    ]
+    assert [cluster.nodes[i].ledger.total("ckpt_read") for i in ids] == prices
+    assert stats.seconds == max(prices)
 
 
 # ----------------------------------------------------------------------

@@ -75,3 +75,12 @@ class TestHDFSStream:
         slow = HDFSStream(gen, HDFSSpec(bandwidth=1e6), batch_size=256).read(0)
         # Latency (1 ms) floors the fast read; bandwidth still dominates.
         assert slow.read_seconds > fast.read_seconds * 10
+
+    @pytest.mark.parametrize("n_bytes", [0, 1, 4096, 10**9])
+    def test_transfer_seconds_is_alpha_beta(self, gen, n_bytes):
+        """Every HDFS byte — batch reads, snapshot saves and restores,
+        quarantine re-reads — pays the α–β closed form."""
+        spec = HDFSSpec()
+        stream = HDFSStream(gen, spec)
+        expected = spec.latency_s + n_bytes / spec.bandwidth
+        assert stream.transfer_seconds(n_bytes) == expected

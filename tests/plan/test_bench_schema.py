@@ -1,4 +1,4 @@
-"""Schema validation of the ``BENCH_e2e.json`` ledger (v7)."""
+"""Schema validation of the ``BENCH_e2e.json`` ledger (v8)."""
 
 import json
 import pathlib
@@ -17,9 +17,6 @@ RECOVERY_ROW_FIELDS = {
         "delta_bytes_mean": float,
         "bytes_ratio_full_over_delta": float,
         "snapshot_sim_seconds": float,
-        "snapshot_serialize_seconds": float,
-        "snapshot_transfer_seconds": float,
-        "snapshot_overlap_saving_seconds": float,
         "baseline_makespan": float,
         "snapshot_makespan": float,
         "makespan_overhead": float,
@@ -86,20 +83,6 @@ def validate_bench_e2e(doc: dict) -> None:
     # really are cheaper than fulls, and the splice-in partial restore
     # replays nothing while the full restore replays something.
     assert by_mode["snapshot-overhead"]["bytes_ratio_full_over_delta"] > 1.0
-    # The serialize/transfer split must account for the snapshot cost:
-    # the flow-shop makespan saves real seconds over the serial sum but
-    # never beats the transfer component alone.
-    overhead = by_mode["snapshot-overhead"]
-    assert overhead["snapshot_overlap_saving_seconds"] > 0.0
-    assert overhead["snapshot_sim_seconds"] == pytest.approx(
-        overhead["snapshot_serialize_seconds"]
-        + overhead["snapshot_transfer_seconds"]
-        - overhead["snapshot_overlap_saving_seconds"]
-    )
-    assert (
-        overhead["snapshot_sim_seconds"]
-        >= overhead["snapshot_transfer_seconds"]
-    )
     assert by_mode["recovery-downtime"]["partial_rounds_replayed"] == 0
     assert by_mode["recovery-downtime"]["full_rounds_replayed"] > 0
 

@@ -6,8 +6,10 @@ from dataclasses import fields, replace
 
 import pytest
 
+from repro.ckpt.checkpoint import CheckpointStats
 from repro.config import PAPER_MODELS, TINY_MODEL, ClusterConfig, ModelSpec
 from repro.core.cluster import BatchStats
+from repro.hardware.specs import HDFSSpec
 from repro.mem.cache import CombinedCache
 
 #: The signatures on the cluster's build/restore path.  A defaulted
@@ -100,6 +102,8 @@ class TestClusterConfig:
         to raise these ceilings on purpose."""
         assert len(fields(ClusterConfig)) <= 10
         assert len(fields(BatchStats)) <= 20
+        assert len(fields(CheckpointStats)) <= 5
+        assert len(fields(HDFSSpec)) <= 2
         assert defaulted_build_options() <= 10
 
     def test_with_nodes(self):
