@@ -7,6 +7,7 @@ describes the simulated deployment (nodes, GPUs per node, batch sharding).
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 __all__ = [
@@ -122,6 +123,21 @@ class ClusterConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        # A float or bool count used to construct and then die rounds
+        # later in numpy or ``range`` with words naming no field.
+        for name in (
+            "n_nodes",
+            "gpus_per_node",
+            "minibatches_per_gpu",
+            "mem_capacity_params",
+            "hbm_capacity_params",
+            "ssd_file_capacity",
+            "seed",
+        ):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.n_nodes <= 0 or self.gpus_per_node <= 0:
             raise ValueError("cluster must have at least one node and GPU")
         for name in (

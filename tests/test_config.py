@@ -4,6 +4,7 @@ import importlib
 import inspect
 from dataclasses import fields, replace
 
+import numpy as np
 import pytest
 
 from repro.ckpt.checkpoint import CheckpointStats
@@ -158,19 +159,37 @@ class TestClusterConfig:
             ("cache_lru_fraction", 0.0, r"cache_lru_fraction must be in \(0, 1\)"),
             ("cache_lru_fraction", 1.0, r"cache_lru_fraction must be in \(0, 1\)"),
             ("mem_capacity_params", 1, "mem_capacity_params must be >= 2"),
+            *(
+                (field, value, f"{field} must be an integer, got {value!r}")
+                for field, value in (
+                    ("ssd_file_capacity", 4.0),
+                    ("ssd_file_capacity", 4.5),
+                    ("n_nodes", 2.0),
+                    ("gpus_per_node", 2.0),
+                    ("minibatches_per_gpu", 1.5),
+                    ("mem_capacity_params", 4000.5),
+                    ("hbm_capacity_params", 1.5),
+                    ("seed", 0.5),
+                    ("n_nodes", True),
+                    ("seed", False),
+                )
+            ),
         ],
     )
     def test_values_the_mem_cache_refuses_are_rejected_here(self, field, value, match):
         """These used to pass and die inside ``HPSCluster(...)`` with
         ``CombinedCache``'s own words (``lru_fraction must be in (0, 1)``,
         ``combined cache needs capacity >= 2``) — names the user never
-        wrote.  Every accepted pair builds a cache."""
+        wrote — or, for a count that is a float or a bool, rounds later
+        in numpy or ``range`` naming no field at all.  Every accepted
+        pair builds a cache."""
         with pytest.raises(ValueError, match=match):
             ClusterConfig(**{field: value})
-        for capacity, fraction in ((2, 0.5), (2, 1e-9), (3, 1 - 1e-9)):
+        for capacity, fraction in ((2, 0.5), (2, 1e-9), (np.int64(3), 1 - 1e-9)):
             cfg = ClusterConfig(
                 mem_capacity_params=capacity, cache_lru_fraction=fraction
             )
+            assert type(cfg.mem_capacity_params) is int  # JSON-able in a manifest
             cache = CombinedCache(
                 cfg.mem_capacity_params, lru_fraction=cfg.cache_lru_fraction
             )
