@@ -30,17 +30,31 @@ with values for their written rows only, and the (full, tiny)
 dense/optimizer state.  Every shard is one header plus raw arrays
 (:func:`~repro.ckpt.format.write_shard`), read back once and hashed over
 the bytes it decodes (:func:`~repro.ckpt.format.read_shard`).
+
+This module is the only one that knows the tier protocol.  A node's
+persistent state lives in two objects, its MEM cache
+(:class:`~repro.mem.cache.CombinedCache`) and its SSD file store
+(:class:`~repro.ssd.file_store.FileStore`); :data:`_TIERS` maps each
+tier name to the one holding it, and save, fold, load and mark loop over
+that table calling the holders' five verbs: ``export_state`` /
+``export_delta`` / ``mark_snapshot`` on the way out, the pure
+``fold_delta(base, delta)`` and one loader, ``load_state``, on the way
+in.  HBM is transient (every round restages its working set from MEM and
+writes it back), so it holds nothing between rounds and has no entry.
 Each tier holds its own delta base — row-dirty bits in the MEM slab, a
 file-id watermark in the SSD store — so a delta export reads only what
 changed and steady-state snapshot cost scales with the round's write
 set, not the model.  This module tells the tiers *when* a snapshot
-exists: ``node.mark_snapshot()`` runs after a manifest commits (full or
-delta) and after a restore finishes loading, never before, so a save
-that dies mid-write leaves every mark where it was and the retry ships
-the same bytes.  The cluster keeps the chain link (``cluster._ckpt_base``:
-directory, round, manifest digest, chain length) and, in commit order,
-every snapshot it wrote with its base (``cluster._ckpt_written``) — the
-only snapshots its snapshot stage ever prunes.
+exists: every tier's ``mark_snapshot()`` runs after a manifest commits
+(full or delta) and after a restore finishes loading, never before, so
+a save that dies mid-write leaves every mark where it was and the retry
+ships the same bytes.  A save is refused mid-round with a typed error
+before any mark moves: :func:`save_cluster` refuses a round staged in
+HBM, the MEM cache a resolved round's pinned rows.  The cluster keeps
+the chain link (``cluster._ckpt_base``: directory, round, manifest
+digest, chain length) and, in commit order, every snapshot it wrote with
+its base (``cluster._ckpt_written``) — the only snapshots its snapshot
+stage ever prunes.
 
 Every restore takes one path: resolve the manifest chain
 (:func:`~repro.ckpt.format.resolve_chain`), build fresh nodes from the
@@ -65,6 +79,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import asdict, dataclass
+from operator import attrgetter
 
 import numpy as np
 
@@ -103,6 +118,32 @@ class CheckpointStats:
     #: "full" | "delta" for saves; "full" | "delta" | "partial" for
     #: restores (what the newest chain member / restore mode was).
     kind: str = "full"
+
+
+#: The persistent tiers: each one's name — the prefix its arrays carry
+#: in a node shard — and the node attribute holding its state.
+_TIERS = {
+    "mem": attrgetter("mem_ps.cache"),
+    "ssd": attrgetter("ssd_ps.store"),
+}
+
+#: The SSD compactor's run count: a scalar beside the store's arrays, so
+#: every snapshot, full or delta, ships it whole and a restore takes the
+#: newest chain member's, like the stream position.
+_COMPACTIONS = "ssd_total_compactions"
+
+
+def _tiers(node) -> dict:
+    """``node``'s persistent tiers: name → the object holding its state."""
+    return {name: holder(node) for name, holder in _TIERS.items()}
+
+
+def _mark_snapshot(nodes) -> None:
+    """Every tier of ``nodes`` marks its state as of now as the committed
+    snapshot its next ``export_delta`` diffs against."""
+    for node in nodes:
+        for tier in _tiers(node).values():
+            tier.mark_snapshot()
 
 
 # ----------------------------------------------------------------------
@@ -150,14 +191,16 @@ def _node_shard_arrays(node, tiers: dict[str, dict]) -> dict[str, np.ndarray]:
     """Pack one node's tier exports (full or delta) into shard arrays.
 
     Tier arrays are namespaced with a 4-char prefix (``mem_``/``ssd_``);
-    the stream position and the long-horizon cost accounting ride
-    alongside — the cost of *this* save lands after the snapshot (it
-    depends on the shard bytes), exactly as a deployment would book it.
+    the compaction counter, the stream position and the long-horizon
+    cost accounting ride alongside — the cost of *this* save lands after
+    the snapshot (it depends on the shard bytes), exactly as a
+    deployment would book it.
     """
     arrays: dict[str, np.ndarray] = {}
     for tier, state in tiers.items():
         for key, value in state.items():
             arrays[f"{tier}_{key}"] = value
+    arrays[_COMPACTIONS] = np.int64(node.ssd_ps.compactor.total_compactions)
     arrays["hdfs_batches_read"] = np.int64(node.hdfs.batches_read)
     arrays["hdfs_bytes_read"] = np.int64(node.hdfs.bytes_read)
     ledger_state = node.ledger.export_state()
@@ -171,22 +214,21 @@ def _node_shard_arrays(node, tiers: dict[str, dict]) -> dict[str, np.ndarray]:
 
 def _split_tier_arrays(arrays: dict[str, np.ndarray]) -> dict[str, dict]:
     """Invert :func:`_node_shard_arrays`'s tier namespacing."""
-    from repro.core.node import HPSNode
-
     return {
         tier: {
             k[len(tier) + 1 :]: v
             for k, v in arrays.items()
-            if k.startswith(f"{tier}_")
+            if k.startswith(f"{tier}_") and k != _COMPACTIONS
         }
-        for tier in HPSNode.TIERS
+        for tier in _TIERS
     }
 
 
 def _load_node_counters(node, arrays: dict[str, np.ndarray]) -> None:
-    """Stream position + cost history (restored first, then the restore
-    itself is charged on top — accounting continues, it does not
-    restart)."""
+    """Compaction counter, stream position + cost history (restored
+    first, then the restore itself is charged on top — accounting
+    continues, it does not restart)."""
+    node.ssd_ps.compactor.total_compactions = int(arrays[_COMPACTIONS])
     node.hdfs.batches_read = int(arrays["hdfs_batches_read"])
     node.hdfs.bytes_read = int(arrays["hdfs_bytes_read"])
     node.ledger.load_state(
@@ -203,8 +245,7 @@ def _record_base(cluster, directory: str, chain_length: int) -> None:
     is the cluster's state: every tier marks it as its delta base and
     the cluster remembers the chain link and how many members a restore
     from it walks."""
-    for node in cluster.nodes:
-        node.mark_snapshot()
+    _mark_snapshot(cluster.nodes)
     cluster._ckpt_base = {
         "directory": os.path.abspath(directory),
         "rounds": cluster.rounds_completed,
@@ -293,7 +334,10 @@ def save_cluster(cluster, directory: str, *, kind: str = "full") -> CheckpointSt
     node_bytes: list[int] = []
     for node in cluster.nodes:
         name = node_shard_name(node.node_id)
-        tiers = node.tier_states() if base is None else node.tier_deltas()
+        tiers = {
+            name: tier.export_state() if base is None else tier.export_delta()
+            for name, tier in _tiers(node).items()
+        }
         nbytes, shards[name] = fmt.write_shard(
             directory, name, _node_shard_arrays(node, tiers)
         )
@@ -398,11 +442,11 @@ def _restore_nodes(cluster, chain, nodes) -> CheckpointStats:
     own recipe) from a resolved chain and splice them into ``cluster``.
 
     Each node reads its shards once, base first, digest-verifying each
-    and folding it in memory
-    (:meth:`~repro.core.node.HPSNode.fold_tier_deltas`), and loads every
-    tier once, takes the newest member's dense replica, stream position
-    and cost history, and pays its own ``ckpt_read``: its shard chain
-    plus the dense replica and the chain's manifests.  The nodes are
+    and folding it in memory (every tier's pure ``fold_delta``), and
+    loads every tier once, takes the newest member's dense replica,
+    compaction counter, stream position and cost history, and pays its
+    own ``ckpt_read``: its shard chain plus the dense replica and the
+    chain's manifests.  The nodes are
     spliced into ``cluster`` only once every one has loaded, so a missing
     or corrupt shard leaves the cluster as it was.
 
@@ -447,9 +491,15 @@ def _restore_nodes(cluster, chain, nodes) -> CheckpointStats:
         for d, m in chain:
             arrays, size = _read_shard(d, m, node_shard_name(node.node_id))
             tiers = _split_tier_arrays(arrays)
-            states = node.fold_tier_deltas(states, tiers) if states else tiers
+            if states:
+                tiers = {
+                    name: tier.fold_delta(states[name], tiers[name])
+                    for name, tier in _tiers(node).items()
+                }
+            states = tiers
             own_bytes += size
-        node.load_tier_states(states)
+        for name, tier in _tiers(node).items():
+            tier.load_state(states[name])
         _load_dense(node, dense)
         _load_node_counters(node, arrays)  # the newest member's
         node_bytes.append(own_bytes + shared_bytes)
@@ -459,8 +509,7 @@ def _restore_nodes(cluster, chain, nodes) -> CheckpointStats:
         cluster.nodes[node.node_id] = node
 
     if partial:
-        for node in nodes:
-            node.mark_snapshot()
+        _mark_snapshot(nodes)
         base = cluster._ckpt_base
         if base is not None and base["manifest_sha256"] != fmt.manifest_sha256(
             newest_dir

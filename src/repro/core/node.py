@@ -91,56 +91,6 @@ class HPSNode:
     def n_gpus(self) -> int:
         return self.config.gpus_per_node
 
-    # ------------------------------------------------------------------
-    # Checkpoint protocol: every persistent tier exposes the same verbs —
-    # export_state / export_delta / mark_snapshot / the pure fold_delta /
-    # one loader, load_state — and keeps its own delta base; the node
-    # drives them uniformly so the checkpoint code never reaches into
-    # tiers.  A restore folds a chain in memory and loads each tier once.
-    # HBM is transient (every round restages its working set from MEM and
-    # writes it back), so it holds nothing between rounds and has no part.
-    # ------------------------------------------------------------------
-    TIERS = ("mem", "ssd")
-
-    def tier_states(self) -> dict[str, dict]:
-        """Full per-tier snapshots (each tier's ``export_state``)."""
-        return {
-            "mem": self.mem_ps.export_state(),
-            "ssd": self.ssd_ps.export_state(),
-        }
-
-    def tier_deltas(self) -> dict[str, dict]:
-        """Per-tier diffs against the snapshot last marked
-        (:meth:`mark_snapshot`); an unmarked tier raises
-        :class:`~repro.errors.TierStateError`."""
-        return {
-            "mem": self.mem_ps.export_delta(),
-            "ssd": self.ssd_ps.export_delta(),
-        }
-
-    def mark_snapshot(self) -> None:
-        """Every tier's state as of now is a committed snapshot — the
-        base the next :meth:`tier_deltas` diffs against.  The checkpoint
-        writer calls this after a manifest commits, the reader once a
-        chain has loaded; an export never does."""
-        self.mem_ps.mark_snapshot()
-        self.ssd_ps.mark_snapshot()
-
-    def load_tier_states(self, tiers: dict[str, dict]) -> None:
-        """Restore every tier from a :meth:`tier_states` snapshot."""
-        self.mem_ps.load_state(tiers["mem"])
-        self.ssd_ps.load_state(tiers["ssd"])
-
-    def fold_tier_deltas(
-        self, states: dict[str, dict], deltas: dict[str, dict]
-    ) -> dict[str, dict]:
-        """The :meth:`tier_states` snapshot a :meth:`tier_deltas` diff
-        describes, built on the ``states`` it was taken against (pure)."""
-        return {
-            "mem": self.mem_ps.fold_delta(states["mem"], deltas["mem"]),
-            "ssd": self.ssd_ps.fold_delta(states["ssd"], deltas["ssd"]),
-        }
-
     def cpu_partition_time(self, n_keys: int) -> float:
         """Simulated seconds to shard ``n_keys`` working keys across this
         node's GPUs (Alg. 1 line 5), charged to the node's ledger."""

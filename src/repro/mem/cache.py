@@ -608,7 +608,10 @@ class CombinedCache:
         a snapshot — the policy cannot observe them.
 
         The snapshot is only well-defined at a batch boundary: pinned
-        entries belong to an in-flight batch and have no on-disk meaning.
+        entries belong to an in-flight batch and have no on-disk meaning,
+        so this, :meth:`export_delta` and :meth:`mark_snapshot` refuse
+        while any are held (:class:`~repro.errors.TierStateError`) —
+        the refusal a checkpoint taken mid-round meets.
         """
         self._require_unpinned()
         lru, lfu = self._tier_rows(self._tick), self._tier_rows(self._ftick)

@@ -267,25 +267,14 @@ class MemPS:
     def flush_to_ssd(self) -> float:
         """Drain the entire cache to the SSD-PS (checkpoint/shutdown).
 
-        Only valid at a round boundary, like :meth:`export_state`: the
-        in-flight round's rows index the slab this call resets.
+        Only valid at a round boundary: the in-flight round's rows index
+        the slab this call resets.
         """
         self._require_round_boundary()
         fk, fv = self.cache.flush_all()
         if fk.size == 0:
             return 0.0
         return self.ssd_ps.dump(fk, fv)
-
-    # ------------------------------------------------------------------
-    def export_state(self) -> dict[str, np.ndarray]:
-        """Snapshot the MEM tier for a checkpoint shard.
-
-        Only valid at a round boundary: the round's pins must have been
-        released by :meth:`end_batch`, otherwise the cache snapshot would
-        capture in-flight working-set state that a restore cannot honour.
-        """
-        self._require_round_boundary()
-        return self.cache.export_state()
 
     def _require_round_boundary(self) -> None:
         pplan = self._prefetch_plan
@@ -294,32 +283,3 @@ class MemPS:
                 "MEM-PS still holds the in-flight round's pins — only "
                 "valid at a round boundary (after end_batch)"
             )
-
-    def load_state(self, state: dict[str, np.ndarray]) -> None:
-        """Restore the MEM tier from an :meth:`export_state` snapshot."""
-        self.cache.load_state(state)
-        self._prefetch_plan = None
-
-    def export_delta(self) -> dict[str, np.ndarray]:
-        """Diff the MEM tier against the snapshot last marked.
-
-        Same round-boundary contract as :meth:`export_state`; the heavy
-        lifting (a mask of the untouched base entries, the reordered
-        ones, written values only) happens in
-        :meth:`CombinedCache.export_delta`.
-        """
-        self._require_round_boundary()
-        return self.cache.export_delta()
-
-    def mark_snapshot(self) -> None:
-        """The state as of now is a committed snapshot — the next
-        :meth:`export_delta`'s base.  Round boundaries only."""
-        self._require_round_boundary()
-        self.cache.mark_snapshot()
-
-    def fold_delta(
-        self, base: dict[str, np.ndarray], delta: dict[str, np.ndarray]
-    ) -> dict[str, np.ndarray]:
-        """The snapshot an :meth:`export_delta` diff describes, built on
-        the ``base`` it was diffed against (:meth:`CombinedCache.fold_delta`)."""
-        return self.cache.fold_delta(base, delta)

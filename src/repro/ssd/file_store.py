@@ -527,8 +527,11 @@ class FileStore:
     def export_state(self) -> dict[str, np.ndarray]:
         """Flat-array snapshot of the files' live rows and counters.
 
-        The mapping is not shipped: each live row ships once, so
-        :meth:`load_state` derives it from the shipped keys.
+        The file layout ships, not just the live rows: stale counters
+        drive future compaction, so a resumed run repeats the original
+        run's I/O schedule only if files and counters come back
+        verbatim.  The mapping is not shipped: each live row ships once,
+        so :meth:`load_state` derives it from the shipped keys.
         """
         out = self._pack_files(self._live_slots())
         out["next_file_id"] = np.int64(self._next_file_id)

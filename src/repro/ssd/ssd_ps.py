@@ -59,47 +59,3 @@ class SSDPS:
 
     def check_invariants(self) -> None:
         self.store.check_invariants()
-
-    # ------------------------------------------------------------------
-    def export_state(self) -> dict[str, np.ndarray]:
-        """Snapshot the file store plus the compaction counter.
-
-        Restoring the exact file layout (not just the live rows) matters:
-        stale fractions drive future compaction triggers, so a resumed
-        run only reproduces the original run's I/O schedule if the files
-        and their counters come back verbatim.
-        """
-        return self._with_counter(self.store.export_state())
-
-    def load_state(self, state: dict[str, np.ndarray]) -> None:
-        """Restore from an :meth:`export_state` snapshot."""
-        self.store.load_state(state)
-        self.compactor.total_compactions = int(state["total_compactions"])
-
-    def export_delta(self) -> dict[str, np.ndarray]:
-        """Diff against the snapshot last marked.
-
-        The file store diffs exactly (immutable files, monotone ids);
-        the compaction counter is a scalar, so it ships in full with
-        every delta.
-        """
-        return self._with_counter(self.store.export_delta())
-
-    def mark_snapshot(self) -> None:
-        """The state as of now is a committed snapshot — the next
-        :meth:`export_delta`'s base."""
-        self.store.mark_snapshot()
-
-    def fold_delta(
-        self, base: dict[str, np.ndarray], delta: dict[str, np.ndarray]
-    ) -> dict[str, np.ndarray]:
-        """The snapshot an :meth:`export_delta` diff describes, built on
-        the ``base`` it was diffed against (:meth:`FileStore.fold_delta`);
-        the compaction counter is the delta's."""
-        state = self.store.fold_delta(base, delta)
-        state["total_compactions"] = delta["total_compactions"].copy()
-        return state
-
-    def _with_counter(self, out: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-        out["total_compactions"] = np.int64(self.compactor.total_compactions)
-        return out

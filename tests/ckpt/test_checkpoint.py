@@ -37,14 +37,18 @@ def assert_cluster_parity(a: HPSCluster, b: HPSCluster) -> None:
 def assert_deep_state_parity(a: HPSCluster, b: HPSCluster) -> None:
     """Replacement metadata and SSD layout match, not just values."""
     for na, nb in zip(a.nodes, b.nodes):
-        mem_a, mem_b = na.mem_ps.export_state(), nb.mem_ps.export_state()
+        mem_a, mem_b = na.mem_ps.cache.export_state(), nb.mem_ps.cache.export_state()
         assert set(mem_a) == set(mem_b)
         for key in mem_a:
             assert np.array_equal(mem_a[key], mem_b[key]), f"mem {key}"
-        ssd_a, ssd_b = na.ssd_ps.export_state(), nb.ssd_ps.export_state()
+        ssd_a, ssd_b = na.ssd_ps.store.export_state(), nb.ssd_ps.store.export_state()
         assert set(ssd_a) == set(ssd_b)
         for key in ssd_a:
             assert np.array_equal(ssd_a[key], ssd_b[key]), f"ssd {key}"
+        assert (
+            na.ssd_ps.compactor.total_compactions
+            == nb.ssd_ps.compactor.total_compactions
+        )
 
 
 # ----------------------------------------------------------------------

@@ -16,6 +16,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import os
+from operator import attrgetter
 
 import numpy as np
 import pytest
@@ -89,18 +90,37 @@ def node_shard(directory, node_id: int) -> dict[str, np.ndarray]:
     return fmt.read_shard(str(directory), name, shard_digests(directory)[name])[0]
 
 
+def tier_states(node) -> dict[str, dict]:
+    """Every persistent tier's ``export_state()``, the SSD one with the
+    compaction counter a node shard ships beside it."""
+    states = {name: tier.export_state() for name, tier in ckpt._tiers(node).items()}
+    states["ssd"]["total_compactions"] = np.int64(
+        node.ssd_ps.compactor.total_compactions
+    )
+    return states
+
+
 def folded_tiers_digest(cluster: HPSCluster, directory, node_id: int) -> str:
     """SHA-256 over one node's tier states folded from the chain ending
     at ``directory`` — every array's name, dtype, shape and bytes in name
-    order, then the SSD mapping the files imply as (key, file id) rows —
-    so the pin holds across changes of the shard encoding."""
+    order (the SSD state with the newest member's compaction counter, as
+    :func:`tier_states` has it), then the SSD mapping the files imply as
+    (key, file id) rows — so the pin holds across changes of the shard
+    encoding."""
     node = cluster.nodes[node_id]
     states: dict[str, dict] = {}
     for member, _ in fmt.resolve_chain(str(directory)):
-        tiers = ckpt._split_tier_arrays(node_shard(member, node_id))
-        states = node.fold_tier_deltas(states, tiers) if states else tiers
+        arrays = node_shard(member, node_id)
+        tiers = ckpt._split_tier_arrays(arrays)
+        if states:
+            tiers = {
+                name: tier.fold_delta(states[name], tiers[name])
+                for name, tier in ckpt._tiers(node).items()
+            }
+        states = tiers
+    states["ssd"]["total_compactions"] = arrays["ssd_total_compactions"]
     h = hashlib.sha256()
-    for tier in type(node).TIERS:
+    for tier in ckpt._TIERS:
         for name in sorted(states[tier]):
             a = np.ascontiguousarray(states[tier][name])
             h.update(f"{tier}|{name}|{a.dtype.str}|{a.shape}|".encode())
@@ -115,15 +135,17 @@ def folded_tiers_digest(cluster: HPSCluster, directory, node_id: int) -> str:
 def assert_same_tiers(a: HPSCluster, b: HPSCluster) -> None:
     """Every node's per-tier ``export_state()`` byte for byte."""
     for na, nb in zip(a.nodes, b.nodes):
-        for tier in type(na).TIERS:
-            assert_same_arrays(na.tier_states()[tier], nb.tier_states()[tier])
+        sa, sb = tier_states(na), tier_states(nb)
+        for tier in ckpt._TIERS:
+            assert_same_arrays(sa[tier], sb[tier])
 
 
 def assert_deep_state_parity(a: HPSCluster, b: HPSCluster) -> None:
     """Replacement metadata and SSD layout match, not just values."""
     for na, nb in zip(a.nodes, b.nodes):
-        for tier in type(na).TIERS:
-            sa, sb = na.tier_states()[tier], nb.tier_states()[tier]
+        states_a, states_b = tier_states(na), tier_states(nb)
+        for tier in ckpt._TIERS:
+            sa, sb = states_a[tier], states_b[tier]
             assert set(sa) == set(sb), tier
             for key in sa:
                 assert np.array_equal(sa[key], sb[key]), f"{tier} {key}"
@@ -137,35 +159,36 @@ class TestTierDeltaRoundTrip:
     taken at the mark, is the current export_state() byte for byte, for
     every tier — and loads into a fresh tier as that state."""
 
-    @pytest.mark.parametrize("tier", ["mem_ps", "ssd_ps"])
+    @pytest.mark.parametrize("tier", ["mem", "ssd"])
     def test_round_trip(self, tiny_spec, pressured, tmp_path, tier):
         trained = build(tiny_spec, pressured)
         trained.train(7)
-        bases = [getattr(n, tier).export_state() for n in trained.nodes]
+        bases = [ckpt._tiers(n)[tier].export_state() for n in trained.nodes]
         for node in trained.nodes:
-            getattr(node, tier).mark_snapshot()
+            ckpt._tiers(node)[tier].mark_snapshot()
         trained.train(3)
 
         fresh = build(tiny_spec, pressured)
         for node, fresh_node, base in zip(
             trained.nodes, fresh.nodes, bases
         ):
-            ps = getattr(node, tier)
+            ps = ckpt._tiers(node)[tier]
             want = ps.export_state()
             folded = ps.fold_delta(base, ps.export_delta())
             assert_same_arrays(folded, want)
-            getattr(fresh_node, tier).load_state(folded)
-            assert_same_arrays(getattr(fresh_node, tier).export_state(), want)
+            ckpt._tiers(fresh_node)[tier].load_state(folded)
+            assert_same_arrays(ckpt._tiers(fresh_node)[tier].export_state(), want)
 
     def test_ssd_delta_ships_only_new_files(
         self, tiny_spec, pressured, tmp_path
     ):
         trained = build(tiny_spec, pressured)
         trained.train(10)
-        trained.nodes[0].ssd_ps.mark_snapshot()
+        store = trained.nodes[0].ssd_ps.store
+        store.mark_snapshot()
         trained.train(1)
-        delta = trained.nodes[0].ssd_ps.export_delta()
-        full = trained.nodes[0].ssd_ps.export_state()
+        delta = store.export_delta()
+        full = store.export_state()
         delta_bytes = sum(v.nbytes for v in delta.values())
         full_bytes = sum(v.nbytes for v in full.values())
         assert 0 < delta_bytes < full_bytes
@@ -174,8 +197,7 @@ class TestTierDeltaRoundTrip:
         trained = build(tiny_spec, pressured)
         trained.train(10)
         for node in trained.nodes:
-            for tier in type(node).TIERS:
-                ps = {"mem": node.mem_ps, "ssd": node.ssd_ps}[tier]
+            for tier, ps in ckpt._tiers(node).items():
                 base = ps.export_state()
                 ps.mark_snapshot()
                 delta = ps.export_delta()
@@ -193,7 +215,7 @@ class TestTierDeltaRoundTrip:
 # ----------------------------------------------------------------------
 class TestMarkProtocolMisuse:
     @pytest.mark.parametrize(
-        "tier, names", [("mem_ps", "MEM"), ("ssd_ps", "SSD")]
+        "tier, names", [("mem_ps.cache", "MEM"), ("ssd_ps.store", "SSD")]
     )
     def test_export_delta_without_a_mark_is_a_tier_state_error(
         self, tiny_spec, pressured, tier, names
@@ -203,7 +225,8 @@ class TestMarkProtocolMisuse:
         TierStateError naming the tier, state untouched."""
         trained = build(tiny_spec, pressured)
         trained.train(7)
-        ps = getattr(trained.nodes[0], tier)
+        holder_of = attrgetter(tier)
+        ps = holder_of(trained.nodes[0])
         before = ps.export_state()
         with pytest.raises(TierStateError, match=f"{names}.*no snapshot mark"):
             ps.export_delta()
@@ -213,7 +236,7 @@ class TestMarkProtocolMisuse:
         ps.mark_snapshot()
         trained.train(2)
         delta = ps.export_delta()
-        holder = getattr(build(tiny_spec, pressured).nodes[0], tier)
+        holder = holder_of(build(tiny_spec, pressured).nodes[0])
         holder.load_state(before)
         with pytest.raises(TierStateError, match=names):
             holder.export_delta()
@@ -229,8 +252,9 @@ class TestMarkProtocolMisuse:
         self, tiny_spec, pressured, tmp_path
     ):
         """Pins held / a round in flight: the same TierStateError
-        ``export_state`` raises, marks untouched — the delta taken once
-        the round is aborted still covers everything since the base."""
+        ``export_state`` raises, from the cache and from a cluster save,
+        marks untouched — the delta taken once the round is aborted
+        still covers everything since the base."""
         cluster = build(tiny_spec, pressured)
         cluster.train(3)
         cluster.save_checkpoint(str(tmp_path / "s0"), mode="full")
@@ -239,16 +263,59 @@ class TestMarkProtocolMisuse:
         cluster.stage_read(ctx)
         cluster.stage_prefetch(ctx)
         for node in cluster.nodes:
-            with pytest.raises(TierStateError, match="round boundary"):
-                node.mem_ps.mark_snapshot()
             with pytest.raises(TierStateError, match="pinned"):
                 node.mem_ps.cache.mark_snapshot()
-            with pytest.raises(TierStateError, match="round boundary"):
-                node.mark_snapshot()
+        with pytest.raises(TierStateError, match="pinned"):
+            cluster.save_checkpoint(str(tmp_path / "s1"), mode="delta")
         cluster.abort_round()
         cluster.save_checkpoint(str(tmp_path / "s1"), mode="delta")
         restored = HPSCluster.restore(str(tmp_path / "s1"))
         assert wrong_rows(cluster, restored) == 0
+
+    def test_save_between_prefetch_and_load_changes_nothing(
+        self, tiny_spec, pressured, tmp_path
+    ):
+        """Resolved but not yet staged in HBM (``_staged_rounds == 0``,
+        so the cluster's own boundary check passes): a full or delta
+        save is refused with a typed error and leaves the chain link,
+        the written index and every tier mark as they were; once the
+        round is aborted, a delta into the same directory restores
+        bit-exactly."""
+        cluster = build(tiny_spec, pressured)
+        cluster.train(3)
+        cluster.save_checkpoint(str(tmp_path / "s0"), mode="full")
+        cluster.train(1)
+        ctx = RoundContext(round_index=cluster.rounds_completed)
+        cluster.stage_read(ctx)
+        cluster.stage_prefetch(ctx)
+        assert cluster._staged_rounds == 0
+
+        def marks():
+            return [
+                np.asarray(part)
+                for node in cluster.nodes
+                for tier in ckpt._tiers(node).values()
+                for part in tier._mark
+            ]
+
+        base, written = dict(cluster._ckpt_base), dict(cluster._ckpt_written)
+        before = marks()
+        for mode in ("full", "delta"):
+            with pytest.raises(TierStateError):
+                cluster.save_checkpoint(str(tmp_path / "s1"), mode=mode)
+            assert cluster._ckpt_base == base
+            assert cluster._ckpt_written == written
+            after = marks()
+            assert len(after) == len(before)
+            assert all(np.array_equal(x, y) for x, y in zip(before, after))
+
+        cluster.abort_round()
+        stats = cluster.save_checkpoint(str(tmp_path / "s1"), mode="delta")
+        assert stats.kind == "delta"
+        restored = HPSCluster.restore(str(tmp_path / "s1"))
+        assert wrong_rows(cluster, restored) == 0
+        assert_cluster_parity(cluster, restored)
+        assert_deep_state_parity(cluster, restored)
 
     def test_the_mark_survives_a_flush_to_ssd(
         self, tiny_spec, pressured, tmp_path
@@ -350,7 +417,7 @@ class TestDeltaChainRestore:
         cluster = build(tiny_spec, pressured)
         cluster.train(3)
         cluster.save_checkpoint(str(tmp_path / "base"), mode="full")
-        bases = [n.tier_states() for n in cluster.nodes]
+        bases = [tier_states(n) for n in cluster.nodes]
 
         collected = [[] for _ in range(cluster.n_nodes)]
 
@@ -385,12 +452,12 @@ class TestDeltaChainRestore:
             ref = ReferenceFileStore(
                 node.ssd_ps.store.value_dim, node.ssd_ps.store.file_capacity
             )
-            ref.load_state(node.ssd_ps.export_state())
+            ref.load_state(node.ssd_ps.store.export_state())
             oracle = {
                 "mem": oracle_cache_delta(
                     node.mem_ps.cache, base["mem"], dirty_keys=written
                 ),
-                "ssd": node.ssd_ps._with_counter(ref.export_delta(base["ssd"])),
+                "ssd": ref.export_delta(base["ssd"]),
             }
             arrays = ckpt._node_shard_arrays(node, oracle)
             # The ledger moved on (this save's own ckpt_write): take the

@@ -133,7 +133,7 @@ class TestStageSurfaces:
         assert cluster.config.minibatches_per_gpu == 2
         cluster.train(2)
         for node in cluster.nodes:
-            node.mem_ps.mark_snapshot()
+            node.mem_ps.cache.mark_snapshot()
         ctx = RoundContext(round_index=cluster.rounds_completed)
         for stage in (cluster.stage_read, cluster.stage_prepare, cluster.stage_load):
             stage(ctx)

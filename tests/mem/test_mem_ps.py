@@ -175,7 +175,9 @@ class TestUpdates:
         with pytest.raises(TierStateError, match="round boundary"):
             m.prefetch(plan.prefetch[0])  # a round is already in flight
         with pytest.raises(TierStateError, match="round boundary"):
-            m.export_state()
+            m.flush_to_ssd()
+        with pytest.raises(TierStateError, match="pinned"):
+            m.cache.export_state()  # what a checkpoint meets mid-round
         m.end_batch()
         with pytest.raises(RuntimeError, match="call prefetch first"):
             m.end_batch()
