@@ -48,7 +48,6 @@ def _validate(
 class GPUSpec:
     """One accelerator card."""
 
-    hbm_bytes: float = 32 * GB
     #: Sustained dense throughput in FLOP/s (V100-class mixed precision,
     #: derated to an achievable fraction for MLP workloads).
     flops: float = 2.0e13
@@ -58,9 +57,7 @@ class GPUSpec:
     kernel_launch_s: float = 10e-6
 
     def __post_init__(self) -> None:
-        _validate(
-            self, ("hbm_bytes", "flops", "hbm_bandwidth"), ("kernel_launch_s",)
-        )
+        _validate(self, ("flops", "hbm_bandwidth"), ("kernel_launch_s",))
 
 
 @dataclass(frozen=True)
@@ -113,17 +110,10 @@ class SSDSpec:
     seq_read_bandwidth: float = 10e9
     seq_write_bandwidth: float = 8e9
     block_bytes: int = 4096
-    capacity_bytes: float = 20e12
 
     def __post_init__(self) -> None:
         _validate(
-            self,
-            (
-                "seq_read_bandwidth",
-                "seq_write_bandwidth",
-                "block_bytes",
-                "capacity_bytes",
-            ),
+            self, ("seq_read_bandwidth", "seq_write_bandwidth", "block_bytes")
         )
 
 

@@ -185,8 +185,6 @@ class TestSpecs:
 
     def test_invalid_specs_rejected(self):
         with pytest.raises(ValueError):
-            GPUSpec(hbm_bytes=0)
-        with pytest.raises(ValueError):
             SSDSpec(block_bytes=0)
         with pytest.raises(ValueError):
             HDFSSpec(bandwidth=0)

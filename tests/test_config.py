@@ -10,7 +10,7 @@ import pytest
 from repro.ckpt.checkpoint import CheckpointStats
 from repro.config import PAPER_MODELS, TINY_MODEL, ClusterConfig, ModelSpec
 from repro.core.cluster import BatchStats
-from repro.hardware.specs import HDFSSpec
+from repro.hardware.specs import GPUSpec, HDFSSpec, SSDSpec
 from repro.mem.cache import CombinedCache
 
 #: The signatures on the cluster's build/restore path.  A defaulted
@@ -105,6 +105,8 @@ class TestClusterConfig:
         assert len(fields(BatchStats)) <= 20
         assert len(fields(CheckpointStats)) <= 5
         assert len(fields(HDFSSpec)) <= 2
+        assert len(fields(GPUSpec)) <= 3
+        assert len(fields(SSDSpec)) <= 3
         assert defaulted_build_options() <= 10
 
     def test_with_nodes(self):
