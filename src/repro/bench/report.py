@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-__all__ = ["format_table", "format_series", "ascii_bars", "ascii_gantt"]
+__all__ = ["format_table", "format_series", "ascii_bars"]
 
 
 def _fmt(v) -> str:
@@ -46,45 +46,6 @@ def format_series(
 ) -> str:
     """Two-column series (the paper's line plots, as text)."""
     return format_table([x_name, y_name], list(zip(x, y)), title=title)
-
-
-def ascii_gantt(schedule, *, width: int = 64, title: str | None = None) -> str:
-    """Render a :class:`~repro.core.pipeline.PipelineSchedule` as text.
-
-    One row per batch; each stage's span is drawn with the first letter of
-    its name along a shared time axis, so inter-batch overlap (stacked
-    rows occupying the same columns) is visible at a glance::
-
-        batch 0 |RPPLTTTT        |
-        batch 1 | R  PPLTTTT     |
-    """
-    n = schedule.n_batches
-    makespan = schedule.makespan
-    out = [title] if title else []
-    if n == 0 or makespan <= 0:
-        out.append("(empty schedule)")
-        return "\n".join(out)
-    scale = width / makespan
-    letters = [name[0].upper() for name in schedule.stage_names]
-    for b in range(n):
-        row = [" "] * width
-        for s in range(len(schedule.stage_names)):
-            lo = int(schedule.start[b, s] * scale)
-            hi = int(schedule.finish[b, s] * scale)
-            for c in range(lo, max(lo + 1, hi)):
-                # A near-zero stage's forced single column may collide
-                # with a neighbour; first writer wins so it stays visible.
-                if c < width and row[c] == " ":
-                    row[c] = letters[s]
-        out.append(f"batch {b:>2} |{''.join(row)}|")
-    out.append(
-        "time 0 .. " + _fmt(float(makespan)) + " s; stages: "
-        + ", ".join(
-            f"{letter}={name}"
-            for letter, name in zip(letters, schedule.stage_names)
-        )
-    )
-    return "\n".join(out)
 
 
 def ascii_bars(

@@ -13,13 +13,7 @@ from repro.bench.harness import (
     run_table4_speedups,
     small_cluster_config,
 )
-from repro.bench.report import ascii_bars, ascii_gantt, format_series, format_table
-from repro.core.cluster import PIPELINE_STAGE_NAMES
-from repro.core.pipeline import schedule
-
-
-def algorithm1_schedule(stage_times):
-    return schedule(np.asarray(stage_times), stage_names=PIPELINE_STAGE_NAMES)
+from repro.bench.report import ascii_bars, format_series, format_table
 
 
 class TestFormatTable:
@@ -57,32 +51,6 @@ class TestSeriesAndBars:
     def test_bars_zero_values(self):
         out = ascii_bars(["a"], [0.0])
         assert "a" in out
-
-
-class TestGantt:
-    def test_rows_and_legend(self):
-        sched = algorithm1_schedule(np.tile([1.0, 1.0, 1.0, 1.0], (3, 1)))
-        out = ascii_gantt(sched, width=40)
-        lines = out.splitlines()
-        assert len(lines) == 4  # 3 batch rows + legend
-        assert lines[0].startswith("batch  0 |")
-        assert "R=read" in lines[-1]
-
-    def test_overlap_visible(self):
-        """Consecutive batches occupy overlapping columns."""
-        sched = algorithm1_schedule(np.tile([2.0, 2.0, 2.0, 2.0], (2, 1)))
-        out = ascii_gantt(sched, width=40).splitlines()
-        row0, row1 = out[0], out[1]
-        overlap = [
-            i
-            for i, (a, b) in enumerate(zip(row0, row1))
-            if a not in " |" and b not in " |"
-        ]
-        assert overlap
-
-    def test_empty_schedule(self):
-        sched = algorithm1_schedule(np.zeros((0, 4)))
-        assert "empty" in ascii_gantt(sched)
 
 
 class TestHarnessEntryPoints:
