@@ -135,15 +135,15 @@ _COMPACTIONS = "ssd_total_compactions"
 
 def _tiers(node) -> dict:
     """``node``'s persistent tiers: name → the object holding its state."""
-    return {name: holder(node) for name, holder in _TIERS.items()}
+    return {tier: holder_of(node) for tier, holder_of in _TIERS.items()}
 
 
 def _mark_snapshot(nodes) -> None:
     """Every tier of ``nodes`` marks its state as of now as the committed
     snapshot its next ``export_delta`` diffs against."""
     for node in nodes:
-        for tier in _tiers(node).values():
-            tier.mark_snapshot()
+        for holder in _tiers(node).values():
+            holder.mark_snapshot()
 
 
 # ----------------------------------------------------------------------
@@ -335,8 +335,8 @@ def save_cluster(cluster, directory: str, *, kind: str = "full") -> CheckpointSt
     for node in cluster.nodes:
         name = node_shard_name(node.node_id)
         tiers = {
-            name: tier.export_state() if base is None else tier.export_delta()
-            for name, tier in _tiers(node).items()
+            tier: holder.export_state() if base is None else holder.export_delta()
+            for tier, holder in _tiers(node).items()
         }
         nbytes, shards[name] = fmt.write_shard(
             directory, name, _node_shard_arrays(node, tiers)
@@ -446,9 +446,9 @@ def _restore_nodes(cluster, chain, nodes) -> CheckpointStats:
     loads every tier once, takes the newest member's dense replica,
     compaction counter, stream position and cost history, and pays its
     own ``ckpt_read``: its shard chain plus the dense replica and the
-    chain's manifests.  The nodes are
-    spliced into ``cluster`` only once every one has loaded, so a missing
-    or corrupt shard leaves the cluster as it was.
+    chain's manifests.  The nodes are spliced into ``cluster`` only once
+    every one has loaded, so a missing or corrupt shard leaves the
+    cluster as it was.
 
     Replacing every node rewinds the cluster to the snapshot — its
     round, nothing staged, the chain as the next delta's base.
@@ -493,13 +493,13 @@ def _restore_nodes(cluster, chain, nodes) -> CheckpointStats:
             tiers = _split_tier_arrays(arrays)
             if states:
                 tiers = {
-                    name: tier.fold_delta(states[name], tiers[name])
-                    for name, tier in _tiers(node).items()
+                    tier: holder.fold_delta(states[tier], tiers[tier])
+                    for tier, holder in _tiers(node).items()
                 }
             states = tiers
             own_bytes += size
-        for name, tier in _tiers(node).items():
-            tier.load_state(states[name])
+        for tier, holder in _tiers(node).items():
+            holder.load_state(states[tier])
         _load_dense(node, dense)
         _load_node_counters(node, arrays)  # the newest member's
         node_bytes.append(own_bytes + shared_bytes)

@@ -93,7 +93,7 @@ def node_shard(directory, node_id: int) -> dict[str, np.ndarray]:
 def tier_states(node) -> dict[str, dict]:
     """Every persistent tier's ``export_state()``, the SSD one with the
     compaction counter a node shard ships beside it."""
-    states = {name: tier.export_state() for name, tier in ckpt._tiers(node).items()}
+    states = {tier: holder.export_state() for tier, holder in ckpt._tiers(node).items()}
     states["ssd"]["total_compactions"] = np.int64(
         node.ssd_ps.compactor.total_compactions
     )
@@ -114,8 +114,8 @@ def folded_tiers_digest(cluster: HPSCluster, directory, node_id: int) -> str:
         tiers = ckpt._split_tier_arrays(arrays)
         if states:
             tiers = {
-                name: tier.fold_delta(states[name], tiers[name])
-                for name, tier in ckpt._tiers(node).items()
+                tier: holder.fold_delta(states[tier], tiers[tier])
+                for tier, holder in ckpt._tiers(node).items()
             }
         states = tiers
     states["ssd"]["total_compactions"] = arrays["ssd_total_compactions"]
