@@ -306,7 +306,9 @@ def save_cluster(cluster, directory: str, *, kind: str = "full") -> CheckpointSt
 
     The cluster must be quiescent (no round staged between HBM load and
     write-back) — both training modes are quiescent between ``train`` /
-    ``train_pipelined`` calls.  The manifest is invalidated first and
+    ``train_pipelined`` calls.  Every tier export runs before the
+    directory is touched, so a refused save leaves a snapshot already
+    committed there intact.  The manifest is invalidated first and
     committed last, so a crash mid-save can never leave a directory that
     reads back as a valid-but-inconsistent checkpoint; the tiers' marks
     and the chain link only advance after it commits, so a crashed save
@@ -324,6 +326,15 @@ def save_cluster(cluster, directory: str, *, kind: str = "full") -> CheckpointSt
             base = cluster._ckpt_base
         elif kind == "delta":
             raise CheckpointError(problem)
+    # Every export (and so every refusal: pinned rows, no mark) before
+    # anything on disk changes.
+    exports = [
+        {
+            tier: holder.export_state() if base is None else holder.export_delta()
+            for tier, holder in _tiers(node).items()
+        }
+        for node in cluster.nodes
+    ]
     os.makedirs(directory, exist_ok=True)
     fmt.invalidate(directory)
 
@@ -332,12 +343,8 @@ def save_cluster(cluster, directory: str, *, kind: str = "full") -> CheckpointSt
         directory, DENSE_SHARD, _dense_arrays(cluster)
     )
     node_bytes: list[int] = []
-    for node in cluster.nodes:
+    for node, tiers in zip(cluster.nodes, exports):
         name = node_shard_name(node.node_id)
-        tiers = {
-            tier: holder.export_state() if base is None else holder.export_delta()
-            for tier, holder in _tiers(node).items()
-        }
         nbytes, shards[name] = fmt.write_shard(
             directory, name, _node_shard_arrays(node, tiers)
         )

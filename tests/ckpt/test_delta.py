@@ -317,6 +317,33 @@ class TestMarkProtocolMisuse:
         assert_cluster_parity(cluster, restored)
         assert_deep_state_parity(cluster, restored)
 
+    def test_refused_save_leaves_a_committed_directory_untouched(
+        self, tiny_spec, pressured, tmp_path
+    ):
+        """A mid-round save the MEM cache refuses (pinned rows), aimed at
+        the directory of a committed snapshot, changes nothing on disk:
+        every refusal runs before the manifest is invalidated, so the
+        snapshot's files stay byte-identical and it still restores."""
+        cluster = build(tiny_spec, pressured)
+        cluster.train(3)
+        s0 = tmp_path / "s0"
+        cluster.save_checkpoint(str(s0), mode="full")
+
+        def files():
+            return {p.name: p.read_bytes() for p in sorted(s0.iterdir())}
+
+        before = files()
+        reference = HPSCluster.restore(str(s0))
+        ctx = RoundContext(round_index=cluster.rounds_completed)
+        cluster.stage_read(ctx)
+        cluster.stage_prefetch(ctx)
+        with pytest.raises(TierStateError, match="pinned"):
+            cluster.save_checkpoint(str(s0), mode="full")
+        assert files() == before
+        restored = HPSCluster.restore(str(s0))
+        assert_cluster_parity(reference, restored)
+        assert_deep_state_parity(reference, restored)
+
     def test_the_mark_survives_a_flush_to_ssd(
         self, tiny_spec, pressured, tmp_path
     ):
