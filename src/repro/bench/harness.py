@@ -701,14 +701,12 @@ def _faults_scenario(*, seed: int) -> dict:
             run = Supervisor(
                 tmp, checkpoint_every=wl["checkpoint_every"]
             ).run(build(), wl["n_rounds"], schedule, pipelined=pipelined)
-        totals = run.totals
-        kinds_fired |= set(totals["fault_counts"])
         kinds_fired |= {r.kind for r in run.reports}
         rows.append(
             {
                 "mode": mode,
-                "faults_fired": int(totals["faults_fired"]),
-                "retries": int(totals["retries"]),
+                "faults_fired": run.faults_fired,
+                "retries": run.retries,
                 "recoveries": int(run.recoveries),
                 "reports": len(run.reports),
                 "training_sim_seconds": float(run.training_seconds),
@@ -729,7 +727,7 @@ def _faults_scenario(*, seed: int) -> dict:
                         for n in run.cluster.nodes
                     )
                 ),
-                "bytes_reread": int(totals["bytes_reread"]),
+                "bytes_reread": run.bytes_reread,
             }
         )
         parity = parity and _parameter_parity(twin, (run.cluster,))

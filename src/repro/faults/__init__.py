@@ -1,4 +1,4 @@
-"""Deterministic fault injection, retry policy, and self-healing supervision.
+"""Deterministic fault injection, one retry policy, and self-healing supervision.
 
 The paper's deployment claim is that the three-tier PS keeps training
 (and serving) through machine failures by replaying from the newest
@@ -12,10 +12,11 @@ surface:
   sim-time-driven fault matrix (no wall clock): per-(kind, node) RNG
   streams drawn once per armed operation, so two schedules built from
   the same seed inject bit-identical fault sequences;
-* :mod:`repro.faults.policy` — :class:`RetryPolicy` (max attempts,
-  exponential backoff with seeded jitter, priced through the
-  :class:`~repro.hardware.ledger.CostLedger` as ``fault_retry``) and
-  :class:`FaultArm`, the per-surface guard each I/O layer consults;
+* :mod:`repro.faults.policy` — the retry policy as module constants
+  (max attempts, exponential backoff with seeded jitter, priced through
+  the :class:`~repro.hardware.ledger.CostLedger` as ``fault_retry``, and
+  the supervisor's round-retry budget) and :class:`FaultArm`, the
+  per-surface guard each I/O layer consults;
 * :mod:`repro.faults.inject` — threads arms through every I/O surface
   of a live cluster (`FileStore`/`SSDDevice`, `HDFSStream`,
   `HBMPS` dispatch, allreduce, per-node stage stragglers) and the
@@ -25,6 +26,11 @@ surface:
   (transient → retry the round, single-node-fatal → ``restore_nodes``
   partial restore, global-fatal → full restore + replay) and records a
   :class:`FaultReport` per incident.
+
+One record per fault: an absorbed fault is one report in the
+injection's incident log, an escaped one carries its priced retries and
+re-read bytes into the supervisor's escalation report, and a run's
+retry and re-read totals are sums over its reports.
 
 Invariant (enforced by ``tests/faults/test_soak.py``): any seeded fault
 schedule whose faults are all recoverable yields **bit-identical final
@@ -38,7 +44,7 @@ from repro.faults.errors import (
     UnrecoverableFaultError,
 )
 from repro.faults.inject import CheckpointRecovery, FaultInjection
-from repro.faults.policy import FaultArm, FaultReport, RetryPolicy
+from repro.faults.policy import FaultArm, FaultReport
 from repro.faults.schedule import FAULT_KINDS, FaultSchedule
 from repro.faults.supervisor import SupervisedRun, Supervisor
 
@@ -52,7 +58,6 @@ __all__ = [
     "FaultReport",
     "FaultSchedule",
     "PayloadLostError",
-    "RetryPolicy",
     "SupervisedRun",
     "Supervisor",
     "UnrecoverableFaultError",

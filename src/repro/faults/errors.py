@@ -40,8 +40,10 @@ class FaultError(Exception):
 
     Carries where the fault fired (``surface``, ``kind``, ``node``), how
     far it escaped (``stage`` — stamped by the stage wrapper when the
-    error crosses a stage boundary), and the recovery ``scope`` the
-    supervisor classifies on.
+    error crosses a stage boundary), the recovery ``scope`` the
+    supervisor classifies on, and the ``retries`` and ``bytes_reread``
+    (a quarantine's chain walk) already priced before the escape, which
+    the supervisor's escalation report copies.
     """
 
     def __init__(
@@ -53,6 +55,8 @@ class FaultError(Exception):
         node: int | None = None,
         scope: str = "global",
         stage: str | None = None,
+        retries: int = 0,
+        bytes_reread: int = 0,
     ) -> None:
         super().__init__(message)
         self.surface = surface
@@ -60,26 +64,20 @@ class FaultError(Exception):
         self.node = node
         self.scope = scope
         self.stage = stage
+        self.retries = retries
+        self.bytes_reread = bytes_reread
 
 
 class FaultExhaustedError(FaultError):
     """A fault point burned through its whole retry budget.
 
-    ``retries`` and ``seconds`` record the work already priced through
-    the ledger (wasted attempts + backoff) before the give-up, so the
-    handler that catches this can fold them into its incident report.
+    ``seconds`` records the wasted attempts and backoff already priced
+    through the ledger before the give-up, so the handler that catches
+    this can fold them into its incident report.
     """
 
-    def __init__(
-        self,
-        message: str,
-        *,
-        retries: int = 0,
-        seconds: float = 0.0,
-        **kwargs: Any,
-    ) -> None:
+    def __init__(self, message: str, *, seconds: float = 0.0, **kwargs: Any) -> None:
         super().__init__(message, **kwargs)
-        self.retries = retries
         self.seconds = seconds
 
 

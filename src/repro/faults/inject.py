@@ -9,7 +9,8 @@ straggler multipliers and stamps the originating stage onto any escaping
 :class:`~repro.faults.errors.FaultError`.  :meth:`~FaultInjection.detach`
 undoes all of it.
 
-The :class:`FaultInjection` owns the shared incident log.  A
+The :class:`FaultInjection` owns the shared incident log — the one
+record of every absorbed fault (arms keep no counters).  A
 restore replaces nodes of the cluster in place, and
 :meth:`~FaultInjection.rearm` arms exactly those — what the supervisor
 calls after every partial or full restore (the schedule's streams and
@@ -30,7 +31,7 @@ import numpy as np
 from repro.ckpt.checkpoint import find_ssd_file
 from repro.ckpt.format import CheckpointError
 from repro.faults.errors import FaultError
-from repro.faults.policy import FaultArm, FaultReport, RetryPolicy
+from repro.faults.policy import FaultArm, FaultReport
 from repro.faults.schedule import FaultSchedule
 
 __all__ = ["CheckpointRecovery", "FaultInjection"]
@@ -73,29 +74,20 @@ class CheckpointRecovery:
 
 
 class FaultInjection:
-    """The armed state of one schedule/policy pair on a cluster.
+    """The armed state of one schedule on a cluster.
 
-    ``recovery_directory`` (the supervisor's checkpoint root) enables
-    the SSD quarantine path; without it an exhausted SSD read raises
-    :class:`~repro.faults.errors.PayloadLostError` directly.
+    ``recovery_directory`` (the supervisor's checkpoint root) is where
+    the SSD quarantine looks for the cluster's own snapshot chain; while
+    the cluster has committed none there, an exhausted SSD read raises
+    :class:`~repro.faults.errors.PayloadLostError`.
     """
 
-    def __init__(
-        self,
-        schedule: FaultSchedule,
-        policy: RetryPolicy,
-        *,
-        recovery_directory: str | None = None,
-    ) -> None:
+    def __init__(self, schedule: FaultSchedule, recovery_directory: str) -> None:
         self.schedule = schedule
-        self.policy = policy
         self.recovery_directory = recovery_directory
         #: execution-ordered log of every absorbed fault, shared by all
         #: arms; the supervisor drains and round-stamps it.
         self.incidents: list[FaultReport] = []
-        #: every arm ever installed (a replaced node's included, so
-        #: totals account its retry work too)
-        self.arms: list[FaultArm] = []
         self.cluster = None
         #: per node id: the node object armed, and its stage arm
         self._armed: list = []
@@ -103,17 +95,14 @@ class FaultInjection:
 
     # ------------------------------------------------------------------
     def _arm(self, ledger, *, surface: str, node: int | None, recovery=None):
-        arm = FaultArm(
+        return FaultArm(
             self.schedule,
-            self.policy,
             ledger,
             surface=surface,
             node=node,
             incidents=self.incidents,
             recovery=recovery,
         )
-        self.arms.append(arm)
-        return arm
 
     def attach(self, cluster) -> "FaultInjection":
         """Install arms on ``cluster``'s surfaces and wrap its stages."""
@@ -141,11 +130,7 @@ class FaultInjection:
         new = [node for node in cluster.nodes if self._armed[node.node_id] is not node]
         for node in new:
             i = node.node_id
-            recovery = (
-                CheckpointRecovery(self.recovery_directory, cluster, node)
-                if self.recovery_directory is not None
-                else None
-            )
+            recovery = CheckpointRecovery(self.recovery_directory, cluster, node)
             ssd_arm = self._arm(node.ledger, surface="ssd", node=i, recovery=recovery)
             node.ssd_ps.store.faults = ssd_arm
             node.ssd_ps.store.device.faults = ssd_arm
@@ -204,17 +189,3 @@ class FaultInjection:
         out = list(self.incidents)
         self.incidents.clear()
         return out
-
-    def totals(self) -> dict:
-        """Aggregate arm counters (all attachments, all surfaces)."""
-        counts: dict[str, int] = {}
-        for arm in self.arms:
-            for kind, n in arm.fault_counts.items():
-                counts[kind] = counts.get(kind, 0) + n
-        return {
-            "retries": sum(a.retries for a in self.arms),
-            "bytes_reread": sum(a.bytes_reread for a in self.arms),
-            "faults_fired": self.schedule.faults_fired,
-            "fault_counts": counts,
-        }
-

@@ -1,10 +1,9 @@
-"""Retry/backoff policy and the per-surface fault arm.
+"""The retry policy (module constants) and the per-surface fault arm.
 
 Every fault point consults a :class:`FaultArm` — the binding of a
-:class:`~repro.faults.schedule.FaultSchedule`, a :class:`RetryPolicy`,
-and a node's :class:`~repro.hardware.ledger.CostLedger` to one I/O
-surface.  The arm prices everything a fault costs in *simulated*
-seconds on the ledger:
+:class:`~repro.faults.schedule.FaultSchedule` and a node's
+:class:`~repro.hardware.ledger.CostLedger` to one I/O surface.  The arm
+prices everything a fault costs in *simulated* seconds on the ledger:
 
 ``fault_retry``
     wasted failed attempts, exponential backoff (jittered from the
@@ -13,10 +12,11 @@ seconds on the ledger:
     the extra stage seconds a straggling node adds (kept separate so
     retry-overhead gates aren't polluted by slowdown noise).
 
-An arm never sleeps and never consults the wall clock.  When a fault's
-depth reaches the policy's attempt budget, the arm prices the wasted
-work and raises :class:`~repro.faults.errors.FaultExhaustedError` with
-the surface's recovery scope — degradation beyond that point (SSD
+An arm never sleeps, never consults the wall clock and keeps no
+counters: an absorbed fault is one :class:`FaultReport` in the shared
+incident log; one whose depth reaches :data:`MAX_ATTEMPTS` is priced and
+raised as :class:`~repro.faults.errors.FaultExhaustedError` with the
+surface's recovery scope — degradation beyond that point (SSD
 quarantine, supervisor restores) is the caller's job.
 """
 
@@ -31,46 +31,29 @@ from repro.faults.errors import FaultExhaustedError, PayloadLostError
 from repro.faults.schedule import FaultSchedule
 from repro.hardware.ledger import CostLedger
 
-__all__ = ["FaultArm", "FaultReport", "RetryPolicy"]
+__all__ = ["FaultArm", "FaultReport", "backoff_seconds"]
+
+#: Attempts a fault point makes before it gives up; a fault whose depth
+#: reaches this escapes.
+MAX_ATTEMPTS = 3
+#: The first backoff, its growth per failed attempt, its ceiling, and
+#: the seeded jitter's relative spread (see :func:`backoff_seconds`).
+BACKOFF_BASE_S = 0.002
+BACKOFF_MULTIPLIER = 2.0
+BACKOFF_CAP_S = 0.25
+JITTER = 0.5
+#: How many times the supervisor re-runs one round on round-scoped
+#: faults before escalating to a full restore.
+MAX_ROUND_RETRIES = 3
 
 
-@dataclass(frozen=True)
-class RetryPolicy:
-    """How hard each fault point tries before giving up.
-
-    Backoff after failed attempt ``k`` (1-based) is
-    ``min(cap, base * multiplier**(k-1)) * (1 + jitter * u)`` with ``u``
-    drawn from the schedule's seeded stream — exponential growth, a
-    ceiling, and deterministic jitter, all in sim-seconds.
-    """
-
-    max_attempts: int = 3
-    backoff_base_s: float = 0.002
-    backoff_multiplier: float = 2.0
-    backoff_cap_s: float = 0.25
-    jitter: float = 0.5
-    #: how many times the supervisor will re-run one round on
-    #: round-scoped faults before escalating to a full restore.
-    max_round_retries: int = 3
-
-    def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise ValueError("max_attempts must be >= 1")
-        # ``not x >= 0`` so NaN fails too: a backoff is priced seconds.
-        for name in ("backoff_base_s", "backoff_cap_s", "jitter", "max_round_retries"):
-            if not getattr(self, name) >= 0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
-        if not self.backoff_multiplier > 0:
-            raise ValueError(
-                f"backoff_multiplier must be > 0, got {self.backoff_multiplier}"
-            )
-
-    def backoff_seconds(self, attempt: int, u: float) -> float:
-        base = min(
-            self.backoff_cap_s,
-            self.backoff_base_s * self.backoff_multiplier ** (attempt - 1),
-        )
-        return base * (1.0 + self.jitter * u)
+def backoff_seconds(attempt: int, u: float) -> float:
+    """Backoff after failed attempt ``attempt`` (1-based):
+    ``min(cap, base * multiplier**(attempt-1)) * (1 + jitter * u)``, with
+    ``u`` drawn from the schedule's seeded stream — exponential growth,
+    a ceiling, and deterministic jitter, all in sim-seconds."""
+    base = min(BACKOFF_CAP_S, BACKOFF_BASE_S * BACKOFF_MULTIPLIER ** (attempt - 1))
+    return base * (1.0 + JITTER * u)
 
 
 @dataclass(frozen=True)
@@ -79,9 +62,15 @@ class FaultReport:
     :class:`~repro.faults.supervisor.Supervisor`.
 
     ``downtime_seconds`` is the simulated time the incident cost: retry
-    backoff + wasted attempts for absorbed faults, restore + replay time
-    for escalated ones.  ``round`` is stamped by the supervisor when it
-    drains the arms' records (-1 until then).
+    backoff + wasted attempts (and a quarantine's chain walk) for
+    absorbed faults, the restore's checkpoint read-back for escalated
+    ones (replayed rounds are in
+    :attr:`~repro.faults.supervisor.SupervisedRun.replay_seconds`).
+    ``retries`` and ``bytes_reread`` are the work the fault's arm
+    priced; an escalation copies them off the escaped error, so the
+    reports of a run sum to every retry and re-read byte it paid for.
+    ``round`` is stamped by the supervisor when it drains the arms'
+    records (-1 until then).
     """
 
     surface: str
@@ -113,24 +102,19 @@ class FaultArm:
     def __init__(
         self,
         schedule: FaultSchedule,
-        policy: RetryPolicy,
         ledger: CostLedger,
         *,
         surface: str,
         node: int | None = None,
-        incidents: list[FaultReport] | None = None,
+        incidents: list[FaultReport],
         recovery: Callable[[int, np.ndarray], tuple] | None = None,
     ) -> None:
         self.schedule = schedule
-        self.policy = policy
         self.ledger = ledger
         self.surface = surface
         self.node = node
         self.incidents = incidents
         self.recovery = recovery
-        self.retries = 0
-        self.bytes_reread = 0
-        self.fault_counts: dict[str, int] = {}
 
     # ------------------------------------------------------------------
     def _record(
@@ -142,25 +126,20 @@ class FaultArm:
         retries: int = 0,
         seconds: float = 0.0,
         bytes_reread: int = 0,
-        counted: bool = False,
     ) -> None:
-        """Log one incident and count its fault (unless ``counted``: the
-        guard already counted the exhausted fault a quarantine absorbs)."""
-        if not counted:
-            self.fault_counts[kind] = self.fault_counts.get(kind, 0) + 1
-        if self.incidents is not None:
-            self.incidents.append(
-                FaultReport(
-                    surface=self.surface,
-                    kind=kind,
-                    node=self.node,
-                    action=action,
-                    stage=stage,
-                    retries=retries,
-                    downtime_seconds=seconds,
-                    bytes_reread=bytes_reread,
-                )
+        """Log one absorbed fault in the shared incident log."""
+        self.incidents.append(
+            FaultReport(
+                surface=self.surface,
+                kind=kind,
+                node=self.node,
+                action=action,
+                stage=stage,
+                retries=retries,
+                downtime_seconds=seconds,
+                bytes_reread=bytes_reread,
             )
+        )
 
     # ------------------------------------------------------------------
     def guard(
@@ -172,8 +151,8 @@ class FaultArm:
         sim-seconds one *failed* attempt wastes (e.g. a timed-out HDFS
         transfer wastes the full transfer time; a fail-fast read error
         wastes only backoff).  Returns the extra seconds absorbed, all
-        charged to ``fault_retry``.  A depth at or beyond the policy's
-        attempt budget prices the wasted attempts and raises
+        charged to ``fault_retry``.  A depth at or beyond
+        :data:`MAX_ATTEMPTS` prices the wasted attempts and raises
         :class:`FaultExhaustedError` with ``scope``.
         """
         extra = 0.0
@@ -181,22 +160,20 @@ class FaultArm:
             depth = self.schedule.draw(kind, self.node)
             if depth == 0:
                 continue
-            exhausted = depth >= self.policy.max_attempts
-            failures = self.policy.max_attempts if exhausted else depth
+            exhausted = depth >= MAX_ATTEMPTS
+            failures = MAX_ATTEMPTS if exhausted else depth
             # One backoff after every failed attempt that is re-tried:
             # the final (exhausting) failure is not followed by a wait.
             backoffs = failures - 1 if exhausted else failures
             seconds = failures * waste
             for attempt in range(1, backoffs + 1):
-                seconds += self.policy.backoff_seconds(
+                seconds += backoff_seconds(
                     attempt, self.schedule.uniform(kind, self.node)
                 )
             self.ledger.add("fault_retry", seconds)
             retries = backoffs
-            self.retries += retries
             extra += seconds
             if exhausted:
-                self.fault_counts[kind] = self.fault_counts.get(kind, 0) + 1
                 raise FaultExhaustedError(
                     f"{self.surface}: fault {kind!r} on node {self.node} "
                     f"persisted through {failures} attempts",
@@ -220,7 +197,7 @@ class FaultArm:
         if depth == 0:
             return 0.0
         u = self.schedule.uniform(kind, self.node)
-        extra = max(base_seconds * depth, self.policy.backoff_base_s) * (1.0 + u)
+        extra = max(base_seconds * depth, BACKOFF_BASE_S) * (1.0 + u)
         self.ledger.add("fault_retry", extra)
         self._record(kind, "stall", seconds=extra)
         return extra
@@ -241,72 +218,77 @@ class FaultArm:
         return extra
 
     # ------------------------------------------------------------------
-    def ssd_reads(self, store: Any, file_ids: np.ndarray) -> np.ndarray:
-        """:meth:`ssd_read` on each of ``file_ids``, in order (one armed
-        operation per file); their seconds."""
-        return np.array([self.ssd_read(store, store.file(f)) for f in file_ids.tolist()])
+    def ssd_reads(
+        self, store: Any, file_ids: np.ndarray, sizes: np.ndarray
+    ) -> np.ndarray:
+        """:meth:`ssd_read` on each of ``file_ids`` (``sizes`` bytes
+        each), in order — one armed operation per file; their seconds."""
+        pairs = zip(file_ids.tolist(), sizes.tolist())
+        return np.array([self.ssd_read(store, f, n) for f, n in pairs])
 
-    def ssd_read(self, store: Any, f: Any) -> float:
-        """Guard one parameter-file read; quarantine on exhaustion.
+    def ssd_read(self, store: Any, file_id: int, size: int) -> float:
+        """Guard one read of the ``size``-byte parameter file
+        ``file_id``; quarantine on exhaustion.
 
         Parameter files are immutable and rows only ever go stale, so a
         file that predates the newest checkpoint has every live row in
         the checkpoint chain's SSD exports: an exhausted read
         re-materializes it from there as a restore would, stale rows
-        zeroed (priced as a ``fault_retry`` HDFS transfer, counted in
-        ``bytes_reread``) instead of crashing.  Only a file *newer* than
-        every durable copy is truly lost — that raises
-        :class:`PayloadLostError`.  Such a file is only read after a
-        round past the newest snapshot dumped it, never at a snapshot
-        boundary, so the supervisor heals the loss by full restore.
+        zeroed (priced as a ``fault_retry`` HDFS transfer, recorded in
+        the report's ``bytes_reread``) instead of crashing.  Only a file
+        *newer* than every durable copy is truly lost — that raises
+        :class:`PayloadLostError`, carrying the guard's retries and the
+        walk's bytes.  Such a file is only read after a round past the
+        newest snapshot dumped it, never at a snapshot boundary, so the
+        supervisor heals the loss by full restore.
         """
-        per_attempt = store.device.read_time(store.file_bytes(f))
+        per_attempt = store.device.read_time(size)
         costs = {"ssd_read_error": per_attempt, "ssd_torn_payload": per_attempt}
         try:
             return self.guard(costs, scope="node")
         except FaultExhaustedError as exc:
             # Stale rows' newest copies sit in other files: what is at
             # stake is the live rows, all a snapshot ships.
-            live = store.live_mask(f.file_id)
-            keys = f.keys[live]
+            live = store.live_mask(file_id)
+            keys = store.file(file_id).keys[live]
             values, nbytes, seconds = (
                 (None, 0, 0.0)
                 if self.recovery is None
-                else self.recovery(f.file_id, keys)
+                else self.recovery(file_id, keys)
             )
             # Every shard the walk read is a re-read, found or not.
             self.ledger.add("fault_retry", seconds)
-            self.bytes_reread += int(nbytes)
+            lost = dict(
+                file_id=file_id,
+                keys=keys,
+                kind=exc.kind,
+                node=self.node,
+                retries=exc.retries,
+                bytes_reread=int(nbytes),
+            )
             if values is None:
                 raise PayloadLostError(
-                    f"parameter file {f.file_id} unreadable after "
+                    f"parameter file {file_id} unreadable after "
                     f"{exc.retries} retries and no checkpointed copy exists",
-                    file_id=f.file_id,
-                    keys=keys,
-                    kind=exc.kind,
-                    node=self.node,
+                    **lost,
                 ) from exc
             values = np.asarray(values, dtype=np.float32)
-            expected = store._payload(f.file_id)
+            expected = store._payload(file_id)
             if values.shape != expected.shape or not np.array_equal(
                 values[live], expected[live]
             ):
                 raise PayloadLostError(
-                    f"checkpointed copy of parameter file {f.file_id} does "
+                    f"checkpointed copy of parameter file {file_id} does "
                     "not match the immutable payload — refusing to "
                     "re-materialize",
-                    file_id=f.file_id,
-                    keys=keys,
-                    kind=exc.kind,
-                    node=self.node,
+                    **lost,
                 ) from exc
-            store._store_payload(f.file_id, values)
+            store._store_payload(file_id, values)
             self._record(
                 exc.kind or "ssd_read_error",
                 "quarantine",
                 retries=exc.retries,
                 seconds=exc.seconds + seconds,
                 bytes_reread=int(nbytes),
-                counted=True,
             )
             return exc.seconds + seconds

@@ -40,6 +40,15 @@ FAULT_KINDS: tuple[str, ...] = (
     "node_crash",
 )
 
+#: A fired fault fails one more consecutive attempt with probability
+#: ``DEPTH_P`` per step, up to ``MAX_DEPTH`` attempts: a geometric depth.
+DEPTH_P = 0.4
+MAX_DEPTH = 8
+#: A straggling node's stage-time multiplier is uniform on
+#: ``[STRAGGLER_MIN, STRAGGLER_MAX]``.
+STRAGGLER_MIN = 1.25
+STRAGGLER_MAX = 3.0
+
 
 class FaultSchedule:
     """Deterministic per-(kind, node) fault draws with a global budget.
@@ -48,9 +57,10 @@ class FaultSchedule:
     kinds absent (or at rate 0) consume no randomness at all, so arming
     a new kind never perturbs another kind's stream.  A fired fault has
     a *depth* — how many consecutive attempts it fails — drawn
-    geometrically (``depth_p``, capped at ``max_depth``); a depth at or
-    beyond the policy's ``max_attempts`` is what turns a transient
-    hiccup into an escaped :class:`~repro.faults.errors.FaultError`.
+    geometrically (:data:`DEPTH_P`, capped at :data:`MAX_DEPTH`); a depth
+    at or beyond :data:`~repro.faults.policy.MAX_ATTEMPTS` is what turns
+    a transient hiccup into an escaped
+    :class:`~repro.faults.errors.FaultError`.
 
     ``max_faults`` bounds the total faults a schedule will ever fire,
     which is what guarantees supervised runs terminate: once the budget
@@ -68,10 +78,6 @@ class FaultSchedule:
         *,
         rates: Mapping[str, float] | None = None,
         max_faults: int = 32,
-        depth_p: float = 0.4,
-        max_depth: int = 8,
-        straggler_min: float = 1.25,
-        straggler_max: float = 3.0,
         script: Mapping[tuple[str, int | None, int], int] | None = None,
     ) -> None:
         rates = dict(rates or {})
@@ -81,21 +87,11 @@ class FaultSchedule:
         for kind, rate in rates.items():
             if not 0.0 <= rate <= 1.0:
                 raise ValueError(f"rate for {kind!r} must be in [0, 1]")
-        if not 1.0 <= straggler_min <= straggler_max:
-            raise ValueError("straggler multipliers must satisfy 1 <= min <= max")
-        if not 0.0 <= depth_p <= 1.0:  # NaN fails too
-            raise ValueError("depth_p must be in [0, 1]")
         if not max_faults >= 0:
             raise ValueError("max_faults must be non-negative")
-        if not max_depth >= 1:
-            raise ValueError("max_depth must be >= 1")
         self.seed = int(seed)
         self.rates = rates
         self.max_faults = int(max_faults)
-        self.depth_p = float(depth_p)
-        self.max_depth = int(max_depth)
-        self.straggler_min = float(straggler_min)
-        self.straggler_max = float(straggler_max)
         self.script = dict(script or {})
         self.faults_fired = 0
         self._streams: dict[tuple[str, int], np.random.Generator] = {}
@@ -139,7 +135,7 @@ class FaultSchedule:
             return 0
         self.faults_fired += 1
         depth = 1
-        while depth < self.max_depth and rng.random() < self.depth_p:
+        while depth < MAX_DEPTH and rng.random() < DEPTH_P:
             depth += 1
         return depth
 
@@ -152,4 +148,4 @@ class FaultSchedule:
         if self.draw("straggler", node) == 0:
             return 1.0
         u = self.uniform("straggler", node)
-        return self.straggler_min + u * (self.straggler_max - self.straggler_min)
+        return STRAGGLER_MIN + u * (STRAGGLER_MAX - STRAGGLER_MIN)

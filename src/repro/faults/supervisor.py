@@ -31,9 +31,9 @@ safe action applies:
 
 ``retry_round``
     round scope (HDFS exhaustion), lockstep, nothing staged, and the
-    round's retry budget (``RetryPolicy.max_round_retries``) not spent:
-    re-run the same round — batches are pure functions of the global
-    index, so the retry reads identical data;
+    round's retry budget (:data:`~repro.faults.policy.MAX_ROUND_RETRIES`)
+    not spent: re-run the same round — batches are pure functions of
+    the global index, so the retry reads identical data;
 ``partial_restore``
     node scope, nothing staged, and the newest snapshot taken at the
     detection round: rebuild the one node, zero replay;
@@ -50,9 +50,12 @@ nodes the restore replaced
 (:meth:`~repro.faults.inject.FaultInjection.rearm`), so a replacement's
 SSD, HDFS, HBM and straggler arms charge its own ledger.  Every
 escalation is one :class:`~repro.faults.policy.FaultReport` (detection
-round, action, retries, downtime seconds, replayed rounds); more than
-``max_recoveries`` of them raise
-:class:`~repro.faults.errors.UnrecoverableFaultError`.
+round, action, downtime seconds, replayed rounds, and the retries and
+re-read bytes the escaped fault carries); more than
+:data:`MAX_RECOVERIES` of them raise
+:class:`~repro.faults.errors.UnrecoverableFaultError`.  The reports are
+the run's one record of its faults: :class:`SupervisedRun`'s retries and
+re-read bytes are sums over them.
 
 A scripted crash is the deterministic kill-and-recover experiment: on a
 run started at round ``start``, ``script={("node_crash", node, r + 1 -
@@ -82,7 +85,7 @@ from repro.ckpt.checkpoint import CheckpointStats, restore_nodes
 from repro.ckpt.format import checkpoint_dir_name
 from repro.faults.errors import FaultError, UnrecoverableFaultError
 from repro.faults.inject import FaultInjection
-from repro.faults.policy import FaultReport, RetryPolicy
+from repro.faults.policy import MAX_ROUND_RETRIES, FaultReport
 from repro.faults.schedule import FaultSchedule
 
 __all__ = ["FULL_EVERY", "KEEP_LAST", "FaultReport", "SupervisedRun", "Supervisor"]
@@ -93,6 +96,9 @@ FULL_EVERY = 8
 #: The supervised snapshot stage's ``keep_last``: recovery and SSD
 #: quarantine read only the newest chain, so older ones are pruned.
 KEEP_LAST = 1
+#: Escalations one run survives; the next raises
+#: :class:`~repro.faults.errors.UnrecoverableFaultError`.
+MAX_RECOVERIES = 32
 
 
 @dataclass
@@ -113,7 +119,19 @@ class SupervisedRun:
     #: the newest restore point)
     checkpoints: list[CheckpointStats] = field(default_factory=list)
     recoveries: int = 0
-    totals: dict = field(default_factory=dict)
+    #: faults the schedule fired (its own count, budget-bounded)
+    faults_fired: int = 0
+
+    @property
+    def retries(self) -> int:
+        """Retries priced for every fault of the run, absorbed or escaped."""
+        return sum(r.retries for r in self.reports)
+
+    @property
+    def bytes_reread(self) -> int:
+        """Checkpoint bytes the run's SSD quarantines re-read, whether
+        they found the file or escalated its loss."""
+        return sum(r.bytes_reread for r in self.reports)
 
     @property
     def checkpoint_seconds(self) -> float:
@@ -148,20 +166,11 @@ class Supervisor:
     layer uses it for SSD quarantine re-materialization.
     """
 
-    def __init__(
-        self,
-        directory: str,
-        *,
-        checkpoint_every: int = 2,
-        max_recoveries: int = 32,
-    ) -> None:
+    def __init__(self, directory: str, *, checkpoint_every: int = 2) -> None:
         if checkpoint_every < 1:
             raise ValueError("checkpoint_every must be >= 1")
-        if max_recoveries < 1:
-            raise ValueError("max_recoveries must be >= 1")
         self.directory = directory
         self.checkpoint_every = checkpoint_every
-        self.max_recoveries = max_recoveries
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -200,9 +209,10 @@ class Supervisor:
 
         Returns the :class:`SupervisedRun`; raises
         :class:`~repro.faults.errors.UnrecoverableFaultError` only when
-        the recovery budget is exceeded (a fault storm the configured
-        ``max_recoveries`` cannot absorb), or ``ValueError`` before
-        anything runs when ``cluster`` already has a ``snapshot`` stage.
+        the recovery budget is exceeded (a fault storm
+        :data:`MAX_RECOVERIES` escalations cannot absorb), or
+        ``ValueError`` before anything runs when ``cluster`` already has
+        a ``snapshot`` stage.
         """
         if n_rounds < 0:
             raise ValueError("n_rounds must be non-negative")
@@ -212,9 +222,7 @@ class Supervisor:
                 "registers its own; unregister_stage('snapshot') first"
             )
         os.makedirs(self.directory, exist_ok=True)
-        injection = FaultInjection(
-            schedule, RetryPolicy(), recovery_directory=self.directory
-        )
+        injection = FaultInjection(schedule, self.directory)
         injection.attach(cluster)
         out = SupervisedRun(cluster=cluster, reports=())
         reports: list[FaultReport] = []
@@ -283,7 +291,7 @@ class Supervisor:
                 cluster.unregister_stage("snapshot")
             out.reports = tuple(reports)
             out.rounds = cluster.rounds_completed - base
-            out.totals = injection.totals()
+            out.faults_fired = schedule.faults_fired
         return out
 
     # ------------------------------------------------------------------
@@ -299,9 +307,9 @@ class Supervisor:
         """Apply the cheapest safe action for ``err`` (the module
         docstring's one rule); returns its report."""
         out.recoveries += 1
-        if out.recoveries > self.max_recoveries:
+        if out.recoveries > MAX_RECOVERIES:
             raise UnrecoverableFaultError(
-                f"recovery budget exhausted after {self.max_recoveries} "
+                f"recovery budget exhausted after {MAX_RECOVERIES} "
                 "escalations — the schedule's fault storm is not "
                 "survivable at this cadence",
                 surface="supervisor",
@@ -317,7 +325,7 @@ class Supervisor:
             err.scope == "round"
             and not pipelined
             and not staged
-            and round_retries < injection.policy.max_round_retries
+            and round_retries < MAX_ROUND_RETRIES
         ):
             action, node_ids = "retry_round", []
         elif err.scope == "node" and not staged and newest.rounds_completed == detect:
@@ -338,8 +346,9 @@ class Supervisor:
             node=err.node,
             action=action,
             stage=err.stage,
-            retries=getattr(err, "retries", 0),
+            retries=err.retries,
             downtime_seconds=seconds,
+            bytes_reread=err.bytes_reread,
             replay_rounds=(
                 detect - newest.rounds_completed if action == "full_restore" else 0
             ),

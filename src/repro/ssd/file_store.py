@@ -84,15 +84,11 @@ class ParameterFile:
     path: str | None = None
 
     @property
-    def n_params(self) -> int:
-        return int(self.keys.size)
-
-    @property
     def n_live(self) -> int:
-        return self.n_params - self.stale_count
+        return self.keys.size - self.stale_count
 
     def stale_fraction(self) -> float:
-        return self.stale_count / self.n_params if self.n_params else 1.0
+        return self.stale_count / self.keys.size if self.keys.size else 1.0
 
 
 @dataclass(frozen=True)
@@ -181,9 +177,6 @@ class FileStore:
     @property
     def n_live_params(self) -> int:
         return len(self._mapping)
-
-    def file_bytes(self, f: ParameterFile) -> int:
-        return f.n_params * self.row_bytes
 
     @property
     def total_bytes(self) -> int:
@@ -440,7 +433,7 @@ class FileStore:
             # checkpoint chain) or raises PayloadLostError — before
             # anything is charged.  The extra seconds land on the
             # ledger's fault_retry line inside the arm.
-            steps[:, 0] = self.faults.ssd_reads(self, fids)
+            steps[:, 0] = self.faults.ssd_reads(self, fids, sizes)
         steps[:, 1] = self.device.read_files(sizes)
         total_t = float(np.cumsum(steps)[-1])
 

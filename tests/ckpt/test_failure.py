@@ -131,8 +131,6 @@ def test_kill_before_any_cadence_snapshot_uses_round_zero(
 def test_run_validates_arguments(tiny_spec, small_config, tmp_path):
     with pytest.raises(ValueError, match="checkpoint_every"):
         Supervisor(str(tmp_path), checkpoint_every=0)
-    with pytest.raises(ValueError, match="max_recoveries"):
-        Supervisor(str(tmp_path), max_recoveries=0)
     with pytest.raises(ValueError, match="n_rounds"):
         Supervisor(str(tmp_path)).run(
             build(tiny_spec, small_config), -1, FaultSchedule(0)

@@ -28,11 +28,12 @@ from repro.core.cluster import HPSCluster
 from repro.faults import (
     FAULT_KINDS,
     FaultSchedule,
-    RetryPolicy,
     Supervisor,
     UnrecoverableFaultError,
 )
-from repro.faults.supervisor import FULL_EVERY, KEEP_LAST
+from repro.ckpt.format import node_shard_name
+from repro.faults.policy import MAX_ATTEMPTS, MAX_ROUND_RETRIES
+from repro.faults.supervisor import FULL_EVERY, KEEP_LAST, MAX_RECOVERIES
 
 
 def assert_param_parity(a, b) -> None:
@@ -212,29 +213,31 @@ class TestRecoveryActions:
         assert_param_parity(run.cluster, twin)
 
     def test_recovery_budget_raises_typed_error(self, mk_cluster, tmp_path):
+        """Node 0 crashes at every boundary probe: each crash is healed
+        by a partial restore until the escalation past MAX_RECOVERIES."""
+        n = MAX_RECOVERIES + 1
         schedule = FaultSchedule(
             0,
-            script={("node_crash", 0, i): 1 for i in range(4)},
+            max_faults=n,
+            script={("node_crash", 0, i): 1 for i in range(n)},
         )
-        with pytest.raises(UnrecoverableFaultError):
-            run_supervised(
-                mk_cluster, tmp_path, schedule, max_recoveries=2
-            )
+        with pytest.raises(UnrecoverableFaultError, match="recovery budget"):
+            run_supervised(mk_cluster, tmp_path, schedule)
 
     def test_round_retry_budget_escalates_to_full_restore(
         self, mk_cluster, tmp_path
     ):
         twin = mk_cluster()
         twin.train(4)
-        # Four consecutive exhausted reads of the same round: retries 3
-        # times (policy default), then escalates.
+        # Four consecutive exhausted reads of the same round: retries
+        # MAX_ROUND_RETRIES (3) times, then escalates.
         schedule = FaultSchedule(
             0,
             script={("hdfs_timeout", 0, i): 8 for i in range(4)},
         )
         run = run_supervised(mk_cluster, tmp_path, schedule, n_rounds=4)
         actions = [r.action for r in run.reports if r.action != "retried"]
-        assert actions.count("retry_round") == RetryPolicy().max_round_retries
+        assert actions.count("retry_round") == MAX_ROUND_RETRIES
         assert "full_restore" in actions
         assert run.rounds == 4
         assert_param_parity(run.cluster, twin)
@@ -251,7 +254,7 @@ class TestRecoveryActions:
         run = run_supervised(
             mk_cluster, tmp_path, FaultSchedule(0, script=script), n_rounds=4
         )
-        retries = RetryPolicy().max_round_retries
+        retries = MAX_ROUND_RETRIES
         assert [
             (r.round, r.action) for r in run.reports if r.action != "retried"
         ] == [(2, "retry_round"), (2, "partial_restore")] + [
@@ -267,9 +270,11 @@ class TestQuarantineUnderSupervision:
     ):
         twin = mk_pressured()
         twin.train(10)
-        # Every cold SSD read on node 0 fails hard from op 0 on; the
-        # checkpoint chain the supervisor maintains re-materializes each
-        # quarantined file, so no restore is ever needed for them.
+        # Node 0's first three cold SSD reads fail hard.  The checkpoint
+        # chain the supervisor maintains re-materializes the files it
+        # holds; the third read's file is newer than every snapshot, so
+        # it escalates to a full restore (the next test), whose report
+        # carries its chain walk's bytes too.
         schedule = FaultSchedule(
             0,
             script={("ssd_read_error", 0, i): 8 for i in range(3)},
@@ -280,8 +285,35 @@ class TestQuarantineUnderSupervision:
         quarantines = [r for r in run.reports if r.action == "quarantine"]
         assert quarantines
         assert all(q.bytes_reread > 0 for q in quarantines)
-        assert run.totals["bytes_reread"] > 0
+        assert run.bytes_reread > sum(q.bytes_reread for q in quarantines)
         assert run.rounds == 10
+        assert_param_parity(run.cluster, twin)
+
+    def test_lost_file_escalation_carries_the_priced_work(
+        self, mk_pressured, tmp_path
+    ):
+        """Node 0's third SSD read (round 7) exhausts its retries on a
+        file dumped after the newest snapshot (round 6): the quarantine
+        walks the whole chain, finds no copy, and the loss escalates to
+        a full restore.  That report carries the guard's retries and
+        every byte the walk read, so the run's totals — sums over its
+        reports — include them."""
+        twin = mk_pressured()
+        twin.train(8)
+        schedule = FaultSchedule(0, script={("ssd_read_error", 0, 2): 8})
+        run = run_supervised(mk_pressured, tmp_path, schedule, n_rounds=8)
+        (full,) = run.reports
+        assert (full.round, full.action, full.kind) == (
+            7, "full_restore", "ssd_read_error"
+        )
+        walked = sum(
+            os.path.getsize(tmp_path / "sup" / f"round_{r:06d}" / node_shard_name(0))
+            for r in (0, 2, 4, 6)
+        )
+        assert walked > 0
+        assert (full.retries, full.bytes_reread) == (MAX_ATTEMPTS - 1, walked)
+        assert (run.retries, run.bytes_reread) == (full.retries, full.bytes_reread)
+        assert run.rounds == 8
         assert_param_parity(run.cluster, twin)
 
 
@@ -303,7 +335,9 @@ class TestDeterminism:
         assert [dataclasses.astuple(r) for r in a.reports] == [
             dataclasses.astuple(r) for r in b.reports
         ]
-        assert a.totals == b.totals
+        assert (a.retries, a.bytes_reread, a.faults_fired) == (
+            b.retries, b.bytes_reread, b.faults_fired
+        )
         assert a.training_seconds == b.training_seconds
         assert a.downtime_seconds == b.downtime_seconds
         # Ledger pricing is bit-identical, not just close.

@@ -21,9 +21,9 @@ from repro.faults import (
     FaultSchedule,
     PayloadLostError,
     FaultInjection,
-    RetryPolicy,
 )
-from repro.faults.policy import FaultArm
+from repro.faults.policy import MAX_ATTEMPTS, FaultArm
+from repro.faults.schedule import STRAGGLER_MIN
 from repro.ssd.file_store import FileStore
 
 
@@ -39,13 +39,15 @@ def assert_param_parity(a, b) -> None:
 
 
 class TestHDFSSurface:
-    def test_absorbed_timeout_prices_retry_without_forking_data(self, mk_cluster):
+    def test_absorbed_timeout_prices_retry_without_forking_data(
+        self, mk_cluster, tmp_path
+    ):
         twin = mk_cluster()
         twin.train(3)
 
         cluster = mk_cluster()
         schedule = FaultSchedule(0, script={("hdfs_timeout", 0, 1): 2})
-        injection = FaultInjection(schedule, RetryPolicy()).attach(cluster)
+        injection = FaultInjection(schedule, str(tmp_path / "ckpt")).attach(cluster)
         cluster.train(3)
         injection.detach()
 
@@ -55,10 +57,10 @@ class TestHDFSSurface:
         assert incident.retries == 2
         assert_param_parity(cluster, twin)
 
-    def test_exhausted_read_escapes_with_round_scope(self, mk_cluster):
+    def test_exhausted_read_escapes_with_round_scope(self, mk_cluster, tmp_path):
         cluster = mk_cluster()
         schedule = FaultSchedule(0, script={("hdfs_read_failure", 1, 0): 8})
-        injection = FaultInjection(schedule, RetryPolicy()).attach(cluster)
+        injection = FaultInjection(schedule, str(tmp_path / "ckpt")).attach(cluster)
         with pytest.raises(FaultError) as exc:
             cluster.train_round()
         err = exc.value
@@ -77,19 +79,13 @@ class TestHDFSSurface:
 
 
 class TestStageSurfaces:
-    def test_stragglers_stretch_clock_but_not_values(self, mk_cluster):
+    def test_stragglers_stretch_clock_but_not_values(self, mk_cluster, tmp_path):
         twin = mk_cluster()
         twin_run = twin.train_pipelined(4)
 
         cluster = mk_cluster()
-        schedule = FaultSchedule(
-            2,
-            rates={"straggler": 1.0},
-            max_faults=10_000,
-            straggler_min=2.0,
-            straggler_max=2.0,
-        )
-        injection = FaultInjection(schedule, RetryPolicy()).attach(cluster)
+        schedule = FaultSchedule(2, rates={"straggler": 1.0}, max_faults=10_000)
+        injection = FaultInjection(schedule, str(tmp_path / "ckpt")).attach(cluster)
         run = cluster.train_pipelined(4)
         injection.detach()
 
@@ -99,32 +95,32 @@ class TestStageSurfaces:
         assert_param_parity(cluster, twin)
         # The slowdown lands on the simulated clock (the round loop records
         # the wrapped stages' durations), never in the trained values:
-        # with the multiplier pinned at 2 every stage doubles, so the
-        # makespan at least doubles too.
-        assert run.makespan >= 2.0 * twin_run.makespan - 1e-9
+        # at rate 1 every stage stretches by at least STRAGGLER_MIN, so
+        # the makespan does too.
+        assert run.makespan >= STRAGGLER_MIN * twin_run.makespan - 1e-9
 
-    def test_comm_fault_escapes_globally_from_train_stage(self, mk_cluster):
+    def test_comm_fault_escapes_globally_from_train_stage(self, mk_cluster, tmp_path):
         cluster = mk_cluster()
         schedule = FaultSchedule(0, script={("comm_allreduce", None, 0): 8})
-        FaultInjection(schedule, RetryPolicy()).attach(cluster)
+        FaultInjection(schedule, str(tmp_path / "ckpt")).attach(cluster)
         with pytest.raises(FaultError) as exc:
             cluster.train_round()
         assert exc.value.scope == "global"
         assert exc.value.stage == "train"
 
-    def test_hbm_dispatch_absorbed_is_transparent(self, mk_cluster):
+    def test_hbm_dispatch_absorbed_is_transparent(self, mk_cluster, tmp_path):
         twin = mk_cluster()
         twin.train(2)
 
         cluster = mk_cluster()
         schedule = FaultSchedule(0, script={("hbm_dispatch", 0, 0): 1})
-        injection = FaultInjection(schedule, RetryPolicy()).attach(cluster)
+        injection = FaultInjection(schedule, str(tmp_path / "ckpt")).attach(cluster)
         cluster.train(2)
         injection.detach()
         assert any(i.kind == "hbm_dispatch" for i in injection.incidents)
         assert_param_parity(cluster, twin)
 
-    def test_escape_mid_train_leaves_mem_values_untouched(self, mk_cluster):
+    def test_escape_mid_train_leaves_mem_values_untouched(self, mk_cluster, tmp_path):
         """MEM values change only at the round's write-back: an HBM
         dispatch fault that escapes at the first pull of sync round 1
         leaves every slab value and dirty bit as ``stage_load`` left
@@ -143,7 +139,7 @@ class TestStageSurfaces:
         shards = ctx.plan.nodes[0].shards
         assert all(s.n_examples for s in shards)
         schedule = FaultSchedule(0, script={("hbm_dispatch", 0, 4): 8})
-        FaultInjection(schedule, RetryPolicy()).attach(cluster)
+        FaultInjection(schedule, str(tmp_path / "ckpt")).attach(cluster)
         with pytest.raises(FaultError) as exc:
             cluster.stage_train(ctx)
         assert (exc.value.kind, exc.value.scope) == ("hbm_dispatch", "global")
@@ -153,7 +149,7 @@ class TestStageSurfaces:
 
 
 class TestSSDSurface:
-    def test_write_stall_slows_but_never_fails(self, mk_pressured):
+    def test_write_stall_slows_but_never_fails(self, mk_pressured, tmp_path):
         twin = mk_pressured()
         twin.train(8)
 
@@ -161,7 +157,7 @@ class TestSSDSurface:
         schedule = FaultSchedule(
             4, rates={"ssd_write_stall": 1.0}, max_faults=10_000
         )
-        injection = FaultInjection(schedule, RetryPolicy()).attach(cluster)
+        injection = FaultInjection(schedule, str(tmp_path / "ckpt")).attach(cluster)
         cluster.train(8)
         injection.detach()
 
@@ -188,9 +184,7 @@ class TestSSDSurface:
                 ("ssd_read_error", 0, 0): 8,  # exhaust every retry
             },
         )
-        injection = FaultInjection(
-            schedule, RetryPolicy(), recovery_directory=str(tmp_path / "ckpt")
-        ).attach(cluster)
+        injection = FaultInjection(schedule, str(tmp_path / "ckpt")).attach(cluster)
         result = store.read(f.keys)
         injection.detach()
 
@@ -200,10 +194,9 @@ class TestSSDSurface:
         quarantines = [i for i in injection.incidents if i.action == "quarantine"]
         assert len(quarantines) == 1
         assert quarantines[0].bytes_reread > 0
-        totals = injection.totals()
-        assert totals["bytes_reread"] > 0
-        # Counted once: not at exhaustion and again at the quarantine.
-        assert sum(totals["fault_counts"].values()) == totals["faults_fired"] == 1
+        assert quarantines[0].retries == MAX_ATTEMPTS - 1
+        # One record: the quarantine report is the exhausted fault's only one.
+        assert len(injection.incidents) == schedule.faults_fired == 1
         assert fault_retry_total(cluster) > 0.0
 
     def test_file_with_stale_rows_is_quarantined_from_its_live_rows(
@@ -216,14 +209,12 @@ class TestSSDSurface:
         cluster.train(12)
         cluster.save_checkpoint(str(tmp_path / "ckpt" / "round_000012"), mode="full")
         store = cluster.nodes[0].ssd_ps.store
-        f = next(f for f in store.files() if 0 < f.stale_count < f.n_params)
+        f = next(f for f in store.files() if 0 < f.stale_count < f.keys.size)
         live = store.live_mask(f.file_id)
         before = store.read(f.keys[live])  # touches this file alone
 
         schedule = FaultSchedule(0, script={("ssd_read_error", 0, 0): 8})
-        injection = FaultInjection(
-            schedule, RetryPolicy(), recovery_directory=str(tmp_path / "ckpt")
-        ).attach(cluster)
+        injection = FaultInjection(schedule, str(tmp_path / "ckpt")).attach(cluster)
         result = store.read(f.keys[live])
         injection.detach()
 
@@ -247,9 +238,7 @@ class TestSSDSurface:
         f = next(f for f in store.files() if f.file_id in based and not f.stale_count)
 
         schedule = FaultSchedule(0, script={("ssd_read_error", 0, 0): 8})
-        injection = FaultInjection(
-            schedule, RetryPolicy(), recovery_directory=str(root)
-        ).attach(cluster)
+        injection = FaultInjection(schedule, str(root)).attach(cluster)
         store.read(f.keys)
         injection.detach()
 
@@ -258,7 +247,7 @@ class TestSSDSurface:
             for member in ("round_000010", "round_000008")
         )
         (quarantine,) = [i for i in injection.incidents if i.action == "quarantine"]
-        assert quarantine.bytes_reread == injection.totals()["bytes_reread"] == walked
+        assert quarantine.bytes_reread == walked
 
     def test_quarantine_reads_its_own_chain_in_a_reused_root(
         self, mk_cluster, mk_pressured, tmp_path
@@ -279,9 +268,7 @@ class TestSSDSurface:
         before = store.read(f.keys)
 
         schedule = FaultSchedule(0, script={("ssd_read_error", 0, 0): 8})
-        injection = FaultInjection(
-            schedule, RetryPolicy(), recovery_directory=str(root)
-        ).attach(cluster)
+        injection = FaultInjection(schedule, str(root)).attach(cluster)
         result = store.read(f.keys)
         injection.detach()
 
@@ -289,14 +276,18 @@ class TestSSDSurface:
         (quarantine,) = [i for i in injection.incidents if i.action == "quarantine"]
         assert quarantine.bytes_reread > 0
 
-    def test_exhausted_read_without_checkpoint_raises_typed_loss(self, mk_pressured):
+    def test_exhausted_read_without_checkpoint_raises_typed_loss(
+        self, mk_pressured, tmp_path
+    ):
         cluster = mk_pressured()
         cluster.train(8)
         store = cluster.nodes[0].ssd_ps.store
         f = store.files()[0]
 
         schedule = FaultSchedule(0, script={("ssd_read_error", 0, 0): 8})
-        FaultInjection(schedule, RetryPolicy()).attach(cluster)  # no recovery directory
+        FaultInjection(schedule, str(tmp_path / "ckpt")).attach(
+            cluster
+        )
         with pytest.raises(PayloadLostError) as exc:
             store.read(f.keys)
         err = exc.value
@@ -304,8 +295,11 @@ class TestSSDSurface:
         assert np.array_equal(err.keys, f.keys)
         assert err.scope == "node"
         assert isinstance(err, FileNotFoundError)
+        # The escape carries what was priced: the guard's retries, and
+        # no re-read (no chain to walk).
+        assert (err.retries, err.bytes_reread) == (MAX_ATTEMPTS - 1, 0)
 
-    def test_lost_file_reports_its_live_keys_only(self):
+    def test_lost_file_reports_its_live_keys_only(self, tmp_path):
         """A stale row's newest copy sits in another file, so a loss
         names the live keys — as ``erase`` does — not every row."""
         store = FileStore(2, 4)
@@ -313,10 +307,10 @@ class TestSSDSurface:
         store.write(np.asarray([1]), np.zeros((1, 2), np.float32))  # row 1 stale
         store.faults = FaultArm(  # no recovery: the exhausted read is a loss
             FaultSchedule(0, script={("ssd_read_error", 0, 0): 8}),
-            RetryPolicy(),
             store.ledger,
             surface="ssd",
             node=0,
+            incidents=[],
         )
         with pytest.raises(PayloadLostError) as exc:
             store.read(np.asarray([0, 2, 3]))

@@ -150,7 +150,7 @@ class TestIncrementalByteAccounting:
             keys = np.unique(rng.integers(0, 40, 12))
             write(store, keys.tolist(), base=float(step))
             comp.compact()
-            recomputed = sum(store.file_bytes(f) for f in store.files())
+            recomputed = sum(f.keys.size * store.row_bytes for f in store.files())
             assert store.total_bytes == recomputed
             store.check_invariants()
 
@@ -163,7 +163,7 @@ class TestIncrementalByteAccounting:
         for step in range(25):
             keys = np.unique(rng.integers(0, 30, 10))
             write(store, keys.tolist(), base=float(step))
-            recomputed = sum(store.file_bytes(f) for f in store.files())
+            recomputed = sum(f.keys.size * store.row_bytes for f in store.files())
             live = store.live_bytes
             expected = (
                 recomputed > 0
@@ -180,7 +180,7 @@ class TestIncrementalByteAccounting:
         write(store, range(4, 8))
         before = store.total_bytes
         first = store.files()[0]
-        fid, first_bytes = first.file_id, store.file_bytes(first)
+        fid, first_bytes = first.file_id, first.keys.size * store.row_bytes
         write(store, range(4), base=9.0)  # supersede file0 (same size)
         store.erase(fid)
         # +1 equally-sized file, -file0: the footprint is back where it was.

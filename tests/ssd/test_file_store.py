@@ -89,7 +89,7 @@ class TestRead:
         store.write(keys_of(range(4)), vals_of(4))  # one full file
         r = store.read(keys_of([0]))
         assert r.files_read == 1
-        assert r.bytes_read == store.file_bytes(store.files()[0])
+        assert r.bytes_read == store.files()[0].keys.size * store.row_bytes
 
     def test_read_groups_by_file(self, store):
         store.write(keys_of(range(8)), vals_of(8))  # two files
@@ -118,7 +118,7 @@ def per_key_reference(store: FileStore, keys: np.ndarray):
             continue
         f = store.file(fid)
         if fid not in paid:
-            seconds += pricer.read(store.file_bytes(f))
+            seconds += pricer.read(f.keys.size * store.row_bytes)
             paid.add(fid)
         row = int(np.searchsorted(f.keys, key))
         out[i] = store._payload(fid)[row]
@@ -292,7 +292,7 @@ class TestCrashConsistency:
         with pytest.raises(FileNotFoundError, match="payload missing"):
             store.erase(fid)
         # The file stays registered so the loss remains observable.
-        assert store.file(fid).n_params == 2
+        assert store.file(fid).keys.size == 2
 
     def test_erase_memory_backend_unaffected(self):
         store = FileStore(1, file_capacity=4)

@@ -35,7 +35,7 @@ from hypothesis.stateful import (
 
 from repro.errors import TierStateError
 from repro.faults.errors import PayloadLostError
-from repro.faults.policy import FaultArm, RetryPolicy
+from repro.faults.policy import FaultArm
 from repro.faults.schedule import FaultSchedule
 from repro.ssd.compaction import Compactor
 from repro.ssd.file_store import FileStore
@@ -257,7 +257,6 @@ def armed_pair(script, recovery_of):
             )
         arm = FaultArm(
             FaultSchedule(3, script=script),
-            RetryPolicy(max_attempts=3),
             target.ledger,
             surface="ssd",
             node=0,
@@ -266,9 +265,9 @@ def armed_pair(script, recovery_of):
         )
         ssd_read = arm.ssd_read
 
-        def recording(s, f, ssd_read=ssd_read, log=seen[name]):
-            log.append((f.file_id, f.keys.tolist()))
-            return ssd_read(s, f)
+        def recording(s, file_id, size, ssd_read=ssd_read, log=seen[name]):
+            log.append((file_id, s.file(file_id).keys.tolist(), size))
+            return ssd_read(s, file_id, size)
 
         arm.ssd_read = recording
         target.faults = arm
@@ -294,8 +293,8 @@ class TestArmedRead:
         store, ref, seen = armed_pair(script, None)
         mine, theirs = store.read(self.PROBE), ref.read(self.PROBE)
         assert seen["store"] == seen["ref"]
-        assert [fid for fid, _ in seen["store"]] == sorted(
-            {fid for fid, _ in seen["store"]}
+        assert [fid for fid, *_ in seen["store"]] == sorted(
+            {fid for fid, *_ in seen["store"]}
         )
         assert np.array_equal(mine.values, theirs.values)
         assert mine.seconds == theirs.seconds
@@ -311,7 +310,7 @@ class TestArmedRead:
         assert seen["store"] == seen["ref"]
         assert store.faults.incidents == ref.faults.incidents
         assert [i.action for i in store.faults.incidents] == ["quarantine"]
-        assert store.faults.bytes_reread == ref.faults.bytes_reread == 4096
+        assert store.faults.incidents[0].bytes_reread == 4096
         assert np.array_equal(before, theirs.values)
         assert_stores_agree(store, ref)
         store.check_invariants()
@@ -338,7 +337,7 @@ class TestArmedRead:
         with pytest.raises(PayloadLostError) as lost:
             store.read(self.PROBE)  # files 0 (retried), 1 (lost), 3
         assert lost.value.file_id == 1
-        assert [fid for fid, _ in seen["store"]] == [3, 0, 1]
+        assert [fid for fid, *_ in seen["store"]] == [3, 0, 1]
         assert observed() == before
         assert store.ledger.total("fault_retry") > retried
         store.check_invariants()

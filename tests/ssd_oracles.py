@@ -85,9 +85,12 @@ class ReferenceFileStore:
         self.next_file_id = 0
         self.compactions = 0
 
-    # -- the surface FaultArm.ssd_read touches ---------------------------
     def file_bytes(self, f) -> int:
         return f.n_params * (8 + 4 * self.value_dim)
+
+    # -- the surface FaultArm.ssd_read touches ---------------------------
+    def file(self, file_id: int) -> ReferenceFile:
+        return self.files[file_id]
 
     def _payload(self, file_id: int) -> np.ndarray:
         return self.files[file_id].values
@@ -161,7 +164,7 @@ class ReferenceFileStore:
             sel = order[s:e]
             rows = [self.rows[k] for k in keys[sel].tolist()]
             if self.faults is not None:
-                total_t += self.faults.ssd_read(self, f)
+                total_t += self.faults.ssd_read(self, fid, self.file_bytes(f))
             total_t += self.device.read(self.file_bytes(f))
             files_read += 1
             bytes_read += self.file_bytes(f)
@@ -345,7 +348,7 @@ def assert_stores_agree(store, ref: ReferenceFileStore) -> None:
         r = ref.files[f.file_id]
         live = ref.live_mask(f.file_id)
         assert np.array_equal(store.live_mask(f.file_id), live)
-        assert f.n_params == r.n_params and f.stale_count == r.stale_count
+        assert f.keys.size == r.n_params and f.stale_count == r.stale_count
         assert np.array_equal(f.keys[live], r.keys[live])
         assert np.array_equal(store._payload(f.file_id)[live], r.values[live])
     assert store.n_live_params == len(ref.mapping)

@@ -31,20 +31,35 @@ BUILD_RESTORE_SIGNATURES = (
     "repro.hardware.ssd_device:SSDDevice.write",
 )
 
+#: The fault layer's constructors.  Every parameter is a value a caller
+#: sets, so their count is a needle too (CI prints it head vs base).
+FAULT_LAYER_CONSTRUCTORS = (
+    "repro.faults.schedule:FaultSchedule",
+    "repro.faults.inject:FaultInjection",
+    "repro.faults.supervisor:Supervisor",
+)
+
+
+def _parameters(name: str) -> list[inspect.Parameter]:
+    module, qualname = name.split(":")
+    obj = importlib.import_module(module)
+    for attr in qualname.split("."):
+        obj = getattr(obj, attr)
+    return list(inspect.signature(obj).parameters.values())
+
 
 def defaulted_build_options() -> int:
     """Defaulted parameters across :data:`BUILD_RESTORE_SIGNATURES`."""
-    count = 0
-    for name in BUILD_RESTORE_SIGNATURES:
-        module, qualname = name.split(":")
-        obj = importlib.import_module(module)
-        for attr in qualname.split("."):
-            obj = getattr(obj, attr)
-        count += sum(
-            p.default is not inspect.Parameter.empty
-            for p in inspect.signature(obj).parameters.values()
-        )
-    return count
+    return sum(
+        p.default is not inspect.Parameter.empty
+        for name in BUILD_RESTORE_SIGNATURES
+        for p in _parameters(name)
+    )
+
+
+def fault_layer_parameters() -> int:
+    """Parameters across :data:`FAULT_LAYER_CONSTRUCTORS`."""
+    return sum(len(_parameters(name)) for name in FAULT_LAYER_CONSTRUCTORS)
 
 
 class TestPaperModels:
@@ -108,6 +123,7 @@ class TestClusterConfig:
         assert len(fields(GPUSpec)) <= 3
         assert len(fields(SSDSpec)) <= 3
         assert defaulted_build_options() <= 10
+        assert fault_layer_parameters() <= 8
 
     def test_with_nodes(self):
         """Derive a config with ``dataclasses.replace``: the other fields
