@@ -61,14 +61,9 @@ class ReferenceTrainer:
 
     # ------------------------------------------------------------------
     def _fetch(self, keys: np.ndarray) -> np.ndarray:
-        keys = as_keys(keys)
-        out, found = self._store.get_batch(keys)
-        miss = ~found
-        if miss.any():
-            fresh = self.optimizer.init_for_keys(keys[miss], seed=self._init_seed)
-            out[miss] = fresh
-            self._store.put_batch(keys[miss], fresh)
-        return out
+        return self._store.get_or_init(
+            keys, lambda k: self.optimizer.init_for_keys(k, seed=self._init_seed)
+        )
 
     def _apply(self, keys: np.ndarray, grads: np.ndarray) -> None:
         values = self._fetch(keys)

@@ -3,8 +3,9 @@
 ``Hash+DNN`` and ``Baseline DNN`` rows both train the standard
 embedding-plus-MLP CTR network; the only difference is whether the input
 batches went through :class:`~repro.hashing.op_osrp.OPOSRPHasher`.  This
-trainer runs that network over in-memory batch lists with a flat
-dictionary store — no parameter-server machinery, as in the 2015 study.
+trainer runs that network over in-memory batch lists with one flat
+store (:class:`~repro.store.flat.FlatStore`) — no parameter-server
+machinery, as in the 2015 study.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from repro.data.batching import Batch
 from repro.nn.metrics import auc
 from repro.nn.model import CTRModel, Shard
 from repro.nn.optim import DenseAdagrad, SparseAdagrad
-from repro.utils.keys import as_keys
+from repro.store.flat import FlatStore
 
 __all__ = ["SimpleDNN"]
 
@@ -52,24 +53,13 @@ class SimpleDNN:
         self.sparse_opt = SparseAdagrad(embedding_dim, lr=lr)
         self.dense_opt = DenseAdagrad(lr=lr)
         self.seed = seed
-        self._store: dict[int, np.ndarray] = {}
+        self._store = FlatStore(self.sparse_opt.value_dim)
 
     # ------------------------------------------------------------------
     def _fetch(self, keys: np.ndarray) -> np.ndarray:
-        keys = as_keys(keys)
-        out = np.zeros((keys.size, self.sparse_opt.value_dim), dtype=np.float32)
-        miss = [i for i, k in enumerate(keys) if int(k) not in self._store]
-        for i, k in enumerate(keys):
-            v = self._store.get(int(k))
-            if v is not None:
-                out[i] = v
-        if miss:
-            idx = np.asarray(miss)
-            fresh = self.sparse_opt.init_for_keys(keys[idx], seed=self.seed)
-            out[idx] = fresh
-            for j, i in enumerate(idx):
-                self._store[int(keys[i])] = fresh[j].copy()
-        return out
+        return self._store.get_or_init(
+            keys, lambda k: self.sparse_opt.init_for_keys(k, seed=self.seed)
+        )
 
     # ------------------------------------------------------------------
     def train_batch(self, batch: Batch) -> float:
@@ -79,11 +69,9 @@ class SimpleDNN:
             return float("nan")
         values = self._fetch(keys)
         (result,) = self.model.train_minibatch(values, [shard])
-        new_values = self.sparse_opt.apply(
-            values, result.sparse_grad.grads
+        self._store.put_batch(
+            keys, self.sparse_opt.apply(values, result.sparse_grad.grads)
         )
-        for i, k in enumerate(keys):
-            self._store[int(k)] = new_values[i]
         self.dense_opt.step(
             self.model.mlp.parameters(),
             [g.astype(np.float32) for g in result.dense_grads],

@@ -1,12 +1,15 @@
 """Flat in-memory parameter store (the reference trainer's backend).
 
 One growable float32 slab plus a :class:`SlotIndex` — the vectorized
-replacement for the reference trainer's ``dict[int, np.ndarray]``.  No
-eviction: this models the MPI baseline's "whole model in memory"
-assumption, so ``put_batch`` never flushes.
+replacement for a ``dict[int, np.ndarray]``, behind the reference
+trainer and the hashing study's DNN.  No eviction: this models the MPI
+baseline's "whole model in memory" assumption, so ``put_batch`` never
+flushes.
 """
 
 from __future__ import annotations
+
+from typing import Callable
 
 import numpy as np
 
@@ -74,6 +77,21 @@ class FlatStore:
             self._values[rows] = values[new_idx]
             self._index.set(keys[new_idx], rows)
         return as_keys([]), np.zeros((0, self.value_dim), dtype=np.float32)
+
+    def get_or_init(
+        self, keys: np.ndarray, init: Callable[[np.ndarray], np.ndarray]
+    ) -> np.ndarray:
+        """Values of unique ``keys``; the absent ones are ``init(absent
+        keys)``, stored first — a trainer's lookup of a key-deterministic
+        embedding."""
+        keys = as_keys(keys)
+        out, found = self.get_batch(keys)
+        miss = ~found
+        if miss.any():
+            fresh = init(keys[miss])
+            out[miss] = fresh
+            self.put_batch(keys[miss], fresh)
+        return out
 
     def contains(self, keys: np.ndarray) -> np.ndarray:
         _, found = self._index.get(as_keys(keys))

@@ -131,3 +131,22 @@ class TestFlatStore:
             fk, _ = store.put_batch(keys, vals_of(100, dim=1))
             assert fk.size == 0
         assert len(store) == 400
+
+    def test_get_or_init_initializes_absent_keys_once(self):
+        """Present keys come back as stored; ``init`` sees the absent
+        ones only, in request order, and its rows are stored — a second
+        lookup calls it with nothing new."""
+        store = FlatStore(2)
+        store.put_batch(keys_of([4]), vals_of(1, base=9.0))
+        seen = []
+
+        def init(keys):
+            seen.append(keys.tolist())
+            return np.repeat(keys[:, None].astype(np.float32), 2, axis=1)
+
+        got = store.get_or_init(keys_of([7, 4, 2]), init)
+        assert seen == [[7, 2]]
+        assert got.tolist() == [[7.0, 7.0], [9.0, 10.0], [2.0, 2.0]]
+        assert np.array_equal(store.get_or_init(keys_of([2, 7]), init), got[[2, 0]])
+        assert seen == [[7, 2]]
+        assert len(store) == 3
