@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
+import repro.faults.policy as policy
+import repro.faults.schedule as schedule_module
+import repro.faults.supervisor as supervisor_module
 from repro.faults import FaultExhaustedError, FaultSchedule
 from repro.faults.policy import (
     BACKOFF_BASE_S,
@@ -13,6 +17,7 @@ from repro.faults.policy import (
     FaultArm,
     backoff_seconds,
 )
+from repro.faults.schedule import MAX_DEPTH
 from repro.hardware.ledger import CostLedger
 
 
@@ -58,6 +63,30 @@ class TestBackoff:
                 assert 0.0 < backoff_seconds(attempt, u) <= BACKOFF_CAP_S * (
                     1.0 + JITTER
                 )
+
+
+class TestConstants:
+    @pytest.mark.parametrize(
+        "module, name, value",
+        [
+            (policy, "MAX_ATTEMPTS", 3),
+            (policy, "BACKOFF_BASE_S", 0.002),
+            (policy, "BACKOFF_MULTIPLIER", 2.0),
+            (policy, "BACKOFF_CAP_S", 0.25),
+            (policy, "JITTER", 0.5),
+            (policy, "MAX_ROUND_RETRIES", 3),
+            (schedule_module, "DEPTH_P", 0.4),
+            (schedule_module, "MAX_DEPTH", 8),
+            (schedule_module, "STRAGGLER_MIN", 1.25),
+            (schedule_module, "STRAGGLER_MAX", 3.0),
+            (supervisor_module, "MAX_RECOVERIES", 32),
+        ],
+    )
+    def test_fault_constants_keep_their_values(self, module, name, value):
+        """Each retry, depth, straggler and recovery bound is one module
+        constant with the value every committed fault run was priced
+        under: changing one re-prices ``BENCH_e2e.json``'s fault rows."""
+        assert getattr(module, name) == value
 
 
 class TestGuard:
@@ -108,6 +137,65 @@ class TestGuard:
         arm, ledger, _ = make_arm({("hdfs_read_failure", 0, 0): 1})
         extra = arm.guard({"hdfs_read_failure": 0.0})
         assert extra == pytest.approx(drawn_backoff(1, "hdfs_read_failure", 0))
+
+
+    @pytest.mark.parametrize("depth", range(1, MAX_DEPTH + 1))
+    def test_every_drawable_depth_is_absorbed_or_escapes(self, depth):
+        """Below MAX_ATTEMPTS a fault is absorbed after ``depth`` retries
+        and logged once; at or past it the guard prices MAX_ATTEMPTS
+        failures and escapes, logging nothing.  Either way the one
+        record — report or error — carries every retry and second the
+        ledger was charged."""
+        arm, ledger, incidents = make_arm({("hdfs_timeout", 0, 0): depth})
+        if depth < MAX_ATTEMPTS:
+            extra = arm.guard({"hdfs_timeout": 1.0})
+            (inc,) = incidents
+            assert inc.retries == depth
+            assert inc.downtime_seconds == pytest.approx(extra)
+        else:
+            with pytest.raises(FaultExhaustedError) as exc:
+                arm.guard({"hdfs_timeout": 1.0})
+            assert incidents == []
+            assert exc.value.retries == MAX_ATTEMPTS - 1
+            extra = exc.value.seconds
+        failures = min(depth, MAX_ATTEMPTS)
+        assert extra == pytest.approx(
+            failures
+            + sum(
+                drawn_backoff(a, "hdfs_timeout", a - 1)
+                for a in range(1, min(depth, MAX_ATTEMPTS - 1) + 1)
+            )
+        )
+        assert ledger.total("fault_retry") == pytest.approx(extra)
+
+
+class _SizedStore:
+    """A file store stand-in that prices reads by size and holds no
+    file objects: ``ssd_reads`` must price from the sizes it is given."""
+
+    class device:
+        @staticmethod
+        def read_time(nbytes: int) -> float:
+            return nbytes * 1e-6
+
+    def file(self, file_id: int):
+        raise AssertionError("ssd_reads built a file object")
+
+
+class TestSSDReads:
+    def test_each_read_is_priced_from_its_own_size(self):
+        """Three reads, the second failing once: it costs one wasted
+        read of its own 5000 bytes plus one backoff; the clean reads
+        cost nothing extra."""
+        arm, ledger, incidents = make_arm({("ssd_read_error", 0, 1): 1})
+        seconds = arm.ssd_reads(
+            _SizedStore(), np.array([4, 7, 9]), np.array([1000, 5000, 9000])
+        )
+        expected = 5000 * 1e-6 + drawn_backoff(1, "ssd_read_error", 0)
+        assert seconds.tolist() == pytest.approx([0.0, expected, 0.0])
+        assert ledger.total("fault_retry") == pytest.approx(expected)
+        (inc,) = incidents
+        assert (inc.kind, inc.action, inc.retries) == ("ssd_read_error", "retried", 1)
 
 
 class TestStallAndStraggle:

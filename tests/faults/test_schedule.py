@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.faults import FaultSchedule
-from repro.faults.schedule import MAX_DEPTH, STRAGGLER_MAX, STRAGGLER_MIN
+from repro.faults.schedule import DEPTH_P, MAX_DEPTH, STRAGGLER_MAX, STRAGGLER_MIN
 
 
 def drain(schedule: FaultSchedule, kind: str, node, n: int) -> list[int]:
@@ -64,6 +64,18 @@ class TestBudgetAndDepth:
         assert all(1 <= d <= MAX_DEPTH for d in depths)
         assert 1 in depths and max(depths) > 1
 
+    def test_depth_extends_geometrically(self):
+        """Each fired fault fails one more attempt with probability
+        DEPTH_P: over 20 000 faults, the share of depths >= k + 1 among
+        depths >= k is DEPTH_P for the first steps."""
+        s = FaultSchedule(4, rates={"hdfs_timeout": 1.0}, max_faults=20_000)
+        depths = drain(s, "hdfs_timeout", 0, 20_000)
+        for k in (1, 2, 3):
+            reached = sum(d >= k for d in depths)
+            assert sum(d >= k + 1 for d in depths) / reached == pytest.approx(
+                DEPTH_P, abs=0.03
+            )
+
     def test_straggler_multiplier_bounds(self):
         s = FaultSchedule(9, rates={"straggler": 1.0}, max_faults=10_000)
         mults = [s.straggler(0) for _ in range(50)]
@@ -96,6 +108,19 @@ class TestValidation:
     def test_rate_out_of_range_rejected(self):
         with pytest.raises(ValueError, match="must be in"):
             FaultSchedule(0, rates={"hdfs_timeout": 1.5})
+
+    @pytest.mark.parametrize("rate", [-0.1, float("nan")])
+    def test_rate_outside_unit_interval_rejected(self, rate):
+        with pytest.raises(ValueError, match="must be in"):
+            FaultSchedule(0, rates={"hdfs_timeout": rate})
+
+    @pytest.mark.parametrize("rate, fired", [(0.0, 0), (1.0, 20)])
+    def test_rate_bounds_are_valid(self, rate, fired):
+        """The closed ends of the rate range are accepted and mean what
+        they say: rate 0 fires nothing, rate 1 fires every operation."""
+        s = FaultSchedule(0, rates={"hdfs_timeout": rate}, max_faults=100)
+        assert sum(d > 0 for d in drain(s, "hdfs_timeout", 0, 20)) == fired
+        assert s.faults_fired == fired
 
     def test_negative_budget_rejected(self):
         with pytest.raises(ValueError, match="max_faults"):

@@ -51,6 +51,11 @@ def run_supervised(mk, tmp_path, schedule, *, n_rounds=6, pipelined=False, **kw)
 
 
 class TestRecoveryActions:
+    @pytest.mark.parametrize("every", [0, -1])
+    def test_checkpoint_cadence_below_one_rejected(self, every, tmp_path):
+        with pytest.raises(ValueError, match="checkpoint_every"):
+            Supervisor(str(tmp_path), checkpoint_every=every)
+
     def test_clean_schedule_is_a_no_op(self, mk_cluster, tmp_path):
         twin = mk_cluster()
         twin.train(6)
