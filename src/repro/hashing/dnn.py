@@ -18,6 +18,7 @@ from repro.nn.metrics import auc
 from repro.nn.model import CTRModel, Shard
 from repro.nn.optim import DenseAdagrad, SparseAdagrad
 from repro.store.flat import FlatStore
+from repro.utils.keys import KEY_DOMAIN_CAP, check_key_cap
 
 __all__ = ["SimpleDNN"]
 
@@ -26,7 +27,8 @@ class SimpleDNN:
     """Single-store embedding+MLP trainer over explicit batch lists.
 
     Hashed data has no slot structure, so ``n_slots=1`` (sum-pool all
-    active features) is the default.
+    active features) is the default.  Keys must lie below
+    :data:`~repro.utils.keys.KEY_DOMAIN_CAP`, the store index's domain.
     """
 
     def __init__(
@@ -41,7 +43,7 @@ class SimpleDNN:
         spec = ModelSpec(
             name="simple-dnn",
             nonzeros_per_example=1,
-            n_sparse=2**62,
+            n_sparse=KEY_DOMAIN_CAP,
             n_dense=sum(hidden_layers),
             size_gb=0.0,
             mpi_nodes=1,
@@ -79,6 +81,15 @@ class SimpleDNN:
         return result.loss
 
     def fit(self, batches: list[Batch], *, epochs: int = 1) -> list[float]:
+        """Train ``epochs`` passes over ``batches``; per-batch losses.
+
+        Every batch's keys are checked against the store's key domain
+        first, so a key past it (:class:`~repro.errors.KeyDomainError`)
+        leaves the model untrained rather than half trained.
+        """
+        for b in batches:
+            if b.keys.size:
+                check_key_cap(int(b.keys.max()), "SimpleDNN.fit batch")
         losses = []
         for _ in range(epochs):
             for b in batches:

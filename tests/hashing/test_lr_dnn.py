@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from repro.config import ModelSpec
+from repro.data.batching import Batch
 from repro.data.generator import CTRDataGenerator
+from repro.errors import KeyDomainError
 from repro.hashing.dnn import SimpleDNN
 from repro.hashing.lr import SparseLogisticRegression
 
@@ -93,8 +95,6 @@ class TestSimpleDNN:
         assert dnn.n_embedding_params > 0
 
     def test_empty_batch_handled(self):
-        from repro.data.batching import Batch
-
         dnn = SimpleDNN(n_slots=1)
         empty = Batch(
             np.array([], dtype=np.uint64),
@@ -111,3 +111,20 @@ class TestSimpleDNN:
         a.fit(train[:2])
         b.fit(train[:2])
         assert np.array_equal(a.predict_proba(test), b.predict_proba(test))
+
+    def test_out_of_domain_key_refused_before_any_batch_trains(self, data):
+        """A key past the store's domain in the second batch is refused
+        before the first batch trains: store empty, dense weights as
+        built."""
+        train, _ = data
+        ok, late = train[0], train[1]
+        keys = late.keys.copy()
+        keys[0] = 2**23
+        bad = Batch(keys, late.offsets, late.labels)
+        dnn = SimpleDNN(n_slots=4, seed=0)
+        before = [p.copy() for p in dnn.model.mlp.parameters()]
+        with pytest.raises(KeyDomainError, match="SimpleDNN.fit"):
+            dnn.fit([ok, bad])
+        assert dnn.n_embedding_params == 0
+        after = dnn.model.mlp.parameters()
+        assert all(np.array_equal(a, b) for a, b in zip(before, after))
