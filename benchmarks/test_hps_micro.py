@@ -2,9 +2,12 @@
 
 ``benchmarks/hps/micro.py`` is frozen, and ``src/`` keeps a few
 signatures alive only for it (``CombinedCache.get_batch``,
-``put_batch(assume_unique=)``, ``build_round_plan(prefetch=)``, and
-``SlotIndex``'s ignored constructor argument and its ``locate`` /
-``install`` wrappers over ``get`` / ``set``).  Nothing
+``put_batch(assume_unique=)``, ``build_round_plan(prefetch=)``,
+``FileStore``'s ignored ``directory=``, and ``SlotIndex``'s ignored
+constructor argument and its ``locate`` / ``install`` wrappers over
+``get`` / ``set``).  ``FileStore`` has no disk backend, so micro's two
+``ssd.filestore_disk_*`` kernels time the in-memory arena like
+``ssd.filestore_read_ns_per_key``; no gate reads them.  Nothing
 else executes it, so this runs it: if a rename in ``src/`` breaks a
 kernel, tier-1 says so — and when benchmark v2 drops the shims, this file
 names what they were for.  No timing is asserted.

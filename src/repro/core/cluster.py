@@ -121,8 +121,6 @@ class BatchStats:
     #: network time of the remote MEM pulls (the local partition is a row
     #: gather on rows the resolve loaded — see :attr:`prefetch_seconds`)
     pull_remote_seconds: float
-    #: MEM/SSD stage total: the resolve + the remote pulls
-    pull_push_seconds: float
     cpu_partition_seconds: float
     hbm_pull_seconds: float
     hbm_push_seconds: float
@@ -150,6 +148,11 @@ class BatchStats:
     prefetch_seconds: float = 0.0
 
     @property
+    def pull_push_seconds(self) -> float:
+        """MEM/SSD stage total: the resolve + the remote pulls."""
+        return self.prefetch_seconds + self.pull_remote_seconds
+
+    @property
     def pipeline_stage_seconds(self) -> tuple[float, float, float, float]:
         """The four Algorithm 1 stage durations of this round.
 
@@ -158,13 +161,11 @@ class BatchStats:
         the MEM resolve folds into the prepare element wherever it was
         scheduled.  Summing all four gives the round's serial makespan.
         """
-        prepare = self.prefetch_seconds + self.pull_remote_seconds
-        absorb = self.pull_push_seconds - prepare
         return (
             self.read_seconds,
-            prepare,
+            self.pull_push_seconds,
             self.cpu_partition_seconds,
-            self.train_seconds + absorb,
+            self.train_seconds,
         )
 
 
@@ -686,7 +687,6 @@ class HPSCluster:
             round_index=ctx.round_index,
             read_seconds=ctx.read_seconds,
             pull_remote_seconds=ctx.pull_remote_seconds,
-            pull_push_seconds=ctx.prefetch_seconds + ctx.pull_remote_seconds,
             cpu_partition_seconds=ctx.cpu_partition_seconds,
             hbm_pull_seconds=hbm_pull_s / self.n_nodes,
             hbm_push_seconds=hbm_push_s / self.n_nodes,

@@ -85,12 +85,10 @@ class PayloadLostError(FaultError, FileNotFoundError):
     """A parameter file's payload is unrecoverable on this node.
 
     Raised when an SSD read exhausts its retries and the quarantine
-    path cannot re-materialize the file from the checkpoint chain, and
-    by :meth:`~repro.ssd.file_store.FileStore.erase` when asked to drop
-    a file whose payload is already gone.  Subclasses
-    ``FileNotFoundError`` so pre-existing handlers of the old bare
-    raise keep working; carries the file id and the affected live keys
-    so the quarantine path (and tests) can catch it precisely.
+    path cannot re-materialize the file from the checkpoint chain.
+    Subclasses ``FileNotFoundError`` so pre-existing handlers of the old
+    bare raise keep working; carries the file id and the affected live
+    keys so the quarantine path (and tests) can catch it precisely.
     """
 
     def __init__(

@@ -54,13 +54,13 @@ class CheckpointRecovery:
     """
 
     def __init__(self, directory: str, cluster, node) -> None:
-        self.directory = os.path.abspath(directory)
+        self.root = os.path.abspath(directory)
         self.cluster = cluster
         self.node = node
 
     def __call__(self, file_id: int, expected_keys: np.ndarray):
         base = self.cluster._ckpt_base
-        if base is None or os.path.dirname(base["directory"]) != self.directory:
+        if base is None or os.path.dirname(base["directory"]) != self.root:
             return None, 0, 0.0
         try:
             found, sizes = find_ssd_file(base["directory"], self.node, file_id)

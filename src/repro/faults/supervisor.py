@@ -169,7 +169,7 @@ class Supervisor:
     def __init__(self, directory: str, *, checkpoint_every: int = 2) -> None:
         if checkpoint_every < 1:
             raise ValueError("checkpoint_every must be >= 1")
-        self.directory = directory
+        self.root = directory
         self.checkpoint_every = checkpoint_every
 
     # ------------------------------------------------------------------
@@ -221,8 +221,8 @@ class Supervisor:
                 "cluster already has a 'snapshot' stage — the supervisor "
                 "registers its own; unregister_stage('snapshot') first"
             )
-        os.makedirs(self.directory, exist_ok=True)
-        injection = FaultInjection(schedule, self.directory)
+        os.makedirs(self.root, exist_ok=True)
+        injection = FaultInjection(schedule, self.root)
         injection.attach(cluster)
         out = SupervisedRun(cluster=cluster, reports=())
         reports: list[FaultReport] = []
@@ -234,12 +234,12 @@ class Supervisor:
         replaying_until = base
         round_retries = 0
         try:
-            baseline = os.path.join(self.directory, checkpoint_dir_name(base))
+            baseline = os.path.join(self.root, checkpoint_dir_name(base))
             out.checkpoints.append(cluster.save_checkpoint(baseline, mode="auto"))
             # After the injection attached, so the straggler wrapper
             # leaves the stage (and the fault draws) alone.
             stage = cluster.enable_snapshot_stage(
-                self.directory,
+                self.root,
                 every=self.checkpoint_every,
                 full_every=FULL_EVERY,
                 keep_last=KEEP_LAST,

@@ -240,7 +240,7 @@ class CombinedCache:
         self.lfu_capacity = max(1, capacity - self.lru_capacity)
         #: the delta base (:meth:`mark_snapshot`): ``(clock, LRU size, LFU
         #: size)`` at the last committed snapshot; None until one is
-        #: marked, and again after a load.  Survives :meth:`flush_all`.
+        #: marked, and again after a load.
         self._mark: tuple[int, int, int] | None = None
         #: the tick clock; only a mark resets it, so every tick drawn
         #: after the mark is larger than the mark's clock
@@ -818,15 +818,3 @@ class CombinedCache:
         state["misses"] = np.int64(delta["misses"])
         return state
 
-    def flush_all(self) -> tuple[np.ndarray, np.ndarray]:
-        """Drain everything (shutdown / checkpoint path): the LRU tier
-        then the LFU tier, each in tick order.  The snapshot mark stands
-        (the committed base is still valid) and the clock runs on: the
-        emptied cache diffs as no kept entries, and whatever comes back
-        in ships its value."""
-        rows = np.concatenate(
-            [self._tier_rows(self._tick), self._tier_rows(self._ftick)]
-        )
-        keys, values = self._keys[rows], take_rows(self._values, rows)
-        self._reset()
-        return keys, values

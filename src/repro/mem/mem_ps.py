@@ -132,7 +132,11 @@ class MemPS:
         inserts flushed — all the device time the MEM tier pays for the
         round).
         """
-        self._require_round_boundary()
+        if self._prefetch_plan is not None:
+            raise TierStateError(
+                "MEM-PS still holds the in-flight round's pins — only "
+                "valid at a round boundary (after end_batch)"
+            )
         pplan.rows, seconds = self._resolve(pplan.keys)
         self._prefetch_plan = pplan
         return seconds
@@ -263,23 +267,3 @@ class MemPS:
         """
         if self._prefetch_plan is not None:
             self.end_batch()
-
-    def flush_to_ssd(self) -> float:
-        """Drain the entire cache to the SSD-PS (checkpoint/shutdown).
-
-        Only valid at a round boundary: the in-flight round's rows index
-        the slab this call resets.
-        """
-        self._require_round_boundary()
-        fk, fv = self.cache.flush_all()
-        if fk.size == 0:
-            return 0.0
-        return self.ssd_ps.dump(fk, fv)
-
-    def _require_round_boundary(self) -> None:
-        pplan = self._prefetch_plan
-        if pplan is not None:
-            raise TierStateError(
-                "MEM-PS still holds the in-flight round's pins — only "
-                "valid at a round boundary (after end_batch)"
-            )

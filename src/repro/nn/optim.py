@@ -57,15 +57,11 @@ class SparseOptimizer:
         """Total floats stored per key (embedding + optimizer state)."""
         raise NotImplementedError
 
-    def init_values(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        """Fresh values for ``n`` previously-unseen keys."""
-        raise NotImplementedError
-
     def init_for_keys(self, keys: np.ndarray, *, seed: int = 0) -> np.ndarray:
         """Deterministic per-key initialization.
 
-        Unlike :meth:`init_values`, the result depends only on the key (and
-        ``seed``), never on draw order — so a distributed trainer and a
+        The result depends only on the key (and ``seed``), never on draw
+        order — so a distributed trainer and a
         single-store reference initialize a key identically no matter which
         node first touches it.  Embedding coordinates are ~N(0, 0.01) via
         hashed Box–Muller; optimizer state starts at zero.
@@ -105,9 +101,6 @@ class SparseSGD(SparseOptimizer):
     def value_dim(self) -> int:
         return self.dim
 
-    def init_values(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        return rng.normal(0.0, 0.01, size=(n, self.dim)).astype(np.float32)
-
     def apply(self, values: np.ndarray, grads: np.ndarray) -> np.ndarray:
         if values.shape != grads.shape:
             raise ValueError("value/grad shape mismatch")
@@ -136,11 +129,6 @@ class SparseAdagrad(SparseOptimizer):
     @property
     def value_dim(self) -> int:
         return 2 * self.dim
-
-    def init_values(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        out = np.zeros((n, self.value_dim), dtype=np.float32)
-        out[:, : self.dim] = rng.normal(0.0, 0.01, size=(n, self.dim))
-        return out
 
     def apply(self, values: np.ndarray, grads: np.ndarray) -> np.ndarray:
         if values.shape[1] != self.value_dim or grads.shape[1] != self.dim:

@@ -12,45 +12,37 @@ bookkeeping is addressed by row.  The mapping sends a key to a **row
 locator** ``slot * file_capacity + row``: ``slot`` is a small integer
 naming a live file (recycled on erase; per-slot arrays hold its file id,
 first row, row count and stale counter), ``row`` the key's position in
-it.  Every file's keys — and, on the memory backend, its payload rows —
-sit packed in one arena per store, so a read is one index probe, one
-array pass over the touched files that only *accounts* (fault arm,
-device charge; in ascending file-id order, which is part of the
-simulated-clock contract because float seconds accumulate in it) and one
-gather.  Every touched file is a device read: there is no host-side file
-cache between the MEM tier and the array.  What leaves the store
-(checkpoints) speaks file ids and ships live rows only: per file its
-id, row count and stale counter, one packed live mask, and the set
-bits' keys and values.  A restore writes key 0 and zeros at the stale
+it.  Every file's keys and payload rows sit packed in one arena per
+store, so a read is one index probe, one array pass over the touched
+files that only *accounts* (fault arm, device charge; in ascending
+file-id order, which is part of the simulated-clock contract because
+float seconds accumulate in it) and one gather.  Every touched file is
+a device read: there is no host-side file cache between the MEM tier
+and the array.  What leaves the store (checkpoints) speaks file ids and
+ships live rows only: per file its id, row count and stale counter, one
+packed live mask, and the set bits' keys and values.  A restore writes key 0 and zeros at the stale
 rows, which nothing reads, and the row count still prices the whole
 file.  Nothing removes a key, so each live key ships exactly once and
 a load derives the mapping from the shipped rows.
 
-Payloads live in the arena.  ``directory=`` selects a ``disk`` backend
-instead (payloads as ``.npy`` files; loading them is the one step left
-per file), which no cluster builds: only the frozen
-``benchmarks/hps/micro.py`` kernels and tests reach it, and it goes with
-them at benchmark v2.  Timing always comes from the :class:`SSDDevice`
-model.
+Payloads live in memory, in the arena; timing comes from the
+:class:`SSDDevice` model alone, so the simulated clock never depends on
+where the bytes sit.
 """
 
 from __future__ import annotations
 
-import io
 import mmap
-import os
 from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
 
 from repro.errors import TierStateError
-from repro.faults.errors import PayloadLostError
 from repro.hardware.ledger import CostLedger
 from repro.hardware.specs import SSDSpec
 from repro.hardware.ssd_device import SSDDevice
 from repro.store.slot_index import SlotIndex
-from repro.utils.io import atomic_write_bytes
 from repro.utils.keys import KEY_DTYPE, as_keys, check_key_cap
 from repro.utils.rows import put_rows, take_rows
 
@@ -80,8 +72,6 @@ class ParameterFile:
     #: restored file holds key 0 at its stale rows
     keys: np.ndarray
     stale_count: int = 0
-    #: disk backend: path of the .npy payload.
-    path: str | None = None
 
     @property
     def n_live(self) -> int:
@@ -115,6 +105,8 @@ class FileStore:
         directory: str | None = None,
         ledger: CostLedger | None = None,
     ) -> None:
+        # ``directory`` is ignored (payloads live in the arena):
+        # ``benchmarks/hps/micro.py`` passes one; drop at benchmark v2.
         if value_dim <= 0:
             raise ValueError("value_dim must be positive")
         if file_capacity <= 0:
@@ -128,9 +120,6 @@ class FileStore:
         #: fault-injection guard for file reads
         #: (:class:`repro.faults.policy.FaultArm`; None = fault-free)
         self.faults = None
-        self.directory = directory
-        if directory is not None:
-            os.makedirs(directory, exist_ok=True)
         #: vectorized key -> row locator (``slot * file_capacity + row``)
         self._mapping = SlotIndex()
         self._reset_files()
@@ -153,16 +142,12 @@ class FileStore:
         self._n_slots = 0  # slots ever handed out (table high-water mark)
         #: read()'s touched-slot scratch (all False between calls)
         self._touched = np.zeros(16, dtype=bool)
-        #: the arenas: every live file's keys (both backends) and payload
-        #: rows (memory backend) at ``base .. base + rows``.  Rows of
-        #: erased files are garbage until the next repack.  Nothing may
-        #: keep a view: it would pin a superseded arena after growth.
+        #: the arenas: every live file's keys and payload rows at ``base
+        #: .. base + rows``.  Rows of erased files are garbage until the
+        #: next repack.  Nothing may keep a view: it would pin a
+        #: superseded arena after growth.
         self._arena_keys = np.empty(0, dtype=KEY_DTYPE)
-        self._arena = (
-            np.empty((0, self.value_dim), dtype=np.float32)
-            if self.directory is None
-            else None
-        )
+        self._arena = np.empty((0, self.value_dim), dtype=np.float32)
         self._arena_used = 0  # rows handed out (the append point)
         self._arena_live = 0  # rows of live files
         #: disk footprint, maintained on append and erase — the compactor
@@ -195,7 +180,6 @@ class FileStore:
             file_id,
             self._arena_keys[base : base + int(self._slot_rows[slot])].copy(),
             int(self._slot_stale[slot]),
-            self._path(file_id),
         )
 
     def files(self) -> list[ParameterFile]:
@@ -275,8 +259,7 @@ class FileStore:
     def _rehouse(self, capacity: int, src) -> None:
         """Fresh ``capacity``-row arenas headed by the old ones' rows ``src``."""
         self._arena_keys = _moved(self._arena_keys, capacity, src)
-        if self._arena is not None:
-            self._arena = _moved(self._arena, capacity, src)
+        self._arena = _moved(self._arena, capacity, src)
 
     def _append_files(
         self,
@@ -287,18 +270,11 @@ class FileStore:
         stale: np.ndarray | None = None,
     ) -> np.ndarray:
         """Register new files packed as ``offsets`` into ``keys`` /
-        ``values``; returns their slots.  On the disk backend the
-        payloads are made durable *first*, so a write that dies midway
-        leaves nothing visible."""
-        if self._arena is None:
-            # One .npy write per file: the disk backend's I/O unit.
-            for i in range(offsets.size - 1):
-                self._store_payload(int(file_ids[i]), values[offsets[i] : offsets[i + 1]])
+        ``values``; returns their slots."""
         n = keys.shape[0]
         base = self._reserve(n)
         self._arena_keys[base : base + n] = keys
-        if self._arena is not None:
-            self._arena[base : base + n] = values
+        self._arena[base : base + n] = values
         slots = self._take_slots(file_ids.size)
         self._slot_fid[slots] = file_ids
         self._slot_base[slots] = base + offsets[:-1]
@@ -311,49 +287,21 @@ class FileStore:
     # ------------------------------------------------------------------
     # Payload access (never charged)
     # ------------------------------------------------------------------
-    def _path(self, file_id: int) -> str | None:
-        if self.directory is None:
-            return None
-        return os.path.join(self.directory, f"params_{file_id:08d}.npy")
-
     def _payload(self, file_id: int) -> np.ndarray:
-        """Payload rows of one file, aligned with its keys (memory
-        backend: a transient arena view — use it, don't keep it)."""
-        if self._arena is None:
-            return np.load(self._path(file_id))
+        """Payload rows of one file, aligned with its keys: a transient
+        arena view — use it, don't keep it."""
         slot = self._slot_of[file_id]
         base = int(self._slot_base[slot])
         return self._arena[base : base + int(self._slot_rows[slot])]
 
     def _store_payload(self, file_id: int, values: np.ndarray) -> None:
-        """Persist a file's payload; durable before it becomes visible.
-
-        The disk backend writes to a temp file, fsyncs, and ``os.replace``s
-        into the final name, so an interrupted write can never leave a
-        truncated ``.npy`` under the path a registered file will name.
-        The memory backend writes through the arena (the fault arm's
-        quarantine re-materializes a registered file this way).
-        """
-        if self._arena is not None:
-            self._payload(file_id)[:] = values
-            return
-        buf = io.BytesIO()
-        np.save(buf, values)
-        atomic_write_bytes(self._path(file_id), buf.getvalue())
+        """Overwrite a registered file's payload rows in the arena (the
+        fault arm's quarantine re-materializes a file this way)."""
+        self._payload(file_id)[:] = values
 
     def _gather(self, slots: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """Payload rows at ``(slot, row)`` pairs: one arena gather — on the
-        disk backend, one ``.npy`` load per distinct file instead."""
-        if self._arena is not None:
-            return take_rows(self._arena, self._slot_base[slots] + rows)
-        out = np.empty((slots.size, self.value_dim), dtype=np.float32)
-        order = slots.argsort(kind="stable")
-        by_slot = slots[order]
-        cuts = np.flatnonzero(by_slot[1:] != by_slot[:-1]) + 1
-        for sel in np.split(order, cuts) if slots.size else ():
-            fid = int(self._slot_fid[slots[sel[0]]])
-            out[sel] = np.load(self._path(fid))[rows[sel]]
-        return out
+        """Payload rows at ``(slot, row)`` pairs: one arena gather."""
+        return take_rows(self._arena, self._slot_base[slots] + rows)
 
     # ------------------------------------------------------------------
     def write(self, keys: np.ndarray, values: np.ndarray) -> tuple[float, list[int]]:
@@ -472,31 +420,13 @@ class FileStore:
         return keys[live], self._gather(owner[live], within[live])
 
     def erase(self, file_id: int) -> None:
-        """Remove a file (compaction has rewritten its live rows).
-
-        A disk-backed file whose ``.npy`` payload has vanished is *data
-        loss*, not a no-op: silently proceeding would let compaction
-        destroy the bookkeeping for rows whose only copy is already gone.
-        The memory backend has no payload file and erases trivially; the
-        file's arena rows are garbage until the next :meth:`reclaim`.
-        """
-        slot = self._slot_of[file_id]
-        path = self._path(file_id)
-        if path is not None and not os.path.exists(path):
-            live, keys, _, _ = self._live(np.asarray([slot], dtype=np.int64))
-            raise PayloadLostError(
-                f"parameter file {file_id} payload missing "
-                f"({path!r}) — refusing to erase lost data",
-                file_id=file_id,
-                keys=keys[live],
-            )
-        del self._slot_of[file_id]
+        """Remove a file (compaction has rewritten its live rows); its
+        arena rows are garbage until the next :meth:`reclaim`."""
+        slot = self._slot_of.pop(file_id)
         rows = int(self._slot_rows[slot])
         self._total_bytes -= rows * self.row_bytes
         self._arena_live -= rows
         self._slot_fid[slot] = -1
-        if path is not None:
-            os.remove(path)
 
     # ------------------------------------------------------------------
     # Checkpoint protocol
@@ -647,25 +577,18 @@ class FileStore:
     def load_state(self, state: dict[str, np.ndarray]) -> None:
         """Rebuild the store from an :meth:`export_state` snapshot.
 
-        Replaces any current contents; payloads are re-materialized
-        through the store's own backend (disk-backed stores rewrite the
-        ``.npy`` files under their directory), key 0 and zero values at
-        the stale rows.  The mapping is derived — each shipped key at its
-        row — and the snapshot is fully validated — shapes, ascending
-        file ids, ``next_file_id``, live-mask-vs-stale-counter
-        consistency, no key shipped twice —
-        *before* anything is erased, so a snapshot rejected as invalid
-        leaves the store untouched.  (A hard I/O failure while
-        re-materializing payloads can still leave a partial rebuild;
-        checkpoint restores are immune because they load into a freshly
-        constructed, empty store.)
+        Replaces any current contents; payloads are re-materialized in a
+        fresh arena, key 0 and zero values at the stale rows.  The
+        mapping is derived — each shipped key at its row — and the
+        snapshot is fully validated — shapes, ascending file ids,
+        ``next_file_id``, live-mask-vs-stale-counter consistency, no key
+        shipped twice — *before* anything is dropped, so a snapshot
+        rejected as invalid leaves the store untouched.
         """
         fids, offsets, live, keys, values, stale = _unpack(
             state, "snapshot", self.value_dim
         )
         file_index, row = _derive_mapping(fids, offsets, live, keys)
-        for fid in list(self._slot_of):
-            self.erase(fid)
         self._reset_files()
         self._mapping = SlotIndex()
         self._mark = None  # a load: unmarked until its reader marks it

@@ -493,21 +493,6 @@ class ShadowedCombinedCache(CombinedCache):
         ref.stats.misses = int(state["misses"])
         self._assert_agrees("load_state")
 
-    def flush_all(self):
-        want = self._ref_state()
-        keys, values = super().flush_all()
-        assert np.array_equal(
-            keys, np.concatenate([want["lru_keys"], want["lfu_keys"]])
-        )
-        assert np.array_equal(
-            values, np.concatenate([want["lru_values"], want["lfu_values"]])
-        )
-        hits, misses = self.ref.stats.hits, self.ref.stats.misses
-        self._new_ref()
-        self.ref.stats.hits, self.ref.stats.misses = hits, misses
-        self._assert_agrees("flush_all")
-        return keys, values
-
 
 def shadow_caches(cluster) -> None:
     """Shadow every node's (still empty) MEM cache on the dict seed."""
@@ -826,8 +811,3 @@ class CacheTraffic:
         for name, value in want.items():
             assert np.array_equal(got[name], value), f"restore: {name}"
         self.cache = restored
-
-    def flush_all(self) -> None:
-        """``flush_to_ssd``: drain both tiers to the SSD."""
-        self._persist(*self.cache.flush_all())
-        assert len(self.cache) == 0

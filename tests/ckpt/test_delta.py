@@ -344,30 +344,6 @@ class TestMarkProtocolMisuse:
         assert_cluster_parity(reference, restored)
         assert_deep_state_parity(reference, restored)
 
-    def test_the_mark_survives_a_flush_to_ssd(
-        self, tiny_spec, pressured, tmp_path
-    ):
-        """``flush_to_ssd`` empties the cache but the committed base is
-        still the base: the next delta is valid and chain-restores
-        bit-identically."""
-        cluster = build(tiny_spec, pressured)
-        cluster.train(4)
-        cluster.save_checkpoint(str(tmp_path / "s0"), mode="full")
-        cluster.train(2)
-        for node in cluster.nodes:
-            node.mem_ps.flush_to_ssd()
-            assert len(node.mem_ps.cache) == 0
-        cluster.train(1)
-        stats = cluster.save_checkpoint(str(tmp_path / "s1"), mode="delta")
-        assert stats.kind == "delta"
-        restored = HPSCluster.restore(str(tmp_path / "s1"))
-        assert restored.restore_stats.kind == "delta"
-        assert_cluster_parity(cluster, restored)
-        assert_deep_state_parity(cluster, restored)
-        cluster.train(2)
-        restored.train(2)
-        assert_cluster_parity(cluster, restored)
-
 
 # ----------------------------------------------------------------------
 # Whole-cluster delta chains

@@ -301,7 +301,7 @@ class TestSSDSurface:
 
     def test_lost_file_reports_its_live_keys_only(self, tmp_path):
         """A stale row's newest copy sits in another file, so a loss
-        names the live keys — as ``erase`` does — not every row."""
+        names the live keys, not every row."""
         store = FileStore(2, 4)
         store.write(np.arange(4), np.ones((4, 2), np.float32))  # file 0
         store.write(np.asarray([1]), np.zeros((1, 2), np.float32))  # row 1 stale
@@ -316,39 +316,3 @@ class TestSSDSurface:
             store.read(np.asarray([0, 2, 3]))
         assert exc.value.file_id == 0
         assert exc.value.keys.tolist() == [0, 2, 3]
-
-
-class TestEraseLossSurface:
-    """Satellite: FileStore.erase raises a typed, key-carrying error."""
-
-    def _store_with_file(self, tmp_path) -> tuple[FileStore, int]:
-        store = FileStore(4, 64, directory=str(tmp_path / "ssd"))
-        keys = np.arange(10, dtype=np.int64)
-        values = np.ones((10, 4), dtype=np.float32)
-        _, (fid,) = store.write(keys, values)
-        return store, fid
-
-    def test_lost_payload_raises_typed_error_with_keys(self, tmp_path):
-        store, fid = self._store_with_file(tmp_path)
-        f = store.files()[0]
-        os.remove(f.path)
-        with pytest.raises(PayloadLostError) as exc:
-            store.erase(fid)
-        err = exc.value
-        assert err.file_id == fid
-        assert np.array_equal(np.sort(err.keys), np.arange(10, dtype=np.int64))
-        # Typed error still satisfies the historical contract: callers
-        # that caught FileNotFoundError keep working.
-        assert isinstance(err, FileNotFoundError)
-        assert isinstance(err, FaultError)
-        # The refusal left the bookkeeping intact.
-        assert store.n_files == 1
-
-    def test_healthy_erase_still_works(self, tmp_path):
-        store, fid = self._store_with_file(tmp_path)
-        # Supersede every row so no live key maps to the file.
-        store.write(
-            np.arange(10, dtype=np.int64), np.zeros((10, 4), dtype=np.float32)
-        )
-        store.erase(fid)
-        assert fid not in {f.file_id for f in store.files()}

@@ -43,7 +43,7 @@ def test_admission_matches_per_key_reference(trial):
     for _ in range(int(rng.integers(8, 20))):
         verbs = ["peek", "insert_unpinned"]
         if t.at_boundary:
-            verbs += ["resolve", "snapshot", "delta", "flush_all"]
+            verbs += ["resolve", "snapshot", "delta"]
         else:
             verbs += ["write", "write", "end_round", "end_round"]
         verb = rng.choice(verbs)
@@ -68,8 +68,6 @@ def test_admission_matches_per_key_reference(trial):
                 t.take_base()
             else:
                 t.delta_roundtrip()
-        elif verb == "flush_all":
-            t.flush_all()
     if not t.at_boundary:
         t.end_round()
     assert t.cache.pinned_count() == 0

@@ -249,13 +249,6 @@ class TestCombined:
         assert all(np.array_equal(before[f], after[f]) for f in before)
         assert len(c) == 1
 
-    def test_flush_all_drains(self):
-        c = CombinedCache(4, value_dim=1)
-        put(c, 1, 2)
-        fk, fv = c.flush_all()
-        assert set(fk.tolist()) == {1, 2}
-        assert len(c) == 0
-
     def test_capacity_validation(self):
         with pytest.raises(ValueError):
             CombinedCache(1)

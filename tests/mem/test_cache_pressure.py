@@ -122,7 +122,9 @@ class TestLosslessnessUnderChurn:
             fk, fv, _ = cache.put_batch(keys, vals)
             for k, v in zip(fk.tolist(), fv[:, 0].tolist()):
                 persisted[k] = v
-        ik, iv = cache.flush_all()
+        resident = cache.export_state()
+        ik = np.concatenate([resident["lru_keys"], resident["lfu_keys"]])
+        iv = np.concatenate([resident["lru_values"], resident["lfu_values"]])
         current = dict(persisted)
         current.update(zip(ik.tolist(), iv[:, 0].tolist()))
         # Flushed or resident, every key holds its latest write exactly.

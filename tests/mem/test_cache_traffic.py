@@ -116,11 +116,6 @@ class MemPSTraffic(RuleBasedStateMachine):
     def mark_mid_round(self):
         self.t.mark_mid_round()
 
-    @precondition(lambda self: self.t.at_boundary)
-    @rule()
-    def flush_all(self):
-        self.t.flush_all()
-
 
     # -- after every step --------------------------------------------------
     @invariant()

@@ -174,8 +174,6 @@ class TestUpdates:
         m.prefetch(plan.prefetch[0])
         with pytest.raises(TierStateError, match="round boundary"):
             m.prefetch(plan.prefetch[0])  # a round is already in flight
-        with pytest.raises(TierStateError, match="round boundary"):
-            m.flush_to_ssd()
         with pytest.raises(TierStateError, match="pinned"):
             m.cache.export_state()  # what a checkpoint meets mid-round
         m.end_batch()
@@ -251,30 +249,6 @@ class TestEviction:
         a.end_batch()
         b.end_batch()
         assert b.cache.pinned_count() == 0
-
-    def test_flush_to_ssd_drains_cache(self, start_round):
-        m = make_mem()
-        plan, values = start_round(m, keys_of(range(10)))
-        m.prepare(plan.nodes[0], values)
-        m.end_batch()
-        m.flush_to_ssd()
-        assert len(m.cache) == 0
-        assert m.ssd_ps.n_live_params == 10
-
-    def test_flush_to_ssd_inside_a_round_is_refused(self, start_round):
-        """Mid-round the resolved rows index the slab a flush would
-        reset (it used to go through, and the next gather read zeros):
-        typed error, cache untouched, ``prepare`` unchanged."""
-        m = make_mem()
-        plan, values = start_round(m, keys_of(range(10)))
-        m.prepare(plan.nodes[0], values)
-        before = values.copy()
-        with pytest.raises(TierStateError, match="round boundary"):
-            m.flush_to_ssd()
-        assert m.cache.pinned_count() == 10 and len(m.cache) == 10
-        m.prepare(plan.nodes[0], values)
-        assert np.array_equal(values, before)
-        m.end_batch()
 
 
 class TestValidation:

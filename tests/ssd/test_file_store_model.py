@@ -1,8 +1,8 @@
 """The row-addressed ``FileStore`` against the per-file store it replaced.
 
-A ``RuleBasedStateMachine`` drives a ``FileStore`` — memory and disk
-backend — in lockstep with ``ReferenceFileStore`` (``tests/ssd_oracles.py``: the parent's
-per-file implementation) and a plain dict.  After every step the two
+A ``RuleBasedStateMachine`` drives a ``FileStore`` in lockstep with
+``ReferenceFileStore`` (``tests/ssd_oracles.py``: the per-file
+implementation it replaced) and a plain dict.  After every step the two
 stores must agree on everything observable — values, found masks, every
 ``ReadResult`` field, device counters, ledger lines **bit-equal**,
 checkpoint arrays byte for byte —
@@ -19,8 +19,6 @@ contract: a reordered charge shows up here as a last-digit difference in
 """
 
 import random
-import shutil
-import tempfile
 
 import numpy as np
 import pytest
@@ -59,13 +57,11 @@ key_sets = st.sets(st.integers(0, 24), min_size=1, max_size=14).map(sorted)
 
 class FileStoreVsReference(RuleBasedStateMachine):
     @initialize(
-        disk=st.booleans(),
         capacity=st.sampled_from([1, 3, 4, 8]),
         dim=st.integers(1, 3),
     )
-    def build(self, disk, capacity, dim):
-        self.disk, self.capacity, self.dim = disk, capacity, dim
-        self.dirs: list[str] = []
+    def build(self, capacity, dim):
+        self.capacity, self.dim = capacity, dim
         self.store, self.ref = self.fresh_pair()
         self.model: dict[int, np.ndarray] = {}
         self.stamp = 0
@@ -73,11 +69,7 @@ class FileStoreVsReference(RuleBasedStateMachine):
         self.rebase()
 
     def fresh_pair(self):
-        directory = None
-        if self.disk:
-            directory = tempfile.mkdtemp(prefix="filestore-model-")
-            self.dirs.append(directory)
-        store = FileStore(self.dim, self.capacity, directory=directory)
+        store = FileStore(self.dim, self.capacity)
         reclaim = store.reclaim
 
         def checked_reclaim():
@@ -107,10 +99,6 @@ class FileStoreVsReference(RuleBasedStateMachine):
         with pytest.raises(TierStateError, match="mark"):
             holder.export_delta()
         self.base = (state, holder, holder_ref)
-
-    def teardown(self):
-        for directory in getattr(self, "dirs", ()):
-            shutil.rmtree(directory, ignore_errors=True)
 
     # -- verbs -----------------------------------------------------------
     @rule(keys=key_sets, shuffle=st.randoms(use_true_random=False))
