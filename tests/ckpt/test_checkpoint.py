@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.ckpt.checkpoint import restore_nodes
+from repro.ckpt.checkpoint import _diff_hint, restore_nodes
 from repro.ckpt.format import (
     DENSE_SHARD,
     MANIFEST_NAME,
@@ -193,6 +193,34 @@ def test_restore_rejects_config_mismatch(tiny_spec, small_config, tmp_path):
     assert other.nodes == nodes and other.rounds_completed == 0
     restored = HPSCluster.restore(str(tmp_path))
     assert restored.rounds_completed == 1
+
+
+def test_config_mismatch_names_the_differing_fields(
+    tiny_spec, small_config, tmp_path
+):
+    cluster = build(tiny_spec, small_config)
+    cluster.train(1)
+    cluster.save_checkpoint(str(tmp_path))
+    other = build(tiny_spec, replace(small_config, seed=small_config.seed + 1))
+    with pytest.raises(CheckpointError, match=r"\(differs in: cluster_config\)"):
+        restore_nodes(other, str(tmp_path), range(other.n_nodes))
+    other = HPSCluster(
+        replace(tiny_spec, embedding_dim=8), small_config, functional_batch_size=256
+    )
+    with pytest.raises(
+        CheckpointError,
+        match=r"\(differs in: functional_batch_size, model_spec, sparse_optimizer\)",
+    ):
+        restore_nodes(other, str(tmp_path), range(other.n_nodes))
+
+
+def test_diff_hint_compares_through_the_json_round_trip():
+    """The saved config went through JSON (tuples became lists): a
+    list and the tuple it came from are no difference."""
+    saved = {"hidden": [16, 8], "seed": 7}
+    assert _diff_hint(saved, {"hidden": (16, 8), "seed": 7}) == "unknown"
+    assert _diff_hint(saved, {"hidden": (16, 8), "seed": 8}) == "seed"
+    assert _diff_hint(saved, {"hidden": (16,), "lr": 0.1}) == "hidden, lr, seed"
 
 
 def test_restore_rejects_missing_shard(tiny_spec, small_config, tmp_path):

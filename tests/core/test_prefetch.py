@@ -372,6 +372,23 @@ class TestPrefetchMechanics:
             # serial makespan (prefetch folds into the prepare element).
             assert s.pipeline_stage_seconds[1] >= s.prefetch_seconds
 
+    @pytest.mark.parametrize("prefetch", [False, True])
+    def test_the_mem_ssd_stage_is_the_resolve_plus_the_remote_pulls(
+        self, tiny_spec, pressured, prefetch
+    ):
+        """What the pipeline clocks for the MEM/SSD stage — the
+        ``prefetch`` stage plus ``prepare``, or ``prepare`` alone with
+        the resolve at its head — is exactly ``pull_push_seconds``."""
+        cluster = _build(
+            tiny_spec, dataclasses.replace(pressured, prefetch=prefetch)
+        )
+        names = [n for n, _ in cluster.stage_functions()]
+        run = cluster.train_pipelined(N_ROUNDS)
+        mem_ssd = [names.index(n) for n in ("prefetch", "prepare") if n in names]
+        clocked = run.stage_times[:, mem_ssd].sum(axis=1)
+        assert any(s.prefetch_seconds > 0 for s in run.stats)
+        assert clocked.tolist() == [s.pull_push_seconds for s in run.stats]
+
     def test_checkpoint_restore_replays_bit_identically(
         self, tiny_spec, pressured_prefetch, tmp_path
     ):

@@ -9,6 +9,7 @@ from repro.data.generator import CTRDataGenerator
 from repro.errors import KeyDomainError
 from repro.hashing.dnn import SimpleDNN
 from repro.hashing.lr import SparseLogisticRegression
+from repro.utils.keys import KEY_DOMAIN_CAP
 
 
 @pytest.fixture
@@ -128,3 +129,37 @@ class TestSimpleDNN:
         assert dnn.n_embedding_params == 0
         after = dnn.model.mlp.parameters()
         assert all(np.array_equal(a, b) for a, b in zip(before, after))
+
+    def test_spec_declares_the_store_key_domain(self):
+        assert SimpleDNN().model.spec.n_sparse == KEY_DOMAIN_CAP
+
+    @pytest.mark.parametrize("key", [KEY_DOMAIN_CAP - 1, KEY_DOMAIN_CAP])
+    def test_the_key_domain_boundary(self, data, key):
+        """The largest key below the cap trains; the cap is refused."""
+        train, _ = data
+        keys = train[0].keys.copy()
+        keys[0] = key
+        batch = Batch(keys, train[0].offsets, train[0].labels)
+        dnn = SimpleDNN(n_slots=4, seed=0)
+        if key < KEY_DOMAIN_CAP:
+            dnn.fit([batch])
+            assert dnn.n_embedding_params == np.unique(keys).size
+        else:
+            with pytest.raises(KeyDomainError, match=f"holds key {key}"):
+                dnn.fit([batch])
+            assert dnn.n_embedding_params == 0
+
+    def test_a_refused_fit_leaves_nothing_behind(self, data):
+        """After a refusal, fitting the good batches gives exactly the
+        model a fresh trainer fits from them."""
+        train, test = data
+        keys = train[1].keys.copy()
+        keys[-1] = 2**23
+        bad = Batch(keys, train[1].offsets, train[1].labels)
+        refused = SimpleDNN(n_slots=4, seed=0)
+        with pytest.raises(KeyDomainError):
+            refused.fit([train[0], bad], epochs=2)
+        refused.fit(train[:2])
+        fresh = SimpleDNN(n_slots=4, seed=0)
+        fresh.fit(train[:2])
+        assert np.array_equal(refused.predict_proba(test), fresh.predict_proba(test))

@@ -180,6 +180,24 @@ class TestUpdates:
         with pytest.raises(RuntimeError, match="call prefetch first"):
             m.end_batch()
 
+    def test_a_refused_mid_round_export_leaves_the_round_intact(
+        self, start_round
+    ):
+        """Mid-round the resolved rows are pinned, so a snapshot of the
+        cache is a typed error that changes nothing: every row stays
+        pinned and resident, and ``prepare`` fills the same values."""
+        m = make_mem()
+        plan, values = start_round(m, keys_of(range(10)))
+        m.prepare(plan.nodes[0], values)
+        before = values.copy()
+        with pytest.raises(TierStateError, match="pinned"):
+            m.cache.export_state()
+        assert m.cache.pinned_count() == 10 and len(m.cache) == 10
+        m.prepare(plan.nodes[0], values)
+        assert np.array_equal(values, before)
+        m.end_batch()
+        assert m.cache.pinned_count() == 0
+
     def test_apply_gradients_is_a_device_free_row_op(self, start_round):
         """``apply_gradients`` applies through the resolved rows: same
         arithmetic, no cache probe, nothing returned to account and
@@ -239,6 +257,29 @@ class TestEviction:
         m.prepare(plan.nodes[0], values)
         assert m.ssd_ps.ledger.total("ssd_read") > read_before
         assert np.all(values == 3.0)
+
+    def test_every_written_row_lives_in_the_cache_or_on_the_ssd(
+        self, start_round
+    ):
+        """The round-end write-back is the one path from MEM to SSD:
+        after rounds that overflow the cache, each key's newest value is
+        resident, or else it is the SSD copy."""
+        m = make_mem(cache=16)
+        latest = {}
+        for r, start in enumerate(range(0, 96, 8)):
+            keys = keys_of(range(start % 40, start % 40 + 8))
+            self._round(m, start_round, keys, float(r))
+            latest.update(dict.fromkeys(keys.tolist(), float(r)))
+        assert m.ssd_ps.n_live_params > 0
+        keys = keys_of(sorted(latest))
+        cached, resident = m.cache.peek_batch(keys)
+        assert resident.any() and not resident.all()
+        on_ssd = m.ssd_ps.load(keys[~resident])
+        assert on_ssd.found.all()
+        got = cached.copy()
+        got[~resident] = on_ssd.values
+        want = np.array([latest[k] for k in keys.tolist()], dtype=np.float32)
+        assert np.array_equal(got, np.repeat(want[:, None], 2, axis=1))
 
     def test_served_pins_released_at_end_batch(self, start_round):
         a, b = make_pair(cache=128)

@@ -143,6 +143,19 @@ class TestSparseOptimizers:
         # accumulator half starts at zero
         assert np.all(a[:, 4:] == 0)
 
+    @pytest.mark.parametrize("make", [SparseSGD, SparseAdagrad])
+    def test_init_for_keys_is_free_of_batch_composition(self, make):
+        """A key's initial row is the same alone or in any batch, so it
+        does not matter which node's batch first holds the key."""
+        opt = make(3, lr=0.1)
+        keys = np.array([2**40 + 7, 3, 99, 2**21], dtype=np.uint64)
+        whole = opt.init_for_keys(keys, seed=11)
+        for i, key in enumerate(keys):
+            alone = opt.init_for_keys(np.array([key], dtype=np.uint64), seed=11)
+            assert np.array_equal(alone[0], whole[i])
+        assert np.array_equal(opt.init_for_keys(keys[1:3], seed=11), whole[1:3])
+        assert np.unique(whole[:, :3], axis=0).shape[0] == keys.size
+
     def test_init_for_keys_seed_sensitivity(self):
         opt = SparseSGD(2, lr=0.1)
         keys = np.array([1, 2], dtype=np.uint64)

@@ -189,6 +189,56 @@ class TestAccounting:
         store.write(keys_of(range(5)), vals_of(5, base=3))
         store.check_invariants()
 
+    def test_reclaim_after_erase_keeps_every_live_row(self, store):
+        """Erasing the all-stale files and repacking the arena moves the
+        live rows, never changes them: every key reads its newest value."""
+        store.write(keys_of(range(16)), vals_of(16))  # files 0-3
+        store.write(keys_of(range(12)), vals_of(12, base=100.0))  # 0-2 stale
+        dead = [f.file_id for f in store.files() if f.n_live == 0]
+        assert len(dead) == 3
+        for fid in dead:
+            store.erase(fid)
+        store.reclaim()
+        store.check_invariants()
+        assert store.n_files == 4 and store.total_bytes == store.live_bytes
+        r = store.read(keys_of(range(16)))
+        assert r.found.all()
+        want = np.concatenate([vals_of(12, base=100.0), vals_of(16)[12:]])
+        assert np.array_equal(r.values, want)
+
+
+class TestDirectoryIgnored:
+    """``directory=`` is accepted for the frozen ``benchmarks/hps/micro.py``
+    and unused: payloads live in the arena whatever it names."""
+
+    @staticmethod
+    def _drive(directory):
+        store = FileStore(2, file_capacity=4, directory=directory)
+        store.write(keys_of(range(10)), vals_of(10))
+        _, (fid,) = store.write(keys_of([1]), vals_of(1, base=7.0))
+        store.write(keys_of([1]), vals_of(1, base=9.0))  # fid all-stale
+        store.erase(fid)
+        store.reclaim()
+        r = store.read(keys_of(range(10)))
+        other = FileStore(2, file_capacity=4, directory=directory)
+        other.load_state(store.export_state())
+        return store, r, other
+
+    def test_a_directory_receives_no_files(self, tmp_path):
+        target = tmp_path / "ssd"
+        self._drive(str(target))
+        assert not target.exists()
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_directory_store_matches_the_arena_store(self, tmp_path):
+        arena, ra, oa = self._drive(None)
+        named, rn, on = self._drive(str(tmp_path))
+        assert np.array_equal(ra.values, rn.values)
+        assert (ra.seconds, ra.files_read) == (rn.seconds, rn.files_read)
+        assert dict(arena.ledger) == dict(named.ledger)
+        assert_same_arrays(arena.export_state(), named.export_state())
+        assert_same_arrays(oa.export_state(), on.export_state())
+
 
 @given(
     st.lists(

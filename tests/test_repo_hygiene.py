@@ -77,6 +77,15 @@ def test_reach_allowlist_names_existing_defs_with_a_reason():
     assert len(entries) <= 45
 
 
+def test_every_reach_reason_has_a_listed_entry():
+    """A reason whose group the list no longer holds goes from
+    ``REASONS`` too, so the set of reasons never outlives the code."""
+    reach = load_reach_module()
+    entries = reach.read_allowlist(str(REPO_ROOT / reach.ALLOW_FILE))
+    used = {reason for _, _, reason in entries}
+    assert [r for r in reach.REASONS if r not in used] == []
+
+
 #: two defs of a fake checkout, as ``reach.defs`` keys them
 FAKE_DEFS = {
     ("src/repro/a.py", 1): ("kept", 3),
