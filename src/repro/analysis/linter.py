@@ -43,14 +43,12 @@ class ModuleSource:
     """
 
     relpath: str
-    text: str
     tree: ast.Module
 
     @classmethod
     def parse(cls, relpath: str, text: str) -> "ModuleSource":
         return cls(
             relpath=relpath.replace(os.sep, "/"),
-            text=text,
             tree=ast.parse(text, filename=relpath),
         )
 

@@ -22,8 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.config import ModelSpec
-from repro.hardware.network import Network
-from repro.hardware.specs import CPUSpec, HDFSSpec, NetworkSpec
+from repro.hardware.specs import CPUSpec, HDFSSpec
 from repro.utils.stats import expected_unique_zipf
 
 __all__ = ["MPITimingModel", "MPIBatchTime"]
@@ -73,6 +72,11 @@ class MPITimingModel:
         Achieved fraction of nominal CPU FLOPs on embedding + MLP math.
     round_examples:
         Examples per node per BSP round.
+    zipf_exponent:
+        Key popularity skew of the click logs (the data generator's
+        production-like default).
+    cpu, hdfs:
+        The paper testbed's CPU and distributed FS.
     """
 
     framework_overhead_s = 700e-6
@@ -81,34 +85,19 @@ class MPITimingModel:
     cpu_efficiency = 0.05
     barrier_s = 0.15
     round_examples = 100_000.0
+    zipf_exponent = 1.05
+    cpu = CPUSpec()
+    hdfs = HDFSSpec()
     #: Owner-side lookups slow down as the per-node shard outgrows the CPU
     #: cache/TLB reach; per-key cost doubles per ``shard_pressure_bytes``
     #: of resident shard (A's 3 GB shard probes fast; E's 78 GB does not).
     shard_pressure_bytes = 30e9
 
-    def __init__(
-        self,
-        spec: ModelSpec,
-        n_mpi_nodes: int | None = None,
-        *,
-        batch_size: int = 4_000_000,
-        cpu: CPUSpec | None = None,
-        network: NetworkSpec | None = None,
-        hdfs: HDFSSpec | None = None,
-        zipf_exponent: float = 1.05,
-    ) -> None:
+    def __init__(self, spec: ModelSpec, n_mpi_nodes: int | None = None) -> None:
         if n_mpi_nodes is not None and n_mpi_nodes <= 0:
             raise ValueError("n_mpi_nodes must be positive")
         self.spec = spec
         self.n_nodes = n_mpi_nodes or spec.mpi_nodes
-        self.batch_size = batch_size
-        self.cpu = cpu or CPUSpec()
-        # MPI racks use plain Ethernet NICs without RDMA offload.
-        self.network = Network(
-            network or NetworkSpec(rdma=False, bandwidth=25e9 / 8)
-        )
-        self.hdfs = hdfs or HDFSSpec()
-        self.zipf_exponent = zipf_exponent
 
     # ------------------------------------------------------------------
     def working_params_per_round(self) -> float:

@@ -41,7 +41,6 @@ class HPSNode:
         cfg = cluster_config
         self.node_id = node_id
         self.config = cfg
-        self.model_spec = model_spec
         self.hardware = default_node_hardware(gpus_per_node=cfg.gpus_per_node)
         self.ledger = CostLedger()
         self.network = Network(self.hardware.network, self.ledger)
@@ -61,7 +60,6 @@ class HPSNode:
             cache_capacity=cfg.mem_capacity_params,
             lru_fraction=cfg.cache_lru_fraction,
             network=self.network,
-            ledger=self.ledger,
             seed=cfg.seed,
         )
         self.hbm_ps = HBMPS(
@@ -75,8 +73,6 @@ class HPSNode:
         self.hdfs = HDFSStream(
             generator,
             self.hardware.hdfs,
-            node_id=node_id,
-            n_nodes=cfg.n_nodes,
             batch_size=functional_batch_size,
             ledger=self.ledger,
         )

@@ -46,7 +46,6 @@ class ReferenceTrainer:
             model_spec.n_sparse - 1,
             f"model {model_spec.name!r} (n_sparse={model_spec.n_sparse})",
         )
-        self.model_spec = model_spec
         self.config = cluster_config
         self.optimizer = SparseAdagrad(model_spec.embedding_dim, lr=0.05)
         self.generator = CTRDataGenerator(model_spec, seed=cluster_config.seed)

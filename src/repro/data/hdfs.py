@@ -6,8 +6,9 @@ bottleneck for the small models.  :class:`HDFSStream` wraps a
 :class:`~repro.data.generator.CTRDataGenerator` and charges the read-time
 model for every batch it yields.
 
-Data-parallel sharding: node ``i`` of ``n`` receives batches
-``i, i+n, i+2n, …`` — different nodes see disjoint data, as in the paper.
+Data-parallel sharding: a stream reads by *global* batch index, and the
+cluster hands node ``i`` of ``n`` batches ``i, i+n, i+2n, …`` — different
+nodes see disjoint data, as in the paper.
 """
 
 from __future__ import annotations
@@ -39,19 +40,13 @@ class HDFSStream:
         generator: CTRDataGenerator,
         spec: HDFSSpec,
         *,
-        node_id: int = 0,
-        n_nodes: int = 1,
-        batch_size: int = 4096,
+        batch_size: int,
         ledger: CostLedger | None = None,
     ) -> None:
-        if not 0 <= node_id < n_nodes:
-            raise ValueError("node_id must be in [0, n_nodes)")
         if batch_size <= 0:
             raise ValueError("batch_size must be positive")
         self.generator = generator
         self.spec = spec
-        self.node_id = node_id
-        self.n_nodes = n_nodes
         self.batch_size = batch_size
         self.ledger = ledger if ledger is not None else CostLedger()
         self.batches_read = 0

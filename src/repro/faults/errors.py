@@ -81,14 +81,13 @@ class FaultExhaustedError(FaultError):
         self.seconds = seconds
 
 
-class PayloadLostError(FaultError, FileNotFoundError):
+class PayloadLostError(FaultError):
     """A parameter file's payload is unrecoverable on this node.
 
     Raised when an SSD read exhausts its retries and the quarantine
     path cannot re-materialize the file from the checkpoint chain.
-    Subclasses ``FileNotFoundError`` so pre-existing handlers of the old
-    bare raise keep working; carries the file id and the affected live
-    keys so the quarantine path (and tests) can catch it precisely.
+    Carries the file id and the affected live keys so the quarantine
+    path (and tests) can catch it precisely.
     """
 
     def __init__(

@@ -165,14 +165,12 @@ class NodeHardware:
         _validate(self, ("gpus_per_node",))
 
 
-def default_node_hardware(
-    *, gpus_per_node: int = 8, rdma: bool = True
-) -> NodeHardware:
+def default_node_hardware(*, gpus_per_node: int = 8) -> NodeHardware:
     """The paper's testbed node."""
     return NodeHardware(
         gpu=GPUSpec(),
         nvlink=NVLinkSpec(),
-        network=NetworkSpec(rdma=rdma),
+        network=NetworkSpec(),
         ssd=SSDSpec(),
         hdfs=HDFSSpec(),
         cpu=CPUSpec(),

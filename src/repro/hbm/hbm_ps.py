@@ -58,7 +58,6 @@ class GPUFabric:
     def __init__(
         self,
         n_gpus: int,
-        value_dim: int,
         *,
         gpu_spec: GPUSpec | None = None,
         nvlink_spec: NVLinkSpec | None = None,
@@ -67,7 +66,6 @@ class GPUFabric:
         if n_gpus <= 0:
             raise ValueError("n_gpus must be positive")
         self.n_gpus = n_gpus
-        self.value_dim = value_dim
         self.ledger = ledger if ledger is not None else CostLedger()
         self.partitioner = ModuloPartitioner(n_gpus, salt=_GPU_SALT)
         self.devices = [
@@ -111,7 +109,6 @@ class HBMPS:
         #: per-GPU cost devices and NVLink (no storage — see module doc)
         self.params = GPUFabric(
             n_gpus,
-            optimizer.value_dim,
             gpu_spec=gpu_spec,
             nvlink_spec=nvlink_spec,
             ledger=self.ledger,

@@ -151,7 +151,6 @@ def _unpacked(delta: dict, name: str, n: int, of: str) -> np.ndarray:
 
 def _greedy_evictions(
     pool_freq: np.ndarray,
-    pool_tick: np.ndarray,
     d_freq: np.ndarray,
     d_release: np.ndarray,
     n_slots: int,
@@ -165,6 +164,9 @@ def _greedy_evictions(
     priority and give each the earliest free eviction slot at or after
     its release (pool items release at 0, arrival ``j`` at
     ``d_release[j]``); candidates left without a slot survive.
+    ``pool_freq`` is the pool's frequencies in that priority order (as
+    :meth:`CombinedCache._pool_candidates` returns the pool), so its
+    ticks are never consulted.
 
     Processing one frequency class at a time keeps everything vectorized:
     within a class both groups are already priority- and release-ordered
@@ -493,7 +495,7 @@ class CombinedCache:
             )
             pool = self._pool_candidates(n_evict)
             pool_slot, d_slot = _greedy_evictions(
-                self._freq[pool], self._ftick[pool], d_freq, d_release, n_evict
+                self._freq[pool], d_freq, d_release, n_evict
             )
             taken_pool = pool_slot >= 0
             taken_d = d_slot >= 0

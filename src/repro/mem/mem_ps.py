@@ -33,7 +33,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import TierStateError
-from repro.hardware.ledger import CostLedger
 from repro.hardware.network import Network
 from repro.hbm.partition import ModuloPartitioner
 from repro.mem.cache import CombinedCache
@@ -57,19 +56,16 @@ class MemPS:
         optimizer: SparseOptimizer,
         ssd_ps: SSDPS,
         *,
-        cache_capacity: int = 1_000_000,
-        lru_fraction: float = 0.5,
+        cache_capacity: int,
+        lru_fraction: float,
         network: Network | None = None,
-        ledger: CostLedger | None = None,
-        seed: int = 0,
+        seed: int,
     ) -> None:
         if not 0 <= node_id < n_nodes:
             raise ValueError("node_id out of range")
         self.node_id = node_id
-        self.n_nodes = n_nodes
         self.optimizer = optimizer
         self.ssd_ps = ssd_ps
-        self.ledger = ledger if ledger is not None else CostLedger()
         self.network = network
         self.partitioner = ModuloPartitioner(n_nodes, salt=_NODE_SALT)
         self.cache = CombinedCache(

@@ -17,7 +17,10 @@ import numpy as np
 
 from repro.ssd.file_store import FileStore
 
-__all__ = ["Compactor"]
+__all__ = ["Compactor", "STALE_FRACTION"]
+
+#: Only files at least this stale are merged (paper: the 50 % rule).
+STALE_FRACTION = 0.5
 
 
 class Compactor:
@@ -29,26 +32,15 @@ class Compactor:
         The file store to compact.
     usage_threshold:
         Compaction triggers when ``total_bytes > usage_threshold *
-        live_bytes``.  The paper bounds usage at 2× live, so the default
-        threshold sits below that.
-    stale_fraction:
-        Only files at least this stale are merged (paper: 0.5).
+        live_bytes`` (a cluster passes ``ClusterConfig.compaction_threshold``).
+        Victims are the files at least :data:`STALE_FRACTION` stale.
     """
 
-    def __init__(
-        self,
-        store: FileStore,
-        *,
-        usage_threshold: float = 1.6,
-        stale_fraction: float = 0.5,
-    ) -> None:
+    def __init__(self, store: FileStore, *, usage_threshold: float) -> None:
         if not usage_threshold >= 1.0:  # NaN fails too
             raise ValueError("usage_threshold must be >= 1.0")
-        if not 0.0 < stale_fraction <= 1.0:
-            raise ValueError("stale_fraction must be in (0, 1]")
         self.store = store
         self.usage_threshold = usage_threshold
-        self.stale_fraction = stale_fraction
         self.total_compactions = 0
 
     # ------------------------------------------------------------------
@@ -64,7 +56,7 @@ class Compactor:
         victims' read charges accumulate in it."""
         fids, rows, stale = self.store.file_table()
         fraction = np.where(rows > 0, stale / np.maximum(rows, 1), 1.0)
-        pick = np.flatnonzero(fraction >= self.stale_fraction)
+        pick = np.flatnonzero(fraction >= STALE_FRACTION)
         pick = pick[np.lexsort((fids[pick], -fraction[pick]))]
         return fids[pick], rows[pick]
 

@@ -26,9 +26,9 @@ class SSDPS:
         self,
         value_dim: int,
         *,
-        file_capacity: int = 2**16,
+        file_capacity: int,
         ssd_spec: SSDSpec | None = None,
-        usage_threshold: float = 1.6,
+        usage_threshold: float,
         ledger: CostLedger | None = None,
     ) -> None:
         self.ledger = ledger if ledger is not None else CostLedger()

@@ -50,8 +50,7 @@ class TestFunctionalBaseline:
         by the MPI timing model at the trainer's own popularity law."""
         ref = ReferenceTrainer(tiny_spec, small_config, functional_batch_size=128)
         assert ref.train_round() > 0
-        timing = MPITimingModel(
-            tiny_spec, 4, zipf_exponent=ref.generator.zipf_exponent
-        )
+        timing = MPITimingModel(tiny_spec, 4)
+        assert timing.zipf_exponent == ref.generator.zipf_exponent
         assert timing.throughput() > 0
         assert timing.batch_time().total_seconds > 0

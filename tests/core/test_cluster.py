@@ -226,6 +226,33 @@ def _arrays_under(obj, seen):
             yield from _arrays_under(getattr(obj, name, None), seen)
 
 
+class TestTiersTakeTheConfig:
+    def test_every_tier_setting_is_the_config_value(self, tiny_spec):
+        """The tiers keep no default of their own for a ClusterConfig
+        field: each node's tiers carry exactly the config's values."""
+        cfg = ClusterConfig(
+            n_nodes=2,
+            gpus_per_node=2,
+            mem_capacity_params=3_000,
+            hbm_capacity_params=40_000,
+            ssd_file_capacity=64,
+            cache_lru_fraction=0.25,
+            compaction_threshold=1.5,
+            seed=3,
+        )
+        cluster = HPSCluster(tiny_spec, cfg, functional_batch_size=32)
+        for node in cluster.nodes:
+            cache = node.mem_ps.cache
+            assert (cache.lru_capacity, cache.lfu_capacity) == (750, 2_250)
+            assert node.mem_ps.partitioner.n_parts == cfg.n_nodes
+            assert node.mem_ps._init_seed == cfg.seed
+            assert node.ssd_ps.store.file_capacity == cfg.ssd_file_capacity
+            assert node.ssd_ps.compactor.usage_threshold == 1.5
+            assert node.hbm_ps.capacity_per_gpu == cfg.hbm_capacity_params
+            assert node.hbm_ps.n_gpus == cfg.gpus_per_node
+            assert node.hdfs.batch_size == 32
+
+
 class TestHBMStagingIsDense:
     def test_no_hash_table_slab_is_ever_allocated(
         self, tiny_spec, small_config, tmp_path

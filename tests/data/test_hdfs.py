@@ -62,10 +62,6 @@ class TestHDFSStream:
         assert s.batches_read == 4
         assert s.bytes_read > 0
 
-    def test_invalid_node_id(self, gen):
-        with pytest.raises(ValueError):
-            HDFSStream(gen, HDFSSpec(), node_id=2, n_nodes=2)
-
     def test_invalid_batch_size(self, gen):
         with pytest.raises(ValueError):
             HDFSStream(gen, HDFSSpec(), batch_size=0)
@@ -81,6 +77,6 @@ class TestHDFSStream:
         """Every HDFS byte — batch reads, snapshot saves and restores,
         quarantine re-reads — pays the α–β closed form."""
         spec = HDFSSpec()
-        stream = HDFSStream(gen, spec)
+        stream = HDFSStream(gen, spec, batch_size=64)
         expected = spec.latency_s + n_bytes / spec.bandwidth
         assert stream.transfer_seconds(n_bytes) == expected

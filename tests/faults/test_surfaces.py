@@ -293,8 +293,8 @@ class TestSSDSurface:
         err = exc.value
         assert err.file_id == f.file_id
         assert np.array_equal(err.keys, f.keys)
-        assert err.scope == "node"
-        assert isinstance(err, FileNotFoundError)
+        assert isinstance(err, FaultError) and err.scope == "node"
+        assert not isinstance(err, OSError)
         # The escape carries what was priced: the guard's retries, and
         # no re-read (no chain to walk).
         assert (err.retries, err.bytes_reread) == (MAX_ATTEMPTS - 1, 0)

@@ -180,9 +180,6 @@ class TestSpecs:
         assert hw.gpus_per_node == 8
         assert hw.network.rdma
 
-    def test_rdma_toggle(self):
-        assert not default_node_hardware(rdma=False).network.rdma
-
     def test_invalid_specs_rejected(self):
         with pytest.raises(ValueError):
             SSDSpec(block_bytes=0)

@@ -251,11 +251,11 @@ class DistributedHashTable(GPUFabric):
     ) -> None:
         super().__init__(
             n_gpus,
-            value_dim,
             gpu_spec=gpu_spec,
             nvlink_spec=nvlink_spec,
             ledger=ledger,
         )
+        self.value_dim = value_dim
         self.tables = [
             HashTable(capacity_per_gpu, value_dim) for _ in range(n_gpus)
         ]

@@ -21,8 +21,8 @@ def keys_of(xs):
 
 def make_mem(cache=32, seed=0):
     opt = SparseSGD(2, lr=1.0)
-    ssd = SSDPS(opt.value_dim, file_capacity=8)
-    return MemPS(0, 1, opt, ssd, cache_capacity=cache, seed=seed)
+    ssd = SSDPS(opt.value_dim, file_capacity=8, usage_threshold=1.6)
+    return MemPS(0, 1, opt, ssd, cache_capacity=cache, lru_fraction=0.5, seed=seed)
 
 
 @pytest.fixture

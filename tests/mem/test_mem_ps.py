@@ -17,13 +17,14 @@ def keys_of(xs):
 
 def make_mem(node_id=0, n_nodes=1, cache=64, seed=0):
     opt = SparseSGD(2, lr=1.0)
-    ssd = SSDPS(opt.value_dim, file_capacity=8)
+    ssd = SSDPS(opt.value_dim, file_capacity=8, usage_threshold=1.6)
     return MemPS(
         node_id,
         n_nodes,
         opt,
         ssd,
         cache_capacity=cache,
+        lru_fraction=0.5,
         network=Network(NetworkSpec()),
         seed=seed,
     )
@@ -45,7 +46,7 @@ def start_round(round_plan):
     round, in key order)."""
 
     def start(mem, keys, peers=()):
-        shards = [[[]] for _ in range(mem.n_nodes)]
+        shards = [[[]] for _ in range(mem.partitioner.n_parts)]
         shards[mem.node_id] = [keys]
         plan = round_plan(shards, node_partitioner=mem.partitioner)
         for m in (mem, *peers):
@@ -208,10 +209,10 @@ class TestUpdates:
         pf = plan.prefetch[0]
         m.prepare(plan.nodes[0], values)
         hits_before = m.cache.stats.hits
-        ledgers_before = dict(m.ledger), dict(m.ssd_ps.ledger)
+        ledgers_before = dict(m.network.ledger), dict(m.ssd_ps.ledger)
         result = m.apply_gradients(pf.rows, np.ones((2, 2), dtype=np.float64))
         assert result is None
-        assert (dict(m.ledger), dict(m.ssd_ps.ledger)) == ledgers_before
+        assert (dict(m.network.ledger), dict(m.ssd_ps.ledger)) == ledgers_before
         assert m.cache.stats.hits == hits_before
         m.end_batch()
         assert np.allclose(peek(m, keys), values - 1.0)  # SGD lr=1

@@ -42,13 +42,11 @@ class TestTrigger:
         for threshold in (0.5, float("nan")):
             with pytest.raises(ValueError, match="usage_threshold"):
                 Compactor(store, usage_threshold=threshold)
-        with pytest.raises(ValueError):
-            Compactor(store, stale_fraction=0.0)
 
 
 class TestVictimSelection:
     def test_only_mostly_stale_files_merged(self, store):
-        comp = Compactor(store, usage_threshold=1.0, stale_fraction=0.5)
+        comp = Compactor(store, usage_threshold=1.0)
         write(store, range(4))       # file0
         write(store, range(4, 8))    # file1
         write(store, [0, 1, 2])      # makes file0 75% stale; file1 0%
@@ -89,7 +87,7 @@ class TestCompactionCorrectness:
         assert store.total_bytes < before
 
     def test_all_stale_files_erased_without_rewrite(self, store):
-        comp = Compactor(store, usage_threshold=1.0, stale_fraction=1.0)
+        comp = Compactor(store, usage_threshold=1.0)
         write(store, range(4))
         write(store, range(4), base=1.0)
         written = store.device.bytes_written
@@ -109,7 +107,7 @@ class TestCompactionCorrectness:
 class TestUsageBound:
     def test_disk_bounded_by_threshold_under_churn(self, store):
         """Paper: with the 50% rule, usage stays <= ~2x live size."""
-        comp = Compactor(store, usage_threshold=1.6, stale_fraction=0.5)
+        comp = Compactor(store, usage_threshold=1.6)
         rng = np.random.default_rng(0)
         for _ in range(60):
             keys = sorted(rng.choice(40, size=8, replace=False).tolist())

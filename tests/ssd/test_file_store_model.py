@@ -35,7 +35,7 @@ from repro.errors import TierStateError
 from repro.faults.errors import PayloadLostError
 from repro.faults.policy import FaultArm
 from repro.faults.schedule import FaultSchedule
-from repro.ssd.compaction import Compactor
+from repro.ssd.compaction import STALE_FRACTION, Compactor
 from repro.ssd.file_store import FileStore
 from ssd_oracles import (
     ReferenceFileStore,
@@ -134,16 +134,11 @@ class FileStoreVsReference(RuleBasedStateMachine):
             if k in self.model:
                 assert np.array_equal(row, self.model[k])
 
-    @rule(
-        threshold=st.sampled_from([1.0, 1.2, 1.5]),
-        fraction=st.sampled_from([0.3, 0.5, 1.0]),
-    )
-    def compact(self, threshold, fraction):
-        comp = Compactor(
-            self.store, usage_threshold=threshold, stale_fraction=fraction
-        )
+    @rule(threshold=st.sampled_from([1.0, 1.2, 1.5]))
+    def compact(self, threshold):
+        comp = Compactor(self.store, usage_threshold=threshold)
         mine = comp.compact()
-        seconds = self.ref.compact(threshold, fraction)
+        seconds = self.ref.compact(threshold, STALE_FRACTION)
         assert comp.total_compactions == (seconds is not None)
         assert mine == (0.0 if seconds is None else seconds)
 
@@ -387,7 +382,7 @@ def test_victims_most_stale_first_ties_by_ascending_file_id():
     write([8, 9])  # file 2: 2/4
     write([12, 13, 14, 15])  # file 3: 4/4
     write([16])  # file 4: 1/4 — below the bar
-    comp = Compactor(store, usage_threshold=1.0, stale_fraction=0.5)
+    comp = Compactor(store, usage_threshold=1.0)
     assert comp.victims() == [3, 1, 0, 2]
 
     # Recycled slots must not leak into the order: erase file 3, let new

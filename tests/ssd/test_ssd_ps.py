@@ -68,13 +68,13 @@ class TestLoadDump:
     def test_read_modify_write_costs_a_read_plus_a_dump(self):
         """As the MEM tier drives it (``load`` on a miss, ``dump`` on the
         write-back): a device read of the file plus a plain dump."""
-        ps = SSDPS(2, file_capacity=4)
+        ps = SSDPS(2, file_capacity=4, usage_threshold=1.6)
         ps.dump(keys_of(range(4)), np.zeros((4, 2), np.float32))
         read = ps.load(keys_of(range(4)))
         write = ps.dump(keys_of(range(4)), read.values + 1.0)
         f = next(iter(ps.store.files()))
         device = ps.store.device.read_time(f.keys.size * ps.store.row_bytes)
-        dump_only = SSDPS(2, file_capacity=4)
+        dump_only = SSDPS(2, file_capacity=4, usage_threshold=1.6)
         dump_only.dump(keys_of(range(4)), np.zeros((4, 2), np.float32))
         dump_cost = dump_only.dump(keys_of(range(4)), np.ones((4, 2), np.float32))
         assert read.seconds + write == pytest.approx(dump_cost + device)

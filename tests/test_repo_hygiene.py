@@ -129,25 +129,53 @@ WRITE_ONLY_KEPT = (
     ("bytes_sent", _COUNTER), ("messages_sent", _COUNTER), ("bytes_moved", _COUNTER),
     ("read_ops", _COUNTER), ("write_ops", _COUNTER),
     ("restore_stats", "HPSCluster.restore returns the cluster: its cost lives here"),
+    ("file_id", "PayloadLostError's diagnostic: which file's payload was lost"),
 )
 
 
+#: calls whose string arguments name an attribute: (callee, argument
+#: position, or None for every argument) — spans' ``patch(obj, attr, ...)``
+#: included
+ATTRIBUTE_NAMING_CALLS = {
+    "getattr": 1, "hasattr": 1, "setattr": 1, "delattr": 1, "patch": 1,
+    "attrgetter": None,
+}
+
+
+def attribute_names_in(call: ast.Call) -> list[str]:
+    """The attribute names ``call`` spells as string constants (a dotted
+    ``attrgetter`` path names each of its parts)."""
+    callee = call.func.attr if isinstance(call.func, ast.Attribute) else getattr(
+        call.func, "id", None
+    )
+    if callee not in ATTRIBUTE_NAMING_CALLS:
+        return []
+    pos = ATTRIBUTE_NAMING_CALLS[callee]
+    args = call.args if pos is None else call.args[pos : pos + 1]
+    return [
+        part
+        for a in args
+        if isinstance(a, ast.Constant) and isinstance(a.value, str)
+        for part in a.value.split(".")
+    ]
+
+
 def test_no_write_only_state_in_src():
-    """A name-level scan: a stored name counts as read when any attribute
-    load, name load or string constant under src/, benchmarks/ or
-    examples/ spells it."""
+    """A name-level scan: a stored name counts as read when an attribute
+    load under src/, benchmarks/ or examples/ spells it, or a string
+    constant names it as an attribute (:data:`ATTRIBUTE_NAMING_CALLS`).
+    A bare name (a local or a parameter of the same spelling) or a dict
+    key such as ``wl["batch_size"]`` is not a read of the attribute."""
     stored: dict[str, str] = {}
     loaded: set[str] = set()
     for top in ("src", "benchmarks", "examples"):
         for path in sorted((REPO_ROOT / top).rglob("*.py")):
             where = path.relative_to(REPO_ROOT).as_posix()
             for node in ast.walk(ast.parse(path.read_text(), where)):
-                if isinstance(node, (ast.Attribute, ast.Name)) and isinstance(
-                    node.ctx, ast.Load
-                ):
-                    loaded.add(node.attr if isinstance(node, ast.Attribute) else node.id)
-                elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-                    loaded.add(node.value)
+                if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                    loaded.add(node.attr)
+                elif isinstance(node, ast.Call):
+                    loaded.update(attribute_names_in(node))
                 elif not where.startswith("src/repro/"):
                     continue
                 elif isinstance(node, ast.Attribute) and ast.unparse(node.value) == "self":
@@ -164,3 +192,22 @@ def test_no_write_only_state_in_src():
     assert sorted(f"{w} {n}" for n, w in unread.items() if n not in kept) == []
     # An entry whose name gained a reader, or is gone, leaves the list.
     assert sorted(kept) == sorted(unread)
+
+
+@pytest.mark.parametrize(
+    "source, names",
+    [
+        ("getattr(obj, 'a')", ["a"]),
+        ("setattr(obj, 'a', 'b')", ["a"]),
+        ("patch(mem, 'prefetch', 'mem.prefetch', i)", ["prefetch"]),
+        ("attrgetter('mem_ps.cache', 'x')", ["mem_ps", "cache", "x"]),
+        ("operator.attrgetter('a')", ["a"]),
+        ("wl.get('batch_size')", []),
+        ("print('batch_size')", []),
+    ],
+)
+def test_only_attribute_naming_strings_count_as_reads(source, names):
+    """A dict key or any other string spelling a stored name does not
+    read it; a string handed to getattr and friends does."""
+    call = next(n for n in ast.walk(ast.parse(source)) if isinstance(n, ast.Call))
+    assert attribute_names_in(call) == names
