@@ -14,16 +14,16 @@ of free rows.  Which tier a resident belongs to is read off its order
 fields: an LRU resident carries a recency tick (``_tick``), an LFU
 resident a frequency and a bucket-entry tick (``_freq``, ``_ftick``),
 and each order array holds ``_FAR`` outside its tier, so victim
-selection is ``argpartition`` / ``partition`` + ``lexsort`` over the
-whole slab with no tier mask.  ``_count`` is the LRU access count and
-the LFU frequency at once (they are the same number).  ``n_lru`` /
-``n_lfu`` enforce the two capacities, which stay policy quantities.
-Promotion and demotion are pure policy events and rewrite that metadata
-only: **a resident key's row never moves** — from the insert that
-admitted it to the flush that evicts it, across any number of
-promotions and demotions — and the index is written only where the key
-*set* changes (one ``set`` for an insert's keys, one ``remove`` for
-the rows it flushes).
+selection is ``argpartition`` (LRU) / ``partition``, a tick sort and a
+stable frequency sort (LFU) over the whole slab with no tier mask.
+``_count`` is the LRU access count and the LFU frequency at once (they
+are the same number).  ``n_lru`` / ``n_lfu`` enforce the two capacities,
+which stay policy quantities.  Promotion and demotion are pure policy
+events and rewrite that metadata only: **a resident key's row never
+moves** — from the insert that admitted it to the flush that evicts it,
+across any number of promotions and demotions — and the index is
+written only where the key *set* changes (one ``set`` for an insert's
+keys, one ``remove`` for the rows it flushes).
 
 :class:`CombinedCache` serves exactly the traffic its one caller,
 :class:`~repro.mem.mem_ps.MemPS`, sends — and nothing more general:
@@ -289,13 +289,13 @@ class CombinedCache:
         return out
 
     def _tier_rows(self, order: np.ndarray) -> np.ndarray:
-        """The rows of one tier (``order`` is ``_tick`` or ``_ftick``),
-        oldest tick first — LRU eviction order / LFU entry order."""
+        """One tier's rows (``order``: ``_tick`` or ``_ftick``, unique within
+        the tier), oldest tick first — LRU eviction order / LFU entry order."""
         rows = np.flatnonzero(order < _FAR)
-        return rows[np.argsort(order[rows], kind="stable")]
+        return rows[np.argsort(order[rows])]
 
     def _lru_victims(self, n: int) -> np.ndarray:
-        """Up to ``n`` unpinned LRU rows, oldest tick first."""
+        """Up to ``n`` unpinned LRU rows, oldest (unique) tick first."""
         # Per-row sort key: recency tick; pinned, LFU and free rows at +inf.
         order = np.where(self._pinned, _FAR, self._tick)
         n = min(n, order.size)
@@ -303,21 +303,27 @@ class CombinedCache:
             np.arange(order.size)
         )
         cand = cand[order[cand] < _FAR]
-        return cand[np.argsort(order[cand], kind="stable")]
+        return cand[np.argsort(order[cand])]
 
     def _pool_candidates(self, n_evict: int) -> np.ndarray:
         """LFU rows that could be evicted: the ``n_evict`` smallest by
         (freq, entry tick), returned in that priority order — minimum
         frequency first, ties broken by the oldest bucket entry, exactly
-        the seed bucket implementation's least-recently-added rule."""
+        the seed bucket implementation's least-recently-added rule.  Entry
+        ticks are unique: a default sort by tick, then a stable (radix up to
+        16-bit) sort of the narrowed frequencies gives that order."""
         order_f = self._freq  # _FAR outside the LFU tier keeps rows out
         if n_evict < self.n_lfu:
             kth = np.partition(order_f, n_evict - 1)[n_evict - 1]
             cand = np.flatnonzero(order_f <= kth)
         else:
             cand = np.flatnonzero(order_f < _FAR)
-        order = np.lexsort((self._ftick[cand], self._freq[cand]))
-        return cand[order][:n_evict]
+        if cand.size == 0:
+            return cand
+        cand = cand[np.argsort(self._ftick[cand])]
+        freq = self._freq[cand]
+        narrow = freq.astype(np.min_scalar_type(freq.max()))
+        return cand[np.argsort(narrow, kind="stable")][:n_evict]
 
     # -- the lookup ------------------------------------------------------
     def prefetch_resolve(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -503,9 +509,9 @@ class CombinedCache:
             # its row: flush from it like a pool row.  Spilled arrivals
             # never had one and leave straight from the batch.
             out = np.concatenate([pool[taken_pool], victims[taken_d[:nv]]])
+            # Each eviction slot is taken once: the default sort is exact.
             order = np.argsort(
-                np.concatenate([pool_slot[taken_pool], d_slot[taken_d]]),
-                kind="stable",
+                np.concatenate([pool_slot[taken_pool], d_slot[taken_d]])
             )
             fkeys = np.concatenate(
                 [self._keys[out], keys[:n_spill][taken_d[nv:]]]

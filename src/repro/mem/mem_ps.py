@@ -58,7 +58,7 @@ class MemPS:
         *,
         cache_capacity: int,
         lru_fraction: float,
-        network: Network | None = None,
+        network: Network,
         seed: int,
     ) -> None:
         if not 0 <= node_id < n_nodes:
@@ -200,8 +200,7 @@ class MemPS:
                 continue
             # Request (keys out) + response (keys+values back).
             nbytes = idx.size * (8 + (8 + 4 * self.optimizer.value_dim))
-            if self.network is not None:
-                t_remote += self.network.send(nbytes, category="net_remote_pull")
+            t_remote += self.network.send(nbytes, category="net_remote_pull")
         return t_remote
 
     # ------------------------------------------------------------------

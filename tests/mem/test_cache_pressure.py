@@ -9,6 +9,8 @@ losslessness is the Fig. 3(b) contract.
 import numpy as np
 import pytest
 
+from repro.hardware.network import Network
+from repro.hardware.specs import NetworkSpec
 from repro.mem.cache import CombinedCache
 from repro.mem.mem_ps import MemPS
 from repro.nn.optim import SparseSGD
@@ -22,7 +24,16 @@ def keys_of(xs):
 def make_mem(cache=32, seed=0):
     opt = SparseSGD(2, lr=1.0)
     ssd = SSDPS(opt.value_dim, file_capacity=8, usage_threshold=1.6)
-    return MemPS(0, 1, opt, ssd, cache_capacity=cache, lru_fraction=0.5, seed=seed)
+    return MemPS(
+        0,
+        1,
+        opt,
+        ssd,
+        cache_capacity=cache,
+        lru_fraction=0.5,
+        network=Network(NetworkSpec()),
+        seed=seed,
+    )
 
 
 @pytest.fixture

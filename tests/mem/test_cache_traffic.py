@@ -38,7 +38,7 @@ from hypothesis.stateful import (
 )
 
 from cache_oracles import CacheTraffic, assert_delta_matches_oracle
-from repro.mem.cache import CombinedCache
+from repro.mem.cache import _FAR, CombinedCache
 from repro.utils.keys import as_keys
 from ssd_oracles import assert_same_arrays
 
@@ -116,8 +116,20 @@ class MemPSTraffic(RuleBasedStateMachine):
     def mark_mid_round(self):
         self.t.mark_mid_round()
 
-
     # -- after every step --------------------------------------------------
+    @invariant()
+    def tier_ticks_are_unique(self):
+        """The premise the cache's default sorts rest on: no two rows of
+        a tier share a tick, so ``_tier_rows`` is the stable order."""
+        t = getattr(self, "t", None)
+        if t is None:
+            return
+        for order in (t.cache._tick, t.cache._ftick):
+            rows = np.flatnonzero(order < _FAR)
+            assert np.unique(order[rows]).size == rows.size
+            stable = rows[np.argsort(order[rows], kind="stable")]
+            assert np.array_equal(t.cache._tier_rows(order), stable)
+
     @invariant()
     def delta_folds_to_the_export(self):
         t = getattr(self, "t", None)

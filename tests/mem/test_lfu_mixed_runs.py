@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from cache_oracles import ShadowedCombinedCache
+from repro.mem.cache import _FAR, CombinedCache
 
 
 def keys_of(xs):
@@ -122,3 +123,46 @@ class TestMixedRunExtension:
         assert cache.stats.admission_runs == runs_before + 1
         assert (rows[:12] == -1).all() and (rows[12:] >= 0).all()
         assert fk.size == 20  # 8 old LRU rows + 12 spilled, into a full LFU
+
+
+def lfu_tier(freqs, seed=0):
+    """A cache whose LFU tier is ``freqs`` at scattered slab rows, each
+    row with a distinct entry tick drawn out of order."""
+    rng = np.random.default_rng(seed)
+    n = len(freqs)
+    cache = CombinedCache(2 * n + 2, value_dim=1)
+    rows = rng.permutation(cache.capacity)[:n]
+    cache._freq[rows] = freqs
+    cache._ftick[rows] = rng.permutation(4 * n + 1)[:n]
+    cache.n_lfu = n
+    return cache
+
+
+def lexsort_order(cache, n_evict):
+    """The ``n_evict`` smallest LFU rows by (freq, entry tick), in that
+    order, as one ``np.lexsort`` over the whole tier."""
+    rows = np.flatnonzero(cache._freq < _FAR)
+    order = np.lexsort((cache._ftick[rows], cache._freq[rows]))
+    return rows[order][:n_evict]
+
+
+class TestPoolCandidateOrder:
+    """``_pool_candidates`` sorts by tick, then stably by the narrowed
+    frequency; that must be the (freq, tick) lexsort order whatever the
+    dtype the frequencies narrow to."""
+
+    @pytest.mark.parametrize("high", [5, 400, 70_000, 2**40])  # uint8 … uint64
+    def test_matches_lexsort(self, high):
+        """Hundreds of rows per frequency — enough for an unstable sort
+        to reorder ties (short arrays are insertion-sorted) — evicting
+        fewer rows than the tier holds and at least as many."""
+        rng = np.random.default_rng(high)
+        cache = lfu_tier(rng.choice([1, 2, high // 2, high], size=2000), seed=1)
+        for n_evict in (1, 700, 1999, 2000, 2500):
+            assert np.array_equal(
+                cache._pool_candidates(n_evict), lexsort_order(cache, n_evict)
+            ), n_evict
+
+    def test_empty_lfu_tier(self):
+        cache = CombinedCache(8, value_dim=1)
+        assert cache._pool_candidates(3).size == 0
