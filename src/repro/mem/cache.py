@@ -7,15 +7,21 @@ Working parameters of in-flight rounds are **pinned** in the LRU tier and
 cannot be evicted until their round completes (pipeline integrity).
 
 **One slab, and the tier is metadata on the row.**  The cache owns
-``lru_capacity + lfu_capacity`` rows — values in a preallocated
-``(rows, value_dim)`` float32 array, parallel key / order / count / pin
-arrays, one :class:`~repro.store.SlotIndex` (key → row) and one stack
-of free rows.  Which tier a resident belongs to is read off its order
-fields: an LRU resident carries a recency tick (``_tick``), an LFU
-resident a frequency and a bucket-entry tick (``_freq``, ``_ftick``),
-and each order array holds ``_FAR`` outside its tier, so victim
-selection is ``argpartition`` (LRU) / ``partition``, a tick sort and a
-stable frequency sort (LFU) over the whole slab with no tier mask.
+one slab of rows — values in a ``(rows, value_dim)`` float32 array,
+parallel key / order / count / pin / dirty arrays, one
+:class:`~repro.store.SlotIndex` (key → row) and one stack of free rows.
+The slab grows with its residents: it starts at :data:`_MIN_ROWS` rows
+and doubles whenever an insert finds the free stack short, never past
+``lru_capacity + lfu_capacity``, so every array and every whole-slab
+scan is sized by the rows in use, not by the configured capacity (a
+``10**9``-parameter cache costs a 1024-row slab until it fills).
+Growth appends free rows and moves no resident.  Which tier a
+resident belongs to is read off its order fields: an LRU resident
+carries a recency tick (``_tick``), an LFU resident a frequency and a
+bucket-entry tick (``_freq``, ``_ftick``), and each order array holds
+``_FAR`` outside its tier, so victim selection is ``argpartition``
+(LRU) / ``partition``, a tick sort and a stable frequency sort (LFU)
+over the whole slab with no tier mask.
 ``_count`` is the LRU access count and the LFU frequency at once (they
 are the same number).  ``n_lru`` / ``n_lfu`` enforce the two capacities,
 which stay policy quantities.  Promotion and demotion are pure policy
@@ -47,8 +53,9 @@ keys, one ``remove`` for the rows it flushes).
   are selected as victims; the LFU tier admits that demotion stream and
   names what it flushes; the flushed rows leave the index and return to
   the free stack (their pairs go back to the caller, for the SSD); only
-  then do the new keys allocate rows — with both tiers full the free
-  stack is empty until that flush.
+  then do the new keys allocate rows (the slab grows first if the free
+  stack is short) — with both tiers full the free stack is empty until
+  that flush.
 * **Row ops in between.**  Everything from the resolve to the round's
   end — gathers, scatters, the final unpin — goes through the rows the
   resolve and the insert handed back, with no further index probe.
@@ -66,7 +73,9 @@ defined with no pins held.
 Both passes are **sequential-equivalent**: evictions and flush pairs
 come out in the order a per-key loop would produce them.  Row identity
 is unobservable to the policy — ticks are unique within a tier, so the
-same victims leave in the same order whatever rows they sit in.  The
+same victims leave in the same order whatever rows they sit in, and a
+snapshot carries no rows — which is why the slab may grow, and be
+rebuilt at a snapshot's size on load, without moving any result.  The
 test suite holds the cache to the seed dict-of-ndarray implementation
 kept under ``tests/cache_oracles.py``, replayed key by key in the
 resolve's tier order.
@@ -95,6 +104,10 @@ __all__ = ["CombinedCache", "CacheStats"]
 _FAR = np.int64(2**62)
 
 _NO_SLOTS = np.empty(0, dtype=np.int64)
+
+#: Rows a slab starts with (as :class:`~repro.store.SlotIndex` starts its
+#: payload array); it doubles from there, up to the cache's capacity.
+_MIN_ROWS = 1024
 
 #: per tier: snapshot name, count array name, order field
 _TIERS = (("lru", "lru_counts", "_tick"), ("lfu", "lfu_freqs", "_ftick"))
@@ -131,6 +144,16 @@ class CacheStats:
     @property
     def hit_rate(self) -> float:
         return self.hits / self.accesses if self.accesses else 0.0
+
+
+def _grown(a: np.ndarray, rows: int, fill=0) -> np.ndarray:
+    """``a`` extended to ``rows`` rows, the new ones ``fill``.  A zero
+    fill is ``calloc``'s: pages no row has reached stay unmapped."""
+    out = np.zeros((rows, *a.shape[1:]), dtype=a.dtype)
+    out[: a.shape[0]] = a
+    if fill:
+        out[a.shape[0] :] = fill
+    return out
 
 
 def _empty_pairs(dim: int) -> tuple[np.ndarray, np.ndarray]:
@@ -249,23 +272,24 @@ class CombinedCache:
         self._now = 0
         self._reset()
 
-    def _reset(self) -> None:
-        """Empty slab: every row free, every order field ``_FAR``."""
-        rows = self.capacity
+    def _reset(self, n: int = 0) -> None:
+        """Empty slab with rows for ``n`` residents: every row free,
+        every order field ``_FAR``."""
         self._index = SlotIndex()
-        self._keys = np.full(rows, EMPTY_KEY, dtype=KEY_DTYPE)
-        self._values = np.zeros((rows, self.value_dim), dtype=np.float32)
-        self._tick = np.full(rows, _FAR, dtype=np.int64)  # LRU recency
-        self._freq = np.full(rows, _FAR, dtype=np.int64)  # LFU frequency
-        self._ftick = np.full(rows, _FAR, dtype=np.int64)  # LFU bucket entry
-        self._count = np.zeros(rows, dtype=np.int64)
-        self._pinned = np.zeros(rows, dtype=bool)
+        self._keys = np.empty(0, dtype=KEY_DTYPE)
+        self._values = np.empty((0, self.value_dim), dtype=np.float32)
+        self._tick = np.empty(0, dtype=np.int64)  # LRU recency
+        self._freq = np.empty(0, dtype=np.int64)  # LFU frequency
+        self._ftick = np.empty(0, dtype=np.int64)  # LFU bucket entry
+        self._count = np.empty(0, dtype=np.int64)
+        self._pinned = np.empty(0, dtype=bool)
         #: value written (insert or update) since the last mark_snapshot
-        self._dirty = np.zeros(rows, dtype=bool)
-        self._free = np.arange(rows - 1, -1, -1, dtype=np.int64)
-        self._n_free = rows
+        self._dirty = np.empty(0, dtype=bool)
+        self._free = np.empty(0, dtype=np.int64)
+        self._n_free = 0
         self.n_lru = 0
         self.n_lfu = 0
+        self._grow(n)
 
     def __len__(self) -> int:
         return self.n_lru + self.n_lfu
@@ -275,9 +299,37 @@ class CombinedCache:
         return self.lru_capacity + self.lfu_capacity
 
     # -- slab plumbing ---------------------------------------------------
+    def _grow(self, n: int) -> None:
+        """Extend the slab until ``n`` more residents fit: ``_MIN_ROWS``
+        rows, doubled as often as needed, at most ``capacity``.  The new
+        rows are free and go under the free stack; residents keep their
+        rows."""
+        old = self._keys.size
+        rows = max(old, _MIN_ROWS)
+        while rows < old - self._n_free + n:
+            rows *= 2
+        rows = min(rows, self.capacity)
+        if rows == old:
+            return
+        self._keys = _grown(self._keys, rows, EMPTY_KEY)
+        self._values = _grown(self._values, rows)
+        self._tick = _grown(self._tick, rows, _FAR)
+        self._freq = _grown(self._freq, rows, _FAR)
+        self._ftick = _grown(self._ftick, rows, _FAR)
+        self._count = _grown(self._count, rows)
+        self._pinned = _grown(self._pinned, rows)
+        self._dirty = _grown(self._dirty, rows)
+        free = np.empty(rows, dtype=np.int64)
+        free[: rows - old] = np.arange(rows - 1, old - 1, -1)
+        free[rows - old : rows - old + self._n_free] = self._free[: self._n_free]
+        self._free = free
+        self._n_free += rows - old
+
     def _alloc(self, n: int) -> np.ndarray:
         if n > self._n_free:
-            raise RuntimeError("slab out of rows (eviction planning bug)")
+            self._grow(n)
+            if n > self._n_free:
+                raise RuntimeError("slab out of rows (eviction planning bug)")
         self._n_free -= n
         return self._free[self._n_free : self._n_free + n].copy()
 
@@ -692,13 +744,13 @@ class CombinedCache:
         (lru_keys, lru_values, lru_counts), (lfu_keys, lfu_values, lfu_freqs) = (
             self._validated(state)
         )
-        self._reset()
+        keys = np.concatenate([lru_keys, lfu_keys])
+        self._reset(keys.size)  # the slab grows once, to the snapshot
         self._mark = None  # until the checkpoint reader marks it
         # Snapshot order is tick order: fresh ascending ticks preserve
         # every relative comparison the policy makes.
-        lru, lfu = self._alloc(lru_keys.size), self._alloc(lfu_keys.size)
-        new = np.concatenate([lru, lfu])
-        keys = np.concatenate([lru_keys, lfu_keys])
+        new = self._alloc(keys.size)
+        lru, lfu = new[: lru_keys.size], new[lru_keys.size :]
         self._keys[new] = keys
         put_rows(self._values, lru, lru_values)
         put_rows(self._values, lfu, lfu_values)

@@ -358,11 +358,11 @@ class ShadowedCombinedCache(CombinedCache):
     def _assert_layout(self, ctx: str) -> None:
         """The slab's own invariants, which the seed cannot see: every
         resident key in exactly one tier, the tier counters and the free
-        stack adding up to the slab, one index entry per resident — and
-        **row stability**: a key resident before and after an operation
-        sits in the same row, whatever promotions and demotions the
-        operation performed (a flush ends the residency; a later insert
-        starts a new one)."""
+        stack adding up to the slab, the slab within the capacity, one
+        index entry per resident — and **row stability**: a key resident
+        before and after an operation sits in the same row, whatever
+        promotions, demotions and slab growth the operation performed (a
+        flush ends the residency; a later insert starts a new one)."""
         in_lru = self._tick < _FAR
         in_lfu = self._freq < _FAR
         occupied = self._keys != EMPTY_KEY
@@ -374,6 +374,7 @@ class ShadowedCombinedCache(CombinedCache):
         assert self.n_lru == int(in_lru.sum()) <= self.lru_capacity, ctx
         assert self.n_lfu == int(in_lfu.sum()) <= self.lfu_capacity, ctx
         assert self._n_free + self.n_lru + self.n_lfu == occupied.size, ctx
+        assert occupied.size <= self.capacity, f"{ctx}: slab past capacity"
         assert set(self._free[: self._n_free].tolist()) == set(
             np.flatnonzero(~occupied).tolist()
         ), f"{ctx}: free stack"

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import repro.mem.cache
 from repro.config import ClusterConfig, ModelSpec
 from repro.data.batching import Batch
 from repro.hbm.partition import ModuloPartitioner
@@ -37,6 +38,14 @@ def small_config() -> ClusterConfig:
         ssd_file_capacity=128,
         seed=7,
     )
+
+
+@pytest.fixture
+def small_slab(monkeypatch):
+    """MEM cache slabs start at one row, so the few-dozen-row caches the
+    oracle tests build double through several sizes under the shadow
+    (whose row-stability check then spans every growth)."""
+    monkeypatch.setattr(repro.mem.cache, "_MIN_ROWS", 1)
 
 
 @pytest.fixture

@@ -201,6 +201,7 @@ class TestPrefetchParity:
         _assert_stats_parity(stats_lock, run.stats)
         _assert_param_parity(lock, piped)
 
+    @pytest.mark.usefixtures("small_slab")
     def test_scalar_cache_oracle_matches_bulk_exactly(
         self, tiny_spec, pressured_prefetch
     ):

@@ -23,6 +23,8 @@ from cache_oracles import CacheTraffic, DictLFUCache, DictLRUCache
 from repro.errors import TierStateError
 from repro.mem.cache import CombinedCache
 
+pytestmark = pytest.mark.usefixtures("small_slab")
+
 N_TRIALS = 220
 
 

@@ -27,6 +27,7 @@ counts and values — and matches the oracle's diff.
 """
 
 import numpy as np
+import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (
@@ -41,6 +42,8 @@ from cache_oracles import CacheTraffic, assert_delta_matches_oracle
 from repro.mem.cache import _FAR, CombinedCache
 from repro.utils.keys import as_keys
 from ssd_oracles import assert_same_arrays
+
+pytestmark = pytest.mark.usefixtures("small_slab")
 
 
 def key_sets(max_size: int = 64):
@@ -152,13 +155,16 @@ TestMemPSTraffic.settings = settings(
 def test_the_model_reaches_every_regime():
     """The generated traffic is only worth its parity checks if it gets
     to the hard places: promotions into a full LRU, flushes to the SSD,
-    SSD read-backs, spill-through, a refused resolve."""
+    SSD read-backs, spill-through, a refused resolve, a slab grown
+    through several sizes."""
     rng = np.random.default_rng(0)
     t = CacheTraffic(16, 0.5)
     seen = dict.fromkeys(["refused", "promoted", "flushed", "read_back"], 0)
+    slab_sizes = {t.cache._keys.size}
     for round_ in range(60):
         if round_ % 3 == 0:  # unpinned inserts demote the last round's keys
             t.insert_unpinned(rng.choice(np.arange(64, 96), size=5, replace=False))
+            slab_sizes.add(t.cache._keys.size)
         keys = rng.choice(64, size=int(rng.integers(1, 9)), replace=False)
         lfu_before = set(t.cache.ref.lfu._data)
         ssd_before = len(t.ssd)
@@ -168,6 +174,8 @@ def test_the_model_reaches_every_regime():
         seen["flushed"] += len(t.ssd) - ssd_before
         t.write([True])
         t.end_round()
+        slab_sizes.add(t.cache._keys.size)
+    assert sorted(slab_sizes) == [1, 8, 16]  # doubled, stopped at capacity
     assert not t.resolve(np.arange(9))  # 9 keys, 8 LRU rows
     seen["refused"] += 1
     assert all(seen.values()), seen

@@ -15,6 +15,8 @@ import pytest
 from cache_oracles import ShadowedCombinedCache
 from repro.mem.cache import _FAR, CombinedCache
 
+pytestmark = pytest.mark.usefixtures("small_slab")
+
 
 def keys_of(xs):
     return np.array(xs, dtype=np.uint64)
@@ -131,7 +133,8 @@ def lfu_tier(freqs, seed=0):
     rng = np.random.default_rng(seed)
     n = len(freqs)
     cache = CombinedCache(2 * n + 2, value_dim=1)
-    rows = rng.permutation(cache.capacity)[:n]
+    cache._grow(cache.capacity)  # a slab starts small; scatter over all rows
+    rows = rng.permutation(cache._keys.size)[:n]
     cache._freq[rows] = freqs
     cache._ftick[rows] = rng.permutation(4 * n + 1)[:n]
     cache.n_lfu = n

@@ -21,6 +21,8 @@ from cache_oracles import (
 )
 from repro.mem.cache import CombinedCache
 
+pytestmark = pytest.mark.usefixtures("small_slab")
+
 
 def keys_of(xs):
     return np.array(xs, dtype=np.uint64)
