@@ -14,9 +14,11 @@ Per (workload, seed) and end-to-end metric of ``BENCHMARK.json`` it prints
 each side's median [q1–q3] over the pairs, the head / base ratio of the
 medians, how many pairs the head won (ties count for neither side), the
 gap between the medians beside the base's interquartile range, and a
-verdict: *resolved* when the head wins at least nine tenths of the pairs
-and the gap exceeds the base's IQR (better or worse), *unresolved*
-otherwise.
+verdict with the pair count beside it: *resolved* when there are at
+least ten pairs, the head wins at least nine tenths of them and the gap
+exceeds the base's IQR (better or worse), *unresolved* otherwise.  Below
+ten pairs nothing resolves: five runs a side leave the quartiles to one
+or two outliers.
 
 Exits non-zero when the two sides disagree on ``param_digest`` (read from
 the driver's stderr), ``sim_makespan_s`` or ``failed`` — those repeat
@@ -38,6 +40,8 @@ BENCHMARK_JSON = os.path.join(ROOT, "BENCHMARK.json")
 
 #: fraction of pairs the head must win for a resolved verdict
 RESOLVED_WINS = 0.9
+#: fewest pairs that can resolve a verdict (the count a claim runs)
+RESOLVED_PAIRS = 10
 
 _DIGEST = re.compile(r"param_digest (\w+)")
 
@@ -101,7 +105,9 @@ def summarise(pairs: list[tuple[dict, dict]], spec: dict) -> dict:
         losses = sum(sign * (h - b) > 0 for b, h in zip(base, head))
         gap = sign * (bmed - hmed)
         iqr = bq3 - bq1
-        if wins >= RESOLVED_WINS * n and gap > iqr:
+        if n < RESOLVED_PAIRS:
+            verdict = "unresolved"
+        elif wins >= RESOLVED_WINS * n and gap > iqr:
             verdict = "resolved better"
         elif losses >= RESOLVED_WINS * n and -gap > iqr:
             verdict = "resolved worse"
@@ -146,7 +152,7 @@ def format_summary(workload: str, seed: int, summary: dict) -> list[str]:
             f" -> {h['median']:.4g} [{h['q1']:.4g}–{h['q3']:.4g}] {r['unit']}"
             f"  ratio {r['ratio']:.3f}  head wins {r['head_wins']}/{r['pairs']}"
             f"  gap {r['gap']:.4g} vs base IQR {r['base_iqr']:.4g}"
-            f"  {r['verdict']}"
+            f"  {r['verdict']} at {r['pairs']} pairs"
         )
     lines.extend(f"MISMATCH {m}" for m in summary["mismatches"])
     return lines

@@ -16,6 +16,7 @@ import numpy as np
 from repro.bench.analytical import AnalyticalHPS
 from repro.bench.report import format_table
 from repro.config import PAPER_MODELS
+from repro.hardware.ledger import CostLedger
 from repro.hardware.network import Network
 from repro.hardware.specs import NetworkSpec, SSDSpec
 from repro.hbm.allreduce import SparseUpdate, hierarchical_allreduce
@@ -139,7 +140,7 @@ def test_ablation_rdma(benchmark):
     per-mini-batch all-reduce."""
 
     def run(rdma: bool):
-        nets = [Network(NetworkSpec(rdma=rdma)) for _ in range(4)]
+        nets = [Network(NetworkSpec(rdma=rdma), CostLedger()) for _ in range(4)]
         updates = [
             SparseUpdate(
                 np.arange(i, 200_000 + i, dtype=np.uint64),

@@ -41,14 +41,14 @@ class HDFSStream:
         spec: HDFSSpec,
         *,
         batch_size: int,
-        ledger: CostLedger | None = None,
+        ledger: CostLedger,
     ) -> None:
         if batch_size <= 0:
             raise ValueError("batch_size must be positive")
         self.generator = generator
         self.spec = spec
         self.batch_size = batch_size
-        self.ledger = ledger if ledger is not None else CostLedger()
+        self.ledger = ledger
         self.batches_read = 0
         self.bytes_read = 0
         #: fault-injection guard for batch reads

@@ -28,9 +28,9 @@ def dense_flops_per_example(
 class GPUDevice:
     """Cost model for one simulated GPU card."""
 
-    def __init__(self, spec: GPUSpec, ledger: CostLedger | None = None):
+    def __init__(self, spec: GPUSpec, ledger: CostLedger):
         self.spec = spec
-        self.ledger = ledger if ledger is not None else CostLedger()
+        self.ledger = ledger
 
     def compute_time(self, flops: float) -> float:
         """Seconds for ``flops`` of dense work."""
@@ -63,9 +63,9 @@ class GPUDevice:
 class NVLink:
     """Intra-node inter-GPU transfer cost model."""
 
-    def __init__(self, spec: NVLinkSpec, ledger: CostLedger | None = None):
+    def __init__(self, spec: NVLinkSpec, ledger: CostLedger):
         self.spec = spec
-        self.ledger = ledger if ledger is not None else CostLedger()
+        self.ledger = ledger
         self.bytes_moved = 0
 
     def transfer_time(self, n_bytes: int, *, n_messages: int = 1) -> float:

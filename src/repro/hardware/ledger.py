@@ -1,9 +1,10 @@
 """Cost ledger — the timing layer's accounting backbone.
 
 Every simulated hardware operation reports a cost in *simulated seconds*
-under a named category.  Ledgers are additive and mergeable, so each
-component (MEM-PS, SSD-PS, HBM-PS, network, pipeline) keeps its own and the
-benchmarks aggregate them into the paper's per-stage decompositions.
+under a named category.  Each node keeps one ledger, a required argument
+of every priced component it builds, so no charge lands anywhere else;
+the benchmarks aggregate the nodes' ledgers into the paper's per-stage
+decompositions.
 """
 
 from __future__ import annotations

@@ -26,12 +26,12 @@ class Network:
     spec:
         Fabric characteristics (bandwidth, latency, RDMA on/off).
     ledger:
-        Optional shared ledger; a private one is created otherwise.
+        The node's ledger; remote pulls and all-reduce shares charge it.
     """
 
-    def __init__(self, spec: NetworkSpec, ledger: CostLedger | None = None):
+    def __init__(self, spec: NetworkSpec, ledger: CostLedger):
         self.spec = spec
-        self.ledger = ledger if ledger is not None else CostLedger()
+        self.ledger = ledger
         self.bytes_sent = 0
         self.messages_sent = 0
 
@@ -50,12 +50,10 @@ class Network:
             t += n_messages * self.spec.cpu_bounce_overhead_s
         return t
 
-    def send(
-        self, n_bytes: int, *, n_messages: int = 1, category: str = "net_remote_pull"
-    ) -> float:
-        """Account a transfer on the ledger and return its simulated time."""
+    def send(self, n_bytes: int, *, n_messages: int = 1) -> float:
+        """Charge a remote pull to ``net_remote_pull``; returns its seconds."""
         t = self.transfer_time(n_bytes, n_messages=n_messages)
         self.bytes_sent += n_bytes
         self.messages_sent += n_messages
-        self.ledger.add(category, t)
+        self.ledger.add("net_remote_pull", t)
         return t

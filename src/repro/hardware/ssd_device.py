@@ -22,9 +22,9 @@ __all__ = ["SSDDevice"]
 class SSDDevice:
     """Cost model + usage accounting for one node's NVMe array."""
 
-    def __init__(self, spec: SSDSpec, ledger: CostLedger | None = None):
+    def __init__(self, spec: SSDSpec, ledger: CostLedger):
         self.spec = spec
-        self.ledger = ledger if ledger is not None else CostLedger()
+        self.ledger = ledger
         self.bytes_read = 0
         self.bytes_written = 0
         self.read_ops = 0

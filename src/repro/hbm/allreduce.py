@@ -104,10 +104,11 @@ def hierarchical_allreduce(
 ) -> tuple[SparseUpdate, float]:
     """All-reduce per-node sparse updates; returns (global update, seconds).
 
-    ``networks``/``nvlinks`` are each node's fabric models; when omitted the
-    call is purely functional (zero simulated time).  The returned time is
-    the critical path: max over participating nodes per step, summed over
-    steps.
+    ``networks``/``nvlinks`` are each node's fabric models, whose ledgers
+    are charged the collective's ``allreduce`` seconds.  The returned time
+    is the critical path: max over participating nodes per step, summed
+    over steps.  Omitting both prices nothing: only
+    ``benchmarks/hps/micro.py`` does; drop that path at benchmark v2.
 
     ``union`` is ``(keys, positions)`` when the caller already has them
     (the round's :class:`~repro.plan.SyncPlan`): the sorted union of
@@ -279,13 +280,15 @@ class DenseGradAccumulator:
 def allreduce_dense(
     node_grads: list[list[np.ndarray]],
     *,
-    networks: list[Network] | None = None,
+    networks: list[Network],
     out: DenseGradAccumulator | None = None,
 ) -> tuple[list[np.ndarray], float]:
-    """Sum dense-parameter gradients across nodes (Appendix C.4).
+    """Sum dense-parameter gradients across nodes (Appendix C.4); returns
+    (sum, seconds), each node's ledger charged an equal share.
 
     Dense towers are replicated on every GPU; their gradients are tiny
-    (≤ a few million floats), so a flat recursive-doubling reduce suffices.
+    (≤ a few million floats), so a flat recursive-doubling reduce over
+    ``networks`` (one NIC per node; the slowest prices each step) suffices.
     The sum accumulates in float32; pass a :class:`DenseGradAccumulator`
     as ``out`` to reuse its buffers across calls (the returned arrays are
     then views of the accumulator and are overwritten by the next call).
@@ -305,9 +308,8 @@ def allreduce_dense(
     nbytes = int(sum(4 * g.size for g in total))
     steps = int(np.ceil(np.log2(n))) if n > 1 else 0
     t = 0.0
-    if networks is not None and steps:
-        per_step = max(net.transfer_time(nbytes) for net in networks)
-        t = steps * per_step
+    if steps:
+        t = steps * max(net.transfer_time(nbytes) for net in networks)
         for net in networks:
             net.ledger.add("allreduce", t / len(networks))
     return total, t

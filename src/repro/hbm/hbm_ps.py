@@ -59,19 +59,17 @@ class GPUFabric:
         self,
         n_gpus: int,
         *,
-        gpu_spec: GPUSpec | None = None,
-        nvlink_spec: NVLinkSpec | None = None,
-        ledger: CostLedger | None = None,
+        gpu_spec: GPUSpec,
+        nvlink_spec: NVLinkSpec,
+        ledger: CostLedger,
     ) -> None:
         if n_gpus <= 0:
             raise ValueError("n_gpus must be positive")
         self.n_gpus = n_gpus
-        self.ledger = ledger if ledger is not None else CostLedger()
+        self.ledger = ledger
         self.partitioner = ModuloPartitioner(n_gpus, salt=_GPU_SALT)
-        self.devices = [
-            GPUDevice(gpu_spec or GPUSpec(), self.ledger) for _ in range(n_gpus)
-        ]
-        self.nvlink = NVLink(nvlink_spec or NVLinkSpec(), self.ledger)
+        self.devices = [GPUDevice(gpu_spec, ledger) for _ in range(n_gpus)]
+        self.nvlink = NVLink(nvlink_spec, ledger)
 
 
 class _StagedRound:
@@ -98,20 +96,17 @@ class HBMPS:
         capacity_per_gpu: int,
         optimizer: SparseOptimizer,
         *,
-        gpu_spec: GPUSpec | None = None,
-        nvlink_spec: NVLinkSpec | None = None,
-        ledger: CostLedger | None = None,
+        gpu_spec: GPUSpec,
+        nvlink_spec: NVLinkSpec,
+        ledger: CostLedger,
     ) -> None:
         self.optimizer = optimizer
-        self.ledger = ledger if ledger is not None else CostLedger()
+        self.ledger = ledger
         self.capacity_per_gpu = capacity_per_gpu
         #: the GPUs the staged parameters are sharded over: partitioner,
         #: per-GPU cost devices and NVLink (no storage — see module doc)
         self.params = GPUFabric(
-            n_gpus,
-            gpu_spec=gpu_spec,
-            nvlink_spec=nvlink_spec,
-            ledger=self.ledger,
+            n_gpus, gpu_spec=gpu_spec, nvlink_spec=nvlink_spec, ledger=ledger
         )
         self._staged: _StagedRound | None = None
         #: fault-injection guard for cross-GPU pull/push dispatch

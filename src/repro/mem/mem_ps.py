@@ -200,7 +200,7 @@ class MemPS:
                 continue
             # Request (keys out) + response (keys+values back).
             nbytes = idx.size * (8 + (8 + 4 * self.optimizer.value_dim))
-            t_remote += self.network.send(nbytes, category="net_remote_pull")
+            t_remote += self.network.send(nbytes)
         return t_remote
 
     # ------------------------------------------------------------------

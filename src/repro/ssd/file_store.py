@@ -105,8 +105,9 @@ class FileStore:
         directory: str | None = None,
         ledger: CostLedger | None = None,
     ) -> None:
-        # ``directory`` is ignored (payloads live in the arena):
-        # ``benchmarks/hps/micro.py`` passes one; drop at benchmark v2.
+        # ``directory`` is ignored (payloads live in the arena) and
+        # ``ssd_spec`` / ``ledger`` default, for ``benchmarks/hps/micro.py``
+        # (``FileStore(VALUE_DIM, 256)``); drop all three at benchmark v2.
         if value_dim <= 0:
             raise ValueError("value_dim must be positive")
         if file_capacity <= 0:

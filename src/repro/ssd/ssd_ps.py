@@ -27,11 +27,11 @@ class SSDPS:
         value_dim: int,
         *,
         file_capacity: int,
-        ssd_spec: SSDSpec | None = None,
+        ssd_spec: SSDSpec,
         usage_threshold: float,
-        ledger: CostLedger | None = None,
+        ledger: CostLedger,
     ) -> None:
-        self.ledger = ledger if ledger is not None else CostLedger()
+        self.ledger = ledger
         self.store = FileStore(
             value_dim, file_capacity, ssd_spec=ssd_spec, ledger=self.ledger
         )

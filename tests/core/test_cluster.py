@@ -1,10 +1,12 @@
 """Integration tests for the full hierarchical PS cluster (Algorithm 1)."""
 
+import collections
 import dataclasses
 import gc
 import os
 import subprocess
 import sys
+import types
 import weakref
 
 import numpy as np
@@ -15,6 +17,8 @@ from repro.config import ClusterConfig
 from repro.core.cluster import HPSCluster
 from repro.core.trainer import ReferenceTrainer
 from repro.errors import KeyDomainError
+from repro.faults import FAULT_KINDS, FaultSchedule, Supervisor
+from repro.hardware.ledger import CostLedger
 from repro.plan import RoundPlan
 from repro.utils.keys import KEY_DOMAIN_CAP
 
@@ -204,26 +208,44 @@ class TestLosslessness:
             assert checked == [1, 2, 3, 4, 5, 6], mode
 
 
-def _arrays_under(obj, seen):
-    """Every ndarray reachable from ``obj`` through repro objects and
-    plain containers."""
+def _objects_under(obj, seen):
+    """Every object reachable from ``obj`` through repro objects'
+    ``__dict__`` and ``__slots__``, plain containers, and functions'
+    closures and attributes (the stage registry's closures)."""
     if id(obj) in seen:
         return
     seen.add(id(obj))
-    if isinstance(obj, np.ndarray):
-        yield obj
-    elif isinstance(obj, dict):
-        for v in obj.values():
-            yield from _arrays_under(v, seen)
-    elif isinstance(obj, (list, tuple)):
-        for v in obj:
-            yield from _arrays_under(v, seen)
+    yield obj
+    if isinstance(obj, dict):
+        children = list(obj.values())
+    elif isinstance(obj, (list, tuple, set, frozenset, collections.deque)):
+        children = list(obj)
+    elif isinstance(obj, types.FunctionType):
+        cells = [cell.cell_contents for cell in obj.__closure__ or ()]
+        children = cells + list(vars(obj).values())
+    elif isinstance(obj, types.MethodType):
+        children = [obj.__self__, obj.__func__]
     elif type(obj).__module__.startswith("repro."):
         names = list(getattr(obj, "__dict__", ()))
         for klass in type(obj).__mro__:
             names += list(getattr(klass, "__slots__", ()))
-        for name in names:
-            yield from _arrays_under(getattr(obj, name, None), seen)
+        children = [getattr(obj, name, None) for name in names]
+    else:
+        return
+    for child in children:
+        yield from _objects_under(child, seen)
+
+
+def _foreign_ledgers(cluster) -> list[CostLedger]:
+    """The ledgers reachable from ``cluster`` that are no node's own, and
+    the nodes' own ledgers none of the walk reached."""
+    nodes = {id(node.ledger): node.ledger for node in cluster.nodes}
+    found = {
+        id(o): o for o in _objects_under(cluster, set()) if isinstance(o, CostLedger)
+    }
+    return [found[k] for k in found.keys() - nodes.keys()] + [
+        nodes[k] for k in nodes.keys() - found.keys()
+    ]
 
 
 class TestTiersTakeTheConfig:
@@ -253,6 +275,60 @@ class TestTiersTakeTheConfig:
             assert node.hdfs.batch_size == 32
 
 
+class TestEveryChargeLandsOnANodeLedger:
+    """Every priced component takes its node's ledger: the set of
+    ``CostLedger``s reachable from a cluster is exactly its nodes' own,
+    so the nodes' totals are every simulated second charged."""
+
+    @staticmethod
+    def _config(n_nodes: int) -> ClusterConfig:
+        # The fault soak's pressured MEM budget.
+        return ClusterConfig(
+            n_nodes=n_nodes,
+            gpus_per_node=2,
+            minibatches_per_gpu=2,
+            mem_capacity_params=1_400,
+            hbm_capacity_params=50_000,
+            ssd_file_capacity=128,
+            seed=7,
+        )
+
+    @pytest.mark.parametrize("n_nodes", [1, 2, 4])
+    def test_lockstep_and_pipelined_rounds_with_a_snapshot_stage(
+        self, tiny_spec, n_nodes, tmp_path
+    ):
+        config = self._config(n_nodes)
+        cluster = HPSCluster(tiny_spec, config, functional_batch_size=256)
+        assert _foreign_ledgers(cluster) == []
+        cluster.enable_snapshot_stage(str(tmp_path / "snap"), every=2)
+        cluster.train(2)
+        cluster.train_pipelined(3)
+        assert all(node.ledger.total("ckpt_write") > 0 for node in cluster.nodes)
+        assert _foreign_ledgers(cluster) == []
+
+    def test_a_supervised_fault_soak_run(self, tiny_spec, tmp_path):
+        """Checked inside every round, while the fault arms are attached,
+        and after the run, on whatever nodes the recoveries rebuilt."""
+        cluster = HPSCluster(tiny_spec, self._config(2), functional_batch_size=512)
+        foreign: list[list[CostLedger]] = []
+
+        def probe(ctx) -> float:
+            foreign.append(_foreign_ledgers(cluster))
+            return 0.0
+
+        cluster.register_stage("probe", probe, after="train")
+        schedule = FaultSchedule(
+            11, rates={kind: 0.05 for kind in FAULT_KINDS}, max_faults=16
+        )
+        run = Supervisor(str(tmp_path / "sup"), checkpoint_every=2).run(
+            cluster, 6, schedule, pipelined=True
+        )
+        assert run.rounds == 6
+        assert "full_restore" in {report.action for report in run.reports}
+        assert foreign and not any(foreign)
+        assert _foreign_ledgers(run.cluster) == []
+
+
 class TestHBMStagingIsDense:
     def test_no_hash_table_slab_is_ever_allocated(
         self, tiny_spec, small_config, tmp_path
@@ -274,7 +350,9 @@ class TestHBMStagingIsDense:
                 hbm = node.hbm_ps
                 assert not hasattr(hbm, "grads")
                 assert not hasattr(hbm.params, "tables")
-                arrays = list(_arrays_under(hbm, set()))
+                arrays = [
+                    o for o in _objects_under(hbm, set()) if isinstance(o, np.ndarray)
+                ]
                 assert arrays  # the walk does see the staged values
                 assert all(a.ndim == 0 or a.shape[0] < cap for a in arrays)
 

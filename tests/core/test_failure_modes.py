@@ -7,10 +7,11 @@ the errors must be loud and specific, never silent corruption.
 import numpy as np
 import pytest
 
+from priced import hbm_ps
 from repro.config import ClusterConfig
 from repro.core.cluster import HPSCluster
 from repro.errors import TierStateError
-from repro.hbm.hbm_ps import HBMPS
+from repro.hardware.ledger import CostLedger
 from repro.mem.cache import CombinedCache
 from repro.nn.optim import SparseSGD
 
@@ -57,7 +58,7 @@ class TestCapacityViolations:
     def test_hash_table_never_silently_drops(self, round_plan):
         """An over-capacity staging into the HBM-PS is refused before it
         touches the staged working set."""
-        ps = HBMPS(2, capacity_per_gpu=3, optimizer=SparseSGD(1, lr=1.0))
+        ps = hbm_ps(2, 3, SparseSGD(1, lr=1.0), CostLedger())
 
         def plan_of(keys):
             return round_plan(

@@ -7,6 +7,7 @@ from repro.config import ModelSpec
 from repro.core.cluster import HPSCluster, RoundContext
 from repro.data.generator import CTRDataGenerator
 from repro.data.hdfs import HDFSStream
+from repro.hardware.ledger import CostLedger
 from repro.hardware.specs import HDFSSpec
 
 
@@ -27,15 +28,15 @@ def gen():
 
 class TestHDFSStream:
     def test_read_charges_ledger(self, gen):
-        s = HDFSStream(gen, HDFSSpec(), batch_size=64)
+        s = HDFSStream(gen, HDFSSpec(), batch_size=64, ledger=CostLedger())
         tb = s.read(0)
         assert tb.read_seconds > 0
         assert s.ledger.total("hdfs_read") == pytest.approx(tb.read_seconds)
 
     def test_read_time_scales_with_batch_size(self, gen):
         spec = HDFSSpec()
-        small = HDFSStream(gen, spec, batch_size=64).read(0)
-        large = HDFSStream(gen, spec, batch_size=640).read(0)
+        small = HDFSStream(gen, spec, batch_size=64, ledger=CostLedger()).read(0)
+        large = HDFSStream(gen, spec, batch_size=640, ledger=CostLedger()).read(0)
         assert large.read_seconds > small.read_seconds
 
     def test_nodes_receive_disjoint_batches(self, tiny_spec, small_config):
@@ -51,12 +52,12 @@ class TestHDFSStream:
 
     def test_same_index_same_data(self, gen):
         spec = HDFSSpec()
-        a = HDFSStream(gen, spec, batch_size=32).read(7)
-        b = HDFSStream(gen, spec, batch_size=32).read(7)
+        a = HDFSStream(gen, spec, batch_size=32, ledger=CostLedger()).read(7)
+        b = HDFSStream(gen, spec, batch_size=32, ledger=CostLedger()).read(7)
         assert np.array_equal(a.batch.keys, b.batch.keys)
 
     def test_counters(self, gen):
-        s = HDFSStream(gen, HDFSSpec(), batch_size=64)
+        s = HDFSStream(gen, HDFSSpec(), batch_size=64, ledger=CostLedger())
         for index in range(4):
             s.read(index)
         assert s.batches_read == 4
@@ -64,11 +65,14 @@ class TestHDFSStream:
 
     def test_invalid_batch_size(self, gen):
         with pytest.raises(ValueError):
-            HDFSStream(gen, HDFSSpec(), batch_size=0)
+            HDFSStream(gen, HDFSSpec(), batch_size=0, ledger=CostLedger())
 
     def test_bandwidth_inverse_to_time(self, gen):
-        fast = HDFSStream(gen, HDFSSpec(bandwidth=1e9), batch_size=256).read(0)
-        slow = HDFSStream(gen, HDFSSpec(bandwidth=1e6), batch_size=256).read(0)
+        fast, slow = (
+            HDFSStream(gen, HDFSSpec(bandwidth=bw), batch_size=256, ledger=CostLedger())
+            .read(0)
+            for bw in (1e9, 1e6)
+        )
         # Latency (1 ms) floors the fast read; bandwidth still dominates.
         assert slow.read_seconds > fast.read_seconds * 10
 
@@ -77,6 +81,6 @@ class TestHDFSStream:
         """Every HDFS byte — batch reads, snapshot saves and restores,
         quarantine re-reads — pays the α–β closed form."""
         spec = HDFSSpec()
-        stream = HDFSStream(gen, spec, batch_size=64)
+        stream = HDFSStream(gen, spec, batch_size=64, ledger=CostLedger())
         expected = spec.latency_s + n_bytes / spec.bandwidth
         assert stream.transfer_seconds(n_bytes) == expected

@@ -73,41 +73,41 @@ class TestLedger:
 
 class TestNetwork:
     def test_rdma_faster_than_bounce(self):
-        rdma = Network(NetworkSpec(rdma=True))
-        bounce = Network(NetworkSpec(rdma=False))
+        rdma = Network(NetworkSpec(rdma=True), CostLedger())
+        bounce = Network(NetworkSpec(rdma=False), CostLedger())
         n = 10**8
         assert rdma.transfer_time(n) < bounce.transfer_time(n)
 
     def test_latency_per_message(self):
-        net = Network(NetworkSpec())
+        net = Network(NetworkSpec(), CostLedger())
         one = net.transfer_time(0, n_messages=1)
         ten = net.transfer_time(0, n_messages=10)
         assert ten == pytest.approx(10 * one)
 
     def test_send_accounts(self):
-        net = Network(NetworkSpec())
+        net = Network(NetworkSpec(), CostLedger())
         t = net.send(1000)
         assert net.bytes_sent == 1000
         assert net.messages_sent == 1
         assert net.ledger.total("net_remote_pull") == pytest.approx(t)
 
     def test_zero_transfer(self):
-        net = Network(NetworkSpec())
+        net = Network(NetworkSpec(), CostLedger())
         assert net.transfer_time(0, n_messages=0) == 0.0
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
-            Network(NetworkSpec()).transfer_time(-1)
+            Network(NetworkSpec(), CostLedger()).transfer_time(-1)
 
 
 class TestSSDDevice:
     def test_block_rounding(self):
-        dev = SSDDevice(SSDSpec(block_bytes=4096))
+        dev = SSDDevice(SSDSpec(block_bytes=4096), CostLedger())
         assert dev.read_time(1) == dev.read_time(4096)
         assert dev.read_time(4097) > dev.read_time(4096)
 
     def test_accounting(self):
-        dev = SSDDevice(SSDSpec())
+        dev = SSDDevice(SSDSpec(), CostLedger())
         dev.read_files(np.asarray([8192]))
         dev.write(4096)
         assert dev.bytes_read == 8192
@@ -119,7 +119,7 @@ class TestSSDDevice:
     def test_read_files_prices_and_sums_like_one_read_per_file(self):
         """Per-file seconds are read_time, the ledger line is their
         in-order sum, and every file is a device read."""
-        dev = SSDDevice(SSDSpec())
+        dev = SSDDevice(SSDSpec(), CostLedger())
         dev.ledger.add("ssd_read", 0.1)
         sizes = np.asarray([0, 1, 4096, 4097, 3 * 10**6, 777])
         seconds = dev.read_files(sizes)
@@ -135,25 +135,25 @@ class TestSSDDevice:
             dev.read_files(np.asarray([-1]))
 
     def test_zero_io(self):
-        dev = SSDDevice(SSDSpec())
+        dev = SSDDevice(SSDSpec(), CostLedger())
         assert dev.read_time(0) == 0.0
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
-            SSDDevice(SSDSpec()).read_time(-5)
+            SSDDevice(SSDSpec(), CostLedger()).read_time(-5)
 
 
 class TestGPU:
     def test_compute_time_linear_in_flops(self):
-        gpu = GPUDevice(GPUSpec())
+        gpu = GPUDevice(GPUSpec(), CostLedger())
         assert gpu.compute_time(2e12) == pytest.approx(2 * gpu.compute_time(1e12))
 
     def test_hashtable_time_has_launch_floor(self):
-        gpu = GPUDevice(GPUSpec())
+        gpu = GPUDevice(GPUSpec(), CostLedger())
         assert gpu.hashtable_time(0, 8) >= GPUSpec().kernel_launch_s
 
     def test_train_accounts(self):
-        gpu = GPUDevice(GPUSpec())
+        gpu = GPUDevice(GPUSpec(), CostLedger())
         t = gpu.train(1e12)
         assert gpu.ledger.total("gpu_compute") == pytest.approx(t)
 
@@ -164,11 +164,11 @@ class TestGPU:
 
 class TestNVLink:
     def test_transfer_time(self):
-        nv = NVLink(NVLinkSpec(bandwidth=1e9, latency_s=1e-6))
+        nv = NVLink(NVLinkSpec(bandwidth=1e9, latency_s=1e-6), CostLedger())
         assert nv.transfer_time(1e9) == pytest.approx(1.0 + 1e-6)
 
     def test_send_accounts(self):
-        nv = NVLink(NVLinkSpec())
+        nv = NVLink(NVLinkSpec(), CostLedger())
         nv.send(500)
         assert nv.bytes_moved == 500
         assert nv.ledger.total("nvlink") > 0

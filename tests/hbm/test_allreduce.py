@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from priced import networks
+from repro.hardware.ledger import CostLedger
 from repro.hardware.network import Network
 from repro.hardware.specs import NetworkSpec
 from repro.hbm.allreduce import (
@@ -131,7 +133,7 @@ class TestHierarchicalAllreduce:
         assert t == 0.0
 
     def test_time_positive_with_networks(self):
-        nets = [Network(NetworkSpec()) for _ in range(4)]
+        nets = networks(4)
         updates = [upd({i: 1.0}) for i in range(4)]
         _, t = hierarchical_allreduce(updates, networks=nets, gpus_per_node=8)
         assert t > 0
@@ -139,14 +141,14 @@ class TestHierarchicalAllreduce:
 
     def test_more_nodes_more_time(self):
         def run(n):
-            nets = [Network(NetworkSpec()) for _ in range(n)]
+            nets = networks(n)
             updates = [upd({i: 1.0, 100 + i: 2.0}) for i in range(n)]
             return hierarchical_allreduce(updates, networks=nets)[1]
 
         assert run(4) > run(2)
 
     def test_single_node_no_internode_time(self):
-        nets = [Network(NetworkSpec())]
+        nets = networks(1)
         _, t = hierarchical_allreduce([upd({1: 1.0})], networks=nets)
         assert t == 0.0
 
@@ -157,7 +159,7 @@ class TestHierarchicalAllreduce:
     def test_rdma_faster_than_cpu_bounce(self):
         """Figure 8: removing RDMA adds PCIe copies + CPU overhead."""
         def run(rdma):
-            nets = [Network(NetworkSpec(rdma=rdma)) for _ in range(4)]
+            nets = [Network(NetworkSpec(rdma=rdma), CostLedger()) for _ in range(4)]
             updates = [
                 SparseUpdate(
                     np.arange(1000, dtype=np.uint64) + i,
@@ -173,22 +175,31 @@ class TestHierarchicalAllreduce:
 class TestAllreduceDense:
     def test_sums_across_nodes(self):
         grads = [[np.ones((2, 2)), np.ones(3)] for _ in range(4)]
-        total, t = allreduce_dense(grads)
+        total, t = allreduce_dense(grads, networks=networks(4))
         assert np.all(total[0] == 4.0)
         assert np.all(total[1] == 4.0)
 
+    def test_each_node_ledger_takes_an_equal_share(self):
+        """Two recursive-doubling steps of the whole float32 sum, split
+        evenly over the nodes' ledgers."""
+        nets = networks(4)
+        grads = [[np.ones((2, 2)), np.ones(3)] for _ in range(4)]
+        _, t = allreduce_dense(grads, networks=nets)
+        assert t == 2 * nets[0].transfer_time(4 * 7)
+        assert [n.ledger.total("allreduce") for n in nets] == [t / 4] * 4
+
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            allreduce_dense([[np.ones(2)], [np.ones(3)]])
+            allreduce_dense([[np.ones(2)], [np.ones(3)]], networks=networks(2))
 
     def test_single_node_zero_time(self):
-        nets = [Network(NetworkSpec())]
+        nets = networks(1)
         _, t = allreduce_dense([[np.ones(5)]], networks=nets)
         assert t == 0.0
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            allreduce_dense([])
+            allreduce_dense([], networks=[])
 
     def test_float32_sum_matches_float64_within_tolerance(self):
         """Regression for the reused-float32-buffer accumulation: the sum
@@ -197,7 +208,7 @@ class TestAllreduceDense:
         grads = [
             [rng.normal(size=(32, 16)), rng.normal(size=48)] for _ in range(4)
         ]
-        total, _ = allreduce_dense(grads)
+        total, _ = allreduce_dense(grads, networks=networks(4))
         exact = [
             np.sum([g[j] for g in grads], axis=0, dtype=np.float64)
             for j in range(2)
@@ -211,17 +222,17 @@ class TestAllreduceDense:
         in place on every call."""
         acc = DenseGradAccumulator()
         grads_a = [[np.ones((3, 3))], [np.ones((3, 3))]]
-        total_a, _ = allreduce_dense(grads_a, out=acc)
+        total_a, _ = allreduce_dense(grads_a, networks=networks(2), out=acc)
         first = [id(t) for t in total_a]
         grads_b = [[np.full((3, 3), 2.0)], [np.full((3, 3), 3.0)]]
-        total_b, _ = allreduce_dense(grads_b, out=acc)
+        total_b, _ = allreduce_dense(grads_b, networks=networks(2), out=acc)
         assert [id(t) for t in total_b] == first
         assert np.all(total_b[0] == 5.0)
 
     def test_accumulator_reallocates_on_shape_change(self):
         acc = DenseGradAccumulator()
-        allreduce_dense([[np.ones(4)]], out=acc)
-        total, _ = allreduce_dense([[np.ones((2, 2))]], out=acc)
+        allreduce_dense([[np.ones(4)]], networks=networks(1), out=acc)
+        total, _ = allreduce_dense([[np.ones((2, 2))]], networks=networks(1), out=acc)
         assert total[0].shape == (2, 2)
         assert np.all(total[0] == 1.0)
 
@@ -270,7 +281,7 @@ def test_allreduce_equals_full_recursive_doubling(updates, planned):
     bit for bit — keys, every float64 sum, and the simulated seconds —
     whether the key union and each node's positions in it are derived
     or handed in by the plan."""
-    nets = [Network(NetworkSpec()) for _ in updates]
+    nets = networks(len(updates))
     want, want_s = reference_allreduce(updates, networks=nets, gpus_per_node=2)
     union = None
     if planned:

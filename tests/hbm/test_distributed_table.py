@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hbm_oracles import DistributedHashTable
+from repro.hardware.ledger import CostLedger
 
 
 def keys_of(xs):
@@ -12,7 +13,7 @@ def keys_of(xs):
 
 @pytest.fixture
 def table():
-    return DistributedHashTable(4, capacity_per_gpu=1000, value_dim=2)
+    return DistributedHashTable(4, 1000, 2, CostLedger())
 
 
 class TestInsertGet:
@@ -139,7 +140,7 @@ class TestEquivalenceWithSingleTable:
         """N-GPU distributed semantics == a single hash table."""
         from hbm_oracles import HashTable
 
-        multi = DistributedHashTable(4, 500, 1)
+        multi = DistributedHashTable(4, 500, 1, CostLedger())
         single = HashTable(2000, 1)
         rng = np.random.default_rng(0)
         keys = np.unique(rng.integers(0, 10_000, 300).astype(np.uint64))

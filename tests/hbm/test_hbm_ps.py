@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from hbm_oracles import DistributedHashTable
+from priced import hbm_ps
 from repro.errors import TierStateError
 from repro.hardware.ledger import CostLedger
-from repro.hbm.hbm_ps import HBMPS
 from repro.nn.optim import SparseAdagrad, SparseSGD
 
 
@@ -16,7 +16,7 @@ def keys_of(xs):
 
 @pytest.fixture
 def ps():
-    return HBMPS(2, capacity_per_gpu=1000, optimizer=SparseSGD(2, lr=1.0))
+    return hbm_ps(2, 1000, SparseSGD(2, lr=1.0), CostLedger())
 
 
 @pytest.fixture
@@ -68,7 +68,7 @@ class TestLoadPull:
 
     def test_adagrad_embedding_slice(self, staged):
         opt = SparseAdagrad(2, lr=0.1)
-        ps = HBMPS(2, 1000, opt)
+        ps = hbm_ps(2, 1000, opt, CostLedger())
         values = np.array(
             [[1, 2, 10, 20], [3, 4, 30, 40]], dtype=np.float32
         )  # emb + accumulator
@@ -86,7 +86,8 @@ class TestLoadPull:
         """Nodes stage views of one round array: a key both nodes stage
         has one value, and a write to it is what both nodes' workers
         pull."""
-        a, b = (HBMPS(2, 1000, SparseSGD(2, lr=1.0)) for _ in range(2))
+        a = hbm_ps(2, 1000, SparseSGD(2, lr=1.0), CostLedger())
+        b = hbm_ps(2, 1000, SparseSGD(2, lr=1.0), CostLedger())
         plan = round_plan(
             [[[1, 2], []], [[2, 3], []]],
             n_gpus=2,
@@ -103,7 +104,7 @@ class TestLoadPull:
         assert emb_b.tolist() == [[5.0, 5.0], [0.0, 0.0]]
 
     def test_partition_over_capacity_raises(self, round_plan):
-        ps = HBMPS(2, capacity_per_gpu=3, optimizer=SparseSGD(2, lr=1.0))
+        ps = hbm_ps(2, 3, SparseSGD(2, lr=1.0), CostLedger())
         plan = round_plan(
             [[range(20), []]], n_gpus=2, gpu_partitioner=ps.params.partitioner
         )
@@ -132,7 +133,7 @@ class TestLoadPull:
         ):
             with pytest.raises(TierStateError, match="load_working_set first"):
                 op()
-        small = HBMPS(2, capacity_per_gpu=3, optimizer=SparseSGD(2, lr=1.0))
+        small = hbm_ps(2, 3, SparseSGD(2, lr=1.0), CostLedger())
         big = round_plan(
             [[range(20), []]], n_gpus=2, gpu_partitioner=small.params.partitioner
         )
@@ -199,7 +200,7 @@ class TestApplyUpdate:
         assert sync.nodes[0].resident_gpu_counts.sum() == 1
         self._apply(values, sync, np.ones((3, 2)), ps.optimizer)
         t = ps.apply_update(sync.nodes[0])
-        solo = HBMPS(2, 1000, SparseSGD(2, lr=1.0))
+        solo = hbm_ps(2, 1000, SparseSGD(2, lr=1.0), CostLedger())
         alone = round_plan(
             [[[1], []]], n_gpus=2, gpu_partitioner=solo.params.partitioner
         )
@@ -242,8 +243,8 @@ class TestCostModelEquivalence:
     @staticmethod
     def _pair():
         opt = SparseSGD(3, lr=1.0)
-        ps = HBMPS(4, 1000, opt, ledger=CostLedger())
-        dht = DistributedHashTable(4, 1000, opt.value_dim, ledger=CostLedger())
+        ps = hbm_ps(4, 1000, opt, CostLedger())
+        dht = DistributedHashTable(4, 1000, opt.value_dim, CostLedger())
         return ps, dht
 
     @staticmethod

@@ -22,8 +22,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from priced import HARDWARE
 from repro.hardware.ledger import CostLedger
-from repro.hardware.specs import GPUSpec, NVLinkSpec
 from repro.hbm.hbm_ps import GPUFabric
 from repro.hbm.allreduce import SparseUpdate
 from repro.hbm.partition import bucket_order
@@ -237,22 +237,16 @@ class DistributedHashTable(GPUFabric):
     partitions over NVLink, ``accumulate`` routes deltas to their owning
     GPU (Algorithm 2).  Per-GPU work runs concurrently, so a call's
     simulated time is the slowest GPU's table op plus the NVLink send.
+    Its GPUs and NVLink are the testbed's, as :func:`priced.hbm_ps`'s are.
     """
 
     def __init__(
-        self,
-        n_gpus: int,
-        capacity_per_gpu: int,
-        value_dim: int,
-        *,
-        gpu_spec: GPUSpec | None = None,
-        nvlink_spec: NVLinkSpec | None = None,
-        ledger: CostLedger | None = None,
+        self, n_gpus: int, capacity_per_gpu: int, value_dim: int, ledger: CostLedger
     ) -> None:
         super().__init__(
             n_gpus,
-            gpu_spec=gpu_spec,
-            nvlink_spec=nvlink_spec,
+            gpu_spec=HARDWARE.gpu,
+            nvlink_spec=HARDWARE.nvlink,
             ledger=ledger,
         )
         self.value_dim = value_dim

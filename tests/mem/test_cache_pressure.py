@@ -9,12 +9,12 @@ losslessness is the Fig. 3(b) contract.
 import numpy as np
 import pytest
 
+from priced import HARDWARE, ssd_ps
+from repro.hardware.ledger import CostLedger
 from repro.hardware.network import Network
-from repro.hardware.specs import NetworkSpec
 from repro.mem.cache import CombinedCache
 from repro.mem.mem_ps import MemPS
 from repro.nn.optim import SparseSGD
-from repro.ssd.ssd_ps import SSDPS
 
 
 def keys_of(xs):
@@ -22,8 +22,11 @@ def keys_of(xs):
 
 
 def make_mem(cache=32, seed=0):
+    """A MEM-PS whose SSD-PS and NIC charge one node ledger, as in
+    ``HPSNode``."""
     opt = SparseSGD(2, lr=1.0)
-    ssd = SSDPS(opt.value_dim, file_capacity=8, usage_threshold=1.6)
+    ledger = CostLedger()
+    ssd = ssd_ps(opt.value_dim, ledger, file_capacity=8, usage_threshold=1.6)
     return MemPS(
         0,
         1,
@@ -31,7 +34,7 @@ def make_mem(cache=32, seed=0):
         ssd,
         cache_capacity=cache,
         lru_fraction=0.5,
-        network=Network(NetworkSpec()),
+        network=Network(HARDWARE.network, ledger),
         seed=seed,
     )
 

@@ -3,12 +3,12 @@
 import numpy as np
 import pytest
 
+from priced import HARDWARE, ssd_ps
 from repro.errors import TierStateError
+from repro.hardware.ledger import CostLedger
 from repro.hardware.network import Network
-from repro.hardware.specs import NetworkSpec
 from repro.mem.mem_ps import MemPS
 from repro.nn.optim import SparseSGD
-from repro.ssd.ssd_ps import SSDPS
 
 
 def keys_of(xs):
@@ -16,8 +16,11 @@ def keys_of(xs):
 
 
 def make_mem(node_id=0, n_nodes=1, cache=64, seed=0):
+    """A MEM-PS whose SSD-PS and NIC charge one node ledger, as in
+    ``HPSNode``."""
     opt = SparseSGD(2, lr=1.0)
-    ssd = SSDPS(opt.value_dim, file_capacity=8, usage_threshold=1.6)
+    ledger = CostLedger()
+    ssd = ssd_ps(opt.value_dim, ledger, file_capacity=8, usage_threshold=1.6)
     return MemPS(
         node_id,
         n_nodes,
@@ -25,7 +28,7 @@ def make_mem(node_id=0, n_nodes=1, cache=64, seed=0):
         ssd,
         cache_capacity=cache,
         lru_fraction=0.5,
-        network=Network(NetworkSpec()),
+        network=Network(HARDWARE.network, ledger),
         seed=seed,
     )
 
@@ -209,10 +212,12 @@ class TestUpdates:
         pf = plan.prefetch[0]
         m.prepare(plan.nodes[0], values)
         hits_before = m.cache.stats.hits
-        ledgers_before = dict(m.network.ledger), dict(m.ssd_ps.ledger)
+        ledger = m.ssd_ps.ledger
+        assert m.network.ledger is ledger
+        before = dict(ledger)
         result = m.apply_gradients(pf.rows, np.ones((2, 2), dtype=np.float64))
         assert result is None
-        assert (dict(m.network.ledger), dict(m.ssd_ps.ledger)) == ledgers_before
+        assert dict(ledger) == before
         assert m.cache.stats.hits == hits_before
         m.end_batch()
         assert np.allclose(peek(m, keys), values - 1.0)  # SGD lr=1

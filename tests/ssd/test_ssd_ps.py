@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.ssd.ssd_ps import SSDPS
+from priced import ssd_ps
+from repro.hardware.ledger import CostLedger
 from ssd_oracles import store_mapping
 
 
@@ -13,7 +14,7 @@ def keys_of(xs):
 
 @pytest.fixture
 def ps():
-    return SSDPS(2, file_capacity=4, usage_threshold=1.4)
+    return ssd_ps(2, CostLedger(), file_capacity=4, usage_threshold=1.4)
 
 
 class TestLoadDump:
@@ -68,13 +69,13 @@ class TestLoadDump:
     def test_read_modify_write_costs_a_read_plus_a_dump(self):
         """As the MEM tier drives it (``load`` on a miss, ``dump`` on the
         write-back): a device read of the file plus a plain dump."""
-        ps = SSDPS(2, file_capacity=4, usage_threshold=1.6)
+        ps = ssd_ps(2, CostLedger(), file_capacity=4, usage_threshold=1.6)
         ps.dump(keys_of(range(4)), np.zeros((4, 2), np.float32))
         read = ps.load(keys_of(range(4)))
         write = ps.dump(keys_of(range(4)), read.values + 1.0)
         f = next(iter(ps.store.files()))
         device = ps.store.device.read_time(f.keys.size * ps.store.row_bytes)
-        dump_only = SSDPS(2, file_capacity=4, usage_threshold=1.6)
+        dump_only = ssd_ps(2, CostLedger(), file_capacity=4, usage_threshold=1.6)
         dump_only.dump(keys_of(range(4)), np.zeros((4, 2), np.float32))
         dump_cost = dump_only.dump(keys_of(range(4)), np.ones((4, 2), np.float32))
         assert read.seconds + write == pytest.approx(dump_cost + device)

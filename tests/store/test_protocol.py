@@ -10,6 +10,7 @@ import pytest
 
 from hbm_oracles import DistributedHashTable, HashTable
 from repro.core.trainer import ReferenceTrainer
+from repro.hardware.ledger import CostLedger
 from repro.store import FlatStore
 
 BATCH_SURFACE = ("get_batch", "put_batch", "contains", "items")
@@ -31,12 +32,12 @@ def read_far_first(store):
 
 ALL_STORES = [
     lambda: HashTable(64, 2),
-    lambda: DistributedHashTable(2, 64, 2),
+    lambda: DistributedHashTable(2, 64, 2, CostLedger()),
     # the same stores off their easy path: a one-GPU fabric, an odd GPU
     # count, a slab that has to grow on its first put, a table the
     # roundtrip fills to exact capacity, an index a read already grew
-    lambda: DistributedHashTable(1, 64, 2),
-    lambda: DistributedHashTable(3, 64, 2),
+    lambda: DistributedHashTable(1, 64, 2, CostLedger()),
+    lambda: DistributedHashTable(3, 64, 2, CostLedger()),
     lambda: FlatStore(2, capacity=2),
     lambda: HashTable(3, 2),
     lambda: FlatStore(2),

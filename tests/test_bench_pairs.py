@@ -45,18 +45,19 @@ def by_metric(summary):
     return {row["metric"]: row for row in summary["metrics"]}
 
 
+#: five (base, head) round_ms_p50 pairs the head wins by about a tenth
+WIN = list(zip([10.0, 10.2, 9.9, 10.1, 10.0], [9.0, 9.1, 9.2, 8.9, 9.0]))
+
+
 def test_a_consistent_win_is_resolved():
     pairs = load_pairs_module()
-    runs = [
-        (driver_run(pairs, b), driver_run(pairs, h))
-        for b, h in zip([10.0, 10.2, 9.9, 10.1, 10.0], [9.0, 9.1, 9.2, 8.9, 9.0])
-    ]
+    runs = [(driver_run(pairs, b), driver_run(pairs, h)) for b, h in WIN * 2]
     summary = pairs.summarise(runs, SPEC)
     assert summary["mismatches"] == []
     row = by_metric(summary)["round_ms_p50"]
     assert row["base"]["median"] == 10.0 and row["head"]["median"] == 9.0
     assert row["ratio"] == 0.9
-    assert row["head_wins"] == 5 and row["pairs"] == 5
+    assert row["head_wins"] == 10 and row["pairs"] == 10
     assert row["gap"] == 1.0 and row["gap"] > row["base_iqr"]
     assert row["verdict"] == "resolved better"
     # A metric equal on both sides is no one's win.
@@ -64,13 +65,31 @@ def test_a_consistent_win_is_resolved():
     assert setup["head_wins"] == 0 and setup["verdict"] == "unresolved"
     lines = pairs.format_summary("cache_resident", 0, summary)
     assert lines[0] == "== cache_resident seed 0"
-    assert any("head wins 5/5" in line and "resolved better" in line for line in lines)
+    assert any(
+        "head wins 10/10" in line and "resolved better at 10 pairs" in line
+        for line in lines
+    )
+
+
+def test_five_pairs_resolve_nothing():
+    """The same win over five pairs stays unresolved: a five-pair run once
+    read "resolved worse" at 1.038 where ten pairs read 1.004."""
+    pairs = load_pairs_module()
+    runs = [(driver_run(pairs, b), driver_run(pairs, h)) for b, h in WIN]
+    summary = pairs.summarise(runs, SPEC)
+    row = by_metric(summary)["round_ms_p50"]
+    assert row["head_wins"] == 5 and row["gap"] > row["base_iqr"]
+    assert row["verdict"] == "unresolved"
+    assert any(
+        "head wins 5/5" in line and "unresolved at 5 pairs" in line
+        for line in pairs.format_summary("cache_resident", 0, summary)
+    )
 
 
 def test_noise_and_losses_are_told_apart():
     pairs = load_pairs_module()
-    noisy = [(10.0, 9.0), (10.0, 11.0), (10.0, 9.5), (10.0, 10.5)]
-    worse = [(10.0, 12.0), (10.1, 12.1), (9.9, 11.9), (10.0, 12.0)]
+    noisy = [(10.0, 9.0), (10.0, 11.0), (10.0, 9.5), (10.0, 10.5)] * 3
+    worse = [(10.0, 12.0), (10.1, 12.1), (9.9, 11.9), (10.0, 12.0)] * 3
     for values, verdict in ((noisy, "unresolved"), (worse, "resolved worse")):
         runs = [(driver_run(pairs, b), driver_run(pairs, h)) for b, h in values]
         row = by_metric(pairs.summarise(runs, SPEC))["round_ms_p50"]
