@@ -13,6 +13,12 @@ functional baseline of Fig. 3(b).  This module prices it:
 per-node CPU forward/backward, parameter pull/push traffic, and the
 synchronization barrier whose straggler penalty grows with the node
 count.  This is what Table 4 and Fig. 3(a) compare against.
+
+The HDFS read and the CPU compute (derated by ``cpu_efficiency``) are
+:mod:`repro.hardware.specs` prices.  Named differences: compute counts
+:attr:`~repro.config.ModelSpec.train_flops_per_example`, as the HPS model
+does; the PS pull/push runs at the ``ps_bandwidth`` goodput plus per-key
+CPU, with no per-message latency and no RDMA.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.config import ModelSpec
-from repro.hardware.specs import CPUSpec, HDFSSpec
+from repro.hardware.specs import CPUSpec, HDFSSpec, derated
 from repro.utils.stats import expected_unique_zipf
 
 __all__ = ["MPITimingModel", "MPIBatchTime"]
@@ -111,15 +117,13 @@ class MPITimingModel:
         b = self.round_examples
 
         read_bytes = b * (16 + 8 * spec.nonzeros_per_example)
-        read_s = self.hdfs.latency_s + read_bytes / self.hdfs.bandwidth
+        read_s = self.hdfs.transfer_seconds(read_bytes)
 
         framework_s = b * self.framework_overhead_s
 
         # CPU forward/backward: dense tower plus embedding gather/scatter.
-        flops_pe = 6.0 * spec.n_dense + 6.0 * spec.nonzeros_per_example * (
-            spec.embedding_dim
-        )
-        compute_s = b * flops_pe / (self.cpu.flops * self.cpu_efficiency)
+        cpu = derated(self.cpu, flops=self.cpu_efficiency)
+        compute_s = cpu.compute_seconds(b * spec.train_flops_per_example)
 
         # Parameter pull + gradient push: unique working keys cross the
         # wire twice (values down, gradients up) and pay per-key CPU on
@@ -127,9 +131,7 @@ class MPITimingModel:
         w = self.working_params_per_round()
         wire_bytes = w * (16 + spec.bytes_per_sparse_param)
         shard_bytes = spec.size_gb * 1e9 / self.n_nodes
-        key_cost = self.key_overhead_s * (
-            1.0 + shard_bytes / self.shard_pressure_bytes
-        )
+        key_cost = self.key_overhead_s * (1.0 + shard_bytes / self.shard_pressure_bytes)
         net_s = wire_bytes / self.ps_bandwidth + w * key_cost
 
         sync_s = self.barrier_s * float(np.log2(max(2, self.n_nodes)))

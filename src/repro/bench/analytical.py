@@ -9,10 +9,21 @@ batches) through the same cost structure without materializing them:
 * stage times follow the identical accounting as the functional layer
   (HDFS read / MEM+SSD pull-push / HBM+GPU train), so Figures 3(a,c),
   4(a,b) and Table 4 fall out of one model;
-* hardware constants are the testbed's (`repro.hardware.specs`), plus a
-  small set of *effective-efficiency* calibration constants (documented on
-  the class) absorbing what a byte-level simulator cannot see: RPC
-  serialization, mixed read/write interference, kernel efficiency.
+* every hardware term is the :mod:`repro.hardware.specs` price the devices
+  charge, on *expected* work; *effective-efficiency* constants (documented
+  on the class) derate the specs' rates for what a byte-level simulator
+  cannot see: RPC serialization, mixed read/write, kernel efficiency.
+
+Named differences from the functional clock:
+
+* SSD padding: the expected traffic is one byte count, padded to blocks
+  once, not per file (``file_amplification`` stands for whole-file I/O).
+* FLOPs: :attr:`~repro.config.ModelSpec.train_flops_per_example`, not
+  the layer-shape count :func:`~repro.hardware.gpu.dense_flops_per_example`.
+* Per-key CPU: ``remote_key_overhead_s`` / ``serve_key_overhead_s``; the
+  functional MEM-PS charges none.
+* Remote-pull bytes: key + ``bytes_per_sparse_param`` per key; the
+  functional MEM-PS ships request key + key + embedding row.
 
 The reproduction claim is about **shape**: which stage dominates per
 model, who wins by roughly what factor, where crossovers fall.
@@ -20,12 +31,12 @@ model, who wins by roughly what factor, where crossovers fall.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from repro.config import ModelSpec
-from repro.hardware.specs import NodeHardware, default_node_hardware
+from repro.hardware.specs import NodeHardware, default_node_hardware, derated
 from repro.utils.stats import expected_unique_zipf
 
 __all__ = ["AnalyticalHPS", "HPSBatchTime"]
@@ -48,9 +59,8 @@ class HPSBatchTime:
     def pull_push_seconds(self) -> float:
         """MEM-PS + SSD-PS stage: local and remote pulls run in parallel,
         dumps serialize behind them."""
-        return max(self.pull_local_seconds, self.pull_remote_seconds) + (
-            self.dump_seconds
-        )
+        pull = max(self.pull_local_seconds, self.pull_remote_seconds)
+        return pull + self.dump_seconds
 
     @property
     def train_seconds(self) -> float:
@@ -86,8 +96,8 @@ class AnalyticalHPS:
         Per-key CPU cost on the remote-pull path (hash, serialize, RPC
         framing, deserialize) — dominates small-value transfers.
     ssd_efficiency:
-        Fraction of sequential SSD bandwidth achieved under the mixed
-        read/write + compaction traffic of a training batch.
+        Fraction of sequential SSD bandwidth (read and write) achieved
+        under the mixed read/write + compaction traffic of a batch.
     file_amplification:
         Bytes read per useful byte (whole-file I/O unit, Appendix E).
     gpu_efficiency:
@@ -139,14 +149,8 @@ class AnalyticalHPS:
     def value_bytes(self) -> float:
         return self.spec.bytes_per_sparse_param
 
-    def working_params_per_node(self) -> float:
-        """E[unique keys] in one node's 4M-example batch."""
-        draws = self.batch_size * self.spec.nonzeros_per_example
-        return expected_unique_zipf(draws, self.spec.n_sparse, self.zipf_exponent)
-
-    def working_params_cluster(self) -> float:
-        """E[unique keys] across all nodes' batches in one round."""
-        draws = self.n_nodes * self.batch_size * self.spec.nonzeros_per_example
+    def _unique(self, draws: float) -> float:
+        """E[unique keys] among ``draws`` Zipf draws from the key space."""
         return expected_unique_zipf(draws, self.spec.n_sparse, self.zipf_exponent)
 
     def cache_hit_rate(self) -> float:
@@ -164,53 +168,51 @@ class AnalyticalHPS:
         """
         if self._cache_hit_rate is not None:
             return self._cache_hit_rate
-        spec = self.spec
-        d = self.batch_size * spec.nonzeros_per_example
-        u1 = expected_unique_zipf(d, spec.n_sparse, self.zipf_exponent)
-        cache_params = (
-            self.cache_memory_fraction
-            * self.hw.cpu.memory_bytes
-            / self.value_bytes
-        )
-        h = max(1.0, cache_params / u1)
-        u_h = expected_unique_zipf(h * d, spec.n_sparse, self.zipf_exponent)
-        u_h1 = expected_unique_zipf((h + 1) * d, spec.n_sparse, self.zipf_exponent)
+        d = self.batch_size * self.spec.nonzeros_per_example
+        u1 = self._unique(d)
+        cache_bytes = self.cache_memory_fraction * self.hw.cpu.memory_bytes
+        h = max(1.0, cache_bytes / self.value_bytes / u1)
+        u_h, u_h1 = self._unique(h * d), self._unique((h + 1) * d)
         return float(np.clip((u_h + u1 - u_h1) / u1, 0.0, 1.0))
 
     # ------------------------------------------------------------------
+    def effective_hardware(self) -> NodeHardware:
+        """The specs with each efficiency constant derating its rates."""
+        hw, ssd, gpu = self.hw, self.ssd_efficiency, self.gpu_efficiency
+        return replace(
+            hw,
+            ssd=derated(hw.ssd, seq_read_bandwidth=ssd, seq_write_bandwidth=ssd),
+            gpu=derated(hw.gpu, flops=gpu, hbm_bandwidth=self.hbm_table_efficiency),
+        )
+
     def batch_time(self) -> HPSBatchTime:
         spec = self.spec
-        hw = self.hw
+        hw = self.effective_hardware()
         B = self.batch_size
         n = self.n_nodes
 
         # --- stage 1: HDFS read --------------------------------------
-        read_s = hw.hdfs.latency_s + B * self.log_bytes_per_example / hw.hdfs.bandwidth
+        read_s = hw.hdfs.transfer_seconds(B * self.log_bytes_per_example)
 
         # --- stage 2: MEM-PS / SSD-PS pull + dump --------------------
-        u_cluster = self.working_params_cluster()
-        u_node = self.working_params_per_node()
         hit = self.cache_hit_rate()
-        owned_per_node = u_cluster / n
+        draws = B * spec.nonzeros_per_example  # one node's batch
+        owned_per_node = self._unique(n * draws) / n
         ssd_loads = owned_per_node * (1.0 - hit)
         rec_bytes = 8 + self.value_bytes
-        ssd_bw = hw.ssd.seq_read_bandwidth * self.ssd_efficiency
         # The SSD serializes loads (amplified whole-file reads) with the
-        # dump of evicted updated parameters (written once, compacted once
-        # on average at the 50%-stale threshold -> ~1x extra write).
-        # Serving peers' pulls costs the owner per-key CPU on top of its
-        # own loads; zero in the single-node case.
+        # dump of evicted updated parameters.  Serving peers' pulls costs
+        # the owner per-key CPU on top of its own loads.
         served_keys = owned_per_node * (n - 1) / max(n, 1) if n > 1 else 0.0
         pull_local_s = (
-            ssd_loads * rec_bytes * self.file_amplification / ssd_bw
+            hw.ssd.read_seconds(ssd_loads * rec_bytes * self.file_amplification)
             + served_keys * self.serve_key_overhead_s
         )
-        dump_s = ssd_loads * rec_bytes / ssd_bw
-
-        remote_keys = u_node * (n - 1) / max(n, 1) if n > 1 else 0.0
-        net = hw.network
+        dump_s = hw.ssd.write_seconds(ssd_loads * rec_bytes)
+        # One pull per peer, as the MEM-PS sends them.
+        remote_keys = self._unique(draws) * (n - 1) / n if n > 1 else 0.0
         pull_remote_s = (
-            remote_keys * rec_bytes / net.bandwidth
+            hw.network.transfer_seconds(remote_keys * rec_bytes, n - 1)
             + remote_keys * self.remote_key_overhead_s
         )
 
@@ -219,35 +221,24 @@ class AnalyticalHPS:
         mb = self.minibatch_examples
         n_rounds = max(1.0, B / (gpus * mb))
         mb_draws = mb * spec.nonzeros_per_example
-        u_mb = expected_unique_zipf(mb_draws, spec.n_sparse, self.zipf_exponent)
-        # Pull: key + embedding row per unique key, (gpus-1)/gpus remote
-        # over NVLink; all GPUs pull in parallel -> per-round time is one
-        # worker's.
-        emb_bytes = 8 + 4.0 * spec.embedding_dim
-        pull_round = (
-            hw.gpu.kernel_launch_s
-            + u_mb * emb_bytes * 2 / (hw.gpu.hbm_bandwidth * self.hbm_table_efficiency)
-            + u_mb * (gpus - 1) / gpus * emb_bytes / hw.nvlink.bandwidth
-            + (gpus - 1) * hw.nvlink.latency_s
-        )
-        push_round = pull_round  # symmetric traffic (gradients back)
-        # Every dense parameter takes ~6 FLOPs per example (fwd GEMM +
-        # two bwd GEMMs); embeddings add gather/scatter work per nonzero.
-        flops = 6.0 * spec.n_dense + 6.0 * spec.nonzeros_per_example * (
-            spec.embedding_dim
-        )
-        compute_round = mb * flops / (hw.gpu.flops * self.gpu_efficiency)
+        u_mb = self._unique(mb_draws)
+        # Pull: a table op over the unique keys, and key + row of the
+        # (gpus-1)/gpus remote share over NVLink, one message per peer GPU;
+        # the GPUs pull in parallel, so a round costs one worker's pull.
+        value_bytes = 4.0 * spec.embedding_dim
+        emb_bytes = 8 + value_bytes
+        remote_bytes = u_mb * (gpus - 1) / gpus * emb_bytes
+        table = hw.gpu.hashtable_seconds(u_mb, value_bytes)
+        pull_round = table + hw.nvlink.transfer_seconds(remote_bytes, gpus - 1)
+        compute_round = hw.gpu.compute_seconds(mb * spec.train_flops_per_example)
 
-        # All-reduce per round: the global mini-batch union's gradients.
-        u_sync = expected_unique_zipf(
-            n * gpus * mb_draws, spec.n_sparse, self.zipf_exponent
-        )
-        sync_bytes = u_sync * emb_bytes
+        # All-reduce of the global mini-batch union's gradients: recursive
+        # doubling across nodes (one flow per GPU), then the NVLink tree.
+        sync_bytes = self._unique(n * gpus * mb_draws) * emb_bytes
         steps = np.ceil(np.log2(n)) if n > 1 else 0
-        ar_round = steps * (sync_bytes / net.bandwidth + gpus * net.latency_s)
-        ar_round += np.ceil(np.log2(gpus)) * (
-            sync_bytes / gpus / hw.nvlink.bandwidth + hw.nvlink.latency_s
-        )
+        ar_round = steps * hw.network.transfer_seconds(sync_bytes, gpus)
+        tree = np.ceil(np.log2(gpus))
+        ar_round += tree * hw.nvlink.transfer_seconds(sync_bytes / gpus)
 
         return HPSBatchTime(
             read_seconds=read_s,
@@ -255,7 +246,7 @@ class AnalyticalHPS:
             pull_remote_seconds=pull_remote_s,
             dump_seconds=dump_s,
             hbm_pull_seconds=n_rounds * pull_round,
-            hbm_push_seconds=n_rounds * push_round,
+            hbm_push_seconds=n_rounds * pull_round,  # symmetric: gradients back
             gpu_train_seconds=n_rounds * compute_round,
             allreduce_seconds=n_rounds * ar_round,
         )

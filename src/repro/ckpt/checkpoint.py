@@ -6,7 +6,7 @@
 simulated cost of moving the snapshot to/from the distributed FS through
 each node's :class:`~repro.hardware.ledger.CostLedger` (categories
 ``ckpt_write`` / ``ckpt_read``) at one price, the one every HDFS byte
-pays: each node's bytes are one ``node.hdfs.transfer_seconds`` (latency
+pays: each node's bytes are one ``node.hdfs.spec.transfer_seconds`` (latency
 + bytes / bandwidth; node 0's include the dense shard and the manifest).
 
 * Serialization is free on the critical path: the ~2 GB/s encode runs
@@ -171,7 +171,7 @@ def _config_payload(cluster) -> dict:
 def _charge_transfers(nodes, node_bytes, category: str) -> list[float]:
     """Price each node's bytes as one HDFS transfer, charge it to the
     node's ledger under ``category`` and return the per-node seconds."""
-    seconds = [node.hdfs.transfer_seconds(n) for node, n in zip(nodes, node_bytes)]
+    seconds = [node.hdfs.spec.transfer_seconds(n) for node, n in zip(nodes, node_bytes)]
     for node, t in zip(nodes, seconds):
         node.ledger.add(category, t)
     return seconds

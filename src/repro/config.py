@@ -70,6 +70,12 @@ class ModelSpec:
         """Value payload per sparse key implied by the model size."""
         return self.size_gb * 1e9 / self.n_sparse
 
+    @property
+    def train_flops_per_example(self) -> float:
+        """Paper-scale train FLOPs per example (analytical models): 6 per
+        dense parameter and per gathered embedding element."""
+        return 6.0 * self.n_dense + 6.0 * self.nonzeros_per_example * self.embedding_dim
+
 
 #: Paper Table 3, verbatim.
 PAPER_MODELS: dict[str, ModelSpec] = {

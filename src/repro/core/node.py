@@ -90,7 +90,6 @@ class HPSNode:
     def cpu_partition_time(self, n_keys: int) -> float:
         """Simulated seconds to shard ``n_keys`` working keys across this
         node's GPUs (Alg. 1 line 5), charged to the node's ledger."""
-        cpu = self.hardware.cpu
-        # Half the cores shard keys while the other half run the pipeline.
-        rate = cpu.keys_per_second_per_core * max(1, cpu.cores // 2)
-        return self.ledger.add("cpu_partition", n_keys / rate)
+        return self.ledger.add(
+            "cpu_partition", self.hardware.cpu.partition_seconds(n_keys)
+        )

@@ -3,8 +3,9 @@
 The paper streams click-log batches from HDFS into each node's main memory
 (Algorithm 1 line 2); in Fig. 3(c) this "Read examples" stage is the
 bottleneck for the small models.  :class:`HDFSStream` wraps a
-:class:`~repro.data.generator.CTRDataGenerator` and charges the read-time
-model for every batch it yields.
+:class:`~repro.data.generator.CTRDataGenerator` and charges every batch it
+yields at :meth:`HDFSSpec.transfer_seconds
+<repro.hardware.specs.HDFSSpec.transfer_seconds>`.
 
 Data-parallel sharding: a stream reads by *global* batch index, and the
 cluster hands node ``i`` of ``n`` batches ``i, i+n, i+2n, …`` — different
@@ -55,17 +56,6 @@ class HDFSStream:
         #: (:class:`repro.faults.policy.FaultArm`; None = fault-free)
         self.faults = None
 
-    def transfer_seconds(self, n_bytes: int) -> float:
-        """Simulated seconds to move ``n_bytes`` to/from the distributed
-        FS — the one place the latency + bytes/bandwidth cost model lives
-        (batch reads and checkpoint shard traffic both price through it).
-        """
-        return self.spec.latency_s + n_bytes / self.spec.bandwidth
-
-    def read_time(self, batch: Batch) -> float:
-        """Simulated seconds to stream ``batch`` from HDFS."""
-        return self.transfer_seconds(batch.nbytes_raw_log())
-
     def read(self, global_index: int) -> TimedBatch:
         """Fetch one batch by global index, charging the ledger.
 
@@ -77,7 +67,8 @@ class HDFSStream:
         functions of the global index, so a retry cannot fork the data).
         """
         batch = self.generator.batch(global_index, self.batch_size)
-        t = self.read_time(batch)
+        n_bytes = batch.nbytes_raw_log()
+        t = self.spec.transfer_seconds(n_bytes)
         extra = 0.0
         if self.faults is not None:
             extra = self.faults.guard(
@@ -85,5 +76,5 @@ class HDFSStream:
             )
         self.ledger.add("hdfs_read", t)
         self.batches_read += 1
-        self.bytes_read += batch.nbytes_raw_log()
+        self.bytes_read += n_bytes
         return TimedBatch(global_index, batch, t + extra)

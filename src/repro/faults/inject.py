@@ -68,7 +68,7 @@ class CheckpointRecovery:
             return None, 0, 0.0
         # One transfer per walk, as a restore prices its shard chain.
         nbytes = sum(sizes)
-        seconds = self.node.hdfs.transfer_seconds(nbytes) if sizes else 0.0
+        seconds = self.node.hdfs.spec.transfer_seconds(nbytes) if sizes else 0.0
         exact = found is not None and bool(np.isin(expected_keys, found[0]).all())
         return (found[1] if exact else None), nbytes, seconds
 

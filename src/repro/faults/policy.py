@@ -242,7 +242,7 @@ class FaultArm:
         newest snapshot dumped it, never at a snapshot boundary, so the
         supervisor heals the loss by full restore.
         """
-        per_attempt = store.device.read_time(size)
+        per_attempt = store.device.spec.read_seconds(size)
         costs = {"ssd_read_error": per_attempt, "ssd_torn_payload": per_attempt}
         try:
             return self.guard(costs, scope="node")

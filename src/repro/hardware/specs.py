@@ -6,12 +6,18 @@ NIC; nodes interconnected through a high-speed Ethernet switch; training
 data streamed from HDFS.  All bandwidth/latency figures are effective
 (post-protocol-overhead) values, chosen from the cited hardware generation
 (V100-class GPUs, NVLink 2.0, PCIe 3.0 x16, 100 GbE RoCE).
+
+Each hardware operation has one price: a method of its spec, work in,
+seconds out, negative work refused.  The devices charge counted work at it,
+the analytical models expected work on :func:`derated` specs.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+
+import numpy as np
 
 __all__ = [
     "GPUSpec",
@@ -22,9 +28,8 @@ __all__ = [
     "CPUSpec",
     "NodeHardware",
     "default_node_hardware",
+    "derated",
 ]
-
-GB = 1e9
 
 
 def _validate(
@@ -44,6 +49,11 @@ def _validate(
             )
 
 
+def derated(spec, **factors: float):
+    """``spec`` with each named rate scaled by its efficiency factor."""
+    return replace(spec, **{f: getattr(spec, f) * x for f, x in factors.items()})
+
+
 @dataclass(frozen=True)
 class GPUSpec:
     """One accelerator card."""
@@ -59,6 +69,19 @@ class GPUSpec:
     def __post_init__(self) -> None:
         _validate(self, ("flops", "hbm_bandwidth"), ("kernel_launch_s",))
 
+    def compute_seconds(self, flops: float) -> float:
+        if flops < 0:
+            raise ValueError(f"negative flops: {flops!r}")
+        return flops / self.flops
+
+    def hashtable_seconds(self, n_keys: float, value_bytes: float) -> float:
+        """One kernel launch plus each key's key + value read and written
+        through HBM."""
+        if n_keys < 0 or value_bytes < 0:
+            raise ValueError(f"negative table op: {n_keys!r} keys of {value_bytes!r} B")
+        moved = n_keys * (8 + value_bytes) * 2
+        return self.kernel_launch_s + moved / self.hbm_bandwidth
+
 
 @dataclass(frozen=True)
 class NVLinkSpec:
@@ -70,6 +93,14 @@ class NVLinkSpec:
 
     def __post_init__(self) -> None:
         _validate(self, ("bandwidth",), ("latency_s",))
+
+    def transfer_seconds(self, n_bytes: float, n_messages: int = 1) -> float:
+        """One latency per message (at least one unless nothing moves)."""
+        if n_bytes < 0 or n_messages < 0:
+            raise ValueError(f"negative transfer: {n_bytes!r} B, {n_messages!r} msgs")
+        if n_bytes == 0 and n_messages == 0:
+            return 0.0
+        return max(n_messages, 1) * self.latency_s + n_bytes / self.bandwidth
 
 
 @dataclass(frozen=True)
@@ -97,6 +128,20 @@ class NetworkSpec:
             ("latency_s", "cpu_bounce_overhead_s"),
         )
 
+    def transfer_seconds(self, n_bytes: float, n_messages: int = 1) -> float:
+        """As NVLink's; without RDMA the bytes also cross PCIe twice and
+        each message pays the CPU/driver overhead."""
+        if n_bytes < 0 or n_messages < 0:
+            raise ValueError(f"negative transfer: {n_bytes!r} B, {n_messages!r} msgs")
+        if n_bytes == 0 and n_messages == 0:
+            return 0.0
+        n_messages = max(n_messages, 1)
+        t = n_messages * self.latency_s + n_bytes / self.bandwidth
+        if not self.rdma:
+            t += 2 * n_bytes / self.pcie_bandwidth
+            t += n_messages * self.cpu_bounce_overhead_s
+        return t
+
 
 @dataclass(frozen=True)
 class SSDSpec:
@@ -116,6 +161,18 @@ class SSDSpec:
             self, ("seq_read_bandwidth", "seq_write_bandwidth", "block_bytes")
         )
 
+    def _padded(self, n_bytes):
+        """Whole files of ``n_bytes`` (scalar or array) rounded up to blocks."""
+        if (n_bytes < 0).any() if isinstance(n_bytes, np.ndarray) else n_bytes < 0:
+            raise ValueError(f"negative file size: {n_bytes!r}")
+        return -(-n_bytes // self.block_bytes) * self.block_bytes
+
+    def read_seconds(self, n_bytes):
+        return self._padded(n_bytes) / self.seq_read_bandwidth
+
+    def write_seconds(self, n_bytes):
+        return self._padded(n_bytes) / self.seq_write_bandwidth
+
 
 @dataclass(frozen=True)
 class HDFSSpec:
@@ -130,6 +187,12 @@ class HDFSSpec:
 
     def __post_init__(self) -> None:
         _validate(self, ("bandwidth",), ("latency_s",))
+
+    def transfer_seconds(self, n_bytes: float) -> float:
+        """Batch reads, checkpoint shards and quarantine re-reads alike."""
+        if n_bytes < 0:
+            raise ValueError(f"negative transfer: {n_bytes!r} B")
+        return self.latency_s + n_bytes / self.bandwidth
 
 
 @dataclass(frozen=True)
@@ -147,6 +210,17 @@ class CPUSpec:
         _validate(
             self, ("cores", "keys_per_second_per_core", "flops", "memory_bytes")
         )
+
+    def compute_seconds(self, flops: float) -> float:
+        if flops < 0:
+            raise ValueError(f"negative flops: {flops!r}")
+        return flops / self.flops
+
+    def partition_seconds(self, n_keys: float) -> float:
+        """Sharding keys across GPUs (Alg. 1 line 5) on half the cores."""
+        if n_keys < 0:
+            raise ValueError(f"negative key count: {n_keys!r}")
+        return n_keys / (self.keys_per_second_per_core * max(1, self.cores // 2))
 
 
 @dataclass(frozen=True)

@@ -151,8 +151,8 @@ def hierarchical_allreduce(
         # GPU j of one node talks to GPU j of the other: gpus_per_node
         # parallel flows sharing one NIC -> the NIC moves all bytes but
         # pays only one latency per parallel lane.
-        return networks[node].transfer_time(
-            n_keys * row_bytes, n_messages=gpus_per_node
+        return networks[node].spec.transfer_seconds(
+            n_keys * row_bytes, gpus_per_node
         )
 
     def _scatter(out: np.ndarray, present: np.ndarray, k: int) -> None:
@@ -217,7 +217,7 @@ def hierarchical_allreduce(
         shard_bytes = result.nbytes() / gpus_per_node
         t_intra = 0.0
         for nv in nvlinks:
-            t_node = rounds * nv.transfer_time(int(shard_bytes), n_messages=1)
+            t_node = rounds * nv.spec.transfer_seconds(int(shard_bytes))
             nv.bytes_moved += int(shard_bytes) * rounds
             nv.ledger.add("allreduce", t_node)
             t_intra = max(t_intra, t_node)
@@ -309,7 +309,7 @@ def allreduce_dense(
     steps = int(np.ceil(np.log2(n))) if n > 1 else 0
     t = 0.0
     if steps:
-        t = steps * max(net.transfer_time(nbytes) for net in networks)
+        t = steps * max(net.spec.transfer_seconds(nbytes) for net in networks)
         for net in networks:
             net.ledger.add("allreduce", t / len(networks))
     return total, t

@@ -38,6 +38,18 @@ class TestTimingModel:
         assert t.sync_seconds > 0
         assert t.total_seconds >= t.network_seconds
 
+    def test_read_and_compute_lines_are_the_prices(self):
+        """HDFS and CPU are the spec prices; the CPU derated by
+        ``cpu_efficiency``."""
+        m = MPITimingModel(PAPER_MODELS["C"])
+        t, spec, b = m.batch_time(), m.spec, m.round_examples
+        assert t.read_seconds == m.hdfs.transfer_seconds(
+            b * (16 + 8 * spec.nonzeros_per_example)
+        )
+        assert t.compute_seconds == b * spec.train_flops_per_example / (
+            m.cpu.flops * m.cpu_efficiency
+        )
+
     def test_sync_grows_with_cluster(self):
         small = MPITimingModel(PAPER_MODELS["A"], n_mpi_nodes=8).batch_time()
         large = MPITimingModel(PAPER_MODELS["A"], n_mpi_nodes=128).batch_time()

@@ -1,10 +1,13 @@
 """Tests for the paper-scale analytical timing model — these pin down the
 qualitative shapes the paper's evaluation section reports."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.bench.analytical import AnalyticalHPS
 from repro.config import PAPER_MODELS
+from repro.hardware.specs import NetworkSpec, default_node_hardware
 
 
 class TestBatchTime:
@@ -128,3 +131,49 @@ class TestPipelineToggle:
     def test_validation(self):
         with pytest.raises(ValueError):
             AnalyticalHPS(PAPER_MODELS["A"], n_nodes=0)
+
+
+class TestSpecPrices:
+    """The analytical lines are the spec prices on expected work."""
+
+    def test_cpu_bounce_costs_more_than_rdma(self):
+        """``NetworkSpec.rdma`` reaches both network lines: the bounce
+        path's extra PCIe copies and per-message CPU overhead raise the
+        all-reduce and the remote pull; nothing off the network moves."""
+        hw = default_node_hardware()
+        rdma = AnalyticalHPS(PAPER_MODELS["E"]).batch_time()
+        bounce = AnalyticalHPS(
+            PAPER_MODELS["E"], hardware=replace(hw, network=NetworkSpec(rdma=False))
+        ).batch_time()
+        assert bounce.allreduce_seconds > rdma.allreduce_seconds
+        assert bounce.pull_remote_seconds > rdma.pull_remote_seconds
+        assert bounce.pull_local_seconds == rdma.pull_local_seconds
+        assert bounce.hbm_pull_seconds == rdma.hbm_pull_seconds
+        assert bounce.gpu_train_seconds == rdma.gpu_train_seconds
+
+    def test_each_efficiency_constant_derates_one_rate(self):
+        m = AnalyticalHPS(PAPER_MODELS["C"])
+        hw, eff = m.hw, m.effective_hardware()
+        ssd = m.ssd_efficiency
+        assert eff.ssd.seq_read_bandwidth == hw.ssd.seq_read_bandwidth * ssd
+        assert eff.ssd.seq_write_bandwidth == hw.ssd.seq_write_bandwidth * ssd
+        assert eff.gpu.flops == hw.gpu.flops * m.gpu_efficiency
+        assert eff.gpu.hbm_bandwidth == hw.gpu.hbm_bandwidth * m.hbm_table_efficiency
+        assert (eff.hdfs, eff.network, eff.nvlink, eff.cpu) == (
+            hw.hdfs, hw.network, hw.nvlink, hw.cpu
+        )
+        assert eff.ssd.block_bytes == hw.ssd.block_bytes
+        assert eff.gpu.kernel_launch_s == hw.gpu.kernel_launch_s
+
+    def test_read_and_compute_lines_are_the_prices(self):
+        m = AnalyticalHPS(PAPER_MODELS["C"], n_nodes=1)
+        t, eff, spec = m.batch_time(), m.effective_hardware(), m.spec
+        assert t.read_seconds == eff.hdfs.transfer_seconds(
+            m.batch_size * m.log_bytes_per_example
+        )
+        rounds = max(1.0, m.batch_size / (eff.gpus_per_node * m.minibatch_examples))
+        assert t.gpu_train_seconds == rounds * eff.gpu.compute_seconds(
+            m.minibatch_examples * spec.train_flops_per_example
+        )
+        assert t.pull_remote_seconds == 0.0
+        assert t.allreduce_seconds > 0  # the intra-node NVLink tree alone

@@ -147,7 +147,7 @@ def test_save_prices_each_node_as_one_hdfs_transfer(
     d = tmp_path / "s1"
     shipped = [_size(d, node_shard_name(n.node_id)) for n in cluster.nodes]
     shipped[0] += _size(d, DENSE_SHARD) + _size(d, MANIFEST_NAME)
-    prices = [n.hdfs.transfer_seconds(b) for n, b in zip(cluster.nodes, shipped)]
+    prices = [n.hdfs.spec.transfer_seconds(b) for n, b in zip(cluster.nodes, shipped)]
     assert [n.ledger.total("ckpt_write") for n in cluster.nodes] == [
         b + t for b, t in zip(before, prices)
     ]
@@ -169,7 +169,7 @@ def test_restore_prices_each_node_as_one_hdfs_transfer(
     )
     stats = restore_nodes(cluster, str(chain[-1]), ids)
     prices = [
-        cluster.nodes[i].hdfs.transfer_seconds(
+        cluster.nodes[i].hdfs.spec.transfer_seconds(
             sum(_size(d, node_shard_name(i)) for d in chain) + shared
         )
         for i in ids

@@ -77,10 +77,9 @@ class TestHDFSStream:
         assert slow.read_seconds > fast.read_seconds * 10
 
     @pytest.mark.parametrize("n_bytes", [0, 1, 4096, 10**9])
-    def test_transfer_seconds_is_alpha_beta(self, gen, n_bytes):
+    def test_transfer_seconds_is_alpha_beta(self, n_bytes):
         """Every HDFS byte — batch reads, snapshot saves and restores,
         quarantine re-reads — pays the α–β closed form."""
         spec = HDFSSpec()
-        stream = HDFSStream(gen, spec, batch_size=64, ledger=CostLedger())
         expected = spec.latency_s + n_bytes / spec.bandwidth
-        assert stream.transfer_seconds(n_bytes) == expected
+        assert spec.transfer_seconds(n_bytes) == expected

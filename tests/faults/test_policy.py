@@ -174,9 +174,10 @@ class _SizedStore:
     file objects: ``ssd_reads`` must price from the sizes it is given."""
 
     class device:
-        @staticmethod
-        def read_time(nbytes: int) -> float:
-            return nbytes * 1e-6
+        class spec:
+            @staticmethod
+            def read_seconds(nbytes: int) -> float:
+                return nbytes * 1e-6
 
     def file(self, file_id: int):
         raise AssertionError("ssd_reads built a file object")

@@ -49,7 +49,7 @@ def reference_allreduce(updates, networks=None, gpus_per_node=8):
     def xchg(node, nbytes):
         if networks is None:
             return 0.0
-        return networks[node].transfer_time(nbytes, n_messages=gpus_per_node)
+        return networks[node].spec.transfer_seconds(nbytes, gpus_per_node)
 
     p = 1
     while p * 2 <= n:
@@ -185,7 +185,7 @@ class TestAllreduceDense:
         nets = networks(4)
         grads = [[np.ones((2, 2)), np.ones(3)] for _ in range(4)]
         _, t = allreduce_dense(grads, networks=nets)
-        assert t == 2 * nets[0].transfer_time(4 * 7)
+        assert t == 2 * nets[0].spec.transfer_seconds(4 * 7)
         assert [n.ledger.total("allreduce") for n in nets] == [t / 4] * 4
 
     def test_shape_mismatch_rejected(self):

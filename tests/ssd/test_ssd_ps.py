@@ -50,7 +50,7 @@ class TestLoadDump:
         store's read priced, and the ledger grows by exactly that."""
         ps.dump(keys_of(range(4)), np.arange(8, dtype=np.float32).reshape(4, 2))
         f = next(iter(ps.store.files()))
-        device = ps.store.device.read_time(f.keys.size * ps.store.row_bytes)
+        device = ps.store.device.spec.read_seconds(f.keys.size * ps.store.row_bytes)
         for n in (1, 2):
             result = ps.load(keys_of(range(4)))
             assert result.found.all()
@@ -74,7 +74,7 @@ class TestLoadDump:
         read = ps.load(keys_of(range(4)))
         write = ps.dump(keys_of(range(4)), read.values + 1.0)
         f = next(iter(ps.store.files()))
-        device = ps.store.device.read_time(f.keys.size * ps.store.row_bytes)
+        device = ps.store.device.spec.read_seconds(f.keys.size * ps.store.row_bytes)
         dump_only = ssd_ps(2, CostLedger(), file_capacity=4, usage_threshold=1.6)
         dump_only.dump(keys_of(range(4)), np.zeros((4, 2), np.float32))
         dump_cost = dump_only.dump(keys_of(range(4)), np.ones((4, 2), np.float32))

@@ -50,7 +50,7 @@ class ReferenceSSDDevice(SSDDevice):
 
     def read(self, n_bytes: int) -> float:
         """Account a whole-file device read; returns simulated seconds."""
-        t = self.read_time(n_bytes)
+        t = self.spec.read_seconds(n_bytes)
         self.bytes_read += n_bytes
         self.read_ops += 1
         self.ledger.add("ssd_read", t)

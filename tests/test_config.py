@@ -26,8 +26,8 @@ BUILD_RESTORE_SIGNATURES = (
     "repro.core.trainer:ReferenceTrainer.__init__",
     "repro.ssd.ssd_ps:SSDPS.__init__",
     "repro.hbm.partition:ModuloPartitioner.__init__",
-    "repro.hardware.ssd_device:SSDDevice.read_time",
-    "repro.hardware.ssd_device:SSDDevice.write_time",
+    "repro.hardware.specs:SSDSpec.read_seconds",
+    "repro.hardware.specs:SSDSpec.write_seconds",
     "repro.hardware.ssd_device:SSDDevice.write",
 )
 
@@ -131,6 +131,12 @@ class TestPaperModels:
         """Table 3 implies 30-60 B/key — an embedding + optimizer state."""
         for m in PAPER_MODELS.values():
             assert 25 < m.bytes_per_sparse_param < 80
+
+    def test_train_flops_per_example(self):
+        """The analytical models' paper-scale count: 6 per dense
+        parameter plus 6 per gathered embedding element."""
+        e = PAPER_MODELS["E"]
+        assert e.train_flops_per_example == 6.0 * 7e6 + 6.0 * 500 * 8
 
     def test_dense_orders_of_magnitude_smaller(self):
         for m in PAPER_MODELS.values():

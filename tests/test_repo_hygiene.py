@@ -13,15 +13,23 @@ job's question; it runs the scenarios, this test runs none.)
 Every ``self.<name>`` store and dataclass field in ``src/repro`` must have
 a reader outside ``tests/`` — one place each fact is recorded, and no
 record kept only for the tests to look at.
+
+Every hardware price is written once, in ``hardware/specs.py``: no rate,
+latency or size of a hardware spec takes part in arithmetic anywhere else
+under ``src/repro``, so the devices and both analytical models cannot
+drift apart.
 """
 
 import ast
 import importlib.util
+from dataclasses import fields
 import pathlib
 import shutil
 import subprocess
 
 import pytest
+
+from repro.hardware import specs
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -211,3 +219,69 @@ def test_only_attribute_naming_strings_count_as_reads(source, names):
     read it; a string handed to getattr and friends does."""
     call = next(n for n in ast.walk(ast.parse(source)) if isinstance(n, ast.Call))
     assert attribute_names_in(call) == names
+
+
+#: The hardware specs whose fields are prices' inputs.
+PRICED_SPECS = (
+    specs.GPUSpec, specs.NVLinkSpec, specs.NetworkSpec, specs.SSDSpec,
+    specs.HDFSSpec, specs.CPUSpec,
+)
+#: Their rates, latencies and sizes: every field but the switches
+#: (``rdma``) and the capacities (``memory_bytes``), which price nothing.
+PRICE_FIELDS = frozenset(
+    f.name
+    for cls in PRICED_SPECS
+    for f in fields(cls)
+    if f.type != "bool" and f.name != "memory_bytes"
+)
+#: The one module allowed to write a price.
+PRICE_MODULE = "src/repro/hardware/specs.py"
+
+
+def price_formula_sites(root: pathlib.Path = REPO_ROOT) -> list[str]:
+    """``path:line`` of every arithmetic operation outside
+    :data:`PRICE_MODULE` with a spec field (:data:`PRICE_FIELDS`,
+    spelled as an attribute: ``hw.hdfs.bandwidth``, ``self.spec.latency_s``)
+    as an operand — a price written out again."""
+    root = pathlib.Path(root)
+    sites = set()
+    for path in sorted((root / "src" / "repro").rglob("*.py")):
+        where = path.relative_to(root).as_posix()
+        if where == PRICE_MODULE:
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), where)):
+            if isinstance(node, ast.BinOp):
+                operands = (node.left, node.right)
+            elif isinstance(node, ast.AugAssign):
+                operands = (node.value,)
+            else:
+                continue
+            if any(
+                isinstance(o, ast.Attribute) and o.attr in PRICE_FIELDS
+                for o in operands
+            ):
+                sites.add((where, node.lineno))
+    return [f"{where}:{line}" for where, line in sorted(sites)]
+
+
+def test_prices_are_written_only_in_the_specs():
+    """A device or analytical model prices through the spec's method
+    (``spec.transfer_seconds(n)``), never with ``spec.latency_s + n /
+    spec.bandwidth`` of its own."""
+    assert price_formula_sites() == []
+
+
+def test_the_price_guard_sees_a_formula(tmp_path):
+    """The guard flags each way a price can be spelled out again."""
+    module = tmp_path / "src" / "repro" / "x.py"
+    module.parent.mkdir(parents=True)
+    module.write_text(
+        "t = hw.hdfs.latency_s + n / hw.hdfs.bandwidth\n"
+        "t += self.spec.cpu_bounce_overhead_s\n"
+        "t = n / (gpu.flops * eff)\n"
+        "m = cfg.memory_bytes * 0.3\n"
+        "ok = hw.hdfs.transfer_seconds(n)\n"
+    )
+    assert price_formula_sites(tmp_path) == [
+        "src/repro/x.py:1", "src/repro/x.py:2", "src/repro/x.py:3"
+    ]
