@@ -3,7 +3,7 @@
 
 from __future__ import annotations
 
-__all__ = ["TierStateError", "KeyDomainError"]
+__all__ = ["TierStateError", "KeyDomainError", "PayloadRangeError"]
 
 
 class TierStateError(RuntimeError):
@@ -17,3 +17,8 @@ class KeyDomainError(ValueError):
     """A key, or a model's ``n_sparse``, outside the key domain the
     direct-addressed store index serves
     (:data:`repro.utils.keys.KEY_DOMAIN_CAP`)."""
+
+
+class PayloadRangeError(ValueError):
+    """A payload the direct-addressed store index cannot hold: negative,
+    or at or past :data:`repro.store.slot_index.PAYLOAD_LIMIT`."""

@@ -49,6 +49,15 @@ def _validate(
             )
 
 
+def _check_transfer(n_bytes: float, n_messages: int) -> None:
+    """Refuse a link transfer no sender makes: negative work, or bytes
+    carried by no message."""
+    if n_bytes < 0 or n_messages < 0:
+        raise ValueError(f"negative transfer: {n_bytes!r} B, {n_messages!r} msgs")
+    if n_bytes > 0 and n_messages == 0:
+        raise ValueError(f"{n_bytes!r} B sent in no message")
+
+
 def derated(spec, **factors: float):
     """``spec`` with each named rate scaled by its efficiency factor."""
     return replace(spec, **{f: getattr(spec, f) * x for f, x in factors.items()})
@@ -95,12 +104,10 @@ class NVLinkSpec:
         _validate(self, ("bandwidth",), ("latency_s",))
 
     def transfer_seconds(self, n_bytes: float, n_messages: int = 1) -> float:
-        """One latency per message (at least one unless nothing moves)."""
-        if n_bytes < 0 or n_messages < 0:
-            raise ValueError(f"negative transfer: {n_bytes!r} B, {n_messages!r} msgs")
-        if n_bytes == 0 and n_messages == 0:
-            return 0.0
-        return max(n_messages, 1) * self.latency_s + n_bytes / self.bandwidth
+        """One latency per message; bytes travel in messages, so bytes
+        with no message are a ``ValueError``."""
+        _check_transfer(n_bytes, n_messages)
+        return n_messages * self.latency_s + n_bytes / self.bandwidth
 
 
 @dataclass(frozen=True)
@@ -131,11 +138,7 @@ class NetworkSpec:
     def transfer_seconds(self, n_bytes: float, n_messages: int = 1) -> float:
         """As NVLink's; without RDMA the bytes also cross PCIe twice and
         each message pays the CPU/driver overhead."""
-        if n_bytes < 0 or n_messages < 0:
-            raise ValueError(f"negative transfer: {n_bytes!r} B, {n_messages!r} msgs")
-        if n_bytes == 0 and n_messages == 0:
-            return 0.0
-        n_messages = max(n_messages, 1)
+        _check_transfer(n_bytes, n_messages)
         t = n_messages * self.latency_s + n_bytes / self.bandwidth
         if not self.rdma:
             t += 2 * n_bytes / self.pcie_bandwidth

@@ -24,10 +24,12 @@ def bucket_order(parts: np.ndarray, n_parts: int) -> tuple[np.ndarray, np.ndarra
     table's shard dispatch — routes
     through this one function so the grouping contract stays in one place.
     Bucket ids (all in ``[0, n_parts)``) are sorted in the narrowest
-    unsigned dtype that holds them: NumPy's stable sort of 8- and 16-bit
-    integers is an O(n) radix sort.
+    unsigned dtype that holds them — the dtype
+    :meth:`ModuloPartitioner.part_of` returns, so its ids are sorted as
+    they are: NumPy's stable sort of 8- and 16-bit integers is an O(n)
+    radix sort.
     """
-    narrow = parts.astype(np.min_scalar_type(n_parts - 1))
+    narrow = parts.astype(np.min_scalar_type(n_parts - 1), copy=False)
     order = np.argsort(narrow, kind="stable")
     bounds = np.searchsorted(narrow[order], np.arange(n_parts + 1))
     return order, bounds
@@ -35,6 +37,10 @@ def bucket_order(parts: np.ndarray, n_parts: int) -> tuple[np.ndarray, np.ndarra
 
 class ModuloPartitioner:
     """Maps keys to ``n_parts`` buckets by hashed modulo.
+
+    Bucket ids come back in the narrowest unsigned dtype that holds
+    ``n_parts - 1`` (uint8 up to 256 buckets), on the direct-hash path
+    and from the memoized bucket table alike.
 
     Parameters
     ----------
@@ -50,6 +56,7 @@ class ModuloPartitioner:
             raise ValueError("n_parts must be positive")
         self.n_parts = n_parts
         self.salt = salt
+        self._dtype = np.min_scalar_type(n_parts - 1)
         self._table: np.ndarray | None = None
         self._untabled = 0
 
@@ -76,7 +83,7 @@ class ModuloPartitioner:
                     self._table = (
                         mix_hash(dom, seed=self.salt)
                         % np.uint64(self.n_parts)
-                    ).astype(np.int64)
+                    ).astype(self._dtype)
                     return self._table[keys.astype(np.int64)]
         h = mix_hash(keys, seed=self.salt)
-        return (h % np.uint64(self.n_parts)).astype(np.int64)
+        return (h % np.uint64(self.n_parts)).astype(self._dtype)

@@ -409,6 +409,10 @@ class CombinedCache:
         if n == 0:
             return np.zeros(0, dtype=bool), _NO_SLOTS.copy()
         rows, found = self._index.get(keys)
+        # The round indexes with these rows about six times (tiers, pins,
+        # values, write-back, unpin) and NumPy casts a non-intp index on
+        # every use, so widen the index's int32 rows once here.
+        rows = rows.astype(np.int64)
         # An absent key's row is -1, which would read the last row's
         # tier: mask by ``found``.
         in_lru = found & (self._tick[rows] < _FAR)

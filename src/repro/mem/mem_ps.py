@@ -85,9 +85,6 @@ class MemPS:
     def owner_of(self, keys: np.ndarray) -> np.ndarray:
         return self.partitioner.part_of(keys)
 
-    def owns(self, keys: np.ndarray) -> np.ndarray:
-        return self.owner_of(keys) == self.node_id
-
     # ------------------------------------------------------------------
     def _round(self) -> NodePrefetchPlan:
         """The in-flight round's resolved plan."""

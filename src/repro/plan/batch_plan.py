@@ -63,8 +63,7 @@ def group_indices(part_of: np.ndarray, n_parts: int) -> list[np.ndarray]:
     """Index arrays of each bucket, in ascending original position.
 
     Equivalent to ``[np.flatnonzero(part_of == b) for b in range(n_parts)]``
-    (and to the order :meth:`ModuloPartitioner.split` produces) but with a
-    single sort over the whole array, via the shared
+    but with a single sort over the whole array, via the shared
     :func:`~repro.hbm.partition.bucket_order` primitive.
     """
     order, bounds = bucket_order(part_of, n_parts)

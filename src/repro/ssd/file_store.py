@@ -38,11 +38,11 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from repro.errors import TierStateError
+from repro.errors import PayloadRangeError, TierStateError
 from repro.hardware.ledger import CostLedger
 from repro.hardware.specs import SSDSpec
 from repro.hardware.ssd_device import SSDDevice
-from repro.store.slot_index import SlotIndex
+from repro.store.slot_index import PAYLOAD_LIMIT, SlotIndex
 from repro.utils.keys import KEY_DTYPE, as_keys, check_key_cap
 from repro.utils.rows import put_rows, take_rows
 
@@ -223,6 +223,15 @@ class FileStore:
         self._n_slots = need
         return slots
 
+    def _check_locators(self, n_slots: int) -> None:
+        """Refuse, before anything is written, files whose row locators
+        (below ``n_slots * file_capacity``) the mapping cannot hold."""
+        if n_slots * self.file_capacity > PAYLOAD_LIMIT:
+            raise PayloadRangeError(
+                f"{n_slots} file slots of {self.file_capacity} rows need row "
+                f"locators past the mapping's limit of {PAYLOAD_LIMIT}"
+            )
+
     def _rows_of(self, slots: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(slot, row, arena row)`` of every row of the files in
         ``slots``, file by file in the given order."""
@@ -326,6 +335,7 @@ class FileStore:
         check_key_cap(int(keys[-1]), "FileStore.write")
         cap = self.file_capacity
         n_new = -(-n // cap)
+        self._check_locators(self._n_slots + n_new)
         offsets = np.minimum(np.arange(n_new + 1, dtype=np.int64) * cap, n)
         rows = np.diff(offsets)
         file_ids = np.arange(n_new, dtype=np.int64) + self._next_file_id
@@ -590,6 +600,7 @@ class FileStore:
             state, "snapshot", self.value_dim
         )
         file_index, row = _derive_mapping(fids, offsets, live, keys)
+        self._check_locators(fids.size)
         self._reset_files()
         self._mapping = SlotIndex()
         self._mark = None  # a load: unmarked until its reader marks it

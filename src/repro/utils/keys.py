@@ -32,7 +32,7 @@ EMPTY_KEY = np.uint64(0xFFFFFFFFFFFFFFFF)
 
 #: The compact key domain ``[0, KEY_DOMAIN_CAP)``.  The store index
 #: (:class:`~repro.store.SlotIndex`) addresses keys directly inside it —
-#: one int64 per possible key, 32 MiB at the cap — and refuses keys past
+#: one int32 per possible key, 16 MiB at the cap — and refuses keys past
 #: it; :func:`compact_unique` and the partitioner's bucket table switch to
 #: sort / hash paths at it.
 KEY_DOMAIN_CAP = 1 << 22

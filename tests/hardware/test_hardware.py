@@ -95,6 +95,25 @@ class TestPrices:
     def test_zero_transfer(self, spec):
         assert spec.transfer_seconds(0, 0) == 0.0
 
+    @pytest.mark.parametrize(
+        "spec",
+        [NetworkSpec(), NetworkSpec(rdma=False), NVLinkSpec()],
+        ids=["net", "net-bounce", "nvlink"],
+    )
+    def test_bytes_in_no_message_are_refused(self, spec):
+        """Bytes travel in messages: 4096 B in zero messages used to be
+        priced as one message's latency."""
+        with pytest.raises(ValueError, match="no message"):
+            spec.transfer_seconds(4096, 0)
+
+    def test_refused_send_charges_nothing(self):
+        ledger = CostLedger()
+        net = Network(NetworkSpec(), ledger)
+        with pytest.raises(ValueError, match="no message"):
+            net.send(4096, n_messages=0)
+        assert ledger.total() == 0.0 and ledger.categories() == []
+        assert net.messages_sent == 0 and net.bytes_sent == 0
+
     def test_block_rounding(self):
         ssd = SSDSpec(block_bytes=4096)
         assert ssd.read_seconds(1) == ssd.read_seconds(4096)

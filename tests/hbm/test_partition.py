@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.hbm.partition import ModuloPartitioner, bucket_order
+from repro.utils.keys import mix_hash
 
 
 class TestPartitioner:
@@ -40,6 +41,26 @@ class TestPartitioner:
         p = ModuloPartitioner(1)
         assert np.all(p.part_of(np.arange(50, dtype=np.uint64)) == 0)
 
+    @pytest.mark.parametrize(
+        "n_parts, dtype", [(1, np.uint8), (5, np.uint8), (256, np.uint8), (300, np.uint16)]
+    )
+    def test_direct_and_tabled_paths_agree(self, n_parts, dtype):
+        """A key stream that crosses the table-build threshold midway:
+        the batches hashed directly and the ones gathered from the bucket
+        table give the hashed modulo, in the same narrow dtype."""
+        p = ModuloPartitioner(n_parts, salt=3)
+        rng = np.random.default_rng(n_parts)
+        tabled = []
+        for _ in range(12):
+            keys = rng.integers(0, 4000, 500).astype(np.uint64)
+            parts = p.part_of(keys)
+            tabled.append(p._table is not None)
+            assert parts.dtype == dtype
+            expected = mix_hash(keys, seed=3) % np.uint64(n_parts)
+            assert parts.tolist() == expected.tolist()
+        assert tabled[0] is False and tabled[-1] is True
+        assert p._table.dtype == dtype
+
 
 @given(
     st.integers(min_value=1, max_value=300).flatmap(
@@ -54,13 +75,15 @@ class TestPartitioner:
 @settings(max_examples=100, deadline=None)
 def test_bucket_order_groups_like_flatnonzero(case):
     """The grouping primitive's contract, on both sides of the
-    uint8 -> uint16 boundary of the narrow sort key: bucket ``b`` is
+    uint8 -> uint16 boundary of the narrow sort key, for int64 ids and
+    for the narrow ids ``part_of`` returns: bucket ``b`` is
     ``flatnonzero(parts == b)`` — ascending original position."""
     n_parts, ids = case
-    parts = np.array(ids, dtype=np.int64)
-    order, bounds = bucket_order(parts, n_parts)
-    assert order.dtype == np.int64 and bounds.shape == (n_parts + 1,)
-    for b in range(n_parts):
-        assert np.array_equal(
-            order[bounds[b] : bounds[b + 1]], np.flatnonzero(parts == b)
-        )
+    for dtype in (np.int64, np.min_scalar_type(n_parts - 1)):
+        parts = np.array(ids, dtype=dtype)
+        order, bounds = bucket_order(parts, n_parts)
+        assert order.dtype == np.int64 and bounds.shape == (n_parts + 1,)
+        for b in range(n_parts):
+            assert np.array_equal(
+                order[bounds[b] : bounds[b + 1]], np.flatnonzero(parts == b)
+            )

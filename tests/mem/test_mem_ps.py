@@ -78,7 +78,7 @@ class TestOwnership:
 
     def test_single_node_owns_all(self):
         m = make_mem()
-        assert m.owns(keys_of(range(50))).all()
+        assert (m.owner_of(keys_of(range(50))) == m.node_id).all()
 
 
 class TestPrepare:
@@ -150,9 +150,9 @@ class TestUpdates:
         a.absorb_updates(values)
         a.end_batch()
         b.end_batch()
-        assert np.all(peek(a, keys[a.owns(keys)]) == 7.0)
+        assert np.all(peek(a, keys[a.owner_of(keys) == a.node_id]) == 7.0)
         # The peer did not write back: its shard is still the fresh init.
-        theirs = keys[b.owns(keys)]
+        theirs = keys[b.owner_of(keys) == b.node_id]
         assert np.array_equal(
             peek(b, theirs), b.optimizer.init_for_keys(theirs, seed=0)
         )

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import KeyDomainError
+from repro.errors import KeyDomainError, PayloadRangeError
 from repro.hardware.ledger import CostLedger
 from repro.hardware.specs import SSDSpec
 from repro.ssd.file_store import FileStore
@@ -60,6 +60,26 @@ class TestWrite:
     def test_shape_mismatch(self, store):
         with pytest.raises(ValueError):
             store.write(keys_of([1]), np.zeros((1, 3), np.float32))
+
+    def test_locators_past_the_mapping_are_refused_untouched(self):
+        """A row locator is ``slot * file_capacity + row`` in an int32
+        mapping.  At 2**30 rows a file, a third file's locators do not
+        fit: the write or snapshot load that needs them is refused before
+        it registers a file, so no file is left that the mapping does
+        not know."""
+        small = FileStore(2, file_capacity=2**29)
+        for k in range(3):
+            small.write(keys_of([k]), vals_of(1, base=k))
+        big = FileStore(2, file_capacity=2**30)
+        for k in range(2):
+            big.write(keys_of([k]), vals_of(1, base=k))
+        before = copied(big.export_state())
+        with pytest.raises(PayloadRangeError, match="3 file slots"):
+            big.write(keys_of([2]), vals_of(1, base=2))
+        with pytest.raises(PayloadRangeError, match="3 file slots"):
+            big.load_state(small.export_state())
+        big.check_invariants()
+        assert_same_arrays(big.export_state(), before)
 
 
 class TestRead:

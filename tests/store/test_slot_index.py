@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import KeyDomainError
+from repro.errors import KeyDomainError, PayloadRangeError
 from repro.store.slot_index import SlotIndex
 from repro.utils.keys import EMPTY_KEY, KEY_DOMAIN_CAP
 
@@ -66,6 +66,20 @@ class TestBasics:
         assert [a.tolist() for a in idx.items()] == [[7], [70]]
         assert len(idx) == 1
         idx.set(keys_of([KEY_DOMAIN_CAP - 1]), np.array([1]))  # the last key
+        assert len(idx) == 2
+
+    @pytest.mark.parametrize("bad", [2**31, 2**40, -1, -2])
+    def test_payloads_outside_int32_are_refused(self, bad):
+        """Payloads are int32: one at or past 2**31, or negative, used to
+        be stored as it came.  The refusal leaves the index as it was."""
+        idx = SlotIndex()
+        idx.set(keys_of([3, 9]), np.array([30, 2**31 - 1]))  # the last payload
+        with pytest.raises(PayloadRangeError, match=str(bad)):
+            idx.set(keys_of([3, 5000]), np.array([31, bad]))
+        vals, found = idx.get(keys_of([3, 9, 5000]))
+        assert vals.tolist() == [30, 2**31 - 1, -1]
+        assert found.tolist() == [True, True, False]
+        assert [a.tolist() for a in idx.items()] == [[3, 9], [30, 2**31 - 1]]
         assert len(idx) == 2
 
 

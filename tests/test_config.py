@@ -11,7 +11,9 @@ from repro.ckpt.checkpoint import CheckpointStats
 from repro.config import PAPER_MODELS, TINY_MODEL, ClusterConfig, ModelSpec
 from repro.core.cluster import BatchStats
 from repro.hardware.specs import GPUSpec, HDFSSpec, SSDSpec
+from repro.hbm.partition import ModuloPartitioner
 from repro.mem.cache import CombinedCache
+from repro.store.slot_index import SlotIndex
 
 #: The signatures on the cluster's build/restore path.  A defaulted
 #: parameter there is an option a caller may set, so their count is a
@@ -111,6 +113,16 @@ def tier_constructor_parameters() -> int:
     return sum(len(_parameters(name)) for name in TIER_CONSTRUCTORS)
 
 
+def key_table_bytes() -> tuple[int, int]:
+    """Bytes per key of the per-key tables: a :class:`SlotIndex` payload
+    and a 256-bucket :class:`ModuloPartitioner`'s bucket table."""
+    index = SlotIndex()
+    index.set(np.arange(4, dtype=np.uint64), np.arange(4))
+    partitioner = ModuloPartitioner(256)
+    partitioner.part_of(np.arange(2048, dtype=np.uint64))  # builds the table
+    return index._payload.itemsize, partitioner._table.itemsize
+
+
 class TestPaperModels:
     def test_five_models(self):
         assert sorted(PAPER_MODELS) == ["A", "B", "C", "D", "E"]
@@ -181,6 +193,14 @@ class TestClusterConfig:
         assert fault_layer_parameters() <= 8
         assert tier_constructor_parameters() <= 32
         assert defaulted_priced_parameters() <= 8
+
+    def test_key_tables_stay_narrow(self):
+        """Per-key bytes grow with the model: an index payload holds an
+        int32 slab row or row locator, a bucket table one byte per key
+        up to 256 buckets (CI prints both head vs base)."""
+        payload, bucket = key_table_bytes()
+        assert payload <= 4
+        assert bucket <= 1
 
     def test_with_nodes(self):
         """Derive a config with ``dataclasses.replace``: the other fields
