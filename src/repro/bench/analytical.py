@@ -24,6 +24,8 @@ Named differences from the functional clock:
   functional MEM-PS charges none.
 * Remote-pull bytes: key + ``bytes_per_sparse_param`` per key; the
   functional MEM-PS ships request key + key + embedding row.
+* All-reduce: every exchange step moves the whole union; the functional
+  steps move the true partials (a fold step one node's keys).
 
 The reproduction claim is about **shape**: which stage dominates per
 model, who wins by roughly what factor, where crossovers fall.
@@ -37,6 +39,7 @@ import numpy as np
 
 from repro.config import ModelSpec
 from repro.hardware.specs import NodeHardware, default_node_hardware, derated
+from repro.hbm.allreduce import exchange_steps, tree_rounds
 from repro.utils.stats import expected_unique_zipf
 
 __all__ = ["AnalyticalHPS", "HPSBatchTime"]
@@ -232,13 +235,13 @@ class AnalyticalHPS:
         pull_round = table + hw.nvlink.transfer_seconds(remote_bytes, gpus - 1)
         compute_round = hw.gpu.compute_seconds(mb * spec.train_flops_per_example)
 
-        # All-reduce of the global mini-batch union's gradients: recursive
-        # doubling across nodes (one flow per GPU), then the NVLink tree.
+        # All-reduce of the global mini-batch union's gradients: the
+        # collectives' exchange steps across nodes, each moving the whole
+        # union (one flow per GPU), then the NVLink tree.
         sync_bytes = self._unique(n * gpus * mb_draws) * emb_bytes
-        steps = np.ceil(np.log2(n)) if n > 1 else 0
-        ar_round = steps * hw.network.transfer_seconds(sync_bytes, gpus)
-        tree = np.ceil(np.log2(gpus))
-        ar_round += tree * hw.nvlink.transfer_seconds(sync_bytes / gpus)
+        ar_round = len(exchange_steps(n)) * hw.network.transfer_seconds(
+            sync_bytes, gpus
+        ) + tree_rounds(gpus) * hw.nvlink.transfer_seconds(sync_bytes / gpus)
 
         return HPSBatchTime(
             read_seconds=read_s,

@@ -4,7 +4,9 @@ Every simulated hardware operation reports a cost in *simulated seconds*
 under a named category.  Each node keeps one ledger, a required argument
 of every priced component it builds, so no charge lands anywhere else;
 the benchmarks aggregate the nodes' ledgers into the paper's per-stage
-decompositions.
+decompositions.  A collective charges in one place
+(``repro.hbm.allreduce._charge``): its returned seconds, an equal share on
+each node's ledger under ``allreduce``.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ class CostLedger:
         ssd_write        parameter-file writes (dumps + compaction)
         net_remote_pull  inter-node MEM-PS parameter traffic
         nvlink           intra-node inter-GPU transfers
-        allreduce        inter-node GPU synchronization
+        allreduce        GPU synchronization (inter-node steps + NVLink tree)
         gpu_compute      forward/backward propagation
         hbm_pull / hbm_push   distributed-hash-table traffic
     """
@@ -66,35 +68,8 @@ class CostLedger:
         """Number of samples recorded under ``category``."""
         return self._counts.get(category, 0)
 
-    def categories(self) -> list[str]:
-        return sorted(self._totals)
-
     def as_dict(self) -> dict[str, float]:
         return dict(self._totals)
-
-    def merge(self, other: "CostLedger") -> "CostLedger":
-        """Fold ``other`` into this ledger (in place); returns self."""
-        for cat, sec in other._totals.items():
-            self._totals[cat] += sec
-        for cat, n in other._counts.items():
-            self._counts[cat] += n
-        return self
-
-    def snapshot(self) -> "CostLedger":
-        """Independent copy of the current state."""
-        out = CostLedger()
-        out._totals = defaultdict(float, self._totals)
-        out._counts = defaultdict(int, self._counts)
-        return out
-
-    def delta_since(self, snapshot: "CostLedger") -> dict[str, float]:
-        """Per-category difference between now and ``snapshot``."""
-        out: dict[str, float] = {}
-        for cat in set(self._totals) | set(snapshot._totals):
-            d = self._totals.get(cat, 0.0) - snapshot._totals.get(cat, 0.0)
-            if d:
-                out[cat] = d
-        return out
 
     def reset(self) -> None:
         self._totals.clear()
@@ -132,7 +107,3 @@ class CostLedger:
 
     def __iter__(self) -> Iterator[tuple[str, float]]:
         return iter(sorted(self._totals.items()))
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        parts = ", ".join(f"{c}={s:.3f}s" for c, s in self)
-        return f"CostLedger({parts})"

@@ -1,20 +1,26 @@
 """Inter-node GPU parameter synchronization (paper §4.2, Appendix C.3).
 
 After every mini-batch, each GPU must receive all parameter updates from
-all other GPUs and reduce them — an all-reduce.  The paper's communication
-schedule (Figure 9) is hierarchical:
+all other GPUs and reduce them — an all-reduce.  The paper's schedule
+(Figure 9) is written once, in :func:`exchange_steps` and
+:func:`tree_rounds`:
 
-1. ``log2(n_nodes)`` **inter-node** recursive-doubling steps: in step *s*,
-   node *i* exchanges its current partial update with node ``i XOR 2^s``,
-   GPU *j* talking to GPU *j* over RDMA; all node pairs run in parallel.
-2. ``log2(gpus_per_node)`` **intra-node** tree steps over NVLink.
+1. **Inter-node** recursive doubling among the first ``p`` nodes, ``p``
+   the largest power of two ≤ ``n_nodes``: in the step at stride *s*,
+   node *i* exchanges its current partial with node ``i XOR s``, GPU *j*
+   talking to GPU *j* over RDMA; all node pairs run in parallel.  Node
+   counts that are not powers of two (the paper's Fig. 4(b)/5(b) sweep
+   includes 3) use the standard MPI trick: surplus nodes fold their
+   update into a partner in one step before the doubling and receive the
+   result in one step after it, so 3 nodes take 3 steps, 5–7 take 4.
+2. ``ceil(log2(gpus_per_node))`` **intra-node** tree rounds over NVLink.
 
-Node counts that are not powers of two (the paper's Fig. 4(b)/5(b) sweep
-includes 3) use the standard MPI trick: surplus nodes fold their update
-into a partner before the doubling phase and receive the result after it.
-
-The functional reduction (key-union + gradient sum) and the timing model
-run together: message sizes at each step are the true partial-update sizes.
+Both collectives and :class:`~repro.bench.analytical.AnalyticalHPS`
+price these counts, and each collective charges its returned seconds
+once, an equal share on every node's ledger (:func:`_charge`).  The
+functional reduction (key-union + gradient sum) and the timing model
+run together: message sizes at each step are the true partial-update
+sizes.
 """
 
 from __future__ import annotations
@@ -30,6 +36,8 @@ from repro.utils.rows import put_rows, take_rows
 
 __all__ = [
     "SparseUpdate",
+    "exchange_steps",
+    "tree_rounds",
     "hierarchical_allreduce",
     "allreduce_dense",
     "DenseGradAccumulator",
@@ -64,13 +72,13 @@ class SparseUpdate:
     def n_keys(self) -> int:
         return int(self.keys.size)
 
+    @property
+    def row_bytes(self) -> int:
+        """Wire size of one row: 8 B key + 4 B float per gradient coordinate."""
+        return 8 + 4 * int(np.prod(self.grads.shape[1:]))
+
     def nbytes(self) -> int:
-        """Wire size: 8 B key + 4 B float per gradient coordinate."""
-        if self.grads.ndim == 1:
-            per_key = 4
-        else:
-            per_key = 4 * self.grads.shape[1]
-        return self.n_keys * (8 + per_key)
+        return self.n_keys * self.row_bytes
 
     @staticmethod
     def empty(dim: int) -> "SparseUpdate":
@@ -94,39 +102,75 @@ class SparseUpdate:
         return u
 
 
+def exchange_steps(n_nodes: int) -> list[list[tuple[int, int]]]:
+    """The inter-node schedule: one list of ``(dst, src)`` transfers per
+    step, every transfer of a step running in parallel.
+
+    Recursive doubling runs among the first ``p`` nodes (``p`` the largest
+    power of two ≤ ``n_nodes``): at stride ``s`` = 1, 2, …, ``p/2`` node
+    ``i`` swaps partials with ``i ^ s``.  Each surplus node ``i ≥ p``
+    folds into ``i - p`` in a step before the first stride and gets the
+    result back in a step after the last.
+    """
+    p = 1
+    while 2 * p <= n_nodes:
+        p *= 2
+    steps = [[(i, i ^ (1 << k)) for i in range(p)] for k in range(p.bit_length() - 1)]
+    fold = [(i - p, i) for i in range(p, n_nodes)]
+    if fold:
+        steps = [fold, *steps, [(src, dst) for dst, src in fold]]
+    return steps
+
+
+def tree_rounds(gpus_per_node: int) -> int:
+    """Rounds of the intra-node NVLink tree: ``ceil(log2(gpus_per_node))``."""
+    return int(gpus_per_node - 1).bit_length()
+
+
+def _charge(fabrics: list[Network] | list[NVLink], seconds: float) -> None:
+    """Charge a collective's ``seconds`` once: an equal share on each
+    participating node's ledger, under ``allreduce``."""
+    for fabric in fabrics:
+        fabric.ledger.add("allreduce", seconds / len(fabrics))
+
+
 def hierarchical_allreduce(
     node_updates: list[SparseUpdate],
     *,
+    gpus_per_node: int,
     networks: list[Network] | None = None,
     nvlinks: list[NVLink] | None = None,
-    gpus_per_node: int = 8,
     union: tuple[np.ndarray, list[np.ndarray]] | None = None,
 ) -> tuple[SparseUpdate, float]:
     """All-reduce per-node sparse updates; returns (global update, seconds).
 
-    ``networks``/``nvlinks`` are each node's fabric models, whose ledgers
-    are charged the collective's ``allreduce`` seconds.  The returned time
-    is the critical path: max over participating nodes per step, summed
-    over steps.  Omitting both prices nothing: only
-    ``benchmarks/hps/micro.py`` does; drop that path at benchmark v2.
+    ``networks``/``nvlinks`` are each node's fabric models; each node's
+    ledger is charged an equal share of the returned seconds.  The time
+    is the critical path: per :func:`exchange_steps` step, the slowest
+    sender; then the slowest node's NVLink tree.  Omitting both prices
+    nothing: only ``benchmarks/hps/micro.py`` does; drop that path at
+    benchmark v2.
 
     ``union`` is ``(keys, positions)`` when the caller already has them
     (the round's :class:`~repro.plan.SyncPlan`): the sorted union of
     every node's keys and, per node, the positions of its keys inside
     that union.  Otherwise both are derived here with one dedup.
 
-    Functionally only node 0's reduction tree is evaluated — after a
-    doubling step every node of a block holds the same key union and the
-    same sums, so the sibling merges are dead work whose *sizes* (all the
-    timing model needs) equal their block leader's.  A partial is a
-    dense gradient array over the union's positions plus a presence
-    mask; merging scatters a leaf in (``out[pos] += grads``) or adds two
-    dense partials.  Each key therefore sees exactly the additions of
-    the pairwise key-merge tree, in the same order, starting from +0.0.
+    Functionally one partial per block of nodes is evaluated: a transfer
+    between nodes holding different partials merges them into the lower
+    node's, which every node of the block then holds (``lead``).  The
+    sibling merges are dead work — the same key union and the same sums —
+    whose *sizes* (all the timing model needs) equal the block's.  A
+    partial is a dense gradient array over the union's positions plus a
+    presence mask; merging scatters a leaf in (``out[pos] += grads``) or
+    adds two dense partials.  Each key therefore sees exactly the
+    additions of the pairwise key-merge tree, in the same order, starting
+    from +0.0.
     """
     n = len(node_updates)
     if n == 0:
         raise ValueError("need at least one node")
+    #: keys in each partial, indexed by the node that leads it
     sizes = [u.n_keys for u in node_updates]
     if union is None:
         union_keys, inverse = compact_unique(
@@ -140,8 +184,7 @@ def hierarchical_allreduce(
             for pos, u in zip(positions, node_updates)
         ), "union does not cover the drained updates"
     row_shape = node_updates[0].grads.shape[1:]
-    row_bytes = 8 + 4 * int(np.prod(row_shape))
-    total_time = 0.0
+    row_bytes = node_updates[0].row_bytes
     #: node -> (dense sums, presence mask) once it has absorbed a merge
     dense: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
@@ -180,52 +223,30 @@ def hierarchical_allreduce(
             _scatter(out, present, j)
         sizes[i] = int(np.count_nonzero(present))
 
-    # --- fold surplus nodes into partners (non-power-of-two case) -------
-    p = 1
-    while p * 2 <= n:
-        p *= 2
-    surplus = list(range(p, n))
-    step_t = 0.0
-    for i in surplus:
-        step_t = max(step_t, _xchg_time(i, sizes[i]))
-        _merge(i - p, i)
-    total_time += step_t
+    total_time = 0.0
+    lead = list(range(n))  # node -> the node whose partial it holds
+    for step in exchange_steps(n):
+        total_time += max(_xchg_time(src, sizes[lead[src]]) for _, src in step)
+        for dst, src in step:
+            i, j = sorted((lead[dst], lead[src]))
+            if i != j:  # two partials meet: the lower node leads the merge
+                _merge(i, j)
+                lead = [i if k == j else k for k in lead]
 
-    # --- recursive doubling among the first p nodes ---------------------
-    step = 1
-    while step < p:
-        step_t = max(_xchg_time(i, sizes[i ^ step]) for i in range(p))
-        for i in range(0, p, 2 * step):
-            _merge(i, i + step)
-            sizes[i : i + 2 * step] = [sizes[i]] * (2 * step)
-        total_time += step_t
-        step *= 2
-
-    if 0 in dense:
-        result = SparseUpdate.trusted(union_keys, dense[0][0])
-    else:
-        result = node_updates[0]
-    # --- send result back to surplus nodes ------------------------------
-    step_t = 0.0
-    for i in surplus:
-        step_t = max(step_t, _xchg_time(i - p, result.n_keys))
-    total_time += step_t
+    result = (
+        SparseUpdate.trusted(union_keys, dense[0][0]) if 0 in dense else node_updates[0]
+    )
 
     # --- intra-node NVLink tree (Figure 9 step 3) ------------------------
-    if nvlinks is not None and gpus_per_node > 1:
-        rounds = int(np.ceil(np.log2(gpus_per_node)))
-        shard_bytes = result.nbytes() / gpus_per_node
-        t_intra = 0.0
+    if nvlinks is not None:
+        rounds = tree_rounds(gpus_per_node)
+        shard_bytes = int(result.nbytes() / gpus_per_node)
         for nv in nvlinks:
-            t_node = rounds * nv.spec.transfer_seconds(int(shard_bytes))
-            nv.bytes_moved += int(shard_bytes) * rounds
-            nv.ledger.add("allreduce", t_node)
-            t_intra = max(t_intra, t_node)
-        total_time += t_intra
-
-    if networks is not None:
-        for net in networks:
-            net.ledger.add("allreduce", total_time / max(len(networks), 1))
+            nv.bytes_moved += shard_bytes * rounds
+        total_time += max(
+            rounds * nv.spec.transfer_seconds(shard_bytes) for nv in nvlinks
+        )
+    _charge(networks or nvlinks or [], total_time)
     return result, total_time
 
 
@@ -287,8 +308,9 @@ def allreduce_dense(
     (sum, seconds), each node's ledger charged an equal share.
 
     Dense towers are replicated on every GPU; their gradients are tiny
-    (≤ a few million floats), so a flat recursive-doubling reduce over
-    ``networks`` (one NIC per node; the slowest prices each step) suffices.
+    (≤ a few million floats), so the :func:`exchange_steps` schedule over
+    ``networks`` (one NIC per node; the slowest prices each step, every
+    step moving the whole sum) suffices.
     The sum accumulates in float32; pass a :class:`DenseGradAccumulator`
     as ``out`` to reuse its buffers across calls (the returned arrays are
     then views of the accumulator and are overwritten by the next call).
@@ -306,10 +328,8 @@ def allreduce_dense(
         acc.add(grads)
     total = acc.arrays
     nbytes = int(sum(4 * g.size for g in total))
-    steps = int(np.ceil(np.log2(n))) if n > 1 else 0
-    t = 0.0
-    if steps:
-        t = steps * max(net.spec.transfer_seconds(nbytes) for net in networks)
-        for net in networks:
-            net.ledger.add("allreduce", t / len(networks))
+    t = len(exchange_steps(n)) * max(
+        net.spec.transfer_seconds(nbytes) for net in networks
+    )
+    _charge(networks, t)
     return total, t

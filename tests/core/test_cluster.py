@@ -306,6 +306,24 @@ class TestEveryChargeLandsOnANodeLedger:
         assert all(node.ledger.total("ckpt_write") > 0 for node in cluster.nodes)
         assert _foreign_ledgers(cluster) == []
 
+    @pytest.mark.parametrize("n_nodes", [2, 3])
+    def test_allreduce_lines_sum_to_the_stage_clock(self, tiny_spec, n_nodes):
+        """Fault-free, the collectives charge what the stage clock adds:
+        the node ledgers' ``allreduce`` lines grow by the rounds'
+        ``allreduce_seconds``, lockstep and pipelined."""
+        cluster = HPSCluster(
+            tiny_spec, self._config(n_nodes), functional_batch_size=256
+        )
+
+        def charged() -> float:
+            return sum(node.ledger.total("allreduce") for node in cluster.nodes)
+
+        before = charged()
+        stats = cluster.train(2) + cluster.train_pipelined(2).stats
+        clock = sum(s.allreduce_seconds for s in stats)
+        assert clock > 0
+        assert charged() - before == pytest.approx(clock, rel=1e-12)
+
     def test_a_supervised_fault_soak_run(self, tiny_spec, tmp_path):
         """Checked inside every round, while the fault arms are attached,
         and after the run, on whatever nodes the recoveries rebuilt."""

@@ -5,15 +5,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from priced import networks
+from priced import HARDWARE, networks
+from repro.bench.analytical import AnalyticalHPS
+from repro.config import PAPER_MODELS
+from repro.hardware.gpu import NVLink
 from repro.hardware.ledger import CostLedger
 from repro.hardware.network import Network
-from repro.hardware.specs import NetworkSpec
+from repro.hardware.specs import NetworkSpec, default_node_hardware
 from repro.hbm.allreduce import (
     DenseGradAccumulator,
     SparseUpdate,
     allreduce_dense,
+    exchange_steps,
     hierarchical_allreduce,
+    tree_rounds,
 )
 from repro.utils.keys import compact_unique
 
@@ -118,7 +123,7 @@ class TestHierarchicalAllreduce:
             keys = np.unique(rng.integers(0, 50, 20).astype(np.uint64))
             grads = rng.normal(size=(keys.size, 2))
             updates.append(SparseUpdate(keys, grads))
-        result, t = hierarchical_allreduce(updates)
+        result, t = hierarchical_allreduce(updates, gpus_per_node=8)
         # Flat reference: sum everything per key.
         acc: dict[int, np.ndarray] = {}
         for u in updates:
@@ -129,32 +134,31 @@ class TestHierarchicalAllreduce:
             assert np.allclose(g, acc[k])
 
     def test_no_networks_zero_time(self):
-        result, t = hierarchical_allreduce([upd({1: 1.0}), upd({1: 2.0})])
+        result, t = hierarchical_allreduce(
+            [upd({1: 1.0}), upd({1: 2.0})], gpus_per_node=8
+        )
         assert t == 0.0
-
-    def test_time_positive_with_networks(self):
-        nets = networks(4)
-        updates = [upd({i: 1.0}) for i in range(4)]
-        _, t = hierarchical_allreduce(updates, networks=nets, gpus_per_node=8)
-        assert t > 0
-        assert sum(n.ledger.total("allreduce") for n in nets) == pytest.approx(t)
 
     def test_more_nodes_more_time(self):
         def run(n):
             nets = networks(n)
             updates = [upd({i: 1.0, 100 + i: 2.0}) for i in range(n)]
-            return hierarchical_allreduce(updates, networks=nets)[1]
+            return hierarchical_allreduce(
+                updates, networks=nets, gpus_per_node=8
+            )[1]
 
         assert run(4) > run(2)
 
     def test_single_node_no_internode_time(self):
         nets = networks(1)
-        _, t = hierarchical_allreduce([upd({1: 1.0})], networks=nets)
+        _, t = hierarchical_allreduce(
+            [upd({1: 1.0})], networks=nets, gpus_per_node=8
+        )
         assert t == 0.0
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
-            hierarchical_allreduce([])
+            hierarchical_allreduce([], gpus_per_node=8)
 
     def test_rdma_faster_than_cpu_bounce(self):
         """Figure 8: removing RDMA adds PCIe copies + CPU overhead."""
@@ -167,9 +171,82 @@ class TestHierarchicalAllreduce:
                 )
                 for i in range(4)
             ]
-            return hierarchical_allreduce(updates, networks=nets)[1]
+            return hierarchical_allreduce(
+                updates, networks=nets, gpus_per_node=8
+            )[1]
 
         assert run(True) < run(False)
+
+    @pytest.mark.parametrize("n_nodes", [2, 3, 4])
+    @pytest.mark.parametrize("gpus", [2, 8])
+    def test_node_ledgers_sum_to_the_returned_seconds(self, n_nodes, gpus):
+        """The collective is charged once: with each node's NIC and
+        NVLink on that node's one ledger, the ledgers' ``allreduce``
+        lines add up to the returned critical path, NVLink tree included."""
+        ledgers = [CostLedger() for _ in range(n_nodes)]
+        updates = [upd({i: 1.0, 100 + i: 2.0, 7: 3.0}) for i in range(n_nodes)]
+        _, t = hierarchical_allreduce(
+            updates,
+            gpus_per_node=gpus,
+            networks=[Network(HARDWARE.network, ledger) for ledger in ledgers],
+            nvlinks=[NVLink(HARDWARE.nvlink, ledger) for ledger in ledgers],
+        )
+        charged = sum(ledger.total("allreduce") for ledger in ledgers)
+        assert t > 0
+        assert charged == pytest.approx(t, rel=1e-12)
+
+
+#: exchange steps of recursive doubling over n nodes: log2(p) doubling
+#: steps among the largest power of two p ≤ n, plus a fold step and a
+#: return step when n is not a power of two
+STEPS = {1: 0, 2: 1, 3: 3, 4: 2, 5: 4, 6: 4, 7: 4, 8: 3, 9: 5}
+TREE_ROUNDS = {1: 0, 2: 1, 8: 3}
+
+
+@pytest.mark.parametrize("n_nodes", sorted(STEPS))
+@pytest.mark.parametrize("gpus", sorted(TREE_ROUNDS))
+def test_every_user_prices_the_one_schedule(n_nodes, gpus):
+    """With the same keys on every node each step moves the same bytes,
+    so the sparse and dense collectives and the analytical all-reduce
+    term each cost the step count times one step's spec price, plus the
+    NVLink tree (the dense reduce has none)."""
+    steps, tree = STEPS[n_nodes], TREE_ROUNDS[gpus]
+    assert len(exchange_steps(n_nodes)) == steps and tree_rounds(gpus) == tree
+    net, nv = HARDWARE.network, HARDWARE.nvlink
+
+    update = upd({k: float(k) for k in range(50)})  # 50 keys x 12 B
+    _, sparse_s = hierarchical_allreduce(
+        [update] * n_nodes,
+        gpus_per_node=gpus,
+        networks=networks(n_nodes),
+        nvlinks=[NVLink(nv, CostLedger()) for _ in range(n_nodes)],
+    )
+    want = steps * net.transfer_seconds(600, gpus)
+    assert sparse_s == pytest.approx(
+        want + tree * nv.transfer_seconds(600 // gpus), rel=1e-12
+    )
+
+    _, dense_s = allreduce_dense(
+        [[np.ones(10)]] * n_nodes, networks=networks(n_nodes)
+    )
+    assert dense_s == steps * net.transfer_seconds(40)
+
+    spec = PAPER_MODELS["A"]
+    model = AnalyticalHPS(
+        spec, n_nodes=n_nodes, hardware=default_node_hardware(gpus_per_node=gpus)
+    )
+    hw = model.effective_hardware()
+    mb = model.minibatch_examples
+    sync_bytes = model._unique(n_nodes * gpus * mb * spec.nonzeros_per_example) * (
+        8 + 4 * spec.embedding_dim
+    )
+    per_round = steps * hw.network.transfer_seconds(
+        sync_bytes, gpus
+    ) + tree * hw.nvlink.transfer_seconds(sync_bytes / gpus)
+    n_rounds = max(1.0, model.batch_size / (gpus * mb))
+    assert model.batch_time().allreduce_seconds == pytest.approx(
+        n_rounds * per_round, rel=1e-12
+    )
 
 
 class TestAllreduceDense:
@@ -251,7 +328,7 @@ def test_allreduce_total_mass_conserved(n_nodes, seed):
         grads = rng.normal(size=(keys.size, 1))
         total += grads.sum()
         updates.append(SparseUpdate(keys, grads))
-    result, _ = hierarchical_allreduce(updates)
+    result, _ = hierarchical_allreduce(updates, gpus_per_node=8)
     assert result.grads.sum() == pytest.approx(total, abs=1e-9)
 
 

@@ -192,7 +192,7 @@ class TestClusterConfig:
         assert defaulted_build_options() <= 4
         assert fault_layer_parameters() <= 8
         assert tier_constructor_parameters() <= 32
-        assert defaulted_priced_parameters() <= 8
+        assert defaulted_priced_parameters() <= 7
 
     def test_key_tables_stay_narrow(self):
         """Per-key bytes grow with the model: an index payload holds an
