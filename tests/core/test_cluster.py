@@ -21,6 +21,7 @@ from repro.faults import FAULT_KINDS, FaultSchedule, Supervisor
 from repro.hardware.ledger import CostLedger
 from repro.plan import RoundPlan
 from repro.utils.keys import KEY_DOMAIN_CAP
+from test_config import allreduce_ledger_over_clock, pressured_config
 
 
 @pytest.fixture
@@ -280,18 +281,8 @@ class TestEveryChargeLandsOnANodeLedger:
     ``CostLedger``s reachable from a cluster is exactly its nodes' own,
     so the nodes' totals are every simulated second charged."""
 
-    @staticmethod
-    def _config(n_nodes: int) -> ClusterConfig:
-        # The fault soak's pressured MEM budget.
-        return ClusterConfig(
-            n_nodes=n_nodes,
-            gpus_per_node=2,
-            minibatches_per_gpu=2,
-            mem_capacity_params=1_400,
-            hbm_capacity_params=50_000,
-            ssd_file_capacity=128,
-            seed=7,
-        )
+    # The fault soak's pressured MEM budget.
+    _config = staticmethod(pressured_config)
 
     @pytest.mark.parametrize("n_nodes", [1, 2, 4])
     def test_lockstep_and_pipelined_rounds_with_a_snapshot_stage(
@@ -307,22 +298,11 @@ class TestEveryChargeLandsOnANodeLedger:
         assert _foreign_ledgers(cluster) == []
 
     @pytest.mark.parametrize("n_nodes", [2, 3])
-    def test_allreduce_lines_sum_to_the_stage_clock(self, tiny_spec, n_nodes):
+    def test_allreduce_lines_sum_to_the_stage_clock(self, n_nodes):
         """Fault-free, the collectives charge what the stage clock adds:
         the node ledgers' ``allreduce`` lines grow by the rounds'
         ``allreduce_seconds``, lockstep and pipelined."""
-        cluster = HPSCluster(
-            tiny_spec, self._config(n_nodes), functional_batch_size=256
-        )
-
-        def charged() -> float:
-            return sum(node.ledger.total("allreduce") for node in cluster.nodes)
-
-        before = charged()
-        stats = cluster.train(2) + cluster.train_pipelined(2).stats
-        clock = sum(s.allreduce_seconds for s in stats)
-        assert clock > 0
-        assert charged() - before == pytest.approx(clock, rel=1e-12)
+        assert allreduce_ledger_over_clock(n_nodes) == pytest.approx(1.0, rel=1e-12)
 
     def test_a_supervised_fault_soak_run(self, tiny_spec, tmp_path):
         """Checked inside every round, while the fault arms are attached,

@@ -139,6 +139,13 @@ class TestHierarchicalAllreduce:
         )
         assert t == 0.0
 
+    def test_time_positive_with_networks(self):
+        nets = networks(4)
+        updates = [upd({i: 1.0}) for i in range(4)]
+        _, t = hierarchical_allreduce(updates, networks=nets, gpus_per_node=8)
+        assert t > 0
+        assert sum(n.ledger.total("allreduce") for n in nets) == pytest.approx(t)
+
     def test_more_nodes_more_time(self):
         def run(n):
             nets = networks(n)

@@ -9,7 +9,7 @@ import pytest
 
 from repro.ckpt.checkpoint import CheckpointStats
 from repro.config import PAPER_MODELS, TINY_MODEL, ClusterConfig, ModelSpec
-from repro.core.cluster import BatchStats
+from repro.core.cluster import BatchStats, HPSCluster
 from repro.hardware.specs import GPUSpec, HDFSSpec, SSDSpec
 from repro.hbm.partition import ModuloPartitioner
 from repro.mem.cache import CombinedCache
@@ -121,6 +121,35 @@ def key_table_bytes() -> tuple[int, int]:
     partitioner = ModuloPartitioner(256)
     partitioner.part_of(np.arange(2048, dtype=np.uint64))  # builds the table
     return index._payload.itemsize, partitioner._table.itemsize
+
+
+def pressured_config(n_nodes: int) -> ClusterConfig:
+    """A 2-GPU-per-node cluster under the fault soak's pressured MEM budget."""
+    return ClusterConfig(
+        n_nodes=n_nodes,
+        gpus_per_node=2,
+        minibatches_per_gpu=2,
+        mem_capacity_params=1_400,
+        hbm_capacity_params=50_000,
+        ssd_file_capacity=128,
+        seed=7,
+    )
+
+
+def allreduce_ledger_over_clock(n_nodes: int = 2) -> float:
+    """Growth of the node ledgers' ``allreduce`` lines over the summed
+    ``BatchStats.allreduce_seconds`` of 2 lockstep and 2 pipelined
+    fault-free rounds: 1.0 when each collective is charged once."""
+    cluster = HPSCluster(
+        TINY_MODEL, pressured_config(n_nodes), functional_batch_size=256
+    )
+
+    def charged() -> float:
+        return sum(node.ledger.total("allreduce") for node in cluster.nodes)
+
+    before = charged()
+    stats = cluster.train(2) + cluster.train_pipelined(2).stats
+    return (charged() - before) / sum(s.allreduce_seconds for s in stats)
 
 
 class TestPaperModels:
