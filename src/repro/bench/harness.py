@@ -364,7 +364,6 @@ def run_pipeline_overlap(
     *,
     n_batches: int = 6,
     batch_size: int = 256,
-    queue_capacity: int | tuple[int, ...] = 2,
     seed: int = 0,
 ) -> dict:
     """Lockstep vs pipelined end-to-end training (paper Section 3).
@@ -391,7 +390,7 @@ def run_pipeline_overlap(
     lock_makespan = sum(sum(s.pipeline_stage_seconds) for s in lock_stats)
 
     pipelined = build()
-    run = pipelined.train_pipelined(n_batches, queue_capacity=queue_capacity)
+    run = pipelined.train_pipelined(n_batches)
 
     schedule = run.schedule
     return {
@@ -514,7 +513,7 @@ def _parameter_parity(reference: HPSCluster, others) -> bool:
     return bool(sparse_equal and dense_equal)
 
 
-def _recovery_scenario(*, n_rounds: int, queue_capacity, seed: int) -> dict:
+def _recovery_scenario(*, n_rounds: int, seed: int) -> dict:
     """Continuous delta checkpointing and failure recovery (Section 7).
 
     Two measurements, both on the simulated clock (deterministic — the
@@ -553,15 +552,13 @@ def _recovery_scenario(*, n_rounds: int, queue_capacity, seed: int) -> dict:
     # --- snapshot overhead -------------------------------------------
     baseline = build()
     baseline.train(wl["warmup_rounds"])
-    base_run = baseline.train_pipelined(n_rounds, queue_capacity=queue_capacity)
+    base_run = baseline.train_pipelined(n_rounds)
 
     snapped = build()
     snapped.train(wl["warmup_rounds"])
     with tempfile.TemporaryDirectory() as tmp:
         stage = snapped.enable_snapshot_stage(tmp, every=1)
-        snap_run = snapped.train_pipelined(
-            n_rounds, queue_capacity=queue_capacity
-        )
+        snap_run = snapped.train_pipelined(n_rounds)
         deltas = [s for s in stage.history if s.kind == "delta"]
         # Ratio numerator: a full snapshot of the *final* state, so it
         # reflects the same accumulated MEM/SSD footprint the deltas
@@ -749,7 +746,6 @@ def _faults_scenario(*, seed: int) -> dict:
 def run_e2e_throughput(
     *,
     n_rounds: int = 20,
-    queue_capacity: int | tuple[int, ...] = 2,
     seed: int = 0,
     write_path: str | None = None,
 ) -> dict:
@@ -778,9 +774,7 @@ def run_e2e_throughput(
     result = {
         "schema": BENCH_E2E_SCHEMA,
         "scenarios": [
-            _recovery_scenario(
-                n_rounds=n_rounds, queue_capacity=queue_capacity, seed=seed
-            ),
+            _recovery_scenario(n_rounds=n_rounds, seed=seed),
             _faults_scenario(seed=seed),
         ],
     }

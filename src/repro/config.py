@@ -119,12 +119,8 @@ class ClusterConfig:
     ssd_file_capacity: int = 2**16
     cache_lru_fraction: float = 0.5
     compaction_threshold: float = 2.0
-    #: *schedules* the MEM tier's once-per-round resolve (every key of
-    #: the round the node owns — one cache probe per distinct key,
-    #: pinned for the round); it selects no code path.  True runs the
-    #: resolve as its own pipeline stage between read and prepare,
-    #: where the clock can overlap it; False runs the same resolve
-    #: inline at the head of the prepare stage.
+    #: accepted and ignored (the MEM resolve always heads the prepare
+    #: stage); the frozen benchmark passes it — drop at benchmark v2
     prefetch: bool = False
     seed: int = 0
 

@@ -18,6 +18,10 @@ differ only in the clock they read off it:
   work and its order are the loop's either way, so trained parameters
   are bit-identical to lockstep.
 
+Every cluster registers one pipeline shape, Algorithm 1's ``read →
+prepare → load → train`` (plus ``snapshot`` when enabled); the MEM
+resolve always runs at the head of ``prepare``.
+
 One round performs:
 
 1.  every node streams its own batch from HDFS (data parallel);
@@ -62,7 +66,6 @@ from repro.core.node import HPSNode
 from repro.core.pipeline import (
     PipelineSchedule,
     StageSpec,
-    queue_capacities,
     schedule,
     stage_duration,
 )
@@ -141,10 +144,9 @@ class BatchStats:
     #: ``benchmarks/hps/onepass.py`` reads both — drop at benchmark v2
     cache_collision_splits: int = 0
     cache_scalar_fallbacks: int = 0
-    #: seconds the once-per-round MEM resolve spent loading the round's
-    #: working set from SSD and dumping overflow (slowest node); part of
-    #: :attr:`pull_push_seconds` whether it ran as its own stage
-    #: (``config.prefetch``) or at the head of prepare
+    #: seconds the once-per-round MEM resolve at the head of prepare spent
+    #: loading the round's working set from SSD and dumping overflow
+    #: (slowest node); part of :attr:`pull_push_seconds`
     prefetch_seconds: float = 0.0
 
     @property
@@ -157,9 +159,9 @@ class BatchStats:
         """The four Algorithm 1 stage durations of this round.
 
         Matches the base registry's stage split (HDFS read, MEM/SSD
-        prepare, CPU partition + HBM load, GPU train/sync/write-back);
-        the MEM resolve folds into the prepare element wherever it was
-        scheduled.  Summing all four gives the round's serial makespan.
+        prepare with the MEM resolve at its head, CPU partition + HBM
+        load, GPU train/sync/write-back).  Summing all four gives the
+        round's serial makespan.
         """
         return (
             self.read_seconds,
@@ -171,7 +173,7 @@ class BatchStats:
 
 @dataclass
 class RoundContext:
-    """Mutable state threaded through one round's four stage functions.
+    """Mutable state threaded through one round's stage functions.
 
     Each stage function reads its predecessors' outputs from the context
     and records its own.  The lockstep and pipelined paths drive the exact
@@ -187,9 +189,8 @@ class RoundContext:
     #: the round's key plan (computed once in stage_read; every later
     #: stage consumes its precomputed indices)
     plan: RoundPlan | None = None
-    # the MEM working-set resolve (own stage, or the head of stage 2)
+    # stage 2: MEM-PS/SSD-PS prepare, headed by the MEM working-set resolve
     prefetch_seconds: float = 0.0
-    # stage 2: MEM-PS/SSD-PS prepare
     #: the round array: one value row per round-local code, filled by the
     #: MEM owners, staged (as a view) by every node's HBM-PS, updated
     #: once per sync round and written back by the owners
@@ -328,10 +329,6 @@ class HPSCluster:
             StageSpec(name, _weak_stage(getattr(self, f"stage_{name}")))
             for name in PIPELINE_STAGE_NAMES
         ]
-        if cluster_config.prefetch:
-            self.register_stage(
-                "prefetch", _weak_stage(self.stage_prefetch), after="read"
-            )
 
     # ------------------------------------------------------------------
     @property
@@ -396,14 +393,10 @@ class HPSCluster:
         """Remove a stage spliced in via :meth:`register_stage`.
 
         The four base Algorithm 1 stages are structural and cannot be
-        removed, nor can ``prefetch`` on a ``config.prefetch`` cluster
-        (:meth:`stage_prepare` then leaves the MEM resolve to it);
-        unregistering a name that is not in the registry is an error (it
-        usually means a typo, not a no-op).
+        removed; unregistering a name that is not in the registry is an
+        error (it usually means a typo, not a no-op).
         """
-        if name in PIPELINE_STAGE_NAMES or (
-            name == "prefetch" and self.config.prefetch
-        ):
+        if name in PIPELINE_STAGE_NAMES:
             raise ValueError(
                 f"stage {name!r} is a base stage of this pipeline and "
                 "cannot be unregistered"
@@ -473,8 +466,8 @@ class HPSCluster:
         return ctx.read_seconds
 
     def _snapshot_counters(self, ctx: RoundContext) -> None:
-        """Bracket the round's cache/SSD/compaction accounting (called by
-        the MEM resolve, the round's first cache-touching step)."""
+        """Bracket the round's cache/SSD/compaction accounting (called at
+        the head of prepare, before the round's first cache touch)."""
         nodes = self.nodes
         ctx.cache_stats_before = [
             (n.mem_ps.cache.stats.hits, n.mem_ps.cache.stats.misses)
@@ -489,30 +482,22 @@ class HPSCluster:
             for n in nodes
         ]
 
-    def stage_prefetch(self, ctx: RoundContext) -> float:
-        """Resolve + pin the round's MEM working set, once.
+    def stage_prepare(self, ctx: RoundContext) -> float:
+        """Stage 2 — gather working parameters (lines 3-4).
 
-        Every node pulls its :class:`~repro.plan.NodePrefetchPlan` union
-        (every key of the round it owns) through cache → SSD →
-        fresh-init exactly once and pins it for the round, so every later
-        stage's MEM access is a pure row gather.  Nodes run in parallel
-        — the resolve costs the slowest node's resolve + load time.
-        ``config.prefetch`` only schedules it: as its own pipeline stage
-        between read and prepare, or inline at the head of
-        :meth:`stage_prepare`.
+        It opens with the round's MEM resolve: every node pulls its
+        :class:`~repro.plan.NodePrefetchPlan` union (every key of the
+        round it owns) through cache → SSD → fresh-init exactly once and
+        pins it for the round, so every later MEM access is a pure row
+        gather.  Nodes run in parallel — the resolve costs the slowest
+        node's resolve + load time, the remote pulls the slowest node's
+        pulls.
         """
         self._snapshot_counters(ctx)
-        seconds = 0.0
-        for node, pplan in zip(self.nodes, self._plan_of(ctx).prefetch):
-            seconds = max(seconds, node.mem_ps.prefetch(pplan))
-        ctx.prefetch_seconds = seconds
-        return seconds
-
-    def stage_prepare(self, ctx: RoundContext) -> float:
-        """Stage 2 — gather working parameters (lines 3-4), preceded by
-        the MEM resolve when no prefetch stage ran it."""
-        resolve_s = 0.0 if self.config.prefetch else self.stage_prefetch(ctx)
         plan = self._plan_of(ctx)
+        ctx.prefetch_seconds = max(
+            node.mem_ps.prefetch(p) for node, p in zip(self.nodes, plan.prefetch)
+        )
         values = np.empty(
             (plan.keys.size, self.sparse_optimizer.value_dim), dtype=np.float32
         )
@@ -520,7 +505,7 @@ class HPSCluster:
             node.mem_ps.prepare(p, values) for node, p in zip(self.nodes, plan.nodes)
         )
         ctx.values = values
-        return resolve_s + ctx.pull_remote_seconds
+        return ctx.prefetch_seconds + ctx.pull_remote_seconds
 
     def stage_load(self, ctx: RoundContext) -> float:
         """Stage 3 — CPU partition + HBM working-set staging (lines 5-10)."""
@@ -729,9 +714,17 @@ class HPSCluster:
         recorded.  Returns the rounds' stats and their stage-time
         matrix, shape ``(n_rounds, n_stages)``; a round's context (plan,
         batches, round array) is dropped once its last stage has run.
+        A bool, non-integer or negative ``n_rounds`` is a ``ValueError``
+        before any stage runs.
         """
-        if n_rounds < 0:
-            raise ValueError("n_rounds must be non-negative")
+        if (
+            isinstance(n_rounds, bool)
+            or not isinstance(n_rounds, (int, np.integer))
+            or n_rounds < 0
+        ):
+            raise ValueError(
+                f"n_rounds must be a non-negative integer, got {n_rounds!r}"
+            )
         specs = tuple(self._stage_defs)
         times = np.zeros((n_rounds, len(specs)))
         stats: list[BatchStats] = []
@@ -757,31 +750,23 @@ class HPSCluster:
 
     def train(self, n_rounds: int) -> list[BatchStats]:
         """Run ``n_rounds`` global batches in lockstep; returns their stats."""
-        return [self.train_round() for _ in range(n_rounds)]
+        return self._run_rounds(n_rounds, self.rounds_completed)[0]
 
-    def train_pipelined(
-        self,
-        n_rounds: int,
-        *,
-        queue_capacity: int | tuple[int, ...] = 2,
-    ) -> PipelinedRun:
+    def train_pipelined(self, n_rounds: int) -> PipelinedRun:
         """Run ``n_rounds`` with inter-round overlap (the stage pipeline).
 
         Performs exactly the same work as ``n_rounds`` :meth:`train_round`
         calls — trained parameters are bit-identical to lockstep — but the
-        clock overlaps consecutive rounds' stages under bounded prefetch
-        queues, so the reported makespan reflects I/O hidden behind GPU
-        compute (paper Section 3).  The overlap belongs to the clock
-        alone: the round loop still runs every stage of round ``b``
-        before any stage of round ``b + 1``.  The queue depths are
-        validated before anything runs.
+        clock overlaps consecutive rounds' stages under prefetch queues
+        :data:`~repro.core.pipeline.QUEUE_CAPACITY` rounds deep, so the
+        reported makespan reflects I/O hidden behind GPU compute (paper
+        Section 3).  The overlap belongs to the clock alone: the round
+        loop still runs every stage of round ``b`` before any stage of
+        round ``b + 1``.
         """
-        caps = queue_capacities(queue_capacity, len(self._stage_defs))
         names = tuple(spec.name for spec in self._stage_defs)
         stats, times = self._run_rounds(n_rounds, self.rounds_completed)
-        return PipelinedRun(
-            stats, schedule(times, queue_capacity=caps, stage_names=names)
-        )
+        return PipelinedRun(stats, schedule(times, stage_names=names))
 
     # ------------------------------------------------------------------
     def _require_round_boundary(self, what: str) -> None:
@@ -805,9 +790,9 @@ class HPSCluster:
     def abort_round(self) -> None:
         """Discard a partially-executed round's in-flight MEM state.
 
-        The recovery hook for a fault that escaped from ``read``,
-        ``prefetch`` or ``prepare``: those stages mutate only stream
-        counters and cache *residency* (which rows are resident or
+        The recovery hook for a fault that escaped from ``read`` or
+        ``prepare`` (the MEM resolve included): those stages mutate only
+        stream counters and cache *residency* (which rows are resident or
         pinned) — never parameter values, which change only in
         ``train``'s write-back.  Releasing the pins therefore returns
         every tier to a value-exact round boundary, so the aborted round

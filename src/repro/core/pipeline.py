@@ -2,10 +2,11 @@
 
 Algorithm 1's time-consuming tasks map to independent hardware
 resources — HDFS read, MEM/SSD prepare, CPU partition + HBM load, GPU
-train — and each stage hands rounds to the next through a bounded
-prefetch queue.  The schedule is one rule: each stage's resource serves
-rounds in order, a round moves through the stages in order, and a stage
-stalls while the next stage's queue is full.
+train — and each stage hands rounds to the next through a prefetch
+queue :data:`QUEUE_CAPACITY` rounds deep.  The schedule is one rule:
+each stage's resource serves rounds in order, a round moves through the
+stages in order, and a stage stalls while the next stage's queue is
+full.
 
 So the overlapped clock is a pure function of the measured stage-time
 matrix: :func:`schedule` threads ``stage_times[b, s]`` through that rule
@@ -27,9 +28,9 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 __all__ = [
+    "QUEUE_CAPACITY",
     "PipelineSchedule",
     "StageSpec",
-    "queue_capacities",
     "schedule",
     "stage_duration",
 ]
@@ -56,34 +57,19 @@ def stage_duration(seconds: float, name: str, round_index: int) -> float:
     return d
 
 
-def queue_capacities(
-    queue_capacity: int | Sequence[int], n_stages: int
-) -> tuple[int, ...]:
-    """One prefetch-queue depth per stage boundary (an int sets them all).
-
-    Depth ``q`` means stage ``s`` cannot start round ``b`` before stage
-    ``s + 1`` has *started* round ``b - q`` (its queue would be full
-    otherwise).  The paper pre-sets depths per stage-time ratios; 2 is
-    enough to decouple adjacent stages in steady state.
-    """
-    if n_stages < 1:
-        raise ValueError("need at least one stage")
-    if isinstance(queue_capacity, int):
-        caps = (queue_capacity,) * (n_stages - 1)
-    else:
-        caps = tuple(queue_capacity)
-    if len(caps) != n_stages - 1:
-        raise ValueError("need one queue capacity per stage boundary")
-    if any(c < 1 for c in caps):
-        raise ValueError("queue capacities must be >= 1")
-    return caps
+#: The prefetch-queue depth at every stage boundary.  Depth ``q`` means
+#: stage ``s`` cannot start round ``b`` before stage ``s + 1`` has
+#: *started* round ``b - q`` (its queue would be full otherwise).  The
+#: paper pre-sets depths per stage-time ratios; 2 is enough to decouple
+#: adjacent stages in steady state.
+QUEUE_CAPACITY = 2
 
 
 def schedule(
     stage_times: np.ndarray,
     *,
-    queue_capacity: int | Sequence[int] = 2,
     stage_names: Sequence[str],
+    queue_capacity: int = QUEUE_CAPACITY,
 ) -> PipelineSchedule:
     """The overlapped clock of ``stage_times[b, s]`` (seconds per round
     per stage).
@@ -95,13 +81,17 @@ def schedule(
     2. *resource serialization* — stage ``s`` finishes round ``b - 1``
        first (one round at a time per resource, in round order);
     3. *bounded prefetch queues* — stage ``s + 1`` has started round
-       ``b - q`` (``q`` the depth of the queue between them).
+       ``b - q`` (``q = queue_capacity``, the depth of every queue).
 
     Round-major order fills every referenced event before it is read;
     the result is the unique fixpoint of the constraints.
     """
     names = tuple(stage_names)
-    caps = queue_capacities(queue_capacity, len(names))
+    if not names:
+        raise ValueError("need at least one stage")
+    q = queue_capacity
+    if q < 1:
+        raise ValueError("queue capacity must be >= 1")
     st = np.asarray(stage_times, dtype=np.float64)
     if st.ndim != 2 or st.shape[1] != len(names):
         raise ValueError(f"stage_times must be (n_rounds, {len(names)})")
@@ -116,8 +106,8 @@ def schedule(
                 t = max(t, finish[b, s - 1])
             if b > 0:
                 t = max(t, finish[b - 1, s])
-            if s < n_stages - 1 and b - caps[s] >= 0:
-                t = max(t, start[b - caps[s], s + 1])
+            if s < n_stages - 1 and b - q >= 0:
+                t = max(t, start[b - q, s + 1])
             start[b, s] = t
             finish[b, s] = t + d
     return PipelineSchedule(start, finish, st, names)

@@ -65,7 +65,7 @@ recovery).
 
 The invariant the soak suite enforces: any schedule whose faults are
 all recoverable yields **bit-identical** final parameters to the
-fault-free run.  The rule preserves it by construction — read/prefetch/
+fault-free run.  The rule preserves it by construction — read and
 prepare mutate only residency (never values), a partial restore
 rebuilds a node from the round boundary the survivors are at, and a full
 restore replays rounds that are pure functions of ``(seed,

@@ -383,7 +383,7 @@ class CombinedCache:
 
         Sequential-equivalent to looking the union up key by key in the
         order [LRU hits, LFU promotions, misses] — the access order the
-        prefetch stage commits to.  The index is probed exactly once and
+        round's MEM resolve commits to.  The index is probed exactly once and
         each located row says which tier its key is in:
 
         * the LRU segment is pure recency ticks on the located rows;

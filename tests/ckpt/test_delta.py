@@ -261,7 +261,7 @@ class TestMarkProtocolMisuse:
         cluster.train(1)
         ctx = RoundContext(round_index=cluster.rounds_completed)
         cluster.stage_read(ctx)
-        cluster.stage_prefetch(ctx)
+        cluster.stage_prepare(ctx)
         for node in cluster.nodes:
             with pytest.raises(TierStateError, match="pinned"):
                 node.mem_ps.cache.mark_snapshot()
@@ -287,7 +287,7 @@ class TestMarkProtocolMisuse:
         cluster.train(1)
         ctx = RoundContext(round_index=cluster.rounds_completed)
         cluster.stage_read(ctx)
-        cluster.stage_prefetch(ctx)
+        cluster.stage_prepare(ctx)
         assert cluster._staged_rounds == 0
 
         def marks():
@@ -336,7 +336,7 @@ class TestMarkProtocolMisuse:
         reference = HPSCluster.restore(str(s0))
         ctx = RoundContext(round_index=cluster.rounds_completed)
         cluster.stage_read(ctx)
-        cluster.stage_prefetch(ctx)
+        cluster.stage_prepare(ctx)
         with pytest.raises(TierStateError, match="pinned"):
             cluster.save_checkpoint(str(s0), mode="full")
         assert files() == before

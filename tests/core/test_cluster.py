@@ -132,21 +132,17 @@ class TestLosslessness:
         assert abs(a / b - 1.0) < 1e-3  # paper: within 0.1%
 
     @pytest.mark.parametrize("pipelined", [False, True], ids=["train", "pipelined"])
-    @pytest.mark.parametrize(
-        "prefetch", [{}, {"prefetch": True}], ids=["no-prefetch", "prefetch"]
-    )
     def test_every_production_configuration_matches_reference(
-        self, tiny_spec, small_config, prefetch, pipelined
+        self, tiny_spec, small_config, pipelined
     ):
         """The independent oracle over every way the cluster can run:
         20 rounds under MEM pressure (SSD engaged, compaction firing),
-        with and without prefetch, lockstep and pipelined."""
+        lockstep and pipelined."""
         config = dataclasses.replace(
             small_config,
             mem_capacity_params=600,
             ssd_file_capacity=64,
             compaction_threshold=1.1,
-            **prefetch,
         )
         cluster = HPSCluster(tiny_spec, config, functional_batch_size=128)
         ref = ReferenceTrainer(tiny_spec, config, functional_batch_size=128)

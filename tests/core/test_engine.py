@@ -12,14 +12,14 @@ import numpy as np
 import pytest
 
 from repro.core.cluster import HPSCluster
-from repro.core.pipeline import schedule
+from repro.core.pipeline import QUEUE_CAPACITY, schedule
 
 
 def names(n_stages):
     return tuple(f"s{i}" for i in range(n_stages))
 
 
-def clock(durations, queue_capacity=2):
+def clock(durations, queue_capacity=QUEUE_CAPACITY):
     durations = np.asarray(durations, dtype=np.float64)
     return schedule(
         durations,
@@ -53,10 +53,6 @@ class TestValidation:
         with pytest.raises(ValueError):
             schedule(np.ones((1, 0)), stage_names=())
 
-    def test_queue_capacity_count(self):
-        with pytest.raises(ValueError):
-            clock(np.ones((1, 3)), queue_capacity=(1,))
-
     def test_queue_capacity_positive(self):
         with pytest.raises(ValueError):
             clock(np.ones((1, 2)), queue_capacity=0)
@@ -85,12 +81,21 @@ class TestRoundLoopRefusesBadDurations:
         with pytest.raises(ValueError, match="'bad' returned invalid duration"):
             getattr(cluster, train)(*args)
 
-    @pytest.mark.parametrize("queue_capacity", [0, (2, 2)])
-    def test_bad_queue_capacity_refused_before_any_round(
-        self, cluster, queue_capacity
+    @pytest.mark.parametrize("train", ["train", "train_pipelined"])
+    @pytest.mark.parametrize("n_rounds", [-3, True, 2.0], ids=repr)
+    def test_bad_round_count_refused_before_any_stage(
+        self, cluster, train, n_rounds
     ):
-        with pytest.raises(ValueError):
-            cluster.train_pipelined(2, queue_capacity=queue_capacity)
+        """Both modes check the count the same way: ``train(-3)`` used
+        to return ``[]`` and ``train(True)`` to train one round."""
+        fired = []
+        cluster.register_stage(
+            "probe", lambda ctx: fired.append(ctx.round_index) or 0.0,
+            after="read",
+        )
+        with pytest.raises(ValueError, match="non-negative integer"):
+            getattr(cluster, train)(n_rounds)
+        assert fired == []
         assert cluster.rounds_completed == 0
 
 
@@ -98,16 +103,13 @@ class TestScheduleParity:
     """A pipelined run's clock is ``schedule`` of the durations its stages
     returned, each in its (round, stage) cell."""
 
-    @pytest.mark.parametrize("queue_capacity", [1, 2, 4])
-    def test_matches_simulator_exactly(self, cluster, queue_capacity):
+    def test_matches_simulator_exactly(self, cluster):
         rng = np.random.default_rng(17)
         durations = rng.uniform(0.1, 5.0, size=(6, 4))
         replay_durations(cluster, durations)
-        run = cluster.train_pipelined(6, queue_capacity=queue_capacity)
+        run = cluster.train_pipelined(6)
         expected = schedule(
-            durations,
-            queue_capacity=queue_capacity,
-            stage_names=("read", "prepare", "load", "train"),
+            durations, stage_names=("read", "prepare", "load", "train")
         )
         assert np.array_equal(run.stage_times, durations)
         assert np.array_equal(run.schedule.start, expected.start)
@@ -177,8 +179,8 @@ class TestBackpressure:
         """A fast stage behind a slow one idles; the bottleneck never does.
 
         With a 2s stage 0 feeding a 1s stage 1, stage 1 waits 1s between
-        every pair of its 6 consecutive events — the shadow budget the
-        prefetch stage's resolve work can hide in.
+        every pair of its 6 consecutive events — the shadow budget a
+        stage's extra work can hide in.
         """
         run = clock(np.tile([2.0, 1.0, 1.0, 1.0], (6, 1)))
         assert run.shadow_idle_seconds(0) == pytest.approx(0.0)
@@ -243,23 +245,6 @@ class TestClusterPipelined:
         assert len(cluster.history) == 3
         assert [s.round_index for s in run.stats] == [1, 2]
         assert cluster.history[1:] == run.stats
-
-    def test_queue_capacity_changes_schedule_not_params(
-        self, tiny_spec, small_config
-    ):
-        def build():
-            return HPSCluster(
-                tiny_spec, small_config, functional_batch_size=256
-            )
-
-        shallow, deep = build(), build()
-        run_shallow = shallow.train_pipelined(4, queue_capacity=1)
-        run_deep = deep.train_pipelined(4, queue_capacity=3)
-        assert run_deep.makespan <= run_shallow.makespan
-        probe = shallow.generator.batch(5, 256).unique_keys()
-        assert np.array_equal(
-            shallow.lookup_embeddings(probe), deep.lookup_embeddings(probe)
-        )
 
 
 class TestStageRegistry:

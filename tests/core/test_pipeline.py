@@ -19,13 +19,9 @@ class TestValidation:
         with pytest.raises(ValueError, match="at least one stage"):
             schedule(np.ones((3, 0)), stage_names=())
 
-    def test_queue_capacity_count(self):
-        with pytest.raises(ValueError, match="per stage boundary"):
-            schedule(np.ones((1, 4)), queue_capacity=(1, 2), stage_names=NAMES)
-
     def test_queue_capacity_positive(self):
         with pytest.raises(ValueError, match=">= 1"):
-            schedule(np.ones((1, 2)), queue_capacity=(0,), stage_names=("a", "b"))
+            schedule(np.ones((1, 2)), queue_capacity=0, stage_names=("a", "b"))
 
     def test_stage_times_shape(self):
         with pytest.raises(ValueError, match="stage_times"):
@@ -157,7 +153,7 @@ def test_makespan_bounds(n_batches, n_stages, seed):
 
 @st.composite
 def clocks(draw):
-    """A stage-time matrix (zeros allowed) and one depth per boundary."""
+    """A stage-time matrix (zeros allowed) and a queue depth."""
     n_rounds = draw(st.integers(min_value=0, max_value=12))
     n_stages = draw(st.integers(min_value=1, max_value=6))
     duration = st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=10.0))
@@ -171,16 +167,7 @@ def clocks(draw):
         ),
         dtype=np.float64,
     ).reshape(n_rounds, n_stages)
-    caps = tuple(
-        draw(
-            st.lists(
-                st.integers(min_value=1, max_value=4),
-                min_size=n_stages - 1,
-                max_size=n_stages - 1,
-            )
-        )
-    )
-    return times, caps
+    return times, draw(st.integers(min_value=1, max_value=4))
 
 
 @given(clocks())
@@ -190,9 +177,9 @@ def test_every_event_starts_at_its_binding_constraint(clock):
     (precedence, serialization, queue room), the makespan sits between
     the busiest stage and the serial sum, and stall and shadow idle are
     never negative."""
-    times, caps = clock
+    times, q = clock
     n, n_stages = times.shape
-    sched = schedule(times, queue_capacity=caps, stage_names=names(n_stages))
+    sched = schedule(times, queue_capacity=q, stage_names=names(n_stages))
     start, finish = sched.start, sched.finish
     for b in range(n):
         for s in range(n_stages):
@@ -201,8 +188,8 @@ def test_every_event_starts_at_its_binding_constraint(clock):
                 constraints.append(finish[b, s - 1])
             if b > 0:
                 constraints.append(finish[b - 1, s])
-            if s < n_stages - 1 and b >= caps[s]:
-                constraints.append(start[b - caps[s], s + 1])
+            if s < n_stages - 1 and b >= q:
+                constraints.append(start[b - q, s + 1])
             assert start[b, s] == max(constraints)
             assert finish[b, s] == start[b, s] + times[b, s]
     busiest = times.sum(axis=0).max() if n else 0.0

@@ -1,15 +1,14 @@
-"""The once-per-round MEM resolve: scheduling, parity, pinning.
+"""The once-per-round MEM resolve: parity, pinning.
 
 The resolve pulls each node's full MEM working set (every key of the
 round it owns: its local partition and the partitions peers stage)
 through the cache in one pass, pins it for the round, and every later
-MEM access is a pure row gather.  It is the MEM tier's only path;
-``config.prefetch`` merely schedules it — as its own ``prefetch``
-pipeline stage or inline at the head of ``prepare``.  Every schedule trains **bit-identical
-parameters**, within a schedule lockstep and pipelined agree on every
-simulated second, and a cluster whose caches are shadowed op by op on
-the per-key seed implementation trains through without a single
-disagreement.
+MEM access is a pure row gather.  It is the MEM tier's only path and
+always runs at the head of the ``prepare`` stage (``config.prefetch``
+is accepted and changes nothing).  Lockstep and pipelined train
+**bit-identical parameters** and agree on every simulated second, and a
+cluster whose caches are shadowed op by op on the per-key seed
+implementation trains through without a single disagreement.
 """
 
 import dataclasses
@@ -58,18 +57,41 @@ def pressured(small_config):
     return dataclasses.replace(small_config, mem_capacity_params=1_400)
 
 
-@pytest.fixture
-def pressured_prefetch(pressured):
-    return dataclasses.replace(pressured, prefetch=True)
+def _digest(cluster):
+    probe = _probe(cluster)
+    return (
+        cluster.lookup_embeddings(probe).tobytes(),
+        *(a.tobytes() for a in cluster.nodes[0].model.dense_state()),
+    )
 
 
 class TestStageRegistration:
-    def test_prefetch_splices_into_the_pipeline(
-        self, tiny_spec, pressured_prefetch
-    ):
-        cluster = _build(tiny_spec, pressured_prefetch)
-        names = [n for n, _ in cluster.stage_functions()]
-        assert names == ["read", "prefetch", "prepare", "load", "train"]
+    def test_the_prefetch_flag_changes_nothing(self, tiny_spec, pressured):
+        """``prefetch=True`` is accepted and ignored: the same stages,
+        statistics, stage-time matrix, makespan and parameters as the
+        default over 2 lockstep and 3 pipelined rounds — and the
+        pipeline clocks each round's four ``pipeline_stage_seconds``,
+        the MEM/SSD element being the resolve plus the remote pulls.
+        Both clusters warm for 12 rounds first, so the pipelined rounds
+        pay SSD resolve time."""
+        default = _build(tiny_spec, pressured)
+        flagged = _build(tiny_spec, dataclasses.replace(pressured, prefetch=True))
+        names = [n for n, _ in default.stage_functions()]
+        assert [n for n, _ in flagged.stage_functions()] == names
+        assert names == ["read", "prepare", "load", "train"]
+        _assert_stats_parity(default.train(12), flagged.train(12))
+        lock = [default.train(2), flagged.train(2)]
+        runs = [default.train_pipelined(3), flagged.train_pipelined(3)]
+        _assert_stats_parity(*lock)
+        _assert_stats_parity(runs[0].stats, runs[1].stats)
+        assert np.array_equal(runs[0].stage_times, runs[1].stage_times)
+        assert runs[0].makespan == runs[1].makespan
+        assert _digest(default) == _digest(flagged)
+        assert any(s.prefetch_seconds > 0 for s in runs[0].stats)
+        for run in runs:
+            assert run.stage_times.tolist() == [
+                list(s.pipeline_stage_seconds) for s in run.stats
+            ]
 
     def test_base_pipeline_unchanged_without_prefetch(
         self, tiny_spec, pressured
@@ -93,19 +115,6 @@ class TestStageRegistration:
         cluster.train(1)
         cluster.train_pipelined(2)
         assert fired == [0, 1, 2]
-
-    def test_prefetch_stage_cannot_be_unregistered(
-        self, tiny_spec, pressured_prefetch
-    ):
-        """``prepare`` leaves the MEM resolve to the ``prefetch`` stage,
-        so removing it would break the next round: refused at the call,
-        registry untouched, training goes on."""
-        cluster = _build(tiny_spec, pressured_prefetch)
-        before = cluster.stage_functions()
-        with pytest.raises(ValueError, match="'prefetch'"):
-            cluster.unregister_stage("prefetch")
-        assert cluster.stage_functions() == before
-        cluster.train_round()
 
 
 class TestPrefetchPlan:
@@ -176,42 +185,29 @@ class TestPrefetchPlan:
 
 
 class TestPrefetchParity:
-    def test_lockstep_is_schedule_independent(
-        self, tiny_spec, pressured, pressured_prefetch
-    ):
-        """In lockstep the two schedules run the same operations in the
-        same order, so every statistic — not just the parameters —
-        agrees: there is one MEM path, not one per knob value."""
-        base = _build(tiny_spec, pressured)
-        pf = _build(tiny_spec, pressured_prefetch)
-        stats_base = base.train(N_ROUNDS)
-        stats_pf = pf.train(N_ROUNDS)
-        # The workload must exercise the SSD tier for parity to bite.
-        assert any(s.ssd_io_seconds > 0 for s in stats_base)
-        _assert_param_parity(base, pf)
-        _assert_stats_parity(stats_base, stats_pf)
-
     def test_pipelined_prefetch_matches_lockstep_exactly(
-        self, tiny_spec, pressured_prefetch
+        self, tiny_spec, pressured
     ):
-        lock = _build(tiny_spec, pressured_prefetch)
-        piped = _build(tiny_spec, pressured_prefetch)
+        lock = _build(tiny_spec, pressured)
+        piped = _build(tiny_spec, pressured)
         stats_lock = lock.train(N_ROUNDS)
         run = piped.train_pipelined(N_ROUNDS)
+        # The workload must exercise the SSD tier for parity to bite.
+        assert any(s.ssd_io_seconds > 0 for s in stats_lock)
         _assert_stats_parity(stats_lock, run.stats)
         _assert_param_parity(lock, piped)
 
     @pytest.mark.usefixtures("small_slab")
     def test_scalar_cache_oracle_matches_bulk_exactly(
-        self, tiny_spec, pressured_prefetch
+        self, tiny_spec, pressured
     ):
         """Every cache op of a pressured run replayed key by key on the
         seed dict cache: ``ShadowedCombinedCache`` asserts agreement
         after each one (hit masks, flush pairs in order, rows, both
         tiers in eviction order, metadata, stats, pins) and raises on
         the first difference."""
-        plain = _build(tiny_spec, pressured_prefetch)
-        shadowed = _build(tiny_spec, pressured_prefetch)
+        plain = _build(tiny_spec, pressured)
+        shadowed = _build(tiny_spec, pressured)
         shadow_caches(shadowed)
         stats_plain = plain.train(N_ROUNDS)
         stats_shadowed = shadowed.train(N_ROUNDS)
@@ -223,46 +219,28 @@ class TestPrefetchParity:
         assert all(s.cache_admission_runs > 0 for s in stats_plain)
 
     def test_prefetch_admission_stays_collision_free(
-        self, tiny_spec, pressured_prefetch
+        self, tiny_spec, pressured
     ):
         """Under eviction pressure the prefetch-shaped unions (hot
         residents of both tiers mixed with miss storms) admit in at most
         four dense passes per resolve — one per tier segment and one for
         the miss insert — so per round a node spends at most 4."""
-        pf = _build(tiny_spec, pressured_prefetch)
+        pf = _build(tiny_spec, pressured)
         stats = pf.train(N_ROUNDS)
         assert all(0 < s.cache_admission_runs <= 4 * pf.n_nodes for s in stats)
         assert all(s.cache_collision_splits == 0 for s in stats)
 
 
-#: every way the resolve can be scheduled
-SCHEDULES = [dict(prefetch=False), dict(prefetch=True)]
-
-
-def _digest(cluster):
-    probe = _probe(cluster)
-    return (
-        cluster.lookup_embeddings(probe).tobytes(),
-        *(a.tobytes() for a in cluster.nodes[0].model.dense_state()),
-    )
-
-
 class TestSingleMemPath:
-    def test_all_schedules_and_modes_share_one_digest(
-        self, tiny_spec, pressured
-    ):
-        """Lockstep and pipelined, under every schedule, land on the
-        same bytes — and on the single-store reference trainer's values
-        (which sums in a different order, hence its usual tolerance)."""
-        digests = set()
-        for schedule in SCHEDULES:
-            config = dataclasses.replace(pressured, **schedule)
-            lock = _build(tiny_spec, config)
-            piped = _build(tiny_spec, config)
-            lock.train(N_ROUNDS)
-            piped.train_pipelined(N_ROUNDS)
-            digests.update((_digest(lock), _digest(piped)))
-        assert len(digests) == 1
+    def test_both_modes_share_one_digest(self, tiny_spec, pressured):
+        """Lockstep and pipelined land on the same bytes — and on the
+        single-store reference trainer's values (which sums in a
+        different order, hence its usual tolerance)."""
+        lock = _build(tiny_spec, pressured)
+        piped = _build(tiny_spec, pressured)
+        lock.train(N_ROUNDS)
+        piped.train_pipelined(N_ROUNDS)
+        assert _digest(lock) == _digest(piped)
         ref = ReferenceTrainer(tiny_spec, pressured, functional_batch_size=192)
         ref.train(N_ROUNDS)
         probe = _probe(lock)
@@ -270,14 +248,13 @@ class TestSingleMemPath:
             lock.lookup_embeddings(probe), ref.embedding_of(probe), atol=1e-5
         )
 
-    @pytest.mark.parametrize("schedule", SCHEDULES, ids=str)
     @pytest.mark.parametrize("pipelined", [False, True])
     def test_no_pin_survives_a_round_boundary(
-        self, tiny_spec, pressured, schedule, pipelined
+        self, tiny_spec, pressured, pipelined
     ):
         """After every round's train stage nothing is pinned: one round
         is in flight per node, and its end releases every pin."""
-        cluster = _build(tiny_spec, dataclasses.replace(pressured, **schedule))
+        cluster = _build(tiny_spec, pressured)
         leaked = []
 
         def boundary(ctx):
@@ -293,9 +270,8 @@ class TestSingleMemPath:
             cluster.train(6)
         assert leaked == []
 
-    @pytest.mark.parametrize("schedule", SCHEDULES, ids=str)
     def test_one_probe_per_key_per_round(
-        self, tiny_spec, pressured, schedule, monkeypatch
+        self, tiny_spec, pressured, monkeypatch
     ):
         """Every SlotIndex probe of a round happens inside the resolve:
         prepare and absorb_updates gather and scatter through resolved
@@ -326,7 +302,7 @@ class TestSingleMemPath:
                     inside.pop()
 
             monkeypatch.setattr(MemPS, name, tracked)
-        cluster = _build(tiny_spec, dataclasses.replace(pressured, **schedule))
+        cluster = _build(tiny_spec, pressured)
         plans = []
         cluster.register_stage(
             "grab", lambda ctx: plans.append(ctx.plan) or 0.0, after="read"
@@ -350,55 +326,37 @@ class TestSingleMemPath:
 
 
 class TestPrefetchMechanics:
-    def test_round_boundary_releases_every_pin(
-        self, tiny_spec, pressured_prefetch
-    ):
-        pf = _build(tiny_spec, pressured_prefetch)
+    def test_round_boundary_releases_every_pin(self, tiny_spec, pressured):
+        pf = _build(tiny_spec, pressured)
         pf.train(3)
         for node in pf.nodes:
             assert node.mem_ps.cache.pinned_count() == 0
             assert node.mem_ps._prefetch_plan is None
 
-    def test_prefetch_seconds_reported_and_folded(
-        self, tiny_spec, pressured_prefetch
-    ):
-        pf = _build(tiny_spec, pressured_prefetch)
+    def test_prefetch_seconds_reported_and_folded(self, tiny_spec, pressured):
+        pf = _build(tiny_spec, pressured)
         stats = pf.train(N_ROUNDS)
-        # Under pressure the prefetch stage pays real SSD load time...
+        # Under pressure the resolve pays real SSD load time...
         assert any(s.prefetch_seconds > 0 for s in stats)
         for s in stats:
             # ...it is part of the MEM/SSD stage total...
             assert s.pull_push_seconds >= s.prefetch_seconds
             # ...and the 4-way stage decomposition still sums to the
-            # serial makespan (prefetch folds into the prepare element).
+            # serial makespan (the resolve is in the prepare element).
             assert s.pipeline_stage_seconds[1] >= s.prefetch_seconds
 
-    @pytest.mark.parametrize("prefetch", [False, True])
-    def test_the_mem_ssd_stage_is_the_resolve_plus_the_remote_pulls(
-        self, tiny_spec, pressured, prefetch
-    ):
-        """What the pipeline clocks for the MEM/SSD stage — the
-        ``prefetch`` stage plus ``prepare``, or ``prepare`` alone with
-        the resolve at its head — is exactly ``pull_push_seconds``."""
-        cluster = _build(
-            tiny_spec, dataclasses.replace(pressured, prefetch=prefetch)
-        )
-        names = [n for n, _ in cluster.stage_functions()]
-        run = cluster.train_pipelined(N_ROUNDS)
-        mem_ssd = [names.index(n) for n in ("prefetch", "prepare") if n in names]
-        clocked = run.stage_times[:, mem_ssd].sum(axis=1)
-        assert any(s.prefetch_seconds > 0 for s in run.stats)
-        assert clocked.tolist() == [s.pull_push_seconds for s in run.stats]
-
     def test_checkpoint_restore_replays_bit_identically(
-        self, tiny_spec, pressured_prefetch, tmp_path
+        self, tiny_spec, pressured, tmp_path
     ):
-        pf = _build(tiny_spec, pressured_prefetch)
+        """The ignored ``prefetch`` field still round-trips a manifest
+        (the frozen benchmark sets it)."""
+        flagged = dataclasses.replace(pressured, prefetch=True)
+        pf = _build(tiny_spec, flagged)
         pf.train(4)
         pf.save_checkpoint(str(tmp_path))
         restored = HPSCluster.restore(str(tmp_path))
         assert restored.config.prefetch is True
-        straight = _build(tiny_spec, pressured_prefetch)
+        straight = _build(tiny_spec, flagged)
         straight.train(6)
         restored.train(2)
         _assert_param_parity(straight, restored)

@@ -73,7 +73,7 @@ def _soak_spec():
     )
 
 
-def _soak_config(**overrides):
+def _soak_config():
     from repro.config import ClusterConfig
 
     return ClusterConfig(
@@ -84,25 +84,7 @@ def _soak_config(**overrides):
         hbm_capacity_params=50_000,
         ssd_file_capacity=128,
         seed=7,
-        **overrides,
     )
-
-
-def _twin_pair(config):
-    """Fault-free lockstep + pipelined references for ``config``."""
-    from repro.core.cluster import HPSCluster
-
-    spec = _soak_spec()
-
-    def mk():
-        return HPSCluster(spec, config, functional_batch_size=512)
-
-    lockstep = mk()
-    lockstep.train(N_ROUNDS)
-    pipelined = mk()
-    pipelined.train_pipelined(N_ROUNDS)
-    probe = lockstep.generator.batch(10_000, 512).unique_keys()
-    return {False: lockstep, True: pipelined, "probe": probe, "mk": mk}
 
 
 @pytest.fixture(scope="module")
@@ -113,13 +95,19 @@ def twins():
     spec/config mirror ``tiny_spec``/``small_config`` with the pressured
     MEM budget from ``mk_pressured``.
     """
-    return _twin_pair(_soak_config())
+    from repro.core.cluster import HPSCluster
 
+    spec, config = _soak_spec(), _soak_config()
 
-@pytest.fixture(scope="module")
-def staged_twins():
-    """Fault-free references with the MEM resolve as its own stage."""
-    return _twin_pair(_soak_config(prefetch=True))
+    def mk():
+        return HPSCluster(spec, config, functional_batch_size=512)
+
+    lockstep = mk()
+    lockstep.train(N_ROUNDS)
+    pipelined = mk()
+    pipelined.train_pipelined(N_ROUNDS)
+    probe = lockstep.generator.batch(10_000, 512).unique_keys()
+    return {False: lockstep, True: pipelined, "probe": probe, "mk": mk}
 
 
 @pytest.mark.parametrize("index", range(N_SCHEDULES))
@@ -147,39 +135,6 @@ def test_soak_recoverable_schedule_is_bit_exact(index, twins, tmp_path):
     assert run.training_seconds > 0.0
 
     _FIRED.update(r.kind for r in run.reports)
-
-
-@pytest.mark.parametrize("index", range(5))
-def test_prefetch_stage_soak_is_bit_exact(index, staged_twins, tmp_path):
-    """Five seeded schedules against the five-stage registry.
-
-    Fault recovery must compose with ``prefetch=True`` — the resolve as
-    its own stage, so a round can be aborted between resolve and
-    prepare: the run still ends bit-identical to its fault-free twin."""
-    pipelined = index % 2 == 1
-    schedule = FaultSchedule(
-        derive_seed(SOAK_BASE_SEED, "prefetch-stage", index),
-        rates=SOAK_RATES,
-        max_faults=64,
-    )
-    supervisor = Supervisor(str(tmp_path / "sup"), checkpoint_every=2)
-    run = supervisor.run(
-        staged_twins["mk"](), N_ROUNDS, schedule, pipelined=pipelined
-    )
-
-    assert run.rounds == N_ROUNDS
-    twin = staged_twins[pipelined]
-    probe = staged_twins["probe"]
-    assert np.array_equal(
-        run.cluster.lookup_embeddings(probe), twin.lookup_embeddings(probe)
-    )
-    for pa, pb in zip(
-        run.cluster.nodes[0].model.dense_state(),
-        twin.nodes[0].model.dense_state(),
-    ):
-        assert np.array_equal(pa, pb)
-    assert run.downtime_fraction < 1.0
-    assert run.training_seconds > 0.0
 
 
 @pytest.mark.skipif(

@@ -73,25 +73,21 @@ def test_every_public_method_is_reached_by_the_cluster(
     counted, tiny_spec, small_config, tmp_path
 ):
     pressured = dataclasses.replace(small_config, mem_capacity_params=1_400)
-    for prefetch in (False, True):
-        cfg = dataclasses.replace(pressured, prefetch=prefetch)
-        for pipelined in (False, True):
-            cluster = HPSCluster(tiny_spec, cfg, functional_batch_size=192)
-            stats = (
-                cluster.train_pipelined(16).stats if pipelined else cluster.train(16)
-            )
-            assert any(s.ssd_io_seconds > 0 for s in stats)  # really pressured
-            cluster.predict(cluster.generator.batch(10_000, 256))
+    for pipelined in (False, True):
+        cluster = HPSCluster(tiny_spec, pressured, functional_batch_size=192)
+        stats = cluster.train_pipelined(16).stats if pipelined else cluster.train(16)
+        assert any(s.ssd_io_seconds > 0 for s in stats)  # really pressured
+        cluster.predict(cluster.generator.batch(10_000, 256))
     # Full + delta checkpoints, a chain restore, a partial restore.
     cluster.save_checkpoint(str(tmp_path / "s0"))
     cluster.train(2)
     cluster.save_checkpoint(str(tmp_path / "s1"), mode="delta")
     restored = HPSCluster.restore(str(tmp_path / "s1"))
     restore_nodes(restored, str(tmp_path / "s1"), [1])
-    # A fault between resolve and load: abort, then retry the round.
+    # A fault between prepare and load: abort, then retry the round.
     ctx = RoundContext(round_index=restored.rounds_completed)
     restored.stage_read(ctx)
-    restored.stage_prefetch(ctx)
+    restored.stage_prepare(ctx)
     restored.abort_round()
     # (``pinned_count`` is the one method only tests observe through.)
     assert all(n.mem_ps.cache.pinned_count() == 0 for n in restored.nodes)

@@ -22,6 +22,7 @@ BUILD_RESTORE_SIGNATURES = (
     "repro.core.cluster:HPSCluster.__init__",
     "repro.core.cluster:HPSCluster.restore",
     "repro.core.cluster:HPSCluster.train_round",
+    "repro.core.cluster:HPSCluster.train_pipelined",
     "repro.ckpt.checkpoint:restore_cluster",
     "repro.ckpt.format:latest_checkpoint",
     "repro.core.node:HPSNode.__init__",
@@ -123,6 +124,23 @@ def key_table_bytes() -> tuple[int, int]:
     return index._payload.itemsize, partitioner._table.itemsize
 
 
+def pipeline_shapes() -> int:
+    """Distinct stage-name lists a cluster registers across
+    ``ClusterConfig.prefetch`` ∈ {False, True} (CI prints it head vs
+    base)."""
+    return len(
+        {
+            tuple(
+                name
+                for name, _ in HPSCluster(
+                    TINY_MODEL, replace(pressured_config(2), prefetch=flag)
+                ).stage_functions()
+            )
+            for flag in (False, True)
+        }
+    )
+
+
 def pressured_config(n_nodes: int) -> ClusterConfig:
     """A 2-GPU-per-node cluster under the fault soak's pressured MEM budget."""
     return ClusterConfig(
@@ -222,6 +240,7 @@ class TestClusterConfig:
         assert fault_layer_parameters() <= 8
         assert tier_constructor_parameters() <= 32
         assert defaulted_priced_parameters() <= 7
+        assert pipeline_shapes() <= 1
 
     def test_key_tables_stay_narrow(self):
         """Per-key bytes grow with the model: an index payload holds an
