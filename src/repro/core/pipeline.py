@@ -81,7 +81,8 @@ def schedule(
     2. *resource serialization* — stage ``s`` finishes round ``b - 1``
        first (one round at a time per resource, in round order);
     3. *bounded prefetch queues* — stage ``s + 1`` has started round
-       ``b - q`` (``q = queue_capacity``, the depth of every queue).
+       ``b - q`` (``q = queue_capacity``, the depth of every queue; a
+       bool, non-integer or ``q < 1`` is a ``ValueError``).
 
     Round-major order fills every referenced event before it is read;
     the result is the unique fixpoint of the constraints.
@@ -90,8 +91,8 @@ def schedule(
     if not names:
         raise ValueError("need at least one stage")
     q = queue_capacity
-    if q < 1:
-        raise ValueError("queue capacity must be >= 1")
+    if isinstance(q, bool) or not isinstance(q, (int, np.integer)) or q < 1:
+        raise ValueError(f"queue capacity must be an integer >= 1, got {q!r}")
     st = np.asarray(stage_times, dtype=np.float64)
     if st.ndim != 2 or st.shape[1] != len(names):
         raise ValueError(f"stage_times must be (n_rounds, {len(names)})")

@@ -99,6 +99,47 @@ class TestRoundLoopRefusesBadDurations:
         assert cluster.rounds_completed == 0
 
 
+class TestRoundCounts:
+    """``train(n)`` and ``train_pipelined(n)`` run the one round loop."""
+
+    @pytest.mark.parametrize("train", ["train", "train_pipelined"])
+    def test_zero_rounds_run_no_stage(self, cluster, train):
+        fired = []
+        cluster.register_stage(
+            "probe", lambda ctx: fired.append(ctx.round_index) or 0.0,
+            after="read",
+        )
+        out = getattr(cluster, train)(0)
+        stats = out if train == "train" else out.stats
+        assert stats == []
+        assert fired == []
+        assert cluster.rounds_completed == 0
+        if train == "train_pipelined":
+            assert out.makespan == 0.0
+
+    @pytest.mark.parametrize("train", ["train", "train_pipelined"])
+    def test_numpy_integer_count_is_accepted(self, cluster, train):
+        out = getattr(cluster, train)(np.int64(2))
+        stats = out if train == "train" else out.stats
+        assert [s.round_index for s in stats] == [0, 1]
+        assert cluster.rounds_completed == 2
+
+    def test_train_n_matches_n_train_rounds(self, tiny_spec, small_config):
+        """``train(3)`` is one ``_run_rounds`` call; it trains what three
+        ``train_round`` calls train, with the same stats."""
+        def build():
+            return HPSCluster(tiny_spec, small_config, functional_batch_size=256)
+
+        batched, stepped = build(), build()
+        stats = batched.train(3)
+        assert stats == [stepped.train_round() for _ in range(3)]
+        assert batched.history == stepped.history
+        probe = batched.generator.batch(5, 256).unique_keys()
+        assert np.array_equal(
+            batched.lookup_embeddings(probe), stepped.lookup_embeddings(probe)
+        )
+
+
 class TestScheduleParity:
     """A pipelined run's clock is ``schedule`` of the durations its stages
     returned, each in its (round, stage) cell."""
@@ -115,6 +156,18 @@ class TestScheduleParity:
         assert np.array_equal(run.schedule.start, expected.start)
         assert np.array_equal(run.schedule.finish, expected.finish)
         assert run.schedule.stage_names == expected.stage_names
+
+    def test_cluster_clock_runs_at_the_module_depth(self, cluster):
+        """With a slow last stage, depths 1, 2 and 3 start rounds
+        differently; the cluster's clock is the one at
+        ``QUEUE_CAPACITY``."""
+        durations = np.tile([1.0, 1.0, 1.0, 5.0], (6, 1))
+        replay_durations(cluster, durations)
+        run = cluster.train_pipelined(6)
+        for q in (QUEUE_CAPACITY - 1, QUEUE_CAPACITY, QUEUE_CAPACITY + 1):
+            at_q = clock(durations, queue_capacity=q)
+            same = np.array_equal(run.schedule.start, at_q.start)
+            assert same == (q == QUEUE_CAPACITY)
 
     def test_execution_order_is_batch_major(self, cluster):
         """Stages fire in canonical round-major order — the parity

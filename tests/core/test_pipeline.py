@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.pipeline import schedule
+from repro.core.pipeline import QUEUE_CAPACITY, schedule
 
 NAMES = ("read", "prepare", "load", "train")
 
@@ -22,6 +22,19 @@ class TestValidation:
     def test_queue_capacity_positive(self):
         with pytest.raises(ValueError, match=">= 1"):
             schedule(np.ones((1, 2)), queue_capacity=0, stage_names=("a", "b"))
+
+    @pytest.mark.parametrize("q", [-1, True, 2.0, (2, 2), "2"], ids=repr)
+    def test_queue_capacity_is_one_integer(self, q):
+        """One int depth serves every boundary: a per-boundary tuple, a
+        bool or a float is refused, not read as some depth."""
+        with pytest.raises(ValueError, match="integer >= 1"):
+            schedule(np.ones((3, 2)), queue_capacity=q, stage_names=("a", "b"))
+
+    def test_numpy_integer_depth_is_accepted(self):
+        times = np.tile([1.0, 10.0], (4, 1))
+        a = schedule(times, queue_capacity=np.int64(1), stage_names=("a", "b"))
+        b = schedule(times, queue_capacity=1, stage_names=("a", "b"))
+        assert np.array_equal(a.start, b.start)
 
     def test_stage_times_shape(self):
         with pytest.raises(ValueError, match="stage_times"):
@@ -78,6 +91,16 @@ class TestScheduling:
         shallow = schedule(times, queue_capacity=1, stage_names=NAMES)
         deep = schedule(times, queue_capacity=4, stage_names=NAMES)
         assert deep.makespan <= shallow.makespan
+
+    def test_default_depth_is_the_module_constant(self):
+        """Every committed pipelined run was clocked at depth 2; a slow
+        last stage makes depths 1, 2 and 3 start rounds differently."""
+        assert QUEUE_CAPACITY == 2
+        times = np.tile([1.0, 1.0, 1.0, 5.0], (6, 1))
+        default = schedule(times, stage_names=NAMES)
+        for q in (1, 2, 3):
+            at_q = schedule(times, queue_capacity=q, stage_names=NAMES)
+            assert np.array_equal(default.start, at_q.start) == (q == 2)
 
     def test_bottleneck_stage_identified(self):
         sched = schedule(np.tile([1.0, 1.0, 9.0, 1.0], (6, 1)), stage_names=NAMES)
@@ -198,3 +221,16 @@ def test_every_event_starts_at_its_binding_constraint(clock):
     for s in range(n_stages):
         assert sched.queue_stall_seconds(s) >= 0.0
         assert sched.shadow_idle_seconds(s) >= 0.0
+
+
+@given(clocks())
+@settings(max_examples=100, deadline=None)
+def test_a_deeper_queue_never_starts_an_event_later(clock):
+    """Depth ``q + 1`` only relaxes the queue constraint, so no event
+    starts later than at depth ``q`` and the makespan cannot grow."""
+    times, q = clock
+    stage_names = names(times.shape[1])
+    shallow = schedule(times, queue_capacity=q, stage_names=stage_names)
+    deep = schedule(times, queue_capacity=q + 1, stage_names=stage_names)
+    assert np.all(deep.start <= shallow.start)
+    assert deep.makespan <= shallow.makespan

@@ -100,6 +100,24 @@ class TestStageRegistration:
         names = [n for n, _ in cluster.stage_functions()]
         assert names == ["read", "prepare", "load", "train"]
 
+    @pytest.mark.parametrize("snapshot", [False, True], ids=["plain", "snapshot"])
+    @pytest.mark.parametrize("prefetch", [False, True], ids=["default", "prefetch"])
+    def test_every_cluster_registers_algorithm_1(
+        self, tiny_spec, pressured, tmp_path, prefetch, snapshot
+    ):
+        """One shape whatever the flag: ``read, prepare, load, train``,
+        plus ``snapshot`` after ``train`` when that stage is enabled."""
+        config = dataclasses.replace(pressured, prefetch=prefetch)
+        cluster = _build(tiny_spec, config)
+        base = ["read", "prepare", "load", "train"]
+        if snapshot:
+            cluster.enable_snapshot_stage(str(tmp_path / "snap"), every=2)
+        names = [n for n, _ in cluster.stage_functions()]
+        assert names == base + ["snapshot"] * snapshot
+        if snapshot:
+            cluster.unregister_stage("snapshot")
+            assert [n for n, _ in cluster.stage_functions()] == base
+
     def test_register_validates(self, tiny_spec, pressured):
         cluster = _build(tiny_spec, pressured)
         with pytest.raises(ValueError, match="already registered"):
