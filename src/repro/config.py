@@ -11,11 +11,28 @@ import numbers
 from dataclasses import dataclass
 
 __all__ = [
+    "check_count",
     "ModelSpec",
     "ClusterConfig",
     "PAPER_MODELS",
     "TINY_MODEL",
 ]
+
+
+def check_count(name: str, value: object, minimum: int = 1) -> int:
+    """``value`` as an ``int`` count of at least ``minimum``.
+
+    A bool, a non-integer (``2.5``, ``"2"``) or a smaller value is a
+    ``ValueError`` naming ``name``; NumPy integers pass.  Every entry
+    point checks its counts with this before it creates anything.
+    """
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, numbers.Integral)
+        or value < minimum
+    ):
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)

@@ -52,7 +52,7 @@ from typing import TYPE_CHECKING, Any, Callable
 
 import numpy as np
 
-from repro.config import ClusterConfig, ModelSpec
+from repro.config import ClusterConfig, ModelSpec, check_count
 from repro.data.batching import Batch
 from repro.data.generator import CTRDataGenerator
 from repro.data.hdfs import TimedBatch
@@ -267,15 +267,16 @@ class HPSCluster:
         functional_batch_size: int = 4096,
         zipf_exponent: float = 1.05,
     ) -> None:
-        if functional_batch_size < 1:
-            raise ValueError("functional_batch_size must be at least 1")
+        functional_batch_size = check_count(
+            "functional_batch_size", functional_batch_size
+        )
         check_key_cap(
             model_spec.n_sparse - 1,
             f"model {model_spec.name!r} (n_sparse={model_spec.n_sparse})",
         )
         self.model_spec = model_spec
         self.config = cluster_config
-        self.sparse_optimizer = SparseAdagrad(model_spec.embedding_dim, lr=0.05)
+        self.sparse_optimizer = SparseAdagrad(model_spec.embedding_dim)
         self.generator = CTRDataGenerator(
             model_spec, seed=cluster_config.seed, zipf_exponent=zipf_exponent
         )
@@ -571,9 +572,7 @@ class HPSCluster:
                 t_pull = node.hbm_ps.pull_embeddings(mbp, gpu=gpu)
                 t_gpu = node.gpu_compute.train(flops_per_ex * mb.n_examples)
                 t_push = node.hbm_ps.push_gradients(
-                    mbp,
-                    result.sparse_grad.grads.astype(np.float32),
-                    gpu=gpu,
+                    mbp, result.sparse_grads.astype(np.float32), gpu=gpu
                 )
                 worker_t[i] = max(worker_t[i], t_pull + t_gpu + t_push)
                 hbm_pull_s += t_pull
@@ -717,14 +716,7 @@ class HPSCluster:
         A bool, non-integer or negative ``n_rounds`` is a ``ValueError``
         before any stage runs.
         """
-        if (
-            isinstance(n_rounds, bool)
-            or not isinstance(n_rounds, (int, np.integer))
-            or n_rounds < 0
-        ):
-            raise ValueError(
-                f"n_rounds must be a non-negative integer, got {n_rounds!r}"
-            )
+        n_rounds = check_count("n_rounds", n_rounds, 0)
         specs = tuple(self._stage_defs)
         times = np.zeros((n_rounds, len(specs)))
         stats: list[BatchStats] = []
@@ -933,12 +925,11 @@ class HPSCluster:
 
         from repro.ckpt.format import checkpoint_dir_name, invalidate
 
-        if every < 1:
-            raise ValueError("every must be >= 1")
-        if full_every is not None and full_every < 1:
-            raise ValueError("full_every must be >= 1")
-        if keep_last is not None and keep_last < 1:
-            raise ValueError("keep_last must be >= 1")
+        every = check_count("every", every)
+        if full_every is not None:
+            full_every = check_count("full_every", full_every)
+        if keep_last is not None:
+            keep_last = check_count("keep_last", keep_last)
         self._stage_slot("snapshot", "train")  # refused before makedirs
         os.makedirs(directory, exist_ok=True)
         root = os.path.abspath(directory)

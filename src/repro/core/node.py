@@ -18,7 +18,7 @@ from repro.hardware.specs import default_node_hardware
 from repro.hbm.hbm_ps import HBMPS
 from repro.mem.mem_ps import MemPS
 from repro.nn.model import CTRModel
-from repro.nn.optim import DenseAdagrad, SparseOptimizer
+from repro.nn.optim import DenseAdagrad, SparseAdagrad
 from repro.ssd.ssd_ps import SSDPS
 from repro.utils.rng import derive_seed
 
@@ -33,7 +33,7 @@ class HPSNode:
         node_id: int,
         model_spec: ModelSpec,
         cluster_config: ClusterConfig,
-        sparse_optimizer: SparseOptimizer,
+        sparse_optimizer: SparseAdagrad,
         generator: CTRDataGenerator,
         *,
         functional_batch_size: int,
@@ -79,7 +79,7 @@ class HPSNode:
         # Every node starts from the same dense initialization (seeded by
         # the cluster seed, not the node id) so replicas are identical.
         self.model = CTRModel(model_spec, seed=derive_seed(cfg.seed, "dense"))
-        self.dense_optimizer = DenseAdagrad(lr=0.05)
+        self.dense_optimizer = DenseAdagrad()
         self.gpu_compute = GPUDevice(self.hardware.gpu, self.ledger)
 
     # ------------------------------------------------------------------

@@ -27,6 +27,8 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
+from repro.config import check_count
+
 __all__ = [
     "QUEUE_CAPACITY",
     "PipelineSchedule",
@@ -90,9 +92,7 @@ def schedule(
     names = tuple(stage_names)
     if not names:
         raise ValueError("need at least one stage")
-    q = queue_capacity
-    if isinstance(q, bool) or not isinstance(q, (int, np.integer)) or q < 1:
-        raise ValueError(f"queue capacity must be an integer >= 1, got {q!r}")
+    q = check_count("queue_capacity", queue_capacity)
     st = np.asarray(stage_times, dtype=np.float64)
     if st.ndim != 2 or st.shape[1] != len(names):
         raise ValueError(f"stage_times must be (n_rounds, {len(names)})")

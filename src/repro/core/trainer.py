@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.config import ClusterConfig, ModelSpec
+from repro.config import ClusterConfig, ModelSpec, check_count
 from repro.data.batching import Batch
 from repro.data.generator import CTRDataGenerator
 from repro.nn.metrics import auc
@@ -42,18 +42,20 @@ class ReferenceTrainer:
         *,
         functional_batch_size: int = 4096,
     ) -> None:
+        self.batch_size = check_count(
+            "functional_batch_size", functional_batch_size
+        )
         check_key_cap(
             model_spec.n_sparse - 1,
             f"model {model_spec.name!r} (n_sparse={model_spec.n_sparse})",
         )
         self.config = cluster_config
-        self.optimizer = SparseAdagrad(model_spec.embedding_dim, lr=0.05)
+        self.optimizer = SparseAdagrad(model_spec.embedding_dim)
         self.generator = CTRDataGenerator(model_spec, seed=cluster_config.seed)
-        self.batch_size = functional_batch_size
         self.model = CTRModel(
             model_spec, seed=derive_seed(cluster_config.seed, "dense")
         )
-        self.dense_optimizer = DenseAdagrad(lr=0.05)
+        self.dense_optimizer = DenseAdagrad()
         self._store = FlatStore(self.optimizer.value_dim)
         self._init_seed = cluster_config.seed
         self.rounds_completed = 0
@@ -104,9 +106,8 @@ class ReferenceTrainer:
                     (result,) = self.model.train_minibatch(
                         self._fetch(shard.keys), [shard]
                     )
-                    sg = result.sparse_grad
-                    gpu_keys.append(as_keys(sg.keys))
-                    gpu_grads.append(sg.grads.astype(np.float32))
+                    gpu_keys.append(shard.keys)
+                    gpu_grads.append(result.sparse_grads.astype(np.float32))
                     losses.append(result.loss)
                     grads = result.dense_grads
                     if dense_acc is None:
@@ -150,6 +151,7 @@ class ReferenceTrainer:
         return float(np.mean(losses)) if losses else float("nan")
 
     def train(self, n_rounds: int) -> list[float]:
+        n_rounds = check_count("n_rounds", n_rounds, 0)
         return [self.train_round() for _ in range(n_rounds)]
 
     # ------------------------------------------------------------------

@@ -83,6 +83,7 @@ from dataclasses import dataclass, field, replace
 
 from repro.ckpt.checkpoint import CheckpointStats, restore_nodes
 from repro.ckpt.format import checkpoint_dir_name
+from repro.config import check_count
 from repro.faults.errors import FaultError, UnrecoverableFaultError
 from repro.faults.inject import FaultInjection
 from repro.faults.policy import MAX_ROUND_RETRIES, FaultReport
@@ -167,10 +168,8 @@ class Supervisor:
     """
 
     def __init__(self, directory: str, *, checkpoint_every: int = 2) -> None:
-        if checkpoint_every < 1:
-            raise ValueError("checkpoint_every must be >= 1")
         self.root = directory
-        self.checkpoint_every = checkpoint_every
+        self.checkpoint_every = check_count("checkpoint_every", checkpoint_every)
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -211,11 +210,11 @@ class Supervisor:
         :class:`~repro.faults.errors.UnrecoverableFaultError` only when
         the recovery budget is exceeded (a fault storm
         :data:`MAX_RECOVERIES` escalations cannot absorb), or
-        ``ValueError`` before anything runs when ``cluster`` already has
-        a ``snapshot`` stage.
+        ``ValueError`` before anything runs when ``n_rounds`` is not a
+        count (:func:`~repro.config.check_count`) or ``cluster`` already
+        has a ``snapshot`` stage.
         """
-        if n_rounds < 0:
-            raise ValueError("n_rounds must be non-negative")
+        n_rounds = check_count("n_rounds", n_rounds, 0)
         if self._has_snapshot_stage(cluster):
             raise ValueError(
                 "cluster already has a 'snapshot' stage — the supervisor "

@@ -22,6 +22,10 @@ from repro.utils.keys import KEY_DOMAIN_CAP, check_key_cap
 
 __all__ = ["SimpleDNN"]
 
+#: The study's network: embedding width and hidden-layer widths.
+EMBEDDING_DIM = 8
+HIDDEN_LAYERS = (32, 16)
+
 
 class SimpleDNN:
     """Single-store embedding+MLP trainer over explicit batch lists.
@@ -29,31 +33,24 @@ class SimpleDNN:
     Hashed data has no slot structure, so ``n_slots=1`` (sum-pool all
     active features) is the default.  Keys must lie below
     :data:`~repro.utils.keys.KEY_DOMAIN_CAP`, the store index's domain.
+    Both sides step with the Adagrad pair of :mod:`repro.nn.optim`.
     """
 
-    def __init__(
-        self,
-        embedding_dim: int = 8,
-        hidden_layers: tuple[int, ...] = (32, 16),
-        *,
-        n_slots: int = 1,
-        lr: float = 0.05,
-        seed: int = 0,
-    ) -> None:
+    def __init__(self, *, n_slots: int = 1, seed: int = 0) -> None:
         spec = ModelSpec(
             name="simple-dnn",
             nonzeros_per_example=1,
             n_sparse=KEY_DOMAIN_CAP,
-            n_dense=sum(hidden_layers),
+            n_dense=sum(HIDDEN_LAYERS),
             size_gb=0.0,
             mpi_nodes=1,
-            embedding_dim=embedding_dim,
-            hidden_layers=hidden_layers,
+            embedding_dim=EMBEDDING_DIM,
+            hidden_layers=HIDDEN_LAYERS,
             n_slots=n_slots,
         )
         self.model = CTRModel(spec, seed=seed)
-        self.sparse_opt = SparseAdagrad(embedding_dim, lr=lr)
-        self.dense_opt = DenseAdagrad(lr=lr)
+        self.sparse_opt = SparseAdagrad(EMBEDDING_DIM)
+        self.dense_opt = DenseAdagrad()
         self.seed = seed
         self._store = FlatStore(self.sparse_opt.value_dim)
 
@@ -72,7 +69,7 @@ class SimpleDNN:
         values = self._fetch(keys)
         (result,) = self.model.train_minibatch(values, [shard])
         self._store.put_batch(
-            keys, self.sparse_opt.apply(values, result.sparse_grad.grads)
+            keys, self.sparse_opt.apply(values, result.sparse_grads)
         )
         self.dense_opt.step(
             self.model.mlp.parameters(),

@@ -41,7 +41,7 @@ from repro.hardware.ledger import CostLedger
 from repro.hardware.specs import GPUSpec, NVLinkSpec
 from repro.hbm.allreduce import SparseUpdate
 from repro.hbm.partition import ModuloPartitioner
-from repro.nn.optim import SparseOptimizer
+from repro.nn.optim import SparseAdagrad
 from repro.plan.batch_plan import MinibatchPlan, NodePlan, NodeSyncPlan
 from repro.utils.rows import put_rows, take_rows
 
@@ -94,7 +94,7 @@ class HBMPS:
         self,
         n_gpus: int,
         capacity_per_gpu: int,
-        optimizer: SparseOptimizer,
+        optimizer: SparseAdagrad,
         *,
         gpu_spec: GPUSpec,
         nvlink_spec: NVLinkSpec,

@@ -36,7 +36,7 @@ from repro.errors import TierStateError
 from repro.hardware.network import Network
 from repro.hbm.partition import ModuloPartitioner
 from repro.mem.cache import CombinedCache
-from repro.nn.optim import SparseOptimizer
+from repro.nn.optim import SparseAdagrad
 from repro.plan.batch_plan import NodePlan, NodePrefetchPlan
 from repro.ssd.ssd_ps import SSDPS
 from repro.utils.rows import put_rows, take_rows
@@ -53,7 +53,7 @@ class MemPS:
         self,
         node_id: int,
         n_nodes: int,
-        optimizer: SparseOptimizer,
+        optimizer: SparseAdagrad,
         ssd_ps: SSDPS,
         *,
         cache_capacity: int,

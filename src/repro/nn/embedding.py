@@ -4,12 +4,11 @@ Maps each example's sparse feature ids to embedding vectors pulled from the
 parameter server and pools them per slot (sum pooling), producing the dense
 input of the MLP tower (paper Figure 1).  The layer itself is stateless —
 embedding values live in the PS; this module only does the gather/pool
-forward and the scatter/accumulate backward.
+forward and the scatter/accumulate backward, whose plain gradient rows
+follow the caller's key order (the keys stay with the caller's shard).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,7 +17,7 @@ from repro.errors import TierStateError
 from repro.nn.layers import Workspace
 from repro.utils.keys import as_keys
 
-__all__ = ["EmbeddingLayer", "EmbeddingGradient"]
+__all__ = ["EmbeddingLayer"]
 
 
 def _scatter_add(idx: np.ndarray, cols: np.ndarray, n_bins: int) -> np.ndarray:
@@ -34,18 +33,6 @@ def _scatter_add(idx: np.ndarray, cols: np.ndarray, n_bins: int) -> np.ndarray:
     for d, weights in enumerate(cols):
         out[:, d] = np.bincount(idx, weights=weights, minlength=n_bins)
     return out
-
-
-@dataclass(frozen=True)
-class EmbeddingGradient:
-    """Sparse gradient: one row of ``grads`` per key in ``keys``."""
-
-    keys: np.ndarray
-    grads: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.keys.shape[0] != self.grads.shape[0]:
-            raise ValueError("keys/grads length mismatch")
 
 
 class EmbeddingLayer:

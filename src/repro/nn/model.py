@@ -3,8 +3,8 @@
 ``CTRModel`` ties the sparse embedding layer to the dense MLP tower and
 exposes a ``train_minibatch`` that consumes a sync round's minibatches plus
 the embedding values pulled from the parameter server, and emits each
-worker's sparse gradient to push back — the worker-side contract of
-Algorithm 1 lines 12–14.
+worker's sparse gradient (one row per key of its shard) to push back —
+the worker-side contract of Algorithm 1 lines 12–14.
 """
 
 from __future__ import annotations
@@ -17,10 +17,9 @@ import numpy as np
 
 from repro.config import ModelSpec
 from repro.data.batching import Batch
-from repro.nn.embedding import EmbeddingGradient, EmbeddingLayer
+from repro.nn.embedding import EmbeddingLayer
 from repro.nn.layers import MLP
 from repro.nn.loss import bce_with_logits, sigmoid
-from repro.utils.keys import as_keys
 
 __all__ = ["CTRModel", "MinibatchResult", "Shard"]
 
@@ -49,11 +48,11 @@ class MinibatchResult:
     """Outcome of one worker minibatch step."""
 
     loss: float
-    sparse_grad: EmbeddingGradient
+    #: one float64 row per key of the shard's :attr:`Shard.keys`
+    sparse_grads: np.ndarray
     #: ``[dW, db]`` per dense layer, float64 — views of the tower's
     #: workspaces, overwritten by the next training step
     dense_grads: list[np.ndarray]
-    n_examples: int
 
 
 class CTRModel:
@@ -116,8 +115,9 @@ class CTRModel:
         through the tower, one loss, one scatter.  Each shard is still its
         own minibatch — its loss is the mean over its examples, its
         gradient is divided by its own size, its dense gradients come from
-        its rows alone and its sparse gradient covers its own keys — so a
-        result is bit-identical to a call with that shard alone wherever
+        its rows alone and its sparse gradient has one row per key of its
+        ``Shard.keys`` — so a result is bit-identical to a call with that
+        shard alone wherever
         the BLAS computes a row of a product independently of the rows
         around it (OpenBLAS 0.3.31 does for the workloads' towers when
         every shard's example count is a multiple of 4).  Results are
@@ -144,14 +144,9 @@ class CTRModel:
             int(key_lo[-1]),
         )
         return [
-            MinibatchResult(
-                loss,
-                EmbeddingGradient(as_keys(s.keys), sparse[lo:hi]),
-                self.mlp.gradients(w),
-                s.batch.n_examples,
-            )
-            for w, (s, loss, lo, hi) in enumerate(
-                zip(shards, losses, key_lo[:-1], key_lo[1:])
+            MinibatchResult(loss, sparse[lo:hi], self.mlp.gradients(w))
+            for w, (loss, lo, hi) in enumerate(
+                zip(losses, key_lo[:-1], key_lo[1:])
             )
         ]
 

@@ -303,24 +303,41 @@ def test_trainer_delta_checkpoint_mode(tiny_spec, small_config, tmp_path):
 
 
 def test_trainer_validates_checkpoint_mode(tiny_spec, small_config, tmp_path):
-    """The stage refuses a bad cadence, naming the argument, and a second
-    snapshot stage at registration: nothing registered, no directory
-    created."""
+    """A second snapshot stage is refused at registration: nothing
+    registered, no directory created."""
     cluster = build(tiny_spec, small_config)
-    before = cluster.stage_functions()
     target = str(tmp_path / "snaps")
-    for kwargs, match in (
-        ({"every": 0}, "every must be >= 1"),
-        ({"full_every": 0}, "full_every must be >= 1"),
-        ({"keep_last": 0}, "keep_last must be >= 1"),
-    ):
-        with pytest.raises(ValueError, match=match):
-            cluster.enable_snapshot_stage(target, **kwargs)
-        assert cluster.stage_functions() == before
-        assert not os.path.exists(target)
     cluster.enable_snapshot_stage(str(tmp_path / "first"))
     before = cluster.stage_functions()
     with pytest.raises(ValueError, match="already registered"):
         cluster.enable_snapshot_stage(target)
     assert cluster.stage_functions() == before
     assert not os.path.exists(target)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"every": 0}, {"full_every": 0}, {"every": 2.5}, {"every": True},
+     {"full_every": 1.5}, {"keep_last": 1.5}],
+    ids=lambda kw: ",".join(f"{k}={v!r}" for k, v in kw.items()),
+)
+def test_snapshot_stage_refuses_a_bad_count(
+    tiny_spec, small_config, tmp_path, kwargs
+):
+    """The stage refuses a count that is not an integer >= 1, naming the
+    argument: nothing registered, no directory created.  ``every=2.5``
+    used to snapshot only at rounds it happened to divide (round 5 of
+    6), and ``keep_last=1.5`` to raise ``TypeError`` in the prune after
+    round 1's snapshot had committed."""
+    cluster = build(tiny_spec, small_config)
+    before = cluster.stage_functions()
+    target = str(tmp_path / "snaps")
+    (name,) = kwargs
+    with pytest.raises(ValueError, match=f"^{name} must be an integer >= 1"):
+        cluster.enable_snapshot_stage(target, **kwargs)
+    assert cluster.stage_functions() == before
+    assert not os.path.exists(target)
+    # A NumPy integer is a count.
+    stage = cluster.enable_snapshot_stage(target, **{name: np.int64(2)})
+    cluster.train(2)
+    assert len(stage.history) == (1 if name == "every" else 2)

@@ -133,7 +133,7 @@ class TestRetention:
         assert_registration_refused(
             build(tiny_spec, small_config),
             str(tmp_path / "snaps"),
-            "keep_last must be >= 1",
+            "keep_last must be an integer >= 1",
             keep_last=0,
         )
 

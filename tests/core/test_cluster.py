@@ -77,17 +77,41 @@ class TestTrainRound:
         config = dataclasses.replace(small_config, seed=2**64 - 1)
         HPSCluster(tiny_spec, config).train_round()
 
-    @pytest.mark.parametrize("size", [0, -1])
-    def test_functional_batch_size_below_one_is_refused(
-        self, tiny_spec, small_config, size
+    @pytest.mark.parametrize("build", [HPSCluster, ReferenceTrainer])
+    @pytest.mark.parametrize("size", [0, -1, True, 2.5], ids=repr)
+    def test_functional_batch_size_must_be_a_count(
+        self, tiny_spec, small_config, build, size, monkeypatch
     ):
         """A zero size once fell back to ``ClusterConfig.batch_size``
         (4,000,000 examples per read) while the cluster and its
-        checkpoint manifest recorded 0."""
-        with pytest.raises(ValueError, match="functional_batch_size"):
-            HPSCluster(tiny_spec, small_config, functional_batch_size=size)
-        cluster = HPSCluster(tiny_spec, small_config, functional_batch_size=64)
-        assert [n.hdfs.batch_size for n in cluster.nodes] == [64, 64]
+        checkpoint manifest recorded 0; ``True`` or ``2.5`` built a
+        cluster that died in round 1 with NumPy's ``TypeError``, and the
+        reference trainer took any size.  Both refuse it before a node
+        exists, and take a NumPy integer as an ``int``."""
+        made = []
+        monkeypatch.setattr(HPSCluster, "_make_node", lambda s, i: made.append(i))
+        with pytest.raises(ValueError, match="functional_batch_size must be an int"):
+            build(tiny_spec, small_config, functional_batch_size=size)
+        assert made == []
+        monkeypatch.undo()
+        built = build(tiny_spec, small_config, functional_batch_size=np.int64(64))
+        sizes = (
+            [n.hdfs.batch_size for n in built.nodes]
+            if build is HPSCluster
+            else [built.batch_size]
+        )
+        assert all(type(s) is int and s == 64 for s in sizes)
+
+    @pytest.mark.parametrize("n_rounds", [-1, True, 2.5], ids=repr)
+    def test_reference_round_count_must_be_a_count(
+        self, tiny_spec, small_config, n_rounds
+    ):
+        """``ReferenceTrainer.train(True)`` used to train one round and
+        ``train(-1)`` none, where the cluster refuses both."""
+        ref = ReferenceTrainer(tiny_spec, small_config, functional_batch_size=64)
+        with pytest.raises(ValueError, match="n_rounds must be an integer >= 0"):
+            ref.train(n_rounds)
+        assert ref.rounds_completed == 0
 
     def test_auc_improves_over_random(self, tiny_spec, small_config):
         cluster = HPSCluster(tiny_spec, small_config, functional_batch_size=512)

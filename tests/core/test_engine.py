@@ -1,11 +1,11 @@
-"""The pipeline clock run on real stage durations, and the round loop.
+"""The round loop, the stage registry, and the clock on real durations.
 
 The clock is :func:`~repro.core.pipeline.schedule`, a pure function of
-the stage-time matrix; :meth:`HPSCluster.train_pipelined` records that
-matrix with the same round loop lockstep uses and calls it once.  The
-synthetic-duration classes hold the clock's overlap and backpressure
-properties; the cluster classes hold the loop's order, its duration
-checks and lockstep parity.
+the stage-time matrix whose properties ``test_pipeline.py`` holds on
+synthetic matrices; :meth:`HPSCluster.train_pipelined` records that
+matrix with the same round loop lockstep uses and calls it once.  These
+classes hold the loop's order, its count and duration checks, the
+registry's hygiene, and lockstep parity.
 """
 
 import numpy as np
@@ -14,18 +14,7 @@ import pytest
 from repro.core.cluster import HPSCluster
 from repro.core.pipeline import QUEUE_CAPACITY, schedule
 
-
-def names(n_stages):
-    return tuple(f"s{i}" for i in range(n_stages))
-
-
-def clock(durations, queue_capacity=QUEUE_CAPACITY):
-    durations = np.asarray(durations, dtype=np.float64)
-    return schedule(
-        durations,
-        queue_capacity=queue_capacity,
-        stage_names=names(durations.shape[1]),
-    )
+STAGES = ("read", "prepare", "load", "train")
 
 
 @pytest.fixture
@@ -46,28 +35,6 @@ def replay_durations(cluster, durations):
         return wrapped
 
     cluster.wrap_stages(wrap)
-
-
-class TestValidation:
-    def test_no_stages(self):
-        with pytest.raises(ValueError):
-            schedule(np.ones((1, 0)), stage_names=())
-
-    def test_queue_capacity_positive(self):
-        with pytest.raises(ValueError):
-            clock(np.ones((1, 2)), queue_capacity=0)
-
-    def test_negative_duration_rejected(self):
-        with pytest.raises(ValueError, match="'s0' returned invalid duration"):
-            clock([[-1.0]])
-
-    def test_nan_duration_rejected(self):
-        with pytest.raises(ValueError, match="'s1' returned invalid duration"):
-            clock([[1.0, float("nan")]])
-
-    def test_negative_batches_rejected(self, cluster):
-        with pytest.raises(ValueError, match="non-negative"):
-            cluster.train_pipelined(-1)
 
 
 class TestRoundLoopRefusesBadDurations:
@@ -93,7 +60,7 @@ class TestRoundLoopRefusesBadDurations:
             "probe", lambda ctx: fired.append(ctx.round_index) or 0.0,
             after="read",
         )
-        with pytest.raises(ValueError, match="non-negative integer"):
+        with pytest.raises(ValueError, match="n_rounds must be an integer >= 0"):
             getattr(cluster, train)(n_rounds)
         assert fired == []
         assert cluster.rounds_completed == 0
@@ -149,9 +116,7 @@ class TestScheduleParity:
         durations = rng.uniform(0.1, 5.0, size=(6, 4))
         replay_durations(cluster, durations)
         run = cluster.train_pipelined(6)
-        expected = schedule(
-            durations, stage_names=("read", "prepare", "load", "train")
-        )
+        expected = schedule(durations, stage_names=STAGES)
         assert np.array_equal(run.stage_times, durations)
         assert np.array_equal(run.schedule.start, expected.start)
         assert np.array_equal(run.schedule.finish, expected.finish)
@@ -165,7 +130,7 @@ class TestScheduleParity:
         replay_durations(cluster, durations)
         run = cluster.train_pipelined(6)
         for q in (QUEUE_CAPACITY - 1, QUEUE_CAPACITY, QUEUE_CAPACITY + 1):
-            at_q = clock(durations, queue_capacity=q)
+            at_q = schedule(durations, queue_capacity=q, stage_names=STAGES)
             same = np.array_equal(run.schedule.start, at_q.start)
             assert same == (q == QUEUE_CAPACITY)
 
@@ -186,62 +151,6 @@ class TestScheduleParity:
         cluster.train_pipelined(3)
         stages = ["read", "probe", "prepare", "load", "train"]
         assert calls == [(r, name) for r in range(3) for name in stages]
-
-
-class TestOverlap:
-    def test_makespan_beats_serial(self):
-        run = clock(np.tile([2.0, 2.0, 2.0, 2.0], (8, 1)))
-        assert run.makespan < run.serial_makespan
-
-    def test_makespan_bounded_below_by_bottleneck(self):
-        durations = np.tile([1.0, 5.0, 2.0, 3.0], (10, 1))
-        run = clock(durations)
-        assert run.makespan >= durations.sum(axis=0).max()
-
-    def test_single_batch_is_serial(self):
-        run = clock(np.array([[1.0, 2.0, 3.0, 4.0]]))
-        assert run.makespan == pytest.approx(10.0) == run.serial_makespan
-
-    def test_empty_run(self):
-        run = clock(np.ones((0, 4)))
-        assert run.makespan == 0.0
-        assert run.serial_makespan == 0.0
-
-
-class TestBackpressure:
-    def test_queue_capacity_one_stalls_producer(self):
-        """A slow downstream stage stalls the producer once its queue of
-        one is full: stage 0 of batch 2 waits for stage 1 to start batch 1."""
-        run = clock(np.tile([1.0, 10.0], (4, 1)), queue_capacity=1)
-        assert run.start[2, 0] >= run.start[1, 1]
-        assert run.queue_stall_seconds(0) > 0.0
-
-    def test_deeper_queues_reduce_stalls(self):
-        durations = np.tile([1.0, 3.0, 1.0, 1.0], (12, 1))
-        shallow = clock(durations, queue_capacity=1)
-        deep = clock(durations, queue_capacity=4)
-        assert deep.makespan <= shallow.makespan
-        assert deep.queue_stall_seconds(0) <= shallow.queue_stall_seconds(0)
-
-    def test_no_stalls_without_bottleneck(self):
-        run = clock(np.tile([2.0, 1.0, 1.0, 1.0], (6, 1)))
-        for s in range(4):
-            assert run.queue_stall_seconds(s) == pytest.approx(0.0)
-
-    def test_shadow_idle_is_span_minus_busy(self):
-        """A fast stage behind a slow one idles; the bottleneck never does.
-
-        With a 2s stage 0 feeding a 1s stage 1, stage 1 waits 1s between
-        every pair of its 6 consecutive events — the shadow budget a
-        stage's extra work can hide in.
-        """
-        run = clock(np.tile([2.0, 1.0, 1.0, 1.0], (6, 1)))
-        assert run.shadow_idle_seconds(0) == pytest.approx(0.0)
-        assert run.shadow_idle_seconds(1) == pytest.approx(5.0)
-
-    def test_shadow_idle_empty_run(self):
-        run = clock(np.ones((0, 4)))
-        assert run.shadow_idle_seconds(0) == 0.0
 
 
 class TestClusterPipelined:

@@ -13,7 +13,7 @@ from repro.core.cluster import HPSCluster
 from repro.errors import TierStateError
 from repro.hardware.ledger import CostLedger
 from repro.mem.cache import CombinedCache
-from repro.nn.optim import SparseSGD
+from repro.nn.optim import SparseAdagrad
 
 
 class TestCapacityViolations:
@@ -58,18 +58,18 @@ class TestCapacityViolations:
     def test_hash_table_never_silently_drops(self, round_plan):
         """An over-capacity staging into the HBM-PS is refused before it
         touches the staged working set."""
-        ps = hbm_ps(2, 3, SparseSGD(1, lr=1.0), CostLedger())
+        ps = hbm_ps(2, 3, SparseAdagrad(1), CostLedger())
 
         def plan_of(keys):
             return round_plan(
                 [[keys, []]], n_gpus=2, gpu_partitioner=ps.params.partitioner
             ).nodes[0]
 
-        values = np.arange(4, dtype=np.float32)[:, None]
+        values = np.arange(8, dtype=np.float32).reshape(4, 2)
         ps.load_working_set(values, plan_of(range(4)))
         with pytest.raises(RuntimeError, match="capacity"):
             ps.load_working_set(
-                np.zeros((20, 1), np.float32), plan_of(range(20))
+                np.zeros((20, 2), np.float32), plan_of(range(20))
             )
         # The original contents are intact after the failed load.
         keys, kept = ps.dump()

@@ -1,4 +1,7 @@
-"""Tests for the pipeline clock, ``schedule(stage_times)`` (Appendix B)."""
+"""Tests for the pipeline clock, ``schedule(stage_times)`` (Appendix B),
+on synthetic stage-time matrices: its checks, its overlap, its
+backpressure and its shadow.  The clock on a cluster's real durations is
+``test_engine.py``'s."""
 
 import numpy as np
 import pytest
@@ -42,15 +45,25 @@ class TestValidation:
         with pytest.raises(ValueError, match="stage_times"):
             schedule(np.ones(4), stage_names=NAMES)
 
-    def test_negative_times(self):
-        with pytest.raises(ValueError, match="invalid duration"):
-            schedule(-np.ones((2, 4)), stage_names=NAMES)
+    @pytest.mark.parametrize(
+        "times, stage",
+        [
+            ([[-1.0]], "s0"),
+            ([[1.0, float("nan")]], "s1"),
+            ([[1.0, float("inf")]], "s1"),
+        ],
+        ids=["negative", "nan", "inf"],
+    )
+    def test_invalid_duration_names_the_stage(self, times, stage):
+        times = np.asarray(times)
+        with pytest.raises(ValueError, match=f"'{stage}' returned invalid duration"):
+            schedule(times, stage_names=names(times.shape[1]))
 
 
 class TestScheduling:
     def test_single_batch_is_serial(self):
         sched = schedule(np.array([[1.0, 2.0, 3.0, 4.0]]), stage_names=NAMES)
-        assert sched.makespan == pytest.approx(10.0)
+        assert sched.makespan == pytest.approx(10.0) == sched.serial_makespan
 
     def test_steady_state_equals_bottleneck(self):
         """Paper: 'the overall execution time for each batch is dominated
@@ -85,12 +98,30 @@ class TestScheduling:
         sched = schedule(times, queue_capacity=1, stage_names=("a", "b"))
         # Stage a of batch 2 cannot start until stage b started batch 1.
         assert sched.start[2, 0] >= sched.start[1, 1]
+        assert sched.queue_stall_seconds(0) > 0.0
 
     def test_deeper_queues_reduce_stalls(self):
         times = np.tile([1.0, 3.0, 1.0, 1.0], (12, 1))
         shallow = schedule(times, queue_capacity=1, stage_names=NAMES)
         deep = schedule(times, queue_capacity=4, stage_names=NAMES)
         assert deep.makespan <= shallow.makespan
+        assert deep.queue_stall_seconds(0) <= shallow.queue_stall_seconds(0)
+
+    def test_no_stalls_without_bottleneck(self):
+        sched = schedule(np.tile([2.0, 1.0, 1.0, 1.0], (6, 1)), stage_names=NAMES)
+        for s in range(4):
+            assert sched.queue_stall_seconds(s) == pytest.approx(0.0)
+
+    def test_shadow_idle_is_span_minus_busy(self):
+        """A fast stage behind a slow one idles; the bottleneck never does.
+
+        With a 2s stage 0 feeding a 1s stage 1, stage 1 waits 1s between
+        every pair of its 6 consecutive events — the shadow budget a
+        stage's extra work can hide in.
+        """
+        sched = schedule(np.tile([2.0, 1.0, 1.0, 1.0], (6, 1)), stage_names=NAMES)
+        assert sched.shadow_idle_seconds(0) == pytest.approx(0.0)
+        assert sched.shadow_idle_seconds(1) == pytest.approx(5.0)
 
     def test_default_depth_is_the_module_constant(self):
         """Every committed pipelined run was clocked at depth 2; a slow
@@ -109,7 +140,8 @@ class TestScheduling:
 
     def test_empty_schedule(self):
         sched = schedule(np.zeros((0, 4)), stage_names=NAMES)
-        assert sched.makespan == 0.0
+        assert sched.makespan == sched.serial_makespan == 0.0
+        assert sched.shadow_idle_seconds(0) == 0.0
 
 
 def cross_round_overlaps(sched):

@@ -51,10 +51,27 @@ def run_supervised(mk, tmp_path, schedule, *, n_rounds=6, pipelined=False, **kw)
 
 
 class TestRecoveryActions:
-    @pytest.mark.parametrize("every", [0, -1])
-    def test_checkpoint_cadence_below_one_rejected(self, every, tmp_path):
-        with pytest.raises(ValueError, match="checkpoint_every"):
+    @pytest.mark.parametrize("every", [0, -1, 1.5, True, "2"], ids=repr)
+    def test_checkpoint_cadence_must_be_a_count(self, every, tmp_path):
+        """``checkpoint_every=1.5`` used to be accepted."""
+        with pytest.raises(ValueError, match="checkpoint_every must be an integer"):
             Supervisor(str(tmp_path), checkpoint_every=every)
+
+    @pytest.mark.parametrize("n_rounds", [True, 2.5, -1], ids=repr)
+    def test_round_count_refused_before_anything_exists(
+        self, mk_cluster, tmp_path, n_rounds
+    ):
+        """``run(cluster, True, …)`` used to train 1 round and
+        ``run(cluster, 2.5, …)`` 3; no directory, baseline snapshot or
+        stage is made before the count is refused."""
+        cluster = mk_cluster()
+        stages = cluster.stage_functions()
+        sup = Supervisor(str(tmp_path / "sup"))
+        with pytest.raises(ValueError, match="n_rounds must be an integer >= 0"):
+            sup.run(cluster, n_rounds, FaultSchedule(0))
+        assert cluster.rounds_completed == 0
+        assert cluster.stage_functions() == stages
+        assert not os.path.exists(tmp_path / "sup")
 
     def test_clean_schedule_is_a_no_op(self, mk_cluster, tmp_path):
         twin = mk_cluster()

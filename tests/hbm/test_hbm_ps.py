@@ -7,7 +7,7 @@ from hbm_oracles import DistributedHashTable
 from priced import hbm_ps
 from repro.errors import TierStateError
 from repro.hardware.ledger import CostLedger
-from repro.nn.optim import SparseAdagrad, SparseSGD
+from repro.nn.optim import SparseAdagrad
 
 
 def keys_of(xs):
@@ -16,7 +16,8 @@ def keys_of(xs):
 
 @pytest.fixture
 def ps():
-    return hbm_ps(2, 1000, SparseSGD(2, lr=1.0), CostLedger())
+    """Two floats a key: the embedding, then its accumulator."""
+    return hbm_ps(2, 1000, SparseAdagrad(1), CostLedger())
 
 
 @pytest.fixture
@@ -56,7 +57,7 @@ class TestLoadPull:
         t = ps.pull_embeddings(mb, gpu=0)
         assert isinstance(t, float) and t > 0
         assert ps.ledger.total("hbm_pull") > 0
-        assert np.array_equal(pulled(ps, mb), values)  # SGD: value == embedding
+        assert np.array_equal(pulled(ps, mb), values[:, :1])  # the embedding
 
     def test_pull_gathers_the_workers_own_keys(self, ps, staged):
         values = np.arange(8, dtype=np.float32).reshape(4, 2)
@@ -64,11 +65,10 @@ class TestLoadPull:
         node = plan.nodes[0]
         assert node.keys.tolist() == [0, 1, 4, 5]
         assert node.minibatches[1].keys.tolist() == [0, 1, 5]
-        assert np.array_equal(pulled(ps, node.minibatches[1]), values[[0, 1, 3]])
+        assert np.array_equal(pulled(ps, node.minibatches[1]), values[[0, 1, 3], :1])
 
     def test_adagrad_embedding_slice(self, staged):
-        opt = SparseAdagrad(2, lr=0.1)
-        ps = hbm_ps(2, 1000, opt, CostLedger())
+        ps = hbm_ps(2, 1000, SparseAdagrad(2), CostLedger())
         values = np.array(
             [[1, 2, 10, 20], [3, 4, 30, 40]], dtype=np.float32
         )  # emb + accumulator
@@ -86,8 +86,8 @@ class TestLoadPull:
         """Nodes stage views of one round array: a key both nodes stage
         has one value, and a write to it is what both nodes' workers
         pull."""
-        a = hbm_ps(2, 1000, SparseSGD(2, lr=1.0), CostLedger())
-        b = hbm_ps(2, 1000, SparseSGD(2, lr=1.0), CostLedger())
+        a = hbm_ps(2, 1000, SparseAdagrad(1), CostLedger())
+        b = hbm_ps(2, 1000, SparseAdagrad(1), CostLedger())
         plan = round_plan(
             [[[1, 2], []], [[2, 3], []]],
             n_gpus=2,
@@ -100,11 +100,11 @@ class TestLoadPull:
         values[1] = 5.0
         emb_a = pulled(a, plan.nodes[0].minibatches[0])
         emb_b = pulled(b, plan.nodes[1].minibatches[0])
-        assert emb_a.tolist() == [[0.0, 0.0], [5.0, 5.0]]
-        assert emb_b.tolist() == [[5.0, 5.0], [0.0, 0.0]]
+        assert emb_a.tolist() == [[0.0], [5.0]]
+        assert emb_b.tolist() == [[5.0], [0.0]]
 
     def test_partition_over_capacity_raises(self, round_plan):
-        ps = hbm_ps(2, 3, SparseSGD(2, lr=1.0), CostLedger())
+        ps = hbm_ps(2, 3, SparseAdagrad(1), CostLedger())
         plan = round_plan(
             [[range(20), []]], n_gpus=2, gpu_partitioner=ps.params.partitioner
         )
@@ -126,14 +126,14 @@ class TestLoadPull:
         mb, sync = plan.nodes[0].minibatches[0], plan.sync[0].nodes[0]
         for op in (
             lambda: ps.pull_embeddings(mb),
-            lambda: ps.push_gradients(mb, np.ones((1, 2), dtype=np.float32)),
+            lambda: ps.push_gradients(mb, np.ones((1, 1), dtype=np.float32)),
             lambda: ps.drain_gradients(sync),
             lambda: ps.apply_update(sync),
             ps.dump,
         ):
             with pytest.raises(TierStateError, match="load_working_set first"):
                 op()
-        small = hbm_ps(2, 3, SparseSGD(2, lr=1.0), CostLedger())
+        small = hbm_ps(2, 3, SparseAdagrad(1), CostLedger())
         big = round_plan(
             [[range(20), []]], n_gpus=2, gpu_partitioner=small.params.partitioner
         )
@@ -148,8 +148,8 @@ class TestPushDrain:
         plan = staged([[1, 2], [2]])
         mb0, mb1 = plan.nodes[0].minibatches
         sync = plan.sync[0].nodes[0]
-        ps.push_gradients(mb0, np.ones((2, 2), dtype=np.float32), gpu=0)
-        ps.push_gradients(mb1, np.ones((1, 2), dtype=np.float32), gpu=1)
+        ps.push_gradients(mb0, np.ones((2, 1), dtype=np.float32), gpu=0)
+        ps.push_gradients(mb1, np.ones((1, 1), dtype=np.float32), gpu=1)
         update = ps.drain_gradients(sync)
         assert update.keys.tolist() == [1, 2]
         assert update.grads[:, 0].tolist() == [1.0, 2.0]
@@ -162,7 +162,7 @@ class TestPushDrain:
     def test_workers_on_different_gpus_merge(self, ps, staged):
         plan = staged([range(8), range(8)])
         for gpu, mb in enumerate(plan.nodes[0].minibatches):
-            ps.push_gradients(mb, np.full((8, 2), 0.5, dtype=np.float32), gpu=gpu)
+            ps.push_gradients(mb, np.full((8, 1), 0.5, dtype=np.float32), gpu=gpu)
         update = ps.drain_gradients(plan.sync[0].nodes[0])
         assert np.all(update.grads == 1.0)
 
@@ -176,13 +176,16 @@ class TestApplyUpdate:
     def _apply(values, sync, grads, opt):
         values[sync.codes] = opt.apply(values[sync.codes], grads)
 
-    def test_sgd_applies_gradients(self, ps, staged):
+    def test_apply_writes_the_optimizer_step(self, ps, staged):
         values = np.zeros((2, 2), dtype=np.float32)
+        expected = ps.optimizer.apply(values, np.ones((2, 1)))
         plan = staged([[1, 2], []], values)
-        self._apply(values, plan.sync[0], np.ones((2, 2)), ps.optimizer)
+        self._apply(values, plan.sync[0], np.ones((2, 1)), ps.optimizer)
         t = ps.apply_update(plan.sync[0].nodes[0])
         assert t > 0
-        assert np.all(pulled(ps, plan.nodes[0].minibatches[0]) == -1.0)  # lr=1.0 SGD: 0 - 1*1
+        assert np.array_equal(values, expected)
+        emb = pulled(ps, plan.nodes[0].minibatches[0])
+        assert np.array_equal(emb, expected[:, :1])
 
     def test_missing_keys_reported(self, ps, round_plan):
         """Keys of the global update only another node staged are not
@@ -194,20 +197,22 @@ class TestApplyUpdate:
             gpu_partitioner=ps.params.partitioner,
         )
         values = np.zeros((3, 2), dtype=np.float32)
+        expected = ps.optimizer.apply(values, np.ones((3, 1)))
         ps.load_working_set(values, plan.nodes[0])
         sync = plan.sync[0]
         assert sync.keys.tolist() == [1, 5, 9]
         assert sync.nodes[0].resident_gpu_counts.sum() == 1
-        self._apply(values, sync, np.ones((3, 2)), ps.optimizer)
+        self._apply(values, sync, np.ones((3, 1)), ps.optimizer)
         t = ps.apply_update(sync.nodes[0])
-        solo = hbm_ps(2, 1000, SparseSGD(2, lr=1.0), CostLedger())
+        solo = hbm_ps(2, 1000, SparseAdagrad(1), CostLedger())
         alone = round_plan(
             [[[1], []]], n_gpus=2, gpu_partitioner=solo.params.partitioner
         )
         solo.load_working_set(np.zeros((1, 2), dtype=np.float32), alone.nodes[0])
         assert t == solo.apply_update(alone.sync[0].nodes[0])
-        assert np.all(values == -1.0)
-        assert np.all(pulled(ps, plan.nodes[0].minibatches[0]) == -1.0)
+        assert np.array_equal(values, expected)
+        emb = pulled(ps, plan.nodes[0].minibatches[0])
+        assert np.array_equal(emb, expected[:1, :1])
 
     def test_empty_update_noop(self, ps, staged):
         plan = staged([[], []])
@@ -221,10 +226,12 @@ class TestApplyUpdate:
         values = np.zeros((20, 2), dtype=np.float32)
         plan = staged([range(20), []], values)
         assert plan.sync[0].keys.tolist() == list(range(20))
-        grads = np.arange(20, dtype=np.float64).repeat(2).reshape(20, 2)
+        grads = np.arange(20, dtype=np.float64).reshape(20, 1)
+        expected = ps.optimizer.apply(values, grads)
         self._apply(values, plan.sync[0], grads, ps.optimizer)
+        assert np.array_equal(values[:, 1:], grads**2)  # each key's own
         emb = pulled(ps, plan.nodes[0].minibatches[0])
-        assert np.allclose(emb, -grads)  # SGD lr=1
+        assert np.array_equal(emb, expected[:, :1])
 
 
 class TestDump:
@@ -242,9 +249,9 @@ class TestCostModelEquivalence:
 
     @staticmethod
     def _pair():
-        opt = SparseSGD(3, lr=1.0)
-        ps = hbm_ps(4, 1000, opt, CostLedger())
-        dht = DistributedHashTable(4, 1000, opt.value_dim, CostLedger())
+        ps = hbm_ps(4, 1000, SparseAdagrad(1), CostLedger())
+        # Rows of 3 floats, the width every charge below prices.
+        dht = DistributedHashTable(4, 1000, 3, CostLedger())
         return ps, dht
 
     @staticmethod

@@ -27,7 +27,7 @@ from repro.hardware.ledger import CostLedger
 from repro.hbm.hbm_ps import GPUFabric
 from repro.hbm.allreduce import SparseUpdate
 from repro.hbm.partition import bucket_order
-from repro.nn.optim import SparseOptimizer
+from repro.nn.optim import SparseAdagrad
 from repro.plan import NodePlan, NodePrefetchPlan
 from repro.utils.keys import EMPTY_KEY, KEY_DTYPE, all_unique, as_keys, mix_hash
 
@@ -458,7 +458,7 @@ class PerNodeReplicas:
 
     def __init__(
         self,
-        optimizer: SparseOptimizer,
+        optimizer: SparseAdagrad,
         values: np.ndarray,
         nodes: list[NodePlan],
         prefetch: list[NodePrefetchPlan],

@@ -14,7 +14,7 @@ from repro.hardware.ledger import CostLedger
 from repro.hardware.network import Network
 from repro.mem.cache import CombinedCache
 from repro.mem.mem_ps import MemPS
-from repro.nn.optim import SparseSGD
+from repro.nn.optim import SparseAdagrad
 
 
 def keys_of(xs):
@@ -24,7 +24,7 @@ def keys_of(xs):
 def make_mem(cache=32, seed=0):
     """A MEM-PS whose SSD-PS and NIC charge one node ledger, as in
     ``HPSNode``."""
-    opt = SparseSGD(2, lr=1.0)
+    opt = SparseAdagrad(1)  # two floats a key: embedding, accumulator
     ledger = CostLedger()
     ssd = ssd_ps(opt.value_dim, ledger, file_capacity=8, usage_threshold=1.6)
     return MemPS(

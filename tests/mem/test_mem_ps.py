@@ -8,7 +8,7 @@ from repro.errors import TierStateError
 from repro.hardware.ledger import CostLedger
 from repro.hardware.network import Network
 from repro.mem.mem_ps import MemPS
-from repro.nn.optim import SparseSGD
+from repro.nn.optim import SparseAdagrad
 
 
 def keys_of(xs):
@@ -18,7 +18,7 @@ def keys_of(xs):
 def make_mem(node_id=0, n_nodes=1, cache=64, seed=0):
     """A MEM-PS whose SSD-PS and NIC charge one node ledger, as in
     ``HPSNode``."""
-    opt = SparseSGD(2, lr=1.0)
+    opt = SparseAdagrad(1)  # two floats a key: embedding, accumulator
     ledger = CostLedger()
     ssd = ssd_ps(opt.value_dim, ledger, file_capacity=8, usage_threshold=1.6)
     return MemPS(
@@ -168,7 +168,7 @@ class TestUpdates:
             "serve_remote": lambda: m.serve_remote(keys_of([1]), requester=0),
             "absorb_updates": lambda: m.absorb_updates(values),
             "apply_gradients": lambda: m.apply_gradients(
-                np.zeros(1, dtype=np.int64), np.ones((1, 2))
+                np.zeros(1, dtype=np.int64), np.ones((1, 1))
             ),
             "end_batch": m.end_batch,
         }
@@ -215,12 +215,13 @@ class TestUpdates:
         ledger = m.ssd_ps.ledger
         assert m.network.ledger is ledger
         before = dict(ledger)
-        result = m.apply_gradients(pf.rows, np.ones((2, 2), dtype=np.float64))
+        grads = np.ones((2, 1), dtype=np.float64)
+        result = m.apply_gradients(pf.rows, grads)
         assert result is None
         assert dict(ledger) == before
         assert m.cache.stats.hits == hits_before
         m.end_batch()
-        assert np.allclose(peek(m, keys), values - 1.0)  # SGD lr=1
+        assert np.array_equal(peek(m, keys), m.optimizer.apply(values, grads))
 
     def test_values_change_only_at_write_back(self, start_round):
         """Filling the round array copies the MEM rows: training writes

@@ -9,12 +9,7 @@ from repro.data.batching import Batch
 from repro.nn.embedding import EmbeddingLayer
 from repro.nn.loss import bce_with_logits
 from repro.nn.model import CTRModel, Shard
-from repro.nn.optim import (
-    DenseAdagrad,
-    DenseSGD,
-    SparseAdagrad,
-    SparseSGD,
-)
+from repro.nn.optim import LEARNING_RATE, DenseAdagrad, SparseAdagrad
 
 
 def make_batch(rows, labels=None):
@@ -112,19 +107,21 @@ class TestEmbeddingBackward:
 
 
 class TestSparseOptimizers:
-    def test_sgd_value_dim(self):
-        assert SparseSGD(4, 0.1).value_dim == 4
-
     def test_adagrad_value_dim_doubles(self):
-        assert SparseAdagrad(4, 0.1).value_dim == 8
+        assert SparseAdagrad(4).value_dim == 8
 
-    def test_sgd_step(self):
-        opt = SparseSGD(2, lr=0.5)
-        new = opt.apply(np.ones((1, 2), np.float32), np.ones((1, 2)))
-        assert np.all(new == 0.5)
+    def test_specs_are_pinned(self):
+        """Every committed snapshot's manifest fingerprint hashes these."""
+        assert SparseAdagrad(4).spec() == {
+            "type": "SparseAdagrad", "dim": 4, "lr": 0.05, "value_dim": 8,
+            "eps": 1e-6,
+        }
+        assert DenseAdagrad().spec() == {
+            "type": "DenseAdagrad", "lr": 0.05, "eps": 1e-6,
+        }
 
     def test_adagrad_decreasing_effective_lr(self):
-        opt = SparseAdagrad(1, lr=1.0)
+        opt = SparseAdagrad(1)
         v = np.zeros((1, 2), np.float32)
         g = np.ones((1, 1))
         v1 = opt.apply(v, g)
@@ -135,7 +132,7 @@ class TestSparseOptimizers:
         assert v2[0, 1] == 2.0  # accumulator = sum of squares
 
     def test_init_for_keys_deterministic_and_order_free(self):
-        opt = SparseAdagrad(4, lr=0.1)
+        opt = SparseAdagrad(4)
         keys = np.array([10, 20, 30], dtype=np.uint64)
         a = opt.init_for_keys(keys, seed=5)
         b = opt.init_for_keys(keys[::-1], seed=5)[::-1]
@@ -143,11 +140,10 @@ class TestSparseOptimizers:
         # accumulator half starts at zero
         assert np.all(a[:, 4:] == 0)
 
-    @pytest.mark.parametrize("make", [SparseSGD, SparseAdagrad])
-    def test_init_for_keys_is_free_of_batch_composition(self, make):
+    def test_init_for_keys_is_free_of_batch_composition(self):
         """A key's initial row is the same alone or in any batch, so it
         does not matter which node's batch first holds the key."""
-        opt = make(3, lr=0.1)
+        opt = SparseAdagrad(3)
         keys = np.array([2**40 + 7, 3, 99, 2**21], dtype=np.uint64)
         whole = opt.init_for_keys(keys, seed=11)
         for i, key in enumerate(keys):
@@ -157,43 +153,34 @@ class TestSparseOptimizers:
         assert np.unique(whole[:, :3], axis=0).shape[0] == keys.size
 
     def test_init_for_keys_seed_sensitivity(self):
-        opt = SparseSGD(2, lr=0.1)
+        opt = SparseAdagrad(2)
         keys = np.array([1, 2], dtype=np.uint64)
         assert not np.array_equal(
             opt.init_for_keys(keys, seed=1), opt.init_for_keys(keys, seed=2)
         )
 
     def test_embedding_slice(self):
-        opt = SparseAdagrad(2, lr=0.1)
+        opt = SparseAdagrad(2)
         values = np.array([[1, 2, 9, 9]], dtype=np.float32)
         assert opt.embedding(values).tolist() == [[1.0, 2.0]]
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            SparseSGD(0, 0.1)
+            SparseAdagrad(0)
         with pytest.raises(ValueError):
-            SparseSGD(2, -1)
-        with pytest.raises(ValueError):
-            SparseAdagrad(2, 0.1).apply(np.zeros((1, 4), np.float32), np.zeros((2, 2)))
+            SparseAdagrad(2).apply(np.zeros((1, 4), np.float32), np.zeros((2, 2)))
 
 
 class TestDenseOptimizers:
-    def test_sgd_step(self):
-        p = [np.ones(3, dtype=np.float32)]
-        DenseSGD(0.5).step(p, [np.ones(3)])
-        assert np.all(p[0] == 0.5)
-
     def test_adagrad_bounded_first_step(self):
         p = [np.zeros(2, dtype=np.float32)]
-        opt = DenseAdagrad(lr=0.1)
-        opt.step(p, [np.array([1.0, 100.0])])
+        DenseAdagrad().step(p, [np.array([1.0, 100.0])])
         # Adagrad normalizes: both coordinates move ~lr on first step.
-        assert abs(p[0][0] + 0.1) < 1e-3
-        assert abs(p[0][1] + 0.1) < 1e-3
+        assert np.allclose(p[0], -LEARNING_RATE, rtol=1e-4)
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            DenseSGD(0.1).step([np.zeros(2)], [])
+            DenseAdagrad().step([np.zeros(2)], [])
 
 
 class TestCTRModel:
@@ -215,9 +202,10 @@ class TestCTRModel:
         model = CTRModel(spec, seed=0)
         batch = make_batch([[0, 1, 2, 3]], labels=[1])
         emb = np.zeros((4, 2), dtype=np.float32)
-        (result,) = model.train_minibatch(emb, [Shard.of(batch)])
-        assert result.sparse_grad.keys.tolist() == [0, 1, 2, 3]
-        assert result.sparse_grad.grads.shape == (4, 2)
+        shard = Shard.of(batch)
+        (result,) = model.train_minibatch(emb, [shard])
+        assert shard.keys.tolist() == [0, 1, 2, 3]
+        assert result.sparse_grads.shape == (4, 2)
         assert result.loss > 0
         assert [g.shape for g in result.dense_grads] == [
             p.shape for p in model.mlp.parameters()
@@ -227,8 +215,8 @@ class TestCTRModel:
         from repro.data.generator import CTRDataGenerator
 
         model = CTRModel(spec, seed=0)
-        sparse_opt = SparseAdagrad(2, lr=0.2)
-        dense_opt = DenseAdagrad(lr=0.2)
+        sparse_opt = SparseAdagrad(2)
+        dense_opt = DenseAdagrad()
         gen = CTRDataGenerator(spec, seed=0)
         store: dict[int, np.ndarray] = {}
 
@@ -248,7 +236,7 @@ class TestCTRModel:
             shard = Shard.of(batch)
             values = fetch(shard.keys)
             (res,) = model.train_minibatch(values, [shard])
-            new_vals = sparse_opt.apply(values, res.sparse_grad.grads)
+            new_vals = sparse_opt.apply(values, res.sparse_grads)
             for i, k in enumerate(shard.keys):
                 store[int(k)] = new_vals[i]
             dense_opt.step(

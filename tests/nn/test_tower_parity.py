@@ -42,7 +42,7 @@ def test_mlp_steps_match_oracle(in_dim, hidden, row_counts, seed):
     current parameters (so a stale weight shadow cannot hide)."""
     rng = np.random.default_rng(seed)
     mlp = MLP(in_dim, tuple(hidden), seed=seed)
-    opt = DenseAdagrad(lr=0.1)
+    opt = DenseAdagrad()
     for n in row_counts:
         oracle = OracleMLP(mlp)
         x = rng.normal(size=(n, in_dim))

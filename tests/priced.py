@@ -14,7 +14,7 @@ from repro.hardware.ledger import CostLedger
 from repro.hardware.network import Network
 from repro.hardware.specs import default_node_hardware
 from repro.hbm.hbm_ps import HBMPS
-from repro.nn.optim import SparseOptimizer
+from repro.nn.optim import SparseAdagrad
 from repro.ssd.ssd_ps import SSDPS
 
 __all__ = ["HARDWARE", "hbm_ps", "networks", "ssd_ps"]
@@ -24,7 +24,7 @@ HARDWARE = default_node_hardware()
 
 
 def hbm_ps(
-    n_gpus: int, capacity_per_gpu: int, optimizer: SparseOptimizer, ledger: CostLedger
+    n_gpus: int, capacity_per_gpu: int, optimizer: SparseAdagrad, ledger: CostLedger
 ) -> HBMPS:
     return HBMPS(
         n_gpus,

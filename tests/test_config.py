@@ -77,6 +77,16 @@ PRICED_CONSTRUCTORS = (
     "repro.hbm.allreduce:hierarchical_allreduce",
 )
 
+#: The training rule's constructors.  Every trainer steps with the one
+#: Adagrad pair at one learning rate, so a parameter here is a second
+#: rule or a second rate; their count is a needle (CI prints it head vs
+#: base).
+TRAINING_CONSTRUCTORS = (
+    "repro.nn.optim:SparseAdagrad",
+    "repro.nn.optim:DenseAdagrad",
+    "repro.hashing.dnn:SimpleDNN",
+)
+
 
 def _parameters(name: str) -> list[inspect.Parameter]:
     module, qualname = name.split(":")
@@ -112,6 +122,11 @@ def fault_layer_parameters() -> int:
 def tier_constructor_parameters() -> int:
     """Parameters across :data:`TIER_CONSTRUCTORS`."""
     return sum(len(_parameters(name)) for name in TIER_CONSTRUCTORS)
+
+
+def training_constructor_parameters() -> int:
+    """Parameters across :data:`TRAINING_CONSTRUCTORS`."""
+    return sum(len(_parameters(name)) for name in TRAINING_CONSTRUCTORS)
 
 
 def key_table_bytes() -> tuple[int, int]:
@@ -240,6 +255,7 @@ class TestClusterConfig:
         assert fault_layer_parameters() <= 8
         assert tier_constructor_parameters() <= 32
         assert defaulted_priced_parameters() <= 7
+        assert training_constructor_parameters() <= 3
         assert pipeline_shapes() <= 1
 
     def test_key_tables_stay_narrow(self):

@@ -82,7 +82,7 @@ def test_reach_allowlist_names_existing_defs_with_a_reason():
     assert [e for e in entries if e[2] not in reach.REASONS] == []
     # A ceiling, like the ROADMAP's structural needles: keeping more
     # unreached code has to raise it on purpose.
-    assert len(entries) <= 45
+    assert len(entries) <= 30
 
 
 def test_every_reach_reason_has_a_listed_entry():
