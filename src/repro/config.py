@@ -143,35 +143,21 @@ class ClusterConfig:
 
     def __post_init__(self) -> None:
         # A float or bool count used to construct and then die rounds
-        # later in numpy or ``range`` with words naming no field.
-        for name in (
-            "n_nodes",
-            "gpus_per_node",
-            "minibatches_per_gpu",
-            "mem_capacity_params",
-            "hbm_capacity_params",
-            "ssd_file_capacity",
-            "seed",
+        # later in numpy or ``range`` with words naming no field.  The MEM
+        # cache is two tiers: each needs at least one row.
+        for name, minimum in (
+            ("n_nodes", 1),
+            ("gpus_per_node", 1),
+            ("minibatches_per_gpu", 1),
+            ("mem_capacity_params", 2),
+            ("hbm_capacity_params", 1),
+            ("ssd_file_capacity", 1),
+            ("seed", 0),
         ):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
-        if self.n_nodes <= 0 or self.gpus_per_node <= 0:
-            raise ValueError("cluster must have at least one node and GPU")
-        for name in (
-            "minibatches_per_gpu",
-            "mem_capacity_params",
-            "hbm_capacity_params",
-            "ssd_file_capacity",
-        ):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if not 0 <= self.seed < 2**64:
+            value = check_count(name, getattr(self, name), minimum)
+            object.__setattr__(self, name, value)
+        if self.seed >= 2**64:
             raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
-        # The MEM cache is two tiers: each needs at least one row.
-        if self.mem_capacity_params < 2:
-            raise ValueError("mem_capacity_params must be >= 2")
         if not 0.0 < self.cache_lru_fraction < 1.0:
             raise ValueError("cache_lru_fraction must be in (0, 1)")
         if not self.compaction_threshold >= 1.0:  # NaN fails too

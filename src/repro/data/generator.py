@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.config import ModelSpec
+from repro.config import ModelSpec, check_count
 from repro.data.batching import Batch
 from repro.utils.keys import KEY_DTYPE, splitmix64
 from repro.utils.rng import spawn
@@ -91,10 +91,9 @@ class CTRDataGenerator:
         (slot-major), label noise, label uniforms — and on float64
         summation order; both are pinned by ``tests/data``.
         """
-        if n_examples <= 0:
-            raise ValueError("n_examples must be positive")
+        n = check_count("n_examples", n_examples)
         rng = spawn(self.seed, "batch", batch_index)
-        n, n_slots = n_examples, self.spec.n_slots
+        n_slots = self.spec.n_slots
         ids_per_slot = max(1, self.spec.nonzeros_per_example // n_slots)
         row_len = n_slots * ids_per_slot
         # Inverse-CDF sampling of Zipf ranks for every slot in one draw

@@ -48,16 +48,19 @@ class Dense:
     """Fully-connected layer ``y = x @ W + b``, computed in float64.
 
     Parameters are float32; the matmuls run against float64 shadows of
-    ``W`` and ``W.T`` that are re-cast lazily, once after each time the parameters are
-    handed out for writing (``W`` / :meth:`parameters`) — i.e. once per
+    ``W`` and ``W.T``, made on first use (a replica that never computes
+    holds none) and re-cast lazily, once after each time the parameters
+    are handed out for writing (``W`` / :meth:`parameters`) — i.e. once per
     optimizer step instead of on every forward *and* backward.  Anything
     that mutates ``W`` must therefore fetch it afresh rather than hold an
     array across forwards.
 
     A training ``forward`` / ``backward`` writes into per-layer workspaces:
-    the returned array and ``dW`` / ``db`` are overwritten by the next
-    training call.  ``forward(x, training=False)`` touches no workspace
-    and records nothing for ``backward``.  A ``forward`` given ``out``
+    the returned array is overwritten by the next training call.
+    ``backward`` computes only the input gradient and keeps its operands;
+    :meth:`gradients` computes a minibatch's weight gradients from them.
+    ``forward(x, training=False)`` touches no workspace and records
+    nothing for ``backward``.  A ``forward`` given ``out``
     (C-contiguous float64, ``(rows, out_dim)``) writes its result there
     instead of into the workspace or a new array.
     """
@@ -69,19 +72,16 @@ class Dense:
         scale = np.sqrt(2.0 / in_dim)
         self._W = rng.normal(0.0, scale, size=(in_dim, out_dim)).astype(np.float32)
         self.b = np.zeros(out_dim, dtype=np.float32)
-        self._W64 = np.empty((in_dim, out_dim), dtype=np.float64)
-        self._WT64 = np.empty((out_dim, in_dim), dtype=np.float64)
+        self._W64: np.ndarray | None = None
+        self._WT64: np.ndarray | None = None
         self._stale = True
         self._x: np.ndarray | None = None
+        #: ``(x, grad_out, bounds)`` of the last ``backward``
+        self._grad_src: tuple[np.ndarray, np.ndarray, Sequence[int]] | None = None
         self._out = Workspace()
         self._grad_in = Workspace()
         self._dW = Workspace()
         self._db = Workspace()
-        #: per-minibatch weight gradients of the last ``backward``, float64,
-        #: shapes ``(n_minibatches, in_dim, out_dim)`` / ``(n_minibatches,
-        #: out_dim)``
-        self.dW = np.empty((0, in_dim, out_dim))
-        self.db = np.empty((0, out_dim))
 
     @property
     def W(self) -> np.ndarray:
@@ -92,6 +92,9 @@ class Dense:
     def _weights64(self) -> tuple[np.ndarray, np.ndarray]:
         """Float64 ``(W, W.T)``, both C-contiguous — the operands the
         implicit float32 cast of ``x @ W`` / ``g @ W.T`` hands to BLAS."""
+        if self._W64 is None or self._WT64 is None:
+            self._W64 = np.empty(self._W.shape)
+            self._WT64 = np.empty(self._W.T.shape)
         if self._stale:
             np.copyto(self._W64, self._W)
             np.copyto(self._WT64, self._W.T)
@@ -120,24 +123,29 @@ class Dense:
     def backward(
         self, grad_out: np.ndarray, bounds: Sequence[int] | None = None
     ) -> np.ndarray:
-        """Input gradient of every row; ``dW[w]`` / ``db[w]`` are the
-        weight gradients of minibatch ``w``, rows ``bounds[w]:bounds[w +
-        1]`` (default: one minibatch of every row), each computed on its
-        own rows."""
+        """Input gradient of every row.  ``bounds`` cuts the rows into
+        minibatches ``bounds[w]:bounds[w + 1]`` (default: one of every
+        row) whose weight gradients :meth:`gradients` computes; the
+        operands are kept, not copied, until the next ``backward``."""
         x = self._x
         if x is None:
             raise TierStateError("backward called before forward")
-        if bounds is None:
-            bounds = (0, x.shape[0])
-        n = len(bounds) - 1
-        self.dW = self._dW.rows((n, *self._W.shape))
-        self.db = self._db.rows((n, self.b.size))
-        for w, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
-            np.matmul(x[lo:hi].T, grad_out[lo:hi], out=self.dW[w])
-            np.add.reduce(grad_out[lo:hi], axis=0, out=self.db[w])
+        self._grad_src = (x, grad_out, (0, x.shape[0]) if bounds is None else bounds)
         return np.matmul(
             grad_out, self._weights64()[1], out=self._grad_in.rows(x.shape)
         )
+
+    def gradients(self, w: int = 0) -> tuple[np.ndarray, np.ndarray]:
+        """Float64 ``(dW, db)`` of minibatch ``w`` of the last ``backward``,
+        computed on its own rows into one buffer each, overwritten by the
+        next call.  Valid until the next training forward."""
+        if self._grad_src is None:
+            raise TierStateError("gradients read before backward")
+        x, g, bounds = self._grad_src
+        lo, hi = bounds[w], bounds[w + 1]
+        dW = np.matmul(x[lo:hi].T, g[lo:hi], out=self._dW.rows(self._W.shape))
+        db = np.add.reduce(g[lo:hi], axis=0, out=self._db.rows(self.b.shape))
+        return dW, db
 
     def parameters(self) -> list[np.ndarray]:
         return [self.W, self.b]
@@ -252,7 +260,7 @@ class MLP:
         self, grad_logit: np.ndarray, bounds: Sequence[int] | None = None
     ) -> np.ndarray:
         """Input gradient; ``bounds`` cuts the rows into minibatches whose
-        weight gradients :meth:`gradients` reads one by one."""
+        weight gradients :meth:`gradients` computes one by one."""
         g = grad_logit[:, None]
         for layer in reversed(self.layers):
             if isinstance(layer, Dense):
@@ -268,9 +276,10 @@ class MLP:
         return [p for l in self.dense_layers() for p in l.parameters()]
 
     def gradients(self, w: int = 0) -> list[np.ndarray]:
-        """Minibatch ``w``'s ``[dW, db, ...]`` from the last backward
-        (workspace views, overwritten by the next one)."""
-        return [g for l in self.dense_layers() for g in (l.dW[w], l.db[w])]
+        """Minibatch ``w``'s ``[dW, db, ...]`` from the last backward,
+        computed now into one buffer per layer: valid until the next
+        call (any minibatch's) or training step."""
+        return [g for l in self.dense_layers() for g in l.gradients(w)]
 
     def get_state(self) -> list[np.ndarray]:
         """Copies of all dense parameters (for sync / checkpoint)."""

@@ -9,8 +9,9 @@ the worker-side contract of Algorithm 1 lines 12–14.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -50,9 +51,15 @@ class MinibatchResult:
     loss: float
     #: one float64 row per key of the shard's :attr:`Shard.keys`
     sparse_grads: np.ndarray
-    #: ``[dW, db]`` per dense layer, float64 — views of the tower's
-    #: workspaces, overwritten by the next training step
-    dense_grads: list[np.ndarray]
+    #: this worker's :meth:`~repro.nn.layers.MLP.gradients`
+    _dense: Callable[[], list[np.ndarray]]
+
+    @property
+    def dense_grads(self) -> list[np.ndarray]:
+        """``[dW, db]`` per dense layer, float64, computed on access into
+        one buffer per layer of the tower: valid until the next access
+        (any worker's) or the next training step."""
+        return self._dense()
 
 
 class CTRModel:
@@ -121,8 +128,9 @@ class CTRModel:
         the BLAS computes a row of a product independently of the rows
         around it (OpenBLAS 0.3.31 does for the workloads' towers when
         every shard's example count is a multiple of 4).  Results are
-        returned in shard order; their dense gradients are workspace
-        views, overwritten by the next call.
+        returned in shard order; read their dense gradients one worker
+        at a time, before the next call (see
+        :attr:`MinibatchResult.dense_grads`).
         """
         if not shards:
             return []
@@ -144,7 +152,7 @@ class CTRModel:
             int(key_lo[-1]),
         )
         return [
-            MinibatchResult(loss, sparse[lo:hi], self.mlp.gradients(w))
+            MinibatchResult(loss, sparse[lo:hi], partial(self.mlp.gradients, w))
             for w, (loss, lo, hi) in enumerate(
                 zip(losses, key_lo[:-1], key_lo[1:])
             )

@@ -1,12 +1,10 @@
 """Integration tests for the full hierarchical PS cluster (Algorithm 1)."""
 
-import collections
 import dataclasses
 import gc
 import os
 import subprocess
 import sys
-import types
 import weakref
 
 import numpy as np
@@ -21,7 +19,11 @@ from repro.faults import FAULT_KINDS, FaultSchedule, Supervisor
 from repro.hardware.ledger import CostLedger
 from repro.plan import RoundPlan
 from repro.utils.keys import KEY_DOMAIN_CAP
-from test_config import allreduce_ledger_over_clock, pressured_config
+from test_config import (
+    allreduce_ledger_over_clock,
+    objects_under,
+    pressured_config,
+)
 
 
 @pytest.fixture
@@ -229,40 +231,12 @@ class TestLosslessness:
             assert checked == [1, 2, 3, 4, 5, 6], mode
 
 
-def _objects_under(obj, seen):
-    """Every object reachable from ``obj`` through repro objects'
-    ``__dict__`` and ``__slots__``, plain containers, and functions'
-    closures and attributes (the stage registry's closures)."""
-    if id(obj) in seen:
-        return
-    seen.add(id(obj))
-    yield obj
-    if isinstance(obj, dict):
-        children = list(obj.values())
-    elif isinstance(obj, (list, tuple, set, frozenset, collections.deque)):
-        children = list(obj)
-    elif isinstance(obj, types.FunctionType):
-        cells = [cell.cell_contents for cell in obj.__closure__ or ()]
-        children = cells + list(vars(obj).values())
-    elif isinstance(obj, types.MethodType):
-        children = [obj.__self__, obj.__func__]
-    elif type(obj).__module__.startswith("repro."):
-        names = list(getattr(obj, "__dict__", ()))
-        for klass in type(obj).__mro__:
-            names += list(getattr(klass, "__slots__", ()))
-        children = [getattr(obj, name, None) for name in names]
-    else:
-        return
-    for child in children:
-        yield from _objects_under(child, seen)
-
-
 def _foreign_ledgers(cluster) -> list[CostLedger]:
     """The ledgers reachable from ``cluster`` that are no node's own, and
     the nodes' own ledgers none of the walk reached."""
     nodes = {id(node.ledger): node.ledger for node in cluster.nodes}
     found = {
-        id(o): o for o in _objects_under(cluster, set()) if isinstance(o, CostLedger)
+        id(o): o for o in objects_under(cluster, set()) if isinstance(o, CostLedger)
     }
     return [found[k] for k in found.keys() - nodes.keys()] + [
         nodes[k] for k in nodes.keys() - found.keys()
@@ -369,10 +343,32 @@ class TestHBMStagingIsDense:
                 assert not hasattr(hbm, "grads")
                 assert not hasattr(hbm.params, "tables")
                 arrays = [
-                    o for o in _objects_under(hbm, set()) if isinstance(o, np.ndarray)
+                    o for o in objects_under(hbm, set()) if isinstance(o, np.ndarray)
                 ]
                 assert arrays  # the walk does see the staged values
                 assert all(a.ndim == 0 or a.shape[0] < cap for a in arrays)
+
+
+class TestIdleTowersHoldNoFloat64:
+    def test_replicas_and_restored_towers(self, tiny_spec, small_config, tmp_path):
+        """Only the lead's tower computes; a replica after training, and
+        every node of a freshly restored cluster, keeps its float32
+        parameters and no float64 shadow, activation or gradient."""
+
+        def float64_bytes(node) -> int:
+            return sum(
+                o.nbytes
+                for o in objects_under(node.model, set())
+                if isinstance(o, np.ndarray) and o.dtype == np.float64
+            )
+
+        cluster = HPSCluster(tiny_spec, small_config, functional_batch_size=128)
+        cluster.train(2)
+        cluster.save_checkpoint(str(tmp_path / "ckpt"))
+        restored = HPSCluster.restore(str(tmp_path / "ckpt"))
+        assert float64_bytes(cluster.nodes[0]) > 0  # the walk sees the lead's
+        for node in cluster.nodes[1:] + restored.nodes:
+            assert float64_bytes(node) == 0
 
 
 def _round_plans_alive() -> int:

@@ -34,6 +34,14 @@ class TestGenerator:
         assert b.n_examples == 100
         assert b.n_nonzeros == 100 * spec.nonzeros_per_example
 
+    @pytest.mark.parametrize("n_examples", [True, 2.5, 0])
+    def test_bad_example_count_refused(self, spec, n_examples):
+        """A bool used to draw a one-example batch, a float died in numpy
+        naming no argument; now each is refused by name."""
+        match = rf"^n_examples must be an integer >= 1, got {n_examples!r}$"
+        with pytest.raises(ValueError, match=match):
+            CTRDataGenerator(spec, seed=0).batch(0, n_examples)
+
     def test_deterministic_per_index(self, spec):
         g1 = CTRDataGenerator(spec, seed=3)
         g2 = CTRDataGenerator(spec, seed=3)

@@ -14,9 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nn_oracles import oracle_step
+from nn_oracles import OracleDense, OracleMLP, oracle_step
 from repro.config import ModelSpec
 from repro.data.batching import Batch
+from repro.nn.layers import MLP
 from repro.nn.model import CTRModel, Shard
 
 #: the benchmark workloads' towers: (n_slots, embedding_dim, hidden)
@@ -99,3 +100,69 @@ def test_an_empty_shard_is_refused():
     shards = [Shard.of(_shard(rng, 4, 4, False, 300)), Shard.of(empty)]
     with pytest.raises(ValueError, match="empty"):
         model.train_minibatch(table, shards)
+
+
+def _eager_dense_grads(oracle, x, grad_logit, bounds):
+    """Every shard's ``[dW, db, ...]`` computed during the backward sweep,
+    each layer's into one ``(n_shards, in, out)`` / ``(n_shards, out)``
+    stack by ``np.matmul(x[lo:hi].T, g[lo:hi])`` / ``np.add.reduce`` —
+    the eager form on-demand gradients replaced."""
+    oracle.forward(x)
+    n = len(bounds) - 1
+    per_layer = []
+    g = grad_logit[:, None]
+    for layer in reversed(oracle.layers):
+        if isinstance(layer, OracleDense):
+            dW = np.empty((n, *layer.W.shape))
+            db = np.empty((n, layer.b.size))
+            for w, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+                np.matmul(layer._x[lo:hi].T, g[lo:hi], out=dW[w])
+                np.add.reduce(g[lo:hi], axis=0, out=db[w])
+            per_layer.insert(0, (dW, db))
+        g = layer.backward(g)
+    return [[a[w] for pair in per_layer for a in pair] for w in range(n)]
+
+
+@pytest.mark.parametrize(
+    "shard_rows",
+    [[128] * 8, [4, 64, 12, 128, 36, 8, 100, 20]],
+    ids=["dense_heavy", "unequal"],
+)
+def test_on_demand_dense_grads_equal_eager_per_shard(shard_rows):
+    """``MLP.gradients(w)`` computes shard ``w``'s weight gradients when
+    read; they equal the eager per-shard stacks bit for bit, on the
+    ``dense_heavy`` tower (64 → 256 → 128 → 64 → 1)."""
+    rng = np.random.default_rng(5)
+    mlp = MLP(64, (256, 128, 64), seed=5)
+    bounds = np.cumsum([0, *shard_rows])
+    x = rng.normal(size=(bounds[-1], 64))
+    grad_logit = rng.normal(size=bounds[-1]) / 128
+    want = _eager_dense_grads(OracleMLP(mlp), x, grad_logit, bounds)
+    mlp.forward(x)
+    mlp.backward(grad_logit, bounds)
+    for w in reversed(range(len(shard_rows))):  # any order
+        got = mlp.gradients(w)
+        assert len(got) == len(want[w])
+        for a, b in zip(got, want[w]):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert np.array_equal(a, b)
+
+
+def test_dense_grads_read_twice_are_the_same_bits():
+    """A worker's ``dense_grads`` read again — after another worker's
+    read overwrote the buffers — recomputes the same bits."""
+    rng = np.random.default_rng(1)
+    spec = _spec(*TOWERS[1])
+    model = CTRModel(spec, seed=1)
+    table = rng.normal(size=(300, 32)).astype(np.float32)
+    shards = [Shard.of(_shard(rng, n, 4, False, 300)) for n in (64, 128, 32)]
+    shards = [s._replace(rows=s.keys.astype(np.int64)[s.key_idx]) for s in shards]
+    results = model.train_minibatch(table, shards)
+    first = [g.copy() for g in results[1].dense_grads]
+    again = results[1].dense_grads
+    assert all(np.array_equal(a, b) for a, b in zip(first, again))
+    results[0].dense_grads
+    assert not np.array_equal(again[0], first[0])  # one buffer per layer
+    assert all(
+        np.array_equal(a, b) for a, b in zip(first, results[1].dense_grads)
+    )

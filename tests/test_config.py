@@ -1,7 +1,9 @@
 """Tests for model/cluster configuration (Table 3)."""
 
+import collections
 import importlib
 import inspect
+import types
 from dataclasses import fields, replace
 
 import numpy as np
@@ -10,9 +12,11 @@ import pytest
 from repro.ckpt.checkpoint import CheckpointStats
 from repro.config import PAPER_MODELS, TINY_MODEL, ClusterConfig, ModelSpec
 from repro.core.cluster import BatchStats, HPSCluster
+from repro.data.generator import CTRDataGenerator
 from repro.hardware.specs import GPUSpec, HDFSSpec, SSDSpec
 from repro.hbm.partition import ModuloPartitioner
 from repro.mem.cache import CombinedCache
+from repro.nn.model import CTRModel, Shard
 from repro.store.slot_index import SlotIndex
 
 #: The signatures on the cluster's build/restore path.  A defaulted
@@ -137,6 +141,64 @@ def key_table_bytes() -> tuple[int, int]:
     partitioner = ModuloPartitioner(256)
     partitioner.part_of(np.arange(2048, dtype=np.uint64))  # builds the table
     return index._payload.itemsize, partitioner._table.itemsize
+
+
+def objects_under(obj, seen):
+    """Every object reachable from ``obj`` through repro objects'
+    ``__dict__`` and ``__slots__``, plain containers, and functions'
+    closures and attributes (the stage registry's closures)."""
+    if id(obj) in seen:
+        return
+    seen.add(id(obj))
+    yield obj
+    if isinstance(obj, dict):
+        children = list(obj.values())
+    elif isinstance(obj, (list, tuple, set, frozenset, collections.deque)):
+        children = list(obj)
+    elif isinstance(obj, types.FunctionType):
+        cells = [cell.cell_contents for cell in obj.__closure__ or ()]
+        children = cells + list(vars(obj).values())
+    elif isinstance(obj, types.MethodType):
+        children = [obj.__self__, obj.__func__]
+    elif type(obj).__module__.startswith("repro."):
+        names = list(getattr(obj, "__dict__", ()))
+        for klass in type(obj).__mro__:
+            names += list(getattr(klass, "__slots__", ()))
+        children = [getattr(obj, name, None) for name in names]
+    else:
+        return
+    for child in children:
+        yield from objects_under(child, seen)
+
+
+def dense_tower_bytes() -> tuple[int, int]:
+    """Bytes of the arrays a ``dense_heavy``-shaped :class:`CTRModel`
+    keeps alive (views counted once, at the array owning the memory):
+    untrained, then after one 8-shard ``train_minibatch`` whose workers'
+    dense gradients are read one by one, as ``stage_train`` reads them."""
+
+    def owned() -> int:
+        owners = {}
+        for a in objects_under(model, set()):
+            if isinstance(a, np.ndarray):
+                while isinstance(a.base, np.ndarray):
+                    a = a.base
+                owners[id(a)] = a.nbytes
+        return sum(owners.values())
+
+    spec = replace(
+        TINY_MODEL, n_sparse=20_000, embedding_dim=16, hidden_layers=(256, 128, 64)
+    )
+    model = CTRModel(spec)
+    untrained = owned()
+    batch = CTRDataGenerator(spec, seed=0).batch(0, 1024)
+    keys = batch.unique_keys()
+    table = np.full((keys.size, 2 * spec.embedding_dim), 0.01, np.float32)
+    shards = [Shard.of(b) for b in batch.shard(8)]
+    shards = [s._replace(rows=keys.searchsorted(s.keys)[s.key_idx]) for s in shards]
+    for result in model.train_minibatch(table, shards):
+        result.dense_grads
+    return untrained, owned()
 
 
 def pipeline_shapes() -> int:
@@ -266,6 +328,14 @@ class TestClusterConfig:
         assert payload <= 4
         assert bucket <= 1
 
+    def test_dense_tower_holds_what_it_computes(self):
+        """Bytes a ``dense_heavy`` tower keeps: no float64 weight shadow
+        before its first forward, one weight-gradient buffer per layer
+        however many workers read theirs (CI prints both head vs base)."""
+        untrained, trained = dense_tower_bytes()
+        assert untrained <= 231_428
+        assert trained <= 10_476_628
+
     def test_with_nodes(self):
         """Derive a config with ``dataclasses.replace``: the other fields
         carry over and the derived config is validated like any other."""
@@ -287,6 +357,8 @@ class TestClusterConfig:
     @pytest.mark.parametrize(
         "field",
         [
+            "n_nodes",
+            "gpus_per_node",
             "minibatches_per_gpu",
             "mem_capacity_params",
             "hbm_capacity_params",
@@ -298,14 +370,20 @@ class TestClusterConfig:
         """A zero-sized tier or shard count used to be accepted and die
         rounds later (``n_shards must be positive`` in batch sharding);
         the error now names the field."""
-        with pytest.raises(ValueError, match=f"{field} must be positive"):
+        minimum = 2 if field == "mem_capacity_params" else 1
+        match = f"^{field} must be an integer >= {minimum}, got {value}$"
+        with pytest.raises(ValueError, match=match):
             ClusterConfig(**{field: value})
 
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_out_of_range_seed_rejected_at_construction(self, seed):
         """Such a seed used to be accepted and die in the cluster's
         ``derive_seed`` as a bare ``OverflowError``."""
-        match = rf"seed must be in \[0, 2\*\*64\), got {seed}"
+        match = (
+            rf"^seed must be an integer >= 0, got {seed}$"
+            if seed < 0
+            else rf"^seed must be in \[0, 2\*\*64\), got {seed}$"
+        )
         with pytest.raises(ValueError, match=match):
             ClusterConfig(seed=seed)
 
@@ -317,20 +395,28 @@ class TestClusterConfig:
         [
             ("cache_lru_fraction", 0.0, r"cache_lru_fraction must be in \(0, 1\)"),
             ("cache_lru_fraction", 1.0, r"cache_lru_fraction must be in \(0, 1\)"),
-            ("mem_capacity_params", 1, "mem_capacity_params must be >= 2"),
+            (
+                "mem_capacity_params",
+                1,
+                "^mem_capacity_params must be an integer >= 2, got 1$",
+            ),
             *(
-                (field, value, f"{field} must be an integer, got {value!r}")
-                for field, value in (
-                    ("ssd_file_capacity", 4.0),
-                    ("ssd_file_capacity", 4.5),
-                    ("n_nodes", 2.0),
-                    ("gpus_per_node", 2.0),
-                    ("minibatches_per_gpu", 1.5),
-                    ("mem_capacity_params", 4000.5),
-                    ("hbm_capacity_params", 1.5),
-                    ("seed", 0.5),
-                    ("n_nodes", True),
-                    ("seed", False),
+                (
+                    field,
+                    value,
+                    f"^{field} must be an integer >= {minimum}, got {value!r}$",
+                )
+                for field, value, minimum in (
+                    ("ssd_file_capacity", 4.0, 1),
+                    ("ssd_file_capacity", 4.5, 1),
+                    ("n_nodes", 2.0, 1),
+                    ("gpus_per_node", 2.0, 1),
+                    ("minibatches_per_gpu", 1.5, 1),
+                    ("mem_capacity_params", 4000.5, 2),
+                    ("hbm_capacity_params", 1.5, 1),
+                    ("seed", 0.5, 0),
+                    ("n_nodes", True, 1),
+                    ("seed", False, 0),
                 )
             ),
         ],
